@@ -144,6 +144,44 @@ let run_robustness () =
    only this with fewer repetitions. *)
 let quick = ref false
 
+(* The host-time estimator behind every on/off comparison: one untimed
+   warmup pair absorbs cold allocator/page-cache state, then [iters]
+   pairs alternate their order so drift cancels instead of biasing, and
+   each side keeps its *minimum* — the run least polluted by GC pauses
+   and scheduler noise, which makes min-vs-min the stable estimator of
+   an intrinsic cost. [on]/[off] return one sample in seconds. *)
+let best_of_interleaved ~iters ~on ~off =
+  ignore (on ());
+  ignore (off ());
+  let b_on = ref infinity and b_off = ref infinity in
+  let on () = b_on := Float.min !b_on (on ())
+  and off () = b_off := Float.min !b_off (off ()) in
+  for i = 1 to iters do
+    if i mod 2 = 0 then (on (); off ()) else (off (); on ())
+  done;
+  (!b_on, !b_off)
+
+(* Host gates re-measure up to 3 times until [measure]'s reading (the
+   last component) lands in [lo, hi], and fail loudly otherwise: a
+   noisy sample is retried, a harness that keeps mis-measuring is not. *)
+let within_band ~what ~show ~lo ~hi measure =
+  let attempts = 3 in
+  let band = Printf.sprintf "[%s, %s]" (show lo) (show hi) in
+  let rec go k =
+    let ((_, _, v) as r) = measure () in
+    if v >= lo && v <= hi then r
+    else if k < attempts then begin
+      Format.fprintf fmt "  %s %s outside %s; re-measuring (%d/%d)@." what
+        (show v) band (k + 1) attempts;
+      go (k + 1)
+    end
+    else
+      failwith
+        (Printf.sprintf "%s %s outside %s after %d attempts" what (show v)
+           band attempts)
+  in
+  go 1
+
 let run_obs () =
   Common.section fmt "Observability: pipeline breakdown + registry overhead";
   let app = Workload.ngx in
@@ -179,13 +217,10 @@ let run_obs () =
   List.iter
     (fun (st, s) -> Format.fprintf fmt "  stage %-12s %.6f s@." st s)
     breakdown;
-  (* overhead: interleaved on/off repetitions, compared by *minimum* —
-     the best-case run is the one least polluted by GC pauses and
-     scheduler noise, so min-vs-min is the stable estimator of the
-     registry's intrinsic cost. The registry cannot make the scenario
-     faster, so a negative reading beyond jitter means the harness
-     itself is broken — re-measure up to 3 times and fail loudly if the
-     result never lands in the plausible [-1%, +5%] band. *)
+  (* overhead: registry on vs off, best-of-interleaved. The registry
+     cannot make the scenario faster, so a negative reading beyond
+     jitter means the harness itself is broken — the result must land
+     in the plausible [-1%, +5%] band. *)
   let time_with enabled =
     Obs.set_enabled enabled;
     Obs.reset ();
@@ -196,44 +231,16 @@ let run_obs () =
     let (), dt = Stats.time_it scenario in
     dt
   in
-  let best l = List.fold_left min infinity l in
-  let measure () =
-    (* one untimed warmup pair absorbs cold allocator/page-cache state *)
-    ignore (time_with true);
-    ignore (time_with false);
-    let on = ref [] and off = ref [] in
-    for i = 1 to iters do
-      (* alternate the order so drift cancels instead of biasing *)
-      if i mod 2 = 0 then begin
-        on := time_with true :: !on;
-        off := time_with false :: !off
-      end
-      else begin
-        off := time_with false :: !off;
-        on := time_with true :: !on
-      end
-    done;
-    (best !on, best !off)
+  let m_on, m_off, overhead_pct =
+    within_band ~what:"obs: instrumentation overhead"
+      ~show:(Printf.sprintf "%.2f%%") ~lo:(-1.) ~hi:5. (fun () ->
+        let m_on, m_off =
+          best_of_interleaved ~iters
+            ~on:(fun () -> time_with true)
+            ~off:(fun () -> time_with false)
+        in
+        (m_on, m_off, (m_on -. m_off) /. m_off *. 100.))
   in
-  let attempts = 3 in
-  let rec bounded k =
-    let m_on, m_off = measure () in
-    let pct = (m_on -. m_off) /. m_off *. 100. in
-    if pct >= -1. && pct <= 5. then (m_on, m_off, pct)
-    else if k < attempts then begin
-      Format.fprintf fmt
-        "  overhead %.2f%% outside [-1%%, +5%%]; re-measuring (%d/%d)@." pct
-        (k + 1) attempts;
-      bounded (k + 1)
-    end
-    else
-      failwith
-        (Printf.sprintf
-           "obs: instrumentation overhead %.2f%% outside [-1%%, +5%%] after \
-            %d attempts — harness is mis-measuring"
-           pct attempts)
-  in
-  let m_on, m_off, overhead_pct = bounded 1 in
   Obs.set_enabled true;
   Format.fprintf fmt "  scenario best-case: registry on %.6f s, off %.6f s@."
     m_on m_off;
@@ -253,9 +260,10 @@ let run_obs () =
 
 (* The §6a fleet numbers: closed-loop requests through the kernel's
    round-robin listener fan-out as the worker count scales (virtual-
-   clock throughput), and the per-wave pause a rolling rollout imposes
-   on a 6-worker fleet. Emits BENCH_fleet.json; --quick shrinks the
-   sweep for the ci smoke. *)
+   clock throughput, served through the decoded-block code cache), the
+   cache's host-time speedup at one worker, and the per-wave pause a
+   rolling rollout imposes on a 6-worker fleet. Emits BENCH_fleet.json;
+   --quick shrinks the sweep for the ci smoke. *)
 let run_fleet () =
   Common.section fmt "Fleet: fan-out throughput + rollout pause";
   let app = Workload.ltpd in
@@ -266,10 +274,10 @@ let run_fleet () =
   let counts = if !quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   let requests = if !quick then 60 else 200 in
   let get = Workload.http_get "/index.html" in
-  (* each worker count is measured twice on the same closed loop: once
-     on the single-step interpreter, once through the decoded-block code
-     cache (lib/bbcache), whose hit rate is reported alongside *)
-  let measure ~cached n =
+  (* one closed loop of [requests] on a fresh [n]-worker fleet, on the
+     single-step interpreter or through the code cache; returns served,
+     virtual cycles, cache hit rate and the loop's host seconds *)
+  let serve ~cached n =
     Fault.reset ();
     let ctxs = Workload.spawn_fleet ~n app in
     let m = (List.hd ctxs).Workload.m in
@@ -279,32 +287,71 @@ let run_fleet () =
     let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
     let start = m.Machine.clock in
     let served = ref 0 in
-    for _ = 1 to requests do
-      match Fleet.request fleet get with
-      | `Reply _ -> incr served
-      | `Refused | `Shed | `Timed_out _ -> ()
-    done;
+    Gc.compact ();
+    let (), host_s =
+      Stats.time_it (fun () ->
+          for _ = 1 to requests do
+            match Fleet.request fleet get with
+            | `Reply _ -> incr served
+            | `Refused | `Shed | `Timed_out _ -> ()
+          done)
+    in
     let cycles = Int64.sub m.Machine.clock start in
-    let per_mcycle = float_of_int !served /. (Int64.to_float cycles /. 1e6) in
     let hit_rate =
       match bb with
       | None -> 0.
       | Some b ->
           let st = Bbcache.stats b in
           let lookups = st.Bbcache.st_hits + st.Bbcache.st_decodes in
+          Bbcache.disable b;
           if lookups = 0 then 0.
           else float_of_int st.Bbcache.st_hits /. float_of_int lookups
     in
-    (match bb with Some b -> Bbcache.disable b | None -> ());
-    Format.fprintf fmt
-      "  workers=%d %s served=%d/%d cycles=%Ld  %.1f req/Mcycle%s@." n
-      (if cached then "cached" else "interp")
-      !served requests cycles per_mcycle
-      (if cached then Printf.sprintf "  hit-rate %.4f" hit_rate else "");
-    (n, !served, per_mcycle, hit_rate)
+    (!served, cycles, hit_rate, host_s)
   in
-  let interp = List.map (measure ~cached:false) counts in
-  let throughput = List.map (measure ~cached:true) counts in
+  let per_mcycle served cycles =
+    float_of_int served /. (Int64.to_float cycles /. 1e6)
+  in
+  let sweep =
+    List.map
+      (fun n ->
+        let ((served, cycles, hit_rate, _) as r) = serve ~cached:true n in
+        Format.fprintf fmt
+          "  workers=%d served=%d/%d cycles=%Ld  %.1f req/Mcycle  hit-rate \
+           %.4f@."
+          n served requests cycles (per_mcycle served cycles) hit_rate;
+        (n, r))
+      counts
+  in
+  (* the cache is a host-only accelerator: the interpreted run must be
+     the same program on the virtual axis, cycle for cycle *)
+  let served_c, cycles_c, _, _ = List.assoc 1 sweep in
+  let served_i, cycles_i, _, _ = serve ~cached:false 1 in
+  if served_i <> served_c || cycles_i <> cycles_c then
+    failwith
+      (Printf.sprintf
+         "fleet: cached run diverged from the interpreter at w1: served \
+          %d vs %d, cycles %Ld vs %Ld"
+         served_c served_i cycles_c cycles_i);
+  Format.fprintf fmt "  w1 interp = cached: %d served in %Ld cycles@."
+    served_i cycles_i;
+  (* ci gate: the cache's benefit is a host number — interp/cached
+     serve time at w1, best-of-interleaved, must stay >= 2x *)
+  let host_s (_, _, _, s) = s in
+  let s_cached, s_interp, host_speedup =
+    within_band ~what:"fleet: host speedup at w1"
+      ~show:(Printf.sprintf "%.2fx") ~lo:2. ~hi:infinity (fun () ->
+        let s_cached, s_interp =
+          best_of_interleaved
+            ~iters:(if !quick then 5 else 7)
+            ~on:(fun () -> host_s (serve ~cached:true 1))
+            ~off:(fun () -> host_s (serve ~cached:false 1))
+        in
+        (s_cached, s_interp, s_interp /. s_cached))
+  in
+  Format.fprintf fmt
+    "  w1 host serve best-case: cached %.6f s, interp %.6f s — %.2fx@."
+    s_cached s_interp host_speedup;
   (* per-wave rollout pause on a 6-worker fleet *)
   Fault.reset ();
   let wn = 6 and waves = 3 in
@@ -337,29 +384,15 @@ let run_fleet () =
   let oc = open_out "BENCH_fleet.json" in
   Printf.fprintf oc "{\n  \"app\": %S,\n  \"requests\": %d" app.Workload.a_name
     requests;
-  List.iter2
-    (fun (n, served, cached_pm, hit_rate) (_, _, interp_pm, _) ->
+  List.iter
+    (fun (n, (served, cycles, hit_rate, _)) ->
       Printf.fprintf oc ",\n  \"served_w%d\": %d,\n  \"req_per_mcycle_w%d\": %.2f"
-        n served n cached_pm;
-      Printf.fprintf oc ",\n  \"req_per_mcycle_cached_w%d\": %.2f" n cached_pm;
-      Printf.fprintf oc ",\n  \"req_per_mcycle_interp_w%d\": %.2f" n interp_pm;
+        n served n (per_mcycle served cycles);
       Printf.fprintf oc ",\n  \"cache_hit_rate_w%d\": %.4f" n hit_rate)
-    throughput interp;
-  (* the decoded-block cache (lib/bbcache) retired ROADMAP item 1: the
-     headline req_per_mcycle_wN rows run through superblock dispatch,
-     the _interp rows keep the old single-step baseline visible *)
-  Printf.fprintf oc ",\n  \"serialized_interpreter\": false";
-  let speedup =
-    let pm l = match l with (_, _, x, _) :: _ -> x | [] -> 0. in
-    if pm interp > 0. then pm throughput /. pm interp else 0.
-  in
-  Printf.fprintf oc ",\n  \"speedup_w1\": %.2f" speedup;
-  Format.fprintf fmt "  w1 cached/interp speedup: %.2fx@." speedup;
-  (* ci gate: ci.sh runs `bench --quick fleet`; a code-cache regression
-     below 5x over the interpreter fails the smoke outright *)
-  if speedup < 5. then
-    failwith
-      (Printf.sprintf "bbcache speedup regression: %.2fx < 5x at w1" speedup);
+    sweep;
+  Printf.fprintf oc ",\n  \"host_s_cached_w1\": %.6f" s_cached;
+  Printf.fprintf oc ",\n  \"host_s_interp_w1\": %.6f" s_interp;
+  Printf.fprintf oc ",\n  \"host_speedup_w1\": %.2f" host_speedup;
   Printf.fprintf oc ",\n  \"rollout_workers\": %d,\n  \"rollout_waves\": %d" wn
     waves;
   List.iter
@@ -957,45 +990,19 @@ let run_slice () =
     dt
   in
   let iters = if !quick then 3 else 7 in
-  let best l = List.fold_left min infinity l in
-  let measure () =
-    ignore (serve ~sliced:true);
-    ignore (serve ~sliced:false);
-    let on = ref [] and off = ref [] in
-    for i = 1 to iters do
-      if i mod 2 = 0 then begin
-        on := serve ~sliced:true :: !on;
-        off := serve ~sliced:false :: !off
-      end
-      else begin
-        off := serve ~sliced:false :: !off;
-        on := serve ~sliced:true :: !on
-      end
-    done;
-    (best !on, best !off)
+  (* the tracer must cost something (>= 1x beyond jitter) and stay
+     within an order of magnitude of the interpreter (it adds a bounded
+     amount of work per instruction) *)
+  let m_on, m_off, ratio =
+    within_band ~what:"slice: tracing overhead" ~show:(Printf.sprintf "%.2fx")
+      ~lo:0.98 ~hi:25. (fun () ->
+        let m_on, m_off =
+          best_of_interleaved ~iters
+            ~on:(fun () -> serve ~sliced:true)
+            ~off:(fun () -> serve ~sliced:false)
+        in
+        (m_on, m_off, m_on /. m_off))
   in
-  let attempts = 3 in
-  let rec bounded k =
-    let m_on, m_off = measure () in
-    let ratio = m_on /. m_off in
-    (* the tracer must cost something (>= 1x beyond jitter) and stay
-       within an order of magnitude of the interpreter (it adds a
-       bounded amount of work per instruction) *)
-    if ratio >= 0.98 && ratio <= 25. then (m_on, m_off, ratio)
-    else if k < attempts then begin
-      Format.fprintf fmt
-        "  overhead ratio %.2fx outside [0.98, 25]; re-measuring (%d/%d)@."
-        ratio (k + 1) attempts;
-      bounded (k + 1)
-    end
-    else
-      failwith
-        (Printf.sprintf
-           "slice: tracing overhead %.2fx outside [0.98, 25] after %d \
-            attempts"
-           ratio attempts)
-  in
-  let m_on, m_off, ratio = bounded 1 in
   Format.fprintf fmt
     "  serve best-case: slicer on %.6f s, off %.6f s — %.2fx@." m_on m_off
     ratio;

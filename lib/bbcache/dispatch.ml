@@ -5,11 +5,16 @@
     blocks — fall-through and taken edges alike — into superblocks until
     a trap, blocked syscall, signal, cache miss on an undecodable entry
     (int3), pending invalidation, or fuel exhaustion breaks the chain.
-    Block transitions whose predecessor carries a direct link cost no
-    dispatch at all; an unlinked transition pays one virtual cycle for
-    the table lookup. Executed instructions cost 1/32 cycle each (decode
-    was paid once, at block build), which is what moves the virtual
-    req/mcycle metric, not just host time.
+    Block transitions whose predecessor carries a direct link skip the
+    table lookup.
+
+    A host-only accelerator: every instruction retires through
+    {!Machine.exec_decoded} at the interpreter's one cycle, lookups are
+    free, and a chain stops at the exact instruction where the
+    scheduler's single-step loop would ([fuel] spent or the clock at
+    [until]), so the virtual clock cannot tell the modes apart. One
+    known gap: a store into the executing block is seen at the next
+    block boundary, not at the next instruction.
 
     The coverage tracer needs no separate instrumentation mode:
     {!Machine.exec_decoded} performs the same block bookkeeping as the
@@ -58,11 +63,6 @@ let cache_for d (p : Proc.t) =
       Hashtbl.replace d.d_caches p.Proc.pid c;
       c
 
-(* one virtual cycle per unlinked dispatch: the hash lookup is the
-   "indirect branch" of the direct-threaded loop *)
-let charge_lookup (m : Machine.t) =
-  m.Machine.clock <- Int64.add m.Machine.clock 1L
-
 let lookup_linked prev rip =
   match prev with
   | None -> None
@@ -84,31 +84,35 @@ let link prev b =
       pb.Block.b_s2 <- pb.Block.b_s1;
       pb.Block.b_s1 <- Some b
 
-(** Run one block; returns instructions executed. Execution leaves the
-    block early when a slot diverges from fall-through (taken trap or
-    signal, blocked syscall, exit) — detected by comparing rip against
-    the statically known next address, never by re-reading memory. *)
-let exec_block m (p : Proc.t) (b : Block.t) =
+(** Run one block with [executed] instructions already spent; returns
+    the new total. Only a block's last instruction can be a syscall, so
+    every earlier one costs exactly one cycle: the single-step loop's
+    fuel and deadline checks fold into one slot limit taken on entry,
+    and {!exec} re-checks both before the next block. Execution also
+    leaves the block early when a slot stops the process or diverges
+    from fall-through (taken trap or signal, blocked syscall, exit) —
+    detected by comparing rip against the statically known next
+    address, never by re-reading memory. *)
+let exec_block m (p : Proc.t) (b : Block.t) ~fuel ~until executed =
   let slots = b.Block.b_slots in
-  let n = Array.length slots in
-  let executed = ref 0 in
-  let i = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !i < n do
+  let limit =
+    min (Array.length slots)
+      (min (fuel - executed) (Int64.to_int (Int64.sub until m.Machine.clock)))
+  in
+  let i = ref 0 and stop = ref false in
+  while (not !stop) && !i < limit do
     let s = slots.(!i) in
     let rip = p.Proc.regs.Proc.rip in
-    Machine.exec_decoded m p s.Block.s_insn s.Block.s_len ~cached:true;
-    incr executed;
-    if
+    Machine.exec_decoded m p s.Block.s_insn s.Block.s_len;
+    incr i;
+    stop :=
       p.Proc.state <> Proc.Runnable
       || p.Proc.frozen
       || p.Proc.regs.Proc.rip <> Int64.add rip (Int64.of_int s.Block.s_len)
-    then continue_ := false
-    else incr i
   done;
-  !executed
+  executed + !i
 
-let exec d (p : Proc.t) ~fuel =
+let exec d (p : Proc.t) ~fuel ~until =
   if d.d_degraded then 0
   else
     match
@@ -125,10 +129,13 @@ let exec d (p : Proc.t) ~fuel =
         (try
            let continue_ = ref true in
            while !continue_ do
+             (* the single-step loop's own condition, so the chain
+                retires exactly the instructions it would *)
              if
                p.Proc.state <> Proc.Runnable
                || p.Proc.frozen
                || !executed >= fuel
+               || m.Machine.clock >= until
              then continue_ := false
              else begin
                (match Invalidate.drain cache with
@@ -146,7 +153,6 @@ let exec d (p : Proc.t) ~fuel =
                      Obs.incr d.obs_hits;
                      Some b
                  | None -> (
-                     charge_lookup m;
                      match Cache.find cache rip with
                      | Some b ->
                          d.d_hits <- d.d_hits + 1;
@@ -167,7 +173,7 @@ let exec d (p : Proc.t) ~fuel =
                | None -> continue_ := false
                | Some b ->
                    incr chained;
-                   executed := !executed + exec_block m p b;
+                   executed := exec_block m p b ~fuel ~until !executed;
                    prev := Some b
              end
            done

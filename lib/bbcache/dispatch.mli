@@ -1,6 +1,8 @@
 (** Direct-threaded dispatch over the decoded-block cache: installs the
     machine's [exec_cached] hook and chains cached blocks into
-    superblocks until a trap/syscall/hook boundary. *)
+    superblocks until a trap/syscall/hook boundary. A host-only
+    accelerator: the virtual clock advances exactly as when
+    interpreted. *)
 
 type t
 
@@ -15,15 +17,11 @@ type stats = {
 val enable : Machine.t -> t
 (** Install cached execution on the machine and register the
     [bbcache.*] observability counters. Interpreted semantics are
-    preserved exactly (same hooks, counters, signals); only the cycle
-    cost model changes. *)
+    preserved exactly (same hooks, counters, signals and virtual clock);
+    only host time changes. *)
 
 val disable : t -> unit
 (** Uninstall and drop every cache; the machine single-steps again. *)
-
-val exec : t -> Proc.t -> fuel:int -> int
-(** The installed hook: run up to [fuel] instructions out of the cache;
-    0 means "fall back to one interpreter step". *)
 
 val flush_all : t -> unit
 (** Explicit whole-cache nudge across every pid (fires

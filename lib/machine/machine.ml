@@ -1,6 +1,6 @@
 (** The virtual machine: processes, CPU interpreter, signal delivery,
     syscall dispatch, round-robin scheduler, and a deterministic virtual
-    clock (1 cycle per retired instruction).
+    clock (1 cycle per retired instruction, interpreted or cached alike).
 
     This plays the role of the Linux kernel + CPU in the paper's setup and
     is part of the trusted computing base its threat model assumes (§2). *)
@@ -41,13 +41,11 @@ type t = {
   obs_steps : Obs.counter;  (** cached registry handles: the interpreter *)
   obs_traps : Obs.counter;  (** bumps these once per event, so the lookup *)
   obs_syscalls : Obs.counter;  (** cost is paid at [create], not per insn *)
-  mutable cycle_frac : int;
-      (** sub-cycle accumulator for cached execution: pre-decoded
-          instructions cost 1/32 cycle each, carried into [clock] *)
-  mutable exec_cached : (Proc.t -> fuel:int -> int) option;
+  mutable exec_cached : (Proc.t -> fuel:int -> until:int64 -> int) option;
       (** installed by the decoded-block code cache ([Bbcache.enable]):
-          run [p] for up to [fuel] instructions out of the cache,
-          returning the number executed (0 = fall back to single-step).
+          run [p] out of the cache, stopping where the single-step loop
+          would (after [fuel] instructions or at clock [until]), and
+          return the number executed (0 = fall back to single-step).
           The scheduler only consults it while no [on_insn] hook is
           installed — per-instruction fidelity (the slicer) always wins *)
 }
@@ -117,7 +115,6 @@ let create ?(seed = 42) () =
       obs_steps = Obs.counter "machine.steps";
       obs_traps = Obs.counter "machine.traps";
       obs_syscalls = Obs.counter "machine.syscalls";
-      cycle_frac = 0;
       exec_cached = None;
     }
   in
@@ -523,13 +520,12 @@ let set_test_flags (regs : Proc.regs) a b =
   regs.Proc.of_ <- false
 
 (** Execute one already-decoded instruction of [p] (anything but [Int3],
-    which never enters the code cache); assumes [p] runnable. [cached]
-    selects the cost model only: interpreted instructions cost one cycle,
-    pre-decoded ones 1/32 (decode was paid once, when the block was
-    built). Every other effect — block bookkeeping, trace/insn hooks,
-    [Obs] counters, signal delivery — is identical in both modes, which
-    is what keeps cached runs replay-exact against interpreted ones. *)
-let exec_decoded t (p : Proc.t) insn len ~cached =
+    which never enters the code cache); assumes [p] runnable. The
+    interpreter and the code cache both retire through here, so the
+    cycle charge, block bookkeeping, trace/insn hooks, [Obs] counters
+    and signal delivery are one code path — which is what keeps cached
+    runs replay-exact against interpreted ones, clock included. *)
+let exec_decoded t (p : Proc.t) insn len =
   let regs = p.Proc.regs in
   let rip = regs.Proc.rip in
   let mem = p.Proc.mem in
@@ -537,14 +533,7 @@ let exec_decoded t (p : Proc.t) insn len ~cached =
       if p.Proc.block_start = None then p.Proc.block_start <- Some rip;
       (match t.on_insn with Some hook -> hook p insn | None -> ());
       let next = Int64.add rip (Int64.of_int len) in
-      (if cached then begin
-         t.cycle_frac <- t.cycle_frac + 1;
-         if t.cycle_frac >= 32 then begin
-           t.cycle_frac <- 0;
-           t.clock <- Int64.add t.clock 1L
-         end
-       end
-       else t.clock <- Int64.add t.clock 1L);
+      t.clock <- Int64.add t.clock 1L;
       p.Proc.retired <- Int64.add p.Proc.retired 1L;
       Obs.incr t.obs_steps;
       let g r = Proc.get regs r and s r v = Proc.set regs r v in
@@ -735,7 +724,7 @@ let step_insn t (p : Proc.t) =
           (Printf.sprintf "pid=%d comm=%s rip=0x%Lx" p.Proc.pid p.Proc.comm rip)
       end;
       deliver_signal t p ~signum:Abi.sigtrap ~at:rip
-  | insn, len -> exec_decoded t p insn len ~cached:false
+  | insn, len -> exec_decoded t p insn len
 
 let step t (p : Proc.t) =
   step_insn t p;
@@ -814,7 +803,7 @@ let run t ~max_cycles =
                 | Some exec when t.on_insn = None -> (
                     (* decoded-block dispatch; per-insn hooks (the slicer)
                        force the single-step interpreter *)
-                    match exec p ~fuel:!budget with
+                    match exec p ~fuel:!budget ~until:deadline with
                     | 0 ->
                         (* cache declined (int3 at rip, fault, injected
                            dispatch fault): single-step this one *)

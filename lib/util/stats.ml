@@ -29,8 +29,3 @@ let time_it f =
   let r = f () in
   let t1 = Sys.time () in
   (r, t1 -. t0)
-
-let time_n n f =
-  List.init n (fun _ ->
-      let _, dt = time_it f in
-      dt)

@@ -1,101 +1,138 @@
-(** Decoded-block code cache tests: replay-exactness against the
-    single-step interpreter (step/trap/syscall counters, replies, drcov
-    byte-identity), nudge-precise invalidation across all three rewrite
-    strategies, self-modifying-page eviction, post-[Fleet.recover] cache
-    coldness, slicer interpreter-fallback, and two-run determinism of
-    the observability dump with the cache enabled. *)
+(** Decoded-block code cache tests: a cached-vs-interpreted differential
+    (replies, virtual clock, drcov bytes and the observability dump),
+    nudge-precise invalidation across all three rewrite strategies,
+    self-modifying-page eviction, post-[Fleet.recover] cache coldness,
+    slicer interpreter-fallback, and two-run determinism of the
+    observability dump with the cache enabled. *)
 
 let get = "GET /index.html HTTP/1.0\r\n\r\n"
 
 let lpolicy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
 
-(* ---------- cross-mode pinning: same seed, same counters ---------- *)
+(* ---------- differential: cached = interpreted, byte for byte ---------- *)
 
-(* Boot [app], cut its undesired feature, drive a wanted/undesired mix;
-   returns the replies plus the Obs step/trap/syscall totals and the
-   final virtual clock. The cache is enabled before the first
-   instruction, so decode, init, cut, trap-handler and serving paths all
-   run cached. *)
-let drive_cut ~cached app reqs ~blocks ~policy =
-  Obs.reset ();
-  Fault.reset ();
-  let c = Workload.spawn app in
-  let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
-  Workload.wait_ready c;
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let (_ : Rewriter.journal list * Dynacut.timings) =
-    Dynacut.cut session ~blocks ~policy
-  in
-  let replies = List.map (fun r -> Workload.rpc c r) reqs in
-  let v n = Obs.counter_value (Obs.counter n) in
-  let out =
-    ( replies,
-      v "machine.steps",
-      v "machine.traps",
-      v "machine.syscalls",
-      c.Workload.m.Machine.clock )
-  in
-  (match bb with Some b -> Bbcache.disable b | None -> ());
-  out
+type run = {
+  replies : string list;
+  clock : int64;
+  drcov : string;
+  dump : string;  (** [Obs.dump_json] minus the cache's own series *)
+  traps : int;
+}
 
-let test_pinning_ltpd () =
-  let reqs = Workload.web_wanted @ Workload.web_undesired @ [ get ] in
-  let blocks = Common.web_feature_blocks Workload.ltpd in
-  let ri, si, ti, yi, cki = drive_cut ~cached:false Workload.ltpd reqs ~blocks ~policy:lpolicy in
-  let rc, sc, tc, yc, ckc = drive_cut ~cached:true Workload.ltpd reqs ~blocks ~policy:lpolicy in
-  Alcotest.(check (list string)) "replies identical" ri rc;
-  Alcotest.(check int) "obs steps identical" si sc;
-  Alcotest.(check int) "obs traps identical" ti tc;
-  Alcotest.(check int) "obs syscalls identical" yi yc;
-  Alcotest.(check bool) "undesired requests really trapped" true (ti > 0);
-  Alcotest.(check bool) "cached run spends fewer virtual cycles" true
-    (Int64.compare ckc cki < 0)
+(* The dump with every [bbcache.*] line dropped, blank lines dropped and
+   separators trimmed (a dropped line can leave its section empty or
+   move the comma of its neighbour). *)
+let without_bbcache dump =
+  String.split_on_char '\n' dump
+  |> List.filter (fun l ->
+         l <> "" && not (Workload.contains ~sub:"\"bbcache." l))
+  |> List.map (fun l ->
+         let n = String.length l in
+         if n > 0 && l.[n - 1] = ',' then String.sub l 0 (n - 1) else l)
+  |> String.concat "\n"
 
-(* rkv pins the same invariants without a cut (pure serving path) *)
-let drive_plain ~cached app reqs =
-  Obs.reset ();
-  Fault.reset ();
-  let c = Workload.spawn app in
-  let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
-  Workload.wait_ready c;
-  let replies = List.map (fun r -> Workload.rpc c r) reqs in
-  let v n = Obs.counter_value (Obs.counter n) in
-  let out = (replies, v "machine.steps", v "machine.syscalls") in
-  (match bb with Some b -> Bbcache.disable b | None -> ());
-  out
-
-let test_pinning_rkv () =
-  let reqs = Workload.kv_wanted @ Workload.kv_undesired in
-  let ri, si, yi = drive_plain ~cached:false Workload.rkv reqs in
-  let rc, sc, yc = drive_plain ~cached:true Workload.rkv reqs in
-  Alcotest.(check (list string)) "replies identical" ri rc;
-  Alcotest.(check int) "obs steps identical" si sc;
-  Alcotest.(check int) "obs syscalls identical" yi yc
-
-(* ---------- drcov byte-identity (the tracer as cache stubs) ---------- *)
-
-let drcov_run ~cached app reqs =
+(* Boot [app] traced, optionally cut it, drive [reqs]. The cache is
+   enabled before the first instruction, so decode, init, cut,
+   trap-handler and serving paths all run cached. *)
+let run_mode ~cached ?cut app reqs =
   Obs.reset ();
   Fault.reset ();
   let c = Workload.spawn ~traced:true app in
-  let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
+  let m = c.Workload.m in
+  let bb = if cached then Some (Bbcache.enable m) else None in
   Workload.wait_ready c;
-  List.iter (fun r -> ignore (Workload.rpc c r)) reqs;
-  let log = Collector.detach (Workload.collector c) in
-  (match bb with Some b -> Bbcache.disable b | None -> ());
-  Drcov.to_string log
+  Option.iter
+    (fun (blocks, policy) ->
+      let session = Dynacut.create m ~root_pid:c.Workload.pid in
+      ignore (Dynacut.cut session ~blocks ~policy))
+    cut;
+  let replies = List.map (Workload.rpc c) reqs in
+  let drcov = Drcov.to_string (Collector.detach (Workload.collector c)) in
+  let r =
+    {
+      replies;
+      clock = m.Machine.clock;
+      drcov;
+      dump = without_bbcache (Obs.dump_json ());
+      traps = Obs.counter_value (Obs.counter "machine.traps");
+    }
+  in
+  Option.iter Bbcache.disable bb;
+  r
+
+(* Run the scenario interpreted, then cached, and demand the same
+   program: the cache may change host time only. *)
+let differential ?cut app reqs =
+  let i = run_mode ~cached:false ?cut app reqs in
+  let c = run_mode ~cached:true ?cut app reqs in
+  Alcotest.(check (list string)) "replies identical" i.replies c.replies;
+  Alcotest.(check int64) "virtual clock identical" i.clock c.clock;
+  Alcotest.(check string) "drcov byte-identical" i.drcov c.drcov;
+  Alcotest.(check string) "obs dump identical (bbcache.* aside)" i.dump c.dump;
+  i
+
+let test_differential_ltpd () =
+  let r =
+    differential
+      ~cut:(Common.web_feature_blocks Workload.ltpd, lpolicy)
+      Workload.ltpd
+      (Workload.web_wanted @ Workload.web_undesired @ [ get ])
+  in
+  Alcotest.(check bool) "undesired requests really trapped" true (r.traps > 0)
+
+(* rkv: no cut, the pure serving path *)
+let test_differential_rkv () =
+  ignore
+    (differential Workload.rkv (Workload.kv_wanted @ Workload.kv_undesired))
+
+(* ngx: a master + worker tree, cut as a whole — two processes share the
+   scheduler, so quantum boundaries must land identically too *)
+let test_differential_ngx () =
+  let policy =
+    { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
+  in
+  let r =
+    differential
+      ~cut:(Common.web_feature_blocks Workload.ngx, policy)
+      Workload.ngx
+      (Workload.web_wanted @ Workload.web_undesired @ [ get ])
+  in
+  Alcotest.(check bool) "undesired requests really trapped" true (r.traps > 0)
+
+(* Two ltpd workers boot side by side, both runnable: stopped mid-boot,
+   each must have retired the same instructions in both modes — every
+   quantum boundary falls on the same instruction, or the interleaving
+   drifts. *)
+let test_differential_quanta () =
+  let boot ~cached =
+    Fault.reset ();
+    let ctxs = Workload.spawn_fleet ~n:2 Workload.ltpd in
+    let m = (List.hd ctxs).Workload.m in
+    let bb = if cached then Some (Bbcache.enable m) else None in
+    ignore (Machine.run m ~max_cycles:100_003);
+    let retired =
+      List.map (fun c -> (Machine.proc_exn m c.Workload.pid).Proc.retired) ctxs
+    in
+    Option.iter Bbcache.disable bb;
+    (m.Machine.clock, retired)
+  in
+  let ci, ri = boot ~cached:false and cc, rc = boot ~cached:true in
+  Alcotest.(check int64) "virtual clock identical" ci cc;
+  Alcotest.(check (list int64)) "per-worker progress identical" ri rc
+
+(* ---------- drcov byte-identity (the tracer as cache stubs) ---------- *)
+
+(* No cut: the tracer alone must see the same blocks in both modes *)
+let drcov_identity app reqs =
+  let i = run_mode ~cached:false app reqs in
+  let c = run_mode ~cached:true app reqs in
+  Alcotest.(check string) "drcov byte-identical" i.drcov c.drcov
 
 let test_drcov_identity_ltpd () =
-  let reqs = Workload.web_wanted @ Workload.web_undesired in
-  Alcotest.(check string) "ltpd drcov byte-identical"
-    (drcov_run ~cached:false Workload.ltpd reqs)
-    (drcov_run ~cached:true Workload.ltpd reqs)
+  drcov_identity Workload.ltpd (Workload.web_wanted @ Workload.web_undesired)
 
 let test_drcov_identity_rkv () =
-  let reqs = Workload.kv_wanted @ Workload.kv_undesired in
-  Alcotest.(check string) "rkv drcov byte-identical"
-    (drcov_run ~cached:false Workload.rkv reqs)
-    (drcov_run ~cached:true Workload.rkv reqs)
+  drcov_identity Workload.rkv (Workload.kv_wanted @ Workload.kv_undesired)
 
 (* ---------- invalidation: cut -> flush -> re-enable -> re-decode ---------- *)
 
@@ -304,9 +341,13 @@ let test_cached_dump_deterministic () =
 let suite =
   [
     Alcotest.test_case "pinning: ltpd cut, cached = interpreted" `Quick
-      test_pinning_ltpd;
+      test_differential_ltpd;
     Alcotest.test_case "pinning: rkv, cached = interpreted" `Quick
-      test_pinning_rkv;
+      test_differential_rkv;
+    Alcotest.test_case "pinning: ngx tree cut, cached = interpreted" `Quick
+      test_differential_ngx;
+    Alcotest.test_case "pinning: two booting workers, cached = interpreted"
+      `Quick test_differential_quanta;
     Alcotest.test_case "drcov byte-identity: ltpd" `Quick
       test_drcov_identity_ltpd;
     Alcotest.test_case "drcov byte-identity: rkv" `Quick test_drcov_identity_rkv;
