@@ -25,6 +25,39 @@ let micro_tests () =
     Encode.program
       [ Insn.Mov_ri (Reg.Rax, 42L); Insn.Add_ri (Reg.Rax, 1); Insn.Cmp_ri (Reg.Rax, 43); Insn.Ret ]
   in
+  (* a guest that never exits: a call, 8-byte loads and stores into a
+     global, arithmetic and a branch per iteration, and no syscall, so a
+     kernel run of [loop_cycles] cycles retires that many instructions *)
+  let loop_cycles = 10_000 in
+  let libc = Libc.build () in
+  let spin =
+    let open Dsl in
+    Crt0.link_app ~libc
+      (unit_ "spin" ~globals:[ global_zero "buf" 64 ]
+         [
+           func "bump" [ "k" ]
+             [
+               decl "a" (addr "buf" +: ((v "k" &: i 7) *: i 8));
+               store64 (v "a") (load64 (v "a") +: v "k");
+               ret0;
+             ];
+           func "main" []
+             [ decl "k" (i 0); forever [ do_ "bump" [ v "k" ]; set "k" (v "k" +: i 1) ]; ret0 ];
+         ])
+  in
+  let spin_machine ~cached =
+    let m = Machine.create () in
+    Vfs.add_self m.Machine.fs "libc.so" libc;
+    Vfs.add_self m.Machine.fs "spin" spin;
+    ignore (Machine.spawn m ~exe_path:"spin" ());
+    if cached then ignore (Bbcache.enable m);
+    m
+  in
+  let m_cached = spin_machine ~cached:true and m_interp = spin_machine ~cached:false in
+  let spin_run m () = ignore (Machine.run m ~max_cycles:loop_cycles) in
+  let mem = Mem.create () in
+  ignore (Mem.map mem ~vaddr:0x10000L ~len:Mem.page_size ~prot:Self.prot_rw ~name:"bench" ());
+  ignore (Mem.read64 mem 0x10008L);
   [
     Test.make ~name:"image-encode" (Staged.stage (fun () -> ignore (Images.encode img)));
     Test.make ~name:"image-decode" (Staged.stage (fun () -> ignore (Images.decode blob)));
@@ -36,6 +69,10 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Decode.disassemble insns)));
     Test.make ~name:"checkpoint-dump"
       (Staged.stage (fun () -> ignore (Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ())));
+    Test.make ~name:"guest-loop-10k-cached" (Staged.stage (spin_run m_cached));
+    Test.make ~name:"guest-loop-10k-interp" (Staged.stage (spin_run m_interp));
+    Test.make ~name:"mem-read64-tlb-hit"
+      (Staged.stage (fun () -> ignore (Mem.read64 mem 0x10008L)));
   ]
 
 let run_micro () =
@@ -276,7 +313,8 @@ let run_fleet () =
   let get = Workload.http_get "/index.html" in
   (* one closed loop of [requests] on a fresh [n]-worker fleet, on the
      single-step interpreter or through the code cache; returns served,
-     virtual cycles, cache hit rate and the loop's host seconds *)
+     virtual cycles, guest instructions retired, cache hit rate and the
+     loop's host seconds *)
   let serve ~cached n =
     Fault.reset ();
     let ctxs = Workload.spawn_fleet ~n app in
@@ -286,6 +324,10 @@ let run_fleet () =
     let pids = List.map (fun c -> c.Workload.pid) ctxs in
     let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
     let start = m.Machine.clock in
+    let retired () =
+      List.fold_left (fun n (p : Proc.t) -> Int64.add n p.Proc.retired) 0L (Machine.all_procs m)
+    in
+    let retired0 = retired () in
     let served = ref 0 in
     Gc.compact ();
     let (), host_s =
@@ -297,6 +339,7 @@ let run_fleet () =
           done)
     in
     let cycles = Int64.sub m.Machine.clock start in
+    let insns = Int64.sub (retired ()) retired0 in
     let hit_rate =
       match bb with
       | None -> 0.
@@ -307,7 +350,7 @@ let run_fleet () =
           if lookups = 0 then 0.
           else float_of_int st.Bbcache.st_hits /. float_of_int lookups
     in
-    (!served, cycles, hit_rate, host_s)
+    (!served, cycles, insns, hit_rate, host_s)
   in
   let per_mcycle served cycles =
     float_of_int served /. (Int64.to_float cycles /. 1e6)
@@ -315,7 +358,7 @@ let run_fleet () =
   let sweep =
     List.map
       (fun n ->
-        let ((served, cycles, hit_rate, _) as r) = serve ~cached:true n in
+        let ((served, cycles, _, hit_rate, _) as r) = serve ~cached:true n in
         Format.fprintf fmt
           "  workers=%d served=%d/%d cycles=%Ld  %.1f req/Mcycle  hit-rate \
            %.4f@."
@@ -325,8 +368,8 @@ let run_fleet () =
   in
   (* the cache is a host-only accelerator: the interpreted run must be
      the same program on the virtual axis, cycle for cycle *)
-  let served_c, cycles_c, _, _ = List.assoc 1 sweep in
-  let served_i, cycles_i, _, _ = serve ~cached:false 1 in
+  let served_c, cycles_c, insns_c, _, _ = List.assoc 1 sweep in
+  let served_i, cycles_i, insns_i, _, _ = serve ~cached:false 1 in
   if served_i <> served_c || cycles_i <> cycles_c then
     failwith
       (Printf.sprintf
@@ -337,7 +380,7 @@ let run_fleet () =
     served_i cycles_i;
   (* ci gate: the cache's benefit is a host number — interp/cached
      serve time at w1, best-of-interleaved, must stay >= 2x *)
-  let host_s (_, _, _, s) = s in
+  let host_s (_, _, _, _, s) = s in
   let s_cached, s_interp, host_speedup =
     within_band ~what:"fleet: host speedup at w1"
       ~show:(Printf.sprintf "%.2fx") ~lo:2. ~hi:infinity (fun () ->
@@ -349,9 +392,12 @@ let run_fleet () =
         in
         (s_cached, s_interp, s_interp /. s_cached))
   in
+  let ns_per_insn s insns = s *. 1e9 /. Int64.to_float insns in
+  let ns_cached = ns_per_insn s_cached insns_c and ns_interp = ns_per_insn s_interp insns_i in
   Format.fprintf fmt
-    "  w1 host serve best-case: cached %.6f s, interp %.6f s — %.2fx@."
-    s_cached s_interp host_speedup;
+    "  w1 host serve best-case: cached %.6f s, interp %.6f s — %.2fx \
+     (%.1f vs %.1f ns per guest instruction)@."
+    s_cached s_interp host_speedup ns_cached ns_interp;
   (* per-wave rollout pause on a 6-worker fleet *)
   Fault.reset ();
   let wn = 6 and waves = 3 in
@@ -385,7 +431,7 @@ let run_fleet () =
   Printf.fprintf oc "{\n  \"app\": %S,\n  \"requests\": %d" app.Workload.a_name
     requests;
   List.iter
-    (fun (n, (served, cycles, hit_rate, _)) ->
+    (fun (n, (served, cycles, _, hit_rate, _)) ->
       Printf.fprintf oc ",\n  \"served_w%d\": %d,\n  \"req_per_mcycle_w%d\": %.2f"
         n served n (per_mcycle served cycles);
       Printf.fprintf oc ",\n  \"cache_hit_rate_w%d\": %.4f" n hit_rate)
@@ -393,6 +439,8 @@ let run_fleet () =
   Printf.fprintf oc ",\n  \"host_s_cached_w1\": %.6f" s_cached;
   Printf.fprintf oc ",\n  \"host_s_interp_w1\": %.6f" s_interp;
   Printf.fprintf oc ",\n  \"host_speedup_w1\": %.2f" host_speedup;
+  Printf.fprintf oc ",\n  \"host_ns_per_insn_cached_w1\": %.1f" ns_cached;
+  Printf.fprintf oc ",\n  \"host_ns_per_insn_interp_w1\": %.1f" ns_interp;
   Printf.fprintf oc ",\n  \"rollout_workers\": %d,\n  \"rollout_waves\": %d" wn
     waves;
   List.iter

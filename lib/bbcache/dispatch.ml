@@ -89,26 +89,24 @@ let link prev b =
     every earlier one costs exactly one cycle: the single-step loop's
     fuel and deadline checks fold into one slot limit taken on entry,
     and {!exec} re-checks both before the next block. Execution also
-    leaves the block early when a slot stops the process or diverges
-    from fall-through (taken trap or signal, blocked syscall, exit) —
-    detected by comparing rip against the statically known next
-    address, never by re-reading memory. *)
+    leaves the block early when a slot does not fall through
+    ({!Machine.exec_decoded} returns [false] on a taken trap, signal,
+    blocked syscall or exit) or stops the process — decided from that
+    flag and the process state, never by re-reading rip or memory. *)
 let exec_block m (p : Proc.t) (b : Block.t) ~fuel ~until executed =
   let slots = b.Block.b_slots in
   let limit =
     min (Array.length slots)
       (min (fuel - executed) (Int64.to_int (Int64.sub until m.Machine.clock)))
   in
-  let i = ref 0 and stop = ref false in
-  while (not !stop) && !i < limit do
+  let i = ref 0 and go = ref true in
+  while !go && !i < limit do
     let s = slots.(!i) in
-    let rip = p.Proc.regs.Proc.rip in
-    Machine.exec_decoded m p s.Block.s_insn s.Block.s_len;
-    incr i;
-    stop :=
-      p.Proc.state <> Proc.Runnable
-      || p.Proc.frozen
-      || p.Proc.regs.Proc.rip <> Int64.add rip (Int64.of_int s.Block.s_len)
+    go :=
+      Machine.exec_decoded m p s.Block.s_insn s.Block.s_len
+      && (match p.Proc.state with Proc.Runnable -> true | _ -> false)
+      && not p.Proc.frozen;
+    incr i
   done;
   executed + !i
 
@@ -145,7 +143,7 @@ let exec d (p : Proc.t) ~fuel ~until =
                    Obs.add d.obs_flushes k;
                    (* links into evicted blocks are dead; re-dispatch *)
                    prev := None);
-               let rip = p.Proc.regs.Proc.rip in
+               let rip = Proc.rip p.Proc.regs in
                let blk =
                  match lookup_linked !prev rip with
                  | Some b ->

@@ -83,8 +83,8 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
       c_exe = p.Proc.exe_path;
       c_regs =
         {
-          Images.r_gpr = Array.copy regs.Proc.gpr;
-          r_rip = regs.Proc.rip;
+          Images.r_gpr = Array.of_list (List.map (Proc.gpr regs) Reg.all);
+          r_rip = Proc.rip regs;
           r_flags = Proc.pack_flags regs;
         };
       c_sigactions =

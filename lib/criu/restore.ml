@@ -104,8 +104,11 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
     Proc.create ~pid:core.Images.c_pid ~parent:core.Images.c_parent
       ~comm:core.Images.c_comm ~exe_path:core.Images.c_exe ~mem
   in
-  Array.blit core.Images.c_regs.Images.r_gpr 0 p.Proc.regs.Proc.gpr 0 16;
-  p.Proc.regs.Proc.rip <- core.Images.c_regs.Images.r_rip;
+  List.iter
+    (fun r ->
+      Proc.set_gpr p.Proc.regs r core.Images.c_regs.Images.r_gpr.(Reg.to_int r))
+    Reg.all;
+  Proc.set_rip p.Proc.regs core.Images.c_regs.Images.r_rip;
   Proc.unpack_flags p.Proc.regs core.Images.c_regs.Images.r_flags;
   List.iter
     (fun (s : Images.sigaction_img) ->

@@ -198,7 +198,7 @@ let spawn t ~exe_path ?comm () =
   t.next_pid <- pid + 1;
   let comm = match comm with Some c -> c | None -> exe.Self.name in
   let p = Proc.create ~pid ~parent:0 ~comm ~exe_path ~mem in
-  p.Proc.regs.Proc.rip <- img.Loader.img_entry;
+  Proc.set_rip p.Proc.regs img.Loader.img_entry;
   Proc.set p.Proc.regs Reg.Rsp (Int64.sub Proc.stack_top 64L);
   Hashtbl.replace t.procs pid p;
   t.spawn_order <- pid :: t.spawn_order;
@@ -247,14 +247,16 @@ let deliver_signal t (p : Proc.t) ~(signum : int) ~(at : int64) =
         w64 Abi.frame_off_signum (Int64.of_int signum);
         w64 Abi.frame_off_rip at;
         w64 Abi.frame_off_flags (Int64.of_int (Proc.pack_flags regs));
-        Array.iteri (fun i v -> w64 (Abi.frame_off_regs + (8 * i)) v) regs.Proc.gpr;
+        List.iter
+          (fun r -> w64 (Abi.frame_off_regs + (8 * Reg.to_int r)) (Proc.gpr regs r))
+          Reg.all;
         (* push the restorer as the handler's return address *)
         let new_rsp = Int64.sub frame 8L in
         Mem.write64 p.Proc.mem new_rsp sa_restorer;
         Proc.set regs Reg.Rsp new_rsp;
         Proc.set regs Reg.Rdi (Int64.of_int signum);
         Proc.set regs Reg.Rsi frame;
-        regs.Proc.rip <- sa_handler;
+        Proc.set_rip regs sa_handler;
         (* a signal can only be handled by a runnable process; interrupt
            blocking syscalls (they will restart after sigreturn) *)
         p.Proc.state <- Proc.Runnable
@@ -273,11 +275,11 @@ let do_sigreturn (p : Proc.t) =
     else begin
       let saved_rip = r64 Abi.frame_off_rip in
       let saved_flags = Int64.to_int (r64 Abi.frame_off_flags) in
-      for i = 0 to 15 do
-        regs.Proc.gpr.(i) <- r64 (Abi.frame_off_regs + (8 * i))
-      done;
+      List.iter
+        (fun r -> Proc.set_gpr regs r (r64 (Abi.frame_off_regs + (8 * Reg.to_int r))))
+        Reg.all;
       Proc.unpack_flags regs saved_flags;
-      regs.Proc.rip <- saved_rip
+      Proc.set_rip regs saved_rip
       (* rsp restored from the frame's saved registers *)
     end
   with Mem.Fault _ -> p.Proc.state <- Proc.Killed Abi.sigsegv
@@ -286,7 +288,7 @@ let do_sigreturn (p : Proc.t) =
 let post_signal t ~pid ~signum =
   match proc t pid with
   | None -> ()
-  | Some p when Proc.is_live p -> deliver_signal t p ~signum ~at:p.Proc.regs.Proc.rip
+  | Some p when Proc.is_live p -> deliver_signal t p ~signum ~at:(Proc.rip p.Proc.regs)
   | Some _ -> ()
 
 (* ---------- syscalls ---------- *)
@@ -400,8 +402,7 @@ let do_syscall t (p : Proc.t) : sys_outcome =
       t.next_pid <- child_pid + 1;
       let child = Proc.fork_copy p ~pid:child_pid in
       (* both continue after the syscall *)
-      let next = Int64.add regs.Proc.rip 1L in
-      child.Proc.regs.Proc.rip <- next;
+      Proc.set_rip child.Proc.regs (Int64.add (Proc.rip regs) 1L);
       Proc.set child.Proc.regs Reg.Rax 0L;
       Hashtbl.replace t.procs child_pid child;
       t.spawn_order <- child_pid :: t.spawn_order;
@@ -501,7 +502,8 @@ let cond_true (regs : Proc.regs) (c : Insn.cond) =
   | Insn.Ugt -> (not cf) && not z
   | Insn.Uge -> not cf
 
-let set_cmp_flags (regs : Proc.regs) a b =
+(* [@inline]: an int64 argument to a call that is not inlined is boxed *)
+let[@inline] set_cmp_flags (regs : Proc.regs) a b =
   let diff = Int64.sub a b in
   regs.Proc.zf <- Int64.equal a b;
   regs.Proc.sf <- Int64.compare diff 0L < 0;
@@ -512,195 +514,252 @@ let set_cmp_flags (regs : Proc.regs) a b =
   and sd = Int64.compare diff 0L < 0 in
   regs.Proc.of_ <- (sa <> sb) && sd <> sa
 
-let set_test_flags (regs : Proc.regs) a b =
+let[@inline] set_test_flags (regs : Proc.regs) a b =
   let v = Int64.logand a b in
   regs.Proc.zf <- Int64.equal v 0L;
   regs.Proc.sf <- Int64.compare v 0L < 0;
   regs.Proc.cf <- false;
   regs.Proc.of_ <- false
 
+(* ---------- hot-path register and memory access ---------- *)
+
+(* Library modules are compiled without cross-module inlining, so calling
+   [Proc.gpr] or [Mem.read64] boxes the [int64] it returns. The
+   interpreter's per-instruction accesses go through these instead, which
+   inline into {!exec_decoded}: a register access is one load or store on
+   the unboxed register file (layout: [Proc.regs]). *)
+let[@inline] gpr (regs : Proc.regs) r = Proc.get64u regs.Proc.file (Reg.to_int r lsl 3)
+let[@inline] set_gpr (regs : Proc.regs) r v = Proc.set64u regs.Proc.file (Reg.to_int r lsl 3) v
+let[@inline] set_rip (regs : Proc.regs) v = Proc.set64u regs.Proc.file Proc.rip_off v
+
+(* 8-byte loads and stores: an in-page access whose page is in the TLB
+   with the needed permission is a lookup and one load or store (a store
+   also bumps the page's write generation). Everything else — TLB miss,
+   page straddle, missing permission, and every store to an executable
+   page — goes through [Mem.read64]/[Mem.write64], the only places that
+   fault or mark a page exec-dirty for the code cache. *)
+let[@inline] tlb_page8 (mem : Mem.t) addr =
+  let tag = Int64.to_int (Int64.shift_right_logical addr 12) in
+  let slot = tag land (Mem.tlb_size - 1) in
+  if
+    Int64.to_int addr land (Mem.page_size - 1) <= Mem.page_size - 8
+    && Array.unsafe_get mem.Mem.tlb_tag slot = tag
+  then Array.unsafe_get mem.Mem.tlb_page slot
+  else Mem.no_page (* no permissions: the caller takes the slow path *)
+
+let[@inline] load64 (mem : Mem.t) addr =
+  let pg = tlb_page8 mem addr in
+  if pg.Mem.pg_prot.Self.p_r then
+    Bytes.get_int64_le pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1))
+  else Mem.read64 mem addr
+
+let[@inline] store64 (mem : Mem.t) addr v =
+  let pg = tlb_page8 mem addr in
+  let prot = pg.Mem.pg_prot in
+  if prot.Self.p_w && not prot.Self.p_x then begin
+    pg.Mem.pg_gen <- pg.Mem.pg_gen + 1;
+    Bytes.set_int64_le pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) v
+  end
+  else Mem.write64 mem addr v
+
+(* A control transfer: close the current basic block, then move rip. *)
+let[@inline] jump t (p : Proc.t) ~next target =
+  end_block t p ~next;
+  set_rip p.Proc.regs target;
+  false
+
 (** Execute one already-decoded instruction of [p] (anything but [Int3],
     which never enters the code cache); assumes [p] runnable. The
     interpreter and the code cache both retire through here, so the
     cycle charge, block bookkeeping, trace/insn hooks, [Obs] counters
     and signal delivery are one code path — which is what keeps cached
-    runs replay-exact against interpreted ones, clock included. *)
+    runs replay-exact against interpreted ones, clock included. Returns
+    [true] iff the instruction fell through to [rip + len]; a taken
+    branch, signal, fault, blocking syscall or exit returns [false].
+    Closure-free, so its common path allocates only the boxed clock and
+    retired-count increments. *)
 let exec_decoded t (p : Proc.t) insn len =
   let regs = p.Proc.regs in
-  let rip = regs.Proc.rip in
+  let rip = Proc.get64u regs.Proc.file Proc.rip_off in
   let mem = p.Proc.mem in
-  (
-      if p.Proc.block_start = None then p.Proc.block_start <- Some rip;
-      (match t.on_insn with Some hook -> hook p insn | None -> ());
-      let next = Int64.add rip (Int64.of_int len) in
-      t.clock <- Int64.add t.clock 1L;
-      p.Proc.retired <- Int64.add p.Proc.retired 1L;
-      Obs.incr t.obs_steps;
-      let g r = Proc.get regs r and s r v = Proc.set regs r v in
-      let goto target =
-        end_block t p ~next;
-        regs.Proc.rip <- target
-      in
-      let fallthrough () = regs.Proc.rip <- next in
-      try
-        match insn with
-        | Insn.Nop -> fallthrough ()
-        | Insn.Hlt -> (
+  if p.Proc.block_start = None then p.Proc.block_start <- Some rip;
+  (match t.on_insn with Some hook -> hook p insn | None -> ());
+  let next = Int64.add rip (Int64.of_int len) in
+  t.clock <- Int64.add t.clock 1L;
+  p.Proc.retired <- Int64.add p.Proc.retired 1L;
+  Obs.incr t.obs_steps;
+  (* each arm says whether it falls through; rip moves to [next] below *)
+  let fell =
+    try
+      match insn with
+      | Insn.Nop -> true
+      | Insn.Hlt ->
+          end_block t p ~next;
+          p.Proc.state <- Proc.Killed Abi.sigill;
+          false
+      | Insn.Int3 -> assert false (* [step_insn] traps it first *)
+      | Insn.Mov_rr (d, src) ->
+          set_gpr regs d (gpr regs src);
+          true
+      | Insn.Mov_ri (d, imm) ->
+          set_gpr regs d imm;
+          true
+      | Insn.Load (d, b, off) ->
+          set_gpr regs d (load64 mem (Int64.add (gpr regs b) (Int64.of_int off)));
+          true
+      | Insn.Store (b, off, src) ->
+          store64 mem (Int64.add (gpr regs b) (Int64.of_int off)) (gpr regs src);
+          true
+      | Insn.Load8 (d, b, off) ->
+          set_gpr regs d
+            (Int64.of_int (Mem.read8 mem (Int64.add (gpr regs b) (Int64.of_int off))));
+          true
+      | Insn.Store8 (b, off, src) ->
+          Mem.write8 mem
+            (Int64.add (gpr regs b) (Int64.of_int off))
+            (Int64.to_int (gpr regs src) land 0xff);
+          true
+      | Insn.Add_rr (d, src) ->
+          set_gpr regs d (Int64.add (gpr regs d) (gpr regs src));
+          true
+      | Insn.Add_ri (d, v) ->
+          set_gpr regs d (Int64.add (gpr regs d) (Int64.of_int v));
+          true
+      | Insn.Sub_rr (d, src) ->
+          set_gpr regs d (Int64.sub (gpr regs d) (gpr regs src));
+          true
+      | Insn.Sub_ri (d, v) ->
+          set_gpr regs d (Int64.sub (gpr regs d) (Int64.of_int v));
+          true
+      | Insn.Imul_rr (d, src) ->
+          set_gpr regs d (Int64.mul (gpr regs d) (gpr regs src));
+          true
+      | Insn.Idiv_rr (d, src) ->
+          if gpr regs src = 0L then (
             end_block t p ~next;
-            p.Proc.state <- Proc.Killed Abi.sigill)
-        | Insn.Int3 -> assert false (* handled above *)
-        | Insn.Mov_rr (d, src) ->
-            s d (g src);
-            fallthrough ()
-        | Insn.Mov_ri (d, imm) ->
-            s d imm;
-            fallthrough ()
-        | Insn.Load (d, b, off) ->
-            s d (Mem.read64 mem (Int64.add (g b) (Int64.of_int off)));
-            fallthrough ()
-        | Insn.Store (b, off, src) ->
-            Mem.write64 mem (Int64.add (g b) (Int64.of_int off)) (g src);
-            fallthrough ()
-        | Insn.Load8 (d, b, off) ->
-            s d (Int64.of_int (Mem.read8 mem (Int64.add (g b) (Int64.of_int off))));
-            fallthrough ()
-        | Insn.Store8 (b, off, src) ->
-            Mem.write8 mem
-              (Int64.add (g b) (Int64.of_int off))
-              (Int64.to_int (Int64.logand (g src) 0xffL));
-            fallthrough ()
-        | Insn.Add_rr (d, src) ->
-            s d (Int64.add (g d) (g src));
-            fallthrough ()
-        | Insn.Add_ri (d, v) ->
-            s d (Int64.add (g d) (Int64.of_int v));
-            fallthrough ()
-        | Insn.Sub_rr (d, src) ->
-            s d (Int64.sub (g d) (g src));
-            fallthrough ()
-        | Insn.Sub_ri (d, v) ->
-            s d (Int64.sub (g d) (Int64.of_int v));
-            fallthrough ()
-        | Insn.Imul_rr (d, src) ->
-            s d (Int64.mul (g d) (g src));
-            fallthrough ()
-        | Insn.Idiv_rr (d, src) ->
-            if g src = 0L then (
-              end_block t p ~next;
-              deliver_signal t p ~signum:Abi.sigfpe ~at:rip)
-            else begin
-              s d (Int64.div (g d) (g src));
-              fallthrough ()
-            end
-        | Insn.Imod_rr (d, src) ->
-            if g src = 0L then (
-              end_block t p ~next;
-              deliver_signal t p ~signum:Abi.sigfpe ~at:rip)
-            else begin
-              s d (Int64.rem (g d) (g src));
-              fallthrough ()
-            end
-        | Insn.And_rr (d, src) ->
-            s d (Int64.logand (g d) (g src));
-            fallthrough ()
-        | Insn.Or_rr (d, src) ->
-            s d (Int64.logor (g d) (g src));
-            fallthrough ()
-        | Insn.Xor_rr (d, src) ->
-            s d (Int64.logxor (g d) (g src));
-            fallthrough ()
-        | Insn.Shl_ri (d, n) ->
-            s d (Int64.shift_left (g d) n);
-            fallthrough ()
-        | Insn.Shr_ri (d, n) ->
-            s d (Int64.shift_right_logical (g d) n);
-            fallthrough ()
-        | Insn.Sar_ri (d, n) ->
-            s d (Int64.shift_right (g d) n);
-            fallthrough ()
-        | Insn.Shl_rr (d, src) ->
-            s d (Int64.shift_left (g d) (Int64.to_int (g src) land 63));
-            fallthrough ()
-        | Insn.Shr_rr (d, src) ->
-            s d (Int64.shift_right_logical (g d) (Int64.to_int (g src) land 63));
-            fallthrough ()
-        | Insn.Neg d ->
-            s d (Int64.neg (g d));
-            fallthrough ()
-        | Insn.Not d ->
-            s d (Int64.lognot (g d));
-            fallthrough ()
-        | Insn.Cmp_rr (a, b) ->
-            set_cmp_flags regs (g a) (g b);
-            fallthrough ()
-        | Insn.Cmp_ri (a, v) ->
-            set_cmp_flags regs (g a) (Int64.of_int v);
-            fallthrough ()
-        | Insn.Test_rr (a, b) ->
-            set_test_flags regs (g a) (g b);
-            fallthrough ()
-        | Insn.Jmp rel -> goto (Int64.add next (Int64.of_int rel))
-        | Insn.Jcc (c, rel) ->
-            if cond_true regs c then goto (Int64.add next (Int64.of_int rel))
-            else begin
-              (* conditional not taken still ends the block (drcov-style) *)
-              end_block t p ~next;
-              fallthrough ()
-            end
-        | Insn.Call rel ->
-            let rsp = Int64.sub (g Reg.Rsp) 8L in
-            Mem.write64 mem rsp next;
-            s Reg.Rsp rsp;
-            goto (Int64.add next (Int64.of_int rel))
-        | Insn.Call_r r ->
-            let target = g r in
-            let rsp = Int64.sub (g Reg.Rsp) 8L in
-            Mem.write64 mem rsp next;
-            s Reg.Rsp rsp;
-            goto target
-        | Insn.Jmp_r r -> goto (g r)
-        | Insn.Ret ->
-            let rsp = g Reg.Rsp in
-            let target = Mem.read64 mem rsp in
-            s Reg.Rsp (Int64.add rsp 8L);
-            goto target
-        | Insn.Push r ->
-            let rsp = Int64.sub (g Reg.Rsp) 8L in
-            Mem.write64 mem rsp (g r);
-            s Reg.Rsp rsp;
-            fallthrough ()
-        | Insn.Pop r ->
-            let rsp = g Reg.Rsp in
-            s r (Mem.read64 mem rsp);
-            s Reg.Rsp (Int64.add rsp 8L);
-            fallthrough ()
-        | Insn.Lea (d, off) ->
-            s d (Int64.add next (Int64.of_int off));
-            fallthrough ()
-        | Insn.Syscall -> (
+            deliver_signal t p ~signum:Abi.sigfpe ~at:rip;
+            false)
+          else (
+            set_gpr regs d (Int64.div (gpr regs d) (gpr regs src));
+            true)
+      | Insn.Imod_rr (d, src) ->
+          if gpr regs src = 0L then (
             end_block t p ~next;
-            t.clock <- Int64.add t.clock (Int64.of_int t.syscall_cost);
-            match do_syscall t p with
-            | exception Seccomp_denied ->
-                deliver_signal t p ~signum:Abi.sigsys ~at:rip
-            | Ret v ->
-                s Reg.Rax v;
-                fallthrough ()
-            | Block_retry reason ->
-                (* rip stays at the syscall: it re-executes on wake *)
-                p.Proc.state <- Proc.Blocked reason
-            | Block_after reason ->
-                s Reg.Rax 0L;
-                fallthrough ();
-                p.Proc.state <- Proc.Blocked reason
-            | Terminate st ->
-                p.Proc.state <- st
-            | Sigret -> ())
-      with Mem.Fault (_, _) -> deliver_signal t p ~signum:Abi.sigsegv ~at:rip)
+            deliver_signal t p ~signum:Abi.sigfpe ~at:rip;
+            false)
+          else (
+            set_gpr regs d (Int64.rem (gpr regs d) (gpr regs src));
+            true)
+      | Insn.And_rr (d, src) ->
+          set_gpr regs d (Int64.logand (gpr regs d) (gpr regs src));
+          true
+      | Insn.Or_rr (d, src) ->
+          set_gpr regs d (Int64.logor (gpr regs d) (gpr regs src));
+          true
+      | Insn.Xor_rr (d, src) ->
+          set_gpr regs d (Int64.logxor (gpr regs d) (gpr regs src));
+          true
+      | Insn.Shl_ri (d, n) ->
+          set_gpr regs d (Int64.shift_left (gpr regs d) n);
+          true
+      | Insn.Shr_ri (d, n) ->
+          set_gpr regs d (Int64.shift_right_logical (gpr regs d) n);
+          true
+      | Insn.Sar_ri (d, n) ->
+          set_gpr regs d (Int64.shift_right (gpr regs d) n);
+          true
+      | Insn.Shl_rr (d, src) ->
+          set_gpr regs d (Int64.shift_left (gpr regs d) (Int64.to_int (gpr regs src) land 63));
+          true
+      | Insn.Shr_rr (d, src) ->
+          set_gpr regs d
+            (Int64.shift_right_logical (gpr regs d) (Int64.to_int (gpr regs src) land 63));
+          true
+      | Insn.Neg d ->
+          set_gpr regs d (Int64.neg (gpr regs d));
+          true
+      | Insn.Not d ->
+          set_gpr regs d (Int64.lognot (gpr regs d));
+          true
+      | Insn.Cmp_rr (a, b) ->
+          set_cmp_flags regs (gpr regs a) (gpr regs b);
+          true
+      | Insn.Cmp_ri (a, v) ->
+          set_cmp_flags regs (gpr regs a) (Int64.of_int v);
+          true
+      | Insn.Test_rr (a, b) ->
+          set_test_flags regs (gpr regs a) (gpr regs b);
+          true
+      | Insn.Jmp rel -> jump t p ~next (Int64.add next (Int64.of_int rel))
+      | Insn.Jcc (c, rel) ->
+          if cond_true regs c then jump t p ~next (Int64.add next (Int64.of_int rel))
+          else (
+            (* conditional not taken still ends the block (drcov-style) *)
+            end_block t p ~next;
+            true)
+      | Insn.Call rel ->
+          let rsp = Int64.sub (gpr regs Reg.Rsp) 8L in
+          store64 mem rsp next;
+          set_gpr regs Reg.Rsp rsp;
+          jump t p ~next (Int64.add next (Int64.of_int rel))
+      | Insn.Call_r r ->
+          let target = gpr regs r in
+          let rsp = Int64.sub (gpr regs Reg.Rsp) 8L in
+          store64 mem rsp next;
+          set_gpr regs Reg.Rsp rsp;
+          jump t p ~next target
+      | Insn.Jmp_r r -> jump t p ~next (gpr regs r)
+      | Insn.Ret ->
+          let rsp = gpr regs Reg.Rsp in
+          let target = load64 mem rsp in
+          set_gpr regs Reg.Rsp (Int64.add rsp 8L);
+          jump t p ~next target
+      | Insn.Push r ->
+          let rsp = Int64.sub (gpr regs Reg.Rsp) 8L in
+          store64 mem rsp (gpr regs r);
+          set_gpr regs Reg.Rsp rsp;
+          true
+      | Insn.Pop r ->
+          let rsp = gpr regs Reg.Rsp in
+          set_gpr regs r (load64 mem rsp);
+          set_gpr regs Reg.Rsp (Int64.add rsp 8L);
+          true
+      | Insn.Lea (d, off) ->
+          set_gpr regs d (Int64.add next (Int64.of_int off));
+          true
+      | Insn.Syscall -> (
+          end_block t p ~next;
+          t.clock <- Int64.add t.clock (Int64.of_int t.syscall_cost);
+          match do_syscall t p with
+          | exception Seccomp_denied ->
+              deliver_signal t p ~signum:Abi.sigsys ~at:rip;
+              false
+          | Ret v ->
+              set_gpr regs Reg.Rax v;
+              true
+          | Block_retry reason ->
+              (* rip stays at the syscall: it re-executes on wake *)
+              p.Proc.state <- Proc.Blocked reason;
+              false
+          | Block_after reason ->
+              set_gpr regs Reg.Rax 0L;
+              set_rip regs next;
+              p.Proc.state <- Proc.Blocked reason;
+              false
+          | Terminate st ->
+              p.Proc.state <- st;
+              false
+          | Sigret -> false)
+    with Mem.Fault (_, _) ->
+      deliver_signal t p ~signum:Abi.sigsegv ~at:rip;
+      false
+  in
+  if fell then set_rip regs next;
+  fell
 
 (** Execute exactly one instruction of [p]; assumes [p] runnable. *)
 let step_insn t (p : Proc.t) =
-  let rip = p.Proc.regs.Proc.rip in
+  let rip = Proc.rip p.Proc.regs in
   let mem = p.Proc.mem in
   match
     Decode.decode (fun i -> Mem.fetch8 mem (Int64.add rip (Int64.of_int i)))
@@ -724,7 +783,7 @@ let step_insn t (p : Proc.t) =
           (Printf.sprintf "pid=%d comm=%s rip=0x%Lx" p.Proc.pid p.Proc.comm rip)
       end;
       deliver_signal t p ~signum:Abi.sigtrap ~at:rip
-  | insn, len -> exec_decoded t p insn len
+  | insn, len -> ignore (exec_decoded t p insn len : bool)
 
 let step t (p : Proc.t) =
   step_insn t p;

@@ -96,14 +96,17 @@ exception Seccomp_denied
 val step : t -> Proc.t -> unit
 (** Execute exactly one instruction (assumes the process is runnable). *)
 
-val exec_decoded : t -> Proc.t -> Insn.t -> int -> unit
+val exec_decoded : t -> Proc.t -> Insn.t -> int -> bool
 (** Execute one already-decoded instruction (anything but [Int3], which
     never enters the code cache) of byte length [len]; assumes the
-    process is runnable and its rip is the instruction's address. The
+    process is runnable and its rip is the instruction's address.
+    Returns [true] iff it fell through (rip advanced by [len]); a taken
+    branch, signal, fault, blocking syscall or exit returns [false]. The
     interpreter and the decoded-block cache both retire through here,
     so the one-cycle charge, block bookkeeping, trace/insn hooks, [Obs]
     counters and signal delivery are shared — cached runs are
-    replay-exact against interpreted ones, virtual clock included. *)
+    replay-exact against interpreted ones, virtual clock included. Its
+    common path allocates only the clock and retired-count increments. *)
 
 val run : t -> max_cycles:int -> [ `Budget | `Dead | `Idle ]
 (** Round-robin scheduling until the budget runs out ([`Budget]), every

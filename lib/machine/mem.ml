@@ -1,10 +1,18 @@
 (** Per-process virtual memory: a sparse page table plus a VMA list.
 
-    Pages carry their protection so the hot path (instruction fetch, loads,
-    stores) is a single hash lookup; VMAs carry the metadata CRIU's
-    [mm.img] records — start, end, permissions, backing file and offset —
-    exactly the fields DynaCut edits when it unmaps code pages or injects
-    a library (paper §3.3). *)
+    Pages carry their protection and write generation, so an access needs
+    only the page record; VMAs carry the metadata CRIU's [mm.img] records
+    — start, end, permissions, backing file and offset — exactly the
+    fields DynaCut edits when it unmaps code pages or injects a library
+    (paper §3.3).
+
+    The hot path (instruction fetch, loads, stores) finds the page record
+    in a 64-entry direct-mapped TLB keyed by page number, and falls back
+    to the page table's hash lookup on a miss. The TLB caches only the
+    page-number → record binding: protection and generation are read live
+    from the record, so [protect] needs no flush. [unmap] flushes it, and
+    so does [map], so no change to the page table outlives a cached
+    entry. *)
 
 type access = Read | Write | Exec
 
@@ -33,8 +41,14 @@ type page = {
           provably-unchanged pages without hashing them *)
 }
 
+let tlb_size = 64
+
 type t = {
   pages : (int64, page) Hashtbl.t;  (** page index -> page *)
+  tlb_tag : int array;
+      (** per TLB slot: the cached page number, or -1 (empty); page
+          number [n] lives in slot [n land (tlb_size - 1)] *)
+  tlb_page : page array;  (** per TLB slot: the page record of [tlb_tag] *)
   mutable vmas : vma list;  (** sorted by start *)
   exec_dirty : (int64, unit) Hashtbl.t;
       (** page indexes of executable pages modified since the last drain —
@@ -47,12 +61,42 @@ type t = {
 
 let page_size = 4096
 let page_size64 = 4096L
-let page_index (addr : int64) = Int64.div addr page_size64
-let page_base (addr : int64) = Int64.mul (page_index addr) page_size64
-let page_offset (addr : int64) = Int64.to_int (Int64.rem addr page_size64)
+(* Addresses are unsigned: a logical shift and a mask, so a high-half
+   address lands on its own (unmapped) page instead of a negative offset
+   into page 0. *)
+let page_index (addr : int64) = Int64.shift_right_logical addr 12
+let page_base (addr : int64) = Int64.logand addr (-4096L)
+let page_offset (addr : int64) = Int64.to_int addr land (page_size - 1)
+
+(* fills empty TLB slots, whose tag -1 no page number equals *)
+let no_page =
+  { pg_data = Bytes.empty; pg_prot = { Self.p_r = false; p_w = false; p_x = false }; pg_gen = 0 }
 
 let create () =
-  { pages = Hashtbl.create 256; vmas = []; exec_dirty = Hashtbl.create 8 }
+  {
+    pages = Hashtbl.create 256;
+    tlb_tag = Array.make tlb_size (-1);
+    tlb_page = Array.make tlb_size no_page;
+    vmas = [];
+    exec_dirty = Hashtbl.create 8;
+  }
+
+let tlb_flush t = Array.fill t.tlb_tag 0 tlb_size (-1)
+
+(* The resident page record holding [addr], through the TLB (a hit
+   allocates nothing); raises [Not_found] when the page is not resident. *)
+let lookup t addr =
+  let tag = Int64.to_int (Int64.shift_right_logical addr 12) in
+  let slot = tag land (tlb_size - 1) in
+  if Array.unsafe_get t.tlb_tag slot = tag then Array.unsafe_get t.tlb_page slot
+  else begin
+    let p = Hashtbl.find t.pages (page_index addr) in
+    Array.unsafe_set t.tlb_tag slot tag;
+    Array.unsafe_set t.tlb_page slot p;
+    p
+  end
+
+let find_page t addr = match lookup t addr with p -> Some p | exception Not_found -> None
 
 let mark_exec_dirty t idx = Hashtbl.replace t.exec_dirty idx ()
 let exec_dirty_pending t = Hashtbl.length t.exec_dirty > 0
@@ -89,6 +133,7 @@ let map t ~vaddr ~len ~prot ?(file = None) ~name () =
     Hashtbl.replace t.pages idx
       { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_gen = 0 }
   done;
+  tlb_flush t;
   v
 
 (** Unmap every page in [vaddr, vaddr+len); VMAs fully inside the range are
@@ -132,7 +177,8 @@ let unmap t ~vaddr ~len =
     | Some p when p.pg_prot.Self.p_x -> mark_exec_dirty t idx
     | _ -> ());
     Hashtbl.remove t.pages idx
-  done
+  done;
+  tlb_flush t
 
 let protect t ~vaddr ~len ~prot =
   let len = align_up (max len 1) in
@@ -190,9 +236,9 @@ let protect t ~vaddr ~len ~prot =
 (* ---------- accesses ---------- *)
 
 let get_page t addr access =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> raise (Fault (addr, access))
-  | Some p ->
+  match lookup t addr with
+  | exception Not_found -> raise (Fault (addr, access))
+  | p ->
       let ok =
         match access with
         | Read -> p.pg_prot.Self.p_r
@@ -219,17 +265,17 @@ let write8 t addr v =
 (** Raw write ignoring protections — used only by the loader and by
     checkpoint restore (kernel-side writes). *)
 let poke8 t addr v =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> raise (Fault (addr, Write))
-  | Some p ->
+  match lookup t addr with
+  | exception Not_found -> raise (Fault (addr, Write))
+  | p ->
       p.pg_gen <- p.pg_gen + 1;
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
       Bytes.set p.pg_data (page_offset addr) (Char.chr (v land 0xff))
 
 let peek8 t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> raise (Fault (addr, Read))
-  | Some p -> Char.code (Bytes.get p.pg_data (page_offset addr))
+  match lookup t addr with
+  | exception Not_found -> raise (Fault (addr, Read))
+  | p -> Char.code (Bytes.get p.pg_data (page_offset addr))
 
 let read64 t addr =
   (* fast path: within one page *)
@@ -299,7 +345,13 @@ let copy t =
         { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot; pg_gen = p.pg_gen })
     t.pages;
   (* a fresh address space has no cached blocks, so it starts clean *)
-  { pages; vmas = t.vmas; exec_dirty = Hashtbl.create 8 }
+  {
+    pages;
+    tlb_tag = Array.make tlb_size (-1);
+    tlb_page = Array.make tlb_size no_page;
+    vmas = t.vmas;
+    exec_dirty = Hashtbl.create 8;
+  }
 
 (** Populated pages of a VMA, as (vaddr, bytes) in address order. *)
 let pages_of_vma t (v : vma) =
@@ -331,11 +383,11 @@ let digest_bytes (b : bytes) : int64 =
 let page_digest t addr =
   Option.map
     (fun p -> digest_bytes p.pg_data)
-    (Hashtbl.find_opt t.pages (page_index addr))
+    (find_page t addr)
 
 (** Write generation of the resident page containing [addr]. *)
 let page_gen t addr =
-  Option.map (fun p -> p.pg_gen) (Hashtbl.find_opt t.pages (page_index addr))
+  Option.map (fun p -> p.pg_gen) (find_page t addr)
 
 (** Flip one bit in a resident page, ignoring protections — the seeded
     silent-corruption injector ([Fault.Bitflip]). Bumps the write
@@ -345,9 +397,9 @@ let page_gen t addr =
     not populated. *)
 let flip_bit t ~addr ~bit =
   if bit < 0 || bit > 7 then invalid_arg "Mem.flip_bit: bit outside 0..7";
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> raise (Fault (addr, Write))
-  | Some p ->
+  match lookup t addr with
+  | exception Not_found -> raise (Fault (addr, Write))
+  | p ->
       let off = page_offset addr in
       p.pg_gen <- p.pg_gen + 1;
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);

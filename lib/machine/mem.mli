@@ -1,6 +1,10 @@
 (** Per-process virtual memory: sparse 4 KiB page table + VMA list.
-    Pages carry protections (the hot path is one hash lookup); VMAs carry
-    the metadata CRIU's [mm] image records and DynaCut edits. *)
+    Pages carry protections and write generations; VMAs carry the
+    metadata CRIU's [mm] image records and DynaCut edits. Accesses find
+    their page through a 64-entry direct-mapped TLB (page number → page
+    record) and fall back to the page table's hash lookup on a miss;
+    {!map} and {!unmap} flush it, {!protect} need not (protections are
+    read live from the record). *)
 
 type access = Read | Write | Exec
 
@@ -28,8 +32,17 @@ type page = {
           scrubber uses to skip provably-unchanged pages cheaply *)
 }
 
+val tlb_size : int
+
+val no_page : page
+(** A page with no permissions and no data: fills empty TLB slots. *)
+
 type t = {
   pages : (int64, page) Hashtbl.t;
+  tlb_tag : int array;
+      (** per TLB slot: cached page number ([addr lsr 12]) or -1 (empty);
+          page number [n] lives in slot [n land (tlb_size - 1)] *)
+  tlb_page : page array;  (** per TLB slot: the page record of [tlb_tag] *)
   mutable vmas : vma list;
   exec_dirty : (int64, unit) Hashtbl.t;
       (** page indexes of executable pages modified since the last
@@ -40,6 +53,9 @@ type t = {
 val page_size : int
 val page_size64 : int64
 val page_index : int64 -> int64
+(** Page number: addresses are unsigned (a logical shift), so a
+    high-half address is its own page, never page 0. *)
+
 val page_base : int64 -> int64
 val page_offset : int64 -> int
 val align_up : int -> int

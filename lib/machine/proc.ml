@@ -1,23 +1,35 @@
 (** A guest process: registers, memory, signal dispositions, file
     descriptors, scheduler state. *)
 
+(* Register-file layout: GPR [i] (by [Reg.to_int]) at byte [8*i], rip at
+   byte [rip_off], host-endian. One flat [bytes] keeps every register
+   unboxed: a read or write is one machine load or store, where an
+   [int64 array] or a mutable [int64] field boxes on every write. *)
 type regs = {
-  gpr : int64 array;  (** 16 GPRs, indexed by [Reg.to_int] *)
-  mutable rip : int64;
+  file : bytes;
   mutable zf : bool;
   mutable sf : bool;
   mutable cf : bool;
   mutable of_ : bool;
 }
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let rip_off = 16 * 8
+
 let fresh_regs () =
-  { gpr = Array.make 16 0L; rip = 0L; zf = false; sf = false; cf = false; of_ = false }
+  { file = Bytes.make (rip_off + 8) '\000'; zf = false; sf = false; cf = false; of_ = false }
 
 let copy_regs r =
-  { gpr = Array.copy r.gpr; rip = r.rip; zf = r.zf; sf = r.sf; cf = r.cf; of_ = r.of_ }
+  { file = Bytes.copy r.file; zf = r.zf; sf = r.sf; cf = r.cf; of_ = r.of_ }
 
-let get r reg = r.gpr.(Reg.to_int reg)
-let set r reg v = r.gpr.(Reg.to_int reg) <- v
+let gpr r reg = get64u r.file (Reg.to_int reg lsl 3)
+let set_gpr r reg v = set64u r.file (Reg.to_int reg lsl 3) v
+let get = gpr
+let set = set_gpr
+let rip r = get64u r.file rip_off
+let set_rip r v = set64u r.file rip_off v
 
 (** Pack condition flags as the signal frame stores them. *)
 let pack_flags r =

@@ -2,18 +2,36 @@
     descriptors, scheduler state. *)
 
 type regs = {
-  gpr : int64 array;  (** 16 GPRs, indexed by [Reg.to_int] *)
-  mutable rip : int64;
+  file : bytes;
+      (** the 16 GPRs and rip, unboxed: GPR [i] (by [Reg.to_int]) at byte
+          [8*i], rip at byte {!rip_off}, host-endian. Go through the
+          accessors below; the interpreter reads it with {!get64u} *)
   mutable zf : bool;
   mutable sf : bool;
   mutable cf : bool;
   mutable of_ : bool;
 }
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+(** Unchecked 8-byte load — a primitive, so a caller in another module
+    gets an unboxed [int64] (a function call would box its result). *)
+
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+val rip_off : int
 val fresh_regs : unit -> regs
 val copy_regs : regs -> regs
+val gpr : regs -> Reg.t -> int64
+val set_gpr : regs -> Reg.t -> int64 -> unit
+
 val get : regs -> Reg.t -> int64
+(** Same as {!gpr}. *)
+
 val set : regs -> Reg.t -> int64 -> unit
+(** Same as {!set_gpr}. *)
+
+val rip : regs -> int64
+val set_rip : regs -> int64 -> unit
 
 val pack_flags : regs -> int
 (** Condition flags as the signal frame stores them (see {!Abi}). *)

@@ -223,7 +223,7 @@ let on_insn t (p : Proc.t) (insn : Insn.t) =
     t.insns <- t.insns + 1;
     let regs = p.Proc.regs in
     if st.expect_new then begin
-      (match locate t regs.Proc.rip with
+      (match locate t (Proc.rip regs) with
       | Some (mid, off) ->
           let id = intern_block t mid off in
           st.cur <- singleton t id;
@@ -231,11 +231,11 @@ let on_insn t (p : Proc.t) (insn : Insn.t) =
       | None ->
           st.cur <- t.empty (* anonymous memory; drcov skips it too *);
           st.cur_id <- -1);
-      st.cur_vaddr <- regs.Proc.rip;
+      st.cur_vaddr <- Proc.rip regs;
       st.expect_new <- false
     end;
     if st.cur_id >= 0 then begin
-      let rel = Int64.to_int (Int64.sub regs.Proc.rip st.cur_vaddr) + 1 in
+      let rel = Int64.to_int (Int64.sub (Proc.rip regs) st.cur_vaddr) + 1 in
       match Hashtbl.find_opt t.ext st.cur_id with
       | Some e when e >= rel -> ()
       | _ -> Hashtbl.replace t.ext st.cur_id rel

@@ -58,10 +58,13 @@ let test_dump_restore_identity () =
   Machine.reap m ~pid:p.Proc.pid;
   let p' = Restore.restore m img in
   Alcotest.(check int) "pid" p.Proc.pid p'.Proc.pid;
-  Alcotest.(check int64) "rip" p.Proc.regs.Proc.rip p'.Proc.regs.Proc.rip;
-  Array.iteri
-    (fun i v -> Alcotest.(check int64) (Printf.sprintf "gpr%d" i) v p'.Proc.regs.Proc.gpr.(i))
-    p.Proc.regs.Proc.gpr;
+  Alcotest.(check int64) "rip" (Proc.rip p.Proc.regs) (Proc.rip p'.Proc.regs);
+  List.iter
+    (fun r ->
+      Alcotest.(check int64)
+        (Printf.sprintf "gpr%d" (Reg.to_int r))
+        (Proc.gpr p.Proc.regs r) (Proc.gpr p'.Proc.regs r))
+    Reg.all;
   Alcotest.(check int) "vma count" (List.length p.Proc.mem.Mem.vmas)
     (List.length p'.Proc.mem.Mem.vmas);
   (* every mapped byte equal *)

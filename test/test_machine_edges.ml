@@ -443,6 +443,143 @@ let test_net_guest_fleet_fanout () =
   Alcotest.(check string) "echo 3" "three" (serve "three");
   Alcotest.(check string) "echo 4" "four" (serve "four")
 
+(* ---------- page TLB coherence ---------- *)
+
+(* One fixed vaddr, far from every loader and stack mapping. Its TLB slot
+   (page number mod 64 = 32) is shared by none of a small program's
+   text, libc or top-of-stack pages, so a cached entry survives from one
+   guest step to the next, as a stale one would. *)
+let tlb_va = 0x3000_0002_0000L
+
+let test_tlb_coherence_mem () =
+  (* the same sequence as the guest programs below, through [Mem]; every
+     step first reads the page, so its TLB slot is filled *)
+  let m = Mem.create () in
+  let map prot = ignore (Mem.map m ~vaddr:tlb_va ~len:Mem.page_size ~prot ~name:"t" ()) in
+  let faults f = match f () with _ -> false | exception Mem.Fault _ -> true in
+  map Self.prot_rw;
+  Mem.write64 m tlb_va 7L;
+  Alcotest.(check int64) "read" 7L (Mem.read64 m tlb_va);
+  Mem.unmap m ~vaddr:tlb_va ~len:Mem.page_size;
+  Alcotest.(check bool) "read after unmap faults" true (faults (fun () -> Mem.read64 m tlb_va));
+  map Self.prot_rw;
+  Alcotest.(check int64) "re-map reads zeros" 0L (Mem.read64 m tlb_va);
+  Mem.write64 m tlb_va 9L;
+  Mem.protect m ~vaddr:tlb_va ~len:Mem.page_size ~prot:Self.prot_ro;
+  Alcotest.(check bool) "store to read-only faults" true
+    (faults (fun () -> Mem.write64 m tlb_va 10L));
+  Mem.protect m ~vaddr:tlb_va ~len:Mem.page_size ~prot:Self.prot_rw;
+  Mem.write64 m tlb_va 11L;
+  Alcotest.(check int64) "store after rw" 11L (Mem.read64 m tlb_va);
+  let child = Mem.copy m in
+  Mem.write64 child tlb_va 99L;
+  Alcotest.(check int64) "child sees its store" 99L (Mem.read64 child tlb_va);
+  Alcotest.(check int64) "parent keeps its page" 11L (Mem.read64 m tlb_va);
+  Mem.unmap m ~vaddr:tlb_va ~len:Mem.page_size;
+  map (Self.prot_of_int 7);
+  ignore (Mem.take_exec_dirty m);
+  ignore (Mem.read64 m tlb_va);
+  Mem.write64 m tlb_va 1L;
+  Alcotest.(check (list int64)) "store to exec page marks it dirty" [ Mem.page_index tlb_va ]
+    (Mem.take_exec_dirty m)
+
+(* Run [main] to the end, interpreted or out of the code cache. *)
+let run_tlb_guest ~cached name main =
+  let m = Machine.create () in
+  Vfs.add_self m.Machine.fs "libc.so" libc;
+  Vfs.add_self m.Machine.fs name (Crt0.link_app ~libc (unit_ name [ func "main" [] main ]));
+  if cached then ignore (Bbcache.enable m);
+  let p = Machine.spawn m ~exe_path:name () in
+  let (_ : _) = Machine.run m ~max_cycles:200_000 in
+  (m, p)
+
+let test_tlb_coherence_guest () =
+  let va = i64 tlb_va and pg = i Mem.page_size in
+  let mmap prot = [ when_ (call "mmap" [ va; pg; i prot ] <>: va) [ ret (i 100) ] ] in
+  (* map rw, store 7 and read it back: the page is now in the TLB *)
+  let prime = mmap 6 @ [ store64 va (i 7); when_ (load64 va <>: i 7) [ ret (i 101) ] ] in
+  (* [code k] stores "mov rax, k; ret" at [va] *)
+  let code k =
+    let b = Encode.program [ Insn.Mov_ri (Reg.Rax, Int64.of_int k); Insn.Ret ] in
+    let b = Bytes.cat b (Bytes.make (8 - (Bytes.length b mod 8)) '\000') in
+    List.init (Bytes.length b / 8) (fun q ->
+        store64 (va +: i (8 * q)) (i64 (Bytes.get_int64_le b (8 * q))))
+  in
+  let cases =
+    [
+      ("unmap", prime @ [ do_ "munmap" [ va; pg ]; ret (load64 va) ], `Killed Abi.sigsegv);
+      ("remap", prime @ [ do_ "munmap" [ va; pg ] ] @ mmap 6 @ [ ret (load64 va) ], `Exit 0);
+      ("ro", prime @ [ do_ "mprotect" [ va; pg; i 4 ]; store64 va (i 8); ret0 ], `Killed Abi.sigsegv);
+      ( "ro-rw",
+        prime
+        @ [
+            do_ "mprotect" [ va; pg; i 4 ];
+            when_ (load64 va <>: i 7) [ ret (i 102) ];
+            do_ "mprotect" [ va; pg; i 6 ];
+            store64 va (i 9);
+            ret (load64 va);
+          ],
+        `Exit 9 );
+      ( "fork",
+        prime
+        @ [
+            when_ (call "fork" [] ==: i 0) [ store64 va (i 99); ret (load64 va) ];
+            do_ "nanosleep" [ i 20_000 ];
+            ret (load64 va);
+          ],
+        `Exit 7 );
+      ( "exec",
+        mmap 7
+        @ code 1
+        @ [ decl "a" (callp va []) ]
+        @ code 2
+        @ [ ret ((v "a" *: i 10) +: callp va []) ],
+        `Exit 12 );
+    ]
+  in
+  List.iter
+    (fun cached ->
+      List.iter
+        (fun (name, main, expect) ->
+          let m, p = run_tlb_guest ~cached name main in
+          let what = Printf.sprintf "%s (%s)" name (if cached then "cached" else "interp") in
+          Alcotest.(check bool) what true (exit_status p = expect);
+          if name = "fork" then
+            match List.filter (fun (q : Proc.t) -> q != p) (Machine.all_procs m) with
+            | [ child ] ->
+                Alcotest.(check bool) (what ^ ": child") true (exit_status child = `Exit 99)
+            | _ -> Alcotest.fail "expected one child")
+        cases)
+    [ false; true ]
+
+(* ---------- high-half addresses ---------- *)
+
+let test_high_half_address_faults () =
+  (* addresses are unsigned: with page 0 mapped, the bytes just below
+     2^64 are still unmapped, and accessing them is a [Mem.Fault] *)
+  let m = Mem.create () in
+  ignore (Mem.map m ~vaddr:0L ~len:Mem.page_size ~prot:Self.prot_rw ~name:"zero" ());
+  let faults f = match f () with _ -> false | exception Mem.Fault _ -> true in
+  Alcotest.(check bool) "read64 -8" true (faults (fun () -> Mem.read64 m (-8L)));
+  Alcotest.(check bool) "read8 -1" true (faults (fun () -> Mem.read8 m (-1L)));
+  Alcotest.(check bool) "write64 -8" true (faults (fun () -> Mem.write64 m (-8L) 1L));
+  (* and a guest can map, use and overrun a high-half page *)
+  let hh = -8192 in
+  let main =
+    [
+      when_ (call "mmap" [ i hh; i Mem.page_size; i 6 ] <>: i hh) [ ret (i 100) ];
+      store64 (i (hh + 8)) (i 5);
+      when_ (load64 (i (hh + 8)) <>: i 5) [ ret (i 101) ];
+      (* the 8 bytes just below the mapped page *)
+      ret (load64 (i (hh - 8)));
+    ]
+  in
+  List.iter
+    (fun cached ->
+      let _, p = run_tlb_guest ~cached "hh" main in
+      Alcotest.(check bool) "guest SIGSEGV" true (exit_status p = `Killed Abi.sigsegv))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "bad sigreturn magic" `Quick test_bad_sigreturn_magic_kills;
@@ -466,4 +603,7 @@ let suite =
     Alcotest.test_case "net drain/undrain racing" `Quick
       test_net_drain_undrain_racing;
     Alcotest.test_case "net guest fleet fan-out" `Quick test_net_guest_fleet_fanout;
+    Alcotest.test_case "tlb coherence: mem" `Quick test_tlb_coherence_mem;
+    Alcotest.test_case "tlb coherence: guest" `Quick test_tlb_coherence_guest;
+    Alcotest.test_case "high-half address faults" `Quick test_high_half_address_faults;
   ]
