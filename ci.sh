@@ -77,9 +77,13 @@ dune exec bench/main.exe -- --quick scrub
 echo "== bench --quick slice =="
 dune exec bench/main.exe -- --quick slice
 
-# Crash-recovery matrix (DESIGN.md §5d): kill the controller at every
-# registered fault site mid-cut, recover, and assert each pid is fully
-# cut XOR fully original. The matrix fails on any site left unexercised.
+# Crash-recovery matrix (DESIGN.md §5d): the Kill column of the chaos
+# coverage matrix below (Chaos.probe site Fault.Kill). Kill the
+# controller at every registered fault site, recover, and assert each
+# pid is fully cut XOR fully original and on its expected side, and that
+# a fresh controller can re-cut a single tree. It fails on any site
+# without a probe, any site the probe never reaches, and any exception
+# a probe lets escape, naming the site.
 echo "== crash-recovery matrix =="
 dune exec examples/crash_matrix.exe
 

@@ -1,673 +1,26 @@
-(** Crash-recovery matrix — the §5d acceptance gate, run by ci.sh.
-
-    For every site in [Fault.known_sites] the matrix stages a controller
-    death there (kill-mode fault: [Controller_killed] unwinds past the
-    transaction's own rollback, exactly like a dead process), then runs
-    [Dynacut.recover] as a fresh controller and asserts the §5d
-    invariant on the ngx fleet:
-
-    - {b applied XOR unchanged, per pid}: every worker's feature blocks
-      are all int3 or all original bytes — never mixed within a pid;
-    - the server still answers wanted traffic;
-    - the site actually fired (a site no scenario reaches fails the
-      matrix — the registry and the matrix must not drift apart).
+(** Crash-recovery matrix (DESIGN.md §5d), run by ci.sh: the [Kill]
+    column of the chaos coverage matrix. For every site in
+    [Fault.known_sites], [Chaos.probe] kills the controller there mid-
+    operation, runs recovery as a fresh controller and checks that every
+    pid is fully customized or fully original, on its expected side,
+    and serving. A site with no probe, or one its probe never reaches,
+    fails the matrix.
 
     Run with: dune exec examples/crash_matrix.exe *)
 
-exception Matrix_failure of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Matrix_failure s)) fmt
-
-let app = Workload.ngx
-let get = "GET /index.html HTTP/1.0\r\n\r\n"
-let put = "PUT /evil.html HTTP/1.0\r\n\r\nowned"
-
-let status resp =
-  match String.index_opt resp ' ' with
-  | Some k when String.length resp >= k + 4 -> String.sub resp (k + 1) 3
-  | _ -> "???"
-
-(* feature discovery is deterministic — do it once for all scenarios *)
-let blocks = Common.web_feature_blocks app
-
-let policy_for method_ =
-  { Dynacut.method_; on_trap = `Redirect "ngx_declined" }
-
-let boot () =
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
-  c
-
-let byte_of (c : Workload.ctx) pid (b : Covgraph.block) =
-  Mem.peek8
-    (Machine.proc_exn c.Workload.m pid).Proc.mem
-    (Int64.add (Common.app_exe app).Self.base (Int64.of_int b.Covgraph.b_off))
-
-(* the per-pid XOR assertion: each pid fully cut (every effective block
-   starts with int3) or fully original, never a mix *)
-let assert_xor ~site ~what c session effective originals =
-  List.iter
-    (fun pid ->
-      let got = List.map (byte_of c pid) effective in
-      let all_cut = List.for_all (fun x -> x = 0xCC) got in
-      let all_orig = got = originals in
-      if not (all_cut || all_orig) then
-        fail "%s: %s: pid %d is half-patched (%s)" site what pid
-          (String.concat "," (List.map string_of_int got)))
-    (Dynacut.tree_pids session)
-
-let assert_serving ~site ~what c =
-  let s = status (Workload.rpc c get) in
-  if s <> "200" then fail "%s: %s: GET answered %s, not 200" site what s
-
-let assert_fired site =
-  if Fault.fired site <> 1 then
-    fail "%s: scenario finished but the site never fired" site
-
-(* ---------- scenarios ---------- *)
-
-(* Controller dies at [site] mid-cut; recovery must leave the fleet
-   fully original (the tx never committed), after which a clean cut
-   must still go through — both sides of the XOR. [tcp] keeps a client
-   connection open across the cut (restore.tcp_repair is only on the
-   path when there is a connection to repair). *)
-let plain ?(method_ = `First_byte) ?(tcp = false) site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  let in_flight =
-    if tcp then begin
-      (* open a connection and let the server block in recv on it, so
-         the restore stage has TCP state to repair *)
-      let conn = Net.connect c.Workload.m.Machine.net Ngx.port in
-      ignore (Machine.run c.Workload.m ~max_cycles:500_000);
-      Some conn
-    end
-    else None
-  in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Dynacut.try_cut session ~blocks ~policy:(policy_for method_) () with
-  | (_ : Dynacut.cut_result) -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed { site = s } ->
-      if s <> site then fail "%s: died at %s instead" site s);
-  assert_fired site;
-  let (_ : Dynacut.recovery) =
-    Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid
-  in
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  (* the repaired mid-cut connection survives the crash + rollback:
-     the server answers it before it accepts anything new *)
-  (match in_flight with
-  | None -> ()
-  | Some conn ->
-      Net.client_send conn get;
-      ignore (Machine.run c.Workload.m ~max_cycles:2_000_000);
-      let s = status (Net.client_recv conn) in
-      if s <> "200" then
-        fail "%s: in-flight request answered %s after recover" site s);
-  assert_serving ~site ~what:"after recover" c;
-  (* the tree must be cuttable again by a fresh controller *)
-  let fresh = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  (match
-     (Dynacut.try_cut fresh ~blocks ~policy:(policy_for `First_byte) ())
-       .Dynacut.r_outcome
-   with
-  | `Applied | `Degraded -> ()
-  | `Rolled_back rb ->
-      fail "%s: clean re-cut rolled back at %s" site rb.Dynacut.rb_stage);
-  assert_xor ~site ~what:"after re-cut" c fresh effective originals;
-  assert_serving ~site ~what:"after re-cut" c
-
-(* Controller dies mid-respawn of a dead worker; recovery redoes the
-   unmatched respawn intent and the fleet keeps its committed cut. *)
-let respawn site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  let (_ : Rewriter.journal list * Dynacut.timings) =
-    Dynacut.cut session ~blocks ~policy:(policy_for `First_byte)
-  in
-  let worker =
-    match Dynacut.tree_pids session with
-    | _root :: w :: _ -> w
-    | _ -> fail "%s: ngx tree has no worker" site
-  in
-  Machine.reap c.Workload.m ~pid:worker;
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match
-     Dynacut.journaled_respawn session ~pid:worker
-       ~path:(Dynacut.image_path session worker)
-   with
-  | (_ : Proc.t) -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid in
-  if r.Dynacut.rec_respawned <> [ worker ] then
-    fail "%s: recovery did not redo the respawn" site;
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  assert_serving ~site ~what:"after recover" c
-
-(* Controller dies between the canary commit and the fleet promotion:
-   the fleet is legitimately mixed across pids (canary cut, rest
-   original) but every single pid must still be all-or-nothing. *)
-let promote site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  let sup =
-    Supervisor.create session
-      ~config:
-        { Supervisor.default_config with Supervisor.canary_windows = 1 }
-      ~blocks ~policy:(policy_for `First_byte)
-  in
-  let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Supervisor.guarded_cut sup ~canary:true ~drive () with
-  | (_ : Supervisor.rollout) -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let (_ : Dynacut.recovery) =
-    Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid
-  in
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  assert_serving ~site ~what:"after recover" c
-
-(* Controller dies as the breaker trips and tries to re-enable: the cut
-   stays committed fleet-wide — still XOR-consistent. *)
-let reenable site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  let sup =
-    Supervisor.create session
-      ~config:{ Supervisor.default_config with Supervisor.critical = true }
-      ~blocks ~policy:(policy_for `First_byte)
-  in
-  let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive () with
-  | Supervisor.R_promoted -> ()
-  | r -> fail "%s: rollout failed: %s" site (Format.asprintf "%a" Supervisor.pp_rollout r));
-  (* one undesired request traps in the handler; critical = any trap
-     trips the breaker on the next tick *)
-  ignore (Workload.rpc ~max_cycles:800_000 c put);
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Supervisor.tick sup with
-  | () -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let (_ : Dynacut.recovery) =
-    Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid
-  in
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  assert_serving ~site ~what:"after recover" c
-
-(* Controller dies inside the crit tool: no transaction was open, so
-   recovery finds nothing and the fleet is untouched. *)
-let crit site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  Machine.freeze c.Workload.m ~pid:c.Workload.pid;
-  let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
-  Machine.thaw c.Workload.m ~pid:c.Workload.pid;
-  let blob = Images.encode img in
-  let text = Crit.decode_to_text blob in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match
-     if site = "crit.decode" then ignore (Crit.decode_to_text blob)
-     else ignore (Crit.encode_from_text text)
-   with
-  | () -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid in
-  if r.Dynacut.rec_action <> `Nothing then
-    fail "%s: recovery invented work on a quiescent tree" site;
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  assert_serving ~site ~what:"after recover" c
-
-(* Controller dies inside the slicing tracer — attaching its hooks
-   (slice.trace) or folding the dependency sets (slice.compute). The
-   tracer is read-only: no transaction is open, recovery must invent no
-   work, and a clean tracer retry over the untouched tree still yields
-   a slice. *)
-let slice_crash site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  let run_slicer () =
-    let sl =
-      Slicer.attach c.Workload.m ~pid:c.Workload.pid
-        ~wanted_out:(Slicelab.wanted_out_of app) ()
-    in
-    ignore (Workload.rpc c get);
-    Slicer.detach sl;
-    Slicer.slice sl
-  in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match run_slicer () with
-  | (_ : (string * int * int) list) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid in
-  if r.Dynacut.rec_action <> `Nothing then
-    fail "%s: recovery invented work on a quiescent tree" site;
-  if run_slicer () = [] then
-    fail "%s: clean slicer retry produced an empty slice" site;
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  assert_serving ~site ~what:"after recover" c
-
-(* Controller dies mid-cut AND the first recovery pass dies too; the
-   second recovery pass must converge all the same. *)
-let recover_crash site =
-  let c = boot () in
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" blocks
-  in
-  let originals = List.map (byte_of c c.Workload.pid) effective in
-  Fault.arm ~kill:true "restore.process" Fault.One_shot;
-  (match Dynacut.try_cut session ~blocks ~policy:(policy_for `First_byte) () with
-  | (_ : Dynacut.cut_result) -> fail "%s: first controller survived" site
-  | exception Fault.Controller_killed _ -> ());
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid with
-  | (_ : Dynacut.recovery) -> fail "%s: recovery survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid in
-  if r.Dynacut.rec_action <> `Rolled_back then
-    fail "%s: second recovery pass did not roll back" site;
-  assert_xor ~site ~what:"after recover" c session effective originals;
-  assert_serving ~site ~what:"after recover" c
-
-(* ---------- fleet scenarios (§6a sites) ----------
-   These run on an ltpd worker fleet: N single-process trees behind the
-   round-robin fan-out, each with its own session + journal, plus the
-   fleet manifest. The XOR invariant here is per worker pid. *)
-
-let lapp = Workload.ltpd
-let lget = "GET /index.html HTTP/1.0\r\n\r\n"
-let lblocks = lazy (Common.web_feature_blocks lapp)
-
-let lpolicy =
-  { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
-
-let fleet_boot ?balancer ?(traced = false) ~n () =
-  let ctxs = Workload.spawn_fleet ~traced ~n lapp in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet =
-    Fleet.create ?balancer m ~port:Ltpd.port ~pids ~blocks:(Lazy.force lblocks)
-      ~policy:lpolicy
-  in
-  (ctxs, m, pids, fleet)
-
-let fleet_byte m pid (b : Covgraph.block) =
-  Mem.peek8
-    (Machine.proc_exn m pid).Proc.mem
-    (Int64.add (Common.app_exe lapp).Self.base (Int64.of_int b.Covgraph.b_off))
-
-let fleet_effective fleet =
-  let w = List.hd (Fleet.workers fleet) in
-  Dynacut.redirect_filter w.Rollout.w_session ~sym:"ltpd_403"
-    (Lazy.force lblocks)
-
-(* per-pid XOR across the whole fleet, plus the expected side of the XOR
-   for every worker ([cut_pids] cut, the rest original) *)
-let assert_fleet_xor ~site ~what m pids effective originals ~cut_pids =
-  List.iter
-    (fun pid ->
-      let got = List.map (fleet_byte m pid) effective in
-      let all_cut = List.for_all (fun x -> x = 0xCC) got in
-      let all_orig = got = originals in
-      if not (all_cut || all_orig) then
-        fail "%s: %s: pid %d is half-patched" site what pid;
-      if List.mem pid cut_pids && not all_cut then
-        fail "%s: %s: pid %d should be cut" site what pid;
-      if (not (List.mem pid cut_pids)) && not all_orig then
-        fail "%s: %s: pid %d should be original" site what pid)
-    pids
-
-let assert_fleet_serving ~site ~what fleet =
-  match Fleet.request fleet lget with
-  | `Reply (_, resp) ->
-      let s = status resp in
-      if s <> "200" then fail "%s: %s: GET answered %s, not 200" site what s
-  | `Refused | `Shed | `Timed_out _ -> fail "%s: %s: fleet refused a GET" site what
-
-let fleet_rollout_config =
-  Rollout.
-    {
-      r_waves = 2;
-      r_sup =
-        { Supervisor.default_config with Supervisor.canary_windows = 1 };
-    }
-
-(* Controller dies at the start of wave 2 of a rolling rollout: wave 1's
-   cut committed and must stay; recovery sees only closed waves in the
-   manifest and unwinds nothing. *)
-let fleet_wave site =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:4 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  let drive () = ignore (Fleet.request fleet lget) in
-  Fault.arm ~kill:true site (Fault.Every_nth 2);
-  (match Fleet.rollout fleet ~config:fleet_rollout_config ~drive () with
-  | (_ : Rollout.outcome * Rollout.wave_report list) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  if r.Fleet.fr_unwound <> [] then
-    fail "%s: recovery unwound a closed wave" site;
-  let wave1 =
-    match Rollout.plan ~pids ~waves:2 with w :: _ -> w | [] -> []
-  in
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:wave1;
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Controller dies appending the very first manifest entry (wave 1's
-   Wave_begin): the kill fires before the write lands, so there is no
-   manifest and no worker was touched — recovery unwinds nothing and the
-   fleet is fully original. *)
-let fleet_manifest site =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:4 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  let drive () = ignore (Fleet.request fleet lget) in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Fleet.rollout fleet ~config:fleet_rollout_config ~drive () with
-  | (_ : Rollout.outcome * Rollout.wave_report list) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  if r.Fleet.fr_unwound <> [] then
-    fail "%s: recovery unwound an untouched fleet" site;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Controller dies as the drift monitor begins a fleet-wide re-enable:
-   no worker was reverted yet, so the committed cut stays fleet-wide. *)
-let fleet_reenable site =
-  let ctxs, m, pids, fleet = fleet_boot ~traced:true ~n:4 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  let drive () = ignore (Fleet.request fleet lget) in
-  (match Fleet.rollout fleet ~config:fleet_rollout_config ~drive () with
-  | Rollout.Completed _, _ -> ()
-  | o, _ ->
-      fail "%s: rollout failed: %s" site
-        (Format.asprintf "%a" Rollout.pp_outcome o));
-  Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Drift.reenable_fleet (Fleet.drift_monitor fleet) ~traps:99 with
-  | (_ : Drift.action) -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  if r.Fleet.fr_unwound <> [] then
-    fail "%s: recovery unwound a completed rollout" site;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:pids;
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Controller dies as the drift monitor begins a re-cut: no worker was
-   cut yet, so the fleet stays enabled and recovery finds it quiescent. *)
-let fleet_recut site =
-  let ctxs, m, pids, fleet = fleet_boot ~traced:true ~n:2 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Drift.recut_fleet (Fleet.drift_monitor fleet) with
-  | (_ : Drift.action option) -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  if r.Fleet.fr_unwound <> [] then
-    fail "%s: recovery unwound an uncut fleet" site;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Controller dies inside the balancer's dispatch: no transaction was
-   open anywhere, recovery must invent no work. *)
-let balancer_dispatch site =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Fleet.request fleet lget with
-  | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  List.iter
-    (fun (pid, a) ->
-      if a <> `Nothing then
-        fail "%s: recovery invented work for quiescent pid %d" site pid)
-    r.Fleet.fr_workers;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Controller dies while health-scoring the workers (or while admitting
-   onto a bounded accept queue): same invariant as balancer_dispatch —
-   dispatch opens no transaction, so recovery must invent no work. *)
-let balancer_request site =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Fleet.request fleet lget with
-  | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  List.iter
-    (fun (pid, a) ->
-      if a <> `Nothing then
-        fail "%s: recovery invented work for quiescent pid %d" site pid)
-    r.Fleet.fr_workers;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Controller dies inside admission control's shed path: the watermark
-   is forced to zero so the very first dispatch sheds. Dying mid-shed
-   leaves nothing open; after recovery the fleet (rebuilt with sane
-   watermarks by fleet_boot's default config) serves again. *)
-let fleet_shed site =
-  let shed_now =
-    {
-      (Balancer.default_config ~workers:2) with
-      Balancer.b_shed_high = 0;
-      b_shed_low = -1;
-    }
-  in
-  let _ctxs, m, pids, fleet = fleet_boot ~balancer:shed_now ~n:2 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Fleet.request fleet lget with
-  | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  List.iter
-    (fun (pid, a) ->
-      if a <> `Nothing then
-        fail "%s: recovery invented work for quiescent pid %d" site pid)
-    r.Fleet.fr_workers;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  let fleet' =
-    Fleet.create m ~port:Ltpd.port ~pids ~blocks:(Lazy.force lblocks)
-      ~policy:lpolicy
-  in
-  assert_fleet_serving ~site ~what:"after recover" fleet'
-
-(* Controller dies mid-scrub — either hashing a page (scrub.page) or
-   healing a diverged one (integrity.repair). The audit is read-only and
-   a repair that dies before writing burns no page-repair budget, so
-   recovery must invent no work and the next controller's scrub pass
-   detects the still-standing flip and heals it in place. *)
-let scrub_crash site =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  Fleet.start_scrub fleet;
-  List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-  let victim =
-    match Machine.bitflip m ~pid:(List.hd pids) (Rng.create 4243) with
-    | Some (pid, _) -> pid
-    | None -> fail "%s: seeded bitflip found no resident page" site
-  in
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Fleet.scrub_now fleet ~pid:victim with
-  | (_ : Fleet.scrub_report) -> fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  let r = Fleet.recover m ~pids in
-  List.iter
-    (fun (pid, a) ->
-      if a <> `Nothing then
-        fail "%s: recovery invented work for quiescent pid %d" site pid)
-    r.Fleet.fr_workers;
-  (* the interrupted slice left the flip standing; the next pass must
-     catch and heal it before the XOR invariant can hold *)
-  let r2 = Fleet.scrub_now fleet ~pid:victim in
-  if List.length r2.Fleet.sr_repaired <> 1 || r2.Fleet.sr_respawned then
-    fail "%s: post-recovery scrub did not page-repair the flip" site;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-(* Every registered site maps to a scenario through its family prefix
-   (the registry name up to the first '.'), with per-site overrides for
-   the handful that need a special driver. A site added to the registry
-   inherits its family's driver automatically — and a site whose family
-   has none fails the matrix rather than silently shrinking it, so the
-   mapping cannot drift from [Fault.known_sites]. *)
-(* Controller dies inside the decoded-block code cache — entering the
-   dispatch loop (bbcache.dispatch) or evicting blocks over a dirtied
-   code page (bbcache.flush). The cache is execution-only: no
-   transaction is ever open, recovery must invent no work, every pid
-   stays fully original, and the fleet serves again (on the single-step
-   interpreter once the cache is torn down). *)
-let bbcache_crash site =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
-  let effective = fleet_effective fleet in
-  let originals = List.map (fleet_byte m (List.hd pids)) effective in
-  let bb = Bbcache.enable m in
-  (* warm the cache so a flush has blocks to evict *)
-  assert_fleet_serving ~site ~what:"cache warm-up" fleet;
-  if site = "bbcache.flush" then
-    (* write a text byte back to itself: contents unchanged, but the
-       page is now dirty and the next dispatch must reach the flush *)
-    List.iter
-      (fun pid ->
-        let p = Machine.proc_exn m pid in
-        let addr =
-          Int64.add (Common.app_exe lapp).Self.base
-            (Int64.of_int (List.hd effective).Covgraph.b_off)
-        in
-        Mem.poke8 p.Proc.mem addr (Mem.peek8 p.Proc.mem addr))
-      pids;
-  Fault.arm ~kill:true site Fault.One_shot;
-  (match Fleet.request fleet lget with
-  | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-      fail "%s: controller survived its death" site
-  | exception Fault.Controller_killed _ -> ());
-  assert_fired site;
-  Bbcache.disable bb;
-  let r = Fleet.recover m ~pids in
-  List.iter
-    (fun (pid, a) ->
-      if a <> `Nothing then
-        fail "%s: recovery invented work for quiescent pid %d" site pid)
-    r.Fleet.fr_workers;
-  assert_fleet_xor ~site ~what:"after recover" m pids effective originals
-    ~cut_pids:[];
-  assert_fleet_serving ~site ~what:"after recover" fleet
-
-let family site =
-  match String.index_opt site '.' with
-  | Some i -> String.sub site 0 i
-  | None -> site
-
-let scenario_of_site site =
-  match site with
-  (* per-site overrides: crashes that need a dedicated driver *)
-  | "rewrite.unmap" -> plain ~method_:`Unmap_pages site
-  | "restore.tcp_repair" -> plain ~tcp:true site
-  | "restore.respawn" -> respawn site
-  | "supervisor.promote" -> promote site
-  | "supervisor.reenable" -> reenable site
-  | "recover.replay" -> recover_crash site
-  | "fleet.wave" -> fleet_wave site
-  | "fleet.manifest" -> fleet_manifest site
-  | "fleet.reenable" -> fleet_reenable site
-  | "fleet.recut" -> fleet_recut site
-  | "fleet.shed" -> fleet_shed site
-  | "balancer.dispatch" -> balancer_dispatch site
-  | "scrub.page" | "integrity.repair" -> scrub_crash site
-  | _ -> (
-      (* family defaults: the single-tree cut pipeline crashes under
-         [plain]; crit round-trips under [crit]; every dispatch-path
-         site (balancer scoring, accept queue, worker serve) crashes
-         mid-request under [balancer_request] *)
-      match family site with
-      | "criu" | "rewrite" | "inject" | "restore" | "journal" -> plain site
-      | "crit" -> crit site
-      | "slice" -> slice_crash site
-      | "balancer" | "net" -> balancer_request site
-      | "bbcache" -> bbcache_crash site
-      | f ->
-          fail "site %s (family %s) has no crash scenario — extend crash_matrix.ml"
-            site f)
-
 let () =
   let sites = List.map fst Fault.known_sites in
-  let failures = ref 0 in
-  List.iter
-    (fun site ->
-      Fault.reset ();
-      match scenario_of_site site with
-      | () -> Printf.printf "%-22s ok\n%!" site
-      | exception Matrix_failure msg ->
-          incr failures;
-          Printf.printf "%-22s FAIL: %s\n%!" site msg)
-    sites;
-  if !failures > 0 then begin
-    Printf.printf "crash matrix: %d of %d sites FAILED\n" !failures
+  let failed =
+    List.filter
+      (fun site ->
+        let p = Chaos.probe site Fault.Kill in
+        if p.Chaos.p_ok then Printf.printf "%-22s ok\n%!" site
+        else Printf.printf "%-22s FAIL: %s\n%!" site p.Chaos.p_detail;
+        not p.Chaos.p_ok)
+      sites
+  in
+  if failed <> [] then begin
+    Printf.printf "crash matrix: %d of %d sites FAILED\n" (List.length failed)
       (List.length sites);
     exit 1
   end;

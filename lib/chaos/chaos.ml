@@ -9,13 +9,16 @@
       {!Oracle} invariants once faults clear. Everything draws from
       {!Rng} seeded by the schedule, so a run replays bit-for-bit.
 
-    - {!coverage_matrix}: a directed site × mode sweep — for every
-      registered fault site and every {!Fault.applicable_modes} mode, a
-      scenario that provably reaches the site, strikes it once, and
-      asserts the uniform contract: the site fired, every pid is
-      applied-XOR-unchanged, recovery converges, and the app serves.
-      This is the acceptance gate ci.sh enforces: no registered site may
-      have an unexercised applicable mode. *)
+    - {!probe}: one directed (site, mode) scenario from
+      {!probe_driver}, the one per-site table — it provably reaches the
+      site, strikes it exactly once, and asserts the uniform contract:
+      a kill killed the controller there, every pid is
+      applied-XOR-unchanged (and, after a kill, on its expected side),
+      recovery converges, and the app serves. {!coverage_matrix} runs it
+      for every registered site in every {!Fault.applicable_modes} mode
+      (the [bench chaos] gate: no unexercised applicable mode); its
+      [Kill] column is the crash-recovery matrix
+      ([examples/crash_matrix.ml]). *)
 
 let get = "GET /index.html HTTP/1.0\r\n\r\n"
 let put = "PUT /evil.html HTTP/1.0\r\n\r\nowned"
@@ -43,6 +46,12 @@ let refusal_of_exn : exn -> string option = function
   | Fleet.Fleet_error m -> Some (Printf.sprintf "fleet: %s" m)
   | Balancer.Balancer_error m -> Some (Printf.sprintf "balancer: %s" m)
   | _ -> None
+
+(* one fleet request as rollout traffic: refusals are part of the run *)
+let drive_fleet fleet () =
+  match Fleet.request fleet get with
+  | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) -> ()
+  | exception e when refusal_of_exn e <> None -> ()
 
 (* ---------- the fleet executor ---------- *)
 
@@ -164,20 +173,7 @@ let run ?(config = default_config)
   let w = List.hd (Fleet.workers fleet) in
   let effective = Dynacut.redirect_filter w.Rollout.w_session ~sym blocks in
   let oracle =
-    {
-      Oracle.oc_machine = m;
-      oc_pids = pids;
-      oc_base = (Common.app_exe app).Self.base;
-      oc_blocks = effective;
-      oc_originals =
-        List.map
-          (fun (b : Covgraph.block) ->
-            Mem.peek8
-              (Machine.proc_exn m (List.hd pids)).Proc.mem
-              (Int64.add (Common.app_exe app).Self.base
-                 (Int64.of_int b.Covgraph.b_off)))
-          effective;
-    }
+    Oracle.make m ~base:(Common.app_exe app).Self.base ~blocks:effective ~pids
   in
   (* the background scrubber runs for the whole chaos window; baselines
      are captured now, while the fleet is provably clean — a flip that
@@ -312,13 +308,7 @@ let run ?(config = default_config)
         r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
       }
   in
-  let drive () =
-    match Fleet.request fleet get with
-    | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-        ()
-    | exception e when refusal_of_exn e <> None -> ()
-  in
-  (match Fleet.rollout fleet ~config:rollout_config ~drive () with
+  (match Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) () with
   | outcome, _ -> note "rollout: %s" (Format.asprintf "%a" Rollout.pp_outcome outcome)
   | exception Fault.Controller_killed { site } ->
       note "rollout: controller died at %s" site;
@@ -465,24 +455,36 @@ exception Probe_failure of string
 
 let failp fmt = Printf.ksprintf (fun s -> raise (Probe_failure s)) fmt
 
-(* strike: run [op] with (site, mode) armed one-shot. [`Completed] when
-   the operation returned, [`Refused] on a typed clean refusal,
-   [`Killed] on controller death. The site must have fired. *)
-let strike site mode (op : unit -> unit) =
-  Fault.arm_mode site Fault.One_shot mode;
+(* the first oracle violation, if any, fails the probe *)
+let expect ~what = function
+  | [] -> ()
+  | v :: _ -> failp "%s: %s" what (Format.asprintf "%a" Oracle.pp_violation v)
+
+type outcome = [ `Completed | `Killed | `Refused of string ]
+
+(* strike: run [op] with (site, mode) armed under [spec] (one-shot by
+   default). [`Completed] when the operation returned, [`Refused] on a
+   typed clean refusal, [`Killed] on controller death. The site must
+   fire exactly once, and a [Kill] must kill the controller there. *)
+let strike ?(spec = Fault.One_shot) site mode (op : unit -> unit) : outcome =
+  Fault.arm_mode site spec mode;
   let outcome =
     match op () with
     | () -> `Completed
-    | exception Fault.Controller_killed _ -> `Killed
+    | exception Fault.Controller_killed { site = s } ->
+        if s <> site then failp "controller died at %s instead" s;
+        `Killed
     | exception e -> (
         match refusal_of_exn e with
         | Some msg -> `Refused msg
         | None -> raise e)
   in
-  if Fault.fired site = 0 then failp "site never fired";
+  let n = Fault.fired site in
+  if n <> 1 then failp "site fired %d times, not once" n;
   (* a delay is a gray failure: slow, never wrong. A bitflip is silent:
      the damage is resident, the operation itself must proceed *)
   (match (mode, outcome) with
+  | Fault.Kill, (`Completed | `Refused _) -> failp "controller survived its death"
   | Fault.Delay _, `Refused msg -> failp "delay refused the operation: %s" msg
   | Fault.Delay _, `Killed -> failp "delay killed the controller"
   | Fault.Bitflip, `Refused msg -> failp "bitflip refused the operation: %s" msg
@@ -496,47 +498,43 @@ let napp = Workload.ngx
 let nblocks = lazy (Common.web_feature_blocks napp)
 let npolicy method_ = { Dynacut.method_; on_trap = `Redirect "ngx_declined" }
 
-let nboot () =
+(* a booted ngx tree, a session on it, and the XOR oracle over the
+   tree's redirect-effective feature blocks *)
+let tree_setup () =
   let c = Workload.spawn napp in
   Workload.wait_ready c;
-  c
-
-let tree_byte (c : Workload.ctx) pid (b : Covgraph.block) =
-  Mem.peek8
-    (Machine.proc_exn c.Workload.m pid).Proc.mem
-    (Int64.add (Common.app_exe napp).Self.base (Int64.of_int b.Covgraph.b_off))
-
-let assert_tree_xor ~what c session effective originals =
-  List.iter
-    (fun pid ->
-      let got = List.map (tree_byte c pid) effective in
-      if not (List.for_all (fun x -> x = 0xCC) got || got = originals) then
-        failp "%s: pid %d is half-patched" what pid)
-    (Dynacut.tree_pids session)
-
-let assert_tree_serving ~what c =
-  let s = status (Workload.rpc c get) in
-  if s <> "200" then failp "%s: GET answered %s, not 200" what s
-
-let tree_setup () =
-  let c = nboot () in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let effective =
     Dynacut.redirect_filter session ~sym:"ngx_declined" (Lazy.force nblocks)
   in
-  let originals = List.map (tree_byte c c.Workload.pid) effective in
-  (c, session, effective, originals)
-
-let tree_finish c session effective originals =
-  let (_ : Dynacut.recovery) =
-    Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid
+  let oracle =
+    Oracle.make c.Workload.m ~base:(Common.app_exe napp).Self.base
+      ~blocks:effective ~pids:[ c.Workload.pid ]
   in
-  assert_tree_xor ~what:"after recover" c session effective originals;
-  assert_tree_serving ~what:"after recover" c
+  (c, session, oracle)
 
-(* fault strikes the cut transaction itself *)
+(* XOR over the tree's current pids (a restore re-creates them) — with
+   [~all_cut], every pid on the cut side — and the tree serves *)
+let tree_check ?(all_cut = false) ~what c session oracle =
+  let oracle = { oracle with Oracle.oc_pids = Dynacut.tree_pids session } in
+  expect ~what
+    (Oracle.check_xor oracle
+    @ if all_cut then Oracle.check_sides oracle ~cut:oracle.Oracle.oc_pids
+      else []);
+  let s = status (Workload.rpc c get) in
+  if s <> "200" then failp "%s: GET answered %s, not 200" what s
+
+let tree_recover c = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid
+
+let tree_finish c session oracle =
+  let r = tree_recover c in
+  tree_check ~what:"after recover" c session oracle;
+  r
+
+(* fault strikes the cut transaction itself; after recovery a fresh
+   controller must be able to cut the tree, whichever way it went *)
 let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
-  let c, session, effective, originals = tree_setup () in
+  let c, session, oracle = tree_setup () in
   let in_flight =
     if tcp then begin
       (* park a connection in the server so restore has TCP state to
@@ -547,17 +545,15 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
     end
     else None
   in
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
+  let (_ : outcome) =
     strike site mode (fun () ->
         ignore
           (Dynacut.try_cut session ~blocks:(Lazy.force nblocks)
              ~policy:(npolicy method_) ()))
   in
-  let (_ : Dynacut.recovery) =
-    Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid
-  in
-  (* the repaired mid-cut connection must answer — an accepted request
-     is never silently dropped, whichever way the fault went *)
+  let (_ : Dynacut.recovery) = tree_recover c in
+  (* the repaired mid-cut connection must answer before anything new —
+     an accepted request is never silently dropped *)
   (match in_flight with
   | None -> ()
   | Some conn ->
@@ -565,12 +561,21 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
       ignore (Machine.run c.Workload.m ~max_cycles:2_000_000);
       let s = status (Net.client_recv conn) in
       if s <> "200" then failp "in-flight request answered %s after recover" s);
-  assert_tree_xor ~what:"after recover" c session effective originals;
-  assert_tree_serving ~what:"after recover" c
+  tree_check ~what:"after recover" c session oracle;
+  let fresh = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
+  (match
+     (Dynacut.try_cut fresh ~blocks:(Lazy.force nblocks)
+        ~policy:(npolicy `First_byte) ())
+       .Dynacut.r_outcome
+   with
+  | `Applied | `Degraded -> ()
+  | `Rolled_back rb -> failp "clean re-cut rolled back at %s" rb.Dynacut.rb_stage);
+  tree_check ~all_cut:true ~what:"after re-cut" c fresh oracle
 
-(* fault strikes a journaled respawn of a reaped worker *)
+(* fault strikes a journaled respawn of a reaped worker; a controller
+   death mid-respawn leaves an intent recovery must redo *)
 let respawn_probe site mode =
-  let c, session, effective, originals = tree_setup () in
+  let c, session, oracle = tree_setup () in
   let (_ : Rewriter.journal list * Dynacut.timings) =
     Dynacut.cut session ~blocks:(Lazy.force nblocks) ~policy:(npolicy `First_byte)
   in
@@ -585,33 +590,33 @@ let respawn_probe site mode =
       (Dynacut.journaled_respawn session ~pid:worker
          ~path:(Dynacut.image_path session worker))
   in
-  (match strike site mode respawn with
-  | `Completed | `Killed -> ()
-  | `Refused _ ->
-      (* a refused respawn closes its own journal intent — the worker is
-         legitimately still dead, and the supervisor's contract is to
-         retry next tick. Do that retry (the one-shot fault is spent). *)
-      respawn ());
-  tree_finish c session effective originals
+  let outcome = strike site mode respawn in
+  (* a refused respawn closes its own journal intent — the worker is
+     legitimately still dead, and the supervisor's contract is to retry
+     next tick. Do that retry (the one-shot fault is spent). *)
+  (match outcome with `Refused _ -> respawn () | `Completed | `Killed -> ());
+  let r = tree_finish c session oracle in
+  if outcome = `Killed && r.Dynacut.rec_respawned <> [ worker ] then
+    failp "recovery did not redo the respawn"
 
 (* fault strikes the canary's fleet promotion *)
 let promote_probe site mode =
-  let c, session, effective, originals = tree_setup () in
+  let c, session, oracle = tree_setup () in
   let sup =
     Supervisor.create session
       ~config:{ Supervisor.default_config with Supervisor.canary_windows = 1 }
       ~blocks:(Lazy.force nblocks) ~policy:(npolicy `First_byte)
   in
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
+  let (_ : outcome) =
     strike site mode (fun () ->
         ignore (Supervisor.guarded_cut sup ~canary:true ~drive ()))
   in
-  tree_finish c session effective originals
+  ignore (tree_finish c session oracle : Dynacut.recovery)
 
 (* fault strikes the breaker's automatic re-enable *)
 let reenable_probe site mode =
-  let c, session, effective, originals = tree_setup () in
+  let c, session, oracle = tree_setup () in
   let sup =
     Supervisor.create session
       ~config:{ Supervisor.default_config with Supervisor.critical = true }
@@ -622,29 +627,33 @@ let reenable_probe site mode =
   | Supervisor.R_promoted -> ()
   | r -> failp "setup rollout failed: %s" (Format.asprintf "%a" Supervisor.pp_rollout r));
   ignore (Workload.rpc ~max_cycles:800_000 c put);
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
-    strike site mode (fun () -> Supervisor.tick sup)
-  in
-  tree_finish c session effective originals
+  let (_ : outcome) = strike site mode (fun () -> Supervisor.tick sup) in
+  ignore (tree_finish c session oracle : Dynacut.recovery)
+
+(* no transaction was open when the fault struck: recovery finds none *)
+let assert_quiescent (r : Dynacut.recovery) =
+  if r.Dynacut.rec_action <> `Nothing then
+    failp "recovery invented work on a quiescent tree"
 
 (* fault strikes the crit image/text round trip — no transaction open *)
 let crit_probe site mode =
-  let c, session, effective, originals = tree_setup () in
+  let c, session, oracle = tree_setup () in
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;
   let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
   Machine.thaw c.Workload.m ~pid:c.Workload.pid;
   let blob = Images.encode img in
   let text = Crit.decode_to_text blob in
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
+  let (_ : outcome) =
     strike site mode (fun () ->
         if site = "crit.decode" then ignore (Crit.decode_to_text blob)
         else ignore (Crit.encode_from_text text))
   in
-  tree_finish c session effective originals
+  assert_quiescent (tree_finish c session oracle)
 
-(* fault strikes the recovery pass replaying a controller death *)
+(* fault strikes the recovery pass replaying a controller death; after
+   a second death the next pass must still roll the tree back *)
 let recover_probe site mode =
-  let c, session, effective, originals = tree_setup () in
+  let c, session, oracle = tree_setup () in
   Fault.arm ~kill:true "restore.process" Fault.One_shot;
   (match
      Dynacut.try_cut session ~blocks:(Lazy.force nblocks)
@@ -652,11 +661,33 @@ let recover_probe site mode =
    with
   | (_ : Dynacut.cut_result) -> failp "staged controller death never struck"
   | exception Fault.Controller_killed _ -> ());
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
-    strike site mode (fun () ->
-        ignore (Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid))
+  let outcome =
+    strike site mode (fun () -> ignore (tree_recover c : Dynacut.recovery))
   in
-  tree_finish c session effective originals
+  let r = tree_finish c session oracle in
+  if outcome = `Killed && r.Dynacut.rec_action <> `Rolled_back then
+    failp "second recovery pass did not roll back"
+
+(* fault strikes the dataflow slicing tracer: the hook attach
+   (slice.trace) or the final dependency-set fold (slice.compute).
+   Slicing is observation-only, so the contract is strict: whichever
+   way the fault goes, the tree is untouched (serving, nothing for
+   recovery to do) and a clean retry produces a non-empty slice *)
+let slice_probe site mode =
+  let c, session, oracle = tree_setup () in
+  let run_slicer () =
+    let sl =
+      Slicer.attach c.Workload.m ~pid:c.Workload.pid
+        ~wanted_out:(Slicelab.wanted_out_of napp) ()
+    in
+    ignore (Workload.rpc c get);
+    Slicer.detach sl;
+    Slicer.slice sl
+  in
+  let (_ : outcome) = strike site mode (fun () -> ignore (run_slicer ())) in
+  assert_quiescent (tree_finish c session oracle);
+  if run_slicer () = [] then
+    failp "clean slicer retry after a %s fault produced an empty slice" site
 
 (* -- fleet probes (ltpd workers) -- *)
 
@@ -675,63 +706,69 @@ let fleet_setup ?balancer ?(traced = false) ~n () =
       (Lazy.force lblocks)
   in
   let oracle =
-    {
-      Oracle.oc_machine = m;
-      oc_pids = pids;
-      oc_base = (Common.app_exe Workload.ltpd).Self.base;
-      oc_blocks = effective;
-      oc_originals =
-        List.map
-          (fun (b : Covgraph.block) ->
-            Mem.peek8
-              (Machine.proc_exn m (List.hd pids)).Proc.mem
-              (Int64.add (Common.app_exe Workload.ltpd).Self.base
-                 (Int64.of_int b.Covgraph.b_off)))
-          effective;
-    }
+    Oracle.make m ~base:(Common.app_exe Workload.ltpd).Self.base
+      ~blocks:effective ~pids
   in
   (ctxs, m, pids, fleet, oracle)
 
-let fleet_finish m pids oracle ~plan ~serving_fleet =
+(* recover the fleet, run [after_recover], then the fleet oracles and a
+   served GET. [quiet] probes open no transaction, so no worker may need
+   recovery work. After a controller death recovery must unwind nothing
+   and leave every pid on its expected side: [cut] cut, the rest
+   original. *)
+let fleet_finish ?(after_recover = ignore) ?(quiet = false) ?(cut = [])
+    ~(outcome : outcome) m pids oracle ~plan ~serving_fleet =
   let recovery =
     match Fleet.recover m ~pids with
     | r -> r
     | exception Fault.Controller_killed _ -> Fleet.recover m ~pids
   in
-  List.iter
-    (fun (v : Oracle.violation) ->
-      failp "%s" (Format.asprintf "%a" Oracle.pp_violation v))
+  after_recover ();
+  if quiet then
+    List.iter
+      (fun (pid, a) ->
+        if a <> `Nothing then
+          failp "recovery invented work for quiescent pid %d" pid)
+      recovery.Fleet.fr_workers;
+  expect ~what:"after recover"
     (Oracle.check_xor oracle
     @ Oracle.check_waves oracle ~plan ~recovery
     @ Oracle.check_recover_idempotent oracle);
+  if outcome = `Killed then begin
+    if recovery.Fleet.fr_unwound <> [] then
+      failp "recovery unwound pid(s) %s"
+        (String.concat "," (List.map string_of_int recovery.Fleet.fr_unwound));
+    expect ~what:"after recover" (Oracle.check_sides oracle ~cut)
+  end;
   match Fleet.request serving_fleet get with
   | `Reply (_, resp) ->
       let s = status resp in
       if s <> "200" then failp "after recover: GET answered %s, not 200" s
   | `Refused | `Shed | `Timed_out _ -> failp "after recover: fleet refused a GET"
 
-(* fault strikes the rolling rollout (waves, manifest) *)
+let rollout_config =
+  Rollout.
+    {
+      r_waves = 2;
+      r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
+    }
+
+(* fault strikes the rolling rollout: [fleet.wave] at wave 2's start,
+   so wave 1's committed cut must survive; [fleet.manifest] at the very
+   first entry, before any worker was touched *)
 let fleet_rollout_probe site mode =
   let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:4 () in
-  let drive () =
-    match Fleet.request fleet get with
-    | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-        ()
-    | exception e when refusal_of_exn e <> None -> ()
+  let plan = Rollout.plan ~pids ~waves:2 in
+  let spec, cut =
+    if site = "fleet.wave" then (Fault.On_nth 2, List.hd plan)
+    else (Fault.One_shot, [])
   in
-  let config =
-    Rollout.
-      {
-        r_waves = 2;
-        r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
-      }
+  let outcome =
+    strike ~spec site mode (fun () ->
+        ignore
+          (Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ()))
   in
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
-    strike site mode (fun () ->
-        ignore (Fleet.rollout fleet ~config ~drive ()))
-  in
-  fleet_finish m pids oracle ~plan:(Rollout.plan ~pids ~waves:2)
-    ~serving_fleet:fleet
+  fleet_finish ~cut ~outcome m pids oracle ~plan ~serving_fleet:fleet
 
 (* heal every worker with a forced audit, then require a second audit of
    each to come back clean — the probes' "scrubbed back to health" bar *)
@@ -757,48 +794,39 @@ let fleet_request_probe site mode =
     Fleet.start_scrub fleet;
     fleet_heal_all fleet pids
   end;
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
-    strike site mode (fun () -> ignore (Fleet.request fleet get))
-  in
+  let outcome = strike site mode (fun () -> ignore (Fleet.request fleet get)) in
   if mode = Fault.Bitflip then begin
     fleet_heal_all fleet pids;
     assert_fleet_clean fleet pids
   end;
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
 
-(* fault strikes the scrubber's own page audit — including a Bitflip
-   landing mid-audit, which the next pass must catch and heal *)
+(* fault strikes a scrub pass over a worker carrying a seeded flip —
+   while it hashes a page (scrub.page) or heals the diverged one
+   (integrity.repair). After a death the flip still stands, and the
+   first pass after recovery must heal it by one page repair *)
 let scrub_probe site mode =
   let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:2 () in
   Fleet.start_scrub fleet;
   fleet_heal_all fleet pids;
   let victim = List.hd pids in
-  (match
-     strike site mode (fun () -> ignore (Fleet.scrub_now fleet ~pid:victim))
-   with
-  | `Completed | `Killed | `Refused _ -> ());
-  fleet_heal_all fleet pids;
-  assert_fleet_clean fleet pids;
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet
-
-(* fault strikes the page-level repair of a seeded flip *)
-let repair_probe site mode =
-  let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:2 () in
-  Fleet.start_scrub fleet;
-  fleet_heal_all fleet pids;
-  let victim = List.hd pids in
-  let rng = Rng.create 1105 in
-  (match Machine.bitflip m ~pid:victim rng with
+  (match Machine.bitflip m ~pid:victim (Rng.create 1105) with
   | Some _ -> ()
   | None -> failp "seeded bitflip found no resident immutable page");
-  (match
-     strike site mode (fun () -> ignore (Fleet.scrub_now fleet ~pid:victim))
-   with
-  | `Completed | `Killed | `Refused _ -> ());
-  (* whichever way the repair fault went, the retry must converge *)
-  fleet_heal_all fleet pids;
-  assert_fleet_clean fleet pids;
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet
+  let outcome =
+    strike site mode (fun () -> ignore (Fleet.scrub_now fleet ~pid:victim))
+  in
+  let after_recover () =
+    (if outcome = `Killed then
+       let r = Fleet.scrub_now fleet ~pid:victim in
+       if List.length r.Fleet.sr_repaired <> 1 || r.Fleet.sr_respawned then
+         failp "post-recovery scrub did not page-repair the flip");
+    (* whichever way the fault went, the retry must converge *)
+    fleet_heal_all fleet pids;
+    assert_fleet_clean fleet pids
+  in
+  fleet_finish ~after_recover ~quiet:true ~outcome m pids oracle ~plan:[]
+    ~serving_fleet:fleet
 
 (* fault strikes the shed path: watermark zero sheds the first dispatch *)
 let fleet_shed_probe site mode =
@@ -810,74 +838,39 @@ let fleet_shed_probe site mode =
     }
   in
   let _ctxs, m, pids, fleet, oracle = fleet_setup ~balancer:shed_now ~n:2 () in
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
-    strike site mode (fun () -> ignore (Fleet.request fleet get))
-  in
+  let outcome = strike site mode (fun () -> ignore (Fleet.request fleet get)) in
   (* rebuild with sane watermarks for the serving check *)
   let fleet' =
     Fleet.create m ~port:Ltpd.port ~pids ~blocks:(Lazy.force lblocks)
       ~policy:lpolicy
   in
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet'
+  fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet'
 
-(* fault strikes the drift monitor's fleet-wide re-enable *)
+(* fault strikes the drift monitor's fleet-wide re-enable after a
+   completed rollout; a death before any worker reverted keeps the cut *)
 let fleet_reenable_probe site mode =
   let ctxs, m, pids, fleet, oracle = fleet_setup ~traced:true ~n:4 () in
-  let drive () =
-    match Fleet.request fleet get with
-    | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) ->
-        ()
-    | exception e when refusal_of_exn e <> None -> ()
-  in
-  let config =
-    Rollout.
-      {
-        r_waves = 2;
-        r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
-      }
-  in
-  (match Fleet.rollout fleet ~config ~drive () with
+  (match
+     Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ()
+   with
   | Rollout.Completed _, _ -> ()
   | o, _ -> failp "setup rollout failed: %s" (Format.asprintf "%a" Rollout.pp_outcome o));
   Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
+  let outcome =
     strike site mode (fun () ->
         ignore (Drift.reenable_fleet (Fleet.drift_monitor fleet) ~traps:99))
   in
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~cut:pids ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
 
 (* fault strikes the drift monitor's automatic re-cut *)
 let fleet_recut_probe site mode =
   let ctxs, m, pids, fleet, oracle = fleet_setup ~traced:true ~n:2 () in
   Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
+  let outcome =
     strike site mode (fun () ->
         ignore (Drift.recut_fleet (Fleet.drift_monitor fleet)))
   in
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet
-
-(* fault strikes the dataflow slicing tracer: the hook attach
-   (slice.trace) or the final dependency-set fold (slice.compute).
-   Slicing is observation-only, so the contract is strict: whichever
-   way the fault goes, the guest is untouched (still serving, no hooks
-   left behind) and a clean retry produces a non-empty slice *)
-let slice_probe site mode =
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
-  let run_slicer () =
-    let sl =
-      Slicer.attach c.Workload.m ~pid:c.Workload.pid
-        ~wanted_out:(Slicelab.wanted_out_of Workload.ltpd) ()
-    in
-    ignore (Workload.rpc c get);
-    Slicer.detach sl;
-    Slicer.slice sl
-  in
-  (match strike site mode (fun () -> ignore (run_slicer ())) with
-  | `Completed | `Killed | `Refused _ -> ());
-  assert_tree_serving ~what:"after slice fault" c;
-  if run_slicer () = [] then
-    failp "clean slicer retry after a %s fault produced an empty slice" site
+  fleet_finish ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
 
 (* fault strikes the decoded-block code cache: entering the dispatch
    loop (bbcache.dispatch) or evicting blocks over a dirtied code page
@@ -904,7 +897,7 @@ let bbcache_probe site mode =
         Mem.poke8 p.Proc.mem addr (Mem.peek8 p.Proc.mem addr))
       pids
   in
-  let (_ : [ `Completed | `Killed | `Refused of string ]) =
+  let outcome =
     strike site mode (fun () ->
         if site = "bbcache.flush" then dirty_text ();
         match Fleet.request fleet get with
@@ -917,7 +910,7 @@ let bbcache_probe site mode =
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "request failed after the %s fault" site);
   Bbcache.disable bb;
-  fleet_finish m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
 
 (* every registered site maps to the scenario that provably reaches it;
    a site without a driver fails the matrix rather than shrinking it *)
@@ -941,8 +934,7 @@ let probe_driver (site : string) : Fault.mode -> unit =
   | "net.serve" ->
       fleet_request_probe site
   | "fleet.shed" -> fleet_shed_probe site
-  | "scrub.page" -> scrub_probe site
-  | "integrity.repair" -> repair_probe site
+  | "scrub.page" | "integrity.repair" -> scrub_probe site
   | "slice.trace" | "slice.compute" -> slice_probe site
   | "bbcache.dispatch" | "bbcache.flush" -> bbcache_probe site
   | s -> fun _ -> failp "site %s has no chaos probe — extend Chaos.probe_driver" s
@@ -954,17 +946,21 @@ type probe = {
   p_detail : string;  (** empty when ok *)
 }
 
+(** Strike [site] once in [mode] through its scenario and check the
+    uniform contract. Any exception the scenario lets escape is this
+    probe's failure, named in [p_detail] — never an abort of the whole
+    sweep. *)
+let probe site mode : probe =
+  Fault.reset ();
+  let result p_ok p_detail = { p_site = site; p_mode = mode; p_ok; p_detail } in
+  match probe_driver site mode with
+  | () -> result true ""
+  | exception Probe_failure msg -> result false msg
+  | exception e -> result false ("uncaught exception " ^ Printexc.to_string e)
+
 (** The directed sweep: every registered site in every applicable mode.
     [sites] defaults to the full registry. *)
 let coverage_matrix ?(sites = List.map fst Fault.known_sites) () : probe list =
   List.concat_map
-    (fun site ->
-      List.map
-        (fun mode ->
-          Fault.reset ();
-          match probe_driver site mode with
-          | () -> { p_site = site; p_mode = mode; p_ok = true; p_detail = "" }
-          | exception Probe_failure msg ->
-              { p_site = site; p_mode = mode; p_ok = false; p_detail = msg })
-        (Fault.applicable_modes site))
+    (fun site -> List.map (probe site) (Fault.applicable_modes site))
     sites

@@ -45,6 +45,21 @@ let all_cut (ctx : ctx) pid =
 
 let all_original (ctx : ctx) pid = block_bytes ctx pid = ctx.oc_originals
 
+(** The context over [pids]' feature [blocks] at text base [base], with
+    the original bytes read from the first pid — call it while that pid
+    is still untouched. *)
+let make (m : Machine.t) ~base ~blocks ~pids : ctx =
+  let ctx =
+    {
+      oc_machine = m;
+      oc_pids = pids;
+      oc_base = base;
+      oc_blocks = blocks;
+      oc_originals = [];
+    }
+  in
+  { ctx with oc_originals = block_bytes ctx (List.hd pids) }
+
 (** Per-pid applied XOR unchanged, across the whole fleet. *)
 let check_xor (ctx : ctx) : violation list =
   List.filter_map
@@ -55,6 +70,18 @@ let check_xor (ctx : ctx) : violation list =
           (violation "xor" "pid %d is half-patched (%s)" pid
              (String.concat ","
                 (List.map string_of_int (block_bytes ctx pid)))))
+    ctx.oc_pids
+
+(** Each pid on its expected side of the XOR: every pid in [cut] fully
+    cut, every other pid fully original. *)
+let check_sides (ctx : ctx) ~(cut : int list) : violation list =
+  List.filter_map
+    (fun pid ->
+      if List.mem pid cut then
+        if all_cut ctx pid then None
+        else Some (violation "side" "pid %d should be cut" pid)
+      else if all_original ctx pid then None
+      else Some (violation "side" "pid %d should be original" pid))
     ctx.oc_pids
 
 (** Committed waves kept: read the manifest back (post-recovery, so the

@@ -41,9 +41,7 @@ type session = {
   root_pid : int;
   handler_lib : Self.t;
   tmpfs : string;  (** tmpfs directory for the images (§3.3) *)
-  journal : Journal.t option;
-      (** the crash-consistency journal (DESIGN.md §5d); [None] only
-          when the session was created with [~journal:false] *)
+  journal : Journal.t;  (** the crash-consistency journal (DESIGN.md §5d) *)
   epoch : int;  (** this controller's fencing token *)
   mutable next_txid : int;
   mutable lib_bases : (int * int64) list;  (** pid -> injected handler base *)
@@ -62,7 +60,7 @@ type session = {
 
 exception Dynacut_error of string
 
-let create ?(journal = true) (machine : Machine.t) ~(root_pid : int) : session =
+let create (machine : Machine.t) ~(root_pid : int) : session =
   (* the handler library is built against the libc the target linked *)
   let libc =
     match Vfs.find_self machine.Machine.fs "libc.so" with
@@ -70,14 +68,10 @@ let create ?(journal = true) (machine : Machine.t) ~(root_pid : int) : session =
     | None -> raise (Dynacut_error "libc.so not present in target filesystem")
   in
   let tmpfs = Printf.sprintf "/tmpfs/dynacut-%d" root_pid in
-  let journal =
-    if journal then Some (Journal.attach machine.Machine.fs ~dir:tmpfs) else None
-  in
+  let journal = Journal.attach machine.Machine.fs ~dir:tmpfs in
   (* one past whatever epoch the tree last saw, so a fresh controller
      outranks any stale lock a dead one left behind *)
-  let epoch =
-    match journal with Some j -> Journal.lock_epoch j + 1 | None -> 1
-  in
+  let epoch = Journal.lock_epoch journal + 1 in
   (* pre-register the pipeline span set so the exposed stage breakdown is
      stable from the first dump, even before any stage has run *)
   List.iter Obs.register_span
@@ -437,8 +431,7 @@ let thaw_all s pids = List.iter (fun pid -> Machine.thaw s.machine ~pid) pids
 
 (* ---------- journal wiring (DESIGN.md §5d) ---------- *)
 
-let jrnl_append s (r : Journal.record) =
-  match s.journal with None -> () | Some j -> Journal.append j ~epoch:s.epoch r
+let jrnl_append s (r : Journal.record) = Journal.append s.journal ~epoch:s.epoch r
 
 (* Open the transaction in the journal: refuse a tree whose journal
    still holds an unfinished transaction or respawn ([Journal.Busy] —
@@ -447,27 +440,25 @@ let jrnl_append s (r : Journal.record) =
    outside [guard]'s failure domain: they mean the tree is not ours to
    roll back. *)
 let jrnl_open s ~txid ~op ~pids =
-  match s.journal with
-  | None -> ()
-  | Some j ->
-      let records, _torn = Journal.read j in
-      let sum = Journal.summarize records in
-      if not (Journal.quiescent sum) then begin
-        let open_txid =
-          match sum.Journal.s_tx with
-          | Some t when not t.Journal.tx_closed -> t.Journal.tx_id
-          | _ -> 0
-        in
-        raise (Journal.Busy { txid = open_txid })
-      end;
-      Journal.acquire j ~epoch:s.epoch;
-      (* a quiescent leftover (death between Commit and cleanup, later
-         recovered) is stale history — drop it before the new tx; only
-         now that the fencing check passed is it ours to drop *)
-      if records <> [] then Journal.clear j;
-      Journal.append j ~epoch:s.epoch (Journal.Begin { txid; op; pids })
+  let j = s.journal in
+  let records, _torn = Journal.read j in
+  let sum = Journal.summarize records in
+  if not (Journal.quiescent sum) then begin
+    let open_txid =
+      match sum.Journal.s_tx with
+      | Some t when not t.Journal.tx_closed -> t.Journal.tx_id
+      | _ -> 0
+    in
+    raise (Journal.Busy { txid = open_txid })
+  end;
+  Journal.acquire j ~epoch:s.epoch;
+  (* a quiescent leftover (death between Commit and cleanup, later
+     recovered) is stale history — drop it before the new tx; only now
+     that the fencing check passed is it ours to drop *)
+  if records <> [] then Journal.clear j;
+  Journal.append j ~epoch:s.epoch (Journal.Begin { txid; op; pids })
 
-let jrnl_finish s = match s.journal with None -> () | Some j -> Journal.finish j
+let jrnl_finish s = Journal.finish s.journal
 
 (* Rollback epilogue: the tree is back to original — log [Abort] and
    drop journal + lock, but only while we still own the lock (a fenced
@@ -475,14 +466,12 @@ let jrnl_finish s = match s.journal with None -> () | Some j -> Journal.finish j
    armed chaos fault cannot re-fire inside an already-successful
    rollback; a kill-mode fault still strikes — that is the point. *)
 let jrnl_abort s ~txid =
-  match s.journal with
-  | None -> ()
-  | Some j ->
-      Fault.suppressed (fun () ->
-          if Journal.lock_epoch j = s.epoch then begin
-            Journal.append j ~epoch:s.epoch (Journal.Abort txid);
-            Journal.finish j
-          end)
+  let j = s.journal in
+  Fault.suppressed (fun () ->
+      if Journal.lock_epoch j = s.epoch then begin
+        Journal.append j ~epoch:s.epoch (Journal.Abort txid);
+        Journal.finish j
+      end)
 
 let default_max_retries = 2
 
@@ -869,24 +858,22 @@ let handler_hits (s : session) ~(pid : int) : int64 =
     supervisor handles that with backoff and a retry next tick). Only
     an unmatched intent means the controller died. *)
 let journaled_respawn (s : session) ~(pid : int) ~(path : string) : Proc.t =
-  match s.journal with
-  | None -> Restore.respawn s.machine ~path
-  | Some j -> (
-      Journal.acquire j ~epoch:s.epoch;
-      Journal.append j ~epoch:s.epoch (Journal.Respawn_begin { pid; path });
-      let close () =
-        Fault.suppressed (fun () ->
-            Journal.append j ~epoch:s.epoch (Journal.Respawn_done { pid });
-            Journal.finish j)
-      in
-      match Restore.respawn s.machine ~path with
-      | p ->
-          close ();
-          p
-      | exception (Fault.Controller_killed _ as e) -> raise e
-      | exception e ->
-          close ();
-          raise e)
+  let j = s.journal in
+  Journal.acquire j ~epoch:s.epoch;
+  Journal.append j ~epoch:s.epoch (Journal.Respawn_begin { pid; path });
+  let close () =
+    Fault.suppressed (fun () ->
+        Journal.append j ~epoch:s.epoch (Journal.Respawn_done { pid });
+        Journal.finish j)
+  in
+  match Restore.respawn s.machine ~path with
+  | p ->
+      close ();
+      p
+  | exception (Fault.Controller_killed _ as e) -> raise e
+  | exception e ->
+      close ();
+      raise e
 
 (* ---------- crash recovery (DESIGN.md §5d) ---------- *)
 

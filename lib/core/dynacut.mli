@@ -49,9 +49,7 @@ type session = {
   root_pid : int;
   handler_lib : Self.t;  (** the injectable SIGTRAP handler (§3.3) *)
   tmpfs : string;  (** image directory in the machine fs *)
-  journal : Journal.t option;
-      (** the crash-consistency journal (§5d); [None] only with
-          [~journal:false] *)
+  journal : Journal.t;  (** the crash-consistency journal (§5d) *)
   epoch : int;  (** this controller's fencing token *)
   mutable next_txid : int;
   mutable lib_bases : (int * int64) list;
@@ -67,12 +65,10 @@ type session = {
 
 exception Dynacut_error of string
 
-val create : ?journal:bool -> Machine.t -> root_pid:int -> session
+val create : Machine.t -> root_pid:int -> session
 (** Build a session for the process tree rooted at [root_pid]; the
     handler library is linked against the target's libc. The session's
-    epoch outranks any stale lock left in the tree's tmpfs. [~journal]
-    (default [true]) disables the crash-consistency journal — only
-    meant for the robustness benchmark's A/B comparison. *)
+    epoch outranks any stale lock left in the tree's tmpfs. *)
 
 val tree_pids : session -> int list
 (** The root and its live descendants (multi-process support, §3.2.1). *)

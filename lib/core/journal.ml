@@ -140,29 +140,42 @@ let pp_record fmt (r : record) =
       Format.fprintf fmt "respawn-begin pid=%d path=%s" pid path
   | Respawn_done { pid } -> Format.fprintf fmt "respawn-done pid=%d" pid
 
-(* ---------- reading ---------- *)
+(* ---------- the sealed append-log ---------- *)
 
-(** The journal's valid prefix, in append order, plus whether the tail
-    was torn (truncated write or corruption — both are survivable; the
-    prefix is authoritative). Never raises. *)
-let read (t : t) : record list * bool =
-  match Vfs.find t.fs (journal_path t) with
+(* Both intent logs — this journal and the fleet manifest below — are
+   one format: a file of {!Validate.seal} frames, each appended whole,
+   read back as the longest decodable prefix. *)
+
+let remove_file fs path = if Vfs.exists fs path then Vfs.remove fs path
+
+(* append one frame sealed at [site] (its [Corrupt] injection point) *)
+let log_append fs path ~site payload =
+  let prev = Option.value ~default:"" (Vfs.find fs path) in
+  Vfs.add fs path (prev ^ Validate.seal_at ~site payload)
+
+(* the valid prefix in append order, plus whether the tail was torn
+   (truncated write, corruption or an undecodable frame — all
+   survivable; the prefix is authoritative). Never raises. *)
+let log_read fs path ~kind decode =
+  match Vfs.find fs path with
   | None -> ([], false)
   | Some blob ->
       let payloads, tear = Validate.unseal_frames blob in
-      (match tear with
-      | Some t ->
-          Obs.event ~kind:"journal"
-            (Format.asprintf "torn tail: %a" Validate.pp_tear t)
-      | None -> ());
-      let rec decode acc = function
+      Option.iter
+        (fun t ->
+          Obs.event ~kind (Format.asprintf "torn tail: %a" Validate.pp_tear t))
+        tear;
+      let rec go acc = function
         | [] -> (List.rev acc, tear <> None)
         | p :: rest -> (
-            match decode_record p with
-            | r -> decode (r :: acc) rest
+            match decode p with
+            | x -> go (x :: acc) rest
             | exception _ -> (List.rev acc, true))
       in
-      decode [] payloads
+      go [] payloads
+
+let read (t : t) : record list * bool =
+  log_read t.fs (journal_path t) ~kind:"journal" decode_record
 
 (* ---------- the lock / fencing token ---------- *)
 
@@ -206,20 +219,17 @@ let append (t : t) ~(epoch : int) (r : record) : unit =
   Fault.site "journal.append";
   let held = lock_epoch t in
   if held <> epoch then raise (Fenced { epoch; lock_epoch = held });
-  let prev = Option.value ~default:"" (Vfs.find t.fs (journal_path t)) in
-  Vfs.add t.fs (journal_path t)
-    (prev ^ Validate.seal_at ~site:"journal.append" (encode_record r));
+  log_append t.fs (journal_path t) ~site:"journal.append" (encode_record r);
   Obs.event ~kind:"journal" (Format.asprintf "%a" pp_record r)
 
 (** Remove the journal file only (recovery keeps its bumped lock behind
     as a fence). *)
-let clear (t : t) : unit =
-  if Vfs.exists t.fs (journal_path t) then Vfs.remove t.fs (journal_path t)
+let clear (t : t) : unit = remove_file t.fs (journal_path t)
 
 (** Remove journal and lock — a transaction's clean finish. *)
 let finish (t : t) : unit =
   clear t;
-  if Vfs.exists t.fs (lock_path t) then Vfs.remove t.fs (lock_path t)
+  remove_file t.fs (lock_path t)
 
 (* ---------- summarizing ---------- *)
 
@@ -283,8 +293,8 @@ let quiescent (s : summary) : bool =
     than per tree, recording rollout progress across workers so a crash
     mid-rollout can be replayed back to a uniform fleet (per-worker cut
     state itself is covered by each worker's own journal; the manifest
-    records which workers a wave {e intended} to cut). Same sealed-frame
-    format, longest-valid-prefix reads. *)
+    records which workers a wave {e intended} to cut). The same sealed
+    append-log as the journal, with its own record type. *)
 module Manifest = struct
   type entry =
     | Wave_begin of { wave : int; pids : int list }
@@ -385,32 +395,14 @@ module Manifest = struct
       write like [Journal.append], with the same corruption point. *)
   let append (t : t) (e : entry) : unit =
     Fault.site "fleet.manifest";
-    let prev = Option.value ~default:"" (Vfs.find t.fs t.path) in
-    Vfs.add t.fs t.path (prev ^ Validate.seal_at ~site:"fleet.manifest" (encode_entry e));
+    log_append t.fs t.path ~site:"fleet.manifest" (encode_entry e);
     Obs.event ~kind:"manifest" (Format.asprintf "%a" pp_entry e)
 
   (** Longest valid prefix + torn flag; never raises. *)
   let read (t : t) : entry list * bool =
-    match Vfs.find t.fs t.path with
-    | None -> ([], false)
-    | Some blob ->
-        let payloads, tear = Validate.unseal_frames blob in
-        (match tear with
-        | Some t ->
-            Obs.event ~kind:"manifest"
-              (Format.asprintf "torn tail: %a" Validate.pp_tear t)
-        | None -> ());
-        let rec decode acc = function
-          | [] -> (List.rev acc, tear <> None)
-          | p :: rest -> (
-              match decode_entry p with
-              | e -> decode (e :: acc) rest
-              | exception _ -> (List.rev acc, true))
-        in
-        decode [] payloads
+    log_read t.fs t.path ~kind:"manifest" decode_entry
 
-  let clear (t : t) : unit =
-    if Vfs.exists t.fs t.path then Vfs.remove t.fs t.path
+  let clear (t : t) : unit = remove_file t.fs t.path
 
   type summary = {
     m_completed : int list;  (** waves with [Wave_done], oldest first *)

@@ -306,8 +306,8 @@ let parse_spec (s : string) : string * spec * bool * mode * int option =
     a one-line description. [sites ()] only knows sites already reached
     at run time; the CLI's [--list-fault-sites] wants them all. Keep in
     sync with the [Fault.site] calls — ci.sh greps lib/ for them, and
-    the crash matrix + chaos coverage matrix derive their scenarios from
-    this list. *)
+    the chaos coverage matrix (whose [Kill] column is the crash matrix)
+    derives its probes from this list. *)
 let known_sites =
   [
     ("criu.checkpoint", "freeze + dump of one process into images");
