@@ -101,6 +101,23 @@ else
   dune exec bench/main.exe -- --quick chaos
 fi
 
+# Perfbench smoke (perfbench/README.md): one second of each host-time
+# workload from seed 1. Each workload checks its own replies (for
+# profile_kv, discovery's 27 coverage-diff and 204 sliced-away blocks),
+# so a lib change that breaks them fails here, not only in the
+# benchmark pipeline.
+echo "== perfbench smoke =="
+for w in serve_web recut_ngx profile_kv; do
+  out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$out" in
+    *'"correct": true'*'"failed": 0'*) echo "   $w ok" ;;
+    *)
+      echo "FAIL: perfbench $w: $out"
+      exit 1
+      ;;
+  esac
+done
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt

@@ -79,20 +79,40 @@ let intersect (a : t) (b : t) : block list = List.filter (mem b) (blocks a)
     leaves that module's blocks untouched). *)
 let normalize ~(cfg_of : string -> Cfg.t option) (t : t) : t =
   let out = create () in
+  (* per module: its real static blocks sorted by offset, built once *)
+  let statics = Hashtbl.create 4 in
+  let statics_of m =
+    match Hashtbl.find_opt statics m with
+    | Some s -> s
+    | None ->
+        let s =
+          Option.map
+            (fun cfg ->
+              let a = Array.of_list (Cfg.real_blocks cfg) in
+              Array.stable_sort (fun x y -> compare x.Cfg.bb_off y.Cfg.bb_off) a;
+              a)
+            (cfg_of m)
+        in
+        Hashtbl.add statics m s;
+        s
+  in
   List.iter
     (fun b ->
-      match cfg_of b.b_module with
+      match statics_of b.b_module with
       | None -> add out b
-      | Some cfg ->
-          List.iter
-            (fun (sb : Cfg.block) ->
-              if
-                sb.Cfg.bb_size > 0 && sb.Cfg.bb_off >= b.b_off
-                && sb.Cfg.bb_off < b.b_off + b.b_size
-              then
-                add out
-                  { b_module = b.b_module; b_off = sb.Cfg.bb_off; b_size = sb.Cfg.bb_size })
-            (Cfg.real_blocks cfg))
+      | Some sbs ->
+          (* binary search: the first static block at or after [b_off] *)
+          let lo = ref 0 and hi = ref (Array.length sbs) in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if sbs.(mid).Cfg.bb_off < b.b_off then lo := mid + 1 else hi := mid
+          done;
+          let i = ref !lo in
+          while !i < Array.length sbs && sbs.(!i).Cfg.bb_off < b.b_off + b.b_size do
+            let sb = sbs.(!i) in
+            add out { b_module = b.b_module; b_off = sb.Cfg.bb_off; b_size = sb.Cfg.bb_size };
+            incr i
+          done)
     (blocks t);
   out
 

@@ -42,14 +42,6 @@ let section_prot = function
   | ".rodata" -> Self.prot_ro
   | _ -> Self.prot_rw
 
-(** Names of functions an object calls but does not define. *)
-let extern_calls (obj : Asm.obj) =
-  let defined = List.map (fun (s : Asm.symbol) -> s.s_name) obj.o_symbols in
-  obj.o_relocs
-  |> List.filter_map (fun (r : Asm.reloc) ->
-         if List.mem r.r_symbol defined then None else Some r.r_symbol)
-  |> List.sort_uniq compare
-
 let sym_of_asm ~(lookup_off : string -> int -> int) (s : Asm.symbol) : Self.sym =
   {
     Self.sym_name = s.s_name;
@@ -63,7 +55,7 @@ let sym_of_asm ~(lookup_off : string -> int -> int) (s : Asm.symbol) : Self.sym 
     *calls* become PLT entries; any other extern reference is an error. *)
 let link ~(kind : Self.kind) ~name ~entry_symbol ?(base = default_exec_base)
     ?(libs : Self.t list = []) (obj : Asm.obj) : Self.t =
-  let externs = extern_calls obj in
+  let externs = Asm.undefined_symbols obj in
   let lib_of_sym =
     List.filter_map
       (fun e ->
@@ -94,7 +86,7 @@ let link ~(kind : Self.kind) ~name ~entry_symbol ?(base = default_exec_base)
     @ (if plt_needed then
          [ (* nop-fill so linear disassembly over stub padding stays valid *)
            (".plt", Bytes.make (List.length externs * plt_entry_align) '\x90');
-           (".got", Bytes.create (List.length externs * 8)) ]
+           (".got", Bytes.make (List.length externs * 8) '\000') ]
        else [])
   in
   let layout = lay_out_sections sections_raw in
@@ -115,9 +107,9 @@ let link ~(kind : Self.kind) ~name ~entry_symbol ?(base = default_exec_base)
   (* fill PLT stubs *)
   if plt_needed then begin
     let plt_base = sec_off ".plt" and got_base = sec_off ".got" in
-    List.iter
-      (fun (e, stub_off) ->
-        let got_slot = got_base + List.assoc e got_map in
+    List.iter2
+      (fun (_, stub_off) (_, slot) ->
+        let got_slot = got_base + slot in
         let insns_at = plt_base + stub_off in
         let stub =
           Encode.program
@@ -128,22 +120,17 @@ let link ~(kind : Self.kind) ~name ~entry_symbol ?(base = default_exec_base)
             ]
         in
         Bytes.blit stub 0 (sec_data ".plt") stub_off (Bytes.length stub))
-      plt_map
+      plt_map got_map
   end;
-  (* symbol resolution: module-relative offset of any local symbol or PLT stub *)
-  let local_syms =
-    List.map
-      (fun (s : Asm.symbol) -> (s.s_name, sec_off s.s_section + s.s_offset))
-      obj.o_symbols
-  in
-  let resolve sym =
-    match List.assoc_opt sym local_syms with
-    | Some off -> Some off
-    | None -> (
-        match List.assoc_opt sym plt_map with
-        | Some stub_off -> Some (sec_off ".plt" + stub_off)
-        | None -> None)
-  in
+  (* symbol resolution: module-relative offset of any local symbol (the
+     first definition of a repeated name wins) or else its PLT stub *)
+  let targets = Hashtbl.create 256 in
+  let define sym off = if not (Hashtbl.mem targets sym) then Hashtbl.add targets sym off in
+  List.iter
+    (fun (s : Asm.symbol) -> define s.s_name (sec_off s.s_section + s.s_offset))
+    obj.o_symbols;
+  List.iter (fun (e, stub_off) -> define e (sec_off ".plt" + stub_off)) plt_map;
+  let resolve sym = Hashtbl.find_opt targets sym in
   (* apply relocations *)
   let dynrelocs = ref [] in
   List.iter

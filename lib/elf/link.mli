@@ -10,9 +10,6 @@ val default_exec_base : int64
 val plt_stub_size : int
 val plt_entry_align : int
 
-val extern_calls : Asm.obj -> string list
-(** Symbols referenced but not defined — resolved against [libs]. *)
-
 val link_exec :
   ?base:int64 -> name:string -> entry:string -> libs:Self.t list -> Asm.obj -> Self.t
 (** Link an executable at a fixed [base]; [entry] names the start symbol.

@@ -95,6 +95,7 @@ let assemble ~name (items : item list) : obj =
   in
   touch ".text";
   let symbols = ref [] in
+  let labels = Hashtbl.create 64 in
   let globals = Hashtbl.create 8 in
   let off () = Hashtbl.find offsets !cur in
   let bump n = Hashtbl.replace offsets !cur (off () + n) in
@@ -105,8 +106,9 @@ let assemble ~name (items : item list) : obj =
           cur := s;
           touch s
       | Label l ->
-          if List.exists (fun s -> s.s_name = l) !symbols then
+          if Hashtbl.mem labels l then
             raise (Asm_error (Printf.sprintf "%s: duplicate label %s" name l));
+          Hashtbl.add labels l ();
           symbols :=
             {
               s_name = l;
@@ -216,8 +218,9 @@ let find_symbol obj n = List.find_opt (fun s -> s.s_name = n) obj.o_symbols
 (** All symbols referenced by relocations but not defined in the object —
     the linker must resolve these against dependencies (e.g. libc.so). *)
 let undefined_symbols obj =
-  let defined = List.map (fun s -> s.s_name) obj.o_symbols in
+  let defined = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace defined s.s_name ()) obj.o_symbols;
   obj.o_relocs
   |> List.filter_map (fun r ->
-         if List.mem r.r_symbol defined then None else Some r.r_symbol)
+         if Hashtbl.mem defined r.r_symbol then None else Some r.r_symbol)
   |> List.sort_uniq compare

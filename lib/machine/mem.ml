@@ -302,25 +302,41 @@ let write64 t addr (v : int64) =
         (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL))
     done
 
-let read_bytes t addr len =
+(* The one copy loop under [read_bytes], [write_bytes], [peek_bytes] and
+   [poke_bytes]: per page one lookup and, unless [raw], one permission
+   check, then [f page addr off pos n] moves the [n] bytes at [pos] of
+   the range to or from [off] in the page holding [addr]. A fault names
+   the first inaccessible byte, after every byte before it was copied. *)
+let chunked t ~raw access addr len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = Int64.add addr (Int64.of_int !pos) in
+    let p =
+      if raw then (try lookup t a with Not_found -> raise (Fault (a, access)))
+      else get_page t a access
+    in
+    let off = page_offset a in
+    let n = min (len - !pos) (page_size - off) in
+    f p a off !pos n;
+    pos := !pos + n
+  done
+
+(* a store of [n] bytes bumps the generation by [n], as [n] byte stores do *)
+let store t ~raw addr (b : bytes) =
+  chunked t ~raw Write addr (Bytes.length b) (fun p a off pos n ->
+      p.pg_gen <- p.pg_gen + n;
+      if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index a);
+      Bytes.blit b pos p.pg_data off n)
+
+let load t ~raw addr len =
   let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set b i (Char.chr (read8 t (Int64.add addr (Int64.of_int i))))
-  done;
+  chunked t ~raw Read addr len (fun p _ off pos n -> Bytes.blit p.pg_data off b pos n);
   b
 
-let write_bytes t addr (b : bytes) =
-  Bytes.iteri (fun i c -> write8 t (Int64.add addr (Int64.of_int i)) (Char.code c)) b
-
-let poke_bytes t addr (b : bytes) =
-  Bytes.iteri (fun i c -> poke8 t (Int64.add addr (Int64.of_int i)) (Char.code c)) b
-
-let peek_bytes t addr len =
-  let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set b i (Char.chr (peek8 t (Int64.add addr (Int64.of_int i))))
-  done;
-  b
+let read_bytes t addr len = load t ~raw:false addr len
+let write_bytes t addr b = store t ~raw:false addr b
+let poke_bytes t addr b = store t ~raw:true addr b
+let peek_bytes t addr len = load t ~raw:true addr len
 
 (** Read a NUL-terminated string (bounded at 1 MiB to catch runaways). *)
 let read_cstring t addr =

@@ -92,6 +92,11 @@ val read64 : t -> int64 -> int64
 val write64 : t -> int64 -> int64 -> unit
 val read_bytes : t -> int64 -> int -> bytes
 val write_bytes : t -> int64 -> bytes -> unit
+(** The [_bytes] accesses copy a page at a time with the effects of as
+    many one-byte accesses: a page's generation advances by the bytes
+    written to it, written executable pages are marked dirty, and
+    {!Fault} names the first inaccessible byte after every byte before
+    it was copied. *)
 
 val read_cstring : t -> int64 -> string
 (** NUL-terminated string (bounded at 1 MiB). *)

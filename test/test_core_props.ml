@@ -83,6 +83,60 @@ let test_normalize_keeps_unknown_modules () =
   let n = Covgraph.normalize ~cfg_of:(fun _ -> None) g in
   Alcotest.(check int) "untouched" 1 (Covgraph.cardinal n)
 
+(* [Covgraph.normalize] before it was indexed: filter every static
+   block of the module for each covered block *)
+let normalize_reference ~cfg_of t =
+  let out = Covgraph.create () in
+  List.iter
+    (fun (b : Covgraph.block) ->
+      match cfg_of b.Covgraph.b_module with
+      | None -> Covgraph.add out b
+      | Some cfg ->
+          List.iter
+            (fun (sb : Cfg.block) ->
+              if
+                sb.Cfg.bb_size > 0 && sb.Cfg.bb_off >= b.Covgraph.b_off
+                && sb.Cfg.bb_off < b.Covgraph.b_off + b.Covgraph.b_size
+              then Covgraph.add out { b with Covgraph.b_off = sb.Cfg.bb_off; b_size = sb.Cfg.bb_size })
+            (Cfg.real_blocks cfg))
+    (Covgraph.blocks t);
+  out
+
+(* static blocks at random offsets, unsorted, some of size 0 (padding) *)
+let gen_cfg name =
+  QCheck.Gen.(
+    map
+      (fun bs ->
+        {
+          Cfg.cfg_module = name;
+          cfg_blocks =
+            List.map
+              (fun (off, size) -> { Cfg.bb_off = off; bb_size = size; bb_insns = 1; bb_term = `Fall })
+              bs;
+          cfg_edges = [];
+        })
+      (list_size (int_range 0 80) (pair (int_range 0 600) (int_range 0 24))))
+
+(* coverage over "app" and "libc.so", which have CFGs, and "mystery",
+   which has none *)
+let arb_normalize_case =
+  QCheck.make
+    QCheck.Gen.(
+      triple (gen_cfg "app") (gen_cfg "libc.so")
+        (list_size (int_range 0 60)
+           (map3
+              (fun m off size -> { Covgraph.b_module = m; b_off = off; b_size = size })
+              (oneofl [ "app"; "libc.so"; "mystery" ])
+              (int_range 0 620) (int_range 0 64))))
+
+let prop_normalize_matches_reference =
+  QCheck.Test.make ~name:"indexed normalize matches the list filter" ~count:300
+    arb_normalize_case (fun (app, libc, cov) ->
+      let cfg_of = function "app" -> Some app | "libc.so" -> Some libc | _ -> None in
+      let g = graph_of cov in
+      Covgraph.blocks (Covgraph.normalize ~cfg_of g)
+      = Covgraph.blocks (normalize_reference ~cfg_of g))
+
 (* ---------- rewriter reversibility ---------- *)
 
 let checkpointed_dsrv () =
@@ -269,6 +323,7 @@ let suite =
       test_normalize_splits_straddling_block;
     Alcotest.test_case "normalize keeps unknown modules" `Quick
       test_normalize_keeps_unknown_modules;
+    QCheck_alcotest.to_alcotest prop_normalize_matches_reference;
     QCheck_alcotest.to_alcotest prop_patch_restore_identity;
     Alcotest.test_case "unmap/remap roundtrip" `Quick test_unmap_remap_preserves_content;
     Alcotest.test_case "restore rejects live pid" `Quick test_restore_rejects_live_pid;

@@ -227,6 +227,15 @@ let test_cfg_counts_plausible () =
       Alcotest.(check bool) (k.Spec.k_name ^ " nonzero blocks") true (n > 10))
     Spec.all
 
+let test_link_deterministic () =
+  (* every byte of a linked image is defined, the .got included *)
+  let libc = Lazy.force Workload.libc in
+  List.iter
+    (fun (name, unit_) ->
+      Alcotest.(check bool) (name ^ " links to equal images") true
+        (Crt0.link_app ~libc unit_ = Crt0.link_app ~libc unit_))
+    [ ("ltpd", Ltpd.unit_ltpd); ("ngx", Ngx.unit_ngx); ("rkv", Rkv.unit_rkv) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_self_roundtrip;
@@ -237,6 +246,7 @@ let suite =
     Alcotest.test_case "abs64 dynreloc in .so" `Quick test_link_shared_abs64_is_dynreloc;
     Alcotest.test_case "PLT/GOT generation" `Quick test_link_plt_generation;
     Alcotest.test_case "undefined symbol error" `Quick test_link_undefined_symbol_fails;
+    Alcotest.test_case "linking is deterministic" `Quick test_link_deterministic;
     Alcotest.test_case "loader binds GOT eagerly" `Quick test_loader_got_binding;
     Alcotest.test_case "loader missing lib" `Quick test_loader_missing_lib_fails;
     Alcotest.test_case "relocate local = base+st_value" `Quick test_relocate_local_uses_base;

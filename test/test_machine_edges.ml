@@ -580,6 +580,67 @@ let test_high_half_address_faults () =
       Alcotest.(check bool) "guest SIGSEGV" true (exit_status p = `Killed Abi.sigsegv))
     [ false; true ]
 
+(* ---------- page-chunked copies ---------- *)
+
+(* Seven pages from [chunk_va]: r-x, r--, rw-, an unmapped hole, rwx,
+   ---, rw-; the page below the first is unmapped too. Every page holds
+   a distinct byte pattern. *)
+let chunk_va = 0x3000_0010_0000L
+
+let chunk_template =
+  let m = Mem.create () in
+  List.iteri
+    (fun i prot ->
+      match prot with
+      | None -> ()
+      | Some prot ->
+          let vaddr = Int64.add chunk_va (Int64.of_int (i * Mem.page_size)) in
+          let v = Mem.map m ~vaddr ~len:Mem.page_size ~prot:(Self.prot_of_int prot) ~name:"c" () in
+          List.iter
+            (fun (_, d) -> Bytes.iteri (fun j _ -> Bytes.set d j (Char.chr (((j * 7) + i) land 255))) d)
+            (Mem.pages_of_vma m v))
+    [ Some 5; Some 4; Some 6; None; Some 7; Some 0; Some 6 ];
+  m
+
+(* byte-at-a-time references over the one-byte accessors *)
+let ref_load get m addr len =
+  Bytes.init len (fun i -> Char.chr (get m (Int64.add addr (Int64.of_int i))))
+
+let ref_store put m addr b =
+  Bytes.iteri (fun i c -> put m (Int64.add addr (Int64.of_int i)) (Char.code c)) b
+
+(* what an access returned or raised, and the pages and dirty set after it *)
+let chunk_observe f =
+  let m = Mem.copy chunk_template in
+  let result = match f m with v -> Ok v | exception Mem.Fault (a, acc) -> Error (a, acc) in
+  let pages =
+    List.init 8 (fun i ->
+        Hashtbl.find_opt m.Mem.pages (Int64.add (Mem.page_index chunk_va) (Int64.of_int (i - 1)))
+        |> Option.map (fun p -> (Bytes.to_string p.Mem.pg_data, p.Mem.pg_gen)))
+  in
+  (result, pages, List.sort compare (Mem.take_exec_dirty m))
+
+let prop_chunked_copies_match_bytewise =
+  QCheck.Test.make ~name:"page-chunked copies match byte-at-a-time" ~count:200
+    QCheck.(pair (int_range (-200) ((7 * 4096) + 200)) (int_range 0 9000))
+    (fun (off, len) ->
+      let addr = Int64.add chunk_va (Int64.of_int off) in
+      let data = Bytes.init len (fun i -> Char.chr (((i * 31) + off) land 255)) in
+      let same name chunked bytewise =
+        chunk_observe chunked = chunk_observe bytewise
+        || QCheck.Test.fail_reportf "%s differs at 0x%Lx+%d" name addr len
+      in
+      same "read_bytes" (fun m -> Mem.read_bytes m addr len) (fun m -> ref_load Mem.read8 m addr len)
+      && same "peek_bytes"
+           (fun m -> Mem.peek_bytes m addr len)
+           (fun m -> ref_load Mem.peek8 m addr len)
+      && same "write_bytes"
+           (fun m -> Mem.write_bytes m addr data; Bytes.empty)
+           (fun m -> ref_store Mem.write8 m addr data; Bytes.empty)
+      && same "poke_bytes"
+           (fun m -> Mem.poke_bytes m addr data; Bytes.empty)
+           (fun m -> ref_store Mem.poke8 m addr data; Bytes.empty))
+
 let suite =
   [
     Alcotest.test_case "bad sigreturn magic" `Quick test_bad_sigreturn_magic_kills;
@@ -606,4 +667,5 @@ let suite =
     Alcotest.test_case "tlb coherence: mem" `Quick test_tlb_coherence_mem;
     Alcotest.test_case "tlb coherence: guest" `Quick test_tlb_coherence_guest;
     Alcotest.test_case "high-half address faults" `Quick test_high_half_address_faults;
+    QCheck_alcotest.to_alcotest prop_chunked_copies_match_bytewise;
   ]
