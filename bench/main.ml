@@ -720,12 +720,12 @@ let run_chaos () =
 (* ---------- scrub: detection latency, repair economics, overhead ---------- *)
 
 (* The §6d silent-corruption ledger: how fast the background scrubber
-   catches a seeded bitflip as a function of the scrub interval, what a
-   page repair costs against the full respawn it replaces (the graduated
-   response must stay >= 5x cheaper), and what the default-rate scrubber
-   adds to a served workload (<= 5% of virtual cycles). Two seeded runs
-   of the same soak must produce byte-identical observability dumps.
-   Emits BENCH_scrub.json. *)
+   catches a seeded bitflip as a function of the scrub interval (virtual
+   cycles), what a page repair costs against the full respawn it replaces
+   (host time; the graduated response must stay >= 5x cheaper), and what
+   the default-rate scrubber adds to a served workload (host time,
+   <= 5%). Two seeded runs of the same soak must produce byte-identical
+   observability dumps. Emits BENCH_scrub.json. *)
 let run_scrub () =
   Common.section fmt "Scrub: detection latency, repair vs respawn, overhead";
   let app = Workload.ltpd in
@@ -782,61 +782,98 @@ let run_scrub () =
         (interval, latency))
       intervals
   in
-  (* the graduated-response economics: a measured page repair against
-     the respawn the escalation path would pay instead *)
+  (* the graduated-response economics in host time, through the fleet's
+     own heal path. A 1-wave rollout first, so a sealed working image
+     exists to respawn from. Flipping one seeded page and scrubbing is a
+     page repair; flipping the same page again and scrubbing is the
+     re-divergence respawn, which also clears the page's repair history.
+     Each sample runs the pair and times its own half, so the two
+     alternate in either order. *)
   let m, pids, fleet = boot () in
+  let config =
+    Rollout.
+      {
+        r_waves = 1;
+        r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
+      }
+  in
+  let drive () = ignore (Fleet.request fleet get) in
+  (match Fleet.rollout fleet ~config ~drive () with
+  | Rollout.Completed _, _ -> ()
+  | o, _ ->
+      failwith (Format.asprintf "scrub: rollout: %a" Rollout.pp_outcome o));
   Fleet.start_scrub fleet;
   List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
   let victim = List.hd pids in
-  let integrity = Fleet.integrity fleet ~pid:victim in
-  (match Machine.bitflip m ~pid:victim (Rng.create 1107) with
-  | Some _ -> ()
-  | None -> failwith "scrub: seeded bitflip found no resident page");
-  let finding =
-    match Integrity.scrub_full integrity ~pids:[ victim ] () with
-    | f :: _ -> f
-    | [] -> failwith "scrub: forced audit missed the flip"
+  let strike ~respawn =
+    (match Machine.bitflip m ~pid:victim (Rng.create 1107) with
+    | Some _ -> ()
+    | None -> failwith "scrub: seeded bitflip found no resident page");
+    let r, dt = Stats.time_it (fun () -> Fleet.scrub_now fleet ~pid:victim) in
+    let repaired = List.length r.Fleet.sr_repaired in
+    if r.Fleet.sr_respawned <> respawn || repaired <> if respawn then 0 else 1
+    then
+      failwith
+        (Printf.sprintf "scrub: expected a %s, got %d repaired, respawned=%b"
+           (if respawn then "respawn" else "page repair")
+           repaired r.Fleet.sr_respawned);
+    dt
   in
-  let t0 = m.Machine.clock in
-  (match Integrity.repair integrity finding with
-  | Integrity.Repaired src ->
-      Format.fprintf fmt "  repair healed from %s@." src
-  | Integrity.Repair_failed why -> failwith ("scrub: repair failed: " ^ why));
-  let repair_cycles = Int64.to_int (Int64.sub m.Machine.clock t0) in
-  let respawn_cycles = Integrity.respawn_cost integrity ~pid:victim in
-  let ratio = float_of_int respawn_cycles /. float_of_int (max 1 repair_cycles) in
+  let repair_s, respawn_s, ratio =
+    within_band ~what:"scrub: respawn/repair" ~show:(Printf.sprintf "%.1fx")
+      ~lo:5. ~hi:infinity (fun () ->
+        let repair_s, respawn_s =
+          best_of_interleaved
+            ~iters:(if !quick then 7 else 15)
+            ~on:(fun () ->
+              let dt = strike ~respawn:false in
+              ignore (strike ~respawn:true);
+              dt)
+            ~off:(fun () ->
+              ignore (strike ~respawn:false);
+              strike ~respawn:true)
+        in
+        (repair_s, respawn_s, respawn_s /. repair_s))
+  in
   Format.fprintf fmt
-    "  repair %d cycles, respawn %d cycles — respawn/repair %.1fx@."
-    repair_cycles respawn_cycles ratio;
-  if ratio < 5. then
-    failwith
-      (Printf.sprintf "scrub: repair only %.1fx cheaper than respawn (need 5x)"
-         ratio);
-  (* scrub overhead on a served workload, default scrub rate vs none *)
-  let requests = if !quick then 40 else 120 in
-  let soak ~scrub =
-    let m, pids, fleet = boot () in
-    let start = m.Machine.clock in
+    "  host best-case: repair %.1f us, respawn %.1f us — respawn/repair %.1fx@."
+    (repair_s *. 1e6) (respawn_s *. 1e6) ratio;
+  (* scrub overhead on a served workload, default scrub rate vs none: a
+     host-time A/B over two long-lived fleets, one scrubbed (baselines
+     captured up front — steady-state cost only) and one bare, each
+     sample serving the next [chunk] requests on its fleet. *)
+  let chunk = 10 in
+  let soak_side ~scrub =
+    let _m, pids, fleet = boot () in
     if scrub then begin
       Fleet.start_scrub fleet;
       List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids
     end;
-    for _ = 1 to requests do
-      ignore (Fleet.request fleet get);
-      if scrub then ignore (Fleet.scrub_tick fleet)
-    done;
-    Int64.to_float (Int64.sub m.Machine.clock start)
+    fun () ->
+      Gc.compact ();
+      snd
+        (Stats.time_it (fun () ->
+             for _ = 1 to chunk do
+               ignore (Fleet.request fleet get);
+               if scrub then ignore (Fleet.scrub_tick fleet)
+             done))
   in
-  let base = soak ~scrub:false in
-  let scrubbed = soak ~scrub:true in
-  let overhead = (scrubbed -. base) /. base in
+  let serve_scrubbed = soak_side ~scrub:true in
+  let serve_bare = soak_side ~scrub:false in
+  let scrubbed_s, bare_s, overhead =
+    within_band ~what:"scrub: host overhead" ~show:(Printf.sprintf "%.4f")
+      ~lo:neg_infinity ~hi:0.05 (fun () ->
+        let scrubbed_s, bare_s =
+          best_of_interleaved
+            ~iters:(if !quick then 41 else 61)
+            ~on:serve_scrubbed ~off:serve_bare
+        in
+        (scrubbed_s, bare_s, (scrubbed_s -. bare_s) /. bare_s))
+  in
   Format.fprintf fmt
-    "  workload %.0f cycles bare, %.0f with scrubbing — overhead %.2f%%@."
-    base scrubbed (100. *. overhead);
-  if overhead > 0.05 then
-    failwith
-      (Printf.sprintf "scrub: overhead %.2f%% exceeds the 5%% bound"
-         (100. *. overhead));
+    "  %d-request chunks, host best-case %.6f s bare, %.6f s scrubbed — \
+     overhead %.2f%%@."
+    chunk bare_s scrubbed_s (100. *. overhead);
   (* determinism: the same seeded flip-and-heal soak twice must dump a
      byte-identical registry (virtual instrumentation only, no host) *)
   let soak_dump () =
@@ -845,7 +882,7 @@ let run_scrub () =
     List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
     let rng = Rng.create 1108 in
     List.iter (fun pid -> ignore (Machine.bitflip m ~pid rng)) pids;
-    for _ = 1 to requests / 2 do
+    for _ = 1 to if !quick then 20 else 60 do
       ignore (Fleet.request fleet get);
       ignore (Fleet.scrub_tick fleet)
     done;
@@ -864,10 +901,10 @@ let run_scrub () =
       Printf.fprintf oc ",\n  \"detect_cycles_interval_%d\": %Ld" interval
         latency)
     detection;
-  Printf.fprintf oc ",\n  \"repair_cycles\": %d" repair_cycles;
-  Printf.fprintf oc ",\n  \"respawn_cycles\": %d" respawn_cycles;
-  Printf.fprintf oc ",\n  \"respawn_over_repair\": %.1f" ratio;
-  Printf.fprintf oc ",\n  \"overhead_frac\": %.4f" overhead;
+  Printf.fprintf oc ",\n  \"repair_host_us\": %.1f" (repair_s *. 1e6);
+  Printf.fprintf oc ",\n  \"respawn_host_us\": %.1f" (respawn_s *. 1e6);
+  Printf.fprintf oc ",\n  \"respawn_over_repair_host\": %.1f" ratio;
+  Printf.fprintf oc ",\n  \"overhead_host_frac\": %.4f" overhead;
   Printf.fprintf oc ",\n  \"deterministic\": true\n}\n";
   close_out oc;
   Format.fprintf fmt "  wrote BENCH_scrub.json@."

@@ -1021,11 +1021,10 @@ let fleet_cmd =
           when r.Fleet.sr_findings <> []
                || r.Fleet.sr_refused <> None
                || r.Fleet.sr_respawned ->
-            Format.printf "scrub: pid=%d findings=%d repaired=[%s]%s%s@."
+            Format.printf "scrub: pid=%d findings=%d repaired=%d%s%s@."
               r.Fleet.sr_pid
               (List.length r.Fleet.sr_findings)
-              (String.concat ";"
-                 (List.map (fun (_, src) -> src) r.Fleet.sr_repaired))
+              (List.length r.Fleet.sr_repaired)
               (if r.Fleet.sr_respawned then " respawned" else "")
               (match r.Fleet.sr_refused with
               | Some e -> " refused: " ^ e
@@ -1252,9 +1251,7 @@ let scrub_cmd =
             string_of_int
               (Integrity.pages_tracked (Fleet.integrity fleet ~pid));
             string_of_int (List.length r.Fleet.sr_findings);
-            (match r.Fleet.sr_repaired with
-            | [] -> "-"
-            | l -> String.concat ";" (List.map snd l));
+            string_of_int (List.length r.Fleet.sr_repaired);
             (if r.Fleet.sr_respawned then "yes" else "no");
           ])
         reports
@@ -1262,7 +1259,7 @@ let scrub_cmd =
     print_string
       (Table.render
          ~headers:
-           [ "PID"; "COMM"; "STATE"; "PAGES"; "MISMATCH"; "REPAIR"; "RESPAWN" ]
+           [ "PID"; "COMM"; "STATE"; "PAGES"; "MISMATCH"; "REPAIRED"; "RESPAWN" ]
          rows);
     print_newline ();
     Format.printf

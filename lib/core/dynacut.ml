@@ -20,8 +20,6 @@ type policy = {
     ];
 }
 
-let block_features = { method_ = `First_byte; on_trap = `Kill }
-
 type timings = {
   t_checkpoint : float;
   t_disable : float;
@@ -50,12 +48,6 @@ type session = {
   mutable table : (int * (int64 * int64) list) list;
       (** pid -> accumulated (trap addr, payload) entries across stacked
           cuts; re-enables remove their entries instead of clearing *)
-  mutable deltas : (int * (int64 * bytes) list) list;
-      (** pid -> the byte deltas the rewriter committed, published at
-          transaction commit: for every journaled [Bytes_patch] vaddr,
-          the bytes now in the working image there. The integrity
-          scrubber re-applies these over pristine pages when repairing a
-          silently diverged page (DESIGN.md §6d). *)
 }
 
 exception Dynacut_error of string
@@ -91,7 +83,6 @@ let create (machine : Machine.t) ~(root_pid : int) : session =
     cut_count = 0;
     table_mode = Handler.mode_terminate;
     table = [];
-    deltas = [];
   }
 
 let tree_pids (s : session) : int list =
@@ -130,8 +121,7 @@ let save_pristine s (img : Images.t) : unit =
     that image, so stale entries would poison the next cut. *)
 let forget_pid (s : session) ~(pid : int) : unit =
   s.table <- List.remove_assoc pid s.table;
-  s.lib_bases <- List.remove_assoc pid s.lib_bases;
-  s.deltas <- List.remove_assoc pid s.deltas
+  s.lib_bases <- List.remove_assoc pid s.lib_bases
 
 let load_pristine s pid : Images.t =
   match Vfs.find s.machine.Machine.fs (pristine_path s pid) with
@@ -657,64 +647,6 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
                 r_backoff_cycles = !backoff_total;
               }))
 
-(* Publish the forward deltas a committed transaction left in the working
-   images: for every journaled [Bytes_patch] vaddr — plus any vaddr a
-   previous cut already tracks — the bytes now present in the working
-   image there. Re-enables contribute no new vaddrs but refresh tracked
-   ones back to their pristine values, so re-applying a refreshed delta
-   over a pristine page is the identity. Best-effort bookkeeping: a pid
-   whose working image cannot be decoded keeps its previous entries (the
-   scrubber has other repair sources). Read outside the criu.load fault
-   site — publication happens after commit, and an injected load fault
-   here must not turn a committed transaction into an exception. *)
-let publish_deltas (s : session) ~(pids : int list)
-    (journals : Rewriter.journal list) : unit =
-  List.iter
-    (fun pid ->
-      let fresh =
-        List.concat_map
-          (fun (j : Rewriter.journal) ->
-            if j.Rewriter.j_pid <> pid then []
-            else
-              List.filter_map
-                (function
-                  | Rewriter.Bytes_patch { p_vaddr; p_orig } ->
-                      Some (p_vaddr, Bytes.length p_orig)
-                  | Rewriter.Unmap_patch _ -> None)
-                j.Rewriter.j_patches)
-          journals
-      in
-      let tracked =
-        match List.assoc_opt pid s.deltas with
-        | None -> []
-        | Some l -> List.map (fun (v, b) -> (v, Bytes.length b)) l
-      in
-      let vaddrs = List.sort_uniq compare (fresh @ tracked) in
-      if vaddrs <> [] then
-        match Vfs.find s.machine.Machine.fs (image_path s pid) with
-        | None -> ()
-        | Some blob -> (
-            match Validate.decode_sealed blob with
-            | exception Validate.Validate_error _ -> ()
-            | img ->
-                let entries =
-                  List.filter_map
-                    (fun (v, len) ->
-                      match Images.read_mem img v len with
-                      | b -> Some (v, b)
-                      | exception Not_found -> None)
-                    vaddrs
-                in
-                s.deltas <- (pid, entries) :: List.remove_assoc pid s.deltas))
-    pids
-
-(** The byte deltas committed transactions have left at [pid]'s journaled
-    patch addresses — pristine page + these deltas = expected working
-    state. The integrity scrubber's repair recipe (empty when no cut has
-    touched the pid, or the controller is fresh). *)
-let committed_deltas (s : session) ~(pid : int) : (int64 * bytes) list =
-  match List.assoc_opt pid s.deltas with Some l -> l | None -> []
-
 (** Disable [blocks] under [policy] as a transaction: any failure —
     including an injected fault at any pipeline site — rolls the tree
     back to its pre-cut state. Faults marked transient (or matching
@@ -752,14 +684,7 @@ let try_cut (s : session) ?(max_retries = default_max_retries)
     | `Unmap_pages, true -> [ attempt `Unmap_pages; attempt `First_byte ]
     | m, _ -> [ attempt m ]
   in
-  let r =
-    run_transaction s ~op:Journal.Cut ~pids ~max_retries ~retry_classes
-      ~attempts
-  in
-  (match r.r_outcome with
-  | `Applied | `Degraded -> publish_deltas s ~pids r.r_journals
-  | `Rolled_back _ -> ());
-  r
+  run_transaction s ~op:Journal.Cut ~pids ~max_retries ~retry_classes ~attempts
 
 (** Restore previously disabled features from their journals (§3.2.2's
     bidirectional transformation), with the same transactional
@@ -776,14 +701,8 @@ let try_reenable (s : session) ?(max_retries = default_max_retries)
         List.iter (fun pid -> Validate.check (load_image s pid)) pids);
     ([], t_disable, 0.)
   in
-  let r =
-    run_transaction s ~op:Journal.Reenable ~pids ~max_retries ~retry_classes
-      ~attempts:[ attempt ]
-  in
-  (match r.r_outcome with
-  | `Applied | `Degraded -> publish_deltas s ~pids []
-  | `Rolled_back _ -> ());
-  r
+  run_transaction s ~op:Journal.Reenable ~pids ~max_retries ~retry_classes
+    ~attempts:[ attempt ]
 
 (** Disable [blocks] in the target tree under [policy]. Returns per-pid
     journals (for {!reenable}) and the stage timing breakdown. Raises

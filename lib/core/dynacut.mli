@@ -30,10 +30,6 @@ type policy = {
           original byte, logs the address, and retries *) ];
 }
 
-val block_features : policy
-(** [{ method_ = `First_byte; on_trap = `Kill }] — the default of most
-    static debloaters. *)
-
 type timings = {
   t_checkpoint : float;
   t_disable : float;
@@ -58,9 +54,6 @@ type session = {
   mutable table : (int * (int64 * int64) list) list;
       (** accumulated policy entries per pid: stacked cuts merge, partial
           re-enables remove only their own entries *)
-  mutable deltas : (int * (int64 * bytes) list) list;
-      (** per-pid byte deltas committed transactions left at journaled
-          patch addresses; see {!committed_deltas} *)
 }
 
 exception Dynacut_error of string
@@ -87,16 +80,8 @@ val pristine_path : session -> int -> string
 
 val forget_pid : session -> pid:int -> unit
 (** Drop a pid's session bookkeeping (policy-table entries, injected-lib
-    base, committed deltas) after it was re-created from its pristine
-    image outside the transaction engine. *)
-
-val committed_deltas : session -> pid:int -> (int64 * bytes) list
-(** The byte deltas committed transactions have left at [pid]'s
-    journaled patch addresses: pristine page + these deltas = expected
-    working state. Published at transaction commit; the integrity
-    scrubber re-applies them over pristine pages when repairing a
-    silently diverged page. Empty when no cut has touched the pid or the
-    controller is fresh. *)
+    base) after it was re-created from its pristine image outside the
+    transaction engine. *)
 
 (** {2 Transactional cut pipeline}
 

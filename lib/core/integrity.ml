@@ -7,11 +7,10 @@
     manifest whose page table is no longer the pid's page table is
     rebuilt rather than trusted.
 
-    Repair never pokes a byte it has not proven: every candidate source
-    is digested against the baseline first, in trust order — the working
-    image (what the last commit sealed), the pristine image with the
-    committed rewrite deltas re-applied, the backing binary, and only
-    then the in-memory baseline snapshot. *)
+    Repair has one source, the baseline snapshot: the exact bytes the
+    expected digest was computed from, and nothing ever writes it. It
+    still never pokes a byte it has not proven: the snapshot is digested
+    against the baseline first. *)
 
 type finding = {
   f_pid : int;
@@ -24,19 +23,7 @@ let pp_finding fmt f =
   Format.fprintf fmt "pid %d page 0x%Lx: digest %Lx, expected %Lx" f.f_pid
     f.f_vaddr f.f_found f.f_expected
 
-type repair_outcome = Repaired of string | Repair_failed of string
-
-(* virtual-cost model, in cycles: a generation check is a dirty-bit read,
-   a hash touches the whole 4 KiB page, a repair decodes and validates an
-   image frame before poking, and a respawn rebuilds the whole address
-   space. The constants only need to preserve the real orderings
-   (skip << hash << repair << respawn) for the bench economics to be
-   meaningful. *)
-let cost_skip = 1
-let cost_hash = 16
-let cost_repair = 128
-let cost_respawn_fixed = 4096
-let cost_respawn_page = 256
+type repair_outcome = Repaired | Repair_failed of string
 
 type entry = {
   e_vaddr : int64;
@@ -62,7 +49,6 @@ type t = {
   c_mismatch : Obs.counter;
   c_repair_failed : Obs.counter;
   g_pages : Obs.gauge;
-  h_repair : Obs.histogram;
 }
 
 let create (session : Dynacut.session) : t =
@@ -77,14 +63,7 @@ let create (session : Dynacut.session) : t =
     c_mismatch = Obs.counter "integrity.mismatches";
     c_repair_failed = Obs.counter "integrity.repair_failures";
     g_pages = Obs.gauge "integrity.baseline_pages";
-    h_repair =
-      Obs.histogram
-        ~buckets:[ 32.; 64.; 128.; 256.; 512.; 1024.; 4096.; 16384. ]
-        "integrity.repair_cycles";
   }
-
-let charge (t : t) (n : int) : unit =
-  t.machine.Machine.clock <- Int64.add t.machine.Machine.clock (Int64.of_int n)
 
 let immutable_vmas (mem : Mem.t) : Mem.vma list =
   List.filter (fun (v : Mem.vma) -> not v.Mem.va_prot.Self.p_w) mem.Mem.vmas
@@ -92,7 +71,6 @@ let immutable_vmas (mem : Mem.t) : Mem.vma list =
 let pages_tracked (t : t) : int =
   List.fold_left (fun n (_, m) -> n + Array.length m.m_entries) 0 t.manifests
 
-let tracked_pids (t : t) : int list = List.map fst t.manifests
 let drop_pid (t : t) ~pid = t.manifests <- List.remove_assoc pid t.manifests
 
 let set_pages_gauge (t : t) =
@@ -109,7 +87,6 @@ let rebaseline (t : t) ~(pid : int) : unit =
           (fun v ->
             List.map
               (fun (vaddr, data) ->
-                charge t cost_hash;
                 {
                   e_vaddr = vaddr;
                   e_digest = Mem.digest_bytes data;
@@ -145,15 +122,12 @@ let check_page (t : t) (m : manifest) (e : entry) : finding option =
   | None ->
       (* unmapped since baseline (an unmap cut landed without a restore —
          cannot happen through the transaction engine); nothing to audit *)
-      charge t cost_skip;
       Obs.incr t.c_skipped;
       None
   | Some g when g = e.e_gen ->
-      charge t cost_skip;
       Obs.incr t.c_skipped;
       None
   | Some g -> (
-      charge t cost_hash;
       Obs.incr t.c_hashed;
       match Mem.page_digest m.m_mem e.e_vaddr with
       | Some d when d = e.e_digest ->
@@ -212,50 +186,12 @@ let recheck (t : t) (f : finding) : bool =
   match List.assoc_opt f.f_pid t.manifests with
   | None -> false
   | Some m -> (
-      charge t cost_hash;
       match Mem.page_digest m.m_mem f.f_vaddr with
       | Some d -> d = f.f_expected
       | None -> false)
 
-(* One page of a sealed tmpfs image, decoded outside the criu.load fault
-   site: repair has its own site, and riding criu.load here would skew
-   the hit schedules every armed criu.load fault counts on. *)
-let page_from_image (t : t) ~(vaddr : int64) ~(path : string) : bytes option =
-  match Vfs.find t.machine.Machine.fs path with
-  | None -> None
-  | Some blob -> (
-      match Validate.decode_sealed blob with
-      | exception Validate.Validate_error _ -> None
-      | img -> Restore.image_page_bytes t.machine img ~vaddr)
-
-(* Re-apply the committed rewrite deltas that overlap one pristine page:
-   pristine bytes + deltas = the expected working state. *)
-let apply_deltas ~(page_base : int64) (page : bytes)
-    (deltas : (int64 * bytes) list) : bytes =
-  let page = Bytes.copy page in
-  let p_lo = Int64.to_int page_base
-  and p_hi = Int64.to_int page_base + Bytes.length page in
-  List.iter
-    (fun (vaddr, b) ->
-      let d_lo = Int64.to_int vaddr in
-      let d_hi = d_lo + Bytes.length b in
-      let lo = max p_lo d_lo and hi = min p_hi d_hi in
-      if lo < hi then Bytes.blit b (lo - d_lo) page (lo - p_lo) (hi - lo))
-    deltas;
-  page
-
-let file_page (t : t) (m : manifest) ~(vaddr : int64) : bytes option =
-  match Mem.find_vma m.m_mem vaddr with
-  | Some { Mem.va_file = Some (path, off); va_start; _ } -> (
-      let off = off + Int64.to_int (Int64.sub vaddr va_start) in
-      try Some (Restore.file_bytes t.machine ~path ~off ~len:Mem.page_size)
-      with Restore.Restore_error _ -> None)
-  | _ -> None
-
 let repair (t : t) (f : finding) : repair_outcome =
   Fault.site ~scope:f.f_pid "integrity.repair";
-  let t0 = t.machine.Machine.clock in
-  charge t cost_repair;
   let entry =
     match List.assoc_opt f.f_pid t.manifests with
     | None -> None
@@ -266,64 +202,17 @@ let repair (t : t) (f : finding) : repair_outcome =
   in
   match entry with
   | None -> Repair_failed "no baseline entry for the page"
-  | Some (m, e) -> (
-      let sources =
-        [
-          ( "working",
-            fun () ->
-              page_from_image t ~vaddr:f.f_vaddr
-                ~path:(Dynacut.image_path t.session f.f_pid) );
-          ( "pristine",
-            fun () ->
-              Option.map
-                (fun b ->
-                  apply_deltas ~page_base:f.f_vaddr b
-                    (Dynacut.committed_deltas t.session ~pid:f.f_pid))
-                (page_from_image t ~vaddr:f.f_vaddr
-                   ~path:(Dynacut.pristine_path t.session f.f_pid)) );
-          ("file", fun () -> file_page t m ~vaddr:f.f_vaddr);
-          ("snapshot", fun () -> Some e.e_snapshot);
-        ]
-      in
-      let chosen =
-        List.fold_left
-          (fun acc (name, get) ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-                match get () with
-                | Some b
-                  when Bytes.length b = Mem.page_size
-                       && Mem.digest_bytes b = f.f_expected ->
-                    Some (name, b)
-                | _ -> None))
-          None sources
-      in
-      match chosen with
-      | None ->
-          Obs.incr t.c_repair_failed;
-          Obs.event ~kind:"integrity"
-            (Printf.sprintf "repair failed pid=%d vaddr=0x%Lx" f.f_pid f.f_vaddr);
-          Repair_failed "no source reproduces the expected digest"
-      | Some (name, b) ->
-          Mem.poke_bytes m.m_mem f.f_vaddr b;
-          (match Mem.page_gen m.m_mem f.f_vaddr with
-          | Some g -> e.e_gen <- g
-          | None -> ());
-          Obs.incr (Obs.counter ~labels:[ ("source", name) ] "integrity.repairs");
-          Obs.observe t.h_repair
-            (Int64.to_float (Int64.sub t.machine.Machine.clock t0));
-          Obs.event ~kind:"integrity"
-            (Printf.sprintf "repaired pid=%d vaddr=0x%Lx from %s" f.f_pid
-               f.f_vaddr name);
-          Repaired name)
-
-let respawn_cost (t : t) ~(pid : int) : int =
-  let pages =
-    match List.assoc_opt pid t.manifests with
-    | Some m -> Array.length m.m_entries
-    | None -> 0
-  in
-  cost_respawn_fixed + (cost_respawn_page * max 1 pages)
-
-let charge_respawn (t : t) ~(pid : int) : unit = charge t (respawn_cost t ~pid)
+  | Some (_, e) when Mem.digest_bytes e.e_snapshot <> f.f_expected ->
+      Obs.incr t.c_repair_failed;
+      Obs.event ~kind:"integrity"
+        (Printf.sprintf "repair failed pid=%d vaddr=0x%Lx" f.f_pid f.f_vaddr);
+      Repair_failed "the snapshot does not reproduce the expected digest"
+  | Some (m, e) ->
+      Mem.poke_bytes m.m_mem f.f_vaddr e.e_snapshot;
+      (match Mem.page_gen m.m_mem f.f_vaddr with
+      | Some g -> e.e_gen <- g
+      | None -> ());
+      Obs.incr (Obs.counter "integrity.repairs");
+      Obs.event ~kind:"integrity"
+        (Printf.sprintf "repaired pid=%d vaddr=0x%Lx" f.f_pid f.f_vaddr);
+      Repaired

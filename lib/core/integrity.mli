@@ -10,17 +10,13 @@
     committed cut edits left in memory. An incremental scrubber walks a
     bounded number of pages per call (rotating a cursor, skipping pages
     whose write generation is unchanged) and reports digest mismatches
-    as findings; {!repair} then heals a diverged page from the best
-    still-trusted source: the working image, the pristine image with the
-    committed rewrite deltas re-applied, the backing binary, or the
-    baseline snapshot — each candidate is digest-validated before any
-    byte is poked. Escalation policy (quarantine, respawn) lives above,
-    in the fleet layer.
+    as findings; {!repair} then heals a diverged page from its baseline
+    snapshot, digest-validated before any byte is poked. Escalation
+    policy (quarantine, respawn) lives above, in the fleet layer.
 
-    All scrub work is charged to the machine's virtual clock under a
-    local cost model, so detection latency, scrub overhead and the
-    repair-vs-respawn economics are measurable in the same deterministic
-    unit as everything else. *)
+    Scrubbing is controller-side work: it moves no guest clock, so a
+    scrubbed and an unscrubbed run are the same program on the virtual
+    axis. Its cost is host time ([bench scrub]). *)
 
 type t
 
@@ -34,28 +30,9 @@ type finding = {
 val pp_finding : Format.formatter -> finding -> unit
 
 type repair_outcome =
-  | Repaired of string
-      (** healed; the payload names the source that reproduced the
-          expected digest: ["working"], ["pristine"], ["file"] or
-          ["snapshot"] *)
+  | Repaired  (** healed from the baseline snapshot *)
   | Repair_failed of string
-      (** no source reproduced the expected digest — escalate *)
-
-(** {2 Virtual-cost model (cycles charged to the machine clock)} *)
-
-val cost_skip : int
-(** per page whose write generation is unchanged (dirty-bit check) *)
-
-val cost_hash : int
-(** per page actually digested *)
-
-val cost_repair : int
-(** per page-level repair attempt (image decode + validate + poke) *)
-
-val cost_respawn_fixed : int
-val cost_respawn_page : int
-(** full-respawn cost: fixed + per baseline page — what escalation pays
-    instead of a page repair (see {!respawn_cost}) *)
+      (** the snapshot did not reproduce the expected digest — escalate *)
 
 (** {2 Lifecycle} *)
 
@@ -69,9 +46,6 @@ val rebaseline : t -> pid:int -> unit
     engine. A dead pid's manifest is dropped instead. Scrubs detect
     restored processes themselves (a restore installs a fresh page
     table, which marks the manifest stale) and rebaseline automatically. *)
-
-val drop_pid : t -> pid:int -> unit
-val tracked_pids : t -> int list
 
 val pages_tracked : t -> int
 (** Total baseline pages across all manifests. *)
@@ -97,15 +71,8 @@ val recheck : t -> finding -> bool
 
 val repair : t -> finding -> repair_outcome
 (** Heal one diverged page in place (fault site [integrity.repair],
-    scoped to the pid): candidates are tried in trust order — working
-    image, pristine image + committed rewrite deltas, backing binary,
-    baseline snapshot — and the first whose digest matches the baseline
-    is poked over the live page. *)
-
-val respawn_cost : t -> pid:int -> int
-(** What a full respawn of [pid] costs under the model — the price
-    escalation pays when page repair fails. *)
-
-val charge_respawn : t -> pid:int -> unit
-(** Charge {!respawn_cost} to the machine clock (called by the fleet
-    layer when it escalates to [Restore.respawn]). *)
+    scoped to the pid): the page's baseline snapshot is digest-checked
+    against the baseline and poked over the live page. The snapshot is
+    the only source needed — the working image, the pristine image plus
+    the committed deltas and the backing binary could only be accepted
+    if they reproduced the same digest, i.e. the same bytes. *)

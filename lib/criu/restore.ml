@@ -28,28 +28,6 @@ let file_bytes (m : Machine.t) ~path ~off ~len : bytes =
         self.Self.sections;
       out
 
-(** Read back one page of a decoded image without restoring it: dumped
-    pages come from the pagemap, non-dumped file-backed ranges from the
-    backing binary (the same composition {!restore} materializes).
-    [None] when the page lies outside every VMA of the image, or inside
-    an anonymous VMA whose page was not dumped. This is the integrity
-    scrubber's repair source: the expected bytes of a resident page, per
-    page, straight from the sealed checkpoint image. *)
-let image_page_bytes (m : Machine.t) (img : Images.t) ~(vaddr : int64) :
-    bytes option =
-  let vaddr = Int64.mul (Int64.div vaddr (Int64.of_int page_size)) (Int64.of_int page_size) in
-  match Images.read_mem img vaddr page_size with
-  | b -> Some b
-  | exception Not_found -> (
-      match Images.find_vma img vaddr with
-      | None -> None
-      | Some v -> (
-          match v.Images.vi_file with
-          | None -> None
-          | Some (path, off) ->
-              let delta = Int64.to_int (Int64.sub vaddr v.Images.vi_start) in
-              Some (file_bytes m ~path ~off:(off + delta) ~len:page_size)))
-
 let restore (m : Machine.t) (img : Images.t) : Proc.t =
   Fault.site "restore.process";
   let core = img.Images.core in

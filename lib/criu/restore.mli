@@ -3,16 +3,6 @@
 
 exception Restore_error of string
 
-val file_bytes : Machine.t -> path:string -> off:int -> len:int -> bytes
-(** Bytes of a SELF binary's image range, for vanilla-CRIU fault-in. *)
-
-val image_page_bytes : Machine.t -> Images.t -> vaddr:int64 -> bytes option
-(** Read back the page containing [vaddr] from a decoded image without
-    restoring it: dumped pages from the pagemap, non-dumped file-backed
-    ranges from the backing binary — the same composition {!restore}
-    materializes. [None] outside every image VMA or for a non-dumped
-    anonymous page. The integrity scrubber's per-page repair source. *)
-
 val restore : Machine.t -> Images.t -> Proc.t
 (** Re-create the process: address space, registers, sigactions, fds,
     repaired connections, re-registered listeners. Raises

@@ -20,7 +20,9 @@ let interrupt_cycles ~image_bytes = 300_000 + (image_bytes / 2)
 
 type run = {
   f8_throughput : float array;  (** replies per virtual second *)
-  f8_interruption_s : float;  (** modeled interruption, seconds *)
+  f8_interruption_s : float;
+      (** modelled, not measured: {!interrupt_cycles} in virtual seconds;
+          no gate reads it *)
   f8_label : string;
 }
 
@@ -122,8 +124,9 @@ let run fmt =
   let vanilla = closed_loop_run ~dynacut:false in
   let dc = closed_loop_run ~dynacut:true in
   Format.fprintf fmt
-    "closed-loop GET client; disable SET at t=%ds, re-enable at t=%ds; modeled@.\
-     interruption %.2f virtual seconds per rewrite@.@."
+    "closed-loop GET client; disable SET at t=%ds, re-enable at t=%ds;@.\
+     interruption %.2f virtual seconds per rewrite (modelled: 300k cycles + \
+     image_bytes/2, not measured)@.@."
     disable_at reenable_at dc.f8_interruption_s;
   Format.fprintf fmt "%s@."
     (Table.timeseries ~ylabel:"time (virtual s)"

@@ -234,7 +234,7 @@ let recover (machine : Machine.t) ~(pids : int list) : recovery =
 type scrub_report = {
   sr_pid : int;
   sr_findings : Integrity.finding list;
-  sr_repaired : (Integrity.finding * string) list;
+  sr_repaired : Integrity.finding list;
   sr_respawned : bool;
   sr_refused : string option;
       (** an injected fault refused part of the slice; retried next turn *)
@@ -279,7 +279,6 @@ let escalate t (st : scrub_state) (integ : Integrity.t) ~(pid : int) : bool =
   in
   if not (Vfs.exists t.machine.Machine.fs path) then false
   else begin
-    Integrity.charge_respawn integ ~pid;
     (match Machine.proc t.machine pid with
     | Some p when Proc.is_live p -> Machine.reap t.machine ~pid
     | _ -> ());
@@ -326,10 +325,10 @@ let heal t (st : scrub_state) ~(pid : int) (integ : Integrity.t)
             must_respawn := true
           else
             match Integrity.repair integ f with
-            | Integrity.Repaired src when Integrity.recheck integ f ->
+            | Integrity.Repaired when Integrity.recheck integ f ->
                 Hashtbl.replace st.ss_history key (seen + 1);
-                repaired := (f, src) :: !repaired
-            | Integrity.Repaired _ | Integrity.Repair_failed _ ->
+                repaired := f :: !repaired
+            | Integrity.Repaired | Integrity.Repair_failed _ ->
                 must_respawn := true)
       findings;
     let respawned = if !must_respawn then escalate t st integ ~pid else false in

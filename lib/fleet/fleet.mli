@@ -78,9 +78,6 @@ val tick : t -> Drift.action option
 val drift_monitor : t -> Drift.t
 (** Raises {!Fleet_error} before {!start_drift}. *)
 
-val refresh_gauges : t -> unit
-(** Refresh the [fleet.workers{state=…}] gauge family. *)
-
 (** {2 Fleet-wide crash recovery} *)
 
 type recovery = {
@@ -100,8 +97,8 @@ val pp_recovery : Format.formatter -> recovery -> unit
     A background {!Integrity} scrubber per worker, fleet-rotated: every
     [sc_interval] virtual cycles one worker has a [sc_quantum]-page
     slice of its immutable pages audited. A digest mismatch quarantines
-    the worker (balancer drain), heals the page from the best trusted
-    source, and un-quarantines; a failed or non-sticking repair — or a
+    the worker (balancer drain), heals the page from its baseline
+    snapshot, and un-quarantines; a failed or non-sticking repair — or a
     page diverging {e again} after repair — escalates to a full respawn
     from the newest sealed image. *)
 
@@ -118,8 +115,7 @@ val default_scrub_config : scrub_config
 type scrub_report = {
   sr_pid : int;  (** the worker this slice audited *)
   sr_findings : Integrity.finding list;
-  sr_repaired : (Integrity.finding * string) list;
-      (** healed findings with the repair source that won *)
+  sr_repaired : Integrity.finding list;  (** healed findings *)
   sr_respawned : bool;  (** the graduated response reached respawn *)
   sr_refused : string option;
       (** an injected fault refused part of the slice; retried on the
