@@ -45,15 +45,21 @@ let micro_tests () =
              [ decl "k" (i 0); forever [ do_ "bump" [ v "k" ]; set "k" (v "k" +: i 1) ]; ret0 ];
          ])
   in
-  let spin_machine ~cached =
+  let spin_machine ?(sliced = false) ~cached () =
     let m = Machine.create () in
     Vfs.add_self m.Machine.fs "libc.so" libc;
     Vfs.add_self m.Machine.fs "spin" spin;
-    ignore (Machine.spawn m ~exe_path:"spin" ());
+    let p = Machine.spawn m ~exe_path:"spin" () in
     if cached then ignore (Bbcache.enable m);
+    (* the slicer's per-instruction hook with no anchors: next to the
+       interpreted kernel, it prices the hook alone *)
+    if sliced then
+      ignore (Slicer.attach m ~pid:p.Proc.pid ~wanted_out:(fun _ -> false) ());
     m
   in
-  let m_cached = spin_machine ~cached:true and m_interp = spin_machine ~cached:false in
+  let m_cached = spin_machine ~cached:true ()
+  and m_interp = spin_machine ~cached:false ()
+  and m_sliced = spin_machine ~sliced:true ~cached:false () in
   let spin_run m () = ignore (Machine.run m ~max_cycles:loop_cycles) in
   let mem = Mem.create () in
   ignore (Mem.map mem ~vaddr:0x10000L ~len:Mem.page_size ~prot:Self.prot_rw ~name:"bench" ());
@@ -71,6 +77,7 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ())));
     Test.make ~name:"guest-loop-10k-cached" (Staged.stage (spin_run m_cached));
     Test.make ~name:"guest-loop-10k-interp" (Staged.stage (spin_run m_interp));
+    Test.make ~name:"guest-loop-10k-sliced" (Staged.stage (spin_run m_sliced));
     Test.make ~name:"mem-read64-tlb-hit"
       (Staged.stage (fun () -> ignore (Mem.read64 mem 0x10008L)));
   ]

@@ -90,6 +90,26 @@ echo "   detection latencies identical across two runs"
 # (min-vs-min serve ratio), written to BENCH_slice.json.
 echo "== bench --quick slice =="
 dune exec bench/main.exe -- --quick slice
+# Every count in BENCH_slice.json is on the virtual axis, so it must be
+# byte-identical to the committed file; only the three host-time fields
+# may move.
+slice_counts() {
+  grep -vE '"(serve_s_slicer_on|serve_s_slicer_off|tracing_overhead_x)":'
+}
+committed=$(git show HEAD:BENCH_slice.json) || {
+  echo "FAIL: no committed BENCH_slice.json to compare against"
+  exit 1
+}
+counts_now=$(slice_counts <BENCH_slice.json)
+counts_committed=$(echo "$committed" | slice_counts)
+if [ "$counts_now" != "$counts_committed" ]; then
+  echo "FAIL: BENCH_slice.json counts differ from the committed file:"
+  echo "$counts_now"
+  echo "--- committed"
+  echo "$counts_committed"
+  exit 1
+fi
+echo "   slice counts identical to the committed BENCH_slice.json"
 
 # Crash-recovery matrix (DESIGN.md §5d): the Kill column of the chaos
 # coverage matrix below (Chaos.probe site Fault.Kill). Kill the

@@ -47,16 +47,20 @@ let overlapping t ~(addr : int64) ~(len : int) =
 (** Payloads of every range overlapping [addr, addr+len), in address
     order, physically deduplicated. Empty when nothing is known there. *)
 let read t ~(addr : int64) ~(len : int) : 'a list =
-  (* fast path: the window sits inside a single range *)
-  match M.find_last_opt (fun k -> Int64.compare k addr <= 0) t.ranges with
-  | Some (lo, (l, pay)) when Int64.compare (end_ lo l) (end_ addr len) >= 0 ->
-      [ pay ]
-  | _ ->
-      let pays = List.map (fun (_, _, p) -> p) (overlapping t ~addr ~len) in
-      List.fold_left
-        (fun acc p -> if List.memq p acc then acc else p :: acc)
-        [] pays
-      |> List.rev
+  match M.find_opt addr t.ranges with
+  | Some (l, pay) when l >= len -> [ pay ] (* fast path: an exact-start hit *)
+  | _ -> (
+      (* the window sits inside a single range *)
+      match M.find_last_opt (fun k -> Int64.compare k addr <= 0) t.ranges with
+      | Some (lo, (l, pay))
+        when Int64.compare (end_ lo l) (end_ addr len) >= 0 ->
+          [ pay ]
+      | _ ->
+          let pays = List.map (fun (_, _, p) -> p) (overlapping t ~addr ~len) in
+          List.fold_left
+            (fun acc p -> if List.memq p acc then acc else p :: acc)
+            [] pays
+          |> List.rev)
 
 (* re-attach the parts of an overlapped range that stick out of the
    written window *)
@@ -68,32 +72,48 @@ let split_around t ~(addr : int64) ~(len : int) (lo, l, pay) =
   if Int64.compare rhi hi > 0 then
     t.ranges <- M.add hi (Int64.to_int (Int64.sub rhi hi), pay) t.ranges
 
+(* install [addr, addr+len) -> [pay] over a hole, coalescing with an
+   equal-payload left neighbour ending at [addr] and right neighbour
+   starting at [addr+len) *)
+let install t ~(addr : int64) ~(len : int) (pay : 'a) =
+  let lo, len =
+    match M.find_last_opt (fun k -> Int64.compare k addr < 0) t.ranges with
+    | Some (llo, (ll, lpay))
+      when Int64.equal (end_ llo ll) addr && t.eq lpay pay ->
+        t.ranges <- M.remove llo t.ranges;
+        (llo, ll + len)
+    | _ -> (addr, len)
+  in
+  let len =
+    match M.find_opt (end_ lo len) t.ranges with
+    | Some (rl, rpay) when t.eq rpay pay ->
+        t.ranges <- M.remove (end_ lo len) t.ranges;
+        len + rl
+    | _ -> len
+  in
+  t.ranges <- M.add lo (len, pay) t.ranges
+
+(* the general write: split every overlapped range, then install *)
+let overwrite t ~(addr : int64) ~(len : int) (pay : 'a) =
+  List.iter (split_around t ~addr ~len) (overlapping t ~addr ~len);
+  install t ~addr ~len pay
+
 (** Strong update: [addr, addr+len) now carries exactly [pay].
     Overlapped ranges are split; equal-payload neighbours coalesce. *)
 let write t ~(addr : int64) ~(len : int) (pay : 'a) : unit =
-  if len > 0 then begin
-    (match M.find_opt addr t.ranges with
-    | Some (l, old) when l = len && t.eq old pay -> ()  (* fast path: rewrite *)
-    | _ ->
-        List.iter (split_around t ~addr ~len) (overlapping t ~addr ~len);
-        (* coalesce with an equal-payload left neighbour ending at [addr]
-           and right neighbour starting at [addr+len) *)
-        let lo, len =
-          match
-            M.find_last_opt (fun k -> Int64.compare k addr < 0) t.ranges
-          with
-          | Some (llo, (ll, lpay))
-            when Int64.equal (end_ llo ll) addr && t.eq lpay pay ->
-              t.ranges <- M.remove llo t.ranges;
-              (llo, ll + len)
-          | _ -> (addr, len)
-        in
-        let len =
-          match M.find_opt (end_ lo len) t.ranges with
-          | Some (rl, rpay) when t.eq rpay pay ->
-              t.ranges <- M.remove (end_ lo len) t.ranges;
-              len + rl
-          | _ -> len
-        in
-        t.ranges <- M.add lo (len, pay) t.ranges)
-  end
+  if len > 0 then
+    (* fast paths: a window one range already covers with an equal
+       payload is left as it is; an exact hit is the only range the
+       write overlaps, so it is dropped without walking for overlaps *)
+    match M.find_opt addr t.ranges with
+    | Some (l, old) when l >= len && t.eq old pay -> ()
+    | Some (l, _) when l = len ->
+        t.ranges <- M.remove addr t.ranges;
+        install t ~addr ~len pay
+    | Some _ -> overwrite t ~addr ~len pay
+    | None -> (
+        match M.find_last_opt (fun k -> Int64.compare k addr < 0) t.ranges with
+        | Some (lo, (l, old))
+          when Int64.compare (end_ lo l) (end_ addr len) >= 0 && t.eq old pay ->
+            ()
+        | _ -> overwrite t ~addr ~len pay)

@@ -18,9 +18,9 @@
     and indirect transfers union their decision's dependencies into the
     current level (later blocks at that level depend on every decision
     taken there so far — conservative), calls push the caller's context
-    plus the call site, returns pop. Depsets are hash-consed sorted
-    arrays with memoized pairwise unions, so per-instruction cost is a
-    few table lookups.
+    plus the call site, returns pop. Depsets are hash-consed bitsets
+    over dense block ids with memoized pairwise unions ({!Depset}), so
+    per-instruction cost is a few integer-keyed table lookups.
 
     Determinism: everything replays bit-for-bit from the machine's
     virtual clock and seed, so a slice can be recomputed on demand from
@@ -28,9 +28,9 @@
     (a wrongly sliced block that trapped post-cut) re-joins the slice
     reproducibly via {!add_counterexample}. *)
 
-(* ---------- hash-consed dependency sets ---------- *)
+(* ---------- state ---------- *)
 
-type set = { sid : int; elts : int array  (** sorted, unique block ids *) }
+type set = Depset.set
 
 type pstate = {
   regdep : set array;  (** 16 GPRs *)
@@ -55,27 +55,28 @@ type stats = {
   st_sampled_off : int;  (** sampling decisions that disabled tracing *)
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   machine : Machine.t;
   roots : (int, unit) Hashtbl.t;
   mutable module_map : (string * int64 * int64) list;
-  (* block interning: (module idx, offset) <-> dense id *)
-  ids : (int * int, int) Hashtbl.t;
-  mutable rev : (int * int) array;
+  (* block interning: packed (module idx, offset) key <-> dense id *)
+  ids : int Itbl.t;
+  mutable rev : int array;  (** dense id -> packed key *)
   mutable nblocks : int;
   (* dynamic blocks are maximal fall-through runs, so one can span
      several static CFG blocks; [ext] records the longest extent (in
      bytes, through the start of the last instruction executed) seen
      per block id, and {!slice} reports spans so callers can match
      static blocks by overlap rather than start-point membership *)
-  ext : (int, int) Hashtbl.t;
-  (* depset interning *)
-  sets : (int array, set) Hashtbl.t;
-  mutable nsets : int;
-  unions : (int * int, set) Hashtbl.t;
-  singles : (int, set) Hashtbl.t;
+  mutable ext : int array;  (** by dense id, grown with [rev] *)
+  ds : Depset.t;
   empty : set;
   procs : (int, pstate) Hashtbl.t;
+  (* the process the hook last traced and its state: skips the [traced]
+     and [pstate_of] lookups while the same [Proc.t] keeps running *)
+  mutable last : (Proc.t * pstate) option;
   wanted_out : string -> bool;
   mutable slice_deps : set;
   mutable anchors : int;
@@ -92,77 +93,37 @@ type t = {
   obs_anchors : Obs.counter;
 }
 
-(* ---------- set algebra ---------- *)
-
-let intern t (elts : int array) : set =
-  match Hashtbl.find_opt t.sets elts with
-  | Some s -> s
-  | None ->
-      let s = { sid = t.nsets; elts } in
-      t.nsets <- t.nsets + 1;
-      Hashtbl.add t.sets elts s;
-      s
-
-let singleton t b =
-  match Hashtbl.find_opt t.singles b with
-  | Some s -> s
-  | None ->
-      let s = intern t [| b |] in
-      Hashtbl.add t.singles b s;
-      s
-
-let merge (a : int array) (b : int array) : int array =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < na && !j < nb do
-    let x = a.(!i) and y = b.(!j) in
-    if x < y then (out.(!k) <- x; incr i)
-    else if y < x then (out.(!k) <- y; incr j)
-    else (out.(!k) <- x; incr i; incr j);
-    incr k
-  done;
-  while !i < na do out.(!k) <- a.(!i); incr i; incr k done;
-  while !j < nb do out.(!k) <- b.(!j); incr j; incr k done;
-  if !k = na + nb then out else Array.sub out 0 !k
-
-let union t (a : set) (b : set) : set =
-  if a == b || Array.length b.elts = 0 then a
-  else if Array.length a.elts = 0 then b
-  else begin
-    let key = if a.sid < b.sid then (a.sid, b.sid) else (b.sid, a.sid) in
-    match Hashtbl.find_opt t.unions key with
-    | Some s -> s
-    | None ->
-        let s = intern t (merge a.elts b.elts) in
-        Hashtbl.add t.unions key s;
-        s
-  end
+let union t a b = Depset.union t.ds a b
 
 (* ---------- block identities ---------- *)
 
-let locate t (addr : int64) =
-  let rec go i = function
-    | [] -> None
-    | (_, base, end_) :: _ when addr >= base && addr < end_ ->
-        Some (i, Int64.to_int (Int64.sub addr base))
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 t.module_map
+(* a block key packs (module idx, offset); modules stay below 4 GiB *)
+let pack mid off = (mid lsl 32) lor off
 
-let intern_block t mid off : int =
-  match Hashtbl.find_opt t.ids (mid, off) with
-  | Some id -> id
-  | None ->
+let rec locate_in (addr : int64) i = function
+  | [] -> -1
+  | (_, base, end_) :: _ when addr >= base && addr < end_ ->
+      pack i (Int64.to_int (Int64.sub addr base))
+  | _ :: rest -> locate_in addr (i + 1) rest
+
+let intern_block t key : int =
+  match Itbl.find t.ids key with
+  | id -> id
+  | exception Not_found ->
       let id = t.nblocks in
       if id >= Array.length t.rev then begin
-        let bigger = Array.make (max 64 (2 * Array.length t.rev)) (0, 0) in
-        Array.blit t.rev 0 bigger 0 (Array.length t.rev);
-        t.rev <- bigger
+        let n = max 64 (2 * Array.length t.rev) in
+        let grow a =
+          let bigger = Array.make n 0 in
+          Array.blit a 0 bigger 0 (Array.length a);
+          bigger
+        in
+        t.rev <- grow t.rev;
+        t.ext <- grow t.ext
       end;
-      t.rev.(id) <- (mid, off);
+      t.rev.(id) <- key;
       t.nblocks <- id + 1;
-      Hashtbl.add t.ids (mid, off) id;
+      Itbl.add t.ids key id;
       id
 
 (* ---------- per-process state ---------- *)
@@ -217,82 +178,109 @@ let push_ctrl t st (s : set) =
 
 (* ---------- the per-instruction hook ---------- *)
 
+(* Folds over the [Defuse] lists, written as top-level recursions so the
+   hook's common path builds no closures. Each fold unions in list order:
+   the order fixes which intermediate sets get interned, and so every
+   [sid]. *)
+
+let rec union_regs t regdep acc = function
+  | [] -> acc
+  | r :: rest -> union_regs t regdep (union t acc regdep.(Reg.to_int r)) rest
+
+let rec union_all t acc = function
+  | [] -> acc
+  | s :: rest -> union_all t (union t acc s) rest
+
+let ea regs (a : Defuse.access) =
+  Int64.add (Proc.get regs a.Defuse.a_base) (Int64.of_int a.Defuse.a_disp)
+
+let rec union_loads t mem regs acc = function
+  | [] -> acc
+  | (a : Defuse.access) :: rest ->
+      let pays = Absmem.read mem ~addr:(ea regs a) ~len:a.Defuse.a_len in
+      union_loads t mem regs (union_all t acc pays) rest
+
+let rec def_regs regdep u = function
+  | [] -> ()
+  | r :: rest ->
+      regdep.(Reg.to_int r) <- u;
+      def_regs regdep u rest
+
+let rec store_all mem regs u = function
+  | [] -> ()
+  | (a : Defuse.access) :: rest ->
+      Absmem.write mem ~addr:(ea regs a) ~len:a.Defuse.a_len u;
+      store_all mem regs u rest
+
+let step t st (p : Proc.t) (insn : Insn.t) =
+  t.insns <- t.insns + 1;
+  let regs = p.Proc.regs in
+  if st.expect_new then begin
+    let key = locate_in (Proc.rip regs) 0 t.module_map in
+    if key >= 0 then begin
+      let id = intern_block t key in
+      st.cur <- Depset.singleton t.ds id;
+      st.cur_id <- id
+    end
+    else begin
+      st.cur <- t.empty (* anonymous memory; drcov skips it too *);
+      st.cur_id <- -1
+    end;
+    st.cur_vaddr <- Proc.rip regs;
+    st.expect_new <- false
+  end;
+  if st.cur_id >= 0 then begin
+    let rel = Int64.to_int (Int64.sub (Proc.rip regs) st.cur_vaddr) + 1 in
+    if rel > t.ext.(st.cur_id) then t.ext.(st.cur_id) <- rel
+  end;
+  let e = Defuse.effect insn in
+  (* the value every def carries: its data sources, the control
+     context that let this instruction run, and the block computing it *)
+  let u = union t st.cur (ctrl_top st) in
+  let u = union_regs t st.regdep u e.Defuse.uses in
+  let u = if e.Defuse.uses_flags then union t u st.flagdep else u in
+  let u = union_loads t st.mem regs u e.Defuse.loads in
+  def_regs st.regdep u e.Defuse.defs;
+  if e.Defuse.defs_flags then st.flagdep <- u;
+  store_all st.mem regs u e.Defuse.stores;
+  (match e.Defuse.control with
+  | Defuse.Straight | Defuse.Jump | Defuse.Stop | Defuse.Sys -> ()
+  | Defuse.Cond_jump ->
+      (* blocks after a decision depend on every decision taken at
+         this level so far — union, never overwrite *)
+      st.ctrl.(st.depth) <-
+        union t (ctrl_top st) (union t st.flagdep st.cur)
+  | Defuse.Indirect_jump r ->
+      st.ctrl.(st.depth) <-
+        union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur)
+  | Defuse.Call_push -> push_ctrl t st (union t (ctrl_top st) st.cur)
+  | Defuse.Indirect_call r ->
+      push_ctrl t st
+        (union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur))
+  | Defuse.Return -> st.depth <- max 0 (st.depth - 1));
+  if Insn.is_block_end insn then st.expect_new <- true
+
 let on_insn t (p : Proc.t) (insn : Insn.t) =
-  if t.tracing && traced t p then begin
-    let st = pstate_of t p in
-    t.insns <- t.insns + 1;
-    let regs = p.Proc.regs in
-    if st.expect_new then begin
-      (match locate t (Proc.rip regs) with
-      | Some (mid, off) ->
-          let id = intern_block t mid off in
-          st.cur <- singleton t id;
-          st.cur_id <- id
-      | None ->
-          st.cur <- t.empty (* anonymous memory; drcov skips it too *);
-          st.cur_id <- -1);
-      st.cur_vaddr <- Proc.rip regs;
-      st.expect_new <- false
-    end;
-    if st.cur_id >= 0 then begin
-      let rel = Int64.to_int (Int64.sub (Proc.rip regs) st.cur_vaddr) + 1 in
-      match Hashtbl.find_opt t.ext st.cur_id with
-      | Some e when e >= rel -> ()
-      | _ -> Hashtbl.replace t.ext st.cur_id rel
-    end;
-    let e = Defuse.effect insn in
-    let ea (a : Defuse.access) =
-      Int64.add (Proc.get regs a.Defuse.a_base) (Int64.of_int a.Defuse.a_disp)
-    in
-    (* the value every def carries: its data sources, the control
-       context that let this instruction run, and the block computing it *)
-    let u = ref (union t st.cur (ctrl_top st)) in
-    List.iter
-      (fun r -> u := union t !u st.regdep.(Reg.to_int r))
-      e.Defuse.uses;
-    if e.Defuse.uses_flags then u := union t !u st.flagdep;
-    List.iter
-      (fun a ->
-        List.iter
-          (fun s -> u := union t !u s)
-          (Absmem.read st.mem ~addr:(ea a) ~len:a.Defuse.a_len))
-      e.Defuse.loads;
-    let u = !u in
-    List.iter (fun r -> st.regdep.(Reg.to_int r) <- u) e.Defuse.defs;
-    if e.Defuse.defs_flags then st.flagdep <- u;
-    List.iter
-      (fun a -> Absmem.write st.mem ~addr:(ea a) ~len:a.Defuse.a_len u)
-      e.Defuse.stores;
-    (match e.Defuse.control with
-    | Defuse.Straight | Defuse.Jump | Defuse.Stop | Defuse.Sys -> ()
-    | Defuse.Cond_jump ->
-        (* blocks after a decision depend on every decision taken at
-           this level so far — union, never overwrite *)
-        st.ctrl.(st.depth) <-
-          union t (ctrl_top st) (union t st.flagdep st.cur)
-    | Defuse.Indirect_jump r ->
-        st.ctrl.(st.depth) <-
-          union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur)
-    | Defuse.Call_push -> push_ctrl t st (union t (ctrl_top st) st.cur)
-    | Defuse.Indirect_call r ->
-        push_ctrl t st
-          (union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur))
-    | Defuse.Return -> st.depth <- max 0 (st.depth - 1));
-    if Insn.is_block_end insn then st.expect_new <- true
-  end
+  if t.tracing then
+    match t.last with
+    | Some (q, st) when q == p -> step t st p insn
+    | _ ->
+        if traced t p then begin
+          let st = pstate_of t p in
+          t.last <- Some (p, st);
+          step t st p insn
+        end
 
 (* ---------- the syscall hook: anchors + input modelling ---------- *)
 
-let anchor t (st : pstate) ~(regs : Proc.regs) ~(buf : int64) ~(len : int) =
-  let d = ref (union t st.cur (ctrl_top st)) in
-  List.iter
-    (fun r -> d := union t !d st.regdep.(Reg.to_int r))
-    [ Reg.Rdi; Reg.Rsi; Reg.Rdx ];
-  ignore regs;
-  List.iter
-    (fun s -> d := union t !d s)
-    (if len > 0 then Absmem.read st.mem ~addr:buf ~len else []);
-  t.slice_deps <- union t t.slice_deps !d;
+let anchor_regs = [ Reg.Rdi; Reg.Rsi; Reg.Rdx ]
+
+let anchor t (st : pstate) ~(buf : int64) ~(len : int) =
+  let d = union_regs t st.regdep (union t st.cur (ctrl_top st)) anchor_regs in
+  let d =
+    if len > 0 then union_all t d (Absmem.read st.mem ~addr:buf ~len) else d
+  in
+  t.slice_deps <- union t t.slice_deps d;
   t.anchors <- t.anchors + 1;
   Obs.incr t.obs_anchors
 
@@ -340,7 +328,7 @@ let on_syscall t (p : Proc.t) (nr : int) =
           | b -> Bytes.to_string b
           | exception Mem.Fault _ -> ""
         in
-        if t.wanted_out payload then anchor t st ~regs ~buf:a2 ~len
+        if t.wanted_out payload then anchor t st ~buf:a2 ~len
       end
       else if nr = Abi.sys_read || nr = Abi.sys_recv then begin
         (* bytes arriving from outside the program: defined here, by
@@ -363,22 +351,21 @@ let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
     () : t =
   Fault.site "slice.trace";
   let p = Machine.proc_exn machine pid in
-  let empty = { sid = 0; elts = [||] } in
+  let ds = Depset.create () in
+  let empty = Depset.empty ds in
   let t =
     {
       machine;
       roots = Hashtbl.create 4;
       module_map = Collector.modules_of_proc p;
-      ids = Hashtbl.create 256;
-      rev = Array.make 256 (0, 0);
+      ids = Itbl.create 256;
+      rev = Array.make 256 0;
       nblocks = 0;
-      ext = Hashtbl.create 256;
-      sets = Hashtbl.create 1024;
-      nsets = 1;
-      unions = Hashtbl.create 4096;
-      singles = Hashtbl.create 256;
+      ext = Array.make 256 0;
+      ds;
       empty;
       procs = Hashtbl.create 4;
+      last = None;
       wanted_out;
       slice_deps = empty;
       anchors = 0;
@@ -392,7 +379,6 @@ let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
       obs_anchors = Obs.counter "slice.anchors";
     }
   in
-  Hashtbl.add t.sets [||] empty;
   Hashtbl.replace t.roots pid ();
   machine.Machine.on_insn <-
     Some
@@ -439,13 +425,10 @@ let slice t : (string * int * int) list =
     | None -> Printf.sprintf "module%d" mid
   in
   let of_id id =
-    let mid, off = t.rev.(id) in
-    let len =
-      match Hashtbl.find_opt t.ext id with Some e -> e | None -> 1
-    in
-    (name mid, off, len)
+    let key = t.rev.(id) in
+    (name (key lsr 32), key land 0xffff_ffff, t.ext.(id))
   in
-  let from_deps = Array.to_list (Array.map of_id t.slice_deps.elts) in
+  let from_deps = List.map of_id (Depset.elements t.slice_deps) in
   List.fold_left
     (fun acc (m, off) ->
       if List.exists (fun (m', o', _) -> m' = m && o' = off) acc then acc
@@ -458,7 +441,7 @@ let stats t : stats =
     st_blocks_seen = t.nblocks;
     st_slice_blocks = List.length (slice t);
     st_anchors = t.anchors;
-    st_sets = t.nsets;
+    st_sets = Depset.count t.ds;
     st_mem_ranges =
       Hashtbl.fold (fun _ st acc -> acc + Absmem.cardinal st.mem) t.procs 0;
     st_counterexamples = List.length t.counterexamples;

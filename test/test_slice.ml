@@ -1,7 +1,9 @@
 (** Tests for lib/slice/: def/use table exhaustiveness over the vx86
-    ISA, abstract-memory properties against a naive byte-map model, the
-    dataflow slicing tracer end-to-end on rkv (including sampled
-    tracing and the counterexample journal), and determinism pinning of
+    ISA, the hash-consed depset algebra against a sorted-list
+    reference, abstract-memory properties against a naive byte-map
+    model, the dataflow slicing tracer end-to-end on rkv (including
+    sampled tracing and the counterexample journal), the default-seed
+    slices of rkv and ltpd pinned exactly, and determinism pinning of
     the splitmix64 stream every seeded component draws from. *)
 
 (* ---------- Defuse: per-instruction def/use tables ---------- *)
@@ -70,6 +72,69 @@ let test_defuse_spot_checks () =
        (fun (a : Defuse.access) -> a.Defuse.a_base = Reg.Rsp)
        ret.Defuse.loads)
 
+(* ---------- Depset: hash-consed bitsets vs a sorted-list reference ---------- *)
+
+type depset_op = Single of int | Union of int * int
+
+(* ids crowd the word boundaries (63 ids per word) as well as spreading
+   over several words *)
+let gen_depset_ops : depset_op list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let id = oneof [ oneofl [ 0; 1; 61; 62; 63; 64; 125; 126; 127; 188; 189 ]; int_bound 300 ] in
+  list_size (int_range 1 60)
+    (frequency [ (2, map (fun i -> Single i) id); (3, map2 (fun a b -> Union (a, b)) nat nat) ])
+
+let show_depset_op = function
+  | Single i -> Printf.sprintf "S%d" i
+  | Union (a, b) -> Printf.sprintf "U(%d,%d)" a b
+
+(* Replay the ops in a fresh universe next to a sorted-unique int-list
+   reference; [Union] indexes the sets built so far. Then: [elements]
+   is the reference, equal sets are one physical set with one [sid]
+   (rebuilt in reverse order too), and [union] is commutative,
+   idempotent and has the empty set as identity. *)
+let prop_depset_reference =
+  QCheck.Test.make ~name:"depset algebra matches a sorted-list reference" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_depset_op) gen_depset_ops)
+    (fun ops ->
+      let ds = Depset.create () in
+      let empty = Depset.empty ds in
+      let built = ref [| (empty, []) |] in
+      List.iter
+        (fun op ->
+          let sets = !built in
+          let pick i = sets.(i mod Array.length sets) in
+          let s =
+            match op with
+            | Single i -> (Depset.singleton ds i, [ i ])
+            | Union (a, b) ->
+                let sa, ra = pick a and sb, rb = pick b in
+                (Depset.union ds sa sb, List.sort_uniq compare (ra @ rb))
+          in
+          built := Array.append sets [| s |])
+        ops;
+      let sets = !built in
+      let same (a : Depset.set) (b : Depset.set) = a == b && a.Depset.sid = b.Depset.sid in
+      Array.for_all
+        (fun (s, r) ->
+          Depset.elements s = r
+          && Depset.is_empty s = (r = [])
+          && same (Depset.union ds empty s) s
+          && same (Depset.union ds s empty) s
+          && same (Depset.union ds s s) s
+          && same
+               (List.fold_left
+                  (fun acc i -> Depset.union ds acc (Depset.singleton ds i))
+                  empty (List.rev r))
+               s
+          && Array.for_all
+               (fun (s', r') ->
+                 (r = r') = same s s'
+                 && same (Depset.union ds s s') (Depset.union ds s' s)
+                 && same (Depset.union ds s (Depset.union ds s s')) (Depset.union ds s s'))
+               sets)
+        sets)
+
 (* ---------- Absmem: range map vs a byte-map model ---------- *)
 
 let test_absmem_strong_update_and_coalescing () =
@@ -97,9 +162,9 @@ let test_absmem_strong_update_and_coalescing () =
 (* Seeded random write/read workload checked against a per-byte model:
    the range map must agree with the model byte-for-byte, report
    disjoint sorted ranges, and never keep two touching ranges with
-   equal payloads. *)
-let test_absmem_model_equivalence () =
-  let rng = Rng.create 11 in
+   equal payloads. [window] draws each access's (addr, len). *)
+let absmem_model_run ~seed ~window =
+  let rng = Rng.create seed in
   let m = Absmem.create ~eq:( = ) () in
   let model = Hashtbl.create 512 in
   let span = 160 in
@@ -133,8 +198,7 @@ let test_absmem_model_equivalence () =
       model
   in
   for step = 1 to 1_500 do
-    let addr = Int64.of_int (Rng.int rng span) in
-    let len = 1 + Rng.int rng 16 in
+    let addr, len = window rng span in
     if Rng.int rng 4 = 0 then begin
       (* read: same payload set as the model over the window *)
       let expected = ref [] in
@@ -159,6 +223,18 @@ let test_absmem_model_equivalence () =
     if step mod 250 = 0 then check_invariants ()
   done;
   check_invariants ()
+
+let random_window rng span = (Int64.of_int (Rng.int rng span), 1 + Rng.int rng 16)
+
+(* Two seeded runs: random windows only, then stack-like traffic — three
+   in four accesses are 8-byte-aligned 8-byte pushes and pops, which hit
+   the exact-range fast paths of [read] and [write] — mixed with the
+   random windows that split and coalesce around them. *)
+let test_absmem_model_equivalence () =
+  absmem_model_run ~seed:11 ~window:random_window;
+  absmem_model_run ~seed:12 ~window:(fun rng span ->
+      if Rng.int rng 4 = 0 then random_window rng span
+      else (Int64.of_int (8 * Rng.int rng (span / 8)), 8))
 
 (* ---------- Slicer: end-to-end on rkv ---------- *)
 
@@ -246,6 +322,56 @@ let test_converged_cut_is_quiescent () =
   Alcotest.(check int) "no spurious verifier feedback after convergence" 0
     (Supervisor.verifier_feedback v.Slicelab.v_sup)
 
+(* The slices themselves are pinned: points, candidate blocks and every
+   stats field of the default-seed profile of rkv and ltpd. A host-side
+   change to the slicer (set representation, table keys, memory-model
+   fast paths) must leave all of them byte-identical — [st_sets] pins
+   the interning order of the hash-consed depsets too. Points and
+   blocks are compared by count and by an MD5 of their rendering. *)
+let test_slices_pinned () =
+  let render_points l =
+    String.concat ";" (List.map (fun (m, o, n) -> Printf.sprintf "%s+%x/%d" m o n) l)
+  in
+  let render_blocks l =
+    String.concat ";"
+      (List.map
+         (fun b ->
+           Printf.sprintf "%s+%x/%d" b.Covgraph.b_module b.Covgraph.b_off b.Covgraph.b_size)
+         l)
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (app, n_points, points_md5, n_blocks, blocks_md5, stats) ->
+      let p = Slicelab.profile app in
+      let name = app.Workload.a_name in
+      let chk what = Alcotest.(check int) (name ^ ": " ^ what) in
+      chk "slice points" n_points (List.length p.Slicelab.p_points);
+      Alcotest.(check string) (name ^ ": slice points digest") points_md5
+        (md5 (render_points p.Slicelab.p_points));
+      chk "sliced-away blocks" n_blocks (List.length p.Slicelab.p_blocks);
+      Alcotest.(check string) (name ^ ": blocks digest") blocks_md5
+        (md5 (render_blocks p.Slicelab.p_blocks));
+      let s = p.Slicelab.p_stats in
+      List.iter2
+        (fun (what, v) expected -> chk what expected v)
+        [
+          ("st_insns", s.Slicer.st_insns);
+          ("st_blocks_seen", s.Slicer.st_blocks_seen);
+          ("st_slice_blocks", s.Slicer.st_slice_blocks);
+          ("st_anchors", s.Slicer.st_anchors);
+          ("st_sets", s.Slicer.st_sets);
+          ("st_mem_ranges", s.Slicer.st_mem_ranges);
+          ("st_counterexamples", s.Slicer.st_counterexamples);
+          ("st_sampled_off", s.Slicer.st_sampled_off);
+        ]
+        stats)
+    [
+      ( Workload.rkv, 172, "c65e042cf6583910b9ed717d6bb7b474", 204,
+        "fb5b9cdc99d8da0c628db6be8004fbb8", [ 28341; 402; 172; 1; 1022; 33; 0; 0 ] );
+      ( Workload.ltpd, 279, "7c2143fde461a09d3f76e850b0b90f00", 35,
+        "6fa81d02cf4a2d65c63c87d62a45c553", [ 96674; 317; 279; 6; 821; 22; 0; 0 ] );
+    ]
+
 (* ---------- Rng: splitmix64 stream pinning ---------- *)
 
 (* Chaos schedules, sampled slicing and the guest rand syscall all
@@ -275,6 +401,7 @@ let suite =
       test_defuse_control_matches_block_ends;
     Alcotest.test_case "defuse access widths" `Quick test_defuse_access_widths;
     Alcotest.test_case "defuse spot checks" `Quick test_defuse_spot_checks;
+    QCheck_alcotest.to_alcotest prop_depset_reference;
     Alcotest.test_case "absmem strong update + coalescing" `Quick
       test_absmem_strong_update_and_coalescing;
     Alcotest.test_case "absmem model equivalence" `Quick
@@ -287,5 +414,6 @@ let suite =
       test_slicer_counterexample_journal;
     Alcotest.test_case "converged cut is quiescent" `Quick
       test_converged_cut_is_quiescent;
+    Alcotest.test_case "slices pinned (rkv, ltpd)" `Quick test_slices_pinned;
     Alcotest.test_case "rng pinned stream" `Quick test_rng_pinned_stream;
   ]
