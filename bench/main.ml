@@ -329,7 +329,7 @@ let run_fleet () =
     let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
     let start = m.Machine.clock in
     let retired () =
-      List.fold_left (fun n (p : Proc.t) -> Int64.add n p.Proc.retired) 0L (Machine.all_procs m)
+      List.fold_left (fun n (p : Proc.t) -> n + p.Proc.retired) 0 (Machine.all_procs m)
     in
     let retired0 = retired () in
     let served = ref 0 in
@@ -343,7 +343,7 @@ let run_fleet () =
           done)
     in
     let cycles = Int64.sub m.Machine.clock start in
-    let insns = Int64.sub (retired ()) retired0 in
+    let insns = retired () - retired0 in
     let hit_rate =
       match bb with
       | None -> 0.
@@ -396,7 +396,7 @@ let run_fleet () =
         in
         (s_cached, s_interp, s_interp /. s_cached))
   in
-  let ns_per_insn s insns = s *. 1e9 /. Int64.to_float insns in
+  let ns_per_insn s insns = s *. 1e9 /. float_of_int insns in
   let ns_cached = ns_per_insn s_cached insns_c and ns_interp = ns_per_insn s_interp insns_i in
   Format.fprintf fmt
     "  w1 host serve best-case: cached %.6f s, interp %.6f s — %.2fx \

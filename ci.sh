@@ -5,6 +5,28 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Fail unless FILE, minus its lines matching the extended regex
+# HOST_FIELDS (the host-time fields), equals the committed copy: every
+# other line is on the virtual axis, so it must not move.
+virtual_axis_unchanged() {
+  file=$1
+  host_fields=$2
+  committed=$(git show "HEAD:$file") || {
+    echo "FAIL: no committed $file to compare against"
+    exit 1
+  }
+  now=$(grep -vE "$host_fields" "$file")
+  before=$(echo "$committed" | grep -vE "$host_fields")
+  if [ "$now" != "$before" ]; then
+    echo "FAIL: $file virtual-axis lines differ from the committed file:"
+    echo "$now"
+    echo "--- committed"
+    echo "$before"
+    exit 1
+  fi
+  echo "   $file virtual-axis lines identical to the committed file"
+}
+
 echo "== dune build =="
 dune build
 
@@ -26,6 +48,9 @@ dune exec bench/main.exe -- --quick
 # interleaved) drops below 2x.
 echo "== bench --quick fleet =="
 dune exec bench/main.exe -- --quick fleet
+# served counts, req/Mcycle, hit rates and rollout pauses are all
+# virtual; only the host_* timings may move
+virtual_axis_unchanged BENCH_fleet.json '"host_'
 
 # Overload smoke (DESIGN.md §6b): capacity probe + a two-point offered-
 # load sweep with admission control on/off, written to
@@ -90,26 +115,10 @@ echo "   detection latencies identical across two runs"
 # (min-vs-min serve ratio), written to BENCH_slice.json.
 echo "== bench --quick slice =="
 dune exec bench/main.exe -- --quick slice
-# Every count in BENCH_slice.json is on the virtual axis, so it must be
-# byte-identical to the committed file; only the three host-time fields
-# may move.
-slice_counts() {
-  grep -vE '"(serve_s_slicer_on|serve_s_slicer_off|tracing_overhead_x)":'
-}
-committed=$(git show HEAD:BENCH_slice.json) || {
-  echo "FAIL: no committed BENCH_slice.json to compare against"
-  exit 1
-}
-counts_now=$(slice_counts <BENCH_slice.json)
-counts_committed=$(echo "$committed" | slice_counts)
-if [ "$counts_now" != "$counts_committed" ]; then
-  echo "FAIL: BENCH_slice.json counts differ from the committed file:"
-  echo "$counts_now"
-  echo "--- committed"
-  echo "$counts_committed"
-  exit 1
-fi
-echo "   slice counts identical to the committed BENCH_slice.json"
+# Every count in BENCH_slice.json is on the virtual axis; only the three
+# host-time fields may move.
+virtual_axis_unchanged BENCH_slice.json \
+  '"(serve_s_slicer_on|serve_s_slicer_off|tracing_overhead_x)":'
 
 # Crash-recovery matrix (DESIGN.md §5d): the Kill column of the chaos
 # coverage matrix below (Chaos.probe site Fault.Kill). Kill the

@@ -20,7 +20,7 @@ let create (p : Proc.t) =
 
 let find c rip =
   match Hashtbl.find_opt c.c_blocks rip with
-  | Some b when not b.Block.b_dead -> Some b
+  | Some b as found when not b.Block.b_dead -> found
   | _ -> None
 
 let insert c (b : Block.t) =

@@ -63,26 +63,30 @@ let cache_for d (p : Proc.t) =
       Hashtbl.replace d.d_caches p.Proc.pid c;
       c
 
-let lookup_linked prev rip =
+(* The successor of [prev] entered at [rip], if linked and live. Returns
+   the option already stored on [prev], and inlines so that [rip] stays
+   unboxed: a linked hit allocates nothing. *)
+let[@inline] lookup_linked prev rip =
   match prev with
   | None -> None
   | Some (pb : Block.t) -> (
       match pb.Block.b_s1 with
-      | Some b when b.Block.b_start = rip && not b.Block.b_dead -> Some b
+      | Some b as s1 when b.Block.b_start = rip && not b.Block.b_dead -> s1
       | _ -> (
           match pb.Block.b_s2 with
-          | Some b when b.Block.b_start = rip && not b.Block.b_dead ->
+          | Some b as s2 when b.Block.b_start = rip && not b.Block.b_dead ->
               pb.Block.b_s2 <- pb.Block.b_s1;
-              pb.Block.b_s1 <- Some b;
-              Some b
+              pb.Block.b_s1 <- s2;
+              s2
           | _ -> None))
 
-let link prev b =
+(* Make [succ] (a [Some] block) [prev]'s most recent successor. *)
+let link prev succ =
   match prev with
   | None -> ()
   | Some (pb : Block.t) ->
       pb.Block.b_s2 <- pb.Block.b_s1;
-      pb.Block.b_s1 <- Some b
+      pb.Block.b_s1 <- succ
 
 (** Run one block with [executed] instructions already spent; returns
     the new total. Only a block's last instruction can be a syscall, so
@@ -130,7 +134,7 @@ let exec d (p : Proc.t) ~fuel ~until =
              (* the single-step loop's own condition, so the chain
                 retires exactly the instructions it would *)
              if
-               p.Proc.state <> Proc.Runnable
+               (match p.Proc.state with Proc.Runnable -> false | _ -> true)
                || p.Proc.frozen
                || !executed >= fuel
                || m.Machine.clock >= until
@@ -143,36 +147,36 @@ let exec d (p : Proc.t) ~fuel ~until =
                    Obs.add d.obs_flushes k;
                    (* links into evicted blocks are dead; re-dispatch *)
                    prev := None);
-               let rip = Proc.rip p.Proc.regs in
+               let rip = Proc.get64u p.Proc.regs.Proc.file Proc.rip_off in
                let blk =
                  match lookup_linked !prev rip with
-                 | Some b ->
+                 | Some _ as linked ->
                      d.d_hits <- d.d_hits + 1;
                      Obs.incr d.obs_hits;
-                     Some b
+                     linked
                  | None -> (
                      match Cache.find cache rip with
-                     | Some b ->
+                     | Some _ as found ->
                          d.d_hits <- d.d_hits + 1;
                          Obs.incr d.obs_hits;
-                         link !prev b;
-                         Some b
+                         link !prev found;
+                         found
                      | None -> (
                          match Block.decode mem rip with
                          | None -> None (* int3/fault entry: interpreter *)
-                         | Some b ->
+                         | Some b as decoded ->
                              d.d_decodes <- d.d_decodes + 1;
                              Obs.incr d.obs_decodes;
                              Cache.insert cache b;
-                             link !prev b;
-                             Some b))
+                             link !prev decoded;
+                             decoded))
                in
                match blk with
                | None -> continue_ := false
                | Some b ->
                    incr chained;
                    executed := exec_block m p b ~fuel ~until !executed;
-                   prev := Some b
+                   prev := blk
              end
            done
          with Fault.Injected _ ->

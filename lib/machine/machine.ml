@@ -25,6 +25,20 @@ type insn_hook = Proc.t -> Insn.t -> unit
     hold their pre-execution values, so effective addresses can be
     recomputed) — the dataflow slicer's input. Int3 traps bypass it. *)
 
+(* The scheduler's view of the processes: every pid in spawn order
+   (reversed; a reaped pid keeps its slot for a later [install]) and,
+   derived from it, the table of present processes that [run] walks.
+   The table is rebuilt only after [spawn], fork, [reap] or [install]
+   marked it stale, so a scheduler iteration only reads arrays. *)
+type sched = {
+  mutable order : int list;
+  mutable table : Proc.t array;  (** present processes, spawn order *)
+  mutable runq : int array;
+      (** reused buffer: indices into [table] of the processes one
+          scheduler pass runs; reallocated with the table *)
+  mutable stale : bool;
+}
+
 type t = {
   fs : Vfs.t;
   net : Net.t;
@@ -37,7 +51,7 @@ type t = {
   mutable on_insn : insn_hook option;
   rng : Rng.t;
   syscall_cost : int;  (** extra cycles charged per syscall *)
-  mutable spawn_order : int list;  (** pids in creation order, for RR *)
+  sched : sched;
   obs_steps : Obs.counter;  (** cached registry handles: the interpreter *)
   obs_traps : Obs.counter;  (** bumps these once per event, so the lookup *)
   obs_syscalls : Obs.counter;  (** cost is paid at [create], not per insn *)
@@ -50,6 +64,19 @@ type t = {
           installed — per-instruction fidelity (the slicer) always wins *)
 }
 
+(* The spawn-ordered table of present processes, rebuilt if stale. *)
+let table t =
+  let s = t.sched in
+  if s.stale then begin
+    s.table <-
+      Array.of_list (List.filter_map (Hashtbl.find_opt t.procs) (List.rev s.order));
+    s.runq <- Array.make (Array.length s.table) 0;
+    s.stale <- false
+  end;
+  s.table
+
+let all_procs t = Array.to_list (table t)
+
 (* Flip one seeded bit in a resident page of an immutable (non-writable)
    VMA — silent corruption of text/rodata, the failure the integrity
    scrubber exists to catch. The victim is [pid] when given (and live),
@@ -57,14 +84,7 @@ type t = {
    seeded draws. Returns the victim pid and flipped address, or [None]
    when there is nothing to corrupt. *)
 let bitflip t ?pid rng : (int * int64) option =
-  let live =
-    List.filter_map
-      (fun q ->
-        match Hashtbl.find_opt t.procs q with
-        | Some p when Proc.is_live p -> Some p
-        | _ -> None)
-      (List.rev t.spawn_order)
-  in
+  let live = List.filter Proc.is_live (all_procs t) in
   let victim =
     match pid with
     | Some q -> List.find_opt (fun (p : Proc.t) -> p.Proc.pid = q) live
@@ -97,6 +117,12 @@ let bitflip t ?pid rng : (int * int64) option =
         Some (p.Proc.pid, addr)
       end
 
+(* a new pid takes the next scheduling slot *)
+let add_proc t (p : Proc.t) =
+  Hashtbl.replace t.procs p.Proc.pid p;
+  t.sched.order <- p.Proc.pid :: t.sched.order;
+  t.sched.stale <- true
+
 let create ?(seed = 42) () =
   let t =
     {
@@ -111,7 +137,7 @@ let create ?(seed = 42) () =
       on_insn = None;
       rng = Rng.create seed;
       syscall_cost = 40;
-      spawn_order = [];
+      sched = { order = []; table = [||]; runq = [||]; stale = false };
       obs_steps = Obs.counter "machine.steps";
       obs_traps = Obs.counter "machine.traps";
       obs_syscalls = Obs.counter "machine.syscalls";
@@ -137,15 +163,6 @@ let proc_exn t pid =
   match proc t pid with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Machine.proc: no pid %d" pid)
-
-let live_procs t =
-  List.filter_map
-    (fun pid ->
-      match proc t pid with Some p when Proc.is_live p -> Some p | _ -> None)
-    (List.rev t.spawn_order)
-
-let all_procs t =
-  List.filter_map (fun pid -> proc t pid) (List.rev t.spawn_order)
 
 (** Root of [pid]'s process tree: walk the parent chain while the parent
     is still a known process. Identifies which worker a listener belongs
@@ -200,21 +217,25 @@ let spawn t ~exe_path ?comm () =
   let p = Proc.create ~pid ~parent:0 ~comm ~exe_path ~mem in
   Proc.set_rip p.Proc.regs img.Loader.img_entry;
   Proc.set p.Proc.regs Reg.Rsp (Int64.sub Proc.stack_top 64L);
-  Hashtbl.replace t.procs pid p;
-  t.spawn_order <- pid :: t.spawn_order;
+  add_proc t p;
   p
 
 (* ---------- tracing helpers ---------- *)
 
-let end_block t (p : Proc.t) ~(next : int64) =
-  match p.Proc.block_start with
-  | None -> ()
-  | Some start ->
-      let size = Int64.to_int (Int64.sub next start) in
-      (match t.trace with
-      | Some hook when size > 0 -> hook p start size
-      | _ -> ());
-      p.Proc.block_start <- None
+(* Close [p]'s open basic block at [next] (as an [int]: the low 63 bits
+   give the same size as the full subtraction, and an [int] argument is
+   never boxed). Out of line: only the [block_open] test inlines. *)
+let close_block t (p : Proc.t) next =
+  (match t.trace with
+  | Some hook ->
+      let start = Proc.get64u p.Proc.block_start 0 in
+      let size = next - Int64.to_int start in
+      if size > 0 then hook p start size
+  | None -> ());
+  p.Proc.block_open <- false
+
+let[@inline] end_block t (p : Proc.t) ~(next : int64) =
+  if p.Proc.block_open then close_block t p (Int64.to_int next)
 
 (* ---------- signals ---------- *)
 
@@ -404,8 +425,7 @@ let do_syscall t (p : Proc.t) : sys_outcome =
       (* both continue after the syscall *)
       Proc.set_rip child.Proc.regs (Int64.add (Proc.rip regs) 1L);
       Proc.set child.Proc.regs Reg.Rax 0L;
-      Hashtbl.replace t.procs child_pid child;
-      t.spawn_order <- child_pid :: t.spawn_order;
+      add_proc t child;
       ret_i child_pid)
     else if nr = sys_sigaction then (
       let signum = Int64.to_int a1 in
@@ -532,26 +552,35 @@ let[@inline] gpr (regs : Proc.regs) r = Proc.get64u regs.Proc.file (Reg.to_int r
 let[@inline] set_gpr (regs : Proc.regs) r v = Proc.set64u regs.Proc.file (Reg.to_int r lsl 3) v
 let[@inline] set_rip (regs : Proc.regs) v = Proc.set64u regs.Proc.file Proc.rip_off v
 
-(* 8-byte loads and stores: an in-page access whose page is in the TLB
-   with the needed permission is a lookup and one load or store (a store
-   also bumps the page's write generation). Everything else — TLB miss,
-   page straddle, missing permission, and every store to an executable
-   page — goes through [Mem.read64]/[Mem.write64], the only places that
-   fault or mark a page exec-dirty for the code cache. *)
-let[@inline] tlb_page8 (mem : Mem.t) addr =
+(* 8- and 1-byte loads and stores: an in-page access whose page is in
+   the TLB with the needed permission is a lookup and one load or store
+   (a store also bumps the page's write generation). Everything else —
+   TLB miss, page straddle, missing permission, and every store to an
+   executable page — goes through [Mem.read64]/[Mem.write64] or
+   [Mem.read8]/[Mem.write8], the only places that fault or mark a page
+   exec-dirty for the code cache. *)
+let[@inline] tlb_page (mem : Mem.t) addr =
   let tag = Int64.to_int (Int64.shift_right_logical addr 12) in
   let slot = tag land (Mem.tlb_size - 1) in
-  if
-    Int64.to_int addr land (Mem.page_size - 1) <= Mem.page_size - 8
-    && Array.unsafe_get mem.Mem.tlb_tag slot = tag
-  then Array.unsafe_get mem.Mem.tlb_page slot
+  if Array.unsafe_get mem.Mem.tlb_tag slot = tag then Array.unsafe_get mem.Mem.tlb_page slot
   else Mem.no_page (* no permissions: the caller takes the slow path *)
+
+let[@inline] tlb_page8 (mem : Mem.t) addr =
+  if Int64.to_int addr land (Mem.page_size - 1) <= Mem.page_size - 8 then tlb_page mem addr
+  else Mem.no_page
 
 let[@inline] load64 (mem : Mem.t) addr =
   let pg = tlb_page8 mem addr in
   if pg.Mem.pg_prot.Self.p_r then
     Bytes.get_int64_le pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1))
   else Mem.read64 mem addr
+
+(* Load into a register slot of [file]: [set_gpr regs d (load64 mem a)]
+   would box the value, because an inlined function binds a compound
+   argument to a [let] that the backend unboxes only if every branch
+   builds a box, and [load64]'s slow path is a call. The
+   [%caml_bytes_set64u] primitive takes its argument unboxed instead. *)
+let[@inline] load64_to (file : bytes) off mem addr = Proc.set64u file off (load64 mem addr)
 
 let[@inline] store64 (mem : Mem.t) addr v =
   let pg = tlb_page8 mem addr in
@@ -561,6 +590,21 @@ let[@inline] store64 (mem : Mem.t) addr v =
     Bytes.set_int64_le pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) v
   end
   else Mem.write64 mem addr v
+
+let[@inline] load8 (mem : Mem.t) addr =
+  let pg = tlb_page mem addr in
+  if pg.Mem.pg_prot.Self.p_r then
+    Char.code (Bytes.get pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)))
+  else Mem.read8 mem addr
+
+let[@inline] store8 (mem : Mem.t) addr v =
+  let pg = tlb_page mem addr in
+  let prot = pg.Mem.pg_prot in
+  if prot.Self.p_w && not prot.Self.p_x then begin
+    pg.Mem.pg_gen <- pg.Mem.pg_gen + 1;
+    Bytes.set pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) (Char.unsafe_chr v)
+  end
+  else Mem.write8 mem addr v
 
 (* A control transfer: close the current basic block, then move rip. *)
 let[@inline] jump t (p : Proc.t) ~next target =
@@ -576,17 +620,20 @@ let[@inline] jump t (p : Proc.t) ~next target =
     runs replay-exact against interpreted ones, clock included. Returns
     [true] iff the instruction fell through to [rip + len]; a taken
     branch, signal, fault, blocking syscall or exit returns [false].
-    Closure-free, so its common path allocates only the boxed clock and
-    retired-count increments. *)
+    Closure-free, so its common path allocates only the boxed clock
+    increment (three words). *)
 let exec_decoded t (p : Proc.t) insn len =
   let regs = p.Proc.regs in
   let rip = Proc.get64u regs.Proc.file Proc.rip_off in
   let mem = p.Proc.mem in
-  if p.Proc.block_start = None then p.Proc.block_start <- Some rip;
+  if not p.Proc.block_open then begin
+    Proc.set64u p.Proc.block_start 0 rip;
+    p.Proc.block_open <- true
+  end;
   (match t.on_insn with Some hook -> hook p insn | None -> ());
   let next = Int64.add rip (Int64.of_int len) in
   t.clock <- Int64.add t.clock 1L;
-  p.Proc.retired <- Int64.add p.Proc.retired 1L;
+  p.Proc.retired <- p.Proc.retired + 1;
   Obs.incr t.obs_steps;
   (* each arm says whether it falls through; rip moves to [next] below *)
   let fell =
@@ -605,17 +652,17 @@ let exec_decoded t (p : Proc.t) insn len =
           set_gpr regs d imm;
           true
       | Insn.Load (d, b, off) ->
-          set_gpr regs d (load64 mem (Int64.add (gpr regs b) (Int64.of_int off)));
+          load64_to regs.Proc.file (Reg.to_int d lsl 3) mem
+            (Int64.add (gpr regs b) (Int64.of_int off));
           true
       | Insn.Store (b, off, src) ->
           store64 mem (Int64.add (gpr regs b) (Int64.of_int off)) (gpr regs src);
           true
       | Insn.Load8 (d, b, off) ->
-          set_gpr regs d
-            (Int64.of_int (Mem.read8 mem (Int64.add (gpr regs b) (Int64.of_int off))));
+          set_gpr regs d (Int64.of_int (load8 mem (Int64.add (gpr regs b) (Int64.of_int off))));
           true
       | Insn.Store8 (b, off, src) ->
-          Mem.write8 mem
+          store8 mem
             (Int64.add (gpr regs b) (Int64.of_int off))
             (Int64.to_int (gpr regs src) land 0xff);
           true
@@ -721,7 +768,7 @@ let exec_decoded t (p : Proc.t) insn len =
           true
       | Insn.Pop r ->
           let rsp = gpr regs Reg.Rsp in
-          set_gpr regs r (load64 mem rsp);
+          load64_to regs.Proc.file (Reg.to_int r lsl 3) mem rsp;
           set_gpr regs Reg.Rsp (Int64.add rsp 8L);
           true
       | Insn.Lea (d, off) ->
@@ -814,69 +861,85 @@ let wake_check t (p : Proc.t) =
       | _ -> p.Proc.state <- Proc.Runnable)
   | _ -> ()
 
-let runnable t =
-  List.filter
-    (fun p -> (not p.Proc.frozen) && p.Proc.state = Proc.Runnable)
-    (live_procs t)
-
 let quantum = 256
+
+let[@inline] runnable (p : Proc.t) =
+  match p.Proc.state with Proc.Runnable -> not p.Proc.frozen | _ -> false
+
+(* Run [p] for at most one quantum, stopping at [deadline]. *)
+let run_quantum t (p : Proc.t) ~deadline =
+  let budget = ref quantum in
+  while !budget > 0 && runnable p && t.clock < deadline do
+    match (t.exec_cached, t.on_insn) with
+    | Some exec, None -> (
+        (* decoded-block dispatch; per-insn hooks (the slicer) force the
+           single-step interpreter *)
+        match exec p ~fuel:!budget ~until:deadline with
+        | 0 ->
+            (* cache declined (int3 at rip, fault, injected dispatch
+               fault): single-step this one *)
+            step t p;
+            decr budget
+        | n ->
+            budget := !budget - n;
+            notify_exit t p)
+    | _ ->
+        step t p;
+        decr budget
+  done
 
 (** Run the machine for at most [max_cycles] virtual cycles. Returns
     [`Idle] when every live process is blocked on external input (the host
     should inject work), [`Budget] when the cycle budget ran out, and
-    [`Dead] when no live processes remain. *)
+    [`Dead] when no live processes remain.
+
+    Each iteration walks the spawn-ordered table twice: first waking
+    blocked processes whose event arrived, then snapshotting the runnable
+    ones into a reused buffer (and the earliest unfrozen sleeper's wake
+    cycle). The snapshot is fixed before any quantum runs, so a process
+    forked or woken during the pass waits for the next iteration. *)
 let run t ~max_cycles =
   let deadline = Int64.add t.clock (Int64.of_int max_cycles) in
   let rec loop () =
     if t.clock >= deadline then `Budget
     else begin
-      List.iter (wake_check t) (live_procs t);
-      match runnable t with
-      | [] ->
-          (* advance the clock to the earliest sleeper, if any *)
-          let sleepers =
-            List.filter_map
-              (fun p ->
-                match p.Proc.state with
-                | Proc.Blocked (Proc.On_sleep w) when not p.Proc.frozen -> Some w
-                | _ -> None)
-              (live_procs t)
-          in
-          if live_procs t = [] then `Dead
-          else (
-            match sleepers with
-            | [] -> `Idle
-            | ws ->
-                let earliest = List.fold_left min (List.hd ws) ws in
-                t.clock <- max t.clock (min earliest deadline);
-                if t.clock >= deadline then `Budget else loop ())
-      | rs ->
-          List.iter
-            (fun p ->
-              let budget = ref quantum in
-              while
-                !budget > 0 && p.Proc.state = Proc.Runnable && (not p.Proc.frozen)
-                && t.clock < deadline
-              do
-                match t.exec_cached with
-                | Some exec when t.on_insn = None -> (
-                    (* decoded-block dispatch; per-insn hooks (the slicer)
-                       force the single-step interpreter *)
-                    match exec p ~fuel:!budget ~until:deadline with
-                    | 0 ->
-                        (* cache declined (int3 at rip, fault, injected
-                           dispatch fault): single-step this one *)
-                        step t p;
-                        decr budget
-                    | n ->
-                        budget := !budget - n;
-                        notify_exit t p)
-                | _ ->
-                    step t p;
-                    decr budget
-              done)
-            rs;
-          loop ()
+      let procs = table t in
+      let runq = t.sched.runq in
+      let live = ref false in
+      for k = 0 to Array.length procs - 1 do
+        let p = procs.(k) in
+        if Proc.is_live p then begin
+          live := true;
+          wake_check t p
+        end
+      done;
+      let n = ref 0 in
+      let sleeper = ref false and earliest = ref 0L in
+      for k = 0 to Array.length procs - 1 do
+        let p = procs.(k) in
+        match p.Proc.state with
+        | Proc.Runnable when not p.Proc.frozen ->
+            runq.(!n) <- k;
+            incr n
+        | Proc.Blocked (Proc.On_sleep w) when not p.Proc.frozen ->
+            if (not !sleeper) || w < !earliest then earliest := w;
+            sleeper := true
+        | _ -> ()
+      done;
+      if !n = 0 then
+        if not !live then `Dead
+        else if not !sleeper then `Idle
+        else begin
+          (* advance the clock to the earliest sleeper *)
+          t.clock <- Int64.max t.clock (Int64.min !earliest deadline);
+          if t.clock >= deadline then `Budget else loop ()
+        end
+      else begin
+        for k = 0 to !n - 1 do
+          run_quantum t procs.(runq.(k)) ~deadline
+        done;
+        loop ()
+      end
     end
   in
   loop ()
@@ -910,13 +973,19 @@ let thaw t ~pid =
   match proc t pid with Some p -> p.Proc.frozen <- false | None -> ()
 
 (** Remove a process (after its image was dumped, before restore). The
-    pid stays in [spawn_order] so a later {!install} keeps its
-    scheduling slot. *)
-let reap t ~pid = Hashtbl.remove t.procs pid
+    pid keeps its slot in the spawn order so a later {!install} keeps
+    its scheduling slot. *)
+let reap t ~pid =
+  if Hashtbl.mem t.procs pid then begin
+    Hashtbl.remove t.procs pid;
+    t.sched.stale <- true
+  end
 
 (** Install a restored process object (CRIU restore). *)
 let install t (p : Proc.t) =
-  Hashtbl.replace t.procs p.Proc.pid p;
-  if not (List.mem p.Proc.pid t.spawn_order) then
-    t.spawn_order <- p.Proc.pid :: t.spawn_order;
+  if List.mem p.Proc.pid t.sched.order then begin
+    Hashtbl.replace t.procs p.Proc.pid p;
+    t.sched.stale <- true
+  end
+  else add_proc t p;
   t.next_pid <- max t.next_pid (p.Proc.pid + 1)

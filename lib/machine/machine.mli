@@ -22,6 +22,9 @@ type insn_hook = Proc.t -> Insn.t -> unit
     memory operands can be recomputed) — the dataflow slicer's input.
     Int3 traps take the trap path and bypass it. *)
 
+type sched
+(** The scheduler's spawn-ordered process table (see {!run}). *)
+
 type t = {
   fs : Vfs.t;
   net : Net.t;
@@ -34,7 +37,7 @@ type t = {
   mutable on_insn : insn_hook option;
   rng : Rng.t;  (** feeds the guest [rand] syscall *)
   syscall_cost : int;
-  mutable spawn_order : int list;
+  sched : sched;
   obs_steps : Obs.counter;
       (** registry handles cached at {!create} so the interpreter's
           per-instruction bump costs a field write, not a name lookup *)
@@ -67,8 +70,8 @@ val bitflip : t -> ?pid:int -> Rng.t -> (int * int64) option
 
 val proc : t -> int -> Proc.t option
 val proc_exn : t -> int -> Proc.t
-val live_procs : t -> Proc.t list
 val all_procs : t -> Proc.t list
+(** Every present process (live or dead, not reaped), in spawn order. *)
 
 val tree_root : t -> int -> int
 (** Root pid of a process tree (walks the parent chain while the parent
@@ -81,10 +84,6 @@ val spawn : t -> exe_path:string -> ?comm:string -> unit -> Proc.t
     too), map it + a stack, and create a runnable process. *)
 
 (** {2 Signals} *)
-
-val deliver_signal : t -> Proc.t -> signum:int -> at:int64 -> unit
-(** Deliver with saved rip = [at]; builds the {!Abi} frame or applies the
-    default action (terminate). *)
 
 val post_signal : t -> pid:int -> signum:int -> unit
 
@@ -106,12 +105,18 @@ val exec_decoded : t -> Proc.t -> Insn.t -> int -> bool
     so the one-cycle charge, block bookkeeping, trace/insn hooks, [Obs]
     counters and signal delivery are shared — cached runs are
     replay-exact against interpreted ones, virtual clock included. Its
-    common path allocates only the clock and retired-count increments. *)
+    common path allocates only the boxed [int64] clock increment (three
+    words); the retired count is an [int] and the open block's start
+    lives in an unboxed cell, so opening and closing a block allocate
+    nothing unless a trace hook is installed. *)
 
 val run : t -> max_cycles:int -> [ `Budget | `Dead | `Idle ]
 (** Round-robin scheduling until the budget runs out ([`Budget]), every
     live process blocks on external input ([`Idle]), or none remain
-    ([`Dead]). Sleep-blocked processes fast-forward the clock. *)
+    ([`Dead]). Sleep-blocked processes fast-forward the clock. Each
+    iteration fixes its runnable set, in spawn order, before running
+    anyone's quantum: a process forked or woken meanwhile waits for the
+    next iteration. *)
 
 val run_until :
   t -> max_cycles:int -> pred:(unit -> bool) -> [ `Budget | `Dead | `Idle | `Pred ]

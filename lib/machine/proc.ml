@@ -80,8 +80,12 @@ type t = {
   mutable mmap_hint : int64;
   stdout : Buffer.t;  (** host-visible console output *)
   mutable stdout_drained : int;
-  mutable retired : int64;  (** instructions executed *)
-  mutable block_start : int64 option;  (** current basic block, for tracing *)
+  mutable retired : int;  (** instructions executed *)
+  block_start : bytes;
+      (** start vaddr of the open basic block, for tracing, in one
+          unboxed 8-byte cell (a high-half start uses all 64 bits, so no
+          [int] sentinel can mark "no block"); valid while [block_open] *)
+  mutable block_open : bool;
   mutable seccomp : int list option;
       (** seccomp-style denylist of syscall numbers; [None] = no filter.
           Installed by DynaCut's image rewriting (paper §5) *)
@@ -117,8 +121,9 @@ let create ~pid ~parent ~comm ~exe_path ~mem =
     mmap_hint = mmap_base;
     stdout = Buffer.create 128;
     stdout_drained = 0;
-    retired = 0L;
-    block_start = None;
+    retired = 0;
+    block_start = Bytes.make 8 '\000';
+    block_open = false;
     seccomp = None;
     exit_notified = false;
   }
@@ -165,8 +170,9 @@ let fork_copy p ~pid =
     mmap_hint = p.mmap_hint;
     stdout = Buffer.create 128;
     stdout_drained = 0;
-    retired = 0L;
-    block_start = None;
+    retired = 0;
+    block_start = Bytes.make 8 '\000';
+    block_open = false;
     seccomp = p.seccomp;
     exit_notified = false;
   }

@@ -74,8 +74,12 @@ type t = {
   mutable mmap_hint : int64;
   stdout : Buffer.t;
   mutable stdout_drained : int;
-  mutable retired : int64;  (** instructions executed *)
-  mutable block_start : int64 option;  (** open basic block, for tracing *)
+  mutable retired : int;  (** instructions executed *)
+  block_start : bytes;
+      (** start vaddr of the open basic block, for tracing: one 8-byte
+          cell read and written with {!get64u}/{!set64u}, so the address
+          is never boxed; meaningful only while [block_open] *)
+  mutable block_open : bool;
   mutable seccomp : int list option;
       (** seccomp-style denylist of syscall numbers; [None] = no filter *)
   mutable exit_notified : bool;

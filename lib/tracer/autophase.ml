@@ -17,7 +17,7 @@ type trigger =
   | On_accept  (** first accept() by the traced tree (servers) *)
   | On_recv
   | On_first_of of int list  (** first of these syscall numbers *)
-  | After_insns of int64  (** fallback for programs with no clear marker *)
+  | After_insns of int  (** fallback for programs with no clear marker *)
 
 type t = {
   collector : Collector.t;

@@ -6,7 +6,7 @@ type trigger =
   | On_accept  (** servers: the first accept() of the traced tree *)
   | On_recv
   | On_first_of of int list  (** custom syscall set *)
-  | After_insns of int64  (** fallback budget for batch programs *)
+  | After_insns of int  (** fallback budget for batch programs *)
 
 type t
 

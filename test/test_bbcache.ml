@@ -118,7 +118,7 @@ let test_differential_quanta () =
   in
   let ci, ri = boot ~cached:false and cc, rc = boot ~cached:true in
   Alcotest.(check int64) "virtual clock identical" ci cc;
-  Alcotest.(check (list int64)) "per-worker progress identical" ri rc
+  Alcotest.(check (list int)) "per-worker progress identical" ri rc
 
 (* ---------- drcov byte-identity (the tracer as cache stubs) ---------- *)
 

@@ -38,7 +38,7 @@ let test_autophase_fallback_budget () =
   let c = Workload.spawn ~traced:true (Workload.spec_app Spec.mcf) in
   let auto =
     Autophase.arm c.Workload.m (Workload.collector c)
-      ~trigger:(Autophase.After_insns 50_000L)
+      ~trigger:(Autophase.After_insns 50_000)
   in
   let root = Machine.proc_exn c.Workload.m c.Workload.pid in
   let rec drive n =

@@ -290,7 +290,7 @@ let test_frozen_process_not_scheduled () =
   Machine.freeze m ~pid:p.Proc.pid;
   let before = p.Proc.retired in
   let (_ : _) = Machine.run m ~max_cycles:10_000 in
-  Alcotest.(check int64) "no instructions while frozen" before p.Proc.retired;
+  Alcotest.(check int) "no instructions while frozen" before p.Proc.retired;
   Machine.thaw m ~pid:p.Proc.pid;
   let (_ : _) = Machine.run m ~max_cycles:1_000 in
   Alcotest.(check bool) "runs after thaw" true (p.Proc.retired > before)
@@ -433,7 +433,7 @@ let test_net_guest_fleet_fanout () =
   (* both processes served one request each *)
   let retired p = (p : Proc.t).Proc.retired in
   Alcotest.(check bool) "both ran" true
-    (retired p1 > 0L && retired p2 > 0L);
+    (retired p1 > 0 && retired p2 > 0);
   (* freeze one worker: its listener stays registered but the live one
      keeps serving both slots of the rotation *)
   Machine.freeze m ~pid:p2.Proc.pid;
@@ -493,18 +493,21 @@ let run_tlb_guest ~cached name main =
   let (_ : _) = Machine.run m ~max_cycles:200_000 in
   (m, p)
 
+(* Guest statements storing the encoding of [insns] at [va], zero-padded
+   to whole quadwords. *)
+let store_code va insns =
+  let b = Encode.program insns in
+  let b = Bytes.cat b (Bytes.make (8 - (Bytes.length b mod 8)) '\000') in
+  List.init (Bytes.length b / 8) (fun q ->
+      store64 (va +: i (8 * q)) (i64 (Bytes.get_int64_le b (8 * q))))
+
 let test_tlb_coherence_guest () =
   let va = i64 tlb_va and pg = i Mem.page_size in
   let mmap prot = [ when_ (call "mmap" [ va; pg; i prot ] <>: va) [ ret (i 100) ] ] in
   (* map rw, store 7 and read it back: the page is now in the TLB *)
   let prime = mmap 6 @ [ store64 va (i 7); when_ (load64 va <>: i 7) [ ret (i 101) ] ] in
   (* [code k] stores "mov rax, k; ret" at [va] *)
-  let code k =
-    let b = Encode.program [ Insn.Mov_ri (Reg.Rax, Int64.of_int k); Insn.Ret ] in
-    let b = Bytes.cat b (Bytes.make (8 - (Bytes.length b mod 8)) '\000') in
-    List.init (Bytes.length b / 8) (fun q ->
-        store64 (va +: i (8 * q)) (i64 (Bytes.get_int64_le b (8 * q))))
-  in
+  let code k = store_code va [ Insn.Mov_ri (Reg.Rax, Int64.of_int k); Insn.Ret ] in
   let cases =
     [
       ("unmap", prime @ [ do_ "munmap" [ va; pg ]; ret (load64 va) ], `Killed Abi.sigsegv);
@@ -578,6 +581,138 @@ let test_high_half_address_faults () =
     (fun cached ->
       let _, p = run_tlb_guest ~cached "hh" main in
       Alcotest.(check bool) "guest SIGSEGV" true (exit_status p = `Killed Abi.sigsegv))
+    [ false; true ]
+
+let test_high_half_code_blocks () =
+  (* a guest runs code from a high-half page: the trace hook must see
+     that block with its full 64-bit start, as a sign-bit or negative
+     sentinel for "no open block" would lose it *)
+  let hh = -8192 in
+  let code = [ Insn.Mov_ri (Reg.Rax, 40L); Insn.Add_ri (Reg.Rax, 2); Insn.Ret ] in
+  let size = Bytes.length (Encode.program code) in
+  let main =
+    [ when_ (call "mmap" [ i hh; i Mem.page_size; i 7 ] <>: i hh) [ ret (i 100) ] ]
+    @ store_code (i hh) code
+    @ [ ret (callp (i hh) []) ]
+  in
+  let run ~cached =
+    let m = Machine.create () in
+    Vfs.add_self m.Machine.fs "libc.so" libc;
+    Vfs.add_self m.Machine.fs "hhc" (Crt0.link_app ~libc (unit_ "hhc" [ func "main" [] main ]));
+    if cached then ignore (Bbcache.enable m);
+    let blocks = ref [] in
+    m.Machine.trace <- Some (fun _ start size -> blocks := (start, size) :: !blocks);
+    let p = Machine.spawn m ~exe_path:"hhc" () in
+    let (_ : _) = Machine.run m ~max_cycles:200_000 in
+    Alcotest.(check bool) "exit 42" true (exit_status p = `Exit 42);
+    (List.rev !blocks, p.Proc.retired)
+  in
+  let interp_blocks, interp_retired = run ~cached:false in
+  Alcotest.(check bool) "high-half block traced with its full start" true
+    (List.mem (Int64.of_int hh, size) interp_blocks);
+  let cached_blocks, cached_retired = run ~cached:true in
+  Alcotest.(check (list (pair int64 int))) "cached block stream = interpreted" interp_blocks
+    cached_blocks;
+  Alcotest.(check int) "cached retired = interpreted" interp_retired cached_retired
+
+(* ---------- scheduling order ---------- *)
+
+(* [rounds] rounds of: write [letter], run [extra] (round number in
+   [k]), spin [spin] loop iterations. *)
+let spin_rounds letter ~rounds ~spin extra =
+  [
+    decl "k" (i 0);
+    decl "j" (i 0);
+    while_ (v "k" <: i rounds)
+      ([ do_ "write" [ i 1; s letter; i 1 ] ]
+      @ extra
+      @ [
+          set "j" (i 0);
+          while_ (v "j" <: i spin) [ set "j" (v "j" +: i 1) ];
+          set "k" (v "k" +: i 1);
+        ]);
+    ret0;
+  ]
+
+(* Three guests spawned in the order a, b, c (pids 100-102). [a] forks
+   mid-quantum in its third round, and the child (pid 103) writes [f];
+   [c] sleeps twice, and between the first and the second run it is
+   checkpointed, reaped and restored, CRIU style. Returns each run's
+   outcome, clock and per-pid retired counts, and the order of every
+   guest write. *)
+let sched_order_run ~cached =
+  let m = Machine.create () in
+  Vfs.add_self m.Machine.fs "libc.so" libc;
+  let add name funcs = Vfs.add_self m.Machine.fs name (Crt0.link_app ~libc (unit_ name funcs)) in
+  add "a"
+    [
+      func "child" [] (spin_rounds "f" ~rounds:20 ~spin:17 []);
+      func "main" []
+        (spin_rounds "a" ~rounds:30 ~spin:23
+           [ when_ (v "k" ==: i 2) [ when_ (call "fork" [] ==: i 0) [ ret (call "child" []) ] ] ]);
+    ];
+  add "b" [ func "main" [] (spin_rounds "b" ~rounds:25 ~spin:31 []) ];
+  add "c"
+    [
+      func "main" []
+        (spin_rounds "c" ~rounds:30 ~spin:11
+           [ when_ ((v "k" ==: i 1) ||: (v "k" ==: i 28)) [ do_ "nanosleep" [ i 2_500 ] ] ]);
+    ];
+  if cached then ignore (Bbcache.enable m);
+  let spawn name = (Machine.spawn m ~exe_path:name ()).Proc.pid in
+  let pids = List.map spawn [ "a"; "b"; "c" ] in
+  let writes = Buffer.create 128 in
+  m.Machine.on_syscall <-
+    Some (fun p nr -> if nr = Abi.sys_write then Buffer.add_char writes "abcf".[p.Proc.pid - 100]);
+  let run n =
+    let r = Machine.run m ~max_cycles:n in
+    let retired =
+      List.map (fun (p : Proc.t) -> (p.Proc.pid, p.Proc.retired)) (Machine.all_procs m)
+    in
+    (r, m.Machine.clock, retired)
+  in
+  let r1 = run 3_000 in
+  let c = List.nth pids 2 in
+  Machine.freeze m ~pid:c;
+  let img = Checkpoint.dump m ~pid:c () in
+  Machine.reap m ~pid:c;
+  let r2 = run 2_000 in
+  let (_ : Proc.t) = Restore.restore m img in
+  let r3 = run 50_000 in
+  ([ r1; r2; r3 ], Buffer.contents writes)
+
+let test_sched_order_pinned () =
+  (* exact values: the spawn order, every quantum boundary and the
+     virtual clock are part of the guest-visible semantics *)
+  let outcome =
+    Alcotest.testable
+      (fun f r ->
+        Fmt.string f (match r with `Budget -> "budget" | `Dead -> "dead" | `Idle -> "idle"))
+      ( = )
+  in
+  let expect =
+    [
+      (`Budget, 3_000L, [ (100, 1280); (101, 1033); (102, 327); (103, 0) ]);
+      (* [c] is reaped: it neither runs nor shows *)
+      (`Budget, 5_000L, [ (100, 2048); (101, 1553); (103, 512) ]);
+      (* restored [c] keeps its slot before the child; CRIU images do not
+         carry the retired count, so it restarts from 0 *)
+      (`Dead, 49_101L, [ (100, 14204); (101, 15152); (102, 7837); (103, 7101) ]);
+    ]
+  in
+  List.iter
+    (fun cached ->
+      let runs, writes = sched_order_run ~cached in
+      let mode = if cached then "cached" else "interp" in
+      List.iter2
+        (fun (r, clock, retired) (r', clock', retired') ->
+          Alcotest.check outcome (mode ^ ": outcome") r' r;
+          Alcotest.(check int64) (mode ^ ": clock") clock' clock;
+          Alcotest.(check (list (pair int int))) (mode ^ ": retired") retired' retired)
+        runs expect;
+      Alcotest.(check string) (mode ^ ": write order")
+        "abcacbaabffacfabcfabcfcabcfacfcfabccfabcfcfabccfacfbcacfbcfacfabcfacfbcfacbcfaccabccababaabcababaabababbb"
+        writes)
     [ false; true ]
 
 (* ---------- page-chunked copies ---------- *)
@@ -667,5 +802,7 @@ let suite =
     Alcotest.test_case "tlb coherence: mem" `Quick test_tlb_coherence_mem;
     Alcotest.test_case "tlb coherence: guest" `Quick test_tlb_coherence_guest;
     Alcotest.test_case "high-half address faults" `Quick test_high_half_address_faults;
+    Alcotest.test_case "high-half code blocks" `Quick test_high_half_code_blocks;
+    Alcotest.test_case "scheduling order pinned" `Quick test_sched_order_pinned;
     QCheck_alcotest.to_alcotest prop_chunked_copies_match_bytewise;
   ]
