@@ -17,6 +17,7 @@ let micro_tests () =
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;
   let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
   let blob = Images.encode img in
+  let sealed = Validate.encode_sealed img in
   let exe = Option.get (Vfs.find_self c.Workload.m.Machine.fs "rkv") in
   let text = Option.get (Self.find_section exe ".text") in
   let log_init, log_srv = Common.server_phases Workload.rkv ~requests:Workload.kv_wanted in
@@ -67,6 +68,9 @@ let micro_tests () =
   [
     Test.make ~name:"image-encode" (Staged.stage (fun () -> ignore (Images.encode img)));
     Test.make ~name:"image-decode" (Staged.stage (fun () -> ignore (Images.decode blob)));
+    Test.make ~name:"image-seal" (Staged.stage (fun () -> ignore (Validate.encode_sealed img)));
+    Test.make ~name:"image-unseal"
+      (Staged.stage (fun () -> ignore (Validate.decode_sealed sealed)));
     Test.make ~name:"covgraph-diff" (Staged.stage (fun () -> ignore (Covgraph.diff g_init g_srv)));
     Test.make ~name:"cfg-recovery" (Staged.stage (fun () -> ignore (Cfg.of_self exe)));
     Test.make ~name:"gadget-scan-text"

@@ -142,6 +142,11 @@ if [ "${CHAOS_FULL:-0}" = "1" ]; then
 else
   echo "== bench --quick chaos =="
   dune exec bench/main.exe -- --quick chaos
+  # BENCH_chaos.json has no host fields: every probe verdict, including
+  # the corrupt-mode probes at criu.save, journal.* and fleet.manifest,
+  # must match the committed file byte for byte (the regex matches no
+  # line)
+  virtual_axis_unchanged BENCH_chaos.json '^NO HOST FIELDS$'
 fi
 
 # Perfbench smoke (perfbench/README.md): one second of each host-time

@@ -107,14 +107,6 @@ let load_image s pid : Images.t =
 let store_image s (img : Images.t) : unit =
   ignore (Checkpoint.save_to_tmpfs s.machine ~dir:s.tmpfs img)
 
-(* the pristine copy is the transaction's rollback anchor; it is written
-   outside the criu.save fault site so an injected serialization fault
-   cannot take the safety net with it *)
-let save_pristine s (img : Images.t) : unit =
-  Vfs.add s.machine.Machine.fs
-    (pristine_path s img.Images.core.Images.c_pid)
-    (Validate.encode_sealed img)
-
 (** Drop a pid's session bookkeeping (policy-table entries, injected-lib
     base). Needed when a process is re-created from its {e pristine}
     image outside the transaction engine — the handler library is not in
@@ -148,8 +140,13 @@ let stage_dump s pids =
   List.iter
     (fun pid ->
       let img = Checkpoint.dump s.machine ~pid ~mode:Checkpoint.Dynacut () in
-      save_pristine s img;
-      store_image s img)
+      (* one seal serves both copies. The pristine copy is the
+         transaction's rollback anchor; it is written before the
+         criu.save fault site, so an injected serialization fault cannot
+         take the safety net with it *)
+      let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
+      Vfs.add s.machine.Machine.fs (pristine_path s pid) blob;
+      ignore (Checkpoint.save_sealed s.machine ~dir:s.tmpfs ~pid blob))
     pids
 
 let stage_checkpoint s pids =

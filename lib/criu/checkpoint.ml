@@ -147,15 +147,18 @@ let dump_tree (m : Machine.t) ~(root : int) ?(mode = Dynacut) () : Images.t list
   in
   List.map (fun pid -> dump m ~pid ~mode ()) (descendants root)
 
-(** Serialize into the machine's tmpfs (paper §3.3 checkpoints into a
-    tmpfs to keep rewrite latency off the disk). The blob carries
-    {!Validate}'s checksum seal so truncation or corruption is caught at
-    load. Returns the file path. *)
-let save_to_tmpfs (m : Machine.t) ~(dir : string) (img : Images.t) : string =
+(** Store an already sealed image of [pid] in the machine's tmpfs (paper
+    §3.3 checkpoints into a tmpfs to keep rewrite latency off the disk).
+    This is the [criu.save] fault site: corrupt-mode chaos faults mangle
+    the stored copy here. Returns the file path. *)
+let save_sealed (m : Machine.t) ~(dir : string) ~(pid : int) (blob : string) : string =
   Fault.site "criu.save";
-  let path = Printf.sprintf "%s/dump-%d.img" dir img.Images.core.Images.c_pid in
-  let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
-  (* corrupt-mode chaos faults mangle the working image here; the
-     pristine rollback anchor is written elsewhere, outside this site *)
+  let path = Printf.sprintf "%s/dump-%d.img" dir pid in
   Vfs.add m.Machine.fs path (Fault.corruptible "criu.save" blob);
   path
+
+(** Seal [img] with {!Validate}'s checksum, so truncation or corruption
+    is caught at load, and {!save_sealed} it. Returns the file path. *)
+let save_to_tmpfs (m : Machine.t) ~(dir : string) (img : Images.t) : string =
+  let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
+  save_sealed m ~dir ~pid:img.Images.core.Images.c_pid blob

@@ -13,5 +13,10 @@ val dump : Machine.t -> pid:int -> ?mode:mode -> unit -> Images.t
 val dump_tree : Machine.t -> root:int -> ?mode:mode -> unit -> Images.t list
 (** Dump a process and its live descendants (multi-process apps). *)
 
+val save_sealed : Machine.t -> dir:string -> pid:int -> string -> string
+(** Store a {!Validate.encode_sealed} frame as [pid]'s image in the
+    machine's tmpfs (§3.3), through the [criu.save] fault site; returns
+    the path. *)
+
 val save_to_tmpfs : Machine.t -> dir:string -> Images.t -> string
-(** Serialize into the machine's tmpfs (§3.3); returns the path. *)
+(** [Validate.encode_sealed] (in the [crit] span), then {!save_sealed}. *)

@@ -79,48 +79,46 @@ let find_vma (t : t) addr =
       addr >= v.vi_start && addr < Int64.add v.vi_start (Int64.of_int v.vi_len))
     t.mm
 
+(* Split [addr, addr+len) into the pieces the pagemap runs cover, in
+   address order, as (offset in the range, offset in [pages], length);
+   [Not_found] unless the runs cover every byte. Pagemap runs never
+   overlap ([Validate.check]). *)
+let pieces (t : t) (addr : int64) (len : int) =
+  let addr_end = Int64.add addr (Int64.of_int len) in
+  let covering =
+    List.filter_map
+      (fun pm ->
+        let run_end = Int64.add pm.pm_vaddr (Int64.of_int (pm.pm_npages * page_size)) in
+        let lo = max addr pm.pm_vaddr and hi = min addr_end run_end in
+        if lo >= hi then None
+        else
+          Some
+            ( Int64.to_int (Int64.sub lo addr),
+              pm.pm_off + Int64.to_int (Int64.sub lo pm.pm_vaddr),
+              Int64.to_int (Int64.sub hi lo) ))
+      t.pagemap
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  let covered =
+    List.fold_left (fun next (k, _, n) -> if k = next then k + n else next) 0 covering
+  in
+  if covered < len then raise Not_found;
+  covering
+
 (** Read [len] bytes at virtual address [addr] out of the dumped pages.
     Raises [Not_found] if the range is not fully populated. *)
 let read_mem (t : t) (addr : int64) (len : int) : bytes =
   let out = Bytes.create len in
-  let got = ref 0 in
-  List.iter
-    (fun pm ->
-      let run_start = pm.pm_vaddr in
-      let run_len = pm.pm_npages * page_size in
-      let run_end = Int64.add run_start (Int64.of_int run_len) in
-      for k = 0 to len - 1 do
-        let a = Int64.add addr (Int64.of_int k) in
-        if a >= run_start && a < run_end then begin
-          let off = pm.pm_off + Int64.to_int (Int64.sub a run_start) in
-          Bytes.set out k (Bytes.get t.pages off);
-          incr got
-        end
-      done)
-    t.pagemap;
-  if !got < len then raise Not_found;
+  List.iter (fun (k, off, n) -> Bytes.blit t.pages off out k n) (pieces t addr len);
   out
 
 (** Write [data] at virtual address [addr] into the dumped pages in place.
-    Raises [Not_found] if any byte falls outside populated pages. *)
+    Raises [Not_found], writing nothing, if any byte falls outside
+    populated pages. *)
 let write_mem (t : t) (addr : int64) (data : bytes) : unit =
-  let len = Bytes.length data in
-  let written = Array.make len false in
   List.iter
-    (fun pm ->
-      let run_start = pm.pm_vaddr in
-      let run_len = pm.pm_npages * page_size in
-      let run_end = Int64.add run_start (Int64.of_int run_len) in
-      for k = 0 to len - 1 do
-        let a = Int64.add addr (Int64.of_int k) in
-        if a >= run_start && a < run_end then begin
-          let off = pm.pm_off + Int64.to_int (Int64.sub a run_start) in
-          Bytes.set t.pages off (Bytes.get data k);
-          written.(k) <- true
-        end
-      done)
-    t.pagemap;
-  if Array.exists not written then raise Not_found
+    (fun (k, off, n) -> Bytes.blit data k t.pages off n)
+    (pieces t addr (Bytes.length data))
 
 (* ---------- binary codec ---------- *)
 
@@ -216,9 +214,10 @@ let encode (t : t) : string =
   u64 b t.mmap_hint;
   contents b
 
-let decode (s : string) : t =
+let decode ?(off = 0) ?len (s : string) : t =
   let open Bytesx.R in
-  let r = of_string s in
+  let len = match len with Some n -> n | None -> String.length s - off in
+  let r = of_sub s ~off ~len in
   if take r (String.length magic) <> magic then raise (Format_error "bad magic");
   let c_pid = int_of_u64 r in
   let c_parent = int_of_u64 r in

@@ -60,10 +60,14 @@ val read_mem : t -> int64 -> int -> bytes
     range is not fully populated. *)
 
 val write_mem : t -> int64 -> bytes -> unit
-(** Patch dumped memory in place; raises [Not_found] outside populated
-    pages. *)
+(** Patch dumped memory in place; raises [Not_found], and writes
+    nothing, unless the range is fully populated. *)
 
 exception Format_error of string
 
 val encode : t -> string
-val decode : string -> t
+
+val decode : ?off:int -> ?len:int -> string -> t
+(** Decode the image encoded in [s.[off .. off+len-1]] ([len] defaults
+    to the rest of [s]), reading nothing outside that range: a field
+    that would run past its end raises [Bytesx.Truncated]. *)

@@ -119,24 +119,21 @@ let check (img : Images.t) : unit =
 
 (* header: magic (5) + u64 payload length + u64 FNV-1a checksum *)
 let seal_magic = "DCCK\x01"
-let header_size = String.length seal_magic + 16
+let magic_len = String.length seal_magic
+let header_size = magic_len + 16
 
-let checksum (s : string) : int64 =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001B3L)
-    s;
-  !h
+let checksum (s : string) : int64 = Bytesx.fnv1a s
 
-(** Wrap an encoded image with the checksum header. *)
+(** Wrap an encoded image with the checksum header, in one pre-sized
+    buffer. *)
 let seal (payload : string) : string =
-  let open Bytesx.W in
-  let b = create ~size:(String.length payload + header_size) () in
-  string b seal_magic;
-  int_as_u64 b (String.length payload);
-  u64 b (checksum payload);
-  string b payload;
-  contents b
+  let n = String.length payload in
+  let b = Bytes.create (header_size + n) in
+  Bytes.blit_string seal_magic 0 b 0 magic_len;
+  Bytes.set_int64_le b magic_len (Int64.of_int n);
+  Bytes.set_int64_le b (magic_len + 8) (checksum payload);
+  Bytes.blit_string payload 0 b header_size n;
+  Bytes.unsafe_to_string b
 
 (* how a seal fails: the three distinguishable damage classes, each
    located by the byte offset where the reader gave up *)
@@ -152,28 +149,40 @@ type tear = { t_offset : int; t_kind : tear_kind }
 let pp_tear fmt t =
   Format.fprintf fmt "%s at byte %d" (tear_kind_to_string t.t_kind) t.t_offset
 
+(* Verify the sealed frame starting at [off] where it lies in [blob]:
+   [Ok len] when its header is whole and its payload
+   [blob.[off+header_size ..]] of [len] bytes matches the checksum, else
+   the damage class and a message locating it. Nothing is copied. *)
+let verify_frame (blob : string) (off : int) : (int, tear_kind * string) result =
+  let total = String.length blob in
+  let torn kind fmt = Printf.ksprintf (fun m -> Error (kind, m)) fmt in
+  if total - off < header_size then
+    torn Truncated "image truncated at byte %d: seal header needs %d bytes" total header_size
+  else if String.sub blob off magic_len <> seal_magic then
+    torn Bad_magic "image bad-magic at byte %d: no checksum header" off
+  else
+    let r = Bytesx.R.of_sub blob ~off:(off + magic_len) ~len:16 in
+    let len = Bytesx.R.int_of_u64 r in
+    let sum = Bytesx.R.u64 r in
+    let have = total - off - header_size in
+    if len < 0 || len > have then
+      torn Truncated "image truncated at byte %d: header says %d payload bytes, have %d" total
+        len have
+    else
+      let got = Bytesx.fnv1a ~off:(off + header_size) ~len blob in
+      if got <> sum then
+        torn Checksum_mismatch "image checksum-mismatch at byte %d (0x%Lx, expected 0x%Lx)"
+          (off + header_size) got sum
+      else Ok len
+
+(* the payload length of [blob], a single sealed frame *)
+let verified_len (blob : string) : int =
+  match verify_frame blob 0 with Ok len -> len | Error (_, m) -> raise (Validate_error m)
+
 (** Strip and verify the checksum header. Raises {!Validate_error}
     naming the failure kind (truncated / bad-magic / checksum-mismatch)
     and the byte offset where the reader gave up. *)
-let unseal (blob : string) : string =
-  if String.length blob < header_size then
-    fail "image truncated at byte %d: seal header needs %d bytes"
-      (String.length blob) header_size;
-  if String.sub blob 0 (String.length seal_magic) <> seal_magic then
-    fail "image bad-magic at byte 0: no checksum header";
-  let open Bytesx.R in
-  let r = of_string blob in
-  let (_ : string) = take r (String.length seal_magic) in
-  let len = int_of_u64 r in
-  let sum = u64 r in
-  if len < 0 || len > remaining r then
-    fail "image truncated at byte %d: header says %d payload bytes, have %d"
-      (String.length blob) len (remaining r);
-  let payload = take r len in
-  if checksum payload <> sum then
-    fail "image checksum-mismatch at byte %d (0x%Lx, expected 0x%Lx)"
-      header_size (checksum payload) sum;
-  payload
+let unseal (blob : string) : string = String.sub blob header_size (verified_len blob)
 
 (** A journal file is a plain concatenation of sealed frames — each one
     self-delimiting thanks to the length in the seal header. Split the
@@ -182,26 +191,12 @@ let unseal (blob : string) : string =
     start of the frame that failed and how. A torn tail is expected
     after a crash: the caller keeps the prefix. *)
 let unseal_frames (blob : string) : string list * tear option =
-  let magic_len = String.length seal_magic in
-  let total = String.length blob in
-  let tear off kind = Some { t_offset = off; t_kind = kind } in
   let rec go acc off =
-    if off >= total then (List.rev acc, None)
-    else if total - off < header_size then (List.rev acc, tear off Truncated)
-    else if String.sub blob off magic_len <> seal_magic then
-      (List.rev acc, tear off Bad_magic)
+    if off >= String.length blob then (List.rev acc, None)
     else
-      let open Bytesx.R in
-      let r = of_string (String.sub blob off (total - off)) in
-      let (_ : string) = take r magic_len in
-      let len = int_of_u64 r in
-      let sum = u64 r in
-      if len < 0 || len > remaining r then (List.rev acc, tear off Truncated)
-      else
-        let payload = take r len in
-        if checksum payload <> sum then
-          (List.rev acc, tear off Checksum_mismatch)
-        else go (payload :: acc) (off + header_size + len)
+      match verify_frame blob off with
+      | Ok len -> go (String.sub blob (off + header_size) len :: acc) (off + header_size + len)
+      | Error (kind, _) -> (List.rev acc, Some { t_offset = off; t_kind = kind })
   in
   go [] 0
 
@@ -217,12 +212,14 @@ let seal_at ~(site : string) (payload : string) : string =
 (** [seal (Images.encode img)]. *)
 let encode_sealed (img : Images.t) : string = seal (Images.encode img)
 
-(** Unseal, decode, and [check] — the only safe way to load an image
-    from the tmpfs. Decode errors surface as {!Validate_error} too. *)
+(** Verify, decode, and [check] — the only safe way to load an image
+    from the tmpfs. The payload is checksummed and decoded where it lies
+    in [blob], by a reader bounded to it. Decode errors surface as
+    {!Validate_error} too. *)
 let decode_sealed (blob : string) : Images.t =
-  let payload = unseal blob in
+  let len = verified_len blob in
   let img =
-    try Images.decode payload with
+    try Images.decode ~off:header_size ~len blob with
     | Images.Format_error e -> fail "image decode failed: %s" e
     | Bytesx.Truncated e -> fail "image decode truncated: %s" e
   in

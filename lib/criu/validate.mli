@@ -10,7 +10,7 @@ val check : Images.t -> unit
     [rip] inside a mapped executable VMA; sane sigactions and fd table. *)
 
 val checksum : string -> int64
-(** FNV-1a over the payload. *)
+(** FNV-1a over the payload ({!Bytesx.fnv1a}). *)
 
 val seal : string -> string
 (** Prefix an encoded image with magic + length + checksum. *)
@@ -52,5 +52,7 @@ val encode_sealed : Images.t -> string
 (** [seal (Images.encode img)]. *)
 
 val decode_sealed : string -> Images.t
-(** [unseal] + decode + [check]; decode failures are reported as
+(** [unseal] + decode + [check], without copying the payload: it is
+    checksummed and decoded where it lies in the blob, and the decoder
+    may not read past its end. Decode failures are reported as
     {!Validate_error}. *)

@@ -385,14 +385,8 @@ let total_mapped_bytes t = Hashtbl.length t.pages * page_size
 
 (* ---------- page integrity primitives ---------- *)
 
-(* FNV-1a over raw bytes — same function family as the image seal, but
-   local: Mem sits below the criu layer. *)
-let digest_bytes (b : bytes) : int64 =
-  let h = ref 0xCBF29CE484222325L in
-  Bytes.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001B3L)
-    b;
-  !h
+(* the image seal's FNV-1a, over raw page bytes *)
+let digest_bytes (b : bytes) : int64 = Bytesx.fnv1a (Bytes.unsafe_to_string b)
 
 (** Digest of the resident page containing [addr]; [None] when the page
     is not populated. *)

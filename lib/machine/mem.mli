@@ -121,7 +121,8 @@ val total_mapped_bytes : t -> int
 (** {2 Page integrity primitives} *)
 
 val digest_bytes : bytes -> int64
-(** FNV-1a over raw bytes (the page-digest function). *)
+(** FNV-1a over raw bytes (the page-digest function): {!Bytesx.fnv1a},
+    the same function as the image seal's checksum. *)
 
 val page_digest : t -> int64 -> int64 option
 (** Digest of the resident page containing the address; [None] when the

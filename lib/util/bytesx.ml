@@ -44,13 +44,19 @@ module W = struct
 end
 
 module R = struct
-  type t = { data : string; mutable pos : int }
+  (* [lim] bounds the reader: no field may extend past it, so a reader
+     over a sub-range never runs into the bytes after it *)
+  type t = { data : string; mutable pos : int; lim : int }
 
-  let of_string data = { data; pos = 0 }
-  let of_bytes data = { data = Bytes.to_string data; pos = 0 }
-  let remaining r = String.length r.data - r.pos
+  let of_sub data ~off ~len =
+    if off < 0 || len < 0 || off > String.length data - len then invalid_arg "Bytesx.R.of_sub";
+    { data; pos = off; lim = off + len }
+
+  let of_string data = { data; pos = 0; lim = String.length data }
+  let of_bytes data = of_string (Bytes.to_string data)
+  let remaining r = r.lim - r.pos
   let pos r = r.pos
-  let eof r = r.pos >= String.length r.data
+  let eof r = r.pos >= r.lim
 
   let check r n what =
     if remaining r < n then
@@ -58,24 +64,27 @@ module R = struct
 
   let u8 r =
     check r 1 "u8";
-    let v = Char.code r.data.[r.pos] in
+    let v = Char.code (String.unsafe_get r.data r.pos) in
     r.pos <- r.pos + 1;
     v
 
   let u16 r =
-    let lo = u8 r in
-    let hi = u8 r in
-    lo lor (hi lsl 8)
+    check r 2 "u16";
+    let v = String.get_uint16_le r.data r.pos in
+    r.pos <- r.pos + 2;
+    v
 
   let u32 r =
-    let lo = u16 r in
-    let hi = u16 r in
-    lo lor (hi lsl 16)
+    check r 4 "u32";
+    let v = Int32.to_int (String.get_int32_le r.data r.pos) land 0xffff_ffff in
+    r.pos <- r.pos + 4;
+    v
 
   let u64 r =
-    let lo = Int64.of_int (u32 r) in
-    let hi = Int64.of_int (u32 r) in
-    Int64.logor lo (Int64.shift_left hi 32)
+    check r 8 "u64";
+    let v = String.get_int64_le r.data r.pos in
+    r.pos <- r.pos + 8;
+    v
 
   let int_of_u64 r = Int64.to_int (u64 r)
 
@@ -89,8 +98,30 @@ module R = struct
     let n = u32 r in
     take r n
 
-  let lbytes r = Bytes.of_string (lstring r)
+  (* one copy, straight out of the input *)
+  let lbytes r =
+    let n = u32 r in
+    check r n "take";
+    let b = Bytes.sub (Bytes.unsafe_of_string r.data) r.pos n in
+    r.pos <- r.pos + n;
+    b
 end
+
+(** FNV-1a (64-bit) over [s.[off .. off+len-1]]; [len] defaults to the
+    rest of [s]. The one checksum behind the image seal and the page
+    digests. The hash lives in a local ref that ocamlopt keeps unboxed,
+    so hashing allocates nothing per byte. *)
+let fnv1a ?(off = 0) ?len (s : string) : int64 =
+  let len = match len with Some n -> n | None -> String.length s - off in
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Bytesx.fnv1a";
+  let h = ref 0xCBF29CE484222325L in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001B3L
+  done;
+  !h
 
 let hex_of_string (s : string) =
   let b = Buffer.create (String.length s * 2) in

@@ -288,6 +288,185 @@ let test_unseal_error_offsets () =
     true
     (contains m "checksum-mismatch at byte 21")
 
+(* ---------- the seal format, pinned ---------- *)
+
+let header_size = String.length (Validate.seal "")
+
+(* the frozen rkv dump the micro-benchmarks seal *)
+let rkv_dump () =
+  let c = Workload.spawn Workload.rkv in
+  Workload.wait_ready c;
+  Machine.freeze c.Workload.m ~pid:c.Workload.pid;
+  Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ()
+
+(* Sealed bytes are storage: pristine and working images, the journal,
+   its lock. These values were read before the seal path was made
+   allocation-free and must never move. *)
+let test_seal_format_pinned () =
+  Alcotest.(check string)
+    "seal \"payload\"" "4443434b010700000000000000e5e9b563d0a9b8cf7061796c6f6164"
+    (Bytesx.hex_of_string (Validate.seal "payload"));
+  let blob = Validate.encode_sealed (rkv_dump ()) in
+  Alcotest.(check int) "sealed rkv dump length" 349092 (String.length blob);
+  Alcotest.(check string)
+    "sealed rkv dump digest" "b292312b432b65c103a52696d29cdb0e"
+    (Digest.to_hex (Digest.string blob));
+  Alcotest.(check string)
+    "unseal . decode . encode . seal is the identity" blob
+    (Validate.encode_sealed (Validate.decode_sealed blob))
+
+(* a header that honestly seals only a prefix of an encoded image, with
+   the rest of the image appended after the frame: the decoder is
+   bounded to the sealed payload, so it runs out of bytes and the load
+   fails cleanly; an unbounded reader would decode the whole image *)
+let test_decode_sealed_is_bounded () =
+  let enc = Images.encode (rkv_dump ()) in
+  let cut = String.length enc / 2 in
+  let blob =
+    Validate.seal (String.sub enc 0 cut) ^ String.sub enc cut (String.length enc - cut)
+  in
+  (* the whole image really is there to be decoded *)
+  ignore (Images.decode ~off:header_size blob);
+  match Validate.decode_sealed blob with
+  | (_ : Images.t) -> Alcotest.fail "decoded past the sealed payload"
+  | exception Validate.Validate_error _ -> ()
+
+(* unseal_frames reads each header where it lies: a long log with a
+   torn tail keeps every frame and locates the tear *)
+let test_unseal_frames_long_log () =
+  let frames =
+    List.init 2000 (fun k -> Printf.sprintf "entry-%d-%s" k (String.make (k mod 37) 'x'))
+  in
+  let log = String.concat "" (List.map Validate.seal frames) in
+  let torn = Validate.seal "the last entry, torn" in
+  let got, tear = Validate.unseal_frames (log ^ String.sub torn 0 (String.length torn - 3)) in
+  Alcotest.(check (list string)) "every whole frame" frames got;
+  match tear with
+  | Some { Validate.t_offset; t_kind = Validate.Truncated } ->
+      Alcotest.(check int) "tear at the torn frame's start" (String.length log) t_offset
+  | _ -> Alcotest.fail "torn tail not reported as truncated"
+
+(* ---------- read_mem / write_mem against the per-byte reference ---------- *)
+
+(* the original implementation: every (pagemap run, byte) pair *)
+let old_read_mem (t : Images.t) (addr : int64) (len : int) : bytes =
+  let out = Bytes.create len in
+  let got = ref 0 in
+  List.iter
+    (fun (pm : Images.pagemap_entry) ->
+      let run_start = pm.Images.pm_vaddr in
+      let run_len = pm.Images.pm_npages * Images.page_size in
+      let run_end = Int64.add run_start (Int64.of_int run_len) in
+      for k = 0 to len - 1 do
+        let a = Int64.add addr (Int64.of_int k) in
+        if a >= run_start && a < run_end then begin
+          let off = pm.Images.pm_off + Int64.to_int (Int64.sub a run_start) in
+          Bytes.set out k (Bytes.get t.Images.pages off);
+          incr got
+        end
+      done)
+    t.Images.pagemap;
+  if !got < len then raise Not_found;
+  out
+
+let old_write_mem (t : Images.t) (addr : int64) (data : bytes) : unit =
+  let len = Bytes.length data in
+  let written = Array.make len false in
+  List.iter
+    (fun (pm : Images.pagemap_entry) ->
+      let run_start = pm.Images.pm_vaddr in
+      let run_len = pm.Images.pm_npages * Images.page_size in
+      let run_end = Int64.add run_start (Int64.of_int run_len) in
+      for k = 0 to len - 1 do
+        let a = Int64.add addr (Int64.of_int k) in
+        if a >= run_start && a < run_end then begin
+          let off = pm.Images.pm_off + Int64.to_int (Int64.sub a run_start) in
+          Bytes.set t.Images.pages off (Bytes.get data k);
+          written.(k) <- true
+        end
+      done)
+    t.Images.pagemap;
+  if Array.exists not written then raise Not_found
+
+let image_base = 0x400000L
+
+(* runs of [npages] after [gap] unpopulated pages (a gap of 0 makes two
+   adjacent runs), listed and laid out in [pages] in a shuffled order *)
+let synthetic_image rng (runs : (int * int) list) : Images.t =
+  let ps = Images.page_size in
+  let _, placed =
+    List.fold_left
+      (fun (page, acc) (gap, npages) -> (page + gap + npages, (page + gap, npages) :: acc))
+      (0, []) runs
+  in
+  let shuffled =
+    List.map (fun r -> (Random.State.bits rng, r)) placed |> List.sort compare |> List.map snd
+  in
+  let _, pagemap =
+    List.fold_left
+      (fun (off, acc) (page, npages) ->
+        ( off + (npages * ps),
+          {
+            Images.pm_vaddr = Int64.add image_base (Int64.of_int (page * ps));
+            pm_npages = npages;
+            pm_off = off;
+          }
+          :: acc ))
+      (0, []) shuffled
+  in
+  let total = List.fold_left (fun n (_, np) -> n + (np * ps)) 0 runs in
+  {
+    Images.core =
+      {
+        Images.c_pid = 1;
+        c_parent = 0;
+        c_comm = "synthetic";
+        c_exe = "synthetic";
+        c_regs = { Images.r_gpr = Array.make 16 0L; r_rip = 0L; r_flags = 0 };
+        c_sigactions = [];
+        c_state = "runnable";
+        c_seccomp = None;
+      };
+    mm = [];
+    pagemap;
+    pages = Bytes.init total (fun _ -> Char.chr (Random.State.int rng 256));
+    files = { Images.f_fds = []; f_next_fd = 3 };
+    tcp = [];
+    mmap_hint = 0L;
+  }
+
+let arb_mem_case =
+  QCheck.(
+    quad
+      (list_of_size Gen.(1 -- 5) (pair (int_bound 2) (int_range 1 3)))
+      int (int_bound (20 * 4096)) (int_bound (3 * 4096)))
+
+let outcome f = match f () with v -> Ok v | exception Not_found -> Error ()
+
+let prop_read_write_mem_reference =
+  QCheck.Test.make ~name:"read_mem/write_mem = per-byte reference" ~count:300 arb_mem_case
+    (fun (runs, seed, start, len) ->
+      let rng = Random.State.make [| seed |] in
+      let img = synthetic_image rng runs in
+      (* ranges start up to a page before the first run, so they straddle
+         holes, run edges and the image's ends *)
+      let addr = Int64.add image_base (Int64.of_int (start - Images.page_size)) in
+      let reads_agree =
+        outcome (fun () -> Images.read_mem img addr len)
+        = outcome (fun () -> old_read_mem img addr len)
+      in
+      let data = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let img_new = { img with Images.pages = Bytes.copy img.Images.pages } in
+      let img_old = { img with Images.pages = Bytes.copy img.Images.pages } in
+      let w_new = outcome (fun () -> Images.write_mem img_new addr data) in
+      let w_old = outcome (fun () -> old_write_mem img_old addr data) in
+      reads_agree && w_new = w_old
+      &&
+      (* a write that raises leaves the image untouched *)
+      match w_new with
+      | Ok () -> Bytes.equal img_new.Images.pages img_old.Images.pages
+      | Error () -> Bytes.equal img_new.Images.pages img.Images.pages)
+
 let suite =
   [
     Alcotest.test_case "dump/restore identity" `Quick test_dump_restore_identity;
@@ -301,4 +480,10 @@ let suite =
     Alcotest.test_case "vanilla CRIU drops code patches" `Quick test_vanilla_mode_drops_code_patches;
     Alcotest.test_case "multi-process dump" `Quick test_dump_tree_multiprocess;
     Alcotest.test_case "image read/write mem" `Quick test_image_read_write_mem;
+    Alcotest.test_case "seal format pinned" `Quick test_seal_format_pinned;
+    Alcotest.test_case "decode_sealed is bounded to the payload" `Quick
+      test_decode_sealed_is_bounded;
+    Alcotest.test_case "unseal_frames: 2000 frames, torn tail" `Quick
+      test_unseal_frames_long_log;
+    QCheck_alcotest.to_alcotest prop_read_write_mem_reference;
   ]

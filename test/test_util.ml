@@ -42,6 +42,47 @@ let test_truncated_raises () =
       ignore (Bytesx.R.u8 r);
       ignore (Bytesx.R.u8 r))
 
+(* a sub-range reader stops at the range's end, not the string's *)
+let test_sub_reader_bounded () =
+  let r = Bytesx.R.of_sub "xxabcdyy" ~off:2 ~len:4 in
+  Alcotest.(check int) "remaining is the sub-range" 4 (Bytesx.R.remaining r);
+  Alcotest.(check int) "u16 inside" (Char.code 'a' lor (Char.code 'b' lsl 8)) (Bytesx.R.u16 r);
+  Alcotest.check_raises "u32 may not run into the bytes after the range"
+    (Bytesx.Truncated "u32: need 4 bytes, have 2")
+    (fun () -> ignore (Bytesx.R.u32 r));
+  Alcotest.(check string) "take stops at the end" "cd" (Bytesx.R.take r 2);
+  Alcotest.(check bool) "eof at the range's end" true (Bytesx.R.eof r);
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Bytesx.R.of_sub")
+    (fun () -> ignore (Bytesx.R.of_sub "abc" ~off:2 ~len:2))
+
+(* FNV-1a known-answer vectors: the image seal and the page digests are
+   on-disk and on-wire values, so the function may never drift *)
+let test_fnv1a_vectors () =
+  List.iter
+    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "fnv1a %S" s) h (Bytesx.fnv1a s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ];
+  Alcotest.(check int64) "sub-range" (Bytesx.fnv1a "foobar") (Bytesx.fnv1a ~off:2 "__foobar");
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Bytesx.fnv1a") (fun () ->
+      ignore (Bytesx.fnv1a ~off:4 ~len:3 "foobar"))
+
+(* the plain String.iter formulation, kept as the reference *)
+let fnv1a_reference (s : string) : int64 =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001B3L)
+    s;
+  !h
+
+let prop_fnv1a_matches_reference =
+  QCheck.Test.make ~name:"fnv1a ~off ~len = reference on the sub-string" ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Bytesx.fnv1a ~off ~len s = fnv1a_reference (String.sub s off len)
+      && Bytesx.fnv1a s = fnv1a_reference s)
+
 (* ---------- Sexpr ---------- *)
 
 let gen_sexpr : Sexpr.t QCheck.Gen.t =
@@ -155,6 +196,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lstring_roundtrip;
     QCheck_alcotest.to_alcotest prop_mixed_fields;
     Alcotest.test_case "truncated read raises" `Quick test_truncated_raises;
+    Alcotest.test_case "sub-range reader is bounded" `Quick test_sub_reader_bounded;
+    Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_vectors;
+    QCheck_alcotest.to_alcotest prop_fnv1a_matches_reference;
     QCheck_alcotest.to_alcotest prop_sexpr_roundtrip;
     Alcotest.test_case "sexpr comments" `Quick test_sexpr_parse_comments;
     Alcotest.test_case "sexpr get_field" `Quick test_sexpr_get_field;
