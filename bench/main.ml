@@ -46,21 +46,20 @@ let micro_tests () =
              [ decl "k" (i 0); forever [ do_ "bump" [ v "k" ]; set "k" (v "k" +: i 1) ]; ret0 ];
          ])
   in
-  let spin_machine ?(sliced = false) ~cached () =
+  let spin_machine () =
     let m = Machine.create () in
     Vfs.add_self m.Machine.fs "libc.so" libc;
     Vfs.add_self m.Machine.fs "spin" spin;
-    let p = Machine.spawn m ~exe_path:"spin" () in
-    if cached then ignore (Bbcache.enable m);
-    (* the slicer's per-instruction hook with no anchors: next to the
-       interpreted kernel, it prices the hook alone *)
-    if sliced then
-      ignore (Slicer.attach m ~pid:p.Proc.pid ~wanted_out:(fun _ -> false) ());
-    m
+    (m, Machine.spawn m ~exe_path:"spin" ())
   in
-  let m_cached = spin_machine ~cached:true ()
-  and m_interp = spin_machine ~cached:false ()
-  and m_sliced = spin_machine ~sliced:true ~cached:false () in
+  let m_cached, _ = spin_machine () and m_interp, _ = spin_machine () in
+  (* the reference: a no-op per-instruction hook keeps the machine on
+     the interpreter *)
+  m_interp.Machine.on_insn <- Some (fun _ _ -> ());
+  (* the slicer's hook with no anchors: next to the interpreted kernel,
+     it prices the hook alone *)
+  let m_sliced, p = spin_machine () in
+  ignore (Slicer.attach m_sliced ~pid:p.Proc.pid ~wanted_out:(fun _ -> false) ());
   let spin_run m () = ignore (Machine.run m ~max_cycles:loop_cycles) in
   let mem = Mem.create () in
   ignore (Mem.map mem ~vaddr:0x10000L ~len:Mem.page_size ~prot:Self.prot_rw ~name:"bench" ());
@@ -106,78 +105,6 @@ let run_micro () =
         analyzed)
     (micro_tests ());
   Format.fprintf fmt "@."
-
-(* ---------- robustness: journaled cut latency + recovery time ---------- *)
-
-(* The §5d cost/benefit ledger: cut latency and restore downtime with
-   the write-ahead journal (always on; its own host cost is perfbench's
-   traced [core.journal_ms]), and what it buys — the time to recover a
-   tree after a worst-case controller death (mid pid-replace, every pid
-   rolled back from its pristine image). Emits BENCH_robustness.json
-   for the perf trajectory. *)
-let run_robustness () =
-  Common.section fmt "Robustness: journaled cut latency + crash recovery";
-  let app = Workload.ngx in
-  let blocks = Common.web_feature_blocks app in
-  let policy =
-    { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
-  in
-  let iters = 5 in
-  (* one sample = boot, cut, re-enable on a fresh fleet *)
-  let sample () =
-    Fault.reset ();
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
-    let s = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-    let r = Dynacut.try_cut s ~blocks ~policy () in
-    let re = Dynacut.try_reenable s r.Dynacut.r_journals in
-    (match (r.Dynacut.r_outcome, re.Dynacut.r_outcome) with
-    | (`Applied | `Degraded), (`Applied | `Degraded) -> ()
-    | _ -> failwith "robustness: benchmark cut did not apply");
-    let t = r.Dynacut.r_timings in
-    ( Dynacut.total_time t,
-      t.Dynacut.t_restore,
-      Dynacut.total_time re.Dynacut.r_timings )
-  in
-  let mean f l =
-    List.fold_left (fun a x -> a +. f x) 0. l /. float_of_int (List.length l)
-  in
-  let on = List.init iters (fun _ -> sample ()) in
-  let cut1 (a, _, _) = a and rst (_, b, _) = b and re3 (_, _, c) = c in
-  (* worst-case crash: the controller dies replacing the last pid, so
-     recovery has every pid to reap and re-create from pristine *)
-  Fault.reset ();
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
-  let s = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let npids = List.length (Dynacut.tree_pids s) in
-  Fault.arm ~kill:true "restore.process" (Fault.Every_nth npids);
-  (match Dynacut.try_cut s ~blocks ~policy () with
-  | (_ : Dynacut.cut_result) -> failwith "robustness: controller survived"
-  | exception Fault.Controller_killed _ -> ());
-  Fault.reset ();
-  let rcv, t_recover =
-    Stats.time_it (fun () ->
-        Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid)
-  in
-  if rcv.Dynacut.rec_action <> `Rolled_back then
-    failwith "robustness: worst-case crash did not roll back";
-  let rows =
-    [
-      ("cut_total_s_journal_on", mean cut1 on);
-      ("restore_downtime_s_journal_on", mean rst on);
-      ("reenable_total_s_journal_on", mean re3 on);
-      ("recover_worst_case_s", t_recover);
-    ]
-  in
-  List.iter (fun (k, v) -> Format.fprintf fmt "  %-34s %.6f s@." k v) rows;
-  let oc = open_out "BENCH_robustness.json" in
-  Printf.fprintf oc "{\n  \"app\": %S,\n  \"iters\": %d,\n  \"pids\": %d" app.Workload.a_name
-    iters npids;
-  List.iter (fun (k, v) -> Printf.fprintf oc ",\n  %S: %.6f" k v) rows;
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
-  Format.fprintf fmt "  wrote BENCH_robustness.json@."
 
 (* ---------- obs: pipeline breakdown + instrumentation overhead ---------- *)
 
@@ -234,7 +161,7 @@ let run_obs () =
   let policy =
     { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
   in
-  let iters = if !quick then 5 else 11 in
+  let iters = if !quick then 9 else 11 in
   (* one scenario = boot, cut, re-enable on a fresh fleet *)
   let scenario () =
     Fault.reset ();
@@ -306,9 +233,10 @@ let run_obs () =
 (* The §6a fleet numbers: closed-loop requests through the kernel's
    round-robin listener fan-out as the worker count scales (virtual-
    clock throughput, served through the decoded-block code cache), the
-   cache's host-time speedup at one worker, and the per-wave pause a
-   rolling rollout imposes on a 6-worker fleet. Emits BENCH_fleet.json;
-   --quick shrinks the sweep for the ci smoke. *)
+   cache's host-time speedup at one worker over the interpreter
+   reference, and the per-wave pause a rolling rollout imposes on a
+   6-worker fleet. Emits BENCH_fleet.json; --quick shrinks the sweep for
+   the ci smoke. *)
 let run_fleet () =
   Common.section fmt "Fleet: fan-out throughput + rollout pause";
   let app = Workload.ltpd in
@@ -319,15 +247,16 @@ let run_fleet () =
   let counts = if !quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   let requests = if !quick then 60 else 200 in
   let get = Workload.http_get "/index.html" in
-  (* one closed loop of [requests] on a fresh [n]-worker fleet, on the
-     single-step interpreter or through the code cache; returns served,
-     virtual cycles, guest instructions retired, cache hit rate and the
-     loop's host seconds *)
-  let serve ~cached n =
+  (* one closed loop of [requests] on a fresh [n]-worker fleet, through
+     the code cache or, as the [reference], on the single-step
+     interpreter (a no-op per-instruction hook keeps every step there);
+     returns served, virtual cycles, guest instructions retired, cache
+     hit rate and the loop's host seconds *)
+  let serve ?(reference = false) n =
     Fault.reset ();
     let ctxs = Workload.spawn_fleet ~n app in
     let m = (List.hd ctxs).Workload.m in
-    let bb = if cached then Some (Bbcache.enable m) else None in
+    if reference then m.Machine.on_insn <- Some (fun _ _ -> ());
     Workload.wait_fleet_ready ctxs;
     let pids = List.map (fun c -> c.Workload.pid) ctxs in
     let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
@@ -349,14 +278,10 @@ let run_fleet () =
     let cycles = Int64.sub m.Machine.clock start in
     let insns = retired () - retired0 in
     let hit_rate =
-      match bb with
-      | None -> 0.
-      | Some b ->
-          let st = Bbcache.stats b in
-          let lookups = st.Bbcache.st_hits + st.Bbcache.st_decodes in
-          Bbcache.disable b;
-          if lookups = 0 then 0.
-          else float_of_int st.Bbcache.st_hits /. float_of_int lookups
+      let st = Dispatch.stats m.Machine.dispatcher in
+      let lookups = st.Dispatch.st_hits + st.Dispatch.st_decodes in
+      if lookups = 0 then 0.
+      else float_of_int st.Dispatch.st_hits /. float_of_int lookups
     in
     (!served, cycles, insns, hit_rate, host_s)
   in
@@ -366,7 +291,7 @@ let run_fleet () =
   let sweep =
     List.map
       (fun n ->
-        let ((served, cycles, _, hit_rate, _) as r) = serve ~cached:true n in
+        let ((served, cycles, _, hit_rate, _) as r) = serve n in
         Format.fprintf fmt
           "  workers=%d served=%d/%d cycles=%Ld  %.1f req/Mcycle  hit-rate \
            %.4f@."
@@ -374,10 +299,10 @@ let run_fleet () =
         (n, r))
       counts
   in
-  (* the cache is a host-only accelerator: the interpreted run must be
-     the same program on the virtual axis, cycle for cycle *)
+  (* the cache is a host-only accelerator: the interpreted reference
+     must be the same program on the virtual axis, cycle for cycle *)
   let served_c, cycles_c, insns_c, _, _ = List.assoc 1 sweep in
-  let served_i, cycles_i, insns_i, _, _ = serve ~cached:false 1 in
+  let served_i, cycles_i, insns_i, _, _ = serve ~reference:true 1 in
   if served_i <> served_c || cycles_i <> cycles_c then
     failwith
       (Printf.sprintf
@@ -386,7 +311,7 @@ let run_fleet () =
          served_c served_i cycles_c cycles_i);
   Format.fprintf fmt "  w1 interp = cached: %d served in %Ld cycles@."
     served_i cycles_i;
-  (* ci gate: the cache's benefit is a host number — interp/cached
+  (* ci gate: the cache's benefit is a host number — reference/cached
      serve time at w1, best-of-interleaved, must stay >= 2x *)
   let host_s (_, _, _, _, s) = s in
   let s_cached, s_interp, host_speedup =
@@ -395,8 +320,8 @@ let run_fleet () =
         let s_cached, s_interp =
           best_of_interleaved
             ~iters:(if !quick then 5 else 7)
-            ~on:(fun () -> host_s (serve ~cached:true 1))
-            ~off:(fun () -> host_s (serve ~cached:false 1))
+            ~on:(fun () -> host_s (serve 1))
+            ~off:(fun () -> host_s (serve ~reference:true 1))
         in
         (s_cached, s_interp, s_interp /. s_cached))
   in
@@ -1084,8 +1009,9 @@ let run_slice () =
   in
   let iters = if !quick then 3 else 7 in
   (* the tracer must cost something (>= 1x beyond jitter) and stay
-     within an order of magnitude of the interpreter (it adds a bounded
-     amount of work per instruction) *)
+     within the band of the untraced run, which executes on the code
+     cache (the slicer adds a bounded amount of work per instruction on
+     the interpreter) *)
   let m_on, m_off, ratio =
     within_band ~what:"slice: tracing overhead" ~show:(Printf.sprintf "%.2fx")
       ~lo:0.98 ~hi:25. (fun () ->
@@ -1158,7 +1084,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("table1", "Redis CVE mitigation", fun () -> ignore (Table1.run fmt));
     ("security", "PLT removal + BROP gadget census (§4.2)", fun () -> ignore (Security.run fmt));
     ("ablation", "policy / normalization / autophase / libcut ablations", fun () -> ignore (Ablation.run fmt));
-    ("robustness", "journaled cut latency + crash-recovery time (§5d)", run_robustness);
     ("obs", "observability breakdown + registry overhead", run_obs);
     ("fleet", "fan-out throughput + rollout pause per wave (§6a)", run_fleet);
     ("overload", "goodput + p99 vs offered load, shed on/off (§6b)", run_overload);

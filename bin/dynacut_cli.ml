@@ -830,16 +830,7 @@ let stats_cmd =
     in
     Arg.(value & flag & info [ "host" ] ~doc)
   in
-  let cached =
-    let doc =
-      "Run the scenario through the decoded-block code cache \
-       (lib/bbcache) instead of the single-step interpreter; the dump \
-       gains the bbcache.hits / bbcache.decodes / bbcache.flushes \
-       counters and the bbcache.superblock_len histogram."
-    in
-    Arg.(value & flag & info [ "cached" ] ~doc)
-  in
-  let action app feature probes json host cached out faults seed list_sites
+  let action app feature probes json host out faults seed list_sites
       verbose =
     if list_sites then begin
       print_fault_sites ~verbose ();
@@ -850,7 +841,6 @@ let stats_cmd =
     let blocks, redirect = feature_blocks app feature in
     arm_faults ?seed faults;
     let c = Workload.spawn app in
-    let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
     Workload.wait_ready c;
     let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
     let r =
@@ -867,13 +857,14 @@ let stats_cmd =
     in
     List.iter (fun req -> ignore (Workload.rpc c req)) reqs;
     ignore (Machine.run c.Workload.m ~max_cycles:20_000);
-    (match bb with Some b -> Bbcache.disable b | None -> ());
     emit out (if json then Obs.dump_json ~host () else Obs.dump_text ());
     match r.Dynacut.r_outcome with `Rolled_back _ -> exit 3 | _ -> ()
   in
   let doc =
     "Cut a feature, drive traffic, and dump the observability registry \
-     (metrics, pipeline spans, unified event ring) in one shot."
+     (metrics, pipeline spans, unified event ring) in one shot. Every \
+     machine runs on the decoded-block code cache, so the metrics include \
+     its bbcache.hits, bbcache.decodes and bbcache.flushes counters."
   in
   let man =
     exit_status_man []
@@ -889,8 +880,8 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc ~man)
     Term.(
-      const action $ app_opt_arg $ feature $ probe $ json $ host $ cached
-      $ out_arg $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg
+      const action $ app_opt_arg $ feature $ probe $ json $ host $ out_arg
+      $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg
       $ verbose_arg)
 
 (* ---------- fleet ---------- *)

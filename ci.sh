@@ -27,6 +27,13 @@ virtual_axis_unchanged() {
   echo "   $file virtual-axis lines identical to the committed file"
 }
 
+# Net lines of code (.ml + .mli) per tree: informational, fails
+# nothing; CHANGES.md entries quote these counts.
+echo "== net LOC (.ml + .mli) =="
+for d in lib bin bench examples test; do
+  echo "   $d $(find "$d" \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"
+done
+
 echo "== dune build =="
 dune build
 
@@ -42,10 +49,10 @@ dune exec bench/main.exe -- --quick
 # Fleet smoke (DESIGN.md §6a, §7a): fan-out throughput over a small
 # worker sweep through the decoded-block code cache, plus the per-wave
 # rollout pause, written to BENCH_fleet.json. Two gates: the harness
-# hard-fails if the interpreted and cached runs at w1 spend different
-# virtual cycle counts (the cache must be invisible to the guest), and
-# if the cache's host speedup at w1 (interp/cached serve time, min-of-k
-# interleaved) drops below 2x.
+# hard-fails if the cached run and the interpreter reference (a no-op
+# on_insn hook) at w1 spend different virtual cycle counts (the cache
+# must be invisible to the guest), and if the cache's host speedup at
+# w1 (reference/cached serve time, min-of-k interleaved) drops below 2x.
 echo "== bench --quick fleet =="
 dune exec bench/main.exe -- --quick fleet
 # served counts, req/Mcycle, hit rates and rollout pauses are all

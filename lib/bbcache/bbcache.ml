@@ -1,7 +1,7 @@
-(** Facade for the decoded-block code cache (DESIGN.md "Code cache"):
-    [Block] decodes, [Cache] stores, [Dispatch] executes, [Invalidate]
-    evicts. Consumers normally need only [enable]/[disable] plus the
-    stats accessors. *)
+(** Facade for the decoded-block code cache (DESIGN.md "Code cache"),
+    which lives in [dynacut.machine]: [Block] decodes, [Cache] stores,
+    [Dispatch] executes, [Invalidate] evicts. Every machine runs on its
+    cache from [Machine.create] on; there is nothing to turn on. *)
 
 type t = Dispatch.t
 type stats = Dispatch.stats = {
@@ -12,9 +12,7 @@ type stats = Dispatch.stats = {
   st_blocks : int;
 }
 
-let enable = Dispatch.enable
-let disable = Dispatch.disable
-let flush_all = Dispatch.flush_all
-let degraded = Dispatch.degraded
+(** The machine's dispatcher; idempotent (the cache is always on). *)
+let enable (m : Machine.t) = m.Machine.dispatcher
+
 let stats = Dispatch.stats
-let cached_blocks = Dispatch.cached_blocks

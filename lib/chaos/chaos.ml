@@ -880,7 +880,6 @@ let fleet_recut_probe site mode =
    and after any outcome the fleet keeps serving and stays XOR-clean *)
 let bbcache_probe site mode =
   let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:2 () in
-  let bb = Bbcache.enable m in
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "cache warm-up request failed");
@@ -909,7 +908,6 @@ let bbcache_probe site mode =
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "request failed after the %s fault" site);
-  Bbcache.disable bb;
   fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
 
 (* every registered site maps to the scenario that provably reaches it;

@@ -70,10 +70,9 @@ let measure (app : Workload.app) : row =
       (fun acc pid ->
         acc
         + Images.image_size
-            (Images.decode
+            (Validate.decode_sealed
                (Option.get
-                  (Vfs.find c.Workload.m.Machine.fs
-                     (Printf.sprintf "%s/dump-%d.img" session.Dynacut.tmpfs pid)))))
+                  (Vfs.find c.Workload.m.Machine.fs (Dynacut.image_path session pid)))))
       0 (Dynacut.tree_pids session)
   in
   (* functional validation on the rewritten process *)

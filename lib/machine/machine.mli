@@ -1,8 +1,12 @@
 (** The virtual machine: processes, CPU interpreter, signal delivery,
     syscall dispatch, round-robin scheduler, deterministic virtual clock
-    (1 cycle per retired instruction, cached or interpreted alike).
-    Plays the role of Linux + the CPU and is part of the paper's trusted
-    computing base (§2). *)
+    (1 cycle per retired instruction). Every machine executes on its
+    decoded-block dispatcher ({!Dispatch}); the interpreter takes the
+    steps the cache declines (int3 or fault at rip, an injected
+    ["bbcache.dispatch"] fault, a degraded flush) and every step while
+    an [on_insn] hook is installed. Re-exports {!Cpu}, the part below
+    the scheduler. Plays the role of Linux + the CPU and is part of the
+    paper's trusted computing base (§2). *)
 
 type trace_hook = Proc.t -> int64 -> int -> unit
 (** (process, block start vaddr, block size) at every dynamic basic-block
@@ -22,10 +26,10 @@ type insn_hook = Proc.t -> Insn.t -> unit
     memory operands can be recomputed) — the dataflow slicer's input.
     Int3 traps take the trap path and bypass it. *)
 
-type sched
+type sched = Cpu.sched
 (** The scheduler's spawn-ordered process table (see {!run}). *)
 
-type t = {
+type t = Cpu.t = {
   fs : Vfs.t;
   net : Net.t;
   procs : (int, Proc.t) Hashtbl.t;
@@ -43,20 +47,18 @@ type t = {
           per-instruction bump costs a field write, not a name lookup *)
   obs_traps : Obs.counter;
   obs_syscalls : Obs.counter;
-  mutable exec_cached : (Proc.t -> fuel:int -> until:int64 -> int) option;
-      (** installed by the decoded-block code cache ([Bbcache.enable]):
-          run the process out of the cache, stopping where {!run}'s
-          single-step loop would (after [fuel] instructions or at clock
-          [until]), and return how many executed (0 = fall back to one
-          interpreter step). A host-only accelerator: instructions cost
-          one cycle either way. Consulted by {!run} only while [on_insn]
-          is [None] — per-instruction fidelity (the slicer) always wins. *)
+  dispatcher : Dispatch.t;
+      (** the decoded-block dispatcher {!run} executes on *)
 }
 
 val create : ?seed:int -> unit -> t
-(** Also installs this machine's virtual clock as the registry's
-    timestamp source ([Obs.set_clock]) and its {!bitflip} injector as
-    the [Fault.Bitflip] hook; the most recently created machine wins. *)
+(** A machine with its decoded-block dispatcher. Also installs this
+    machine's virtual clock as the registry's timestamp source
+    ([Obs.set_clock]), its clock as the [Fault.Delay] sink and its
+    {!bitflip} injector as the [Fault.Bitflip] hook; the most recently
+    created machine wins. The hooks hold the machine weakly: a dropped
+    machine is collected, and the hooks then act as if none were
+    installed. *)
 
 val bitflip : t -> ?pid:int -> Rng.t -> (int * int64) option
 (** Flip one seeded bit in a resident page of an immutable
@@ -92,15 +94,15 @@ exception Seccomp_denied
 
 (** {2 Execution} *)
 
-val step : t -> Proc.t -> unit
-(** Execute exactly one instruction (assumes the process is runnable). *)
-
 val exec_decoded : t -> Proc.t -> Insn.t -> int -> bool
 (** Execute one already-decoded instruction (anything but [Int3], which
     never enters the code cache) of byte length [len]; assumes the
     process is runnable and its rip is the instruction's address.
-    Returns [true] iff it fell through (rip advanced by [len]); a taken
-    branch, signal, fault, blocking syscall or exit returns [false]. The
+    Returns [true] iff it fell through (rip advanced by [len]) and left
+    the code after it unchanged; a taken branch, signal, fault, blocking
+    syscall or exit returns [false], and so does a store that dirtied an
+    executable page (rip advanced, but a decoded copy of the following
+    code may be stale). The
     interpreter and the decoded-block cache both retire through here,
     so the one-cycle charge, block bookkeeping, trace/insn hooks, [Obs]
     counters and signal delivery are shared — cached runs are

@@ -57,6 +57,10 @@ type t = {
           touches an executable page lands its index here, and the cache
           dispatcher evicts exactly the blocks overlapping these pages
           before running another cached block *)
+  mutable exec_gen : int;
+      (** bumped with every {!mark_exec_dirty}: a store that moves it
+          ends the executing cached block at the next slot, so a store
+          into that block is seen at the next instruction *)
 }
 
 let page_size = 4096
@@ -79,6 +83,7 @@ let create () =
     tlb_page = Array.make tlb_size no_page;
     vmas = [];
     exec_dirty = Hashtbl.create 8;
+    exec_gen = 0;
   }
 
 let tlb_flush t = Array.fill t.tlb_tag 0 tlb_size (-1)
@@ -98,7 +103,9 @@ let lookup t addr =
 
 let find_page t addr = match lookup t addr with p -> Some p | exception Not_found -> None
 
-let mark_exec_dirty t idx = Hashtbl.replace t.exec_dirty idx ()
+let mark_exec_dirty t idx =
+  Hashtbl.replace t.exec_dirty idx ();
+  t.exec_gen <- t.exec_gen + 1
 let exec_dirty_pending t = Hashtbl.length t.exec_dirty > 0
 
 (** Return the dirtied executable page indexes and clear the set. *)
@@ -367,6 +374,7 @@ let copy t =
     tlb_page = Array.make tlb_size no_page;
     vmas = t.vmas;
     exec_dirty = Hashtbl.create 8;
+    exec_gen = 0;
   }
 
 (** Populated pages of a VMA, as (vaddr, bytes) in address order. *)

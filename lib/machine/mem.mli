@@ -48,6 +48,9 @@ type t = {
       (** page indexes of executable pages modified since the last
           {!take_exec_dirty} — the precise invalidation signal for the
           decoded-block code cache *)
+  mutable exec_gen : int;
+      (** bumped whenever an executable page joins [exec_dirty]: the
+          code cache leaves the executing block once it moves *)
 }
 
 val page_size : int

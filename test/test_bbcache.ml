@@ -1,23 +1,22 @@
-(** Decoded-block code cache tests: a cached-vs-interpreted differential
-    (replies, virtual clock, drcov bytes and the observability dump),
-    nudge-precise invalidation across all three rewrite strategies,
-    self-modifying-page eviction, post-[Fleet.recover] cache coldness,
-    slicer interpreter-fallback, and two-run determinism of the
-    observability dump with the cache enabled. *)
+(** Decoded-block code cache tests. Every machine runs on its cache; the
+    reference is the same machine with a no-op [on_insn] hook, which
+    keeps every step on the interpreter. Covered: a generated-program
+    differential oracle (registers, every page, drcov and the
+    observability dump, shrunk to a minimal program on failure), the
+    same comparison on the apps, nudge-precise invalidation across all
+    three rewrite strategies, self-modifying-page eviction,
+    post-[Fleet.recover] cache coldness, the slicer's interpreter
+    fallback, two-run determinism of the dump, and collection of a
+    dropped machine. *)
 
 let get = "GET /index.html HTTP/1.0\r\n\r\n"
 
 let lpolicy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
 
-(* ---------- differential: cached = interpreted, byte for byte ---------- *)
+(* the interpreter reference: a no-op per-instruction hook *)
+let interpret = Test_machine_edges.interpret
 
-type run = {
-  replies : string list;
-  clock : int64;
-  drcov : string;
-  dump : string;  (** [Obs.dump_json] minus the cache's own series *)
-  traps : int;
-}
+let stats (m : Machine.t) = Dispatch.stats m.Machine.dispatcher
 
 (* The dump with every [bbcache.*] line dropped, blank lines dropped and
    separators trimmed (a dropped line can leave its section empty or
@@ -31,15 +30,456 @@ let without_bbcache dump =
          if n > 0 && l.[n - 1] = ',' then String.sub l 0 (n - 1) else l)
   |> String.concat "\n"
 
-(* Boot [app] traced, optionally cut it, drive [reqs]. The cache is
-   enabled before the first instruction, so decode, init, cut,
-   trap-handler and serving paths all run cached. *)
-let run_mode ~cached ?cut app reqs =
+(* ---------- generated programs: cached = interpreted ---------- *)
+
+(* Layout of a generated process: page A (r-x, immutable, so
+   [Machine.bitflip] can hit it) holds the signal restorer, three signal
+   handlers and the subroutines; pages B (rwx, two pages, so blocks can
+   straddle a page boundary) hold the main program, which stores into
+   its own code; one rw data page follows. *)
+let page_a = 0x40_0000L
+let page_b = 0x40_1000L
+let data_base = 0x60_0000L
+
+(* Registers: random operations read and write [pool]; r11 and r13 are
+   scratch, r12 counts loops, r14 and r15 hold page B and the data
+   page. *)
+let pool = Reg.[ Rax; Rcx; Rdx; Rbx; Rsi; Rdi; R8; R9; R10 ]
+
+type sys = Getpid | Gettime | Rand of int | Write of int | Sleep of int | Mprotect | Kill_self
+
+type item =
+  | Op of Insn.t  (** straight-line *)
+  | Push_pop of Reg.t * Reg.t
+  | If of Insn.cond * Reg.t * Reg.t * item list  (** cmp; jcc over the body *)
+  | Loop of int * item list  (** r12 counts down *)
+  | Call of int  (** direct call to subroutine k *)
+  | Call_ind of int  (** call through r11 *)
+  | Jump  (** jmp over a hlt *)
+  | Jump_ind  (** lea r11; jmp r11, over a hlt *)
+  | Trap  (** int3; the SIGTRAP handler resumes after it *)
+  | Smc_imm of Reg.t  (** store the reg into the next insn's immediate *)
+  | Smc_trap  (** store8 an int3 over the next nop *)
+  | Sys of sys
+
+type prog = {
+  fork : bool;
+  init : (Reg.t * int64) list;
+  subs : item list list;  (** each ends in ret *)
+  main : item list;
+  halt : bool;  (** end in hlt rather than exit *)
+  flips : int list;  (** cycles run before each [Machine.bitflip] *)
+}
+
+(* ----- lowering: items to instructions at known addresses ----- *)
+
+let len = Insn.length
+let size insns = List.fold_left (fun n i -> n + len i) 0 insns
+let restorer = page_a
+let restorer_code = Insn.[ Mov_ri (Reg.Rax, Int64.of_int Abi.sys_sigreturn); Syscall ]
+
+(* a handler resumes [skip] bytes after the interrupted instruction (int3
+   1, idiv/imod 2, load/store 7) by rewriting the frame's saved rip *)
+let handler skip =
+  Insn.
+    [
+      Load (Reg.R13, Reg.Rsi, Abi.frame_off_rip);
+      Add_ri (Reg.R13, skip);
+      Store (Reg.Rsi, Abi.frame_off_rip, Reg.R13);
+      Ret;
+    ]
+
+let handlers = [ (Abi.sigtrap, 1); (Abi.sigfpe, 2); (Abi.sigsegv, 7) ]
+
+(* address of handler k and of subroutine k on page A *)
+let handler_addr k =
+  Int64.add restorer (Int64.of_int (size restorer_code + (k * size (handler 1))))
+
+let subs_base = handler_addr (List.length handlers)
+
+let mov_i r v = Insn.Mov_ri (r, Int64.of_int v)
+
+let syscall nr args = List.map (fun (r, v) -> mov_i r v) args @ Insn.[ mov_i Reg.Rax nr; Syscall ]
+
+(* Lower [items] placed at [at]; [sub k] is subroutine k's address (a
+   call to a subroutine the shrinker dropped lowers to nothing). *)
+let rec lower ~sub at items =
+  let code, _ =
+    List.fold_left
+      (fun (acc, a) it ->
+        let c = lower_item ~sub a it in
+        (acc @ c, Int64.add a (Int64.of_int (size c))))
+      ([], at) items
+  in
+  code
+
+and lower_item ~sub a it =
+  let rel target from = Int64.to_int (Int64.sub target from) in
+  match it with
+  | Op i -> [ i ]
+  | Push_pop (r, r') -> Insn.[ Push r; Pop r' ]
+  | If (c, x, y, body) ->
+      let cmp = Insn.Cmp_rr (x, y) in
+      let body = lower ~sub (Int64.of_int (Int64.to_int a + len cmp + 6)) body in
+      (cmp :: Insn.Jcc (Insn.cond_negate c, size body) :: body)
+  | Loop (n, body) ->
+      let start = Int64.add a 10L in
+      let body = lower ~sub start body in
+      let tail_at = Int64.add start (Int64.of_int (size body)) in
+      let jcc_next = Int64.add tail_at (Int64.of_int (6 + 6 + 6)) in
+      (mov_i Reg.R12 n :: body)
+      @ Insn.[ Sub_ri (Reg.R12, 1); Cmp_ri (Reg.R12, 0); Jcc (Insn.Ne, rel start jcc_next) ]
+  | Call k -> (
+      match sub k with Some t -> [ Insn.Call (rel t (Int64.add a 5L)) ] | None -> [])
+  | Call_ind k -> (
+      match sub k with Some t -> Insn.[ Mov_ri (Reg.R11, t); Call_r Reg.R11 ] | None -> [])
+  | Jump -> Insn.[ Jmp 1; Hlt ]
+  | Jump_ind -> Insn.[ Lea (Reg.R11, 3); Jmp_r Reg.R11; Hlt ]
+  | Trap -> [ Insn.Int3 ]
+  | Smc_imm r ->
+      (* the mov's immediate sits 2 bytes into it, right after the store *)
+      let imm = Int64.add a 9L in
+      Insn.[ Store (Reg.R14, rel imm page_b, r); Mov_ri (Reg.Rax, 0L) ]
+  | Smc_trap ->
+      let nop = Int64.add a 17L in
+      Insn.[ mov_i Reg.R13 0xCC; Store8 (Reg.R14, rel nop page_b, Reg.R13); Nop ]
+  | Sys s -> (
+      let open Abi in
+      match s with
+      | Getpid -> syscall sys_getpid []
+      | Gettime -> syscall sys_gettime []
+      | Rand n -> syscall sys_rand [ (Reg.Rdi, n) ]
+      | Write n ->
+          Insn.Mov_rr (Reg.Rsi, Reg.R15) :: syscall sys_write [ (Reg.Rdi, 1); (Reg.Rdx, n) ]
+      | Sleep n -> syscall sys_nanosleep [ (Reg.Rdi, n) ]
+      | Mprotect ->
+          (* rwx -> rwx: no change, but every block on the pages goes *)
+          Insn.Mov_rr (Reg.Rdi, Reg.R14)
+          :: syscall sys_mprotect [ (Reg.Rsi, 2 * Mem.page_size); (Reg.Rdx, 7) ]
+      | Kill_self ->
+          syscall sys_getpid []
+          @ (Insn.Mov_rr (Reg.Rdi, Reg.Rax) :: syscall sys_kill [ (Reg.Rsi, sigtrap) ]))
+
+(* Page A's and pages B's instructions. *)
+let lower_prog p =
+  let sub_code =
+    let _, subs =
+      List.fold_left
+        (fun (a, acc) body ->
+          let c = lower ~sub:(fun _ -> None) a body @ [ Insn.Ret ] in
+          (Int64.add a (Int64.of_int (size c)), acc @ [ (a, c) ]))
+        (subs_base, []) p.subs
+    in
+    subs
+  in
+  let sub k = Option.map fst (List.nth_opt sub_code k) in
+  let a_code =
+    restorer_code
+    @ List.concat_map (fun (_, skip) -> handler skip) handlers
+    @ List.concat_map snd sub_code
+  in
+  let prologue =
+    Insn.[ Mov_ri (Reg.R15, data_base); Mov_ri (Reg.R14, page_b) ]
+    @ List.concat
+        (List.mapi
+           (fun k (signum, _) ->
+             Insn.Mov_ri (Reg.Rsi, handler_addr k)
+             :: Insn.Mov_ri (Reg.Rdx, restorer)
+             :: syscall Abi.sys_sigaction [ (Reg.Rdi, signum) ])
+           handlers)
+    @ List.map (fun (r, v) -> Insn.Mov_ri (r, v)) p.init
+    @ if p.fork then syscall Abi.sys_fork [] else []
+  in
+  let body = lower ~sub (Int64.add page_b (Int64.of_int (size prologue))) p.main in
+  let epilogue =
+    if p.halt then [ Insn.Hlt ] else Insn.Mov_rr (Reg.Rdi, Reg.Rbx) :: syscall Abi.sys_exit []
+  in
+  (a_code, prologue @ body @ epilogue)
+
+let listing p =
+  let a, b = lower_prog p in
+  let show base code =
+    let lines, _ =
+      List.fold_left
+        (fun (acc, at) i ->
+          (Printf.sprintf "  %Lx: %s" at (Insn.to_string i) :: acc, Int64.add at (Int64.of_int (len i))))
+        ([], base) code
+    in
+    String.concat "\n" (List.rev lines)
+  in
+  Printf.sprintf "fork=%b flips=[%s]\npage A:\n%s\npages B:\n%s" p.fork
+    (String.concat ";" (List.map string_of_int p.flips))
+    (show page_a a) (show page_b b)
+
+(* ----- the generator and its shrinker ----- *)
+
+let gen_prog : prog QCheck.Gen.t =
+  let open QCheck.Gen in
+  let reg = oneofl pool in
+  let imm = oneof [ int_range (-8) 8; int_range (-100_000) 100_000 ] in
+  let imm64 = oneof [ map Int64.of_int (int_range (-5) 5); int64 ] in
+  (* one access in ten lands just past its page: SIGSEGV, resumed *)
+  let data_off = frequency [ (9, map (fun k -> k * 8) (int_range 0 511)); (1, pure 4096) ] in
+  let byte_off = frequency [ (9, int_range 0 4095); (1, pure 4096) ] in
+  let code_off = map (fun k -> k * 8) (int_range 0 1023) in
+  let rr f = map2 f reg reg and ri f = map2 f reg imm in
+  let shift f = map2 f reg (int_range 0 63) in
+  let straight =
+    Insn.(
+      oneof
+        [
+          pure Nop;
+          rr (fun d s -> Mov_rr (d, s));
+          map2 (fun d v -> Mov_ri (d, v)) reg imm64;
+          map2 (fun d o -> Load (d, Reg.R15, o)) reg data_off;
+          map2 (fun d o -> Load (d, Reg.R14, o)) reg code_off;
+          map2 (fun o s -> Store (Reg.R15, o, s)) data_off reg;
+          map2 (fun d o -> Load8 (d, Reg.R15, o)) reg byte_off;
+          map2 (fun o s -> Store8 (Reg.R15, o, s)) byte_off reg;
+          rr (fun d s -> Add_rr (d, s));
+          ri (fun d v -> Add_ri (d, v));
+          rr (fun d s -> Sub_rr (d, s));
+          ri (fun d v -> Sub_ri (d, v));
+          rr (fun d s -> Imul_rr (d, s));
+          rr (fun d s -> Idiv_rr (d, s));
+          rr (fun d s -> Imod_rr (d, s));
+          rr (fun d s -> And_rr (d, s));
+          rr (fun d s -> Or_rr (d, s));
+          rr (fun d s -> Xor_rr (d, s));
+          shift (fun d n -> Shl_ri (d, n));
+          shift (fun d n -> Shr_ri (d, n));
+          shift (fun d n -> Sar_ri (d, n));
+          rr (fun d s -> Shl_rr (d, s));
+          rr (fun d s -> Shr_rr (d, s));
+          map (fun d -> Neg d) reg;
+          map (fun d -> Not d) reg;
+          rr (fun a b -> Cmp_rr (a, b));
+          ri (fun a v -> Cmp_ri (a, v));
+          rr (fun a b -> Test_rr (a, b));
+          ri (fun d o -> Lea (d, o));
+        ])
+  in
+  let sys =
+    oneof
+      [
+        pure Getpid;
+        pure Gettime;
+        map (fun n -> Rand n) (int_range 1 1000);
+        map (fun n -> Write n) (int_range 0 64);
+        map (fun n -> Sleep n) (int_range 1 500);
+        pure Mprotect;
+        pure Kill_self;
+      ]
+  in
+  let cond = oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge; Ult; Ule; Ugt; Uge ] in
+  let leaf ~nsubs =
+    frequency
+      ([
+         (16, map (fun i -> Op i) straight);
+         (1, rr (fun a b -> Push_pop (a, b)));
+         (1, pure Trap);
+         (1, map (fun r -> Smc_imm r) reg);
+         (1, pure Smc_trap);
+         (1, pure Jump);
+         (1, pure Jump_ind);
+         (2, map (fun s -> Sys s) sys);
+       ]
+      @
+      if nsubs = 0 then []
+      else
+        [
+          (1, map (fun k -> Call k) (int_range 0 (nsubs - 1)));
+          (1, map (fun k -> Call_ind k) (int_range 0 (nsubs - 1)));
+        ])
+  in
+  (* bodies nest at most twice; a loop body holds no loop, since both
+     would count in r12 *)
+  let rec items ~nsubs ~loops depth =
+    list_size (int_range 0 (if depth = 2 then 24 else 5)) (item ~nsubs ~loops depth)
+  and item ~nsubs ~loops depth =
+    if depth = 0 then leaf ~nsubs
+    else
+      frequency
+        ([
+           (10, leaf ~nsubs);
+           ( 1,
+             map2
+               (fun (c, a) (b, body) -> If (c, a, b, body))
+               (pair cond reg)
+               (pair reg (items ~nsubs ~loops (depth - 1))) );
+         ]
+        @
+        if loops then
+          [
+            ( 1,
+              map2
+                (fun n body -> Loop (n, body))
+                (int_range 1 40)
+                (items ~nsubs ~loops:false (depth - 1)) );
+          ]
+        else [])
+  in
+  let* subs = list_size (int_range 0 3) (items ~nsubs:0 ~loops:false 1) in
+  let nsubs = List.length subs in
+  let* main = items ~nsubs ~loops:true 2 in
+  let* fork = bool in
+  let* halt = frequencyl [ (4, false); (1, true) ] in
+  let* init = list_size (int_range 0 4) (pair reg imm64) in
+  let+ flips = list_size (int_range 0 3) (int_range 5 800) in
+  { fork; init; subs; main; halt; flips }
+
+(* Shrink toward a minimal failing program: drop any run of items at any
+   nesting depth, subroutines, initial registers, bit flips and the
+   fork. *)
+let shrink_prog p =
+  let open QCheck in
+  let rec shrink_item = function
+    | If (c, a, b, body) -> Iter.map (fun body -> If (c, a, b, body)) (shrink_items body)
+    | Loop (n, body) -> Iter.map (fun body -> Loop (n, body)) (shrink_items body)
+    | _ -> Iter.empty
+  and shrink_items l = Shrink.list ~shrink:shrink_item l in
+  Iter.(
+    map (fun main -> { p with main }) (shrink_items p.main)
+    <+> map (fun subs -> { p with subs }) (Shrink.list_spine p.subs)
+    <+> map (fun init -> { p with init }) (Shrink.list_spine p.init)
+    <+> map (fun flips -> { p with flips }) (Shrink.list_spine p.flips)
+    <+> if p.fork then return { p with fork = false } else empty)
+
+(* ----- running one program ----- *)
+
+let prot_bits (pr : Self.prot) =
+  (if pr.Self.p_r then 4 else 0) lor (if pr.Self.p_w then 2 else 0) lor if pr.Self.p_x then 1 else 0
+
+(* Everything guest-visible, per process: state, retired count, every
+   register and flag, console, and every page with its protection. *)
+let proc_state (p : Proc.t) =
+  let regs = p.Proc.regs in
+  let pages =
+    Hashtbl.fold (fun idx pg acc -> (idx, prot_bits pg.Mem.pg_prot, Bytes.to_string pg.Mem.pg_data) :: acc)
+      p.Proc.mem.Mem.pages []
+    |> List.sort compare
+  in
+  ( (p.Proc.pid, Proc.state_to_string p.Proc.state, p.Proc.retired, Proc.peek_stdout p),
+    (List.map (Proc.gpr regs) Reg.all, Proc.rip regs, Proc.pack_flags regs),
+    pages )
+
+type outcome = {
+  o_clock : int64;
+  o_states : string list;  (** every process's final state *)
+  o_procs : string;  (** [proc_state] of every process, marshalled *)
+  o_drcov : string;
+  o_dump : string;
+  o_flipped : (int * int64) option list;
+}
+
+let run_prog ~reference p =
+  Obs.reset ();
+  Fault.reset ();
+  let m = Machine.create () in
+  if reference then interpret m;
+  let a_code, b_code = lower_prog p in
+  let mem = Mem.create () in
+  let map vaddr pages prot name =
+    ignore (Mem.map mem ~vaddr ~len:(pages * Mem.page_size) ~prot ~name ())
+  in
+  map page_a 1 (Self.prot_of_int 5) "gen:.text";
+  map page_b 2 (Self.prot_of_int 7) "gen:.smc";
+  map data_base 1 Self.prot_rw "gen:.data";
+  map (Int64.sub Proc.stack_top (Int64.of_int Proc.stack_size))
+    (Proc.stack_size / Mem.page_size) Self.prot_rw "[stack]";
+  Mem.poke_bytes mem page_a (Encode.program a_code);
+  Mem.poke_bytes mem page_b (Encode.program b_code);
+  ignore (Mem.take_exec_dirty mem);
+  let proc = Proc.create ~pid:100 ~parent:0 ~comm:"gen" ~exe_path:"gen" ~mem in
+  Proc.set_rip proc.Proc.regs page_b;
+  Proc.set proc.Proc.regs Reg.Rsp (Int64.sub Proc.stack_top 64L);
+  Machine.install m proc;
+  let col = Collector.attach m ~pid:100 in
+  let rng = Rng.create 7 in
+  let flipped =
+    List.map
+      (fun cycles ->
+        ignore (Machine.run m ~max_cycles:cycles);
+        Machine.bitflip m rng)
+      p.flips
+  in
+  ignore (Machine.run m ~max_cycles:20_000);
+  {
+    o_clock = m.Machine.clock;
+    o_states =
+      List.map (fun (q : Proc.t) -> Proc.state_to_string q.Proc.state) (Machine.all_procs m);
+    o_procs = Marshal.to_string (List.map proc_state (Machine.all_procs m)) [];
+    o_drcov = Drcov.to_string (Collector.detach col);
+    o_dump = without_bbcache (Obs.dump_json ());
+    o_flipped = flipped;
+  }
+
+let prop_cached_is_interpreted =
+  QCheck.Test.make ~name:"generated programs: cached = interpreted" ~count:300
+    (QCheck.make ~print:listing ~shrink:shrink_prog gen_prog)
+    (fun p ->
+      QCheck.assume (size (snd (lower_prog p)) <= 2 * Mem.page_size);
+      let r = run_prog ~reference:true p and c = run_prog ~reference:false p in
+      let differs what = QCheck.Test.fail_reportf "%s differ" what in
+      if r.o_clock <> c.o_clock then differs "virtual clocks"
+      else if r.o_flipped <> c.o_flipped then differs "bit flips"
+      else if r.o_procs <> c.o_procs then differs "process states (registers, pages, console)"
+      else if r.o_drcov <> c.o_drcov then differs "drcov logs"
+      else if r.o_dump <> c.o_dump then differs "obs dumps (bbcache.* aside)"
+      else true)
+
+(* The generator's census: over a fixed sample, the lowered programs use
+   every [Insn.t] constructor (one opcode byte per constructor). *)
+let test_generator_census () =
+  let opcode i = Bytes.get (Encode.program [ i ]) 0 in
+  let used = Hashtbl.create 64 in
+  QCheck.Gen.generate ~rand:(Random.State.make [| 1 |]) ~n:100 gen_prog
+  |> List.iter (fun p ->
+         let a, b = lower_prog p in
+         List.iter (fun i -> Hashtbl.replace used (opcode i) ()) (a @ b));
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Insn.to_string i ^ " generated") true (Hashtbl.mem used (opcode i)))
+    Defuse.all_constructors
+
+(* A store into the executing block is seen at the next instruction: the
+   cached block's stale copy of the mov must not run. *)
+let test_mid_block_store () =
+  let p =
+    {
+      fork = false;
+      init = [ (Reg.Rcx, 77L) ];
+      subs = [];
+      main = [ Smc_imm Reg.Rcx; Op (Insn.Mov_rr (Reg.Rbx, Reg.Rax)) ];
+      halt = false;
+      flips = [];
+    }
+  in
+  let r = run_prog ~reference:true p and c = run_prog ~reference:false p in
+  Alcotest.(check (list string)) "reference exits with the stored immediate"
+    [ "exited(77)" ] r.o_states;
+  Alcotest.(check (list string)) "cached exits with it too" r.o_states c.o_states;
+  Alcotest.(check bool) "process states identical" true (r.o_procs = c.o_procs);
+  Alcotest.(check int64) "virtual clock identical" r.o_clock c.o_clock
+
+(* ---------- the apps: cached = interpreted ---------- *)
+
+type run = {
+  replies : string list;
+  clock : int64;
+  drcov : string;
+  dump : string;  (** [Obs.dump_json] minus the cache's own series *)
+  traps : int;
+}
+
+(* Boot [app] traced, optionally cut it, drive [reqs]: decode, init, cut,
+   trap-handler and serving paths all run cached unless [reference]. *)
+let run_mode ~reference ?cut app reqs =
   Obs.reset ();
   Fault.reset ();
   let c = Workload.spawn ~traced:true app in
   let m = c.Workload.m in
-  let bb = if cached then Some (Bbcache.enable m) else None in
+  if reference then interpret m;
   Workload.wait_ready c;
   Option.iter
     (fun (blocks, policy) ->
@@ -48,30 +488,27 @@ let run_mode ~cached ?cut app reqs =
     cut;
   let replies = List.map (Workload.rpc c) reqs in
   let drcov = Drcov.to_string (Collector.detach (Workload.collector c)) in
-  let r =
-    {
-      replies;
-      clock = m.Machine.clock;
-      drcov;
-      dump = without_bbcache (Obs.dump_json ());
-      traps = Obs.counter_value (Obs.counter "machine.traps");
-    }
-  in
-  Option.iter Bbcache.disable bb;
-  r
+  {
+    replies;
+    clock = m.Machine.clock;
+    drcov;
+    dump = without_bbcache (Obs.dump_json ());
+    traps = Obs.counter_value (Obs.counter "machine.traps");
+  }
 
-(* Run the scenario interpreted, then cached, and demand the same
+(* Run the scenario on the reference, then cached, and demand the same
    program: the cache may change host time only. *)
 let differential ?cut app reqs =
-  let i = run_mode ~cached:false ?cut app reqs in
-  let c = run_mode ~cached:true ?cut app reqs in
+  let i = run_mode ~reference:true ?cut app reqs in
+  let c = run_mode ~reference:false ?cut app reqs in
   Alcotest.(check (list string)) "replies identical" i.replies c.replies;
   Alcotest.(check int64) "virtual clock identical" i.clock c.clock;
   Alcotest.(check string) "drcov byte-identical" i.drcov c.drcov;
   Alcotest.(check string) "obs dump identical (bbcache.* aside)" i.dump c.dump;
   i
 
-let test_differential_ltpd () =
+(* ltpd cut: the undesired requests take the trap -> redirect path *)
+let test_drcov_identity_ltpd () =
   let r =
     differential
       ~cut:(Common.web_feature_blocks Workload.ltpd, lpolicy)
@@ -80,98 +517,45 @@ let test_differential_ltpd () =
   in
   Alcotest.(check bool) "undesired requests really trapped" true (r.traps > 0)
 
-(* rkv: no cut, the pure serving path *)
-let test_differential_rkv () =
-  ignore
-    (differential Workload.rkv (Workload.kv_wanted @ Workload.kv_undesired))
-
-(* ngx: a master + worker tree, cut as a whole — two processes share the
-   scheduler, so quantum boundaries must land identically too *)
-let test_differential_ngx () =
-  let policy =
-    { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
-  in
-  let r =
-    differential
-      ~cut:(Common.web_feature_blocks Workload.ngx, policy)
-      Workload.ngx
-      (Workload.web_wanted @ Workload.web_undesired @ [ get ])
-  in
-  Alcotest.(check bool) "undesired requests really trapped" true (r.traps > 0)
-
-(* Two ltpd workers boot side by side, both runnable: stopped mid-boot,
-   each must have retired the same instructions in both modes — every
-   quantum boundary falls on the same instruction, or the interleaving
-   drifts. *)
-let test_differential_quanta () =
-  let boot ~cached =
-    Fault.reset ();
-    let ctxs = Workload.spawn_fleet ~n:2 Workload.ltpd in
-    let m = (List.hd ctxs).Workload.m in
-    let bb = if cached then Some (Bbcache.enable m) else None in
-    ignore (Machine.run m ~max_cycles:100_003);
-    let retired =
-      List.map (fun c -> (Machine.proc_exn m c.Workload.pid).Proc.retired) ctxs
-    in
-    Option.iter Bbcache.disable bb;
-    (m.Machine.clock, retired)
-  in
-  let ci, ri = boot ~cached:false and cc, rc = boot ~cached:true in
-  Alcotest.(check int64) "virtual clock identical" ci cc;
-  Alcotest.(check (list int)) "per-worker progress identical" ri rc
-
-(* ---------- drcov byte-identity (the tracer as cache stubs) ---------- *)
-
-(* No cut: the tracer alone must see the same blocks in both modes *)
-let drcov_identity app reqs =
-  let i = run_mode ~cached:false app reqs in
-  let c = run_mode ~cached:true app reqs in
-  Alcotest.(check string) "drcov byte-identical" i.drcov c.drcov
-
-let test_drcov_identity_ltpd () =
-  drcov_identity Workload.ltpd (Workload.web_wanted @ Workload.web_undesired)
-
 let test_drcov_identity_rkv () =
-  drcov_identity Workload.rkv (Workload.kv_wanted @ Workload.kv_undesired)
+  ignore (differential Workload.rkv (Workload.kv_wanted @ Workload.kv_undesired))
 
 (* ---------- invalidation: cut -> flush -> re-enable -> re-decode ---------- *)
 
-(* One full roundtrip on the dispatcher server under cached execution:
-   warm the cache, cut (checkpoint/rewrite/restore builds a fresh
-   process, so the cache must read cold), serve against the rewritten
-   text, re-enable, and prove the post-cut traffic re-decoded rather
-   than reusing any pre-cut block. *)
+(* One full roundtrip on the dispatcher server: warm the cache, cut
+   (checkpoint/rewrite/restore builds a fresh process, so the cache must
+   read cold), serve against the rewritten text, re-enable, and prove
+   the post-cut traffic re-decoded rather than reusing any pre-cut
+   block. *)
 let roundtrip method_ ~probe_cut () =
   Fault.reset ();
   let m, p = Test_core.boot () in
   let pid = p.Proc.pid in
-  let bb = Bbcache.enable m in
   Alcotest.(check string) "pre-cut S" "SET-OK" (Test_core.request m "S");
-  Alcotest.(check bool) "cache warm" true (Bbcache.cached_blocks bb ~pid > 0);
-  let decodes_warm = (Bbcache.stats bb).Bbcache.st_decodes in
+  Alcotest.(check bool) "cache warm" true (Dispatch.cached_blocks m ~pid > 0);
+  let decodes_warm = (stats m).Dispatch.st_decodes in
   let session = Dynacut.create m ~root_pid:pid in
   let policy = { Dynacut.method_; on_trap = `Redirect "err_path" } in
   let journals, (_ : Dynacut.timings) =
     Dynacut.cut session ~blocks:(Test_core.feature_blocks ()) ~policy
   in
   Alcotest.(check int) "cache cold after restore-from-image" 0
-    (Bbcache.cached_blocks bb ~pid);
+    (Dispatch.cached_blocks m ~pid);
   (* wanted path serves from re-decoded blocks of the rewritten text *)
   Alcotest.(check string) "wanted intact" "VAL=8" (Test_core.request m "G");
   if probe_cut then
     Alcotest.(check string) "feature blocked" "ERR" (Test_core.request m "S");
   Alcotest.(check bool) "post-cut traffic re-decoded" true
-    ((Bbcache.stats bb).Bbcache.st_decodes > decodes_warm);
-  let decodes_cut = (Bbcache.stats bb).Bbcache.st_decodes in
+    ((stats m).Dispatch.st_decodes > decodes_warm);
+  let decodes_cut = (stats m).Dispatch.st_decodes in
   (* re-enable restores the original bytes through another
      checkpoint/restore: cold again, then re-decode *)
   let (_ : Dynacut.timings) = Dynacut.reenable session journals in
   Alcotest.(check int) "cache cold after re-enable" 0
-    (Bbcache.cached_blocks bb ~pid);
+    (Dispatch.cached_blocks m ~pid);
   Alcotest.(check string) "feature restored" "SET-OK" (Test_core.request m "S");
   Alcotest.(check bool) "post-reenable traffic re-decoded" true
-    ((Bbcache.stats bb).Bbcache.st_decodes > decodes_cut);
-  Bbcache.disable bb
+    ((stats m).Dispatch.st_decodes > decodes_cut)
 
 (* `Unmap_pages keeps on_trap = `Kill (its only supported action), so the
    undesired probe would kill the server — skip it and roundtrip the
@@ -183,9 +567,8 @@ let test_roundtrip_unmap () =
   Fault.reset ();
   let m, p = Test_core.boot () in
   let pid = p.Proc.pid in
-  let bb = Bbcache.enable m in
   Alcotest.(check string) "pre-cut S" "SET-OK" (Test_core.request m "S");
-  Alcotest.(check bool) "cache warm" true (Bbcache.cached_blocks bb ~pid > 0);
+  Alcotest.(check bool) "cache warm" true (Dispatch.cached_blocks m ~pid > 0);
   let session = Dynacut.create m ~root_pid:pid in
   let journals, (_ : Dynacut.timings) =
     Dynacut.cut session
@@ -193,14 +576,13 @@ let test_roundtrip_unmap () =
       ~policy:{ Dynacut.method_ = `Unmap_pages; on_trap = `Kill }
   in
   Alcotest.(check int) "cache cold after restore-from-image" 0
-    (Bbcache.cached_blocks bb ~pid);
+    (Dispatch.cached_blocks m ~pid);
   Alcotest.(check string) "wanted intact over unmapped pages" "VAL=8"
     (Test_core.request m "G");
   let (_ : Dynacut.timings) = Dynacut.reenable session journals in
   Alcotest.(check int) "cache cold after re-enable" 0
-    (Bbcache.cached_blocks bb ~pid);
-  Alcotest.(check string) "feature restored" "SET-OK" (Test_core.request m "S");
-  Bbcache.disable bb
+    (Dispatch.cached_blocks m ~pid);
+  Alcotest.(check string) "feature restored" "SET-OK" (Test_core.request m "S")
 
 (* ---------- self-modifying page: live patch evicts, never stale ---------- *)
 
@@ -208,7 +590,6 @@ let test_self_modifying_eviction () =
   Fault.reset ();
   let m, p = Test_core.boot () in
   let pid = p.Proc.pid in
-  let bb = Bbcache.enable m in
   Alcotest.(check string) "warm" "SET-OK" (Test_core.request m "S");
   (* live first-byte int3, no checkpoint/restore cycle: the dirtied page
      must evict the cached do_set block before the next dispatch. A
@@ -222,8 +603,7 @@ let test_self_modifying_eviction () =
   Alcotest.(check bool) "trap killed the worker (no stale block ran)" false
     (Proc.is_live (Machine.proc_exn m pid));
   Alcotest.(check bool) "eviction really happened" true
-    ((Bbcache.stats bb).Bbcache.st_flushes > 0);
-  Bbcache.disable bb
+    ((stats m).Dispatch.st_flushes > 0)
 
 (* ---------- post-Fleet.recover coldness ---------- *)
 
@@ -239,14 +619,13 @@ let test_fleet_recover_coldness () =
       ~blocks:(Common.web_feature_blocks Workload.ltpd)
       ~policy:lpolicy
   in
-  let bb = Bbcache.enable m in
   for _ = 1 to 4 do
     ignore (Fleet.request fleet get)
   done;
   List.iter
     (fun pid ->
       Alcotest.(check bool) "every worker warm" true
-        (Bbcache.cached_blocks bb ~pid > 0))
+        (Dispatch.cached_blocks m ~pid > 0))
     pids;
   (* controller dies mid-restore during wave 1 of a rollout; recovery
      rolls the half-cut worker back from its pristine image — a fresh
@@ -274,7 +653,7 @@ let test_fleet_recover_coldness () =
   List.iter
     (fun pid ->
       Alcotest.(check int) "no stale block survives respawn-from-image" 0
-        (Bbcache.cached_blocks bb ~pid))
+        (Dispatch.cached_blocks m ~pid))
     rolled;
   for _ = 1 to 4 do
     ignore (Fleet.request fleet get)
@@ -282,72 +661,73 @@ let test_fleet_recover_coldness () =
   List.iter
     (fun pid ->
       Alcotest.(check bool) "respawned worker re-decoded and serves" true
-        (Bbcache.cached_blocks bb ~pid > 0))
-    rolled;
-  Bbcache.disable bb
+        (Dispatch.cached_blocks m ~pid > 0))
+    rolled
 
 (* ---------- slicer forces interpreter fallback ---------- *)
 
 let test_slicer_fallback () =
-  let slice_run ~cached =
+  let slice_run ~reference =
     Obs.reset ();
     Fault.reset ();
     let c = Workload.spawn Workload.ltpd in
-    let bb = if cached then Some (Bbcache.enable c.Workload.m) else None in
+    if reference then interpret c.Workload.m;
     Workload.wait_ready c;
-    let hits0 =
-      match bb with Some b -> (Bbcache.stats b).Bbcache.st_hits | None -> 0
-    in
+    let hits0 = (stats c.Workload.m).Dispatch.st_hits in
     let sl =
       Slicer.attach c.Workload.m ~pid:c.Workload.pid
         ~wanted_out:(Slicelab.wanted_out_of Workload.ltpd) ()
     in
     ignore (Workload.rpc c get);
     Slicer.detach sl;
-    let s = Slicer.slice sl in
-    let hits_during =
-      match bb with
-      | Some b -> (Bbcache.stats b).Bbcache.st_hits - hits0
-      | None -> 0
-    in
-    (match bb with Some b -> Bbcache.disable b | None -> ());
-    (s, hits_during)
+    (Slicer.slice sl, (stats c.Workload.m).Dispatch.st_hits - hits0)
   in
-  let si, _ = slice_run ~cached:false in
-  let sc, hits = slice_run ~cached:true in
+  let si, _ = slice_run ~reference:true in
+  let sc, hits = slice_run ~reference:false in
   Alcotest.(check bool) "slice non-empty" true (si <> []);
-  Alcotest.(check bool) "identical slices with cache enabled" true (si = sc);
+  Alcotest.(check bool) "identical slices after a cached boot" true (si = sc);
   Alcotest.(check int) "on_insn hook forced the interpreter (0 cache hits)"
     0 hits
 
-(* ---------- two-run determinism of the dump, cache enabled ---------- *)
+(* ---------- two-run determinism of the dump ---------- *)
 
 let test_cached_dump_deterministic () =
   let run () =
     Obs.reset ();
     Fault.reset ();
     let c = Workload.spawn Workload.ltpd in
-    let bb = Bbcache.enable c.Workload.m in
     Workload.wait_ready c;
     List.iter
       (fun r -> ignore (Workload.rpc c r))
       (Workload.web_wanted @ Workload.web_undesired);
-    let d = Obs.dump_json () in
-    Bbcache.disable bb;
-    d
+    Obs.dump_json ()
   in
   Alcotest.(check string) "byte-identical dumps" (run ()) (run ())
 
+(* ---------- a dropped machine is collected ---------- *)
+
+(* [Machine.create] installs process-global hooks (the registry clock,
+   the delay and bitflip fault sinks); they must not keep a dropped
+   machine, its pages and its decoded blocks alive. *)
+let test_dropped_machine_collected () =
+  let weak = Weak.create 1 in
+  let[@inline never] boot () =
+    let c = Workload.spawn Workload.rkv in
+    Workload.wait_ready c;
+    Weak.set weak 0 (Some c.Workload.m)
+  in
+  boot ();
+  Gc.full_major ();
+  Alcotest.(check bool) "machine collected" false (Weak.check weak 0)
+
 let suite =
   [
-    Alcotest.test_case "pinning: ltpd cut, cached = interpreted" `Quick
-      test_differential_ltpd;
-    Alcotest.test_case "pinning: rkv, cached = interpreted" `Quick
-      test_differential_rkv;
-    Alcotest.test_case "pinning: ngx tree cut, cached = interpreted" `Quick
-      test_differential_ngx;
-    Alcotest.test_case "pinning: two booting workers, cached = interpreted"
-      `Quick test_differential_quanta;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+      prop_cached_is_interpreted;
+    Alcotest.test_case "generator covers every Insn.t constructor" `Quick
+      test_generator_census;
+    Alcotest.test_case "mid-block store seen at the next instruction" `Quick
+      test_mid_block_store;
     Alcotest.test_case "drcov byte-identity: ltpd" `Quick
       test_drcov_identity_ltpd;
     Alcotest.test_case "drcov byte-identity: rkv" `Quick test_drcov_identity_rkv;
@@ -363,4 +743,6 @@ let suite =
       test_slicer_fallback;
     Alcotest.test_case "cached dump is deterministic" `Quick
       test_cached_dump_deterministic;
+    Alcotest.test_case "dropped machine is collected" `Quick
+      test_dropped_machine_collected;
   ]

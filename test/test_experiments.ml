@@ -68,6 +68,14 @@ let test_fig8_interrupt_model_monotone () =
     (let c = Fig8.interrupt_cycles ~image_bytes:450_000 in
      c >= 400_000 && c <= 1_000_000)
 
+(* fig7's [measure] on one server: its sealed images decode, and the
+   wiped tree still serves *)
+let test_fig7_measure () =
+  let r = Fig7.measure Workload.ltpd in
+  Alcotest.(check bool) "image sizes read from the sealed dumps" true (r.Fig7.f7_image_size > 0);
+  Alcotest.(check bool) "init blocks removed" true (r.Fig7.f7_blocks_removed > 0);
+  Alcotest.(check bool) "still serves" true r.Fig7.f7_validated
+
 let suite =
   [
     Alcotest.test_case "timeline math" `Quick test_timeline_math;
@@ -76,5 +84,6 @@ let suite =
     Alcotest.test_case "fig4 finds the SET feature" `Quick test_fig4_finds_set_feature;
     Alcotest.test_case "feature blocks exclude libraries" `Quick test_common_feature_blocks_app_only;
     Alcotest.test_case "init blocks include libc" `Quick test_common_init_blocks_include_libc;
+    Alcotest.test_case "fig7 measure (ltpd)" `Quick test_fig7_measure;
     Alcotest.test_case "fig8 interruption model" `Quick test_fig8_interrupt_model_monotone;
   ]

@@ -483,12 +483,17 @@ let test_tlb_coherence_mem () =
   Alcotest.(check (list int64)) "store to exec page marks it dirty" [ Mem.page_index tlb_va ]
     (Mem.take_exec_dirty m)
 
-(* Run [main] to the end, interpreted or out of the code cache. *)
-let run_tlb_guest ~cached name main =
+(* The interpreter reference: a no-op per-instruction hook keeps every
+   step of [m] off the code cache. *)
+let interpret (m : Machine.t) = m.Machine.on_insn <- Some (fun _ _ -> ())
+
+(* Run [main] to the end, out of the code cache or, as the [reference],
+   interpreted. *)
+let run_tlb_guest ~reference name main =
   let m = Machine.create () in
   Vfs.add_self m.Machine.fs "libc.so" libc;
   Vfs.add_self m.Machine.fs name (Crt0.link_app ~libc (unit_ name [ func "main" [] main ]));
-  if cached then ignore (Bbcache.enable m);
+  if reference then interpret m;
   let p = Machine.spawn m ~exe_path:name () in
   let (_ : _) = Machine.run m ~max_cycles:200_000 in
   (m, p)
@@ -541,11 +546,11 @@ let test_tlb_coherence_guest () =
     ]
   in
   List.iter
-    (fun cached ->
+    (fun reference ->
       List.iter
         (fun (name, main, expect) ->
-          let m, p = run_tlb_guest ~cached name main in
-          let what = Printf.sprintf "%s (%s)" name (if cached then "cached" else "interp") in
+          let m, p = run_tlb_guest ~reference name main in
+          let what = Printf.sprintf "%s (%s)" name (if reference then "interp" else "cached") in
           Alcotest.(check bool) what true (exit_status p = expect);
           if name = "fork" then
             match List.filter (fun (q : Proc.t) -> q != p) (Machine.all_procs m) with
@@ -578,8 +583,8 @@ let test_high_half_address_faults () =
     ]
   in
   List.iter
-    (fun cached ->
-      let _, p = run_tlb_guest ~cached "hh" main in
+    (fun reference ->
+      let _, p = run_tlb_guest ~reference "hh" main in
       Alcotest.(check bool) "guest SIGSEGV" true (exit_status p = `Killed Abi.sigsegv))
     [ false; true ]
 
@@ -595,11 +600,11 @@ let test_high_half_code_blocks () =
     @ store_code (i hh) code
     @ [ ret (callp (i hh) []) ]
   in
-  let run ~cached =
+  let run ~reference =
     let m = Machine.create () in
     Vfs.add_self m.Machine.fs "libc.so" libc;
     Vfs.add_self m.Machine.fs "hhc" (Crt0.link_app ~libc (unit_ "hhc" [ func "main" [] main ]));
-    if cached then ignore (Bbcache.enable m);
+    if reference then interpret m;
     let blocks = ref [] in
     m.Machine.trace <- Some (fun _ start size -> blocks := (start, size) :: !blocks);
     let p = Machine.spawn m ~exe_path:"hhc" () in
@@ -607,10 +612,10 @@ let test_high_half_code_blocks () =
     Alcotest.(check bool) "exit 42" true (exit_status p = `Exit 42);
     (List.rev !blocks, p.Proc.retired)
   in
-  let interp_blocks, interp_retired = run ~cached:false in
+  let interp_blocks, interp_retired = run ~reference:true in
   Alcotest.(check bool) "high-half block traced with its full start" true
     (List.mem (Int64.of_int hh, size) interp_blocks);
-  let cached_blocks, cached_retired = run ~cached:true in
+  let cached_blocks, cached_retired = run ~reference:false in
   Alcotest.(check (list (pair int64 int))) "cached block stream = interpreted" interp_blocks
     cached_blocks;
   Alcotest.(check int) "cached retired = interpreted" interp_retired cached_retired
@@ -640,7 +645,7 @@ let spin_rounds letter ~rounds ~spin extra =
    checkpointed, reaped and restored, CRIU style. Returns each run's
    outcome, clock and per-pid retired counts, and the order of every
    guest write. *)
-let sched_order_run ~cached =
+let sched_order_run ~reference =
   let m = Machine.create () in
   Vfs.add_self m.Machine.fs "libc.so" libc;
   let add name funcs = Vfs.add_self m.Machine.fs name (Crt0.link_app ~libc (unit_ name funcs)) in
@@ -658,7 +663,7 @@ let sched_order_run ~cached =
         (spin_rounds "c" ~rounds:30 ~spin:11
            [ when_ ((v "k" ==: i 1) ||: (v "k" ==: i 28)) [ do_ "nanosleep" [ i 2_500 ] ] ]);
     ];
-  if cached then ignore (Bbcache.enable m);
+  if reference then interpret m;
   let spawn name = (Machine.spawn m ~exe_path:name ()).Proc.pid in
   let pids = List.map spawn [ "a"; "b"; "c" ] in
   let writes = Buffer.create 128 in
@@ -701,9 +706,9 @@ let test_sched_order_pinned () =
     ]
   in
   List.iter
-    (fun cached ->
-      let runs, writes = sched_order_run ~cached in
-      let mode = if cached then "cached" else "interp" in
+    (fun reference ->
+      let runs, writes = sched_order_run ~reference in
+      let mode = if reference then "interp" else "cached" in
       List.iter2
         (fun (r, clock, retired) (r', clock', retired') ->
           Alcotest.check outcome (mode ^ ": outcome") r' r;
