@@ -172,6 +172,18 @@ for w in serve_web recut_ngx profile_kv; do
       ;;
   esac
 done
+# One traced second of recut_ngx: its traced pass must leave every guest
+# count (machine.insns, vcycles, syscalls, traps) equal to the untraced
+# pass, or the run is not correct. A host-side change must not move the
+# guest on the cut path either.
+out=$(python3 perfbench/run.py --workload recut_ngx --seed 1 --seconds 1 --trace 1 | tail -n 1)
+case "$out" in
+  *'"correct": true'*'"failed": 0'*) echo "   recut_ngx traced ok" ;;
+  *)
+    echo "FAIL: perfbench recut_ngx --trace 1: $out"
+    exit 1
+    ;;
+esac
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

@@ -4,8 +4,9 @@
 
     A {!session} wraps one target process tree. [cut] disables a block
     list under a policy; [reenable] restores a previous cut's journal.
-    All edits go through the static images in the machine's tmpfs — the
-    live process is only ever frozen, reaped, and re-created, never
+    All edits go through static checkpoint images — decoded once per
+    transaction, edited in memory, sealed into the machine's tmpfs —
+    the live process is only ever frozen, reaped, and re-created, never
     patched in place (§3.2.1). *)
 
 type policy = {
@@ -85,6 +86,19 @@ let create (machine : Machine.t) ~(root_pid : int) : session =
     table = [];
   }
 
+(* [Vfs.find_self] for one cut: the redirect filter and the handler
+   stage of every pid and retry share one parse of each binary. Nothing
+   is kept past the cut (ngx's parsed executable alone is 75 KB). *)
+let binaries (s : session) : string -> Self.t option =
+  let parsed = Hashtbl.create 2 in
+  fun path ->
+    match Hashtbl.find_opt parsed path with
+    | Some self -> self
+    | None ->
+        let self = Vfs.find_self s.machine.Machine.fs path in
+        Hashtbl.add parsed path self;
+        self
+
 let tree_pids (s : session) : int list =
   let rec descendants pid =
     let kids =
@@ -99,14 +113,6 @@ let tree_pids (s : session) : int list =
 let image_path s pid = Printf.sprintf "%s/dump-%d.img" s.tmpfs pid
 let pristine_path s pid = Printf.sprintf "%s/pristine-%d.img" s.tmpfs pid
 
-let load_image s pid : Images.t =
-  try Restore.load_from_tmpfs s.machine ~path:(image_path s pid)
-  with Restore.Restore_error _ ->
-    raise (Dynacut_error (Printf.sprintf "no image for pid %d" pid))
-
-let store_image s (img : Images.t) : unit =
-  ignore (Checkpoint.save_to_tmpfs s.machine ~dir:s.tmpfs img)
-
 (** Drop a pid's session bookkeeping (policy-table entries, injected-lib
     base). Needed when a process is re-created from its {e pristine}
     image outside the transaction engine — the handler library is not in
@@ -120,9 +126,25 @@ let load_pristine s pid : Images.t =
   | Some blob -> Validate.decode_sealed blob
   | None -> raise (Dynacut_error (Printf.sprintf "no pristine image for pid %d" pid))
 
-(* put the working images back to their pre-edit state (retries must not
-   see a half-patched image: disable_first_byte would journal 0xCC as the
+(* A transaction keeps each pid's working image in memory, in a table
+   local to the transaction: dumped once, edited by every stage, checked,
+   sealed once into the working frame and restored from. Nothing of it
+   outlives the transaction. *)
+type images = (int, Images.t) Hashtbl.t
+
+(* a pid's working image. A failed attempt empties the table, so the
+   next one starts from the pristine frame: retries must not see a
+   half-patched image (disable_first_byte would journal 0xCC as the
    original byte) *)
+let working_image s (imgs : images) pid =
+  match Hashtbl.find_opt imgs pid with
+  | Some img -> img
+  | None ->
+      let img = load_pristine s pid in
+      Hashtbl.replace imgs pid img;
+      img
+
+(* put the working frames back to their pre-edit state *)
 let reset_working s pids =
   List.iter
     (fun pid ->
@@ -136,10 +158,11 @@ let reset_working s pids =
    journal can record [Frozen] between the two halves. *)
 let stage_freeze s pids = List.iter (fun pid -> Machine.freeze s.machine ~pid) pids
 
-let stage_dump s pids =
+let stage_dump s (imgs : images) pids =
   List.iter
     (fun pid ->
       let img = Checkpoint.dump s.machine ~pid ~mode:Checkpoint.Dynacut () in
+      Hashtbl.replace imgs pid img;
       (* one seal serves both copies. The pristine copy is the
          transaction's rollback anchor; it is written before the
          criu.save fault site, so an injected serialization fault cannot
@@ -149,16 +172,12 @@ let stage_dump s pids =
       ignore (Checkpoint.save_sealed s.machine ~dir:s.tmpfs ~pid blob))
     pids
 
-let stage_checkpoint s pids =
-  stage_freeze s pids;
-  stage_dump s pids
-
 (* stage 2: apply the block-disabling edits; returns journals *)
-let stage_disable s pids ~(blocks : Covgraph.block list) ~method_ :
+let stage_disable s imgs pids ~(blocks : Covgraph.block list) ~method_ :
     Rewriter.journal list =
   List.map
     (fun pid ->
-      let img = load_image s pid in
+      let img = working_image s imgs pid in
       let patches, img =
         match method_ with
         | `First_byte -> (Rewriter.disable_first_byte img blocks, img)
@@ -176,25 +195,25 @@ let stage_disable s pids ~(blocks : Covgraph.block list) ~method_ :
             in
             (unmaps @ Rewriter.wipe_blocks img still_mapped, img)
       in
-      store_image s img;
+      Hashtbl.replace imgs pid img;
       { Rewriter.j_pid = pid; j_patches = patches })
     pids
 
 (* stage 3: inject (or re-use) the handler library, write the policy
    table, register the SIGTRAP sigaction *)
-let stage_handler s pids ~(blocks : Covgraph.block list) ~on_trap
+let stage_handler s ~find_self imgs pids ~(blocks : Covgraph.block list) ~on_trap
     ~(journals : Rewriter.journal list) =
   match on_trap with
   | `Kill -> ()
   | (`Terminate | `Redirect _ | `Verify) as trap ->
       let libc =
-        match Vfs.find_self s.machine.Machine.fs "libc.so" with
+        match find_self "libc.so" with
         | Some l -> l
         | None -> raise (Dynacut_error "libc.so vanished")
       in
       List.iter
         (fun pid ->
-          let img = load_image s pid in
+          let img = working_image s imgs pid in
           let libc_base =
             match Rewriter.module_base img "libc.so" with
             | Some b -> b
@@ -221,7 +240,7 @@ let stage_handler s pids ~(blocks : Covgraph.block list) ~on_trap
             List.find (fun (j : Rewriter.journal) -> j.Rewriter.j_pid = pid) journals
           in
           let exe =
-            match Vfs.find_self s.machine.Machine.fs img.Images.core.Images.c_exe with
+            match find_self img.Images.core.Images.c_exe with
             | Some e -> e
             | None -> raise (Dynacut_error "target executable not in filesystem")
           in
@@ -274,15 +293,30 @@ let stage_handler s pids ~(blocks : Covgraph.block list) ~on_trap
               ~handler:(Inject.lib_sym s.handler_lib ~base Handler.sym_handler)
               ~restorer:(Inject.lib_sym s.handler_lib ~base Handler.sym_restorer)
           in
-          store_image s img)
+          Hashtbl.replace imgs pid img)
         pids
 
+(* the last step of every edit: check each pid's edited image, seal it
+   once and store it as the working frame, then read the frame back. The
+   stored bytes must be the sealed string, so a damaged write is caught
+   before the transaction journals [Rewritten] *)
+let stage_seal s imgs pids =
+  List.iter
+    (fun pid ->
+      let img = working_image s imgs pid in
+      Validate.check img;
+      let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
+      let path = Checkpoint.save_sealed s.machine ~dir:s.tmpfs ~pid blob in
+      let stored = Restore.load_sealed s.machine ~path in
+      Obs.with_span "crit" (fun () -> Validate.check_stored ~sealed:blob stored))
+    pids
+
 (* stage 4: replace the live processes with the rewritten images *)
-let stage_restore s pids =
+let stage_restore s imgs pids =
   List.iter
     (fun pid ->
       Machine.reap s.machine ~pid;
-      let p = Restore.restore s.machine (load_image s pid) in
+      let p = Restore.restore s.machine (Hashtbl.find imgs pid) in
       p.Proc.frozen <- false)
     pids
 
@@ -294,10 +328,10 @@ let stage_restore s pids =
     function — the dispatcher edges. Blocking those entry blocks is
     sufficient to disable the feature; deeper feature code stays mapped
     (use [`Wipe] + [`Kill] when that residue matters). *)
-let redirect_filter (s : session) ~(sym : string) (blocks : Covgraph.block list) :
-    Covgraph.block list =
+let filter_redirect ~find_self (s : session) ~(sym : string)
+    (blocks : Covgraph.block list) : Covgraph.block list =
   let root = Machine.proc_exn s.machine s.root_pid in
-  match Vfs.find_self s.machine.Machine.fs root.Proc.exe_path with
+  match find_self root.Proc.exe_path with
   | None -> blocks
   | Some exe -> (
       match Self.find_symbol exe sym with
@@ -310,15 +344,17 @@ let redirect_filter (s : session) ~(sym : string) (blocks : Covgraph.block list)
               && Funcbounds.same_function bounds b.Covgraph.b_off target.Self.sym_off)
             blocks)
 
+let redirect_filter s = filter_redirect ~find_self:(binaries s) s
+
 (* the image edits of a re-enable: original bytes back, pages remapped,
    the journal's entries dropped from the policy table *)
-let reenable_edits s pids (journals : Rewriter.journal list) =
+let reenable_edits s imgs pids (journals : Rewriter.journal list) =
   List.iter
     (fun (j : Rewriter.journal) ->
       match List.find_opt (fun pid -> pid = j.Rewriter.j_pid) pids with
       | None -> ()
       | Some pid ->
-          let img = load_image s pid in
+          let img = working_image s imgs pid in
           Rewriter.restore_bytes img j.Rewriter.j_patches;
           let img = Rewriter.remap img j.Rewriter.j_patches in
           (* drop only this journal's entries from the policy table;
@@ -347,16 +383,17 @@ let reenable_edits s pids (journals : Rewriter.journal list) =
               Inject.write_policy img ~lib:s.handler_lib ~base ~mode
                 ~entries:remaining
           | _ -> ());
-          store_image s img)
+          Hashtbl.replace imgs pid img)
     journals
 
 (* ---------- the transaction ---------- *)
 
 (* A cut is two phases. Phase A (checkpoint + every image edit) works on
    static images only: the live tree is frozen but untouched, so a
-   failure there needs no process surgery — reset the working images from
-   the pristine copies, restore the session bookkeeping, thaw. Phase B
-   (restore) replaces processes one by one; a failure there re-restores
+   failure there needs no process surgery — drop the in-memory images,
+   reset the working frames from the pristine copies, restore the
+   session bookkeeping, thaw. Phase B (restore) replaces processes one
+   by one from the checked in-memory images; a failure there re-restores
    the already-replaced pids from their pristine images. Either way the
    invariant holds: the cut is fully applied, or the tree is exactly as
    it was. *)
@@ -490,7 +527,7 @@ let do_backoff s ~attempt =
    never replaced and unrecorded. The [Commit] append rides inside the
    same failure domain — if it cannot be logged, the cut is not
    considered applied and the unwind reverts everything. *)
-let commit_restore s ~txid pids =
+let commit_restore s ~txid imgs pids =
   let replaced = ref [] in
   try
     List.iter
@@ -498,7 +535,7 @@ let commit_restore s ~txid pids =
         guard "restore" (fun () ->
             jrnl_append s (Journal.Replaced { txid; pid });
             Machine.reap s.machine ~pid;
-            let p = Restore.restore s.machine (load_image s pid) in
+            let p = Restore.restore s.machine (Hashtbl.find imgs pid) in
             p.Proc.frozen <- false;
             replaced := pid :: !replaced))
       pids;
@@ -523,13 +560,14 @@ let commit_restore s ~txid pids =
     raise failure
 
 (* the engine shared by cut and re-enable. [attempts] is the edit phase:
-   the primary method first, then any degraded fallbacks; each returns
-   (journals, t_disable, t_handler) and works purely on the tmpfs
-   images. *)
+   the primary method first, then any degraded fallbacks; each edits the
+   transaction's in-memory images, ends with {!stage_seal} and returns
+   (journals, t_disable, t_handler). *)
 let run_transaction s ~op ~pids ~max_retries ~retry_classes
-    ~(attempts : (unit -> Rewriter.journal list * float * float) list) :
+    ~(attempts : (images -> Rewriter.journal list * float * float) list) :
     cut_result =
   let saved = snapshot_state s in
+  let imgs : images = Hashtbl.create 4 in
   let txid = s.next_txid in
   s.next_txid <- txid + 1;
   let retries = ref 0 and backoff_total = ref 0 in
@@ -578,7 +616,7 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
             Obs.timed_span "checkpoint" (fun () ->
                 guard "checkpoint" (fun () -> stage_freeze s pids);
                 guard "journal" (fun () -> jrnl_append s (Journal.Frozen txid));
-                guard "checkpoint" (fun () -> stage_dump s pids);
+                guard "checkpoint" (fun () -> stage_dump s imgs pids);
                 guard "journal" (fun () ->
                     jrnl_append s (Journal.Images_saved txid))))
     | exception Stage_failed (stage, e) -> `Failed (stage, e)
@@ -588,12 +626,13 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
       let degraded = ref false in
       let reset_attempt () =
         restore_state s saved;
+        Hashtbl.reset imgs;
         reset_working s pids
       in
       let rec edit = function
         | [] -> assert false
         | att :: rest -> (
-            match att () with
+            match att imgs with
             | r -> `Ok r
             | exception (Stage_failed (stage, e) as failure) ->
                 reset_attempt ();
@@ -620,7 +659,7 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
             | () ->
                 with_retries (fun () ->
                     Obs.timed_span "restore" (fun () ->
-                        commit_restore s ~txid pids))
+                        commit_restore s ~txid imgs pids))
             | exception Stage_failed (stage, e) -> `Failed (stage, e)
           with
           | `Failed (stage, e) ->
@@ -654,26 +693,36 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
 let try_cut (s : session) ?(max_retries = default_max_retries)
     ?(retry_classes = []) ?(degrade = false) ?pids
     ~(blocks : Covgraph.block list) ~(policy : policy) () : cut_result =
+  let find_self = binaries s in
   let blocks =
     match policy.on_trap with
-    | `Redirect sym -> redirect_filter s ~sym blocks
+    | `Redirect sym -> filter_redirect ~find_self s ~sym blocks
     | `Kill | `Terminate | `Verify -> blocks
   in
   let pids = match pids with Some l -> l | None -> tree_pids s in
-  let attempt method_ () =
+  (* the final check, seal, store and read-back run in the last edit
+     stage's span: inject when a handler is installed, else rewrite *)
+  let installs = match policy.on_trap with `Kill -> false | _ -> true in
+  let attempt method_ imgs =
     s.cut_count <- s.cut_count + 1;
+    let seal () = guard "validate" (fun () -> stage_seal s imgs pids) in
     let journals, t_disable =
       Obs.timed_span "rewrite" (fun () ->
-          guard "rewrite" (fun () -> stage_disable s pids ~blocks ~method_))
+          let journals =
+            guard "rewrite" (fun () -> stage_disable s imgs pids ~blocks ~method_)
+          in
+          if not installs then seal ();
+          journals)
     in
     let (), t_handler =
       Obs.timed_span "inject" (fun () ->
-          guard "inject" (fun () ->
-              stage_handler s pids ~blocks ~on_trap:policy.on_trap ~journals))
+          if installs then begin
+            guard "inject" (fun () ->
+                stage_handler s ~find_self imgs pids ~blocks ~on_trap:policy.on_trap
+                  ~journals);
+            seal ()
+          end)
     in
-    (* never commit an image the validator rejects *)
-    guard "validate" (fun () ->
-        List.iter (fun pid -> Validate.check (load_image s pid)) pids);
     (journals, t_disable, t_handler)
   in
   let attempts =
@@ -689,13 +738,12 @@ let try_cut (s : session) ?(max_retries = default_max_retries)
 let try_reenable (s : session) ?(max_retries = default_max_retries)
     ?(retry_classes = []) ?pids (journals : Rewriter.journal list) : cut_result =
   let pids = match pids with Some l -> l | None -> tree_pids s in
-  let attempt () =
+  let attempt imgs =
     let (), t_disable =
       Obs.timed_span "rewrite" (fun () ->
-          guard "rewrite" (fun () -> reenable_edits s pids journals))
+          guard "rewrite" (fun () -> reenable_edits s imgs pids journals);
+          guard "validate" (fun () -> stage_seal s imgs pids))
     in
-    guard "validate" (fun () ->
-        List.iter (fun pid -> Validate.check (load_image s pid)) pids);
     ([], t_disable, 0.)
   in
   run_transaction s ~op:Journal.Reenable ~pids ~max_retries ~retry_classes
@@ -735,18 +783,22 @@ let reenable (s : session) (journals : Rewriter.journal list) : timings =
     clears the filter. *)
 let apply_seccomp (s : session) ~(denied : int list option) : timings =
   let pids = tree_pids s in
+  let imgs : images = Hashtbl.create 4 in
   let (), t_checkpoint =
-    Obs.timed_span "checkpoint" (fun () -> stage_checkpoint s pids)
+    Obs.timed_span "checkpoint" (fun () ->
+        stage_freeze s pids;
+        stage_dump s imgs pids)
   in
   let (), t_disable =
     Obs.timed_span "rewrite" (fun () ->
         List.iter
           (fun pid ->
-            let img = load_image s pid in
-            store_image s (Rewriter.set_seccomp img ~denied))
-          pids)
+            let img = Hashtbl.find imgs pid in
+            Hashtbl.replace imgs pid (Rewriter.set_seccomp img ~denied))
+          pids;
+        stage_seal s imgs pids)
   in
-  let (), t_restore = Obs.timed_span "restore" (fun () -> stage_restore s pids) in
+  let (), t_restore = Obs.timed_span "restore" (fun () -> stage_restore s imgs pids) in
   { t_checkpoint; t_disable; t_handler = 0.; t_restore }
 
 (** Read the verifier's false-positive log from the live process

@@ -87,8 +87,10 @@ val forget_pid : session -> pid:int -> unit
 
     A cut (or re-enable) is a two-phase transaction over the static
     images: phase A freezes the tree, checkpoints every process (keeping
-    a pristine copy of each image) and performs all edits on the tmpfs
-    images; phase B replaces the live processes. Any failure in either
+    a pristine copy of each image), performs all edits on the in-memory
+    images and seals each edited image once into tmpfs, verified by a
+    read-back; phase B replaces the live processes from the checked
+    images. Any failure in either
     phase — including a fault injected at any {!Fault.site} — rolls the
     tree back to its pre-cut state: the invariant is {e cut fully
     applied, or process tree unchanged}. *)

@@ -19,12 +19,13 @@ let of_self (exe : Self.t) : t =
       if s.Self.sec_prot.Self.p_x then begin
         let data = s.Self.sec_data in
         let n = Bytes.length data in
+        (* stops at the first differing byte, allocating nothing *)
+        let rec matches off k =
+          k = Array.length prologue
+          || (Char.code (Bytes.get data (off + k)) = prologue.(k) && matches off (k + 1))
+        in
         for off = 0 to n - Array.length prologue do
-          let matches = ref true in
-          Array.iteri
-            (fun k b -> if Char.code (Bytes.get data (off + k)) <> b then matches := false)
-            prologue;
-          if !matches then starts := (s.Self.sec_off + off) :: !starts
+          if matches off 0 then starts := (s.Self.sec_off + off) :: !starts
         done
       end)
     exe.Self.sections;

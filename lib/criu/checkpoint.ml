@@ -156,9 +156,3 @@ let save_sealed (m : Machine.t) ~(dir : string) ~(pid : int) (blob : string) : s
   let path = Printf.sprintf "%s/dump-%d.img" dir pid in
   Vfs.add m.Machine.fs path (Fault.corruptible "criu.save" blob);
   path
-
-(** Seal [img] with {!Validate}'s checksum, so truncation or corruption
-    is caught at load, and {!save_sealed} it. Returns the file path. *)
-let save_to_tmpfs (m : Machine.t) ~(dir : string) (img : Images.t) : string =
-  let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
-  save_sealed m ~dir ~pid:img.Images.core.Images.c_pid blob

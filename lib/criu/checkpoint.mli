@@ -17,6 +17,3 @@ val save_sealed : Machine.t -> dir:string -> pid:int -> string -> string
 (** Store a {!Validate.encode_sealed} frame as [pid]'s image in the
     machine's tmpfs (§3.3), through the [criu.save] fault site; returns
     the path. *)
-
-val save_to_tmpfs : Machine.t -> dir:string -> Images.t -> string
-(** [Validate.encode_sealed] (in the [crit] span), then {!save_sealed}. *)

@@ -134,14 +134,21 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
     img.Images.files.Images.f_fds;
   p
 
+(** Read a sealed image frame from the machine tmpfs, as stored: the
+    [criu.load] fault site. Raises {!Restore_error} if the file is
+    missing. *)
+let load_sealed (m : Machine.t) ~(path : string) : string =
+  Fault.site "criu.load";
+  match Vfs.find m.Machine.fs path with
+  | None -> raise (Restore_error ("no image at " ^ path))
+  | Some blob -> blob
+
 (** Load and verify a sealed image from the machine tmpfs. Raises
     {!Validate.Validate_error} if the file is truncated, corrupted, or
     structurally inconsistent. *)
 let load_from_tmpfs (m : Machine.t) ~(path : string) : Images.t =
-  Fault.site "criu.load";
-  match Vfs.find m.Machine.fs path with
-  | None -> raise (Restore_error ("no image at " ^ path))
-  | Some blob -> Obs.with_span "crit" (fun () -> Validate.decode_sealed blob)
+  let blob = load_sealed m ~path in
+  Obs.with_span "crit" (fun () -> Validate.decode_sealed blob)
 
 (** Restore from a serialized image in the machine tmpfs. *)
 let restore_from_tmpfs (m : Machine.t) ~(path : string) : Proc.t =

@@ -8,6 +8,11 @@ val restore : Machine.t -> Images.t -> Proc.t
     repaired connections, re-registered listeners. Raises
     {!Restore_error} if the pid is still alive. *)
 
+val load_sealed : Machine.t -> path:string -> string
+(** Read a sealed image frame as stored (fault site [criu.load]),
+    without verifying or decoding it; raises {!Restore_error} if the
+    file is missing. *)
+
 val load_from_tmpfs : Machine.t -> path:string -> Images.t
 (** Load, unseal, and {!Validate.check} an image blob; raises
     {!Validate.Validate_error} on truncation/corruption and

@@ -212,6 +212,18 @@ let seal_at ~(site : string) (payload : string) : string =
 (** [seal (Images.encode img)]. *)
 let encode_sealed (img : Images.t) : string = seal (Images.encode img)
 
+(** Check that [stored], an image frame read back from storage, is the
+    frame [sealed] that was written: byte equality, stronger than the
+    checksum. Only on a mismatch does the seal check run, so a damaged
+    frame is reported as truncated / bad-magic / checksum-mismatch just
+    as {!decode_sealed} would report it. *)
+let check_stored ~(sealed : string) (stored : string) : unit =
+  if not (String.equal stored sealed) then begin
+    ignore (verified_len stored);
+    fail "image differs from the sealed frame written (%d bytes, expected %d)"
+      (String.length stored) (String.length sealed)
+  end
+
 (** Verify, decode, and [check] — the only safe way to load an image
     from the tmpfs. The payload is checksummed and decoded where it lies
     in [blob], by a reader bounded to it. Decode errors surface as

@@ -56,3 +56,9 @@ val decode_sealed : string -> Images.t
     checksummed and decoded where it lies in the blob, and the decoder
     may not read past its end. Decode failures are reported as
     {!Validate_error}. *)
+
+val check_stored : sealed:string -> string -> unit
+(** [check_stored ~sealed stored] checks that a frame read back from
+    storage is byte for byte the sealed frame written, without copying
+    or decoding it. On a mismatch the seal is verified first, so the
+    {!Validate_error} names the damage the way {!unseal} does. *)

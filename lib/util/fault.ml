@@ -311,8 +311,8 @@ let parse_spec (s : string) : string * spec * bool * mode * int option =
 let known_sites =
   [
     ("criu.checkpoint", "freeze + dump of one process into images");
-    ("criu.save", "serialize and seal an image blob to tmpfs");
-    ("criu.load", "load, unseal and validate an image blob from tmpfs");
+    ("criu.save", "store a sealed image blob in tmpfs");
+    ("criu.load", "read a sealed image blob back from tmpfs");
     ("crit.encode", "image-to-text round trip, encode half");
     ("crit.decode", "image-to-text round trip, decode half");
     ("rewrite.patch", "int3 byte patch on a checkpoint image");

@@ -81,7 +81,9 @@ let test_corrupt_image_rejected () =
   let m, p = Test_core.boot () in
   Machine.freeze m ~pid:p.Proc.pid;
   let img = Checkpoint.dump m ~pid:p.Proc.pid () in
-  let path = Checkpoint.save_to_tmpfs m ~dir:"/tmpfs/t" img in
+  let path =
+    Checkpoint.save_sealed m ~dir:"/tmpfs/t" ~pid:p.Proc.pid (Validate.encode_sealed img)
+  in
   let blob = Option.get (Vfs.find m.Machine.fs path) in
   (* flip one byte in the middle of the payload *)
   let corrupt = Bytes.of_string blob in

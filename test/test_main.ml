@@ -28,4 +28,5 @@ let () =
       ("chaos", Test_chaos.suite);
       ("slice", Test_slice.suite);
       ("bbcache", Test_bbcache.suite);
+      ("imageflow", Test_imageflow.suite);
     ]
