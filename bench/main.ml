@@ -53,11 +53,11 @@ let micro_tests () =
     (m, Machine.spawn m ~exe_path:"spin" ())
   in
   let m_cached, _ = spin_machine () and m_interp, _ = spin_machine () in
-  (* the reference: a no-op per-instruction hook keeps the machine on
-     the interpreter *)
-  m_interp.Machine.on_insn <- Some (fun _ _ -> ());
-  (* the slicer's hook with no anchors: next to the interpreted kernel,
-     it prices the hook alone *)
+  (* the reference: a degraded dispatcher keeps the machine on the
+     interpreter *)
+  Dispatch.degrade m_interp.Machine.dispatcher;
+  (* the slicer's hook with no anchors: next to the cached kernel, it
+     prices the hook alone *)
   let m_sliced, p = spin_machine () in
   ignore (Slicer.attach m_sliced ~pid:p.Proc.pid ~wanted_out:(fun _ -> false) ());
   let spin_run m () = ignore (Machine.run m ~max_cycles:loop_cycles) in
@@ -249,14 +249,14 @@ let run_fleet () =
   let get = Workload.http_get "/index.html" in
   (* one closed loop of [requests] on a fresh [n]-worker fleet, through
      the code cache or, as the [reference], on the single-step
-     interpreter (a no-op per-instruction hook keeps every step there);
+     interpreter (a degraded dispatcher keeps every step there);
      returns served, virtual cycles, guest instructions retired, cache
      hit rate and the loop's host seconds *)
   let serve ?(reference = false) n =
     Fault.reset ();
     let ctxs = Workload.spawn_fleet ~n app in
     let m = (List.hd ctxs).Workload.m in
-    if reference then m.Machine.on_insn <- Some (fun _ _ -> ());
+    if reference then Dispatch.degrade m.Machine.dispatcher;
     Workload.wait_fleet_ready ctxs;
     let pids = List.map (fun c -> c.Workload.pid) ctxs in
     let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
@@ -1009,9 +1009,9 @@ let run_slice () =
   in
   let iters = if !quick then 3 else 7 in
   (* the tracer must cost something (>= 1x beyond jitter) and stay
-     within the band of the untraced run, which executes on the code
-     cache (the slicer adds a bounded amount of work per instruction on
-     the interpreter) *)
+     within the band of the untraced run; both execute on the code
+     cache, and the slicer adds a bounded amount of work per
+     instruction *)
   let m_on, m_off, ratio =
     within_band ~what:"slice: tracing overhead" ~show:(Printf.sprintf "%.2fx")
       ~lo:0.98 ~hi:25. (fun () ->

@@ -49,8 +49,8 @@ dune exec bench/main.exe -- --quick
 # Fleet smoke (DESIGN.md §6a, §7a): fan-out throughput over a small
 # worker sweep through the decoded-block code cache, plus the per-wave
 # rollout pause, written to BENCH_fleet.json. Two gates: the harness
-# hard-fails if the cached run and the interpreter reference (a no-op
-# on_insn hook) at w1 spend different virtual cycle counts (the cache
+# hard-fails if the cached run and the interpreter reference (a degraded
+# dispatcher) at w1 spend different virtual cycle counts (the cache
 # must be invisible to the guest), and if the cache's host speedup at
 # w1 (reference/cached serve time, min-of-k interleaved) drops below 2x.
 echo "== bench --quick fleet =="
@@ -172,18 +172,21 @@ for w in serve_web recut_ngx profile_kv; do
       ;;
   esac
 done
-# One traced second of recut_ngx: its traced pass must leave every guest
-# count (machine.insns, vcycles, syscalls, traps) equal to the untraced
-# pass, or the run is not correct. A host-side change must not move the
-# guest on the cut path either.
-out=$(python3 perfbench/run.py --workload recut_ngx --seed 1 --seconds 1 --trace 1 | tail -n 1)
-case "$out" in
-  *'"correct": true'*'"failed": 0'*) echo "   recut_ngx traced ok" ;;
-  *)
-    echo "FAIL: perfbench recut_ngx --trace 1: $out"
-    exit 1
-    ;;
-esac
+# One traced second each of recut_ngx and profile_kv: the traced pass
+# must leave every guest count (machine.insns, vcycles, syscalls, traps)
+# equal to the untraced pass, or the run is not correct. A host-side
+# change must not move the guest on the cut path, and the slicer's
+# on_insn hook running on the code cache must not move it in discovery.
+for w in recut_ngx profile_kv; do
+  out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+  case "$out" in
+    *'"correct": true'*'"failed": 0'*) echo "   $w traced ok" ;;
+    *)
+      echo "FAIL: perfbench $w --trace 1: $out"
+      exit 1
+      ;;
+  esac
+done
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

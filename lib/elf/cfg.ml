@@ -15,112 +15,106 @@ type block = {
 
 type t = {
   cfg_module : string;
-  cfg_blocks : block list;  (** sorted by offset *)
-  cfg_edges : (int * int) list;  (** intra-module (from_block_off, to_block_off) *)
+  cfg_blocks : block array;  (** sorted by offset *)
+  cfg_edges : (int * int) list;
+      (** intra-module (from-insn offset, target offset), sorted *)
 }
 
-let term_of_insn (i : Insn.t) =
-  match i with
-  | Insn.Jmp _ -> `Jmp
-  | Insn.Jcc _ -> `Jcc
-  | Insn.Call _ -> `Call
-  | Insn.Ret -> `Ret
-  | Insn.Call_r _ | Insn.Jmp_r _ -> `Ind
-  | Insn.Syscall -> `Syscall
-  | Insn.Int3 | Insn.Hlt -> `Trap
-  | _ -> `Fall
+(* Block terminators by code; code 0 is an instruction that does not end
+   a block. *)
+let terms = [| `Fall; `Jmp; `Jcc; `Call; `Ret; `Ind; `Syscall; `Trap |]
 
-(** Decode one executable section into basic blocks. [extra_leaders] are
-    module-relative offsets known to be entry points from outside the
-    section's own branches — function symbols and PLT stubs. *)
-let blocks_of_section ?(extra_leaders = []) (sec : Self.section) :
+let term_code (i : Insn.t) =
+  match i with
+  | Insn.Jmp _ -> 1
+  | Insn.Jcc _ -> 2
+  | Insn.Call _ -> 3
+  | Insn.Ret -> 4
+  | Insn.Call_r _ | Insn.Jmp_r _ -> 5
+  | Insn.Syscall -> 6
+  | Insn.Int3 | Insn.Hlt -> 7
+  | _ -> 0
+
+(** Decode one executable section into basic blocks and edges, both
+    sorted. [extra_leaders] are module-relative offsets known to be
+    entry points from outside the section's own branches — function
+    symbols and PLT stubs. *)
+let blocks_of_section ~extra_leaders (sec : Self.section) :
     block list * (int * int) list =
   let data = sec.sec_data in
-  let size = Bytes.length data in
-  (* pass 1: linear decode, note instruction starts, leaders and edges *)
-  let insn_at = Hashtbl.create 1024 in
-  (* off -> (insn, len) *)
+  let size = Bytes.length data and base = sec.sec_off in
+  (* pass 1: decode linearly up to the first undecodable byte; note each
+     instruction's length and terminator code (packed as [len lor (code
+     lsl 4)], in order), the leader bitmap and the edges *)
+  let insns = Array.make size 0 in
+  let n = ref 0 in
+  let leader = Bytes.make size '\000' in
+  let mark o = if o >= 0 && o < size then Bytes.unsafe_set leader o '\001' in
+  mark 0;
+  List.iter (fun off -> mark (off - base)) extra_leaders;
+  (* consed newest first; each instruction's edges in target order *)
+  let edges = ref [] in
   let pos = ref 0 in
   (try
      while !pos < size do
-       let insn, len = Decode.decode_at data !pos in
-       Hashtbl.replace insn_at !pos (insn, len);
-       pos := !pos + len
+       let off = !pos in
+       let insn, len = Decode.decode_at data off in
+       let next = off + len in
+       (match insn with
+       | Insn.Jmp rel ->
+           mark (next + rel);
+           edges := (base + off, base + next + rel) :: !edges;
+           mark next
+       | Insn.Jcc (_, rel) | Insn.Call rel ->
+           let target = next + rel in
+           mark target;
+           mark next;
+           let lo = min target next and hi = max target next in
+           edges := (base + off, base + hi) :: (base + off, base + lo) :: !edges
+       | Insn.Call_r _ | Insn.Jmp_r _ | Insn.Ret | Insn.Syscall | Insn.Int3 | Insn.Hlt ->
+           mark next
+       | _ -> ());
+       insns.(!n) <- len lor (term_code insn lsl 4);
+       incr n;
+       pos := next
      done
    with Decode.Invalid_opcode _ | Decode.Truncated_insn -> ());
-  let leaders = Hashtbl.create 256 in
-  Hashtbl.replace leaders 0 ();
-  List.iter
-    (fun off ->
-      let rel = off - sec.sec_off in
-      if rel >= 0 && rel < size then Hashtbl.replace leaders rel ())
-    extra_leaders;
-  let edges = ref [] in
-  Hashtbl.iter
-    (fun off (insn, len) ->
-      let next = off + len in
-      let mark o = if o >= 0 && o < size then Hashtbl.replace leaders o () in
-      match insn with
-      | Insn.Jmp rel ->
-          mark (next + rel);
-          edges := (off, next + rel) :: !edges;
-          mark next
-      | Insn.Jcc (_, rel) ->
-          mark (next + rel);
-          edges := (off, next + rel) :: (off, next) :: !edges;
-          mark next
-      | Insn.Call rel ->
-          mark (next + rel);
-          edges := (off, next + rel) :: (off, next) :: !edges;
-          mark next
-      | Insn.Call_r _ | Insn.Jmp_r _ | Insn.Ret | Insn.Syscall | Insn.Int3 | Insn.Hlt ->
-          mark next
-      | _ -> ())
-    insn_at;
-  (* pass 2: walk instructions in order, cutting at leaders and terminators *)
+  (* pass 2: walk the instructions in order, cutting at leaders and
+     terminators *)
   let blocks = ref [] in
-  let cur_start = ref None in
-  let cur_insns = ref 0 in
-  let flush_at stop term =
-    match !cur_start with
-    | None -> ()
-    | Some st ->
-        blocks := { bb_off = st; bb_size = stop - st; bb_insns = !cur_insns; bb_term = term } :: !blocks;
-        cur_start := None;
-        cur_insns := 0
+  let start = ref (-1) and count = ref 0 in
+  let close stop term =
+    if !start >= 0 then begin
+      blocks :=
+        { bb_off = base + !start; bb_size = stop - !start; bb_insns = !count; bb_term = term }
+        :: !blocks;
+      start := -1;
+      count := 0
+    end
   in
   let pos = ref 0 in
-  while !pos < size do
-    match Hashtbl.find_opt insn_at !pos with
-    | None ->
-        flush_at !pos `Trap;
-        incr pos (* undecodable (data padding) — skip a byte *)
-    | Some (insn, len) ->
-        if !cur_start = None then cur_start := Some !pos
-        else if Hashtbl.mem leaders !pos then begin
-          flush_at !pos `Fall;
-          cur_start := Some !pos
-        end;
-        incr cur_insns;
-        let next = !pos + len in
-        if Insn.is_block_end insn then flush_at next (term_of_insn insn);
-        pos := next
+  for k = 0 to !n - 1 do
+    let off = !pos in
+    if !start < 0 then start := off
+    else if Bytes.unsafe_get leader off <> '\000' then begin
+      close off `Fall;
+      start := off
+    end;
+    incr count;
+    let v = insns.(k) in
+    pos := off + (v land 15);
+    if v lsr 4 <> 0 then close !pos terms.(v lsr 4)
   done;
-  flush_at !pos `Fall;
-  let base = sec.sec_off in
-  let blocks =
-    List.rev_map
-      (fun b -> { b with bb_off = b.bb_off + base })
-      !blocks
-    |> List.sort (fun a b -> compare a.bb_off b.bb_off)
-  in
-  let edges = List.rev_map (fun (f, t) -> (f + base, t + base)) !edges in
-  (blocks, edges)
+  (* decoding stopped short at data padding: the open block ends there *)
+  close !pos (if !pos < size then `Trap else `Fall);
+  (List.rev !blocks, List.rev !edges)
 
-(** Recover all blocks of a module's executable sections. *)
+(** Recover all blocks of a module's executable sections. Sections are
+    disjoint, so walking them by offset keeps blocks and edges sorted. *)
 let of_self (self : Self.t) : t =
   let exec_secs =
     List.filter (fun (s : Self.section) -> s.sec_prot.Self.p_x) self.sections
+    |> List.sort (fun (a : Self.section) b -> Int.compare a.sec_off b.sec_off)
   in
   let extra_leaders =
     List.map (fun (s : Self.sym) -> s.Self.sym_off) self.symbols
@@ -129,17 +123,30 @@ let of_self (self : Self.t) : t =
   let all = List.map (blocks_of_section ~extra_leaders) exec_secs in
   {
     cfg_module = self.name;
-    cfg_blocks =
-      List.concat_map fst all |> List.sort (fun a b -> compare a.bb_off b.bb_off);
+    cfg_blocks = Array.of_list (List.concat_map fst all);
     cfg_edges = List.concat_map snd all;
   }
 
-let block_count t = List.length t.cfg_blocks
+let block_count t = Array.length t.cfg_blocks
 
 (** Filter out empty padding blocks (all-nop alignment runs). *)
-let real_blocks t = List.filter (fun b -> b.bb_size > 0) t.cfg_blocks
+let real_blocks t =
+  Array.fold_right (fun b acc -> if b.bb_size > 0 then b :: acc else acc) t.cfg_blocks []
 
-let block_at t off = List.find_opt (fun b -> b.bb_off = off) t.cfg_blocks
+(* The last block starting at or before [off], by binary search. *)
+let last_from t off =
+  let a = t.cfg_blocks in
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid).bb_off <= off then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then None else Some a.(!lo - 1)
+
+let block_at t off =
+  match last_from t off with Some b when b.bb_off = off -> Some b | _ -> None
 
 let block_containing t off =
-  List.find_opt (fun b -> off >= b.bb_off && off < b.bb_off + b.bb_size) t.cfg_blocks
+  match last_from t off with
+  | Some b when off < b.bb_off + b.bb_size -> Some b
+  | _ -> None

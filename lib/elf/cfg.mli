@@ -11,17 +11,14 @@ type block = {
 
 type t = {
   cfg_module : string;
-  cfg_blocks : block list;  (** sorted by offset *)
-  cfg_edges : (int * int) list;  (** (from-insn offset, target offset) *)
+  cfg_blocks : block array;  (** sorted by offset *)
+  cfg_edges : (int * int) list;
+      (** (from-insn offset, target offset), sorted *)
 }
 
-val blocks_of_section :
-  ?extra_leaders:int list -> Self.section -> block list * (int * int) list
-(** Decode one executable section. [extra_leaders] adds known entry
-    points (function symbols, PLT stubs) as block boundaries. *)
-
 val of_self : Self.t -> t
-(** All executable sections, with symbols and PLT stubs as leaders. *)
+(** All executable sections, with symbols and PLT stubs as leaders:
+    two flat passes per section (decode, then cut), no hashtables. *)
 
 val block_count : t -> int
 
@@ -29,4 +26,8 @@ val real_blocks : t -> block list
 (** Blocks with nonzero size (drops empty padding runs). *)
 
 val block_at : t -> int -> block option
+(** The block starting at the offset; a binary search over the sorted
+    blocks. *)
+
 val block_containing : t -> int -> block option
+(** The block whose extent holds the offset; a binary search. *)

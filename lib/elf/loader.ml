@@ -40,13 +40,6 @@ let resolve_global (mods : loaded_module list) (sym : string) : int64 option =
       | _ -> None)
     mods
 
-let module_of_addr (img : image) (addr : int64) : loaded_module option =
-  List.find_opt
-    (fun m ->
-      addr >= m.lm_base
-      && addr < Int64.add m.lm_base (Int64.of_int (Self.image_size m.lm_self)))
-    img.img_modules
-
 (** Apply [self]'s dynamic relocations into fresh copies of its section
     data, given its own base and the full module list. Returns the patched
     per-section bytes. Exposed because DynaCut's injector re-runs exactly

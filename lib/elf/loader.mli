@@ -25,11 +25,6 @@ type image = {
 val default_lib_base : int64
 val lib_spacing : int64
 
-val resolve_global : loaded_module list -> string -> int64 option
-(** Absolute address of a global symbol across loaded modules. *)
-
-val module_of_addr : image -> int64 -> loaded_module option
-
 val relocate :
   Self.t -> base:int64 -> mods:loaded_module list -> (string * bytes) list
 (** Apply a module's dynamic relocations into fresh copies of its section

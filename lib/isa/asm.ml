@@ -84,27 +84,31 @@ let item_size = function
     Section order is the order of first appearance; items before any
     [Section] directive land in [".text"]. *)
 let assemble ~name (items : item list) : obj =
-  (* pass 1: offsets and symbols *)
-  let offsets : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  (* pass 1: offsets and symbols; the current section's offset cell is
+     held in [off], so only a [Section] directive hashes a name *)
+  let offsets : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
   let section_order = ref [] in
-  let cur = ref ".text" in
-  let touch s =
-    if not (Hashtbl.mem offsets s) then (
-      Hashtbl.add offsets s 0;
-      section_order := s :: !section_order)
+  let offset_of s =
+    match Hashtbl.find_opt offsets s with
+    | Some r -> r
+    | None ->
+        let r = ref 0 in
+        Hashtbl.add offsets s r;
+        section_order := s :: !section_order;
+        r
   in
-  touch ".text";
+  let cur = ref ".text" in
+  let off = ref (offset_of ".text") in
   let symbols = ref [] in
   let labels = Hashtbl.create 64 in
   let globals = Hashtbl.create 8 in
-  let off () = Hashtbl.find offsets !cur in
-  let bump n = Hashtbl.replace offsets !cur (off () + n) in
+  let bump n = !off := !(!off) + n in
   List.iter
     (fun item ->
       match item with
       | Section s ->
           cur := s;
-          touch s
+          off := offset_of s
       | Label l ->
           if Hashtbl.mem labels l then
             raise (Asm_error (Printf.sprintf "%s: duplicate label %s" name l));
@@ -113,20 +117,20 @@ let assemble ~name (items : item list) : obj =
             {
               s_name = l;
               s_section = !cur;
-              s_offset = off ();
+              s_offset = !(!off);
               s_global = false;
               s_kind = (if !cur = ".text" then `Func else `Object);
             }
             :: !symbols
       | Global g -> Hashtbl.replace globals g ()
       | Align n ->
-          let o = off () in
+          let o = !(!off) in
           let pad = (n - (o mod n)) mod n in
           bump pad
       | Comment _ -> ()
       | it -> bump (item_size it))
     items;
-  (* pass 2: emit *)
+  (* pass 2: emit into the current section's buffer, held in [cur_buf] *)
   let buffers : (string, Bytesx.W.t) Hashtbl.t = Hashtbl.create 8 in
   let buf s =
     match Hashtbl.find_opt buffers s with
@@ -138,6 +142,7 @@ let assemble ~name (items : item list) : obj =
   in
   let relocs = ref [] in
   let cur = ref ".text" in
+  let cur_buf = ref (buf ".text") in
   let add_reloc ~offset ~kind ~sym ~addend =
     relocs :=
       { r_section = !cur; r_offset = offset; r_kind = kind; r_symbol = sym; r_addend = addend }
@@ -145,10 +150,12 @@ let assemble ~name (items : item list) : obj =
   in
   List.iter
     (fun item ->
-      let b = buf !cur in
+      let b = !cur_buf in
       let o = Bytesx.W.length b in
       match item with
-      | Section s -> cur := s
+      | Section s ->
+          cur := s;
+          cur_buf := buf s
       | Label _ | Global _ | Comment _ -> ()
       | Align n ->
           let pad = (n - (o mod n)) mod n in
@@ -193,18 +200,12 @@ let assemble ~name (items : item list) : obj =
       !symbols
   in
   let sections =
-    List.rev_map
-      (fun s ->
-        ( s,
-          match Hashtbl.find_opt buffers s with
-          | Some b -> Bytesx.W.to_bytes b
-          | None -> Bytes.create 0 ))
-      !section_order
+    List.rev_map (fun s -> (s, Bytesx.W.to_bytes (buf s))) !section_order
   in
   (* sanity: pass-1 sizes must match pass-2 emission *)
   List.iter
     (fun (s, b) ->
-      let want = Hashtbl.find offsets s in
+      let want = !(Hashtbl.find offsets s) in
       if Bytes.length b <> want then
         raise
           (Asm_error

@@ -24,11 +24,15 @@
     interpreter, so each cached block entry/exit emits the identical
     [trace] hook events and drcov output is byte-for-byte the same.
 
-    Fidelity rules: a machine with an [on_insn] hook (the dataflow
-    slicer) never reaches this code — the scheduler checks the hook
-    first. An ["bbcache.dispatch"] fault injected as [Fail] falls back
-    to the interpreter for that quantum; a failed flush degrades the
-    dispatcher permanently (stale blocks are never an option). *)
+    Fidelity rules: the interpreter runs only the steps the cache
+    declines — an int3 or a fault at rip, a quantum whose
+    ["bbcache.dispatch"] fault was injected as [Fail], and every step
+    of a degraded dispatcher — and the reference the tests and the
+    bench compare against, which is a dispatcher degraded on purpose
+    ({!degrade}). A failed flush degrades the dispatcher permanently
+    (stale blocks are never an option). An [on_insn] hook (the dataflow
+    slicer) runs on the cache: {!Cpu.exec_decoded} calls it before each
+    slot with the registers the interpreter would show it. *)
 
 type t = Cpu.dispatcher
 
@@ -104,6 +108,12 @@ let exec_block m (p : Proc.t) (b : Block.t) ~fuel ~until executed =
   done;
   executed + !i
 
+(** Drop every cache and hand the machine to the single-step
+    interpreter for good. *)
+let degrade (d : t) =
+  Hashtbl.reset d.Cpu.d_caches;
+  d.Cpu.d_degraded <- true
+
 (** Run [p] out of its cache, stopping where the scheduler's
     single-step loop would (after [fuel] instructions or at clock
     [until]); returns how many instructions executed, 0 when the cache
@@ -176,10 +186,8 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
            done
          with Fault.Injected _ ->
            (* the flush machinery failed mid-drain: never risk a stale
-              block — drop every cache and hand the machine back to the
-              single-step interpreter for good *)
-           Hashtbl.reset d.Cpu.d_caches;
-           d.Cpu.d_degraded <- true);
+              block *)
+           degrade d);
         if !chained then d.Cpu.d_superblocks <- d.Cpu.d_superblocks + 1;
         !executed
 

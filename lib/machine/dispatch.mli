@@ -1,7 +1,10 @@
 (** Direct-threaded dispatch over the decoded-block cache, the path
-    every machine executes on: chains cached blocks into superblocks
-    until a trap/syscall/hook boundary. A host-only accelerator: the
-    virtual clock advances exactly as when interpreted. *)
+    every machine executes on, [on_insn] hooks included: chains cached
+    blocks into superblocks until a trap/syscall boundary. A host-only
+    accelerator: the virtual clock advances exactly as when
+    interpreted. The interpreter runs only the steps the cache declines
+    (int3 or fault at rip, an injected ["bbcache.dispatch"] fault, a
+    degraded dispatcher) and the reference made by {!degrade}. *)
 
 type t = Cpu.dispatcher
 (** A machine's dispatcher ([Machine.t.dispatcher]), made by
@@ -23,6 +26,11 @@ val exec : Cpu.t -> Proc.t -> fuel:int -> until:int64 -> int
     fault, degraded dispatcher) and the interpreter must take one step.
     Interpreted semantics are preserved exactly (same hooks, counters,
     signals and virtual clock); only host time changes. *)
+
+val degrade : t -> unit
+(** Drop every cache and run the machine on the single-step interpreter
+    from now on. A failed flush does this; the tests and the bench call
+    it to make the interpreter reference the cache is compared with. *)
 
 val stats : t -> stats
 

@@ -37,15 +37,10 @@ let[@inline] runnable (p : Proc.t) =
 let run_quantum t (p : Proc.t) ~deadline =
   let budget = ref quantum in
   while !budget > 0 && runnable p && t.clock < deadline do
-    (* per-insn hooks (the slicer) force the single-step interpreter *)
-    match
-      match t.on_insn with
-      | None -> Dispatch.exec t p ~fuel:!budget ~until:deadline
-      | Some _ -> 0
-    with
+    match Dispatch.exec t p ~fuel:!budget ~until:deadline with
     | 0 ->
         (* the cache declined (int3 at rip, fault, injected dispatch
-           fault, degraded flush) or a hook is installed: single-step *)
+           fault, degraded dispatcher): single-step *)
         step t p;
         decr budget
     | n ->

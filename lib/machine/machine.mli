@@ -1,12 +1,13 @@
 (** The virtual machine: processes, CPU interpreter, signal delivery,
     syscall dispatch, round-robin scheduler, deterministic virtual clock
     (1 cycle per retired instruction). Every machine executes on its
-    decoded-block dispatcher ({!Dispatch}); the interpreter takes the
-    steps the cache declines (int3 or fault at rip, an injected
-    ["bbcache.dispatch"] fault, a degraded flush) and every step while
-    an [on_insn] hook is installed. Re-exports {!Cpu}, the part below
-    the scheduler. Plays the role of Linux + the CPU and is part of the
-    paper's trusted computing base (§2). *)
+    decoded-block dispatcher ({!Dispatch}), hooked or not; the
+    interpreter runs only the steps the cache declines (int3 or fault
+    at rip, an injected ["bbcache.dispatch"] fault, a degraded
+    dispatcher) and the reference the cache is tested against, a
+    dispatcher degraded on purpose ({!Dispatch.degrade}). Re-exports
+    {!Cpu}, the part below the scheduler. Plays the role of Linux + the
+    CPU and is part of the paper's trusted computing base (§2). *)
 
 type trace_hook = Proc.t -> int64 -> int -> unit
 (** (process, block start vaddr, block size) at every dynamic basic-block
@@ -24,7 +25,8 @@ type insn_hook = Proc.t -> Insn.t -> unit
 (** Fires before every decoded instruction executes, with registers
     still holding pre-execution values (effective addresses of its
     memory operands can be recomputed) — the dataflow slicer's input.
-    Int3 traps take the trap path and bypass it. *)
+    Cached and interpreted steps call it alike. Int3 traps take the
+    trap path and bypass it. *)
 
 type sched = Cpu.sched
 (** The scheduler's spawn-ordered process table (see {!run}). *)

@@ -30,8 +30,6 @@ module Bits = Hashtbl.Make (struct
     !h land max_int
 end)
 
-module Itbl = Hashtbl.Make (Int)
-
 type t = {
   sets : set Bits.t;
   mutable nsets : int;

@@ -55,8 +55,6 @@ type stats = {
   st_sampled_off : int;  (** sampling decisions that disabled tracing *)
 }
 
-module Itbl = Hashtbl.Make (Int)
-
 type t = {
   machine : Machine.t;
   roots : (int, unit) Hashtbl.t;

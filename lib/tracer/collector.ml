@@ -14,7 +14,7 @@ type t = {
   machine : Machine.t;
   roots : (int, unit) Hashtbl.t;  (** traced pids (incl. discovered children) *)
   mutable module_map : (string * int64 * int64) list;  (** name, base, end *)
-  seen : (int * int * int, int) Hashtbl.t;  (** (mod, off, size) -> seq *)
+  seen : int Itbl.t;  (** [key] (mod, off, size) -> seq *)
   mutable seq : int;
   mutable dumps : Drcov.log list;  (** nudge outputs, oldest first *)
   prev_hook : Machine.trace_hook option;
@@ -23,10 +23,18 @@ type t = {
   mutable win_period : int64 option;  (** None = windowing off *)
   mutable win_keep : int;  (** retained closed windows *)
   mutable win_last : int64;  (** virtual clock at last rotation *)
-  win_seen : (int * int * int, int) Hashtbl.t;  (** current window *)
+  win_seen : int Itbl.t;  (** current window *)
   mutable win_seq : int;
   mutable win_logs : Drcov.log list;  (** closed windows, oldest first *)
 }
+
+(* A block as one int: module index in bits 54-61, offset in bits
+   22-53, size in bits 0-21. *)
+let key mid off size =
+  if mid lsr 8 <> 0 || off lsr 32 <> 0 || size lsr 22 <> 0 then
+    invalid_arg
+      (Printf.sprintf "Collector: block (module %d, 0x%x, %d) out of range" mid off size);
+  (mid lsl 54) lor (off lsl 22) lor size
 
 let module_of_vma_name name =
   match String.index_opt name ':' with
@@ -82,13 +90,13 @@ let on_block t (p : Proc.t) (start : int64) (size : int) =
     match locate t start with
     | None -> () (* anonymous memory (JIT/stack) — drcov skips those too *)
     | Some (mid, off) ->
-        let key = (mid, off, size) in
-        if not (Hashtbl.mem t.seen key) then begin
-          Hashtbl.replace t.seen key t.seq;
+        let key = key mid off size in
+        if not (Itbl.mem t.seen key) then begin
+          Itbl.add t.seen key t.seq;
           t.seq <- t.seq + 1
         end;
-        if t.win_period <> None && not (Hashtbl.mem t.win_seen key) then begin
-          Hashtbl.replace t.win_seen key t.win_seq;
+        if t.win_period <> None && not (Itbl.mem t.win_seen key) then begin
+          Itbl.add t.win_seen key t.win_seq;
           t.win_seq <- t.win_seq + 1
         end
 
@@ -100,14 +108,14 @@ let attach (machine : Machine.t) ~pid : t =
       machine;
       roots = Hashtbl.create 4;
       module_map = modules_of_proc p;
-      seen = Hashtbl.create 1024;
+      seen = Itbl.create 1024;
       seq = 0;
       dumps = [];
       prev_hook = machine.Machine.trace;
       win_period = None;
       win_keep = 0;
       win_last = 0L;
-      win_seen = Hashtbl.create 256;
+      win_seen = Itbl.create 256;
       win_seq = 0;
       win_logs = [];
     }
@@ -131,7 +139,7 @@ let add_root t ~pid =
         t.module_map <- t.module_map @ [ (n, lo, hi) ])
     (modules_of_proc p)
 
-let log_of t (seen : (int * int * int, int) Hashtbl.t) : Drcov.log =
+let log_of t (seen : int Itbl.t) : Drcov.log =
   let modules =
     List.mapi
       (fun i (name, base, end_) ->
@@ -139,9 +147,15 @@ let log_of t (seen : (int * int * int, int) Hashtbl.t) : Drcov.log =
       t.module_map
   in
   let bbs =
-    Hashtbl.fold
-      (fun (m, off, size) seq acc ->
-        { Drcov.bb_mod = m; bb_off = off; bb_size = size; bb_seq = seq } :: acc)
+    Itbl.fold
+      (fun key seq acc ->
+        {
+          Drcov.bb_mod = key lsr 54;
+          bb_off = (key lsr 22) land 0xffff_ffff;
+          bb_size = key land 0x3f_ffff;
+          bb_seq = seq;
+        }
+        :: acc)
       seen []
     |> List.sort (fun a b -> compare a.Drcov.bb_seq b.Drcov.bb_seq)
   in
@@ -155,7 +169,7 @@ let current_log t : Drcov.log = log_of t t.seen
 let nudge t : Drcov.log =
   let log = current_log t in
   t.dumps <- t.dumps @ [ log ];
-  Hashtbl.reset t.seen;
+  Itbl.reset t.seen;
   log
 
 (** Stop tracing; returns the final (post-last-nudge) coverage. *)
@@ -174,7 +188,7 @@ let start_window t ~period ~keep =
   t.win_period <- Some period;
   t.win_keep <- max 1 keep;
   t.win_last <- t.machine.Machine.clock;
-  Hashtbl.reset t.win_seen;
+  Itbl.reset t.win_seen;
   t.win_seq <- 0;
   t.win_logs <- []
 
@@ -191,7 +205,7 @@ let window_tick t : Drcov.log option =
         t.win_logs <- t.win_logs @ [ log ];
         (let excess = List.length t.win_logs - t.win_keep in
          if excess > 0 then t.win_logs <- List.filteri (fun i _ -> i >= excess) t.win_logs);
-        Hashtbl.reset t.win_seen;
+        Itbl.reset t.win_seen;
         t.win_seq <- 0;
         t.win_last <- t.machine.Machine.clock;
         Some log
@@ -203,13 +217,12 @@ let window_logs t = t.win_logs
 (** Union coverage over the retained windows plus the open partial one —
     the drift monitor's "what does live traffic reach right now" view. *)
 let window_coverage t : Drcov.log =
-  let merged = Hashtbl.create 256 in
+  let merged = Itbl.create 256 in
   let add (log : Drcov.log) =
     List.iter
       (fun (bb : Drcov.bb) ->
-        let key = (bb.Drcov.bb_mod, bb.Drcov.bb_off, bb.Drcov.bb_size) in
-        if not (Hashtbl.mem merged key) then
-          Hashtbl.replace merged key (Hashtbl.length merged))
+        let key = key bb.Drcov.bb_mod bb.Drcov.bb_off bb.Drcov.bb_size in
+        if not (Itbl.mem merged key) then Itbl.add merged key (Itbl.length merged))
       log.Drcov.bbs
   in
   List.iter add t.win_logs;
@@ -220,6 +233,6 @@ let window_coverage t : Drcov.log =
     nudge dumps are unaffected. *)
 let stop_window t =
   t.win_period <- None;
-  Hashtbl.reset t.win_seen;
+  Itbl.reset t.win_seen;
   t.win_seq <- 0;
   t.win_logs <- []

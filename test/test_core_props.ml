@@ -110,9 +110,10 @@ let gen_cfg name =
         {
           Cfg.cfg_module = name;
           cfg_blocks =
-            List.map
-              (fun (off, size) -> { Cfg.bb_off = off; bb_size = size; bb_insns = 1; bb_term = `Fall })
-              bs;
+            Array.of_list
+              (List.map
+                 (fun (off, size) -> { Cfg.bb_off = off; bb_size = size; bb_insns = 1; bb_term = `Fall })
+                 bs);
           cfg_edges = [];
         })
       (list_size (int_range 0 80) (pair (int_range 0 600) (int_range 0 24))))

@@ -227,6 +227,81 @@ let test_cfg_counts_plausible () =
       Alcotest.(check bool) (k.Spec.k_name ^ " nonzero blocks") true (n > 10))
     Spec.all
 
+(* Blocks and sorted edges of every shipped binary, recorded before CFG
+   recovery moved from hashtables to flat arrays: (module, blocks,
+   edges, MD5 of the blocks, MD5 of the sorted edges). *)
+let cfg_pins =
+  [
+    ("libc.so", 209, 140, "b3f5541541da28a56f120ac6ec58a118", "2aea56e1742e498ba68e07f6c6ea7e9a");
+    ("dynacut_handler.so", 32, 31, "f25de9941178d96302e578927373619c", "7e65653d850f6a89761cf872690293f9");
+    ("ltpd", 786, 869, "f0d41a28b5d34c5d19ec5460cbf52c4a", "984e1840ea6d9b452aaa6c2b5bfbab5e");
+    ("ngx", 772, 819, "0d56cbe4d6f91d6d4d2d47418ecf3330", "29230ab9af0633874111ea45fc24bdc9");
+    ("rkv", 1028, 1190, "d84a55e2896c4fe26ff60d14eab82e46", "e9ca1f10bf6c96bde3021d02ffdb19b8");
+    ("600.perlbench_s", 240, 226, "f72effd234b8b78c335cfc54301ce10d", "cd70c54ffdd2a7ed58da5d12cc1e6703");
+    ("605.mcf_s", 99, 85, "c886fd6e151d5133e8e838914f47a719", "c6173d97d201b33db408dcc251bb09f6");
+    ("620.omnetpp_s", 131, 129, "f78c69c47597b1842a8458951eb16ed9", "a859004e6a16a7ff23daa86284397164");
+    ("623.xalancbmk_s", 154, 146, "cdd3ead7f932246a8261fc2c9203e88d", "c4975fe491fc771bf4979f58ddf7fb88");
+    ("625.x264_s", 113, 101, "3c03c97ad043faffb85db3a439b90106", "338cb81137fe3891a14552a7f10e130d");
+    ("631.deepsjeng_s", 83, 73, "8c03b08a837b4557fe9e446fc42ce413", "d9f4f0a9f953d06185abdbbd31b42284");
+    ("641.leela_s", 76, 64, "4e44dfe39510b9e15b69f081ad0cb861", "a955e13b3ba2f6fd73bd681b30bd50cc");
+  ]
+
+let cfg_pin (self : Self.t) =
+  let cfg = Cfg.of_self self in
+  let term = function
+    | `Jmp -> "j" | `Jcc -> "c" | `Call -> "C" | `Ret -> "r" | `Ind -> "i"
+    | `Syscall -> "s" | `Trap -> "t" | `Fall -> "f"
+  in
+  let b = Buffer.create 4096 and e = Buffer.create 4096 in
+  Array.iter
+    (fun (bb : Cfg.block) ->
+      Printf.bprintf b "%x:%d:%d:%s;" bb.Cfg.bb_off bb.Cfg.bb_size bb.Cfg.bb_insns (term bb.Cfg.bb_term))
+    cfg.Cfg.cfg_blocks;
+  List.iter (fun (f, t) -> Printf.bprintf e "%x>%x;" f t) cfg.Cfg.cfg_edges;
+  ( ( self.Self.name,
+      Array.length cfg.Cfg.cfg_blocks,
+      List.length cfg.Cfg.cfg_edges,
+      Digest.to_hex (Digest.string (Buffer.contents b)),
+      Digest.to_hex (Digest.string (Buffer.contents e)) ),
+    cfg )
+
+(* Every shipped binary recovers the pinned blocks and edges, its edges
+   come out sorted, and the binary searches agree with a linear scan at
+   each block's first, middle and last byte and just past its end. *)
+let test_cfg_pinned () =
+  let libc = Lazy.force Workload.libc in
+  let exe (app : Workload.app) =
+    let m = Machine.create () in
+    app.Workload.a_install m ~libc;
+    Option.get (Vfs.find_self m.Machine.fs app.Workload.a_name)
+  in
+  let selfs = libc :: Handler.build ~libc () :: List.map exe Workload.all_apps in
+  List.iter2
+    (fun self ((name, _, _, _, _) as want) ->
+      let got, cfg = cfg_pin self in
+      (if got <> want then
+         let n, b, e, bd, ed = got in
+         Alcotest.failf "%s: got %d blocks, %d edges, digests %s %s" n b e bd ed);
+      Alcotest.(check bool) (name ^ " edges sorted") true
+        (cfg.Cfg.cfg_edges = List.sort compare cfg.Cfg.cfg_edges);
+      let linear_at off = Array.find_opt (fun (b : Cfg.block) -> b.Cfg.bb_off = off) cfg.Cfg.cfg_blocks in
+      let linear_containing off =
+        Array.find_opt
+          (fun (b : Cfg.block) -> off >= b.Cfg.bb_off && off < b.Cfg.bb_off + b.Cfg.bb_size)
+          cfg.Cfg.cfg_blocks
+      in
+      Array.iter
+        (fun (b : Cfg.block) ->
+          List.iter
+            (fun off ->
+              if Cfg.block_at cfg off <> linear_at off
+                 || Cfg.block_containing cfg off <> linear_containing off
+              then Alcotest.failf "%s: lookup at 0x%x disagrees with a linear scan" name off)
+            [ b.Cfg.bb_off - 1; b.Cfg.bb_off; b.Cfg.bb_off + (b.Cfg.bb_size / 2);
+              b.Cfg.bb_off + b.Cfg.bb_size - 1; b.Cfg.bb_off + b.Cfg.bb_size ])
+        cfg.Cfg.cfg_blocks)
+    selfs cfg_pins
+
 let test_link_deterministic () =
   (* every byte of a linked image is defined, the .got included *)
   let libc = Lazy.force Workload.libc in
@@ -253,4 +328,5 @@ let suite =
     Alcotest.test_case "cfg splits at branch targets" `Quick test_cfg_splits_at_branch_target;
     Alcotest.test_case "cfg block_containing" `Quick test_cfg_block_containing;
     Alcotest.test_case "cfg on all SPEC binaries" `Quick test_cfg_counts_plausible;
+    Alcotest.test_case "cfg pinned on every shipped binary" `Quick test_cfg_pinned;
   ]

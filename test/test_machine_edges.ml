@@ -483,9 +483,9 @@ let test_tlb_coherence_mem () =
   Alcotest.(check (list int64)) "store to exec page marks it dirty" [ Mem.page_index tlb_va ]
     (Mem.take_exec_dirty m)
 
-(* The interpreter reference: a no-op per-instruction hook keeps every
-   step of [m] off the code cache. *)
-let interpret (m : Machine.t) = m.Machine.on_insn <- Some (fun _ _ -> ())
+(* The interpreter reference: a dispatcher degraded from the start
+   keeps every step of [m] off the code cache. *)
+let interpret (m : Machine.t) = Dispatch.degrade m.Machine.dispatcher
 
 (* Run [main] to the end, out of the code cache or, as the [reference],
    interpreted. *)
