@@ -137,6 +137,12 @@ virtual_axis_unchanged BENCH_slice.json \
 echo "== crash-recovery matrix =="
 dune exec examples/crash_matrix.exe
 
+# Seccomp smoke (DESIGN.md §5b): the autopilot example installs a
+# syscall filter through the cut transaction and asserts it survives a
+# redeploy from the customized image.
+echo "== autopilot (seccomp transaction) =="
+dune exec examples/autopilot.exe
+
 # Chaos smoke (DESIGN.md §6c): the directed site x mode coverage matrix
 # (every registered site in every applicable mode — the bench hard-fails
 # on any unexercised applicable mode, i.e. a coverage hole) plus a small

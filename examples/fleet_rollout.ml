@@ -103,7 +103,6 @@ let run () : string =
     ~config:
       Drift.
         {
-          default_config with
           d_period = 50_000L;
           d_trap_threshold = 4;
           d_hysteresis = 2;

@@ -7,7 +7,9 @@
     All edits go through static checkpoint images — decoded once per
     transaction, edited in memory, sealed into the machine's tmpfs —
     the live process is only ever frozen, reaped, and re-created, never
-    patched in place (§3.2.1). *)
+    patched in place (§3.2.1). Cuts, re-enables and seccomp filters are
+    all transactions of one engine ([run_transaction]): journaled,
+    retried on transient faults, rolled back on any other. *)
 
 type policy = {
   method_ : [ `First_byte | `Wipe | `Unmap_pages ];
@@ -311,15 +313,6 @@ let stage_seal s imgs pids =
       Obs.with_span "crit" (fun () -> Validate.check_stored ~sealed:blob stored))
     pids
 
-(* stage 4: replace the live processes with the rewritten images *)
-let stage_restore s imgs pids =
-  List.iter
-    (fun pid ->
-      Machine.reap s.machine ~pid;
-      let p = Restore.restore s.machine (Hashtbl.find imgs pid) in
-      p.Proc.frozen <- false)
-    pids
-
 (** Under the redirect policy, the saved instruction pointer is rewritten
     by a constant target, so the trap site and the error path must share
     a stack frame: "we require that the entries of the default error
@@ -511,11 +504,9 @@ let is_transient ~retry_classes = function
       transient || List.exists (fun c -> is_prefix c site) retry_classes
   | _ -> false
 
-(* capped exponential backoff between retries, charged to the virtual
-   clock — the tree is frozen, so only time moves *)
-let do_backoff s ~attempt =
+let backoff (m : Machine.t) ~attempt =
   let cycles = min (1 lsl attempt) 64 * 1_000 in
-  s.machine.Machine.clock <- Int64.add s.machine.Machine.clock (Int64.of_int cycles);
+  m.Machine.clock <- Int64.add m.Machine.clock (Int64.of_int cycles);
   cycles
 
 (* Phase B: replace the live processes with the rewritten images. On any
@@ -589,21 +580,26 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
       r_backoff_cycles = !backoff_total;
     }
   in
-  (* retry [step] while its failure is transient and retry budget
-     remains; both the checkpoint and the commit are individually
-     retryable — checkpointing is idempotent, and the commit's own
-     unwind leaves the tree restartable from the working images *)
+  (* the one retry step: true (after charging the backoff — the tree is
+     frozen, so only time moves) when [failure] is transient and retry
+     budget remains *)
+  let retry failure =
+    if is_transient ~retry_classes failure && !retries < max_retries then begin
+      incr retries;
+      Obs.incr (Obs.counter "dynacut.retries");
+      backoff_total := !backoff_total + backoff s.machine ~attempt:!retries;
+      true
+    end
+    else false
+  in
+  (* both the checkpoint and the commit are individually retryable —
+     checkpointing is idempotent, and the commit's own unwind leaves the
+     tree restartable from the working images *)
   let rec with_retries step =
     match step () with
     | r -> `Ok r
     | exception (Stage_failed (stage, e) as failure) ->
-        if is_transient ~retry_classes failure && !retries < max_retries then begin
-          incr retries;
-          Obs.incr (Obs.counter "dynacut.retries");
-          backoff_total := !backoff_total + do_backoff s ~attempt:!retries;
-          with_retries step
-        end
-        else `Failed (stage, e)
+        if retry failure then with_retries step else `Failed (stage, e)
   in
   (* the journal open is NOT retried: a second [Begin] would read as a
      new transaction. Its failure rolls back trivially — nothing
@@ -636,13 +632,7 @@ let run_transaction s ~op ~pids ~max_retries ~retry_classes
             | r -> `Ok r
             | exception (Stage_failed (stage, e) as failure) ->
                 reset_attempt ();
-                if is_transient ~retry_classes failure && !retries < max_retries
-                then begin
-                  incr retries;
-                  Obs.incr (Obs.counter "dynacut.retries");
-                  backoff_total := !backoff_total + do_backoff s ~attempt:!retries;
-                  edit (att :: rest)
-                end
+                if retry failure then edit (att :: rest)
                 else if rest <> [] then begin
                   degraded := true;
                   edit rest
@@ -732,22 +722,33 @@ let try_cut (s : session) ?(max_retries = default_max_retries)
   in
   run_transaction s ~op:Journal.Cut ~pids ~max_retries ~retry_classes ~attempts
 
+(* the edit phase of a re-enable or seccomp transaction: one pass of
+   [edit] over the working images, then the seal, in the rewrite span *)
+let image_edit s pids edit imgs =
+  let (), t_disable =
+    Obs.timed_span "rewrite" (fun () ->
+        guard "rewrite" (fun () -> edit imgs);
+        guard "validate" (fun () -> stage_seal s imgs pids))
+  in
+  ([], t_disable, 0.)
+
 (** Restore previously disabled features from their journals (§3.2.2's
     bidirectional transformation), with the same transactional
     guarantees as {!try_cut}. *)
 let try_reenable (s : session) ?(max_retries = default_max_retries)
     ?(retry_classes = []) ?pids (journals : Rewriter.journal list) : cut_result =
   let pids = match pids with Some l -> l | None -> tree_pids s in
-  let attempt imgs =
-    let (), t_disable =
-      Obs.timed_span "rewrite" (fun () ->
-          guard "rewrite" (fun () -> reenable_edits s imgs pids journals);
-          guard "validate" (fun () -> stage_seal s imgs pids))
-    in
-    ([], t_disable, 0.)
-  in
   run_transaction s ~op:Journal.Reenable ~pids ~max_retries ~retry_classes
-    ~attempts:[ attempt ]
+    ~attempts:[ image_edit s pids (fun imgs -> reenable_edits s imgs pids journals) ]
+
+(* a committed transaction's result; a rolled-back one raises *)
+let applied what (r : cut_result) =
+  match r.r_outcome with
+  | `Applied | `Degraded -> r
+  | `Rolled_back { rb_stage; rb_error } ->
+      raise
+        (Dynacut_error
+           (Printf.sprintf "%s rolled back at %s stage: %s" what rb_stage rb_error))
 
 (** Disable [blocks] in the target tree under [policy]. Returns per-pid
     journals (for {!reenable}) and the stage timing breakdown. Raises
@@ -755,51 +756,35 @@ let try_reenable (s : session) ?(max_retries = default_max_retries)
     unchanged and still serving). *)
 let cut (s : session) ~(blocks : Covgraph.block list) ~(policy : policy) :
     Rewriter.journal list * timings =
-  let r = try_cut s ~blocks ~policy () in
-  match r.r_outcome with
-  | `Applied | `Degraded -> (r.r_journals, r.r_timings)
-  | `Rolled_back { rb_stage; rb_error } ->
-      raise
-        (Dynacut_error
-           (Printf.sprintf "cut rolled back at %s stage: %s" rb_stage rb_error))
+  let r = applied "cut" (try_cut s ~blocks ~policy ()) in
+  (r.r_journals, r.r_timings)
 
 (** Restore a previous cut's features; raises {!Dynacut_error} if the
     transaction rolled back. *)
 let reenable (s : session) (journals : Rewriter.journal list) : timings =
-  let r = try_reenable s journals in
-  match r.r_outcome with
-  | `Applied | `Degraded -> r.r_timings
-  | `Rolled_back { rb_stage; rb_error } ->
-      raise
-        (Dynacut_error
-           (Printf.sprintf "re-enable rolled back at %s stage: %s" rb_stage
-              rb_error))
+  (applied "re-enable" (try_reenable s journals)).r_timings
 
 (** Install a seccomp-style syscall denylist across the tree via image
     rewriting (paper §5): after initialization a server no longer needs
     fork/open/socket-style syscalls, and filtering them out closes the
     kernel attack surface the way Ghavamnia et al. do — but switchable at
-    run time, because it is just another image edit. [denied = None]
-    clears the filter. *)
+    run time, because it is just another image edit: a transaction
+    journaled as a cut, rolled back on failure. [denied = None] clears
+    the filter. *)
 let apply_seccomp (s : session) ~(denied : int list option) : timings =
   let pids = tree_pids s in
-  let imgs : images = Hashtbl.create 4 in
-  let (), t_checkpoint =
-    Obs.timed_span "checkpoint" (fun () ->
-        stage_freeze s pids;
-        stage_dump s imgs pids)
+  let set_filter imgs =
+    List.iter
+      (fun pid ->
+        Hashtbl.replace imgs pid
+          (Rewriter.set_seccomp (working_image s imgs pid) ~denied))
+      pids
   in
-  let (), t_disable =
-    Obs.timed_span "rewrite" (fun () ->
-        List.iter
-          (fun pid ->
-            let img = Hashtbl.find imgs pid in
-            Hashtbl.replace imgs pid (Rewriter.set_seccomp img ~denied))
-          pids;
-        stage_seal s imgs pids)
+  let r =
+    run_transaction s ~op:Journal.Cut ~pids ~max_retries:default_max_retries
+      ~retry_classes:[] ~attempts:[ image_edit s pids set_filter ]
   in
-  let (), t_restore = Obs.timed_span "restore" (fun () -> stage_restore s imgs pids) in
-  { t_checkpoint; t_disable; t_handler = 0.; t_restore }
+  (applied "seccomp" r).r_timings
 
 (** Read the verifier's false-positive log from the live process
     (§3.2.3): addresses whose blocking was reverted at run time. *)
@@ -816,6 +801,19 @@ let handler_hits (s : session) ~(pid : int) : int64 =
       let hits, _ = Inject.read_handler_state p ~lib:s.handler_lib ~base in
       hits
   | _ -> 0L
+
+type trap_meter = (int, int64) Hashtbl.t
+
+let trap_meter () : trap_meter = Hashtbl.create 4
+
+(* a respawn from an image restores the guest counter to its
+   checkpointed value, which may be below the baseline: the raw value
+   is the delta then *)
+let trap_delta (meter : trap_meter) (s : session) ~(pid : int) : int =
+  let raw = handler_hits s ~pid in
+  let last = Option.value ~default:0L (Hashtbl.find_opt meter pid) in
+  Hashtbl.replace meter pid raw;
+  Int64.to_int (if raw >= last then Int64.sub raw last else raw)
 
 (* ---------- journaled respawn (supervisor reverts) ---------- *)
 
@@ -842,6 +840,10 @@ let journaled_respawn (s : session) ~(pid : int) ~(path : string) : Proc.t =
   | exception e ->
       close ();
       raise e
+
+let respawn_pristine (s : session) ~(pid : int) : unit =
+  ignore (journaled_respawn s ~pid ~path:(pristine_path s pid));
+  forget_pid s ~pid
 
 (* ---------- crash recovery (DESIGN.md §5d) ---------- *)
 
@@ -913,6 +915,16 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
     let sum = Journal.summarize records in
     let pristine pid = Printf.sprintf "%s/pristine-%d.img" dir pid in
     let working pid = Printf.sprintf "%s/dump-%d.img" dir pid in
+    (* respawn from the first of [paths] that restores: a half-written
+       image must not brick the revival while another copy is sound *)
+    let revive paths =
+      List.exists
+        (fun path ->
+          match Restore.respawn machine ~path with
+          | (_ : Proc.t) -> true
+          | exception (Restore.Restore_error _ | Validate.Validate_error _) -> false)
+        paths
+    in
     (* 1. respawns the dead controller left half-done *)
     let respawned =
       List.filter_map
@@ -924,18 +936,7 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
             | Some p -> Proc.is_live p
             | None -> false
           in
-          if live then None
-          else
-            match Restore.respawn machine ~path with
-            | (_ : Proc.t) -> Some pid
-            | exception (Restore.Restore_error _ | Validate.Validate_error _) -> (
-                (* a half-written working image must not brick the
-                   respawn — fall back to the pristine copy *)
-                match Restore.respawn machine ~path:(pristine pid) with
-                | (_ : Proc.t) -> Some pid
-                | exception (Restore.Restore_error _ | Validate.Validate_error _)
-                  ->
-                    None))
+          if (not live) && revive [ path; pristine pid ] then Some pid else None)
         sum.Journal.s_respawns
     in
     (* Thaw a pid — or, when the pid is gone although the journal's
@@ -950,16 +951,7 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
       match Machine.proc machine pid with
       | Some p when Proc.is_live p -> Machine.thaw machine ~pid
       | Some _ -> ()
-      | None ->
-          List.iter
-            (fun path ->
-              if Machine.proc machine pid = None then
-                match Restore.respawn machine ~path with
-                | (_ : Proc.t) -> ()
-                | exception (Restore.Restore_error _ | Validate.Validate_error _)
-                  ->
-                    ())
-            [ prefer pid; fallback pid ]
+      | None -> ignore (revive [ prefer pid; fallback pid ])
     in
     (* 2. the open transaction, per the decision table *)
     let action, txid, pids =

@@ -116,7 +116,13 @@ type cut_result = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** Both [try_cut] and [try_reenable] journal every state transition
+val backoff : Machine.t -> attempt:int -> int
+(** Charge the capped exponential backoff of retry number [attempt]
+    ([min (2^attempt) 64] thousand cycles) to the virtual clock and
+    return the cycles charged — the transaction's retries and the
+    supervisor's respawns share it. *)
+
+(** [try_cut], [try_reenable] and {!apply_seccomp} journal every state transition
     into [<tmpfs>/journal] (sealed, checksummed {!Journal.record}
     frames) before acting on it, and hold the per-tree lock for the
     duration, so a controller death at {e any} point is recoverable by
@@ -172,7 +178,11 @@ val reenable : session -> Rewriter.journal list -> timings
 
 val apply_seccomp : session -> denied:int list option -> timings
 (** Install ([Some denylist]) or clear ([None]) a syscall filter across
-    the tree by image rewriting — §5's dynamic seccomp. *)
+    the tree by image rewriting — §5's dynamic seccomp. A transaction
+    like [cut], journaled as one: a failure at any stage rolls the tree
+    back to its previous filter and raises {!Dynacut_error}; transient
+    faults are retried; {!Journal.Busy} and {!Journal.Fenced} are raised
+    as for [try_cut], with the tree untouched. *)
 
 val verifier_log : session -> pid:int -> int64 list
 (** Addresses the [`Verify] handler restored at run time — the
@@ -181,6 +191,19 @@ val verifier_log : session -> pid:int -> int64 list
 val handler_hits : session -> pid:int -> int64
 (** Number of SIGTRAP deliveries the injected handler served. *)
 
+type trap_meter
+(** Per-pid baselines of {!handler_hits} — the trap-rate input of the
+    supervisor's breaker and the fleet drift monitor. *)
+
+val trap_meter : unit -> trap_meter
+
+val trap_delta : trap_meter -> session -> pid:int -> int
+(** Handler hits on [pid] since the meter last read it (from zero on
+    the first read), then rebase the pid to the current count.
+    Reset-tolerant: a respawn from an image restores the guest counter
+    to its checkpointed value, possibly below the baseline — the raw
+    count is the delta then. *)
+
 (** {2 Crash recovery (§5d)} *)
 
 val journaled_respawn : session -> pid:int -> path:string -> Proc.t
@@ -188,6 +211,11 @@ val journaled_respawn : session -> pid:int -> path:string -> Proc.t
     journal records, so a controller death mid-respawn is visible to
     {!recover}. The supervisor's respawn and canary-revert paths use
     this. *)
+
+val respawn_pristine : session -> pid:int -> unit
+(** Re-create [pid] from its pristine image by {!journaled_respawn},
+    then {!forget_pid} — the last resort of a revert whose re-enable
+    failed, or of a pid the storm killed. *)
 
 type recovery_action =
   [ `Nothing  (** journal absent or empty — the tree was never at risk *)

@@ -1,18 +1,16 @@
 (** Durable write-ahead intent journal for the cut transaction
     (DESIGN.md §5d).
 
-    Every state transition of a [Dynacut.try_cut]/[try_reenable]
-    transaction — and every supervisor respawn — appends a sealed,
-    checksummed record to [<tmpfs>/journal] {e before} the action it
-    announces, so [Dynacut.recover] can reconstruct a dead controller's
+    Every state transition of a [Dynacut.try_cut], [try_reenable] or
+    [apply_seccomp] transaction — and every supervisor respawn — appends
+    a sealed, checksummed record to [<tmpfs>/journal] {e before} the
+    action it announces, so [Dynacut.recover] can reconstruct a dead controller's
     progress from storage alone. A sealed lock file carries the owning
     controller's epoch (the fencing token): appends re-check it, and
     recovery bumps it, so a resurrected controller fails with {!Fenced}
     instead of racing the recovery pass. *)
 
 type op = Cut | Reenable
-
-val op_to_string : op -> string
 
 type record =
   | Begin of { txid : int; op : op; pids : int list }
@@ -32,8 +30,6 @@ type record =
   | Respawn_done of { pid : int }
       (** the controller regained control after [Respawn_begin] *)
 
-val pp_record : Format.formatter -> record -> unit
-
 type t
 (** Handle on one tree's journal + lock inside its tmpfs directory. *)
 
@@ -48,9 +44,6 @@ exception Busy of { txid : int }
 
 val attach : Vfs.t -> dir:string -> t
 (** Handle on [<dir>/journal] and [<dir>/lock]; creates nothing. *)
-
-val journal_path : t -> string
-val lock_path : t -> string
 
 val read : t -> record list * bool
 (** The valid prefix in append order; the [bool] flags a torn tail

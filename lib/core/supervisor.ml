@@ -102,7 +102,7 @@ type t = {
   mutable breaker : breaker;
   mutable trips : int;
   mutable samples : (int64 * int) list;  (** (clock, trap delta), newest first *)
-  mutable last_raw : (int * int64) list;  (** per-pid trap-counter baseline *)
+  meter : Dynacut.trap_meter;  (** per-pid trap-counter baselines *)
   mutable deaths : int list;  (** exit-hook queue, oldest first *)
   mutable respawns : (int * int) list;  (** per-pid respawn count *)
   mutable capped : int list;  (** pids whose respawn budget ran out *)
@@ -171,7 +171,7 @@ let create (s : Dynacut.session) ~config ~blocks ~policy =
       breaker = Closed;
       trips = 0;
       samples = [];
-      last_raw = [];
+      meter = Dynacut.trap_meter ();
       deaths = [];
       respawns = [];
       capped = [];
@@ -197,20 +197,10 @@ let create (s : Dynacut.session) ~config ~blocks ~policy =
 (* ------------------------------------------------------------------ *)
 (* Trap sampling                                                       *)
 
-let raw_hits t pid = Dynacut.handler_hits t.session ~pid
-
-(** Reset-tolerant delta: a respawn from an image restores the guest
-    counter to its checkpointed value, which may be below the baseline —
-    treat the raw value as the delta then. *)
-let trap_delta t pid =
-  let raw = raw_hits t pid in
-  let last = try List.assoc pid t.last_raw with Not_found -> 0L in
-  let d = if raw >= last then Int64.sub raw last else raw in
-  t.last_raw <- (pid, raw) :: List.remove_assoc pid t.last_raw;
-  Int64.to_int d
+let trap_delta t pid = Dynacut.trap_delta t.meter t.session ~pid
 
 let rebaseline t pids =
-  t.last_raw <- List.map (fun pid -> (pid, raw_hits t pid)) pids;
+  List.iter (fun pid -> ignore (trap_delta t pid)) pids;
   t.samples <- []
 
 (** A death the respawner should handle: killed by a trap-family signal
@@ -256,8 +246,6 @@ let breached t ~limit traps = traps > limit || (t.cfg.critical && traps > 0)
 (* ------------------------------------------------------------------ *)
 (* Crash-loop respawn                                                  *)
 
-let backoff_cycles n = Int64.of_int (min (1 lsl n) 64 * 1_000)
-
 let live_pids t pids =
   List.filter
     (fun pid ->
@@ -286,8 +274,7 @@ let respawn_one t pid =
           true
         end
         else begin
-          (* exponential backoff, charged to the virtual clock *)
-          m.Machine.clock <- Int64.add m.Machine.clock (backoff_cycles n);
+          ignore (Dynacut.backoff m ~attempt:n);
           let path =
             if List.mem pid t.cut_pids && cut_live t then
               Dynacut.image_path t.session pid
@@ -313,7 +300,7 @@ let respawn_one t pid =
                  Dynacut.forget_pid t.session ~pid);
               t.respawns <- (pid, n + 1) :: List.remove_assoc pid t.respawns;
               (* the image's counter replaces the live one *)
-              t.last_raw <- (pid, raw_hits t pid) :: List.remove_assoc pid t.last_raw;
+              ignore (trap_delta t pid);
               emit t (Respawned { pid; deaths = n + 1 });
               true
         end
@@ -423,15 +410,8 @@ let revert_canary t pid cj =
           | exception (Journal.Fenced _ as e) -> raise e
           | { Dynacut.r_outcome = `Rolled_back _; _ } | (exception _) ->
               (* last resort: recreate from the pre-cut image *)
-              ignore
-                (Dynacut.journaled_respawn t.session ~pid
-                   ~path:(Dynacut.pristine_path t.session pid));
-              Dynacut.forget_pid t.session ~pid)
-      | _ ->
-          ignore
-            (Dynacut.journaled_respawn t.session ~pid
-               ~path:(Dynacut.pristine_path t.session pid));
-          Dynacut.forget_pid t.session ~pid);
+              Dynacut.respawn_pristine t.session ~pid)
+      | _ -> Dynacut.respawn_pristine t.session ~pid);
       (* drop any queued death for the canary: just handled *)
       t.deaths <- List.filter (fun d -> d <> pid) t.deaths);
   t.journals <- [];

@@ -51,29 +51,6 @@ type breaker =
 
 val pp_breaker : Format.formatter -> breaker -> unit
 
-type event_kind =
-  | Cut_applied of int list
-  | Canary_cut of int
-  | Canary_promoted of int list
-  | Canary_rejected of { pid : int; traps : int }
-  | Promotion_failed of string
-  | Breaker_tripped of { traps : int; trip : int }
-  | Reenabled
-  | Reenable_failed of string
-  | Half_open_probe
-  | Probe_recut of int list
-  | Probe_failed of string
-  | Breaker_closed
-  | Abandoned_cut
-  | Respawned of { pid : int; deaths : int }
-  | Respawn_failed of { pid : int; error : string }
-  | Respawn_capped of int
-  | Verifier_shrunk of { dropped : int; kept : int }
-
-type event = { e_clock : int64;  (** virtual clock at decision time *) e_kind : event_kind }
-
-val pp_event : Format.formatter -> event -> unit
-
 type rollout =
   | R_promoted  (** the cut is live on every supervised pid *)
   | R_canary_rejected  (** the canary breached the SLO; tree original *)
@@ -133,9 +110,6 @@ val verifier_feedback : t -> int
     every block whose address the handler logged, re-cut the shrunk set.
     Returns the number of blocks dropped (0 = nothing to do, cut
     untouched). *)
-
-val event_log : t -> event list
-(** All decisions, oldest first. *)
 
 val render_log : t -> string
 (** The event log as one line per decision — two runs from the same

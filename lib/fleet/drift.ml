@@ -24,13 +24,12 @@
 
 type config = {
   d_period : int64;  (** sampling window, virtual cycles *)
-  d_keep : int;  (** closed windows retained by the collector *)
   d_trap_threshold : int;  (** fleet handler hits per window to re-enable *)
   d_hysteresis : int;  (** consecutive all-cold windows before re-cut *)
 }
 
 let default_config =
-  { d_period = 400_000L; d_keep = 3; d_trap_threshold = 3; d_hysteresis = 2 }
+  { d_period = 400_000L; d_trap_threshold = 3; d_hysteresis = 2 }
 
 type action =
   | Reenabled of int  (** workers whose cut was re-enabled *)
@@ -46,7 +45,7 @@ type t = {
   workers : Rollout.worker list;
   candidate : Covgraph.block list;  (** the managed feature block set *)
   policy : Dynacut.policy;
-  mutable baseline : (int * int64) list;  (** pid -> handler-hit baseline *)
+  meter : Dynacut.trap_meter;  (** per-worker handler-hit baselines *)
   mutable cold_streak : int;
   mutable reenables : int;
   mutable recuts : int;
@@ -55,18 +54,22 @@ type t = {
 let reenables t = t.reenables
 let recuts t = t.recuts
 
-let hits (w : Rollout.worker) =
-  Dynacut.handler_hits w.Rollout.w_session ~pid:w.Rollout.w_pid
+(** Fleet-wide handler-hit delta since the last read; rebases every
+    worker. *)
+let trap_delta t : int =
+  List.fold_left
+    (fun acc (w : Rollout.worker) ->
+      acc + Dynacut.trap_delta t.meter w.Rollout.w_session ~pid:w.Rollout.w_pid)
+    0 t.workers
 
-let rebaseline t =
-  t.baseline <- List.map (fun w -> (w.Rollout.w_pid, hits w)) t.workers
+let rebaseline t = ignore (trap_delta t)
 
 (** Attach the monitor and start the collector's windowed sampling. The
     collector must already trace every worker ({!Collector.add_root}). *)
 let create ~(collector : Collector.t) ~(workers : Rollout.worker list)
     ~(candidate : Covgraph.block list) ~(policy : Dynacut.policy)
     (cfg : config) : t =
-  Collector.start_window collector ~period:cfg.d_period ~keep:cfg.d_keep;
+  Collector.start_window collector ~period:cfg.d_period;
   let t =
     {
       cfg;
@@ -74,7 +77,7 @@ let create ~(collector : Collector.t) ~(workers : Rollout.worker list)
       workers;
       candidate;
       policy;
-      baseline = [];
+      meter = Dynacut.trap_meter ();
       cold_streak = 0;
       reenables = 0;
       recuts = 0;
@@ -82,19 +85,6 @@ let create ~(collector : Collector.t) ~(workers : Rollout.worker list)
   in
   rebaseline t;
   t
-
-(** Fleet-wide handler-hit delta since the last window (reset-tolerant,
-    like the supervisor's trap sampling). *)
-let trap_delta t : int =
-  List.fold_left
-    (fun acc w ->
-      let raw = hits w in
-      let last =
-        try List.assoc w.Rollout.w_pid t.baseline with Not_found -> 0L
-      in
-      let d = if raw >= last then Int64.sub raw last else raw in
-      acc + Int64.to_int d)
-    0 t.workers
 
 (** The candidate blocks absent from [window] — the Tracediff of the
     live sliding window against the cut's block set. *)
@@ -204,7 +194,6 @@ let tick t : action option =
       let cut_workers = List.filter Rollout.cut_live t.workers in
       if cut_workers <> [] then begin
         let traps = trap_delta t in
-        rebaseline t;
         set_score
           (min 1. (float_of_int traps /. float_of_int t.cfg.d_trap_threshold));
         if traps >= t.cfg.d_trap_threshold then Some (reenable_fleet t ~traps)

@@ -58,10 +58,7 @@ let revert_worker (w : worker) : unit =
     (match Dynacut.try_reenable w.w_session w.w_journals with
     | { Dynacut.r_outcome = `Applied | `Degraded; _ } -> ()
     | { Dynacut.r_outcome = `Rolled_back _; _ } ->
-        ignore
-          (Dynacut.journaled_respawn w.w_session ~pid:w.w_pid
-             ~path:(Dynacut.pristine_path w.w_session w.w_pid));
-        Dynacut.forget_pid w.w_session ~pid:w.w_pid);
+        Dynacut.respawn_pristine w.w_session ~pid:w.w_pid);
     w.w_journals <- [];
     transition w "reverted"
   end

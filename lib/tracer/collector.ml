@@ -21,11 +21,9 @@ type t = {
   (* windowed live sampling (fleet drift monitor) — rides alongside the
      cumulative map without disturbing nudge/dump semantics *)
   mutable win_period : int64 option;  (** None = windowing off *)
-  mutable win_keep : int;  (** retained closed windows *)
   mutable win_last : int64;  (** virtual clock at last rotation *)
   win_seen : int Itbl.t;  (** current window *)
   mutable win_seq : int;
-  mutable win_logs : Drcov.log list;  (** closed windows, oldest first *)
 }
 
 (* A block as one int: module index in bits 54-61, offset in bits
@@ -113,11 +111,9 @@ let attach (machine : Machine.t) ~pid : t =
       dumps = [];
       prev_hook = machine.Machine.trace;
       win_period = None;
-      win_keep = 0;
       win_last = 0L;
       win_seen = Itbl.create 256;
       win_seq = 0;
-      win_logs = [];
     }
   in
   Hashtbl.replace t.roots pid ();
@@ -181,16 +177,13 @@ let dumps t = t.dumps
 
 (* ---------- windowed live sampling (fleet drift monitor) ---------- *)
 
-(** Begin sampling in fixed virtual-clock windows of [period] cycles,
-    retaining the last [keep] closed windows. Restarting discards any
-    previous window state. *)
-let start_window t ~period ~keep =
+(** Begin sampling in fixed virtual-clock windows of [period] cycles.
+    Restarting discards the open window. *)
+let start_window t ~period =
   t.win_period <- Some period;
-  t.win_keep <- max 1 keep;
   t.win_last <- t.machine.Machine.clock;
   Itbl.reset t.win_seen;
-  t.win_seq <- 0;
-  t.win_logs <- []
+  t.win_seq <- 0
 
 (** Rotate the current window if at least one period elapsed on the
     machine's virtual clock. Returns the closed window's log, or [None]
@@ -202,37 +195,8 @@ let window_tick t : Drcov.log option =
       if Int64.sub t.machine.Machine.clock t.win_last < period then None
       else begin
         let log = log_of t t.win_seen in
-        t.win_logs <- t.win_logs @ [ log ];
-        (let excess = List.length t.win_logs - t.win_keep in
-         if excess > 0 then t.win_logs <- List.filteri (fun i _ -> i >= excess) t.win_logs);
         Itbl.reset t.win_seen;
         t.win_seq <- 0;
         t.win_last <- t.machine.Machine.clock;
         Some log
       end
-
-(** Retained closed windows, oldest first. *)
-let window_logs t = t.win_logs
-
-(** Union coverage over the retained windows plus the open partial one —
-    the drift monitor's "what does live traffic reach right now" view. *)
-let window_coverage t : Drcov.log =
-  let merged = Itbl.create 256 in
-  let add (log : Drcov.log) =
-    List.iter
-      (fun (bb : Drcov.bb) ->
-        let key = key bb.Drcov.bb_mod bb.Drcov.bb_off bb.Drcov.bb_size in
-        if not (Itbl.mem merged key) then Itbl.add merged key (Itbl.length merged))
-      log.Drcov.bbs
-  in
-  List.iter add t.win_logs;
-  add (log_of t t.win_seen);
-  log_of t merged
-
-(** Stop windowed sampling and clear its state; cumulative coverage and
-    nudge dumps are unaffected. *)
-let stop_window t =
-  t.win_period <- None;
-  Itbl.reset t.win_seen;
-  t.win_seq <- 0;
-  t.win_logs <- []

@@ -12,8 +12,6 @@ val attach : Machine.t -> pid:int -> t
 (** Start tracing [pid]; children forked later are traced automatically
     and their coverage merges into the same map. *)
 
-val current_log : t -> Drcov.log
-
 val nudge : t -> Drcov.log
 (** Dump the coverage collected so far (the phase that just ended) and
     clear the code cache (§3.1). *)
@@ -34,18 +32,9 @@ val add_root : t -> pid:int -> unit
     cumulative coverage: these sample into fixed virtual-clock windows
     alongside (and without disturbing) the cumulative map and nudges. *)
 
-val start_window : t -> period:int64 -> keep:int -> unit
-(** Sample in windows of [period] virtual cycles, retaining the last
-    [keep] closed windows. Restarting discards previous window state. *)
+val start_window : t -> period:int64 -> unit
+(** Sample in windows of [period] virtual cycles. Restarting discards
+    the open window. *)
 
 val window_tick : t -> Drcov.log option
 (** Rotate the window if a period elapsed; returns the closed window. *)
-
-val window_logs : t -> Drcov.log list
-(** Retained closed windows, oldest first. *)
-
-val window_coverage : t -> Drcov.log
-(** Union of the retained windows plus the open partial window. *)
-
-val stop_window : t -> unit
-(** Stop windowed sampling; cumulative coverage is unaffected. *)

@@ -197,7 +197,6 @@ let drift_scenario () =
     ~config:
       Drift.
         {
-          default_config with
           d_period = 50_000L;
           d_trap_threshold = 2;
           d_hysteresis = 2;

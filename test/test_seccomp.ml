@@ -90,6 +90,64 @@ let test_filter_inherited_by_fork () =
   | st -> Alcotest.failf "expected child kill, got %s" (Proc.state_to_string st));
   Alcotest.(check bool) "parent exits fine" true (p.Proc.state = Proc.Exited 0)
 
+(* ---------- the filter change is a transaction ---------- *)
+
+(* the tree after a failed or recovered filter change: the same pid,
+   live, thawed, carrying exactly one of [filters], still serving *)
+let check_intact c ~filters what =
+  let p = Machine.proc_exn c.Workload.m c.Workload.pid in
+  Alcotest.(check bool) (what ^ ": live") true (Proc.is_live p);
+  Alcotest.(check bool) (what ^ ": thawed") false p.Proc.frozen;
+  Alcotest.(check bool) (what ^ ": one whole filter") true
+    (List.mem p.Proc.seccomp filters);
+  Alcotest.(check string) (what ^ ": serves") "$hello"
+    (Workload.rpc c "GET greeting\n")
+
+let before = Some [ Abi.sys_fork ]
+let after = Some [ Abi.sys_fork; Abi.sys_socket ]
+
+(* an rkv already carrying the [before] filter, and its session *)
+let filtered_rkv () =
+  Fault.reset ();
+  let c = boot_rkv () in
+  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
+  let (_ : Dynacut.timings) = Dynacut.apply_seccomp session ~denied:before in
+  (c, session)
+
+let test_fault_rolls_back site () =
+  let c, session = filtered_rkv () in
+  Fault.arm site Fault.One_shot;
+  (match Dynacut.apply_seccomp session ~denied:after with
+  | (_ : Dynacut.timings) -> Alcotest.failf "filter change survived a fault at %s" site
+  | exception Dynacut.Dynacut_error _ -> ());
+  Fault.reset ();
+  check_intact c ~filters:[ before ] site;
+  (* the rollback closed the journal: the next change goes through *)
+  let (_ : Dynacut.timings) = Dynacut.apply_seccomp session ~denied:after in
+  check_intact c ~filters:[ after ] (site ^ " then retried")
+
+let kill_mid_change site =
+  let c, session = filtered_rkv () in
+  Fault.arm ~kill:true site Fault.One_shot;
+  (match Dynacut.apply_seccomp session ~denied:after with
+  | (_ : Dynacut.timings) -> Alcotest.failf "controller survived kill at %s" site
+  | exception Fault.Controller_killed _ -> ());
+  Fault.reset ();
+  c
+
+let test_kill_then_recover () =
+  let c = kill_mid_change "restore.process" in
+  let r = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid in
+  Alcotest.(check bool) "recovery acted" true (r.Dynacut.rec_action <> `Nothing);
+  check_intact c ~filters:[ before; after ] "recovered"
+
+let test_open_journal_is_busy () =
+  let c = kill_mid_change "criu.load" in
+  let fresh = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
+  match Dynacut.apply_seccomp fresh ~denied:after with
+  | (_ : Dynacut.timings) -> Alcotest.fail "filter change on an open journal"
+  | exception Journal.Busy _ -> ()
+
 (* ---------- CRIT manual surgery ---------- *)
 
 let test_crit_edit_register_roundtrip () =
@@ -150,5 +208,16 @@ let suite =
       test_filter_survives_checkpoint_restore;
     Alcotest.test_case "filter clearable at run time" `Quick test_filter_clearable;
     Alcotest.test_case "filter inherited across fork" `Quick test_filter_inherited_by_fork;
+  ]
+  @ List.map
+      (fun site ->
+        Alcotest.test_case ("fault at " ^ site ^ " rolls the filter back") `Quick
+          (test_fault_rolls_back site))
+      [ "criu.checkpoint"; "criu.save"; "criu.load"; "restore.process"; "journal.append" ]
+  @ [
+    Alcotest.test_case "controller death mid-change, then recover" `Quick
+      test_kill_then_recover;
+    Alcotest.test_case "open journal refuses a filter change (Busy)" `Quick
+      test_open_journal_is_busy;
     Alcotest.test_case "CRIT decode/edit/encode surgery" `Quick test_crit_edit_register_roundtrip;
   ]

@@ -294,6 +294,35 @@ let test_crash_loop_respawn () =
   check_log_mentions (Supervisor.render_log sup)
     [ "respawned"; "deaths=1"; "deaths=2"; "respawn-capped" ]
 
+(* ---------- trap meter across a counter reset ---------- *)
+
+let test_trap_meter_reset () =
+  (* a respawn from the working image (sealed at cut time, counter 0)
+     drops the guest counter below the meter's baseline: the next delta
+     is the raw count, not a negative or wrapped difference *)
+  Fault.reset ();
+  let m, p = Test_core.boot () in
+  let pid = p.Proc.pid in
+  let session = Dynacut.create m ~root_pid:pid in
+  let (_ : Rewriter.journal list * Dynacut.timings) =
+    Dynacut.cut session ~blocks:(storm_blocks ()) ~policy:redirect_policy
+  in
+  let meter = Dynacut.trap_meter () in
+  Alcotest.(check int) "no traps yet" 0 (Dynacut.trap_delta meter session ~pid);
+  for _ = 1 to 3 do
+    Alcotest.(check string) "G traps" "ERR" (Test_core.request m "G")
+  done;
+  Alcotest.(check int) "three traps" 3 (Dynacut.trap_delta meter session ~pid);
+  Machine.reap m ~pid;
+  let (_ : Proc.t) =
+    Dynacut.journaled_respawn session ~pid ~path:(Dynacut.image_path session pid)
+  in
+  Alcotest.(check string) "G traps after the respawn" "ERR" (Test_core.request m "G");
+  let raw = Dynacut.handler_hits session ~pid in
+  Alcotest.(check int64) "counter reset below the baseline" 1L raw;
+  Alcotest.(check int) "delta is the raw count" (Int64.to_int raw)
+    (Dynacut.trap_delta meter session ~pid)
+
 (* ---------- verifier feedback ---------- *)
 
 let test_verifier_feedback_shrinks_cut () =
@@ -348,4 +377,6 @@ let suite =
       test_crash_loop_respawn;
     Alcotest.test_case "verifier feedback shrinks and re-cuts" `Quick
       test_verifier_feedback_shrinks_cut;
+    Alcotest.test_case "trap meter: delta across a counter reset" `Quick
+      test_trap_meter_reset;
   ]
