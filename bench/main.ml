@@ -171,7 +171,7 @@ let run_obs () =
     let r = Dynacut.try_cut s ~blocks ~policy () in
     let re = Dynacut.try_reenable s r.Dynacut.r_journals in
     match (r.Dynacut.r_outcome, re.Dynacut.r_outcome) with
-    | (`Applied | `Degraded), (`Applied | `Degraded) -> ()
+    | `Applied, `Applied -> ()
     | _ -> failwith "obs: benchmark cut did not apply"
   in
   (* per-stage breakdown, one instrumented scenario *)
@@ -442,7 +442,6 @@ let run_overload () =
   in
   let tuned =
     {
-      (Balancer.default_config ~workers:n) with
       Balancer.b_shed_high = shed_high;
       b_shed_low = max 1 (shed_high / 2);
       b_backlog_max = 2;
@@ -456,7 +455,6 @@ let run_overload () =
   let multipliers = if !quick then [ 0.5; 2.0 ] else [ 0.5; 1.0; 2.0; 3.0 ] in
   let no_shed =
     {
-      tuned with
       Balancer.b_shed_high = max_int;
       b_shed_low = max_int - 1;
       b_backlog_max = 1_000_000;
@@ -690,7 +688,7 @@ let run_scrub () =
       (fun interval ->
         let m, pids, fleet = boot () in
         Fleet.start_scrub
-          ~config:{ Fleet.default_scrub_config with Fleet.sc_interval = interval }
+          ~config:{ Fleet.sc_interval = interval }
           fleet;
         List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
         let rng = Rng.create 1106 in

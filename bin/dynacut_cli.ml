@@ -349,7 +349,7 @@ let feature_blocks (app : Workload.app) feature =
 let exit_status_man extra =
   [
     `S "EXIT STATUS";
-    `P "0: the cut is live (possibly via the degraded fallback).";
+    `P "0: the cut is live.";
     `P "2: usage error (unknown app, feature, or fault spec).";
     `P
       "3: the transaction rolled back — the target process tree is \
@@ -465,7 +465,7 @@ let cut_cmd =
     if faults <> [] then print_endline (Fault.report ());
     if list_sites then print_fault_sites ~verbose ();
     write_metrics metrics;
-    (* exit 0: cut applied (possibly degraded); exit 3: transaction rolled
+    (* exit 0: cut applied; exit 3: transaction rolled
        back — target untouched and still serving *)
     if rolled_back then exit 3
   in
@@ -1001,7 +1001,7 @@ let fleet_cmd =
     if scrub_interval > 0 then
       Fleet.start_scrub
         ~config:
-          { Fleet.default_scrub_config with Fleet.sc_interval = scrub_interval }
+          { Fleet.sc_interval = scrub_interval }
         fleet;
     (* pump the background scrubber between request batches; only slices
        that found, refused or escalated something are worth a line *)
@@ -1584,7 +1584,7 @@ let chaos_cmd =
           app.Workload.a_name;
         exit 2);
     let config =
-      { Chaos.default_config with Chaos.c_app = app; c_workers = workers }
+      { Chaos.c_app = app; c_workers = workers }
     in
     let show (r : Chaos.report) =
       Format.printf "%a@.digest=%Ld@." Chaos.pp_report r

@@ -143,6 +143,19 @@ dune exec examples/crash_matrix.exe
 echo "== autopilot (seccomp transaction) =="
 dune exec examples/autopilot.exe
 
+# Pinned examples: the fault drill, the guarded rollout and the fleet
+# rollout are deterministic end to end (seeded PRNG, virtual clock), so
+# their stdout must equal the committed examples/expected/<name>.txt
+# byte for byte.
+echo "== pinned example output =="
+for e in fault_drill guarded_rollout fleet_rollout; do
+  if ! dune exec "examples/$e.exe" | diff "examples/expected/$e.txt" -; then
+    echo "FAIL: examples/$e.exe output differs from examples/expected/$e.txt"
+    exit 1
+  fi
+  echo "   $e identical"
+done
+
 # Chaos smoke (DESIGN.md §6c): the directed site x mode coverage matrix
 # (every registered site in every applicable mode — the bench hard-fails
 # on any unexercised applicable mode, i.e. a coverage hole) plus a small

@@ -29,12 +29,7 @@ let soak () =
   let pids = List.map (fun c -> c.Workload.pid) ctxs in
   (* a low watermark + shallow queues so saturation sheds early *)
   let balancer =
-    {
-      (Balancer.default_config ~workers:n) with
-      Balancer.b_shed_high = 3;
-      b_shed_low = 1;
-      b_backlog_max = 2;
-    }
+    { Balancer.b_shed_high = 3; b_shed_low = 1; b_backlog_max = 2 }
   in
   let fleet = Fleet.create ~balancer m ~port:Ltpd.port ~pids ~blocks ~policy in
   let cfg =

@@ -214,44 +214,6 @@ let rpc_deadline ?(max_cycles = 5_000_000) (c : ctx) ~deadline (text : string) :
   end;
   Net.client_recv conn
 
-(** {!rpc_deadline} under a client-side retry policy: up to [attempts]
-    tries, capped-jittered exponential backoff between them (the wait
-    advances the virtual clock, off the wire), and a [budget] ref shared
-    across calls so one run's total retries stay bounded no matter how
-    many callers spin. An empty reply (server died mid-request) counts
-    as a failure too. Raises {!Net.Timed_out} when attempts or budget
-    run out. *)
-let rpc_retry ?(max_cycles = 5_000_000) ?(attempts = 3)
-    ?(backoff_base = 50_000L) ?(backoff_cap = 400_000L) (c : ctx) ~rng ~budget
-    ~deadline (text : string) : string =
-  let port = match c.app.a_port with Some p -> p | None -> 0 in
-  let backoff attempt =
-    let d = ref backoff_base in
-    for _ = 2 to attempt do
-      if Int64.compare !d backoff_cap < 0 then d := Int64.mul !d 2L
-    done;
-    let d = if Int64.compare !d backoff_cap > 0 then backoff_cap else !d in
-    (* jitter in [d/2, d) keeps synchronized clients from re-colliding *)
-    let half = Int64.to_float (Int64.div d 2L) in
-    Int64.of_float (half +. (half *. Rng.float rng))
-  in
-  let rec go attempt =
-    let outcome =
-      match rpc_deadline ~max_cycles c ~deadline text with
-      | "" -> Error port
-      | reply -> Ok reply
-      | exception Net.Timed_out p -> Error p
-    in
-    match outcome with
-    | Ok reply -> reply
-    | Error p ->
-        if attempt >= attempts || !budget <= 0 then raise (Net.Timed_out p);
-        decr budget;
-        c.m.Machine.clock <- Int64.add c.m.Machine.clock (backoff attempt);
-        go (attempt + 1)
-  in
-  go 1
-
 (** Run a batch app to completion; returns its exit state. *)
 let run_to_exit ?(max_cycles = 80_000_000) (c : ctx) : Proc.state =
   let (_ : _) =

@@ -22,7 +22,7 @@ type result = {
 (** [debloat exe ~coverage ~oracle] where [oracle candidate] returns
     [Ok ()] if the candidate still passes the test suite, or
     [Error blocks] naming blocks that must be restored. *)
-let debloat ?(max_iterations = 8) (exe : Self.t) ~(coverage : Covgraph.t)
+let debloat (exe : Self.t) ~(coverage : Covgraph.t)
     ~(oracle : Self.t -> (unit, Covgraph.block list) Stdlib.result) : result =
   let cfg = Cfg.of_self exe in
   let total = List.length (Cfg.real_blocks cfg) in
@@ -60,7 +60,8 @@ let debloat ?(max_iterations = 8) (exe : Self.t) ~(coverage : Covgraph.t)
   in
   let rec iterate n =
     let candidate, removed = build () in
-    if n >= max_iterations then (candidate, removed, n)
+    (* at most 8 oracle-repair rounds *)
+    if n >= 8 then (candidate, removed, n)
     else
       match oracle candidate with
       | Ok () -> (candidate, removed, n)

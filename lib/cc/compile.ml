@@ -368,6 +368,3 @@ let compile_unit ?(func_align = 16) (u : comp_unit) : Asm.item list =
   List.iter (compile_global c) u.globals;
   ignore c.unit_name;
   List.rev c.items
-
-let assemble_unit ?func_align (u : comp_unit) ?(extra_items = []) () : Asm.obj =
-  Asm.assemble ~name:u.cu_name (compile_unit ?func_align u @ extra_items)

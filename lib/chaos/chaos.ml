@@ -79,21 +79,16 @@ let blocks_for (app : Workload.app) =
 type config = {
   c_app : Workload.app;  (** target web server (ltpd | ngx) *)
   c_workers : int;  (** fleet size *)
-  c_waves : int;  (** rollout waves *)
-  c_recover_budget : int;
-      (** liveness: cycles the fleet gets to serve again after faults
-          clear (recovery + probe) *)
-  c_goodput_floor : float;  (** liveness: post-fault goodput floor *)
 }
 
-let default_config =
-  {
-    c_app = Workload.ltpd;
-    c_workers = 4;
-    c_waves = 2;
-    c_recover_budget = 60_000_000;
-    c_goodput_floor = 0.5;
-  }
+let default_config = { c_app = Workload.ltpd; c_workers = 4 }
+
+(* the rollout's wave count *)
+let waves = 2
+
+(* liveness: cycles the fleet gets to serve again after faults clear
+   (recovery + probe) *)
+let recover_budget = 60_000_000
 
 type report = {
   r_schedule : Schedule.t;
@@ -304,7 +299,7 @@ let run ?(config = default_config)
   let rollout_config =
     Rollout.
       {
-        r_waves = config.c_waves;
+        r_waves = waves;
         r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
       }
   in
@@ -379,7 +374,7 @@ let run ?(config = default_config)
   violations := Oracle.check_xor oracle @ !violations;
   violations :=
     Oracle.check_waves oracle
-      ~plan:(Rollout.plan ~pids ~waves:config.c_waves)
+      ~plan:(Rollout.plan ~pids ~waves)
       ~recovery
     @ !violations;
   violations := Oracle.check_recover_idempotent oracle @ !violations;
@@ -402,10 +397,10 @@ let run ?(config = default_config)
   let recovery_cycles =
     match probe 8 with
     | Some c ->
-        if c > config.c_recover_budget then
+        if c > recover_budget then
           violations :=
             Oracle.violation "liveness-budget"
-              "served after %d cycles (budget %d)" c config.c_recover_budget
+              "served after %d cycles (budget %d)" c recover_budget
             :: !violations;
         c
     | None ->
@@ -413,9 +408,10 @@ let run ?(config = default_config)
           Oracle.violation "liveness-serving"
             "fleet never served again after faults cleared"
           :: !violations;
-        config.c_recover_budget
+        recover_budget
   in
-  (* liveness: goodput back over the floor, and nothing silently lost *)
+  (* liveness: goodput back over half the offered load, and nothing
+     silently lost *)
   let stats =
     Fleet.overload fleet
       {
@@ -429,7 +425,7 @@ let run ?(config = default_config)
   in
   violations := Oracle.check_accounting stats @ !violations;
   violations :=
-    Oracle.check_goodput ~floor:config.c_goodput_floor stats @ !violations;
+    Oracle.check_goodput ~floor:0.5 stats @ !violations;
   let goodput =
     float_of_int stats.Loadgen.s_completed
     /. float_of_int (max 1 stats.Loadgen.s_offered)
@@ -568,7 +564,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
         ~policy:(npolicy `First_byte) ())
        .Dynacut.r_outcome
    with
-  | `Applied | `Degraded -> ()
+  | `Applied -> ()
   | `Rolled_back rb -> failp "clean re-cut rolled back at %s" rb.Dynacut.rb_stage);
   tree_check ~all_cut:true ~what:"after re-cut" c fresh oracle
 
@@ -956,9 +952,8 @@ let probe site mode : probe =
   | exception Probe_failure msg -> result false msg
   | exception e -> result false ("uncaught exception " ^ Printexc.to_string e)
 
-(** The directed sweep: every registered site in every applicable mode.
-    [sites] defaults to the full registry. *)
-let coverage_matrix ?(sites = List.map fst Fault.known_sites) () : probe list =
+(** The directed sweep: every registered site in every applicable mode. *)
+let coverage_matrix () : probe list =
   List.concat_map
-    (fun site -> List.map (probe site) (Fault.applicable_modes site))
-    sites
+    (fun (site, _) -> List.map (probe site) (Fault.applicable_modes site))
+    Fault.known_sites

@@ -75,9 +75,11 @@ let gen_mode rng site =
   | Fault.Delay _ -> Fault.Delay (20_000 + Rng.int rng 480_000)
   | m -> m
 
-(* windows must be wide relative to the executor's tick granularity
-   (one fleet request ~19k cycles) or the clock steps over them *)
-let gen_trigger rng ~horizon =
+(* windows lie inside [\[0, 250k)] run-relative cycles, and must be
+   wide relative to the executor's tick granularity (one fleet request
+   ~19k cycles) or the clock steps over them *)
+let gen_trigger rng =
+  let horizon = 250_000 in
   if Rng.bool rng then Nth (1 + Rng.int rng 3)
   else begin
     let t0 = Rng.int rng horizon in
@@ -86,13 +88,12 @@ let gen_trigger rng ~horizon =
   end
 
 (** Generate a multi-fault schedule: 1..[max_events] events over
-    distinct [sites], modes drawn from {!Fault.applicable_modes},
+    distinct {!fleet_sites}, modes drawn from {!Fault.applicable_modes},
     triggers split between nth-occurrence and virtual-time windows
-    inside [\[0, horizon)] run-relative cycles. *)
-let generate ?(sites = fleet_sites) ?(max_events = 4)
-    ?(horizon = 250_000) ~seed () : t =
+    inside [\[0, 250k)] run-relative cycles. *)
+let generate ?(max_events = 4) ~seed () : t =
   let rng = Rng.create seed in
-  let n = min (1 + Rng.int rng max_events) (List.length sites) in
+  let n = min (1 + Rng.int rng max_events) (List.length fleet_sites) in
   let rec pick k remaining acc =
     if k = 0 || remaining = [] then List.rev acc
     else begin
@@ -106,9 +107,9 @@ let generate ?(sites = fleet_sites) ?(max_events = 4)
         {
           ev_site = site;
           ev_mode = gen_mode rng site;
-          ev_trigger = gen_trigger rng ~horizon;
+          ev_trigger = gen_trigger rng;
         })
-      (pick n sites [])
+      (pick n fleet_sites [])
   in
   { sc_seed = seed; sc_events = events }
 

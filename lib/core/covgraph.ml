@@ -115,7 +115,3 @@ let normalize ~(cfg_of : string -> Cfg.t option) (t : t) : t =
           done)
     (blocks t);
   out
-
-let union_size (a : t) (b : t) =
-  let u = merge [ a; b ] in
-  cardinal u

@@ -10,7 +10,6 @@ type block = {
   b_size : int;  (** bytes *)
 }
 
-val block_compare : block -> block -> int
 val pp_block : Format.formatter -> block -> unit
 
 type t
@@ -49,8 +48,6 @@ val filter_modules : (string -> bool) -> block list -> block list
 
 val is_shared_library : string -> bool
 (** True for [*.so] module names. *)
-
-val union_size : t -> t -> int
 
 val normalize : cfg_of:(string -> Cfg.t option) -> t -> t
 (** Canonicalize coverage onto each module's *static* basic blocks.

@@ -37,6 +37,8 @@ let pp_timings fmt t =
     "checkpoint %.4fs + disable %.4fs + sighandler %.4fs + restore %.4fs = %.4fs"
     t.t_checkpoint t.t_disable t.t_handler t.t_restore (total_time t)
 
+type breaker = Closed | Open of int64 | Half_open of int64 | Abandoned
+
 type session = {
   machine : Machine.t;
   root_pid : int;
@@ -51,6 +53,9 @@ type session = {
   mutable table : (int * (int64 * int64) list) list;
       (** pid -> accumulated (trap addr, payload) entries across stacked
           cuts; re-enables remove their entries instead of clearing *)
+  mutable breaker : breaker;
+      (** the supervisor's circuit breaker over this tree; the fleet
+          balancer reads it to skip an open worker *)
 }
 
 exception Dynacut_error of string
@@ -86,6 +91,7 @@ let create (machine : Machine.t) ~(root_pid : int) : session =
     cut_count = 0;
     table_mode = Handler.mode_terminate;
     table = [];
+    breaker = Closed;
   }
 
 (* [Vfs.find_self] for one cut: the redirect filter and the handler
@@ -393,7 +399,7 @@ let reenable_edits s imgs pids (journals : Rewriter.journal list) =
 
 type rollback = { rb_stage : string; rb_error : string }
 
-type outcome = [ `Applied | `Degraded | `Rolled_back of rollback ]
+type outcome = [ `Applied | `Rolled_back of rollback ]
 
 type cut_result = {
   r_journals : Rewriter.journal list;
@@ -406,7 +412,6 @@ type cut_result = {
 let pp_outcome fmt (o : outcome) =
   match o with
   | `Applied -> Format.pp_print_string fmt "applied"
-  | `Degraded -> Format.pp_print_string fmt "applied degraded (first-byte fallback)"
   | `Rolled_back { rb_stage; rb_error } ->
       Format.fprintf fmt "rolled back at %s: %s" rb_stage rb_error
 
@@ -490,20 +495,6 @@ let jrnl_abort s ~txid =
         Journal.finish j
       end)
 
-let default_max_retries = 2
-
-let is_prefix pre str =
-  String.length str >= String.length pre
-  && String.sub str 0 (String.length pre) = pre
-
-(* a failure is worth retrying if the injected fault was flagged
-   transient, or its site falls in a caller-configured retry class
-   (prefix match, e.g. "criu." or "restore.tcp_repair") *)
-let is_transient ~retry_classes = function
-  | Stage_failed (_, Fault.Injected { site; transient }) ->
-      transient || List.exists (fun c -> is_prefix c site) retry_classes
-  | _ -> false
-
 let backoff (m : Machine.t) ~attempt =
   let cycles = min (1 lsl attempt) 64 * 1_000 in
   m.Machine.clock <- Int64.add m.Machine.clock (Int64.of_int cycles);
@@ -550,139 +541,103 @@ let commit_restore s ~txid imgs pids =
           pids);
     raise failure
 
-(* the engine shared by cut and re-enable. [attempts] is the edit phase:
-   the primary method first, then any degraded fallbacks; each edits the
-   transaction's in-memory images, ends with {!stage_seal} and returns
-   (journals, t_disable, t_handler). *)
-let run_transaction s ~op ~pids ~max_retries ~retry_classes
-    ~(attempts : (images -> Rewriter.journal list * float * float) list) :
-    cut_result =
+(* the engine shared by cut, re-enable and seccomp. [edit] is the edit
+   phase: it edits the transaction's in-memory images, ends with
+   {!stage_seal} and returns (journals, t_disable, t_handler). *)
+let run_transaction s ~op ~pids
+    ~(edit : images -> Rewriter.journal list * float * float) : cut_result =
   let saved = snapshot_state s in
   let imgs : images = Hashtbl.create 4 in
   let txid = s.next_txid in
   s.next_txid <- txid + 1;
   let retries = ref 0 and backoff_total = ref 0 in
-  let zero = { t_checkpoint = 0.; t_disable = 0.; t_handler = 0.; t_restore = 0. } in
+  (* the stage times reached so far: a rollback reports them *)
+  let t = ref { t_checkpoint = 0.; t_disable = 0.; t_handler = 0.; t_restore = 0. } in
   let op_str = match op with Journal.Cut -> "cut" | Journal.Reenable -> "reenable" in
-  let finish_rollback stage e t =
-    restore_state s saved;
-    reset_working s pids;
-    thaw_all s pids;
-    jrnl_abort s ~txid;
-    Obs.incr (Obs.counter ~labels:[ ("op", op_str) ] "dynacut.rollbacks");
-    Obs.event ~kind:"dynacut"
-      (Printf.sprintf "tx=%d %s rolled back at %s" txid op_str stage);
-    {
-      r_journals = [];
-      r_timings = t;
-      r_outcome = `Rolled_back { rb_stage = stage; rb_error = describe_exn e };
-      r_retries = !retries;
-      r_backoff_cycles = !backoff_total;
-    }
-  in
-  (* the one retry step: true (after charging the backoff — the tree is
-     frozen, so only time moves) when [failure] is transient and retry
-     budget remains *)
-  let retry failure =
-    if is_transient ~retry_classes failure && !retries < max_retries then begin
+  (* the one retry loop: a failure whose injected fault is transient is
+     re-run up to twice, after charging the backoff (the tree is frozen,
+     so only time moves). Each step is idempotent: checkpointing
+     re-dumps, a failed edit has reset the images, and the commit's own
+     unwind leaves the tree restartable from the working images *)
+  let rec with_retries step =
+    try step ()
+    with
+    | Stage_failed (_, Fault.Injected { transient = true; _ }) when !retries < 2 ->
       incr retries;
       Obs.incr (Obs.counter "dynacut.retries");
       backoff_total := !backoff_total + backoff s.machine ~attempt:!retries;
-      true
-    end
-    else false
-  in
-  (* both the checkpoint and the commit are individually retryable —
-     checkpointing is idempotent, and the commit's own unwind leaves the
-     tree restartable from the working images *)
-  let rec with_retries step =
-    match step () with
-    | r -> `Ok r
-    | exception (Stage_failed (stage, e) as failure) ->
-        if retry failure then with_retries step else `Failed (stage, e)
+      with_retries step
   in
   (* the journal open is NOT retried: a second [Begin] would read as a
      new transaction. Its failure rolls back trivially — nothing
      happened yet. Freeze/dump re-runs are idempotent, and re-appended
      progress records are deduplicated by the summarizer. *)
   match
-    match guard "journal" (fun () -> jrnl_open s ~txid ~op ~pids) with
-    | () ->
-        with_retries (fun () ->
-            Obs.timed_span "checkpoint" (fun () ->
-                guard "checkpoint" (fun () -> stage_freeze s pids);
-                guard "journal" (fun () -> jrnl_append s (Journal.Frozen txid));
-                guard "checkpoint" (fun () -> stage_dump s imgs pids);
-                guard "journal" (fun () ->
-                    jrnl_append s (Journal.Images_saved txid))))
-    | exception Stage_failed (stage, e) -> `Failed (stage, e)
+    guard "journal" (fun () -> jrnl_open s ~txid ~op ~pids);
+    let (), t_checkpoint =
+      with_retries (fun () ->
+          Obs.timed_span "checkpoint" (fun () ->
+              guard "checkpoint" (fun () -> stage_freeze s pids);
+              guard "journal" (fun () -> jrnl_append s (Journal.Frozen txid));
+              guard "checkpoint" (fun () -> stage_dump s imgs pids);
+              guard "journal" (fun () -> jrnl_append s (Journal.Images_saved txid))))
+    in
+    t := { !t with t_checkpoint };
+    (* a failed edit resets the images, so a retry starts from the
+       pristine frames (see [working_image]) *)
+    let journals, t_disable, t_handler =
+      with_retries (fun () ->
+          try edit imgs
+          with Stage_failed _ as failure ->
+            restore_state s saved;
+            Hashtbl.reset imgs;
+            reset_working s pids;
+            raise failure)
+    in
+    t := { !t with t_disable; t_handler };
+    guard "journal" (fun () -> jrnl_append s (Journal.Rewritten txid));
+    let (), t_restore =
+      with_retries (fun () ->
+          Obs.timed_span "restore" (fun () -> commit_restore s ~txid imgs pids))
+    in
+    (journals, { !t with t_restore })
   with
-  | `Failed (stage, e) -> finish_rollback stage e zero
-  | `Ok ((), t_checkpoint) -> (
-      let degraded = ref false in
-      let reset_attempt () =
-        restore_state s saved;
-        Hashtbl.reset imgs;
-        reset_working s pids
-      in
-      let rec edit = function
-        | [] -> assert false
-        | att :: rest -> (
-            match att imgs with
-            | r -> `Ok r
-            | exception (Stage_failed (stage, e) as failure) ->
-                reset_attempt ();
-                if retry failure then edit (att :: rest)
-                else if rest <> [] then begin
-                  degraded := true;
-                  edit rest
-                end
-                else `Failed (stage, e))
-      in
-      match edit attempts with
-      | `Failed (stage, e) -> finish_rollback stage e { zero with t_checkpoint }
-      | `Ok (journals, t_disable, t_handler) -> (
-          match
-            match
-              guard "journal" (fun () -> jrnl_append s (Journal.Rewritten txid))
-            with
-            | () ->
-                with_retries (fun () ->
-                    Obs.timed_span "restore" (fun () ->
-                        commit_restore s ~txid imgs pids))
-            | exception Stage_failed (stage, e) -> `Failed (stage, e)
-          with
-          | `Failed (stage, e) ->
-              finish_rollback stage e
-                { t_checkpoint; t_disable; t_handler; t_restore = 0. }
-          | `Ok ((), t_restore) ->
-              (* [Commit] is on storage (last act of [commit_restore]);
-                 the journal has served its purpose *)
-              jrnl_finish s;
-              Obs.incr (Obs.counter ~labels:[ ("op", op_str) ] "dynacut.commits");
-              if !degraded then Obs.incr (Obs.counter "dynacut.degraded");
-              Obs.event ~kind:"dynacut"
-                (Printf.sprintf "tx=%d %s committed%s (%d retries)" txid op_str
-                   (if !degraded then " degraded" else "")
-                   !retries);
-              {
-                r_journals = journals;
-                r_timings = { t_checkpoint; t_disable; t_handler; t_restore };
-                r_outcome = (if !degraded then `Degraded else `Applied);
-                r_retries = !retries;
-                r_backoff_cycles = !backoff_total;
-              }))
+  | exception Stage_failed (stage, e) ->
+      restore_state s saved;
+      reset_working s pids;
+      thaw_all s pids;
+      jrnl_abort s ~txid;
+      Obs.incr (Obs.counter ~labels:[ ("op", op_str) ] "dynacut.rollbacks");
+      Obs.event ~kind:"dynacut"
+        (Printf.sprintf "tx=%d %s rolled back at %s" txid op_str stage);
+      {
+        r_journals = [];
+        r_timings = !t;
+        r_outcome = `Rolled_back { rb_stage = stage; rb_error = describe_exn e };
+        r_retries = !retries;
+        r_backoff_cycles = !backoff_total;
+      }
+  | journals, timings ->
+      (* [Commit] is on storage (last act of [commit_restore]); the
+         journal has served its purpose *)
+      jrnl_finish s;
+      Obs.incr (Obs.counter ~labels:[ ("op", op_str) ] "dynacut.commits");
+      Obs.event ~kind:"dynacut"
+        (Printf.sprintf "tx=%d %s committed (%d retries)" txid op_str !retries);
+      {
+        r_journals = journals;
+        r_timings = timings;
+        r_outcome = `Applied;
+        r_retries = !retries;
+        r_backoff_cycles = !backoff_total;
+      }
 
 (** Disable [blocks] under [policy] as a transaction: any failure —
     including an injected fault at any pipeline site — rolls the tree
-    back to its pre-cut state. Faults marked transient (or matching
-    [retry_classes], a list of site prefixes) are retried up to
-    [max_retries] times with capped backoff; with [degrade] set, an
-    [`Unmap_pages] cut that keeps failing falls back to [`First_byte]
-    before giving up. *)
-let try_cut (s : session) ?(max_retries = default_max_retries)
-    ?(retry_classes = []) ?(degrade = false) ?pids
-    ~(blocks : Covgraph.block list) ~(policy : policy) () : cut_result =
+    back to its pre-cut state. Transient faults are retried up to twice
+    with capped backoff. *)
+let try_cut (s : session) ?pids ~(blocks : Covgraph.block list) ~(policy : policy)
+    () : cut_result =
   let find_self = binaries s in
   let blocks =
     match policy.on_trap with
@@ -693,13 +648,14 @@ let try_cut (s : session) ?(max_retries = default_max_retries)
   (* the final check, seal, store and read-back run in the last edit
      stage's span: inject when a handler is installed, else rewrite *)
   let installs = match policy.on_trap with `Kill -> false | _ -> true in
-  let attempt method_ imgs =
+  let edit imgs =
     s.cut_count <- s.cut_count + 1;
     let seal () = guard "validate" (fun () -> stage_seal s imgs pids) in
     let journals, t_disable =
       Obs.timed_span "rewrite" (fun () ->
           let journals =
-            guard "rewrite" (fun () -> stage_disable s imgs pids ~blocks ~method_)
+            guard "rewrite" (fun () ->
+                stage_disable s imgs pids ~blocks ~method_:policy.method_)
           in
           if not installs then seal ();
           journals)
@@ -715,12 +671,7 @@ let try_cut (s : session) ?(max_retries = default_max_retries)
     in
     (journals, t_disable, t_handler)
   in
-  let attempts =
-    match (policy.method_, degrade) with
-    | `Unmap_pages, true -> [ attempt `Unmap_pages; attempt `First_byte ]
-    | m, _ -> [ attempt m ]
-  in
-  run_transaction s ~op:Journal.Cut ~pids ~max_retries ~retry_classes ~attempts
+  run_transaction s ~op:Journal.Cut ~pids ~edit
 
 (* the edit phase of a re-enable or seccomp transaction: one pass of
    [edit] over the working images, then the seal, in the rewrite span *)
@@ -735,16 +686,15 @@ let image_edit s pids edit imgs =
 (** Restore previously disabled features from their journals (§3.2.2's
     bidirectional transformation), with the same transactional
     guarantees as {!try_cut}. *)
-let try_reenable (s : session) ?(max_retries = default_max_retries)
-    ?(retry_classes = []) ?pids (journals : Rewriter.journal list) : cut_result =
+let try_reenable (s : session) ?pids (journals : Rewriter.journal list) : cut_result =
   let pids = match pids with Some l -> l | None -> tree_pids s in
-  run_transaction s ~op:Journal.Reenable ~pids ~max_retries ~retry_classes
-    ~attempts:[ image_edit s pids (fun imgs -> reenable_edits s imgs pids journals) ]
+  run_transaction s ~op:Journal.Reenable ~pids
+    ~edit:(image_edit s pids (fun imgs -> reenable_edits s imgs pids journals))
 
 (* a committed transaction's result; a rolled-back one raises *)
 let applied what (r : cut_result) =
   match r.r_outcome with
-  | `Applied | `Degraded -> r
+  | `Applied -> r
   | `Rolled_back { rb_stage; rb_error } ->
       raise
         (Dynacut_error
@@ -781,8 +731,7 @@ let apply_seccomp (s : session) ~(denied : int list option) : timings =
       pids
   in
   let r =
-    run_transaction s ~op:Journal.Cut ~pids ~max_retries:default_max_retries
-      ~retry_classes:[] ~attempts:[ image_edit s pids set_filter ]
+    run_transaction s ~op:Journal.Cut ~pids ~edit:(image_edit s pids set_filter)
   in
   (applied "seccomp" r).r_timings
 

@@ -40,6 +40,14 @@ type timings = {
 val total_time : timings -> float
 val pp_timings : Format.formatter -> timings -> unit
 
+type breaker =
+  | Closed  (** cut live, trap rate inside the SLO *)
+  | Open of int64  (** feature re-enabled until this cycle *)
+  | Half_open of int64  (** probe re-cut live since this cycle *)
+  | Abandoned  (** trip budget exhausted; feature stays enabled *)
+(** A {!Supervisor}'s circuit-breaker state, kept on the session it
+    supervises. *)
+
 type session = {
   machine : Machine.t;
   root_pid : int;
@@ -54,6 +62,10 @@ type session = {
   mutable table : (int * (int64 * int64) list) list;
       (** accumulated policy entries per pid: stacked cuts merge, partial
           re-enables remove only their own entries *)
+  mutable breaker : breaker;
+      (** the supervisor's breaker over this tree ([Closed] while none is
+          attached); the fleet balancer reads it to drain a breaker-open
+          worker and trickle probes to a half-open one *)
 }
 
 exception Dynacut_error of string
@@ -101,8 +113,7 @@ type rollback = { rb_stage : string; rb_error : string }
     human-readable description of the original error. *)
 
 type outcome =
-  [ `Applied  (** the requested cut is live *)
-  | `Degraded  (** applied, but via the [`First_byte] fallback *)
+  [ `Applied  (** the requested edit is live *)
   | `Rolled_back of rollback  (** tree unchanged, still serving *) ]
 
 type cut_result = {
@@ -133,9 +144,6 @@ val backoff : Machine.t -> attempt:int -> int
 
 val try_cut :
   session ->
-  ?max_retries:int ->
-  ?retry_classes:string list ->
-  ?degrade:bool ->
   ?pids:int list ->
   blocks:Covgraph.block list ->
   policy:policy ->
@@ -145,25 +153,19 @@ val try_cut :
     transaction — a subset enables canary rollouts: freeze,
     checkpoint to tmpfs, rewrite the images, inject/update the handler,
     validate, restore. On success the live processes keep their pids,
-    memory and TCP connections; on failure the tree is rolled back and
-    [r_outcome] reports the failing stage. Failures whose fault is
-    flagged transient — or whose site matches a prefix in
-    [retry_classes], e.g. ["criu."] — are retried up to [max_retries]
-    times (default 2) with capped exponential backoff charged to the
-    virtual clock. With [degrade] set, an [`Unmap_pages] cut that keeps
-    failing falls back to [`First_byte] and reports [`Degraded]. *)
+    memory and TCP connections and [r_outcome] is [`Applied]; on
+    failure the tree is rolled back and [r_outcome] reports the failing
+    stage. A failure is retried if and only if its injected fault is
+    flagged transient: checkpoint, edit and commit share one retry
+    loop, at most 2 retries per transaction, each charging capped
+    exponential backoff ({!backoff}) to the virtual clock. *)
 
-val try_reenable :
-  session ->
-  ?max_retries:int ->
-  ?retry_classes:string list ->
-  ?pids:int list ->
-  Rewriter.journal list ->
-  cut_result
+val try_reenable : session -> ?pids:int list -> Rewriter.journal list -> cut_result
 (** Restore a previous cut (original bytes back, pages remapped, policy
-    entries removed) with the same transactional guarantees. [pids]
-    (default: the whole tree) must name {e live} processes — the
-    transaction freezes and checkpoints them. *)
+    entries removed) with the same transactional guarantees and retry
+    rule as {!try_cut}. [pids] (default: the whole tree) must name
+    {e live} processes — the transaction freezes and checkpoints
+    them. *)
 
 val cut :
   session ->

@@ -61,7 +61,3 @@ let of_image (img : Images.t) : census =
       end)
     img.Images.mm;
   { g_exec_bytes = !exec_bytes; g_gadgets = !gadgets; g_syscall_gadgets = !sys }
-
-let pp fmt c =
-  Format.fprintf fmt "%d gadgets (%d with syscall) in %d executable bytes"
-    c.g_gadgets c.g_syscall_gadgets c.g_exec_bytes

@@ -18,4 +18,3 @@ val scan_bytes : bytes -> int * int
 val of_image : Images.t -> census
 (** Census over every executable, dumped VMA of the image. *)
 
-val pp : Format.formatter -> census -> unit

@@ -5,12 +5,6 @@
 
 exception Inject_error of string
 
-val default_hint : int64
-(** Start of the search for an unused region. *)
-
-val find_gap : Images.t -> hint:int64 -> size:int -> int64
-(** First page-aligned, collision-free address at or after [hint]. *)
-
 val inject :
   Images.t ->
   lib:Self.t ->

@@ -4,7 +4,6 @@
 type config = {
   window : int64;
   max_traps : int;
-  half_open_max_traps : int;
   critical : bool;
   cooldown : int64;
   max_trips : int;
@@ -16,7 +15,6 @@ let default_config =
   {
     window = 50_000L;
     max_traps = 3;
-    half_open_max_traps = 0;
     critical = false;
     cooldown = 100_000L;
     max_trips = 3;
@@ -24,7 +22,7 @@ let default_config =
     canary_windows = 2;
   }
 
-type breaker = Closed | Open of int64 | Half_open of int64 | Abandoned
+type breaker = Dynacut.breaker = Closed | Open of int64 | Half_open of int64 | Abandoned
 
 let pp_breaker ppf = function
   | Closed -> Format.fprintf ppf "closed"
@@ -99,7 +97,6 @@ type t = {
   policy : Dynacut.policy;
   mutable journals : Rewriter.journal list;
   mutable cut_pids : int list;  (** pids currently carrying the cut *)
-  mutable breaker : breaker;
   mutable trips : int;
   mutable samples : (int64 * int) list;  (** (clock, trap delta), newest first *)
   meter : Dynacut.trap_meter;  (** per-pid trap-counter baselines *)
@@ -134,18 +131,15 @@ let breaker_code = function
   | Half_open _ -> 2.
   | Abandoned -> 3.
 
-(* the per-pid series is the balancer's readback channel: a fleet
-   dispatcher reads breaker state per worker root without holding a
-   Supervisor handle (DESIGN.md §6b) *)
 let breaker_gauge ~root_pid =
   Obs.gauge ~labels:[ ("pid", string_of_int root_pid) ] "supervisor.breaker"
 
+(* the state lives on the session, where the fleet balancer reads it
+   (DESIGN.md §6b); the gauges only mirror it for `top` and the dumps *)
 let set_breaker t b =
-  t.breaker <- b;
+  t.session.Dynacut.breaker <- b;
   Obs.set_gauge (Obs.gauge "supervisor.breaker") (breaker_code b);
-  Obs.set_gauge
-    (breaker_gauge ~root_pid:t.session.Dynacut.root_pid)
-    (breaker_code b)
+  Obs.set_gauge (breaker_gauge ~root_pid:t.session.Dynacut.root_pid) (breaker_code b)
 
 let event_log t = List.rev t.events
 
@@ -153,13 +147,14 @@ let render_log t =
   String.concat "\n"
     (List.map (fun e -> Format.asprintf "%a" pp_event e) (event_log t))
 
-let breaker_state t = t.breaker
+let breaker_state t = t.session.Dynacut.breaker
 let trips t = t.trips
 let journals t = t.journals
 let blocks t = t.blocks
 let cut_live t = t.journals <> []
 
 let create (s : Dynacut.session) ~config ~blocks ~policy =
+  s.Dynacut.breaker <- Closed;
   let t =
     {
       session = s;
@@ -168,7 +163,6 @@ let create (s : Dynacut.session) ~config ~blocks ~policy =
       policy;
       journals = [];
       cut_pids = [];
-      breaker = Closed;
       trips = 0;
       samples = [];
       meter = Dynacut.trap_meter ();
@@ -331,7 +325,7 @@ let attempt_reenable t =
   | { Dynacut.r_outcome = `Rolled_back rb; _ } ->
       emit t (Reenable_failed rb.Dynacut.rb_stage);
       false
-  | { Dynacut.r_outcome = `Applied | `Degraded; _ } ->
+  | { Dynacut.r_outcome = `Applied; _ } ->
       t.journals <- [];
       emit t Reenabled;
       rebaseline t (live_pids t t.cut_pids);
@@ -362,7 +356,7 @@ let probe_recut t =
   | { Dynacut.r_outcome = `Rolled_back rb; _ } ->
       emit t (Probe_failed rb.Dynacut.rb_stage);
       set_breaker t @@ Open (Int64.add (clock t) t.cfg.cooldown)
-  | { Dynacut.r_outcome = `Applied | `Degraded; r_journals; _ } ->
+  | { Dynacut.r_outcome = `Applied; r_journals; _ } ->
       t.journals <- r_journals;
       emit t (Probe_recut pids);
       rebaseline t pids;
@@ -371,14 +365,15 @@ let probe_recut t =
 let tick t =
   let window_traps = sample t in
   handle_deaths t;
-  match t.breaker with
+  match breaker_state t with
   | Abandoned -> ()
   | Closed ->
       if cut_live t && breached t ~limit:t.cfg.max_traps window_traps then
         trip t ~traps:window_traps
   | Open until -> if clock t >= until then probe_recut t
   | Half_open since ->
-      if breached t ~limit:t.cfg.half_open_max_traps window_traps then
+      (* a half-open probe tolerates no trap at all *)
+      if breached t ~limit:0 window_traps then
         trip t ~traps:window_traps
       else if Int64.sub (clock t) since >= t.cfg.window then begin
         set_breaker t @@ Closed;
@@ -405,7 +400,7 @@ let revert_canary t pid cj =
       (match Machine.proc m pid with
       | Some p when Proc.is_live p ->
           (match Dynacut.try_reenable t.session ~pids:[ pid ] cj with
-          | { Dynacut.r_outcome = `Applied | `Degraded; _ } -> ()
+          | { Dynacut.r_outcome = `Applied; _ } -> ()
           | exception (Fault.Controller_killed _ as e) -> raise e
           | exception (Journal.Fenced _ as e) -> raise e
           | { Dynacut.r_outcome = `Rolled_back _; _ } | (exception _) ->
@@ -420,7 +415,7 @@ let revert_canary t pid cj =
 let full_cut t ~pids =
   match Dynacut.try_cut t.session ~pids ~blocks:t.blocks ~policy:t.policy () with
   | { Dynacut.r_outcome = `Rolled_back rb; _ } -> Error rb.Dynacut.rb_stage
-  | { Dynacut.r_outcome = `Applied | `Degraded; r_journals; _ } -> Ok r_journals
+  | { Dynacut.r_outcome = `Applied; r_journals; _ } -> Ok r_journals
 
 let guarded_cut t ?(canary = true) ~drive () =
   if not canary then begin
@@ -521,7 +516,7 @@ let verifier_feedback t =
         let pids = live_pids t t.cut_pids in
         match Dynacut.try_reenable t.session ~pids t.journals with
         | { Dynacut.r_outcome = `Rolled_back _; _ } -> 0
-        | { Dynacut.r_outcome = `Applied | `Degraded; _ } -> (
+        | { Dynacut.r_outcome = `Applied; _ } -> (
             t.journals <- [];
             t.blocks <- keep;
             emit t
@@ -532,7 +527,7 @@ let verifier_feedback t =
               match
                 Dynacut.try_cut t.session ~pids ~blocks:keep ~policy:t.policy ()
               with
-              | { Dynacut.r_outcome = `Applied | `Degraded; r_journals; _ } ->
+              | { Dynacut.r_outcome = `Applied; r_journals; _ } ->
                   t.journals <- r_journals;
                   rebaseline t pids;
                   List.length drop

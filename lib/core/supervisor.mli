@@ -30,7 +30,6 @@
 type config = {
   window : int64;  (** sliding SLO window, virtual cycles *)
   max_traps : int;  (** traps tolerated per window while Closed *)
-  half_open_max_traps : int;  (** tolerated during a half-open probe *)
   critical : bool;  (** any trap at all trips the breaker *)
   cooldown : int64;  (** cycles spent Open before a half-open probe *)
   max_trips : int;  (** trips before the cut is abandoned *)
@@ -39,11 +38,11 @@ type config = {
 }
 
 val default_config : config
-(** window = 50_000 cycles, max_traps = 3, half_open_max_traps = 0,
-    critical = false, cooldown = 100_000, max_trips = 3,
-    max_respawns = 5, canary_windows = 2. *)
+(** window = 50_000 cycles, max_traps = 3, critical = false,
+    cooldown = 100_000, max_trips = 3, max_respawns = 5,
+    canary_windows = 2. A half-open probe tolerates no trap. *)
 
-type breaker =
+type breaker = Dynacut.breaker =
   | Closed  (** cut live, trap rate inside the SLO *)
   | Open of int64  (** feature re-enabled until this cycle *)
   | Half_open of int64  (** probe re-cut live since this cycle *)
@@ -89,12 +88,12 @@ val tick : t -> unit
 val breaker_state : t -> breaker
 val trips : t -> int
 
+
 val breaker_gauge : root_pid:int -> Obs.gauge
 (** The per-worker [supervisor.breaker{pid}] gauge — breaker state
-    encoded 0/1/2/3 (Closed/Open/Half-open/Abandoned), mirrored on every
-    transition. The fleet balancer reads it to drain a breaker-open
-    worker and trickle probes to a half-open one, without holding a
-    supervisor handle. *)
+    encoded 0/1/2/3 (Closed/Open/Half-open/Abandoned), written on every
+    transition. A write-only mirror of the session's [breaker] for
+    [top] and the dumps; nothing routes on it. *)
 
 val cut_live : t -> bool
 (** True while the cut is applied (Closed or Half_open with journals). *)

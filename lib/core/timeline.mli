@@ -5,7 +5,6 @@
 type phase = { ph_label : string; ph_time : float; ph_live : int }
 type track = { tr_name : string; tr_total : int; tr_phases : phase list }
 
-val percent : track -> phase -> float
 val make : name:string -> total:int -> phase list -> track
 
 val flat : name:string -> total:int -> kept:int -> times:float list -> track

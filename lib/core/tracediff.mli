@@ -8,9 +8,6 @@ type report = {
   n_total_undesired_cov : int;  (** size of the undesired coverage *)
 }
 
-val no_cfg : string -> Cfg.t option
-(** The identity CFG provider (no normalization). *)
-
 val feature_blocks :
   ?keep_module:(string -> bool) ->
   ?cfg_of:(string -> Cfg.t option) ->

@@ -28,9 +28,6 @@ type image = {
   img_mappings : mapping list;
 }
 
-let default_lib_base = 0x7f00_0000_0000L
-let lib_spacing = 0x1000_0000L
-
 (** Absolute address of a global symbol across all loaded modules. *)
 let resolve_global (mods : loaded_module list) (sym : string) : int64 option =
   List.find_map
@@ -89,7 +86,7 @@ let map_module (m : loaded_module) ~(patched : (string * bytes) list) : mapping 
 
 (** Load [exe] plus the transitive closure of its needed libraries (looked
     up by name in [libs]). *)
-let load ?(lib_base = default_lib_base) ~(libs : Self.t list) (exe : Self.t) : image =
+let load ~(libs : Self.t list) (exe : Self.t) : image =
   if exe.kind <> Self.Exec then raise (Load_error (exe.name ^ ": not an executable"));
   (* transitive closure of needed libs, in load order *)
   let rec close acc = function
@@ -108,7 +105,9 @@ let load ?(lib_base = default_lib_base) ~(libs : Self.t list) (exe : Self.t) : i
          (fun i (l : Self.t) ->
            {
              lm_name = l.name;
-             lm_base = Int64.add lib_base (Int64.mul (Int64.of_int i) lib_spacing);
+             (* libraries load from 0x7f00_0000_0000, 256 MiB apart *)
+             lm_base =
+               Int64.add 0x7f00_0000_0000L (Int64.mul (Int64.of_int i) 0x1000_0000L);
              lm_self = l;
            })
          needed

@@ -22,9 +22,6 @@ type image = {
   img_mappings : mapping list;
 }
 
-val default_lib_base : int64
-val lib_spacing : int64
-
 val relocate :
   Self.t -> base:int64 -> mods:loaded_module list -> (string * bytes) list
 (** Apply a module's dynamic relocations into fresh copies of its section
@@ -34,6 +31,6 @@ val relocate :
 
 val map_module : loaded_module -> patched:(string * bytes) list -> mapping list
 
-val load : ?lib_base:int64 -> libs:Self.t list -> Self.t -> image
+val load : libs:Self.t list -> Self.t -> image
 (** Load an executable; [needed] libraries are looked up by name in
     [libs], transitively. *)

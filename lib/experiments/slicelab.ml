@@ -151,7 +151,7 @@ type converge = {
     ({!Slicer.add_counterexample}). The trap budget is effectively
     unbounded during convergence; the breaker guards the steady state
     afterwards. *)
-let cut_and_converge ?(seed = 42) ?(max_rounds = 6)
+let cut_and_converge ?(seed = 42)
     ?(on_counterexample = fun (_ : Covgraph.block) -> ())
     (app : Workload.app) ~(blocks : Covgraph.block list) () : converge =
   let c = Workload.spawn ~seed app in
@@ -177,7 +177,7 @@ let cut_and_converge ?(seed = 42) ?(max_rounds = 6)
   (match rollout with
   | Supervisor.R_promoted ->
       let quiescent = ref false in
-      while (not !quiescent) && !rounds < max_rounds do
+      while (not !quiescent) && !rounds < 6 do
         incr rounds;
         drive ();
         let before = Supervisor.blocks sup in

@@ -23,35 +23,17 @@
     rollout driver and the CLI use. *)
 
 type config = {
-  b_ewma_alpha : float;  (** weight of the newest in-flight sample *)
   b_backlog_max : int;  (** per-listener accept-queue bound *)
   b_shed_high : int;
       (** start shedding once aggregate in-flight reaches this *)
   b_shed_low : int;  (** stop shedding at or below this (hysteresis) *)
-  b_decision_cap : int;  (** decision-log bound *)
-  b_lat_alpha : float;  (** weight of the newest response-latency sample *)
-  b_straggler_factor : float;
-      (** skip a worker whose latency EWMA exceeds this multiple of the
-          fleet's best (gray failure: slow is as bad as down) *)
-  b_straggler_min : int;
-      (** latency samples required before the straggler test applies *)
-  b_straggler_decay : float;
-      (** per-decision decay of a skipped straggler's EWMA toward the
-          baseline, so it rejoins once the slowness clears *)
 }
 
 let default_config ~(workers : int) =
-  {
-    b_ewma_alpha = 0.3;
-    b_backlog_max = 8;
-    b_shed_high = 4 * max 1 workers;
-    b_shed_low = 2 * max 1 workers;
-    b_decision_cap = 512;
-    b_lat_alpha = 0.3;
-    b_straggler_factor = 3.;
-    b_straggler_min = 3;
-    b_straggler_decay = 0.9;
-  }
+  { b_backlog_max = 8; b_shed_high = 4 * max 1 workers; b_shed_low = 2 * max 1 workers }
+
+(* latency samples a worker needs before the straggler test applies *)
+let straggler_min = 3
 
 (** Why a worker was passed over for one dispatch. *)
 type skip =
@@ -62,8 +44,8 @@ type skip =
   | Backlog_full
   | Half_open_hold  (** half-open breaker: one probe already in flight *)
   | Straggler
-      (** response-latency EWMA over [b_straggler_factor] × the fleet's
-          best: a gray-failing worker sheds dispatches like a frozen one *)
+      (** response-latency EWMA over 3 × the fleet's best: a
+          gray-failing worker sheds dispatches like a frozen one *)
 
 let skip_to_string = function
   | Dead -> "dead"
@@ -99,6 +81,7 @@ let pp_decision ppf d =
           d.d_skipped))
 
 type health = {
+  h_session : Dynacut.session;  (** the worker's tree, carrying its breaker *)
   mutable h_ewma : float;  (** EWMA of in-flight, sampled per dispatch *)
   mutable h_inflight : int;  (** dispatched, not yet completed *)
   mutable h_dispatched : int;  (** cumulative, the tie-breaker *)
@@ -132,8 +115,11 @@ type ticket = {
 
 exception Balancer_error of string
 
-let create ?config (machine : Machine.t) ~(port : int) ~(workers : int list) :
-    t =
+(** A balancer over the worker trees of [sessions], one worker per
+    session root. *)
+let create ?config (machine : Machine.t) ~(port : int)
+    ~(sessions : Dynacut.session list) : t =
+  let workers = List.map (fun s -> s.Dynacut.root_pid) sessions in
   let cfg =
     match config with
     | Some c -> c
@@ -141,16 +127,17 @@ let create ?config (machine : Machine.t) ~(port : int) ~(workers : int list) :
   in
   let health = Hashtbl.create 8 in
   List.iter
-    (fun pid ->
-      Hashtbl.replace health pid
+    (fun s ->
+      Hashtbl.replace health s.Dynacut.root_pid
         {
+          h_session = s;
           h_ewma = 0.;
           h_inflight = 0;
           h_dispatched = 0;
           h_lat_ewma = 0.;
           h_lat_samples = 0;
         })
-    workers;
+    sessions;
   {
     machine;
     port;
@@ -202,12 +189,12 @@ let note_latency t ~pid (cycles : float) =
   match Hashtbl.find_opt t.health pid with
   | None -> ()
   | Some h ->
+      (* weight of the newest sample *)
+      let alpha = 0.3 in
       h.h_lat_samples <- h.h_lat_samples + 1;
       h.h_lat_ewma <-
         (if h.h_lat_samples = 1 then cycles
-         else
-           (t.cfg.b_lat_alpha *. cycles)
-           +. ((1. -. t.cfg.b_lat_alpha) *. h.h_lat_ewma));
+         else (alpha *. cycles) +. ((1. -. alpha) *. h.h_lat_ewma));
       Obs.set_gauge
         (Obs.gauge ~labels:[ ("pid", string_of_int pid) ] "fleet.latency_ewma")
         h.h_lat_ewma
@@ -221,14 +208,14 @@ let lat_baseline t ~excluding =
       if pid = excluding then acc
       else
         let h = health t ~pid in
-        if h.h_lat_samples >= t.cfg.b_straggler_min then
+        if h.h_lat_samples >= straggler_min then
           match acc with
           | None -> Some h.h_lat_ewma
           | Some b -> Some (min b h.h_lat_ewma)
         else acc)
     None t.workers
 
-(** The decision log, oldest first (bounded at [b_decision_cap]). *)
+(** The decision log, oldest first (bounded at 512 decisions). *)
 let decisions t = List.rev t.decisions
 
 let dispatches ~pid =
@@ -250,9 +237,9 @@ let record t verdict skipped =
   in
   t.decisions <- d :: t.decisions;
   t.n_decisions <- t.n_decisions + 1;
-  if t.n_decisions > t.cfg.b_decision_cap then begin
+  if t.n_decisions > 512 then begin
     (* drop the oldest half rather than one-at-a-time list surgery *)
-    let keep = t.cfg.b_decision_cap / 2 in
+    let keep = 256 in
     let rec take k = function
       | x :: xs when k > 0 -> x :: take (k - 1) xs
       | _ -> []
@@ -261,10 +248,6 @@ let record t verdict skipped =
     t.n_decisions <- keep
   end
 
-let breaker_code ~pid =
-  int_of_float (Obs.gauge_value (Supervisor.breaker_gauge ~root_pid:pid))
-
-(* breaker_code: 0 Closed / 1 Open / 2 Half-open / 3 Abandoned *)
 let classify t ~pid ~(baseline : float option) : (Net.listener, skip) result =
   let alive =
     match Machine.proc t.machine pid with
@@ -279,25 +262,25 @@ let classify t ~pid ~(baseline : float option) : (Net.listener, skip) result =
         let l = listener t ~pid in
         if not l.Net.accepting then Error Drained
         else
-          let code = breaker_code ~pid in
           let h = health t ~pid in
-          if code = 1 || code = 3 then Error Breaker_open
-          else if code = 2 && h.h_inflight > 0 then Error Half_open_hold
-          else if Net.backlog_full l then Error Backlog_full
-          else
-            match baseline with
-            | Some b
-              when h.h_lat_samples >= t.cfg.b_straggler_min
-                   && h.h_lat_ewma > t.cfg.b_straggler_factor *. b ->
-                Error Straggler
-            | _ -> Ok l
+          match h.h_session.Dynacut.breaker with
+          | Open _ | Abandoned -> Error Breaker_open
+          | Half_open _ when h.h_inflight > 0 -> Error Half_open_hold
+          | Closed | Half_open _ -> (
+              if Net.backlog_full l then Error Backlog_full
+              else
+                match baseline with
+                | Some b
+                  when h.h_lat_samples >= straggler_min && h.h_lat_ewma > 3. *. b ->
+                    Error Straggler
+                | _ -> Ok l)
 
 (** Health-score every worker and pick the least-loaded eligible one.
     Score = EWMA(in-flight) + current accept-queue depth + relative
     response-latency penalty (how many times slower than the fleet's
     best — scale-free, so cycles never swamp queue depths); ties go to
     the worker with fewer cumulative dispatches, then lower pid. A
-    worker past [b_straggler_factor] × the best latency is skipped
+    worker past 3 × the best latency is skipped
     outright ({!Straggler}). Fault site [balancer.health]. *)
 let pick t : (int * Net.listener * (int * skip) list, (int * skip) list) result
     =
@@ -307,9 +290,9 @@ let pick t : (int * Net.listener * (int * skip) list, (int * skip) list) result
   List.iter
     (fun pid ->
       let h = health t ~pid in
-      h.h_ewma <-
-        (t.cfg.b_ewma_alpha *. float_of_int h.h_inflight)
-        +. ((1. -. t.cfg.b_ewma_alpha) *. h.h_ewma);
+      (* weight of the newest in-flight sample *)
+      let alpha = 0.3 in
+      h.h_ewma <- (alpha *. float_of_int h.h_inflight) +. ((1. -. alpha) *. h.h_ewma);
       let baseline = lat_baseline t ~excluding:pid in
       (* age stale slowness toward the fleet baseline on every decision
          — a worker whose latency data says "slow" but which gets no
@@ -317,9 +300,8 @@ let pick t : (int * Net.listener * (int * skip) list, (int * skip) list) result
          otherwise never refresh that data and starve forever; fresh
          slow samples re-raise the EWMA immediately *)
       (match baseline with
-      | Some b
-        when h.h_lat_samples >= t.cfg.b_straggler_min && h.h_lat_ewma > b ->
-          let e = b +. ((h.h_lat_ewma -. b) *. t.cfg.b_straggler_decay) in
+      | Some b when h.h_lat_samples >= straggler_min && h.h_lat_ewma > b ->
+          let e = b +. ((h.h_lat_ewma -. b) *. 0.9) in
           (* once the residual is inside noise, snap to the baseline so
              the score tie-break (fewest dispatches) can reach the
              worker again — an asymptotic decay never ties exactly *)

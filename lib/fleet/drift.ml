@@ -163,7 +163,7 @@ let recut_fleet t : action option =
           Dynacut.try_cut w.Rollout.w_session ~blocks:t.candidate
             ~policy:t.policy ()
         with
-        | { Dynacut.r_outcome = `Applied | `Degraded; r_journals; _ } ->
+        | { Dynacut.r_outcome = `Applied; r_journals; _ } ->
             w.Rollout.w_journals <- r_journals;
             Rollout.transition w "recut";
             done_ := w :: !done_

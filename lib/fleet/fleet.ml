@@ -14,14 +14,9 @@ let manifest_dir = "/tmpfs/fleet"
     {!Integrity} scrubber per worker, rotated one worker per interval. *)
 type scrub_config = {
   sc_interval : int;  (** virtual cycles between scrub slices *)
-  sc_quantum : int;  (** pages audited per slice *)
-  sc_max_page_repairs : int;
-      (** page repairs tolerated before a re-divergence of the same page
-          escalates to a full respawn *)
 }
 
-let default_scrub_config =
-  { sc_interval = 20_000; sc_quantum = 8; sc_max_page_repairs = 1 }
+let default_scrub_config = { sc_interval = 20_000 }
 
 type scrub_state = {
   ss_config : scrub_config;
@@ -70,10 +65,18 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
     ~(pids : int list) ~(blocks : Covgraph.block list)
     ~(policy : Dynacut.policy) : t =
   if pids = [] then raise (Fleet_error "fleet needs at least one worker");
-  let balancer = Balancer.create ?config:bcfg machine ~port ~workers:pids in
-  (* creating the balancer validates the listeners exist *)
-  List.iter (fun pid -> ignore (Balancer.listener balancer ~pid)) pids;
   let workers = List.map (fun pid -> Rollout.make_worker machine ~pid) pids in
+  let balancer =
+    Balancer.create ?config:bcfg machine ~port
+      ~sessions:(List.map (fun w -> w.Rollout.w_session) workers)
+  in
+  (* every worker must own a listener on [port]; its breaker mirror
+     starts at Closed, so the dumps list every worker's breaker *)
+  List.iter
+    (fun pid ->
+      ignore (Balancer.listener balancer ~pid);
+      ignore (Supervisor.breaker_gauge ~root_pid:pid))
+    pids;
   let manifest = Journal.Manifest.attach machine.Machine.fs ~dir:manifest_dir in
   let t =
     {
@@ -319,7 +322,7 @@ let heal t (st : scrub_state) ~(pid : int) (integ : Integrity.t)
           let seen =
             Option.value ~default:0 (Hashtbl.find_opt st.ss_history key)
           in
-          if seen >= st.ss_config.sc_max_page_repairs then
+          if seen >= 1 then
             (* the page was already healed and diverged again — the
                damage is not a one-off, stop trusting page repair *)
             must_respawn := true
@@ -343,7 +346,7 @@ let heal t (st : scrub_state) ~(pid : int) (integ : Integrity.t)
   end
 
 (** One background scrub step: when the interval elapsed, audit a
-    [sc_quantum]-page slice of the next worker in rotation and heal
+    8-page slice of the next worker in rotation and heal
     whatever diverged. Injected faults from the pipeline's failure
     domain refuse the slice (the worker is un-quarantined, the slice
     retried on its next rotation turn); a [Kill] propagates — the
@@ -380,7 +383,7 @@ let scrub_tick t : scrub_report option =
             (match
                heal t st ~pid integ
                  (Integrity.scrub integ ~pids:[ pid ]
-                    ~quantum:st.ss_config.sc_quantum ())
+                    ~quantum:8 ())
              with
             | r -> Some r
             | exception Fault.Injected { site; _ } -> refused site

@@ -95,8 +95,8 @@ val pp_recovery : Format.formatter -> recovery -> unit
 (** {2 Memory-integrity scrubbing (DESIGN.md §6d)}
 
     A background {!Integrity} scrubber per worker, fleet-rotated: every
-    [sc_interval] virtual cycles one worker has a [sc_quantum]-page
-    slice of its immutable pages audited. A digest mismatch quarantines
+    [sc_interval] virtual cycles one worker has an 8-page slice of its
+    immutable pages audited. A digest mismatch quarantines
     the worker (balancer drain), heals the page from its baseline
     snapshot, and un-quarantines; a failed or non-sticking repair — or a
     page diverging {e again} after repair — escalates to a full respawn
@@ -104,10 +104,6 @@ val pp_recovery : Format.formatter -> recovery -> unit
 
 type scrub_config = {
   sc_interval : int;  (** virtual cycles between scrub slices *)
-  sc_quantum : int;  (** pages audited per slice *)
-  sc_max_page_repairs : int;
-      (** page repairs tolerated before a re-divergence of the same page
-          escalates to a full respawn *)
 }
 
 val default_scrub_config : scrub_config

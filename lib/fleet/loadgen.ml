@@ -25,10 +25,7 @@ type config = {
   lg_offered : float;  (** mean arrival rate, requests per Mcycle *)
   lg_requests : int;  (** total arrivals to generate *)
   lg_deadline : int64;  (** per-request deadline, cycles *)
-  lg_max_retries : int;  (** per-request retry cap *)
   lg_retry_budget : int;  (** per-run budget shared by all requests *)
-  lg_backoff_base : int64;  (** first-retry backoff, cycles *)
-  lg_backoff_cap : int64;  (** backoff ceiling, cycles *)
   lg_max_cycles : int;  (** overall budget (runaway guard) *)
 }
 
@@ -38,10 +35,7 @@ let default_config =
     lg_offered = 50.;
     lg_requests = 100;
     lg_deadline = 400_000L;
-    lg_max_retries = 3;
     lg_retry_budget = 50;
-    lg_backoff_base = 50_000L;
-    lg_backoff_cap = 400_000L;
     lg_max_cycles = 600_000_000;
   }
 
@@ -73,9 +67,10 @@ let interarrival rng ~rate =
   Int64.of_float (max 1. dt)
 
 (* capped exponential backoff with full jitter on the upper half:
-   d = min(cap, base * 2^(attempt-1)); wait in [d/2, d) *)
-let backoff rng ~base ~cap ~attempt =
-  let d = ref base in
+   d = min(400k, 50k * 2^(attempt-1)) cycles; wait in [d/2, d) *)
+let backoff rng ~attempt =
+  let cap = 400_000L in
+  let d = ref 50_000L in
   for _ = 2 to attempt do
     d := Int64.min cap (Int64.mul !d 2L)
   done;
@@ -114,16 +109,15 @@ let run (b : Balancer.t) (cfg : config) ~(text : string) : stats =
   in
   (* a failed attempt either schedules a retry or burns the request *)
   let retry_or_fail ~attempt =
-    if attempt > cfg.lg_max_retries then incr failed
+    (* at most 3 retries per request *)
+    if attempt > 3 then incr failed
     else if !budget <= 0 then give_up ()
     else begin
       decr budget;
       incr retries;
       Obs.incr (Obs.counter "fleet.retries");
       let due =
-        Int64.add m.Machine.clock
-          (backoff rng ~base:cfg.lg_backoff_base ~cap:cfg.lg_backoff_cap
-             ~attempt)
+        Int64.add m.Machine.clock (backoff rng ~attempt)
       in
       waiting := (due, attempt) :: !waiting
     end

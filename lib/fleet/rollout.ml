@@ -56,7 +56,7 @@ let transition (w : worker) (state : string) : unit =
 let revert_worker (w : worker) : unit =
   if cut_live w then begin
     (match Dynacut.try_reenable w.w_session w.w_journals with
-    | { Dynacut.r_outcome = `Applied | `Degraded; _ } -> ()
+    | { Dynacut.r_outcome = `Applied; _ } -> ()
     | { Dynacut.r_outcome = `Rolled_back _; _ } ->
         Dynacut.respawn_pristine w.w_session ~pid:w.w_pid);
     w.w_journals <- [];
@@ -184,7 +184,7 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
                       (match
                          Dynacut.try_cut w.w_session ~blocks ~policy ()
                        with
-                      | { Dynacut.r_outcome = `Applied | `Degraded;
+                      | { Dynacut.r_outcome = `Applied;
                           r_journals;
                           _;
                         } ->

@@ -15,9 +15,8 @@ let items =
 (** Build a complete application: compile the MiniC unit, add [_start],
     link against libc. [func_align] = 4096 gives the page-per-function
     layout for unmap-based feature unloading (paper §5). *)
-let link_app ?func_align ?(extra_items = []) ~libc (u : Ast.comp_unit) : Self.t =
+let link_app ?func_align ~libc (u : Ast.comp_unit) : Self.t =
   let obj =
-    Asm.assemble ~name:u.Ast.cu_name
-      (Compile.compile_unit ?func_align u @ extra_items @ items)
+    Asm.assemble ~name:u.Ast.cu_name (Compile.compile_unit ?func_align u @ items)
   in
   Link.link_exec ~name:u.Ast.cu_name ~entry:"_start" ~libs:[ libc ] obj

@@ -16,8 +16,6 @@
 
 type access = Read | Write | Exec
 
-let access_to_string = function Read -> "read" | Write -> "write" | Exec -> "exec"
-
 exception Fault of int64 * access
 (** Address + attempted access; the machine turns this into SIGSEGV. *)
 
@@ -388,8 +386,6 @@ let pages_of_vma t (v : vma) =
       | Some p -> Some (Int64.mul idx page_size64, p.pg_data)
       | None -> None)
     (List.init n Fun.id)
-
-let total_mapped_bytes t = Hashtbl.length t.pages * page_size
 
 (* ---------- page integrity primitives ---------- *)
 

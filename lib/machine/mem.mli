@@ -8,8 +8,6 @@
 
 type access = Read | Write | Exec
 
-val access_to_string : access -> string
-
 exception Fault of int64 * access
 (** Bad or forbidden access; the machine turns this into SIGSEGV. *)
 
@@ -60,8 +58,6 @@ val page_index : int64 -> int64
     high-half address is its own page, never page 0. *)
 
 val page_base : int64 -> int64
-val page_offset : int64 -> int
-val align_up : int -> int
 
 val create : unit -> t
 val find_vma : t -> int64 -> vma option
@@ -118,8 +114,6 @@ val copy : t -> t
 
 val pages_of_vma : t -> vma -> (int64 * bytes) list
 (** Populated pages of a VMA in address order. *)
-
-val total_mapped_bytes : t -> int
 
 (** {2 Page integrity primitives} *)
 

@@ -71,14 +71,6 @@ let listen ?(owner = -1) t port =
       Hashtbl.replace t.listeners port (ls @ [ l ]);
       l
 
-let unlisten t (l : listener) =
-  let ls = List.filter (fun x -> x != l) (listeners_on t l.l_port) in
-  if ls = [] then Hashtbl.remove t.listeners l.l_port
-  else Hashtbl.replace t.listeners l.l_port ls
-
-let find_listener t port =
-  match listeners_on t port with [] -> None | l :: _ -> Some l
-
 (** The listener a given process tree owns on [port]. Falls back to a sole
     listener regardless of owner, so pre-fleet single-app setups (and
     images restored before ownership existed) keep resolving. *)

@@ -40,12 +40,6 @@ val listen : ?owner:int -> t -> int -> listener
 (** Register (or fetch) [owner]'s listener on a port. Distinct owners get
     distinct listeners on the same port, in registration order. *)
 
-val unlisten : t -> listener -> unit
-(** Remove a listener (dead worker); pending backlog is dropped. *)
-
-val find_listener : t -> int -> listener option
-(** First-registered listener on the port (single-listener legacy view). *)
-
 val find_listener_owned : t -> port:int -> owner:int -> listener option
 (** The listener [owner]'s tree registered on [port]; falls back to a sole
     listener regardless of owner so single-app setups keep resolving. *)

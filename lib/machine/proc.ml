@@ -79,7 +79,6 @@ type t = {
   mutable next_fd : int;
   mutable mmap_hint : int64;
   stdout : Buffer.t;  (** host-visible console output *)
-  mutable stdout_drained : int;
   mutable retired : int;  (** instructions executed *)
   block_start : bytes;
       (** start vaddr of the open basic block, for tracing, in one
@@ -120,7 +119,6 @@ let create ~pid ~parent ~comm ~exe_path ~mem =
     next_fd = 3;
     mmap_hint = mmap_base;
     stdout = Buffer.create 128;
-    stdout_drained = 0;
     retired = 0;
     block_start = Bytes.make 8 '\000';
     block_open = false;
@@ -133,14 +131,6 @@ let alloc_fd p kind =
   p.next_fd <- fd + 1;
   Hashtbl.replace p.fds fd kind;
   fd
-
-(** Console output appended since the last drain (host-side log watching —
-    how the end user observes "initialization finished", §3.1). *)
-let drain_stdout p =
-  let all = Buffer.contents p.stdout in
-  let s = String.sub all p.stdout_drained (String.length all - p.stdout_drained) in
-  p.stdout_drained <- String.length all;
-  s
 
 let peek_stdout p = Buffer.contents p.stdout
 
@@ -169,7 +159,6 @@ let fork_copy p ~pid =
     next_fd = p.next_fd;
     mmap_hint = p.mmap_hint;
     stdout = Buffer.create 128;
-    stdout_drained = 0;
     retired = 0;
     block_start = Bytes.make 8 '\000';
     block_open = false;

@@ -19,8 +19,6 @@ external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 val rip_off : int
-val fresh_regs : unit -> regs
-val copy_regs : regs -> regs
 val gpr : regs -> Reg.t -> int64
 val set_gpr : regs -> Reg.t -> int64 -> unit
 
@@ -73,7 +71,6 @@ type t = {
   mutable next_fd : int;
   mutable mmap_hint : int64;
   stdout : Buffer.t;
-  mutable stdout_drained : int;
   mutable retired : int;  (** instructions executed *)
   block_start : bytes;
       (** start vaddr of the open basic block, for tracing: one 8-byte
@@ -89,15 +86,9 @@ type t = {
 
 val stack_top : int64
 val stack_size : int
-val mmap_base : int64
-
 val is_live : t -> bool
 val create : pid:int -> parent:int -> comm:string -> exe_path:string -> mem:Mem.t -> t
 val alloc_fd : t -> fd_kind -> int
-
-val drain_stdout : t -> string
-(** Console output since the last drain — how the operator watches for
-    the init-done log line (§3.1). *)
 
 val peek_stdout : t -> string
 val fork_copy : t -> pid:int -> t

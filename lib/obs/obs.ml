@@ -250,7 +250,6 @@ let event ~kind detail =
   end
 
 let events () = List.of_seq (Queue.to_seq ring)
-let ring_capacity () = !ring_cap
 
 let set_ring_capacity n =
   ring_cap := max 1 n;

@@ -40,7 +40,6 @@ val set_clock : (unit -> int64) option -> unit
     cycle durations. [Machine.create] installs its own clock; without
     one, timestamps read 0. *)
 
-val now_cycles : unit -> int64
 
 (** {2 Counters} *)
 
@@ -141,8 +140,6 @@ val event : kind:string -> string -> unit
 
 val events : unit -> event list
 (** Oldest first. *)
-
-val ring_capacity : unit -> int
 
 val set_ring_capacity : int -> unit
 (** Default 1024; shrinking evicts oldest-first immediately. Capacities

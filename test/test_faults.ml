@@ -36,7 +36,7 @@ let check_rollback_at site () =
   | `Rolled_back rb ->
       Alcotest.(check string) "error names the site"
         ("injected fault at " ^ site) rb.Dynacut.rb_error
-  | `Applied | `Degraded -> Alcotest.failf "fault at %s did not roll back" site);
+  | `Applied -> Alcotest.failf "fault at %s did not roll back" site);
   Alcotest.(check bool) "no journals" true (r.Dynacut.r_journals = []);
   (* the tree is alive and shows its *pre-cut* behaviour: the feature is
      not blocked *)
@@ -66,7 +66,7 @@ let test_rollback_tcp_repair () =
   Alcotest.(check bool) "tcp_repair fired" true (Fault.fired "restore.tcp_repair" = 1);
   (match r.Dynacut.r_outcome with
   | `Rolled_back rb -> Alcotest.(check string) "stage" "restore" rb.Dynacut.rb_stage
-  | `Applied | `Degraded -> Alcotest.fail "expected rollback");
+  | `Applied -> Alcotest.fail "expected rollback");
   (* the mid-cut connection still completes its request after rollback *)
   Net.client_send c "G";
   let (_ : _) = Machine.run m ~max_cycles:2_000_000 in
@@ -106,7 +106,7 @@ let test_corrupt_image_rejected () =
   Alcotest.(check int) "round trip" img.Images.core.Images.c_pid
     loaded.Images.core.Images.c_pid
 
-(* ---------- retry and degrade ---------- *)
+(* ---------- retries ---------- *)
 
 let test_transient_fault_retried () =
   Fault.reset ();
@@ -123,55 +123,67 @@ let test_transient_fault_retried () =
   Alcotest.(check string) "feature blocked" "ERR" (Test_core.request m "S");
   Fault.reset ()
 
-let test_retry_class_fault_retried () =
+(* the commit step is retried too: a transient one-shot fault at
+   restore.process costs one retry, and the cut tree then serves exactly
+   like a twin cut without any fault *)
+let test_commit_transient_retried () =
   Fault.reset ();
   let blocks = Test_core.feature_blocks () in
-  let m, p = Test_core.boot () in
-  let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  (* not flagged transient, but the caller declares criu.* retryable *)
-  Fault.arm "criu.checkpoint" Fault.One_shot;
-  let r =
-    Dynacut.try_cut session ~retry_classes:[ "criu." ] ~blocks
+  let serve m = List.map (Test_core.request m) [ "G"; "S"; "X"; "G" ] in
+  let twin, tp = Test_core.boot () in
+  let r0 =
+    Dynacut.try_cut (Dynacut.create twin ~root_pid:tp.Proc.pid) ~blocks
       ~policy:redirect_policy ()
   in
+  Alcotest.(check bool) "twin applied" true (r0.Dynacut.r_outcome = `Applied);
+  let m, p = Test_core.boot () in
+  let session = Dynacut.create m ~root_pid:p.Proc.pid in
+  Fault.arm ~transient:true "restore.process" Fault.One_shot;
+  let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
+  Alcotest.(check bool) "restore.process fired" true (Fault.fired "restore.process" = 1);
   (match r.Dynacut.r_outcome with
   | `Applied -> ()
   | o -> Alcotest.failf "expected applied after retry: %a" Dynacut.pp_outcome o);
-  Alcotest.(check bool) "retried" true (r.Dynacut.r_retries >= 1);
-  Fault.reset ()
+  Alcotest.(check int) "one retry" 1 r.Dynacut.r_retries;
+  Fault.reset ();
+  Alcotest.(check (list string)) "serves like the fault-free twin" (serve twin)
+    (serve m)
 
-let test_degrade_falls_back_to_first_byte () =
+(* a transient fault that fires on every checkpoint exhausts the retry
+   budget: two retries, then a rollback at the checkpoint stage *)
+let test_checkpoint_transient_exhausted () =
   Fault.reset ();
   let blocks = Test_core.feature_blocks () in
   let m, p = Test_core.boot () in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  (* the aggressive method keeps failing; with ~degrade the transaction
-     falls back to `First_byte instead of rolling back *)
+  Fault.arm ~transient:true "criu.checkpoint" (Fault.Every_nth 1);
+  let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
+  (match r.Dynacut.r_outcome with
+  | `Rolled_back rb -> Alcotest.(check string) "stage" "checkpoint" rb.Dynacut.rb_stage
+  | `Applied -> Alcotest.fail "expected rollback");
+  Alcotest.(check int) "two retries" 2 r.Dynacut.r_retries;
+  Fault.reset ();
+  Alcotest.(check string) "unchanged" "SET-OK" (Test_core.request m "S");
+  Alcotest.(check string) "still serving" "VAL=8" (Test_core.request m "G")
+
+(* a persistent (non-transient) fault at rewrite.unmap is not retried:
+   the unmap cut rolls back and the tree keeps its pre-cut behaviour *)
+let test_persistent_unmap_fault_rolls_back () =
+  Fault.reset ();
+  let blocks = Test_core.feature_blocks () in
   Fault.arm "rewrite.unmap" (Fault.Every_nth 1);
+  let m, p = Test_core.boot () in
+  let session = Dynacut.create m ~root_pid:p.Proc.pid in
   let r =
-    Dynacut.try_cut session ~degrade:true ~blocks
+    Dynacut.try_cut session ~blocks
       ~policy:{ Dynacut.method_ = `Unmap_pages; on_trap = `Redirect "err_path" }
       ()
   in
   (match r.Dynacut.r_outcome with
-  | `Degraded -> ()
-  | o -> Alcotest.failf "expected degraded: %a" Dynacut.pp_outcome o);
-  Alcotest.(check string) "feature still blocked" "ERR" (Test_core.request m "S");
-  Alcotest.(check string) "wanted path fine" "VAL=7" (Test_core.request m "G");
-  (* without ~degrade the same fault rolls the cut back *)
-  Fault.reset ();
-  Fault.arm "rewrite.unmap" (Fault.Every_nth 1);
-  let m2, p2 = Test_core.boot () in
-  let s2 = Dynacut.create m2 ~root_pid:p2.Proc.pid in
-  let r2 =
-    Dynacut.try_cut s2 ~blocks
-      ~policy:{ Dynacut.method_ = `Unmap_pages; on_trap = `Redirect "err_path" }
-      ()
-  in
-  (match r2.Dynacut.r_outcome with
   | `Rolled_back _ -> ()
   | o -> Alcotest.failf "expected rollback: %a" Dynacut.pp_outcome o);
-  Alcotest.(check string) "unchanged" "SET-OK" (Test_core.request m2 "S");
+  Alcotest.(check int) "not retried" 0 r.Dynacut.r_retries;
+  Alcotest.(check string) "unchanged" "SET-OK" (Test_core.request m "S");
   Fault.reset ()
 
 (* ---------- chaos soak against ngx ---------- *)
@@ -202,7 +214,7 @@ let test_chaos_soak_ngx () =
     Fault.reset ();
     Fault.arm (Rng.choose rng chaos_sites) Fault.One_shot;
     (match Dynacut.try_cut session ~blocks ~policy () with
-    | { Dynacut.r_outcome = `Applied | `Degraded; r_journals; _ } ->
+    | { Dynacut.r_outcome = `Applied; r_journals; _ } ->
         answers ();
         (* the armed fault may fire here instead; a rolled-back reenable
            just leaves the feature blocked — still serving *)
@@ -457,10 +469,12 @@ let suite =
       Alcotest.test_case "corrupt/truncated image rejected" `Quick
         test_corrupt_image_rejected;
       Alcotest.test_case "transient fault retried" `Quick test_transient_fault_retried;
-      Alcotest.test_case "retry-class fault retried" `Quick
-        test_retry_class_fault_retried;
-      Alcotest.test_case "degrade falls back to first-byte" `Quick
-        test_degrade_falls_back_to_first_byte;
+      Alcotest.test_case "commit transient fault retried" `Quick
+        test_commit_transient_retried;
+      Alcotest.test_case "checkpoint transient exhausted" `Quick
+        test_checkpoint_transient_exhausted;
+      Alcotest.test_case "persistent unmap fault rolls back" `Quick
+        test_persistent_unmap_fault_rolls_back;
       Alcotest.test_case "chaos soak vs ngx" `Slow test_chaos_soak_ngx;
       Alcotest.test_case "promote fault: fleet stays atomic" `Quick
         test_promote_fault_fleet_invariant;

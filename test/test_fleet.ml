@@ -254,7 +254,7 @@ let test_recover_unwinds_open_wave () =
   (* simulate a controller crash mid-wave: the first member's cut has
      committed (manifest intent + Worker_cut), the wave never closed *)
   (match Dynacut.try_cut w1.Rollout.w_session ~blocks:(Lazy.force lblocks) ~policy:lpolicy () with
-  | { Dynacut.r_outcome = `Applied | `Degraded; _ } -> ()
+  | { Dynacut.r_outcome = `Applied; _ } -> ()
   | { Dynacut.r_outcome = `Rolled_back _; _ } -> Alcotest.fail "setup cut failed");
   let man = Fleet.manifest fleet in
   Journal.Manifest.append man
@@ -313,12 +313,16 @@ let test_frozen_worker_zero_dispatches () =
   Alcotest.(check bool) "serves again after thaw" true
     (Balancer.dispatches ~pid:cold > 0)
 
+(* what a supervisor over the worker's session records *)
+let set_breaker fleet ~pid b =
+  (Fleet.worker fleet ~pid).Rollout.w_session.Dynacut.breaker <- b
+
 let test_breaker_open_drains_dispatch () =
   let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
   let sick = List.nth pids 0 and healthy = List.nth pids 1 in
-  (* breaker open (as Supervisor.set_breaker would publish it): the
-     balancer must route around the worker without being told *)
-  Obs.set_gauge (Supervisor.breaker_gauge ~root_pid:sick) 1.;
+  (* breaker open on the worker's session: the balancer must route
+     around the worker without being told *)
+  set_breaker fleet ~pid:sick (Supervisor.Open 0L);
   for _ = 1 to 6 do
     match Fleet.request fleet lget with
     | `Reply (pid, _) -> Alcotest.(check int) "only the healthy worker" healthy pid
@@ -327,8 +331,8 @@ let test_breaker_open_drains_dispatch () =
   Alcotest.(check int) "zero dispatches while open" 0
     (Balancer.dispatches ~pid:sick);
   (* half-open: exactly one trickle probe at a time *)
-  Obs.set_gauge (Supervisor.breaker_gauge ~root_pid:sick) 2.;
-  Obs.set_gauge (Supervisor.breaker_gauge ~root_pid:healthy) 1.;
+  set_breaker fleet ~pid:sick (Supervisor.Half_open 0L);
+  set_breaker fleet ~pid:healthy (Supervisor.Open 0L);
   let b = Fleet.balancer fleet in
   (match Balancer.dispatch b lget with
   | `Ticket tk ->
@@ -349,11 +353,55 @@ let test_breaker_open_drains_dispatch () =
       | `Pending | `Timed_out _ -> Alcotest.fail "probe did not complete")
   | `Refused | `Shed -> Alcotest.fail "half-open worker got no probe");
   (* breaker closed again: normal rotation resumes *)
-  Obs.set_gauge (Supervisor.breaker_gauge ~root_pid:sick) 0.;
-  Obs.set_gauge (Supervisor.breaker_gauge ~root_pid:healthy) 0.;
+  set_breaker fleet ~pid:sick Supervisor.Closed;
+  set_breaker fleet ~pid:healthy Supervisor.Closed;
   match Fleet.request fleet lget with
   | `Reply (_, resp) -> Alcotest.(check string) "200" "200" (String.sub resp 9 3)
   | `Refused | `Shed | `Timed_out _ -> Alcotest.fail "fleet refused"
+
+(* The balancer reads the breaker a supervisor opened from the worker's
+   session, not from the metrics registry: the open worker gets no
+   dispatch with Obs disabled while the breaker opens, nor after an
+   [Obs.reset] drops every series. *)
+let test_breaker_open_without_obs () =
+  let _ctxs, _m, pids, fleet = fleet_boot ~n:2 () in
+  let sick = List.nth pids 0 in
+  let sup =
+    Supervisor.create (Fleet.worker fleet ~pid:sick).Rollout.w_session
+      ~config:{ Supervisor.default_config with Supervisor.critical = true }
+      ~blocks:(Lazy.force lblocks) ~policy:lpolicy
+  in
+  let served_by_sick () =
+    List.length
+      (List.filter
+         (fun _ ->
+           match Fleet.request fleet lget with
+           | `Reply (pid, _) -> pid = sick
+           | `Refused | `Shed | `Timed_out _ -> Alcotest.fail "fleet refused")
+         [ 1; 2; 3; 4; 5; 6 ])
+  in
+  Obs.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled true) @@ fun () ->
+  (match Supervisor.guarded_cut sup ~canary:false ~drive:ignore () with
+  | Supervisor.R_promoted -> ()
+  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
+  (* a PUT on the cut worker traps, and a critical breaker trips on it *)
+  let rec storm k =
+    if k = 0 then Alcotest.fail "no PUT reached the cut worker"
+    else
+      match Fleet.request fleet lput with
+      | `Reply (pid, _) when pid = sick -> ()
+      | _ -> storm (k - 1)
+  in
+  storm 4;
+  Supervisor.tick sup;
+  (match Supervisor.breaker_state sup with
+  | Supervisor.Open _ -> ()
+  | b -> Alcotest.failf "expected open, got %a" Supervisor.pp_breaker b);
+  Alcotest.(check int) "no dispatch with Obs disabled" 0 (served_by_sick ());
+  Obs.set_enabled true;
+  Obs.reset ();
+  Alcotest.(check int) "no dispatch after Obs.reset" 0 (served_by_sick ())
 
 let test_admission_shed_hysteresis () =
   let bcfg =
@@ -399,7 +447,6 @@ let test_loadgen_deterministic_budget () =
         Loadgen.lg_offered = 200.;
         lg_requests = 40;
         lg_deadline = 100_000L;
-        lg_max_retries = 3;
         lg_retry_budget = 10;
       }
       ~text:lget
@@ -594,6 +641,8 @@ let suite =
       test_frozen_worker_zero_dispatches;
     Alcotest.test_case "breaker-open drains dispatch" `Quick
       test_breaker_open_drains_dispatch;
+    Alcotest.test_case "breaker open without Obs" `Quick
+      test_breaker_open_without_obs;
     Alcotest.test_case "admission shed hysteresis" `Quick
       test_admission_shed_hysteresis;
     Alcotest.test_case "loadgen deterministic + budget" `Quick

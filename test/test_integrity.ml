@@ -110,7 +110,7 @@ let test_rewritten_page_heals () =
     Dynacut.try_cut s ~blocks ~policy:lpolicy ()
   in
   (match r.Dynacut.r_outcome with
-  | `Applied | `Degraded -> ()
+  | `Applied -> ()
   | o -> Alcotest.failf "cut did not apply: %a" Dynacut.pp_outcome o);
   let pid, p_vaddr =
     match
