@@ -18,6 +18,7 @@ let micro_tests () =
   let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
   let blob = Images.encode img in
   let sealed = Validate.encode_sealed img in
+  let page = Bytes.sub_string img.Images.pages 0 Mem.page_size in
   let exe = Option.get (Vfs.find_self c.Workload.m.Machine.fs "rkv") in
   let text = Option.get (Self.find_section exe ".text") in
   let log_init, log_srv = Common.server_phases Workload.rkv ~requests:Workload.kv_wanted in
@@ -70,6 +71,7 @@ let micro_tests () =
     Test.make ~name:"image-seal" (Staged.stage (fun () -> ignore (Validate.encode_sealed img)));
     Test.make ~name:"image-unseal"
       (Staged.stage (fun () -> ignore (Validate.decode_sealed sealed)));
+    Test.make ~name:"checksum-4k" (Staged.stage (fun () -> ignore (Bytesx.checksum page)));
     Test.make ~name:"covgraph-diff" (Staged.stage (fun () -> ignore (Covgraph.diff g_init g_srv)));
     Test.make ~name:"cfg-recovery" (Staged.stage (fun () -> ignore (Cfg.of_self exe)));
     Test.make ~name:"gadget-scan-text"

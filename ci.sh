@@ -40,6 +40,12 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+# Micro-benchmark smoke: every bechamel micro (codecs, the seal, the
+# 4 KiB checksum, guest loops) runs once; ungated, it fails only if a
+# micro raises.
+echo "== bench micro (smoke) =="
+dune exec bench/main.exe -- micro
+
 # Bench smoke (DESIGN.md §6): one instrumented ngx cut + re-enable with
 # the per-stage breakdown and the registry-on/registry-off overhead
 # bound, written to BENCH_obs.json.

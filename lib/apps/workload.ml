@@ -173,47 +173,6 @@ let rpc ?(max_cycles = 5_000_000) (c : ctx) (text : string) : string =
   in
   Net.client_recv conn
 
-(** Like {!rpc} but impatient: once the virtual clock reaches [deadline]
-    cycles past the send, the client abandons the connection
-    ({!Net.client_close}) and raises {!Net.Timed_out}. The server keeps
-    the stale request in its backlog and may still burn cycles serving
-    it — that wasted work is the overload-collapse mechanism the
-    [bench overload] curves measure. *)
-let rpc_deadline ?(max_cycles = 5_000_000) (c : ctx) ~deadline (text : string) :
-    string =
-  let port =
-    match c.app.a_port with
-    | Some p -> p
-    | None -> raise (Workload_error (c.app.a_name ^ " is not a server"))
-  in
-  let conn = Net.connect c.m.Machine.net port in
-  let due = Int64.add c.m.Machine.clock deadline in
-  Net.set_deadline conn due;
-  Net.client_send conn text;
-  let dead () =
-    match Machine.proc c.m c.pid with
-    | Some p -> not (Proc.is_live p)
-    | None -> true
-  in
-  let settled () =
-    Net.client_pending conn > 0
-    || dead ()
-    || Net.expired conn ~now:c.m.Machine.clock
-  in
-  (match Machine.run_until c.m ~max_cycles ~pred:settled with
-  | `Pred | `Budget -> ()
-  | `Idle | `Dead ->
-      (* nothing left to run: the reply will never come, so the clock
-         jumps straight to the deadline *)
-      if Net.client_pending conn = 0 then
-        c.m.Machine.clock <- Int64.max c.m.Machine.clock due);
-  if Net.client_pending conn = 0 && Net.expired conn ~now:c.m.Machine.clock
-  then begin
-    Net.client_close conn;
-    raise (Net.Timed_out port)
-  end;
-  Net.client_recv conn
-
 (** Run a batch app to completion; returns its exit state. *)
 let run_to_exit ?(max_cycles = 80_000_000) (c : ctx) : Proc.state =
   let (_ : _) =

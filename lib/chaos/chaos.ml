@@ -42,7 +42,6 @@ let refusal_of_exn : exn -> string option = function
   | Validate.Validate_error m -> Some (Printf.sprintf "validate: %s" m)
   | Restore.Restore_error m -> Some (Printf.sprintf "restore: %s" m)
   | Net.Refused _ -> Some "connection refused"
-  | Net.Timed_out _ -> Some "connection timed out"
   | Fleet.Fleet_error m -> Some (Printf.sprintf "fleet: %s" m)
   | Balancer.Balancer_error m -> Some (Printf.sprintf "balancer: %s" m)
   | _ -> None

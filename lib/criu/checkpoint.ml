@@ -36,44 +36,45 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
         })
       mem.Mem.vmas
   in
-  (* pagemap + pages: coalesce consecutive populated pages of dumpable VMAs *)
-  let buf = Buffer.create 65536 in
-  let pagemap = ref [] in
-  let flush_run run_start run_pages =
-    match run_start with
-    | None -> ()
-    | Some start ->
-        pagemap :=
-          {
-            Images.pm_vaddr = start;
-            pm_npages = run_pages;
-            pm_off = Buffer.length buf - (run_pages * page_size);
-          }
-          :: !pagemap
+  (* pagemap + pages: coalesce consecutive populated pages of dumpable
+     VMAs into runs, then blit every page once into a buffer of the
+     final size *)
+  let dumped =
+    List.filter_map
+      (fun (v : Mem.vma) ->
+        if dump_vma_pages ~mode v then Some (Mem.pages_of_vma mem v) else None)
+      mem.Mem.vmas
   in
+  let pages =
+    Bytes.create (page_size * List.fold_left (fun n l -> n + List.length l) 0 dumped)
+  in
+  let off = ref 0 and pagemap = ref [] in
   List.iter
-    (fun (v : Mem.vma) ->
-      if dump_vma_pages ~mode v then begin
-        let pages = Mem.pages_of_vma mem v in
-        let run_start = ref None and run_pages = ref 0 and expect = ref 0L in
-        List.iter
-          (fun (vaddr, data) ->
-            if !run_start <> None && vaddr = !expect then begin
-              Buffer.add_bytes buf data;
-              incr run_pages;
-              expect := Int64.add vaddr (Int64.of_int page_size)
-            end
-            else begin
-              flush_run !run_start !run_pages;
-              run_start := Some vaddr;
-              run_pages := 1;
-              Buffer.add_bytes buf data;
-              expect := Int64.add vaddr (Int64.of_int page_size)
-            end)
-          pages;
-        flush_run !run_start !run_pages
-      end)
-    mem.Mem.vmas;
+    (fun vma_pages ->
+      let run_start = ref 0L and run_off = ref !off and expect = ref (-1L) in
+      let flush () =
+        if !off > !run_off then
+          pagemap :=
+            {
+              Images.pm_vaddr = !run_start;
+              pm_npages = (!off - !run_off) / page_size;
+              pm_off = !run_off;
+            }
+            :: !pagemap
+      in
+      List.iter
+        (fun (vaddr, data) ->
+          if vaddr <> !expect then begin
+            flush ();
+            run_start := vaddr;
+            run_off := !off
+          end;
+          Bytes.blit data 0 pages !off page_size;
+          off := !off + page_size;
+          expect := Int64.add vaddr (Int64.of_int page_size))
+        vma_pages;
+      flush ())
+    dumped;
   let regs = p.Proc.regs in
   let core =
     {
@@ -130,7 +131,7 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
     Images.core;
     mm;
     pagemap = List.rev !pagemap;
-    pages = Buffer.to_bytes buf;
+    pages;
     files = { Images.f_fds; f_next_fd = p.Proc.next_fd };
     tcp;
     mmap_hint = p.Proc.mmap_hint;

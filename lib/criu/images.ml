@@ -126,9 +126,12 @@ let magic = "CRIU\x01"
 
 exception Format_error of string
 
-let encode (t : t) : string =
+(* The encoding is [head] (magic, core, mm, pagemap, the pages' length),
+   the pages, then [tail] (files, tcp, mmap hint). The two small parts
+   go through buffers; the pages are blitted once, into the result. *)
+let encode_head (t : t) : Buffer.t =
   let open Bytesx.W in
-  let b = create ~size:(Bytes.length t.pages + 1024) () in
+  let b = create ~size:1024 () in
   string b magic;
   (* core *)
   int_as_u64 b t.core.c_pid;
@@ -175,8 +178,12 @@ let encode (t : t) : string =
       u32 b pm.pm_npages;
       int_as_u64 b pm.pm_off)
     t.pagemap;
-  (* pages *)
-  lbytes b t.pages;
+  u32 b (Bytes.length t.pages);
+  b
+
+let encode_tail (t : t) : Buffer.t =
+  let open Bytesx.W in
+  let b = create () in
   (* files *)
   u32 b (List.length t.files.f_fds);
   List.iter
@@ -212,7 +219,18 @@ let encode (t : t) : string =
       u8 b (if s.Net.cs_server_closed then 1 else 0))
     t.tcp;
   u64 b t.mmap_hint;
-  contents b
+  b
+
+let encode_into ~(reserve : int) (t : t) : bytes =
+  let head = encode_head t and tail = encode_tail t in
+  let nh = Buffer.length head and np = Bytes.length t.pages in
+  let out = Bytes.create (reserve + nh + np + Buffer.length tail) in
+  Buffer.blit head 0 out reserve nh;
+  Bytes.blit t.pages 0 out (reserve + nh) np;
+  Buffer.blit tail 0 out (reserve + nh + np) (Buffer.length tail);
+  out
+
+let encode (t : t) : string = Bytes.unsafe_to_string (encode_into ~reserve:0 t)
 
 let decode ?(off = 0) ?len (s : string) : t =
   let open Bytesx.R in

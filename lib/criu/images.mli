@@ -67,6 +67,11 @@ exception Format_error of string
 
 val encode : t -> string
 
+val encode_into : reserve:int -> t -> bytes
+(** [encode t] at offset [reserve] of a fresh buffer of exactly
+    [reserve] + its length bytes; the first [reserve] bytes are left
+    for the caller (a frame header). The pages are copied once. *)
+
 val decode : ?off:int -> ?len:int -> string -> t
 (** Decode the image encoded in [s.[off .. off+len-1]] ([len] defaults
     to the rest of [s]), reading nothing outside that range: a field

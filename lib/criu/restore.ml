@@ -46,12 +46,11 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
       in
       ())
     img.Images.mm;
-  (* dumped pages *)
+  (* dumped pages, straight from the pages image *)
   List.iter
     (fun (pm : Images.pagemap_entry) ->
-      let len = pm.Images.pm_npages * page_size in
-      let data = Bytes.sub img.Images.pages pm.Images.pm_off len in
-      Mem.poke_bytes mem pm.Images.pm_vaddr data)
+      Mem.poke_sub mem pm.Images.pm_vaddr img.Images.pages ~off:pm.Images.pm_off
+        ~len:(pm.Images.pm_npages * page_size))
     img.Images.pagemap;
   (* vanilla-CRIU gaps: file-backed VMAs with no dumped pages are faulted
      in from the binary *)

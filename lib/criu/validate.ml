@@ -5,8 +5,8 @@
     restore — the exact availability loss the pipeline exists to avoid.
     [check] enforces the structural invariants every well-formed
     {!Images.t} satisfies, and [seal]/[unseal] wrap the binary encoding
-    with a length + FNV-1a checksum header so corruption is caught at
-    load time with a clean {!Validate_error}. *)
+    with a length + checksum header ({!Bytesx.checksum}) so corruption
+    is caught at load time with a clean {!Validate_error}. *)
 
 exception Validate_error of string
 
@@ -117,23 +117,30 @@ let check (img : Images.t) : unit =
 
 (* ---------- checksum sealing ---------- *)
 
-(* header: magic (5) + u64 payload length + u64 FNV-1a checksum *)
-let seal_magic = "DCCK\x01"
+(* header: magic (5) + u64 payload length + u64 checksum. Version 2 of
+   the frame: version 1 carried a byte-serial FNV-1a sum and now reads
+   as bad-magic *)
+let seal_magic = "DCCK\x02"
 let magic_len = String.length seal_magic
 let header_size = magic_len + 16
 
-let checksum (s : string) : int64 = Bytesx.fnv1a s
+let checksum (s : string) : int64 = Bytesx.checksum s
 
-(** Wrap an encoded image with the checksum header, in one pre-sized
-    buffer. *)
+(* [b] holds a payload of [n] bytes at [header_size]: sum it where it
+   lies and fill the header in front of it *)
+let fill_header (b : bytes) (n : int) : string =
+  let sum = Bytesx.checksum ~off:header_size ~len:n (Bytes.unsafe_to_string b) in
+  Bytes.blit_string seal_magic 0 b 0 magic_len;
+  Bytes.set_int64_le b magic_len (Int64.of_int n);
+  Bytes.set_int64_le b (magic_len + 8) sum;
+  Bytes.unsafe_to_string b
+
+(** Wrap a payload with the checksum header, in one pre-sized buffer. *)
 let seal (payload : string) : string =
   let n = String.length payload in
   let b = Bytes.create (header_size + n) in
-  Bytes.blit_string seal_magic 0 b 0 magic_len;
-  Bytes.set_int64_le b magic_len (Int64.of_int n);
-  Bytes.set_int64_le b (magic_len + 8) (checksum payload);
   Bytes.blit_string payload 0 b header_size n;
-  Bytes.unsafe_to_string b
+  fill_header b n
 
 (* how a seal fails: the three distinguishable damage classes, each
    located by the byte offset where the reader gave up *)
@@ -162,14 +169,16 @@ let verify_frame (blob : string) (off : int) : (int, tear_kind * string) result 
     torn Bad_magic "image bad-magic at byte %d: no checksum header" off
   else
     let r = Bytesx.R.of_sub blob ~off:(off + magic_len) ~len:16 in
-    let len = Bytesx.R.int_of_u64 r in
+    (* compared as the u64 it is: [Int64.to_int] would drop bit 63 *)
+    let len64 = Bytesx.R.u64 r in
     let sum = Bytesx.R.u64 r in
     let have = total - off - header_size in
-    if len < 0 || len > have then
-      torn Truncated "image truncated at byte %d: header says %d payload bytes, have %d" total
-        len have
+    if len64 < 0L || len64 > Int64.of_int have then
+      torn Truncated "image truncated at byte %d: header says %Lu payload bytes, have %d" total
+        len64 have
     else
-      let got = Bytesx.fnv1a ~off:(off + header_size) ~len blob in
+      let len = Int64.to_int len64 in
+      let got = Bytesx.checksum ~off:(off + header_size) ~len blob in
       if got <> sum then
         torn Checksum_mismatch "image checksum-mismatch at byte %d (0x%Lx, expected 0x%Lx)"
           (off + header_size) got sum
@@ -209,8 +218,11 @@ let unseal_frames (blob : string) : string list * tear option =
 let seal_at ~(site : string) (payload : string) : string =
   Fault.corruptible site (seal payload)
 
-(** [seal (Images.encode img)]. *)
-let encode_sealed (img : Images.t) : string = seal (Images.encode img)
+(** [seal (Images.encode img)], without the copy: the image is encoded
+    behind a reserved header, which is then filled in place. *)
+let encode_sealed (img : Images.t) : string =
+  let b = Images.encode_into ~reserve:header_size img in
+  fill_header b (Bytes.length b - header_size)
 
 (** Check that [stored], an image frame read back from storage, is the
     frame [sealed] that was written: byte equality, stronger than the

@@ -10,10 +10,11 @@ val check : Images.t -> unit
     [rip] inside a mapped executable VMA; sane sigactions and fd table. *)
 
 val checksum : string -> int64
-(** FNV-1a over the payload ({!Bytesx.fnv1a}). *)
+(** {!Bytesx.checksum} over the whole string. *)
 
 val seal : string -> string
-(** Prefix an encoded image with magic + length + checksum. *)
+(** Prefix a payload with the 21-byte frame header: magic [DCCK\x02],
+    u64 payload length, u64 {!Bytesx.checksum} of the payload. *)
 
 val unseal : string -> string
 (** Verify and strip the seal; raises {!Validate_error} on truncation or
@@ -49,7 +50,8 @@ val seal_at : site:string -> string -> string
     detection end-to-end. Identity sealing otherwise. *)
 
 val encode_sealed : Images.t -> string
-(** [seal (Images.encode img)]. *)
+(** [seal (Images.encode img)], encoded straight behind the header: the
+    pages are copied once. *)
 
 val decode_sealed : string -> Images.t
 (** [unseal] + decode + [check], without copying the payload: it is

@@ -119,9 +119,6 @@ let overlaps a_start a_len b_start b_len =
   let b_end = Int64.add b_start (Int64.of_int b_len) in
   a_start < b_end && b_start < a_end
 
-let find_vma t addr =
-  List.find_opt (fun v -> addr >= v.va_start && addr < vma_end v) t.vmas
-
 (** Map [len] bytes at [vaddr] (both page-aligned after rounding) with
     [prot]. Fails if the range overlaps an existing VMA. *)
 let map t ~vaddr ~len ~prot ?(file = None) ~name () =
@@ -326,12 +323,13 @@ let chunked t ~raw access addr len f =
     pos := !pos + n
   done
 
-(* a store of [n] bytes bumps the generation by [n], as [n] byte stores do *)
-let store t ~raw addr (b : bytes) =
-  chunked t ~raw Write addr (Bytes.length b) (fun p a off pos n ->
+(* a store of [n] bytes bumps the generation by [n], as [n] byte stores
+   do; the bytes come from [b.[src .. src+len-1]] *)
+let store t ~raw addr (b : bytes) src len =
+  chunked t ~raw Write addr len (fun p a off pos n ->
       p.pg_gen <- p.pg_gen + n;
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index a);
-      Bytes.blit b pos p.pg_data off n)
+      Bytes.blit b (src + pos) p.pg_data off n)
 
 let load t ~raw addr len =
   let b = Bytes.create len in
@@ -339,8 +337,13 @@ let load t ~raw addr len =
   b
 
 let read_bytes t addr len = load t ~raw:false addr len
-let write_bytes t addr b = store t ~raw:false addr b
-let poke_bytes t addr b = store t ~raw:true addr b
+let write_bytes t addr b = store t ~raw:false addr b 0 (Bytes.length b)
+let poke_bytes t addr b = store t ~raw:true addr b 0 (Bytes.length b)
+
+let poke_sub t addr b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Mem.poke_sub";
+  store t ~raw:true addr b off len
+
 let peek_bytes t addr len = load t ~raw:true addr len
 
 (** Read a NUL-terminated string (bounded at 1 MiB to catch runaways). *)
@@ -389,8 +392,8 @@ let pages_of_vma t (v : vma) =
 
 (* ---------- page integrity primitives ---------- *)
 
-(* the image seal's FNV-1a, over raw page bytes *)
-let digest_bytes (b : bytes) : int64 = Bytesx.fnv1a (Bytes.unsafe_to_string b)
+(* the image seal's checksum, over raw page bytes *)
+let digest_bytes (b : bytes) : int64 = Bytesx.checksum (Bytes.unsafe_to_string b)
 
 (** Digest of the resident page containing [addr]; [None] when the page
     is not populated. *)

@@ -60,7 +60,6 @@ val page_index : int64 -> int64
 val page_base : int64 -> int64
 
 val create : unit -> t
-val find_vma : t -> int64 -> vma option
 
 val map :
   t ->
@@ -105,6 +104,10 @@ val read_cstring : t -> int64 -> string
 val poke8 : t -> int64 -> int -> unit
 val peek8 : t -> int64 -> int
 val poke_bytes : t -> int64 -> bytes -> unit
+val poke_sub : t -> int64 -> bytes -> off:int -> len:int -> unit
+(** [poke_sub t addr b ~off ~len] is [poke_bytes t addr (Bytes.sub b off
+    len)] without the intermediate copy. *)
+
 val peek_bytes : t -> int64 -> int -> bytes
 
 (** {2 Whole-space operations} *)
@@ -118,8 +121,8 @@ val pages_of_vma : t -> vma -> (int64 * bytes) list
 (** {2 Page integrity primitives} *)
 
 val digest_bytes : bytes -> int64
-(** FNV-1a over raw bytes (the page-digest function): {!Bytesx.fnv1a},
-    the same function as the image seal's checksum. *)
+(** The page-digest function: {!Bytesx.checksum} over raw bytes, the
+    same function as the image seal's checksum. *)
 
 val page_digest : t -> int64 -> int64 option
 (** Digest of the resident page containing the address; [None] when the

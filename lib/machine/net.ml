@@ -86,11 +86,6 @@ let find_conn t id = Hashtbl.find_opt t.conns id
 
 exception Refused of int
 
-exception Timed_out of int
-(** A connection's virtual-clock deadline passed before the reply landed
-    (the id is the connection's). Distinct from {!Refused}: the request
-    was admitted, then abandoned. *)
-
 let backlog_depth (l : listener) = List.length l.backlog
 let backlog_full (l : listener) = backlog_depth l >= l.backlog_max
 let set_backlog_max (l : listener) n = l.backlog_max <- max 1 n

@@ -53,11 +53,6 @@ val find_conn : t -> int -> conn option
 
 exception Refused of int
 
-exception Timed_out of int
-(** A connection's virtual-clock deadline passed before the reply landed
-    (the id is the connection's). Distinct from {!Refused}: the request
-    was admitted, then abandoned. *)
-
 val connect : t -> int -> conn
 (** Connect to a guest listener; round-robins over the accepting
     listeners with accept-queue room. Raises {!Refused} if nothing

@@ -13,9 +13,6 @@ let find t path = Hashtbl.find_opt t.files path
 let exists t path = Hashtbl.mem t.files path
 let remove t path = Hashtbl.remove t.files path
 
-let size t path =
-  match find t path with Some c -> String.length c | None -> 0
-
 let list t = Hashtbl.fold (fun k _ acc -> k :: acc) t.files [] |> List.sort compare
 
 (** Store / fetch a SELF binary. *)

@@ -8,7 +8,6 @@ val add : t -> string -> string -> unit
 val find : t -> string -> string option
 val exists : t -> string -> bool
 val remove : t -> string -> unit
-val size : t -> string -> int
 val list : t -> string list
 
 val add_self : t -> string -> Self.t -> unit

@@ -107,21 +107,48 @@ module R = struct
     b
 end
 
-(** FNV-1a (64-bit) over [s.[off .. off+len-1]]; [len] defaults to the
-    rest of [s]. The one checksum behind the image seal and the page
-    digests. The hash lives in a local ref that ocamlopt keeps unboxed,
-    so hashing allocates nothing per byte. *)
-let fnv1a ?(off = 0) ?len (s : string) : int64 =
+(* an 8-byte load with no bounds check, in the host's byte order *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] word s i = if Sys.big_endian then bswap64 (get64u s i) else get64u s i
+
+(** The one 64-bit checksum behind the image seal, the journal frames
+    and the page digests, over [s.[off .. off+len-1]] ([len] defaults to
+    the rest of [s]).
+
+    The state starts from the length. Each 8-byte word from [off] (read
+    little-endian, whatever the host) is xored in, multiplied by an odd
+    constant and folded with an xorshift; the tail is taken byte-wise
+    the same way, and a murmur3 finaliser avalanches the result. Every
+    step is a bijection of the state for a fixed input, and a bijection
+    of its input word for a fixed state, so two inputs of one length
+    that differ only inside one 8-byte word (or one tail byte) always
+    get different sums. The state lives in a local ref that ocamlopt
+    keeps unboxed: hashing allocates nothing per word. *)
+let checksum ?(off = 0) ?len (s : string) : int64 =
   let len = match len with Some n -> n | None -> String.length s - off in
-  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Bytesx.fnv1a";
-  let h = ref 0xCBF29CE484222325L in
-  for i = off to off + len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        0x100000001B3L
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Bytesx.checksum";
+  let h = ref (Int64.logxor 0xCBF29CE484222325L (Int64.of_int len)) in
+  let words_end = off + (len land lnot 7) in
+  let i = ref off in
+  while !i < words_end do
+    let x = Int64.mul (Int64.logxor !h (word s !i)) 0x9E3779B97F4A7C15L in
+    h := Int64.logxor x (Int64.shift_right_logical x 32);
+    i := !i + 8
   done;
-  !h
+  for j = words_end to off + len - 1 do
+    let x =
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s j))))
+        0xBF58476D1CE4E5B9L
+    in
+    h := Int64.logxor x (Int64.shift_right_logical x 32)
+  done;
+  let h = !h in
+  let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) 0xFF51AFD7ED558CCDL in
+  let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) 0xC4CEB9FE1A85EC53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)
 
 let hex_of_string (s : string) =
   let b = Buffer.create (String.length s * 2) in

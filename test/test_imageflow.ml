@@ -36,8 +36,12 @@ let reenable_ok s journals =
   | { Dynacut.r_outcome = `Applied; _ } -> ()
   | r -> Alcotest.failf "re-enable: %a" Dynacut.pp_outcome r.Dynacut.r_outcome
 
-(* every file the session keeps under its tmpfs directory, with its
-   length and MD5, then the virtual clock *)
+let header_size = String.length (Validate.seal "")
+
+(* every file the session keeps under its tmpfs directory, each of which
+   must decode, with its length, the MD5 of its payload (the frame minus
+   its seal header) and the MD5 of the whole frame; then the virtual
+   clock *)
 let frames (c : Workload.ctx) =
   let m = c.Workload.m in
   let prefix = "/tmpfs/dynacut-" in
@@ -48,7 +52,10 @@ let frames (c : Workload.ctx) =
   List.map
     (fun p ->
       let blob = Option.get (Vfs.find m.Machine.fs p) in
-      Printf.sprintf "%s %d %s" p (String.length blob)
+      ignore (Validate.decode_sealed blob : Images.t);
+      let n = String.length blob in
+      Printf.sprintf "%s %d %s %s" p n
+        (Digest.to_hex (Digest.substring blob header_size (n - header_size)))
         (Digest.to_hex (Digest.string blob)))
     (List.sort compare (List.filter under (Vfs.list m.Machine.fs)))
   @ [ Printf.sprintf "clock %Ld" m.Machine.clock ]
@@ -74,45 +81,47 @@ let test_census () =
 
 (* ---------- stored-frame oracle ---------- *)
 
-(* Recorded from a pipeline that unsealed and resealed the working image
-   at every stage: sealing once must store the same bytes and leave the
-   same virtual clock. *)
+(* Lengths, payload MD5s and clocks were recorded from a pipeline that
+   unsealed and resealed the working image at every stage, under the
+   byte-serial FNV-1a seal: sealing once, with the v2 checksum, must
+   store the same payloads at the same lengths and leave the same
+   virtual clock. The whole-frame MD5s pin the v2 seal. *)
 let pinned =
   [
-    "cut-first-byte /tmpfs/dynacut-100/dump-100.img 570634 36c7ff5152986162b63103e52b6800db";
-    "cut-first-byte /tmpfs/dynacut-100/dump-101.img 570626 edfd33cae77d111d95d7a1c29dc7958f";
-    "cut-first-byte /tmpfs/dynacut-100/pristine-100.img 451500 d22b5248e34c5781416051c527ad074a";
-    "cut-first-byte /tmpfs/dynacut-100/pristine-101.img 451492 ea69c1cca713404d76b771b66a9c54ea";
+    "cut-first-byte /tmpfs/dynacut-100/dump-100.img 570634 e5bc4a10e37aab0c97d1defda208bb41 0a5a1cad50e0a0be9c7fadd288f601f7";
+    "cut-first-byte /tmpfs/dynacut-100/dump-101.img 570626 d9fe3e5215a22bd1237ca29aee07a45d 95ae76bb8ef3db2707ca94fa627602d2";
+    "cut-first-byte /tmpfs/dynacut-100/pristine-100.img 451500 9ad720c08a56f4b0e3de16812ff11c28 83e802c2826da94f6347ac80806f92fe";
+    "cut-first-byte /tmpfs/dynacut-100/pristine-101.img 451492 60fddadc41c134af0ac9a4ba4889412a 93c36111ee4c10274a19d1783c3218c8";
     "cut-first-byte clock 300000";
-    "reenable-first-byte /tmpfs/dynacut-100/dump-100.img 570634 4d24a47f1c98376acebf0135b4751568";
-    "reenable-first-byte /tmpfs/dynacut-100/dump-101.img 570626 492ff67bfaa8e9888490739999c0a745";
-    "reenable-first-byte /tmpfs/dynacut-100/pristine-100.img 570634 fb90ec8d20a35d579df7e52867cb45a3";
-    "reenable-first-byte /tmpfs/dynacut-100/pristine-101.img 570626 c7cc5405291b4d1a75d0f89c18222ba4";
+    "reenable-first-byte /tmpfs/dynacut-100/dump-100.img 570634 c0b97103f0c2e048d5d8442cbc96cc06 f7cfac3686438db4d05ef7fa904a7d47";
+    "reenable-first-byte /tmpfs/dynacut-100/dump-101.img 570626 37868fabd7dd4bdc93f247482eee0a47 9e7f4add205dcf783401d918b1f02a3c";
+    "reenable-first-byte /tmpfs/dynacut-100/pristine-100.img 570634 60baa86b2d808c6d9ba7ce1fcb3b54ee 68bf3bc52910783f87705a06ccf67045";
+    "reenable-first-byte /tmpfs/dynacut-100/pristine-101.img 570626 e104f0ddeabe7359afb48fe00d6d7d56 f081ebd577e989fe258245f24b418cc1";
     "reenable-first-byte clock 320000";
-    "cut-wipe /tmpfs/dynacut-100/dump-100.img 570634 d3de372def96ca3bc9d32bdd6b6c2ce2";
-    "cut-wipe /tmpfs/dynacut-100/dump-101.img 570626 8f5635eadcffb81f330fdd4c5a0c55b7";
-    "cut-wipe /tmpfs/dynacut-100/pristine-100.img 570634 e72f53d45477be938dbdc0de5613d7b2";
-    "cut-wipe /tmpfs/dynacut-100/pristine-101.img 570626 199b4b1195744c0772aa913201b3b627";
+    "cut-wipe /tmpfs/dynacut-100/dump-100.img 570634 d3d1579a440fe076e9da469ff538d6fc 901456dacd33ae81cc4e0a294cdb226b";
+    "cut-wipe /tmpfs/dynacut-100/dump-101.img 570626 475da24b1e8ef8bbbdfa338ff32cbd29 f204ae336568c4f08ecc4a251fa0c691";
+    "cut-wipe /tmpfs/dynacut-100/pristine-100.img 570634 88034687562bb965feb6d0e43bdc6921 2769be0dd3d0e991d6a0ef50bf144fc4";
+    "cut-wipe /tmpfs/dynacut-100/pristine-101.img 570626 76c7e4bb254f810071bbcbe4dd860262 1258afbd3561a450bc325b740415a218";
     "cut-wipe clock 350000";
-    "reenable-wipe /tmpfs/dynacut-100/dump-100.img 570634 9b3e6a1f2b11b9ed6234649561b8f8e4";
-    "reenable-wipe /tmpfs/dynacut-100/dump-101.img 570626 2c1892a05add91d341815d23d4b55874";
-    "reenable-wipe /tmpfs/dynacut-100/pristine-100.img 570634 e4697c200f9e5a468678a41cca7d461b";
-    "reenable-wipe /tmpfs/dynacut-100/pristine-101.img 570626 f389479de257cd20c627b871174c7e54";
+    "reenable-wipe /tmpfs/dynacut-100/dump-100.img 570634 064d2fa693d14f7ec7ed4deeb3c573f5 9f6817e1e78b63fe395d8b28298125b7";
+    "reenable-wipe /tmpfs/dynacut-100/dump-101.img 570626 4dead1030c8eeca7a941078cc2e8e6d2 5d66dbdc0b86b3492c7258d98a129ddc";
+    "reenable-wipe /tmpfs/dynacut-100/pristine-100.img 570634 bed814df5a391dc5473b15a2b7f23cda d2f490a623ecfbaf7006f3a6ce77647a";
+    "reenable-wipe /tmpfs/dynacut-100/pristine-101.img 570626 856f84ae7a6b0ca12ce1f975c936eaf3 e79c72eec76b8d36eb7319c5ee3f0799";
     "reenable-wipe clock 370000";
-    "cut-unmap /tmpfs/dynacut-100/dump-100.img 570634 6ff0c92132bb9193fff5d1f2dac10652";
-    "cut-unmap /tmpfs/dynacut-100/dump-101.img 570626 e259b23da95dd3635bbc9427156f6a13";
-    "cut-unmap /tmpfs/dynacut-100/pristine-100.img 570634 5c277c2686a12f5e0a8081decef9f8e9";
-    "cut-unmap /tmpfs/dynacut-100/pristine-101.img 570626 14feca4ae693789c5875f32416cfdb0c";
+    "cut-unmap /tmpfs/dynacut-100/dump-100.img 570634 429eaea25b97ef8a5cb8708dd88f9416 c3383dcc2b3fddd47b18795d62f83c6b";
+    "cut-unmap /tmpfs/dynacut-100/dump-101.img 570626 29626a8c67c8d75aef72343a39996903 9988d8c47e4ad9bcd166ac267a118f27";
+    "cut-unmap /tmpfs/dynacut-100/pristine-100.img 570634 d58074a42880bcd2c9375604d4ee20e9 60cbb31d0cebecf19cc0bc1eaf618b9c";
+    "cut-unmap /tmpfs/dynacut-100/pristine-101.img 570626 c4ce0bf838ccf2e3cee287664e031332 23f685fe896607ae660e90638e8969e7";
     "cut-unmap clock 400000";
-    "reenable-unmap /tmpfs/dynacut-100/dump-100.img 570634 ad068722138ddd663cae254d6a97dd4a";
-    "reenable-unmap /tmpfs/dynacut-100/dump-101.img 570626 c0bc23dc4fdd5497c2329332734a0d0b";
-    "reenable-unmap /tmpfs/dynacut-100/pristine-100.img 570634 24d6562f3c4733d52cd61bcb74a295c1";
-    "reenable-unmap /tmpfs/dynacut-100/pristine-101.img 570626 6cf854cee63d6aa49535c4e306326447";
+    "reenable-unmap /tmpfs/dynacut-100/dump-100.img 570634 b46734a0f38480a7b319f373db6dd72b 9c80bd07f7971d067a6a6492c15a9a88";
+    "reenable-unmap /tmpfs/dynacut-100/dump-101.img 570626 a084a8a0b2b2d3055543174e3651d7dc 8b197b51d20f2a60cd452b0a1f4ae4bf";
+    "reenable-unmap /tmpfs/dynacut-100/pristine-100.img 570634 b0419efc9d5c0ec7bb10f6f58e53ca1a 22dd41e66ddf66af2db0aae33048a83d";
+    "reenable-unmap /tmpfs/dynacut-100/pristine-101.img 570626 48338bbb66f11be3016062d941f777e9 e49e2515c67b13ddf83c349c205c2ec4";
     "reenable-unmap clock 420000";
-    "rollback /tmpfs/dynacut-100/dump-100.img 570634 4fd9cce4f4c8c731f09cb07ef2b92e6e";
-    "rollback /tmpfs/dynacut-100/dump-101.img 570626 fc47611907df0774961894d53b03753c";
-    "rollback /tmpfs/dynacut-100/pristine-100.img 570634 4fd9cce4f4c8c731f09cb07ef2b92e6e";
-    "rollback /tmpfs/dynacut-100/pristine-101.img 570626 fc47611907df0774961894d53b03753c";
+    "rollback /tmpfs/dynacut-100/dump-100.img 570634 58b51f3f702bbecc73f41b0b02894ca4 ebe45d7d1377d8d88dd8a7ca04e81830";
+    "rollback /tmpfs/dynacut-100/dump-101.img 570626 9b6ce12d57acd1d32eb892f1eddfbd08 b91337838f41fb90b0d9a6ef9c9aad3e";
+    "rollback /tmpfs/dynacut-100/pristine-100.img 570634 58b51f3f702bbecc73f41b0b02894ca4 ebe45d7d1377d8d88dd8a7ca04e81830";
+    "rollback /tmpfs/dynacut-100/pristine-101.img 570626 9b6ce12d57acd1d32eb892f1eddfbd08 b91337838f41fb90b0d9a6ef9c9aad3e";
     "rollback clock 450000";
   ]
 

@@ -55,33 +55,94 @@ let test_sub_reader_bounded () =
   Alcotest.check_raises "range outside the string" (Invalid_argument "Bytesx.R.of_sub")
     (fun () -> ignore (Bytesx.R.of_sub "abc" ~off:2 ~len:2))
 
-(* FNV-1a known-answer vectors: the image seal and the page digests are
+(* the known-answer inputs: lengths 0, 1, 7, 8, 9 and 4096 cover the
+   empty input, a tail alone, whole words alone and words plus a tail *)
+let page = String.init 4096 (fun i -> Char.chr ((i * 31) land 0xff))
+
+(* Checksum known answers: the image seal and the page digests are
    on-disk and on-wire values, so the function may never drift *)
-let test_fnv1a_vectors () =
+let test_checksum_vectors () =
   List.iter
-    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "fnv1a %S" s) h (Bytesx.fnv1a s))
-    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ];
-  Alcotest.(check int64) "sub-range" (Bytesx.fnv1a "foobar") (Bytesx.fnv1a ~off:2 "__foobar");
-  Alcotest.check_raises "range outside the string" (Invalid_argument "Bytesx.fnv1a") (fun () ->
-      ignore (Bytesx.fnv1a ~off:4 ~len:3 "foobar"))
+    (fun (name, s, h) ->
+      Alcotest.(check int64) (Printf.sprintf "checksum %s" name) h (Bytesx.checksum s))
+    [
+      ("\"\"", "", 0xefd01f60ba992926L);
+      ("\"a\"", "a", 0x47ca0d3af47a141cL);
+      ("\"abcdefg\"", "abcdefg", 0x63e757a65c37b036L);
+      ("\"abcdefgh\"", "abcdefgh", 0x8ecf964df13e62f9L);
+      ("\"abcdefghi\"", "abcdefghi", 0x11af41b91bd55e21L);
+      ("page", page, 0xc792fc3492654032L);
+    ];
+  Alcotest.(check int64) "sub-range" (Bytesx.checksum "foobar")
+    (Bytesx.checksum ~off:2 "__foobar");
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Bytesx.checksum")
+    (fun () -> ignore (Bytesx.checksum ~off:4 ~len:3 "foobar"))
 
-(* the plain String.iter formulation, kept as the reference *)
-let fnv1a_reference (s : string) : int64 =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001B3L)
-    s;
-  !h
+(* the plain formulation, kept as the reference: words assembled byte by
+   byte, no unchecked loads, no sub-range *)
+let checksum_reference (s : string) : int64 =
+  let n = String.length s in
+  let step h x k =
+    let x = Int64.mul (Int64.logxor h x) k in
+    Int64.logxor x (Int64.shift_right_logical x 32)
+  in
+  let byte i = Int64.of_int (Char.code s.[i]) in
+  let word i =
+    List.fold_left
+      (fun w k -> Int64.logor w (Int64.shift_left (byte (i + k)) (8 * k)))
+      0L
+      [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+  in
+  let h = ref (Int64.logxor 0xCBF29CE484222325L (Int64.of_int n)) in
+  for k = 0 to (n / 8) - 1 do
+    h := step !h (word (8 * k)) 0x9E3779B97F4A7C15L
+  done;
+  for i = n / 8 * 8 to n - 1 do
+    h := step !h (byte i) 0xBF58476D1CE4E5B9L
+  done;
+  let fold h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  fold (Int64.mul (fold (Int64.mul (fold !h) 0xFF51AFD7ED558CCDL)) 0xC4CEB9FE1A85EC53L)
 
-let prop_fnv1a_matches_reference =
-  QCheck.Test.make ~name:"fnv1a ~off ~len = reference on the sub-string" ~count:500
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~name:"checksum ~off ~len = reference on the sub-string" ~count:500
     QCheck.(triple string small_nat small_nat)
     (fun (s, a, b) ->
       let n = String.length s in
       let off = if n = 0 then 0 else a mod (n + 1) in
       let len = if n - off = 0 then 0 else b mod (n - off + 1) in
-      Bytesx.fnv1a ~off ~len s = fnv1a_reference (String.sub s off len)
-      && Bytesx.fnv1a s = fnv1a_reference s)
+      Bytesx.checksum ~off ~len s = checksum_reference (String.sub s off len)
+      && Bytesx.checksum s = checksum_reference s)
+
+let flip_bit (s : string) (bit : int) : string =
+  let b = Bytes.of_string s in
+  Bytes.set b (bit / 8) (Char.chr (Char.code s.[bit / 8] lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
+(* a change confined to one word or one tail byte is always caught: so
+   every single-bit flip is, at every length up to five words *)
+let test_checksum_single_bit_flips () =
+  for n = 0 to 40 do
+    let s = String.sub page 0 n in
+    let h = Bytesx.checksum s in
+    for bit = 0 to (8 * n) - 1 do
+      if Bytesx.checksum (flip_bit s bit) = h then
+        Alcotest.failf "flipping bit %d of a %d-byte payload went unseen" bit n
+    done
+  done
+
+(* flipping bit 63 of two different words: a word-wise xor-then-multiply
+   hash carries that difference unchanged through the multiply, so the
+   second flip cancels the first; the xorshift after the multiply stops
+   that *)
+let test_checksum_bit63_pairs () =
+  let s = String.sub page 0 64 in
+  let h = Bytesx.checksum s in
+  for i = 0 to 7 do
+    for j = i + 1 to 7 do
+      let t = flip_bit (flip_bit s ((64 * i) + 63)) ((64 * j) + 63) in
+      if Bytesx.checksum t = h then Alcotest.failf "bit 63 of words %d and %d cancelled" i j
+    done
+  done
 
 (* ---------- Sexpr ---------- *)
 
@@ -197,8 +258,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mixed_fields;
     Alcotest.test_case "truncated read raises" `Quick test_truncated_raises;
     Alcotest.test_case "sub-range reader is bounded" `Quick test_sub_reader_bounded;
-    Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_vectors;
-    QCheck_alcotest.to_alcotest prop_fnv1a_matches_reference;
+    Alcotest.test_case "checksum known answers" `Quick test_checksum_vectors;
+    QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
+    Alcotest.test_case "checksum catches every single-bit flip" `Quick
+      test_checksum_single_bit_flips;
+    Alcotest.test_case "checksum catches bit-63 pairs" `Quick test_checksum_bit63_pairs;
     QCheck_alcotest.to_alcotest prop_sexpr_roundtrip;
     Alcotest.test_case "sexpr comments" `Quick test_sexpr_parse_comments;
     Alcotest.test_case "sexpr get_field" `Quick test_sexpr_get_field;
