@@ -74,6 +74,8 @@ let micro_tests () =
     Test.make ~name:"checksum-4k" (Staged.stage (fun () -> ignore (Bytesx.checksum page)));
     Test.make ~name:"covgraph-diff" (Staged.stage (fun () -> ignore (Covgraph.diff g_init g_srv)));
     Test.make ~name:"cfg-recovery" (Staged.stage (fun () -> ignore (Cfg.of_self exe)));
+    Test.make ~name:"spawn-rkv"
+      (Staged.stage (fun () -> ignore (Workload.spawn Workload.rkv)));
     Test.make ~name:"gadget-scan-text"
       (Staged.stage (fun () -> ignore (Gadget.scan_bytes text.Self.sec_data)));
     Test.make ~name:"decode-4-insns"

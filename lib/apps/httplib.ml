@@ -29,7 +29,7 @@ let method_name = function
   | _ -> "?"
 
 (** Globals every HTTP app needs. *)
-let globals =
+let globals () =
   [
     global_zero "http_rbuf" 1024;
     global_zero "http_path" 256;
@@ -39,7 +39,7 @@ let globals =
   ]
 
 (** MiniC helper functions (prefix [http_]). *)
-let funcs =
+let funcs () =
   [
     (* parse the method word of the request in http_rbuf; returns id or 0 *)
     func "http_parse_method" []

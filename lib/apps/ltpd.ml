@@ -22,8 +22,8 @@ let slot_name = 32
 let slot_data = 128
 let slot_size = slot_name + slot_data + 8 (* name, data, used flag *)
 
-let globals =
-  Httplib.globals
+let globals () =
+  Httplib.globals ()
   @ [
       global_q "cfg_port" [ Int64.of_int port ];
       global_q "cfg_maxconn" [ 0L ];
@@ -41,7 +41,7 @@ let globals =
 
 (* ---------- initialization-phase code ---------- *)
 
-let init_funcs =
+let init_funcs () =
   [
     (* read /etc/ltpd.conf into cfg_buf *)
     func "ltpd_read_config" []
@@ -152,7 +152,7 @@ let init_funcs =
 
 (* ---------- serving-phase code ---------- *)
 
-let serve_funcs =
+let serve_funcs () =
   [
     (* file lookup under the docroot; body copied into http_obuf tail *)
     func "ltpd_open_docfile" []
@@ -538,7 +538,8 @@ let serve_funcs =
       ];
   ]
 
-let unit_ltpd = unit_ "ltpd" ~globals (Httplib.funcs @ init_funcs @ serve_funcs)
+let unit_ltpd () =
+  unit_ "ltpd" ~globals:(globals ()) (Httplib.funcs () @ init_funcs () @ serve_funcs ())
 
 let config =
   "port=8080\nmaxconn=64\nkeepalive=1\nloglevel=2\ndocroot=/www\n"
@@ -550,9 +551,5 @@ let site_files =
     ("/www/style.css", "body { color: black }");
   ]
 
-(** Build the binary and install it plus its config + docroot into a
-    machine filesystem. *)
-let install (m : Machine.t) ~libc : unit =
-  Vfs.add_self m.Machine.fs "ltpd" (Crt0.link_app ~libc unit_ltpd);
-  Vfs.add m.Machine.fs "/etc/ltpd.conf" config;
-  List.iter (fun (p, c) -> Vfs.add m.Machine.fs p c) site_files
+(** The files ltpd reads besides its binary: its config and the docroot. *)
+let files = ("/etc/ltpd.conf", config) :: site_files

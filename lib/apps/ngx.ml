@@ -16,8 +16,8 @@ open Dsl
 let port = 8090
 let ready_banner = "nginx: workers ready"
 
-let globals =
-  Httplib.globals
+let globals () =
+  Httplib.globals ()
   @ [
       global_q "cfg_port" [ Int64.of_int port ];
       global_q "cfg_workers" [ 1L ];
@@ -44,7 +44,7 @@ let slot_size = slot_name + slot_data + 8
 
 (* ---------- master initialization ---------- *)
 
-let init_funcs =
+let init_funcs () =
   [
     func "ngx_read_config" []
       [
@@ -213,7 +213,7 @@ let init_funcs =
 
 (* ---------- worker serving code ---------- *)
 
-let serve_funcs =
+let serve_funcs () =
   [
     func "ngx_open_docfile" []
       [
@@ -492,14 +492,13 @@ let serve_funcs =
       ];
   ]
 
-let unit_ngx = unit_ "ngx" ~globals (Httplib.funcs @ init_funcs @ serve_funcs)
+let unit_ngx () =
+  unit_ "ngx" ~globals:(globals ()) (Httplib.funcs () @ init_funcs () @ serve_funcs ())
 
 let config =
   "listen 8090\nworker_processes 1\ngzip 1\nsendfile 1\nkeepalive_timeout 65\n\
    root /www\nlocation /\nlocation /static\nlocation /api\nupstream backend1\n\
    upstream backend2\n"
 
-let install (m : Machine.t) ~libc : unit =
-  Vfs.add_self m.Machine.fs "ngx" (Crt0.link_app ~libc unit_ngx);
-  Vfs.add m.Machine.fs "/etc/nginx.conf" config;
-  List.iter (fun (p, c) -> Vfs.add m.Machine.fs p c) Ltpd.site_files
+(** The files ngx reads besides its binary: its config and the docroot. *)
+let files = ("/etc/nginx.conf", config) :: Ltpd.site_files

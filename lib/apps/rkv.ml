@@ -95,7 +95,7 @@ let command_names =
     ("DBSIZE", c_dbsize);
   ]
 
-let globals =
+let globals () =
   [
     global_zero "rbuf" 512;
     global_zero "obuf" 512;
@@ -121,7 +121,7 @@ let globals =
 
 (* ---------- init phase ---------- *)
 
-let init_funcs =
+let init_funcs () =
   [
     func "rkv_read_config" []
       [
@@ -206,7 +206,7 @@ let init_funcs =
 
 (* ---------- the store ---------- *)
 
-let store_funcs =
+let store_funcs () =
   [
     func "rkv_hash" [ "p" ]
       [
@@ -271,7 +271,7 @@ let store_funcs =
 
 (* ---------- request parsing and replies ---------- *)
 
-let proto_funcs =
+let proto_funcs () =
   [
     (* tokenize rbuf into arg_cmd / arg_key / arg_val (rest of line) *)
     func "rkv_parse" []
@@ -329,7 +329,7 @@ let proto_funcs =
 
 (* ---------- commands ---------- *)
 
-let command_funcs =
+let command_funcs () =
   [
     func "rkv_cmd_get" [ "c" ]
       [
@@ -649,7 +649,7 @@ let command_funcs =
       ];
   ]
 
-let dispatch_funcs =
+let dispatch_funcs () =
   [
     (* the big switch-case dispatcher; default = exported error path *)
     func "rkv_dispatch" [ "c" ]
@@ -723,13 +723,12 @@ let dispatch_funcs =
       ];
   ]
 
-let unit_rkv =
-  unit_ "rkv" ~globals (init_funcs @ store_funcs @ proto_funcs @ command_funcs @ dispatch_funcs)
+let unit_rkv () =
+  unit_ "rkv" ~globals:(globals ())
+    (init_funcs () @ store_funcs () @ proto_funcs () @ command_funcs () @ dispatch_funcs ())
 
 let config = "port 6379\nmaxmemory 1048576\nappendonly 0\n"
 let rdb = "greeting hello\ncounter 41\ncolor blue\n"
 
-let install (m : Machine.t) ~libc : unit =
-  Vfs.add_self m.Machine.fs "rkv" (Crt0.link_app ~libc unit_rkv);
-  Vfs.add m.Machine.fs "/etc/rkv.conf" config;
-  Vfs.add m.Machine.fs "/data/dump.rdb" rdb
+(** The files rkv reads besides its binary: its config and its dump. *)
+let files = [ ("/etc/rkv.conf", config); ("/data/dump.rdb", rdb) ]

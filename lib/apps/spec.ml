@@ -17,7 +17,7 @@ open Dsl
 
 type kernel = {
   k_name : string;  (** e.g. "600.perlbench_s" *)
-  k_unit : Ast.comp_unit;
+  k_unit : unit -> Ast.comp_unit;  (** builds the AST afresh on each call *)
   k_files : (string * string) list;  (** input files *)
   k_heap : int;  (** mmap'd heap bytes (drives image size) *)
 }
@@ -43,7 +43,7 @@ let kernel_main ~name ~heap ~rounds ~init_calls ~compute_call =
 
 let perlbench =
   let name = "600.perlbench_s" in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -58,7 +58,7 @@ let perlbench =
       global_zero "fmt_buf" 128;
     ]
   in
-  let init_funcs =
+  let init_funcs () =
     [
       func "pl_init_optable" []
         [
@@ -168,7 +168,7 @@ let perlbench =
         ];
     ]
   in
-  let compute =
+  let compute () =
     [
       (* the serving phase proper: scan, regex-match, interpret, format *)
       func "pl_scan_words" []
@@ -282,8 +282,8 @@ let perlbench =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (init_funcs @ compute
+      (fun () -> unit_ name ~globals:(globals ())
+        (init_funcs () @ compute ()
         @ [
             kernel_main ~name ~heap:1_843_200 ~rounds:40
               ~init_calls:
@@ -298,7 +298,7 @@ let perlbench =
                   do_ "pl_init_formats" [];
                 ]
               ~compute_call:"pl_round";
-          ]);
+          ]));
     k_files =
       [
         ( "/input/perl.pl",
@@ -319,7 +319,7 @@ let perlbench =
 let mcf =
   let name = "605.mcf_s" in
   let nn = 32 in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -327,7 +327,7 @@ let mcf =
       global_zero "dist" (nn * 8);
     ]
   in
-  let funcs =
+  let funcs () =
     [
       func "mcf_read_network" []
         [
@@ -419,8 +419,8 @@ let mcf =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (funcs
+      (fun () -> unit_ name ~globals:(globals ())
+        (funcs ()
         @ [
             kernel_main ~name ~heap:286_720 ~rounds:25
               ~init_calls:
@@ -429,7 +429,7 @@ let mcf =
                   do_ "mcf_init_dist" [];
                 ]
               ~compute_call:"mcf_round";
-          ]);
+          ]));
     k_files = [ ("/input/net.in", "G") ];
     k_heap = 286_720;
   }
@@ -439,7 +439,7 @@ let mcf =
 let omnetpp =
   let name = "620.omnetpp_s" in
   let qcap = 128 in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -450,7 +450,7 @@ let omnetpp =
       global_q "module_count" [ 0L ];
     ]
   in
-  let funcs =
+  let funcs () =
     [
       func "om_register_module" [ "id"; "delay" ]
         [
@@ -582,8 +582,8 @@ let omnetpp =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (funcs
+      (fun () -> unit_ name ~globals:(globals ())
+        (funcs ()
         @ [
             kernel_main ~name ~heap:2_191_360 ~rounds:30
               ~init_calls:
@@ -592,7 +592,7 @@ let omnetpp =
                   do_ "om_seed_events" [];
                 ]
               ~compute_call:"om_round";
-          ]);
+          ]));
     k_files = [];
     k_heap = 2_191_360;
   }
@@ -601,7 +601,7 @@ let omnetpp =
 
 let xalancbmk =
   let name = "623.xalancbmk_s" in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -613,7 +613,7 @@ let xalancbmk =
       global_zero "out" 1024;
     ]
   in
-  let funcs =
+  let funcs () =
     [
       func "xa_load_xml" []
         [
@@ -743,8 +743,8 @@ let xalancbmk =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (funcs
+      (fun () -> unit_ name ~globals:(globals ())
+        (funcs ()
         @ [
             kernel_main ~name ~heap:1_955_840 ~rounds:35
               ~init_calls:
@@ -754,7 +754,7 @@ let xalancbmk =
                   do_ "xa_load_stylesheet" [];
                 ]
               ~compute_call:"xa_round";
-          ]);
+          ]));
     k_files =
       [
         ( "/input/doc.xml",
@@ -770,7 +770,7 @@ let xalancbmk =
 let x264 =
   let name = "625.x264_s" in
   let w = 64 and h = 32 in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -779,7 +779,7 @@ let x264 =
       global_zero "cost_tbl" (64 * 8);
     ]
   in
-  let funcs =
+  let funcs () =
     [
       func "xv_alloc_frames" []
         [
@@ -896,8 +896,8 @@ let x264 =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (funcs
+      (fun () -> unit_ name ~globals:(globals ())
+        (funcs ()
         @ [
             kernel_main ~name ~heap:1_597_440 ~rounds:20
               ~init_calls:
@@ -907,7 +907,7 @@ let x264 =
                   do_ "xv_init_cost_table" [];
                 ]
               ~compute_call:"xv_round";
-          ]);
+          ]));
     k_files = [];
     k_heap = 1_597_440;
   }
@@ -916,7 +916,7 @@ let x264 =
 
 let deepsjeng =
   let name = "631.deepsjeng_s" in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -925,7 +925,7 @@ let deepsjeng =
       global_q "nodes" [ 0L ];
     ]
   in
-  let funcs =
+  let funcs () =
     [
       func "ds_init_board" []
         [
@@ -993,8 +993,8 @@ let deepsjeng =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (funcs
+      (fun () -> unit_ name ~globals:(globals ())
+        (funcs ()
         @ [
             kernel_main ~name ~heap:102_400 ~rounds:15
               ~init_calls:
@@ -1003,7 +1003,7 @@ let deepsjeng =
                   do_ "ds_init_zobrist" [];
                 ]
               ~compute_call:"ds_round";
-          ]);
+          ]));
     k_files = [];
     k_heap = 102_400;
   }
@@ -1013,7 +1013,7 @@ let deepsjeng =
 let leela =
   let name = "641.leela_s" in
   let bsz = 81 in
-  let globals =
+  let globals () =
     [
       global_q "heap" [ 0L ];
       global_q "checksum" [ 0L ];
@@ -1022,7 +1022,7 @@ let leela =
       global_zero "pattern_tbl" (32 * 8);
     ]
   in
-  let funcs =
+  let funcs () =
     [
       func "lz_init_board" []
         [ do_ "memset" [ addr "goban"; i 0; i bsz ]; ret0 ];
@@ -1077,8 +1077,8 @@ let leela =
   {
     k_name = name;
     k_unit =
-      unit_ name ~globals
-        (funcs
+      (fun () -> unit_ name ~globals:(globals ())
+        (funcs ()
         @ [
             kernel_main ~name ~heap:112_640 ~rounds:12
               ~init_calls:
@@ -1087,7 +1087,7 @@ let leela =
                   do_ "lz_init_patterns" [];
                 ]
               ~compute_call:"lz_round";
-          ]);
+          ]));
     k_files = [];
     k_heap = 112_640;
   }
@@ -1096,7 +1096,3 @@ let leela =
 let all = [ perlbench; mcf; omnetpp; xalancbmk; x264; deepsjeng; leela ]
 
 let find name = List.find (fun k -> k.k_name = name) all
-
-let install (m : Machine.t) ~libc (k : kernel) : unit =
-  Vfs.add_self m.Machine.fs k.k_name (Crt0.link_app ~libc k.k_unit);
-  List.iter (fun (p, c) -> Vfs.add m.Machine.fs p c) k.k_files

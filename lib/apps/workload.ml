@@ -10,42 +10,31 @@ type app = {
   a_name : string;  (** binary name in the machine fs *)
   a_port : int option;  (** None for batch (SPEC-like) apps *)
   a_banner : string;  (** init-done log line *)
-  a_install : Machine.t -> libc:Self.t -> unit;
+  a_files : (string * string) list Lazy.t;
+      (** the serialized binary at [a_name], then the files it reads *)
 }
 
 let libc = lazy (Libc.build ())
+let libc_so = lazy (Self.to_bytes (Lazy.force libc))
 
-let ltpd =
+(** An app whose files are built once per process: its binary, linked
+    from [unit_ ()] and serialized, then [files]. The AST is built inside
+    the lazy, so after the link only the serialized image stays live. *)
+let app_of_unit name port banner (unit_ : unit -> Ast.comp_unit) files =
   {
-    a_name = "ltpd";
-    a_port = Some Ltpd.port;
-    a_banner = Ltpd.ready_banner;
-    a_install = (fun m ~libc -> Ltpd.install m ~libc);
+    a_name = name;
+    a_port = port;
+    a_banner = banner;
+    a_files =
+      lazy ((name, Self.to_bytes (Crt0.link_app ~libc:(Lazy.force libc) (unit_ ()))) :: files);
   }
 
-let ngx =
-  {
-    a_name = "ngx";
-    a_port = Some Ngx.port;
-    a_banner = Ngx.ready_banner;
-    a_install = (fun m ~libc -> Ngx.install m ~libc);
-  }
-
-let rkv =
-  {
-    a_name = "rkv";
-    a_port = Some Rkv.port;
-    a_banner = Rkv.ready_banner;
-    a_install = (fun m ~libc -> Rkv.install m ~libc);
-  }
+let ltpd = app_of_unit "ltpd" (Some Ltpd.port) Ltpd.ready_banner Ltpd.unit_ltpd Ltpd.files
+let ngx = app_of_unit "ngx" (Some Ngx.port) Ngx.ready_banner Ngx.unit_ngx Ngx.files
+let rkv = app_of_unit "rkv" (Some Rkv.port) Rkv.ready_banner Rkv.unit_rkv Rkv.files
 
 let spec_app (k : Spec.kernel) =
-  {
-    a_name = k.Spec.k_name;
-    a_port = None;
-    a_banner = Spec.init_done_banner k.Spec.k_name;
-    a_install = (fun m ~libc -> Spec.install m ~libc k);
-  }
+  app_of_unit k.Spec.k_name None (Spec.init_done_banner k.Spec.k_name) k.Spec.k_unit k.Spec.k_files
 
 let spec_apps = List.map spec_app Spec.all
 
@@ -74,14 +63,22 @@ let banner_seen (c : ctx) =
   let rec go i = i + nb <= ns && (String.sub s i nb = b || go (i + 1)) in
   go 0
 
+(** The app's serialized binary, shared by every machine it runs on. *)
+let binary (app : app) : string = List.assoc app.a_name (Lazy.force app.a_files)
+
+(** Add libc.so and [app]'s files to [fs]. Nothing is linked here: every
+    filesystem shares the strings built once per process, which is safe
+    because a {!Vfs} never mutates a stored string. *)
+let install (fs : Vfs.t) (app : app) : unit =
+  Vfs.add fs "libc.so" (Lazy.force libc_so);
+  List.iter (fun (p, c) -> Vfs.add fs p c) (Lazy.force app.a_files)
+
 (** Spawn [app] on a fresh machine. [traced] attaches the coverage
     collector *before* the first instruction so initialization code is
     covered. *)
 let spawn ?(seed = 42) ?(traced = false) (app : app) : ctx =
   let m = Machine.create ~seed () in
-  let libc = Lazy.force libc in
-  Vfs.add_self m.Machine.fs "libc.so" libc;
-  app.a_install m ~libc;
+  install m.Machine.fs app;
   let p = Machine.spawn m ~exe_path:app.a_name () in
   let col = if traced then Some (Collector.attach m ~pid:p.Proc.pid) else None in
   { app; m; pid = p.Proc.pid; col }
@@ -99,9 +96,7 @@ let contains ~(sub : string) (s : string) =
 let spawn_fleet ?(seed = 42) ?(traced = false) ~n (app : app) : ctx list =
   if n < 1 then invalid_arg "Workload.spawn_fleet: n must be >= 1";
   let m = Machine.create ~seed () in
-  let libc = Lazy.force libc in
-  Vfs.add_self m.Machine.fs "libc.so" libc;
-  app.a_install m ~libc;
+  install m.Machine.fs app;
   let procs = List.init n (fun _ -> Machine.spawn m ~exe_path:app.a_name ()) in
   let col =
     match (traced, procs) with

@@ -6,9 +6,7 @@
 
 exception Link_error of string
 
-val default_exec_base : int64
 val plt_stub_size : int
-val plt_entry_align : int
 
 val link_exec :
   ?base:int64 -> name:string -> entry:string -> libs:Self.t list -> Asm.obj -> Self.t

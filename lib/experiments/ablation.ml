@@ -27,17 +27,17 @@ type policy_row = {
   ab_blocked : bool;
 }
 
-let install_rkv_page_aligned (m : Machine.t) ~libc =
-  Vfs.add_self m.Machine.fs "rkv" (Crt0.link_app ~func_align:4096 ~libc Rkv.unit_rkv);
-  Vfs.add m.Machine.fs "/etc/rkv.conf" Rkv.config;
-  Vfs.add m.Machine.fs "/data/dump.rdb" Rkv.rdb
-
+(** rkv linked page-per-function, with its own files built once per
+    process like every shipped app's. *)
 let rkv_paged : Workload.app =
   {
-    Workload.a_name = "rkv";
-    a_port = Some Rkv.port;
-    a_banner = Rkv.ready_banner;
-    a_install = install_rkv_page_aligned;
+    Workload.rkv with
+    a_files =
+      lazy
+        (( "rkv",
+           Self.to_bytes
+             (Crt0.link_app ~func_align:4096 ~libc:(Lazy.force Workload.libc) (Rkv.unit_rkv ())) )
+        :: Rkv.files);
   }
 
 (** Feature blocks of rkv's SET on the page-aligned build: the whole

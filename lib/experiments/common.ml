@@ -33,11 +33,12 @@ let cfg_provider (fs : Vfs.t) : string -> Cfg.t option =
         Hashtbl.add cache name v;
         v
 
-(** A provider over a throwaway installation of [app] (same binaries as
-    any machine the app is spawned on — builds are deterministic). *)
+(** A provider over [app]'s installed files: the very binaries any
+    machine the app is spawned on holds. *)
 let cfg_of_app (app : Workload.app) : string -> Cfg.t option =
-  let c = Workload.spawn app in
-  cfg_provider c.Workload.m.Machine.fs
+  let fs = Vfs.create () in
+  Workload.install fs app;
+  cfg_provider fs
 
 (** Feature blocks for the web servers' PUT/DELETE features. *)
 let web_feature_blocks (app : Workload.app) : Covgraph.block list =
@@ -77,9 +78,7 @@ let init_only_blocks (app : Workload.app) : Covgraph.block list * Drcov.log * Dr
   (report.Tracediff.undesired, init_log, serving)
 
 (** The main executable of an app, as linked. *)
-let app_exe (app : Workload.app) : Self.t =
-  let c = Workload.spawn app in
-  Option.get (Vfs.find_self c.Workload.m.Machine.fs app.Workload.a_name)
+let app_exe (app : Workload.app) : Self.t = Self.of_bytes (Workload.binary app)
 
 let text_size (exe : Self.t) = Self.text_size exe
 

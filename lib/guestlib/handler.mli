@@ -15,9 +15,6 @@ val max_log_entries : int
 val blocked_exit_status : int
 (** exit(13): the status the terminate policy uses, asserted by tests. *)
 
-val minic : Ast.comp_unit
-(** The handler's MiniC source (exposed for inspection/disassembly). *)
-
 val build : libc:Self.t -> unit -> Self.t
 (** Link [dynacut_handler.so] against a libc (its [exit]/[mprotect]
     calls go through its own PLT/GOT — why injection re-runs PLT

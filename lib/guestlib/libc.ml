@@ -21,7 +21,7 @@ let syswrap name nr =
     Asm.Ins Insn.Ret;
   ]
 
-let syscall_wrappers =
+let syscall_wrappers () =
   List.concat_map
     (fun (name, nr) -> syswrap name nr)
     [
@@ -49,7 +49,7 @@ let syscall_wrappers =
     ]
 
 (* MiniC layer *)
-let minic =
+let minic () =
   unit_ "libc"
     ~globals:[ global_zero "__itoa_buf" 32; global_zero "__itoa_tmp" 32 ]
     [
@@ -200,6 +200,6 @@ let minic =
 
 (** Build and link [libc.so]. *)
 let build () : Self.t =
-  let items = Compile.compile_unit minic @ (Asm.Section ".text" :: syscall_wrappers) in
+  let items = Compile.compile_unit (minic ()) @ (Asm.Section ".text" :: syscall_wrappers ()) in
   let obj = Asm.assemble ~name:"libc" items in
   Link.link_shared ~name:"libc.so" obj

@@ -220,7 +220,9 @@ let spawn t ~exe_path ?comm () =
     | None -> raise (Exec_error ("no such binary: " ^ exe_path))
   in
   let libs =
-    List.filter_map (fun p -> Vfs.find_self t.fs p) (Vfs.list t.fs)
+    List.filter_map
+      (fun p -> if p = exe_path then Some exe else Vfs.find_self t.fs p)
+      (Vfs.list t.fs)
   in
   let img = Loader.load ~libs exe in
   let mem = Mem.create () in

@@ -5,8 +5,13 @@
 
 type align = L | R
 
+(** Display width of a UTF-8 string: its code points, i.e. the bytes
+    that do not continue a multi-byte sequence. *)
+let display_width s =
+  String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s
+
 let pad align width s =
-  let n = String.length s in
+  let n = display_width s in
   if n >= width then s
   else
     match align with
@@ -23,7 +28,7 @@ let render ?(aligns = []) ~headers rows =
   in
   let all = headers :: rows in
   let width i =
-    List.fold_left (fun acc row -> max acc (String.length (List.nth row i))) 0 all
+    List.fold_left (fun acc row -> max acc (display_width (List.nth row i))) 0 all
   in
   let widths = List.init ncols width in
   let line ch =
@@ -60,7 +65,7 @@ let render ?(aligns = []) ~headers rows =
 let bars ?(width = 50) ?(unit = "") entries =
   let maxv = List.fold_left (fun acc (_, v) -> max acc v) 1e-9 entries in
   let labw =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries
+    List.fold_left (fun acc (l, _) -> max acc (display_width l)) 0 entries
   in
   let b = Buffer.create 256 in
   List.iter
@@ -78,7 +83,7 @@ let stacked_bars ?(width = 60) ?(unit = "s") ~segments entries =
   let total (vs : float list) = List.fold_left ( +. ) 0. vs in
   let maxv = List.fold_left (fun acc (_, vs) -> max acc (total vs)) 1e-9 entries in
   let labw =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries
+    List.fold_left (fun acc (l, _) -> max acc (display_width l)) 0 entries
   in
   let b = Buffer.create 256 in
   Buffer.add_string b "legend: ";

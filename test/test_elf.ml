@@ -270,12 +270,7 @@ let cfg_pin (self : Self.t) =
    each block's first, middle and last byte and just past its end. *)
 let test_cfg_pinned () =
   let libc = Lazy.force Workload.libc in
-  let exe (app : Workload.app) =
-    let m = Machine.create () in
-    app.Workload.a_install m ~libc;
-    Option.get (Vfs.find_self m.Machine.fs app.Workload.a_name)
-  in
-  let selfs = libc :: Handler.build ~libc () :: List.map exe Workload.all_apps in
+  let selfs = libc :: Handler.build ~libc () :: List.map Common.app_exe Workload.all_apps in
   List.iter2
     (fun self ((name, _, _, _, _) as want) ->
       let got, cfg = cfg_pin self in
@@ -302,14 +297,39 @@ let test_cfg_pinned () =
         cfg.Cfg.cfg_blocks)
     selfs cfg_pins
 
+(* Every shipped app, the page-per-function rkv included, with a fresh
+   link of a freshly built AST. *)
+let fresh_links () =
+  let libc = Lazy.force Workload.libc in
+  let link ?func_align unit_ () = Crt0.link_app ?func_align ~libc (unit_ ()) in
+  [
+    (Workload.ltpd, link Ltpd.unit_ltpd);
+    (Workload.ngx, link Ngx.unit_ngx);
+    (Workload.rkv, link Rkv.unit_rkv);
+    (Ablation.rkv_paged, link ~func_align:4096 Rkv.unit_rkv);
+  ]
+  @ List.map2 (fun app (k : Spec.kernel) -> (app, link k.Spec.k_unit)) Workload.spec_apps Spec.all
+
 let test_link_deterministic () =
   (* every byte of a linked image is defined, the .got included *)
-  let libc = Lazy.force Workload.libc in
   List.iter
-    (fun (name, unit_) ->
-      Alcotest.(check bool) (name ^ " links to equal images") true
-        (Crt0.link_app ~libc unit_ = Crt0.link_app ~libc unit_))
-    [ ("ltpd", Ltpd.unit_ltpd); ("ngx", Ngx.unit_ngx); ("rkv", Rkv.unit_rkv) ]
+    (fun ((app : Workload.app), link) ->
+      Alcotest.(check bool) (app.Workload.a_name ^ " links to equal images") true
+        (link () = link ()))
+    (fresh_links ())
+
+(* A spawn installs the binary built once per process: its bytes are
+   those of a fresh link, and two machines share the one string. *)
+let test_link_once () =
+  List.iter
+    (fun ((app : Workload.app), link) ->
+      Alcotest.(check bool) (app.Workload.a_name ^ " binary is a fresh link") true
+        (String.equal (Workload.binary app) (Self.to_bytes (link ()))))
+    (fresh_links ());
+  let rkv_bin () =
+    Option.get (Vfs.find (Workload.spawn Workload.rkv).Workload.m.Machine.fs "rkv")
+  in
+  Alcotest.(check bool) "two rkv spawns share one binary string" true (rkv_bin () == rkv_bin ())
 
 let suite =
   [
@@ -329,4 +349,5 @@ let suite =
     Alcotest.test_case "cfg block_containing" `Quick test_cfg_block_containing;
     Alcotest.test_case "cfg on all SPEC binaries" `Quick test_cfg_counts_plausible;
     Alcotest.test_case "cfg pinned on every shipped binary" `Quick test_cfg_pinned;
+    Alcotest.test_case "each app binary is linked once per process" `Quick test_link_once;
   ]

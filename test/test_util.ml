@@ -219,6 +219,23 @@ let test_table_render_alignment () =
   | w :: rest -> List.iter (fun w' -> Alcotest.(check int) "equal widths" w w') rest
   | [] -> Alcotest.fail "empty table"
 
+(* Multi-byte UTF-8 text (Fig 6's [σ(ckpt)] header) pads by characters:
+   every line, rules included, shows the same number of code points. *)
+let test_table_render_utf8 () =
+  let t =
+    Table.render ~headers:[ "app"; "σ(ckpt)"; "ms" ]
+      [ [ "ngx"; "0.125"; "µs" ]; [ "rkv"; "12.500"; "3" ] ]
+  in
+  let code_points l =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 l
+  in
+  match List.filter (fun l -> l <> "") (String.split_on_char '\n' t) with
+  | first :: rest ->
+      List.iter
+        (fun l -> Alcotest.(check int) ("display width of " ^ l) (code_points first) (code_points l))
+        rest
+  | [] -> Alcotest.fail "empty table"
+
 let test_human_bytes () =
   Alcotest.(check string) "bytes" "512B" (Table.human_bytes 512);
   Alcotest.(check string) "kb" "2.5KB" (Table.human_bytes 2560);
@@ -276,4 +293,5 @@ let suite =
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats percentile interpolation" `Quick
       test_stats_percentile_interp;
+    Alcotest.test_case "table pads UTF-8 by characters" `Quick test_table_render_utf8;
   ]
