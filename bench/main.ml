@@ -85,6 +85,8 @@ let micro_tests () =
     Test.make ~name:"guest-loop-10k-cached" (Staged.stage (spin_run m_cached));
     Test.make ~name:"guest-loop-10k-interp" (Staged.stage (spin_run m_interp));
     Test.make ~name:"guest-loop-10k-sliced" (Staged.stage (spin_run m_sliced));
+    Test.make ~name:"slice-rkv"
+      (Staged.stage (fun () -> ignore (Slicelab.profile Workload.rkv)));
     Test.make ~name:"mem-read64-tlb-hit"
       (Staged.stage (fun () -> ignore (Mem.read64 mem 0x10008L)));
   ]

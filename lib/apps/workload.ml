@@ -14,9 +14,6 @@ type app = {
       (** the serialized binary at [a_name], then the files it reads *)
 }
 
-let libc = lazy (Libc.build ())
-let libc_so = lazy (Self.to_bytes (Lazy.force libc))
-
 (** An app whose files are built once per process: its binary, linked
     from [unit_ ()] and serialized, then [files]. The AST is built inside
     the lazy, so after the link only the serialized image stays live. *)
@@ -26,7 +23,7 @@ let app_of_unit name port banner (unit_ : unit -> Ast.comp_unit) files =
     a_port = port;
     a_banner = banner;
     a_files =
-      lazy ((name, Self.to_bytes (Crt0.link_app ~libc:(Lazy.force libc) (unit_ ()))) :: files);
+      lazy ((name, Self.to_bytes (Crt0.link_app ~libc:(Lazy.force Libc.shared) (unit_ ()))) :: files);
   }
 
 let ltpd = app_of_unit "ltpd" (Some Ltpd.port) Ltpd.ready_banner Ltpd.unit_ltpd Ltpd.files
@@ -70,7 +67,7 @@ let binary (app : app) : string = List.assoc app.a_name (Lazy.force app.a_files)
     filesystem shares the strings built once per process, which is safe
     because a {!Vfs} never mutates a stored string. *)
 let install (fs : Vfs.t) (app : app) : unit =
-  Vfs.add fs "libc.so" (Lazy.force libc_so);
+  Vfs.add fs "libc.so" (Lazy.force Libc.shared_so);
   List.iter (fun (p, c) -> Vfs.add fs p c) (Lazy.force app.a_files)
 
 (** Spawn [app] on a fresh machine. [traced] attaches the coverage

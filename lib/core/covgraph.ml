@@ -3,35 +3,66 @@
     A coverage graph is the set of executed basic blocks, keyed by
     (module, offset) with their sizes. Graphs are built from drcov trace
     logs, merged across runs (the "trace log merging" step), and diffed
-    to find feature-related or temporally-dead code. *)
+    to find feature-related or temporally-dead code.
+
+    Each module has its own [int]-keyed table of offset -> size, so a
+    lookup is a name match over the few modules plus an integer probe,
+    and a listing sorts plain offsets. *)
 
 type block = { b_module : string; b_off : int; b_size : int }
-
-let block_compare a b = compare (a.b_module, a.b_off) (b.b_module, b.b_off)
 
 let pp_block fmt b =
   Format.fprintf fmt "%s+0x%x(%d)" b.b_module b.b_off b.b_size
 
-type t = { tbl : (string * int, int) Hashtbl.t }
+type t = {
+  mutable mods : (string * int Itbl.t) list;  (** module -> offset -> size *)
+  mutable card : int;
+}
 
-let create () = { tbl = Hashtbl.create 256 }
+let create () = { mods = []; card = 0 }
+
+let rec find_module name = function
+  | [] -> None
+  | (m, tbl) :: rest -> if String.equal m name then Some tbl else find_module name rest
+
+let table t name =
+  match find_module name t.mods with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Itbl.create 256 in
+      t.mods <- (name, tbl) :: t.mods;
+      tbl
 
 let add t (b : block) =
-  match Hashtbl.find_opt t.tbl (b.b_module, b.b_off) with
-  | Some sz when sz >= b.b_size -> ()
-  | _ -> Hashtbl.replace t.tbl (b.b_module, b.b_off) b.b_size
+  let tbl = table t b.b_module in
+  match Itbl.find tbl b.b_off with
+  | sz -> if sz < b.b_size then Itbl.add tbl b.b_off b.b_size
+  | exception Not_found ->
+      Itbl.add tbl b.b_off b.b_size;
+      t.card <- t.card + 1
 
-let mem t (b : block) = Hashtbl.mem t.tbl (b.b_module, b.b_off)
-let mem_off t ~module_ ~off = Hashtbl.mem t.tbl (module_, off)
-let cardinal t = Hashtbl.length t.tbl
+let mem_off t ~module_ ~off =
+  match find_module module_ t.mods with Some tbl -> Itbl.mem tbl off | None -> false
+
+let mem t (b : block) = mem_off t ~module_:b.b_module ~off:b.b_off
+let cardinal t = t.card
+
+(* one module's blocks as (offset, size) pairs, by offset *)
+let sorted tbl =
+  let a = Array.make (Itbl.fold (fun _ _ n -> n + 1) tbl 0) (0, 0) in
+  ignore (Itbl.fold (fun off size i -> a.(i) <- (off, size); i + 1) tbl 0 : int);
+  Array.stable_sort (fun (x, _) (y, _) -> Int.compare x y) a;
+  a
+
+let by_name t = List.sort (fun (x, _) (y, _) -> String.compare x y) t.mods
 
 let blocks t =
-  Hashtbl.fold
-    (fun (m, off) size acc -> { b_module = m; b_off = off; b_size = size } :: acc)
-    t.tbl []
-  |> List.sort block_compare
-
-let covered_bytes t = Hashtbl.fold (fun _ size acc -> acc + size) t.tbl 0
+  List.concat_map
+    (fun (m, tbl) ->
+      Array.fold_right
+        (fun (off, size) acc -> { b_module = m; b_off = off; b_size = size } :: acc)
+        (sorted tbl) [])
+    (by_name t)
 
 let of_log (log : Drcov.log) : t =
   let t = create () in
@@ -47,7 +78,13 @@ let of_log (log : Drcov.log) : t =
 (** Trace log merging: union of many runs' coverage. *)
 let merge (ts : t list) : t =
   let out = create () in
-  List.iter (fun t -> List.iter (add out) (blocks t)) ts;
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (m, tbl) ->
+          Itbl.fold (fun off size () -> add out { b_module = m; b_off = off; b_size = size }) tbl ())
+        t.mods)
+    ts;
   out
 
 let of_logs logs = merge (List.map of_log logs)
@@ -79,39 +116,33 @@ let intersect (a : t) (b : t) : block list = List.filter (mem b) (blocks a)
     leaves that module's blocks untouched). *)
 let normalize ~(cfg_of : string -> Cfg.t option) (t : t) : t =
   let out = create () in
-  (* per module: its real static blocks sorted by offset, built once *)
-  let statics = Hashtbl.create 4 in
-  let statics_of m =
-    match Hashtbl.find_opt statics m with
-    | Some s -> s
-    | None ->
-        let s =
-          Option.map
-            (fun cfg ->
-              let a = Array.of_list (Cfg.real_blocks cfg) in
-              Array.stable_sort (fun x y -> compare x.Cfg.bb_off y.Cfg.bb_off) a;
-              a)
-            (cfg_of m)
-        in
-        Hashtbl.add statics m s;
-        s
-  in
   List.iter
-    (fun b ->
-      match statics_of b.b_module with
-      | None -> add out b
-      | Some sbs ->
-          (* binary search: the first static block at or after [b_off] *)
-          let lo = ref 0 and hi = ref (Array.length sbs) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if sbs.(mid).Cfg.bb_off < b.b_off then lo := mid + 1 else hi := mid
+    (fun (m, tbl) ->
+      match cfg_of m with
+      | None -> Itbl.fold (fun off size () -> add out { b_module = m; b_off = off; b_size = size }) tbl ()
+      | Some cfg ->
+          (* the module's real static blocks sorted by offset (a
+             recovered CFG lists them sorted already) *)
+          let sbs = Array.of_list (Cfg.real_blocks cfg) in
+          let in_order = ref true in
+          for i = 1 to Array.length sbs - 1 do
+            if sbs.(i - 1).Cfg.bb_off > sbs.(i).Cfg.bb_off then in_order := false
           done;
-          let i = ref !lo in
-          while !i < Array.length sbs && sbs.(!i).Cfg.bb_off < b.b_off + b.b_size do
-            let sb = sbs.(!i) in
-            add out { b_module = b.b_module; b_off = sb.Cfg.bb_off; b_size = sb.Cfg.bb_size };
-            incr i
-          done)
-    (blocks t);
+          if not !in_order then Array.stable_sort (fun x y -> Int.compare x.Cfg.bb_off y.Cfg.bb_off) sbs;
+          Array.iter
+            (fun (off, size) ->
+              (* binary search: the first static block at or after [off] *)
+              let lo = ref 0 and hi = ref (Array.length sbs) in
+              while !lo < !hi do
+                let mid = (!lo + !hi) / 2 in
+                if sbs.(mid).Cfg.bb_off < off then lo := mid + 1 else hi := mid
+              done;
+              let i = ref !lo in
+              while !i < Array.length sbs && sbs.(!i).Cfg.bb_off < off + size do
+                let sb = sbs.(!i) in
+                add out { b_module = m; b_off = sb.Cfg.bb_off; b_size = sb.Cfg.bb_size };
+                incr i
+              done)
+            (sorted tbl))
+    (by_name t);
   out

@@ -28,8 +28,6 @@ val cardinal : t -> int
 val blocks : t -> block list
 (** All blocks, sorted by (module, offset). *)
 
-val covered_bytes : t -> int
-
 val of_log : Drcov.log -> t
 val of_logs : Drcov.log list -> t
 

@@ -68,18 +68,50 @@ type slice_report = {
     fall-through runs, so one span can blanket several static CFG
     blocks. This refines the coverage diff: a block can be covered by
     wanted requests yet contribute to no wanted output. *)
+(* One module's slice spans, sorted by start, with the running maximum
+   of their ends: a byte range [lo, hi) overlaps some span iff, among the
+   spans starting below [hi], the furthest end lies past [lo]. *)
+type spans = { starts : int array; max_end : int array }
+
+let spans_of (l : (int * int) list) =
+  let a = Array.of_list l in
+  Array.sort (fun (x, _) (y, _) -> Int.compare x y) a;
+  let max_end = Array.make (Array.length a) min_int in
+  Array.iteri
+    (fun i (off, len) -> max_end.(i) <- max (off + len) (if i = 0 then min_int else max_end.(i - 1)))
+    a;
+  { starts = Array.map fst a; max_end }
+
+let overlaps sp ~lo ~hi =
+  (* [n]: how many spans start below [hi] *)
+  let l = ref 0 and h = ref (Array.length sp.starts) in
+  while !l < !h do
+    let mid = (!l + !h) / 2 in
+    if sp.starts.(mid) < hi then l := mid + 1 else h := mid
+  done;
+  !l > 0 && sp.max_end.(!l - 1) > lo
+
 let sliced_away ?(keep_module = fun m -> not (Covgraph.is_shared_library m))
     ?(cfg_of = no_cfg) ~(covered : Drcov.log list)
     ~(in_slice : (string * int * int) list) () : slice_report =
   let g = Covgraph.normalize ~cfg_of (Covgraph.of_logs covered) in
   let blocks = Covgraph.filter_modules keep_module (Covgraph.blocks g) in
+  let spans =
+    List.map
+      (fun m ->
+        ( m,
+          spans_of
+            (List.filter_map
+               (fun (m', off, len) -> if String.equal m m' then Some (off, len) else None)
+               in_slice) ))
+      (List.sort_uniq String.compare (List.map (fun (m, _, _) -> m) in_slice))
+  in
   let hit (b : Covgraph.block) =
     List.exists
-      (fun (m, off, len) ->
-        m = b.Covgraph.b_module
-        && off < b.Covgraph.b_off + b.Covgraph.b_size
-        && b.Covgraph.b_off < off + len)
-      in_slice
+      (fun (m, sp) ->
+        String.equal m b.Covgraph.b_module
+        && overlaps sp ~lo:b.Covgraph.b_off ~hi:(b.Covgraph.b_off + b.Covgraph.b_size))
+      spans
   in
   {
     sliced = List.filter (fun b -> not (hit b)) blocks;

@@ -44,9 +44,9 @@ let blocks_of_section ~extra_leaders (sec : Self.section) :
   let data = sec.sec_data in
   let size = Bytes.length data and base = sec.sec_off in
   (* pass 1: decode linearly up to the first undecodable byte; note each
-     instruction's length and terminator code (packed as [len lor (code
-     lsl 4)], in order), the leader bitmap and the edges *)
-  let insns = Array.make size 0 in
+     instruction's length and terminator code (packed in one byte as
+     [len lor (code lsl 4)], in order), the leader bitmap and the edges *)
+  let insns = Bytes.create size in
   let n = ref 0 in
   let leader = Bytes.make size '\000' in
   let mark o = if o >= 0 && o < size then Bytes.unsafe_set leader o '\001' in
@@ -74,7 +74,7 @@ let blocks_of_section ~extra_leaders (sec : Self.section) :
        | Insn.Call_r _ | Insn.Jmp_r _ | Insn.Ret | Insn.Syscall | Insn.Int3 | Insn.Hlt ->
            mark next
        | _ -> ());
-       insns.(!n) <- len lor (term_code insn lsl 4);
+       Bytes.unsafe_set insns !n (Char.unsafe_chr (len lor (term_code insn lsl 4)));
        incr n;
        pos := next
      done
@@ -101,7 +101,7 @@ let blocks_of_section ~extra_leaders (sec : Self.section) :
       start := off
     end;
     incr count;
-    let v = insns.(k) in
+    let v = Char.code (Bytes.unsafe_get insns k) in
     pos := off + (v land 15);
     if v lsr 4 <> 0 then close !pos terms.(v lsr 4)
   done;

@@ -36,7 +36,7 @@ let rkv_paged : Workload.app =
       lazy
         (( "rkv",
            Self.to_bytes
-             (Crt0.link_app ~func_align:4096 ~libc:(Lazy.force Workload.libc) (Rkv.unit_rkv ())) )
+             (Crt0.link_app ~func_align:4096 ~libc:(Lazy.force Libc.shared) (Rkv.unit_rkv ())) )
         :: Rkv.files);
   }
 

@@ -106,6 +106,10 @@ let build ~libc () : Self.t =
   let obj = Asm.assemble ~name:"dynacut_handler" items in
   Link.link_shared ~name:"dynacut_handler.so" ~libs:[ libc ] obj
 
+(* Injection reads the library and copies what it patches, so one linked
+   copy serves every session. *)
+let shared = lazy (build ~libc:(Lazy.force Libc.shared) ())
+
 (* --- symbol names the DynaCut injector patches --- *)
 
 let sym_handler = "dc_handler"

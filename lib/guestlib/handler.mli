@@ -20,6 +20,10 @@ val build : libc:Self.t -> unit -> Self.t
     calls go through its own PLT/GOT — why injection re-runs PLT
     relocations, §3.3). *)
 
+val shared : Self.t Lazy.t
+(** [build] against {!Libc.shared}, linked once per process. Injection
+    never mutates the library, so every session may share it. *)
+
 (** {2 Symbol names the injector patches} *)
 
 val sym_handler : string

@@ -203,3 +203,9 @@ let build () : Self.t =
   let items = Compile.compile_unit (minic ()) @ (Asm.Section ".text" :: syscall_wrappers ()) in
   let obj = Asm.assemble ~name:"libc" items in
   Link.link_shared ~name:"libc.so" obj
+
+(** [libc.so] built once per process, and its serialized image: the
+    file every workload machine's filesystem holds. *)
+let shared = lazy (build ())
+
+let shared_so = lazy (Self.to_bytes (Lazy.force shared))

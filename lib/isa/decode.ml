@@ -17,28 +17,26 @@ type fetch = int -> int
 
 let sx32 v = if v land 0x8000_0000 <> 0 then v - (1 lsl 32) else v
 
+(** The longest encoding ([Mov_ri]), in bytes. *)
+let max_insn_len = 10
+
+(* Operand readers, top-level so that a decode allocates no closures:
+   only the instruction and its result pair. *)
+let reg (fetch : fetch) i = Reg.of_int (fetch i land 0x0f)
+let hi_reg b = Reg.of_int ((b lsr 4) land 0x0f)
+let lo_reg b = Reg.of_int (b land 0x0f)
+
+let i32 (fetch : fetch) i =
+  let b0 = fetch i and b1 = fetch (i + 1) and b2 = fetch (i + 2) and b3 = fetch (i + 3) in
+  sx32 (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))
+
+let i64 fetch i =
+  let lo = Int64.logand (Int64.of_int (i32 fetch i land 0xffff_ffff)) 0xffff_ffffL in
+  let hi = Int64.logand (Int64.of_int (i32 fetch (i + 4) land 0xffff_ffff)) 0xffff_ffffL in
+  Int64.logor lo (Int64.shift_left hi 32)
+
 let decode (fetch : fetch) : Insn.t * int =
-  let u8 i = fetch i in
-  let reg i = Reg.of_int (fetch i land 0x0f) in
-  let regpair i =
-    let b = fetch i in
-    (Reg.of_int ((b lsr 4) land 0x0f), Reg.of_int (b land 0x0f))
-  in
-  let i32 i =
-    let b0 = fetch i
-    and b1 = fetch (i + 1)
-    and b2 = fetch (i + 2)
-    and b3 = fetch (i + 3) in
-    sx32 (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))
-  in
-  let i64 i =
-    let lo = Int64.of_int (i32 i land 0xffff_ffff) in
-    let lo = Int64.logand lo 0xffff_ffffL in
-    let hi = Int64.of_int (i32 (i + 4) land 0xffff_ffff) in
-    let hi = Int64.logand hi 0xffff_ffffL in
-    Int64.logor lo (Int64.shift_left hi 32)
-  in
-  let op = u8 0 in
+  let op = fetch 0 in
   let open Insn in
   match op with
   | 0x90 -> (Nop, 1)
@@ -47,68 +45,68 @@ let decode (fetch : fetch) : Insn.t * int =
   | 0xC3 -> (Ret, 1)
   | 0x40 -> (Syscall, 1)
   | 0x01 ->
-      let d, s = regpair 1 in
-      (Mov_rr (d, s), 2)
-  | 0x02 -> (Mov_ri (reg 1, i64 2), 10)
-  | 0x03 -> (Load (reg 1, reg 2, i32 3), 7)
-  | 0x04 -> (Store (reg 1, i32 3, reg 2), 7)
-  | 0x05 -> (Load8 (reg 1, reg 2, i32 3), 7)
-  | 0x06 -> (Store8 (reg 1, i32 3, reg 2), 7)
+      let b = fetch 1 in
+      (Mov_rr (hi_reg b, lo_reg b), 2)
+  | 0x02 -> (Mov_ri (reg fetch 1, i64 fetch 2), 10)
+  | 0x03 -> (Load (reg fetch 1, reg fetch 2, i32 fetch 3), 7)
+  | 0x04 -> (Store (reg fetch 1, i32 fetch 3, reg fetch 2), 7)
+  | 0x05 -> (Load8 (reg fetch 1, reg fetch 2, i32 fetch 3), 7)
+  | 0x06 -> (Store8 (reg fetch 1, i32 fetch 3, reg fetch 2), 7)
   | 0x10 ->
-      let d, s = regpair 1 in
-      (Add_rr (d, s), 2)
-  | 0x11 -> (Add_ri (reg 1, i32 2), 6)
+      let b = fetch 1 in
+      (Add_rr (hi_reg b, lo_reg b), 2)
+  | 0x11 -> (Add_ri (reg fetch 1, i32 fetch 2), 6)
   | 0x12 ->
-      let d, s = regpair 1 in
-      (Sub_rr (d, s), 2)
-  | 0x13 -> (Sub_ri (reg 1, i32 2), 6)
+      let b = fetch 1 in
+      (Sub_rr (hi_reg b, lo_reg b), 2)
+  | 0x13 -> (Sub_ri (reg fetch 1, i32 fetch 2), 6)
   | 0x14 ->
-      let d, s = regpair 1 in
-      (Imul_rr (d, s), 2)
+      let b = fetch 1 in
+      (Imul_rr (hi_reg b, lo_reg b), 2)
   | 0x15 ->
-      let d, s = regpair 1 in
-      (Idiv_rr (d, s), 2)
+      let b = fetch 1 in
+      (Idiv_rr (hi_reg b, lo_reg b), 2)
   | 0x16 ->
-      let d, s = regpair 1 in
-      (Imod_rr (d, s), 2)
+      let b = fetch 1 in
+      (Imod_rr (hi_reg b, lo_reg b), 2)
   | 0x17 ->
-      let d, s = regpair 1 in
-      (And_rr (d, s), 2)
+      let b = fetch 1 in
+      (And_rr (hi_reg b, lo_reg b), 2)
   | 0x18 ->
-      let d, s = regpair 1 in
-      (Or_rr (d, s), 2)
+      let b = fetch 1 in
+      (Or_rr (hi_reg b, lo_reg b), 2)
   | 0x19 ->
-      let d, s = regpair 1 in
-      (Xor_rr (d, s), 2)
-  | 0x1A -> (Shl_ri (reg 1, u8 2 land 63), 3)
-  | 0x1B -> (Shr_ri (reg 1, u8 2 land 63), 3)
-  | 0x1C -> (Sar_ri (reg 1, u8 2 land 63), 3)
+      let b = fetch 1 in
+      (Xor_rr (hi_reg b, lo_reg b), 2)
+  | 0x1A -> (Shl_ri (reg fetch 1, fetch 2 land 63), 3)
+  | 0x1B -> (Shr_ri (reg fetch 1, fetch 2 land 63), 3)
+  | 0x1C -> (Sar_ri (reg fetch 1, fetch 2 land 63), 3)
   | 0x1D ->
-      let d, s = regpair 1 in
-      (Shl_rr (d, s), 2)
+      let b = fetch 1 in
+      (Shl_rr (hi_reg b, lo_reg b), 2)
   | 0x1E ->
-      let d, s = regpair 1 in
-      (Shr_rr (d, s), 2)
-  | 0x1F -> (Neg (reg 1), 2)
-  | 0x20 -> (Not (reg 1), 2)
+      let b = fetch 1 in
+      (Shr_rr (hi_reg b, lo_reg b), 2)
+  | 0x1F -> (Neg (reg fetch 1), 2)
+  | 0x20 -> (Not (reg fetch 1), 2)
   | 0x21 ->
-      let a, b = regpair 1 in
-      (Cmp_rr (a, b), 2)
-  | 0x22 -> (Cmp_ri (reg 1, i32 2), 6)
+      let b = fetch 1 in
+      (Cmp_rr (hi_reg b, lo_reg b), 2)
+  | 0x22 -> (Cmp_ri (reg fetch 1, i32 fetch 2), 6)
   | 0x23 ->
-      let a, b = regpair 1 in
-      (Test_rr (a, b), 2)
-  | 0x30 -> (Jmp (i32 1), 5)
+      let b = fetch 1 in
+      (Test_rr (hi_reg b, lo_reg b), 2)
+  | 0x30 -> (Jmp (i32 fetch 1), 5)
   | 0x31 ->
-      let c = u8 1 in
+      let c = fetch 1 in
       if c > 9 then raise (Invalid_opcode op)
-      else (Jcc (cond_of_int c, i32 2), 6)
-  | 0x32 -> (Call (i32 1), 5)
-  | 0x33 -> (Call_r (reg 1), 2)
-  | 0x34 -> (Jmp_r (reg 1), 2)
-  | 0x36 -> (Push (reg 1), 2)
-  | 0x37 -> (Pop (reg 1), 2)
-  | 0x41 -> (Lea (reg 1, i32 2), 6)
+      else (Jcc (cond_of_int c, i32 fetch 2), 6)
+  | 0x32 -> (Call (i32 fetch 1), 5)
+  | 0x33 -> (Call_r (reg fetch 1), 2)
+  | 0x34 -> (Jmp_r (reg fetch 1), 2)
+  | 0x36 -> (Push (reg fetch 1), 2)
+  | 0x37 -> (Pop (reg fetch 1), 2)
+  | 0x41 -> (Lea (reg fetch 1, i32 fetch 2), 6)
   | op -> raise (Invalid_opcode op)
 
 (** Decode a single instruction out of [buf] at [pos]. *)

@@ -8,7 +8,22 @@
     direct linking: eviction cannot chase every inbound link, so a linked
     transition re-validates its target with one boolean load instead. *)
 
-type slot = { s_insn : Insn.t; s_len : int  (** encoded byte length *) }
+type slot = {
+  s_insn : Insn.t;
+  s_len : int;  (** encoded byte length *)
+  mutable s_fx : Defuse.effect option;
+      (** the instruction's def/use summary, filled by the first hooked
+          execution: an untraced run never computes it *)
+}
+
+(** The slot's def/use summary, computed once per decoded slot. *)
+let effect s =
+  match s.s_fx with
+  | Some e -> e
+  | None ->
+      let e = Defuse.effect s.s_insn in
+      s.s_fx <- Some e;
+      e
 
 type t = {
   b_start : int64;  (** entry vaddr *)
@@ -39,7 +54,12 @@ let decode (mem : Mem.t) (start : int64) : t option =
   let valid = ref true in
   while not !stop do
     match
-      Decode.decode (fun i -> Mem.fetch8 mem (Int64.add !pos (Int64.of_int i)))
+      (* an instruction that cannot cross the page end decodes straight
+         from the page's bytes: one page lookup instead of one per byte *)
+      let off = Int64.to_int !pos land (Mem.page_size - 1) in
+      if off <= Mem.page_size - Decode.max_insn_len then
+        Decode.decode_at (Mem.exec_page mem !pos).Mem.pg_data off
+      else Decode.decode (fun i -> Mem.fetch8 mem (Int64.add !pos (Int64.of_int i)))
     with
     | exception Mem.Fault (_, _) ->
         if !nslots = 0 then valid := false;
@@ -51,7 +71,7 @@ let decode (mem : Mem.t) (start : int64) : t option =
         if !nslots = 0 then valid := false;
         stop := true
     | insn, len ->
-        slots := { s_insn = insn; s_len = len } :: !slots;
+        slots := { s_insn = insn; s_len = len; s_fx = None } :: !slots;
         incr nslots;
         pos := Int64.add !pos (Int64.of_int len);
         if Insn.is_block_end insn || !nslots >= max_slots then stop := true

@@ -1,7 +1,16 @@
 (** A decoded basic block — the cache unit: instructions pre-decoded once
     from the entry point through the first block-ending instruction. *)
 
-type slot = { s_insn : Insn.t; s_len : int  (** encoded byte length *) }
+type slot = {
+  s_insn : Insn.t;
+  s_len : int;  (** encoded byte length *)
+  mutable s_fx : Defuse.effect option;  (** see {!effect} *)
+}
+
+val effect : slot -> Defuse.effect
+(** The slot's def/use summary: computed by the first call and kept in
+    the slot, so a hooked run derives it once per decoded slot and an
+    untraced run never. *)
 
 type t = {
   b_start : int64;  (** entry vaddr *)
@@ -12,9 +21,6 @@ type t = {
   mutable b_s1 : t option;  (** direct-linked successors, most recent *)
   mutable b_s2 : t option;  (** first, and one victim slot *)
 }
-
-val max_slots : int
-(** Block length cap (bounds decode latency; ≤ 2 pages spanned). *)
 
 val decode : Mem.t -> int64 -> t option
 (** Decode the dynamic basic block entered at the address. [None] when

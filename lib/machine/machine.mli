@@ -21,12 +21,13 @@ type exit_hook = Proc.t -> unit
 (** Fires exactly once when a process dies (exit syscall, fatal signal,
     double fault) — the supervisor's crash-loop detector. *)
 
-type insn_hook = Proc.t -> Insn.t -> unit
+type insn_hook = Proc.t -> Insn.t -> Defuse.effect -> unit
 (** Fires before every decoded instruction executes, with registers
     still holding pre-execution values (effective addresses of its
-    memory operands can be recomputed) — the dataflow slicer's input.
-    Cached and interpreted steps call it alike. Int3 traps take the
-    trap path and bypass it. *)
+    memory operands can be recomputed) and the instruction's def/use
+    summary — the dataflow slicer's input. A cached slot computes its
+    summary once, at its first hooked execution. Cached and interpreted
+    steps call it alike. Int3 traps take the trap path and bypass it. *)
 
 type sched = Cpu.sched
 (** The scheduler's spawn-ordered process table (see {!run}). *)
@@ -95,24 +96,6 @@ exception Seccomp_denied
 (** Internal marker for a filtered syscall (delivered as SIGSYS). *)
 
 (** {2 Execution} *)
-
-val exec_decoded : t -> Proc.t -> Insn.t -> int -> bool
-(** Execute one already-decoded instruction (anything but [Int3], which
-    never enters the code cache) of byte length [len]; assumes the
-    process is runnable and its rip is the instruction's address.
-    Returns [true] iff it fell through (rip advanced by [len]) and left
-    the code after it unchanged; a taken branch, signal, fault, blocking
-    syscall or exit returns [false], and so does a store that dirtied an
-    executable page (rip advanced, but a decoded copy of the following
-    code may be stale). The
-    interpreter and the decoded-block cache both retire through here,
-    so the one-cycle charge, block bookkeeping, trace/insn hooks, [Obs]
-    counters and signal delivery are shared — cached runs are
-    replay-exact against interpreted ones, virtual clock included. Its
-    common path allocates only the boxed [int64] clock increment (three
-    words); the retired count is an [int] and the open block's start
-    lives in an unboxed cell, so opening and closing a block allocate
-    nothing unless a trace hook is installed. *)
 
 val run : t -> max_cycles:int -> [ `Budget | `Dead | `Idle ]
 (** Round-robin scheduling until the budget runs out ([`Budget]), every

@@ -258,6 +258,8 @@ let fetch8 t addr =
   let p = get_page t addr Exec in
   Char.code (Bytes.get p.pg_data (page_offset addr))
 
+let exec_page t addr = get_page t addr Exec
+
 let write8 t addr v =
   let p = get_page t addr Write in
   p.pg_gen <- p.pg_gen + 1;

@@ -85,6 +85,10 @@ val read8 : t -> int64 -> int
 val fetch8 : t -> int64 -> int
 (** Instruction fetch: requires execute permission. *)
 
+val exec_page : t -> int64 -> page
+(** The page holding the address, for instruction fetch: raises {!Fault}
+    as {!fetch8} does. *)
+
 val write8 : t -> int64 -> int -> unit
 val read64 : t -> int64 -> int64
 val write64 : t -> int64 -> int64 -> unit

@@ -30,17 +30,25 @@
 
 (* ---------- state ---------- *)
 
-type set = Depset.set
+(* A dependency set is held as its {!Depset} [sid], a plain [int]: the
+   per-process state is [int]s and [int] arrays, so storing a set is a
+   plain write with no GC barrier, and comparing two is one [int]
+   compare. *)
+type set = int
 
 type pstate = {
   regdep : set array;  (** 16 GPRs *)
   mutable flagdep : set;  (** zf/sf/cf/of as one pseudo-location *)
   mutable ctrl : set array;  (** control stack; index = call depth *)
   mutable depth : int;
-  mem : set Absmem.t;
+  mem : Absmem.t;  (** payloads are sets *)
   mutable cur : set;  (** {cur block} as a singleton (empty off-module) *)
   mutable cur_id : int;  (** dense id of [cur], or -1 off-module *)
-  mutable cur_vaddr : int64;  (** vaddr the current dynamic block began at *)
+  mutable cur_vaddr : int;  (** vaddr the current dynamic block began at *)
+  mutable base : set;
+      (** [cur ∪ ctrl_top], the part every def of the block carries:
+          only a block's last instruction changes control, so it is
+          computed once, at block entry *)
   mutable expect_new : bool;  (** next insn starts a new dynamic block *)
 }
 
@@ -70,7 +78,7 @@ type t = {
      static blocks by overlap rather than start-point membership *)
   mutable ext : int array;  (** by dense id, grown with [rev] *)
   ds : Depset.t;
-  empty : set;
+  union_f : set -> set -> set;  (** [union_in ds], built once for {!Absmem.fold} *)
   procs : (int, pstate) Hashtbl.t;
   (* the process the hook last traced and its state: skips the [traced]
      and [pstate_of] lookups while the same [Proc.t] keeps running *)
@@ -91,7 +99,14 @@ type t = {
   obs_anchors : Obs.counter;
 }
 
-let union t a b = Depset.union t.ds a b
+(* Most unions have an empty or equal operand; those are decided here,
+   before the call into {!Depset} and its memo. *)
+let[@inline] union_in ds a b =
+  if a = b || b = Depset.empty then a
+  else if a = Depset.empty then b
+  else Depset.union ds a b
+
+let[@inline] union t a b = union_in t.ds a b
 
 (* ---------- block identities ---------- *)
 
@@ -126,16 +141,17 @@ let intern_block t key : int =
 
 (* ---------- per-process state ---------- *)
 
-let fresh_pstate t : pstate =
+let fresh_pstate () : pstate =
   {
-    regdep = Array.make 16 t.empty;
-    flagdep = t.empty;
-    ctrl = Array.make 16 t.empty;
+    regdep = Array.make 16 Depset.empty;
+    flagdep = Depset.empty;
+    ctrl = Array.make 16 Depset.empty;
     depth = 0;
     mem = Absmem.create ();
-    cur = t.empty;
+    cur = Depset.empty;
     cur_id = -1;
-    cur_vaddr = 0L;
+    cur_vaddr = 0;
+    base = Depset.empty;
     expect_new = true;
   }
 
@@ -143,7 +159,7 @@ let pstate_of t (p : Proc.t) : pstate =
   match Hashtbl.find_opt t.procs p.Proc.pid with
   | Some st -> st
   | None ->
-      let st = fresh_pstate t in
+      let st = fresh_pstate () in
       Hashtbl.add t.procs p.Proc.pid st;
       st
 
@@ -164,10 +180,10 @@ let traced t (p : Proc.t) =
 
 let ctrl_top st = st.ctrl.(st.depth)
 
-let push_ctrl t st (s : set) =
+let push_ctrl st (s : set) =
   let d = st.depth + 1 in
   if d >= Array.length st.ctrl then begin
-    let bigger = Array.make (2 * Array.length st.ctrl) t.empty in
+    let bigger = Array.make (2 * Array.length st.ctrl) Depset.empty in
     Array.blit st.ctrl 0 bigger 0 (Array.length st.ctrl);
     st.ctrl <- bigger
   end;
@@ -185,18 +201,28 @@ let rec union_regs t regdep acc = function
   | [] -> acc
   | r :: rest -> union_regs t regdep (union t acc regdep.(Reg.to_int r)) rest
 
-let rec union_all t acc = function
-  | [] -> acc
-  | s :: rest -> union_all t (union t acc s) rest
+(* Memory is modelled at [int] addresses, where [Int64.to_int] is exact:
+   the low and the top 2^62 bytes of the address space, which hold
+   code, heap, stack, mmap and high-half pages. An access elsewhere is
+   not modelled: a load there reads nothing known and a store is
+   dropped, a gap in the slice like any untraced path, which the
+   verifier's counterexample loop repays. *)
+let[@inline] modelled (addr : int64) len =
+  let a = Int64.to_int addr in
+  Int64.equal (Int64.of_int a) addr && a <= max_int - len
 
-let ea regs (a : Defuse.access) =
-  Int64.add (Proc.get regs a.Defuse.a_base) (Int64.of_int a.Defuse.a_disp)
+let[@inline] ea file (a : Defuse.access) =
+  Int64.add (Proc.get64u file (Reg.to_int a.Defuse.a_base lsl 3)) (Int64.of_int a.Defuse.a_disp)
 
-let rec union_loads t mem regs acc = function
+let rec union_loads t mem file acc = function
   | [] -> acc
   | (a : Defuse.access) :: rest ->
-      let pays = Absmem.read mem ~addr:(ea regs a) ~len:a.Defuse.a_len in
-      union_loads t mem regs (union_all t acc pays) rest
+      let addr = ea file a and len = a.Defuse.a_len in
+      let acc =
+        if modelled addr len then Absmem.fold mem ~addr:(Int64.to_int addr) ~len t.union_f acc
+        else acc
+      in
+      union_loads t mem file acc rest
 
 let rec def_regs regdep u = function
   | [] -> ()
@@ -204,43 +230,44 @@ let rec def_regs regdep u = function
       regdep.(Reg.to_int r) <- u;
       def_regs regdep u rest
 
-let rec store_all mem regs u = function
+let rec store_all mem file u = function
   | [] -> ()
   | (a : Defuse.access) :: rest ->
-      Absmem.write mem ~addr:(ea regs a) ~len:a.Defuse.a_len u;
-      store_all mem regs u rest
+      let addr = ea file a and len = a.Defuse.a_len in
+      if modelled addr len then Absmem.write mem ~addr:(Int64.to_int addr) ~len u;
+      store_all mem file u rest
 
-let step t st (p : Proc.t) (insn : Insn.t) =
-  t.insns <- t.insns + 1;
-  let regs = p.Proc.regs in
-  if st.expect_new then begin
-    let key = locate_in (Proc.rip regs) 0 t.module_map in
-    if key >= 0 then begin
-      let id = intern_block t key in
-      st.cur <- Depset.singleton t.ds id;
-      st.cur_id <- id
-    end
-    else begin
-      st.cur <- t.empty (* anonymous memory; drcov skips it too *);
-      st.cur_id <- -1
-    end;
-    st.cur_vaddr <- Proc.rip regs;
-    st.expect_new <- false
+let enter_block t st rip =
+  let key = locate_in rip 0 t.module_map in
+  if key >= 0 then begin
+    let id = intern_block t key in
+    st.cur <- Depset.singleton t.ds id;
+    st.cur_id <- id
+  end
+  else begin
+    st.cur <- Depset.empty (* anonymous memory; drcov skips it too *);
+    st.cur_id <- -1
   end;
+  st.cur_vaddr <- Int64.to_int rip;
+  st.base <- union t st.cur (ctrl_top st);
+  st.expect_new <- false
+
+let step t st (p : Proc.t) (e : Defuse.effect) =
+  t.insns <- t.insns + 1;
+  let file = p.Proc.regs.Proc.file in
+  if st.expect_new then enter_block t st (Proc.get64u file Proc.rip_off);
   if st.cur_id >= 0 then begin
-    let rel = Int64.to_int (Int64.sub (Proc.rip regs) st.cur_vaddr) + 1 in
+    let rel = Int64.to_int (Proc.get64u file Proc.rip_off) - st.cur_vaddr + 1 in
     if rel > t.ext.(st.cur_id) then t.ext.(st.cur_id) <- rel
   end;
-  let e = Defuse.effect insn in
   (* the value every def carries: its data sources, the control
      context that let this instruction run, and the block computing it *)
-  let u = union t st.cur (ctrl_top st) in
-  let u = union_regs t st.regdep u e.Defuse.uses in
+  let u = union_regs t st.regdep st.base e.Defuse.uses in
   let u = if e.Defuse.uses_flags then union t u st.flagdep else u in
-  let u = union_loads t st.mem regs u e.Defuse.loads in
+  let u = union_loads t st.mem file u e.Defuse.loads in
   def_regs st.regdep u e.Defuse.defs;
   if e.Defuse.defs_flags then st.flagdep <- u;
-  store_all st.mem regs u e.Defuse.stores;
+  store_all st.mem file u e.Defuse.stores;
   (match e.Defuse.control with
   | Defuse.Straight | Defuse.Jump | Defuse.Stop | Defuse.Sys -> ()
   | Defuse.Cond_jump ->
@@ -251,22 +278,23 @@ let step t st (p : Proc.t) (insn : Insn.t) =
   | Defuse.Indirect_jump r ->
       st.ctrl.(st.depth) <-
         union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur)
-  | Defuse.Call_push -> push_ctrl t st (union t (ctrl_top st) st.cur)
+  | Defuse.Call_push -> push_ctrl st (union t (ctrl_top st) st.cur)
   | Defuse.Indirect_call r ->
-      push_ctrl t st
+      push_ctrl st
         (union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur))
   | Defuse.Return -> st.depth <- max 0 (st.depth - 1));
-  if Insn.is_block_end insn then st.expect_new <- true
+  (* every control class but [Straight] ends the dynamic block *)
+  match e.Defuse.control with Defuse.Straight -> () | _ -> st.expect_new <- true
 
-let on_insn t (p : Proc.t) (insn : Insn.t) =
+let on_insn t (p : Proc.t) (e : Defuse.effect) =
   if t.tracing then
     match t.last with
-    | Some (q, st) when q == p -> step t st p insn
+    | Some (q, st) when q == p -> step t st p e
     | _ ->
         if traced t p then begin
           let st = pstate_of t p in
           t.last <- Some (p, st);
-          step t st p insn
+          step t st p e
         end
 
 (* ---------- the syscall hook: anchors + input modelling ---------- *)
@@ -276,7 +304,9 @@ let anchor_regs = [ Reg.Rdi; Reg.Rsi; Reg.Rdx ]
 let anchor t (st : pstate) ~(buf : int64) ~(len : int) =
   let d = union_regs t st.regdep (union t st.cur (ctrl_top st)) anchor_regs in
   let d =
-    if len > 0 then union_all t d (Absmem.read st.mem ~addr:buf ~len) else d
+    if len > 0 && modelled buf len then
+      Absmem.fold st.mem ~addr:(Int64.to_int buf) ~len t.union_f d
+    else d
   in
   t.slice_deps <- union t t.slice_deps d;
   t.anchors <- t.anchors + 1;
@@ -304,9 +334,9 @@ let on_syscall t (p : Proc.t) (nr : int) =
        match Hashtbl.find_opt t.procs p.Proc.pid with
        | Some st ->
            for i = 0 to st.depth do
-             st.ctrl.(i) <- t.empty
+             st.ctrl.(i) <- Depset.empty
            done;
-           st.flagdep <- t.empty
+           st.flagdep <- Depset.empty
        | None -> ());
     if t.tracing then begin
       let st = pstate_of t p in
@@ -332,8 +362,8 @@ let on_syscall t (p : Proc.t) (nr : int) =
         (* bytes arriving from outside the program: defined here, by
            the receiving block in its control context *)
         let len = min (max 0 (Int64.to_int a3)) buf_cap in
-        if len > 0 then
-          Absmem.write st.mem ~addr:a2 ~len (union t st.cur (ctrl_top st))
+        if len > 0 && modelled a2 len then
+          Absmem.write st.mem ~addr:(Int64.to_int a2) ~len (union t st.cur (ctrl_top st))
       end
     end
   end
@@ -350,7 +380,6 @@ let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
   Fault.site "slice.trace";
   let p = Machine.proc_exn machine pid in
   let ds = Depset.create () in
-  let empty = Depset.empty ds in
   let t =
     {
       machine;
@@ -361,11 +390,11 @@ let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
       nblocks = 0;
       ext = Array.make 256 0;
       ds;
-      empty;
+      union_f = union_in ds;
       procs = Hashtbl.create 4;
       last = None;
       wanted_out;
-      slice_deps = empty;
+      slice_deps = Depset.empty;
       anchors = 0;
       insns = 0;
       counterexamples = [];
@@ -380,9 +409,12 @@ let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
   Hashtbl.replace t.roots pid ();
   machine.Machine.on_insn <-
     Some
-      (fun p insn ->
-        (match t.prev_insn with Some h -> h p insn | None -> ());
-        on_insn t p insn);
+      (match t.prev_insn with
+      | None -> fun p _ e -> on_insn t p e
+      | Some h ->
+          fun p insn e ->
+            h p insn e;
+            on_insn t p e);
   machine.Machine.on_syscall <-
     Some
       (fun p nr ->
@@ -426,7 +458,7 @@ let slice t : (string * int * int) list =
     let key = t.rev.(id) in
     (name (key lsr 32), key land 0xffff_ffff, t.ext.(id))
   in
-  let from_deps = List.map of_id (Depset.elements t.slice_deps) in
+  let from_deps = List.map of_id (Depset.elements t.ds t.slice_deps) in
   List.fold_left
     (fun acc (m, off) ->
       if List.exists (fun (m', o', _) -> m' = m && o' = off) acc then acc

@@ -13,6 +13,9 @@
 type t = {
   machine : Machine.t;
   roots : (int, unit) Hashtbl.t;  (** traced pids (incl. discovered children) *)
+  mutable last : Proc.t option;
+      (** the process the hook last found traced: while it keeps running,
+          its blocks skip the [roots] lookups *)
   mutable module_map : (string * int64 * int64) list;  (** name, base, end *)
   seen : int Itbl.t;  (** [key] (mod, off, size) -> seq *)
   mutable seq : int;
@@ -58,45 +61,52 @@ let modules_of_proc (p : Proc.t) : (string * int64 * int64) list =
   Hashtbl.fold (fun name (lo, hi) acc -> (name, lo, hi) :: acc) tbl []
   |> List.sort compare
 
-let locate t (addr : int64) =
-  let rec go i = function
-    | [] -> None
-    | (_, base, end_) :: _ when addr >= base && addr < end_ ->
-        Some (i, Int64.to_int (Int64.sub addr base))
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 t.module_map
+(* the block's [key], or -1 outside every module *)
+let rec locate_in (addr : int64) size i = function
+  | [] -> -1
+  | (_, base, end_) :: _ when addr >= base && addr < end_ ->
+      key i (Int64.to_int (Int64.sub addr base)) size
+  | _ :: rest -> locate_in addr size (i + 1) rest
+
+let traced t (p : Proc.t) =
+  match t.last with
+  | Some q when q == p -> true
+  | _ ->
+      let traced =
+        Hashtbl.mem t.roots p.Proc.pid
+        ||
+        (* follow forks: trace children of traced processes *)
+        if Hashtbl.mem t.roots p.Proc.parent then begin
+          Hashtbl.replace t.roots p.Proc.pid ();
+          (* the child may share module layout; merge any new modules *)
+          List.iter
+            (fun (n, lo, hi) ->
+              if not (List.exists (fun (n', _, _) -> n' = n) t.module_map) then
+                t.module_map <- t.module_map @ [ (n, lo, hi) ])
+            (modules_of_proc p);
+          true
+        end
+        else false
+      in
+      if traced then t.last <- Some p;
+      traced
 
 let on_block t (p : Proc.t) (start : int64) (size : int) =
-  let traced =
-    Hashtbl.mem t.roots p.Proc.pid
-    ||
-    (* follow forks: trace children of traced processes *)
-    if Hashtbl.mem t.roots p.Proc.parent then begin
-      Hashtbl.replace t.roots p.Proc.pid ();
-      (* the child may share module layout; merge any new modules *)
-      List.iter
-        (fun (n, lo, hi) ->
-          if not (List.exists (fun (n', _, _) -> n' = n) t.module_map) then
-            t.module_map <- t.module_map @ [ (n, lo, hi) ])
-        (modules_of_proc p);
-      true
-    end
-    else false
-  in
-  if traced then
-    match locate t start with
-    | None -> () (* anonymous memory (JIT/stack) — drcov skips those too *)
-    | Some (mid, off) ->
-        let key = key mid off size in
-        if not (Itbl.mem t.seen key) then begin
-          Itbl.add t.seen key t.seq;
-          t.seq <- t.seq + 1
-        end;
-        if t.win_period <> None && not (Itbl.mem t.win_seen key) then begin
+  if traced t p then begin
+    (* anonymous memory (JIT/stack) has no key — drcov skips it too *)
+    let key = locate_in start size 0 t.module_map in
+    if key >= 0 then begin
+      if not (Itbl.mem t.seen key) then begin
+        Itbl.add t.seen key t.seq;
+        t.seq <- t.seq + 1
+      end;
+      match t.win_period with
+      | Some _ when not (Itbl.mem t.win_seen key) ->
           Itbl.add t.win_seen key t.win_seq;
           t.win_seq <- t.win_seq + 1
-        end
+      | _ -> ()
+    end
+  end
 
 (** Start tracing [pid] (and its future children) on [machine]. *)
 let attach (machine : Machine.t) ~pid : t =
@@ -105,6 +115,7 @@ let attach (machine : Machine.t) ~pid : t =
     {
       machine;
       roots = Hashtbl.create 4;
+      last = None;
       module_map = modules_of_proc p;
       seen = Itbl.create 1024;
       seq = 0;

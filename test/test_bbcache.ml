@@ -377,7 +377,7 @@ type outcome = {
       (** what a recording [on_insn] hook saw, in order; empty unhooked *)
 }
 
-let run_prog ?(hooked = false) ~reference p =
+let run_prog ?(hooked = false) ?(summary = fun _ _ _ -> ()) ~reference p =
   Obs.reset ();
   Fault.reset ();
   let m = Machine.create () in
@@ -386,7 +386,8 @@ let run_prog ?(hooked = false) ~reference p =
   if hooked then
     m.Machine.on_insn <-
       Some
-        (fun q insn ->
+        (fun q insn e ->
+          summary q insn e;
           insns := (q.Proc.pid, Proc.rip q.Proc.regs, insn) :: !insns);
   let a_code, b_code = lower_prog p in
   let mem = Mem.create () in
@@ -462,6 +463,36 @@ let test_generator_census () =
     (fun i ->
       Alcotest.(check bool) (Insn.to_string i ^ " generated") true (Hashtbl.mem used (opcode i)))
     Defuse.all_constructors
+
+(* The summary a hooked slot hands the [on_insn] hook is [Defuse.effect]
+   of its instruction, for every constructor the generator lowers (all
+   but [Int3], which traps before any hook), and a cached slot computes
+   it once: a slot that runs again hands over the same record. *)
+let test_slot_summaries () =
+  let opcode i = Bytes.get (Encode.program [ i ]) 0 in
+  let seen = Hashtbl.create 64 in
+  let last = Hashtbl.create 1024 in
+  let shared = ref 0 in
+  let summary (q : Proc.t) insn e =
+    if e <> Defuse.effect insn then
+      Alcotest.failf "%s: summary differs from Defuse.effect" (Insn.to_string insn);
+    Hashtbl.replace seen (opcode insn) ();
+    let key = (q.Proc.pid, Proc.rip q.Proc.regs) in
+    (match Hashtbl.find_opt last key with
+    | Some (i, e') when i = insn && e' == e -> incr shared
+    | _ -> ());
+    Hashtbl.replace last key (insn, e)
+  in
+  QCheck.Gen.generate ~rand:(Random.State.make [| 1 |]) ~n:100 gen_prog
+  |> List.iter (fun p ->
+         if size (snd (lower_prog p)) <= 2 * Mem.page_size then
+           ignore (run_prog ~hooked:true ~summary ~reference:false p : outcome));
+  List.iter
+    (fun i ->
+      if i <> Insn.Int3 then
+        Alcotest.(check bool) (Insn.to_string i ^ " summarized") true (Hashtbl.mem seen (opcode i)))
+    Defuse.all_constructors;
+  Alcotest.(check bool) "re-run slots share their summary" true (!shared > 0)
 
 (* A store into the executing block is seen at the next instruction: the
    cached block's stale copy of the mov must not run. *)
@@ -765,4 +796,5 @@ let suite =
       test_cached_dump_deterministic;
     Alcotest.test_case "dropped machine is collected" `Quick
       test_dropped_machine_collected;
+    Alcotest.test_case "slot summaries = Defuse.effect" `Quick test_slot_summaries;
   ]

@@ -314,6 +314,46 @@ let test_pltlive_classification () =
   Alcotest.(check bool) "accept executed" true (find "accept").Pltlive.pe_executed;
   Alcotest.(check bool) "send survives" true (Pltlive.survives r "send")
 
+(* ---------- sliced_away: span matching vs a linear scan ---------- *)
+
+(* covered blocks over two modules and slice spans of any length, some
+   naming a module nothing covers: a block is sliced away iff no span of
+   its module overlaps its bytes *)
+let prop_sliced_away_matches_scan =
+  let open QCheck.Gen in
+  let modules = [ "app"; "lib.so"; "gone" ] in
+  let gen =
+    pair
+      (list_size (int_range 0 60) (triple (int_range 0 1) (int_range 0 400) (int_range 1 40)))
+      (list_size (int_range 0 40) (triple (oneofl modules) (int_range 0 420) (int_range 1 60)))
+  in
+  QCheck.Test.make ~name:"sliced_away matches a linear span scan" ~count:300 (QCheck.make gen)
+    (fun (bbs, in_slice) ->
+      let log =
+        {
+          Drcov.modules =
+            List.mapi
+              (fun i n -> { Drcov.mi_id = i; mi_name = n; mi_base = 0L; mi_end = 0x1000L })
+              [ "app"; "lib.so" ];
+          bbs =
+            List.mapi
+              (fun seq (m, off, size) ->
+                { Drcov.bb_mod = m; bb_off = off; bb_size = size; bb_seq = seq })
+              bbs;
+        }
+      in
+      let r = Tracediff.sliced_away ~keep_module:(fun _ -> true) ~covered:[ log ] ~in_slice () in
+      let hit (b : Covgraph.block) =
+        List.exists
+          (fun (m, off, len) ->
+            m = b.Covgraph.b_module
+            && off < b.Covgraph.b_off + b.Covgraph.b_size
+            && b.Covgraph.b_off < off + len)
+          in_slice
+      in
+      r.Tracediff.sliced
+      = List.filter (fun b -> not (hit b)) (Covgraph.blocks (Covgraph.of_log log)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_diff_soundness;
@@ -336,4 +376,5 @@ let suite =
     Alcotest.test_case "gadget scan of wiped region" `Quick test_gadget_scan_trap_region;
     Alcotest.test_case "gadget suffixes counted" `Quick test_gadget_scan_counts_ret_suffixes;
     Alcotest.test_case "PLT liveness classification" `Quick test_pltlive_classification;
+    QCheck_alcotest.to_alcotest prop_sliced_away_matches_scan;
   ]

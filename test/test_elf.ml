@@ -269,7 +269,7 @@ let cfg_pin (self : Self.t) =
    come out sorted, and the binary searches agree with a linear scan at
    each block's first, middle and last byte and just past its end. *)
 let test_cfg_pinned () =
-  let libc = Lazy.force Workload.libc in
+  let libc = Lazy.force Libc.shared in
   let selfs = libc :: Handler.build ~libc () :: List.map Common.app_exe Workload.all_apps in
   List.iter2
     (fun self ((name, _, _, _, _) as want) ->
@@ -300,7 +300,7 @@ let test_cfg_pinned () =
 (* Every shipped app, the page-per-function rkv included, with a fresh
    link of a freshly built AST. *)
 let fresh_links () =
-  let libc = Lazy.force Workload.libc in
+  let libc = Lazy.force Libc.shared in
   let link ?func_align unit_ () = Crt0.link_app ?func_align ~libc (unit_ ()) in
   [
     (Workload.ltpd, link Ltpd.unit_ltpd);
