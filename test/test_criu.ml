@@ -128,6 +128,39 @@ let test_tcp_repair_mid_request () =
   let (_ : _) = Machine.run m ~max_cycles:2_000_000 in
   Alcotest.(check string) "served across restore" "pong1" (Net.client_recv c)
 
+(* Restoring an image older than a close. The kernel forgot the closed
+   connection, so TCP repair re-creates it from the image for the
+   restored process, which waits in recv on it again. The client's own
+   connection is left alone: it keeps the reply it got, stays closed,
+   and the request is not served twice. *)
+let test_tcp_repair_after_close () =
+  let m, p = boot_server () in
+  let c = Net.connect m.Machine.net 9100 in
+  let (_ : _) = Machine.run m ~max_cycles:500_000 in
+  Machine.freeze m ~pid:p.Proc.pid;
+  let img = Checkpoint.dump m ~pid:p.Proc.pid () in
+  Machine.thaw m ~pid:p.Proc.pid;
+  Net.client_send c "ping";
+  let (_ : _) = Machine.run m ~max_cycles:2_000_000 in
+  Alcotest.(check string) "served before the restore" "pong1" (Net.client_recv c);
+  Alcotest.(check bool) "server closed it" true c.Net.server_closed;
+  Alcotest.(check bool) "kernel forgot it" true
+    (Option.is_none (Net.find_conn m.Machine.net c.Net.conn_id));
+  Machine.freeze m ~pid:p.Proc.pid;
+  Machine.reap m ~pid:p.Proc.pid;
+  let p' = Restore.restore m img in
+  let (_ : _) = Machine.run m ~max_cycles:2_000_000 in
+  Alcotest.(check string) "nothing new reaches the client" "" (Net.client_recv c);
+  Alcotest.(check bool) "client's connection stays closed" true c.Net.server_closed;
+  (match Net.find_conn m.Machine.net c.Net.conn_id with
+  | Some c' ->
+      Alcotest.(check bool) "a re-created object, not the client's" false (c' == c);
+      Alcotest.(check bool) "open again for the restored process" false c'.Net.server_closed;
+      Alcotest.(check int) "its queue is the image's: empty" 0 (Net.server_pending c')
+  | None -> Alcotest.fail "TCP repair did not re-create the connection");
+  Alcotest.(check string) "restored process waits in recv" "blocked(recv fd=4)"
+    (Proc.state_to_string p'.Proc.state)
+
 let test_vanilla_mode_drops_code_patches () =
   (* the paper's motivating CRIU fix: vanilla CRIU does not dump
      file-backed executable pages, so an int3 patch written into the
@@ -530,4 +563,5 @@ let suite =
       test_unseal_frames_long_log;
     QCheck_alcotest.to_alcotest prop_read_write_mem_reference;
     Alcotest.test_case "seal catches 100k mangled frames" `Quick test_seal_catches_mangling;
+    Alcotest.test_case "TCP repair after the server closed" `Quick test_tcp_repair_after_close;
   ]
