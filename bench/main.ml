@@ -12,8 +12,7 @@ let fmt = Format.std_formatter
 let micro_tests () =
   let open Bechamel in
   (* a frozen rkv checkpoint as a realistic workload for the codecs *)
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;
   let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
   let blob = Images.encode img in
@@ -171,8 +170,7 @@ let run_obs () =
   (* one scenario = boot, cut, re-enable on a fresh fleet *)
   let scenario () =
     Fault.reset ();
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
+    let c = Workload.boot app in
     let s = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
     let r = Dynacut.try_cut s ~blocks ~policy () in
     let re = Dynacut.try_reenable s r.Dynacut.r_journals in
@@ -260,12 +258,9 @@ let run_fleet () =
      hit rate and the loop's host seconds *)
   let serve ?(reference = false) n =
     Fault.reset ();
-    let ctxs = Workload.spawn_fleet ~n app in
-    let m = (List.hd ctxs).Workload.m in
+    let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+    let m = Fleet.machine fleet in
     if reference then Dispatch.degrade m.Machine.dispatcher;
-    Workload.wait_fleet_ready ctxs;
-    let pids = List.map (fun c -> c.Workload.pid) ctxs in
-    let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
     let start = m.Machine.clock in
     let retired () =
       List.fold_left (fun n (p : Proc.t) -> n + p.Proc.retired) 0 (Machine.all_procs m)
@@ -340,11 +335,7 @@ let run_fleet () =
   (* per-wave rollout pause on a 6-worker fleet *)
   Fault.reset ();
   let wn = 6 and waves = 3 in
-  let ctxs = Workload.spawn_fleet ~n:wn app in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
+  let fleet, _ = Fleet.boot ~n:wn ~blocks ~policy app in
   let drive () = ignore (Fleet.request fleet get) in
   let config =
     Rollout.
@@ -410,19 +401,12 @@ let run_overload () =
   in
   let n = 4 in
   let get = Workload.http_get "/index.html" in
-  let boot ?balancer () =
-    Fault.reset ();
-    let ctxs = Workload.spawn_fleet ~n app in
-    Workload.wait_fleet_ready ctxs;
-    let m = (List.hd ctxs).Workload.m in
-    let pids = List.map (fun c -> c.Workload.pid) ctxs in
-    Fleet.create ?balancer m ~port:Ltpd.port ~pids ~blocks ~policy
-  in
   (* closed-loop capacity probe: one request at a time can never overload
      the fleet, so served/Mcycle here *is* the saturation point *)
   let probe_requests = if !quick then 30 else 100 in
-  let fleet = boot () in
-  let m = (Fleet.balancer fleet).Balancer.machine in
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+  let m = Fleet.machine fleet in
   let start = m.Machine.clock in
   let served = ref 0 in
   for _ = 1 to probe_requests do
@@ -467,7 +451,10 @@ let run_overload () =
     }
   in
   let run_point ~shed mult =
-    let fleet = boot ~balancer:(if shed then tuned else no_shed) () in
+    Fault.reset ();
+    let fleet, _ =
+      Fleet.boot ~balancer:(if shed then tuned else no_shed) ~n ~blocks ~policy app
+    in
     let cfg =
       {
         Loadgen.default_config with
@@ -675,16 +662,6 @@ let run_scrub () =
   in
   let n = 3 in
   let get = Workload.http_get "/index.html" in
-  let boot () =
-    Fault.reset ();
-    Obs.reset ();
-    let ctxs = Workload.spawn_fleet ~n app in
-    Workload.wait_fleet_ready ctxs;
-    let m = (List.hd ctxs).Workload.m in
-    let pids = List.map (fun c -> c.Workload.pid) ctxs in
-    let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
-    (m, pids, fleet)
-  in
   (* detection latency vs scrub rate: one seeded flip, then advance the
      virtual clock in fixed steps pumping the background scrubber until
      a slice reports the mismatch *)
@@ -692,7 +669,10 @@ let run_scrub () =
   let detection =
     List.map
       (fun interval ->
-        let m, pids, fleet = boot () in
+        Fault.reset ();
+        Obs.reset ();
+        let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+        let m = Fleet.machine fleet and pids = Fleet.pids fleet in
         Fleet.start_scrub
           ~config:{ Fleet.sc_interval = interval }
           fleet;
@@ -729,7 +709,10 @@ let run_scrub () =
      re-divergence respawn, which also clears the page's repair history.
      Each sample runs the pair and times its own half, so the two
      alternate in either order. *)
-  let m, pids, fleet = boot () in
+  Fault.reset ();
+  Obs.reset ();
+  let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let config =
     Rollout.
       {
@@ -784,7 +767,10 @@ let run_scrub () =
      sample serving the next [chunk] requests on its fleet. *)
   let chunk = 10 in
   let soak_side ~scrub =
-    let _m, pids, fleet = boot () in
+    Fault.reset ();
+    Obs.reset ();
+    let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+    let pids = Fleet.pids fleet in
     if scrub then begin
       Fleet.start_scrub fleet;
       List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids
@@ -817,7 +803,10 @@ let run_scrub () =
   (* determinism: the same seeded flip-and-heal soak twice must dump a
      byte-identical registry (virtual instrumentation only, no host) *)
   let soak_dump () =
-    let m, pids, fleet = boot () in
+    Fault.reset ();
+    Obs.reset ();
+    let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
     Fleet.start_scrub fleet;
     List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
     let rng = Rng.create 1108 in
@@ -938,8 +927,7 @@ let run_slice () =
     let p = Slicelab.profile app in
     let base = (Common.app_exe app).Self.base in
     (* pristine first bytes of every candidate, from an uncut instance *)
-    let pc = Workload.spawn app in
-    Workload.wait_ready pc;
+    let pc = Workload.boot app in
     let pristine_byte (b : Covgraph.block) =
       Mem.peek8
         (Machine.proc_exn pc.Workload.m pc.Workload.pid).Proc.mem
@@ -993,8 +981,7 @@ let run_slice () =
      slow down and push the ratio under 1) *)
   let serve ~sliced =
     Gc.compact ();
-    let c = Workload.spawn ~seed:44 Workload.ltpd in
-    Workload.wait_ready c;
+    let c = Workload.boot ~seed:44 Workload.ltpd in
     let sl =
       if sliced then
         Some

@@ -174,8 +174,7 @@ let run_cmd =
     Arg.(value & opt_all string [] & info [ "r"; "request" ] ~docv:"REQ" ~doc)
   in
   let action app reqs =
-    let c = Workload.spawn (find_app app) in
-    Workload.wait_ready c;
+    let c = Workload.boot (find_app app) in
     Printf.printf "%s ready (pid %d)\n" app c.Workload.pid;
     List.iter
       (fun r ->
@@ -431,8 +430,7 @@ let cut_cmd =
     in
     let blocks, redirect = feature_blocks app feature in
     arm_faults ?seed faults;
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
+    let c = Workload.boot app in
     let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
     let r =
       Dynacut.try_cut session ~blocks
@@ -597,8 +595,7 @@ let guard_cmd =
           if slice then 100_000
           else Supervisor.default_config.Supervisor.max_traps
     in
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
+    let c = Workload.boot app in
     let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
     let config =
       { Supervisor.default_config with
@@ -724,8 +721,7 @@ let recover_cmd =
     in
     let blocks, redirect = feature_blocks app feature in
     arm_faults ?seed faults;
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
+    let c = Workload.boot app in
     (match crash_at with
     | None -> ()
     | Some site ->
@@ -840,8 +836,7 @@ let stats_cmd =
     let feature = default_feature app feature in
     let blocks, redirect = feature_blocks app feature in
     arm_faults ?seed faults;
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
+    let c = Workload.boot app in
     let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
     let r =
       Dynacut.try_cut session ~blocks
@@ -886,13 +881,12 @@ let stats_cmd =
 
 (* ---------- fleet ---------- *)
 
-let server_port (app : Workload.app) =
-  match app.Workload.a_port with
-  | Some p -> p
-  | None ->
-      Printf.eprintf "%s is a batch app; fleet needs a server (ltpd | ngx | rkv)\n"
-        app.Workload.a_name;
-      exit 2
+let require_server (app : Workload.app) =
+  if app.Workload.a_port = None then begin
+    Printf.eprintf "%s is a batch app; fleet needs a server (ltpd | ngx | rkv)\n"
+      app.Workload.a_name;
+    exit 2
+  end
 
 let wanted_mix (app : Workload.app) =
   if app.Workload.a_name = "rkv" then Workload.kv_wanted else Workload.web_wanted
@@ -985,19 +979,17 @@ let fleet_cmd =
       exit 0
     end;
     let app = require_app app in
-    let port = server_port app in
+    require_server app;
     let feature = default_feature app feature in
     let blocks, redirect = feature_blocks app feature in
     arm_faults ?seed faults;
     let traced = drift_window > 0 in
-    let ctxs = Workload.spawn_fleet ~traced ~n:workers app in
-    Workload.wait_fleet_ready ctxs;
-    let m = (List.hd ctxs).Workload.m in
-    let pids = List.map (fun c -> c.Workload.pid) ctxs in
-    let fleet =
-      Fleet.create m ~port ~pids ~blocks
+    let fleet, ctxs =
+      Fleet.boot ~traced ~n:workers ~blocks
         ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
+        app
     in
+    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
     if scrub_interval > 0 then
       Fleet.start_scrub
         ~config:
@@ -1206,17 +1198,15 @@ let scrub_cmd =
   in
   let action app workers flips seed metrics =
     let app = find_app app in
-    let port = server_port app in
+    require_server app;
     let blocks, redirect = feature_blocks app (default_feature app None) in
     Fault.reset ();
-    let ctxs = Workload.spawn_fleet ~n:workers app in
-    Workload.wait_fleet_ready ctxs;
-    let m = (List.hd ctxs).Workload.m in
-    let pids = List.map (fun c -> c.Workload.pid) ctxs in
-    let fleet =
-      Fleet.create m ~port ~pids ~blocks
+    let fleet, _ =
+      Fleet.boot ~n:workers ~blocks
         ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
+        app
     in
+    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
     Fleet.start_scrub fleet;
     (* baseline capture: a first full audit of every worker, necessarily
        clean — the manifests record what the loader left in memory *)
@@ -1343,14 +1333,13 @@ let top_cmd =
   let fleet_action app feature slices n =
     let blocks, redirect = feature_blocks app feature in
     Fault.reset ();
-    let ctxs = Workload.spawn_fleet ~traced:true ~n app in
-    Workload.wait_fleet_ready ctxs;
-    let m = (List.hd ctxs).Workload.m in
-    let pids = List.map (fun c -> c.Workload.pid) ctxs in
-    let fleet =
-      Fleet.create m ~port:(server_port app) ~pids ~blocks
+    require_server app;
+    let fleet, ctxs =
+      Fleet.boot ~traced:true ~n ~blocks
         ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
+        app
     in
+    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
     let reqs = wanted_mix app in
     let drive () = List.iter (fun r -> ignore (Fleet.request fleet r)) reqs in
     let config =
@@ -1428,8 +1417,7 @@ let top_cmd =
       else (blocks, `Redirect redirect)
     in
     Fault.reset ();
-    let c = Workload.spawn app in
-    Workload.wait_ready c;
+    let c = Workload.boot app in
     let m = c.Workload.m in
     let session = Dynacut.create m ~root_pid:c.Workload.pid in
     let sup =
@@ -1492,8 +1480,7 @@ let crit_cmd =
     Arg.(value & pos 1 string "mems" & info [] ~docv:"MODE" ~doc)
   in
   let action app mode out =
-    let c = Workload.spawn (find_app app) in
-    Workload.wait_ready c;
+    let c = Workload.boot (find_app app) in
     Machine.freeze c.Workload.m ~pid:c.Workload.pid;
     let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
     match mode with

@@ -34,8 +34,7 @@ let () =
           report.Tracediff.undesired));
 
   (* 3: harden a fresh instance *)
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _, t1 =
     Dynacut.cut session ~blocks:report.Tracediff.undesired

@@ -11,8 +11,7 @@ let exploit = Printf.sprintf "STRALGO %s %s\n" (String.make 60 'b') (String.make
 let () =
   (* act 1: the exploit against a vanilla server *)
   print_endline "-- vanilla rkv --";
-  let v = Workload.spawn Workload.rkv in
-  Workload.wait_ready v;
+  let v = Workload.boot Workload.rkv in
   Printf.printf "benign STRALGO abc abd -> %s\n" (Workload.rpc v "STRALGO abc abd\n");
   let (_ : string) = Workload.rpc v exploit in
   (match (Machine.proc_exn v.Workload.m v.Workload.pid).Proc.state with
@@ -22,8 +21,7 @@ let () =
   (* act 2: the same exploit against a DynaCut-customized server *)
   print_endline "\n-- rkv with STRALGO blocked by DynaCut --";
   let blocks = Common.rkv_feature_blocks [ "STRALGO abc abd\n" ] in
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let journals, _ =
     Dynacut.cut session ~blocks

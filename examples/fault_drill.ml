@@ -24,8 +24,7 @@ let status resp =
 let () =
   let app = Workload.ngx in
   let blocks = Common.web_feature_blocks app in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let policy =
     { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }

@@ -53,14 +53,13 @@ let assert_state ~what m effective originals pid expect_cut =
 let run () : string =
   Obs.reset ();
   Fault.reset ();
-  let ctxs = Workload.spawn_fleet ~seed:42 ~traced:true ~n:n_workers app in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
   let policy =
     { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
   in
-  let fleet = Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy in
+  let fleet, ctxs =
+    Fleet.boot ~seed:42 ~traced:true ~n:n_workers ~blocks ~policy app
+  in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let send reqs =
     List.iter (fun r -> ignore (Fleet.request fleet r)) reqs
   in

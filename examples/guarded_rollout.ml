@@ -30,8 +30,26 @@ let status resp =
 let () =
   Fault.reset ();
   let app = Workload.ngx in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  (* discovery for acts 1 and 3 runs first: it boots throwaway machines,
+     and the metrics clock follows the last machine created *)
+  let good_blocks = Common.web_feature_blocks app in
+  (* act 3's "feature" is an inverted trace diff (wanted = PUT,
+     undesired = GET): under [`Redirect "ngx_http_403"] the
+     same-function filter keeps exactly the GET dispatch arm inside
+     [ngx_http_handler], so every wanted GET traps, deterministically *)
+  let storm_blocks =
+    let cfg_of = Common.cfg_of_app app in
+    let _, wanted =
+      Workload.trace_requests ~app ~requests:[ put ] ~nudge_at_ready:true ()
+    in
+    let _, undesired =
+      Workload.trace_requests ~app ~requests:[ get ] ~nudge_at_ready:true ()
+    in
+    (Tracediff.feature_blocks ~cfg_of ~wanted:[ wanted ] ~undesired:[ undesired ]
+       ())
+      .Tracediff.undesired
+  in
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
   let config = { Supervisor.default_config with Supervisor.canary_windows = 1 } in
@@ -45,7 +63,7 @@ let () =
   print_endline "-- good cut (disable PUT/DELETE), canary first --";
   let good =
     Supervisor.create session ~config
-      ~blocks:(Common.web_feature_blocks app)
+      ~blocks:good_blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
   in
   let r = Supervisor.guarded_cut good ~canary:true ~drive () in
@@ -74,24 +92,8 @@ let () =
   print_endline (Supervisor.render_log bad);
 
   (* 3. the circuit breaker: storm -> trip -> auto re-enable -> half-open
-     probe -> second storm -> abandoned. The "feature" is an inverted
-     trace diff (wanted = PUT, undesired = GET): under [`Redirect
-     "ngx_http_403"] the same-function filter keeps exactly the GET
-     dispatch arm inside [ngx_http_handler] — so every wanted GET traps,
-     deterministically. *)
+     probe -> second storm -> abandoned, on the inverted diff above *)
   print_endline "\n-- trap-storm circuit breaker (no canary: worst case) --";
-  let storm_blocks =
-    let cfg_of = Common.cfg_of_app app in
-    let _, wanted =
-      Workload.trace_requests ~app ~requests:[ put ] ~nudge_at_ready:true ()
-    in
-    let _, undesired =
-      Workload.trace_requests ~app ~requests:[ get ] ~nudge_at_ready:true ()
-    in
-    (Tracediff.feature_blocks ~cfg_of ~wanted:[ wanted ] ~undesired:[ undesired ]
-       ())
-      .Tracediff.undesired
-  in
   let storm_cfg =
     {
       config with

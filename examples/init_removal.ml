@@ -22,8 +22,7 @@ let () =
   let app = Workload.spec_app k in
 
   (* baseline: vanilla run to completion *)
-  let v = Workload.spawn app in
-  Workload.wait_ready v;
+  let v = Workload.boot app in
   let (_ : Proc.state) = Workload.run_to_exit v in
   let baseline = result_line v in
   Printf.printf "vanilla result:   %s\n" baseline;
@@ -34,8 +33,7 @@ let () =
     (Drcov.bb_count init_log) (Drcov.bb_count serving_log) (List.length init_blocks);
 
   (* fresh run: wipe the init code right after the banner, then finish *)
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _, t =
     Dynacut.cut session ~blocks:init_blocks

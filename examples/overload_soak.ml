@@ -23,15 +23,11 @@ let soak () =
     { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
   in
   let n = 3 in
-  let ctxs = Workload.spawn_fleet ~n app in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
   (* a low watermark + shallow queues so saturation sheds early *)
   let balancer =
     { Balancer.b_shed_high = 3; b_shed_low = 1; b_backlog_max = 2 }
   in
-  let fleet = Fleet.create ~balancer m ~port:Ltpd.port ~pids ~blocks ~policy in
+  let fleet, _ = Fleet.boot ~balancer ~n ~blocks ~policy app in
   let cfg =
     {
       Loadgen.default_config with

@@ -1,9 +1,10 @@
 (** Quickstart: the whole DynaCut pipeline in ~40 lines.
 
-    1. boot the Redis-like server on the simulated machine;
-    2. trace wanted traffic (reads) and undesired traffic (SET) under the
-       drcov-style collector;
-    3. tracediff the two coverage graphs to find the SET feature blocks;
+    1. trace wanted traffic (reads) and undesired traffic (SET) under the
+       drcov-style collector, on throwaway runs of the server;
+    2. tracediff the two coverage graphs to find the SET feature blocks;
+    3. boot the Redis-like server under test on the simulated machine,
+       last, so the fault hooks and the metrics clock follow it;
     4. cut: checkpoint, patch the blocks with int3, inject the SIGTRAP
        handler redirecting to the server's error path, restore;
     5. probe: SET now answers "-ERR", GET still works, and the server
@@ -13,13 +14,12 @@
     Run with: dune exec examples/quickstart.exe *)
 
 let () =
-  (* 1. boot *)
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
-  Printf.printf "booted %s, pid %d\n%!" c.Workload.app.Workload.a_name c.Workload.pid;
-
-  (* 2-3. trace + diff (Common bundles the collector runs) *)
+  (* 1-2. trace + diff (Common bundles the collector runs) *)
   let blocks = Common.rkv_feature_blocks [ "SET k v\n"; "SET k w\n" ] in
+
+  (* 3. boot *)
+  let c = Workload.boot Workload.rkv in
+  Printf.printf "booted %s, pid %d\n%!" c.Workload.app.Workload.a_name c.Workload.pid;
   Printf.printf "tracediff found %d SET-only basic blocks:\n" (List.length blocks);
   List.iter
     (fun (b : Covgraph.block) ->

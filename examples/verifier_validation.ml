@@ -33,8 +33,7 @@ let () =
      user actually wants)\n\n"
     (List.length blocks);
 
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _ =
     Dynacut.cut session ~blocks

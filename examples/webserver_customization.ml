@@ -22,8 +22,7 @@ let () =
   Printf.printf "profiled: %d PUT/DELETE blocks, %d init-only blocks\n\n"
     (List.length features) (List.length init_blocks);
 
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
 
   (* boot finished: the initialization code will never run again *)

@@ -108,13 +108,14 @@ let spawn_fleet ?(seed = 42) ?(traced = false) ~n (app : app) : ctx list =
 (** Run until {e every} worker printed its banner on its own console —
     the merged-console check of {!wait_ready} would falsely pass once
     the first worker boots. *)
-let wait_fleet_ready ?(max_cycles = 60_000_000) (fleet : ctx list) : unit =
+let wait_fleet_ready (fleet : ctx list) : unit =
   let m = match fleet with c :: _ -> c.m | [] -> invalid_arg "empty fleet" in
   let ready (c : ctx) =
     contains ~sub:c.app.a_banner (Proc.peek_stdout (Machine.proc_exn m c.pid))
   in
   match
-    Machine.run_until m ~max_cycles ~pred:(fun () -> List.for_all ready fleet)
+    Machine.run_until m ~max_cycles:60_000_000 ~pred:(fun () ->
+        List.for_all ready fleet)
   with
   | `Pred -> ignore (Machine.run m ~max_cycles:200_000)
   | `Idle | `Dead | `Budget ->
@@ -130,9 +131,9 @@ let wait_fleet_ready ?(max_cycles = 60_000_000) (fleet : ctx list) : unit =
 
 (** Run until the init banner appears (and, for servers, until the tree
     quiesces into accept). *)
-let wait_ready ?(max_cycles = 30_000_000) (c : ctx) : unit =
+let wait_ready (c : ctx) : unit =
   match
-    Machine.run_until c.m ~max_cycles ~pred:(fun () -> banner_seen c)
+    Machine.run_until c.m ~max_cycles:30_000_000 ~pred:(fun () -> banner_seen c)
   with
   | `Pred ->
       (* let servers settle into their accept loop *)
@@ -143,6 +144,16 @@ let wait_ready ?(max_cycles = 30_000_000) (c : ctx) : unit =
           (Workload_error
              (Printf.sprintf "%s never printed its banner; console: %s" c.app.a_name
                 (console c)))
+
+(** Spawn [app] and run it until ready: the one way a scenario boots a
+    tree. The machine under test is created last: discovery (the
+    [trace_*] runs, [Common.*_blocks], [Slicelab.profile]) creates
+    machines of its own, and the [Obs] clock and the [Fault] delay and
+    bitflip hooks follow the last machine created, so run it first. *)
+let boot ?seed ?traced (app : app) : ctx =
+  let c = spawn ?seed ?traced app in
+  wait_ready c;
+  c
 
 (** One closed-loop request: connect, send, run until a reply arrives (or
     the server dies), return the reply. *)
@@ -252,10 +263,9 @@ let kv_vulnerable =
 
 (** Trace one boot + request mix; returns (init log, serving log) using
     the nudge protocol when [nudge_at_ready], else a single merged log. *)
-let trace_requests ?(seed = 42) ~(app : app) ~(requests : string list)
+let trace_requests ~(app : app) ~(requests : string list)
     ~(nudge_at_ready : bool) () : Drcov.log option * Drcov.log =
-  let c = spawn ~seed ~traced:true app in
-  wait_ready c;
+  let c = boot ~traced:true app in
   let init_log = if nudge_at_ready then Some (Collector.nudge (collector c)) else None in
   List.iter (fun r -> ignore (rpc c r)) requests;
   (* keep profiling for a while after the request mix: periodic code (the
@@ -266,9 +276,8 @@ let trace_requests ?(seed = 42) ~(app : app) ~(requests : string list)
   (init_log, Collector.detach (collector c))
 
 (** Trace a SPEC kernel: nudge at the init banner, then run to exit. *)
-let trace_spec ?(seed = 42) (k : Spec.kernel) : Drcov.log * Drcov.log =
-  let c = spawn ~seed ~traced:true (spec_app k) in
-  wait_ready c;
+let trace_spec (k : Spec.kernel) : Drcov.log * Drcov.log =
+  let c = boot ~traced:true (spec_app k) in
   let init_log = Collector.nudge (collector c) in
   let (_ : Proc.state) = run_to_exit c in
   (init_log, Collector.detach (collector c))
@@ -276,9 +285,9 @@ let trace_spec ?(seed = 42) (k : Spec.kernel) : Drcov.log * Drcov.log =
 (** Fully automatic phase profiling (paper §5, implemented in
     {!Autophase}): no operator watches the console — the init nudge
     fires on the server's first [accept] syscall. *)
-let trace_requests_auto ?(seed = 42) ~(app : app) ~(requests : string list) () :
+let trace_requests_auto ~(app : app) ~(requests : string list) () :
     Drcov.log * Drcov.log =
-  let c = spawn ~seed ~traced:true app in
+  let c = spawn ~traced:true app in
   let auto =
     Autophase.arm c.m (collector c) ~trigger:Autophase.On_accept
   in

@@ -54,9 +54,6 @@ let drive_fleet fleet () =
 
 (* ---------- the fleet executor ---------- *)
 
-let lpolicy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
-let lblocks = lazy (Common.web_feature_blocks Workload.ltpd)
-
 (* the redirect symbol each web server exports for degraded requests *)
 let redirect_sym (app : Workload.app) =
   match app.Workload.a_name with
@@ -64,7 +61,10 @@ let redirect_sym (app : Workload.app) =
   | "ngx" -> "ngx_declined"
   | n -> invalid_arg (Printf.sprintf "Chaos: no redirect symbol for %s" n)
 
-(* feature blocks per app, computed once — tracing is expensive *)
+(* feature blocks per app, computed once — tracing is expensive. A
+   scenario calls this before it boots its machine under test (the
+   tracing creates machines, and the Obs clock and Fault hooks follow
+   the last one created); later calls are memo hits *)
 let blocks_cache : (string, Covgraph.block list) Hashtbl.t = Hashtbl.create 4
 
 let blocks_for (app : Workload.app) =
@@ -74,6 +74,16 @@ let blocks_for (app : Workload.app) =
       let b = Common.web_feature_blocks app in
       Hashtbl.add blocks_cache app.Workload.a_name b;
       b
+
+(* the XOR oracle over a booted fleet's redirect-effective feature
+   blocks *)
+let fleet_oracle (app : Workload.app) fleet =
+  let w = List.hd (Fleet.workers fleet) in
+  Oracle.make (Fleet.machine fleet) ~base:(Common.app_exe app).Self.base
+    ~blocks:
+      (Dynacut.redirect_filter w.Rollout.w_session ~sym:(redirect_sym app)
+         (blocks_for app))
+    ~pids:(Fleet.pids fleet)
 
 type config = {
   c_app : Workload.app;  (** target web server (ltpd | ngx) *)
@@ -146,29 +156,16 @@ let run ?(config = default_config)
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   let violations = ref [] in
   let app = config.c_app in
-  let sym = redirect_sym app in
-  let port =
-    match app.Workload.a_port with
-    | Some p -> p
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Chaos: %s is not a server" app.Workload.a_name)
+  let policy =
+    { Dynacut.method_ = `First_byte; on_trap = `Redirect (redirect_sym app) }
   in
-  let blocks = blocks_for app in
-  let policy = { Dynacut.method_ = `First_byte; on_trap = `Redirect sym } in
   (* boot happens clean: chaos starts once the fleet is ready *)
-  let ctxs =
-    Workload.spawn_fleet ~seed:sched.Schedule.sc_seed ~n:config.c_workers app
+  let fleet, _ =
+    Fleet.boot ~seed:sched.Schedule.sc_seed ~n:config.c_workers
+      ~blocks:(blocks_for app) ~policy app
   in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet = Fleet.create m ~port ~pids ~blocks ~policy in
-  let w = List.hd (Fleet.workers fleet) in
-  let effective = Dynacut.redirect_filter w.Rollout.w_session ~sym blocks in
-  let oracle =
-    Oracle.make m ~base:(Common.app_exe app).Self.base ~blocks:effective ~pids
-  in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
+  let oracle = fleet_oracle app fleet in
   (* the background scrubber runs for the whole chaos window; baselines
      are captured now, while the fleet is provably clean — a flip that
      lands first would otherwise be baked into the manifest as truth *)
@@ -458,10 +455,14 @@ let expect ~what = function
 type outcome = [ `Completed | `Killed | `Refused of string ]
 
 (* strike: run [op] with (site, mode) armed under [spec] (one-shot by
-   default). [`Completed] when the operation returned, [`Refused] on a
-   typed clean refusal, [`Killed] on controller death. The site must
-   fire exactly once, and a [Kill] must kill the controller there. *)
-let strike ?(spec = Fault.One_shot) site mode (op : unit -> unit) : outcome =
+   default) against the machine under test [m]. [`Completed] when the
+   operation returned, [`Refused] on a typed clean refusal, [`Killed] on
+   controller death. The site must fire exactly once, a [Kill] must kill
+   the controller there, and a [Delay n] must land on [m]: its clock
+   moves by at least [n]. *)
+let strike ?(spec = Fault.One_shot) (m : Machine.t) site mode
+    (op : unit -> unit) : outcome =
+  let clock0 = m.Machine.clock in
   Fault.arm_mode site spec mode;
   let outcome =
     match op () with
@@ -485,23 +486,26 @@ let strike ?(spec = Fault.One_shot) site mode (op : unit -> unit) : outcome =
   | Fault.Bitflip, `Refused msg -> failp "bitflip refused the operation: %s" msg
   | Fault.Bitflip, `Killed -> failp "bitflip killed the controller"
   | _ -> ());
+  (match mode with
+  | Fault.Delay n ->
+      let moved = Int64.sub m.Machine.clock clock0 in
+      if moved < Int64.of_int n then
+        failp "a %d-cycle delay moved the machine's clock by only %Ld" n moved
+  | _ -> ());
   outcome
 
 (* -- single-tree probes (ngx master/worker) -- *)
 
 let napp = Workload.ngx
-let nblocks = lazy (Common.web_feature_blocks napp)
 let npolicy method_ = { Dynacut.method_; on_trap = `Redirect "ngx_declined" }
 
 (* a booted ngx tree, a session on it, and the XOR oracle over the
    tree's redirect-effective feature blocks *)
 let tree_setup () =
-  let c = Workload.spawn napp in
-  Workload.wait_ready c;
+  let blocks = blocks_for napp in
+  let c = Workload.boot napp in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-  let effective =
-    Dynacut.redirect_filter session ~sym:"ngx_declined" (Lazy.force nblocks)
-  in
+  let effective = Dynacut.redirect_filter session ~sym:"ngx_declined" blocks in
   let oracle =
     Oracle.make c.Workload.m ~base:(Common.app_exe napp).Self.base
       ~blocks:effective ~pids:[ c.Workload.pid ]
@@ -541,9 +545,9 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
     else None
   in
   let (_ : outcome) =
-    strike site mode (fun () ->
+    strike c.Workload.m site mode (fun () ->
         ignore
-          (Dynacut.try_cut session ~blocks:(Lazy.force nblocks)
+          (Dynacut.try_cut session ~blocks:(blocks_for napp)
              ~policy:(npolicy method_) ()))
   in
   let (_ : Dynacut.recovery) = tree_recover c in
@@ -559,7 +563,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
   tree_check ~what:"after recover" c session oracle;
   let fresh = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   (match
-     (Dynacut.try_cut fresh ~blocks:(Lazy.force nblocks)
+     (Dynacut.try_cut fresh ~blocks:(blocks_for napp)
         ~policy:(npolicy `First_byte) ())
        .Dynacut.r_outcome
    with
@@ -572,7 +576,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
 let respawn_probe site mode =
   let c, session, oracle = tree_setup () in
   let (_ : Rewriter.journal list * Dynacut.timings) =
-    Dynacut.cut session ~blocks:(Lazy.force nblocks) ~policy:(npolicy `First_byte)
+    Dynacut.cut session ~blocks:(blocks_for napp) ~policy:(npolicy `First_byte)
   in
   let worker =
     match Dynacut.tree_pids session with
@@ -585,7 +589,7 @@ let respawn_probe site mode =
       (Dynacut.journaled_respawn session ~pid:worker
          ~path:(Dynacut.image_path session worker))
   in
-  let outcome = strike site mode respawn in
+  let outcome = strike c.Workload.m site mode respawn in
   (* a refused respawn closes its own journal intent — the worker is
      legitimately still dead, and the supervisor's contract is to retry
      next tick. Do that retry (the one-shot fault is spent). *)
@@ -600,11 +604,11 @@ let promote_probe site mode =
   let sup =
     Supervisor.create session
       ~config:{ Supervisor.default_config with Supervisor.canary_windows = 1 }
-      ~blocks:(Lazy.force nblocks) ~policy:(npolicy `First_byte)
+      ~blocks:(blocks_for napp) ~policy:(npolicy `First_byte)
   in
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
   let (_ : outcome) =
-    strike site mode (fun () ->
+    strike c.Workload.m site mode (fun () ->
         ignore (Supervisor.guarded_cut sup ~canary:true ~drive ()))
   in
   ignore (tree_finish c session oracle : Dynacut.recovery)
@@ -615,14 +619,16 @@ let reenable_probe site mode =
   let sup =
     Supervisor.create session
       ~config:{ Supervisor.default_config with Supervisor.critical = true }
-      ~blocks:(Lazy.force nblocks) ~policy:(npolicy `First_byte)
+      ~blocks:(blocks_for napp) ~policy:(npolicy `First_byte)
   in
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
   (match Supervisor.guarded_cut sup ~canary:false ~drive () with
   | Supervisor.R_promoted -> ()
   | r -> failp "setup rollout failed: %s" (Format.asprintf "%a" Supervisor.pp_rollout r));
   ignore (Workload.rpc ~max_cycles:800_000 c put);
-  let (_ : outcome) = strike site mode (fun () -> Supervisor.tick sup) in
+  let (_ : outcome) =
+    strike c.Workload.m site mode (fun () -> Supervisor.tick sup)
+  in
   ignore (tree_finish c session oracle : Dynacut.recovery)
 
 (* no transaction was open when the fault struck: recovery finds none *)
@@ -639,7 +645,7 @@ let crit_probe site mode =
   let blob = Images.encode img in
   let text = Crit.decode_to_text blob in
   let (_ : outcome) =
-    strike site mode (fun () ->
+    strike c.Workload.m site mode (fun () ->
         if site = "crit.decode" then ignore (Crit.decode_to_text blob)
         else ignore (Crit.encode_from_text text))
   in
@@ -651,13 +657,14 @@ let recover_probe site mode =
   let c, session, oracle = tree_setup () in
   Fault.arm ~kill:true "restore.process" Fault.One_shot;
   (match
-     Dynacut.try_cut session ~blocks:(Lazy.force nblocks)
+     Dynacut.try_cut session ~blocks:(blocks_for napp)
        ~policy:(npolicy `First_byte) ()
    with
   | (_ : Dynacut.cut_result) -> failp "staged controller death never struck"
   | exception Fault.Controller_killed _ -> ());
   let outcome =
-    strike site mode (fun () -> ignore (tree_recover c : Dynacut.recovery))
+    strike c.Workload.m site mode (fun () ->
+        ignore (tree_recover c : Dynacut.recovery))
   in
   let r = tree_finish c session oracle in
   if outcome = `Killed && r.Dynacut.rec_action <> `Rolled_back then
@@ -679,40 +686,26 @@ let slice_probe site mode =
     Slicer.detach sl;
     Slicer.slice sl
   in
-  let (_ : outcome) = strike site mode (fun () -> ignore (run_slicer ())) in
+  let (_ : outcome) =
+    strike c.Workload.m site mode (fun () -> ignore (run_slicer ()))
+  in
   assert_quiescent (tree_finish c session oracle);
   if run_slicer () = [] then
     failp "clean slicer retry after a %s fault produced an empty slice" site
 
 (* -- fleet probes (ltpd workers) -- *)
 
-let fleet_setup ?balancer ?(traced = false) ~n () =
-  let ctxs = Workload.spawn_fleet ~traced ~n Workload.ltpd in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet =
-    Fleet.create ?balancer m ~port:Ltpd.port ~pids ~blocks:(Lazy.force lblocks)
-      ~policy:lpolicy
-  in
-  let w = List.hd (Fleet.workers fleet) in
-  let effective =
-    Dynacut.redirect_filter w.Rollout.w_session ~sym:"ltpd_403"
-      (Lazy.force lblocks)
-  in
-  let oracle =
-    Oracle.make m ~base:(Common.app_exe Workload.ltpd).Self.base
-      ~blocks:effective ~pids
-  in
-  (ctxs, m, pids, fleet, oracle)
+let lapp = Workload.ltpd
+let lpolicy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
 
-(* recover the fleet, run [after_recover], then the fleet oracles and a
-   served GET. [quiet] probes open no transaction, so no worker may need
-   recovery work. After a controller death recovery must unwind nothing
-   and leave every pid on its expected side: [cut] cut, the rest
+(* recover [oracle]'s fleet, run [after_recover], then the fleet oracles
+   and a served GET. [quiet] probes open no transaction, so no worker
+   may need recovery work. After a controller death recovery must unwind
+   nothing and leave every pid on its expected side: [cut] cut, the rest
    original. *)
 let fleet_finish ?(after_recover = ignore) ?(quiet = false) ?(cut = [])
-    ~(outcome : outcome) m pids oracle ~plan ~serving_fleet =
+    ~(outcome : outcome) oracle ~plan ~serving_fleet =
+  let m = oracle.Oracle.oc_machine and pids = oracle.Oracle.oc_pids in
   let recovery =
     match Fleet.recover m ~pids with
     | r -> r
@@ -752,25 +745,26 @@ let rollout_config =
    so wave 1's committed cut must survive; [fleet.manifest] at the very
    first entry, before any worker was touched *)
 let fleet_rollout_probe site mode =
-  let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:4 () in
+  let fleet, _ = Fleet.boot ~n:4 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let oracle = fleet_oracle lapp fleet and pids = Fleet.pids fleet in
   let plan = Rollout.plan ~pids ~waves:2 in
   let spec, cut =
     if site = "fleet.wave" then (Fault.On_nth 2, List.hd plan)
     else (Fault.One_shot, [])
   in
   let outcome =
-    strike ~spec site mode (fun () ->
+    strike ~spec (Fleet.machine fleet) site mode (fun () ->
         ignore
           (Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ()))
   in
-  fleet_finish ~cut ~outcome m pids oracle ~plan ~serving_fleet:fleet
+  fleet_finish ~cut ~outcome oracle ~plan ~serving_fleet:fleet
 
 (* heal every worker with a forced audit, then require a second audit of
    each to come back clean — the probes' "scrubbed back to health" bar *)
-let fleet_heal_all fleet pids =
-  List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids
+let fleet_heal_all fleet =
+  List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) (Fleet.pids fleet)
 
-let assert_fleet_clean fleet pids =
+let assert_fleet_clean fleet =
   List.iter
     (fun pid ->
       match Integrity.scrub_full (Fleet.integrity fleet ~pid) ~pids:[ pid ] () with
@@ -778,38 +772,42 @@ let assert_fleet_clean fleet pids =
       | fs ->
           failp "pid %d still diverged after heal (%d finding(s))" pid
             (List.length fs))
-    pids
+    (Fleet.pids fleet)
 
 (* fault strikes one dispatched request (balancer / net sites); a
    [Bitflip] lands silent damage the scrubber must then heal, so those
    runs bracket the strike with trusted baselines and a forced audit *)
 let fleet_request_probe site mode =
-  let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:2 () in
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let oracle = fleet_oracle lapp fleet in
   if mode = Fault.Bitflip then begin
     Fleet.start_scrub fleet;
-    fleet_heal_all fleet pids
+    fleet_heal_all fleet
   end;
-  let outcome = strike site mode (fun () -> ignore (Fleet.request fleet get)) in
+  let outcome =
+    strike (Fleet.machine fleet) site mode (fun () -> ignore (Fleet.request fleet get))
+  in
   if mode = Fault.Bitflip then begin
-    fleet_heal_all fleet pids;
-    assert_fleet_clean fleet pids
+    fleet_heal_all fleet;
+    assert_fleet_clean fleet
   end;
-  fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
 
 (* fault strikes a scrub pass over a worker carrying a seeded flip —
    while it hashes a page (scrub.page) or heals the diverged one
    (integrity.repair). After a death the flip still stands, and the
    first pass after recovery must heal it by one page repair *)
 let scrub_probe site mode =
-  let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:2 () in
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
   Fleet.start_scrub fleet;
-  fleet_heal_all fleet pids;
-  let victim = List.hd pids in
+  fleet_heal_all fleet;
+  let victim = List.hd (Fleet.pids fleet) in
   (match Machine.bitflip m ~pid:victim (Rng.create 1105) with
   | Some _ -> ()
   | None -> failp "seeded bitflip found no resident immutable page");
   let outcome =
-    strike site mode (fun () -> ignore (Fleet.scrub_now fleet ~pid:victim))
+    strike m site mode (fun () -> ignore (Fleet.scrub_now fleet ~pid:victim))
   in
   let after_recover () =
     (if outcome = `Killed then
@@ -817,10 +815,10 @@ let scrub_probe site mode =
        if List.length r.Fleet.sr_repaired <> 1 || r.Fleet.sr_respawned then
          failp "post-recovery scrub did not page-repair the flip");
     (* whichever way the fault went, the retry must converge *)
-    fleet_heal_all fleet pids;
-    assert_fleet_clean fleet pids
+    fleet_heal_all fleet;
+    assert_fleet_clean fleet
   in
-  fleet_finish ~after_recover ~quiet:true ~outcome m pids oracle ~plan:[]
+  fleet_finish ~after_recover ~quiet:true ~outcome oracle ~plan:[]
     ~serving_fleet:fleet
 
 (* fault strikes the shed path: watermark zero sheds the first dispatch *)
@@ -832,19 +830,26 @@ let fleet_shed_probe site mode =
       b_shed_low = -1;
     }
   in
-  let _ctxs, m, pids, fleet, oracle = fleet_setup ~balancer:shed_now ~n:2 () in
-  let outcome = strike site mode (fun () -> ignore (Fleet.request fleet get)) in
+  let fleet, _ =
+    Fleet.boot ~balancer:shed_now ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy
+      lapp
+  in
+  let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
+  let outcome = strike m site mode (fun () -> ignore (Fleet.request fleet get)) in
   (* rebuild with sane watermarks for the serving check *)
   let fleet' =
-    Fleet.create m ~port:Ltpd.port ~pids ~blocks:(Lazy.force lblocks)
-      ~policy:lpolicy
+    Fleet.create m ~port:Ltpd.port ~pids:(Fleet.pids fleet)
+      ~blocks:(blocks_for lapp) ~policy:lpolicy
   in
-  fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet'
+  fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet'
 
 (* fault strikes the drift monitor's fleet-wide re-enable after a
    completed rollout; a death before any worker reverted keeps the cut *)
 let fleet_reenable_probe site mode =
-  let ctxs, m, pids, fleet, oracle = fleet_setup ~traced:true ~n:4 () in
+  let fleet, ctxs =
+    Fleet.boot ~traced:true ~n:4 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp
+  in
+  let oracle = fleet_oracle lapp fleet in
   (match
      Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ()
    with
@@ -852,20 +857,23 @@ let fleet_reenable_probe site mode =
   | o, _ -> failp "setup rollout failed: %s" (Format.asprintf "%a" Rollout.pp_outcome o));
   Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
   let outcome =
-    strike site mode (fun () ->
+    strike (Fleet.machine fleet) site mode (fun () ->
         ignore (Drift.reenable_fleet (Fleet.drift_monitor fleet) ~traps:99))
   in
-  fleet_finish ~cut:pids ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~cut:(Fleet.pids fleet) ~outcome oracle ~plan:[] ~serving_fleet:fleet
 
 (* fault strikes the drift monitor's automatic re-cut *)
 let fleet_recut_probe site mode =
-  let ctxs, m, pids, fleet, oracle = fleet_setup ~traced:true ~n:2 () in
+  let fleet, ctxs =
+    Fleet.boot ~traced:true ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp
+  in
+  let oracle = fleet_oracle lapp fleet in
   Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
   let outcome =
-    strike site mode (fun () ->
+    strike (Fleet.machine fleet) site mode (fun () ->
         ignore (Drift.recut_fleet (Fleet.drift_monitor fleet)))
   in
-  fleet_finish ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~outcome oracle ~plan:[] ~serving_fleet:fleet
 
 (* fault strikes the decoded-block code cache: entering the dispatch
    loop (bbcache.dispatch) or evicting blocks over a dirtied code page
@@ -874,7 +882,8 @@ let fleet_recut_probe site mode =
    (same replies, never a stale block), a Delay just slows the quantum,
    and after any outcome the fleet keeps serving and stays XOR-clean *)
 let bbcache_probe site mode =
-  let _ctxs, m, pids, fleet, oracle = fleet_setup ~n:2 () in
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "cache warm-up request failed");
@@ -889,10 +898,10 @@ let bbcache_probe site mode =
           Int64.add oracle.Oracle.oc_base (Int64.of_int b.Covgraph.b_off)
         in
         Mem.poke8 p.Proc.mem addr (Mem.peek8 p.Proc.mem addr))
-      pids
+      (Fleet.pids fleet)
   in
   let outcome =
-    strike site mode (fun () ->
+    strike m site mode (fun () ->
         if site = "bbcache.flush" then dirty_text ();
         match Fleet.request fleet get with
         | `Reply (_, resp) when status resp = "200" -> ()
@@ -903,7 +912,7 @@ let bbcache_probe site mode =
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "request failed after the %s fault" site);
-  fleet_finish ~quiet:true ~outcome m pids oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
 
 (* every registered site maps to the scenario that provably reaches it;
    a site without a driver fails the matrix rather than shrinking it *)

@@ -9,9 +9,6 @@ type census = {
   g_syscall_gadgets : int;  (** gadgets containing a [syscall] *)
 }
 
-val max_insns : int
-(** Gadget length bound (instructions before the [ret]). *)
-
 val scan_bytes : bytes -> int * int
 (** (gadgets, syscall gadgets) in one byte region. *)
 

@@ -63,14 +63,3 @@ let removable_blocks (r : report) : Covgraph.block list =
 let survives r name =
   List.exists (fun e -> e.pe_name = name && e.pe_executed && not e.pe_init_only)
     r.pr_entries
-
-let pp fmt (r : report) =
-  let ex = executed r and rm = removable r in
-  Format.fprintf fmt "%s: %d PLT entries, %d executed, %d init-only (removable)@."
-    r.pr_module (List.length r.pr_entries) (List.length ex) (List.length rm);
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  %-12s off=0x%-6x %s%s@." e.pe_name e.pe_off
-        (if e.pe_executed then "executed" else "never-run")
-        (if e.pe_init_only then " [init-only: removed]" else ""))
-    r.pr_entries

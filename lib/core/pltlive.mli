@@ -11,11 +11,6 @@ type plt_entry = {
 
 type report = { pr_module : string; pr_entries : plt_entry list }
 
-val plt_stub_size : int
-
-val covers : Covgraph.t -> module_:string -> stub:int -> bool
-(** Did coverage touch the stub's byte range? *)
-
 val analyse : Self.t -> init:Covgraph.t -> serving:Covgraph.t -> report
 val executed : report -> plt_entry list
 val removable : report -> plt_entry list
@@ -26,5 +21,3 @@ val removable_blocks : report -> Covgraph.block list
 val survives : report -> string -> bool
 (** Is the named entry still reachable after init removal? ([survives r
     "fork"] is the BROP-viability question.) *)
-
-val pp : Format.formatter -> report -> unit

@@ -90,7 +90,6 @@ let wipe_blocks (img : Images.t) (blocks : Covgraph.block list) : patch list =
     blocks
 
 let page_size = 4096
-let page_base (a : int64) = Int64.mul (Int64.div a 4096L) 4096L
 
 (** Unmap the code pages *fully covered* by the given blocks (unmapping a
     partially-covered page would take live code with it). Removes the
@@ -105,7 +104,7 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
     (fun b ->
       let va = block_vaddr img b in
       for k = 0 to b.Covgraph.b_size - 1 do
-        let pg = page_base (Int64.add va (Int64.of_int k)) in
+        let pg = Mem.page_base (Int64.add va (Int64.of_int k)) in
         Hashtbl.replace coverage pg (1 + Option.value ~default:0 (Hashtbl.find_opt coverage pg))
       done)
     blocks;
@@ -127,7 +126,7 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
         victim_pages
     in
     (* rebuild mm: split VMAs around each victim page *)
-    let in_victims a = List.mem (page_base a) victim_pages in
+    let in_victims a = List.mem (Mem.page_base a) victim_pages in
     let mm =
       List.concat_map
         (fun (v : Images.vma_img) ->

@@ -16,9 +16,6 @@ type journal = { j_pid : int; j_patches : patch list }
 
 exception Rewrite_error of string
 
-val int3 : char
-(** The one-byte trap, ['\xCC']. *)
-
 val module_base : Images.t -> string -> int64 option
 (** Base address of a module inside an image (lowest VMA named
     ["<module>:<section>"]). *)

@@ -97,8 +97,7 @@ let page_blocks_of_features ~(exe : Self.t) (blocks : Covgraph.block list) :
     owned_functions
 
 let measure_policy ~(blocks : Covgraph.block list) (name, method_) : policy_row =
-  let c = Workload.spawn rkv_paged in
-  Workload.wait_ready c;
+  let c = Workload.boot rkv_paged in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let blocks =
     match method_ with
@@ -240,8 +239,7 @@ let run_libcut fmt =
     List.filter (fun (b : Covgraph.block) -> b.Covgraph.b_module = "libc.so") init_blocks
   in
   let app_blocks = Common.own_blocks "ltpd" init_blocks in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _, t =
     Dynacut.cut session ~blocks:libc_blocks
@@ -270,8 +268,7 @@ let run_restore_vs_boot fmt =
   let init_blocks, _, _ = Common.init_only_blocks Workload.ltpd in
   let (c, session), t_boot =
     Stats.time_it (fun () ->
-        let c = Workload.spawn Workload.ltpd in
-        Workload.wait_ready c;
+        let c = Workload.boot Workload.ltpd in
         let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
         let _ =
           Dynacut.cut session ~blocks:init_blocks
@@ -305,8 +302,7 @@ let run_restore_vs_boot fmt =
 let run_seccomp fmt =
   Format.fprintf fmt
     "6. dynamic seccomp filtering by image rewriting (§5, after Ghavamnia et al.)@.";
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   (* post-initialization, a static web server needs none of these *)
   let denied =

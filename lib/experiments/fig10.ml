@@ -64,8 +64,7 @@ let run fmt =
         not (Covgraph.mem_off all_cov ~module_:name ~off:b.Cfg.bb_off))
       static
   in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let disabled = Hashtbl.create 512 in
   let count_disabled blocks = List.iter (fun (b : Covgraph.block) -> Hashtbl.replace disabled b.Covgraph.b_off ()) blocks in

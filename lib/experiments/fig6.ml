@@ -28,8 +28,7 @@ let measure ~(app : Workload.app) ~(blocks : Covgraph.block list)
   Obs.reset ();
   let samples =
     List.init repetitions (fun rep ->
-        let c = Workload.spawn ~seed:(100 + rep) app in
-        Workload.wait_ready c;
+        let c = Workload.boot ~seed:(100 + rep) app in
         let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
         let _journals, _t =
           Dynacut.cut session ~blocks

@@ -51,15 +51,13 @@ let spec_console_result (c : Workload.ctx) =
       |> Option.value ~default:""
 
 let vanilla_spec_result (k : Spec.kernel) =
-  let c = Workload.spawn (Workload.spec_app k) in
-  Workload.wait_ready c;
+  let c = Workload.boot (Workload.spec_app k) in
   let (_ : Proc.state) = Workload.run_to_exit c in
   spec_console_result c
 
 let measure (app : Workload.app) : row =
   let init_blocks, _, _ = Common.init_only_blocks app in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _journals, t =
     Dynacut.cut session ~blocks:init_blocks

@@ -31,8 +31,7 @@ let closed_loop_run ~(dynacut : bool) : run =
   (* fresh registry per run: the vanilla and DynaCut curves use the same
      counter names, and stale handles must not leak across runs *)
   Obs.reset ();
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   let m = c.Workload.m in
   let session = if dynacut then Some (Dynacut.create m ~root_pid:c.Workload.pid) else None in
   (* replies are counted in the observability registry (one labeled

@@ -47,8 +47,7 @@ type brop_row = {
 (** Gadget census before/after wiping the init-only code in the image. *)
 let brop_for (app : Workload.app) : brop_row =
   let init_blocks, init_log, serving_log = Common.init_only_blocks app in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;
   let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
   let before = Gadget.of_image img in

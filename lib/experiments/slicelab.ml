@@ -70,8 +70,7 @@ type profile = {
     mix. Returns the sliced-away report over the serving coverage.
     [sample] forwards the slicer's sampled-tracing mode. *)
 let profile ?(seed = 42) ?sample (app : Workload.app) : profile =
-  let c = Workload.spawn ~seed ~traced:true app in
-  Workload.wait_ready c;
+  let c = Workload.boot ~seed ~traced:true app in
   let (_ : Drcov.log) = Collector.nudge (Workload.collector c) in
   let sl =
     Slicer.attach c.Workload.m ~pid:c.Workload.pid ?sample
@@ -154,8 +153,7 @@ type converge = {
 let cut_and_converge ?(seed = 42)
     ?(on_counterexample = fun (_ : Covgraph.block) -> ())
     (app : Workload.app) ~(blocks : Covgraph.block list) () : converge =
-  let c = Workload.spawn ~seed app in
-  Workload.wait_ready c;
+  let c = Workload.boot ~seed app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let sup =
     Supervisor.create session

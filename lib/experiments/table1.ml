@@ -77,15 +77,13 @@ let probe_outcome (c : Workload.ctx) (reply : string) : outcome =
         else Survived_clean
 
 let attack_vanilla (cve : cve) : outcome =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   let reply = Workload.rpc c cve.cve_exploit in
   probe_outcome c reply
 
 let attack_dynacut (cve : cve) : outcome * bool =
   let blocks = Common.rkv_feature_blocks cve.cve_profile in
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _ =
     Dynacut.cut session ~blocks

@@ -58,9 +58,8 @@ let refresh_gauges t =
         (float_of_int n))
     worker_states
 
-(** Assemble a fleet over already-booted workers (e.g. from
-    [Workload.spawn_fleet]): every pid must be the root of its own tree
-    and own a listener on [port]. *)
+(** Assemble a fleet over already-booted workers: every pid must be the
+    root of its own tree and own a listener on [port]. *)
 let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
     ~(pids : int list) ~(blocks : Covgraph.block list)
     ~(policy : Dynacut.policy) : t =
@@ -95,6 +94,22 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
   refresh_gauges t;
   t
 
+(** Boot [n] workers of [app] on one machine and assemble the fleet;
+    see fleet.mli on why [blocks] is an argument. *)
+let boot ?seed ?traced ?balancer ~n ~blocks ~policy (app : Workload.app) :
+    t * Workload.ctx list =
+  let port =
+    match app.Workload.a_port with
+    | Some p -> p
+    | None -> raise (Fleet_error (app.Workload.a_name ^ " is not a server"))
+  in
+  let ctxs = Workload.spawn_fleet ?seed ?traced ~n app in
+  Workload.wait_fleet_ready ctxs;
+  let pids = List.map (fun c -> c.Workload.pid) ctxs in
+  (create ?balancer (List.hd ctxs).Workload.m ~port ~pids ~blocks ~policy, ctxs)
+
+let machine t = t.machine
+let pids t = List.map (fun w -> w.Rollout.w_pid) t.workers
 let workers t = t.workers
 let balancer t = t.balancer
 let manifest t = t.manifest
@@ -129,7 +144,7 @@ let rollout ?(config = Rollout.default_config) t ~(drive : unit -> unit) () :
   (outcome, reports)
 
 (** Start the drift monitor on [collector] (which must trace every
-    worker — [Workload.spawn_fleet ~traced:true] does). *)
+    worker — [boot ~traced:true] arranges that). *)
 let start_drift ?(config = Drift.default_config) t
     ~(collector : Collector.t) () : unit =
   t.drift <-

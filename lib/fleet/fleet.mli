@@ -13,8 +13,8 @@
       uniform fleet — completed waves cut, the interrupted wave
       original.
 
-    Build the workers with [Workload.spawn_fleet], which boots N
-    processes of one app on a single machine. *)
+    {!boot} boots N processes of one app on a single machine and
+    assembles the fleet over them. *)
 
 type t
 
@@ -37,6 +37,27 @@ val create :
     the dispatcher's accept-queue bound and shed watermarks
     ({!Balancer.default_config} otherwise). Raises {!Fleet_error} (or
     {!Balancer.Balancer_error}) otherwise. *)
+
+val boot :
+  ?seed:int ->
+  ?traced:bool ->
+  ?balancer:Balancer.config ->
+  n:int ->
+  blocks:Covgraph.block list ->
+  policy:Dynacut.policy ->
+  Workload.app ->
+  t * Workload.ctx list
+(** The one way a scenario boots a fleet: [Workload.spawn_fleet] (with
+    [?seed] and [?traced]), [Workload.wait_fleet_ready], then {!create}
+    on the app's port; returns the fleet and its workers' contexts.
+    [blocks] is evaluated before the call, so discovery's throwaway
+    machines precede the machine under test: the [Obs] clock and the
+    [Fault] delay and bitflip hooks follow the last machine created
+    (DESIGN.md §6a). Raises {!Fleet_error} for an app with no port. *)
+
+val machine : t -> Machine.t
+val pids : t -> int list
+(** The workers' pids, in the order they were booted. *)
 
 val workers : t -> Rollout.worker list
 val worker : t -> pid:int -> Rollout.worker
@@ -69,7 +90,7 @@ val rollout :
 
 val start_drift : ?config:Drift.config -> t -> collector:Collector.t -> unit -> unit
 (** Start the drift monitor. [collector] must trace every worker
-    ([Workload.spawn_fleet ~traced:true] arranges that). *)
+    ([boot ~traced:true] arranges that). *)
 
 val tick : t -> Drift.action option
 (** One control-loop step (drift sampling + decisions); call between
@@ -106,8 +127,6 @@ type scrub_config = {
   sc_interval : int;  (** virtual cycles between scrub slices *)
 }
 
-val default_scrub_config : scrub_config
-
 type scrub_report = {
   sr_pid : int;  (** the worker this slice audited *)
   sr_findings : Integrity.finding list;
@@ -120,7 +139,7 @@ type scrub_report = {
 
 val start_scrub : ?config:scrub_config -> t -> unit
 (** Build one scrubber per worker (baselines capture lazily at the
-    first audit). *)
+    first audit). [?config] defaults to a 20,000-cycle interval. *)
 
 val scrub_tick : t -> scrub_report option
 (** One background scrub step; call between traffic slices, like

@@ -16,8 +16,7 @@ let check_contains what sub str =
 (* ---------- ltpd ---------- *)
 
 let test_ltpd_get_and_404 () =
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   let r = Workload.rpc c (Workload.http_get "/index.html") in
   check_contains "status" "200 OK" r;
   check_contains "body" "hello from ltpd" r;
@@ -25,16 +24,14 @@ let test_ltpd_get_and_404 () =
   check_contains "404" "404 Not Found" r
 
 let test_ltpd_methods () =
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   check_contains "head" "200 OK" (Workload.rpc c (Workload.http_head "/index.html"));
   check_contains "post echoes" "a=1&b=2" (Workload.rpc c (Workload.http_post "/x" "a=1&b=2"));
   check_contains "options" "Allow:" (Workload.rpc c "OPTIONS / HTTP/1.0\r\n\r\n");
   check_contains "unknown method" "403" (Workload.rpc c "BREW /pot HTTP/1.0\r\n\r\n")
 
 let test_ltpd_webdav_put_get_delete () =
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   check_contains "put" "201 Created"
     (Workload.rpc c (Workload.http_put "/up.txt" "uploaded-content"));
   check_contains "get upload" "uploaded-content"
@@ -43,8 +40,7 @@ let test_ltpd_webdav_put_get_delete () =
   check_contains "gone" "404" (Workload.rpc c (Workload.http_get "/up.txt"))
 
 let test_ltpd_config_parsed () =
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   (* docroot comes from the config file; serving works only if parsing
      worked *)
   check_contains "css" "color: black" (Workload.rpc c (Workload.http_get "/style.css"))
@@ -52,8 +48,7 @@ let test_ltpd_config_parsed () =
 (* ---------- ngx ---------- *)
 
 let test_ngx_master_worker () =
-  let c = Workload.spawn Workload.ngx in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ngx in
   let procs = Machine.all_procs c.Workload.m in
   Alcotest.(check int) "master + worker" 2 (List.length procs);
   check_contains "get via worker" "hello from ltpd"
@@ -66,8 +61,7 @@ let test_ngx_master_worker () =
 (* ---------- rkv ---------- *)
 
 let test_rkv_commands () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "ping" "+PONG" (Workload.rpc c "PING\n");
   Alcotest.(check string) "get rdb key" "$hello" (Workload.rpc c "GET greeting\n");
   Alcotest.(check string) "set" "+OK" (Workload.rpc c "SET k1 v1\n");
@@ -83,8 +77,7 @@ let test_rkv_commands () =
   check_contains "info" "canary=ok" (Workload.rpc c "INFO\n")
 
 let test_rkv_setrange_benign_and_overflow () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   (* benign use *)
   Alcotest.(check string) "benign setrange" ":4" (Workload.rpc c "SETRANGE greeting 2 xy\n");
   Alcotest.(check string) "patched" "$hexyo" (Workload.rpc c "GET greeting\n");
@@ -99,8 +92,7 @@ let test_rkv_setrange_benign_and_overflow () =
   | st -> Alcotest.failf "expected crash, got %s" (Proc.state_to_string st)
 
 let test_rkv_stralgo_benign_and_overflow () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   (* LCS("abcd","abd") = 3 *)
   Alcotest.(check string) "benign stralgo" ":3" (Workload.rpc c "STRALGO abcd abd\n");
   (* CVE-2021-32625 emulation: a 16-char first argument walks row 16 of
@@ -118,8 +110,7 @@ let test_rkv_stralgo_benign_and_overflow () =
   | st -> Alcotest.failf "expected crash, got %s" (Proc.state_to_string st)
 
 let test_rkv_config_overflow () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "benign config" "+OK" (Workload.rpc c "CONFIG SET small\n");
   check_contains "ok canary" "canary=ok" (Workload.rpc c "INFO\n");
   (* CVE-2016-8339 emulation: a 40-byte value overflows config_param,
@@ -135,8 +126,7 @@ let spec_result_line (c : Workload.ctx) =
 let test_spec_kernels_run () =
   List.iter
     (fun (k : Spec.kernel) ->
-      let c = Workload.spawn (Workload.spec_app k) in
-      Workload.wait_ready c;
+      let c = Workload.boot (Workload.spec_app k) in
       (match Workload.run_to_exit c with
       | Proc.Exited 0 -> ()
       | st ->
@@ -147,8 +137,7 @@ let test_spec_kernels_run () =
 
 let test_spec_deterministic () =
   let run () =
-    let c = Workload.spawn (Workload.spec_app Spec.leela) in
-    Workload.wait_ready c;
+    let c = Workload.boot (Workload.spec_app Spec.leela) in
     let (_ : Proc.state) = Workload.run_to_exit c in
     spec_result_line c
   in
@@ -159,8 +148,7 @@ let test_spec_image_size_ordering () =
      omnetpp the largest of the suite (we keep the ordering at 1/100
      scale) *)
   let size k =
-    let c = Workload.spawn (Workload.spec_app k) in
-    Workload.wait_ready c;
+    let c = Workload.boot (Workload.spec_app k) in
     Machine.freeze c.Workload.m ~pid:c.Workload.pid;
     let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
     Images.image_size img
@@ -173,8 +161,7 @@ let test_spec_image_size_ordering () =
 
 let test_web_wanted_traffic_ok () =
   (* every wanted request gets an HTTP response (no hangs, no crashes) *)
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ltpd in
   List.iter
     (fun r ->
       let resp = Workload.rpc c r in

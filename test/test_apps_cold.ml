@@ -12,15 +12,10 @@ let contains sub str =
 let check_contains what sub str =
   if not (contains sub str) then Alcotest.failf "%s: %S not in %S" what sub str
 
-let boot_rkv () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
-  c
-
 (* ---------- rkv cold commands ---------- *)
 
 let test_rkv_ttl_persist () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "ttl missing" ":-2" (Workload.rpc c "TTL nope\n");
   Alcotest.(check string) "ttl no expiry" ":-1" (Workload.rpc c "TTL greeting\n");
   Alcotest.(check string) "expire" ":1" (Workload.rpc c "EXPIRE greeting 100\n");
@@ -30,7 +25,7 @@ let test_rkv_ttl_persist () =
   Alcotest.(check string) "get after persist" "$hello" (Workload.rpc c "GET greeting\n")
 
 let test_rkv_type_rename () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "type" "+string" (Workload.rpc c "TYPE greeting\n");
   Alcotest.(check string) "type missing" "+none" (Workload.rpc c "TYPE nope\n");
   Alcotest.(check string) "rename" "+OK" (Workload.rpc c "RENAME greeting hi\n");
@@ -39,7 +34,7 @@ let test_rkv_type_rename () =
   Alcotest.(check string) "rename missing" "-ERR no such key" (Workload.rpc c "RENAME nope x\n")
 
 let test_rkv_string_commands () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "strlen" ":5" (Workload.rpc c "STRLEN greeting\n");
   Alcotest.(check string) "strlen missing" ":0" (Workload.rpc c "STRLEN nope\n");
   Alcotest.(check string) "getrange" "$llo" (Workload.rpc c "GETRANGE greeting 2\n");
@@ -49,7 +44,7 @@ let test_rkv_string_commands () =
   Alcotest.(check string) "getset missing" "$-1" (Workload.rpc c "GETSET fresh v0\n")
 
 let test_rkv_mget_scan () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   check_contains "mget both" "hello" (Workload.rpc c "MGET greeting color\n");
   check_contains "mget second" "blue" (Workload.rpc c "MGET greeting color\n");
   let r = Workload.rpc c "SCAN 0\n" in
@@ -57,19 +52,19 @@ let test_rkv_mget_scan () =
   Alcotest.(check string) "dbsize" ":3" (Workload.rpc c "DBSIZE\n")
 
 let test_rkv_randomkey () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   let r = Workload.rpc c "RANDOMKEY\n" in
   Alcotest.(check bool) "one of the rdb keys" true
     (List.mem r [ "$greeting"; "$counter"; "$color" ])
 
 let test_rkv_auth () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "bad password" "-ERR invalid password"
     (Workload.rpc c "AUTH wrong\n");
   Alcotest.(check string) "good password" "+OK" (Workload.rpc c "AUTH secret-token\n")
 
 let test_rkv_save_debug () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   Alcotest.(check string) "save fails read-only" "-ERR read-only filesystem"
     (Workload.rpc c "SAVE\n");
   Alcotest.(check string) "debug sleep" "+OK" (Workload.rpc c "DEBUG SLEEP 1000\n");
@@ -86,7 +81,7 @@ let test_rkv_cold_commands_blockable () =
   let profile = [ "TTL greeting\n"; "RENAME a b\n"; "SCAN 0\n"; "AUTH x\n" ] in
   let blocks = Common.rkv_feature_blocks profile in
   Alcotest.(check bool) "found distinct blocks" true (List.length blocks > 0);
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _ =
     Dynacut.cut session ~blocks
@@ -98,25 +93,20 @@ let test_rkv_cold_commands_blockable () =
 
 (* ---------- ltpd cold modules ---------- *)
 
-let boot_ltpd () =
-  let c = Workload.spawn Workload.ltpd in
-  Workload.wait_ready c;
-  c
-
 let test_ltpd_status_page () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   let r = Workload.rpc c (Workload.http_get "/server-status") in
   check_contains "status" "uptime=" r;
   check_contains "served" "served=" r
 
 let test_ltpd_dirlist () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   let r = Workload.rpc c (Workload.http_get "/") in
   check_contains "listing" "<ul>" r;
   check_contains "entries" "<li>entry</li>" r
 
 let test_ltpd_cgi () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   (* a "script" under the docroot *)
   Vfs.add c.Workload.m.Machine.fs "/www/cgi-bin/hello.sh" "echo hello-from-cgi";
   let r = Workload.rpc c (Workload.http_get "/cgi-bin/hello.sh") in
@@ -125,12 +115,12 @@ let test_ltpd_cgi () =
     (Workload.rpc c (Workload.http_get "/cgi-bin/nope.sh"))
 
 let test_ltpd_conditional_get () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   let req = "GET /index.html HTTP/1.0\r\nIf-None-Match: \"xyz\"\r\n\r\n" in
   check_contains "304" "304 Not Modified" (Workload.rpc c req)
 
 let test_ltpd_range_request () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   let req = "GET /about.txt HTTP/1.0\r\nRange: bytes=5\r\n\r\n" in
   let r = Workload.rpc c req in
   check_contains "206" "206 Partial Content" r;
@@ -138,39 +128,34 @@ let test_ltpd_range_request () =
   check_contains "tail" "test site" r
 
 let test_ltpd_rewrite_rule () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   Vfs.add c.Workload.m.Machine.fs "/www/new/page.txt" "rewritten-target";
   let r = Workload.rpc c (Workload.http_get "/old/page.txt") in
   check_contains "served from /new/" "rewritten-target" r
 
 let test_ltpd_proxy_no_upstream () =
-  let c = boot_ltpd () in
+  let c = Workload.boot Workload.ltpd in
   check_contains "no upstream" "no upstream" (Workload.rpc c (Workload.http_get "/proxy/x"))
 
 (* ---------- ngx cold modules ---------- *)
 
-let boot_ngx () =
-  let c = Workload.spawn Workload.ngx in
-  Workload.wait_ready c;
-  c
-
 let test_ngx_api_proxy () =
-  let c = boot_ngx () in
+  let c = Workload.boot Workload.ngx in
   (* upstreams exist in the config: round-robin picks one, dial fails *)
   check_contains "gateway timeout" "504" (Workload.rpc c (Workload.http_get "/api/users"))
 
 let test_ngx_fastcgi () =
-  let c = boot_ngx () in
+  let c = Workload.boot Workload.ngx in
   check_contains "bad gateway" "502" (Workload.rpc c (Workload.http_get "/fcgi/app"))
 
 let test_ngx_tls_hello () =
-  let c = boot_ngx () in
+  let c = Workload.boot Workload.ngx in
   (* a TLS ClientHello on the plain port gets the toy handshake bytes *)
   let r = Workload.rpc c "\x16\x03\x01junk" in
   Alcotest.(check int) "16-byte ServerHello" 16 (String.length r)
 
 let test_ngx_mkcol_propfind () =
-  let c = boot_ngx () in
+  let c = Workload.boot Workload.ngx in
   check_contains "mkcol" "201" (Workload.rpc c "MKCOL /col HTTP/1.0\r\n\r\n");
   check_contains "propfind" "207" (Workload.rpc c "PROPFIND / HTTP/1.0\r\n\r\n")
 

@@ -662,15 +662,11 @@ let test_self_modifying_eviction () =
 let test_fleet_recover_coldness () =
   Fault.reset ();
   Obs.reset ();
-  let ctxs = Workload.spawn_fleet ~n:2 Workload.ltpd in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet =
-    Fleet.create m ~port:Ltpd.port ~pids
-      ~blocks:(Common.web_feature_blocks Workload.ltpd)
-      ~policy:lpolicy
+  let fleet, _ =
+    Fleet.boot ~n:2 ~blocks:(Common.web_feature_blocks Workload.ltpd)
+      ~policy:lpolicy Workload.ltpd
   in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   for _ = 1 to 4 do
     ignore (Fleet.request fleet get)
   done;
@@ -747,8 +743,7 @@ let test_cached_dump_deterministic () =
   let run () =
     Obs.reset ();
     Fault.reset ();
-    let c = Workload.spawn Workload.ltpd in
-    Workload.wait_ready c;
+    let c = Workload.boot Workload.ltpd in
     List.iter
       (fun r -> ignore (Workload.rpc c r))
       (Workload.web_wanted @ Workload.web_undesired);
@@ -764,8 +759,7 @@ let test_cached_dump_deterministic () =
 let test_dropped_machine_collected () =
   let weak = Weak.create 1 in
   let[@inline never] boot () =
-    let c = Workload.spawn Workload.rkv in
-    Workload.wait_ready c;
+    let c = Workload.boot Workload.rkv in
     Weak.set weak 0 (Some c.Workload.m)
   in
   boot ();

@@ -298,10 +298,9 @@ let test_counters_empty_session () =
 let test_counters_multi_pid () =
   (* on a master/worker tree the counters are per-pid: only the worker
      that serves the blocked request accumulates hits *)
-  let c = Workload.spawn Workload.ngx in
-  Workload.wait_ready c;
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let blocks = Common.web_feature_blocks Workload.ngx in
+  let c = Workload.boot Workload.ngx in
+  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _ =
     Dynacut.cut session ~blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }

@@ -336,8 +336,7 @@ let header_size = String.length (Validate.seal "")
 
 (* the frozen rkv dump the micro-benchmarks seal *)
 let rkv_dump () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;
   Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ()
 

@@ -124,8 +124,7 @@ let test_libc_init_only_wipe_is_safe () =
     List.filter (fun (b : Covgraph.block) -> b.Covgraph.b_module = "libc.so") init_blocks
   in
   Alcotest.(check bool) "found libc init-only code" true (List.length libc_blocks > 0);
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _ =
     Dynacut.cut session ~blocks:libc_blocks

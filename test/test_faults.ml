@@ -194,8 +194,7 @@ let test_chaos_soak_ngx () =
     List.find (fun (a : Workload.app) -> a.Workload.a_name = "ngx") Workload.all_apps
   in
   let blocks = Common.web_feature_blocks app in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let get = "GET /index.html HTTP/1.0\r\n\r\n" in
   let answers () =
@@ -237,8 +236,7 @@ let test_promote_fault_fleet_invariant () =
   Fault.reset ();
   let app = Workload.ngx in
   let blocks = Common.web_feature_blocks app in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let effective = Dynacut.redirect_filter session ~sym:"ngx_declined" blocks in
   Alcotest.(check bool) "effective blocks nonempty" true (effective <> []);
@@ -364,8 +362,7 @@ let test_guarded_chaos_soak () =
   Fault.reset ();
   let app = Workload.ngx in
   let blocks = Common.web_feature_blocks app in
-  let c = Workload.spawn app in
-  Workload.wait_ready c;
+  let c = Workload.boot app in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let get = "GET /index.html HTTP/1.0\r\n\r\n" in
   let answers () =

@@ -10,22 +10,6 @@ let lblocks = lazy (Common.web_feature_blocks lapp)
 let lpolicy =
   { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
 
-let fleet_boot ?balancer ?(traced = false) ~n () =
-  Obs.reset ();
-  Fault.reset ();
-  (* force the tracing (which spawns throwaway machines) before the
-     fleet machine exists: Fault's delay hook follows the last machine
-     created, and it must point at the fleet *)
-  let blocks = Lazy.force lblocks in
-  let ctxs = Workload.spawn_fleet ~traced ~n lapp in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet =
-    Fleet.create ?balancer m ~port:Ltpd.port ~pids ~blocks ~policy:lpolicy
-  in
-  (ctxs, m, pids, fleet)
-
 let quick_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 }
 
 let send fleet reqs =
@@ -111,7 +95,9 @@ let test_manifest_halted_summary () =
 (* ---------- rolling rollout ---------- *)
 
 let test_rollout_completes () =
-  let _ctxs, _m, pids, fleet = fleet_boot ~n:3 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:3 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
   let drive () = send fleet [ lget ] in
   let outcome, reports =
     Fleet.rollout fleet
@@ -144,11 +130,13 @@ let test_rollout_completes () =
   | `Reply (_, resp) ->
       Alcotest.(check bool) "PUT blocked" true
         (String.length resp > 12 && String.sub resp 9 3 = "403")
-  | `Refused | `Shed | `Timed_out _ -> Alcotest.fail "fleet refused");
-  ignore pids
+  | `Refused | `Shed | `Timed_out _ -> Alcotest.fail "fleet refused")
 
 let test_rollout_halts_on_trap_storm () =
-  let _ctxs, _m, pids, fleet = fleet_boot ~n:3 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:3 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let pids = Fleet.pids fleet in
   (* wave 2's canary sees undesired traffic and must reject *)
   let drive () =
     let wave = int_of_float (Obs.gauge_value (Obs.gauge "fleet.wave")) in
@@ -188,7 +176,11 @@ let test_rollout_halts_on_trap_storm () =
 
 (* one full drift cycle; returns the actions in order for replay checks *)
 let drift_scenario () =
-  let ctxs, _m, _pids, fleet = fleet_boot ~traced:true ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, ctxs =
+    Fleet.boot ~traced:true ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp
+  in
   let drive () = send fleet [ lget ] in
   (match Fleet.rollout fleet ~config:Rollout.{ r_waves = 1; r_sup = quick_sup } ~drive () with
   | Rollout.Completed _, _ -> ()
@@ -249,7 +241,10 @@ let test_drift_replay_exact () =
 (* ---------- fleet recovery ---------- *)
 
 let test_recover_unwinds_open_wave () =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let w1 = Fleet.worker fleet ~pid:(List.hd pids) in
   (* simulate a controller crash mid-wave: the first member's cut has
      committed (manifest intent + Worker_cut), the wave never closed *)
@@ -282,7 +277,10 @@ let test_recover_unwinds_open_wave () =
 (* ---------- health-scored dispatch (§6b) ---------- *)
 
 let test_frozen_worker_zero_dispatches () =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:3 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:3 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let cold = List.hd pids in
   Machine.freeze m ~pid:cold;
   for _ = 1 to 12 do
@@ -318,7 +316,10 @@ let set_breaker fleet ~pid b =
   (Fleet.worker fleet ~pid).Rollout.w_session.Dynacut.breaker <- b
 
 let test_breaker_open_drains_dispatch () =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let sick = List.nth pids 0 and healthy = List.nth pids 1 in
   (* breaker open on the worker's session: the balancer must route
      around the worker without being told *)
@@ -364,7 +365,10 @@ let test_breaker_open_drains_dispatch () =
    dispatch with Obs disabled while the breaker opens, nor after an
    [Obs.reset] drops every series. *)
 let test_breaker_open_without_obs () =
-  let _ctxs, _m, pids, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let pids = Fleet.pids fleet in
   let sick = List.nth pids 0 in
   let sup =
     Supervisor.create (Fleet.worker fleet ~pid:sick).Rollout.w_session
@@ -411,7 +415,11 @@ let test_admission_shed_hysteresis () =
       b_shed_low = 0;
     }
   in
-  let _ctxs, _m, _pids, fleet = fleet_boot ~balancer:bcfg ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ =
+    Fleet.boot ~balancer:bcfg ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp
+  in
   let b = Fleet.balancer fleet in
   let tk () =
     match Balancer.dispatch b lget with
@@ -440,7 +448,9 @@ let test_admission_shed_hysteresis () =
 
 let test_loadgen_deterministic_budget () =
   let scenario () =
-    let _ctxs, _m, _pids, fleet = fleet_boot ~n:2 () in
+    Obs.reset ();
+    Fault.reset ();
+    let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
     Fleet.overload fleet
       {
         Loadgen.default_config with
@@ -534,7 +544,10 @@ let test_manifest_checkpoint_compact () =
 (* ---------- owner-keyed routing across reap + revive ---------- *)
 
 let test_route_after_reap_revive () =
-  let _ctxs, m, pids, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let victim = List.nth pids 0 and other = List.nth pids 1 in
   (* the controller dies mid-restore: the victim's processes were reaped
      and their revival is recovery's job *)
@@ -575,7 +588,10 @@ let test_route_after_reap_revive () =
    Straggler), then let the per-decision decay bring it back once the
    slowness clears. *)
 let test_straggler_zero_dispatches () =
-  let _ctxs, _m, pids, fleet = fleet_boot ~n:3 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:3 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let pids = Fleet.pids fleet in
   let slow = List.hd pids in
   (* every serve by [slow] eats an extra 150k cycles — an order of
      magnitude over the healthy round trip, well under any deadline *)
@@ -624,7 +640,10 @@ let test_straggler_zero_dispatches () =
    serving machine's connection table does not grow with the requests it
    has handled. *)
 let test_conn_table_bounded () =
-  let _, m, _, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet in
   for i = 1 to 5_000 do
     match Fleet.request fleet lget with
     | `Reply (_, resp) ->
@@ -638,6 +657,42 @@ let test_conn_table_bounded () =
     if Option.is_some (Net.find_conn m.Machine.net id) then incr n
   done;
   if !n > 4 then Alcotest.failf "%d connections still in the kernel table" !n
+
+(* ---------- the machine under test is created last ---------- *)
+
+(* [Fleet.boot] takes its blocks as an argument, so discovery, which
+   creates throwaway machines, always runs before the fleet machine
+   exists, and the [Obs] clock and the [Fault] delay hook (both follow
+   the last machine created) land on the fleet. The order the builder
+   replaced at several call sites, spawn the fleet and then discover,
+   left them on a discovery machine: once a major GC had collected it,
+   a 100,000-cycle delay moved the fleet's clock by 0 and [Obs] events
+   were stamped 0. *)
+let test_boot_discovers_first () =
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ =
+    Fleet.boot ~n:2 ~blocks:(Common.web_feature_blocks lapp) ~policy:lpolicy lapp
+  in
+  let m = Fleet.machine fleet in
+  Gc.full_major ();
+  let c0 = m.Machine.clock in
+  Alcotest.(check bool) "the fleet booted on its own clock" true (c0 > 0L);
+  Fault.arm_mode "net.serve" Fault.One_shot (Fault.Delay 100_000);
+  Fault.site "net.serve";
+  Alcotest.(check int64) "the delay lands on the fleet" (Int64.add c0 100_000L)
+    m.Machine.clock;
+  (match List.rev (Obs.events ()) with
+  | e :: _ ->
+      Alcotest.(check string) "the last event is the fault" "fault" e.Obs.ev_kind;
+      Alcotest.(check int64) "stamped with the fleet's clock" c0 e.Obs.ev_clock
+  | [] -> Alcotest.fail "the fault emitted no event");
+  Obs.event ~kind:"test" "after the delay";
+  match List.rev (Obs.events ()) with
+  | e :: _ ->
+      Alcotest.(check int64) "a later event reads the moved clock" m.Machine.clock
+        e.Obs.ev_clock
+  | [] -> Alcotest.fail "no event recorded"
 
 let suite =
   [
@@ -671,4 +726,6 @@ let suite =
     Alcotest.test_case "owner-keyed routing after reap+revive" `Quick
       test_route_after_reap_revive;
     Alcotest.test_case "connection table stays bounded" `Quick test_conn_table_bounded;
+    Alcotest.test_case "boot runs discovery before the fleet" `Quick
+      test_boot_discovers_first;
   ]

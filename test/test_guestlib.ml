@@ -55,8 +55,7 @@ let test_handler_position_independent () =
 (* ---------- injection ---------- *)
 
 let checkpointed_rkv () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.rkv in
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;
   (c, Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ())
 

@@ -9,9 +9,11 @@ let app = Workload.ngx
 let blocks = lazy (Common.web_feature_blocks app)
 let policy method_ = { Dynacut.method_; on_trap = `Redirect "ngx_declined" }
 
+(* discovery first: the tracing boots machines of its own, and the
+   fault hooks and metrics clock must follow the ngx under test *)
 let boot ~seed =
-  let c = Workload.spawn ~seed app in
-  Workload.wait_ready c;
+  ignore (Lazy.force blocks : Covgraph.block list);
+  let c = Workload.boot ~seed app in
   let s = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   Alcotest.(check int) "ngx forked its worker" 2 (List.length (Dynacut.tree_pids s));
   (c, s)

@@ -16,23 +16,9 @@ let boot_tree () =
   Obs.reset ();
   Fault.reset ();
   let blocks = Lazy.force lblocks in
-  let c = Workload.spawn lapp in
-  Workload.wait_ready c;
+  let c = Workload.boot lapp in
   let s = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   (c, s, blocks)
-
-let fleet_boot ~n () =
-  Obs.reset ();
-  Fault.reset ();
-  let blocks = Lazy.force lblocks in
-  let ctxs = Workload.spawn_fleet ~n lapp in
-  Workload.wait_fleet_ready ctxs;
-  let m = (List.hd ctxs).Workload.m in
-  let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  let fleet =
-    Fleet.create m ~port:Ltpd.port ~pids ~blocks ~policy:lpolicy
-  in
-  (m, pids, fleet)
 
 (* ---------- baselines + the incremental audit ---------- *)
 
@@ -150,7 +136,10 @@ let test_rewritten_page_heals () =
 (* ---------- the fleet's graduated response ---------- *)
 
 let test_fleet_quarantine_heal () =
-  let m, pids, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   Fleet.start_scrub fleet;
   List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
   let victim = List.hd pids in
@@ -173,7 +162,10 @@ let test_fleet_quarantine_heal () =
        (Integrity.scrub_full (Fleet.integrity fleet ~pid:victim) ()))
 
 let test_fleet_redivergence_respawns () =
-  let m, pids, fleet = fleet_boot ~n:2 () in
+  Obs.reset ();
+  Fault.reset ();
+  let fleet, _ = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   (* roll the cut out first: escalation respawns from the newest sealed
      image, so the workers must have been checkpointed *)
   let config =
@@ -222,7 +214,10 @@ let test_fleet_redivergence_respawns () =
    controller-side work and moves no guest clock. *)
 let test_scrub_invisible_to_guest () =
   let soak ~scrub =
-    let m, pids, fleet = fleet_boot ~n:3 () in
+    Obs.reset ();
+    Fault.reset ();
+    let fleet, _ = Fleet.boot ~n:3 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
     if scrub then Fleet.start_scrub fleet;
     let replies =
       List.init 40 (fun _ ->

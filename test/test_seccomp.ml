@@ -5,14 +5,9 @@ open Dsl
 
 let libc = Test_machine.libc
 
-let boot_rkv () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
-  c
-
 let test_filter_kills_denied_syscall () =
   (* a post-init rkv never forks; deny fork and prove the policy bites *)
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let (_ : Dynacut.timings) =
     Dynacut.apply_seccomp session ~denied:(Some [ Abi.sys_fork; Abi.sys_open ])
@@ -39,13 +34,13 @@ let test_filter_kills_denied_syscall () =
   | st -> Alcotest.failf "expected SIGSYS kill, got %s" (Proc.state_to_string st)
 
 let test_filter_survives_checkpoint_restore () =
-  let c = boot_rkv () in
+  let blocks = Common.rkv_feature_blocks [ "SET a 1\n" ] in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let (_ : Dynacut.timings) =
     Dynacut.apply_seccomp session ~denied:(Some [ Abi.sys_fork ])
   in
   (* a second unrelated rewrite must not lose the filter *)
-  let blocks = Common.rkv_feature_blocks [ "SET a 1\n" ] in
   let _ =
     Dynacut.cut session ~blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect "rkv_err" }
@@ -55,7 +50,7 @@ let test_filter_survives_checkpoint_restore () =
     (p.Proc.seccomp = Some [ Abi.sys_fork ])
 
 let test_filter_clearable () =
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let (_ : Dynacut.timings) = Dynacut.apply_seccomp session ~denied:(Some [ Abi.sys_fork ]) in
   let (_ : Dynacut.timings) = Dynacut.apply_seccomp session ~denied:None in
@@ -109,7 +104,7 @@ let after = Some [ Abi.sys_fork; Abi.sys_socket ]
 (* an rkv already carrying the [before] filter, and its session *)
 let filtered_rkv () =
   Fault.reset ();
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let (_ : Dynacut.timings) = Dynacut.apply_seccomp session ~denied:before in
   (c, session)
@@ -154,7 +149,7 @@ let test_crit_edit_register_roundtrip () =
   (* the paper's crit decode/edit/encode workflow: decode the image to
      text, change a register, encode, restore — the process resumes with
      the edited register *)
-  let c = boot_rkv () in
+  let c = Workload.boot Workload.rkv in
   let m = c.Workload.m in
   Machine.freeze m ~pid:c.Workload.pid;
   let img = Checkpoint.dump m ~pid:c.Workload.pid () in

@@ -2,17 +2,12 @@
     live process, partially re-enabled in any order — the "gradually
     enlarged allow-list" usage the paper describes in §6. *)
 
-let boot () =
-  let c = Workload.spawn Workload.rkv in
-  Workload.wait_ready c;
-  c
-
 let redirect = { Dynacut.method_ = `First_byte; on_trap = `Redirect "rkv_err" }
 
 let test_two_features_stacked () =
   let set_blocks = Common.rkv_feature_blocks [ "SET a 1\n" ] in
   let str_blocks = Common.rkv_feature_blocks [ "STRALGO abc abd\n" ] in
-  let c = boot () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let set_j, _ = Dynacut.cut session ~blocks:set_blocks ~policy:redirect in
   let _str_j, _ = Dynacut.cut session ~blocks:str_blocks ~policy:redirect in
@@ -33,7 +28,7 @@ let test_two_features_stacked () =
 let test_mode_conflict_rejected () =
   let set_blocks = Common.rkv_feature_blocks [ "SET a 1\n" ] in
   let str_blocks = Common.rkv_feature_blocks [ "STRALGO abc abd\n" ] in
-  let c = boot () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let _ = Dynacut.cut session ~blocks:set_blocks ~policy:redirect in
   match
@@ -47,7 +42,7 @@ let test_many_cut_reenable_cycles () =
   (* robustness: 20 disable/enable cycles on one live server, with the
      store's state progressing through the open windows *)
   let blocks = Common.rkv_feature_blocks [ "SET a 1\n" ] in
-  let c = boot () in
+  let c = Workload.boot Workload.rkv in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   for k = 1 to 20 do
     let j, _ = Dynacut.cut session ~blocks ~policy:redirect in
@@ -67,8 +62,7 @@ let test_stacked_cut_on_multiprocess () =
   (* ngx: stack PUT/DELETE block with an extra MKCOL-ish block across the
      master/worker tree *)
   let features = Common.web_feature_blocks Workload.ngx in
-  let c = Workload.spawn Workload.ngx in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ngx in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let j, _ =
     Dynacut.cut session ~blocks:features

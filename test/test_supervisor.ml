@@ -147,8 +147,7 @@ let ngx_storm_block () =
 
 let canary_run () =
   Fault.reset ();
-  let c = Workload.spawn Workload.ngx in
-  Workload.wait_ready c;
+  let c = Workload.boot Workload.ngx in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let pids = Dynacut.tree_pids session in
   Alcotest.(check int) "master + worker" 2 (List.length pids);
@@ -207,10 +206,9 @@ let test_canary_replay () =
 
 let test_canary_promotes_good_cut () =
   Fault.reset ();
-  let c = Workload.spawn Workload.ngx in
-  Workload.wait_ready c;
-  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let blocks = Common.web_feature_blocks Workload.ngx in
+  let c = Workload.boot Workload.ngx in
+  let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let sup =
     Supervisor.create session
       ~config:{ Supervisor.default_config with Supervisor.canary_windows = 1 }
