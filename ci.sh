@@ -143,31 +143,37 @@ virtual_axis_unchanged BENCH_slice.json \
 echo "== crash-recovery matrix =="
 dune exec examples/crash_matrix.exe
 
-# Seccomp smoke (DESIGN.md §5b): the autopilot example installs a
-# syscall filter through the cut transaction and asserts it survives a
-# redeploy from the customized image.
-echo "== autopilot (seccomp transaction) =="
-dune exec examples/autopilot.exe
-
 # Pinned examples: these are deterministic end to end (seeded PRNG,
 # virtual clock), so their stdout must equal the committed
 # examples/expected/<name>.txt. The only host-time figures they print
 # are a cut's stage timings ("checkpoint 0.0009s + ..."); those numbers
-# are masked on both sides, and every other byte must match.
+# are masked on both sides, and every other byte must match. An example
+# that exits non-zero fails the step even when its output matches: the
+# examples assert as they go (autopilot, DESIGN.md §5b, asserts that its
+# seccomp filter survives a redeploy from the customized image).
 echo "== pinned example output =="
 host_seconds='s/[0-9]+\.[0-9]{4}s/#.####s/g'
 pinned=$(mktemp)
+out=$(mktemp)
 for e in fault_drill guarded_rollout fleet_rollout init_removal cve_mitigation \
   verifier_validation quickstart webserver_customization autopilot; do
   sed -E "$host_seconds" "examples/expected/$e.txt" >"$pinned"
-  if ! dune exec "examples/$e.exe" | sed -E "$host_seconds" | diff "$pinned" -; then
+  status=0
+  dune exec "examples/$e.exe" >"$out" || status=$?
+  if [ "$status" -ne 0 ]; then
+    cat "$out"
+    echo "FAIL: examples/$e.exe exited with status $status"
+    rm -f "$pinned" "$out"
+    exit 1
+  fi
+  if ! sed -E "$host_seconds" "$out" | diff "$pinned" -; then
     echo "FAIL: examples/$e.exe output differs from examples/expected/$e.txt"
-    rm -f "$pinned"
+    rm -f "$pinned" "$out"
     exit 1
   fi
   echo "   $e identical"
 done
-rm -f "$pinned"
+rm -f "$pinned" "$out"
 
 # Chaos smoke (DESIGN.md §6c): the directed site x mode coverage matrix
 # (every registered site in every applicable mode — the bench hard-fails

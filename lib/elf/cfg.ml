@@ -20,20 +20,8 @@ type t = {
       (** intra-module (from-insn offset, target offset), sorted *)
 }
 
-(* Block terminators by code; code 0 is an instruction that does not end
-   a block. *)
+(* Block terminators by {!Decode.term_code}. *)
 let terms = [| `Fall; `Jmp; `Jcc; `Call; `Ret; `Ind; `Syscall; `Trap |]
-
-let term_code (i : Insn.t) =
-  match i with
-  | Insn.Jmp _ -> 1
-  | Insn.Jcc _ -> 2
-  | Insn.Call _ -> 3
-  | Insn.Ret -> 4
-  | Insn.Call_r _ | Insn.Jmp_r _ -> 5
-  | Insn.Syscall -> 6
-  | Insn.Int3 | Insn.Hlt -> 7
-  | _ -> 0
 
 (** Decode one executable section into basic blocks and edges, both
     sorted. [extra_leaders] are module-relative offsets known to be
@@ -43,9 +31,10 @@ let blocks_of_section ~extra_leaders (sec : Self.section) :
     block list * (int * int) list =
   let data = sec.sec_data in
   let size = Bytes.length data and base = sec.sec_off in
-  (* pass 1: decode linearly up to the first undecodable byte; note each
+  (* pass 1: scan linearly up to the first undecodable byte; note each
      instruction's length and terminator code (packed in one byte as
-     [len lor (code lsl 4)], in order), the leader bitmap and the edges *)
+     [len lor (code lsl 4)], in order), the leader bitmap and the edges.
+     {!Decode.scan} reads only the shape, so no [Insn.t] is built *)
   let insns = Bytes.create size in
   let n = ref 0 in
   let leader = Bytes.make size '\000' in
@@ -58,23 +47,23 @@ let blocks_of_section ~extra_leaders (sec : Self.section) :
   (try
      while !pos < size do
        let off = !pos in
-       let insn, len = Decode.decode_at data off in
-       let next = off + len in
-       (match insn with
-       | Insn.Jmp rel ->
-           mark (next + rel);
-           edges := (base + off, base + next + rel) :: !edges;
+       let shape = Decode.scan data off in
+       let next = off + (shape land 15) in
+       (match (shape lsr 4) land 15 with
+       | 0 -> ()
+       | 1 (* jmp *) ->
+           let target = next + (shape asr 8) in
+           mark target;
+           edges := (base + off, base + target) :: !edges;
            mark next
-       | Insn.Jcc (_, rel) | Insn.Call rel ->
-           let target = next + rel in
+       | 2 | 3 (* jcc, call *) ->
+           let target = next + (shape asr 8) in
            mark target;
            mark next;
            let lo = min target next and hi = max target next in
            edges := (base + off, base + hi) :: (base + off, base + lo) :: !edges
-       | Insn.Call_r _ | Insn.Jmp_r _ | Insn.Ret | Insn.Syscall | Insn.Int3 | Insn.Hlt ->
-           mark next
-       | _ -> ());
-       Bytes.unsafe_set insns !n (Char.unsafe_chr (len lor (term_code insn lsl 4)));
+       | _ -> mark next);
+       Bytes.unsafe_set insns !n (Char.unsafe_chr (shape land 0xff));
        incr n;
        pos := next
      done

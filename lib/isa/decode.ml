@@ -115,6 +115,59 @@ let decode_at (buf : bytes) (pos : int) : Insn.t * int =
       if pos + i >= Bytes.length buf then raise Truncated_insn
       else Char.code (Bytes.get buf (pos + i)))
 
+(* ---------- shape scan: length, terminator, branch target ---------- *)
+
+(** Block-terminator codes, as {!scan} reports them: 0 for an
+    instruction that does not end a basic block, then jmp, jcc, call,
+    ret, indirect call or jump, syscall, and int3 or hlt. *)
+let term_code (i : Insn.t) =
+  match i with
+  | Insn.Jmp _ -> 1
+  | Insn.Jcc _ -> 2
+  | Insn.Call _ -> 3
+  | Insn.Ret -> 4
+  | Insn.Call_r _ | Insn.Jmp_r _ -> 5
+  | Insn.Syscall -> 6
+  | Insn.Int3 | Insn.Hlt -> 7
+  | _ -> 0
+
+(* Per opcode byte: 0 when no instruction has it, else its encoded
+   length [lor] its terminator code [lsl 4]. Built by decoding each
+   opcode byte over zero operand bytes, so it is [decode]'s own table
+   and the two cannot disagree. *)
+let shapes =
+  Bytes.init 256 (fun op ->
+      match decode (fun i -> if i = 0 then op else 0) with
+      | exception Invalid_opcode _ -> '\000'
+      | insn, len -> Char.chr (len lor (term_code insn lsl 4)))
+
+(** The shape of the instruction at [pos] in [buf], without building it:
+    [len lor (term lsl 4) lor (rel lsl 8)], with [len] its encoded
+    length (at most 10), [term] its {!term_code} and [rel] its signed
+    branch displacement from the next instruction (0 unless a direct
+    jmp, jcc or call); read them back with [land 15], [lsr 4 land 15]
+    and [asr 8]. Raises exactly as {!decode_at} does, and allocates
+    nothing. *)
+let scan (buf : bytes) pos =
+  let size = Bytes.length buf in
+  if pos >= size then raise Truncated_insn;
+  let op = Char.code (Bytes.get buf pos) in
+  let shape = Char.code (Bytes.unsafe_get shapes op) in
+  if shape = 0 then raise (Invalid_opcode op);
+  let term = shape lsr 4 in
+  if term = 2 (* jcc *) then begin
+    (* the condition byte is fetched and checked before the rel32 *)
+    if pos + 1 >= size then raise Truncated_insn;
+    if Char.code (Bytes.unsafe_get buf (pos + 1)) > 9 then raise (Invalid_opcode op)
+  end;
+  if pos + (shape land 15) > size then raise Truncated_insn;
+  (* jmp and call carry their rel32 right after the opcode, jcc after
+     the condition byte *)
+  match term with
+  | 1 | 3 -> shape lor (Int32.to_int (Bytes.get_int32_le buf (pos + 1)) lsl 8)
+  | 2 -> shape lor (Int32.to_int (Bytes.get_int32_le buf (pos + 2)) lsl 8)
+  | _ -> shape
+
 (** Linear disassembly of a whole byte region, as
     [(offset, insn, len) list]. Stops at the first undecodable byte,
     returning what was decoded so far plus the bad offset. *)

@@ -64,6 +64,9 @@ type t = {
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
   mutable clock : int64;
+  mutable uncharged : int;
+      (** instructions retired but not yet added to [clock] and
+          ["machine.steps"]; see {!charge} *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
   mutable on_exit : exit_hook option;
@@ -144,6 +147,7 @@ let create ?(seed = 42) () =
       procs = Hashtbl.create 8;
       next_pid = 100;
       clock = 0L;
+      uncharged = 0;
       trace = None;
       on_syscall = None;
       on_exit = None;
@@ -254,6 +258,24 @@ let spawn t ~exe_path ?comm () =
   add_proc t p;
   p
 
+(* ---------- the clock ---------- *)
+
+(* Retirement counts instructions in [uncharged] (an [int] field write,
+   where an [int64] clock write boxes); this adds them to the clock and
+   to ["machine.steps"] at once. It runs wherever the clock can be read
+   from outside the slot loop: when {!exec_block} exits, after each
+   interpreter {!step}, at a syscall, at signal delivery, and before the
+   trace and [on_insn] hooks. The exit hook runs only after one of
+   these. So every observer sees the clock the per-instruction charge
+   would have shown it. *)
+let charge t =
+  let n = t.uncharged in
+  if n > 0 then begin
+    t.uncharged <- 0;
+    t.clock <- Int64.add t.clock (Int64.of_int n);
+    Obs.add t.obs_steps n
+  end
+
 (* ---------- tracing helpers ---------- *)
 
 (* Close [p]'s open basic block at [next] (as an [int]: the low 63 bits
@@ -262,6 +284,7 @@ let spawn t ~exe_path ?comm () =
 let close_block t (p : Proc.t) next =
   (match t.trace with
   | Some hook ->
+      charge t;
       let start = Proc.get64u p.Proc.block_start 0 in
       let size = next - Int64.to_int start in
       if size > 0 then hook p start size
@@ -286,6 +309,7 @@ let notify_exit t (p : Proc.t) =
     trapping instruction). Builds the signal frame described in {!Abi} or
     applies the default action (terminate). *)
 let deliver_signal t (p : Proc.t) ~(signum : int) ~(at : int64) =
+  charge t;
   end_block t p ~next:at;
   let action =
     if signum = Abi.sigkill then None else p.Proc.sigactions.(signum)
@@ -681,15 +705,19 @@ let[@inline] jump t (p : Proc.t) ~next target =
     interpreter and the code cache both retire through here, so the
     cycle charge, block bookkeeping, trace hook, [Obs] counters and
     signal delivery are one code path — which is what keeps cached runs
-    replay-exact against interpreted ones, clock included. The caller
-    runs the [on_insn] hook just before, with the summary it holds (a
-    cached slot's, or a fresh one in the interpreter). Returns [true]
-    iff the instruction fell through to [rip + len] and the code after
-    it is unchanged; a taken branch, signal, fault, blocking syscall or
-    exit returns [false], and so does a store that dirtied an
-    executable page (rip still moves to [rip + len]).
-    Closure-free, so its common path allocates only the boxed clock
-    increment (three words). *)
+    replay-exact against interpreted ones, clock included. The
+    instruction's cycle goes to [t.uncharged]; the caller (the slot
+    loop of {!exec_block}, or {!step}) adds it to the clock and to
+    ["machine.steps"] with {!charge}, and so does every arm that lets
+    something outside read the clock first (syscall, signal delivery,
+    the trace hook). The caller runs the [on_insn] hook just before,
+    with the summary it holds (a cached slot's, or a fresh one in the
+    interpreter). Returns [true] iff the instruction fell through to
+    [rip + len] and the code after it is unchanged; a taken branch,
+    signal, fault, blocking syscall or exit returns [false], and so
+    does a store that dirtied an executable page (rip still moves to
+    [rip + len]). Closure-free, and its common path allocates
+    nothing. *)
 let exec_decoded t (p : Proc.t) insn len =
   let regs = p.Proc.regs in
   let rip = Proc.get64u regs.Proc.file Proc.rip_off in
@@ -699,9 +727,8 @@ let exec_decoded t (p : Proc.t) insn len =
     p.Proc.block_open <- true
   end;
   let next = Int64.add rip (Int64.of_int len) in
-  t.clock <- Int64.add t.clock 1L;
+  t.uncharged <- t.uncharged + 1;
   p.Proc.retired <- p.Proc.retired + 1;
-  Obs.incr t.obs_steps;
   (* each arm says whether it falls through; rip moves to [next] below *)
   let fell =
     try
@@ -842,6 +869,7 @@ let exec_decoded t (p : Proc.t) insn len =
           set_gpr regs d (Int64.add next (Int64.of_int off));
           true
       | Insn.Syscall -> (
+          charge t;
           end_block t p ~next;
           t.clock <- Int64.add t.clock (Int64.of_int t.syscall_cost);
           match do_syscall t p with
@@ -903,6 +931,44 @@ let step_insn t (p : Proc.t) =
 
 let step t (p : Proc.t) =
   step_insn t p;
+  charge t;
   (* exit-syscall and hlt deaths bypass deliver_signal *)
   notify_exit t p
+
+(** Run the slots of the decoded block [b] with [executed] instructions
+    already spent; returns the new total. Only a block's last
+    instruction can be a syscall, so every earlier one costs exactly
+    one cycle: the single-step loop's fuel and deadline checks fold
+    into one slot limit taken on entry, and {!Dispatch.exec} re-checks
+    both before the next block. Execution also leaves the block early
+    when a slot does not fall through ({!exec_decoded} returns [false]
+    on a taken trap, signal, blocked syscall or exit, and after a store
+    that dirtied an executable page, when the remaining slots may be
+    stale) or stops the process — decided from that flag and the
+    process state, never by re-reading rip or memory. An [on_insn]
+    hook runs before each slot, with the slot's cached summary and the
+    registers the interpreter would show it. The clock is charged on
+    exit, so it is exact again when the block returns. *)
+let exec_block t (p : Proc.t) (b : Block.t) ~fuel ~until executed =
+  let slots = b.Block.b_slots in
+  let limit =
+    min (Array.length slots)
+      (min (fuel - executed) (Int64.to_int (Int64.sub until t.clock)))
+  in
+  let i = ref 0 and go = ref true in
+  while !go && !i < limit do
+    let s = Array.unsafe_get slots !i in
+    (match t.on_insn with
+    | Some hook ->
+        charge t;
+        hook p s.Block.s_insn (Block.effect s)
+    | None -> ());
+    go :=
+      exec_decoded t p s.Block.s_insn s.Block.s_len
+      && (match p.Proc.state with Proc.Runnable -> true | _ -> false)
+      && not p.Proc.frozen;
+    incr i
+  done;
+  charge t;
+  executed + !i
 

@@ -31,9 +31,9 @@
     bench compare against, which is a dispatcher degraded on purpose
     ({!degrade}). A failed flush degrades the dispatcher permanently
     (stale blocks are never an option). An [on_insn] hook (the dataflow
-    slicer) runs on the cache: {!exec_block} calls it before each slot,
-    with the slot's cached summary and the registers the interpreter
-    would show it. *)
+    slicer) runs on the cache: {!Cpu.exec_block} calls it before each
+    slot, with the slot's cached summary and the registers the
+    interpreter would show it. *)
 
 type t = Cpu.dispatcher
 
@@ -81,34 +81,10 @@ let link prev succ =
       pb.Block.b_s2 <- pb.Block.b_s1;
       pb.Block.b_s1 <- succ
 
-(** Run one block with [executed] instructions already spent; returns
-    the new total. Only a block's last instruction can be a syscall, so
-    every earlier one costs exactly one cycle: the single-step loop's
-    fuel and deadline checks fold into one slot limit taken on entry,
-    and {!exec} re-checks both before the next block. Execution also
-    leaves the block early when a slot does not fall through
-    ({!Cpu.exec_decoded} returns [false] on a taken trap, signal,
-    blocked syscall or exit, and after a store that dirtied an
-    executable page, when the remaining slots may be stale) or stops
-    the process — decided from that flag and the process state, never
-    by re-reading rip or memory. *)
-let exec_block m (p : Proc.t) (b : Block.t) ~fuel ~until executed =
-  let slots = b.Block.b_slots in
-  let limit =
-    min (Array.length slots)
-      (min (fuel - executed) (Int64.to_int (Int64.sub until m.Cpu.clock)))
-  in
-  let i = ref 0 and go = ref true in
-  while !go && !i < limit do
-    let s = slots.(!i) in
-    (match m.Cpu.on_insn with Some hook -> hook p s.Block.s_insn (Block.effect s) | None -> ());
-    go :=
-      Cpu.exec_decoded m p s.Block.s_insn s.Block.s_len
-      && (match p.Proc.state with Proc.Runnable -> true | _ -> false)
-      && not p.Proc.frozen;
-    incr i
-  done;
-  executed + !i
+(* [Dispatch.exec] counts its hits in a local and publishes them once. *)
+let publish_hits (d : t) n =
+  d.Cpu.d_hits <- d.Cpu.d_hits + n;
+  Obs.add d.Cpu.obs_hits n
 
 (** Drop every cache and hand the machine to the single-step
     interpreter for good. *)
@@ -133,6 +109,7 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
         let cache = cache_for d p in
         let mem = p.Proc.mem in
         let executed = ref 0 in
+        let hits = ref 0 in
         let chained = ref false in
         let prev = ref None in
         (try
@@ -158,14 +135,12 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
                let blk =
                  match lookup_linked !prev rip with
                  | Some _ as linked ->
-                     d.Cpu.d_hits <- d.Cpu.d_hits + 1;
-                     Obs.incr d.Cpu.obs_hits;
+                     incr hits;
                      linked
                  | None -> (
                      match Cache.find cache rip with
                      | Some _ as found ->
-                         d.Cpu.d_hits <- d.Cpu.d_hits + 1;
-                         Obs.incr d.Cpu.obs_hits;
+                         incr hits;
                          link !prev found;
                          found
                      | None -> (
@@ -182,14 +157,21 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
                | None -> continue_ := false
                | Some b ->
                    chained := true;
-                   executed := exec_block m p b ~fuel ~until !executed;
+                   executed := Cpu.exec_block m p b ~fuel ~until !executed;
                    prev := blk
              end
            done
-         with Fault.Injected _ ->
-           (* the flush machinery failed mid-drain: never risk a stale
-              block *)
-           degrade d);
+         with
+        | Fault.Injected _ ->
+            (* the flush machinery failed mid-drain: never risk a stale
+               block *)
+            degrade d
+        | e ->
+            (* a hook or a kill-mode fault site escaped: the hits so far
+               still count *)
+            publish_hits d !hits;
+            raise e);
+        publish_hits d !hits;
         if !chained then d.Cpu.d_superblocks <- d.Cpu.d_superblocks + 1;
         !executed
 

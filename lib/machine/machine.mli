@@ -37,7 +37,12 @@ type t = Cpu.t = {
   net : Net.t;
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
-  mutable clock : int64;  (** virtual cycles *)
+  mutable clock : int64;
+      (** virtual cycles; exact whenever control is outside the
+          dispatcher's slot loop, and at every hook call *)
+  mutable uncharged : int;
+      (** instructions the slot loop retired but has not yet added to
+          [clock] and ["machine.steps"]: 0 whenever [clock] is exact *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
   mutable on_exit : exit_hook option;
@@ -46,8 +51,9 @@ type t = Cpu.t = {
   syscall_cost : int;
   sched : sched;
   obs_steps : Obs.counter;
-      (** registry handles cached at {!create} so the interpreter's
-          per-instruction bump costs a field write, not a name lookup *)
+      (** registry handles cached at {!create}, so a bump costs a field
+          write, not a name lookup; ["machine.steps"] is bumped with the
+          clock, once per charge *)
   obs_traps : Obs.counter;
   obs_syscalls : Obs.counter;
   dispatcher : Dispatch.t;

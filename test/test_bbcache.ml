@@ -7,7 +7,8 @@
     generated-program differential oracle (registers, every page,
     drcov, the observability dump and a recording [on_insn] hook's
     stream, shrunk to a minimal program on failure), the same
-    comparison on the apps, nudge-precise invalidation across all three
+    comparison on the apps, the clock and step count every callback
+    out of the machine sees (the cache charges them once per block), nudge-precise invalidation across all three
     rewrite strategies, self-modifying-page eviction,
     post-[Fleet.recover] cache coldness, the slicer on the cache, two-run
     determinism of the dump, and collection of a dropped machine. *)
@@ -32,6 +33,79 @@ let without_bbcache dump =
          let n = String.length l in
          if n > 0 && l.[n - 1] = ',' then String.sub l 0 (n - 1) else l)
   |> String.concat "\n"
+
+(* What the callbacks out of a machine see of its clock, one
+   [obs_width]-byte record per call: the callback ('t' trace, 'i'
+   on_insn, 's' syscall, 'x' exit), then the clock and
+   ["machine.steps"] as 8-byte integers. The string [watch_clock]
+   returns appends each [Obs] event ('e', its timestamp, its sequence
+   number). The trace and on_insn hooks are watched only when asked,
+   and an installed hook still runs after its record. *)
+let obs_width = 17
+
+let watch_clock ?(trace = true) ?(insn = false) (m : Machine.t) =
+  let seen = Buffer.create 4096 in
+  let add kind clock n =
+    Buffer.add_char seen kind;
+    Buffer.add_int64_le seen clock;
+    Buffer.add_int64_le seen (Int64.of_int n)
+  in
+  let record kind = add kind m.Machine.clock (Obs.counter_value m.Machine.obs_steps) in
+  if trace then begin
+    let prev = m.Machine.trace in
+    m.Machine.trace <-
+      Some
+        (fun q start size ->
+          record 't';
+          Option.iter (fun h -> h q start size) prev)
+  end;
+  if insn then begin
+    let prev = m.Machine.on_insn in
+    m.Machine.on_insn <-
+      Some
+        (fun q i e ->
+          record 'i';
+          Option.iter (fun h -> h q i e) prev)
+  end;
+  let prev_sys = m.Machine.on_syscall and prev_exit = m.Machine.on_exit in
+  m.Machine.on_syscall <-
+    Some
+      (fun q nr ->
+        record 's';
+        Option.iter (fun h -> h q nr) prev_sys);
+  m.Machine.on_exit <-
+    Some
+      (fun q ->
+        record 'x';
+        Option.iter (fun h -> h q) prev_exit);
+  fun () ->
+    List.iter (fun (e : Obs.event) -> add 'e' e.Obs.ev_clock e.Obs.ev_seq) (Obs.events ());
+    Buffer.contents seen
+
+(* The first record where two watches differ, described; [None] when
+   they are equal. *)
+let clock_difference reference cached =
+  if reference = cached then None
+  else
+    let w = obs_width in
+    let count s = String.length s / w in
+    let record s k = String.sub s (k * w) w in
+    let rec first k =
+      if k < min (count reference) (count cached) && record reference k = record cached k then
+        first (k + 1)
+      else k
+    in
+    let k = first 0 in
+    let show s =
+      if k >= count s then "nothing"
+      else
+        Printf.sprintf "'%c' clock=%Ld steps=%Ld" s.[k * w]
+          (String.get_int64_le s ((k * w) + 1))
+          (String.get_int64_le s ((k * w) + 9))
+    in
+    Some
+      (Printf.sprintf "record %d of %d/%d: reference %s, cached %s" k (count reference)
+         (count cached) (show reference) (show cached))
 
 (* ---------- generated programs: cached = interpreted ---------- *)
 
@@ -163,8 +237,9 @@ and lower_item ~sub a it =
           syscall sys_getpid []
           @ (Insn.Mov_rr (Reg.Rdi, Reg.Rax) :: syscall sys_kill [ (Reg.Rsi, sigtrap) ]))
 
-(* Page A's and pages B's instructions. *)
-let lower_prog p =
+(* Page A's and pages B's instructions. Unless [handled], the prologue
+   installs no signal handler, so a trap or fault kills the process. *)
+let lower_prog ?(handled = true) p =
   let sub_code =
     let _, subs =
       List.fold_left
@@ -186,9 +261,11 @@ let lower_prog p =
     @ List.concat
         (List.mapi
            (fun k (signum, _) ->
-             Insn.Mov_ri (Reg.Rsi, handler_addr k)
-             :: Insn.Mov_ri (Reg.Rdx, restorer)
-             :: syscall Abi.sys_sigaction [ (Reg.Rdi, signum) ])
+             if not handled then []
+             else
+               Insn.Mov_ri (Reg.Rsi, handler_addr k)
+               :: Insn.Mov_ri (Reg.Rdx, restorer)
+               :: syscall Abi.sys_sigaction [ (Reg.Rdi, signum) ])
            handlers)
     @ List.map (fun (r, v) -> Insn.Mov_ri (r, v)) p.init
     @ if p.fork then syscall Abi.sys_fork [] else []
@@ -377,19 +454,9 @@ type outcome = {
       (** what a recording [on_insn] hook saw, in order; empty unhooked *)
 }
 
-let run_prog ?(hooked = false) ?(summary = fun _ _ _ -> ()) ~reference p =
-  Obs.reset ();
-  Fault.reset ();
-  let m = Machine.create () in
-  if reference then interpret m;
-  let insns = ref [] in
-  if hooked then
-    m.Machine.on_insn <-
-      Some
-        (fun q insn e ->
-          summary q insn e;
-          insns := (q.Proc.pid, Proc.rip q.Proc.regs, insn) :: !insns);
-  let a_code, b_code = lower_prog p in
+(* Load [p] into a fresh process (pid 100) of [m]. *)
+let install_prog ?handled (m : Machine.t) p =
+  let a_code, b_code = lower_prog ?handled p in
   let mem = Mem.create () in
   let map vaddr pages prot name =
     ignore (Mem.map mem ~vaddr ~len:(pages * Mem.page_size) ~prot ~name ())
@@ -405,8 +472,11 @@ let run_prog ?(hooked = false) ?(summary = fun _ _ _ -> ()) ~reference p =
   let proc = Proc.create ~pid:100 ~parent:0 ~comm:"gen" ~exe_path:"gen" ~mem in
   Proc.set_rip proc.Proc.regs page_b;
   Proc.set proc.Proc.regs Reg.Rsp (Int64.sub Proc.stack_top 64L);
-  Machine.install m proc;
-  let col = Collector.attach m ~pid:100 in
+  Machine.install m proc
+
+(* Run [m] to the end of [p]: a seeded bit flip after each of its cycle
+   counts, then at most 20,000 cycles more. Returns the flips. *)
+let run_flips (m : Machine.t) p =
   let rng = Rng.create 7 in
   let flipped =
     List.map
@@ -416,6 +486,23 @@ let run_prog ?(hooked = false) ?(summary = fun _ _ _ -> ()) ~reference p =
       p.flips
   in
   ignore (Machine.run m ~max_cycles:20_000);
+  flipped
+
+let run_prog ?(hooked = false) ?(summary = fun _ _ _ -> ()) ~reference p =
+  Obs.reset ();
+  Fault.reset ();
+  let m = Machine.create () in
+  if reference then interpret m;
+  let insns = ref [] in
+  if hooked then
+    m.Machine.on_insn <-
+      Some
+        (fun q insn e ->
+          summary q insn e;
+          insns := (q.Proc.pid, Proc.rip q.Proc.regs, insn) :: !insns);
+  install_prog m p;
+  let col = Collector.attach m ~pid:100 in
+  let flipped = run_flips m p in
   {
     o_clock = m.Machine.clock;
     o_states =
@@ -522,6 +609,7 @@ type run = {
   drcov : string;
   dump : string;  (** [Obs.dump_json] minus the cache's own series *)
   traps : int;
+  clocks : string;  (** {!watch_clock} *)
 }
 
 (* Boot [app] traced, optionally cut it, drive [reqs]: decode, init, cut,
@@ -532,6 +620,7 @@ let run_mode ~reference ?cut app reqs =
   let c = Workload.spawn ~traced:true app in
   let m = c.Workload.m in
   if reference then interpret m;
+  let clocks = watch_clock m in
   Workload.wait_ready c;
   Option.iter
     (fun (blocks, policy) ->
@@ -546,6 +635,7 @@ let run_mode ~reference ?cut app reqs =
     drcov;
     dump = without_bbcache (Obs.dump_json ());
     traps = Obs.counter_value (Obs.counter "machine.traps");
+    clocks = clocks ();
   }
 
 (* Run the scenario on the reference, then cached, and demand the same
@@ -557,6 +647,7 @@ let differential ?cut app reqs =
   Alcotest.(check int64) "virtual clock identical" i.clock c.clock;
   Alcotest.(check string) "drcov byte-identical" i.drcov c.drcov;
   Alcotest.(check string) "obs dump identical (bbcache.* aside)" i.dump c.dump;
+  Option.iter (Alcotest.failf "clock observations differ: %s") (clock_difference i.clocks c.clocks);
   i
 
 (* ltpd cut: the undesired requests take the trap -> redirect path *)
@@ -751,6 +842,47 @@ let test_cached_dump_deterministic () =
   in
   Alcotest.(check string) "byte-identical dumps" (run ()) (run ())
 
+(* ---------- every callback sees the interpreter's clock ---------- *)
+
+(* The cache charges the clock once per block, so each callback out of
+   the machine must see the clock and ["machine.steps"] the reference
+   shows it. The hooks are combined three ways: the trace hook alone
+   (only the charge before it can make it exact), no per-block hook at
+   all (a fatal fault's exit hook then relies on the charge at signal
+   delivery), and the on_insn hook with the trace hook. Each runs with
+   and without the signal handlers, so traps and faults are both
+   resumed and fatal. *)
+let prop_clock_observations =
+  QCheck.Test.make ~name:"generated programs: callbacks see the reference clock" ~count:100
+    (QCheck.make ~print:listing ~shrink:shrink_prog gen_prog)
+    (fun p ->
+      QCheck.assume (size (snd (lower_prog p)) <= 2 * Mem.page_size);
+      let watch ~handled ~trace ~insn ~reference =
+        Obs.reset ();
+        Fault.reset ();
+        let m = Machine.create () in
+        if reference then interpret m;
+        let seen = watch_clock ~trace ~insn m in
+        install_prog ~handled m p;
+        ignore (run_flips m p : (int * int64) option list);
+        seen ()
+      in
+      List.for_all
+        (fun (handled, trace, insn) ->
+          let watch = watch ~handled ~trace ~insn in
+          match clock_difference (watch ~reference:true) (watch ~reference:false) with
+          | None -> true
+          | Some d ->
+              QCheck.Test.fail_reportf "handled=%b trace=%b on_insn=%b: %s" handled trace insn d)
+        [
+          (true, true, false);
+          (true, false, false);
+          (true, true, true);
+          (false, true, false);
+          (false, false, false);
+          (false, true, true);
+        ])
+
 (* ---------- a dropped machine is collected ---------- *)
 
 (* [Machine.create] installs process-global hooks (the registry clock,
@@ -791,4 +923,6 @@ let suite =
     Alcotest.test_case "dropped machine is collected" `Quick
       test_dropped_machine_collected;
     Alcotest.test_case "slot summaries = Defuse.effect" `Quick test_slot_summaries;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+      prop_clock_observations;
   ]

@@ -82,7 +82,55 @@ let prop_program_stream =
       let decoded, bad = Decode.disassemble b in
       bad = None && List.map (fun (_, i, _) -> i) decoded = insns)
 
+(* The shape scan agrees with the full decoder at any offset of
+   arbitrary bytes: the same length, terminator and branch
+   displacement, or the same exception. Half the inputs are a whole
+   encoded instruction; the rest are short strings of bytes, biased
+   toward real opcodes and small operand bytes so that invalid jcc
+   conditions and truncations come up. *)
+let prop_scan_matches_decode =
+  let opcodes =
+    List.map (fun i -> Bytes.get (Encode.to_bytes i) 0) Defuse.all_constructors
+  in
+  let gen =
+    QCheck.Gen.(
+      let byte = oneof [ char; map Char.chr (int_range 0 15) ] in
+      pair
+        (oneof
+           [
+             map Bytes.to_string (map Encode.to_bytes gen_insn);
+             map2
+               (fun op rest -> String.make 1 op ^ rest)
+               (oneof [ char; oneofl opcodes ])
+               (string_size ~gen:byte (int_range 0 11));
+           ])
+        (frequency [ (3, pure 0); (1, int_range 1 3) ]))
+  in
+  QCheck.Test.make ~name:"Decode.scan matches decode_at" ~count:20_000
+    (QCheck.make ~print:(fun (s, pos) -> Printf.sprintf "%S at %d" s pos) gen)
+    (fun (s, pos) ->
+      let buf = Bytes.of_string s in
+      let outcome f = match f () with v -> Ok v | exception e -> Error e in
+      match (outcome (fun () -> Decode.decode_at buf pos), outcome (fun () -> Decode.scan buf pos)) with
+      | Ok (insn, len), Ok shape ->
+          let rel = match insn with Insn.Jmp r | Insn.Jcc (_, r) | Insn.Call r -> r | _ -> 0 in
+          shape land 15 = len
+          && (shape lsr 4) land 15 = Decode.term_code insn
+          && shape asr 8 = rel
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+
 (* -- unit tests -- *)
+
+(* A register's [to_int] is its index in [Reg.all], and [of_int] inverts
+   it: the primitive [to_int] relies on the constructors' order. *)
+let test_reg_representation () =
+  check int_t "16 registers" 16 (List.length Reg.all);
+  List.iteri
+    (fun k r ->
+      check int_t (Reg.name r ^ " index") k (Reg.to_int r);
+      check Alcotest.bool (Reg.name r ^ " roundtrip") true (Reg.of_int (Reg.to_int r) = r))
+    Reg.all
 
 let test_int3_is_single_cc () =
   let b = Encode.to_bytes Insn.Int3 in
@@ -171,4 +219,6 @@ let suite =
     Alcotest.test_case "duplicate labels rejected" `Quick test_asm_duplicate_label_rejected;
     Alcotest.test_case "align pads code with nop" `Quick test_asm_alignment_nop_fill;
     Alcotest.test_case "undefined symbol listing" `Quick test_undefined_symbols;
+    Alcotest.test_case "Reg.to_int is the index in Reg.all" `Quick test_reg_representation;
+    QCheck_alcotest.to_alcotest prop_scan_matches_decode;
   ]
