@@ -644,200 +644,6 @@ let run_chaos () =
       (Printf.sprintf "chaos: %d of %d runs violated an invariant"
          (List.length violated) runs)
 
-(* ---------- scrub: detection latency, repair economics, overhead ---------- *)
-
-(* The §6d silent-corruption ledger: how fast the background scrubber
-   catches a seeded bitflip as a function of the scrub interval (virtual
-   cycles), what a page repair costs against the full respawn it replaces
-   (host time; the graduated response must stay >= 5x cheaper), and what
-   the default-rate scrubber adds to a served workload (host time,
-   <= 5%). Two seeded runs of the same soak must produce byte-identical
-   observability dumps. Emits BENCH_scrub.json. *)
-let run_scrub () =
-  Common.section fmt "Scrub: detection latency, repair vs respawn, overhead";
-  let app = Workload.ltpd in
-  let blocks = Common.web_feature_blocks app in
-  let policy =
-    { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
-  in
-  let n = 3 in
-  let get = Workload.http_get "/index.html" in
-  (* detection latency vs scrub rate: one seeded flip, then advance the
-     virtual clock in fixed steps pumping the background scrubber until
-     a slice reports the mismatch *)
-  let intervals = if !quick then [ 20_000; 5_000 ] else [ 40_000; 20_000; 10_000; 5_000 ] in
-  let detection =
-    List.map
-      (fun interval ->
-        Fault.reset ();
-        Obs.reset ();
-        let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
-        let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-        Fleet.start_scrub
-          ~config:{ Fleet.sc_interval = interval }
-          fleet;
-        List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-        let rng = Rng.create 1106 in
-        (match Machine.bitflip m ~pid:(List.hd pids) rng with
-        | Some (_, _) -> ()
-        | None -> failwith "scrub: seeded bitflip found no resident page");
-        let t_flip = m.Machine.clock in
-        let latency = ref None in
-        let steps = ref 0 in
-        while !latency = None && !steps < 200 do
-          incr steps;
-          m.Machine.clock <- Int64.add m.Machine.clock 1_000L;
-          (match Fleet.scrub_tick fleet with
-          | Some r when r.Fleet.sr_findings <> [] ->
-              latency := Some (Int64.sub m.Machine.clock t_flip)
-          | Some _ | None -> ())
-        done;
-        let latency =
-          match !latency with
-          | Some l -> l
-          | None -> failwith "scrub: flip never detected"
-        in
-        Format.fprintf fmt "  interval=%-6d detected after %Ld cycles@."
-          interval latency;
-        (interval, latency))
-      intervals
-  in
-  (* the graduated-response economics in host time, through the fleet's
-     own heal path. A 1-wave rollout first, so a sealed working image
-     exists to respawn from. Flipping one seeded page and scrubbing is a
-     page repair; flipping the same page again and scrubbing is the
-     re-divergence respawn, which also clears the page's repair history.
-     Each sample runs the pair and times its own half, so the two
-     alternate in either order. *)
-  Fault.reset ();
-  Obs.reset ();
-  let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
-  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-  let config =
-    Rollout.
-      {
-        r_waves = 1;
-        r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
-      }
-  in
-  let drive () = ignore (Fleet.request fleet get) in
-  (match Fleet.rollout fleet ~config ~drive () with
-  | Rollout.Completed _, _ -> ()
-  | o, _ ->
-      failwith (Format.asprintf "scrub: rollout: %a" Rollout.pp_outcome o));
-  Fleet.start_scrub fleet;
-  List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-  let victim = List.hd pids in
-  let strike ~respawn =
-    (match Machine.bitflip m ~pid:victim (Rng.create 1107) with
-    | Some _ -> ()
-    | None -> failwith "scrub: seeded bitflip found no resident page");
-    let r, dt = Stats.time_it (fun () -> Fleet.scrub_now fleet ~pid:victim) in
-    let repaired = List.length r.Fleet.sr_repaired in
-    if r.Fleet.sr_respawned <> respawn || repaired <> if respawn then 0 else 1
-    then
-      failwith
-        (Printf.sprintf "scrub: expected a %s, got %d repaired, respawned=%b"
-           (if respawn then "respawn" else "page repair")
-           repaired r.Fleet.sr_respawned);
-    dt
-  in
-  let repair_s, respawn_s, ratio =
-    within_band ~what:"scrub: respawn/repair" ~show:(Printf.sprintf "%.1fx")
-      ~lo:5. ~hi:infinity (fun () ->
-        let repair_s, respawn_s =
-          best_of_interleaved
-            ~iters:(if !quick then 7 else 15)
-            ~on:(fun () ->
-              let dt = strike ~respawn:false in
-              ignore (strike ~respawn:true);
-              dt)
-            ~off:(fun () ->
-              ignore (strike ~respawn:false);
-              strike ~respawn:true)
-        in
-        (repair_s, respawn_s, respawn_s /. repair_s))
-  in
-  Format.fprintf fmt
-    "  host best-case: repair %.1f us, respawn %.1f us — respawn/repair %.1fx@."
-    (repair_s *. 1e6) (respawn_s *. 1e6) ratio;
-  (* scrub overhead on a served workload, default scrub rate vs none: a
-     host-time A/B over two long-lived fleets, one scrubbed (baselines
-     captured up front — steady-state cost only) and one bare, each
-     sample serving the next [chunk] requests on its fleet. *)
-  let chunk = 10 in
-  let soak_side ~scrub =
-    Fault.reset ();
-    Obs.reset ();
-    let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
-    let pids = Fleet.pids fleet in
-    if scrub then begin
-      Fleet.start_scrub fleet;
-      List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids
-    end;
-    fun () ->
-      Gc.compact ();
-      snd
-        (Stats.time_it (fun () ->
-             for _ = 1 to chunk do
-               ignore (Fleet.request fleet get);
-               if scrub then ignore (Fleet.scrub_tick fleet)
-             done))
-  in
-  let serve_scrubbed = soak_side ~scrub:true in
-  let serve_bare = soak_side ~scrub:false in
-  let scrubbed_s, bare_s, overhead =
-    within_band ~what:"scrub: host overhead" ~show:(Printf.sprintf "%.4f")
-      ~lo:neg_infinity ~hi:0.05 (fun () ->
-        let scrubbed_s, bare_s =
-          best_of_interleaved
-            ~iters:(if !quick then 41 else 61)
-            ~on:serve_scrubbed ~off:serve_bare
-        in
-        (scrubbed_s, bare_s, (scrubbed_s -. bare_s) /. bare_s))
-  in
-  Format.fprintf fmt
-    "  %d-request chunks, host best-case %.6f s bare, %.6f s scrubbed — \
-     overhead %.2f%%@."
-    chunk bare_s scrubbed_s (100. *. overhead);
-  (* determinism: the same seeded flip-and-heal soak twice must dump a
-     byte-identical registry (virtual instrumentation only, no host) *)
-  let soak_dump () =
-    Fault.reset ();
-    Obs.reset ();
-    let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
-    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-    Fleet.start_scrub fleet;
-    List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-    let rng = Rng.create 1108 in
-    List.iter (fun pid -> ignore (Machine.bitflip m ~pid rng)) pids;
-    for _ = 1 to if !quick then 20 else 60 do
-      ignore (Fleet.request fleet get);
-      ignore (Fleet.scrub_tick fleet)
-    done;
-    List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-    Obs.dump_json ()
-  in
-  let d1 = soak_dump () and d2 = soak_dump () in
-  if not (String.equal d1 d2) then
-    failwith "scrub: two seeded soaks dumped different registries";
-  Format.fprintf fmt "  determinism: two seeded soaks byte-identical (%d bytes)@."
-    (String.length d1);
-  let oc = open_out "BENCH_scrub.json" in
-  Printf.fprintf oc "{\n  \"app\": %S,\n  \"workers\": %d" app.Workload.a_name n;
-  List.iter
-    (fun (interval, latency) ->
-      Printf.fprintf oc ",\n  \"detect_cycles_interval_%d\": %Ld" interval
-        latency)
-    detection;
-  Printf.fprintf oc ",\n  \"repair_host_us\": %.1f" (repair_s *. 1e6);
-  Printf.fprintf oc ",\n  \"respawn_host_us\": %.1f" (respawn_s *. 1e6);
-  Printf.fprintf oc ",\n  \"respawn_over_repair_host\": %.1f" ratio;
-  Printf.fprintf oc ",\n  \"overhead_host_frac\": %.4f" overhead;
-  Printf.fprintf oc ",\n  \"deterministic\": true\n}\n";
-  close_out oc;
-  Format.fprintf fmt "  wrote BENCH_scrub.json@."
-
 (* ---------- slice: sliced-away wins + tracing overhead ---------- *)
 
 (* The dataflow-slicing ledger: how many covered blocks the slicer cuts
@@ -1079,7 +885,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fleet", "fan-out throughput + rollout pause per wave (§6a)", run_fleet);
     ("overload", "goodput + p99 vs offered load, shed on/off (§6b)", run_overload);
     ("chaos", "site x mode fault coverage + invariant oracles (§6c)", run_chaos);
-    ("scrub", "memory-integrity scrubbing: detection, repair economics (§6d)", run_scrub);
     ("slice", "dataflow slicing: sliced-away wins + tracing overhead (§7)", run_slice);
     ("micro", "bechamel micro-benchmarks", run_micro);
   ]

@@ -956,19 +956,8 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let scrub_interval =
-    let doc =
-      "Background memory-integrity scrubbing: every $(docv) virtual \
-       cycles one worker (rotating) has a page slice of its immutable \
-       VMAs digest-audited against its live baseline; a mismatch \
-       quarantines the worker, heals the page from the best trusted \
-       source, and escalates to a respawn only if repair fails or the \
-       page diverges again. 0 (the default) disables scrubbing."
-    in
-    Arg.(value & opt int 0 & info [ "scrub-interval" ] ~docv:"CYCLES" ~doc)
-  in
   let action app feature workers waves drift_window storm_wave slices
-      offered_load deadline scrub_interval faults seed list_sites sites_json
+      offered_load deadline faults seed list_sites sites_json
       verbose metrics =
     let print_sites () =
       if sites_json then print_fault_sites_json ()
@@ -990,34 +979,7 @@ let fleet_cmd =
         app
     in
     let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-    if scrub_interval > 0 then
-      Fleet.start_scrub
-        ~config:
-          { Fleet.sc_interval = scrub_interval }
-        fleet;
-    (* pump the background scrubber between request batches; only slices
-       that found, refused or escalated something are worth a line *)
-    let scrub_pump () =
-      if scrub_interval > 0 then
-        match Fleet.scrub_tick fleet with
-        | Some r
-          when r.Fleet.sr_findings <> []
-               || r.Fleet.sr_refused <> None
-               || r.Fleet.sr_respawned ->
-            Format.printf "scrub: pid=%d findings=%d repaired=%d%s%s@."
-              r.Fleet.sr_pid
-              (List.length r.Fleet.sr_findings)
-              (List.length r.Fleet.sr_repaired)
-              (if r.Fleet.sr_respawned then " respawned" else "")
-              (match r.Fleet.sr_refused with
-              | Some e -> " refused: " ^ e
-              | None -> "")
-        | Some _ | None -> ()
-    in
-    let send reqs =
-      List.iter (fun r -> ignore (Fleet.request fleet r)) reqs;
-      scrub_pump ()
-    in
+    let send reqs = List.iter (fun r -> ignore (Fleet.request fleet r)) reqs in
     let drive () =
       let w = int_of_float (Obs.gauge_value (Obs.gauge "fleet.wave")) in
       match storm_wave with
@@ -1039,15 +1001,6 @@ let fleet_cmd =
         }
     in
     let finish code =
-      if scrub_interval > 0 then
-        Format.printf
-          "scrub: pages scanned %d (hashed %d)  mismatches %d  quarantines \
-           %d  respawns %d@."
-          (Obs.counter_value (Obs.counter "integrity.pages_scanned"))
-          (Obs.counter_value (Obs.counter "integrity.pages_hashed"))
-          (Obs.counter_value (Obs.counter "integrity.mismatches"))
-          (Obs.counter_value (Obs.counter "fleet.scrub.quarantines"))
-          (Obs.counter_value (Obs.counter "fleet.scrub.respawns"));
       if faults <> [] then print_endline (Fault.report ());
       if list_sites then print_sites ();
       write_metrics metrics;
@@ -1172,116 +1125,8 @@ let fleet_cmd =
     (Cmd.info "fleet" ~doc ~man)
     Term.(
       const action $ app_opt_arg $ feature $ workers $ waves $ drift_window
-      $ storm_wave $ slices $ offered_load $ deadline $ scrub_interval
-      $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ sites_json
+      $ storm_wave $ slices $ offered_load $ deadline $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ sites_json
       $ verbose_arg $ metrics_out_arg)
-
-(* ---------- scrub ---------- *)
-
-let scrub_cmd =
-  let workers =
-    let doc = "Number of fleet workers to audit." in
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let flips =
-    let doc =
-      "Inject $(docv) seeded single-bit flips into resident immutable \
-       pages (rotating over the workers) between the baseline capture \
-       and the audit — a silent-corruption demo the scrubber must \
-       detect and heal. 0 audits a pristine fleet."
-    in
-    Arg.(value & opt int 2 & info [ "flips" ] ~docv:"K" ~doc)
-  in
-  let seed =
-    let doc = "Seed for the flip locations." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc)
-  in
-  let action app workers flips seed metrics =
-    let app = find_app app in
-    require_server app;
-    let blocks, redirect = feature_blocks app (default_feature app None) in
-    Fault.reset ();
-    let fleet, _ =
-      Fleet.boot ~n:workers ~blocks
-        ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
-        app
-    in
-    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-    Fleet.start_scrub fleet;
-    (* baseline capture: a first full audit of every worker, necessarily
-       clean — the manifests record what the loader left in memory *)
-    List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-    let rng = Rng.create seed in
-    for i = 0 to flips - 1 do
-      let victim = List.nth pids (i mod List.length pids) in
-      match Machine.bitflip m ~pid:victim rng with
-      | Some (pid, vaddr) -> Format.printf "flip: pid=%d vaddr=0x%Lx@." pid vaddr
-      | None ->
-          Format.printf "flip: pid=%d has no resident immutable page@." victim
-    done;
-    let reports = List.map (fun pid -> Fleet.scrub_now fleet ~pid) pids in
-    let rows =
-      List.map
-        (fun (r : Fleet.scrub_report) ->
-          let pid = r.Fleet.sr_pid in
-          let p = Machine.proc_exn m pid in
-          [
-            string_of_int pid;
-            p.Proc.comm;
-            Proc.state_to_string p.Proc.state;
-            string_of_int
-              (Integrity.pages_tracked (Fleet.integrity fleet ~pid));
-            string_of_int (List.length r.Fleet.sr_findings);
-            string_of_int (List.length r.Fleet.sr_repaired);
-            (if r.Fleet.sr_respawned then "yes" else "no");
-          ])
-        reports
-    in
-    print_string
-      (Table.render
-         ~headers:
-           [ "PID"; "COMM"; "STATE"; "PAGES"; "MISMATCH"; "REPAIRED"; "RESPAWN" ]
-         rows);
-    print_newline ();
-    Format.printf
-      "scrub: pages scanned %d (hashed %d)  mismatches %d  respawns %d@."
-      (Obs.counter_value (Obs.counter "integrity.pages_scanned"))
-      (Obs.counter_value (Obs.counter "integrity.pages_hashed"))
-      (Obs.counter_value (Obs.counter "integrity.mismatches"))
-      (Obs.counter_value (Obs.counter "fleet.scrub.respawns"));
-    (* the post-heal audit must be clean: every surviving page matches
-       its baseline again *)
-    let residue =
-      List.concat_map
-        (fun pid -> Integrity.scrub_full (Fleet.integrity fleet ~pid) ~pids:[ pid ] ())
-        pids
-    in
-    write_metrics metrics;
-    if residue <> [] then begin
-      List.iter
-        (fun f -> Format.printf "residue: %a@." Integrity.pp_finding f)
-        residue;
-      exit 3
-    end
-  in
-  let doc =
-    "Audit a fleet's immutable pages against live baselines, heal \
-     seeded bit-flips page-by-page, and verify the post-repair state is \
-     clean."
-  in
-  let man =
-    [
-      `S "EXIT STATUS";
-      `P "0: every audited page matches its baseline after healing.";
-      `P "2: usage error (unknown app, or a batch app without a port).";
-      `P
-        "3: residue — a page still diverged from its baseline after the \
-         graduated repair/respawn response.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "scrub" ~doc ~man)
-    Term.(const action $ app_arg $ workers $ flips $ seed $ metrics_out_arg)
 
 (* ---------- top ---------- *)
 
@@ -1352,16 +1197,10 @@ let top_cmd =
     in
     let outcome, _ = Fleet.rollout fleet ~config ~drive () in
     Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-    Fleet.start_scrub fleet;
     for _ = 1 to slices do
       drive ();
-      ignore (Fleet.tick fleet);
-      ignore (Fleet.scrub_tick fleet)
+      ignore (Fleet.tick fleet)
     done;
-    (* force one full audit per worker so the SCRUB column shows every
-       worker's baselined page count, not just the slices the rotation
-       reached during the soak *)
-    List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
     let drift = Printf.sprintf "%.2f" (Obs.gauge_value (Obs.gauge "fleet.drift_score")) in
     let rows =
       Fleet.workers fleet
@@ -1376,26 +1215,20 @@ let top_cmd =
                (if w.Rollout.w_wave < 0 then "-"
                 else string_of_int w.Rollout.w_wave);
                drift;
-               string_of_int
-                 (Integrity.pages_tracked
-                    (Fleet.integrity fleet ~pid:w.Rollout.w_pid));
                Printf.sprintf "%s@%Ld" w.Rollout.w_state w.Rollout.w_since;
              ])
     in
     print_string
       (Table.render
          ~headers:
-           [ "PID"; "COMM"; "STATE"; "TRAPS"; "WAVE"; "DRIFT"; "SCRUB"; "LAST" ]
+           [ "PID"; "COMM"; "STATE"; "TRAPS"; "WAVE"; "DRIFT"; "LAST" ]
          rows);
     print_newline ();
     Format.printf "rollout: %a  reqs=%d refused=%d traps=%d@."
       Rollout.pp_outcome outcome
       (List.fold_left (fun a pid -> a + pid_counter "fleet.dispatches" pid) 0 pids)
       (Obs.counter_value (Obs.counter "fleet.refused"))
-      (Obs.counter_value (Obs.counter "machine.traps"));
-    Format.printf "scrub: pages scanned %d  mismatches %d@."
-      (Obs.counter_value (Obs.counter "integrity.pages_scanned"))
-      (Obs.counter_value (Obs.counter "integrity.mismatches"))
+      (Obs.counter_value (Obs.counter "machine.traps"))
   in
   let action app feature storm canary slices fleet_n =
     if fleet_n > 0 then begin
@@ -1723,7 +1556,6 @@ let () =
             guard_cmd;
             recover_cmd;
             fleet_cmd;
-            scrub_cmd;
             stats_cmd;
             top_cmd;
             crit_cmd;

@@ -99,27 +99,6 @@ if [ "$sites_in_code" != "$sites_listed" ]; then
 fi
 echo "   $(echo "$sites_listed" | wc -l) sites in sync"
 
-# Scrub smoke (DESIGN.md §6d): detection latency vs scrub rate (virtual
-# cycles), the respawn/repair cost ratio (host time, min-of-k
-# interleaved, must stay >= 5x), the scrub overhead on a served soak
-# (host time, <= 5% at the default interval; the soak's virtual cycles
-# must not move at all), and the two-seeded-runs determinism check,
-# written to BENCH_scrub.json. Run twice: the virtual-axis detection
-# latencies must be byte-identical across runs.
-echo "== bench --quick scrub =="
-dune exec bench/main.exe -- --quick scrub
-detect_first=$(grep '"detect_cycles_interval_' BENCH_scrub.json)
-dune exec bench/main.exe -- --quick scrub
-detect_second=$(grep '"detect_cycles_interval_' BENCH_scrub.json)
-if [ "$detect_first" != "$detect_second" ]; then
-  echo "FAIL: bench scrub detection latencies differ across two runs:"
-  echo "$detect_first"
-  echo "--- vs"
-  echo "$detect_second"
-  exit 1
-fi
-echo "   detection latencies identical across two runs"
-
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the
 # coverage diff cannot (disjoint by construction), converge the cut via

@@ -166,23 +166,6 @@ let run ?(config = default_config)
   in
   let m = Fleet.machine fleet and pids = Fleet.pids fleet in
   let oracle = fleet_oracle app fleet in
-  (* the background scrubber runs for the whole chaos window; baselines
-     are captured now, while the fleet is provably clean — a flip that
-     lands first would otherwise be baked into the manifest as truth *)
-  Fleet.start_scrub fleet;
-  List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) pids;
-  let mism0 = Obs.counter_value (Obs.counter "integrity.mismatches") in
-  (* record every flip the schedule lands (victim, page, page table) so
-     the post-run audit can tell surviving damage from damage a restore
-     already wiped *)
-  let flips : (int * int64 * Mem.t) list ref = ref [] in
-  Fault.set_bitflip_hook
-    (Some
-       (fun ~scope rng ->
-         match Machine.bitflip m ?pid:scope rng with
-         | Some (pid, addr) ->
-             flips := (pid, addr, (Machine.proc_exn m pid).Proc.mem) :: !flips
-         | None -> ()));
   let t0 = m.Machine.clock in
   (* arm nth-occurrence events relative to now; windows arm in tick *)
   let states =
@@ -246,32 +229,8 @@ let run ?(config = default_config)
               attempt_recover (tries - 1)
           | None -> raise e)
   in
-  (* one background scrub step per traffic slice, like the drift tick —
-     this is what makes [scrub.page] reachable for schedules *)
-  let scrub_step () =
-    match Fleet.scrub_tick fleet with
-    | None -> ()
-    | Some r ->
-        if r.Fleet.sr_findings <> [] then
-          note "scrub: pid %d diverged on %d page(s), %d repaired%s"
-            r.Fleet.sr_pid
-            (List.length r.Fleet.sr_findings)
-            (List.length r.Fleet.sr_repaired)
-            (if r.Fleet.sr_respawned then ", respawned" else "");
-        (match r.Fleet.sr_refused with
-        | Some s -> note "scrub: refused (%s)" s
-        | None -> ())
-    | exception Fault.Controller_killed { site } ->
-        note "scrub: controller died at %s" site;
-        attempt_recover 6
-    | exception e -> (
-        match refusal_of_exn e with
-        | Some msg -> note "scrub: %s" msg
-        | None -> raise e)
-  in
   let request label =
     tick ();
-    scrub_step ();
     (match Fleet.request fleet get with
     | `Reply (pid, resp) -> note "%s: pid %d answered %s" label pid (status resp)
     | `Refused -> note "%s: refused" label
@@ -327,45 +286,6 @@ let run ?(config = default_config)
         | None -> raise e);
         Fleet.recover m ~pids)
   in
-  (* silent-corruption audit, before the byte-level oracles: flips that
-     survived in place (victim alive on the same page table) must be
-     detected by this forced scrub, healed, and a second audit must come
-     back clean — and healing first keeps a flipped feature byte from
-     masquerading as an xor violation *)
-  let surviving =
-    List.length
-      (List.filter
-         (fun (pid, _addr, mem0) ->
-           match Machine.proc m pid with
-           | Some p when Proc.is_live p -> p.Proc.mem == mem0
-           | _ -> false)
-         !flips)
-  in
-  List.iter
-    (fun pid ->
-      match Fleet.scrub_now fleet ~pid with
-      | (r : Fleet.scrub_report) ->
-          if r.Fleet.sr_findings <> [] then
-            note "final scrub: pid %d healed %d page(s)%s" pid
-              (List.length r.Fleet.sr_repaired)
-              (if r.Fleet.sr_respawned then " (respawned)" else "")
-      | exception e -> (
-          match refusal_of_exn e with
-          | Some msg -> note "final scrub refused: %s" msg
-          | None -> raise e))
-    pids;
-  let residue =
-    List.concat_map
-      (fun pid ->
-        try Integrity.scrub_full (Fleet.integrity fleet ~pid) ~pids:[ pid ] ()
-        with e when refusal_of_exn e <> None -> [])
-      pids
-  in
-  let detected =
-    Obs.counter_value (Obs.counter "integrity.mismatches") - mism0
-  in
-  violations :=
-    Oracle.check_scrub ~flips:surviving ~detected ~residue @ !violations;
   (* safety oracles *)
   violations := Oracle.check_xor oracle @ !violations;
   violations :=
@@ -458,11 +378,11 @@ type outcome = [ `Completed | `Killed | `Refused of string ]
    default) against the machine under test [m]. [`Completed] when the
    operation returned, [`Refused] on a typed clean refusal, [`Killed] on
    controller death. The site must fire exactly once, a [Kill] must kill
-   the controller there, and a [Delay n] must land on [m]: its clock
-   moves by at least [n]. *)
+   the controller there, and a [Delay n] must land on [m]: the cycles
+   the delay hook charged to it move by exactly [n]. *)
 let strike ?(spec = Fault.One_shot) (m : Machine.t) site mode
     (op : unit -> unit) : outcome =
-  let clock0 = m.Machine.clock in
+  let delayed0 = m.Machine.delayed in
   Fault.arm_mode site spec mode;
   let outcome =
     match op () with
@@ -477,20 +397,18 @@ let strike ?(spec = Fault.One_shot) (m : Machine.t) site mode
   in
   let n = Fault.fired site in
   if n <> 1 then failp "site fired %d times, not once" n;
-  (* a delay is a gray failure: slow, never wrong. A bitflip is silent:
-     the damage is resident, the operation itself must proceed *)
+  (* a delay is a gray failure: slow, never wrong *)
   (match (mode, outcome) with
   | Fault.Kill, (`Completed | `Refused _) -> failp "controller survived its death"
   | Fault.Delay _, `Refused msg -> failp "delay refused the operation: %s" msg
   | Fault.Delay _, `Killed -> failp "delay killed the controller"
-  | Fault.Bitflip, `Refused msg -> failp "bitflip refused the operation: %s" msg
-  | Fault.Bitflip, `Killed -> failp "bitflip killed the controller"
   | _ -> ());
   (match mode with
   | Fault.Delay n ->
-      let moved = Int64.sub m.Machine.clock clock0 in
-      if moved < Int64.of_int n then
-        failp "a %d-cycle delay moved the machine's clock by only %Ld" n moved
+      let moved = m.Machine.delayed - delayed0 in
+      if moved <> n then
+        failp "a %d-cycle delay charged %d cycles to the machine under test" n
+          moved
   | _ -> ());
   outcome
 
@@ -759,67 +677,14 @@ let fleet_rollout_probe site mode =
   in
   fleet_finish ~cut ~outcome oracle ~plan ~serving_fleet:fleet
 
-(* heal every worker with a forced audit, then require a second audit of
-   each to come back clean — the probes' "scrubbed back to health" bar *)
-let fleet_heal_all fleet =
-  List.iter (fun pid -> ignore (Fleet.scrub_now fleet ~pid)) (Fleet.pids fleet)
-
-let assert_fleet_clean fleet =
-  List.iter
-    (fun pid ->
-      match Integrity.scrub_full (Fleet.integrity fleet ~pid) ~pids:[ pid ] () with
-      | [] -> ()
-      | fs ->
-          failp "pid %d still diverged after heal (%d finding(s))" pid
-            (List.length fs))
-    (Fleet.pids fleet)
-
-(* fault strikes one dispatched request (balancer / net sites); a
-   [Bitflip] lands silent damage the scrubber must then heal, so those
-   runs bracket the strike with trusted baselines and a forced audit *)
+(* fault strikes one dispatched request (balancer / net sites) *)
 let fleet_request_probe site mode =
   let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
   let oracle = fleet_oracle lapp fleet in
-  if mode = Fault.Bitflip then begin
-    Fleet.start_scrub fleet;
-    fleet_heal_all fleet
-  end;
   let outcome =
     strike (Fleet.machine fleet) site mode (fun () -> ignore (Fleet.request fleet get))
   in
-  if mode = Fault.Bitflip then begin
-    fleet_heal_all fleet;
-    assert_fleet_clean fleet
-  end;
   fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
-
-(* fault strikes a scrub pass over a worker carrying a seeded flip —
-   while it hashes a page (scrub.page) or heals the diverged one
-   (integrity.repair). After a death the flip still stands, and the
-   first pass after recovery must heal it by one page repair *)
-let scrub_probe site mode =
-  let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
-  let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
-  Fleet.start_scrub fleet;
-  fleet_heal_all fleet;
-  let victim = List.hd (Fleet.pids fleet) in
-  (match Machine.bitflip m ~pid:victim (Rng.create 1105) with
-  | Some _ -> ()
-  | None -> failp "seeded bitflip found no resident immutable page");
-  let outcome =
-    strike m site mode (fun () -> ignore (Fleet.scrub_now fleet ~pid:victim))
-  in
-  let after_recover () =
-    (if outcome = `Killed then
-       let r = Fleet.scrub_now fleet ~pid:victim in
-       if List.length r.Fleet.sr_repaired <> 1 || r.Fleet.sr_respawned then
-         failp "post-recovery scrub did not page-repair the flip");
-    (* whichever way the fault went, the retry must converge *)
-    fleet_heal_all fleet;
-    assert_fleet_clean fleet
-  in
-  fleet_finish ~after_recover ~quiet:true ~outcome oracle ~plan:[]
-    ~serving_fleet:fleet
 
 (* fault strikes the shed path: watermark zero sheds the first dispatch *)
 let fleet_shed_probe site mode =
@@ -936,7 +801,6 @@ let probe_driver (site : string) : Fault.mode -> unit =
   | "net.serve" ->
       fleet_request_probe site
   | "fleet.shed" -> fleet_shed_probe site
-  | "scrub.page" | "integrity.repair" -> scrub_probe site
   | "slice.trace" | "slice.compute" -> slice_probe site
   | "bbcache.dispatch" | "bbcache.flush" -> bbcache_probe site
   | s -> fun _ -> failp "site %s has no chaos probe — extend Chaos.probe_driver" s

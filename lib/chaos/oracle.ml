@@ -161,27 +161,6 @@ let check_recover_idempotent (ctx : ctx) : violation list =
     [ violation "recover-idempotent" "digest %Lx -> %Lx across a second pass" d1 d2 ]
   else []
 
-(** Silent-corruption defense (DESIGN.md §6d): every injected bitflip
-    still resident at audit time — the victim is alive and still runs on
-    the page table the flip landed in, so no restore wiped the damage —
-    must have produced a scrubber detection ([flips] is that surviving
-    count, [detected] the run's mismatch total), and after the forced
-    post-run heal no immutable page may still diverge from its baseline
-    ([residue] is the second audit's findings). *)
-let check_scrub ~(flips : int) ~(detected : int)
-    ~(residue : Integrity.finding list) : violation list =
-  (if flips > 0 && detected = 0 then
-     [
-       violation "scrub-detection"
-         "%d surviving bitflip(s) but the scrubber detected none" flips;
-     ]
-   else [])
-  @ List.map
-      (fun f ->
-        violation "scrub-residue" "post-repair divergence: %s"
-          (Format.asprintf "%a" Integrity.pp_finding f))
-      residue
-
 (** Load-generator accounting: every offered request ends exactly once. *)
 let check_accounting (s : Loadgen.stats) : violation list =
   if s.Loadgen.s_completed + s.Loadgen.s_failed <> s.Loadgen.s_offered then

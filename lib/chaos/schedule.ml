@@ -65,7 +65,6 @@ let fleet_sites =
     "balancer.health";
     "net.accept_queue";
     "net.serve";
-    "scrub.page";
   ]
 
 (* a generated delay is big enough to dominate a request's round trip —
@@ -125,7 +124,6 @@ let mode_of_string (s : string) : Fault.mode =
   | "corrupt" -> Fault.Corrupt
   | "enospc" -> Fault.Enospc
   | "eio" -> Fault.Eio
-  | "bitflip" -> Fault.Bitflip
   | _ ->
       let pfx = "delay=" in
       if String.length s > String.length pfx

@@ -47,15 +47,6 @@ type skip =
       (** response-latency EWMA over 3 × the fleet's best: a
           gray-failing worker sheds dispatches like a frozen one *)
 
-let skip_to_string = function
-  | Dead -> "dead"
-  | Frozen -> "frozen"
-  | Drained -> "drained"
-  | Breaker_open -> "breaker-open"
-  | Backlog_full -> "backlog-full"
-  | Half_open_hold -> "half-open-hold"
-  | Straggler -> "straggler"
-
 type verdict =
   | Dispatched of int  (** chosen worker pid *)
   | Shed  (** admission control: aggregate in-flight over watermark *)
@@ -66,19 +57,6 @@ type decision = {
   d_verdict : verdict;
   d_skipped : (int * skip) list;  (** per-pid skip reasons, pid order *)
 }
-
-let pp_decision ppf d =
-  let verdict =
-    match d.d_verdict with
-    | Dispatched pid -> Printf.sprintf "dispatch pid=%d" pid
-    | Shed -> "shed"
-    | All_skipped -> "refused"
-  in
-  Format.fprintf ppf "@%Ld %s skipped=[%s]" d.d_clock verdict
-    (String.concat ";"
-       (List.map
-          (fun (pid, r) -> Printf.sprintf "%d:%s" pid (skip_to_string r))
-          d.d_skipped))
 
 type health = {
   h_session : Dynacut.session;  (** the worker's tree, carrying its breaker *)
@@ -167,19 +145,11 @@ let drain t ~pid = (listener t ~pid).Net.accepting <- false
 
 let undrain t ~pid = (listener t ~pid).Net.accepting <- true
 
-(** Pids currently taken out of the rotation. *)
-let draining t =
-  List.filter (fun pid -> not (listener t ~pid).Net.accepting) t.workers
-
-let accepting t =
-  List.filter (fun pid -> (listener t ~pid).Net.accepting) t.workers
-
 let health t ~pid =
   match Hashtbl.find_opt t.health pid with
   | Some h -> h
   | None -> raise (Balancer_error (Printf.sprintf "pid %d is not a worker" pid))
 
-let ewma_inflight t ~pid = (health t ~pid).h_ewma
 let ewma_latency t ~pid = (health t ~pid).h_lat_ewma
 let inflight t = t.inflight
 let shedding t = t.shedding
@@ -224,7 +194,6 @@ let dispatches ~pid =
 
 let refused () = Obs.counter_value (Obs.counter "fleet.refused")
 let shed_count () = Obs.counter_value (Obs.counter "fleet.shed")
-let timeout_count () = Obs.counter_value (Obs.counter "fleet.timeouts")
 
 let latency_hist () =
   Obs.histogram

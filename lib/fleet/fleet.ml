@@ -10,23 +10,6 @@
 
 let manifest_dir = "/tmpfs/fleet"
 
-(** Background memory-integrity scrubbing (DESIGN.md §6d): one
-    {!Integrity} scrubber per worker, rotated one worker per interval. *)
-type scrub_config = {
-  sc_interval : int;  (** virtual cycles between scrub slices *)
-}
-
-let default_scrub_config = { sc_interval = 20_000 }
-
-type scrub_state = {
-  ss_config : scrub_config;
-  ss_integrity : (int * Integrity.t) list;  (** per worker pid *)
-  ss_history : (int * int64, int) Hashtbl.t;
-      (** (pid, page) -> completed repairs, for re-divergence escalation *)
-  mutable ss_due : int64;
-  mutable ss_rotor : int;  (** which worker the next slice audits *)
-}
-
 type t = {
   machine : Machine.t;
   port : int;
@@ -37,7 +20,6 @@ type t = {
   policy : Dynacut.policy;
   mutable drift : Drift.t option;
   mutable outcome : Rollout.outcome option;
-  mutable scrub : scrub_state option;
 }
 
 exception Fleet_error of string
@@ -88,7 +70,6 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
       policy;
       drift = None;
       outcome = None;
-      scrub = None;
     }
   in
   refresh_gauges t;
@@ -245,173 +226,3 @@ let recover (machine : Machine.t) ~(pids : int list) : recovery =
   let r = { fr_workers; fr_unwound; fr_wave; fr_torn } in
   Obs.event ~kind:"fleet" (Format.asprintf "%a" pp_recovery r);
   r
-
-(* ------------------------------------------------------------------ *)
-(* Memory-integrity scrubbing (DESIGN.md §6d)                          *)
-
-type scrub_report = {
-  sr_pid : int;
-  sr_findings : Integrity.finding list;
-  sr_repaired : Integrity.finding list;
-  sr_respawned : bool;
-  sr_refused : string option;
-      (** an injected fault refused part of the slice; retried next turn *)
-}
-
-let start_scrub ?(config = default_scrub_config) (t : t) : unit =
-  t.scrub <-
-    Some
-      {
-        ss_config = config;
-        ss_integrity =
-          List.map
-            (fun w -> (w.Rollout.w_pid, Integrity.create w.Rollout.w_session))
-            t.workers;
-        ss_history = Hashtbl.create 16;
-        ss_due =
-          Int64.add t.machine.Machine.clock (Int64.of_int config.sc_interval);
-        ss_rotor = 0;
-      }
-
-let scrub_state_exn t =
-  match t.scrub with
-  | Some st -> st
-  | None -> raise (Fleet_error "scrubber not started")
-
-let integrity t ~pid =
-  match List.assoc_opt pid (scrub_state_exn t).ss_integrity with
-  | Some i -> i
-  | None -> raise (Fleet_error (Printf.sprintf "no scrubber for pid %d" pid))
-
-(* Full respawn from the newest sealed image — working if the worker was
-   ever cut (the cut survives), pristine otherwise (then the session
-   bookkeeping must be forgotten). False when no image exists at all;
-   the caller keeps the worker quarantined. *)
-let escalate t (st : scrub_state) (integ : Integrity.t) ~(pid : int) : bool =
-  let sess = (worker t ~pid).Rollout.w_session in
-  let working = Dynacut.image_path sess pid in
-  let pristine = Dynacut.pristine_path sess pid in
-  let path, from_pristine =
-    if Vfs.exists t.machine.Machine.fs working then (working, false)
-    else (pristine, true)
-  in
-  if not (Vfs.exists t.machine.Machine.fs path) then false
-  else begin
-    (match Machine.proc t.machine pid with
-    | Some p when Proc.is_live p -> Machine.reap t.machine ~pid
-    | _ -> ());
-    ignore (Dynacut.journaled_respawn sess ~pid ~path);
-    if from_pristine then Dynacut.forget_pid sess ~pid;
-    Hashtbl.iter
-      (fun ((p, _) as k) _ -> if p = pid then Hashtbl.remove st.ss_history k)
-      (Hashtbl.copy st.ss_history);
-    Integrity.rebaseline integ ~pid;
-    Obs.incr (Obs.counter "fleet.scrub.respawns");
-    Obs.event ~kind:"fleet"
-      (Printf.sprintf "scrub escalated: pid=%d respawned from %s" pid path);
-    true
-  end
-
-(* The graduated response to a slice's findings: quarantine the worker
-   (drain dispatch away so no request is served off a corrupted page),
-   page-repair each finding, escalate to a full respawn when a repair
-   fails, does not stick, or the same page diverges again. *)
-let heal t (st : scrub_state) ~(pid : int) (integ : Integrity.t)
-    (findings : Integrity.finding list) : scrub_report =
-  if findings = [] then
-    {
-      sr_pid = pid;
-      sr_findings = [];
-      sr_repaired = [];
-      sr_respawned = false;
-      sr_refused = None;
-    }
-  else begin
-    Balancer.drain t.balancer ~pid;
-    Obs.incr (Obs.counter "fleet.scrub.quarantines");
-    let repaired = ref [] and must_respawn = ref false in
-    List.iter
-      (fun (f : Integrity.finding) ->
-        if not !must_respawn then
-          let key = (pid, f.Integrity.f_vaddr) in
-          let seen =
-            Option.value ~default:0 (Hashtbl.find_opt st.ss_history key)
-          in
-          if seen >= 1 then
-            (* the page was already healed and diverged again — the
-               damage is not a one-off, stop trusting page repair *)
-            must_respawn := true
-          else
-            match Integrity.repair integ f with
-            | Integrity.Repaired when Integrity.recheck integ f ->
-                Hashtbl.replace st.ss_history key (seen + 1);
-                repaired := f :: !repaired
-            | Integrity.Repaired | Integrity.Repair_failed _ ->
-                must_respawn := true)
-      findings;
-    let respawned = if !must_respawn then escalate t st integ ~pid else false in
-    if respawned || not !must_respawn then Balancer.undrain t.balancer ~pid;
-    {
-      sr_pid = pid;
-      sr_findings = findings;
-      sr_repaired = List.rev !repaired;
-      sr_respawned = respawned;
-      sr_refused = None;
-    }
-  end
-
-(** One background scrub step: when the interval elapsed, audit a
-    8-page slice of the next worker in rotation and heal
-    whatever diverged. Injected faults from the pipeline's failure
-    domain refuse the slice (the worker is un-quarantined, the slice
-    retried on its next rotation turn); a [Kill] propagates — the
-    controller itself died. Call between traffic slices, like {!tick}. *)
-let scrub_tick t : scrub_report option =
-  match t.scrub with
-  | None -> None
-  | Some st ->
-      if Int64.compare t.machine.Machine.clock st.ss_due < 0 then None
-      else begin
-        st.ss_due <-
-          Int64.add t.machine.Machine.clock
-            (Int64.of_int st.ss_config.sc_interval);
-        match st.ss_integrity with
-        | [] -> None
-        | _ :: _ ->
-            let n = List.length st.ss_integrity in
-            let idx = st.ss_rotor mod n in
-            st.ss_rotor <- (idx + 1) mod n;
-            let pid, integ = List.nth st.ss_integrity idx in
-            let refused site =
-              Obs.incr (Obs.counter "fleet.scrub.refused");
-              (try Balancer.undrain t.balancer ~pid
-               with Balancer.Balancer_error _ -> ());
-              Some
-                {
-                  sr_pid = pid;
-                  sr_findings = [];
-                  sr_repaired = [];
-                  sr_respawned = false;
-                  sr_refused = Some site;
-                }
-            in
-            (match
-               heal t st ~pid integ
-                 (Integrity.scrub integ ~pids:[ pid ]
-                    ~quantum:8 ())
-             with
-            | r -> Some r
-            | exception Fault.Injected { site; _ } -> refused site
-            | exception Fault.Storage_error { site; _ } -> refused site
-            | exception Validate.Validate_error msg -> refused msg
-            | exception Restore.Restore_error msg -> refused msg
-            | exception Dynacut.Dynacut_error msg -> refused msg)
-      end
-
-(** Forced full audit of one worker — the CLI's [dynacut scrub] and the
-    chaos probes. Starts the scrubber if needed; refusals propagate. *)
-let scrub_now t ~pid : scrub_report =
-  if t.scrub = None then start_scrub t;
-  let st = scrub_state_exn t in
-  let integ = integrity t ~pid in
-  heal t st ~pid integ (Integrity.scrub_full integ ~pids:[ pid ] ())

@@ -52,8 +52,7 @@ val boot :
     on the app's port; returns the fleet and its workers' contexts.
     [blocks] is evaluated before the call, so discovery's throwaway
     machines precede the machine under test: the [Obs] clock and the
-    [Fault] delay and bitflip hooks follow the last machine created
-    (DESIGN.md §6a). Raises {!Fleet_error} for an app with no port. *)
+    [Fault] delay hook follow the last machine created (DESIGN.md §6a). Raises {!Fleet_error} for an app with no port. *)
 
 val machine : t -> Machine.t
 val pids : t -> int list
@@ -112,49 +111,6 @@ type recovery = {
 }
 
 val pp_recovery : Format.formatter -> recovery -> unit
-
-(** {2 Memory-integrity scrubbing (DESIGN.md §6d)}
-
-    A background {!Integrity} scrubber per worker, fleet-rotated: every
-    [sc_interval] virtual cycles one worker has an 8-page slice of its
-    immutable pages audited. A digest mismatch quarantines
-    the worker (balancer drain), heals the page from its baseline
-    snapshot, and un-quarantines; a failed or non-sticking repair — or a
-    page diverging {e again} after repair — escalates to a full respawn
-    from the newest sealed image. *)
-
-type scrub_config = {
-  sc_interval : int;  (** virtual cycles between scrub slices *)
-}
-
-type scrub_report = {
-  sr_pid : int;  (** the worker this slice audited *)
-  sr_findings : Integrity.finding list;
-  sr_repaired : Integrity.finding list;  (** healed findings *)
-  sr_respawned : bool;  (** the graduated response reached respawn *)
-  sr_refused : string option;
-      (** an injected fault refused part of the slice; retried on the
-          worker's next rotation turn *)
-}
-
-val start_scrub : ?config:scrub_config -> t -> unit
-(** Build one scrubber per worker (baselines capture lazily at the
-    first audit). [?config] defaults to a 20,000-cycle interval. *)
-
-val scrub_tick : t -> scrub_report option
-(** One background scrub step; call between traffic slices, like
-    {!tick}. [None] before {!start_scrub}, before the interval elapses,
-    or — once due — audits the next worker in rotation and heals
-    whatever diverged. [Fault.Controller_killed] propagates. *)
-
-val scrub_now : t -> pid:int -> scrub_report
-(** Forced full audit + heal of one worker (the CLI's [dynacut scrub]
-    and the chaos probes). Starts the scrubber if needed; injected
-    refusals propagate to the caller. *)
-
-val integrity : t -> pid:int -> Integrity.t
-(** The worker's scrubber; raises {!Fleet_error} before
-    {!start_scrub}. *)
 
 val recover : Machine.t -> pids:int list -> recovery
 (** Recover a fleet after a controller death: per-worker journal replay

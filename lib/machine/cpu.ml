@@ -67,6 +67,8 @@ type t = {
   mutable uncharged : int;
       (** instructions retired but not yet added to [clock] and
           ["machine.steps"]; see {!charge} *)
+  mutable delayed : int;
+      (** virtual cycles that [Fault.Delay] faults charged to [clock] *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
   mutable on_exit : exit_hook option;
@@ -93,46 +95,6 @@ let table t =
 
 let all_procs t = Array.to_list (table t)
 
-(* Flip one seeded bit in a resident page of an immutable (non-writable)
-   VMA — silent corruption of text/rodata, the failure the integrity
-   scrubber exists to catch. The victim is [pid] when given (and live),
-   else a seeded pick among live processes; the page, byte and bit are
-   seeded draws. Returns the victim pid and flipped address, or [None]
-   when there is nothing to corrupt. *)
-let bitflip t ?pid rng : (int * int64) option =
-  let live = List.filter Proc.is_live (all_procs t) in
-  let victim =
-    match pid with
-    | Some q -> List.find_opt (fun (p : Proc.t) -> p.Proc.pid = q) live
-    | None -> ( match live with [] -> None | l -> Some (Rng.choose rng l))
-  in
-  match victim with
-  | None -> None
-  | Some p ->
-      let mem = p.Proc.mem in
-      let pages =
-        List.concat_map
-          (fun (v : Mem.vma) ->
-            if v.Mem.va_prot.Self.p_w then []
-            else List.map fst (Mem.pages_of_vma mem v))
-          mem.Mem.vmas
-      in
-      if pages = [] then None
-      else begin
-        let base = Rng.choose rng pages in
-        let addr = Int64.add base (Int64.of_int (Rng.int rng Mem.page_size)) in
-        let bit = Rng.int rng 8 in
-        Mem.flip_bit mem ~addr ~bit;
-        Obs.incr
-          (Obs.counter
-             ~labels:[ ("pid", string_of_int p.Proc.pid) ]
-             "integrity.bitflips");
-        Obs.event ~kind:"fault"
-          (Printf.sprintf "bitflip pid=%d vaddr=0x%Lx bit=%d" p.Proc.pid addr
-             bit);
-        Some (p.Proc.pid, addr)
-      end
-
 (* a new pid takes the next scheduling slot *)
 let add_proc t (p : Proc.t) =
   Hashtbl.replace t.procs p.Proc.pid p;
@@ -148,6 +110,7 @@ let create ?(seed = 42) () =
       next_pid = 100;
       clock = 0L;
       uncharged = 0;
+      delayed = 0;
       trace = None;
       on_syscall = None;
       on_exit = None;
@@ -186,11 +149,11 @@ let create ?(seed = 42) () =
   (* delay-mode faults ([Fault.Delay n]) charge their latency to this
      machine's virtual clock — gray failures are slow, not wrong *)
   Fault.set_delay_hook
-    (Some (fun n -> with_self (fun t -> t.clock <- Int64.add t.clock (Int64.of_int n))));
-  (* bitflip-mode faults ([Fault.Bitflip]) corrupt a resident immutable
-     page of this machine's scoped (or seeded) victim — silently *)
-  Fault.set_bitflip_hook
-    (Some (fun ~scope rng -> with_self (fun t -> ignore (bitflip t ?pid:scope rng))));
+    (Some
+       (fun n ->
+         with_self (fun t ->
+             t.clock <- Int64.add t.clock (Int64.of_int n);
+             t.delayed <- t.delayed + n)));
   t
 
 let proc t pid = Hashtbl.find_opt t.procs pid
@@ -659,7 +622,6 @@ let[@inline] store64 (mem : Mem.t) addr v =
   let pg = tlb_page8 mem addr in
   let prot = pg.Mem.pg_prot in
   if prot.Self.p_w && not prot.Self.p_x then begin
-    pg.Mem.pg_gen <- pg.Mem.pg_gen + 1;
     Bytes.set_int64_le pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) v;
     true
   end
@@ -678,7 +640,6 @@ let[@inline] store8 (mem : Mem.t) addr v =
   let pg = tlb_page mem addr in
   let prot = pg.Mem.pg_prot in
   if prot.Self.p_w && not prot.Self.p_x then begin
-    pg.Mem.pg_gen <- pg.Mem.pg_gen + 1;
     Bytes.set pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) (Char.unsafe_chr v);
     true
   end

@@ -3,10 +3,8 @@
 
     Every path that modifies code — the rewriter's first-byte int3
     patches, block wipes and page unmaps (via [Mem.poke8]/[protect]/
-    [unmap] on the restored image), the integrity scrubber's repairs,
-    seeded bit flips, and any guest store that lands on an executable
-    page — marks the page index in
-    [Mem.exec_dirty]. The dispatcher drains that set before running
+    [unmap] on the restored image), and any guest store that lands on
+    an executable page — marks the page index in [Mem.exec_dirty]. The dispatcher drains that set before running
     another cached block, so a modification is visible at the next block
     boundary: exactly the DBI contract (DynamoRIO flushes the fragments
     overlapping a modified page and re-builds from current bytes).

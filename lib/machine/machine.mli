@@ -43,6 +43,9 @@ type t = Cpu.t = {
   mutable uncharged : int;
       (** instructions the slot loop retired but has not yet added to
           [clock] and ["machine.steps"]: 0 whenever [clock] is exact *)
+  mutable delayed : int;
+      (** virtual cycles that [Fault.Delay] faults charged to [clock]:
+          tells the machine a delay landed on from any other *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
   mutable on_exit : exit_hook option;
@@ -63,19 +66,10 @@ type t = Cpu.t = {
 val create : ?seed:int -> unit -> t
 (** A machine with its decoded-block dispatcher. Also installs this
     machine's virtual clock as the registry's timestamp source
-    ([Obs.set_clock]), its clock as the [Fault.Delay] sink and its
-    {!bitflip} injector as the [Fault.Bitflip] hook; the most recently
-    created machine wins. The hooks hold the machine weakly: a dropped
-    machine is collected, and the hooks then act as if none were
-    installed. *)
-
-val bitflip : t -> ?pid:int -> Rng.t -> (int * int64) option
-(** Flip one seeded bit in a resident page of an immutable
-    (non-writable) VMA — silent corruption of text/rodata. The victim is
-    [?pid] when given (and live), else a seeded pick among live
-    processes; page, byte and bit are drawn from [rng]. Returns the
-    victim pid and the flipped address; [None] when nothing qualifies.
-    Installed as the [Fault.Bitflip] hook by {!create}. *)
+    ([Obs.set_clock]) and as the [Fault.Delay] sink, which adds each
+    delay to [clock] and [delayed]; the most recently created machine
+    wins. The hooks hold the machine weakly: a dropped machine is
+    collected, and the hooks then act as if none were installed. *)
 
 (** {2 Processes} *)
 

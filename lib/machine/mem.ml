@@ -1,7 +1,7 @@
 (** Per-process virtual memory: a sparse page table plus a VMA list.
 
-    Pages carry their protection and write generation, so an access needs
-    only the page record; VMAs carry the metadata CRIU's [mm.img] records
+    Pages carry their protection, so an access needs only the page
+    record; VMAs carry the metadata CRIU's [mm.img] records
     — start, end, permissions, backing file and offset — exactly the
     fields DynaCut edits when it unmaps code pages or injects a library
     (paper §3.3).
@@ -9,8 +9,8 @@
     The hot path (instruction fetch, loads, stores) finds the page record
     in a 64-entry direct-mapped TLB keyed by page number, and falls back
     to the page table's hash lookup on a miss. The TLB caches only the
-    page-number → record binding: protection and generation are read live
-    from the record, so [protect] needs no flush. [unmap] flushes it, and
+    page-number → record binding: protection is read live from the
+    record, so [protect] needs no flush. [unmap] flushes it, and
     so does [map], so no change to the page table outlives a cached
     entry. *)
 
@@ -32,11 +32,6 @@ let vma_end v = Int64.add v.va_start (Int64.of_int v.va_len)
 type page = {
   pg_data : bytes;
   mutable pg_prot : Self.prot;
-  mutable pg_gen : int;
-      (** write generation: bumped on every store into the page,
-          including kernel pokes and hardware-level bit flips — the
-          dirty-tracking signal the integrity scrubber uses to skip
-          provably-unchanged pages without hashing them *)
 }
 
 let tlb_size = 64
@@ -72,7 +67,7 @@ let page_offset (addr : int64) = Int64.to_int addr land (page_size - 1)
 
 (* fills empty TLB slots, whose tag -1 no page number equals *)
 let no_page =
-  { pg_data = Bytes.empty; pg_prot = { Self.p_r = false; p_w = false; p_x = false }; pg_gen = 0 }
+  { pg_data = Bytes.empty; pg_prot = { Self.p_r = false; p_w = false; p_x = false } }
 
 let create () =
   {
@@ -99,7 +94,6 @@ let lookup t addr =
     p
   end
 
-let find_page t addr = match lookup t addr with p -> Some p | exception Not_found -> None
 
 let mark_exec_dirty t idx =
   Hashtbl.replace t.exec_dirty idx ();
@@ -133,7 +127,7 @@ let map t ~vaddr ~len ~prot ?(file = None) ~name () =
   for i = 0 to npages - 1 do
     let idx = Int64.add (page_index vaddr) (Int64.of_int i) in
     Hashtbl.replace t.pages idx
-      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_gen = 0 }
+      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot }
   done;
   tlb_flush t;
   v
@@ -262,7 +256,6 @@ let exec_page t addr = get_page t addr Exec
 
 let write8 t addr v =
   let p = get_page t addr Write in
-  p.pg_gen <- p.pg_gen + 1;
   if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
   Bytes.set p.pg_data (page_offset addr) (Char.chr (v land 0xff))
 
@@ -272,7 +265,6 @@ let poke8 t addr v =
   match lookup t addr with
   | exception Not_found -> raise (Fault (addr, Write))
   | p ->
-      p.pg_gen <- p.pg_gen + 1;
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
       Bytes.set p.pg_data (page_offset addr) (Char.chr (v land 0xff))
 
@@ -297,7 +289,6 @@ let read64 t addr =
 let write64 t addr (v : int64) =
   if page_offset addr <= page_size - 8 then (
     let p = get_page t addr Write in
-    p.pg_gen <- p.pg_gen + 1;
     if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
     Bytes.set_int64_le p.pg_data (page_offset addr) v)
   else
@@ -325,11 +316,9 @@ let chunked t ~raw access addr len f =
     pos := !pos + n
   done
 
-(* a store of [n] bytes bumps the generation by [n], as [n] byte stores
-   do; the bytes come from [b.[src .. src+len-1]] *)
+(* the bytes come from [b.[src .. src+len-1]] *)
 let store t ~raw addr (b : bytes) src len =
   chunked t ~raw Write addr len (fun p a off pos n ->
-      p.pg_gen <- p.pg_gen + n;
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index a);
       Bytes.blit b (src + pos) p.pg_data off n)
 
@@ -368,7 +357,7 @@ let copy t =
   Hashtbl.iter
     (fun k p ->
       Hashtbl.replace pages k
-        { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot; pg_gen = p.pg_gen })
+        { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot })
     t.pages;
   (* a fresh address space has no cached blocks, so it starts clean *)
   {
@@ -391,39 +380,6 @@ let pages_of_vma t (v : vma) =
       | Some p -> Some (Int64.mul idx page_size64, p.pg_data)
       | None -> None)
     (List.init n Fun.id)
-
-(* ---------- page integrity primitives ---------- *)
-
-(* the image seal's checksum, over raw page bytes *)
-let digest_bytes (b : bytes) : int64 = Bytesx.checksum (Bytes.unsafe_to_string b)
-
-(** Digest of the resident page containing [addr]; [None] when the page
-    is not populated. *)
-let page_digest t addr =
-  Option.map
-    (fun p -> digest_bytes p.pg_data)
-    (find_page t addr)
-
-(** Write generation of the resident page containing [addr]. *)
-let page_gen t addr =
-  Option.map (fun p -> p.pg_gen) (find_page t addr)
-
-(** Flip one bit in a resident page, ignoring protections — the seeded
-    silent-corruption injector ([Fault.Bitflip]). Bumps the write
-    generation: the generation models hardware-level modification
-    telemetry (a dirty bit), which a bit flip trips even though every
-    software write path was bypassed. Raises {!Fault} when the page is
-    not populated. *)
-let flip_bit t ~addr ~bit =
-  if bit < 0 || bit > 7 then invalid_arg "Mem.flip_bit: bit outside 0..7";
-  match lookup t addr with
-  | exception Not_found -> raise (Fault (addr, Write))
-  | p ->
-      let off = page_offset addr in
-      p.pg_gen <- p.pg_gen + 1;
-      if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
-      Bytes.set p.pg_data off
-        (Char.chr (Char.code (Bytes.get p.pg_data off) lxor (1 lsl bit)))
 
 (** Find a free, page-aligned gap of [len] bytes at or after [hint]. *)
 let find_free t ~hint ~len =

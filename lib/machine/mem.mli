@@ -1,5 +1,5 @@
 (** Per-process virtual memory: sparse 4 KiB page table + VMA list.
-    Pages carry protections and write generations; VMAs carry the
+    Pages carry protections; VMAs carry the
     metadata CRIU's [mm] image records and DynaCut edits. Accesses find
     their page through a 64-entry direct-mapped TLB (page number → page
     record) and fall back to the page table's hash lookup on a miss;
@@ -24,10 +24,6 @@ val vma_end : vma -> int64
 type page = {
   pg_data : bytes;
   mutable pg_prot : Self.prot;
-  mutable pg_gen : int;
-      (** write generation: bumped on every store (including kernel pokes
-          and {!flip_bit}) — the dirty-tracking signal the integrity
-          scrubber uses to skip provably-unchanged pages cheaply *)
 }
 
 val tlb_size : int
@@ -95,10 +91,9 @@ val write64 : t -> int64 -> int64 -> unit
 val read_bytes : t -> int64 -> int -> bytes
 val write_bytes : t -> int64 -> bytes -> unit
 (** The [_bytes] accesses copy a page at a time with the effects of as
-    many one-byte accesses: a page's generation advances by the bytes
-    written to it, written executable pages are marked dirty, and
-    {!Fault} names the first inaccessible byte after every byte before
-    it was copied. *)
+    many one-byte accesses: written executable pages are marked dirty,
+    and {!Fault} names the first inaccessible byte after every byte
+    before it was copied. *)
 
 val read_cstring : t -> int64 -> string
 (** NUL-terminated string (bounded at 1 MiB). *)
@@ -121,26 +116,6 @@ val copy : t -> t
 
 val pages_of_vma : t -> vma -> (int64 * bytes) list
 (** Populated pages of a VMA in address order. *)
-
-(** {2 Page integrity primitives} *)
-
-val digest_bytes : bytes -> int64
-(** The page-digest function: {!Bytesx.checksum} over raw bytes, the
-    same function as the image seal's checksum. *)
-
-val page_digest : t -> int64 -> int64 option
-(** Digest of the resident page containing the address; [None] when the
-    page is not populated. *)
-
-val page_gen : t -> int64 -> int option
-(** Write generation of the resident page containing the address. *)
-
-val flip_bit : t -> addr:int64 -> bit:int -> unit
-(** Flip one bit in a resident page, ignoring protections — the seeded
-    silent-corruption injector behind [Fault.Bitflip]. Bumps the page's
-    write generation (the generation models a hardware dirty bit, which
-    a flip trips even though software write paths were bypassed).
-    Raises {!Fault} on a non-resident page. *)
 
 val find_free : t -> hint:int64 -> len:int -> int64
 (** First page-aligned gap of [len] bytes at or after [hint]. *)

@@ -114,7 +114,7 @@ external bswap64 : int64 -> int64 = "%bswap_int64"
 let[@inline] word s i = if Sys.big_endian then bswap64 (get64u s i) else get64u s i
 
 (** The one 64-bit checksum behind the image seal, the journal frames
-    and the page digests, over [s.[off .. off+len-1]] ([len] defaults to
+    and the chaos digests, over [s.[off .. off+len-1]] ([len] defaults to
     the rest of [s]).
 
     The state starts from the length. Each 8-byte word from [off] (read

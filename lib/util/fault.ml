@@ -38,13 +38,6 @@ type mode =
           the operation "succeeds" and the damage surfaces at read time *)
   | Enospc  (** raise {!Storage_error} with [`Enospc] *)
   | Eio  (** raise {!Storage_error} with [`Eio] *)
-  | Bitflip
-      (** flip one seeded bit in a resident mapped page of the scoped
-          worker (any live process when unscoped) and let the operation
-          proceed — {e silent} memory corruption, the failure only the
-          integrity scrubber can catch. Distinct from [Corrupt], which
-          mangles a storage write and is caught by the checksum seal at
-          read time. *)
 
 let mode_to_string = function
   | Fail -> "fail"
@@ -53,7 +46,6 @@ let mode_to_string = function
   | Corrupt -> "corrupt"
   | Enospc -> "enospc"
   | Eio -> "eio"
-  | Bitflip -> "bitflip"
 
 exception Injected of { site : string; transient : bool }
 (** [transient] marks the fault as retryable — the transaction retries
@@ -97,13 +89,6 @@ let suppress_depth = ref 0
 let delay_hook : (int -> unit) option ref = ref None
 let set_delay_hook h = delay_hook := h
 
-(* installed by [Machine.create], like [delay_hook]: flip one seeded bit
-   in a resident mapped page of a live process (the armed scope's pid
-   when set). The draw comes from Fault's own rng so a seeded chaos run
-   replays the flip bit-for-bit. *)
-let bitflip_hook : (scope:int option -> Rng.t -> unit) option ref = ref None
-let set_bitflip_hook h = bitflip_hook := h
-
 (** Re-seed the fault scheduler (probabilistic specs and corruption
     mangling draw from here). *)
 let seed n = rng := Rng.create n
@@ -138,7 +123,6 @@ let arm ?(transient = false) ?(kill = false) site spec =
 let disarm site = Hashtbl.remove armed_tbl site
 let disarm_all () = Hashtbl.reset armed_tbl
 let armed site = Hashtbl.mem armed_tbl site
-let armed_mode site = Option.map (fun a -> a.a_mode) (Hashtbl.find_opt armed_tbl site)
 
 let counters_for site =
   match Hashtbl.find_opt stats site with
@@ -212,11 +196,6 @@ let site ?scope name =
         | Fail -> raise (Injected { site = name; transient = a.a_transient })
         | Kill -> raise (Controller_killed { site = name })
         | Delay n -> ( match !delay_hook with Some h -> h n | None -> ())
-        | Bitflip -> (
-            (* silent: the operation proceeds, the damage is resident *)
-            match !bitflip_hook with
-            | Some h -> h ~scope:a.a_scope !rng
-            | None -> ())
         | Enospc -> raise (Storage_error { site = name; kind = `Enospc })
         | Eio -> raise (Storage_error { site = name; kind = `Eio })
         | Corrupt -> assert false
@@ -258,8 +237,7 @@ let corruptible ?scope name (payload : string) : string =
 
 (** Parse a CLI fault argument:
     [SITE[:once|nth=N|on=N|p=F][:MODE][:transient][:pid=P]] where MODE
-    is [kill], [delay=N], [corrupt], [enospc], [eio] or [bitflip]
-    (default: fail),
+    is [kill], [delay=N], [corrupt], [enospc] or [eio] (default: fail),
     e.g. ["criu.save:once"], ["rewrite.patch:nth=3:transient"],
     ["journal.append:once:corrupt"], ["net.serve:nth=2:delay=40000"].
     Returns (site, spec, transient, mode, scope). *)
@@ -289,7 +267,6 @@ let parse_spec (s : string) : string * spec * bool * mode * int option =
           | "corrupt" -> mode := Corrupt
           | "enospc" -> mode := Enospc
           | "eio" -> mode := Eio
-          | "bitflip" -> mode := Bitflip
           | _ when has_prefix "nth=" o -> spec := Every_nth (num ~what:"nth" (suffix "nth=" o))
           | _ when has_prefix "on=" o -> spec := On_nth (num ~what:"on" (suffix "on=" o))
           | _ when has_prefix "p=" o -> (
@@ -336,8 +313,6 @@ let known_sites =
     ("net.accept_queue", "admit a connection onto a bounded accept queue");
     ("net.serve", "a worker accepts one queued connection to serve it");
     ("fleet.shed", "admission control sheds one over-capacity request");
-    ("scrub.page", "verify one resident page digest against the integrity baseline");
-    ("integrity.repair", "page-level repair of a diverged resident page from sealed images");
     ("slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks");
     ("slice.compute", "fold the anchored dependency sets into the final slice");
     ("bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum");
@@ -348,21 +323,13 @@ let known_sites =
    every one pairs its [site] call with a [corruptible] write *)
 let storage_sites = [ "criu.save"; "journal.lock"; "journal.append"; "fleet.manifest" ]
 
-(* resident-memory sites: operations running against live mapped pages,
-   where a silent [Bitflip] can land — a worker serving traffic, and the
-   scrubber touching the very page it audits. Both take a [~scope] pid,
-   so a flip is per-worker scopable. *)
-let resident_sites = [ "net.serve"; "scrub.page" ]
-
 (** The modes that make sense at [site]: fail/kill/delay everywhere
     (every site is an operation that can fail outright, die, or stall),
-    plus corrupt/enospc/eio at the storage write sites and bitflip at
-    the resident-memory sites. The chaos coverage matrix must exercise
-    each site in every applicable mode. *)
+    plus corrupt/enospc/eio at the storage write sites. The chaos
+    coverage matrix must exercise each site in every applicable mode. *)
 let applicable_modes (site : string) : mode list =
   let base = [ Fail; Kill; Delay 25_000 ] in
-  let base = if List.mem site storage_sites then base @ [ Corrupt; Enospc; Eio ] else base in
-  if List.mem site resident_sites then base @ [ Bitflip ] else base
+  if List.mem site storage_sites then base @ [ Corrupt; Enospc; Eio ] else base
 
 (** Run-wide per-site fired count as recorded in the metric registry.
     Unlike {!fired} it survives {!reset} (only [Obs.reset] clears it), so

@@ -109,9 +109,9 @@ let clock_difference reference cached =
 
 (* ---------- generated programs: cached = interpreted ---------- *)
 
-(* Layout of a generated process: page A (r-x, immutable, so
-   [Machine.bitflip] can hit it) holds the signal restorer, three signal
-   handlers and the subroutines; pages B (rwx, two pages, so blocks can
+(* Layout of a generated process: page A (r-x, immutable, so [flip]
+   can hit it) holds the signal restorer, three signal handlers and
+   the subroutines; pages B (rwx, two pages, so blocks can
    straddle a page boundary) hold the main program, which stores into
    its own code; one rw data page follows. *)
 let page_a = 0x40_0000L
@@ -145,7 +145,7 @@ type prog = {
   subs : item list list;  (** each ends in ret *)
   main : item list;
   halt : bool;  (** end in hlt rather than exit *)
-  flips : int list;  (** cycles run before each [Machine.bitflip] *)
+  flips : int list;  (** cycles run before each [flip] *)
 }
 
 (* ----- lowering: items to instructions at known addresses ----- *)
@@ -474,6 +474,33 @@ let install_prog ?handled (m : Machine.t) p =
   Proc.set proc.Proc.regs Reg.Rsp (Int64.sub Proc.stack_top 64L);
   Machine.install m proc
 
+(* An out-of-band write: flip one seeded bit of a resident page of an
+   immutable (non-writable) VMA of a seeded live process, from outside
+   the guest. The kernel-side poke marks an executable page dirty, so
+   the cache must evict and re-decode. Returns the victim pid and the
+   flipped address; [None] when nothing qualifies. *)
+let flip (m : Machine.t) rng =
+  match List.filter Proc.is_live (Machine.all_procs m) with
+  | [] -> None
+  | live ->
+      let p = Rng.choose rng live in
+      let mem = p.Proc.mem in
+      let pages =
+        List.concat_map
+          (fun (v : Mem.vma) ->
+            if v.Mem.va_prot.Self.p_w then []
+            else List.map fst (Mem.pages_of_vma mem v))
+          mem.Mem.vmas
+      in
+      if pages = [] then None
+      else begin
+        let base = Rng.choose rng pages in
+        let addr = Int64.add base (Int64.of_int (Rng.int rng Mem.page_size)) in
+        let bit = Rng.int rng 8 in
+        Mem.poke8 mem addr (Mem.peek8 mem addr lxor (1 lsl bit));
+        Some (p.Proc.pid, addr)
+      end
+
 (* Run [m] to the end of [p]: a seeded bit flip after each of its cycle
    counts, then at most 20,000 cycles more. Returns the flips. *)
 let run_flips (m : Machine.t) p =
@@ -482,7 +509,7 @@ let run_flips (m : Machine.t) p =
     List.map
       (fun cycles ->
         ignore (Machine.run m ~max_cycles:cycles);
-        Machine.bitflip m rng)
+        flip m rng)
       p.flips
   in
   ignore (Machine.run m ~max_cycles:20_000);
@@ -885,9 +912,9 @@ let prop_clock_observations =
 
 (* ---------- a dropped machine is collected ---------- *)
 
-(* [Machine.create] installs process-global hooks (the registry clock,
-   the delay and bitflip fault sinks); they must not keep a dropped
-   machine, its pages and its decoded blocks alive. *)
+(* [Machine.create] installs process-global hooks (the registry clock
+   and the delay fault sink); they must not keep a dropped machine,
+   its pages and its decoded blocks alive. *)
 let test_dropped_machine_collected () =
   let weak = Weak.create 1 in
   let[@inline never] boot () =

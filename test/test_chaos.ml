@@ -46,7 +46,7 @@ let test_replay_roundtrip () =
         true
         (Schedule.mode_of_string (Fault.mode_to_string m) = m))
     [ Fault.Fail; Fault.Kill; Fault.Delay 25_000; Fault.Corrupt;
-      Fault.Enospc; Fault.Eio; Fault.Bitflip ];
+      Fault.Enospc; Fault.Eio ];
   (* malformed files are rejected, not half-parsed *)
   let rejects text =
     match Schedule.of_replay text with
@@ -122,19 +122,6 @@ let test_corrupt_journal_clean () =
   let r = Chaos.run s in
   Alcotest.(check bool) "the corruption fired" true
     (List.mem_assoc "journal.append" r.Chaos.r_fired);
-  Alcotest.(check bool)
-    (Format.asprintf "no violations: %a" Chaos.pp_report r)
-    true (Chaos.passed r)
-
-(* a scheduled bitflip lands silently in a resident immutable page: the
-   background scrubber must detect it within the run and heal it — the
-   scrub oracle fails the run if a surviving flip went unnoticed or any
-   page still diverges after the forced post-run audit *)
-let test_bitflip_detected_and_healed () =
-  let s = sched 305 [ ("scrub.page", Fault.Bitflip, Schedule.Nth 2) ] in
-  let r = Chaos.run s in
-  Alcotest.(check bool) "the bitflip fired" true
-    (List.mem_assoc "scrub.page" r.Chaos.r_fired);
   Alcotest.(check bool)
     (Format.asprintf "no violations: %a" Chaos.pp_report r)
     true (Chaos.passed r)
@@ -259,6 +246,31 @@ let test_ddmin_degenerate () =
     [ "a"; "b"; "c" ]
     (List.map (fun e -> e.Schedule.ev_site) m3.Schedule.sc_events)
 
+(* strike's delay check must see where the delay landed: machine B,
+   created after A, takes the delay hook, so a delay armed while A
+   serves is charged to B, and a strike on A must refuse even though
+   A's own guest ran for more cycles than the delay *)
+let test_strike_delay_elsewhere_refused () =
+  Fault.reset ();
+  let c = Workload.boot Workload.ltpd in
+  let a = c.Workload.m in
+  let b = Machine.create () in
+  let clock0 = a.Machine.clock in
+  let refused =
+    match
+      Chaos.strike a "net.serve" (Fault.Delay 1_000) (fun () ->
+          ignore (Workload.rpc c Chaos.get))
+    with
+    | (_ : Chaos.outcome) -> false
+    | exception Chaos.Probe_failure _ -> true
+  in
+  Fault.reset ();
+  Alcotest.(check bool) "A's guest ran more than the delay" true
+    (Int64.sub a.Machine.clock clock0 > 1_000L);
+  Alcotest.(check int) "the delay landed on B" 1_000 b.Machine.delayed;
+  Alcotest.(check int) "and not on A" 0 a.Machine.delayed;
+  Alcotest.(check bool) "strike refused" true refused
+
 let suite =
   [
     Alcotest.test_case "schedule generation deterministic" `Quick
@@ -271,10 +283,10 @@ let suite =
     Alcotest.test_case "ddmin degenerate inputs" `Quick test_ddmin_degenerate;
     Alcotest.test_case "corrupt journal caught cleanly" `Slow
       test_corrupt_journal_clean;
-    Alcotest.test_case "bitflip detected and healed" `Slow
-      test_bitflip_detected_and_healed;
     Alcotest.test_case "enospc is a clean refusal" `Slow
       test_enospc_clean_refusal;
     Alcotest.test_case "broken invariant shrunk + replayed" `Slow
       test_shrink_to_minimal_and_replay;
+    Alcotest.test_case "strike refuses a delay charged elsewhere" `Quick
+      test_strike_delay_elsewhere_refused;
   ]

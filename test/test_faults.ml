@@ -436,8 +436,6 @@ let test_known_sites_registry () =
         "net.accept_queue";
         "net.serve";
         "fleet.shed";
-        "scrub.page";
-        "integrity.repair";
         "slice.trace";
         "slice.compute";
         "bbcache.dispatch";

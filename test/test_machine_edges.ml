@@ -756,7 +756,7 @@ let chunk_observe f =
   let pages =
     List.init 8 (fun i ->
         Hashtbl.find_opt m.Mem.pages (Int64.add (Mem.page_index chunk_va) (Int64.of_int (i - 1)))
-        |> Option.map (fun p -> (Bytes.to_string p.Mem.pg_data, p.Mem.pg_gen)))
+        |> Option.map (fun p -> Bytes.to_string p.Mem.pg_data))
   in
   (result, pages, List.sort compare (Mem.take_exec_dirty m))
 

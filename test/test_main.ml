@@ -24,7 +24,6 @@ let () =
       ("apps-cold", Test_apps_cold.suite);
       ("machine-edges", Test_machine_edges.suite);
       ("fleet", Test_fleet.suite);
-      ("integrity", Test_integrity.suite);
       ("chaos", Test_chaos.suite);
       ("slice", Test_slice.suite);
       ("bbcache", Test_bbcache.suite);

@@ -59,8 +59,8 @@ let test_sub_reader_bounded () =
    empty input, a tail alone, whole words alone and words plus a tail *)
 let page = String.init 4096 (fun i -> Char.chr ((i * 31) land 0xff))
 
-(* Checksum known answers: the image seal and the page digests are
-   on-disk and on-wire values, so the function may never drift *)
+(* Checksum known answers: the image seal and the journal frames are
+   on-disk values, so the function may never drift *)
 let test_checksum_vectors () =
   List.iter
     (fun (name, s, h) ->
