@@ -39,6 +39,16 @@ let pp_timings fmt t =
 
 type breaker = Closed | Open of int64 | Half_open of int64 | Abandoned
 
+(* what a redirect cut needs of its executable, kept across cuts in
+   place of the parse (ngx's parsed executable alone is 75 KB) *)
+type target = {
+  tg_exe : string;  (** the executable's contents in the Vfs, compared by identity *)
+  tg_sym : string;
+  tg_module : string;  (** the executable's module name *)
+  tg_off : int option;  (** [tg_sym]'s module offset; [None]: no such symbol *)
+  tg_func : int * int;  (** the module range of [tg_sym]'s function; empty if none *)
+}
+
 type session = {
   machine : Machine.t;
   root_pid : int;
@@ -56,6 +66,7 @@ type session = {
   mutable breaker : breaker;
       (** the supervisor's circuit breaker over this tree; the fleet
           balancer reads it to skip an open worker *)
+  mutable target : target option;  (** the last redirect target resolved *)
 }
 
 exception Dynacut_error of string
@@ -92,20 +103,38 @@ let create (machine : Machine.t) ~(root_pid : int) : session =
     table_mode = Handler.mode_terminate;
     table = [];
     breaker = Closed;
+    target = None;
   }
 
-(* [Vfs.find_self] for one cut: the redirect filter and the handler
-   stage of every pid and retry share one parse of each binary. Nothing
-   is kept past the cut (ngx's parsed executable alone is 75 KB). *)
-let binaries (s : session) : string -> Self.t option =
-  let parsed = Hashtbl.create 2 in
-  fun path ->
-    match Hashtbl.find_opt parsed path with
-    | Some self -> self
-    | None ->
-        let self = Vfs.find_self s.machine.Machine.fs path in
-        Hashtbl.add parsed path self;
-        self
+(* The redirect target [sym] in the executable at [path]; [None] if no
+   executable is there. The executable is parsed only when its contents
+   (by identity) or [sym] differ from the last call's, and the parse is
+   dropped at once. *)
+let redirect_target (s : session) ~path ~sym : target option =
+  match Vfs.find s.machine.Machine.fs path with
+  | None -> None
+  | Some blob -> (
+      match s.target with
+      | Some tg when tg.tg_exe == blob && tg.tg_sym = sym -> Some tg
+      | _ ->
+          Option.map
+            (fun (exe : Self.t) ->
+              let off = Option.map (fun sm -> sm.Self.sym_off) (Self.find_symbol exe sym) in
+              let func =
+                Option.bind off (Funcbounds.function_range (Funcbounds.of_self exe))
+              in
+              let tg =
+                {
+                  tg_exe = blob;
+                  tg_sym = sym;
+                  tg_module = exe.Self.name;
+                  tg_off = off;
+                  tg_func = Option.value ~default:(0, 0) func;
+                }
+              in
+              s.target <- Some tg;
+              tg)
+            (Vfs.parse_self blob))
 
 let tree_pids (s : session) : int list =
   let rec descendants pid =
@@ -209,16 +238,11 @@ let stage_disable s imgs pids ~(blocks : Covgraph.block list) ~method_ :
 
 (* stage 3: inject (or re-use) the handler library, write the policy
    table, register the SIGTRAP sigaction *)
-let stage_handler s ~find_self imgs pids ~(blocks : Covgraph.block list) ~on_trap
+let stage_handler s imgs pids ~(blocks : Covgraph.block list) ~on_trap
     ~(journals : Rewriter.journal list) =
   match on_trap with
   | `Kill -> ()
   | (`Terminate | `Redirect _ | `Verify) as trap ->
-      let libc =
-        match find_self "libc.so" with
-        | Some l -> l
-        | None -> raise (Dynacut_error "libc.so vanished")
-      in
       List.iter
         (fun pid ->
           let img = working_image s imgs pid in
@@ -238,6 +262,11 @@ let stage_handler s ~find_self imgs pids ~(blocks : Covgraph.block list) ~on_tra
                 s.lib_bases <- (pid, base) :: List.remove_assoc pid s.lib_bases;
                 (img, base)
             | None ->
+                let libc =
+                  match Vfs.find_self s.machine.Machine.fs "libc.so" with
+                  | Some l -> l
+                  | None -> raise (Dynacut_error "libc.so vanished")
+                in
                 let img, base =
                   Inject.inject img ~lib:s.handler_lib ~deps:[ (libc, libc_base) ] ()
                 in
@@ -247,26 +276,26 @@ let stage_handler s ~find_self imgs pids ~(blocks : Covgraph.block list) ~on_tra
           let journal =
             List.find (fun (j : Rewriter.journal) -> j.Rewriter.j_pid = pid) journals
           in
-          let exe =
-            match find_self img.Images.core.Images.c_exe with
-            | Some e -> e
-            | None -> raise (Dynacut_error "target executable not in filesystem")
-          in
           let mode, new_entries =
             match trap with
             | `Terminate -> (Handler.mode_terminate, [])
             | `Redirect sym ->
+                let tg =
+                  match redirect_target s ~path:img.Images.core.Images.c_exe ~sym with
+                  | Some tg -> tg
+                  | None -> raise (Dynacut_error "target executable not in filesystem")
+                in
                 let target =
-                  match Self.find_symbol exe sym with
-                  | Some sm -> (
-                      match Rewriter.module_base img exe.Self.name with
-                      | Some mb -> Int64.add mb (Int64.of_int sm.Self.sym_off)
+                  match tg.tg_off with
+                  | Some off -> (
+                      match Rewriter.module_base img tg.tg_module with
+                      | Some mb -> Int64.add mb (Int64.of_int off)
                       | None -> raise (Dynacut_error "exe module not mapped"))
                   | None ->
                       raise
                         (Dynacut_error
                            (Printf.sprintf "redirect target %s not found in %s" sym
-                              exe.Self.name))
+                              tg.tg_module))
                 in
                 ( Handler.mode_redirect,
                   List.map (fun b -> (Rewriter.block_vaddr img b, target)) blocks )
@@ -327,23 +356,17 @@ let stage_seal s imgs pids =
     function — the dispatcher edges. Blocking those entry blocks is
     sufficient to disable the feature; deeper feature code stays mapped
     (use [`Wipe] + [`Kill] when that residue matters). *)
-let filter_redirect ~find_self (s : session) ~(sym : string)
-    (blocks : Covgraph.block list) : Covgraph.block list =
+let redirect_filter (s : session) ~(sym : string) (blocks : Covgraph.block list) :
+    Covgraph.block list =
   let root = Machine.proc_exn s.machine s.root_pid in
-  match find_self root.Proc.exe_path with
+  match redirect_target s ~path:root.Proc.exe_path ~sym with
   | None -> blocks
-  | Some exe -> (
-      match Self.find_symbol exe sym with
-      | None -> blocks (* resolution fails loudly later, in stage_handler *)
-      | Some target ->
-          let bounds = Funcbounds.of_self exe in
-          List.filter
-            (fun (b : Covgraph.block) ->
-              b.Covgraph.b_module = exe.Self.name
-              && Funcbounds.same_function bounds b.Covgraph.b_off target.Self.sym_off)
-            blocks)
-
-let redirect_filter s = filter_redirect ~find_self:(binaries s) s
+  | Some { tg_off = None; _ } -> blocks (* resolution fails loudly later, in stage_handler *)
+  | Some { tg_module; tg_func = lo, hi; _ } ->
+      List.filter
+        (fun (b : Covgraph.block) ->
+          b.Covgraph.b_module = tg_module && lo <= b.Covgraph.b_off && b.Covgraph.b_off < hi)
+        blocks
 
 (* the image edits of a re-enable: original bytes back, pages remapped,
    the journal's entries dropped from the policy table *)
@@ -638,10 +661,9 @@ let run_transaction s ~op ~pids
     with capped backoff. *)
 let try_cut (s : session) ?pids ~(blocks : Covgraph.block list) ~(policy : policy)
     () : cut_result =
-  let find_self = binaries s in
   let blocks =
     match policy.on_trap with
-    | `Redirect sym -> filter_redirect ~find_self s ~sym blocks
+    | `Redirect sym -> redirect_filter s ~sym blocks
     | `Kill | `Terminate | `Verify -> blocks
   in
   let pids = match pids with Some l -> l | None -> tree_pids s in
@@ -664,7 +686,7 @@ let try_cut (s : session) ?pids ~(blocks : Covgraph.block list) ~(policy : polic
       Obs.timed_span "inject" (fun () ->
           if installs then begin
             guard "inject" (fun () ->
-                stage_handler s ~find_self imgs pids ~blocks ~on_trap:policy.on_trap
+                stage_handler s imgs pids ~blocks ~on_trap:policy.on_trap
                   ~journals);
             seal ()
           end)

@@ -48,6 +48,10 @@ type breaker =
 (** A {!Supervisor}'s circuit-breaker state, kept on the session it
     supervises. *)
 
+type target
+(** What a redirect cut needs of the executable: the target symbol's
+    offset and its function's range, never the parsed binary. *)
+
 type session = {
   machine : Machine.t;
   root_pid : int;
@@ -66,6 +70,9 @@ type session = {
       (** the supervisor's breaker over this tree ([Closed] while none is
           attached); the fleet balancer reads it to drain a breaker-open
           worker and trickle probes to a half-open one *)
+  mutable target : target option;
+      (** the last redirect target resolved, reused while the
+          executable's contents in the Vfs are the same string *)
 }
 
 exception Dynacut_error of string

@@ -43,7 +43,11 @@ let function_of (t : t) (off : int) : int option =
   in
   bsearch 0 (n - 1) None
 
-let same_function (t : t) a b =
-  match (function_of t a, function_of t b) with
-  | Some x, Some y -> x = y
-  | _ -> false
+(** The module-relative range [lo, hi) of the function containing [off],
+    if any: from its entry to the next one ([max_int] for the last). *)
+let function_range (t : t) (off : int) : (int * int) option =
+  Option.map
+    (fun lo ->
+      let next = Array.find_opt (fun s -> s > lo) t.fb_starts in
+      (lo, Option.value ~default:max_int next))
+    (function_of t off)

@@ -9,4 +9,6 @@ val of_self : Self.t -> t
 val function_of : t -> int -> int option
 (** Entry offset of the function containing the given offset. *)
 
-val same_function : t -> int -> int -> bool
+val function_range : t -> int -> (int * int) option
+(** Module-relative [lo, hi) of the function containing the offset: its
+    entry up to the next entry ([max_int] after the last). *)

@@ -91,23 +91,24 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
           img.Images.mm
       then raise (Inject_error (Printf.sprintf "VMA collision at 0x%Lx" nv.Images.vi_start)))
     new_vmas;
-  let pages_off = Bytes.length img.Images.pages in
   let extra = Buffer.create 8192 in
-  let new_pm =
+  let placed =
     List.map
       (fun (s : Self.section) ->
         let data = List.assoc s.Self.sec_name patched in
         let padded_len = page_align (max 1 (Bytes.length data)) in
-        let padded = Bytes.make padded_len '\x00' in
-        Bytes.blit data 0 padded 0 (Bytes.length data);
-        let off = pages_off + Buffer.length extra in
-        Buffer.add_bytes extra padded;
-        {
-          Images.pm_vaddr = Int64.add base (Int64.of_int s.Self.sec_off);
-          pm_npages = padded_len / page_size;
-          pm_off = off;
-        })
+        let at = Buffer.length extra in
+        Buffer.add_bytes extra data;
+        Buffer.add_string extra (String.make (padded_len - Bytes.length data) '\x00');
+        (Int64.add base (Int64.of_int s.Self.sec_off), padded_len / page_size, at))
       lib.Self.sections
+  in
+  (* the library's pages are new: they carry no leaf sum *)
+  let img, pages_off = Images.append_pages img (Buffer.to_bytes extra) in
+  let new_pm =
+    List.map
+      (fun (va, n, at) -> { Images.pm_vaddr = va; pm_npages = n; pm_off = pages_off + at })
+      placed
   in
   let img' =
     {
@@ -117,7 +118,6 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
           (fun a b -> compare a.Images.vi_start b.Images.vi_start)
           (img.Images.mm @ new_vmas);
       pagemap = img.Images.pagemap @ new_pm;
-      pages = Bytes.cat img.Images.pages (Buffer.to_bytes extra);
     }
   in
   (img', base)

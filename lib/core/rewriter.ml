@@ -161,8 +161,10 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
             !frags)
         img.Images.mm
     in
-    (* rebuild pagemap/pages without the victim pages *)
+    (* rebuild pagemap/pages without the victim pages; a moved page keeps
+       its leaf sum *)
     let buf = Buffer.create (Bytes.length img.Images.pages) in
+    let leaf = ref [] in
     let pagemap = ref [] in
     let cur_start = ref None and cur_n = ref 0 in
     let flush () =
@@ -186,14 +188,23 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
                 cur_start := Some pa;
                 cur_n := 1
             | Some _ -> incr cur_n);
-            Buffer.add_subbytes buf img.Images.pages (pm.Images.pm_off + (k * page_size)) page_size
+            let off = pm.Images.pm_off + (k * page_size) in
+            leaf := Images.page_sum img off :: !leaf;
+            Buffer.add_subbytes buf img.Images.pages off page_size
           end
         done;
         flush ())
       img.Images.pagemap;
     flush ();
+    let pages = Buffer.to_bytes buf in
     let img' =
-      { img with Images.mm; pagemap = List.rev !pagemap; pages = Buffer.to_bytes buf }
+      {
+        img with
+        Images.mm;
+        pagemap = List.rev !pagemap;
+        pages;
+        sums = Images.sums_of pages (Array.of_list (List.rev !leaf));
+      }
     in
     (patches, img')
   end
@@ -231,27 +242,27 @@ let remap (img : Images.t) (patches : patch list) : Images.t =
           in
           let mm = survivors @ [ u_vma ] in
           let mm = List.sort (fun a b -> compare a.Images.vi_start b.Images.vi_start) mm in
-          let pages_off = Bytes.length img.Images.pages in
           let extra = Buffer.create 4096 in
-          let new_entries =
+          let placed =
             List.filter_map
               (fun (va, data) ->
                 (* pages that were unmapped while undumped come back unpopulated *)
                 if Bytes.length data < page_size then None
                 else begin
-                  let off = pages_off + Buffer.length extra in
+                  let at = Buffer.length extra in
                   Buffer.add_bytes extra data;
-                  Some
-                    { Images.pm_vaddr = va; pm_npages = Bytes.length data / page_size; pm_off = off }
+                  Some (va, Bytes.length data / page_size, at)
                 end)
               u_pages
           in
-          {
-            img with
-            Images.mm;
-            pagemap = img.Images.pagemap @ new_entries;
-            pages = Bytes.cat img.Images.pages (Buffer.to_bytes extra);
-          })
+          (* the journal's copies come back as new pages, without sums *)
+          let img, pages_off = Images.append_pages img (Buffer.to_bytes extra) in
+          let new_entries =
+            List.map
+              (fun (va, n, at) -> { Images.pm_vaddr = va; pm_npages = n; pm_off = pages_off + at })
+              placed
+          in
+          { img with Images.mm; pagemap = img.Images.pagemap @ new_entries })
     img patches
 
 (** Install/replace a sigaction in the core image (how DynaCut registers

@@ -38,16 +38,16 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
   in
   (* pagemap + pages: coalesce consecutive populated pages of dumpable
      VMAs into runs, then blit every page once into a buffer of the
-     final size *)
+     final size; each page's leaf sum, where it kept one, comes along *)
   let dumped =
     List.filter_map
       (fun (v : Mem.vma) ->
         if dump_vma_pages ~mode v then Some (Mem.pages_of_vma mem v) else None)
       mem.Mem.vmas
   in
-  let pages =
-    Bytes.create (page_size * List.fold_left (fun n l -> n + List.length l) 0 dumped)
-  in
+  let npages = List.fold_left (fun n l -> n + List.length l) 0 dumped in
+  let pages = Bytes.create (page_size * npages) in
+  let leaf = Array.make npages Bytesx.no_leaf in
   let off = ref 0 and pagemap = ref [] in
   List.iter
     (fun vma_pages ->
@@ -63,13 +63,14 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
             :: !pagemap
       in
       List.iter
-        (fun (vaddr, data) ->
+        (fun (vaddr, (pg : Mem.page)) ->
           if vaddr <> !expect then begin
             flush ();
             run_start := vaddr;
             run_off := !off
           end;
-          Bytes.blit data 0 pages !off page_size;
+          Bytes.blit pg.Mem.pg_data 0 pages !off page_size;
+          leaf.(!off / page_size) <- pg.Mem.pg_sum;
           off := !off + page_size;
           expect := Int64.add vaddr (Int64.of_int page_size))
         vma_pages;
@@ -132,6 +133,7 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
     mm;
     pagemap = List.rev !pagemap;
     pages;
+    sums = Images.sums_of pages leaf;
     files = { Images.f_fds; f_next_fd = p.Proc.next_fd };
     tcp;
     mmap_hint = p.Proc.mmap_hint;

@@ -174,6 +174,7 @@ let of_sexp (sx : Sexpr.t) : Images.t =
     | None -> raise (Parse_error ("image: missing " ^ name))
   in
   let as_list = function List l -> l | Atom _ -> raise (Parse_error "expected list") in
+  let pages = unhex_bytes (get "pages") in
   {
     Images.core = core_of_sexp (get "core");
     mm = List.map vma_of_sexp (as_list (get "mm"));
@@ -184,7 +185,8 @@ let of_sexp (sx : Sexpr.t) : Images.t =
               { Images.pm_vaddr = as_i64 va; pm_npages = as_int np; pm_off = as_int off }
           | _ -> raise (Parse_error "pagemap entry"))
         (as_list (get "pagemap"));
-    pages = unhex_bytes (get "pages");
+    pages;
+    sums = Images.no_sums pages;
     files =
       {
         Images.f_fds =

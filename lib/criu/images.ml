@@ -57,17 +57,54 @@ type files = { f_fds : (int * fd_img) list; f_next_fd : int }
 
 type tcp = Net.conn_snapshot list
 
+(* The seal's leaf sums of a pages buffer, one per 4 KiB slot (a short
+   last slot has one too), each [Bytesx.leaf] of the slot or
+   [Bytesx.no_leaf]. The table is bound to one buffer by physical
+   identity: an image whose [pages] is another buffer reads a fresh,
+   empty table ([leaves]), so a functional update that swaps the pages
+   can never pair them with another buffer's sums. *)
+type sums = { mutable s_of : bytes; mutable s_leaf : int array }
+
 type t = {
   core : core;
   mm : vma_img list;
   pagemap : pagemap_entry list;
   pages : bytes;
+  sums : sums;
   files : files;
   tcp : tcp;
   mmap_hint : int64;
 }
 
 let page_size = 4096
+let slots n = (n + page_size - 1) / page_size
+let sums_of pages leaf = { s_of = pages; s_leaf = leaf }
+let no_sums pages = sums_of pages (Array.make (slots (Bytes.length pages)) Bytesx.no_leaf)
+
+(** The leaf table of [t.pages], rebound empty if the image's table
+    belongs to another buffer. *)
+let leaves (t : t) =
+  let s = t.sums in
+  if s.s_of != t.pages then begin
+    s.s_of <- t.pages;
+    s.s_leaf <- Array.make (slots (Bytes.length t.pages)) Bytesx.no_leaf
+  end;
+  s.s_leaf
+
+(** The leaf sum of the page at offset [off] of the pages buffer:
+    {!Bytesx.no_leaf} unless [off] starts a slot that has one. *)
+let page_sum (t : t) off =
+  if off land (page_size - 1) <> 0 then Bytesx.no_leaf else (leaves t).(off / page_size)
+
+(** [t] with [extra] appended to its pages, and the offset where [extra]
+    starts. The full slots of the old buffer keep their sums; the new
+    ones (and a short last slot, which [extra] extends) have none. *)
+let append_pages (t : t) (extra : bytes) : t * int =
+  let off = Bytes.length t.pages in
+  let pages = Bytes.cat t.pages extra in
+  let leaf = Array.make (slots (Bytes.length pages)) Bytesx.no_leaf in
+  Array.blit (leaves t) 0 leaf 0 (off / page_size);
+  ({ t with pages; sums = sums_of pages leaf }, off)
 
 (** Total bytes across all images — the "image size" Figure 7 reports. *)
 let image_size (t : t) =
@@ -116,8 +153,13 @@ let read_mem (t : t) (addr : int64) (len : int) : bytes =
     Raises [Not_found], writing nothing, if any byte falls outside
     populated pages. *)
 let write_mem (t : t) (addr : int64) (data : bytes) : unit =
+  let leaf = leaves t in
   List.iter
-    (fun (k, off, n) -> Bytes.blit data k t.pages off n)
+    (fun (k, off, n) ->
+      Bytes.blit data k t.pages off n;
+      for i = off / page_size to (off + n - 1) / page_size do
+        leaf.(i) <- Bytesx.no_leaf
+      done)
     (pieces t addr (Bytes.length data))
 
 (* ---------- binary codec ---------- *)
@@ -232,6 +274,10 @@ let encode_into ~(reserve : int) (t : t) : bytes =
 
 let encode (t : t) : string = Bytes.unsafe_to_string (encode_into ~reserve:0 t)
 
+(* every field of the head has a width its decoded value fixes, so this
+   is also where [decode] found the pages *)
+let pages_offset (t : t) = Buffer.length (encode_head t)
+
 let decode ?(off = 0) ?len (s : string) : t =
   let open Bytesx.R in
   let len = match len with Some n -> n | None -> String.length s - off in
@@ -344,6 +390,7 @@ let decode ?(off = 0) ?len (s : string) : t =
     mm;
     pagemap;
     pages;
+    sums = no_sums pages;
     files = { f_fds; f_next_fd };
     tcp;
     mmap_hint;

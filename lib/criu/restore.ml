@@ -46,11 +46,18 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
       in
       ())
     img.Images.mm;
-  (* dumped pages, straight from the pages image *)
+  (* dumped pages, straight from the pages image; each page then takes
+     its leaf sum along, so the next dump knows it while no store
+     touches the page *)
   List.iter
     (fun (pm : Images.pagemap_entry) ->
       Mem.poke_sub mem pm.Images.pm_vaddr img.Images.pages ~off:pm.Images.pm_off
-        ~len:(pm.Images.pm_npages * page_size))
+        ~len:(pm.Images.pm_npages * page_size);
+      for k = 0 to pm.Images.pm_npages - 1 do
+        Mem.set_sum mem
+          (Int64.add pm.Images.pm_vaddr (Int64.of_int (k * page_size)))
+          (Images.page_sum img (pm.Images.pm_off + (k * page_size)))
+      done)
     img.Images.pagemap;
   (* vanilla-CRIU gaps: file-backed VMAs with no dumped pages are faulted
      in from the binary *)

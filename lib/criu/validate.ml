@@ -117,30 +117,67 @@ let check (img : Images.t) : unit =
 
 (* ---------- checksum sealing ---------- *)
 
-(* header: magic (5) + u64 payload length + u64 checksum. Version 2 of
-   the frame: version 1 carried a byte-serial FNV-1a sum and now reads
-   as bad-magic *)
-let seal_magic = "DCCK\x02"
+(* Frame v3: magic (5), then four u64s: the payload length [n], the
+   root sum, and the page area's offset [po] and length [pl] within the
+   payload. The payload's leaves are its head [0, po), each 4 KiB slot
+   of the page area (a short last one included) and its tail
+   [po+pl, n); each leaf is [Bytesx.leaf] of its bytes, and the root is
+   [Bytesx.checksum] over the words n, po, pl and the leaves in order.
+   So a page's leaf can be computed once and carried with its bytes,
+   and a reseal hashes only the pages that changed. A payload without
+   pages (a journal record) puts an empty page area at its end. Version
+   2 (one sum over the payload) reads as bad-magic. *)
+let seal_magic = "DCCK\x03"
 let magic_len = String.length seal_magic
-let header_size = magic_len + 16
+let header_size = magic_len + 32
 
 let checksum (s : string) : int64 = Bytesx.checksum s
 
-(* [b] holds a payload of [n] bytes at [header_size]: sum it where it
-   lies and fill the header in front of it *)
-let fill_header (b : bytes) (n : int) : string =
-  let sum = Bytesx.checksum ~off:header_size ~len:n (Bytes.unsafe_to_string b) in
+(* The root sum of the payload [s.[p .. p+n-1]] whose page area is
+   [po, po+pl). [leaf] has one entry per page slot: a slot whose entry
+   is [Bytesx.no_leaf] is hashed here and its sum stored there, any
+   other entry is taken as the slot's sum. Head and tail are always
+   hashed. Every leaf hashed counts in [criu.leaves_hashed]. *)
+let root s ~p ~n ~po ~pl (leaf : int array) =
+  let k = Array.length leaf in
+  let w = Bytes.create (8 * (k + 5)) in
+  let set i v = Bytes.set_int64_le w (8 * i) (Int64.of_int v) in
+  set 0 n;
+  set 1 po;
+  set 2 pl;
+  set 3 (Bytesx.leaf ~off:p ~len:po s);
+  let hashed = ref 2 in
+  for i = 0 to k - 1 do
+    if leaf.(i) = Bytesx.no_leaf then begin
+      let off = po + (i * page_size) in
+      leaf.(i) <- Bytesx.leaf ~off:(p + off) ~len:(min page_size (po + pl - off)) s;
+      incr hashed
+    end;
+    set (4 + i) leaf.(i)
+  done;
+  set (4 + k) (Bytesx.leaf ~off:(p + po + pl) ~len:(n - po - pl) s);
+  Obs.add (Obs.counter "criu.leaves_hashed") !hashed;
+  Bytesx.checksum (Bytes.unsafe_to_string w)
+
+(* [b] holds a payload of [n] bytes at [header_size], its page area at
+   [po, po+pl) with page leaves [leaf]: sum it where it lies and fill
+   the header in front of it *)
+let fill_header (b : bytes) ~n ~po ~pl leaf : string =
+  let s = Bytes.unsafe_to_string b in
+  let sum = root s ~p:header_size ~n ~po ~pl leaf in
   Bytes.blit_string seal_magic 0 b 0 magic_len;
   Bytes.set_int64_le b magic_len (Int64.of_int n);
   Bytes.set_int64_le b (magic_len + 8) sum;
-  Bytes.unsafe_to_string b
+  Bytes.set_int64_le b (magic_len + 16) (Int64.of_int po);
+  Bytes.set_int64_le b (magic_len + 24) (Int64.of_int pl);
+  s
 
 (** Wrap a payload with the checksum header, in one pre-sized buffer. *)
 let seal (payload : string) : string =
   let n = String.length payload in
   let b = Bytes.create (header_size + n) in
   Bytes.blit_string payload 0 b header_size n;
-  fill_header b n
+  fill_header b ~n ~po:n ~pl:0 [||]
 
 (* how a seal fails: the three distinguishable damage classes, each
    located by the byte offset where the reader gave up *)
@@ -156,11 +193,14 @@ type tear = { t_offset : int; t_kind : tear_kind }
 let pp_tear fmt t =
   Format.fprintf fmt "%s at byte %d" (tear_kind_to_string t.t_kind) t.t_offset
 
-(* Verify the sealed frame starting at [off] where it lies in [blob]:
-   [Ok len] when its header is whole and its payload
-   [blob.[off+header_size ..]] of [len] bytes matches the checksum, else
-   the damage class and a message locating it. Nothing is copied. *)
-let verify_frame (blob : string) (off : int) : (int, tear_kind * string) result =
+(* Verify the sealed frame starting at [off] where it lies in [blob],
+   hashing every byte of it: [Ok (len, po, pl, leaf)] when its header
+   is whole and its payload [blob.[off+header_size ..]] of [len] bytes,
+   with its page area at [po, po+pl) and page leaves [leaf], matches the
+   root sum, else the damage class and a message locating it. Nothing
+   is copied. *)
+let verify_frame (blob : string) (off : int) :
+    (int * int * int * int array, tear_kind * string) result =
   let total = String.length blob in
   let torn kind fmt = Printf.ksprintf (fun m -> Error (kind, m)) fmt in
   if total - off < header_size then
@@ -168,25 +208,34 @@ let verify_frame (blob : string) (off : int) : (int, tear_kind * string) result 
   else if String.sub blob off magic_len <> seal_magic then
     torn Bad_magic "image bad-magic at byte %d: no checksum header" off
   else
-    let r = Bytesx.R.of_sub blob ~off:(off + magic_len) ~len:16 in
-    (* compared as the u64 it is: [Int64.to_int] would drop bit 63 *)
+    let r = Bytesx.R.of_sub blob ~off:(off + magic_len) ~len:32 in
+    (* compared as the u64s they are: [Int64.to_int] would drop bit 63 *)
     let len64 = Bytesx.R.u64 r in
     let sum = Bytesx.R.u64 r in
+    let po64 = Bytesx.R.u64 r in
+    let pl64 = Bytesx.R.u64 r in
     let have = total - off - header_size in
     if len64 < 0L || len64 > Int64.of_int have then
       torn Truncated "image truncated at byte %d: header says %Lu payload bytes, have %d" total
         len64 have
+    else if po64 < 0L || po64 > len64 || pl64 < 0L || pl64 > Int64.sub len64 po64 then
+      torn Checksum_mismatch
+        "image checksum-mismatch at byte %d: page area %Lu+%Lu outside the %Lu-byte payload"
+        (off + magic_len + 16) po64 pl64 len64
     else
-      let len = Int64.to_int len64 in
-      let got = Bytesx.checksum ~off:(off + header_size) ~len blob in
+      let len = Int64.to_int len64 and po = Int64.to_int po64 and pl = Int64.to_int pl64 in
+      let leaf = Array.make (Images.slots pl) Bytesx.no_leaf in
+      let got = root blob ~p:(off + header_size) ~n:len ~po ~pl leaf in
       if got <> sum then
         torn Checksum_mismatch "image checksum-mismatch at byte %d (0x%Lx, expected 0x%Lx)"
           (off + header_size) got sum
-      else Ok len
+      else Ok (len, po, pl, leaf)
 
 (* the payload length of [blob], a single sealed frame *)
 let verified_len (blob : string) : int =
-  match verify_frame blob 0 with Ok len -> len | Error (_, m) -> raise (Validate_error m)
+  match verify_frame blob 0 with
+  | Ok (len, _, _, _) -> len
+  | Error (_, m) -> raise (Validate_error m)
 
 (** Strip and verify the checksum header. Raises {!Validate_error}
     naming the failure kind (truncated / bad-magic / checksum-mismatch)
@@ -204,7 +253,8 @@ let unseal_frames (blob : string) : string list * tear option =
     if off >= String.length blob then (List.rev acc, None)
     else
       match verify_frame blob off with
-      | Ok len -> go (String.sub blob (off + header_size) len :: acc) (off + header_size + len)
+      | Ok (len, _, _, _) ->
+          go (String.sub blob (off + header_size) len :: acc) (off + header_size + len)
       | Error (kind, _) -> (List.rev acc, Some { t_offset = off; t_kind = kind })
   in
   go [] 0
@@ -219,10 +269,14 @@ let seal_at ~(site : string) (payload : string) : string =
   Fault.corruptible site (seal payload)
 
 (** [seal (Images.encode img)], without the copy: the image is encoded
-    behind a reserved header, which is then filled in place. *)
+    behind a reserved header, which is then filled in place. Only the
+    head, the tail and the pages whose leaf sum [img] does not know are
+    hashed, and the sums taken land in its table. *)
 let encode_sealed (img : Images.t) : string =
   let b = Images.encode_into ~reserve:header_size img in
-  fill_header b (Bytes.length b - header_size)
+  fill_header b
+    ~n:(Bytes.length b - header_size)
+    ~po:(Images.pages_offset img) ~pl:(Bytes.length img.Images.pages) (Images.leaves img)
 
 (** Check that [stored], an image frame read back from storage, is the
     frame [sealed] that was written: byte equality, stronger than the
@@ -238,14 +292,26 @@ let check_stored ~(sealed : string) (stored : string) : unit =
 
 (** Verify, decode, and [check] — the only safe way to load an image
     from the tmpfs. The payload is checksummed and decoded where it lies
-    in [blob], by a reader bounded to it. Decode errors surface as
+    in [blob], by a reader bounded to it, and the image keeps the leaf
+    sums of its pages that the verify took. Decode errors surface as
     {!Validate_error} too. *)
 let decode_sealed (blob : string) : Images.t =
-  let len = verified_len blob in
+  let len, po, pl, leaf =
+    match verify_frame blob 0 with
+    | Ok v -> v
+    | Error (_, m) -> raise (Validate_error m)
+  in
   let img =
     try Images.decode ~off:header_size ~len blob with
     | Images.Format_error e -> fail "image decode failed: %s" e
     | Bytesx.Truncated e -> fail "image decode truncated: %s" e
+  in
+  (* the verified page leaves are the pages' own when the header's page
+     area is where the decoder found them *)
+  let img =
+    if po = Images.pages_offset img && pl = Bytes.length img.Images.pages then
+      { img with Images.sums = Images.sums_of img.Images.pages leaf }
+    else img
   in
   check img;
   img

@@ -267,7 +267,7 @@ let run_restore_vs_boot fmt =
   (* cold boot + init-code removal, timed end to end *)
   let init_blocks, _, _ = Common.init_only_blocks Workload.ltpd in
   let (c, session), t_boot =
-    Stats.time_it (fun () ->
+    Obs.timed_span "ablation.boot_and_cut" (fun () ->
         let c = Workload.boot Workload.ltpd in
         let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
         let _ =
@@ -284,7 +284,7 @@ let run_restore_vs_boot fmt =
   let path = Printf.sprintf "%s/dump-%d.img" session.Dynacut.tmpfs pid in
   Machine.post_signal c.Workload.m ~pid ~signum:Abi.sigkill;
   let (_ : Proc.t), t_restore =
-    Stats.time_it (fun () ->
+    Obs.timed_span "ablation.redeploy" (fun () ->
         Machine.reap c.Workload.m ~pid;
         Restore.restore_from_tmpfs c.Workload.m ~path)
   in

@@ -588,7 +588,7 @@ let[@inline] set_rip (regs : Proc.regs) v = Proc.set64u regs.Proc.file Proc.rip_
 
 (* 8- and 1-byte loads and stores: an in-page access whose page is in
    the TLB with the needed permission is a lookup and one load or store
-   (a store also bumps the page's write generation). Everything else —
+   (a store also drops the page's leaf sum). Everything else —
    TLB miss, page straddle, missing permission, and every store to an
    executable page — goes through [Mem.read64]/[Mem.write64] or
    [Mem.read8]/[Mem.write8], the only places that fault or mark a page
@@ -622,6 +622,7 @@ let[@inline] store64 (mem : Mem.t) addr v =
   let pg = tlb_page8 mem addr in
   let prot = pg.Mem.pg_prot in
   if prot.Self.p_w && not prot.Self.p_x then begin
+    pg.Mem.pg_sum <- Bytesx.no_leaf;
     Bytes.set_int64_le pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) v;
     true
   end
@@ -640,6 +641,7 @@ let[@inline] store8 (mem : Mem.t) addr v =
   let pg = tlb_page mem addr in
   let prot = pg.Mem.pg_prot in
   if prot.Self.p_w && not prot.Self.p_x then begin
+    pg.Mem.pg_sum <- Bytesx.no_leaf;
     Bytes.set pg.Mem.pg_data (Int64.to_int addr land (Mem.page_size - 1)) (Char.unsafe_chr v);
     true
   end

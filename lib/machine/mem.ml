@@ -32,6 +32,9 @@ let vma_end v = Int64.add v.va_start (Int64.of_int v.va_len)
 type page = {
   pg_data : bytes;
   mutable pg_prot : Self.prot;
+  mutable pg_sum : int;
+      (** the image seal's leaf sum of [pg_data], or [Bytesx.no_leaf]:
+          every store drops it, only [set_sum] sets it *)
 }
 
 let tlb_size = 64
@@ -67,7 +70,11 @@ let page_offset (addr : int64) = Int64.to_int addr land (page_size - 1)
 
 (* fills empty TLB slots, whose tag -1 no page number equals *)
 let no_page =
-  { pg_data = Bytes.empty; pg_prot = { Self.p_r = false; p_w = false; p_x = false } }
+  {
+    pg_data = Bytes.empty;
+    pg_prot = { Self.p_r = false; p_w = false; p_x = false };
+    pg_sum = Bytesx.no_leaf;
+  }
 
 let create () =
   {
@@ -127,7 +134,7 @@ let map t ~vaddr ~len ~prot ?(file = None) ~name () =
   for i = 0 to npages - 1 do
     let idx = Int64.add (page_index vaddr) (Int64.of_int i) in
     Hashtbl.replace t.pages idx
-      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot }
+      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_sum = Bytesx.no_leaf }
   done;
   tlb_flush t;
   v
@@ -257,6 +264,7 @@ let exec_page t addr = get_page t addr Exec
 let write8 t addr v =
   let p = get_page t addr Write in
   if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
+  p.pg_sum <- Bytesx.no_leaf;
   Bytes.set p.pg_data (page_offset addr) (Char.chr (v land 0xff))
 
 (** Raw write ignoring protections — used only by the loader and by
@@ -266,6 +274,7 @@ let poke8 t addr v =
   | exception Not_found -> raise (Fault (addr, Write))
   | p ->
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
+      p.pg_sum <- Bytesx.no_leaf;
       Bytes.set p.pg_data (page_offset addr) (Char.chr (v land 0xff))
 
 let peek8 t addr =
@@ -290,6 +299,7 @@ let write64 t addr (v : int64) =
   if page_offset addr <= page_size - 8 then (
     let p = get_page t addr Write in
     if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index addr);
+    p.pg_sum <- Bytesx.no_leaf;
     Bytes.set_int64_le p.pg_data (page_offset addr) v)
   else
     for i = 0 to 7 do
@@ -320,6 +330,7 @@ let chunked t ~raw access addr len f =
 let store t ~raw addr (b : bytes) src len =
   chunked t ~raw Write addr len (fun p a off pos n ->
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index a);
+      p.pg_sum <- Bytesx.no_leaf;
       Bytes.blit b (src + pos) p.pg_data off n)
 
 let load t ~raw addr len =
@@ -357,7 +368,7 @@ let copy t =
   Hashtbl.iter
     (fun k p ->
       Hashtbl.replace pages k
-        { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot })
+        { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot; pg_sum = p.pg_sum })
     t.pages;
   (* a fresh address space has no cached blocks, so it starts clean *)
   {
@@ -369,7 +380,7 @@ let copy t =
     exec_gen = 0;
   }
 
-(** Populated pages of a VMA, as (vaddr, bytes) in address order. *)
+(** Populated pages of a VMA, as (vaddr, page) in address order. *)
 let pages_of_vma t (v : vma) =
   let first = page_index v.va_start in
   let n = v.va_len / page_size in
@@ -377,9 +388,13 @@ let pages_of_vma t (v : vma) =
     (fun i ->
       let idx = Int64.add first (Int64.of_int i) in
       match Hashtbl.find_opt t.pages idx with
-      | Some p -> Some (Int64.mul idx page_size64, p.pg_data)
+      | Some p -> Some (Int64.mul idx page_size64, p)
       | None -> None)
     (List.init n Fun.id)
+
+(** Record [sum] as the leaf sum of the page holding [addr], whose bytes
+    the caller just wrote; raises [Not_found] if it is not resident. *)
+let set_sum t addr sum = (lookup t addr).pg_sum <- sum
 
 (** Find a free, page-aligned gap of [len] bytes at or after [hint]. *)
 let find_free t ~hint ~len =

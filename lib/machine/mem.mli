@@ -24,6 +24,11 @@ val vma_end : vma -> int64
 type page = {
   pg_data : bytes;
   mutable pg_prot : Self.prot;
+  mutable pg_sum : int;
+      (** the image seal's leaf sum ({!Bytesx.leaf}) of [pg_data], or
+          {!Bytesx.no_leaf}. Every store path drops it (the code cache's
+          inlined stores too); {!copy} copies it; only {!set_sum} sets
+          it. A page that has one is clean since it was set. *)
 }
 
 val tlb_size : int
@@ -114,8 +119,14 @@ val peek_bytes : t -> int64 -> int -> bytes
 val copy : t -> t
 (** Deep copy (fork, checkpoint). *)
 
-val pages_of_vma : t -> vma -> (int64 * bytes) list
-(** Populated pages of a VMA in address order. *)
+val pages_of_vma : t -> vma -> (int64 * page) list
+(** Populated pages of a VMA in address order, with their vaddrs. *)
+
+val set_sum : t -> int64 -> int -> unit
+(** [set_sum t addr sum] records [sum] as the leaf sum of the page
+    holding [addr]: the restore's kernel-side write, which knows the sum
+    of the bytes it just poked. Raises [Not_found] if no page is
+    resident there. *)
 
 val find_free : t -> hint:int64 -> len:int -> int64
 (** First page-aligned gap of [len] bytes at or after [hint]. *)

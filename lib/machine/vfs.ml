@@ -18,9 +18,9 @@ let list t = Hashtbl.fold (fun k _ acc -> k :: acc) t.files [] |> List.sort comp
 (** Store / fetch a SELF binary. *)
 let add_self t path (s : Self.t) = add t path (Self.to_bytes s)
 
-let find_self t path =
-  match find t path with
-  | None -> None
-  | Some c -> (
-      try Some (Self.of_bytes c)
-      with Self.Format_error _ | Bytesx.Truncated _ -> None)
+(** Parse stored file contents as a SELF binary; [None] if they are not
+    one. *)
+let parse_self c =
+  try Some (Self.of_bytes c) with Self.Format_error _ | Bytesx.Truncated _ -> None
+
+let find_self t path = Option.bind (find t path) parse_self

@@ -13,5 +13,8 @@ val list : t -> string list
 val add_self : t -> string -> Self.t -> unit
 (** Store a SELF binary at a path. *)
 
+val parse_self : string -> Self.t option
+(** Decode file contents as a SELF binary; [None] for a plain file. *)
+
 val find_self : t -> string -> Self.t option
 (** Decode a stored SELF binary; [None] for plain files. *)

@@ -112,9 +112,10 @@ val with_span : string -> (unit -> 'a) -> 'a
 (** Time [f] against both axes; records even when [f] raises. *)
 
 val timed_span : string -> (unit -> 'a) -> 'a * float
-(** Like {!with_span} but also returns the host-seconds duration (the
-    [Stats.time_it] contract), recording only on normal return. Returns
-    the measurement even when the registry is disabled. *)
+(** Like {!with_span} but also returns the host CPU seconds it took
+    ([Sys.time]), recording only on normal return. Returns the
+    measurement even when the registry is disabled: the one timer of
+    the figures and the bench harness. *)
 
 val span_cycles : string -> float list
 (** Recorded virtual-cycle durations, oldest first. *)

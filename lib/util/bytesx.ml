@@ -150,6 +150,16 @@ let checksum ?(off = 0) ?len (s : string) : int64 =
   let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) 0xC4CEB9FE1A85EC53L in
   Int64.logxor h (Int64.shift_right_logical h 33)
 
+(** The leaf sum of the page-granular image seal: {!checksum} of
+    [s.[off .. off+len-1]] cut to a non-negative [int], so that a page
+    record or an [int array] holds it unboxed and {!no_leaf} never
+    collides with one. *)
+let leaf ?off ?len (s : string) : int = Int64.to_int (checksum ?off ?len s) land max_int
+
+(** No leaf sum: the bytes changed since their sum was taken, or it was
+    never taken. *)
+let no_leaf = -1
+
 let hex_of_string (s : string) =
   let b = Buffer.create (String.length s * 2) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;

@@ -21,11 +21,3 @@ let stddev xs =
    O(n²) across the repeated p50/p90/p99 calls the figures make. The
    single percentile definition lives in [Obs.percentile_sorted]. *)
 let percentile p xs = Obs.percentile_list p xs
-
-(** Time a thunk with [Unix]-free monotonic-ish clock ([Sys.time] measures
-    processor time, which is what the rewrite-cost figures need). *)
-let time_it f =
-  let t0 = Sys.time () in
-  let r = f () in
-  let t1 = Sys.time () in
-  (r, t1 -. t0)

@@ -474,45 +474,65 @@ let install_prog ?handled (m : Machine.t) p =
   Proc.set proc.Proc.regs Reg.Rsp (Int64.sub Proc.stack_top 64L);
   Machine.install m proc
 
-(* An out-of-band write: flip one seeded bit of a resident page of an
-   immutable (non-writable) VMA of a seeded live process, from outside
-   the guest. The kernel-side poke marks an executable page dirty, so
-   the cache must evict and re-decode. Returns the victim pid and the
-   flipped address; [None] when nothing qualifies. *)
-let flip (m : Machine.t) rng =
+(* An out-of-band write: flip one seeded bit of the [code] bytes of
+   page A (the program's immutable code page) of a seeded live process,
+   from outside the guest. The kernel-side poke marks the executable
+   page dirty, so the cache must evict and re-decode. Returns the victim
+   pid and the flipped address; [None] when no process is live. *)
+let flip (m : Machine.t) rng ~code =
   match List.filter Proc.is_live (Machine.all_procs m) with
   | [] -> None
   | live ->
       let p = Rng.choose rng live in
       let mem = p.Proc.mem in
-      let pages =
-        List.concat_map
-          (fun (v : Mem.vma) ->
-            if v.Mem.va_prot.Self.p_w then []
-            else List.map fst (Mem.pages_of_vma mem v))
-          mem.Mem.vmas
-      in
-      if pages = [] then None
-      else begin
-        let base = Rng.choose rng pages in
-        let addr = Int64.add base (Int64.of_int (Rng.int rng Mem.page_size)) in
-        let bit = Rng.int rng 8 in
-        Mem.poke8 mem addr (Mem.peek8 mem addr lxor (1 lsl bit));
-        Some (p.Proc.pid, addr)
-      end
+      let addr = Int64.add page_a (Int64.of_int (Rng.int rng code)) in
+      let bit = Rng.int rng 8 in
+      Mem.poke8 mem addr (Mem.peek8 mem addr lxor (1 lsl bit));
+      Some (p.Proc.pid, addr)
 
-(* Run [m] to the end of [p]: a seeded bit flip after each of its cycle
-   counts, then at most 20,000 cycles more. Returns the flips. *)
+(* A mid-run checkpoint of every live process, the way a cut takes one:
+   dump, seal, then restore from the image the seal filled. Each frame
+   must equal the frame sealed with every leaf sum dropped, and the
+   restored pages take their leaf sums along, so the guest's stores
+   after it must drop them. *)
+let reload (m : Machine.t) =
+  List.iter
+    (fun (q : Proc.t) ->
+      if Proc.is_live q then begin
+        let pid = q.Proc.pid in
+        let img = Checkpoint.dump m ~pid () in
+        Test_imageflow.sealed_coherent img (Printf.sprintf "pid %d mid-run dump" pid);
+        Machine.reap m ~pid;
+        ignore (Restore.restore m img : Proc.t)
+      end)
+    (Machine.all_procs m)
+
+(* Run [m] to the end of [p]: two mid-run [reload]s 150 cycles apart
+   (the second seals what the guest stored after the first), a seeded
+   bit flip after each of its cycle counts, then at most 20,000 cycles
+   more. Then every page's leaf sum must be fresh, and a final dump of
+   every live process must seal as it does cold. Returns the flips. *)
 let run_flips (m : Machine.t) p =
   let rng = Rng.create 7 in
+  let code = size (fst (lower_prog p)) in
+  for _ = 1 to 2 do
+    ignore (Machine.run m ~max_cycles:150);
+    reload m
+  done;
   let flipped =
     List.map
       (fun cycles ->
         ignore (Machine.run m ~max_cycles:cycles);
-        flip m rng)
+        flip m rng ~code)
       p.flips
   in
   ignore (Machine.run m ~max_cycles:20_000);
+  Test_imageflow.sums_fresh m "generated program";
+  List.iter
+    (fun (q : Proc.t) ->
+      if Proc.is_live q then
+        Test_imageflow.sealed_coherent (Checkpoint.dump m ~pid:q.Proc.pid ()) "final dump")
+    (Machine.all_procs m);
   flipped
 
 let run_prog ?(hooked = false) ?(summary = fun _ _ _ -> ()) ~reference p =

@@ -71,7 +71,8 @@ let test_dump_restore_identity () =
   List.iter
     (fun (v : Mem.vma) ->
       List.iter
-        (fun (vaddr, data) ->
+        (fun (vaddr, pg) ->
+          let data = pg.Mem.pg_data in
           let data' = Mem.peek_bytes p'.Proc.mem vaddr (Bytes.length data) in
           if not (Bytes.equal data data') then
             Alcotest.failf "page at 0x%Lx differs after restore" vaddr)
@@ -319,7 +320,7 @@ let test_unseal_error_offsets () =
   Alcotest.(check bool)
     (Printf.sprintf "checksum mismatch locates the payload (%s)" m)
     true
-    (contains m "checksum-mismatch at byte 21");
+    (contains m "checksum-mismatch at byte 37");
   (* the length is a u64: with bit 63 set it is past the end, not the
      63-bit int that drops that bit *)
   let sealed = Bytes.of_string (Validate.seal "payload") in
@@ -328,7 +329,16 @@ let test_unseal_error_offsets () =
   Alcotest.(check bool)
     (Printf.sprintf "length with bit 63 set is truncation (%s)" m)
     true
-    (contains m "truncated at byte 28")
+    (contains m "truncated at byte 44");
+  (* a page area that does not fit the payload is caught before any
+     leaf is hashed, and located at the header field *)
+  let sealed = Bytes.of_string (Validate.seal "payload") in
+  Bytes.set sealed 21 '\x08';
+  let m = msg_of (Bytes.to_string sealed) in
+  Alcotest.(check bool)
+    (Printf.sprintf "page area past the payload is a mismatch (%s)" m)
+    true
+    (contains m "checksum-mismatch at byte 21: page area 8+0")
 
 (* ---------- the seal format, pinned ---------- *)
 
@@ -341,33 +351,36 @@ let rkv_dump () =
   Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ()
 
 (* Sealed bytes are storage: pristine and working images, the journal,
-   its lock. The payload (the frame minus its 21-byte header) was read
-   at the byte-serial FNV-1a seal and must never move; the whole frame
-   is pinned at the v2 seal. *)
+   its lock. The payload (the frame minus its header) was read at the
+   byte-serial FNV-1a seal and must never move; the whole frame is
+   pinned at the v3 (page-granular) seal. *)
 let test_seal_format_pinned () =
   Alcotest.(check string)
-    "seal \"payload\"" "4443434b020700000000000000a4403888ae67774c7061796c6f6164"
+    "seal \"payload\"" "4443434b030700000000000000b8b16c5fbac18c0e070000000000000000000000000000007061796c6f6164"
     (Bytesx.hex_of_string (Validate.seal "payload"));
   let blob = Validate.encode_sealed (rkv_dump ()) in
-  Alcotest.(check int) "sealed rkv dump length" 349092 (String.length blob);
+  Alcotest.(check int) "sealed rkv dump length" 349108 (String.length blob);
   Alcotest.(check string)
     "sealed rkv dump payload digest" "7b21c622ee9ae066fc25e2832af2dc9e"
     (Digest.to_hex (Digest.substring blob header_size (String.length blob - header_size)));
   Alcotest.(check string)
-    "sealed rkv dump digest" "3a1da78acaa6a1382663314033626015"
+    "sealed rkv dump digest" "4b8d7ed86bdfa6f5e4723355b48409c2"
     (Digest.to_hex (Digest.string blob));
+  let decoded = Validate.decode_sealed blob in
+  let hashed () = Obs.counter_value (Obs.counter "criu.leaves_hashed") in
+  let before = hashed () in
   Alcotest.(check string)
-    "unseal . decode . encode . seal is the identity" blob
-    (Validate.encode_sealed (Validate.decode_sealed blob));
+    "unseal . decode . encode . seal is the identity" blob (Validate.encode_sealed decoded);
+  Alcotest.(check int) "the decoded image keeps the verified page leaves: head and tail alone"
+    2 (hashed () - before);
   Alcotest.(check string)
-    "encode_sealed is seal . encode" blob
-    (Validate.seal (Images.encode (Validate.decode_sealed blob)));
-  (* a version-1 frame (magic DCCK\x01) is not read as a version-2 one *)
-  let v1 = Bytes.of_string (Validate.seal "payload") in
-  Bytes.set v1 4 '\x01';
-  match Validate.unseal_frames (Bytes.to_string v1) with
+    "unseal . encode_sealed is encode" (Images.encode decoded) (Validate.unseal blob);
+  (* a version-2 frame (magic DCCK\x02) is not read as a version-3 one *)
+  let v2 = Bytes.of_string (Validate.seal "payload") in
+  Bytes.set v2 4 '\x02';
+  match Validate.unseal_frames (Bytes.to_string v2) with
   | [], Some { Validate.t_offset = 0; t_kind = Validate.Bad_magic } -> ()
-  | _ -> Alcotest.fail "a version-1 frame must tear as bad-magic"
+  | _ -> Alcotest.fail "a version-2 frame must tear as bad-magic"
 
 (* Storage corruption as the [Corrupt] fault mode makes it: 100k seeded
    Fault.mangle passes over one sealed 4 KiB frame (a truncation, or 1-3
@@ -490,6 +503,7 @@ let synthetic_image rng (runs : (int * int) list) : Images.t =
       (0, []) shuffled
   in
   let total = List.fold_left (fun n (_, np) -> n + (np * ps)) 0 runs in
+  let pages = Bytes.init total (fun _ -> Char.chr (Random.State.int rng 256)) in
   {
     Images.core =
       {
@@ -504,7 +518,8 @@ let synthetic_image rng (runs : (int * int) list) : Images.t =
       };
     mm = [];
     pagemap;
-    pages = Bytes.init total (fun _ -> Char.chr (Random.State.int rng 256));
+    pages;
+    sums = Images.no_sums pages;
     files = { Images.f_fds = []; f_next_fd = 3 };
     tcp = [];
     mmap_hint = 0L;

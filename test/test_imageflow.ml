@@ -2,8 +2,10 @@
     image is decoded at most once and sealed twice — at the dump and
     once after all edits. The census pins that structure through the
     [criu.save]/[criu.load] hit counters; the oracle pins every stored
-    frame and the virtual clock across a seeded ngx session of cuts,
-    re-enables and a rollback. *)
+    image and the virtual clock across a seeded ngx session of cuts,
+    re-enables and a rollback, and checks that sealing with carried leaf
+    sums seals what sealing cold does. A gate bounds the leaves a warm
+    transaction hashes. *)
 
 let app = Workload.ngx
 let blocks = lazy (Common.web_feature_blocks app)
@@ -38,11 +40,17 @@ let reenable_ok s journals =
   | { Dynacut.r_outcome = `Applied; _ } -> ()
   | r -> Alcotest.failf "re-enable: %a" Dynacut.pp_outcome r.Dynacut.r_outcome
 
-let header_size = String.length (Validate.seal "")
+(* the MD5 of every field of [img] that the codec carries, flattened
+   without sharing: it names the image, not the frame that stored it *)
+let flat (img : Images.t) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          Images.(img.core, img.mm, img.pagemap, img.pages, img.files, img.tcp, img.mmap_hint)
+          [ Marshal.No_sharing ]))
 
-(* every file the session keeps under its tmpfs directory, each of which
-   must decode, with its length, the MD5 of its payload (the frame minus
-   its seal header) and the MD5 of the whole frame; then the virtual
+(* every image the session keeps under its tmpfs directory, each of
+   which must decode alone, with its [flat] digest; then the virtual
    clock *)
 let frames (c : Workload.ctx) =
   let m = c.Workload.m in
@@ -54,13 +62,55 @@ let frames (c : Workload.ctx) =
   List.map
     (fun p ->
       let blob = Option.get (Vfs.find m.Machine.fs p) in
-      ignore (Validate.decode_sealed blob : Images.t);
-      let n = String.length blob in
-      Printf.sprintf "%s %d %s %s" p n
-        (Digest.to_hex (Digest.substring blob header_size (n - header_size)))
-        (Digest.to_hex (Digest.string blob)))
+      Printf.sprintf "%s %s" p (flat (Validate.decode_sealed blob)))
     (List.sort compare (List.filter under (Vfs.list m.Machine.fs)))
   @ [ Printf.sprintf "clock %Ld" m.Machine.clock ]
+
+(* ---------- sealing coherence ---------- *)
+
+(* The same image with every leaf sum dropped: sealing it hashes every
+   byte. *)
+let cold (img : Images.t) = { img with Images.sums = Images.no_sums img.Images.pages }
+
+(* [img] seals, with the leaf sums it carries, to the frame it seals
+   cold, byte for byte: a sum carried from a page whose bytes changed
+   would seal a different root. *)
+let sealed_coherent (img : Images.t) what =
+  let cold_frame = Validate.encode_sealed (cold img) in
+  if not (String.equal (Validate.encode_sealed img) cold_frame) then
+    Alcotest.failf "%s: frame sealed with carried sums differs from its cold seal" what
+
+(* Every stored image frame is the frame sealed cold from the same
+   image, byte for byte. The decode verifies every byte, so a frame
+   sealed with a stale sum fails there already. *)
+let coherent (c : Workload.ctx) what =
+  let fs = c.Workload.m.Machine.fs in
+  List.iter
+    (fun p ->
+      if Filename.check_suffix p ".img" then begin
+        let blob = Option.get (Vfs.find fs p) in
+        if not (String.equal blob (Validate.encode_sealed (cold (Validate.decode_sealed blob))))
+        then Alcotest.failf "%s: %s differs from its cold seal" what p
+      end)
+    (Vfs.list fs)
+
+(* Every resident page of every process of [m] that keeps a leaf sum
+   keeps the sum of its bytes: a store path that left a sum behind
+   fails here. *)
+let sums_fresh (m : Machine.t) what =
+  List.iter
+    (fun (p : Proc.t) ->
+      Hashtbl.iter
+        (fun idx (pg : Mem.page) ->
+          if
+            pg.Mem.pg_sum <> Bytesx.no_leaf
+            && pg.Mem.pg_sum <> Bytesx.leaf (Bytes.unsafe_to_string pg.Mem.pg_data)
+          then Alcotest.failf "%s: pid %d page 0x%Lx keeps a stale leaf sum" what p.Proc.pid
+                 (Int64.mul idx Mem.page_size64))
+        p.Proc.mem.Mem.pages)
+    (Machine.all_procs m)
+
+let leaves_hashed () = Obs.counter_value (Obs.counter "criu.leaves_hashed")
 
 (* ---------- census ---------- *)
 
@@ -83,47 +133,45 @@ let test_census () =
 
 (* ---------- stored-frame oracle ---------- *)
 
-(* Lengths, payload MD5s and clocks were recorded from a pipeline that
-   unsealed and resealed the working image at every stage, under the
-   byte-serial FNV-1a seal: sealing once, with the v2 checksum, must
-   store the same payloads at the same lengths and leave the same
-   virtual clock. The whole-frame MD5s pin the v2 seal. *)
+(* Recorded from the decoded images and the clock of the pipeline that
+   sealed each frame whole: sealing page by page changes the frames'
+   headers, never the images they store or the virtual clock. *)
 let pinned =
   [
-    "cut-first-byte /tmpfs/dynacut-100/dump-100.img 570634 e5bc4a10e37aab0c97d1defda208bb41 0a5a1cad50e0a0be9c7fadd288f601f7";
-    "cut-first-byte /tmpfs/dynacut-100/dump-101.img 570626 d9fe3e5215a22bd1237ca29aee07a45d 95ae76bb8ef3db2707ca94fa627602d2";
-    "cut-first-byte /tmpfs/dynacut-100/pristine-100.img 451500 9ad720c08a56f4b0e3de16812ff11c28 83e802c2826da94f6347ac80806f92fe";
-    "cut-first-byte /tmpfs/dynacut-100/pristine-101.img 451492 60fddadc41c134af0ac9a4ba4889412a 93c36111ee4c10274a19d1783c3218c8";
+    "cut-first-byte /tmpfs/dynacut-100/dump-100.img 8a88bfe0debd3eabdbbd5ae6f9aa31c4";
+    "cut-first-byte /tmpfs/dynacut-100/dump-101.img 37b1ea845761af56e5e6c92fea8d24bc";
+    "cut-first-byte /tmpfs/dynacut-100/pristine-100.img b19f861ca9179eb7ce99a5205529ef13";
+    "cut-first-byte /tmpfs/dynacut-100/pristine-101.img e159a238d7f94f65d1d0bff975f37448";
     "cut-first-byte clock 300000";
-    "reenable-first-byte /tmpfs/dynacut-100/dump-100.img 570634 c0b97103f0c2e048d5d8442cbc96cc06 f7cfac3686438db4d05ef7fa904a7d47";
-    "reenable-first-byte /tmpfs/dynacut-100/dump-101.img 570626 37868fabd7dd4bdc93f247482eee0a47 9e7f4add205dcf783401d918b1f02a3c";
-    "reenable-first-byte /tmpfs/dynacut-100/pristine-100.img 570634 60baa86b2d808c6d9ba7ce1fcb3b54ee 68bf3bc52910783f87705a06ccf67045";
-    "reenable-first-byte /tmpfs/dynacut-100/pristine-101.img 570626 e104f0ddeabe7359afb48fe00d6d7d56 f081ebd577e989fe258245f24b418cc1";
+    "reenable-first-byte /tmpfs/dynacut-100/dump-100.img 0c6938e67f3e961e1abf52cafd41ec39";
+    "reenable-first-byte /tmpfs/dynacut-100/dump-101.img ad6da2345db16074392b2bd4e8d2e386";
+    "reenable-first-byte /tmpfs/dynacut-100/pristine-100.img 18c5a758817e37fea53eb4f2f2d60c6a";
+    "reenable-first-byte /tmpfs/dynacut-100/pristine-101.img eebb35d5e5e31e8a07c77da54b5537d6";
     "reenable-first-byte clock 320000";
-    "cut-wipe /tmpfs/dynacut-100/dump-100.img 570634 d3d1579a440fe076e9da469ff538d6fc 901456dacd33ae81cc4e0a294cdb226b";
-    "cut-wipe /tmpfs/dynacut-100/dump-101.img 570626 475da24b1e8ef8bbbdfa338ff32cbd29 f204ae336568c4f08ecc4a251fa0c691";
-    "cut-wipe /tmpfs/dynacut-100/pristine-100.img 570634 88034687562bb965feb6d0e43bdc6921 2769be0dd3d0e991d6a0ef50bf144fc4";
-    "cut-wipe /tmpfs/dynacut-100/pristine-101.img 570626 76c7e4bb254f810071bbcbe4dd860262 1258afbd3561a450bc325b740415a218";
+    "cut-wipe /tmpfs/dynacut-100/dump-100.img 574713c69341604fc7a8a71885167b89";
+    "cut-wipe /tmpfs/dynacut-100/dump-101.img 54882f600470334a299f78faafd6c29d";
+    "cut-wipe /tmpfs/dynacut-100/pristine-100.img 81e025ab562ca674d8870e8a3c30061a";
+    "cut-wipe /tmpfs/dynacut-100/pristine-101.img 7c814cd93d1efe9f8fb57f0141209ba4";
     "cut-wipe clock 350000";
-    "reenable-wipe /tmpfs/dynacut-100/dump-100.img 570634 064d2fa693d14f7ec7ed4deeb3c573f5 9f6817e1e78b63fe395d8b28298125b7";
-    "reenable-wipe /tmpfs/dynacut-100/dump-101.img 570626 4dead1030c8eeca7a941078cc2e8e6d2 5d66dbdc0b86b3492c7258d98a129ddc";
-    "reenable-wipe /tmpfs/dynacut-100/pristine-100.img 570634 bed814df5a391dc5473b15a2b7f23cda d2f490a623ecfbaf7006f3a6ce77647a";
-    "reenable-wipe /tmpfs/dynacut-100/pristine-101.img 570626 856f84ae7a6b0ca12ce1f975c936eaf3 e79c72eec76b8d36eb7319c5ee3f0799";
+    "reenable-wipe /tmpfs/dynacut-100/dump-100.img a2e98c300f4b57e640dfda94ab10fb9c";
+    "reenable-wipe /tmpfs/dynacut-100/dump-101.img 4072d3d71406baad540cea616271eeb0";
+    "reenable-wipe /tmpfs/dynacut-100/pristine-100.img 81b2a273dfb2e2d99449c0a71a41ea75";
+    "reenable-wipe /tmpfs/dynacut-100/pristine-101.img d1534f50ae466c1883f7c06a1044d918";
     "reenable-wipe clock 370000";
-    "cut-unmap /tmpfs/dynacut-100/dump-100.img 570634 429eaea25b97ef8a5cb8708dd88f9416 c3383dcc2b3fddd47b18795d62f83c6b";
-    "cut-unmap /tmpfs/dynacut-100/dump-101.img 570626 29626a8c67c8d75aef72343a39996903 9988d8c47e4ad9bcd166ac267a118f27";
-    "cut-unmap /tmpfs/dynacut-100/pristine-100.img 570634 d58074a42880bcd2c9375604d4ee20e9 60cbb31d0cebecf19cc0bc1eaf618b9c";
-    "cut-unmap /tmpfs/dynacut-100/pristine-101.img 570626 c4ce0bf838ccf2e3cee287664e031332 23f685fe896607ae660e90638e8969e7";
+    "cut-unmap /tmpfs/dynacut-100/dump-100.img a2595983df4cdc5c92a3562da49179fc";
+    "cut-unmap /tmpfs/dynacut-100/dump-101.img 87d30bf0952f50cbd53c1aee024c17e1";
+    "cut-unmap /tmpfs/dynacut-100/pristine-100.img b027d6baab73d1f1541cd5f31b23ff69";
+    "cut-unmap /tmpfs/dynacut-100/pristine-101.img 9fa5c65a1b567848aa0929e4ea881f57";
     "cut-unmap clock 400000";
-    "reenable-unmap /tmpfs/dynacut-100/dump-100.img 570634 b46734a0f38480a7b319f373db6dd72b 9c80bd07f7971d067a6a6492c15a9a88";
-    "reenable-unmap /tmpfs/dynacut-100/dump-101.img 570626 a084a8a0b2b2d3055543174e3651d7dc 8b197b51d20f2a60cd452b0a1f4ae4bf";
-    "reenable-unmap /tmpfs/dynacut-100/pristine-100.img 570634 b0419efc9d5c0ec7bb10f6f58e53ca1a 22dd41e66ddf66af2db0aae33048a83d";
-    "reenable-unmap /tmpfs/dynacut-100/pristine-101.img 570626 48338bbb66f11be3016062d941f777e9 e49e2515c67b13ddf83c349c205c2ec4";
+    "reenable-unmap /tmpfs/dynacut-100/dump-100.img dff90be4b1f9d773005022885b63ddd3";
+    "reenable-unmap /tmpfs/dynacut-100/dump-101.img 628a2c380b9acee3d620acddccd20f39";
+    "reenable-unmap /tmpfs/dynacut-100/pristine-100.img 0bcd3f26576749e1d2e270a44f2d1f63";
+    "reenable-unmap /tmpfs/dynacut-100/pristine-101.img 3193f83448b4ffb6c1ca5d08eee12432";
     "reenable-unmap clock 420000";
-    "rollback /tmpfs/dynacut-100/dump-100.img 570634 58b51f3f702bbecc73f41b0b02894ca4 ebe45d7d1377d8d88dd8a7ca04e81830";
-    "rollback /tmpfs/dynacut-100/dump-101.img 570626 9b6ce12d57acd1d32eb892f1eddfbd08 b91337838f41fb90b0d9a6ef9c9aad3e";
-    "rollback /tmpfs/dynacut-100/pristine-100.img 570634 58b51f3f702bbecc73f41b0b02894ca4 ebe45d7d1377d8d88dd8a7ca04e81830";
-    "rollback /tmpfs/dynacut-100/pristine-101.img 570626 9b6ce12d57acd1d32eb892f1eddfbd08 b91337838f41fb90b0d9a6ef9c9aad3e";
+    "rollback /tmpfs/dynacut-100/dump-100.img dbff6e6e0e20544c488cc3d0daa7fb22";
+    "rollback /tmpfs/dynacut-100/dump-101.img 2f5271a2f95ce80f89ea57ddb470288f";
+    "rollback /tmpfs/dynacut-100/pristine-100.img dbff6e6e0e20544c488cc3d0daa7fb22";
+    "rollback /tmpfs/dynacut-100/pristine-101.img 2f5271a2f95ce80f89ea57ddb470288f";
     "rollback clock 450000";
   ]
 
@@ -131,15 +179,21 @@ let test_oracle () =
   Fault.reset ();
   let c, s = boot ~seed:11 in
   let steps = ref [] in
-  let record label = steps := !steps @ List.map (fun l -> label ^ " " ^ l) (frames c) in
+  let record label =
+    coherent c label;
+    sums_fresh c.Workload.m label;
+    steps := !steps @ List.map (fun l -> label ^ " " ^ l) (frames c)
+  in
   List.iter
     (fun (name, method_) ->
       let journals = cut_ok s method_ in
       record ("cut-" ^ name);
       check_serving c ~cut:true name;
+      sums_fresh c.Workload.m ("served after cut-" ^ name);
       reenable_ok s journals;
       record ("reenable-" ^ name);
-      check_serving c ~cut:false name)
+      check_serving c ~cut:false name;
+      sums_fresh c.Workload.m ("served after reenable-" ^ name))
     [ ("first-byte", `First_byte); ("wipe", `Wipe); ("unmap", `Unmap_pages) ];
   (* corrupt the last image write of the cut: the read-back catches it
      before anything is journaled as rewritten *)
@@ -161,6 +215,57 @@ let test_oracle () =
   record "rollback";
   check_serving c ~cut:false "after rollback";
   Alcotest.(check (list string)) "stored frames and clock" pinned !steps
+
+(* ---------- the warm-transaction leaf gate ---------- *)
+
+(* A warm cut reseals only what changed. After one warm-up cut of a
+   booted ngx tree, a re-enable and a cut (each followed by the check
+   requests) hash the head and tail of each of their 8 image frames
+   (16) plus the 16 pages that stores dirtied or the rewrite edited,
+   and the head and empty tail of each of their 30 journal frames (60):
+   92, the count this bound was recorded at. Hashing every leaf of the
+   image frames, as the whole-frame seal did, makes 1188 (8 x 141 image
+   leaves, and the same 60). *)
+let leaf_bound = 92
+
+let test_leaf_gate () =
+  Fault.reset ();
+  let c, s = boot ~seed:42 in
+  let journals = cut_ok s `First_byte in
+  check_serving c ~cut:true "warm-up cut";
+  let before = leaves_hashed () in
+  reenable_ok s journals;
+  check_serving c ~cut:false "re-enabled";
+  ignore (cut_ok s `Wipe : Rewriter.journal list);
+  check_serving c ~cut:true "cut";
+  let hashed = leaves_hashed () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "re-enable + cut hashed %d leaves (bound %d)" hashed leaf_bound)
+    true (hashed <= leaf_bound)
+
+(* ---------- the redirect target ---------- *)
+
+(* A redirect cut resolves its target from the executable once: later
+   cuts reuse the session's target while the executable's contents in
+   the Vfs are the same string, and a new string is resolved again, to
+   the same target. *)
+let test_redirect_target_kept () =
+  Fault.reset ();
+  let c, s = boot ~seed:42 in
+  let journals = cut_ok s `First_byte in
+  let first = s.Dynacut.target in
+  Alcotest.(check bool) "resolved by the first cut" true (Option.is_some first);
+  reenable_ok s journals;
+  let journals = cut_ok s `Wipe in
+  Alcotest.(check bool) "reused by the next cut" true (s.Dynacut.target == first);
+  reenable_ok s journals;
+  let fs = c.Workload.m.Machine.fs in
+  let exe = (Machine.proc_exn c.Workload.m s.Dynacut.root_pid).Proc.exe_path in
+  (* the same bytes in a new string *)
+  Vfs.add fs exe (Bytes.to_string (Bytes.of_string (Option.get (Vfs.find fs exe))));
+  ignore (cut_ok s `First_byte : Rewriter.journal list);
+  Alcotest.(check bool) "resolved again for new contents" true (s.Dynacut.target != first);
+  check_serving c ~cut:true "cut after the new contents"
 
 (* ---------- retry from the pristine image ---------- *)
 
@@ -216,6 +321,9 @@ let suite =
   [
     Alcotest.test_case "census: two seals and one read-back per pid" `Quick test_census;
     Alcotest.test_case "stored frames and clock pinned" `Quick test_oracle;
+    Alcotest.test_case "warm re-enable and cut hash few leaves" `Quick test_leaf_gate;
+    Alcotest.test_case "redirect target resolved once per executable" `Quick
+      test_redirect_target_kept;
     Alcotest.test_case "transient inject.policy retries from pristine" `Quick
       test_transient_retry;
     Alcotest.test_case "partial re-enable retried" `Quick test_partial_reenable_retry;

@@ -737,7 +737,9 @@ let chunk_template =
           let vaddr = Int64.add chunk_va (Int64.of_int (i * Mem.page_size)) in
           let v = Mem.map m ~vaddr ~len:Mem.page_size ~prot:(Self.prot_of_int prot) ~name:"c" () in
           List.iter
-            (fun (_, d) -> Bytes.iteri (fun j _ -> Bytes.set d j (Char.chr (((j * 7) + i) land 255))) d)
+            (fun (_, pg) ->
+              let d = pg.Mem.pg_data in
+              Bytes.iteri (fun j _ -> Bytes.set d j (Char.chr (((j * 7) + i) land 255))) d)
             (Mem.pages_of_vma m v))
     [ Some 5; Some 4; Some 6; None; Some 7; Some 0; Some 6 ];
   m
