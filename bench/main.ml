@@ -263,7 +263,7 @@ let run_fleet () =
      hit rate and the loop's host seconds *)
   let serve ?(reference = false) n =
     Fault.reset ();
-    let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+    let fleet = Fleet.boot ~n ~blocks ~policy app in
     let m = Fleet.machine fleet in
     if reference then Dispatch.degrade m.Machine.dispatcher;
     let start = m.Machine.clock in
@@ -278,7 +278,7 @@ let run_fleet () =
           for _ = 1 to requests do
             match Fleet.request fleet get with
             | `Reply _ -> incr served
-            | `Refused | `Shed | `Timed_out _ -> ()
+            | `Refused | `Timed_out _ -> ()
           done)
     in
     let cycles = Int64.sub m.Machine.clock start in
@@ -340,7 +340,7 @@ let run_fleet () =
   (* per-wave rollout pause on a 6-worker fleet *)
   Fault.reset ();
   let wn = 6 and waves = 3 in
-  let fleet, _ = Fleet.boot ~n:wn ~blocks ~policy app in
+  let fleet = Fleet.boot ~n:wn ~blocks ~policy app in
   let drive () = ignore (Fleet.request fleet get) in
   let config =
     Rollout.
@@ -389,16 +389,13 @@ let run_fleet () =
 
 (* ---------- overload: goodput + tail latency vs offered load ---------- *)
 
-(* The §6b resilience curves: drive the fleet open-loop at multiples of
-   its measured closed-loop capacity, once with admission control +
-   bounded accept queues (the shipped defaults) and once with shedding
-   effectively disabled (watermark at infinity, huge backlog). The
-   no-shed curve must collapse past saturation — timed-out clients
-   abandon, the workers keep serving the stale backlog, goodput falls —
-   while the shed curve degrades gracefully. Emits BENCH_overload.json;
-   --quick shrinks the sweep for the ci smoke. *)
+(* The §6b overload curve: drive the fleet open-loop at multiples of its
+   measured closed-loop capacity with an effectively unbounded accept
+   queue. Past saturation timed-out clients abandon, the workers keep
+   serving the stale backlog, and goodput falls. Emits
+   BENCH_overload.json; --quick shrinks the sweep for the ci smoke. *)
 let run_overload () =
-  Common.section fmt "Overload: goodput + p99 vs offered load, shed on/off";
+  Common.section fmt "Overload: goodput + p99 vs offered load";
   let app = Workload.ltpd in
   let blocks = Common.web_feature_blocks app in
   let policy =
@@ -410,14 +407,14 @@ let run_overload () =
      the fleet, so served/Mcycle here *is* the saturation point *)
   let probe_requests = if !quick then 30 else 100 in
   Fault.reset ();
-  let fleet, _ = Fleet.boot ~n ~blocks ~policy app in
+  let fleet = Fleet.boot ~n ~blocks ~policy app in
   let m = Fleet.machine fleet in
   let start = m.Machine.clock in
   let served = ref 0 in
   for _ = 1 to probe_requests do
     match Fleet.request fleet get with
     | `Reply _ -> incr served
-    | `Refused | `Shed | `Timed_out _ -> ()
+    | `Refused | `Timed_out _ -> ()
   done;
   let probe_cycles = Int64.sub m.Machine.clock start in
   if !served = 0 then failwith "overload: capacity probe served nothing";
@@ -429,37 +426,15 @@ let run_overload () =
   in
   (* clients wait ~8 service times before abandoning *)
   let deadline = Int64.of_float (8. *. service_cycles) in
-  (* every worker shares one virtual CPU, so k requests in flight each
-     take ~k service times: admit only as many as still meet the
-     deadline (with 2x headroom), and keep the accept queues shallow *)
-  let shed_high =
-    max 2 (Int64.to_int deadline / int_of_float service_cycles / 2)
-  in
-  let tuned =
-    {
-      Balancer.b_shed_high = shed_high;
-      b_shed_low = max 1 (shed_high / 2);
-      b_backlog_max = 2;
-    }
-  in
   Format.fprintf fmt
-    "  capacity %.1f req/Mcycle (service %.0f cycles), deadline %Ld cycles, \
-     shed watermark %d@."
-    capacity service_cycles deadline shed_high;
+    "  capacity %.1f req/Mcycle (service %.0f cycles), deadline %Ld cycles@."
+    capacity service_cycles deadline;
   let requests = if !quick then 40 else 150 in
   let multipliers = if !quick then [ 0.5; 2.0 ] else [ 0.5; 1.0; 2.0; 3.0 ] in
-  let no_shed =
-    {
-      Balancer.b_shed_high = max_int;
-      b_shed_low = max_int - 1;
-      b_backlog_max = 1_000_000;
-    }
-  in
-  let run_point ~shed mult =
+  let unbounded = { Balancer.b_backlog_max = 1_000_000 } in
+  let run_point mult =
     Fault.reset ();
-    let fleet, _ =
-      Fleet.boot ~balancer:(if shed then tuned else no_shed) ~n ~blocks ~policy app
-    in
+    let fleet = Fleet.boot ~balancer:unbounded ~n ~blocks ~policy app in
     let cfg =
       {
         Loadgen.default_config with
@@ -476,29 +451,13 @@ let run_overload () =
       /. (Int64.to_float st.Loadgen.s_cycles /. 1e6)
     in
     Format.fprintf fmt
-      "  shed=%-3s x%.1f  goodput %6.1f req/Mcycle  completed %d/%d  shed %d \
-       timeouts %d retries %d  p99 %.0f@."
-      (if shed then "on" else "off")
+      "  x%.1f  goodput %6.1f req/Mcycle  completed %d/%d  timeouts %d \
+       retries %d  p99 %.0f@."
       mult goodput st.Loadgen.s_completed st.Loadgen.s_offered
-      st.Loadgen.s_shed st.Loadgen.s_timeouts st.Loadgen.s_retries
-      st.Loadgen.s_p99;
+      st.Loadgen.s_timeouts st.Loadgen.s_retries st.Loadgen.s_p99;
     (mult, goodput, st)
   in
-  let shed_on = List.map (run_point ~shed:true) multipliers in
-  let shed_off = List.map (run_point ~shed:false) multipliers in
-  (* the acceptance check: past saturation the no-shed curve must fall
-     visibly below the shed curve *)
-  (match
-     ( List.find_opt (fun (mult, _, _) -> mult >= 2.0) shed_on,
-       List.find_opt (fun (mult, _, _) -> mult >= 2.0) shed_off )
-   with
-  | Some (_, g_on, _), Some (_, g_off, _) ->
-      if g_off >= g_on then
-        Format.fprintf fmt
-          "  WARNING no-shed goodput (%.1f) did not collapse below shed \
-           (%.1f) at 2x@."
-          g_off g_on
-  | _ -> ());
+  let points = List.map run_point multipliers in
   let mult_key m = String.map (fun c -> if c = '.' then '_' else c)
       (Printf.sprintf "x%.1f" m)
   in
@@ -509,23 +468,17 @@ let run_overload () =
   Printf.fprintf oc ",\n  \"capacity_req_per_mcycle\": %.2f" capacity;
   Printf.fprintf oc ",\n  \"service_cycles\": %.0f" service_cycles;
   Printf.fprintf oc ",\n  \"deadline_cycles\": %Ld" deadline;
+  (* the keys keep their "noshed_" prefix, so the committed file's lines
+     compare one for one *)
   List.iter
-    (fun (label, points) ->
-      List.iter
-        (fun (mult, goodput, st) ->
-          let k = mult_key mult in
-          Printf.fprintf oc ",\n  \"%s_%s_goodput\": %.2f" label k goodput;
-          Printf.fprintf oc ",\n  \"%s_%s_completed\": %d" label k
-            st.Loadgen.s_completed;
-          Printf.fprintf oc ",\n  \"%s_%s_shed\": %d" label k st.Loadgen.s_shed;
-          Printf.fprintf oc ",\n  \"%s_%s_timeouts\": %d" label k
-            st.Loadgen.s_timeouts;
-          Printf.fprintf oc ",\n  \"%s_%s_retries\": %d" label k
-            st.Loadgen.s_retries;
-          Printf.fprintf oc ",\n  \"%s_%s_p99_cycles\": %.0f" label k
-            st.Loadgen.s_p99)
-        points)
-    [ ("shed", shed_on); ("noshed", shed_off) ];
+    (fun (mult, goodput, st) ->
+      let k = mult_key mult in
+      Printf.fprintf oc ",\n  \"noshed_%s_goodput\": %.2f" k goodput;
+      Printf.fprintf oc ",\n  \"noshed_%s_completed\": %d" k st.Loadgen.s_completed;
+      Printf.fprintf oc ",\n  \"noshed_%s_timeouts\": %d" k st.Loadgen.s_timeouts;
+      Printf.fprintf oc ",\n  \"noshed_%s_retries\": %d" k st.Loadgen.s_retries;
+      Printf.fprintf oc ",\n  \"noshed_%s_p99_cycles\": %.0f" k st.Loadgen.s_p99)
+    points;
   Printf.fprintf oc "\n}\n";
   close_out oc;
   Format.fprintf fmt "  wrote BENCH_overload.json@."
@@ -888,7 +841,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("ablation", "policy / normalization / autophase / libcut ablations", fun () -> ignore (Ablation.run fmt));
     ("obs", "observability breakdown + registry overhead", run_obs);
     ("fleet", "fan-out throughput + rollout pause per wave (§6a)", run_fleet);
-    ("overload", "goodput + p99 vs offered load, shed on/off (§6b)", run_overload);
+    ("overload", "goodput + p99 vs offered load (§6b)", run_overload);
     ("chaos", "site x mode fault coverage + invariant oracles (§6c)", run_chaos);
     ("slice", "dataflow slicing: sliced-away wins + tracing overhead (§7)", run_slice);
     ("micro", "bechamel micro-benchmarks", run_micro);

@@ -911,13 +911,6 @@ let fleet_cmd =
     let doc = "Number of rollout waves the fleet is chunked into." in
     Arg.(value & opt int 3 & info [ "waves" ] ~docv:"K" ~doc)
   in
-  let drift_window =
-    let doc =
-      "Drift-monitor sampling window in virtual cycles (live windowed \
-       drcov); 0 disables the post-rollout drift soak."
-    in
-    Arg.(value & opt int 50_000 & info [ "drift-window" ] ~docv:"W" ~doc)
-  in
   let storm_wave =
     let doc =
       "From wave $(docv) onward, drive the app's undesired mix instead of \
@@ -926,16 +919,12 @@ let fleet_cmd =
     in
     Arg.(value & opt (some int) None & info [ "storm-wave" ] ~docv:"K" ~doc)
   in
-  let slices =
-    let doc = "Drift soak rounds (wanted traffic + one monitor tick each)." in
-    Arg.(value & opt int 6 & info [ "slices" ] ~docv:"N" ~doc)
-  in
   let offered_load =
     let doc =
-      "After the rollout (and drift soak), saturate the fleet with the \
-       deterministic open-loop generator at $(docv) requests per million \
-       virtual cycles — Poisson arrivals, per-request deadlines, budgeted \
-       retries — and print goodput, shed/timeout/retry counts and latency \
+      "After the rollout, saturate the fleet with the deterministic \
+       open-loop generator at $(docv) requests per million virtual cycles \
+       — Poisson arrivals, per-request deadlines, budgeted retries — and \
+       print goodput, refused/timeout/retry counts and latency \
        percentiles. 0 (the default) skips the overload soak."
     in
     Arg.(value & opt float 0. & info [ "offered-load" ] ~docv:"RATE" ~doc)
@@ -956,9 +945,8 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let action app feature workers waves drift_window storm_wave slices
-      offered_load deadline faults seed list_sites sites_json
-      verbose metrics =
+  let action app feature workers waves storm_wave offered_load deadline
+      faults seed list_sites sites_json verbose metrics =
     let print_sites () =
       if sites_json then print_fault_sites_json ()
       else print_fault_sites ~verbose ()
@@ -972,9 +960,8 @@ let fleet_cmd =
     let feature = default_feature app feature in
     let blocks, redirect = feature_blocks app feature in
     arm_faults ?seed faults;
-    let traced = drift_window > 0 in
-    let fleet, ctxs =
-      Fleet.boot ~traced ~n:workers ~blocks
+    let fleet =
+      Fleet.boot ~n:workers ~blocks
         ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
         app
     in
@@ -1023,23 +1010,6 @@ let fleet_cmd =
               r.Rollout.wr_pause_cycles)
           reports;
         Format.printf "rollout: %a@." Rollout.pp_outcome outcome;
-        if drift_window > 0 then begin
-          Fleet.start_drift fleet
-            ~config:
-              Drift.
-                {
-                  default_config with
-                  d_period = Int64.of_int drift_window;
-                }
-            ~collector:(Workload.collector (List.hd ctxs))
-            ();
-          for _ = 1 to slices do
-            send (wanted_mix app);
-            match Fleet.tick fleet with
-            | Some a -> Format.printf "drift: %a@." Drift.pp_action a
-            | None -> ()
-          done
-        end;
         if offered_load > 0. then begin
           let cfg =
             {
@@ -1053,8 +1023,9 @@ let fleet_cmd =
             | st -> st
             | exception Fault.Controller_killed { site } ->
                 (* a :kill fault on a dispatch-path site (balancer.*,
-                   net.accept_queue, fleet.shed) fires under open-loop
-                   load rather than mid-rollout: same recovery story *)
+                   net.accept_queue, net.serve) that fires under
+                   open-loop load rather than mid-rollout: same recovery
+                   story *)
                 Format.printf "controller killed at %s@." site;
                 let r = Fleet.recover m ~pids in
                 Format.printf "recover: %a@." Fleet.pp_recovery r;
@@ -1094,21 +1065,19 @@ let fleet_cmd =
                [ "PID"; "COMM"; "STATE"; "WAVE"; "LAST"; "SINCE"; "TRAPS"; "REQS" ]
              rows);
         print_newline ();
-        Format.printf "drift score %.2f  refused %d@."
-          (Obs.gauge_value (Obs.gauge "fleet.drift_score"))
+        Format.printf "refused %d@."
           (Obs.counter_value (Obs.counter "fleet.refused"));
         finish (match outcome with Rollout.Completed _ -> 0 | Rollout.Halted _ -> 4)
   in
   let doc =
     "Boot N workers of one app behind the kernel's round-robin listener \
-     fan-out, roll a cut out wave-by-wave with a canary gating each wave, \
-     then soak under the coverage-drift monitor."
+     fan-out and roll a cut out wave-by-wave with a canary gating each \
+     wave."
   in
   let man =
     [
       `S "EXIT STATUS";
-      `P "0: the rollout completed every wave (drift actions are normal \
-          operation, not failures).";
+      `P "0: the rollout completed every wave.";
       `P "2: usage error (unknown app, feature, fault spec, or a batch \
           app without a port).";
       `P
@@ -1124,8 +1093,8 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet" ~doc ~man)
     Term.(
-      const action $ app_opt_arg $ feature $ workers $ waves $ drift_window
-      $ storm_wave $ slices $ offered_load $ deadline $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ sites_json
+      const action $ app_opt_arg $ feature $ workers $ waves $ storm_wave
+      $ offered_load $ deadline $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ sites_json
       $ verbose_arg $ metrics_out_arg)
 
 (* ---------- top ---------- *)
@@ -1166,8 +1135,8 @@ let top_cmd =
   let fleet_n =
     let doc =
       "Fleet mode: boot $(docv) workers, roll the cut out wave-by-wave, \
-       soak under the drift monitor, and add per-worker WAVE / DRIFT / \
-       LAST columns to the table."
+       soak with wanted traffic, and add per-worker WAVE / LAST columns \
+       to the table."
     in
     Arg.(value & opt int 0 & info [ "fleet" ] ~docv:"N" ~doc)
   in
@@ -1179,8 +1148,8 @@ let top_cmd =
     let blocks, redirect = feature_blocks app feature in
     Fault.reset ();
     require_server app;
-    let fleet, ctxs =
-      Fleet.boot ~traced:true ~n ~blocks
+    let fleet =
+      Fleet.boot ~n ~blocks
         ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
         app
     in
@@ -1196,12 +1165,9 @@ let top_cmd =
         }
     in
     let outcome, _ = Fleet.rollout fleet ~config ~drive () in
-    Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
     for _ = 1 to slices do
-      drive ();
-      ignore (Fleet.tick fleet)
+      drive ()
     done;
-    let drift = Printf.sprintf "%.2f" (Obs.gauge_value (Obs.gauge "fleet.drift_score")) in
     let rows =
       Fleet.workers fleet
       |> List.sort (fun a b -> compare a.Rollout.w_pid b.Rollout.w_pid)
@@ -1214,14 +1180,13 @@ let top_cmd =
                string_of_int (pid_counter "machine.traps" w.Rollout.w_pid);
                (if w.Rollout.w_wave < 0 then "-"
                 else string_of_int w.Rollout.w_wave);
-               drift;
                Printf.sprintf "%s@%Ld" w.Rollout.w_state w.Rollout.w_since;
              ])
     in
     print_string
       (Table.render
          ~headers:
-           [ "PID"; "COMM"; "STATE"; "TRAPS"; "WAVE"; "DRIFT"; "LAST" ]
+           [ "PID"; "COMM"; "STATE"; "TRAPS"; "WAVE"; "LAST" ]
          rows);
     print_newline ();
     Format.printf "rollout: %a  reqs=%d refused=%d traps=%d@."

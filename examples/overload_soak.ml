@@ -1,13 +1,13 @@
 (* Determinism guard for the overload-resilience path (DESIGN.md §6b).
 
    The whole point of driving overload on the virtual clock is that a
-   saturated run — Poisson arrivals, health-scored dispatch, admission
-   control shedding, deadline timeouts, jittered retries — replays
+   saturated run — Poisson arrivals, health-scored dispatch, bounded
+   accept queues, deadline timeouts, jittered retries — replays
    bit-for-bit from its seed. This soak runs the same saturating
    scenario twice from scratch and asserts the two observability dumps
    (counters, gauges, histograms, the event ring with its virtual-cycle
    timestamps) are byte-identical, and that the run actually exercised
-   the machinery (shed > 0, retries > 0). A host-time leak into the
+   the machinery (timeouts > 0, retries > 0). A host-time leak into the
    deterministic surface, an iteration-order dependence in the balancer,
    or an un-seeded random draw anywhere in the path breaks this
    immediately. *)
@@ -23,11 +23,9 @@ let soak () =
     { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
   in
   let n = 3 in
-  (* a low watermark + shallow queues so saturation sheds early *)
-  let balancer =
-    { Balancer.b_shed_high = 3; b_shed_low = 1; b_backlog_max = 2 }
-  in
-  let fleet, _ = Fleet.boot ~balancer ~n ~blocks ~policy app in
+  (* shallow queues so saturation shows early *)
+  let balancer = { Balancer.b_backlog_max = 2 } in
+  let fleet = Fleet.boot ~balancer ~n ~blocks ~policy app in
   let cfg =
     {
       Loadgen.default_config with
@@ -46,8 +44,8 @@ let () =
   let st2, dump2 = soak () in
   Format.printf "run 1: %a@." Loadgen.pp_stats st1;
   Format.printf "run 2: %a@." Loadgen.pp_stats st2;
-  if st1.Loadgen.s_shed = 0 then
-    failwith "overload_soak: admission control never shed — not saturated";
+  if st1.Loadgen.s_timeouts = 0 then
+    failwith "overload_soak: no request timed out — not saturated";
   if st1.Loadgen.s_retries = 0 then
     failwith "overload_soak: no retries — backoff path never exercised";
   if dump1 <> dump2 then begin
@@ -57,6 +55,6 @@ let () =
   end;
   Format.printf
     "overload soak deterministic: %d bytes of metrics identical across runs \
-     (shed=%d timeouts=%d retries=%d)@."
-    (String.length dump1) st1.Loadgen.s_shed st1.Loadgen.s_timeouts
+     (timeouts=%d retries=%d)@."
+    (String.length dump1) st1.Loadgen.s_timeouts
     st1.Loadgen.s_retries

@@ -88,22 +88,15 @@ let contains ~(sub : string) (s : string) =
 (** Spawn [n] independent workers of [app] side by side on {e one}
     machine — the fleet topology. Every worker is its own process tree
     listening on the app's port; the kernel round-robins connections
-    over them ({!Net} fan-out). Returns one ctx per worker, all sharing
-    the machine (and, when [traced], one merged collector). *)
-let spawn_fleet ?(seed = 42) ?(traced = false) ~n (app : app) : ctx list =
+    over them ({!Net} fan-out). Returns one untraced ctx per worker, all
+    sharing the machine. *)
+let spawn_fleet ?(seed = 42) ~n (app : app) : ctx list =
   if n < 1 then invalid_arg "Workload.spawn_fleet: n must be >= 1";
   let m = Machine.create ~seed () in
   install m.Machine.fs app;
-  let procs = List.init n (fun _ -> Machine.spawn m ~exe_path:app.a_name ()) in
-  let col =
-    match (traced, procs) with
-    | false, _ | _, [] -> None
-    | true, p0 :: rest ->
-        let col = Collector.attach m ~pid:p0.Proc.pid in
-        List.iter (fun (p : Proc.t) -> Collector.add_root col ~pid:p.Proc.pid) rest;
-        Some col
-  in
-  List.map (fun (p : Proc.t) -> { app; m; pid = p.Proc.pid; col }) procs
+  List.init n (fun _ ->
+      let p = Machine.spawn m ~exe_path:app.a_name () in
+      { app; m; pid = p.Proc.pid; col = None })
 
 (** Run until {e every} worker printed its banner on its own console —
     the merged-console check of {!wait_ready} would falsely pass once

@@ -49,7 +49,7 @@ let refusal_of_exn : exn -> string option = function
 (* one fleet request as rollout traffic: refusals are part of the run *)
 let drive_fleet fleet () =
   match Fleet.request fleet get with
-  | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]) -> ()
+  | (_ : [ `Reply of int * string | `Refused | `Timed_out of int ]) -> ()
   | exception e when refusal_of_exn e <> None -> ()
 
 (* ---------- the fleet executor ---------- *)
@@ -160,7 +160,7 @@ let run ?(config = default_config)
     { Dynacut.method_ = `First_byte; on_trap = `Redirect (redirect_sym app) }
   in
   (* boot happens clean: chaos starts once the fleet is ready *)
-  let fleet, _ =
+  let fleet =
     Fleet.boot ~seed:sched.Schedule.sc_seed ~n:config.c_workers
       ~blocks:(blocks_for app) ~policy app
   in
@@ -234,7 +234,6 @@ let run ?(config = default_config)
     (match Fleet.request fleet get with
     | `Reply (pid, resp) -> note "%s: pid %d answered %s" label pid (status resp)
     | `Refused -> note "%s: refused" label
-    | `Shed -> note "%s: shed" label
     | `Timed_out pid -> note "%s: timed out on pid %d" label pid
     | exception Fault.Controller_killed { site } ->
         note "%s: controller died at %s" label site;
@@ -305,7 +304,7 @@ let run ?(config = default_config)
       match Fleet.request fleet get with
       | `Reply (_, resp) when status resp = "200" ->
           Some (Int64.to_int (Int64.sub m.Machine.clock probe_start))
-      | (_ : [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ])
+      | (_ : [ `Reply of int * string | `Refused | `Timed_out of int ])
         ->
           probe (k - 1)
       | exception e when refusal_of_exn e <> None -> probe (k - 1)
@@ -650,7 +649,7 @@ let fleet_finish ?(after_recover = ignore) ?(quiet = false) ?(cut = [])
   | `Reply (_, resp) ->
       let s = status resp in
       if s <> "200" then failp "after recover: GET answered %s, not 200" s
-  | `Refused | `Shed | `Timed_out _ -> failp "after recover: fleet refused a GET"
+  | `Refused | `Timed_out _ -> failp "after recover: fleet refused a GET"
 
 let rollout_config =
   Rollout.
@@ -663,7 +662,7 @@ let rollout_config =
    so wave 1's committed cut must survive; [fleet.manifest] at the very
    first entry, before any worker was touched *)
 let fleet_rollout_probe site mode =
-  let fleet, _ = Fleet.boot ~n:4 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let fleet = Fleet.boot ~n:4 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
   let oracle = fleet_oracle lapp fleet and pids = Fleet.pids fleet in
   let plan = Rollout.plan ~pids ~waves:2 in
   let spec, cut =
@@ -679,66 +678,12 @@ let fleet_rollout_probe site mode =
 
 (* fault strikes one dispatched request (balancer / net sites) *)
 let fleet_request_probe site mode =
-  let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let fleet = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
   let oracle = fleet_oracle lapp fleet in
   let outcome =
     strike (Fleet.machine fleet) site mode (fun () -> ignore (Fleet.request fleet get))
   in
   fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
-
-(* fault strikes the shed path: watermark zero sheds the first dispatch *)
-let fleet_shed_probe site mode =
-  let shed_now =
-    {
-      (Balancer.default_config ~workers:2) with
-      Balancer.b_shed_high = 0;
-      b_shed_low = -1;
-    }
-  in
-  let fleet, _ =
-    Fleet.boot ~balancer:shed_now ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy
-      lapp
-  in
-  let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
-  let outcome = strike m site mode (fun () -> ignore (Fleet.request fleet get)) in
-  (* rebuild with sane watermarks for the serving check *)
-  let fleet' =
-    Fleet.create m ~port:Ltpd.port ~pids:(Fleet.pids fleet)
-      ~blocks:(blocks_for lapp) ~policy:lpolicy
-  in
-  fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet'
-
-(* fault strikes the drift monitor's fleet-wide re-enable after a
-   completed rollout; a death before any worker reverted keeps the cut *)
-let fleet_reenable_probe site mode =
-  let fleet, ctxs =
-    Fleet.boot ~traced:true ~n:4 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp
-  in
-  let oracle = fleet_oracle lapp fleet in
-  (match
-     Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ()
-   with
-  | Rollout.Completed _, _ -> ()
-  | o, _ -> failp "setup rollout failed: %s" (Format.asprintf "%a" Rollout.pp_outcome o));
-  Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-  let outcome =
-    strike (Fleet.machine fleet) site mode (fun () ->
-        ignore (Drift.reenable_fleet (Fleet.drift_monitor fleet) ~traps:99))
-  in
-  fleet_finish ~cut:(Fleet.pids fleet) ~outcome oracle ~plan:[] ~serving_fleet:fleet
-
-(* fault strikes the drift monitor's automatic re-cut *)
-let fleet_recut_probe site mode =
-  let fleet, ctxs =
-    Fleet.boot ~traced:true ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp
-  in
-  let oracle = fleet_oracle lapp fleet in
-  Fleet.start_drift fleet ~collector:(Workload.collector (List.hd ctxs)) ();
-  let outcome =
-    strike (Fleet.machine fleet) site mode (fun () ->
-        ignore (Drift.recut_fleet (Fleet.drift_monitor fleet)))
-  in
-  fleet_finish ~outcome oracle ~plan:[] ~serving_fleet:fleet
 
 (* fault strikes the decoded-block code cache: entering the dispatch
    loop (bbcache.dispatch) or evicting blocks over a dirtied code page
@@ -747,7 +692,7 @@ let fleet_recut_probe site mode =
    (same replies, never a stale block), a Delay just slows the quantum,
    and after any outcome the fleet keeps serving and stays XOR-clean *)
 let bbcache_probe site mode =
-  let fleet, _ = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let fleet = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
   let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
@@ -795,12 +740,9 @@ let probe_driver (site : string) : Fault.mode -> unit =
   | "crit.encode" | "crit.decode" -> crit_probe site
   | "recover.replay" -> recover_probe site
   | "fleet.wave" | "fleet.manifest" -> fleet_rollout_probe site
-  | "fleet.reenable" -> fleet_reenable_probe site
-  | "fleet.recut" -> fleet_recut_probe site
   | "balancer.dispatch" | "balancer.health" | "net.accept_queue"
   | "net.serve" ->
       fleet_request_probe site
-  | "fleet.shed" -> fleet_shed_probe site
   | "slice.trace" | "slice.compute" -> slice_probe site
   | "bbcache.dispatch" | "bbcache.flush" -> bbcache_probe site
   | s -> fun _ -> failp "site %s has no chaos probe — extend Chaos.probe_driver" s

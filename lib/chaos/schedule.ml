@@ -44,8 +44,9 @@ let pp ppf (s : t) =
    every rollout wave, the dispatch/serve path of every request, the
    manifest, and recovery replay (faults still armed can strike the
    recovery pass — that is the multi-fault point). Sites needing a
-   special driver (crit round trips, unmap-pages cuts, drift monitors,
-   forced shedding) are covered by the directed matrix instead. *)
+   special driver (crit round trips, unmap-pages cuts, the supervisor's
+   respawns, promotions and re-enables, the slicer, the code cache)
+   are covered by the directed matrix instead. *)
 let fleet_sites =
   [
     "criu.checkpoint";

@@ -202,7 +202,7 @@ val handler_hits : session -> pid:int -> int64
 
 type trap_meter
 (** Per-pid baselines of {!handler_hits} — the trap-rate input of the
-    supervisor's breaker and the fleet drift monitor. *)
+    supervisor's breaker. *)
 
 val trap_meter : unit -> trap_meter
 

@@ -19,17 +19,18 @@ type report = {
 let no_cfg : string -> Cfg.t option = fun _ -> None
 
 (** Feature identification from wanted/undesired trace logs. Multiple
-    logs per side are merged first. [keep_module] defaults to dropping
-    [*.so] modules (Figure 4 shows libc.so blocks being excluded).
-    [cfg_of] canonicalizes coverage onto static blocks before diffing
-    (see {!Covgraph.normalize}) — required for sound wipe policies. *)
-let feature_blocks ?(keep_module = fun m -> not (Covgraph.is_shared_library m))
-    ?(cfg_of = no_cfg) ~(wanted : Drcov.log list) ~(undesired : Drcov.log list)
-    () : report =
+    logs per side are merged first. [*.so] modules are dropped (Figure
+    4 shows libc.so blocks being excluded). [cfg_of] canonicalizes
+    coverage onto static blocks before diffing (see
+    {!Covgraph.normalize}) — required for sound wipe policies. *)
+let feature_blocks ?(cfg_of = no_cfg) ~(wanted : Drcov.log list)
+    ~(undesired : Drcov.log list) () : report =
   let gw = Covgraph.normalize ~cfg_of (Covgraph.of_logs wanted) in
   let gu = Covgraph.normalize ~cfg_of (Covgraph.of_logs undesired) in
   let raw = Covgraph.diff gu gw in
-  let filtered = Covgraph.filter_modules keep_module raw in
+  let filtered =
+    Covgraph.filter_modules (fun m -> not (Covgraph.is_shared_library m)) raw
+  in
   {
     undesired = filtered;
     n_undesired_raw = List.length raw;
@@ -39,15 +40,15 @@ let feature_blocks ?(keep_module = fun m -> not (Covgraph.is_shared_library m))
 
 (** Initialization-only block identification from the two coverage dumps
     produced by the nudge protocol (§3.1): the blocks covered during
-    initialization that never re-appear during serving. *)
-let init_blocks ?(keep_module = fun _ -> true) ?(cfg_of = no_cfg)
-    ~(init : Drcov.log) ~(serving : Drcov.log) () : report =
+    initialization that never re-appear during serving, in every module
+    (libraries included). *)
+let init_blocks ?(cfg_of = no_cfg) ~(init : Drcov.log) ~(serving : Drcov.log)
+    () : report =
   let gi = Covgraph.normalize ~cfg_of (Covgraph.of_log init) in
   let gs = Covgraph.normalize ~cfg_of (Covgraph.of_log serving) in
   let raw = Covgraph.diff gi gs in
-  let filtered = Covgraph.filter_modules keep_module raw in
   {
-    undesired = filtered;
+    undesired = raw;
     n_undesired_raw = List.length raw;
     n_wanted = Covgraph.cardinal gs;
     n_total_undesired_cov = Covgraph.cardinal gi;

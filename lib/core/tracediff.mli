@@ -9,26 +9,24 @@ type report = {
 }
 
 val feature_blocks :
-  ?keep_module:(string -> bool) ->
   ?cfg_of:(string -> Cfg.t option) ->
   wanted:Drcov.log list ->
   undesired:Drcov.log list ->
   unit ->
   report
 (** Feature identification: [blk ∈ CovG_undesired ∧ blk ∉ CovG_wanted].
-    Multiple logs per side merge first. [keep_module] defaults to
-    dropping [*.so] modules; [cfg_of] enables sound static-block
+    Multiple logs per side merge first; [*.so] modules are dropped.
+    [cfg_of] enables sound static-block
     canonicalization (recommended for any wipe policy). *)
 
 val init_blocks :
-  ?keep_module:(string -> bool) ->
   ?cfg_of:(string -> Cfg.t option) ->
   init:Drcov.log ->
   serving:Drcov.log ->
   unit ->
   report
 (** Initialization-only identification from the two nudge-protocol dumps:
-    [blk ∈ CovG_init ∧ blk ∉ CovG_serving]. *)
+    [blk ∈ CovG_init ∧ blk ∉ CovG_serving], libraries included. *)
 
 type slice_report = {
   sliced : Covgraph.block list;  (** covered blocks outside every slice *)

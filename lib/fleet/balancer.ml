@@ -5,13 +5,13 @@
     Each request is routed to the {e least-loaded healthy} worker:
     dead, frozen, drained, breaker-open and backlog-full workers are
     skipped (so a worker being cut mid-wave receives zero new
-    dispatches before it is even frozen), a half-open worker gets at
-    most one trickle probe at a time, and fleet-level admission control
-    sheds requests outright once aggregate in-flight crosses a
-    watermark (with hysteresis, so shedding does not flap).
+    dispatches before it is even frozen), and a half-open worker gets
+    at most one trickle probe at a time. When every worker is skipped
+    the request is refused; the bounded accept queues are the only
+    load limit.
 
     Every decision is recorded twice: in the metric registry
-    ([fleet.dispatches{pid}], [fleet.shed], [fleet.timeouts],
+    ([fleet.dispatches{pid}], [fleet.timeouts],
     [fleet.refused], the [fleet.request_cycles] latency histogram,
     [fleet.inflight] / [net.accept_queue_depth{owner,port}] gauges) and
     in a bounded in-memory decision log that tests and the acceptance
@@ -22,15 +22,9 @@
     {!request} keeps the closed-loop connect-run-reply contract the
     rollout driver and the CLI use. *)
 
-type config = {
-  b_backlog_max : int;  (** per-listener accept-queue bound *)
-  b_shed_high : int;
-      (** start shedding once aggregate in-flight reaches this *)
-  b_shed_low : int;  (** stop shedding at or below this (hysteresis) *)
-}
+type config = { b_backlog_max : int  (** per-listener accept-queue bound *) }
 
-let default_config ~(workers : int) =
-  { b_backlog_max = 8; b_shed_high = 4 * max 1 workers; b_shed_low = 2 * max 1 workers }
+let default_config = { b_backlog_max = 8 }
 
 (* latency samples a worker needs before the straggler test applies *)
 let straggler_min = 3
@@ -45,11 +39,10 @@ type skip =
   | Half_open_hold  (** half-open breaker: one probe already in flight *)
   | Straggler
       (** response-latency EWMA over 3 × the fleet's best: a
-          gray-failing worker sheds dispatches like a frozen one *)
+          gray-failing worker gets no dispatch, like a frozen one *)
 
 type verdict =
   | Dispatched of int  (** chosen worker pid *)
-  | Shed  (** admission control: aggregate in-flight over watermark *)
   | All_skipped  (** every worker skipped -> refused *)
 
 type decision = {
@@ -77,7 +70,6 @@ type t = {
   cfg : config;
   health : (int, health) Hashtbl.t;
   mutable inflight : int;  (** aggregate dispatched-not-completed *)
-  mutable shedding : bool;  (** admission-control state (hysteresis) *)
   mutable decisions : decision list;  (** newest first, bounded *)
   mutable n_decisions : int;
 }
@@ -98,11 +90,7 @@ exception Balancer_error of string
 let create ?config (machine : Machine.t) ~(port : int)
     ~(sessions : Dynacut.session list) : t =
   let workers = List.map (fun s -> s.Dynacut.root_pid) sessions in
-  let cfg =
-    match config with
-    | Some c -> c
-    | None -> default_config ~workers:(List.length workers)
-  in
+  let cfg = Option.value config ~default:default_config in
   let health = Hashtbl.create 8 in
   List.iter
     (fun s ->
@@ -123,7 +111,6 @@ let create ?config (machine : Machine.t) ~(port : int)
     cfg;
     health;
     inflight = 0;
-    shedding = false;
     decisions = [];
     n_decisions = 0;
   }
@@ -152,7 +139,6 @@ let health t ~pid =
 
 let ewma_latency t ~pid = (health t ~pid).h_lat_ewma
 let inflight t = t.inflight
-let shedding t = t.shedding
 
 (* fold one response-latency observation into [pid]'s EWMA *)
 let note_latency t ~pid (cycles : float) =
@@ -193,7 +179,6 @@ let dispatches ~pid =
     (Obs.counter ~labels:[ ("pid", string_of_int pid) ] "fleet.dispatches")
 
 let refused () = Obs.counter_value (Obs.counter "fleet.refused")
-let shed_count () = Obs.counter_value (Obs.counter "fleet.shed")
 
 let latency_hist () =
   Obs.histogram
@@ -300,69 +285,51 @@ let pick t : (int * Net.listener * (int * skip) list, (int * skip) list) result
   | Some (pid, l, _, _) -> Ok (pid, l, List.rev !skipped)
   | None -> Error (List.rev !skipped)
 
-(** Admission control: flip the shedding state against the watermarks.
-    Returns true when the request must be shed. *)
-let admission t =
-  if t.shedding then begin
-    if t.inflight <= t.cfg.b_shed_low then t.shedding <- false
-  end
-  else if t.inflight >= t.cfg.b_shed_high then t.shedding <- true;
-  t.shedding
-
 let set_inflight_gauge t =
   Obs.set_gauge (Obs.gauge "fleet.inflight") (float_of_int t.inflight)
 
-(** Non-blocking dispatch of one request. [`Shed] is the typed
-    over-capacity reply (admission control); [`Refused] means no worker
-    was eligible (the per-pid reasons are in the decision log). Fault
-    sites [balancer.dispatch] (every attempt), [balancer.health]
-    (scoring) and [fleet.shed] (on the shed path). *)
+(** Non-blocking dispatch of one request. [`Refused] means no worker
+    was eligible (the per-pid reasons are in the decision log). [`Shed]
+    is never produced: it stays in the result type only for callers
+    that still match it. Fault sites [balancer.dispatch] (every
+    attempt) and [balancer.health] (scoring). *)
 let dispatch ?deadline t (text : string) :
     [ `Ticket of ticket | `Shed | `Refused ] =
   Fault.site "balancer.dispatch";
-  if admission t then begin
-    Fault.site "fleet.shed";
-    Obs.incr (Obs.counter "fleet.shed");
-    Obs.event ~kind:"balancer"
-      (Printf.sprintf "shed inflight=%d high=%d" t.inflight t.cfg.b_shed_high);
-    record t Shed [];
-    `Shed
-  end
-  else
-    match pick t with
-    | Error skipped ->
-        Obs.incr (Obs.counter "fleet.refused");
-        record t All_skipped skipped;
-        `Refused
-    | Ok (pid, l, skipped) -> (
-        Net.set_backlog_max l t.cfg.b_backlog_max;
-        match Net.connect_via t.machine.Machine.net l with
-        | exception Net.Refused _ ->
-            (* raced to full between scoring and admit *)
-            Obs.incr (Obs.counter "fleet.refused");
-            record t All_skipped [ (pid, Backlog_full) ];
-            `Refused
-        | conn ->
-            let h = health t ~pid in
-            h.h_inflight <- h.h_inflight + 1;
-            h.h_dispatched <- h.h_dispatched + 1;
-            t.inflight <- t.inflight + 1;
-            set_inflight_gauge t;
-            Obs.incr
-              (Obs.counter ~labels:[ ("pid", string_of_int pid) ]
-                 "fleet.dispatches");
-            record t (Dispatched pid) skipped;
-            (match deadline with
-            | Some at -> Net.set_deadline conn at
-            | None -> ());
-            Net.client_send conn text;
-            `Ticket
-              {
-                tk_conn = conn;
-                tk_pid = pid;
-                tk_sent = t.machine.Machine.clock;
-                tk_open = true;
-              })
+  match pick t with
+  | Error skipped ->
+      Obs.incr (Obs.counter "fleet.refused");
+      record t All_skipped skipped;
+      `Refused
+  | Ok (pid, l, skipped) -> (
+      Net.set_backlog_max l t.cfg.b_backlog_max;
+      match Net.connect_via t.machine.Machine.net l with
+      | exception Net.Refused _ ->
+          (* raced to full between scoring and admit *)
+          Obs.incr (Obs.counter "fleet.refused");
+          record t All_skipped [ (pid, Backlog_full) ];
+          `Refused
+      | conn ->
+          let h = health t ~pid in
+          h.h_inflight <- h.h_inflight + 1;
+          h.h_dispatched <- h.h_dispatched + 1;
+          t.inflight <- t.inflight + 1;
+          set_inflight_gauge t;
+          Obs.incr
+            (Obs.counter ~labels:[ ("pid", string_of_int pid) ]
+               "fleet.dispatches");
+          record t (Dispatched pid) skipped;
+          (match deadline with
+          | Some at -> Net.set_deadline conn at
+          | None -> ());
+          Net.client_send conn text;
+          `Ticket
+            {
+              tk_conn = conn;
+              tk_pid = pid;
+              tk_sent = t.machine.Machine.clock;
+              tk_open = true;
+            })
 
 let finish t (tk : ticket) =
   if tk.tk_open then begin
@@ -417,15 +384,14 @@ let poll t (tk : ticket) :
     lands (or the deadline passes, or the serving worker dies), resolve.
     [`Timed_out pid] carries the worker the request was stranded on. *)
 let request ?(max_cycles = 2_000_000) ?deadline_cycles t (text : string) :
-    [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ] =
+    [ `Reply of int * string | `Refused | `Timed_out of int ] =
   let deadline =
     Option.map
       (fun d -> Int64.add t.machine.Machine.clock d)
       deadline_cycles
   in
   match dispatch ?deadline t text with
-  | `Shed -> `Shed
-  | `Refused -> `Refused
+  | `Shed | `Refused -> `Refused
   | `Ticket tk ->
       let resolved = ref `Pending in
       let pred () =

@@ -1,9 +1,8 @@
-(** The adaptive fleet orchestrator (DESIGN.md §6a): N single-process
-    workers behind the kernel's round-robin listener fan-out, kept
-    customized continuously by composing every existing subsystem —
-    {!Balancer} (dispatch control plane), {!Rollout} (wave-by-wave cuts
-    with a {!Supervisor.guarded_cut} canary per wave), {!Drift} (live
-    windowed coverage + trap-rate closed loop), one {!Dynacut.session}
+(** The fleet orchestrator (DESIGN.md §6a): N single-process workers
+    behind the kernel's round-robin listener fan-out, customized by
+    composing existing subsystems — {!Balancer} (dispatch control
+    plane), {!Rollout} (wave-by-wave cuts with a
+    {!Supervisor.guarded_cut} canary per wave), one {!Dynacut.session}
     (and hence one crash-consistency journal) per worker, and a fleet
     {!Journal.Manifest} that makes a crash mid-rollout recoverable back
     to a uniform fleet. *)
@@ -18,13 +17,12 @@ type t = {
   manifest : Journal.Manifest.t;
   blocks : Covgraph.block list;
   policy : Dynacut.policy;
-  mutable drift : Drift.t option;
   mutable outcome : Rollout.outcome option;
 }
 
 exception Fleet_error of string
 
-let worker_states = [ "serving"; "cut"; "reverted"; "reenabled"; "recut" ]
+let worker_states = [ "serving"; "cut"; "reverted" ]
 
 (** Refresh the [fleet.workers{state=…}] gauge family from the live
     worker records. *)
@@ -68,7 +66,6 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
       manifest;
       blocks;
       policy;
-      drift = None;
       outcome = None;
     }
   in
@@ -77,17 +74,16 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
 
 (** Boot [n] workers of [app] on one machine and assemble the fleet;
     see fleet.mli on why [blocks] is an argument. *)
-let boot ?seed ?traced ?balancer ~n ~blocks ~policy (app : Workload.app) :
-    t * Workload.ctx list =
+let boot ?seed ?balancer ~n ~blocks ~policy (app : Workload.app) : t =
   let port =
     match app.Workload.a_port with
     | Some p -> p
     | None -> raise (Fleet_error (app.Workload.a_name ^ " is not a server"))
   in
-  let ctxs = Workload.spawn_fleet ?seed ?traced ~n app in
+  let ctxs = Workload.spawn_fleet ?seed ~n app in
   Workload.wait_fleet_ready ctxs;
   let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  (create ?balancer (List.hd ctxs).Workload.m ~port ~pids ~blocks ~policy, ctxs)
+  create ?balancer (List.hd ctxs).Workload.m ~port ~pids ~blocks ~policy
 
 let machine t = t.machine
 let pids t = List.map (fun w -> w.Rollout.w_pid) t.workers
@@ -123,30 +119,6 @@ let rollout ?(config = Rollout.default_config) t ~(drive : unit -> unit) () :
   t.outcome <- Some outcome;
   refresh_gauges t;
   (outcome, reports)
-
-(** Start the drift monitor on [collector] (which must trace every
-    worker — [boot ~traced:true] arranges that). *)
-let start_drift ?(config = Drift.default_config) t
-    ~(collector : Collector.t) () : unit =
-  t.drift <-
-    Some
-      (Drift.create ~collector ~workers:t.workers ~candidate:t.blocks
-         ~policy:t.policy config)
-
-(** One control-loop step: drift window sampling and its re-enable /
-    re-cut decisions. Call between traffic slices. *)
-let tick t : Drift.action option =
-  match t.drift with
-  | None -> None
-  | Some d ->
-      let a = Drift.tick d in
-      if a <> None then refresh_gauges t;
-      a
-
-let drift_monitor t =
-  match t.drift with
-  | Some d -> d
-  | None -> raise (Fleet_error "drift monitor not started")
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide crash recovery                                           *)

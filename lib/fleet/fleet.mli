@@ -1,14 +1,11 @@
-(** The adaptive fleet orchestrator (DESIGN.md §6a).
+(** The fleet orchestrator (DESIGN.md §6a).
 
     Runs N single-process guest workers behind the kernel's round-robin
-    listener fan-out and keeps the whole fleet customized continuously:
+    listener fan-out and customizes the whole fleet:
 
     - {!rollout} applies one cut wave-by-wave, with a
       {!Supervisor.guarded_cut} canary gating every wave and the fleet
       manifest journaling each step;
-    - {!start_drift}/{!tick} run the coverage-drift closed loop: live
-      windowed drcov sampling, automatic fleet-wide re-enable on a trap
-      storm, automatic re-cut after a cold-coverage hysteresis;
     - {!recover} replays a controller crash mid-rollout back to a
       uniform fleet — completed waves cut, the interrupted wave
       original.
@@ -33,23 +30,22 @@ val create :
   t
 (** Assemble a fleet over already-booted workers. Every pid must be the
     root of its own process tree and own a listener on [port]; each gets
-    its own {!Dynacut.session} (and crash journal). [?balancer] tunes
-    the dispatcher's accept-queue bound and shed watermarks
-    ({!Balancer.default_config} otherwise). Raises {!Fleet_error} (or
+    its own {!Dynacut.session} (and crash journal). [?balancer] sets
+    the dispatcher's accept-queue bound ({!Balancer.default_config}
+    otherwise). Raises {!Fleet_error} (or
     {!Balancer.Balancer_error}) otherwise. *)
 
 val boot :
   ?seed:int ->
-  ?traced:bool ->
   ?balancer:Balancer.config ->
   n:int ->
   blocks:Covgraph.block list ->
   policy:Dynacut.policy ->
   Workload.app ->
-  t * Workload.ctx list
+  t
 (** The one way a scenario boots a fleet: [Workload.spawn_fleet] (with
-    [?seed] and [?traced]), [Workload.wait_fleet_ready], then {!create}
-    on the app's port; returns the fleet and its workers' contexts.
+    [?seed]), [Workload.wait_fleet_ready], then {!create}
+    on the app's port.
     [blocks] is evaluated before the call, so discovery's throwaway
     machines precede the machine under test: the [Obs] clock and the
     [Fault] delay hook follow the last machine created (DESIGN.md §6a). Raises {!Fleet_error} for an app with no port. *)
@@ -68,11 +64,11 @@ val request :
   ?deadline_cycles:int64 ->
   t ->
   string ->
-  [ `Reply of int * string | `Refused | `Shed | `Timed_out of int ]
+  [ `Reply of int * string | `Refused | `Timed_out of int ]
 (** One closed-loop request through the health-scored balancer: the
     reply plus the pid that served it, [`Refused] when no worker is
-    eligible, [`Shed] when admission control rejects it over-capacity,
-    or [`Timed_out pid] when [?deadline_cycles] passed first. *)
+    eligible, or [`Timed_out pid] when [?deadline_cycles] passed
+    first. *)
 
 val overload : t -> Loadgen.config -> text:string -> Loadgen.stats
 (** Saturate the fleet with the deterministic open-loop generator
@@ -86,17 +82,6 @@ val rollout :
   Rollout.outcome * Rollout.wave_report list
 (** Rolling rollout of the fleet's cut; see {!Rollout.run}. [drive]
     advances machine + traffic for the canary observation windows. *)
-
-val start_drift : ?config:Drift.config -> t -> collector:Collector.t -> unit -> unit
-(** Start the drift monitor. [collector] must trace every worker
-    ([boot ~traced:true] arranges that). *)
-
-val tick : t -> Drift.action option
-(** One control-loop step (drift sampling + decisions); call between
-    traffic slices. [None] before {!start_drift}. *)
-
-val drift_monitor : t -> Drift.t
-(** Raises {!Fleet_error} before {!start_drift}. *)
 
 (** {2 Fleet-wide crash recovery} *)
 

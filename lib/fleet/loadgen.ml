@@ -6,11 +6,11 @@
     follow a Poisson process on the virtual clock (inter-arrival times
     drawn from {!Rng}, so a fixed seed replays bit-for-bit) and are
     dispatched whether or not earlier requests have finished, so
-    offered load can exceed capacity and the shed/timeout/retry
-    machinery actually engages.
+    offered load can exceed capacity and the timeout/retry machinery
+    actually engages.
 
     Clients are impatient: every request carries a deadline, a timed-out
-    or shed/refused request retries with capped-jittered exponential
+    or refused request retries with capped-jittered exponential
     backoff — but only while the {e per-run retry budget} lasts, so
     retries stop amplifying load exactly when the fleet is saturated
     (tracked as [fleet.retries] / [fleet.budget_exhausted]).
@@ -43,7 +43,6 @@ type stats = {
   s_offered : int;  (** first-attempt arrivals generated *)
   s_completed : int;  (** replies with a body, within deadline *)
   s_failed : int;  (** gave up: empty reply, retries/budget exhausted *)
-  s_shed : int;  (** admission-control rejections observed *)
   s_refused : int;  (** no eligible worker at dispatch *)
   s_timeouts : int;  (** deadlines that passed in flight *)
   s_retries : int;  (** re-dispatches actually performed *)
@@ -55,9 +54,9 @@ type stats = {
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "offered=%d completed=%d failed=%d shed=%d refused=%d timeouts=%d \
+    "offered=%d completed=%d failed=%d refused=%d timeouts=%d \
      retries=%d budget_exhausted=%d cycles=%Ld p50=%.0f p99=%.0f"
-    s.s_offered s.s_completed s.s_failed s.s_shed s.s_refused s.s_timeouts
+    s.s_offered s.s_completed s.s_failed s.s_refused s.s_timeouts
     s.s_retries s.s_budget_exhausted s.s_cycles s.s_p50 s.s_p99
 
 (* exponential inter-arrival for a Poisson process at [rate]/Mcycle *)
@@ -89,7 +88,6 @@ let run (b : Balancer.t) (cfg : config) ~(text : string) : stats =
   let budget = ref cfg.lg_retry_budget in
   let completed = ref 0
   and failed = ref 0
-  and shed = ref 0
   and refused = ref 0
   and timeouts = ref 0
   and retries = ref 0
@@ -126,10 +124,7 @@ let run (b : Balancer.t) (cfg : config) ~(text : string) : stats =
     let deadline = Int64.add m.Machine.clock cfg.lg_deadline in
     match Balancer.dispatch ~deadline b text with
     | `Ticket tk -> inflight := (tk, attempt) :: !inflight
-    | `Shed ->
-        incr shed;
-        retry_or_fail ~attempt:(attempt + 1)
-    | `Refused ->
+    | `Shed | `Refused ->
         incr refused;
         retry_or_fail ~attempt:(attempt + 1)
   in
@@ -224,7 +219,6 @@ let run (b : Balancer.t) (cfg : config) ~(text : string) : stats =
       s_offered;
       s_completed = !completed;
       s_failed = !failed;
-      s_shed = !shed;
       s_refused = !refused;
       s_timeouts = !timeouts;
       s_retries = !retries;

@@ -22,7 +22,7 @@ type worker = {
   mutable w_journals : Rewriter.journal list;  (** non-empty = cut live *)
   mutable w_wave : int;  (** wave index (1-based); -1 before any rollout *)
   mutable w_state : string;
-      (** last transition: serving | cut | reverted | reenabled | recut *)
+      (** last transition: serving | cut | reverted *)
   mutable w_since : int64;  (** virtual clock of the last transition *)
 }
 

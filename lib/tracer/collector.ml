@@ -21,12 +21,6 @@ type t = {
   mutable seq : int;
   mutable dumps : Drcov.log list;  (** nudge outputs, oldest first *)
   prev_hook : Machine.trace_hook option;
-  (* windowed live sampling (fleet drift monitor) — rides alongside the
-     cumulative map without disturbing nudge/dump semantics *)
-  mutable win_period : int64 option;  (** None = windowing off *)
-  mutable win_last : int64;  (** virtual clock at last rotation *)
-  win_seen : int Itbl.t;  (** current window *)
-  mutable win_seq : int;
 }
 
 (* A block as one int: module index in bits 54-61, offset in bits
@@ -95,16 +89,9 @@ let on_block t (p : Proc.t) (start : int64) (size : int) =
   if traced t p then begin
     (* anonymous memory (JIT/stack) has no key — drcov skips it too *)
     let key = locate_in start size 0 t.module_map in
-    if key >= 0 then begin
-      if not (Itbl.mem t.seen key) then begin
-        Itbl.add t.seen key t.seq;
-        t.seq <- t.seq + 1
-      end;
-      match t.win_period with
-      | Some _ when not (Itbl.mem t.win_seen key) ->
-          Itbl.add t.win_seen key t.win_seq;
-          t.win_seq <- t.win_seq + 1
-      | _ -> ()
+    if key >= 0 && not (Itbl.mem t.seen key) then begin
+      Itbl.add t.seen key t.seq;
+      t.seq <- t.seq + 1
     end
   end
 
@@ -121,10 +108,6 @@ let attach (machine : Machine.t) ~pid : t =
       seq = 0;
       dumps = [];
       prev_hook = machine.Machine.trace;
-      win_period = None;
-      win_last = 0L;
-      win_seen = Itbl.create 256;
-      win_seq = 0;
     }
   in
   Hashtbl.replace t.roots pid ();
@@ -135,18 +118,7 @@ let attach (machine : Machine.t) ~pid : t =
         on_block t p start size);
   t
 
-(** Register an additional root to trace — how a fleet collector follows
-    several sibling workers with one merged module map. *)
-let add_root t ~pid =
-  let p = Machine.proc_exn t.machine pid in
-  Hashtbl.replace t.roots pid ();
-  List.iter
-    (fun (n, lo, hi) ->
-      if not (List.exists (fun (n', _, _) -> n' = n) t.module_map) then
-        t.module_map <- t.module_map @ [ (n, lo, hi) ])
-    (modules_of_proc p)
-
-let log_of t (seen : int Itbl.t) : Drcov.log =
+let current_log t : Drcov.log =
   let modules =
     List.mapi
       (fun i (name, base, end_) ->
@@ -163,12 +135,10 @@ let log_of t (seen : int Itbl.t) : Drcov.log =
           bb_seq = seq;
         }
         :: acc)
-      seen []
+      t.seen []
     |> List.sort (fun a b -> compare a.Drcov.bb_seq b.Drcov.bb_seq)
   in
   { Drcov.modules; bbs }
-
-let current_log t : Drcov.log = log_of t t.seen
 
 (** The nudge (§3.1): dump the coverage collected so far and clear the
     code cache. The dumped log is the coverage of the phase that just
@@ -185,29 +155,3 @@ let detach t : Drcov.log =
   current_log t
 
 let dumps t = t.dumps
-
-(* ---------- windowed live sampling (fleet drift monitor) ---------- *)
-
-(** Begin sampling in fixed virtual-clock windows of [period] cycles.
-    Restarting discards the open window. *)
-let start_window t ~period =
-  t.win_period <- Some period;
-  t.win_last <- t.machine.Machine.clock;
-  Itbl.reset t.win_seen;
-  t.win_seq <- 0
-
-(** Rotate the current window if at least one period elapsed on the
-    machine's virtual clock. Returns the closed window's log, or [None]
-    if the window is still open. Call after driving traffic. *)
-let window_tick t : Drcov.log option =
-  match t.win_period with
-  | None -> None
-  | Some period ->
-      if Int64.sub t.machine.Machine.clock t.win_last < period then None
-      else begin
-        let log = log_of t t.win_seen in
-        Itbl.reset t.win_seen;
-        t.win_seq <- 0;
-        t.win_last <- t.machine.Machine.clock;
-        Some log
-      end

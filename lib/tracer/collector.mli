@@ -21,20 +21,3 @@ val detach : t -> Drcov.log
 
 val dumps : t -> Drcov.log list
 (** All nudge outputs, oldest first. *)
-
-val add_root : t -> pid:int -> unit
-(** Also trace [pid] (a sibling worker); its modules merge into the
-    collector's map so fleet-wide coverage shares one block namespace. *)
-
-(** {2 Windowed live sampling}
-
-    A drift monitor needs "what does traffic reach {e right now}", not
-    cumulative coverage: these sample into fixed virtual-clock windows
-    alongside (and without disturbing) the cumulative map and nudges. *)
-
-val start_window : t -> period:int64 -> unit
-(** Sample in windows of [period] virtual cycles. Restarting discards
-    the open window. *)
-
-val window_tick : t -> Drcov.log option
-(** Rotate the window if a period elapsed; returns the closed window. *)

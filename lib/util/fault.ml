@@ -306,13 +306,10 @@ let known_sites =
     ("recover.replay", "apply one recovery action (respawn, pristine restore, thaw)");
     ("fleet.wave", "begin one wave of a rolling fleet rollout");
     ("fleet.manifest", "append a sealed entry to the fleet rollout manifest");
-    ("fleet.reenable", "drift monitor's automatic fleet-wide re-enable");
-    ("fleet.recut", "drift monitor's automatic re-cut of cold blocks");
     ("balancer.dispatch", "route one client connection to a fleet worker");
     ("balancer.health", "health-score the fleet's workers for one dispatch");
     ("net.accept_queue", "admit a connection onto a bounded accept queue");
     ("net.serve", "a worker accepts one queued connection to serve it");
-    ("fleet.shed", "admission control sheds one over-capacity request");
     ("slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks");
     ("slice.compute", "fold the anchored dependency sets into the final slice");
     ("bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum");

@@ -800,7 +800,7 @@ let test_self_modifying_eviction () =
 let test_fleet_recover_coldness () =
   Fault.reset ();
   Obs.reset ();
-  let fleet, _ =
+  let fleet =
     Fleet.boot ~n:2 ~blocks:(Common.web_feature_blocks Workload.ltpd)
       ~policy:lpolicy Workload.ltpd
   in

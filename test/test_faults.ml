@@ -429,13 +429,10 @@ let test_known_sites_registry () =
         "recover.replay";
         "fleet.wave";
         "fleet.manifest";
-        "fleet.reenable";
-        "fleet.recut";
         "balancer.dispatch";
         "balancer.health";
         "net.accept_queue";
         "net.serve";
-        "fleet.shed";
         "slice.trace";
         "slice.compute";
         "bbcache.dispatch";
