@@ -477,6 +477,16 @@ let cut_cmd =
 
 (* ---------- guard ---------- *)
 
+(* the wanted GET handler a --storm cut adds to the undesired set *)
+let storm_sym (app : Workload.app) =
+  match app.Workload.a_name with
+  | "ngx" -> "ngx_http_get"
+  | "ltpd" -> "ltpd_handle_get"
+  | "rkv" -> "rkv_cmd_get"
+  | n ->
+      Printf.eprintf "--storm is not supported for %s\n" n;
+      exit 2
+
 let guard_cmd =
   let feature =
     let doc = "Feature to disable (same choices as $(b,cut)); default put-delete \
@@ -484,8 +494,8 @@ let guard_cmd =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"FEATURE" ~doc)
   in
   let probe =
-    let doc = "Request mix driven between supervision ticks (repeatable); \
-               defaults to the app's wanted-traffic mix." in
+    let doc = "Request mix driven in each observation window and soak \
+               round (repeatable); defaults to the app's wanted-traffic mix." in
     Arg.(value & opt_all string [] & info [ "r"; "request" ] ~docv:"REQ" ~doc)
   in
   let canary =
@@ -496,51 +506,25 @@ let guard_cmd =
   let storm =
     let doc =
       "Deliberately add the app's wanted GET path to the undesired set, \
-       provoking a trap storm — a demo of the breaker tripping."
+       provoking a trap storm — a demo of the canary rejecting a bad cut."
     in
     Arg.(value & flag & info [ "storm" ] ~doc)
   in
-  let window =
-    let doc = "Sliding SLO window in virtual cycles." in
-    Arg.(value & opt int64 Supervisor.default_config.Supervisor.window
-         & info [ "window" ] ~docv:"CYCLES" ~doc)
-  in
   let max_traps =
     let doc =
-      "Traps tolerated per window before the breaker trips. Defaults to \
-       the supervisor's budget — except under --slice, where 'Verify' \
-       traps are self-healing restore events, so the default is \
-       effectively unbounded."
+      "Traps the canary may take before it is rejected. Defaults to the \
+       supervisor's budget — except under --slice, where 'Verify' traps \
+       are self-healing restore events, so the default is effectively \
+       unbounded."
     in
     Arg.(value & opt (some int) None & info [ "max-traps" ] ~docv:"N" ~doc)
   in
-  let cooldown =
-    let doc = "Virtual cycles spent open before a half-open probe re-cut." in
-    Arg.(value & opt int64 Supervisor.default_config.Supervisor.cooldown
-         & info [ "cooldown" ] ~docv:"CYCLES" ~doc)
-  in
-  let max_trips =
-    let doc = "Breaker trips before the cut is abandoned for good." in
-    Arg.(value & opt int Supervisor.default_config.Supervisor.max_trips
-         & info [ "max-trips" ] ~docv:"N" ~doc)
-  in
-  let max_respawns =
-    let doc = "Per-worker crash-loop respawn budget." in
-    Arg.(value & opt int Supervisor.default_config.Supervisor.max_respawns
-         & info [ "max-respawns" ] ~docv:"N" ~doc)
-  in
   let slices =
-    let doc = "Post-rollout soak: traffic + supervision tick rounds." in
+    let doc =
+      "With $(b,--slice): post-rollout soak rounds, each driving traffic \
+       and then folding verifier false positives back into the cut."
+    in
     Arg.(value & opt int 8 & info [ "slices" ] ~docv:"N" ~doc)
-  in
-  let storm_sym (app : Workload.app) =
-    match app.Workload.a_name with
-    | "ngx" -> "ngx_http_get"
-    | "ltpd" -> "ltpd_handle_get"
-    | "rkv" -> "rkv_cmd_get"
-    | n ->
-        Printf.eprintf "--storm is not supported for %s\n" n;
-        exit 2
   in
   let slice =
     let doc =
@@ -552,8 +536,8 @@ let guard_cmd =
     in
     Arg.(value & flag & info [ "slice" ] ~doc)
   in
-  let action app feature probes canary storm slice window max_traps cooldown
-      max_trips max_respawns slices faults seed list_sites verbose metrics =
+  let action app feature probes canary storm slice max_traps slices faults seed
+      list_sites verbose metrics =
     if list_sites && app = None then begin
       print_fault_sites ~verbose ();
       exit 0
@@ -597,10 +581,7 @@ let guard_cmd =
     in
     let c = Workload.boot app in
     let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-    let config =
-      { Supervisor.default_config with
-        Supervisor.window; max_traps; cooldown; max_trips; max_respawns }
-    in
+    let config = { Supervisor.default_config with Supervisor.max_traps } in
     let sup =
       Supervisor.create session ~config ~blocks
         ~policy:{ Dynacut.method_ = `First_byte; on_trap }
@@ -618,8 +599,6 @@ let guard_cmd =
     in
     let finish code =
       print_endline (Supervisor.render_log sup);
-      Format.printf "breaker: %a (trips=%d)@." Supervisor.pp_breaker
-        (Supervisor.breaker_state sup) (Supervisor.trips sup);
       if faults <> [] then print_endline (Fault.report ());
       if list_sites then print_fault_sites ~verbose ();
       write_metrics metrics;
@@ -631,10 +610,10 @@ let guard_cmd =
     | Supervisor.R_rolled_back _ -> finish 3
     | Supervisor.R_canary_rejected | Supervisor.R_promotion_failed -> finish 4
     | Supervisor.R_promoted -> ());
-    for _ = 1 to slices do
-      drive ();
-      (match !slicer with
-      | Some sl ->
+    (match !slicer with
+    | Some sl ->
+        for _ = 1 to slices do
+          drive ();
           (* `Verify traps restore blocks in place; evict them from the
              cut and re-join them to the slice as counterexamples *)
           let before = Supervisor.blocks sup in
@@ -651,39 +630,27 @@ let guard_cmd =
                 end)
               before
           end
-      | None -> ());
-      Supervisor.tick sup
-    done;
-    let code =
-      match Supervisor.breaker_state sup with
-      | Supervisor.Abandoned -> 5
-      | Supervisor.Open _ | Supervisor.Half_open _ -> 4
-      | Supervisor.Closed -> if Supervisor.trips sup > 0 then 4 else 0
-    in
-    finish code
+        done
+    | None -> ());
+    finish 0
   in
   let doc =
-    "Apply a cut under supervision: canary rollout, trap-storm circuit \
-     breaker, crash-loop respawn."
+    "Apply a cut under supervision: a canary rollout, and verifier \
+     feedback under --slice."
   in
   let man =
     exit_status_man
       [
         `P
-          "4: the rollout was stopped by the guardrails — the canary was \
-           rejected, promotion failed, or the circuit breaker tripped \
-           during the soak (the feature was automatically re-enabled).";
-        `P
-          "5: the breaker exhausted its trip budget; the cut was \
-           abandoned and the feature stays enabled.";
+          "4: the rollout was stopped by the canary gate — the canary was \
+           rejected or promotion failed; every pid is byte-original.";
       ]
   in
   Cmd.v
     (Cmd.info "guard" ~doc ~man)
     Term.(
       const action $ app_opt_arg $ feature $ probe $ canary $ storm $ slice
-      $ window $ max_traps $ cooldown $ max_trips $ max_respawns $ slices
-      $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ verbose_arg
+      $ max_traps $ slices $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ verbose_arg
       $ metrics_out_arg)
 
 (* ---------- recover ---------- *)
@@ -1110,8 +1077,8 @@ let top_cmd =
   let storm =
     let doc =
       "Cut the app's wanted GET path too, provoking a trap storm (same \
-       semantics as $(b,guard --storm)) so the summary shows breaker and \
-       respawn activity."
+       semantics as $(b,guard --storm)) so the summary shows the canary's \
+       rejection."
     in
     Arg.(value & flag & info [ "storm" ] ~doc)
   in
@@ -1120,87 +1087,14 @@ let top_cmd =
     Arg.(value & opt bool true & info [ "canary" ] ~docv:"BOOL" ~doc)
   in
   let slices =
-    let doc = "Soak rounds (traffic + supervision tick) after rollout." in
+    let doc = "Rounds of wanted traffic after the rollout." in
     Arg.(value & opt int 8 & info [ "slices" ] ~docv:"N" ~doc)
-  in
-  let storm_sym (app : Workload.app) =
-    match app.Workload.a_name with
-    | "ngx" -> "ngx_http_get"
-    | "ltpd" -> "ltpd_handle_get"
-    | "rkv" -> "rkv_cmd_get"
-    | n ->
-        Printf.eprintf "--storm is not supported for %s\n" n;
-        exit 2
-  in
-  let fleet_n =
-    let doc =
-      "Fleet mode: boot $(docv) workers, roll the cut out wave-by-wave, \
-       soak with wanted traffic, and add per-worker WAVE / LAST columns \
-       to the table."
-    in
-    Arg.(value & opt int 0 & info [ "fleet" ] ~docv:"N" ~doc)
   in
   let pid_counter name pid =
     Obs.counter_value
       (Obs.counter ~labels:[ ("pid", string_of_int pid) ] name)
   in
-  let fleet_action app feature slices n =
-    let blocks, redirect = feature_blocks app feature in
-    Fault.reset ();
-    require_server app;
-    let fleet =
-      Fleet.boot ~n ~blocks
-        ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect redirect }
-        app
-    in
-    let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-    let reqs = wanted_mix app in
-    let drive () = List.iter (fun r -> ignore (Fleet.request fleet r)) reqs in
-    let config =
-      Rollout.
-        {
-          r_waves = min 3 n;
-          r_sup =
-            { Supervisor.default_config with Supervisor.canary_windows = 1 };
-        }
-    in
-    let outcome, _ = Fleet.rollout fleet ~config ~drive () in
-    for _ = 1 to slices do
-      drive ()
-    done;
-    let rows =
-      Fleet.workers fleet
-      |> List.sort (fun a b -> compare a.Rollout.w_pid b.Rollout.w_pid)
-      |> List.map (fun (w : Rollout.worker) ->
-             let p = Machine.proc_exn m w.Rollout.w_pid in
-             [
-               string_of_int w.Rollout.w_pid;
-               p.Proc.comm;
-               Proc.state_to_string p.Proc.state;
-               string_of_int (pid_counter "machine.traps" w.Rollout.w_pid);
-               (if w.Rollout.w_wave < 0 then "-"
-                else string_of_int w.Rollout.w_wave);
-               Printf.sprintf "%s@%Ld" w.Rollout.w_state w.Rollout.w_since;
-             ])
-    in
-    print_string
-      (Table.render
-         ~headers:
-           [ "PID"; "COMM"; "STATE"; "TRAPS"; "WAVE"; "LAST" ]
-         rows);
-    print_newline ();
-    Format.printf "rollout: %a  reqs=%d refused=%d traps=%d@."
-      Rollout.pp_outcome outcome
-      (List.fold_left (fun a pid -> a + pid_counter "fleet.dispatches" pid) 0 pids)
-      (Obs.counter_value (Obs.counter "fleet.refused"))
-      (Obs.counter_value (Obs.counter "machine.traps"))
-  in
-  let action app feature storm canary slices fleet_n =
-    if fleet_n > 0 then begin
-      let app = require_app app in
-      fleet_action app (default_feature app feature) slices fleet_n;
-      exit 0
-    end;
+  let action app feature storm canary slices =
     let app = require_app app in
     let feature = default_feature app feature in
     let blocks, redirect = feature_blocks app feature in
@@ -1232,8 +1126,7 @@ let top_cmd =
     in
     let rollout = Supervisor.guarded_cut sup ~canary ~drive () in
     for _ = 1 to slices do
-      drive ();
-      Supervisor.tick sup
+      drive ()
     done;
     let rows =
       Machine.all_procs m
@@ -1246,29 +1139,25 @@ let top_cmd =
                p.Proc.comm;
                Proc.state_to_string p.Proc.state;
                string_of_int (pid_counter "machine.traps" pid);
-               string_of_int (pid_counter "supervisor.respawns" pid);
              ])
     in
     print_string
-      (Table.render ~headers:[ "PID"; "COMM"; "STATE"; "TRAPS"; "RESPAWNS" ]
-         rows);
+      (Table.render ~headers:[ "PID"; "COMM"; "STATE"; "TRAPS" ] rows);
+    print_newline ();
     Format.printf "rollout: %a@." Supervisor.pp_rollout rollout;
-    Format.printf "breaker: %a (trips=%d)  steps=%d syscalls=%d traps=%d@."
-      Supervisor.pp_breaker
-      (Supervisor.breaker_state sup)
-      (Supervisor.trips sup)
+    Format.printf "steps=%d syscalls=%d traps=%d@."
       (Obs.counter_value (Obs.counter "machine.steps"))
       (Obs.counter_value (Obs.counter "machine.syscalls"))
       (Obs.counter_value (Obs.counter "machine.traps"))
   in
   let doc =
-    "Guarded rollout, then a per-pid trap/respawn/breaker summary table \
-     from the metric registry (--fleet N for the fleet view)."
+    "Guarded rollout, then a per-pid state and trap summary table from the \
+     metric registry ($(b,dynacut fleet) has the fleet view)."
   in
   Cmd.v
     (Cmd.info "top" ~doc)
     Term.(
-      const action $ app_opt_arg $ feature $ storm $ canary $ slices $ fleet_n)
+      const action $ app_opt_arg $ feature $ storm $ canary $ slices)
 
 (* ---------- crit ---------- *)
 

@@ -101,6 +101,24 @@ if [ "$sites_in_code" != "$sites_listed" ]; then
 fi
 echo "   $(echo "$sites_listed" | wc -l) sites in sync"
 
+# Guard smoke (DESIGN.md §5c): the canary gate's exit codes. A good cut
+# is promoted (exit 0); a --storm cut kills the canary on the first
+# wanted request, so the canary is rejected and reverted (exit 4).
+echo "== guard smoke =="
+guard_exit() {
+  want=$1
+  shift
+  status=0
+  dune exec bin/dynacut_cli.exe -- guard "$@" >/dev/null || status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "FAIL: dynacut guard $* exited $status, expected $want"
+    exit 1
+  fi
+  echo "   guard $* -> $status"
+}
+guard_exit 0 ngx
+guard_exit 4 ngx --storm
+
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the
 # coverage diff cannot (disjoint by construction), converge the cut via

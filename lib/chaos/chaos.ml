@@ -21,7 +21,6 @@
       ([examples/crash_matrix.ml]). *)
 
 let get = "GET /index.html HTTP/1.0\r\n\r\n"
-let put = "PUT /evil.html HTTP/1.0\r\n\r\nowned"
 
 let status resp =
   match String.index_opt resp ' ' with
@@ -508,8 +507,8 @@ let respawn_probe site mode =
   in
   let outcome = strike c.Workload.m site mode respawn in
   (* a refused respawn closes its own journal intent — the worker is
-     legitimately still dead, and the supervisor's contract is to retry
-     next tick. Do that retry (the one-shot fault is spent). *)
+     legitimately still dead, and retrying is the caller's choice. Retry
+     once here (the one-shot fault is spent). *)
   (match outcome with `Refused _ -> respawn () | `Completed | `Killed -> ());
   let r = tree_finish c session oracle in
   if outcome = `Killed && r.Dynacut.rec_respawned <> [ worker ] then
@@ -527,24 +526,6 @@ let promote_probe site mode =
   let (_ : outcome) =
     strike c.Workload.m site mode (fun () ->
         ignore (Supervisor.guarded_cut sup ~canary:true ~drive ()))
-  in
-  ignore (tree_finish c session oracle : Dynacut.recovery)
-
-(* fault strikes the breaker's automatic re-enable *)
-let reenable_probe site mode =
-  let c, session, oracle = tree_setup () in
-  let sup =
-    Supervisor.create session
-      ~config:{ Supervisor.default_config with Supervisor.critical = true }
-      ~blocks:(blocks_for napp) ~policy:(npolicy `First_byte)
-  in
-  let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive () with
-  | Supervisor.R_promoted -> ()
-  | r -> failp "setup rollout failed: %s" (Format.asprintf "%a" Supervisor.pp_rollout r));
-  ignore (Workload.rpc ~max_cycles:800_000 c put);
-  let (_ : outcome) =
-    strike c.Workload.m site mode (fun () -> Supervisor.tick sup)
   in
   ignore (tree_finish c session oracle : Dynacut.recovery)
 
@@ -736,7 +717,6 @@ let probe_driver (site : string) : Fault.mode -> unit =
   | "restore.tcp_repair" -> tree_probe ~tcp:true site
   | "restore.respawn" -> respawn_probe site
   | "supervisor.promote" -> promote_probe site
-  | "supervisor.reenable" -> reenable_probe site
   | "crit.encode" | "crit.decode" -> crit_probe site
   | "recover.replay" -> recover_probe site
   | "fleet.wave" | "fleet.manifest" -> fleet_rollout_probe site

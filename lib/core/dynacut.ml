@@ -37,8 +37,6 @@ let pp_timings fmt t =
     "checkpoint %.4fs + disable %.4fs + sighandler %.4fs + restore %.4fs = %.4fs"
     t.t_checkpoint t.t_disable t.t_handler t.t_restore (total_time t)
 
-type breaker = Closed | Open of int64 | Half_open of int64 | Abandoned
-
 (* what a redirect cut needs of its executable, kept across cuts in
    place of the parse (ngx's parsed executable alone is 75 KB) *)
 type target = {
@@ -63,9 +61,6 @@ type session = {
   mutable table : (int * (int64 * int64) list) list;
       (** pid -> accumulated (trap addr, payload) entries across stacked
           cuts; re-enables remove their entries instead of clearing *)
-  mutable breaker : breaker;
-      (** the supervisor's circuit breaker over this tree; the fleet
-          balancer reads it to skip an open worker *)
   mutable target : target option;  (** the last redirect target resolved *)
 }
 
@@ -102,7 +97,6 @@ let create (machine : Machine.t) ~(root_pid : int) : session =
     cut_count = 0;
     table_mode = Handler.mode_terminate;
     table = [];
-    breaker = Closed;
     target = None;
   }
 
@@ -518,6 +512,9 @@ let jrnl_abort s ~txid =
         Journal.finish j
       end)
 
+(* charge the capped exponential backoff of retry number [attempt]
+   ([min (2^attempt) 64] thousand cycles) to the virtual clock and
+   return the cycles charged *)
 let backoff (m : Machine.t) ~attempt =
   let cycles = min (1 lsl attempt) 64 * 1_000 in
   m.Machine.clock <- Int64.add m.Machine.clock (Int64.of_int cycles);
@@ -786,14 +783,14 @@ let trap_delta (meter : trap_meter) (s : session) ~(pid : int) : int =
   Hashtbl.replace meter pid raw;
   Int64.to_int (if raw >= last then Int64.sub raw last else raw)
 
-(* ---------- journaled respawn (supervisor reverts) ---------- *)
+(* ---------- journaled respawn (canary and rollout reverts) ---------- *)
 
-(** Supervisor respawns go through here so a controller death
-    mid-respawn is visible to recovery: [Respawn_begin] is logged
-    before the re-create and [Respawn_done] once the controller is back
-    in control — {e including} when the respawn itself failed (the
-    supervisor handles that with backoff and a retry next tick). Only
-    an unmatched intent means the controller died. *)
+(** Respawns go through here so a controller death mid-respawn is
+    visible to recovery: [Respawn_begin] is logged before the re-create
+    and [Respawn_done] once the controller is back in control —
+    {e including} when the respawn itself failed (the worker is then
+    still dead, and the caller decides whether to retry). Only an
+    unmatched intent means the controller died. *)
 let journaled_respawn (s : session) ~(pid : int) ~(path : string) : Proc.t =
   let j = s.journal in
   Journal.acquire j ~epoch:s.epoch;

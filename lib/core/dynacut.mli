@@ -40,14 +40,6 @@ type timings = {
 val total_time : timings -> float
 val pp_timings : Format.formatter -> timings -> unit
 
-type breaker =
-  | Closed  (** cut live, trap rate inside the SLO *)
-  | Open of int64  (** feature re-enabled until this cycle *)
-  | Half_open of int64  (** probe re-cut live since this cycle *)
-  | Abandoned  (** trip budget exhausted; feature stays enabled *)
-(** A {!Supervisor}'s circuit-breaker state, kept on the session it
-    supervises. *)
-
 type target
 (** What a redirect cut needs of the executable: the target symbol's
     offset and its function's range, never the parsed binary. *)
@@ -66,10 +58,6 @@ type session = {
   mutable table : (int * (int64 * int64) list) list;
       (** accumulated policy entries per pid: stacked cuts merge, partial
           re-enables remove only their own entries *)
-  mutable breaker : breaker;
-      (** the supervisor's breaker over this tree ([Closed] while none is
-          attached); the fleet balancer reads it to drain a breaker-open
-          worker and trickle probes to a half-open one *)
   mutable target : target option;
       (** the last redirect target resolved, reused while the
           executable's contents in the Vfs are the same string *)
@@ -134,12 +122,6 @@ type cut_result = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val backoff : Machine.t -> attempt:int -> int
-(** Charge the capped exponential backoff of retry number [attempt]
-    ([min (2^attempt) 64] thousand cycles) to the virtual clock and
-    return the cycles charged — the transaction's retries and the
-    supervisor's respawns share it. *)
-
 (** [try_cut], [try_reenable] and {!apply_seccomp} journal every state transition
     into [<tmpfs>/journal] (sealed, checksummed {!Journal.record}
     frames) before acting on it, and hold the per-tree lock for the
@@ -165,7 +147,8 @@ val try_cut :
     stage. A failure is retried if and only if its injected fault is
     flagged transient: checkpoint, edit and commit share one retry
     loop, at most 2 retries per transaction, each charging capped
-    exponential backoff ({!backoff}) to the virtual clock. *)
+    exponential backoff ([min (2^attempt) 64] thousand cycles) to the
+    virtual clock. *)
 
 val try_reenable : session -> ?pids:int list -> Rewriter.journal list -> cut_result
 (** Restore a previous cut (original bytes back, pages remapped, policy
@@ -201,8 +184,8 @@ val handler_hits : session -> pid:int -> int64
 (** Number of SIGTRAP deliveries the injected handler served. *)
 
 type trap_meter
-(** Per-pid baselines of {!handler_hits} — the trap-rate input of the
-    supervisor's breaker. *)
+(** Per-pid baselines of {!handler_hits} — the trap count the
+    supervisor's canary gate reads. *)
 
 val trap_meter : unit -> trap_meter
 
@@ -218,8 +201,7 @@ val trap_delta : trap_meter -> session -> pid:int -> int
 val journaled_respawn : session -> pid:int -> path:string -> Proc.t
 (** [Restore.respawn] bracketed by [Respawn_begin]/[Respawn_done]
     journal records, so a controller death mid-respawn is visible to
-    {!recover}. The supervisor's respawn and canary-revert paths use
-    this. *)
+    {!recover}. The canary and rollout reverts use this. *)
 
 val respawn_pristine : session -> pid:int -> unit
 (** Re-create [pid] from its pristine image by {!journaled_respawn},

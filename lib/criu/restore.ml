@@ -160,8 +160,8 @@ let load_from_tmpfs (m : Machine.t) ~(path : string) : Images.t =
 let restore_from_tmpfs (m : Machine.t) ~(path : string) : Proc.t =
   restore m (load_from_tmpfs m ~path)
 
-(** Re-create a dead process from a tmpfs image — the supervisor's
-    crash-loop respawn. The pid must be dead (a live pid is refused by
+(** Re-create a dead process from a tmpfs image (a canary revert, a
+    rollout unwind, recovery). The pid must be dead (a live pid is refused by
     {!restore}); the restored process takes over the dead one's slot and
     resumes from the image's saved state, cut edits included when the
     image is a working (rewritten) one. *)

@@ -22,6 +22,7 @@ val restore_from_tmpfs : Machine.t -> path:string -> Proc.t
 
 val respawn : Machine.t -> path:string -> Proc.t
 (** Re-create a {e dead} pid from a tmpfs image (fault site
-    [restore.respawn]) — the supervisor's crash-loop respawn. Restoring
+    [restore.respawn]), as a canary revert, a rollout unwind or recovery
+    does. Restoring
     from a working (rewritten) image resumes with the cut applied;
     restoring from a pristine image resumes the original program. *)

@@ -147,9 +147,8 @@ type converge = {
     trap once, get restored in place by the guest handler, and are
     evicted from the cut — each eviction is reported through
     [on_counterexample] so the caller can feed it back into the slicer
-    ({!Slicer.add_counterexample}). The trap budget is effectively
-    unbounded during convergence; the breaker guards the steady state
-    afterwards. *)
+    ({!Slicer.add_counterexample}). The canary's trap budget is
+    effectively unbounded: [`Verify] traps restore, they do not fail. *)
 let cut_and_converge ?(seed = 42)
     ?(on_counterexample = fun (_ : Covgraph.block) -> ())
     (app : Workload.app) ~(blocks : Covgraph.block list) () : converge =
@@ -158,11 +157,7 @@ let cut_and_converge ?(seed = 42)
   let sup =
     Supervisor.create session
       ~config:
-        {
-          Supervisor.default_config with
-          Supervisor.max_traps = 100_000;
-          canary_windows = 1;
-        }
+{ Supervisor.max_traps = 100_000; canary_windows = 1 }
       ~blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Verify }
   in

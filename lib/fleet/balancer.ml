@@ -3,10 +3,9 @@
     PR 1-5's balancer was a control plane over the kernel's blind
     round-robin ({!Net.route}); this one owns the dispatch decision.
     Each request is routed to the {e least-loaded healthy} worker:
-    dead, frozen, drained, breaker-open and backlog-full workers are
+    dead, frozen, drained, backlog-full and straggling workers are
     skipped (so a worker being cut mid-wave receives zero new
-    dispatches before it is even frozen), and a half-open worker gets
-    at most one trickle probe at a time. When every worker is skipped
+    dispatches before it is even frozen). When every worker is skipped
     the request is refused; the bounded accept queues are the only
     load limit.
 
@@ -34,9 +33,7 @@ type skip =
   | Dead
   | Frozen
   | Drained
-  | Breaker_open
   | Backlog_full
-  | Half_open_hold  (** half-open breaker: one probe already in flight *)
   | Straggler
       (** response-latency EWMA over 3 × the fleet's best: a
           gray-failing worker gets no dispatch, like a frozen one *)
@@ -52,7 +49,6 @@ type decision = {
 }
 
 type health = {
-  h_session : Dynacut.session;  (** the worker's tree, carrying its breaker *)
   mutable h_ewma : float;  (** EWMA of in-flight, sampled per dispatch *)
   mutable h_inflight : int;  (** dispatched, not yet completed *)
   mutable h_dispatched : int;  (** cumulative, the tie-breaker *)
@@ -85,25 +81,22 @@ type ticket = {
 
 exception Balancer_error of string
 
-(** A balancer over the worker trees of [sessions], one worker per
-    session root. *)
-let create ?config (machine : Machine.t) ~(port : int)
-    ~(sessions : Dynacut.session list) : t =
-  let workers = List.map (fun s -> s.Dynacut.root_pid) sessions in
+(** A balancer over [workers], the tree-root pids of the fleet. *)
+let create ?config (machine : Machine.t) ~(port : int) ~(workers : int list) :
+    t =
   let cfg = Option.value config ~default:default_config in
   let health = Hashtbl.create 8 in
   List.iter
-    (fun s ->
-      Hashtbl.replace health s.Dynacut.root_pid
+    (fun pid ->
+      Hashtbl.replace health pid
         {
-          h_session = s;
           h_ewma = 0.;
           h_inflight = 0;
           h_dispatched = 0;
           h_lat_ewma = 0.;
           h_lat_samples = 0;
         })
-    sessions;
+    workers;
   {
     machine;
     port;
@@ -114,10 +107,6 @@ let create ?config (machine : Machine.t) ~(port : int)
     decisions = [];
     n_decisions = 0;
   }
-
-let workers t = t.workers
-let port t = t.port
-let config t = t.cfg
 
 let listener t ~pid =
   match Net.find_listener_owned t.machine.Machine.net ~port:t.port ~owner:pid with
@@ -138,7 +127,6 @@ let health t ~pid =
   | None -> raise (Balancer_error (Printf.sprintf "pid %d is not a worker" pid))
 
 let ewma_latency t ~pid = (health t ~pid).h_lat_ewma
-let inflight t = t.inflight
 
 (* fold one response-latency observation into [pid]'s EWMA *)
 let note_latency t ~pid (cycles : float) =
@@ -178,8 +166,6 @@ let dispatches ~pid =
   Obs.counter_value
     (Obs.counter ~labels:[ ("pid", string_of_int pid) ] "fleet.dispatches")
 
-let refused () = Obs.counter_value (Obs.counter "fleet.refused")
-
 let latency_hist () =
   Obs.histogram
     ~buckets:[ 1e3; 1e4; 5e4; 1e5; 5e5; 1e6; 5e6 ]
@@ -215,19 +201,14 @@ let classify t ~pid ~(baseline : float option) : (Net.listener, skip) result =
       else
         let l = listener t ~pid in
         if not l.Net.accepting then Error Drained
+        else if Net.backlog_full l then Error Backlog_full
         else
           let h = health t ~pid in
-          match h.h_session.Dynacut.breaker with
-          | Open _ | Abandoned -> Error Breaker_open
-          | Half_open _ when h.h_inflight > 0 -> Error Half_open_hold
-          | Closed | Half_open _ -> (
-              if Net.backlog_full l then Error Backlog_full
-              else
-                match baseline with
-                | Some b
-                  when h.h_lat_samples >= straggler_min && h.h_lat_ewma > 3. *. b ->
-                    Error Straggler
-                | _ -> Ok l)
+          match baseline with
+          | Some b
+            when h.h_lat_samples >= straggler_min && h.h_lat_ewma > 3. *. b ->
+              Error Straggler
+          | _ -> Ok l
 
 (** Health-score every worker and pick the least-loaded eligible one.
     Score = EWMA(in-flight) + current accept-queue depth + relative

@@ -45,17 +45,9 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
     ~(policy : Dynacut.policy) : t =
   if pids = [] then raise (Fleet_error "fleet needs at least one worker");
   let workers = List.map (fun pid -> Rollout.make_worker machine ~pid) pids in
-  let balancer =
-    Balancer.create ?config:bcfg machine ~port
-      ~sessions:(List.map (fun w -> w.Rollout.w_session) workers)
-  in
-  (* every worker must own a listener on [port]; its breaker mirror
-     starts at Closed, so the dumps list every worker's breaker *)
-  List.iter
-    (fun pid ->
-      ignore (Balancer.listener balancer ~pid);
-      ignore (Supervisor.breaker_gauge ~root_pid:pid))
-    pids;
+  let balancer = Balancer.create ?config:bcfg machine ~port ~workers:pids in
+  (* every worker must own a listener on [port] *)
+  List.iter (fun pid -> ignore (Balancer.listener balancer ~pid)) pids;
   let manifest = Journal.Manifest.attach machine.Machine.fs ~dir:manifest_dir in
   let t =
     {

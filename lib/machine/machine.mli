@@ -19,7 +19,7 @@ type syscall_hook = Proc.t -> int -> unit
 
 type exit_hook = Proc.t -> unit
 (** Fires exactly once when a process dies (exit syscall, fatal signal,
-    double fault) — the supervisor's crash-loop detector. *)
+    double fault). *)
 
 type insn_hook = Proc.t -> Insn.t -> Defuse.effect -> unit
 (** Fires before every decoded instruction executes, with registers

@@ -298,9 +298,8 @@ let known_sites =
     ("inject.policy", "write the policy table into the image");
     ("restore.process", "rebuild a live process from images");
     ("restore.tcp_repair", "re-attach a snapshotted TCP connection");
-    ("restore.respawn", "supervisor crash-loop respawn from a tmpfs image");
+    ("restore.respawn", "journaled re-create of a dead or reverted pid from a tmpfs image");
     ("supervisor.promote", "canary promotion to the remaining pids");
-    ("supervisor.reenable", "breaker-tripped automatic re-enable");
     ("journal.lock", "acquire or refresh the per-tree journal lock (fencing)");
     ("journal.append", "append a sealed record to the crash-consistency journal");
     ("recover.replay", "apply one recovery action (respawn, pristine restore, thaw)");

@@ -61,13 +61,6 @@ let test_common_init_blocks_include_libc () =
   Alcotest.(check bool) "libc init code found" true
     (List.exists (fun (b : Covgraph.block) -> b.Covgraph.b_module = "libc.so") blocks)
 
-let test_fig8_interrupt_model_monotone () =
-  Alcotest.(check bool) "bigger images cost more" true
-    (Fig8.interrupt_cycles ~image_bytes:1_000_000 > Fig8.interrupt_cycles ~image_bytes:100_000);
-  Alcotest.(check bool) "within the paper's band for rkv-sized images" true
-    (let c = Fig8.interrupt_cycles ~image_bytes:450_000 in
-     c >= 400_000 && c <= 1_000_000)
-
 (* fig7's [measure] on one server: its sealed images decode, and the
    wiped tree still serves *)
 let test_fig7_measure () =
@@ -85,5 +78,4 @@ let suite =
     Alcotest.test_case "feature blocks exclude libraries" `Quick test_common_feature_blocks_app_only;
     Alcotest.test_case "init blocks include libc" `Quick test_common_init_blocks_include_libc;
     Alcotest.test_case "fig7 measure (ltpd)" `Quick test_fig7_measure;
-    Alcotest.test_case "fig8 interruption model" `Quick test_fig8_interrupt_model_monotone;
   ]

@@ -284,78 +284,6 @@ let test_promote_fault_fleet_invariant () =
     "HTTP/1.0 403" (String.sub (Workload.rpc c "PUT /u.txt HTTP/1.0\r\n\r\ndata") 0 12);
   Fault.reset ()
 
-(** A fault at [supervisor.reenable] while the breaker trips must leave
-    the cut fully applied; the next tick retries and re-enables fully. *)
-let test_reenable_fault_leaves_cut_intact () =
-  Fault.reset ();
-  (* a deliberately bad cut: the blocks only wanted GETs cover *)
-  let wanted = Test_core.trace_run [ "S"; "X"; "S" ] in
-  let undesired = Test_core.trace_run [ "G"; "G" ] in
-  let blocks =
-    (Tracediff.feature_blocks ~wanted:[ wanted ] ~undesired:[ undesired ] ())
-      .Tracediff.undesired
-  in
-  let m, p = Test_core.boot () in
-  let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  let sup =
-    Supervisor.create session
-      ~config:{ Supervisor.default_config with Supervisor.max_traps = 1 }
-      ~blocks ~policy:redirect_policy
-  in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:(fun () -> ()) () with
-  | Supervisor.R_promoted -> ()
-  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
-  for _ = 1 to 2 do
-    Alcotest.(check string) "G storms" "ERR" (Test_core.request m "G")
-  done;
-  Fault.arm "supervisor.reenable" Fault.One_shot;
-  Supervisor.tick sup;
-  Alcotest.(check bool) "reenable fired" true (Fault.fired "supervisor.reenable" = 1);
-  (* the trip failed: the cut is still fully applied, no trip recorded *)
-  Alcotest.(check bool) "cut still live" true (Supervisor.cut_live sup);
-  Alcotest.(check int) "no trip recorded" 0 (Supervisor.trips sup);
-  Alcotest.(check string) "still blocked" "ERR" (Test_core.request m "G");
-  (* next tick re-detects the storm; the fault is gone, re-enable lands *)
-  Supervisor.tick sup;
-  Alcotest.(check bool) "re-enabled" false (Supervisor.cut_live sup);
-  Alcotest.(check int) "trip recorded" 1 (Supervisor.trips sup);
-  Alcotest.(check string) "fully original" "VAL=7" (Test_core.request m "G");
-  Fault.reset ()
-
-(** A fault at [restore.respawn] leaves the dead worker dead; the next
-    tick retries the respawn and brings it back with the cut intact. *)
-let test_respawn_fault_retried () =
-  Fault.reset ();
-  let wanted = Test_core.trace_run [ "S"; "X"; "S" ] in
-  let undesired = Test_core.trace_run [ "G"; "G" ] in
-  let blocks =
-    (Tracediff.feature_blocks ~wanted:[ wanted ] ~undesired:[ undesired ] ())
-      .Tracediff.undesired
-  in
-  let m, p = Test_core.boot () in
-  let pid = p.Proc.pid in
-  let session = Dynacut.create m ~root_pid:pid in
-  let sup =
-    Supervisor.create session
-      ~config:{ Supervisor.default_config with Supervisor.max_traps = 1000 }
-      ~blocks
-      ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Kill }
-  in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:(fun () -> ()) () with
-  | Supervisor.R_promoted -> ()
-  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
-  let (_ : string) = Test_core.request m "G" in
-  Alcotest.(check bool) "killed" false (Proc.is_live (Machine.proc_exn m pid));
-  Fault.arm "restore.respawn" Fault.One_shot;
-  Supervisor.tick sup;
-  Alcotest.(check bool) "respawn fired" true (Fault.fired "restore.respawn" = 1);
-  Alcotest.(check bool) "still dead" false (Proc.is_live (Machine.proc_exn m pid));
-  Supervisor.tick sup;
-  Alcotest.(check bool) "respawned on retry" true
-    (Proc.is_live (Machine.proc_exn m pid));
-  Alcotest.(check string) "serving again" "SET-OK" (Test_core.request m "S");
-  Fault.reset ()
-
 (* ---------- guarded rollout chaos soak ---------- *)
 
 let test_guarded_chaos_soak () =
@@ -391,7 +319,6 @@ let test_guarded_chaos_soak () =
     (match Supervisor.guarded_cut sup ~canary:true ~drive () with
     | Supervisor.R_promoted ->
         drive ();
-        Supervisor.tick sup;
         (* the armed fault may fire here instead; a rolled-back reenable
            just leaves the feature blocked — still serving *)
         ignore (Dynacut.try_reenable session (Supervisor.journals sup))
@@ -423,7 +350,6 @@ let test_known_sites_registry () =
         "crit.encode";
         "crit.decode";
         "supervisor.promote";
-        "supervisor.reenable";
         "journal.lock";
         "journal.append";
         "recover.replay";
@@ -470,10 +396,6 @@ let suite =
       Alcotest.test_case "chaos soak vs ngx" `Slow test_chaos_soak_ngx;
       Alcotest.test_case "promote fault: fleet stays atomic" `Quick
         test_promote_fault_fleet_invariant;
-      Alcotest.test_case "reenable fault: cut stays intact, retried" `Quick
-        test_reenable_fault_leaves_cut_intact;
-      Alcotest.test_case "respawn fault: retried next tick" `Quick
-        test_respawn_fault_retried;
       Alcotest.test_case "guarded rollout chaos soak" `Slow test_guarded_chaos_soak;
       Alcotest.test_case "fault-site registry complete" `Quick
         test_known_sites_registry;

@@ -132,6 +132,28 @@ let test_rollout_completes () =
         (String.length resp > 12 && String.sub resp 9 3 = "403")
   | `Refused | `Timed_out _ -> Alcotest.fail "fleet refused")
 
+(* A rollout attaches one supervisor per wave; none of them may leave a
+   hook on the shared machine that would keep it reachable after the
+   wave (or run on every later worker death). *)
+let test_rollout_leaves_exit_hook () =
+  Obs.reset ();
+  Fault.reset ();
+  let fleet = Fleet.boot ~n:3 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
+  let m = Fleet.machine fleet in
+  let hook = Some (fun (_ : Proc.t) -> ()) in
+  m.Machine.on_exit <- hook;
+  let outcome, _ =
+    Fleet.rollout fleet
+      ~config:Rollout.{ r_waves = 3; r_sup = quick_sup }
+      ~drive:(fun () -> send fleet [ lget ])
+      ()
+  in
+  (match outcome with
+  | Rollout.Completed { waves } -> Alcotest.(check int) "3 waves" 3 waves
+  | o -> Alcotest.failf "rollout: %a" Rollout.pp_outcome o);
+  Alcotest.(check bool) "on_exit is the hook installed before" true
+    (m.Machine.on_exit == hook)
+
 let test_rollout_halts_on_trap_storm () =
   Obs.reset ();
   Fault.reset ();
@@ -244,102 +266,6 @@ let test_frozen_worker_zero_dispatches () =
   done;
   Alcotest.(check bool) "serves again after thaw" true
     (Balancer.dispatches ~pid:cold > 0)
-
-(* what a supervisor over the worker's session records *)
-let set_breaker fleet ~pid b =
-  (Fleet.worker fleet ~pid).Rollout.w_session.Dynacut.breaker <- b
-
-let test_breaker_open_drains_dispatch () =
-  Obs.reset ();
-  Fault.reset ();
-  let fleet = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
-  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-  let sick = List.nth pids 0 and healthy = List.nth pids 1 in
-  (* breaker open on the worker's session: the balancer must route
-     around the worker without being told *)
-  set_breaker fleet ~pid:sick (Supervisor.Open 0L);
-  for _ = 1 to 6 do
-    match Fleet.request fleet lget with
-    | `Reply (pid, _) -> Alcotest.(check int) "only the healthy worker" healthy pid
-    | `Refused | `Timed_out _ -> Alcotest.fail "fleet refused"
-  done;
-  Alcotest.(check int) "zero dispatches while open" 0
-    (Balancer.dispatches ~pid:sick);
-  (* half-open: exactly one trickle probe at a time *)
-  set_breaker fleet ~pid:sick (Supervisor.Half_open 0L);
-  set_breaker fleet ~pid:healthy (Supervisor.Open 0L);
-  let b = Fleet.balancer fleet in
-  (match Balancer.dispatch b lget with
-  | `Ticket tk ->
-      Alcotest.(check int) "probe goes to the half-open worker" sick
-        Balancer.(tk.tk_pid);
-      (* a second concurrent dispatch is held back entirely *)
-      (match Balancer.dispatch b lget with
-      | `Refused -> ()
-      | `Ticket _ | `Shed -> Alcotest.fail "half-open hold violated");
-      let (_ : _) =
-        Machine.run_until m ~max_cycles:2_000_000 ~pred:(fun () ->
-            Net.client_pending Balancer.(tk.tk_conn) > 0)
-      in
-      (match Balancer.poll b tk with
-      | `Reply (pid, resp) ->
-          Alcotest.(check int) "probe served by the probed worker" sick pid;
-          Alcotest.(check string) "probe 200" "200" (String.sub resp 9 3)
-      | `Pending | `Timed_out _ -> Alcotest.fail "probe did not complete")
-  | `Refused | `Shed -> Alcotest.fail "half-open worker got no probe");
-  (* breaker closed again: normal rotation resumes *)
-  set_breaker fleet ~pid:sick Supervisor.Closed;
-  set_breaker fleet ~pid:healthy Supervisor.Closed;
-  match Fleet.request fleet lget with
-  | `Reply (_, resp) -> Alcotest.(check string) "200" "200" (String.sub resp 9 3)
-  | `Refused | `Timed_out _ -> Alcotest.fail "fleet refused"
-
-(* The balancer reads the breaker a supervisor opened from the worker's
-   session, not from the metrics registry: the open worker gets no
-   dispatch with Obs disabled while the breaker opens, nor after an
-   [Obs.reset] drops every series. *)
-let test_breaker_open_without_obs () =
-  Obs.reset ();
-  Fault.reset ();
-  let fleet = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
-  let pids = Fleet.pids fleet in
-  let sick = List.nth pids 0 in
-  let sup =
-    Supervisor.create (Fleet.worker fleet ~pid:sick).Rollout.w_session
-      ~config:{ Supervisor.default_config with Supervisor.critical = true }
-      ~blocks:(Lazy.force lblocks) ~policy:lpolicy
-  in
-  let served_by_sick () =
-    List.length
-      (List.filter
-         (fun _ ->
-           match Fleet.request fleet lget with
-           | `Reply (pid, _) -> pid = sick
-           | `Refused | `Timed_out _ -> Alcotest.fail "fleet refused")
-         [ 1; 2; 3; 4; 5; 6 ])
-  in
-  Obs.set_enabled false;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled true) @@ fun () ->
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:ignore () with
-  | Supervisor.R_promoted -> ()
-  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
-  (* a PUT on the cut worker traps, and a critical breaker trips on it *)
-  let rec storm k =
-    if k = 0 then Alcotest.fail "no PUT reached the cut worker"
-    else
-      match Fleet.request fleet lput with
-      | `Reply (pid, _) when pid = sick -> ()
-      | _ -> storm (k - 1)
-  in
-  storm 4;
-  Supervisor.tick sup;
-  (match Supervisor.breaker_state sup with
-  | Supervisor.Open _ -> ()
-  | b -> Alcotest.failf "expected open, got %a" Supervisor.pp_breaker b);
-  Alcotest.(check int) "no dispatch with Obs disabled" 0 (served_by_sick ());
-  Obs.set_enabled true;
-  Obs.reset ();
-  Alcotest.(check int) "no dispatch after Obs.reset" 0 (served_by_sick ())
 
 (* The bounded accept queues are the balancer's only load limit: with
    one slot per worker and the machine never run, two dispatches fill
@@ -645,16 +571,14 @@ let suite =
     Alcotest.test_case "manifest halted summary" `Quick
       test_manifest_halted_summary;
     Alcotest.test_case "rollout completes" `Quick test_rollout_completes;
+    Alcotest.test_case "rollout leaves the exit hook alone" `Quick
+      test_rollout_leaves_exit_hook;
     Alcotest.test_case "rollout halts on trap storm" `Quick
       test_rollout_halts_on_trap_storm;
     Alcotest.test_case "recover unwinds open wave" `Quick
       test_recover_unwinds_open_wave;
     Alcotest.test_case "frozen worker gets zero dispatches" `Quick
       test_frozen_worker_zero_dispatches;
-    Alcotest.test_case "breaker-open drains dispatch" `Quick
-      test_breaker_open_drains_dispatch;
-    Alcotest.test_case "breaker open without Obs" `Quick
-      test_breaker_open_without_obs;
     Alcotest.test_case "backlog-full dispatch refuses" `Quick
       test_backlog_full_refuses;
     Alcotest.test_case "loadgen deterministic + budget" `Quick

@@ -101,10 +101,11 @@ let test_ring_eviction () =
 (* ---------- determinism: guard scenario replays bit-for-bit ---------- *)
 
 (** One guarded cut on the dispatch server with blocks chosen so wanted
-    GET traffic storms the trap handler (the [Test_supervisor] storm),
-    then a tick that trips the breaker — exercising every producer that
-    feeds the unified stream: dynacut commits, journal appends, machine
-    traps and supervisor decisions. *)
+    GET traffic storms the trap handler (the [Test_supervisor] storm):
+    the canary (the single-process tree's root) traps on every GET and
+    is rejected and reverted — exercising every producer that feeds the
+    unified stream: dynacut commits, journal appends, machine traps and
+    supervisor decisions. *)
 let guard_scenario () =
   Fault.reset ();
   Obs.reset ();
@@ -116,25 +117,20 @@ let guard_scenario () =
   in
   let m, p = Test_core.boot () in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  let config =
-    {
-      Supervisor.default_config with
-      Supervisor.window = 5_000_000L;
-      max_traps = 2;
-      cooldown = 10_000_000L;
-    }
-  in
   let sup =
-    Supervisor.create session ~config ~blocks
+    Supervisor.create session
+      ~config:{ Supervisor.max_traps = 2; canary_windows = 1 }
+      ~blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect "err_path" }
   in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:(fun () -> ()) () with
-  | Supervisor.R_promoted -> ()
-  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
-  for _ = 1 to 3 do
-    ignore (Test_core.request m "G")
-  done;
-  Supervisor.tick sup;
+  let drive () =
+    for _ = 1 to 3 do
+      ignore (Test_core.request m "G")
+    done
+  in
+  (match Supervisor.guarded_cut sup ~canary:true ~drive () with
+  | Supervisor.R_canary_rejected -> ()
+  | r -> Alcotest.failf "expected a canary rejection: %a" Supervisor.pp_rollout r);
   (Obs.events (), Obs.dump_json ())
 
 let test_guard_stream_replay () =

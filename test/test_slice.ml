@@ -304,7 +304,7 @@ let test_slicer_counterexample_journal () =
 
 (* After verifier convergence the kept cut is quiescent: more wanted
    traffic produces no new feedback, so nothing gets spuriously
-   restored (the supervisor's breaker would otherwise see phantom traps). *)
+   restored. *)
 let test_converged_cut_is_quiescent () =
   let p = Slicelab.profile Workload.rkv in
   let v =

@@ -1,7 +1,6 @@
-(** Supervisor tests: the full circuit-breaker lifecycle (trap storm →
-    trip → auto re-enable → half-open probe → re-close → abandon), the
-    canary protocol on a master/worker tree, crash-loop respawn, and
-    verifier feedback — each replaying bit-for-bit from a fixed seed. *)
+(** Supervisor tests: the canary protocol on a master/worker tree
+    (replaying bit-for-bit from a fixed seed), the trap meter it reads,
+    and verifier feedback. *)
 
 let exe () = Crt0.link_app ~libc:Test_machine.libc Test_core.dispatch_server
 
@@ -28,113 +27,6 @@ let storm_blocks () =
 
 let redirect_policy =
   { Dynacut.method_ = `First_byte; on_trap = `Redirect "err_path" }
-
-(** Snapshot the first byte of every block (the bytes a `First_byte cut
-    patches) in a pid's memory. *)
-let block_bytes m pid blocks =
-  let base = (exe ()).Self.base in
-  let p = Machine.proc_exn m pid in
-  List.map
-    (fun (b : Covgraph.block) ->
-      Mem.peek8 p.Proc.mem (Int64.add base (Int64.of_int b.Covgraph.b_off)))
-    blocks
-
-(* ---------- breaker lifecycle ---------- *)
-
-let lifecycle_config =
-  {
-    Supervisor.default_config with
-    Supervisor.window = 5_000_000L;
-    max_traps = 2;
-    cooldown = 10_000_000L;
-    max_trips = 2;
-    canary_windows = 1;
-  }
-
-(** One full lifecycle run; returns the rendered event log so two runs
-    from the same seed can be compared bit-for-bit. *)
-let lifecycle_run () =
-  Fault.reset ();
-  let blocks = storm_blocks () in
-  let m, p = Test_core.boot () in
-  let pid = p.Proc.pid in
-  let session = Dynacut.create m ~root_pid:pid in
-  let sup =
-    Supervisor.create session ~config:lifecycle_config ~blocks
-      ~policy:redirect_policy
-  in
-  let pristine = block_bytes m pid blocks in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:(fun () -> ()) () with
-  | Supervisor.R_promoted -> ()
-  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
-  Alcotest.(check string) "S unaffected" "SET-OK" (Test_core.request m "S");
-  (* the S above bumped the counter: wanted GETs now answer VAL=8 *)
-  (* the storm: wanted GETs now land on the error path *)
-  for _ = 1 to 3 do
-    Alcotest.(check string) "G storms" "ERR" (Test_core.request m "G")
-  done;
-  (* 3 traps > max_traps: trip #1, auto re-enable, breaker opens *)
-  Supervisor.tick sup;
-  (match Supervisor.breaker_state sup with
-  | Supervisor.Open _ -> ()
-  | b -> Alcotest.failf "expected open, got %a" Supervisor.pp_breaker b);
-  Alcotest.(check int) "one trip" 1 (Supervisor.trips sup);
-  Alcotest.(check bool) "journals gone" false (Supervisor.cut_live sup);
-  Alcotest.(check string) "G auto-restored" "VAL=8" (Test_core.request m "G");
-  Alcotest.(check (list int)) "byte-identical after re-enable" pristine
-    (block_bytes m pid blocks);
-  (* still cooling down: a tick inside the cooldown is a no-op *)
-  Supervisor.tick sup;
-  Alcotest.(check bool) "still open" true
-    (match Supervisor.breaker_state sup with Supervisor.Open _ -> true | _ -> false);
-  (* virtual idle time passes; the next tick half-open probes (re-cut) *)
-  m.Machine.clock <- Int64.add m.Machine.clock lifecycle_config.Supervisor.cooldown;
-  Supervisor.tick sup;
-  (match Supervisor.breaker_state sup with
-  | Supervisor.Half_open _ -> ()
-  | b -> Alcotest.failf "expected half-open, got %a" Supervisor.pp_breaker b);
-  Alcotest.(check bool) "probe re-cut live" true (Supervisor.cut_live sup);
-  (* a healthy window closes the breaker again *)
-  m.Machine.clock <- Int64.add m.Machine.clock lifecycle_config.Supervisor.window;
-  Supervisor.tick sup;
-  Alcotest.(check bool) "re-closed" true
-    (Supervisor.breaker_state sup = Supervisor.Closed);
-  (* second storm: trip #2 = max_trips — the cut is abandoned for good *)
-  for _ = 1 to 3 do
-    Alcotest.(check string) "G storms again" "ERR" (Test_core.request m "G")
-  done;
-  Supervisor.tick sup;
-  Alcotest.(check bool) "abandoned" true
-    (Supervisor.breaker_state sup = Supervisor.Abandoned);
-  Alcotest.(check int) "two trips" 2 (Supervisor.trips sup);
-  Alcotest.(check string) "feature stays enabled" "VAL=8" (Test_core.request m "G");
-  Alcotest.(check (list int)) "byte-identical after abandon" pristine
-    (block_bytes m pid blocks);
-  (* an abandoned breaker never re-cuts, however long we wait *)
-  m.Machine.clock <- Int64.add m.Machine.clock 100_000_000L;
-  Supervisor.tick sup;
-  Alcotest.(check bool) "stays abandoned" true
-    (Supervisor.breaker_state sup = Supervisor.Abandoned);
-  Supervisor.render_log sup
-
-let test_breaker_lifecycle () =
-  let log = lifecycle_run () in
-  check_log_mentions log
-    [
-      "cut-applied";
-      "breaker-tripped traps=3 trip=1";
-      "reenabled";
-      "half-open-probe";
-      "probe-recut";
-      "breaker-closed";
-      "breaker-tripped traps=3 trip=2";
-      "abandoned";
-    ]
-
-let test_breaker_replay () =
-  let a = lifecycle_run () in
-  let b = lifecycle_run () in
-  Alcotest.(check string) "two runs render identical event logs" a b
 
 (* ---------- canary rollout on a master/worker tree ---------- *)
 
@@ -245,53 +137,6 @@ let test_canary_promotes_good_cut () =
   Alcotest.(check bool) "GET still 200" true
     (String.length get >= 12 && String.sub get 0 12 = "HTTP/1.0 200")
 
-(* ---------- crash-loop respawn ---------- *)
-
-let test_crash_loop_respawn () =
-  Fault.reset ();
-  let blocks = storm_blocks () in
-  let m, p = Test_core.boot () in
-  let pid = p.Proc.pid in
-  let session = Dynacut.create m ~root_pid:pid in
-  let sup =
-    Supervisor.create session
-      ~config:
-        {
-          Supervisor.default_config with
-          Supervisor.max_traps = 1000;  (* keep the breaker out of the way *)
-          max_respawns = 2;
-        }
-      ~blocks
-      ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Kill }
-  in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:(fun () -> ()) () with
-  | Supervisor.R_promoted -> ()
-  | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
-  let dead () = not (Proc.is_live (Machine.proc_exn m pid)) in
-  (* the storm kills the server outright (un-redirected SIGTRAP)... *)
-  let (_ : string) = Test_core.request m "G" in
-  Alcotest.(check bool) "killed by the storm" true (dead ());
-  (* ...the supervisor respawns it from the working image, cut intact *)
-  Supervisor.tick sup;
-  Alcotest.(check bool) "respawned" true (not (dead ()));
-  Alcotest.(check string) "cut survived the respawn" "SET-OK"
-    (Test_core.request m "S");
-  let exe = exe () in
-  let b = List.hd (Dynacut.redirect_filter session ~sym:"err_path" blocks) in
-  Alcotest.(check int) "respawned image still carries int3" 0xCC
-    (Mem.peek8 (Machine.proc_exn m pid).Proc.mem
-       (Int64.add exe.Self.base (Int64.of_int b.Covgraph.b_off)));
-  (* crash again: second (and last budgeted) respawn *)
-  let (_ : string) = Test_core.request m "G" in
-  Supervisor.tick sup;
-  Alcotest.(check bool) "respawned again" true (not (dead ()));
-  (* third crash exhausts the budget: the supervisor gives up *)
-  let (_ : string) = Test_core.request m "G" in
-  Supervisor.tick sup;
-  Alcotest.(check bool) "respawn budget exhausted" true (dead ());
-  check_log_mentions (Supervisor.render_log sup)
-    [ "respawned"; "deaths=1"; "deaths=2"; "respawn-capped" ]
-
 (* ---------- trap meter across a counter reset ---------- *)
 
 let test_trap_meter_reset () =
@@ -363,16 +208,10 @@ let test_verifier_feedback_shrinks_cut () =
 
 let suite =
   [
-    Alcotest.test_case "breaker lifecycle: storm, trip, probe, abandon" `Quick
-      test_breaker_lifecycle;
-    Alcotest.test_case "breaker lifecycle replays bit-for-bit" `Quick
-      test_breaker_replay;
     Alcotest.test_case "canary absorbs a bad cut" `Quick test_canary_rejects_bad_cut;
     Alcotest.test_case "canary rollout replays bit-for-bit" `Quick test_canary_replay;
     Alcotest.test_case "healthy canary promotes to the tree" `Quick
       test_canary_promotes_good_cut;
-    Alcotest.test_case "crash-loop respawn with backoff cap" `Quick
-      test_crash_loop_respawn;
     Alcotest.test_case "verifier feedback shrinks and re-cuts" `Quick
       test_verifier_feedback_shrinks_cut;
     Alcotest.test_case "trap meter: delta across a counter reset" `Quick
