@@ -278,7 +278,7 @@ let run_fleet () =
           for _ = 1 to requests do
             match Fleet.request fleet get with
             | `Reply _ -> incr served
-            | `Refused | `Timed_out _ -> ()
+            | `Refused -> ()
           done)
     in
     let cycles = Int64.sub m.Machine.clock start in
@@ -386,102 +386,6 @@ let run_fleet () =
   Printf.fprintf oc "\n}\n";
   close_out oc;
   Format.fprintf fmt "  wrote BENCH_fleet.json@."
-
-(* ---------- overload: goodput + tail latency vs offered load ---------- *)
-
-(* The §6b overload curve: drive the fleet open-loop at multiples of its
-   measured closed-loop capacity with an effectively unbounded accept
-   queue. Past saturation timed-out clients abandon, the workers keep
-   serving the stale backlog, and goodput falls. Emits
-   BENCH_overload.json; --quick shrinks the sweep for the ci smoke. *)
-let run_overload () =
-  Common.section fmt "Overload: goodput + p99 vs offered load";
-  let app = Workload.ltpd in
-  let blocks = Common.web_feature_blocks app in
-  let policy =
-    { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
-  in
-  let n = 4 in
-  let get = Workload.http_get "/index.html" in
-  (* closed-loop capacity probe: one request at a time can never overload
-     the fleet, so served/Mcycle here *is* the saturation point *)
-  let probe_requests = if !quick then 30 else 100 in
-  Fault.reset ();
-  let fleet = Fleet.boot ~n ~blocks ~policy app in
-  let m = Fleet.machine fleet in
-  let start = m.Machine.clock in
-  let served = ref 0 in
-  for _ = 1 to probe_requests do
-    match Fleet.request fleet get with
-    | `Reply _ -> incr served
-    | `Refused | `Timed_out _ -> ()
-  done;
-  let probe_cycles = Int64.sub m.Machine.clock start in
-  if !served = 0 then failwith "overload: capacity probe served nothing";
-  let capacity =
-    float_of_int !served /. (Int64.to_float probe_cycles /. 1e6)
-  in
-  let service_cycles =
-    Int64.to_float probe_cycles /. float_of_int !served
-  in
-  (* clients wait ~8 service times before abandoning *)
-  let deadline = Int64.of_float (8. *. service_cycles) in
-  Format.fprintf fmt
-    "  capacity %.1f req/Mcycle (service %.0f cycles), deadline %Ld cycles@."
-    capacity service_cycles deadline;
-  let requests = if !quick then 40 else 150 in
-  let multipliers = if !quick then [ 0.5; 2.0 ] else [ 0.5; 1.0; 2.0; 3.0 ] in
-  let unbounded = { Balancer.b_backlog_max = 1_000_000 } in
-  let run_point mult =
-    Fault.reset ();
-    let fleet = Fleet.boot ~balancer:unbounded ~n ~blocks ~policy app in
-    let cfg =
-      {
-        Loadgen.default_config with
-        Loadgen.lg_offered = mult *. capacity;
-        lg_requests = requests;
-        lg_deadline = deadline;
-        lg_retry_budget = requests / 2;
-        lg_max_cycles = 2_000_000_000;
-      }
-    in
-    let st = Fleet.overload fleet cfg ~text:get in
-    let goodput =
-      float_of_int st.Loadgen.s_completed
-      /. (Int64.to_float st.Loadgen.s_cycles /. 1e6)
-    in
-    Format.fprintf fmt
-      "  x%.1f  goodput %6.1f req/Mcycle  completed %d/%d  timeouts %d \
-       retries %d  p99 %.0f@."
-      mult goodput st.Loadgen.s_completed st.Loadgen.s_offered
-      st.Loadgen.s_timeouts st.Loadgen.s_retries st.Loadgen.s_p99;
-    (mult, goodput, st)
-  in
-  let points = List.map run_point multipliers in
-  let mult_key m = String.map (fun c -> if c = '.' then '_' else c)
-      (Printf.sprintf "x%.1f" m)
-  in
-  let oc = open_out "BENCH_overload.json" in
-  Printf.fprintf oc
-    "{\n  \"app\": %S,\n  \"workers\": %d,\n  \"requests\": %d" app.Workload.a_name
-    n requests;
-  Printf.fprintf oc ",\n  \"capacity_req_per_mcycle\": %.2f" capacity;
-  Printf.fprintf oc ",\n  \"service_cycles\": %.0f" service_cycles;
-  Printf.fprintf oc ",\n  \"deadline_cycles\": %Ld" deadline;
-  (* the keys keep their "noshed_" prefix, so the committed file's lines
-     compare one for one *)
-  List.iter
-    (fun (mult, goodput, st) ->
-      let k = mult_key mult in
-      Printf.fprintf oc ",\n  \"noshed_%s_goodput\": %.2f" k goodput;
-      Printf.fprintf oc ",\n  \"noshed_%s_completed\": %d" k st.Loadgen.s_completed;
-      Printf.fprintf oc ",\n  \"noshed_%s_timeouts\": %d" k st.Loadgen.s_timeouts;
-      Printf.fprintf oc ",\n  \"noshed_%s_retries\": %d" k st.Loadgen.s_retries;
-      Printf.fprintf oc ",\n  \"noshed_%s_p99_cycles\": %.0f" k st.Loadgen.s_p99)
-    points;
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
-  Format.fprintf fmt "  wrote BENCH_overload.json@."
 
 (* ---------- chaos: site x mode coverage + invariant pass rate ---------- *)
 
@@ -841,7 +745,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("ablation", "policy / normalization / autophase / libcut ablations", fun () -> ignore (Ablation.run fmt));
     ("obs", "observability breakdown + registry overhead", run_obs);
     ("fleet", "fan-out throughput + rollout pause per wave (§6a)", run_fleet);
-    ("overload", "goodput + p99 vs offered load (§6b)", run_overload);
     ("chaos", "site x mode fault coverage + invariant oracles (§6c)", run_chaos);
     ("slice", "dataflow slicing: sliced-away wins + tracing overhead (§7)", run_slice);
     ("micro", "bechamel micro-benchmarks", run_micro);

@@ -886,24 +886,6 @@ let fleet_cmd =
     in
     Arg.(value & opt (some int) None & info [ "storm-wave" ] ~docv:"K" ~doc)
   in
-  let offered_load =
-    let doc =
-      "After the rollout, saturate the fleet with the deterministic \
-       open-loop generator at $(docv) requests per million virtual cycles \
-       — Poisson arrivals, per-request deadlines, budgeted retries — and \
-       print goodput, refused/timeout/retry counts and latency \
-       percentiles. 0 (the default) skips the overload soak."
-    in
-    Arg.(value & opt float 0. & info [ "offered-load" ] ~docv:"RATE" ~doc)
-  in
-  let deadline =
-    let doc =
-      "Per-request client deadline for the $(b,--offered-load) soak, in \
-       virtual cycles; a request that waits longer is abandoned (and \
-       retried while the retry budget lasts)."
-    in
-    Arg.(value & opt int 400_000 & info [ "deadline" ] ~docv:"CYCLES" ~doc)
-  in
   let sites_json =
     let doc =
       "With $(b,--list-fault-sites): dump the registry as a JSON array \
@@ -912,8 +894,8 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let action app feature workers waves storm_wave offered_load deadline
-      faults seed list_sites sites_json verbose metrics =
+  let action app feature workers waves storm_wave faults seed list_sites
+      sites_json verbose metrics =
     let print_sites () =
       if sites_json then print_fault_sites_json ()
       else print_fault_sites ~verbose ()
@@ -977,34 +959,6 @@ let fleet_cmd =
               r.Rollout.wr_pause_cycles)
           reports;
         Format.printf "rollout: %a@." Rollout.pp_outcome outcome;
-        if offered_load > 0. then begin
-          let cfg =
-            {
-              Loadgen.default_config with
-              Loadgen.lg_offered = offered_load;
-              lg_deadline = Int64.of_int deadline;
-            }
-          in
-          let st =
-            match Fleet.overload fleet cfg ~text:(List.hd (wanted_mix app)) with
-            | st -> st
-            | exception Fault.Controller_killed { site } ->
-                (* a :kill fault on a dispatch-path site (balancer.*,
-                   net.accept_queue, net.serve) that fires under
-                   open-loop load rather than mid-rollout: same recovery
-                   story *)
-                Format.printf "controller killed at %s@." site;
-                let r = Fleet.recover m ~pids in
-                Format.printf "recover: %a@." Fleet.pp_recovery r;
-                finish 6
-          in
-          let goodput =
-            float_of_int st.Loadgen.s_completed
-            /. (Int64.to_float st.Loadgen.s_cycles /. 1e6)
-          in
-          Format.printf "overload: %a@." Loadgen.pp_stats st;
-          Format.printf "overload goodput %.1f req/Mcycle@." goodput
-        end;
         let pid_counter name pid =
           Obs.counter_value
             (Obs.counter ~labels:[ ("pid", string_of_int pid) ] name)
@@ -1061,7 +1015,7 @@ let fleet_cmd =
     (Cmd.info "fleet" ~doc ~man)
     Term.(
       const action $ app_opt_arg $ feature $ workers $ waves $ storm_wave
-      $ offered_load $ deadline $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ sites_json
+      $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ sites_json
       $ verbose_arg $ metrics_out_arg)
 
 (* ---------- top ---------- *)

@@ -92,7 +92,7 @@ let run () : string =
   | `Reply (_, resp) ->
       let s = status resp in
       if s <> "200" then fail "GET after the halt answered %s, not 200" s
-  | `Refused | `Timed_out _ -> fail "GET after the halt refused");
+  | `Refused -> fail "GET after the halt refused");
 
   (* the machine ran on its code cache throughout, so the byte-identity
      check below pins cached execution (bbcache.* counters included) *)

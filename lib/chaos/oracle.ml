@@ -161,22 +161,22 @@ let check_recover_idempotent (ctx : ctx) : violation list =
     [ violation "recover-idempotent" "digest %Lx -> %Lx across a second pass" d1 d2 ]
   else []
 
-(** Load-generator accounting: every offered request ends exactly once. *)
-let check_accounting (s : Loadgen.stats) : violation list =
-  if s.Loadgen.s_completed + s.Loadgen.s_failed <> s.Loadgen.s_offered then
+(** Request accounting: every offered request ends exactly once, served
+    or cleanly refused. *)
+let check_accounting ~offered ~served ~refused : violation list =
+  if served + refused <> offered then
     [
-      violation "request-dropped" "offered=%d but completed=%d + failed=%d"
-        s.Loadgen.s_offered s.Loadgen.s_completed s.Loadgen.s_failed;
+      violation "request-dropped" "offered=%d but served=%d + refused=%d"
+        offered served refused;
     ]
   else []
 
-(** Goodput floor after faults clear. *)
-let check_goodput ~(floor : float) (s : Loadgen.stats) : violation list =
-  let offered = max 1 s.Loadgen.s_offered in
-  let goodput = float_of_int s.Loadgen.s_completed /. float_of_int offered in
+(** Goodput floor after faults clear: served over offered. *)
+let check_goodput ~(floor : float) ~offered ~served : violation list =
+  let goodput = float_of_int served /. float_of_int (max 1 offered) in
   if goodput < floor then
     [
       violation "goodput-floor" "goodput %.2f below floor %.2f (%d/%d)"
-        goodput floor s.Loadgen.s_completed offered;
+        goodput floor served offered;
     ]
   else []

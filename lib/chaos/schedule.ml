@@ -63,13 +63,12 @@ let fleet_sites =
     "fleet.wave";
     "fleet.manifest";
     "balancer.dispatch";
-    "balancer.health";
     "net.accept_queue";
     "net.serve";
   ]
 
 (* a generated delay is big enough to dominate a request's round trip —
-   a straggler, not background jitter *)
+   a slow worker or stage, not background jitter *)
 let gen_mode rng site =
   match Rng.choose rng (Fault.applicable_modes site) with
   | Fault.Delay _ -> Fault.Delay (20_000 + Rng.int rng 480_000)

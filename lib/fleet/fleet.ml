@@ -40,12 +40,12 @@ let refresh_gauges t =
 
 (** Assemble a fleet over already-booted workers: every pid must be the
     root of its own tree and own a listener on [port]. *)
-let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
+let create (machine : Machine.t) ~(port : int)
     ~(pids : int list) ~(blocks : Covgraph.block list)
     ~(policy : Dynacut.policy) : t =
   if pids = [] then raise (Fleet_error "fleet needs at least one worker");
   let workers = List.map (fun pid -> Rollout.make_worker machine ~pid) pids in
-  let balancer = Balancer.create ?config:bcfg machine ~port ~workers:pids in
+  let balancer = Balancer.create machine ~port ~workers:pids in
   (* every worker must own a listener on [port] *)
   List.iter (fun pid -> ignore (Balancer.listener balancer ~pid)) pids;
   let manifest = Journal.Manifest.attach machine.Machine.fs ~dir:manifest_dir in
@@ -66,7 +66,7 @@ let create ?balancer:bcfg (machine : Machine.t) ~(port : int)
 
 (** Boot [n] workers of [app] on one machine and assemble the fleet;
     see fleet.mli on why [blocks] is an argument. *)
-let boot ?seed ?balancer ~n ~blocks ~policy (app : Workload.app) : t =
+let boot ?seed ~n ~blocks ~policy (app : Workload.app) : t =
   let port =
     match app.Workload.a_port with
     | Some p -> p
@@ -75,7 +75,7 @@ let boot ?seed ?balancer ~n ~blocks ~policy (app : Workload.app) : t =
   let ctxs = Workload.spawn_fleet ?seed ~n app in
   Workload.wait_fleet_ready ctxs;
   let pids = List.map (fun c -> c.Workload.pid) ctxs in
-  create ?balancer (List.hd ctxs).Workload.m ~port ~pids ~blocks ~policy
+  create (List.hd ctxs).Workload.m ~port ~pids ~blocks ~policy
 
 let machine t = t.machine
 let pids t = List.map (fun w -> w.Rollout.w_pid) t.workers
@@ -89,12 +89,7 @@ let worker t ~pid =
   | None -> raise (Fleet_error (Printf.sprintf "no worker with pid %d" pid))
 
 (** One closed-loop request through the balancer. *)
-let request ?max_cycles ?deadline_cycles t text =
-  Balancer.request ?max_cycles ?deadline_cycles t.balancer text
-
-(** Saturate the fleet open-loop (see {!Loadgen.run}). *)
-let overload t (cfg : Loadgen.config) ~(text : string) : Loadgen.stats =
-  Loadgen.run t.balancer cfg ~text
+let request ?max_cycles t text = Balancer.request ?max_cycles t.balancer text
 
 (** Rolling rollout of the fleet's cut (see {!Rollout.run}). A completed
     rollout compacts the manifest down to a checkpoint record, so the

@@ -21,7 +21,6 @@ val manifest_dir : string
 (** Machine-fs directory holding the fleet manifest ([/tmpfs/fleet]). *)
 
 val create :
-  ?balancer:Balancer.config ->
   Machine.t ->
   port:int ->
   pids:int list ->
@@ -30,14 +29,11 @@ val create :
   t
 (** Assemble a fleet over already-booted workers. Every pid must be the
     root of its own process tree and own a listener on [port]; each gets
-    its own {!Dynacut.session} (and crash journal). [?balancer] sets
-    the dispatcher's accept-queue bound ({!Balancer.default_config}
-    otherwise). Raises {!Fleet_error} (or
+    its own {!Dynacut.session} (and crash journal). Raises {!Fleet_error} (or
     {!Balancer.Balancer_error}) otherwise. *)
 
 val boot :
   ?seed:int ->
-  ?balancer:Balancer.config ->
   n:int ->
   blocks:Covgraph.block list ->
   policy:Dynacut.policy ->
@@ -60,19 +56,10 @@ val balancer : t -> Balancer.t
 val manifest : t -> Journal.Manifest.t
 
 val request :
-  ?max_cycles:int ->
-  ?deadline_cycles:int64 ->
-  t ->
-  string ->
-  [ `Reply of int * string | `Refused | `Timed_out of int ]
-(** One closed-loop request through the health-scored balancer: the
-    reply plus the pid that served it, [`Refused] when no worker is
-    eligible, or [`Timed_out pid] when [?deadline_cycles] passed
-    first. *)
-
-val overload : t -> Loadgen.config -> text:string -> Loadgen.stats
-(** Saturate the fleet with the deterministic open-loop generator
-    ({!Loadgen.run}): Poisson arrivals, deadlines, budgeted retries. *)
+  ?max_cycles:int -> t -> string -> [ `Reply of int * string | `Refused ]
+(** One closed-loop request through the least-loaded balancer: the
+    reply plus the pid that served it, or [`Refused] when no worker is
+    eligible. *)
 
 val rollout :
   ?config:Rollout.config ->

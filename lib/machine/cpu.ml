@@ -17,11 +17,6 @@ type syscall_hook = Proc.t -> int -> unit
     "monitor specific system calls to determine the end of the
     initialization phase"). *)
 
-type exit_hook = Proc.t -> unit
-(** Called exactly once when a process transitions to a dead state
-    (exit, fatal signal) — how a post-cut supervisor notices a worker
-    killed by an un-redirected SIGTRAP/SIGILL and respawns it. *)
-
 type insn_hook = Proc.t -> Insn.t -> Defuse.effect -> unit
 (** Called before every decoded instruction executes (registers still
     hold their pre-execution values, so effective addresses can be
@@ -71,7 +66,6 @@ type t = {
       (** virtual cycles that [Fault.Delay] faults charged to [clock] *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
-  mutable on_exit : exit_hook option;
   mutable on_insn : insn_hook option;
   rng : Rng.t;
   syscall_cost : int;  (** extra cycles charged per syscall *)
@@ -113,7 +107,6 @@ let create ?(seed = 42) () =
       delayed = 0;
       trace = None;
       on_syscall = None;
-      on_exit = None;
       on_insn = None;
       rng = Rng.create seed;
       syscall_cost = 40;
@@ -228,9 +221,8 @@ let spawn t ~exe_path ?comm () =
    to ["machine.steps"] at once. It runs wherever the clock can be read
    from outside the slot loop: when {!exec_block} exits, after each
    interpreter {!step}, at a syscall, at signal delivery, and before the
-   trace and [on_insn] hooks. The exit hook runs only after one of
-   these. So every observer sees the clock the per-instruction charge
-   would have shown it. *)
+   trace and [on_insn] hooks. So every observer sees the clock the
+   per-instruction charge would have shown it. *)
 let charge t =
   let n = t.uncharged in
   if n > 0 then begin
@@ -258,15 +250,6 @@ let[@inline] end_block t (p : Proc.t) ~(next : int64) =
   if p.Proc.block_open then close_block t p (Int64.to_int next)
 
 (* ---------- signals ---------- *)
-
-(* death can be observed at several interpreter exits (default signal
-   action, exit syscall, hlt, double fault); the per-process flag makes
-   the hook fire exactly once per death, wherever it is noticed *)
-let notify_exit t (p : Proc.t) =
-  if (not (Proc.is_live p)) && not p.Proc.exit_notified then begin
-    p.Proc.exit_notified <- true;
-    match t.on_exit with Some hook -> hook p | None -> ()
-  end
 
 (** Deliver [signum] to [p] with the saved rip = [at] (the faulting /
     trapping instruction). Builds the signal frame described in {!Abi} or
@@ -304,8 +287,7 @@ let deliver_signal t (p : Proc.t) ~(signum : int) ~(at : int64) =
         p.Proc.state <- Proc.Runnable
       with Mem.Fault _ ->
         (* stack overflow while building the frame: double fault *)
-        p.Proc.state <- Proc.Killed Abi.sigsegv));
-  notify_exit t p
+        p.Proc.state <- Proc.Killed Abi.sigsegv))
 
 let do_sigreturn (p : Proc.t) =
   let regs = p.Proc.regs in
@@ -894,9 +876,7 @@ let step_insn t (p : Proc.t) =
 
 let step t (p : Proc.t) =
   step_insn t p;
-  charge t;
-  (* exit-syscall and hlt deaths bypass deliver_signal *)
-  notify_exit t p
+  charge t
 
 (** Run the slots of the decoded block [b] with [executed] instructions
     already spent; returns the new total. Only a block's last

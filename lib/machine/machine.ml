@@ -43,9 +43,7 @@ let run_quantum t (p : Proc.t) ~deadline =
            fault, degraded dispatcher): single-step *)
         step t p;
         decr budget
-    | n ->
-        budget := !budget - n;
-        notify_exit t p
+    | n -> budget := !budget - n
   done
 
 (** Run the machine for at most [max_cycles] virtual cycles. Returns

@@ -17,10 +17,6 @@ type syscall_hook = Proc.t -> int -> unit
 (** (process, syscall number) before dispatch — backs automatic phase
     detection (§5). *)
 
-type exit_hook = Proc.t -> unit
-(** Fires exactly once when a process dies (exit syscall, fatal signal,
-    double fault). *)
-
 type insn_hook = Proc.t -> Insn.t -> Defuse.effect -> unit
 (** Fires before every decoded instruction executes, with registers
     still holding pre-execution values (effective addresses of its
@@ -48,7 +44,6 @@ type t = Cpu.t = {
           tells the machine a delay landed on from any other *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
-  mutable on_exit : exit_hook option;
   mutable on_insn : insn_hook option;
   rng : Rng.t;  (** feeds the guest [rand] syscall *)
   syscall_cost : int;

@@ -25,9 +25,6 @@ type conn = {
   mutable s2c_consumed : int;
   mutable client_closed : bool;
   mutable server_closed : bool;
-  mutable deadline : int64 option;
-      (** virtual-clock instant after which the client abandons; host
-          (client) state only, never checkpointed *)
 }
 
 type listener = {
@@ -137,7 +134,6 @@ let connect_via t (l : listener) : conn =
       s2c_consumed = 0;
       client_closed = false;
       server_closed = false;
-      deadline = None;
     }
   in
   t.next_conn <- t.next_conn + 1;
@@ -153,12 +149,6 @@ let route t port : conn * listener =
   (connect_via t l, l)
 
 let connect t port = fst (route t port)
-
-let set_deadline (c : conn) (at : int64) = c.deadline <- Some at
-let deadline (c : conn) = c.deadline
-
-let expired (c : conn) ~(now : int64) =
-  match c.deadline with Some d -> now >= d | None -> false
 
 let client_send (c : conn) (s : string) = Buffer.add_string c.c2s s
 
@@ -180,7 +170,7 @@ let server_accept (l : listener) : conn option =
   | c :: rest ->
       (* the gray-failure hook: a [Delay]-mode fault here stalls this
          worker's service of the connection (scoped per owner pid, so a
-         chaos schedule can make exactly one fleet member a straggler).
+         chaos schedule can slow exactly one fleet member).
          Sits before the pop, so a fail/kill fault leaves the backlog
          intact and the accept retries like an EINTR. *)
       Fault.site ~scope:l.l_owner "net.serve";
@@ -252,7 +242,6 @@ let repair_conn t (s : conn_snapshot) : conn =
             s2c_consumed = s.cs_s2c_consumed;
             client_closed = s.cs_client_closed;
             server_closed = s.cs_server_closed;
-            deadline = None;
           }
         in
         Buffer.add_string c.c2s s.cs_c2s;

@@ -18,9 +18,6 @@ type conn = {
   mutable s2c_consumed : int;
   mutable client_closed : bool;
   mutable server_closed : bool;
-  mutable deadline : int64 option;
-      (** virtual-clock instant after which the client abandons; host
-          (client) state only, never checkpointed *)
 }
 
 type listener = {
@@ -69,7 +66,7 @@ val route : t -> int -> conn * listener
 
 val connect_via : t -> listener -> conn
 (** Admit one connection onto a {e specific} listener's accept queue —
-    the health-scored balancer's entry point, bypassing the kernel
+    the least-loaded balancer's entry point, bypassing the kernel
     round-robin. Raises {!Refused} when the listener is not accepting or
     its bounded backlog is full. Fault site [net.accept_queue] guards
     the bounded-admission decision. *)
@@ -81,15 +78,6 @@ val backlog_depth : listener -> int
 val backlog_full : listener -> bool
 val set_backlog_max : listener -> int -> unit
 (** Bound the accept queue (clamped to >= 1); [max_int] = unbounded. *)
-
-val set_deadline : conn -> int64 -> unit
-(** Arm a client-side deadline (absolute virtual-clock instant). The
-    kernel never enforces it: clients poll {!expired} and abandon. *)
-
-val deadline : conn -> int64 option
-
-val expired : conn -> now:int64 -> bool
-(** True once [now] reaches the deadline ([now >= deadline]). *)
 
 val client_send : conn -> string -> unit
 val client_recv : conn -> string

@@ -88,10 +88,6 @@ type t = {
   mutable seccomp : int list option;
       (** seccomp-style denylist of syscall numbers; [None] = no filter.
           Installed by DynaCut's image rewriting (paper §5) *)
-  mutable exit_notified : bool;
-      (** the machine's [on_exit] hook already fired for this process
-          object — death can be observed at several interpreter exits,
-          the hook must fire exactly once *)
 }
 
 let stack_top = 0x7ffd_0000_0000L
@@ -123,7 +119,6 @@ let create ~pid ~parent ~comm ~exe_path ~mem =
     block_start = Bytes.make 8 '\000';
     block_open = false;
     seccomp = None;
-    exit_notified = false;
   }
 
 let alloc_fd p kind =
@@ -163,7 +158,6 @@ let fork_copy p ~pid =
     block_start = Bytes.make 8 '\000';
     block_open = false;
     seccomp = p.seccomp;
-    exit_notified = false;
   }
 
 let state_to_string = function

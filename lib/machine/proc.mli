@@ -79,9 +79,6 @@ type t = {
   mutable block_open : bool;
   mutable seccomp : int list option;
       (** seccomp-style denylist of syscall numbers; [None] = no filter *)
-  mutable exit_notified : bool;
-      (** the machine's [on_exit] hook already fired for this process
-          object (the hook must fire exactly once per death) *)
 }
 
 val stack_top : int64

@@ -9,7 +9,7 @@
     Beyond the original fail/kill faults, a site can be armed in one of
     the {!mode}s of the chaos engine (DESIGN.md §6c): [Delay n] charges
     [n] virtual cycles to the machine clock and lets the operation
-    proceed (gray failure / straggler simulation), [Corrupt] mangles the
+    proceed (gray failure: slow, never wrong), [Corrupt] mangles the
     sealed blob a storage site is about to write (seeded bit-flip or
     truncation, caught downstream by {!Validate}'s checksum), and
     [Enospc]/[Eio] raise a typed {!Storage_error} that the transaction
@@ -32,7 +32,7 @@ type mode =
   | Kill  (** raise {!Controller_killed}: the controller itself dies *)
   | Delay of int
       (** advance the virtual clock by [n] cycles and continue — a slow
-          disk, a GC pause, a straggling worker (gray failure) *)
+          disk, a GC pause, a slow worker (gray failure) *)
   | Corrupt
       (** mangle the payload at a storage write site ({!corruptible});
           the operation "succeeds" and the damage surfaces at read time *)
@@ -72,7 +72,7 @@ type armed = {
   a_transient : bool;
   a_scope : int option;
       (** when set, only [site ~scope:pid] calls with a matching pid
-          fire — per-worker faults (e.g. one straggling fleet member) *)
+          fire — per-worker faults (e.g. one slow fleet member) *)
 }
 
 type counters = { mutable c_hits : int; mutable c_fired : int }
@@ -235,12 +235,48 @@ let corruptible ?scope name (payload : string) : string =
       else payload
   | _ -> payload
 
+(** Static registry of every fault site compiled into the pipeline, with
+    a one-line description. [sites ()] only knows sites already reached
+    at run time; the CLI's [--list-fault-sites] wants them all. Keep in
+    sync with the [Fault.site] calls — ci.sh greps lib/ for them, and
+    the chaos coverage matrix (whose [Kill] column is the crash matrix)
+    derives its probes from this list. *)
+let known_sites =
+  [
+    ("criu.checkpoint", "freeze + dump of one process into images");
+    ("criu.save", "store a sealed image blob in tmpfs");
+    ("criu.load", "read a sealed image blob back from tmpfs");
+    ("crit.encode", "image-to-text round trip, encode half");
+    ("crit.decode", "image-to-text round trip, decode half");
+    ("rewrite.patch", "int3 byte patch on a checkpoint image");
+    ("rewrite.unmap", "page drop / VMA split on a checkpoint image");
+    ("inject.lib", "map the SIGTRAP handler library into the image");
+    ("inject.policy", "write the policy table into the image");
+    ("restore.process", "rebuild a live process from images");
+    ("restore.tcp_repair", "re-attach a snapshotted TCP connection");
+    ("restore.respawn", "journaled re-create of a dead or reverted pid from a tmpfs image");
+    ("supervisor.promote", "canary promotion to the remaining pids");
+    ("journal.lock", "acquire or refresh the per-tree journal lock (fencing)");
+    ("journal.append", "append a sealed record to the crash-consistency journal");
+    ("recover.replay", "apply one recovery action (respawn, pristine restore, thaw)");
+    ("fleet.wave", "begin one wave of a rolling fleet rollout");
+    ("fleet.manifest", "append a sealed entry to the fleet rollout manifest");
+    ("balancer.dispatch", "route one client connection to a fleet worker");
+    ("net.accept_queue", "admit a connection onto a bounded accept queue");
+    ("net.serve", "a worker accepts one queued connection to serve it");
+    ("slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks");
+    ("slice.compute", "fold the anchored dependency sets into the final slice");
+    ("bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum");
+    ("bbcache.flush", "evict cached blocks overlapping dirtied executable pages");
+  ]
+
 (** Parse a CLI fault argument:
     [SITE[:once|nth=N|on=N|p=F][:MODE][:transient][:pid=P]] where MODE
     is [kill], [delay=N], [corrupt], [enospc] or [eio] (default: fail),
     e.g. ["criu.save:once"], ["rewrite.patch:nth=3:transient"],
     ["journal.append:once:corrupt"], ["net.serve:nth=2:delay=40000"].
-    Returns (site, spec, transient, mode, scope). *)
+    Returns (site, spec, transient, mode, scope). A site outside
+    {!known_sites} is rejected: armed, it would never fire. *)
 let parse_spec (s : string) : string * spec * bool * mode * int option =
   let num ~what v =
     match int_of_string_opt v with
@@ -249,6 +285,8 @@ let parse_spec (s : string) : string * spec * bool * mode * int option =
   in
   match String.split_on_char ':' s with
   | [] | [ "" ] -> invalid_arg "Fault.parse_spec: empty"
+  | site :: _ when not (List.mem_assoc site known_sites) ->
+      invalid_arg (Printf.sprintf "Fault.parse_spec: unknown site %S" site)
   | site :: opts ->
       let spec = ref One_shot
       and transient = ref false
@@ -278,42 +316,6 @@ let parse_spec (s : string) : string * spec * bool * mode * int option =
           | _ -> invalid_arg (Printf.sprintf "Fault.parse_spec: bad option %S" o))
         opts;
       (site, !spec, !transient, !mode, !scope)
-
-(** Static registry of every fault site compiled into the pipeline, with
-    a one-line description. [sites ()] only knows sites already reached
-    at run time; the CLI's [--list-fault-sites] wants them all. Keep in
-    sync with the [Fault.site] calls — ci.sh greps lib/ for them, and
-    the chaos coverage matrix (whose [Kill] column is the crash matrix)
-    derives its probes from this list. *)
-let known_sites =
-  [
-    ("criu.checkpoint", "freeze + dump of one process into images");
-    ("criu.save", "store a sealed image blob in tmpfs");
-    ("criu.load", "read a sealed image blob back from tmpfs");
-    ("crit.encode", "image-to-text round trip, encode half");
-    ("crit.decode", "image-to-text round trip, decode half");
-    ("rewrite.patch", "int3 byte patch on a checkpoint image");
-    ("rewrite.unmap", "page drop / VMA split on a checkpoint image");
-    ("inject.lib", "map the SIGTRAP handler library into the image");
-    ("inject.policy", "write the policy table into the image");
-    ("restore.process", "rebuild a live process from images");
-    ("restore.tcp_repair", "re-attach a snapshotted TCP connection");
-    ("restore.respawn", "journaled re-create of a dead or reverted pid from a tmpfs image");
-    ("supervisor.promote", "canary promotion to the remaining pids");
-    ("journal.lock", "acquire or refresh the per-tree journal lock (fencing)");
-    ("journal.append", "append a sealed record to the crash-consistency journal");
-    ("recover.replay", "apply one recovery action (respawn, pristine restore, thaw)");
-    ("fleet.wave", "begin one wave of a rolling fleet rollout");
-    ("fleet.manifest", "append a sealed entry to the fleet rollout manifest");
-    ("balancer.dispatch", "route one client connection to a fleet worker");
-    ("balancer.health", "health-score the fleet's workers for one dispatch");
-    ("net.accept_queue", "admit a connection onto a bounded accept queue");
-    ("net.serve", "a worker accepts one queued connection to serve it");
-    ("slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks");
-    ("slice.compute", "fold the anchored dependency sets into the final slice");
-    ("bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum");
-    ("bbcache.flush", "evict cached blocks overlapping dirtied executable pages");
-  ]
 
 (* storage write sites: the only places [Corrupt]/[Enospc]/[Eio] apply —
    every one pairs its [site] call with a [corruptible] write *)

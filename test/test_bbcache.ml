@@ -36,7 +36,7 @@ let without_bbcache dump =
 
 (* What the callbacks out of a machine see of its clock, one
    [obs_width]-byte record per call: the callback ('t' trace, 'i'
-   on_insn, 's' syscall, 'x' exit), then the clock and
+   on_insn, 's' syscall), then the clock and
    ["machine.steps"] as 8-byte integers. The string [watch_clock]
    returns appends each [Obs] event ('e', its timestamp, its sequence
    number). The trace and on_insn hooks are watched only when asked,
@@ -67,17 +67,12 @@ let watch_clock ?(trace = true) ?(insn = false) (m : Machine.t) =
           record 'i';
           Option.iter (fun h -> h q i e) prev)
   end;
-  let prev_sys = m.Machine.on_syscall and prev_exit = m.Machine.on_exit in
+  let prev_sys = m.Machine.on_syscall in
   m.Machine.on_syscall <-
     Some
       (fun q nr ->
         record 's';
         Option.iter (fun h -> h q nr) prev_sys);
-  m.Machine.on_exit <-
-    Some
-      (fun q ->
-        record 'x';
-        Option.iter (fun h -> h q) prev_exit);
   fun () ->
     List.iter (fun (e : Obs.event) -> add 'e' e.Obs.ev_clock e.Obs.ev_seq) (Obs.events ());
     Buffer.contents seen
@@ -895,8 +890,8 @@ let test_cached_dump_deterministic () =
    the machine must see the clock and ["machine.steps"] the reference
    shows it. The hooks are combined three ways: the trace hook alone
    (only the charge before it can make it exact), no per-block hook at
-   all (a fatal fault's exit hook then relies on the charge at signal
-   delivery), and the on_insn hook with the trace hook. Each runs with
+   all (only the syscall hook and trap events read the clock then),
+   and the on_insn hook with the trace hook. Each runs with
    and without the signal handlers, so traps and faults are both
    resumed and fatal. *)
 let prop_clock_observations =

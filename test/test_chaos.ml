@@ -165,7 +165,7 @@ let test_shrink_to_minimal_and_replay () =
       [
         ("net.serve", Fault.Fail, Schedule.Nth 2);
         ("criu.save", Fault.Enospc, Schedule.Nth 1);
-        ("balancer.health", Fault.Fail, Schedule.Nth 3);
+        ("balancer.dispatch", Fault.Fail, Schedule.Nth 3);
       ]
   in
   let failing sc =

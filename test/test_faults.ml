@@ -305,16 +305,34 @@ let test_guarded_chaos_soak () =
   let rng = Rng.create 4242 in
   let policy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" } in
   let config = { Supervisor.default_config with Supervisor.canary_windows = 1 } in
-  let chaos_sites = List.map fst Fault.known_sites in
+  (* the sites a fault-free guarded cut + re-enable of ngx reaches on
+     every cycle (inject.lib only on the first, which maps the handler
+     library), so each armed fault strikes *)
+  let chaos_sites =
+    [
+      "bbcache.flush";
+      "criu.checkpoint";
+      "criu.load";
+      "criu.save";
+      "inject.policy";
+      "journal.append";
+      "journal.lock";
+      "net.serve";
+      "restore.process";
+      "rewrite.patch";
+      "supervisor.promote";
+    ]
+  in
   (* a fault on the serving path (e.g. net.serve) aborts that one
      request; the soak's oracle is the post-cycle answers () check *)
   let drive () =
     try ignore (Workload.rpc ~max_cycles:800_000 c get)
     with Fault.Injected _ -> ()
   in
-  for _cycle = 1 to 10 do
+  for cycle = 1 to 10 do
     Fault.reset ();
-    Fault.arm (Rng.choose rng chaos_sites) Fault.One_shot;
+    let site = Rng.choose rng chaos_sites in
+    Fault.arm site Fault.One_shot;
     let sup = Supervisor.create session ~config ~blocks ~policy in
     (match Supervisor.guarded_cut sup ~canary:true ~drive () with
     | Supervisor.R_promoted ->
@@ -325,6 +343,9 @@ let test_guarded_chaos_soak () =
     | Supervisor.R_canary_rejected | Supervisor.R_promotion_failed
     | Supervisor.R_rolled_back _ ->
         ());
+    Alcotest.(check int)
+      (Printf.sprintf "cycle %d: %s fired once" cycle site)
+      1 (Fault.fired site);
     Fault.reset ();
     (* the invariant: whatever the fault hit, ngx answers *)
     answers ()
@@ -356,7 +377,6 @@ let test_known_sites_registry () =
         "fleet.wave";
         "fleet.manifest";
         "balancer.dispatch";
-        "balancer.health";
         "net.accept_queue";
         "net.serve";
         "slice.trace";
@@ -375,6 +395,21 @@ let test_known_sites_registry () =
     (fun (_, desc) ->
       Alcotest.(check bool) "described" true (String.length desc > 0))
     Fault.known_sites
+
+(* a misspelt or deleted site would be armed and never fire, so
+   parse_spec refuses it, naming the site *)
+let test_parse_spec_unknown_site () =
+  (match Fault.parse_spec "criu.sav:once" with
+  | _ -> Alcotest.fail "criu.sav parsed"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names the site" msg)
+        true
+        (Workload.contains ~sub:"\"criu.sav\"" msg));
+  let site, spec, transient, mode, scope = Fault.parse_spec "criu.save:once" in
+  Alcotest.(check string) "site" "criu.save" site;
+  Alcotest.(check bool) "one-shot fail, no scope" true
+    (spec = Fault.One_shot && mode = Fault.Fail && (not transient) && scope = None)
 
 let suite =
   List.map
@@ -399,4 +434,6 @@ let suite =
       Alcotest.test_case "guarded rollout chaos soak" `Slow test_guarded_chaos_soak;
       Alcotest.test_case "fault-site registry complete" `Quick
         test_known_sites_registry;
+      Alcotest.test_case "parse_spec rejects an unknown site" `Quick
+        test_parse_spec_unknown_site;
     ]

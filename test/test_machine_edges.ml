@@ -370,21 +370,6 @@ let test_net_bounded_backlog_refuses () =
   Alcotest.(check bool) "full again" true (Net.backlog_full l);
   ignore c1
 
-let test_net_deadline_expiry () =
-  let net = Net.create () in
-  let (_ : Net.listener) = Net.listen ~owner:1 net 9405 in
-  let c = Net.connect net 9405 in
-  Alcotest.(check bool) "no deadline by default" false
-    (Net.expired c ~now:Int64.max_int);
-  Net.set_deadline c 1_000L;
-  Alcotest.(check (option int64)) "deadline readback" (Some 1_000L)
-    (Net.deadline c);
-  Alcotest.(check bool) "before" false (Net.expired c ~now:999L);
-  (* inclusive: reaching the deadline exactly counts as expiry, so a
-     clock advanced *to* the deadline cannot livelock a poller *)
-  Alcotest.(check bool) "at" true (Net.expired c ~now:1_000L);
-  Alcotest.(check bool) "after" true (Net.expired c ~now:1_001L)
-
 let test_net_drain_undrain_racing () =
   let net = Net.create () in
   let l1 = Net.listen ~owner:1 net 9406 in
@@ -808,7 +793,6 @@ let suite =
     Alcotest.test_case "net owner-keyed lookup" `Quick test_net_owner_keyed_lookup;
     Alcotest.test_case "net bounded backlog refuses" `Quick
       test_net_bounded_backlog_refuses;
-    Alcotest.test_case "net deadline expiry" `Quick test_net_deadline_expiry;
     Alcotest.test_case "net drain/undrain racing" `Quick
       test_net_drain_undrain_racing;
     Alcotest.test_case "net guest fleet fan-out" `Quick test_net_guest_fleet_fanout;
