@@ -17,10 +17,28 @@ let micro_tests () =
   let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
   let blob = Images.encode img in
   (* sealing fills [img]'s leaf sums: [image-seal] drops them every
-     time, [image-reseal] finds them all known and hashes head and tail *)
+     time. [image-reseal] is a transaction's reseal of an unchanged
+     working frame: a copy of the sealed dump, every sum known, sealed
+     where it lies, so it writes and hashes only header, head and tail *)
   let sealed = Validate.encode_sealed img in
-  let cold () = { img with Images.sums = Images.no_sums img.Images.pages } in
-  let page = Bytes.sub_string img.Images.pages 0 Mem.page_size in
+  let a = img.Images.pages in
+  let cold () =
+    { img with Images.pages = { a with leaf = Array.make (Images.slots a.Images.len) Bytesx.no_leaf } }
+  in
+  let page = Bytes.sub_string a.Images.buf a.Images.off Mem.page_size in
+  let working, _ = Validate.seal_in_place (Images.copy img) in
+  (* rkv restored from its working frame, as a transaction leaves it:
+     its pages carry their sums, so [image-dump] (a transaction's dump
+     and pristine seal in place) hashes head and tail only *)
+  Machine.reap c.Workload.m ~pid:c.Workload.pid;
+  ignore (Restore.restore c.Workload.m working : Proc.t);
+  (* [image-restore] rebuilds the process from the working frame on a
+     machine of its own, reaping the last one first *)
+  let m_restore = Machine.create () in
+  let restore () =
+    Machine.reap m_restore ~pid:c.Workload.pid;
+    ignore (Restore.restore m_restore working)
+  in
   let exe = Option.get (Vfs.find_self c.Workload.m.Machine.fs "rkv") in
   let text = Option.get (Self.find_section exe ".text") in
   let log_init, log_srv = Common.server_phases Workload.rkv ~requests:Workload.kv_wanted in
@@ -72,7 +90,12 @@ let micro_tests () =
     Test.make ~name:"image-decode" (Staged.stage (fun () -> ignore (Images.decode blob)));
     Test.make ~name:"image-seal"
       (Staged.stage (fun () -> ignore (Validate.encode_sealed (cold ()))));
-    Test.make ~name:"image-reseal" (Staged.stage (fun () -> ignore (Validate.encode_sealed img)));
+    Test.make ~name:"image-reseal"
+      (Staged.stage (fun () -> ignore (Validate.seal_in_place working)));
+    Test.make ~name:"image-dump"
+      (Staged.stage (fun () ->
+           ignore (Validate.seal_in_place (Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ()))));
+    Test.make ~name:"image-restore" (Staged.stage restore);
     Test.make ~name:"image-unseal"
       (Staged.stage (fun () -> ignore (Validate.decode_sealed sealed)));
     Test.make ~name:"checksum-4k" (Staged.stage (fun () -> ignore (Bytesx.checksum page)));
@@ -168,20 +191,27 @@ let run_obs () =
   Common.section fmt "Observability: pipeline breakdown + registry overhead";
   let app = Workload.ngx in
   let blocks = Common.web_feature_blocks app in
-  let policy =
-    { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
-  in
+  let methods = [| `First_byte; `Wipe; `Unmap_pages |] in
   let iters = if !quick then 9 else 11 in
-  (* one scenario = boot, cut, re-enable on a fresh fleet *)
+  (* one scenario = boot a fresh ngx tree, then four cut + re-enable
+     rounds on it, the rewrite method rotating across the rounds *)
   let scenario () =
     Fault.reset ();
     let c = Workload.boot app in
     let s = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
-    let r = Dynacut.try_cut s ~blocks ~policy () in
-    let re = Dynacut.try_reenable s r.Dynacut.r_journals in
-    match (r.Dynacut.r_outcome, re.Dynacut.r_outcome) with
-    | `Applied, `Applied -> ()
-    | _ -> failwith "obs: benchmark cut did not apply"
+    for round = 0 to 3 do
+      let policy =
+        {
+          Dynacut.method_ = methods.(round mod Array.length methods);
+          on_trap = `Redirect "ngx_declined";
+        }
+      in
+      let r = Dynacut.try_cut s ~blocks ~policy () in
+      let re = Dynacut.try_reenable s r.Dynacut.r_journals in
+      match (r.Dynacut.r_outcome, re.Dynacut.r_outcome) with
+      | `Applied, `Applied -> ()
+      | _ -> failwith "obs: benchmark cut did not apply"
+    done
   in
   (* per-stage breakdown, one instrumented scenario *)
   Obs.set_enabled true;

@@ -193,14 +193,17 @@ let stage_dump s (imgs : images) pids =
   List.iter
     (fun pid ->
       let img = Checkpoint.dump s.machine ~pid ~mode:Checkpoint.Dynacut () in
-      Hashtbl.replace imgs pid img;
-      (* one seal serves both copies. The pristine copy is the
-         transaction's rollback anchor; it is written before the
-         criu.save fault site, so an injected serialization fault cannot
-         take the safety net with it *)
-      let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
+      (* the dump lays its pages out as the frame, so the seal writes
+         only header, head and tail around them. One seal serves both
+         copies. The pristine copy is the transaction's rollback anchor;
+         it is written before the criu.save fault site, so an injected
+         serialization fault cannot take the safety net with it *)
+      let img, blob = Obs.with_span "crit" (fun () -> Validate.seal_in_place img) in
       Vfs.add s.machine.Machine.fs (pristine_path s pid) blob;
-      ignore (Checkpoint.save_sealed s.machine ~dir:s.tmpfs ~pid blob))
+      ignore (Checkpoint.save_sealed s.machine ~dir:s.tmpfs ~pid blob);
+      (* the stored frame is never written again: the edits go to one
+         copy of it, the working image *)
+      Hashtbl.replace imgs pid (Images.copy img))
     pids
 
 (* stage 2: apply the block-disabling edits; returns journals *)
@@ -329,14 +332,18 @@ let stage_handler s imgs pids ~(blocks : Covgraph.block list) ~on_trap
 
 (* the last step of every edit: check each pid's edited image, seal it
    once and store it as the working frame, then read the frame back. The
-   stored bytes must be the sealed string, so a damaged write is caught
-   before the transaction journals [Rewritten] *)
+   seal rewrites the working image's header, head and tail in place when
+   they kept their length, so only the pages the edits dirtied are
+   hashed and none is copied; the image is then only read (restore).
+   The stored bytes must be the sealed string, so a damaged write is
+   caught before the transaction journals [Rewritten] *)
 let stage_seal s imgs pids =
   List.iter
     (fun pid ->
       let img = working_image s imgs pid in
       Validate.check img;
-      let blob = Obs.with_span "crit" (fun () -> Validate.encode_sealed img) in
+      let img, blob = Obs.with_span "crit" (fun () -> Validate.seal_in_place img) in
+      Hashtbl.replace imgs pid img;
       let path = Checkpoint.save_sealed s.machine ~dir:s.tmpfs ~pid blob in
       let stored = Restore.load_sealed s.machine ~path in
       Obs.with_span "crit" (fun () -> Validate.check_stored ~sealed:blob stored))

@@ -91,24 +91,20 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
           img.Images.mm
       then raise (Inject_error (Printf.sprintf "VMA collision at 0x%Lx" nv.Images.vi_start)))
     new_vmas;
-  let extra = Buffer.create 8192 in
-  let placed =
-    List.map
-      (fun (s : Self.section) ->
-        let data = List.assoc s.Self.sec_name patched in
-        let padded_len = page_align (max 1 (Bytes.length data)) in
-        let at = Buffer.length extra in
-        Buffer.add_bytes extra data;
-        Buffer.add_string extra (String.make (padded_len - Bytes.length data) '\x00');
-        (Int64.add base (Int64.of_int s.Self.sec_off), padded_len / page_size, at))
-      lib.Self.sections
+  let datas =
+    List.map (fun (s : Self.section) -> (s, List.assoc s.Self.sec_name patched)) lib.Self.sections
   in
   (* the library's pages are new: they carry no leaf sum *)
-  let img, pages_off = Images.append_pages img (Buffer.to_bytes extra) in
+  let img, offs = Images.append_pages img (List.map snd datas) in
   let new_pm =
-    List.map
-      (fun (va, n, at) -> { Images.pm_vaddr = va; pm_npages = n; pm_off = pages_off + at })
-      placed
+    List.map2
+      (fun ((s : Self.section), data) at ->
+        {
+          Images.pm_vaddr = Int64.add base (Int64.of_int s.Self.sec_off);
+          pm_npages = page_align (max 1 (Bytes.length data)) / page_size;
+          pm_off = at;
+        })
+      datas offs
   in
   let img' =
     {

@@ -161,51 +161,45 @@ let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
             !frags)
         img.Images.mm
     in
-    (* rebuild pagemap/pages without the victim pages; a moved page keeps
-       its leaf sum *)
-    let buf = Buffer.create (Bytes.length img.Images.pages) in
-    let leaf = ref [] in
-    let pagemap = ref [] in
-    let cur_start = ref None and cur_n = ref 0 in
-    let flush () =
-      match !cur_start with
-      | Some s ->
-          pagemap :=
-            { Images.pm_vaddr = s; pm_npages = !cur_n; pm_off = Buffer.length buf - (!cur_n * page_size) }
-            :: !pagemap;
-          cur_start := None;
-          cur_n := 0
-      | None -> ()
-    in
+    (* rebuild pagemap/pages without the victim pages: the surviving
+       pages of a run form runs whose bytes lie together, each moved
+       once, straight into a buffer laid out as the sealed frame; a
+       moved page keeps its leaf sum *)
+    let moves = ref [] and len = ref 0 in
     List.iter
       (fun (pm : Images.pagemap_entry) ->
+        let run = ref None in
+        let flush () =
+          Option.iter (fun m -> moves := m :: !moves) !run;
+          run := None
+        in
         for k = 0 to pm.Images.pm_npages - 1 do
           let pa = Int64.add pm.Images.pm_vaddr (Int64.of_int (k * page_size)) in
           if in_victims pa then flush ()
           else begin
-            (match !cur_start with
+            (match !run with
             | None ->
-                cur_start := Some pa;
-                cur_n := 1
-            | Some _ -> incr cur_n);
-            let off = pm.Images.pm_off + (k * page_size) in
-            leaf := Images.page_sum img off :: !leaf;
-            Buffer.add_subbytes buf img.Images.pages off page_size
+                run :=
+                  Some
+                    ( { Images.pm_vaddr = pa; pm_npages = 1; pm_off = !len },
+                      pm.Images.pm_off + (k * page_size) )
+            | Some (e, src) -> run := Some ({ e with Images.pm_npages = e.Images.pm_npages + 1 }, src));
+            len := !len + page_size
           end
         done;
         flush ())
       img.Images.pagemap;
-    flush ();
-    let pages = Buffer.to_bytes buf in
+    let moves = List.rev !moves in
     let img' =
-      {
-        img with
-        Images.mm;
-        pagemap = List.rev !pagemap;
-        pages;
-        sums = Images.sums_of pages (Array.of_list (List.rev !leaf));
-      }
+      Images.layout ~reserve:Validate.header_size
+        { img with Images.mm; pagemap = List.map fst moves }
+        ~len:!len
     in
+    List.iter
+      (fun ((e : Images.pagemap_entry), src_off) ->
+        Images.blit_pages ~src:img ~src_off ~dst:img' ~dst_off:e.Images.pm_off
+          ~len:(e.Images.pm_npages * page_size))
+      moves;
     (patches, img')
   end
 
@@ -220,15 +214,20 @@ let restore_bytes (img : Images.t) (patches : patch list) : unit =
 
 (** Re-insert previously unmapped VMAs and their page contents. *)
 let remap (img : Images.t) (patches : patch list) : Images.t =
-  List.fold_left
-    (fun img p ->
-      match p with
-      | Bytes_patch _ -> img
-      | Unmap_patch { u_vma; u_pages } ->
+  let unmaps =
+    List.filter_map
+      (function Unmap_patch { u_vma; u_pages } -> Some (u_vma, u_pages) | Bytes_patch _ -> None)
+      patches
+  in
+  if unmaps = [] then img
+  else begin
+    let mm =
+      List.fold_left
+        (fun mm ((u_vma : Images.vma_img), _) ->
           (* drop the split fragments (and, when several patches share one
              original row, an already re-added copy) that fall inside the
-             original VMA's range, then re-add the whole row — otherwise the
-             mm list ends up with overlapping entries and the restored
+             original VMA's range, then re-add the whole row — otherwise
+             the mm list ends up with overlapping entries and the restored
              process double-maps those pages *)
           let u_end = Int64.add u_vma.Images.vi_start (Int64.of_int u_vma.Images.vi_len) in
           let survivors =
@@ -238,32 +237,28 @@ let remap (img : Images.t) (patches : patch list) : Images.t =
                   (v.Images.vi_name = u_vma.Images.vi_name
                   && v.Images.vi_start >= u_vma.Images.vi_start
                   && Int64.add v.Images.vi_start (Int64.of_int v.Images.vi_len) <= u_end))
-              img.Images.mm
+              mm
           in
-          let mm = survivors @ [ u_vma ] in
-          let mm = List.sort (fun a b -> compare a.Images.vi_start b.Images.vi_start) mm in
-          let extra = Buffer.create 4096 in
-          let placed =
-            List.filter_map
-              (fun (va, data) ->
-                (* pages that were unmapped while undumped come back unpopulated *)
-                if Bytes.length data < page_size then None
-                else begin
-                  let at = Buffer.length extra in
-                  Buffer.add_bytes extra data;
-                  Some (va, Bytes.length data / page_size, at)
-                end)
-              u_pages
-          in
-          (* the journal's copies come back as new pages, without sums *)
-          let img, pages_off = Images.append_pages img (Buffer.to_bytes extra) in
-          let new_entries =
-            List.map
-              (fun (va, n, at) -> { Images.pm_vaddr = va; pm_npages = n; pm_off = pages_off + at })
-              placed
-          in
-          { img with Images.mm; pagemap = img.Images.pagemap @ new_entries })
-    img patches
+          List.sort (fun a b -> compare a.Images.vi_start b.Images.vi_start) (survivors @ [ u_vma ]))
+        img.Images.mm unmaps
+    in
+    (* pages that were unmapped while undumped come back unpopulated; the
+       journal's copies come back as new pages, without sums, all of them
+       appended at once *)
+    let pages =
+      List.concat_map
+        (fun (_, u_pages) -> List.filter (fun (_, data) -> Bytes.length data >= page_size) u_pages)
+        unmaps
+    in
+    let img, offs = Images.append_pages img (List.map snd pages) in
+    let new_entries =
+      List.map2
+        (fun (va, data) at ->
+          { Images.pm_vaddr = va; pm_npages = Bytes.length data / page_size; pm_off = at })
+        pages offs
+    in
+    { img with Images.mm; pagemap = img.Images.pagemap @ new_entries }
+  end
 
 (** Install/replace a sigaction in the core image (how DynaCut registers
     its injected handler: "modifies this file to add the signal handler

@@ -36,45 +36,32 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
         })
       mem.Mem.vmas
   in
-  (* pagemap + pages: coalesce consecutive populated pages of dumpable
-     VMAs into runs, then blit every page once into a buffer of the
-     final size; each page's leaf sum, where it kept one, comes along *)
+  (* pagemap: coalesce consecutive populated pages of each dumpable VMA
+     into runs (a run never spans two VMAs), each page at the next slot
+     of the page area *)
   let dumped =
     List.filter_map
-      (fun (v : Mem.vma) ->
-        if dump_vma_pages ~mode v then Some (Mem.pages_of_vma mem v) else None)
+      (fun (v : Mem.vma) -> if dump_vma_pages ~mode v then Some (Mem.pages_of_vma mem v) else None)
       mem.Mem.vmas
   in
-  let npages = List.fold_left (fun n l -> n + List.length l) 0 dumped in
-  let pages = Bytes.create (page_size * npages) in
-  let leaf = Array.make npages Bytesx.no_leaf in
-  let off = ref 0 and pagemap = ref [] in
+  let runs = ref [] and npages = ref 0 in
   List.iter
     (fun vma_pages ->
-      let run_start = ref 0L and run_off = ref !off and expect = ref (-1L) in
-      let flush () =
-        if !off > !run_off then
-          pagemap :=
-            {
-              Images.pm_vaddr = !run_start;
-              pm_npages = (!off - !run_off) / page_size;
-              pm_off = !run_off;
-            }
-            :: !pagemap
-      in
+      let first = ref true in
       List.iter
-        (fun (vaddr, (pg : Mem.page)) ->
-          if vaddr <> !expect then begin
-            flush ();
-            run_start := vaddr;
-            run_off := !off
-          end;
-          Bytes.blit pg.Mem.pg_data 0 pages !off page_size;
-          leaf.(!off / page_size) <- pg.Mem.pg_sum;
-          off := !off + page_size;
-          expect := Int64.add vaddr (Int64.of_int page_size))
-        vma_pages;
-      flush ())
+        (fun (vaddr, _) ->
+          (match !runs with
+          | (r : Images.pagemap_entry) :: rest
+            when (not !first)
+                 && Int64.add r.Images.pm_vaddr (Int64.of_int (r.Images.pm_npages * page_size))
+                    = vaddr ->
+              runs := { r with Images.pm_npages = r.Images.pm_npages + 1 } :: rest
+          | _ ->
+              runs :=
+                { Images.pm_vaddr = vaddr; pm_npages = 1; pm_off = !npages * page_size } :: !runs);
+          first := false;
+          incr npages)
+        vma_pages)
     dumped;
   let regs = p.Proc.regs in
   let core =
@@ -128,16 +115,28 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
         | _ -> None)
       f_fds
   in
-  {
-    Images.core;
-    mm;
-    pagemap = List.rev !pagemap;
-    pages;
-    sums = Images.sums_of pages leaf;
-    files = { Images.f_fds; f_next_fd = p.Proc.next_fd };
-    tcp;
-    mmap_hint = p.Proc.mmap_hint;
-  }
+  let meta =
+    {
+      Images.core;
+      mm;
+      pagemap = List.rev !runs;
+      pages = Images.no_pages;
+      files = { Images.f_fds; f_next_fd = p.Proc.next_fd };
+      tcp;
+      mmap_hint = p.Proc.mmap_hint;
+    }
+  in
+  (* every page is blitted once, to its final place in a buffer laid out
+     as the sealed frame; each page's leaf sum, where it kept one, comes
+     along *)
+  let img = Images.layout ~reserve:Validate.header_size meta ~len:(!npages * page_size) in
+  let a = img.Images.pages in
+  List.iteri
+    (fun k (_, (pg : Mem.page)) ->
+      Bytes.blit pg.Mem.pg_data 0 a.Images.buf (a.Images.off + (k * page_size)) page_size;
+      a.Images.leaf.(k) <- pg.Mem.pg_sum)
+    (List.concat dumped);
+  img
 
 (** Dump a process and all its live descendants (multi-process apps such
     as the Nginx-style master/worker server). *)

@@ -129,7 +129,7 @@ let to_sexp (t : Images.t) : Sexpr.t =
               (fun (pm : Images.pagemap_entry) ->
                 List [ hex64 pm.Images.pm_vaddr; int pm.Images.pm_npages; int pm.Images.pm_off ])
               t.Images.pagemap));
-      field "pages" (hex_bytes t.Images.pages);
+      field "pages" (hex_bytes (Images.page_bytes t));
       field "files"
         (List
            (List.map
@@ -185,8 +185,7 @@ let of_sexp (sx : Sexpr.t) : Images.t =
               { Images.pm_vaddr = as_i64 va; pm_npages = as_int np; pm_off = as_int off }
           | _ -> raise (Parse_error "pagemap entry"))
         (as_list (get "pagemap"));
-    pages;
-    sums = Images.no_sums pages;
+    pages = Images.area_of_bytes pages;
     files =
       {
         Images.f_fds =

@@ -57,20 +57,19 @@ type files = { f_fds : (int * fd_img) list; f_next_fd : int }
 
 type tcp = Net.conn_snapshot list
 
-(* The seal's leaf sums of a pages buffer, one per 4 KiB slot (a short
-   last slot has one too), each [Bytesx.leaf] of the slot or
-   [Bytesx.no_leaf]. The table is bound to one buffer by physical
-   identity: an image whose [pages] is another buffer reads a fresh,
-   empty table ([leaves]), so a functional update that swaps the pages
-   can never pair them with another buffer's sums. *)
-type sums = { mutable s_of : bytes; mutable s_leaf : int array }
+(* The page area: [len] bytes at [off] of [buf], and the seal's leaf
+   sum of each of its 4 KiB slots (a short last slot has one too):
+   [Bytesx.leaf] of the slot, or [Bytesx.no_leaf] when unknown. A dump
+   or a decoded frame lays [buf] out as a whole sealed frame, with the
+   header and head in front of the area and the tail behind it, so a
+   seal can fill those in around the pages where they lie. *)
+type area = { buf : bytes; off : int; len : int; leaf : int array }
 
 type t = {
   core : core;
   mm : vma_img list;
   pagemap : pagemap_entry list;
-  pages : bytes;
-  sums : sums;
+  pages : area;
   files : files;
   tcp : tcp;
   mmap_hint : int64;
@@ -78,37 +77,59 @@ type t = {
 
 let page_size = 4096
 let slots n = (n + page_size - 1) / page_size
-let sums_of pages leaf = { s_of = pages; s_leaf = leaf }
-let no_sums pages = sums_of pages (Array.make (slots (Bytes.length pages)) Bytesx.no_leaf)
 
-(** The leaf table of [t.pages], rebound empty if the image's table
-    belongs to another buffer. *)
-let leaves (t : t) =
-  let s = t.sums in
-  if s.s_of != t.pages then begin
-    s.s_of <- t.pages;
-    s.s_leaf <- Array.make (slots (Bytes.length t.pages)) Bytesx.no_leaf
-  end;
-  s.s_leaf
+let area_of_bytes b =
+  let len = Bytes.length b in
+  { buf = b; off = 0; len; leaf = Array.make (slots len) Bytesx.no_leaf }
 
-(** The leaf sum of the page at offset [off] of the pages buffer:
+let no_pages = area_of_bytes Bytes.empty
+
+(** A copy of the page area's bytes. *)
+let page_bytes (t : t) = Bytes.sub t.pages.buf t.pages.off t.pages.len
+
+(** The leaf sum of the page at offset [off] of the page area:
     {!Bytesx.no_leaf} unless [off] starts a slot that has one. *)
 let page_sum (t : t) off =
-  if off land (page_size - 1) <> 0 then Bytesx.no_leaf else (leaves t).(off / page_size)
+  if off land (page_size - 1) <> 0 then Bytesx.no_leaf else t.pages.leaf.(off / page_size)
 
-(** [t] with [extra] appended to its pages, and the offset where [extra]
-    starts. The full slots of the old buffer keep their sums; the new
-    ones (and a short last slot, which [extra] extends) have none. *)
-let append_pages (t : t) (extra : bytes) : t * int =
-  let off = Bytes.length t.pages in
-  let pages = Bytes.cat t.pages extra in
-  let leaf = Array.make (slots (Bytes.length pages)) Bytesx.no_leaf in
-  Array.blit (leaves t) 0 leaf 0 (off / page_size);
-  ({ t with pages; sums = sums_of pages leaf }, off)
+(** Copy [len] bytes from offset [src_off] of [src]'s page area to
+    [dst_off] of [dst]'s, both slot-aligned; each whole slot copied
+    takes its leaf sum along, a short last slot drops its sum. *)
+let blit_pages ~(src : t) ~src_off ~(dst : t) ~dst_off ~len =
+  let s = src.pages and d = dst.pages in
+  Bytes.blit s.buf (s.off + src_off) d.buf (d.off + dst_off) len;
+  for k = 0 to slots len - 1 do
+    d.leaf.((dst_off / page_size) + k) <-
+      (if (k + 1) * page_size <= len then s.leaf.((src_off / page_size) + k) else Bytesx.no_leaf)
+  done
+
+(** [t] with [pieces] appended to its page area, each padded with zeros
+    to whole pages (an empty piece takes one page), and the page-area
+    offset where each piece starts. Unless there is none, the old area
+    is copied once, into a fresh buffer with nothing around it; its
+    slots keep their sums, the new ones have none. *)
+let append_pages (t : t) (pieces : bytes list) : t * int list =
+  if pieces = [] then (t, []) else
+  let padded b = max 1 (slots (Bytes.length b)) * page_size in
+  let old = t.pages.len in
+  let len = List.fold_left (fun n b -> n + padded b) old pieces in
+  let t' = { t with pages = area_of_bytes (Bytes.create len) } in
+  blit_pages ~src:t ~src_off:0 ~dst:t' ~dst_off:0 ~len:old;
+  let buf = t'.pages.buf in
+  let _, offs =
+    List.fold_left
+      (fun (at, offs) b ->
+        let n = Bytes.length b in
+        Bytes.blit b 0 buf at n;
+        Bytes.fill buf (at + n) (padded b - n) '\x00';
+        (at + padded b, at :: offs))
+      (old, []) pieces
+  in
+  (t', List.rev offs)
 
 (** Total bytes across all images — the "image size" Figure 7 reports. *)
 let image_size (t : t) =
-  Bytes.length t.pages + (List.length t.mm * 64) + (List.length t.pagemap * 24) + 256
+  t.pages.len + (List.length t.mm * 64) + (List.length t.pagemap * 24) + 256
 
 let find_vma (t : t) addr =
   List.find_opt
@@ -146,19 +167,20 @@ let pieces (t : t) (addr : int64) (len : int) =
     Raises [Not_found] if the range is not fully populated. *)
 let read_mem (t : t) (addr : int64) (len : int) : bytes =
   let out = Bytes.create len in
-  List.iter (fun (k, off, n) -> Bytes.blit t.pages off out k n) (pieces t addr len);
+  let a = t.pages in
+  List.iter (fun (k, off, n) -> Bytes.blit a.buf (a.off + off) out k n) (pieces t addr len);
   out
 
 (** Write [data] at virtual address [addr] into the dumped pages in place.
     Raises [Not_found], writing nothing, if any byte falls outside
     populated pages. *)
 let write_mem (t : t) (addr : int64) (data : bytes) : unit =
-  let leaf = leaves t in
+  let a = t.pages in
   List.iter
     (fun (k, off, n) ->
-      Bytes.blit data k t.pages off n;
+      Bytes.blit data k a.buf (a.off + off) n;
       for i = off / page_size to (off + n - 1) / page_size do
-        leaf.(i) <- Bytesx.no_leaf
+        a.leaf.(i) <- Bytesx.no_leaf
       done)
     (pieces t addr (Bytes.length data))
 
@@ -168,10 +190,10 @@ let magic = "CRIU\x01"
 
 exception Format_error of string
 
-(* The encoding is [head] (magic, core, mm, pagemap, the pages' length),
-   the pages, then [tail] (files, tcp, mmap hint). The two small parts
-   go through buffers; the pages are blitted once, into the result. *)
-let encode_head (t : t) : Buffer.t =
+(* The encoding is [head] (magic, core, mm, pagemap, the pages' length
+   [len]), the pages, then [tail] (files, tcp, mmap hint). The two small
+   parts go through buffers, the pages never do. *)
+let encode_head (t : t) ~len : Buffer.t =
   let open Bytesx.W in
   let b = create ~size:1024 () in
   string b magic;
@@ -220,7 +242,7 @@ let encode_head (t : t) : Buffer.t =
       u32 b pm.pm_npages;
       int_as_u64 b pm.pm_off)
     t.pagemap;
-  u32 b (Bytes.length t.pages);
+  u32 b len;
   b
 
 let encode_tail (t : t) : Buffer.t =
@@ -263,20 +285,57 @@ let encode_tail (t : t) : Buffer.t =
   u64 b t.mmap_hint;
   b
 
-let encode_into ~(reserve : int) (t : t) : bytes =
-  let head = encode_head t and tail = encode_tail t in
-  let nh = Buffer.length head and np = Bytes.length t.pages in
-  let out = Bytes.create (reserve + nh + np + Buffer.length tail) in
-  Buffer.blit head 0 out reserve nh;
-  Bytes.blit t.pages 0 out (reserve + nh) np;
-  Buffer.blit tail 0 out (reserve + nh + np) (Buffer.length tail);
-  out
+(* A fresh buffer laid out as a frame around a page area of [len]
+   bytes: [reserve] bytes left for the seal's header, [t]'s head, the
+   area (left unwritten), then [t]'s tail; and the area's offset. *)
+let frame_buffer ~reserve (t : t) ~len =
+  let head = encode_head t ~len and tail = encode_tail t in
+  let nh = Buffer.length head in
+  let buf = Bytes.create (reserve + nh + len + Buffer.length tail) in
+  Buffer.blit head 0 buf reserve nh;
+  Buffer.blit tail 0 buf (reserve + nh + len) (Buffer.length tail);
+  (buf, reserve + nh)
 
-let encode (t : t) : string = Bytes.unsafe_to_string (encode_into ~reserve:0 t)
+(** [t] with a fresh page area of [len] bytes, laid out as a frame
+    ({!frame_buffer}): the area is left for the caller to fill, and
+    knows no sum. *)
+let layout ~reserve (t : t) ~len : t =
+  let buf, off = frame_buffer ~reserve t ~len in
+  { t with pages = { buf; off; len; leaf = Array.make (slots len) Bytesx.no_leaf } }
 
-(* every field of the head has a width its decoded value fixes, so this
-   is also where [decode] found the pages *)
-let pages_offset (t : t) = Buffer.length (encode_head t)
+(** [t] laid out afresh as a frame: one copy of its page area, whose
+    slots keep their sums. *)
+let relayout ~reserve (t : t) : t =
+  let t' = layout ~reserve t ~len:t.pages.len in
+  blit_pages ~src:t ~src_off:0 ~dst:t' ~dst_off:0 ~len:t.pages.len;
+  t'
+
+(** [t] encoded at [reserve] of a frame-shaped buffer. When [t]'s own
+    buffer is one, with head and tail of the lengths [t] now encodes
+    to, they are rewritten where they lie and [t] is returned: its page
+    area is not copied. Otherwise [t] is {!relayout}. *)
+let frame ~reserve (t : t) : t =
+  let a = t.pages in
+  let head = encode_head t ~len:a.len and tail = encode_tail t in
+  let nh = Buffer.length head and nt = Buffer.length tail in
+  if a.off = reserve + nh && Bytes.length a.buf = a.off + a.len + nt then begin
+    Buffer.blit head 0 a.buf reserve nh;
+    Buffer.blit tail 0 a.buf (a.off + a.len) nt;
+    t
+  end
+  else relayout ~reserve t
+
+(** A writable copy of [t]: its buffer and leaf sums are copied, so
+    nothing written to one shows in the other. *)
+let copy (t : t) : t =
+  let a = t.pages in
+  { t with pages = { a with buf = Bytes.copy a.buf; leaf = Array.copy a.leaf } }
+
+let encode (t : t) : string =
+  let a = t.pages in
+  let buf, off = frame_buffer ~reserve:0 t ~len:a.len in
+  Bytes.blit a.buf a.off buf off a.len;
+  Bytes.unsafe_to_string buf
 
 let decode ?(off = 0) ?len (s : string) : t =
   let open Bytesx.R in
@@ -331,7 +390,9 @@ let decode ?(off = 0) ?len (s : string) : t =
         let pm_off = int_of_u64 r in
         { pm_vaddr; pm_npages; pm_off })
   in
-  let pages = lbytes r in
+  let pl = u32 r in
+  let po = pos r in
+  skip r pl;
   let nfd = u32 r in
   let f_fds =
     List.init nfd (fun _ ->
@@ -389,8 +450,16 @@ let decode ?(off = 0) ?len (s : string) : t =
       };
     mm;
     pagemap;
-    pages;
-    sums = no_sums pages;
+    (* [s] is copied up to the end of the encoding, so the area lies in
+       a buffer laid out the way [s] is: as the frame, when [s] is a
+       sealed one *)
+    pages =
+      {
+        buf = Bytes.sub (Bytes.unsafe_of_string s) 0 (off + len);
+        off = po;
+        len = pl;
+        leaf = Array.make (slots pl) Bytesx.no_leaf;
+      };
     files = { f_fds; f_next_fd };
     tcp;
     mmap_hint;

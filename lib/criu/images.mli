@@ -38,18 +38,26 @@ type fd_img =
 type files = { f_fds : (int * fd_img) list; f_next_fd : int }
 type tcp = Net.conn_snapshot list
 
-type sums
-(** The image seal's leaf sums of one pages buffer: per 4 KiB slot of
-    it (a short last slot included), {!Bytesx.leaf} of the slot or
-    {!Bytesx.no_leaf}. A table is bound to its buffer by physical
-    identity, and is read through {!leaves}. *)
+type area = {
+  buf : bytes;
+  off : int;
+  len : int;
+  leaf : int array;
+      (** per 4 KiB slot of the area (a short last slot included):
+          {!Bytesx.leaf} of the slot, or {!Bytesx.no_leaf} when unknown.
+          A store into the area must drop the slots it touches
+          ({!write_mem} does); the sealer fills unknown ones in place. *)
+}
+(** The page area: [len] bytes at [off] of [buf]. A dump, a decoded
+    frame and {!layout} lay [buf] out as a whole sealed frame around
+    the area, so the seal can fill in header, head and tail where they
+    lie ({!frame}). *)
 
 type t = {
   core : core;
   mm : vma_img list;
-  pagemap : pagemap_entry list;
-  pages : bytes;
-  sums : sums;  (** the leaf sums of [pages], where known *)
+  pagemap : pagemap_entry list;  (** offsets into the page area *)
+  pages : area;
   files : files;
   tcp : tcp;
   mmap_hint : int64;
@@ -60,28 +68,47 @@ val page_size : int
 val slots : int -> int
 (** The 4 KiB slots of [n] bytes, a short last one included. *)
 
-val sums_of : bytes -> int array -> sums
-(** [sums_of pages leaf] binds [leaf], one entry per slot of [pages], to
-    that buffer. *)
+val area_of_bytes : bytes -> area
+(** The whole of a buffer as a page area that knows no sum. *)
 
-val no_sums : bytes -> sums
-(** A table of [pages] that knows no sum. *)
+val no_pages : area
+(** An empty page area. *)
 
-val leaves : t -> int array
-(** The leaf table of [t.pages], one entry per slot, shared with [t]:
-    the sealer fills it in place, and a store into [t.pages] must drop
-    the slots it touches ({!write_mem} does). If [t]'s table belongs to
-    another buffer (a functional update swapped the pages), [t] is
-    given a fresh table that knows nothing. *)
+val page_bytes : t -> bytes
+(** A copy of the page area's bytes. *)
 
 val page_sum : t -> int -> int
-(** The leaf sum of the page at offset [off] of the pages buffer;
+(** The leaf sum of the page at offset [off] of the page area;
     {!Bytesx.no_leaf} unless [off] is slot-aligned and its sum known. *)
 
-val append_pages : t -> bytes -> t * int
-(** [t] with bytes appended to its pages, and the offset where they
-    start. The old buffer's full slots keep their sums; the new slots
-    have none. *)
+val blit_pages : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes between two page areas at slot-aligned offsets;
+    every whole slot copied takes its leaf sum along. *)
+
+val append_pages : t -> bytes list -> t * int list
+(** [t] with each piece appended to its page area, padded with zeros to
+    whole pages (an empty piece takes one), and the offset where each
+    starts. The old area is copied once, into a fresh buffer; its whole
+    slots keep their sums, the new slots have none. *)
+
+val layout : reserve:int -> t -> len:int -> t
+(** [t] with a fresh page area of [len] bytes, its buffer laid out as a
+    frame: [reserve] bytes left for a seal header, [t]'s encoded head
+    (recording [len] as the pages' length), the area — unwritten, no sum
+    known — and [t]'s encoded tail. *)
+
+val relayout : reserve:int -> t -> t
+(** {!layout} filled with one copy of [t]'s page area and its sums. *)
+
+val frame : reserve:int -> t -> t
+(** [t] encoded at [reserve] of a frame-shaped buffer: [t] itself, its
+    head and tail rewritten where they lie, when its buffer is laid out
+    for head and tail of the lengths they now encode to; else
+    {!relayout}. Only the first copies no page. *)
+
+val copy : t -> t
+(** [t] with its buffer and leaf sums copied: writes to either do not
+    show in the other. *)
 
 val image_size : t -> int
 (** Approximate on-disk size — the "image size" of Figure 7. *)
@@ -101,17 +128,10 @@ exception Format_error of string
 
 val encode : t -> string
 
-val encode_into : reserve:int -> t -> bytes
-(** [encode t] at offset [reserve] of a fresh buffer of exactly
-    [reserve] + its length bytes; the first [reserve] bytes are left
-    for the caller (a frame header). The pages are copied once. *)
-
-val pages_offset : t -> int
-(** The offset of [t.pages] within [encode t]; for an image {!decode}
-    returned, the offset where it read them. *)
-
 val decode : ?off:int -> ?len:int -> string -> t
 (** Decode the image encoded in [s.[off .. off+len-1]] ([len] defaults
     to the rest of [s]), reading nothing outside that range: a field
-    that would run past its end raises [Bytesx.Truncated]. The image
-    knows no leaf sum. *)
+    that would run past its end raises [Bytesx.Truncated]. The page
+    area lies in a copy of [s.[0 .. off+len-1]], so an image decoded
+    from a sealed frame is laid out as that frame. The image knows no
+    leaf sum. *)

@@ -1,7 +1,8 @@
 (** Restore: rebuild a live process from {!Images}.
 
-    Re-creates the address space from [mm] + [pagemap] + [pages], pulls
-    any non-dumped file-backed executable ranges back from the binary
+    Re-creates the address space from [mm] + [pagemap] + [pages], each
+    page built once from its bytes in the image, pulls any non-dumped
+    file-backed executable ranges back from the binary
     (vanilla-CRIU behaviour), restores registers, signal dispositions and
     the fd table, and performs TCP repair so established connections
     carry on — the property Figure 8 depends on. *)
@@ -36,53 +37,58 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
       raise (Restore_error (Printf.sprintf "pid %d still alive" core.Images.c_pid))
   | _ -> ());
   let mem = Mem.create () in
-  (* VMAs *)
+  let a = img.Images.pages in
+  let runs =
+    Array.of_list
+      (List.sort
+         (fun (x : Images.pagemap_entry) y -> compare x.Images.pm_vaddr y.Images.pm_vaddr)
+         img.Images.pagemap)
+  in
+  (* the page-area offset of the dumped page at [vaddr], if a run holds
+     it: the last run starting at or below [vaddr] is the only one that
+     can *)
+  let dumped_at vaddr =
+    let rec above lo hi =
+      if lo = hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if runs.(mid).Images.pm_vaddr <= vaddr then above (mid + 1) hi else above lo mid
+    in
+    match above 0 (Array.length runs) - 1 with
+    | -1 -> None
+    | i ->
+        let r = runs.(i) in
+        let d = Int64.to_int (Int64.sub vaddr r.Images.pm_vaddr) in
+        if d < r.Images.pm_npages * page_size then Some (r.Images.pm_off + d) else None
+  in
+  (* every page is made once: a dumped page straight from the image's
+     bytes, taking its leaf sum along (so the next dump knows it while
+     no store touches the page); a file-backed page the image does not
+     hold (a vanilla-CRIU gap) from the binary; any other page zero *)
+  let supplied = ref 0 in
   List.iter
     (fun (v : Images.vma_img) ->
+      let page k =
+        let vaddr = Int64.add v.Images.vi_start (Int64.of_int (k * page_size)) in
+        match (dumped_at vaddr, v.Images.vi_file) with
+        | Some off, _ ->
+            incr supplied;
+            Some
+              ( Bytes.sub a.Images.buf (a.Images.off + off) page_size,
+                Images.page_sum img off )
+        | None, Some (path, foff) ->
+            Some (file_bytes m ~path ~off:(foff + (k * page_size)) ~len:page_size, Bytesx.no_leaf)
+        | None, None -> None
+      in
       let (_ : Mem.vma) =
-        Mem.map mem ~vaddr:v.Images.vi_start ~len:v.Images.vi_len
+        Mem.map_pages mem ~vaddr:v.Images.vi_start ~len:v.Images.vi_len
           ~prot:(Self.prot_of_int v.Images.vi_prot)
-          ~file:v.Images.vi_file ~name:v.Images.vi_name ()
+          ~file:v.Images.vi_file ~name:v.Images.vi_name page
       in
       ())
     img.Images.mm;
-  (* dumped pages, straight from the pages image; each page then takes
-     its leaf sum along, so the next dump knows it while no store
-     touches the page *)
-  List.iter
-    (fun (pm : Images.pagemap_entry) ->
-      Mem.poke_sub mem pm.Images.pm_vaddr img.Images.pages ~off:pm.Images.pm_off
-        ~len:(pm.Images.pm_npages * page_size);
-      for k = 0 to pm.Images.pm_npages - 1 do
-        Mem.set_sum mem
-          (Int64.add pm.Images.pm_vaddr (Int64.of_int (k * page_size)))
-          (Images.page_sum img (pm.Images.pm_off + (k * page_size)))
-      done)
-    img.Images.pagemap;
-  (* vanilla-CRIU gaps: file-backed VMAs with no dumped pages are faulted
-     in from the binary *)
-  let populated vaddr =
-    List.exists
-      (fun (pm : Images.pagemap_entry) ->
-        vaddr >= pm.Images.pm_vaddr
-        && vaddr < Int64.add pm.Images.pm_vaddr (Int64.of_int (pm.Images.pm_npages * page_size)))
-      img.Images.pagemap
-  in
-  List.iter
-    (fun (v : Images.vma_img) ->
-      match v.Images.vi_file with
-      | None -> ()
-      | Some (path, off) ->
-          let npages = v.Images.vi_len / page_size in
-          for k = 0 to npages - 1 do
-            let vaddr = Int64.add v.Images.vi_start (Int64.of_int (k * page_size)) in
-            if not (populated vaddr) then
-              let data =
-                file_bytes m ~path ~off:(off + (k * page_size)) ~len:page_size
-              in
-              Mem.poke_bytes mem vaddr data
-          done)
-    img.Images.mm;
+  if !supplied <> Array.fold_left (fun n r -> n + r.Images.pm_npages) 0 runs then
+    raise (Restore_error "a dumped page lies outside every vma");
   (* the process object *)
   let p =
     Proc.create ~pid:core.Images.c_pid ~parent:core.Images.c_parent

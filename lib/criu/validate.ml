@@ -40,7 +40,7 @@ let check_mm (img : Images.t) =
   overlap sorted
 
 let check_pagemap (img : Images.t) =
-  let total = Bytes.length img.Images.pages in
+  let total = img.Images.pages.Images.len in
   List.iter
     (fun (pm : Images.pagemap_entry) ->
       if pm.Images.pm_npages < 1 then fail "pagemap run at 0x%Lx empty" pm.Images.pm_vaddr;
@@ -268,15 +268,27 @@ let unseal_frames (blob : string) : string list * tear option =
 let seal_at ~(site : string) (payload : string) : string =
   Fault.corruptible site (seal payload)
 
-(** [seal (Images.encode img)], without the copy: the image is encoded
-    behind a reserved header, which is then filled in place. Only the
-    head, the tail and the pages whose leaf sum [img] does not know are
-    hashed, and the sums taken land in its table. *)
+(* the frame [a]'s buffer lays out, sealed where it lies with page
+   leaves [leaf]: the header goes into the bytes reserved in front of
+   the payload *)
+let seal_area (a : Images.area) leaf : string =
+  fill_header a.Images.buf
+    ~n:(Bytes.length a.Images.buf - header_size)
+    ~po:(a.Images.off - header_size) ~pl:a.Images.len leaf
+
+(** [seal (Images.encode img)] in a fresh buffer: one copy of the pages.
+    Only the head, the tail and the pages whose leaf sum [img] does not
+    know are hashed, and the sums taken land in its table. *)
 let encode_sealed (img : Images.t) : string =
-  let b = Images.encode_into ~reserve:header_size img in
-  fill_header b
-    ~n:(Bytes.length b - header_size)
-    ~po:(Images.pages_offset img) ~pl:(Bytes.length img.Images.pages) (Images.leaves img)
+  seal_area (Images.relayout ~reserve:header_size img).Images.pages img.Images.pages.Images.leaf
+
+(** [img]'s sealed frame, built where [img]'s buffer lays it out when
+    it can ({!Images.frame}): the pages are not copied, and the frame is
+    that buffer. Returns the image that reads from the frame, with the
+    sums the seal took. *)
+let seal_in_place (img : Images.t) : Images.t * string =
+  let img = Images.frame ~reserve:header_size img in
+  (img, seal_area img.Images.pages img.Images.pages.Images.leaf)
 
 (** Check that [stored], an image frame read back from storage, is the
     frame [sealed] that was written: byte equality, stronger than the
@@ -308,9 +320,10 @@ let decode_sealed (blob : string) : Images.t =
   in
   (* the verified page leaves are the pages' own when the header's page
      area is where the decoder found them *)
+  let a = img.Images.pages in
   let img =
-    if po = Images.pages_offset img && pl = Bytes.length img.Images.pages then
-      { img with Images.sums = Images.sums_of img.Images.pages leaf }
+    if a.Images.off = header_size + po && a.Images.len = pl then
+      { img with Images.pages = { a with leaf } }
     else img
   in
   check img;

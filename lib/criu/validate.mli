@@ -13,8 +13,9 @@ val checksum : string -> int64
 (** {!Bytesx.checksum} over the whole string. *)
 
 val seal : string -> string
-(** Prefix a payload with the 21-byte frame header: magic [DCCK\x02],
-    u64 payload length, u64 {!Bytesx.checksum} of the payload. *)
+(** Prefix a payload with the frame header ({!header_size} bytes: magic
+    [DCCK\x03], payload length, root sum, and an empty page area at the
+    payload's end). *)
 
 val unseal : string -> string
 (** Verify and strip the seal; raises {!Validate_error} on truncation or
@@ -49,9 +50,22 @@ val seal_at : site:string -> string -> string
     to storage (seeded bit-flip or truncation), exercising the checksum
     detection end-to-end. Identity sealing otherwise. *)
 
+val header_size : int
+(** The bytes a frame's header takes in front of its payload: what a
+    frame-shaped buffer reserves ({!Images.layout}). *)
+
 val encode_sealed : Images.t -> string
-(** [seal (Images.encode img)], encoded straight behind the header: the
-    pages are copied once. *)
+(** [seal (Images.encode img)], encoded straight behind the header in a
+    fresh buffer: the pages are copied once. The leaf sums the seal
+    takes land in [img]'s table. *)
+
+val seal_in_place : Images.t -> Images.t * string
+(** [img]'s sealed frame, built in [img]'s own buffer when that buffer
+    is laid out for it ({!Images.frame}): then no page is copied, and
+    only the header, head, tail and the pages whose sum is unknown are
+    written or hashed. Returns the image that reads from the frame. The
+    frame shares that image's buffer: once the frame is stored, nothing
+    may write the image again. *)
 
 val decode_sealed : string -> Images.t
 (** [unseal] + decode + [check], without copying the payload: it is

@@ -34,7 +34,7 @@ type page = {
   mutable pg_prot : Self.prot;
   mutable pg_sum : int;
       (** the image seal's leaf sum of [pg_data], or [Bytesx.no_leaf]:
-          every store drops it, only [set_sum] sets it *)
+          every store drops it, only [map_pages] sets it *)
 }
 
 let tlb_size = 64
@@ -120,9 +120,10 @@ let overlaps a_start a_len b_start b_len =
   let b_end = Int64.add b_start (Int64.of_int b_len) in
   a_start < b_end && b_start < a_end
 
-(** Map [len] bytes at [vaddr] (both page-aligned after rounding) with
-    [prot]. Fails if the range overlaps an existing VMA. *)
-let map t ~vaddr ~len ~prot ?(file = None) ~name () =
+(* Map [len] bytes at [vaddr] (both page-aligned after rounding) with
+   [prot], the [i]th page made by [page i]. Fails if the range overlaps
+   an existing VMA. *)
+let map_with t ~vaddr ~len ~prot ~file ~name page =
   if Int64.rem vaddr page_size64 <> 0L then
     invalid_arg (Printf.sprintf "Mem.map: unaligned vaddr 0x%Lx" vaddr);
   let len = align_up (max len 1) in
@@ -130,14 +131,33 @@ let map t ~vaddr ~len ~prot ?(file = None) ~name () =
     invalid_arg (Printf.sprintf "Mem.map: overlap at 0x%Lx+%d (%s)" vaddr len name);
   let v = { va_start = vaddr; va_len = len; va_prot = prot; va_file = file; va_name = name } in
   t.vmas <- List.sort (fun a b -> compare a.va_start b.va_start) (v :: t.vmas);
-  let npages = len / page_size in
-  for i = 0 to npages - 1 do
-    let idx = Int64.add (page_index vaddr) (Int64.of_int i) in
-    Hashtbl.replace t.pages idx
-      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_sum = Bytesx.no_leaf }
+  for i = 0 to (len / page_size) - 1 do
+    Hashtbl.replace t.pages (Int64.add (page_index vaddr) (Int64.of_int i)) (page i)
   done;
   tlb_flush t;
   v
+
+(** Map [len] bytes at [vaddr] (both page-aligned after rounding) with
+    [prot], every page zero. Fails if the range overlaps an existing
+    VMA. *)
+let map t ~vaddr ~len ~prot ?(file = None) ~name () =
+  map_with t ~vaddr ~len ~prot ~file ~name (fun _ ->
+      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_sum = Bytesx.no_leaf })
+
+(** {!map} with the pages given: [page i] is [Some (data, sum)] to make
+    the [i]th page of the range from [data], a page-sized buffer the
+    mapping takes over, with leaf sum [sum]; [None] leaves it zero. A
+    given page counts as a kernel-side write: in an executable mapping
+    it lands in the dirty set, as a {!poke_bytes} would put it there. *)
+let map_pages t ~vaddr ~len ~prot ?(file = None) ~name page =
+  map_with t ~vaddr ~len ~prot ~file ~name (fun i ->
+      match page i with
+      | None -> { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_sum = Bytesx.no_leaf }
+      | Some (data, sum) ->
+          if Bytes.length data <> page_size then invalid_arg "Mem.map_pages: page size";
+          if prot.Self.p_x then
+            mark_exec_dirty t (Int64.add (page_index vaddr) (Int64.of_int i));
+          { pg_data = data; pg_prot = prot; pg_sum = sum })
 
 (** Unmap every page in [vaddr, vaddr+len); VMAs fully inside the range are
     removed, partially covered VMAs are split. *)
@@ -326,12 +346,11 @@ let chunked t ~raw access addr len f =
     pos := !pos + n
   done
 
-(* the bytes come from [b.[src .. src+len-1]] *)
-let store t ~raw addr (b : bytes) src len =
-  chunked t ~raw Write addr len (fun p a off pos n ->
+let store t ~raw addr (b : bytes) =
+  chunked t ~raw Write addr (Bytes.length b) (fun p a off pos n ->
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index a);
       p.pg_sum <- Bytesx.no_leaf;
-      Bytes.blit b (src + pos) p.pg_data off n)
+      Bytes.blit b pos p.pg_data off n)
 
 let load t ~raw addr len =
   let b = Bytes.create len in
@@ -339,12 +358,8 @@ let load t ~raw addr len =
   b
 
 let read_bytes t addr len = load t ~raw:false addr len
-let write_bytes t addr b = store t ~raw:false addr b 0 (Bytes.length b)
-let poke_bytes t addr b = store t ~raw:true addr b 0 (Bytes.length b)
-
-let poke_sub t addr b ~off ~len =
-  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Mem.poke_sub";
-  store t ~raw:true addr b off len
+let write_bytes t addr b = store t ~raw:false addr b
+let poke_bytes t addr b = store t ~raw:true addr b
 
 let peek_bytes t addr len = load t ~raw:true addr len
 
@@ -391,10 +406,6 @@ let pages_of_vma t (v : vma) =
       | Some p -> Some (Int64.mul idx page_size64, p)
       | None -> None)
     (List.init n Fun.id)
-
-(** Record [sum] as the leaf sum of the page holding [addr], whose bytes
-    the caller just wrote; raises [Not_found] if it is not resident. *)
-let set_sum t addr sum = (lookup t addr).pg_sum <- sum
 
 (** Find a free, page-aligned gap of [len] bytes at or after [hint]. *)
 let find_free t ~hint ~len =

@@ -27,7 +27,7 @@ type page = {
   mutable pg_sum : int;
       (** the image seal's leaf sum ({!Bytesx.leaf}) of [pg_data], or
           {!Bytesx.no_leaf}. Every store path drops it (the code cache's
-          inlined stores too); {!copy} copies it; only {!set_sum} sets
+          inlined stores too); {!copy} copies it; only {!map_pages} sets
           it. A page that has one is clean since it was set. *)
 }
 
@@ -74,6 +74,22 @@ val map :
 (** Map a fresh region; raises [Invalid_argument] on overlap or
     misalignment. All pages are populated (zeroed). *)
 
+val map_pages :
+  t ->
+  vaddr:int64 ->
+  len:int ->
+  prot:Self.prot ->
+  ?file:(string * int) option ->
+  name:string ->
+  (int -> (bytes * int) option) ->
+  vma
+(** {!map} with the pages given, as restore builds an address space:
+    [page i] is [Some (data, sum)] to make the [i]th page from [data], a
+    page-sized buffer the mapping takes over, with leaf sum [sum] (or
+    [Bytesx.no_leaf]); [None] leaves the page zero. A given page counts
+    as a kernel-side write: in an executable mapping it lands in the
+    dirty set, as a {!poke_bytes} would put it there. *)
+
 val unmap : t -> vaddr:int64 -> len:int -> unit
 (** Drop pages; fully-covered VMAs are removed, partial ones split. *)
 
@@ -108,9 +124,6 @@ val read_cstring : t -> int64 -> string
 val poke8 : t -> int64 -> int -> unit
 val peek8 : t -> int64 -> int
 val poke_bytes : t -> int64 -> bytes -> unit
-val poke_sub : t -> int64 -> bytes -> off:int -> len:int -> unit
-(** [poke_sub t addr b ~off ~len] is [poke_bytes t addr (Bytes.sub b off
-    len)] without the intermediate copy. *)
 
 val peek_bytes : t -> int64 -> int -> bytes
 
@@ -121,12 +134,6 @@ val copy : t -> t
 
 val pages_of_vma : t -> vma -> (int64 * page) list
 (** Populated pages of a VMA in address order, with their vaddrs. *)
-
-val set_sum : t -> int64 -> int -> unit
-(** [set_sum t addr sum] records [sum] as the leaf sum of the page
-    holding [addr]: the restore's kernel-side write, which knows the sum
-    of the bytes it just poked. Raises [Not_found] if no page is
-    resident there. *)
 
 val find_free : t -> hint:int64 -> len:int -> int64
 (** First page-aligned gap of [len] bytes at or after [hint]. *)

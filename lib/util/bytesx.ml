@@ -98,6 +98,10 @@ module R = struct
     let n = u32 r in
     take r n
 
+  let skip r n =
+    check r n "skip";
+    r.pos <- r.pos + n
+
   (* one copy, straight out of the input *)
   let lbytes r =
     let n = u32 r in

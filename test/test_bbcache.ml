@@ -925,6 +925,116 @@ let prop_clock_observations =
           (false, true, true);
         ])
 
+(* ---------- restore is invisible ---------- *)
+
+(* Replace every live process of [m] by its restore from a stored
+   frame: each live tree is dumped ([Checkpoint.dump_tree]), each image
+   sealed into a frame, and the process restored from the frame's
+   decode. The image carries neither the console output a process
+   object has kept nor its retired-instruction count: the console
+   belongs to the world outside, the count to the host's object (as
+   CRIU restores no CPU-time accounting). [carried] gets each replaced
+   object's, for [proc_state] to add to its restore's. *)
+let through_frames (m : Machine.t) carried =
+  let live = List.filter Proc.is_live (Machine.all_procs m) in
+  let root (q : Proc.t) = not (List.exists (fun (r : Proc.t) -> r.Proc.pid = q.Proc.parent) live) in
+  List.iter
+    (fun (r : Proc.t) ->
+      List.iter
+        (fun img ->
+          let pid = img.Images.core.Images.c_pid in
+          let q = Machine.proc_exn m pid in
+          Hashtbl.replace carried pid (Proc.peek_stdout q, q.Proc.retired);
+          let frame = Validate.encode_sealed img in
+          Machine.reap m ~pid;
+          ignore (Restore.restore m (Validate.decode_sealed frame) : Proc.t))
+        (Checkpoint.dump_tree m ~root:r.Proc.pid ()))
+    (List.filter root live)
+
+(* Run [p] on the cache for [k] cycles, through [through_frames] when
+   [stored], then for at most 20,000 cycles more: the outcome, and what
+   the callbacks saw of the clock ({!watch_clock}, on_insn included). *)
+let run_stored ~stored ~k p =
+  Obs.reset ();
+  Fault.reset ();
+  let m = Machine.create () in
+  let insns = ref [] in
+  m.Machine.on_insn <-
+    Some (fun q insn _ -> insns := (q.Proc.pid, Proc.rip q.Proc.regs, insn) :: !insns);
+  let seen = watch_clock ~trace:false ~insn:true m in
+  install_prog m p;
+  ignore (Machine.run m ~max_cycles:k);
+  let carried = Hashtbl.create 2 in
+  if stored then through_frames m carried
+  else
+    (* a restore resumes every process runnable, so one dumped mid-sleep
+       wakes at once: the image keeps its wake time only as text. The
+       run that is not dumped wakes its sleepers at the same point *)
+    List.iter
+      (fun (q : Proc.t) ->
+        match q.Proc.state with
+        | Proc.Blocked (Proc.On_sleep _) -> q.Proc.state <- Proc.Runnable
+        | _ -> ())
+      (Machine.all_procs m);
+  ignore (Machine.run m ~max_cycles:20_000);
+  let state (q : Proc.t) =
+    let (pid, st, retired, out), regs, pages = proc_state q in
+    match Hashtbl.find_opt carried pid with
+    | Some (out0, retired0) -> ((pid, st, retired0 + retired, out0 ^ out), regs, pages)
+    | None -> ((pid, st, retired, out), regs, pages)
+  in
+  ( {
+      o_clock = m.Machine.clock;
+      o_states =
+        List.map (fun (q : Proc.t) -> Proc.state_to_string q.Proc.state) (Machine.all_procs m);
+      (* marshalled without sharing: a restored register holds the
+         image's boxed value, which may be shared where the live one
+         was not *)
+      o_procs = Marshal.to_string (List.map state (Machine.all_procs m)) [ Marshal.No_sharing ];
+      o_drcov = "";
+      (* the dump's and the restore's own series: the seal's
+         [criu.leaves_hashed] and the [tcp_repair] span, which charges
+         no cycle *)
+      o_dump =
+        String.split_on_char '\n' (without_bbcache (Obs.dump_json ()))
+        |> List.filter (fun l ->
+               not (Workload.contains ~sub:"\"criu." l || Workload.contains ~sub:"\"tcp_repair\"" l))
+        |> String.concat "\n";
+      o_flipped = [];
+      o_insns = List.rev !insns;
+    },
+    seen () )
+
+(* A process that goes through a stored frame carries on as if it had
+   not: after [k] cycles of a generated program, dumping, sealing,
+   decoding and restoring every live process changes nothing the
+   cached-vs-interpreted oracle compares, nor the (clock, steps) any
+   callback sees, but for a sleep the restore cuts short (see
+   [run_stored]). Neither dump nor restore charges the clock. The trace
+   hook and drcov stay out: the image carries no trace state, so a dump
+   between two instructions of a block splits that block in the trace. *)
+let prop_restore_invisible =
+  QCheck.Test.make ~name:"generated programs: restore from a stored frame is invisible"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (k, p) -> Printf.sprintf "k=%d\n%s" k (listing p))
+       ~shrink:(fun (k, p) -> QCheck.Iter.map (fun p -> (k, p)) (shrink_prog p))
+       QCheck.Gen.(pair (int_range 1 600) gen_prog))
+    (fun (k, p) ->
+      QCheck.assume (size (snd (lower_prog p)) <= 2 * Mem.page_size);
+      let r, r_seen = run_stored ~stored:false ~k p in
+      let c, c_seen = run_stored ~stored:true ~k p in
+      let differs what = QCheck.Test.fail_reportf "%s differ" what in
+      if r.o_clock <> c.o_clock then differs "virtual clocks"
+      else if r.o_states <> c.o_states then differs "process states"
+      else if r.o_procs <> c.o_procs then differs "processes (registers, pages, console)"
+      else if r.o_dump <> c.o_dump then differs "obs dumps (bbcache.*, criu.* and tcp_repair aside)"
+      else if r.o_insns <> c.o_insns then differs "on_insn streams"
+      else
+        match clock_difference r_seen c_seen with
+        | Some d -> QCheck.Test.fail_reportf "clock observations: %s" d
+        | None -> true)
+
 (* ---------- a dropped machine is collected ---------- *)
 
 (* [Machine.create] installs process-global hooks (the registry clock
@@ -967,4 +1077,6 @@ let suite =
     Alcotest.test_case "slot summaries = Defuse.effect" `Quick test_slot_summaries;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
       prop_clock_observations;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+      prop_restore_invisible;
   ]

@@ -89,7 +89,7 @@ let test_binary_codec_roundtrip () =
   let img' = Images.decode (Images.encode img) in
   Alcotest.(check string) "re-encode identical" (Images.encode img) (Images.encode img');
   Alcotest.(check int) "vmas" (List.length img.Images.mm) (List.length img'.Images.mm);
-  Alcotest.(check bool) "pages" true (Bytes.equal img.Images.pages img'.Images.pages)
+  Alcotest.(check bool) "pages" true (Bytes.equal (Images.page_bytes img) (Images.page_bytes img'))
 
 let test_crit_text_roundtrip () =
   let m, p = boot_server () in
@@ -449,7 +449,7 @@ let old_read_mem (t : Images.t) (addr : int64) (len : int) : bytes =
         let a = Int64.add addr (Int64.of_int k) in
         if a >= run_start && a < run_end then begin
           let off = pm.Images.pm_off + Int64.to_int (Int64.sub a run_start) in
-          Bytes.set out k (Bytes.get t.Images.pages off);
+          Bytes.set out k (Bytes.get t.Images.pages.Images.buf (t.Images.pages.Images.off + off));
           incr got
         end
       done)
@@ -469,7 +469,7 @@ let old_write_mem (t : Images.t) (addr : int64) (data : bytes) : unit =
         let a = Int64.add addr (Int64.of_int k) in
         if a >= run_start && a < run_end then begin
           let off = pm.Images.pm_off + Int64.to_int (Int64.sub a run_start) in
-          Bytes.set t.Images.pages off (Bytes.get data k);
+          Bytes.set t.Images.pages.Images.buf (t.Images.pages.Images.off + off) (Bytes.get data k);
           written.(k) <- true
         end
       done)
@@ -518,8 +518,7 @@ let synthetic_image rng (runs : (int * int) list) : Images.t =
       };
     mm = [];
     pagemap;
-    pages;
-    sums = Images.no_sums pages;
+    pages = Images.area_of_bytes pages;
     files = { Images.f_fds = []; f_next_fd = 3 };
     tcp = [];
     mmap_hint = 0L;
@@ -546,16 +545,18 @@ let prop_read_write_mem_reference =
         = outcome (fun () -> old_read_mem img addr len)
       in
       let data = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
-      let img_new = { img with Images.pages = Bytes.copy img.Images.pages } in
-      let img_old = { img with Images.pages = Bytes.copy img.Images.pages } in
+      (* the new implementation writes an area laid out inside a frame,
+         at an offset of its buffer *)
+      let img_new = Images.relayout ~reserve:Validate.header_size img in
+      let img_old = Images.copy img in
       let w_new = outcome (fun () -> Images.write_mem img_new addr data) in
       let w_old = outcome (fun () -> old_write_mem img_old addr data) in
       reads_agree && w_new = w_old
       &&
       (* a write that raises leaves the image untouched *)
       match w_new with
-      | Ok () -> Bytes.equal img_new.Images.pages img_old.Images.pages
-      | Error () -> Bytes.equal img_new.Images.pages img.Images.pages)
+      | Ok () -> Bytes.equal (Images.page_bytes img_new) (Images.page_bytes img_old)
+      | Error () -> Bytes.equal (Images.page_bytes img_new) (Images.page_bytes img))
 
 let suite =
   [

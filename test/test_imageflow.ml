@@ -46,7 +46,7 @@ let flat (img : Images.t) =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          Images.(img.core, img.mm, img.pagemap, img.pages, img.files, img.tcp, img.mmap_hint)
+          Images.(img.core, img.mm, img.pagemap, page_bytes img, img.files, img.tcp, img.mmap_hint)
           [ Marshal.No_sharing ]))
 
 (* every image the session keeps under its tmpfs directory, each of
@@ -70,7 +70,9 @@ let frames (c : Workload.ctx) =
 
 (* The same image with every leaf sum dropped: sealing it hashes every
    byte. *)
-let cold (img : Images.t) = { img with Images.sums = Images.no_sums img.Images.pages }
+let cold (img : Images.t) =
+  let a = img.Images.pages in
+  { img with Images.pages = { a with leaf = Array.make (Images.slots a.Images.len) Bytesx.no_leaf } }
 
 (* [img] seals, with the leaf sums it carries, to the frame it seals
    cold, byte for byte: a sum carried from a page whose bytes changed
@@ -243,6 +245,58 @@ let test_leaf_gate () =
     (Printf.sprintf "re-enable + cut hashed %d leaves (bound %d)" hashed leaf_bound)
     true (hashed <= leaf_bound)
 
+(* ---------- stored frames are never written again ---------- *)
+
+(* A seal builds a frame in the image's own buffer, and the string it
+   stores shares that buffer: a store into an image after its frame is
+   stored would change the stored frame too. Through a warm first-byte,
+   wipe and unmap cut and re-enable cycle, a copy of every frame is
+   taken as it is stored — at the [criu.save] and [criu.load] sites
+   right behind each store, through the fault delay hook — and each
+   stored frame must still equal its copy at the end. *)
+let test_stored_frames_unwritten () =
+  Fault.reset ();
+  let c, s = boot ~seed:42 in
+  reenable_ok s (cut_ok s `First_byte);
+  let fs = c.Workload.m.Machine.fs in
+  let kept = ref [] in
+  let snapshot _ =
+    List.iter
+      (fun p ->
+        if Filename.check_suffix p ".img" then begin
+          let blob = Option.get (Vfs.find fs p) in
+          if not (List.exists (fun (b, _, _) -> b == blob) !kept) then
+            kept := (blob, Bytes.to_string (Bytes.of_string blob), p) :: !kept
+        end)
+      (Vfs.list fs)
+  in
+  let machine_hook = !Fault.delay_hook in
+  Fault.set_delay_hook (Some snapshot);
+  List.iter (fun site -> Fault.arm_mode site (Fault.Every_nth 1) (Fault.Delay 1)) [ "criu.save"; "criu.load" ];
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.reset ();
+      Fault.set_delay_hook machine_hook)
+    (fun () ->
+      List.iter
+        (fun (name, method_) ->
+          let journals = cut_ok s method_ in
+          check_serving c ~cut:true name;
+          reenable_ok s journals;
+          check_serving c ~cut:false name)
+        [ ("first-byte", `First_byte); ("wipe", `Wipe); ("unmap", `Unmap_pages) ]);
+  List.iter
+    (fun (blob, copy, p) ->
+      if not (String.equal blob copy) then
+        Alcotest.failf "a frame stored as %s was written after it was stored" p)
+    !kept;
+  (* six transactions, each storing a pristine and a working frame for
+     each of two pids *)
+  Alcotest.(check bool)
+    (Printf.sprintf "frames kept (%d)" (List.length !kept))
+    true
+    (List.length !kept >= 6 * 2 * 2)
+
 (* ---------- the redirect target ---------- *)
 
 (* A redirect cut resolves its target from the executable once: later
@@ -322,6 +376,8 @@ let suite =
     Alcotest.test_case "census: two seals and one read-back per pid" `Quick test_census;
     Alcotest.test_case "stored frames and clock pinned" `Quick test_oracle;
     Alcotest.test_case "warm re-enable and cut hash few leaves" `Quick test_leaf_gate;
+    Alcotest.test_case "stored frames are never written again" `Quick
+      test_stored_frames_unwritten;
     Alcotest.test_case "redirect target resolved once per executable" `Quick
       test_redirect_target_kept;
     Alcotest.test_case "transient inject.policy retries from pristine" `Quick

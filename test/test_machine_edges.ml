@@ -766,12 +766,6 @@ let prop_chunked_copies_match_bytewise =
            (fun m -> ref_store Mem.write8 m addr data; Bytes.empty)
       && same "poke_bytes"
            (fun m -> Mem.poke_bytes m addr data; Bytes.empty)
-           (fun m -> ref_store Mem.poke8 m addr data; Bytes.empty)
-      && same "poke_sub"
-           (fun m ->
-             let padded = Bytes.(cat (make 5 '\xaa') (cat data (make 3 '\xbb'))) in
-             Mem.poke_sub m addr padded ~off:5 ~len;
-             Bytes.empty)
            (fun m -> ref_store Mem.poke8 m addr data; Bytes.empty))
 
 let suite =
