@@ -430,7 +430,7 @@ let run_fleet () =
 let run_chaos () =
   Common.section fmt "Chaos: site x mode coverage + invariant oracles";
   let probes = Chaos.coverage_matrix () in
-  let sites = List.map fst Fault.known_sites in
+  let sites = Fault.Site.all in
   List.iter
     (fun site ->
       let mine = List.filter (fun p -> p.Chaos.p_site = site) probes in
@@ -439,13 +439,13 @@ let run_chaos () =
           (Fault.mode_to_string p.Chaos.p_mode)
           (if p.Chaos.p_ok then "" else "!FAIL")
       in
-      Format.fprintf fmt "  %-22s %s@." site
+      Format.fprintf fmt "  %-22s %s@." (Fault.Site.name site)
         (String.concat " " (List.map cell mine)))
     sites;
   let failed = List.filter (fun p -> not p.Chaos.p_ok) probes in
   List.iter
     (fun (p : Chaos.probe) ->
-      Format.fprintf fmt "  FAIL %s:%s — %s@." p.Chaos.p_site
+      Format.fprintf fmt "  FAIL %s:%s — %s@." (Fault.Site.name p.Chaos.p_site)
         (Fault.mode_to_string p.Chaos.p_mode)
         p.Chaos.p_detail)
     failed;
@@ -515,7 +515,7 @@ let run_chaos () =
       let mine =
         List.filter (fun p -> p.Chaos.p_site = site && p.Chaos.p_ok) probes
       in
-      Printf.fprintf oc ",\n  \"%s\": %S" site
+      Printf.fprintf oc ",\n  \"%s\": %S" (Fault.Site.name site)
         (String.concat " "
            (List.map (fun p -> Fault.mode_to_string p.Chaos.p_mode) mine)))
     sites;

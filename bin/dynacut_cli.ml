@@ -55,17 +55,16 @@ let verbose_arg =
 
 let print_fault_sites ?(verbose = false) () =
   List.iter
-    (fun (site, desc) ->
+    (fun site ->
+      let name = Fault.Site.name site and desc = Fault.Site.description site in
       if verbose then
-        Printf.printf "%-22s fired=%-4d %s\n" site (Fault.registry_fired site)
-          desc
-      else Printf.printf "%-22s %s\n" site desc)
-    Fault.known_sites
+        Printf.printf "%-22s fired=%-4d %s\n" name (Fault.registry_fired site) desc
+      else Printf.printf "%-22s %s\n" name desc)
+    Fault.Site.all
 
 (* the machine-readable registry dump behind --list-fault-sites --json:
-   ci.sh's registry<->code sync check consumes it, so the shape (one
-   object per site with "site", "modes", "fired", "description") is a
-   stable contract *)
+   the shape (one object per site with "site", "modes", "fired",
+   "description") is a stable contract *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -81,7 +80,7 @@ let json_escape s =
   Buffer.contents b
 
 let print_fault_sites_json () =
-  let site_obj (site, desc) =
+  let site_obj site =
     let modes =
       String.concat ", "
         (List.map
@@ -91,10 +90,11 @@ let print_fault_sites_json () =
     Printf.sprintf
       "  {\"site\": %S, \"modes\": [%s], \"fired\": %d, \"description\": \
        \"%s\"}"
-      site modes (Fault.registry_fired site) (json_escape desc)
+      (Fault.Site.name site) modes (Fault.registry_fired site)
+      (json_escape (Fault.Site.description site))
   in
   Printf.printf "[\n%s\n]\n"
-    (String.concat ",\n" (List.map site_obj Fault.known_sites))
+    (String.concat ",\n" (List.map site_obj Fault.Site.all))
 
 let inject_fault_arg =
   let doc =
@@ -691,12 +691,14 @@ let recover_cmd =
     let c = Workload.boot app in
     (match crash_at with
     | None -> ()
-    | Some site ->
-        if not (List.mem_assoc site Fault.known_sites) then begin
-          Printf.eprintf "unknown --crash-at site %S; see --list-fault-sites\n"
-            site;
-          exit 2
-        end;
+    | Some name ->
+        let site =
+          match Fault.Site.of_name name with
+          | Some site -> site
+          | None ->
+              Printf.eprintf "unknown --crash-at site %S; see --list-fault-sites\n" name;
+              exit 2
+        in
         Fault.arm ~kill:true site Fault.One_shot;
         let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
         (match
@@ -706,10 +708,10 @@ let recover_cmd =
          with
         | _ ->
             Printf.eprintf
-              "controller survived --crash-at %s (site never reached)\n" site;
+              "controller survived --crash-at %s (site never reached)\n" name;
             exit 2
         | exception Fault.Controller_killed { site = s } ->
-            Format.printf "controller killed at %s@." s));
+            Format.printf "controller killed at %s@." (Fault.Site.name s)));
     match Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid with
     | r ->
         Format.printf "recover: %a@." Dynacut.pp_recovery r;
@@ -890,7 +892,7 @@ let fleet_cmd =
     let doc =
       "With $(b,--list-fault-sites): dump the registry as a JSON array \
        (site, applicable modes, fired count, description) instead of the \
-       human listing. ci.sh's registry sync check consumes this."
+       human listing."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
@@ -946,7 +948,7 @@ let fleet_cmd =
     | exception Fault.Controller_killed { site } ->
         (* a :kill fault staged a controller death mid-rollout: recover
            the fleet as a fresh controller would *)
-        Format.printf "controller killed at %s@." site;
+        Format.printf "controller killed at %s@." (Fault.Site.name site);
         let r = Fleet.recover m ~pids in
         Format.printf "recover: %a@." Fleet.pp_recovery r;
         finish 6

@@ -65,26 +65,17 @@ dune exec bench/main.exe -- --quick fleet
 # virtual; only the host_* timings may move
 virtual_axis_unchanged BENCH_fleet.json '"host_'
 
-# The static fault-site registry must match the Fault.site call sites
-# actually present in lib/ — a site added in code but missing from
-# Fault.known_sites would silently escape the crash matrix below. The
-# registry side comes from the machine-readable dump
-# (--list-fault-sites --json), not from scraping the human listing.
-echo "== fault-site registry sync =="
-# The call may carry optional labelled args (e.g. ~scope:pid) before the
-# site literal, so match up to the first quoted string on the line.
-sites_in_code=$(grep -rhoE 'Fault\.site [^"]*"[^"]+"' lib/ | sed 's/.*"\(.*\)"$/\1/' | sort -u)
-sites_listed=$(dune exec bin/dynacut_cli.exe -- fleet --list-fault-sites --json \
-  | grep -o '"site": *"[^"]*"' | sed 's/.*"\([^"]*\)"$/\1/' | sort -u)
-if [ "$sites_in_code" != "$sites_listed" ]; then
-  echo "FAIL: Fault.site calls in lib/ disagree with --list-fault-sites:"
-  echo "--- in code"
-  echo "$sites_in_code"
-  echo "--- listed"
-  echo "$sites_listed"
+# Fault sites are constructors of Fault.Site.t, whose exhaustive matches
+# make the compiler check each site's name, mode set and chaos probe; a
+# string literal in a Fault call or a ~site: label would bypass that.
+echo "== fault sites are constructors =="
+site_literals=$(grep -rnE 'Fault\.[a-z_]+( +[~?][a-z_]+(:[^ ]+)?)* +"|~site: *"' lib/ bin/ || true)
+if [ -n "$site_literals" ]; then
+  echo "FAIL: a string literal names a fault site:"
+  echo "$site_literals"
   exit 1
 fi
-echo "   $(echo "$sites_listed" | wc -l) sites in sync"
+echo "   no string-literal fault sites in lib/ or bin/"
 
 # Guard smoke (DESIGN.md §5c): the canary gate's exit codes. A good cut
 # is promoted (exit 0); a --storm cut kills the canary on the first
@@ -106,6 +97,13 @@ cli_exit 4 guard ngx --storm
 # A fault spec naming a site outside the registry is a usage error
 # (exit 2), not a fault armed at a site that never fires.
 cli_exit 2 fleet ltpd --inject-fault balancer.health:once
+cli_exit 2 recover ngx --crash-at criu.sav
+# The same holds for a chaos replay file: an event at a misspelt site
+# would arm nothing and the run would pass vacuously.
+replay=$(mktemp)
+printf 'chaos-replay v1\nseed 3\nevent criu.sav fail nth 1\n' >"$replay"
+cli_exit 2 chaos ltpd --replay "$replay"
+rm -f "$replay"
 
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the

@@ -40,22 +40,22 @@ let () =
       Fault.reset ();
       Fault.arm site Fault.One_shot;
       let r = Dynacut.try_cut session ~blocks ~policy () in
-      Format.printf "%-18s %a; GET -> %s@." site Dynacut.pp_outcome
+      Format.printf "%-18s %a; GET -> %s@." (Fault.Site.name site) Dynacut.pp_outcome
         r.Dynacut.r_outcome
         (status (Workload.rpc c get)))
     [
-      "criu.checkpoint";
-      "criu.save";
-      "criu.load";
-      "rewrite.patch";
-      "inject.lib";
-      "inject.policy";
-      "restore.process";
+      Criu_checkpoint;
+      Criu_save;
+      Criu_load;
+      Rewrite_patch;
+      Inject_lib;
+      Inject_policy;
+      Restore_process;
     ];
 
   print_endline "\n-- drill: transient fault, absorbed by retry --";
   Fault.reset ();
-  Fault.arm ~transient:true "criu.save" Fault.One_shot;
+  Fault.arm ~transient:true Criu_save Fault.One_shot;
   let r = Dynacut.try_cut session ~blocks ~policy () in
   Format.printf "criu.save (transient): %a after %d retry(s), %d backoff cycles@."
     Dynacut.pp_outcome r.Dynacut.r_outcome r.Dynacut.r_retries

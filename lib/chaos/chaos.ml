@@ -20,6 +20,8 @@
       [Kill] column is the crash-recovery matrix
       ([examples/crash_matrix.ml]). *)
 
+module Site = Fault.Site
+
 let get = "GET /index.html HTTP/1.0\r\n\r\n"
 
 let status resp =
@@ -31,9 +33,9 @@ let status resp =
    was denied, nothing is half-done. Anything outside this domain is a
    host bug and propagates. *)
 let refusal_of_exn : exn -> string option = function
-  | Fault.Injected { site; _ } -> Some (Printf.sprintf "injected at %s" site)
+  | Fault.Injected { site; _ } -> Some ("injected at " ^ Site.name site)
   | Fault.Storage_error { site; kind } ->
-      Some (Printf.sprintf "%s at %s" (Fault.storage_kind_to_string kind) site)
+      Some (Printf.sprintf "%s at %s" (Fault.storage_kind_to_string kind) (Site.name site))
   | Journal.Busy { txid } -> Some (Printf.sprintf "journal busy (tx %d)" txid)
   | Journal.Fenced { epoch; lock_epoch } ->
       Some (Printf.sprintf "fenced (epoch %d, lock %d)" epoch lock_epoch)
@@ -100,7 +102,7 @@ let recover_budget = 60_000_000
 
 type report = {
   r_schedule : Schedule.t;
-  r_fired : (string * Fault.mode) list;  (** events that actually struck *)
+  r_fired : (Site.t * Fault.mode) list;  (** events that actually struck *)
   r_notes : string list;  (** refusals, deaths, recoveries — the run trail *)
   r_violations : Oracle.violation list;
   r_recovery_cycles : int;  (** faults-clear to first served reply *)
@@ -118,7 +120,7 @@ let report_digest (r : report) : int64 =
        :: Printf.sprintf "recovery=%d" r.r_recovery_cycles
        :: Printf.sprintf "goodput=%.3f" r.r_goodput
        :: List.map
-            (fun (s, m) -> Printf.sprintf "%s:%s" s (Fault.mode_to_string m))
+            (fun (s, m) -> Printf.sprintf "%s:%s" (Site.name s) (Fault.mode_to_string m))
             r.r_fired
        @ r.r_notes
        @ List.map (Format.asprintf "%a" Oracle.pp_violation) r.r_violations))
@@ -128,7 +130,7 @@ let pp_report ppf (r : report) =
     Schedule.pp r.r_schedule
     (String.concat ";"
        (List.map
-          (fun (s, m) -> Printf.sprintf "%s:%s" s (Fault.mode_to_string m))
+          (fun (s, m) -> Printf.sprintf "%s:%s" (Site.name s) (Fault.mode_to_string m))
           r.r_fired))
     (if passed r then "PASS"
      else
@@ -219,7 +221,7 @@ let run ?(config = default_config)
       match Fleet.recover m ~pids with
       | (_ : Fleet.recovery) -> ()
       | exception Fault.Controller_killed { site } ->
-          note "recovery died at %s" site;
+          note "recovery died at %s" (Site.name site);
           attempt_recover (tries - 1)
       | exception e -> (
           match refusal_of_exn e with
@@ -234,7 +236,7 @@ let run ?(config = default_config)
     | `Reply (pid, resp) -> note "%s: pid %d answered %s" label pid (status resp)
     | `Refused -> note "%s: refused" label
     | exception Fault.Controller_killed { site } ->
-        note "%s: controller died at %s" label site;
+        note "%s: controller died at %s" label (Site.name site);
         attempt_recover 6
     | exception e -> (
         match refusal_of_exn e with
@@ -258,7 +260,7 @@ let run ?(config = default_config)
   (match Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) () with
   | outcome, _ -> note "rollout: %s" (Format.asprintf "%a" Rollout.pp_outcome outcome)
   | exception Fault.Controller_killed { site } ->
-      note "rollout: controller died at %s" site;
+      note "rollout: controller died at %s" (Site.name site);
       attempt_recover 6
   | exception e -> (
       match refusal_of_exn e with
@@ -380,7 +382,7 @@ let strike ?(spec = Fault.One_shot) (m : Machine.t) site mode
     match op () with
     | () -> `Completed
     | exception Fault.Controller_killed { site = s } ->
-        if s <> site then failp "controller died at %s instead" s;
+        if s <> site then failp "controller died at %s instead" (Site.name s);
         `Killed
     | exception e -> (
         match refusal_of_exn e with
@@ -538,7 +540,7 @@ let crit_probe site mode =
   let text = Crit.decode_to_text blob in
   let (_ : outcome) =
     strike c.Workload.m site mode (fun () ->
-        if site = "crit.decode" then ignore (Crit.decode_to_text blob)
+        if site = Site.Crit_decode then ignore (Crit.decode_to_text blob)
         else ignore (Crit.encode_from_text text))
   in
   assert_quiescent (tree_finish c session oracle)
@@ -547,7 +549,7 @@ let crit_probe site mode =
    a second death the next pass must still roll the tree back *)
 let recover_probe site mode =
   let c, session, oracle = tree_setup () in
-  Fault.arm ~kill:true "restore.process" Fault.One_shot;
+  Fault.arm ~kill:true Restore_process Fault.One_shot;
   (match
      Dynacut.try_cut session ~blocks:(blocks_for napp)
        ~policy:(npolicy `First_byte) ()
@@ -583,7 +585,7 @@ let slice_probe site mode =
   in
   assert_quiescent (tree_finish c session oracle);
   if run_slicer () = [] then
-    failp "clean slicer retry after a %s fault produced an empty slice" site
+    failp "clean slicer retry after a %s fault produced an empty slice" (Site.name site)
 
 (* -- fleet probes (ltpd workers) -- *)
 
@@ -641,7 +643,7 @@ let fleet_rollout_probe site mode =
   let oracle = fleet_oracle lapp fleet and pids = Fleet.pids fleet in
   let plan = Rollout.plan ~pids ~waves:2 in
   let spec, cut =
-    if site = "fleet.wave" then (Fault.On_nth 2, List.hd plan)
+    if site = Site.Fleet_wave then (Fault.On_nth 2, List.hd plan)
     else (Fault.One_shot, [])
   in
   let outcome =
@@ -687,41 +689,38 @@ let bbcache_probe site mode =
   in
   let outcome =
     strike m site mode (fun () ->
-        if site = "bbcache.flush" then dirty_text ();
+        if site = Site.Bbcache_flush then dirty_text ();
         match Fleet.request fleet get with
         | `Reply (_, resp) when status resp = "200" -> ()
-        | _ -> failp "request failed under a %s fault" site)
+        | _ -> failp "request failed under a %s fault" (Site.name site))
   in
   (* whichever way the fault went — cached, degraded or freshly
      recovered — the very next request must still serve *)
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
-  | _ -> failp "request failed after the %s fault" site);
+  | _ -> failp "request failed after the %s fault" (Site.name site));
   fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
 
-(* every registered site maps to the scenario that provably reaches it;
-   a site without a driver fails the matrix rather than shrinking it *)
-let probe_driver (site : string) : Fault.mode -> unit =
+(* every site maps to the scenario that provably reaches it; the match
+   is exhaustive, so a site without a driver does not compile *)
+let probe_driver (site : Site.t) : Fault.mode -> unit =
   match site with
-  | "criu.checkpoint" | "criu.save" | "criu.load" | "rewrite.patch"
-  | "inject.lib" | "inject.policy" | "restore.process" | "journal.lock"
-  | "journal.append" ->
+  | Criu_checkpoint | Criu_save | Criu_load | Rewrite_patch | Inject_lib
+  | Inject_policy | Restore_process | Journal_lock | Journal_append ->
       tree_probe site
-  | "rewrite.unmap" -> tree_probe ~method_:`Unmap_pages site
-  | "restore.tcp_repair" -> tree_probe ~tcp:true site
-  | "restore.respawn" -> respawn_probe site
-  | "supervisor.promote" -> promote_probe site
-  | "crit.encode" | "crit.decode" -> crit_probe site
-  | "recover.replay" -> recover_probe site
-  | "fleet.wave" | "fleet.manifest" -> fleet_rollout_probe site
-  | "balancer.dispatch" | "net.accept_queue" | "net.serve" ->
-      fleet_request_probe site
-  | "slice.trace" | "slice.compute" -> slice_probe site
-  | "bbcache.dispatch" | "bbcache.flush" -> bbcache_probe site
-  | s -> fun _ -> failp "site %s has no chaos probe — extend Chaos.probe_driver" s
+  | Rewrite_unmap -> tree_probe ~method_:`Unmap_pages site
+  | Restore_tcp_repair -> tree_probe ~tcp:true site
+  | Restore_respawn -> respawn_probe site
+  | Supervisor_promote -> promote_probe site
+  | Crit_encode | Crit_decode -> crit_probe site
+  | Recover_replay -> recover_probe site
+  | Fleet_wave | Fleet_manifest -> fleet_rollout_probe site
+  | Balancer_dispatch | Net_accept_queue | Net_serve -> fleet_request_probe site
+  | Slice_trace | Slice_compute -> slice_probe site
+  | Bbcache_dispatch | Bbcache_flush -> bbcache_probe site
 
 type probe = {
-  p_site : string;
+  p_site : Site.t;
   p_mode : Fault.mode;
   p_ok : bool;
   p_detail : string;  (** empty when ok *)
@@ -739,8 +738,8 @@ let probe site mode : probe =
   | exception Probe_failure msg -> result false msg
   | exception e -> result false ("uncaught exception " ^ Printexc.to_string e)
 
-(** The directed sweep: every registered site in every applicable mode. *)
+(** The directed sweep: every site in every applicable mode. *)
 let coverage_matrix () : probe list =
   List.concat_map
-    (fun (site, _) -> List.map (probe site) (Fault.applicable_modes site))
-    Fault.known_sites
+    (fun site -> List.map (probe site) (Fault.applicable_modes site))
+    Site.all

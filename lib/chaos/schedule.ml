@@ -22,7 +22,7 @@ type trigger =
   | Window of int * int
       (** armed while run-relative clock is in [\[t0, t1)], cycles *)
 
-type event = { ev_site : string; ev_mode : Fault.mode; ev_trigger : trigger }
+type event = { ev_site : Fault.Site.t; ev_mode : Fault.mode; ev_trigger : trigger }
 
 type t = { sc_seed : int; sc_events : event list }
 
@@ -31,7 +31,7 @@ let pp_trigger ppf = function
   | Window (t0, t1) -> Format.fprintf ppf "window %d %d" t0 t1
 
 let pp_event ppf (e : event) =
-  Format.fprintf ppf "%s %s %a" e.ev_site
+  Format.fprintf ppf "%s %s %a" (Fault.Site.name e.ev_site)
     (Fault.mode_to_string e.ev_mode)
     pp_trigger e.ev_trigger
 
@@ -47,24 +47,12 @@ let pp ppf (s : t) =
    special driver (crit round trips, unmap-pages cuts, the supervisor's
    respawns, promotions and re-enables, the slicer, the code cache)
    are covered by the directed matrix instead. *)
-let fleet_sites =
+let fleet_sites : Fault.Site.t list =
   [
-    "criu.checkpoint";
-    "criu.save";
-    "criu.load";
-    "rewrite.patch";
-    "inject.lib";
-    "inject.policy";
-    "restore.process";
-    "restore.tcp_repair";
-    "journal.lock";
-    "journal.append";
-    "recover.replay";
-    "fleet.wave";
-    "fleet.manifest";
-    "balancer.dispatch";
-    "net.accept_queue";
-    "net.serve";
+    Criu_checkpoint; Criu_save; Criu_load; Rewrite_patch; Inject_lib;
+    Inject_policy; Restore_process; Restore_tcp_repair; Journal_lock;
+    Journal_append; Recover_replay; Fleet_wave; Fleet_manifest;
+    Balancer_dispatch; Net_accept_queue; Net_serve;
   ]
 
 (* a generated delay is big enough to dominate a request's round trip —
@@ -117,41 +105,10 @@ let generate ?(max_events = 4) ~seed () : t =
     One event per line, order preserved; the whole run state is the seed
     plus this list, so the file reproduces a failure bit-for-bit. *)
 
-let mode_of_string (s : string) : Fault.mode =
-  match s with
-  | "fail" -> Fault.Fail
-  | "kill" -> Fault.Kill
-  | "corrupt" -> Fault.Corrupt
-  | "enospc" -> Fault.Enospc
-  | "eio" -> Fault.Eio
-  | _ ->
-      let pfx = "delay=" in
-      if String.length s > String.length pfx
-         && String.sub s 0 (String.length pfx) = pfx
-      then
-        match
-          int_of_string_opt
-            (String.sub s (String.length pfx)
-               (String.length s - String.length pfx))
-        with
-        | Some n when n > 0 -> Fault.Delay n
-        | _ -> invalid_arg (Printf.sprintf "Schedule: bad delay %S" s)
-      else invalid_arg (Printf.sprintf "Schedule: unknown mode %S" s)
-
 let to_replay (s : t) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "chaos-replay v1\n";
-  Buffer.add_string b (Printf.sprintf "seed %d\n" s.sc_seed);
-  List.iter
-    (fun e ->
-      Buffer.add_string b
-        (Printf.sprintf "event %s %s %s\n" e.ev_site
-           (Fault.mode_to_string e.ev_mode)
-           (match e.ev_trigger with
-           | Nth n -> Printf.sprintf "nth %d" n
-           | Window (t0, t1) -> Printf.sprintf "window %d %d" t0 t1)))
-    s.sc_events;
-  Buffer.contents b
+  String.concat ""
+    (Printf.sprintf "chaos-replay v1\nseed %d\n" s.sc_seed
+    :: List.map (Format.asprintf "event %a\n" pp_event) s.sc_events)
 
 exception
   Unsupported_version of {
@@ -179,6 +136,11 @@ let of_replay (text : string) : t =
     | Some n -> n
     | None -> bad "Schedule.of_replay: bad %s %S" what v
   in
+  let event name mode ev_trigger =
+    match Fault.Site.of_name name with
+    | Some ev_site -> { ev_site; ev_mode = Fault.mode_of_string mode; ev_trigger }
+    | None -> bad "Schedule.of_replay: unknown site %S" name
+  in
   let lines =
     List.filter
       (fun l -> l <> "" && l.[0] <> '#')
@@ -194,21 +156,9 @@ let of_replay (text : string) : t =
           with
           | [ "seed"; v ] -> seed := Some (num "seed" v)
           | [ "event"; site; mode; "nth"; n ] ->
-              events :=
-                {
-                  ev_site = site;
-                  ev_mode = mode_of_string mode;
-                  ev_trigger = Nth (num "nth" n);
-                }
-                :: !events
+              events := event site mode (Nth (num "nth" n)) :: !events
           | [ "event"; site; mode; "window"; t0; t1 ] ->
-              events :=
-                {
-                  ev_site = site;
-                  ev_mode = mode_of_string mode;
-                  ev_trigger = Window (num "t0" t0, num "t1" t1);
-                }
-                :: !events
+              events := event site mode (Window (num "t0" t0, num "t1" t1)) :: !events
           | _ -> bad "Schedule.of_replay: bad line %S" line)
         rest;
       (match !seed with

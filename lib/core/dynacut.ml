@@ -454,9 +454,9 @@ let guard stage f =
     raise (Stage_failed (stage, e))
 
 let describe_exn = function
-  | Fault.Injected { site; _ } -> Printf.sprintf "injected fault at %s" site
+  | Fault.Injected { site; _ } -> "injected fault at " ^ Fault.Site.name site
   | Fault.Storage_error { site; kind } ->
-      Printf.sprintf "storage error (%s) at %s" (Fault.storage_kind_to_string kind) site
+      Printf.sprintf "storage error (%s) at %s" (Fault.storage_kind_to_string kind) (Fault.Site.name site)
   | Dynacut_error e -> e
   | Rewriter.Rewrite_error e -> "rewrite: " ^ e
   | Inject.Inject_error e -> "inject: " ^ e
@@ -905,7 +905,7 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
       List.filter_map
         (fun (pid, path) ->
           Obs.with_span "recover.replay" @@ fun () ->
-          Fault.site "recover.replay";
+          Fault.site Recover_replay;
           let live =
             match Machine.proc machine pid with
             | Some p -> Proc.is_live p
@@ -922,7 +922,7 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
        image beats a dead tree. *)
     let thaw_or_revive ~prefer ~fallback pid =
       Obs.with_span "recover.replay" @@ fun () ->
-      Fault.site "recover.replay";
+      Fault.site Recover_replay;
       match Machine.proc machine pid with
       | Some p when Proc.is_live p -> Machine.thaw machine ~pid
       | Some _ -> ()
@@ -942,7 +942,7 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
           List.iter
             (fun pid ->
               Obs.with_span "recover.replay" @@ fun () ->
-              Fault.site "recover.replay";
+              Fault.site Recover_replay;
               Machine.reap machine ~pid;
               let img =
                 match Vfs.find machine.Machine.fs (pristine pid) with

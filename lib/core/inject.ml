@@ -46,7 +46,7 @@ let find_gap (img : Images.t) ~(hint : int64) ~(size : int) : int64 =
     base. *)
 let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
     ~(deps : (Self.t * int64) list) () : Images.t * int64 =
-  Fault.site "inject.lib";
+  Fault.site Inject_lib;
   let size = Self.image_size lib in
   let base =
     match base with
@@ -127,7 +127,7 @@ let lib_sym (lib : Self.t) ~(base : int64) name : int64 =
     and the (trap address, payload) pairs the handler consults. *)
 let write_policy (img : Images.t) ~(lib : Self.t) ~(base : int64)
     ~(mode : int64) ~(entries : (int64 * int64) list) : unit =
-  Fault.site "inject.policy";
+  Fault.site Inject_policy;
   if List.length entries > Handler.max_table_entries then
     raise (Inject_error "policy table overflow");
   let w64 addr v =

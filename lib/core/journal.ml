@@ -196,11 +196,11 @@ let lock_epoch (t : t) : int =
     move. Transaction paths use {!acquire}. *)
 let write_lock (t : t) ~(epoch : int) : unit =
   Obs.with_span "journal.lock" @@ fun () ->
-  Fault.site "journal.lock";
+  Fault.site Journal_lock;
   let open Bytesx.W in
   let b = create ~size:16 () in
   int_as_u64 b epoch;
-  Vfs.add t.fs (lock_path t) (Validate.seal_at ~site:"journal.lock" (contents b))
+  Vfs.add t.fs (lock_path t) (Validate.seal_at ~site:Journal_lock (contents b))
 
 (** Take (or refresh) the lock for [epoch]; raises {!Fenced} when a
     newer epoch already holds it. *)
@@ -216,10 +216,10 @@ let acquire (t : t) ~(epoch : int) : unit =
     not write). *)
 let append (t : t) ~(epoch : int) (r : record) : unit =
   Obs.with_span "journal.append" @@ fun () ->
-  Fault.site "journal.append";
+  Fault.site Journal_append;
   let held = lock_epoch t in
   if held <> epoch then raise (Fenced { epoch; lock_epoch = held });
-  log_append t.fs (journal_path t) ~site:"journal.append" (encode_record r);
+  log_append t.fs (journal_path t) ~site:Journal_append (encode_record r);
   Obs.event ~kind:"journal" (Format.asprintf "%a" pp_record r)
 
 (** Remove the journal file only (recovery keeps its bumped lock behind
@@ -394,8 +394,8 @@ module Manifest = struct
   (** Append one sealed entry. Fault site [fleet.manifest] — a storage
       write like [Journal.append], with the same corruption point. *)
   let append (t : t) (e : entry) : unit =
-    Fault.site "fleet.manifest";
-    log_append t.fs t.path ~site:"fleet.manifest" (encode_entry e);
+    Fault.site Fleet_manifest;
+    log_append t.fs t.path ~site:Fleet_manifest (encode_entry e);
     Obs.event ~kind:"manifest" (Format.asprintf "%a" pp_entry e)
 
   (** Longest valid prefix + torn flag; never raises. *)

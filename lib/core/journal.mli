@@ -52,14 +52,14 @@ val read : t -> record list * bool
 
 val append : t -> epoch:int -> record -> unit
 (** Append one sealed record. Verifies the lock still carries [epoch]
-    first; raises {!Fenced} otherwise. [Fault.site "journal.append"]. *)
+    first; raises {!Fenced} otherwise. [Fault.site Journal_append]. *)
 
 val lock_epoch : t -> int
 (** Epoch in the lock file; 0 when absent or unreadable. *)
 
 val write_lock : t -> epoch:int -> unit
 (** Stamp the lock with [epoch] unconditionally — recovery's fencing
-    move. [Fault.site "journal.lock"]. *)
+    move. [Fault.site Journal_lock]. *)
 
 val acquire : t -> epoch:int -> unit
 (** Take (or refresh) the lock for [epoch]; raises {!Fenced} when a

@@ -58,7 +58,7 @@ let block_vaddr img (b : Covgraph.block) : int64 =
     cheapest policy — enough to block a feature entered through its
     unique first block, §3.2.2). *)
 let disable_first_byte (img : Images.t) (blocks : Covgraph.block list) : patch list =
-  Fault.site "rewrite.patch";
+  Fault.site Rewrite_patch;
   List.map
     (fun b ->
       let va = block_vaddr img b in
@@ -75,7 +75,7 @@ let disable_first_byte (img : Images.t) (blocks : Covgraph.block list) : patch l
 (** Wipe every byte of each block with [int3] — the aggressive policy
     that also defeats code-reuse (ROP) on the disabled feature. *)
 let wipe_blocks (img : Images.t) (blocks : Covgraph.block list) : patch list =
-  Fault.site "rewrite.patch";
+  Fault.site Rewrite_patch;
   List.map
     (fun b ->
       let va = block_vaddr img b in
@@ -97,7 +97,7 @@ let page_size = 4096
     for restore. *)
 let unmap_block_pages (img : Images.t) (blocks : Covgraph.block list) :
     patch list * Images.t =
-  Fault.site "rewrite.unmap";
+  Fault.site Rewrite_unmap;
   (* bytes of each page covered by any block *)
   let coverage : (int64, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter

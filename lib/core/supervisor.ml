@@ -168,7 +168,7 @@ let guarded_cut t ?(canary = true) ~drive () =
             List.filter (fun p -> p <> cpid) (Dynacut.tree_pids t.session)
           in
           match
-            Fault.site "supervisor.promote";
+            Fault.site Supervisor_promote;
             if rest = [] then Ok [] else full_cut t ~pids:rest
           with
           | exception Fault.Injected _ ->

@@ -21,7 +21,7 @@ let dump_vma_pages ~mode (v : Mem.vma) =
     ({!Machine.freeze}); dumping a running process would be racy on a
     real system — here we just require quiescence by convention. *)
 let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
-  Fault.site "criu.checkpoint";
+  Fault.site Criu_checkpoint;
   let p = Machine.proc_exn m pid in
   let mem = p.Proc.mem in
   let mm =
@@ -154,7 +154,7 @@ let dump_tree (m : Machine.t) ~(root : int) ?(mode = Dynacut) () : Images.t list
     This is the [criu.save] fault site: corrupt-mode chaos faults mangle
     the stored copy here. Returns the file path. *)
 let save_sealed (m : Machine.t) ~(dir : string) ~(pid : int) (blob : string) : string =
-  Fault.site "criu.save";
+  Fault.site Criu_save;
   let path = Printf.sprintf "%s/dump-%d.img" dir pid in
-  Vfs.add m.Machine.fs path (Fault.corruptible "criu.save" blob);
+  Vfs.add m.Machine.fs path (Fault.corruptible Criu_save blob);
   path

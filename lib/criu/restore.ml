@@ -30,7 +30,7 @@ let file_bytes (m : Machine.t) ~path ~off ~len : bytes =
       out
 
 let restore (m : Machine.t) (img : Images.t) : Proc.t =
-  Fault.site "restore.process";
+  Fault.site Restore_process;
   let core = img.Images.core in
   (match Machine.proc m core.Images.c_pid with
   | Some p when Proc.is_live p ->
@@ -126,7 +126,7 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
   Obs.with_span "tcp_repair" (fun () ->
       List.iter
         (fun (s : Net.conn_snapshot) ->
-          Fault.site "restore.tcp_repair";
+          Fault.site Restore_tcp_repair;
           ignore (Net.repair_conn m.Machine.net s))
         img.Images.tcp);
   p.Proc.state <- Proc.Runnable;
@@ -150,7 +150,7 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
     [criu.load] fault site. Raises {!Restore_error} if the file is
     missing. *)
 let load_sealed (m : Machine.t) ~(path : string) : string =
-  Fault.site "criu.load";
+  Fault.site Criu_load;
   match Vfs.find m.Machine.fs path with
   | None -> raise (Restore_error ("no image at " ^ path))
   | Some blob -> blob
@@ -172,7 +172,7 @@ let restore_from_tmpfs (m : Machine.t) ~(path : string) : Proc.t =
     resumes from the image's saved state, cut edits included when the
     image is a working (rewritten) one. *)
 let respawn (m : Machine.t) ~(path : string) : Proc.t =
-  Fault.site "restore.respawn";
+  Fault.site Restore_respawn;
   let p = restore m (load_from_tmpfs m ~path) in
   p.Proc.frozen <- false;
   p

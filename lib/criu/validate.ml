@@ -265,7 +265,7 @@ let unseal_frames (blob : string) : string list * tear option =
     catch it at read time); the write-blocking modes (fail, kill,
     enospc, eio) were already evaluated by the site's [Fault.site] call.
     Every storage write in [Journal] goes through here. *)
-let seal_at ~(site : string) (payload : string) : string =
+let seal_at ~(site : Fault.Site.t) (payload : string) : string =
   Fault.corruptible site (seal payload)
 
 (* the frame [a]'s buffer lays out, sealed where it lies with page

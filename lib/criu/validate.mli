@@ -44,7 +44,7 @@ val unseal_frames : string -> string list * tear option
     raises: a crash can tear the last frame, and the prefix is exactly
     what recovery needs. *)
 
-val seal_at : site:string -> string -> string
+val seal_at : site:Fault.Site.t -> string -> string
 (** [seal], then pass the sealed frame through [Fault.corruptible site]:
     a [Fault.Corrupt] fault armed at [site] mangles the frame on the way
     to storage (seeded bit-flip or truncation), exercising the checksum

@@ -153,7 +153,7 @@ let set_inflight_gauge t =
   Obs.set_gauge (Obs.gauge "fleet.inflight") (float_of_int t.inflight)
 
 let dispatch_ticket t (text : string) : [ `Ticket of ticket | `Refused ] =
-  Fault.site "balancer.dispatch";
+  Fault.site Balancer_dispatch;
   match pick t with
   | Error skipped ->
       Obs.incr (Obs.counter "fleet.refused");

@@ -138,7 +138,7 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
     (fun i wave_pids ->
       if !halted = None then begin
         let wave = i + 1 in
-        Fault.site "fleet.wave";
+        Fault.site Fleet_wave;
         Journal.Manifest.append manifest
           (Journal.Manifest.Wave_begin { wave; pids = wave_pids });
         Obs.set_gauge (Obs.gauge "fleet.wave") (float_of_int wave);

@@ -26,7 +26,7 @@
 
     Fidelity rules: the interpreter runs only the steps the cache
     declines — an int3 or a fault at rip, a quantum whose
-    ["bbcache.dispatch"] fault was injected as [Fail], and every step
+    [Bbcache_dispatch] fault was injected as [Fail], and every step
     of a degraded dispatcher — and the reference the tests and the
     bench compare against, which is a dispatcher degraded on purpose
     ({!degrade}). A failed flush degrades the dispatcher permanently
@@ -102,7 +102,7 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
   if d.Cpu.d_degraded then 0
   else
     match
-      if Fault.armed "bbcache.dispatch" then Fault.site "bbcache.dispatch"
+      if Fault.armed Bbcache_dispatch then Fault.site Bbcache_dispatch
     with
     | exception Fault.Injected _ -> 0 (* this quantum interprets instead *)
     | () ->

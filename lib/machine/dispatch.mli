@@ -3,7 +3,7 @@
     blocks into superblocks until a trap/syscall boundary. A host-only
     accelerator: the virtual clock advances exactly as when
     interpreted. The interpreter runs only the steps the cache declines
-    (int3 or fault at rip, an injected ["bbcache.dispatch"] fault, a
+    (int3 or fault at rip, an injected [Bbcache_dispatch] fault, a
     degraded dispatcher) and the reference made by {!degrade}. *)
 
 type t = Cpu.dispatcher
@@ -22,7 +22,7 @@ val exec : Cpu.t -> Proc.t -> fuel:int -> until:int64 -> int
 (** Run the process out of its cache, stopping where the scheduler's
     single-step loop would (after [fuel] instructions or at clock
     [until]); returns how many instructions executed, 0 when the cache
-    declined (int3 or fault at rip, injected ["bbcache.dispatch"]
+    declined (int3 or fault at rip, injected [Bbcache_dispatch]
     fault, degraded dispatcher) and the interpreter must take one step.
     Interpreted semantics are preserved exactly (same hooks, counters,
     signals and virtual clock); only host time changes. *)

@@ -4,6 +4,6 @@
 
 val drain : Cache.t -> int
 (** Evict blocks overlapping dirtied executable pages; returns how many
-    died (0 when clean). Fires ["bbcache.flush"] when there is work; an
+    died (0 when clean). Fires [Bbcache_flush] when there is work; an
     injected [Fail] propagates as [Fault.Injected] and the caller must
     degrade rather than run stale blocks. *)

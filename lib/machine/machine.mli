@@ -3,7 +3,7 @@
     (1 cycle per retired instruction). Every machine executes on its
     decoded-block dispatcher ({!Dispatch}), hooked or not; the
     interpreter runs only the steps the cache declines (int3 or fault
-    at rip, an injected ["bbcache.dispatch"] fault, a degraded
+    at rip, an injected [Bbcache_dispatch] fault, a degraded
     dispatcher) and the reference the cache is tested against, a
     dispatcher degraded on purpose ({!Dispatch.degrade}). Re-exports
     {!Cpu}, the part below the scheduler. Plays the role of Linux + the

@@ -121,7 +121,7 @@ let pick_listener t port : listener =
 let connect_via t (l : listener) : conn =
   if not l.accepting then raise (Refused l.l_port);
   if l.backlog_max < max_int then begin
-    Fault.site "net.accept_queue";
+    Fault.site Net_accept_queue;
     if backlog_full l then raise (Refused l.l_port)
   end;
   let c =
@@ -173,7 +173,7 @@ let server_accept (l : listener) : conn option =
          chaos schedule can slow exactly one fleet member).
          Sits before the pop, so a fail/kill fault leaves the backlog
          intact and the accept retries like an EINTR. *)
-      Fault.site ~scope:l.l_owner "net.serve";
+      Fault.site ~scope:l.l_owner Net_serve;
       l.backlog <- rest;
       Obs.set_gauge (depth_gauge l) (float_of_int (backlog_depth l));
       Some c

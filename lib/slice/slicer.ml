@@ -377,7 +377,7 @@ let on_syscall t (p : Proc.t) (nr : int) =
     accept attempt re-decides whether tracing is on. *)
 let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
     () : t =
-  Fault.site "slice.trace";
+  Fault.site Slice_trace;
   let p = Machine.proc_exn machine pid in
   let ds = Depset.create () in
   let t =
@@ -447,7 +447,7 @@ let counterexamples t = t.counterexamples
     fall-through run, so its span can cross several static CFG blocks;
     match static blocks against the slice by range overlap. *)
 let slice t : (string * int * int) list =
-  Fault.site "slice.compute";
+  Fault.site Slice_compute;
   Obs.with_span "slice.compute" @@ fun () ->
   let name mid =
     match List.nth_opt t.module_map mid with

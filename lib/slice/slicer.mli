@@ -33,7 +33,7 @@ val attach :
     (slice anchors). [sample] (rng, probability) enables sampled
     tracing: each accept attempt draws a fresh seeded decision whether
     tracing is on — gaps under-approximate the slice and are repaid by
-    the verifier counterexample loop. Fault site ["slice.trace"]. *)
+    the verifier counterexample loop. Fault site [Slice_trace]. *)
 
 val detach : t -> unit
 (** Restore the chained hooks; computed state stays readable. *)
@@ -43,7 +43,7 @@ val slice : t -> (string * int * int) list
     contributed to a wanted output, plus counterexamples (extent 1).
     Dynamic blocks are maximal fall-through runs and can span several
     static CFG blocks — match static blocks by range overlap, not
-    start-point membership. Fault site ["slice.compute"]. *)
+    start-point membership. Fault site [Slice_compute]. *)
 
 val add_counterexample : t -> module_:string -> off:int -> unit
 (** A verifier false positive — a sliced-away block trapped post-cut.

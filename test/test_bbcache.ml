@@ -811,7 +811,7 @@ let test_fleet_recover_coldness () =
   (* controller dies mid-restore during wave 1 of a rollout; recovery
      rolls the half-cut worker back from its pristine image — a fresh
      process whose cache must read cold *)
-  Fault.arm ~kill:true "restore.process" Fault.One_shot;
+  Fault.arm ~kill:true Restore_process Fault.One_shot;
   let config =
     Rollout.
       {

@@ -38,15 +38,19 @@ let test_replay_roundtrip () =
         (Printf.sprintf "seed %d round-trips" seed)
         true (s = s'))
     [ 1; 17; 400; 9999 ];
-  (* every mode round-trips through its replay spelling *)
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        (Fault.mode_to_string m ^ " round-trips")
-        true
-        (Schedule.mode_of_string (Fault.mode_to_string m) = m))
-    [ Fault.Fail; Fault.Kill; Fault.Delay 25_000; Fault.Corrupt;
-      Fault.Enospc; Fault.Eio ];
+  (* the replay text is a file format: pinned byte for byte *)
+  Alcotest.(check string) "replay text pinned"
+    "chaos-replay v1\nseed 9\nevent criu.save corrupt nth 2\n\
+     event net.serve delay=40000 window 10 20\n"
+    (Schedule.to_replay
+       {
+         Schedule.sc_seed = 9;
+         sc_events =
+           [
+             { ev_site = Criu_save; ev_mode = Fault.Corrupt; ev_trigger = Schedule.Nth 2 };
+             { ev_site = Net_serve; ev_mode = Fault.Delay 40_000; ev_trigger = Schedule.Window (10, 20) };
+           ];
+       });
   (* malformed files are rejected, not half-parsed *)
   let rejects text =
     match Schedule.of_replay text with
@@ -60,6 +64,9 @@ let test_replay_roundtrip () =
     (rejects "chaos-replay v1\nseed 3\nevent journal.lock explode nth 1\n");
   Alcotest.(check bool) "bad delay rejected" true
     (rejects "chaos-replay v1\nseed 3\nevent net.serve delay=zero nth 1\n");
+  (* a misspelt site would be armed nowhere: the run would pass vacuously *)
+  Alcotest.(check bool) "unknown site rejected" true
+    (rejects "chaos-replay v1\nseed 3\nevent criu.sav fail nth 1\n");
   (* comments and blank lines are fine *)
   let s =
     Schedule.of_replay
@@ -118,10 +125,10 @@ let sched seed events =
    read time and never violate an invariant: the torn tail is dropped,
    the tree converges, the fleet serves *)
 let test_corrupt_journal_clean () =
-  let s = sched 301 [ ("journal.append", Fault.Corrupt, Schedule.Nth 1) ] in
+  let s = sched 301 [ (Journal_append, Fault.Corrupt, Schedule.Nth 1) ] in
   let r = Chaos.run s in
   Alcotest.(check bool) "the corruption fired" true
-    (List.mem_assoc "journal.append" r.Chaos.r_fired);
+    (List.mem_assoc Fault.Site.Journal_append r.Chaos.r_fired);
   Alcotest.(check bool)
     (Format.asprintf "no violations: %a" Chaos.pp_report r)
     true (Chaos.passed r)
@@ -129,10 +136,10 @@ let test_corrupt_journal_clean () =
 (* a full disk at image-save time is a clean refusal: the cut is denied,
    nothing half-done, every invariant holds *)
 let test_enospc_clean_refusal () =
-  let s = sched 302 [ ("criu.save", Fault.Enospc, Schedule.Nth 1) ] in
+  let s = sched 302 [ (Criu_save, Fault.Enospc, Schedule.Nth 1) ] in
   let r = Chaos.run s in
   Alcotest.(check bool) "the enospc fired" true
-    (List.mem_assoc "criu.save" r.Chaos.r_fired);
+    (List.mem_assoc Fault.Site.Criu_save r.Chaos.r_fired);
   (* the guard absorbs the typed storage error: the cut is refused — as
      a rolled-back canary (halted rollout) or an explicit refusal —
      never a stranded half-patched tree *)
@@ -155,7 +162,7 @@ let test_enospc_clean_refusal () =
    criu.save event that strikes violates it — so ddmin must strip every
    other event and hand back exactly the criu.save one. *)
 let broken_oracle (_ : Oracle.ctx) : Oracle.violation list =
-  if Fault.fired "criu.save" > 0 then
+  if Fault.fired Criu_save > 0 then
     [ Oracle.violation "demo-no-save-fault" "criu.save fired" ]
   else []
 
@@ -163,9 +170,9 @@ let test_shrink_to_minimal_and_replay () =
   let s =
     sched 303
       [
-        ("net.serve", Fault.Fail, Schedule.Nth 2);
-        ("criu.save", Fault.Enospc, Schedule.Nth 1);
-        ("balancer.dispatch", Fault.Fail, Schedule.Nth 3);
+        (Net_serve, Fault.Fail, Schedule.Nth 2);
+        (Criu_save, Fault.Enospc, Schedule.Nth 1);
+        (Balancer_dispatch, Fault.Fail, Schedule.Nth 3);
       ]
   in
   let failing sc =
@@ -176,7 +183,7 @@ let test_shrink_to_minimal_and_replay () =
   Alcotest.(check int) "shrunk to one event" 1
     (List.length minimal.Schedule.sc_events);
   Alcotest.(check string) "the culprit event survives" "criu.save"
-    (List.hd minimal.Schedule.sc_events).Schedule.ev_site;
+    (Fault.Site.name (List.hd minimal.Schedule.sc_events).Schedule.ev_site);
   Alcotest.(check int) "seed unchanged" s.Schedule.sc_seed
     minimal.Schedule.sc_seed;
   (* the replay file reproduces the violation bit-for-bit: same report
@@ -191,22 +198,28 @@ let test_shrink_to_minimal_and_replay () =
 
 (* ---------- shrinker unit behavior (no fleet, pure) ---------- *)
 
+(* the sites of a schedule, by name *)
+let site_names (sc : Schedule.t) =
+  List.map (fun e -> Fault.Site.name e.Schedule.ev_site) sc.Schedule.sc_events
+
 let test_ddmin_pure () =
   (* failing = "contains both event A and event C": minimal is {A, C} *)
   let ev site = { Schedule.ev_site = site; ev_mode = Fault.Fail; ev_trigger = Schedule.Nth 1 } in
   let s =
     { Schedule.sc_seed = 5;
-      sc_events = List.map ev [ "a"; "b"; "c"; "d"; "e"; "f" ] }
+      sc_events =
+        List.map ev
+          [ Criu_checkpoint; Criu_save; Criu_load; Crit_encode; Crit_decode; Rewrite_patch ] }
   in
   let failing (sc : Schedule.t) =
-    let sites = List.map (fun e -> e.Schedule.ev_site) sc.Schedule.sc_events in
-    List.mem "a" sites && List.mem "c" sites
+    let sites = site_names sc in
+    List.mem "criu.checkpoint" sites && List.mem "criu.load" sites
   in
   let m = Shrink.minimize ~failing s in
-  Alcotest.(check (list string)) "1-minimal pair" [ "a"; "c" ]
-    (List.map (fun e -> e.Schedule.ev_site) m.Schedule.sc_events);
+  Alcotest.(check (list string)) "1-minimal pair" [ "criu.checkpoint"; "criu.load" ]
+    (site_names m);
   (* single-event repro shrinks to itself *)
-  let s1 = { Schedule.sc_seed = 5; sc_events = [ ev "x" ] } in
+  let s1 = { Schedule.sc_seed = 5; sc_events = [ ev Net_serve ] } in
   let m1 = Shrink.minimize ~failing:(fun _ -> true) s1 in
   Alcotest.(check int) "singleton stays" 1 (List.length m1.Schedule.sc_events)
 
@@ -230,21 +243,21 @@ let test_ddmin_degenerate () =
   Alcotest.(check int) "empty schedule needs no runs" 0 !calls;
   (* single-fault schedule: comes back identical even when the predicate
      also fails on the (never-tried) empty subset *)
-  let s1 = { Schedule.sc_seed = 10; sc_events = [ ev "criu.save" ] } in
+  let s1 = { Schedule.sc_seed = 10; sc_events = [ ev Criu_save ] } in
   let m1 = Shrink.minimize ~failing:(fun _ -> true) s1 in
   Alcotest.(check bool) "singleton unchanged" true (m1 = s1);
   (* already-1-minimal: every event is load-bearing, so ddmin and the
      pruning pass must keep all of them in order *)
   let s3 =
-    { Schedule.sc_seed = 11; sc_events = List.map ev [ "a"; "b"; "c" ] }
+    { Schedule.sc_seed = 11; sc_events = List.map ev [ Criu_checkpoint; Criu_save; Criu_load ] }
   in
   let failing (sc : Schedule.t) =
     List.length sc.Schedule.sc_events = 3
   in
   let m3 = Shrink.minimize ~failing s3 in
   Alcotest.(check (list string)) "1-minimal triple kept in order"
-    [ "a"; "b"; "c" ]
-    (List.map (fun e -> e.Schedule.ev_site) m3.Schedule.sc_events)
+    [ "criu.checkpoint"; "criu.save"; "criu.load" ]
+    (site_names m3)
 
 (* strike's delay check must see where the delay landed: machine B,
    created after A, takes the delay hook, so a delay armed while A
@@ -258,7 +271,7 @@ let test_strike_delay_elsewhere_refused () =
   let clock0 = a.Machine.clock in
   let refused =
     match
-      Chaos.strike a "net.serve" (Fault.Delay 1_000) (fun () ->
+      Chaos.strike a Net_serve (Fault.Delay 1_000) (fun () ->
           ignore (Workload.rpc c Chaos.get))
     with
     | (_ : Chaos.outcome) -> false

@@ -10,15 +10,15 @@ let redirect_policy =
 
 (* every site the dsrv cut pipeline reaches (tcp_repair needs an open
    connection and gets its own test below) *)
-let cut_sites =
+let cut_sites : Fault.Site.t list =
   [
-    "criu.checkpoint";
-    "criu.save";
-    "criu.load";
-    "rewrite.patch";
-    "inject.lib";
-    "inject.policy";
-    "restore.process";
+    Criu_checkpoint;
+    Criu_save;
+    Criu_load;
+    Rewrite_patch;
+    Inject_lib;
+    Inject_policy;
+    Restore_process;
   ]
 
 (* ---------- rollback invariant, one site at a time ---------- *)
@@ -31,12 +31,13 @@ let check_rollback_at site () =
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
   Fault.arm site Fault.One_shot;
   let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
-  Alcotest.(check bool) (site ^ " fired") true (Fault.fired site = 1);
+  let name = Fault.Site.name site in
+  Alcotest.(check bool) (name ^ " fired") true (Fault.fired site = 1);
   (match r.Dynacut.r_outcome with
   | `Rolled_back rb ->
       Alcotest.(check string) "error names the site"
-        ("injected fault at " ^ site) rb.Dynacut.rb_error
-  | `Applied -> Alcotest.failf "fault at %s did not roll back" site);
+        ("injected fault at " ^ name) rb.Dynacut.rb_error
+  | `Applied -> Alcotest.failf "fault at %s did not roll back" name);
   Alcotest.(check bool) "no journals" true (r.Dynacut.r_journals = []);
   (* the tree is alive and shows its *pre-cut* behaviour: the feature is
      not blocked *)
@@ -61,9 +62,9 @@ let test_rollback_tcp_repair () =
   let c = Net.connect m.Machine.net 9200 in
   let (_ : _) = Machine.run m ~max_cycles:500_000 in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  Fault.arm "restore.tcp_repair" Fault.One_shot;
+  Fault.arm Restore_tcp_repair Fault.One_shot;
   let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
-  Alcotest.(check bool) "tcp_repair fired" true (Fault.fired "restore.tcp_repair" = 1);
+  Alcotest.(check bool) "tcp_repair fired" true (Fault.fired Restore_tcp_repair = 1);
   (match r.Dynacut.r_outcome with
   | `Rolled_back rb -> Alcotest.(check string) "stage" "restore" rb.Dynacut.rb_stage
   | `Applied -> Alcotest.fail "expected rollback");
@@ -113,7 +114,7 @@ let test_transient_fault_retried () =
   let blocks = Test_core.feature_blocks () in
   let m, p = Test_core.boot () in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  Fault.arm ~transient:true "criu.save" Fault.One_shot;
+  Fault.arm ~transient:true Criu_save Fault.One_shot;
   let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
   (match r.Dynacut.r_outcome with
   | `Applied -> ()
@@ -138,9 +139,9 @@ let test_commit_transient_retried () =
   Alcotest.(check bool) "twin applied" true (r0.Dynacut.r_outcome = `Applied);
   let m, p = Test_core.boot () in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  Fault.arm ~transient:true "restore.process" Fault.One_shot;
+  Fault.arm ~transient:true Restore_process Fault.One_shot;
   let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
-  Alcotest.(check bool) "restore.process fired" true (Fault.fired "restore.process" = 1);
+  Alcotest.(check bool) "restore.process fired" true (Fault.fired Restore_process = 1);
   (match r.Dynacut.r_outcome with
   | `Applied -> ()
   | o -> Alcotest.failf "expected applied after retry: %a" Dynacut.pp_outcome o);
@@ -156,7 +157,7 @@ let test_checkpoint_transient_exhausted () =
   let blocks = Test_core.feature_blocks () in
   let m, p = Test_core.boot () in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
-  Fault.arm ~transient:true "criu.checkpoint" (Fault.Every_nth 1);
+  Fault.arm ~transient:true Criu_checkpoint (Fault.Every_nth 1);
   let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
   (match r.Dynacut.r_outcome with
   | `Rolled_back rb -> Alcotest.(check string) "stage" "checkpoint" rb.Dynacut.rb_stage
@@ -171,7 +172,7 @@ let test_checkpoint_transient_exhausted () =
 let test_persistent_unmap_fault_rolls_back () =
   Fault.reset ();
   let blocks = Test_core.feature_blocks () in
-  Fault.arm "rewrite.unmap" (Fault.Every_nth 1);
+  Fault.arm Rewrite_unmap (Fault.Every_nth 1);
   let m, p = Test_core.boot () in
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
   let r =
@@ -208,7 +209,7 @@ let test_chaos_soak_ngx () =
   answers ();
   let rng = Rng.create 1234 in
   let policy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" } in
-  let chaos_sites = cut_sites @ [ "restore.tcp_repair"; "crit.encode" ] in
+  let chaos_sites = cut_sites @ [ Restore_tcp_repair; Crit_encode ] in
   for _cycle = 1 to 12 do
     Fault.reset ();
     Fault.arm (Rng.choose rng chaos_sites) Fault.One_shot;
@@ -265,11 +266,11 @@ let test_promote_fault_fleet_invariant () =
   let drive () =
     ignore (Workload.rpc ~max_cycles:800_000 c "GET /index.html HTTP/1.0\r\n\r\n")
   in
-  Fault.arm "supervisor.promote" Fault.One_shot;
+  Fault.arm Supervisor_promote Fault.One_shot;
   (match Supervisor.guarded_cut sup ~canary:true ~drive () with
   | Supervisor.R_promotion_failed -> ()
   | r -> Alcotest.failf "expected promotion failure: %a" Supervisor.pp_rollout r);
-  Alcotest.(check bool) "promote fired" true (Fault.fired "supervisor.promote" = 1);
+  Alcotest.(check bool) "promote fired" true (Fault.fired Supervisor_promote = 1);
   (* every pid fully original *)
   check_fleet "after failed promotion" originals;
   Alcotest.(check string) "feature unchanged"
@@ -308,19 +309,19 @@ let test_guarded_chaos_soak () =
   (* the sites a fault-free guarded cut + re-enable of ngx reaches on
      every cycle (inject.lib only on the first, which maps the handler
      library), so each armed fault strikes *)
-  let chaos_sites =
+  let chaos_sites : Fault.Site.t list =
     [
-      "bbcache.flush";
-      "criu.checkpoint";
-      "criu.load";
-      "criu.save";
-      "inject.policy";
-      "journal.append";
-      "journal.lock";
-      "net.serve";
-      "restore.process";
-      "rewrite.patch";
-      "supervisor.promote";
+      Bbcache_flush;
+      Criu_checkpoint;
+      Criu_load;
+      Criu_save;
+      Inject_policy;
+      Journal_append;
+      Journal_lock;
+      Net_serve;
+      Restore_process;
+      Rewrite_patch;
+      Supervisor_promote;
     ]
   in
   (* a fault on the serving path (e.g. net.serve) aborts that one
@@ -344,57 +345,97 @@ let test_guarded_chaos_soak () =
     | Supervisor.R_rolled_back _ ->
         ());
     Alcotest.(check int)
-      (Printf.sprintf "cycle %d: %s fired once" cycle site)
+      (Printf.sprintf "cycle %d: %s fired once" cycle (Fault.Site.name site))
       1 (Fault.fired site);
     Fault.reset ();
     (* the invariant: whatever the fault hit, ngx answers *)
     answers ()
   done;
   Alcotest.(check bool) "server alive after soak" true
-    (Proc.is_live (Machine.proc_exn c.Workload.m c.Workload.pid));
-  (* every site this run reached is in the static registry *)
-  let known = List.map fst Fault.known_sites in
-  List.iter
-    (fun s -> Alcotest.(check bool) ("site registered: " ^ s) true (List.mem s known))
-    (Fault.sites ())
+    (Proc.is_live (Machine.proc_exn c.Workload.m c.Workload.pid))
 
 (* ---------- the static site registry ---------- *)
 
 let test_known_sites_registry () =
-  let known = List.map fst Fault.known_sites in
+  let known = List.map Fault.Site.name Fault.Site.all in
   let expected =
-    cut_sites
-    @ [
-        "restore.tcp_repair";
-        "restore.respawn";
-        "rewrite.unmap";
-        "crit.encode";
-        "crit.decode";
-        "supervisor.promote";
-        "journal.lock";
-        "journal.append";
-        "recover.replay";
-        "fleet.wave";
-        "fleet.manifest";
-        "balancer.dispatch";
-        "net.accept_queue";
-        "net.serve";
-        "slice.trace";
-        "slice.compute";
-        "bbcache.dispatch";
-        "bbcache.flush";
-      ]
+    [
+      "criu.checkpoint";
+      "criu.save";
+      "criu.load";
+      "crit.encode";
+      "crit.decode";
+      "rewrite.patch";
+      "rewrite.unmap";
+      "inject.lib";
+      "inject.policy";
+      "restore.process";
+      "restore.tcp_repair";
+      "restore.respawn";
+      "supervisor.promote";
+      "journal.lock";
+      "journal.append";
+      "recover.replay";
+      "fleet.wave";
+      "fleet.manifest";
+      "balancer.dispatch";
+      "net.accept_queue";
+      "net.serve";
+      "slice.trace";
+      "slice.compute";
+      "bbcache.dispatch";
+      "bbcache.flush";
+    ]
   in
+  (* the names and their order: the order fixes the coverage matrix's
+     probe order and the schedule generator's draws *)
+  Alcotest.(check (list string)) "registry names in order" expected known;
   List.iter
     (fun s ->
-      Alcotest.(check bool) ("registered: " ^ s) true (List.mem s known))
-    expected;
-  (* the registry holds nothing beyond the sites the suites exercise *)
-  Alcotest.(check int) "registry size" (List.length expected) (List.length known);
+      Alcotest.(check bool) "described" true
+        (String.length (Fault.Site.description s) > 0))
+    Fault.Site.all
+
+(* every spelling names its site back; a near miss names none *)
+let test_site_names_round_trip () =
   List.iter
-    (fun (_, desc) ->
-      Alcotest.(check bool) "described" true (String.length desc > 0))
-    Fault.known_sites
+    (fun s ->
+      Alcotest.(check bool)
+        (Fault.Site.name s ^ " round-trips")
+        true
+        (Fault.Site.of_name (Fault.Site.name s) = Some s))
+    Fault.Site.all;
+  Alcotest.(check bool) "criu.sav names no site" true
+    (Fault.Site.of_name "criu.sav" = None)
+
+(* one mode parser: every applicable mode of every site round-trips
+   through its printed name, alone and as an --inject-fault option *)
+let test_mode_spelling_round_trip () =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun m ->
+          let text = Fault.mode_to_string m in
+          Alcotest.(check bool) (text ^ " round-trips") true
+            (Fault.mode_of_string text = m);
+          let site, _, _, mode, _ =
+            Fault.parse_spec (Fault.Site.name s ^ ":" ^ text)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s:%s parses" (Fault.Site.name s) text)
+            true
+            (site = s && mode = m))
+        (Fault.applicable_modes s))
+    Fault.Site.all;
+  List.iter
+    (fun text ->
+      match Fault.mode_of_string text with
+      | m -> Alcotest.failf "%S parsed as %s" text (Fault.mode_to_string m)
+      | exception Invalid_argument _ -> ())
+    [ "delay=0"; "delay=-5"; "delay="; "delay=x"; "explode" ];
+  match Fault.parse_spec "net.serve:delay=0" with
+  | _ -> Alcotest.fail "net.serve:delay=0 parsed"
+  | exception Invalid_argument _ -> ()
 
 (* a misspelt or deleted site would be armed and never fire, so
    parse_spec refuses it, naming the site *)
@@ -407,14 +448,16 @@ let test_parse_spec_unknown_site () =
         true
         (Workload.contains ~sub:"\"criu.sav\"" msg));
   let site, spec, transient, mode, scope = Fault.parse_spec "criu.save:once" in
-  Alcotest.(check string) "site" "criu.save" site;
+  Alcotest.(check string) "site" "criu.save" (Fault.Site.name site);
   Alcotest.(check bool) "one-shot fail, no scope" true
     (spec = Fault.One_shot && mode = Fault.Fail && (not transient) && scope = None)
 
 let suite =
   List.map
     (fun site ->
-      Alcotest.test_case ("rollback at " ^ site) `Quick (check_rollback_at site))
+      Alcotest.test_case
+        ("rollback at " ^ Fault.Site.name site)
+        `Quick (check_rollback_at site))
     cut_sites
   @ [
       Alcotest.test_case "rollback at restore.tcp_repair" `Quick
@@ -436,4 +479,7 @@ let suite =
         test_known_sites_registry;
       Alcotest.test_case "parse_spec rejects an unknown site" `Quick
         test_parse_spec_unknown_site;
+      Alcotest.test_case "site names round-trip" `Quick test_site_names_round_trip;
+      Alcotest.test_case "mode spellings round-trip" `Quick
+        test_mode_spelling_round_trip;
     ]

@@ -371,7 +371,7 @@ let test_route_after_reap_revive () =
   let victim = List.nth pids 0 and other = List.nth pids 1 in
   (* the controller dies mid-restore: the victim's processes were reaped
      and their revival is recovery's job *)
-  Fault.arm ~kill:true "restore.process" Fault.One_shot;
+  Fault.arm ~kill:true Restore_process Fault.One_shot;
   let w = Fleet.worker fleet ~pid:victim in
   (match
      Dynacut.try_cut w.Rollout.w_session ~blocks:(Lazy.force lblocks)
@@ -445,8 +445,8 @@ let test_boot_discovers_first () =
   Gc.full_major ();
   let c0 = m.Machine.clock in
   Alcotest.(check bool) "the fleet booted on its own clock" true (c0 > 0L);
-  Fault.arm_mode "net.serve" Fault.One_shot (Fault.Delay 100_000);
-  Fault.site "net.serve";
+  Fault.arm_mode Net_serve Fault.One_shot (Fault.Delay 100_000);
+  Fault.site Net_serve;
   Alcotest.(check int64) "the delay lands on the fleet" (Int64.add c0 100_000L)
     m.Machine.clock;
   (match List.rev (Obs.events ()) with

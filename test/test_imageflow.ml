@@ -120,8 +120,8 @@ let test_census () =
   let c, s = boot ~seed:42 in
   let npids = List.length (Dynacut.tree_pids s) in
   let census what =
-    Alcotest.(check int) (what ^ ": criu.save hits") (2 * npids) (Fault.hits "criu.save");
-    Alcotest.(check int) (what ^ ": criu.load hits") npids (Fault.hits "criu.load")
+    Alcotest.(check int) (what ^ ": criu.save hits") (2 * npids) (Fault.hits Criu_save);
+    Alcotest.(check int) (what ^ ": criu.load hits") npids (Fault.hits Criu_load)
   in
   Fault.reset ();
   let journals = cut_ok s `First_byte in
@@ -201,7 +201,7 @@ let test_oracle () =
      before anything is journaled as rewritten *)
   let npids = List.length (Dynacut.tree_pids s) in
   Fault.reset ();
-  Fault.arm_mode "criu.save" (Fault.On_nth (2 * npids)) Fault.Corrupt;
+  Fault.arm_mode Criu_save (Fault.On_nth (2 * npids)) Fault.Corrupt;
   let r = Dynacut.try_cut s ~blocks:(Lazy.force blocks) ~policy:(policy `First_byte) () in
   (match r.Dynacut.r_outcome with
   | `Rolled_back rb ->
@@ -212,7 +212,7 @@ let test_oracle () =
         (String.length rb.Dynacut.rb_error > 16
         && String.sub rb.Dynacut.rb_error 0 16 = "validate: image ")
   | o -> Alcotest.failf "corrupt save: %a" Dynacut.pp_outcome o);
-  Alcotest.(check int) "corruption fired" 1 (Fault.fired "criu.save");
+  Alcotest.(check int) "corruption fired" 1 (Fault.fired Criu_save);
   Fault.reset ();
   record "rollback";
   check_serving c ~cut:false "after rollback";
@@ -272,7 +272,7 @@ let test_stored_frames_unwritten () =
   in
   let machine_hook = !Fault.delay_hook in
   Fault.set_delay_hook (Some snapshot);
-  List.iter (fun site -> Fault.arm_mode site (Fault.Every_nth 1) (Fault.Delay 1)) [ "criu.save"; "criu.load" ];
+  List.iter (fun site -> Fault.arm_mode site (Fault.Every_nth 1) (Fault.Delay 1)) [ Criu_save; Criu_load ];
   Fun.protect
     ~finally:(fun () ->
       Fault.reset ();
@@ -332,9 +332,9 @@ let test_transient_retry () =
   let c0, s0 = boot ~seed:5 in
   let clean = cut_ok s0 `First_byte in
   let c, s = boot ~seed:5 in
-  Fault.arm ~transient:true "inject.policy" Fault.One_shot;
+  Fault.arm ~transient:true Inject_policy Fault.One_shot;
   let r = Dynacut.try_cut s ~blocks:(Lazy.force blocks) ~policy:(policy `First_byte) () in
-  Alcotest.(check bool) "policy fault fired" true (Fault.fired "inject.policy" = 1);
+  Alcotest.(check bool) "policy fault fired" true (Fault.fired Inject_policy = 1);
   Fault.reset ();
   (match r.Dynacut.r_outcome with
   | `Applied -> ()
@@ -360,9 +360,9 @@ let test_partial_reenable_retry () =
       (fun (j : Rewriter.journal) -> j.Rewriter.j_pid = s.Dynacut.root_pid)
       journals
   in
-  Fault.arm ~transient:true "inject.policy" Fault.One_shot;
+  Fault.arm ~transient:true Inject_policy Fault.One_shot;
   let r = Dynacut.try_reenable s master in
-  Alcotest.(check bool) "policy fault fired" true (Fault.fired "inject.policy" = 1);
+  Alcotest.(check bool) "policy fault fired" true (Fault.fired Inject_policy = 1);
   Fault.reset ();
   (match r.Dynacut.r_outcome with
   | `Applied -> ()

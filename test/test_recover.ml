@@ -33,9 +33,10 @@ let crash_cut_at site =
   let session = Dynacut.create m ~root_pid:p.Proc.pid in
   (match Dynacut.try_cut session ~blocks ~policy:redirect_policy () with
   | (_ : Dynacut.cut_result) ->
-      Alcotest.failf "controller survived kill at %s" site
+      Alcotest.failf "controller survived kill at %s" (Fault.Site.name site)
   | exception Fault.Controller_killed { site = s } ->
-      Alcotest.(check string) "died at the armed site" site s);
+      Alcotest.(check string) "died at the armed site" (Fault.Site.name site)
+        (Fault.Site.name s));
   (m, p.Proc.pid, blocks, session)
 
 let check_serving m what =
@@ -62,24 +63,24 @@ let check_original_then_recut m root_pid blocks =
 (* expected recovery action per site, from the §5d decision table:
    before the lock there is nothing on storage; before Images_saved the
    tree was at most frozen; after it, uniform pristine rollback *)
-let site_expectations =
+let site_expectations : (Fault.Site.t * _) list =
   [
-    ("journal.lock", [ `Nothing ]);
-    ("journal.append", [ `Nothing; `Thawed ]);
-    ("criu.checkpoint", [ `Thawed ]);
-    ("criu.save", [ `Thawed ]);
-    ("criu.load", [ `Rolled_back ]);
-    ("rewrite.patch", [ `Rolled_back ]);
-    ("inject.lib", [ `Rolled_back ]);
-    ("inject.policy", [ `Rolled_back ]);
-    ("restore.process", [ `Rolled_back ]);
+    (Journal_lock, [ `Nothing ]);
+    (Journal_append, [ `Nothing; `Thawed ]);
+    (Criu_checkpoint, [ `Thawed ]);
+    (Criu_save, [ `Thawed ]);
+    (Criu_load, [ `Rolled_back ]);
+    (Rewrite_patch, [ `Rolled_back ]);
+    (Inject_lib, [ `Rolled_back ]);
+    (Inject_policy, [ `Rolled_back ]);
+    (Restore_process, [ `Rolled_back ]);
   ]
 
 let test_kill_at_site (site, expected) () =
   let m, root_pid, blocks, _dead = crash_cut_at site in
   let r = Dynacut.recover m ~root_pid in
   Alcotest.(check bool)
-    (Format.asprintf "action for %s (%a)" site Dynacut.pp_recovery r)
+    (Format.asprintf "action for %s (%a)" (Fault.Site.name site) Dynacut.pp_recovery r)
     true
     (List.mem r.Dynacut.rec_action expected);
   check_original_then_recut m root_pid blocks
@@ -90,7 +91,7 @@ let test_fencing () =
   (* rewrite.patch: past Images_saved, but the tree is still alive (and
      frozen), so the competing controllers can actually reach the
      journal checks rather than dying on a missing pid *)
-  let m, root_pid, blocks, dead = crash_cut_at "rewrite.patch" in
+  let m, root_pid, blocks, dead = crash_cut_at Rewrite_patch in
   (* before recovery, a fresh controller sees the open transaction *)
   let early = Dynacut.create m ~root_pid in
   (match Dynacut.try_cut early ~blocks ~policy:redirect_policy () with
@@ -110,7 +111,7 @@ let test_fencing () =
 (* ---------- idempotency: recover twice == recover once ---------- *)
 
 let test_recover_idempotent () =
-  let m, root_pid, _blocks, _dead = crash_cut_at "restore.process" in
+  let m, root_pid, _blocks, _dead = crash_cut_at Restore_process in
   let r1 = Dynacut.recover m ~root_pid in
   Alcotest.(check bool) "first pass rolls back" true
     (r1.Dynacut.rec_action = `Rolled_back);
@@ -127,12 +128,12 @@ let test_recover_idempotent () =
 (* crashing {e inside} recovery and re-running converges to the same
    state as a recovery that never crashed *)
 let test_crash_during_recovery () =
-  let m, root_pid, blocks, _dead = crash_cut_at "restore.process" in
-  Fault.arm ~kill:true "recover.replay" Fault.One_shot;
+  let m, root_pid, blocks, _dead = crash_cut_at Restore_process in
+  Fault.arm ~kill:true Recover_replay Fault.One_shot;
   (match Dynacut.recover m ~root_pid with
   | (_ : Dynacut.recovery) -> Alcotest.fail "recovery survived its kill"
   | exception Fault.Controller_killed { site } ->
-      Alcotest.(check string) "died replaying" "recover.replay" site);
+      Alcotest.(check string) "died replaying" "recover.replay" (Fault.Site.name site));
   (* second recovery attempt completes the interrupted one *)
   let r = Dynacut.recover m ~root_pid in
   Alcotest.(check bool) "second attempt rolls back" true
@@ -182,7 +183,7 @@ let journal_blob m root_pid =
 
 (* a crash mid-append tears the last frame; the valid prefix rules *)
 let test_torn_tail () =
-  let m, root_pid, blocks, _dead = crash_cut_at "restore.process" in
+  let m, root_pid, blocks, _dead = crash_cut_at Restore_process in
   let path, blob = journal_blob m root_pid in
   Vfs.add m.Machine.fs path (String.sub blob 0 (String.length blob - 7));
   let r = Dynacut.recover m ~root_pid in
@@ -202,7 +203,7 @@ let test_torn_tail () =
 (* flip a byte mid-file: everything from the damaged frame on is
    discarded; recovery still lands on a §5d-consistent state *)
 let test_corrupt_mid_file () =
-  let m, root_pid, blocks, _dead = crash_cut_at "restore.process" in
+  let m, root_pid, blocks, _dead = crash_cut_at Restore_process in
   let path, blob = journal_blob m root_pid in
   let b = Bytes.of_string blob in
   let mid = Bytes.length b / 2 in
@@ -220,7 +221,7 @@ let test_corrupt_mid_file () =
 (* truncating clean through frame boundaries steps the decision table
    down record by record; no cut point may crash the recovery pass *)
 let test_every_truncation_point () =
-  let m, root_pid, _blocks, _dead = crash_cut_at "restore.process" in
+  let m, root_pid, _blocks, _dead = crash_cut_at Restore_process in
   let _path, blob = journal_blob m root_pid in
   let n = String.length blob in
   let step = max 1 (n / 23) in
@@ -259,14 +260,14 @@ let test_respawn_journaled () =
   Alcotest.(check string) "cut live" "ERR" (request m "S");
   (* the worker dies; the controller is killed mid-respawn *)
   Machine.reap m ~pid;
-  Fault.arm ~kill:true "restore.respawn" Fault.One_shot;
+  Fault.arm ~kill:true Restore_respawn Fault.One_shot;
   (match
      Dynacut.journaled_respawn session ~pid
        ~path:(Dynacut.image_path session pid)
    with
   | (_ : Proc.t) -> Alcotest.fail "controller survived kill mid-respawn"
   | exception Fault.Controller_killed { site } ->
-      Alcotest.(check string) "died respawning" "restore.respawn" site);
+      Alcotest.(check string) "died respawning" "restore.respawn" (Fault.Site.name site));
   Alcotest.(check bool) "worker is gone" true (Machine.proc m pid = None);
   (* recovery redoes the unmatched respawn intent *)
   let r = Dynacut.recover m ~root_pid:pid in
@@ -298,7 +299,7 @@ let test_respawn_clean_no_residue () =
 let suite =
   List.map
     (fun ((site, _) as se) ->
-      Alcotest.test_case ("kill at " ^ site) `Quick (test_kill_at_site se))
+      Alcotest.test_case ("kill at " ^ Fault.Site.name site) `Quick (test_kill_at_site se))
     site_expectations
   @ [
       Alcotest.test_case "zombie controller fenced, busy before recovery"

@@ -113,9 +113,11 @@ let test_fault_rolls_back site () =
   let c, session = filtered_rkv () in
   Fault.arm site Fault.One_shot;
   (match Dynacut.apply_seccomp session ~denied:after with
-  | (_ : Dynacut.timings) -> Alcotest.failf "filter change survived a fault at %s" site
+  | (_ : Dynacut.timings) ->
+      Alcotest.failf "filter change survived a fault at %s" (Fault.Site.name site)
   | exception Dynacut.Dynacut_error _ -> ());
   Fault.reset ();
+  let site = Fault.Site.name site in
   check_intact c ~filters:[ before ] site;
   (* the rollback closed the journal: the next change goes through *)
   let (_ : Dynacut.timings) = Dynacut.apply_seccomp session ~denied:after in
@@ -125,19 +127,20 @@ let kill_mid_change site =
   let c, session = filtered_rkv () in
   Fault.arm ~kill:true site Fault.One_shot;
   (match Dynacut.apply_seccomp session ~denied:after with
-  | (_ : Dynacut.timings) -> Alcotest.failf "controller survived kill at %s" site
+  | (_ : Dynacut.timings) ->
+      Alcotest.failf "controller survived kill at %s" (Fault.Site.name site)
   | exception Fault.Controller_killed _ -> ());
   Fault.reset ();
   c
 
 let test_kill_then_recover () =
-  let c = kill_mid_change "restore.process" in
+  let c = kill_mid_change Restore_process in
   let r = Dynacut.recover c.Workload.m ~root_pid:c.Workload.pid in
   Alcotest.(check bool) "recovery acted" true (r.Dynacut.rec_action <> `Nothing);
   check_intact c ~filters:[ before; after ] "recovered"
 
 let test_open_journal_is_busy () =
-  let c = kill_mid_change "criu.load" in
+  let c = kill_mid_change Criu_load in
   let fresh = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   match Dynacut.apply_seccomp fresh ~denied:after with
   | (_ : Dynacut.timings) -> Alcotest.fail "filter change on an open journal"
@@ -206,9 +209,10 @@ let suite =
   ]
   @ List.map
       (fun site ->
-        Alcotest.test_case ("fault at " ^ site ^ " rolls the filter back") `Quick
-          (test_fault_rolls_back site))
-      [ "criu.checkpoint"; "criu.save"; "criu.load"; "restore.process"; "journal.append" ]
+        Alcotest.test_case
+          ("fault at " ^ Fault.Site.name site ^ " rolls the filter back")
+          `Quick (test_fault_rolls_back site))
+      [ Criu_checkpoint; Criu_save; Criu_load; Restore_process; Journal_append ]
   @ [
     Alcotest.test_case "controller death mid-change, then recover" `Quick
       test_kill_then_recover;
