@@ -917,7 +917,17 @@ let fleet_cmd =
         app
     in
     let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-    let send reqs = List.iter (fun r -> ignore (Fleet.request fleet r)) reqs in
+    (* an injected fault on the serving path refuses the request, as
+       [Chaos.drive_fleet] counts it: part of the run, not its end *)
+    let refused = ref 0 in
+    let send reqs =
+      List.iter
+        (fun r ->
+          match Fleet.request fleet r with
+          | (_ : [ `Reply of int * string | `Refused ]) -> ()
+          | exception e when Chaos.refusal_of_exn e <> None -> incr refused)
+        reqs
+    in
     let drive () =
       let w = int_of_float (Obs.gauge_value (Obs.gauge "fleet.wave")) in
       match storm_wave with
@@ -989,7 +999,7 @@ let fleet_cmd =
              rows);
         print_newline ();
         Format.printf "refused %d@."
-          (Obs.counter_value (Obs.counter "fleet.refused"));
+          (Obs.counter_value (Obs.counter "fleet.refused") + !refused);
         finish (match outcome with Rollout.Completed _ -> 0 | Rollout.Halted _ -> 4)
   in
   let doc =

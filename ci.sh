@@ -77,6 +77,26 @@ if [ -n "$site_literals" ]; then
 fi
 echo "   no string-literal fault sites in lib/ or bin/"
 
+# Site.all is written out by hand beside the type: a constructor left
+# out of it still compiles, and then overruns or shares the per-site
+# arrays. The constructors of Site.t and the entries of Site.all must
+# be the same set.
+echo "== Site.all lists every Site.t constructor =="
+declared=$(sed -n '/^module Site = struct/,/^$/p' lib/util/fault.ml |
+  grep -oE '\| *[A-Z][A-Za-z0-9_]*' | tr -d '| ' | sort)
+listed=$(sed -n '/^  let all =/,/^    \]/p' lib/util/fault.ml | grep -oE '\b[A-Z][A-Za-z0-9_]*' | sort)
+if [ -z "$declared" ] || [ "$declared" != "$listed" ]; then
+  echo "FAIL: Site.t constructors and Site.all entries differ"
+  for n in $declared; do
+    echo "$listed" | grep -qx "$n" || echo "   missing from Site.all: $n"
+  done
+  for n in $listed; do
+    echo "$declared" | grep -qx "$n" || echo "   not a Site.t constructor: $n"
+  done
+  exit 1
+fi
+echo "   $(echo "$declared" | wc -l) constructors, each in Site.all"
+
 # Guard smoke (DESIGN.md §5c): the canary gate's exit codes. A good cut
 # is promoted (exit 0); a --storm cut kills the canary on the first
 # wanted request, so the canary is rejected and reverted (exit 4).
@@ -98,6 +118,9 @@ cli_exit 4 guard ngx --storm
 # (exit 2), not a fault armed at a site that never fires.
 cli_exit 2 fleet ltpd --inject-fault balancer.health:once
 cli_exit 2 recover ngx --crash-at criu.sav
+# An injected fault on the serving path refuses requests; the rollout
+# carries on and completes (exit 0), it does not die of the fault.
+cli_exit 0 fleet ltpd --inject-fault net.serve:p=0.5 --fault-seed 3
 # The same holds for a chaos replay file: an event at a misspelt site
 # would arm nothing and the run would pass vacuously.
 replay=$(mktemp)

@@ -527,7 +527,11 @@ let backoff (m : Machine.t) ~attempt =
   m.Machine.clock <- Int64.add m.Machine.clock (Int64.of_int cycles);
   cycles
 
-(* Phase B: replace the live processes with the rewritten images. On any
+(* Phase B: replace the live processes with the rewritten images. Each
+   restore takes over the reaped process's pages that no edit touched
+   and copies only the slots the edits wrote ([Restore.replace]); the
+   tree stayed frozen since the dump, so those pages still hold what
+   was dumped. On any
    failure, every pid is reverted to its pristine image — the already-
    replaced ones (and the half-restored victim) re-restored, the not-yet-
    touched ones merely thawed — under fault suppression so the unwind
@@ -543,8 +547,7 @@ let commit_restore s ~txid imgs pids =
       (fun pid ->
         guard "restore" (fun () ->
             jrnl_append s (Journal.Replaced { txid; pid });
-            Machine.reap s.machine ~pid;
-            let p = Restore.restore s.machine (Hashtbl.find imgs pid) in
+            let p = Restore.replace s.machine (Hashtbl.find imgs pid) in
             p.Proc.frozen <- false;
             replaced := pid :: !replaced))
       pids;

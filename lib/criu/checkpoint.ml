@@ -128,13 +128,14 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
   in
   (* every page is blitted once, to its final place in a buffer laid out
      as the sealed frame; each page's leaf sum, where it kept one, comes
-     along *)
+     along, and the page itself is the slot's origin *)
   let img = Images.layout ~reserve:Validate.header_size meta ~len:(!npages * page_size) in
   let a = img.Images.pages in
   List.iteri
     (fun k (_, (pg : Mem.page)) ->
       Bytes.blit pg.Mem.pg_data 0 a.Images.buf (a.Images.off + (k * page_size)) page_size;
-      a.Images.leaf.(k) <- pg.Mem.pg_sum)
+      a.Images.leaf.(k) <- pg.Mem.pg_sum;
+      a.Images.origin.(k) <- pg)
     (List.concat dumped);
   img
 

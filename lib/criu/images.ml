@@ -57,13 +57,17 @@ type files = { f_fds : (int * fd_img) list; f_next_fd : int }
 
 type tcp = Net.conn_snapshot list
 
-(* The page area: [len] bytes at [off] of [buf], and the seal's leaf
-   sum of each of its 4 KiB slots (a short last slot has one too):
-   [Bytesx.leaf] of the slot, or [Bytesx.no_leaf] when unknown. A dump
-   or a decoded frame lays [buf] out as a whole sealed frame, with the
-   header and head in front of the area and the tail behind it, so a
-   seal can fill those in around the pages where they lie. *)
-type area = { buf : bytes; off : int; len : int; leaf : int array }
+(* The page area: [len] bytes at [off] of [buf], and per 4 KiB slot
+   (a short last slot has them too) the seal's leaf sum — [Bytesx.leaf]
+   of the slot, or [Bytesx.no_leaf] when unknown — and the origin: the
+   [Mem.page] the dump took the slot from, or [Mem.no_page]. Both
+   travel with the slot's bytes and are dropped by a store into it; the
+   origin is never set again, so a slot that has one still holds its
+   page's bytes as dumped. A dump or a decoded frame lays [buf] out as
+   a whole sealed frame, with the header and head in front of the area
+   and the tail behind it, so a seal can fill those in around the pages
+   where they lie. *)
+type area = { buf : bytes; off : int; len : int; leaf : int array; origin : Mem.page array }
 
 type t = {
   core : core;
@@ -78,9 +82,12 @@ type t = {
 let page_size = 4096
 let slots n = (n + page_size - 1) / page_size
 
+let unknown len = (Array.make (slots len) Bytesx.no_leaf, Array.make (slots len) Mem.no_page)
+
 let area_of_bytes b =
   let len = Bytes.length b in
-  { buf = b; off = 0; len; leaf = Array.make (slots len) Bytesx.no_leaf }
+  let leaf, origin = unknown len in
+  { buf = b; off = 0; len; leaf; origin }
 
 let no_pages = area_of_bytes Bytes.empty
 
@@ -92,22 +99,29 @@ let page_bytes (t : t) = Bytes.sub t.pages.buf t.pages.off t.pages.len
 let page_sum (t : t) off =
   if off land (page_size - 1) <> 0 then Bytesx.no_leaf else t.pages.leaf.(off / page_size)
 
+(** The page the slot at offset [off] of the page area was dumped from:
+    {!Mem.no_page} unless [off] starts a slot that has one. *)
+let page_origin (t : t) off =
+  if off land (page_size - 1) <> 0 then Mem.no_page else t.pages.origin.(off / page_size)
+
 (** Copy [len] bytes from offset [src_off] of [src]'s page area to
     [dst_off] of [dst]'s, both slot-aligned; each whole slot copied
-    takes its leaf sum along, a short last slot drops its sum. *)
+    takes its leaf sum and origin along, a short last slot drops both. *)
 let blit_pages ~(src : t) ~src_off ~(dst : t) ~dst_off ~len =
   let s = src.pages and d = dst.pages in
   Bytes.blit s.buf (s.off + src_off) d.buf (d.off + dst_off) len;
   for k = 0 to slots len - 1 do
-    d.leaf.((dst_off / page_size) + k) <-
-      (if (k + 1) * page_size <= len then s.leaf.((src_off / page_size) + k) else Bytesx.no_leaf)
+    let i = (src_off / page_size) + k and j = (dst_off / page_size) + k in
+    let whole = (k + 1) * page_size <= len in
+    d.leaf.(j) <- (if whole then s.leaf.(i) else Bytesx.no_leaf);
+    d.origin.(j) <- (if whole then s.origin.(i) else Mem.no_page)
   done
 
 (** [t] with [pieces] appended to its page area, each padded with zeros
     to whole pages (an empty piece takes one page), and the page-area
     offset where each piece starts. Unless there is none, the old area
     is copied once, into a fresh buffer with nothing around it; its
-    slots keep their sums, the new ones have none. *)
+    slots keep their sums and origins, the new ones have none. *)
 let append_pages (t : t) (pieces : bytes list) : t * int list =
   if pieces = [] then (t, []) else
   let padded b = max 1 (slots (Bytes.length b)) * page_size in
@@ -171,16 +185,18 @@ let read_mem (t : t) (addr : int64) (len : int) : bytes =
   List.iter (fun (k, off, n) -> Bytes.blit a.buf (a.off + off) out k n) (pieces t addr len);
   out
 
-(** Write [data] at virtual address [addr] into the dumped pages in place.
-    Raises [Not_found], writing nothing, if any byte falls outside
-    populated pages. *)
+(** Write [data] at virtual address [addr] into the dumped pages in place,
+    dropping the leaf sum and origin of every slot it touches. Raises
+    [Not_found], writing nothing, if any byte falls outside populated
+    pages. *)
 let write_mem (t : t) (addr : int64) (data : bytes) : unit =
   let a = t.pages in
   List.iter
     (fun (k, off, n) ->
       Bytes.blit data k a.buf (a.off + off) n;
       for i = off / page_size to (off + n - 1) / page_size do
-        a.leaf.(i) <- Bytesx.no_leaf
+        a.leaf.(i) <- Bytesx.no_leaf;
+        a.origin.(i) <- Mem.no_page
       done)
     (pieces t addr (Bytes.length data))
 
@@ -298,13 +314,14 @@ let frame_buffer ~reserve (t : t) ~len =
 
 (** [t] with a fresh page area of [len] bytes, laid out as a frame
     ({!frame_buffer}): the area is left for the caller to fill, and
-    knows no sum. *)
+    knows no sum and no origin. *)
 let layout ~reserve (t : t) ~len : t =
   let buf, off = frame_buffer ~reserve t ~len in
-  { t with pages = { buf; off; len; leaf = Array.make (slots len) Bytesx.no_leaf } }
+  let leaf, origin = unknown len in
+  { t with pages = { buf; off; len; leaf; origin } }
 
 (** [t] laid out afresh as a frame: one copy of its page area, whose
-    slots keep their sums. *)
+    slots keep their sums and origins. *)
 let relayout ~reserve (t : t) : t =
   let t' = layout ~reserve t ~len:t.pages.len in
   blit_pages ~src:t ~src_off:0 ~dst:t' ~dst_off:0 ~len:t.pages.len;
@@ -325,11 +342,15 @@ let frame ~reserve (t : t) : t =
   end
   else relayout ~reserve t
 
-(** A writable copy of [t]: its buffer and leaf sums are copied, so
-    nothing written to one shows in the other. *)
+(** A writable copy of [t]: its buffer, leaf sums and origins are
+    copied, so nothing written to one shows in the other. *)
 let copy (t : t) : t =
   let a = t.pages in
-  { t with pages = { a with buf = Bytes.copy a.buf; leaf = Array.copy a.leaf } }
+  {
+    t with
+    pages =
+      { a with buf = Bytes.copy a.buf; leaf = Array.copy a.leaf; origin = Array.copy a.origin };
+  }
 
 let encode (t : t) : string =
   let a = t.pages in
@@ -454,12 +475,8 @@ let decode ?(off = 0) ?len (s : string) : t =
        a buffer laid out the way [s] is: as the frame, when [s] is a
        sealed one *)
     pages =
-      {
-        buf = Bytes.sub (Bytes.unsafe_of_string s) 0 (off + len);
-        off = po;
-        len = pl;
-        leaf = Array.make (slots pl) Bytesx.no_leaf;
-      };
+      (let leaf, origin = unknown pl in
+       { buf = Bytes.sub (Bytes.unsafe_of_string s) 0 (off + len); off = po; len = pl; leaf; origin });
     files = { f_fds; f_next_fd };
     tcp;
     mmap_hint;

@@ -47,6 +47,13 @@ type area = {
           {!Bytesx.leaf} of the slot, or {!Bytesx.no_leaf} when unknown.
           A store into the area must drop the slots it touches
           ({!write_mem} does); the sealer fills unknown ones in place. *)
+  origin : Mem.page array;
+      (** per slot: the page {!Checkpoint.dump} took the slot from, or
+          {!Mem.no_page}. It travels with the slot's bytes as [leaf]
+          does and is dropped with it by a store, and only a dump sets
+          it, so a slot that has one still holds the bytes its page had
+          at the dump: a restore over that process may take the page
+          over instead of copying the slot ({!Restore.replace}). *)
 }
 (** The page area: [len] bytes at [off] of [buf]. A dump, a decoded
     frame and {!layout} lay [buf] out as a whole sealed frame around
@@ -69,7 +76,8 @@ val slots : int -> int
 (** The 4 KiB slots of [n] bytes, a short last one included. *)
 
 val area_of_bytes : bytes -> area
-(** The whole of a buffer as a page area that knows no sum. *)
+(** The whole of a buffer as a page area that knows no sum and no
+    origin. *)
 
 val no_pages : area
 (** An empty page area. *)
@@ -81,24 +89,29 @@ val page_sum : t -> int -> int
 (** The leaf sum of the page at offset [off] of the page area;
     {!Bytesx.no_leaf} unless [off] is slot-aligned and its sum known. *)
 
+val page_origin : t -> int -> Mem.page
+(** The page the slot at offset [off] of the page area was dumped from;
+    {!Mem.no_page} unless [off] is slot-aligned and the slot has one. *)
+
 val blit_pages : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Copy [len] bytes between two page areas at slot-aligned offsets;
-    every whole slot copied takes its leaf sum along. *)
+    every whole slot copied takes its leaf sum and origin along. *)
 
 val append_pages : t -> bytes list -> t * int list
 (** [t] with each piece appended to its page area, padded with zeros to
     whole pages (an empty piece takes one), and the offset where each
     starts. The old area is copied once, into a fresh buffer; its whole
-    slots keep their sums, the new slots have none. *)
+    slots keep their sums and origins, the new slots have none. *)
 
 val layout : reserve:int -> t -> len:int -> t
 (** [t] with a fresh page area of [len] bytes, its buffer laid out as a
     frame: [reserve] bytes left for a seal header, [t]'s encoded head
     (recording [len] as the pages' length), the area — unwritten, no sum
-    known — and [t]'s encoded tail. *)
+    or origin known — and [t]'s encoded tail. *)
 
 val relayout : reserve:int -> t -> t
-(** {!layout} filled with one copy of [t]'s page area and its sums. *)
+(** {!layout} filled with one copy of [t]'s page area, its sums and its
+    origins. *)
 
 val frame : reserve:int -> t -> t
 (** [t] encoded at [reserve] of a frame-shaped buffer: [t] itself, its
@@ -107,8 +120,8 @@ val frame : reserve:int -> t -> t
     {!relayout}. Only the first copies no page. *)
 
 val copy : t -> t
-(** [t] with its buffer and leaf sums copied: writes to either do not
-    show in the other. *)
+(** [t] with its buffer, leaf sums and origins copied: writes to
+    either do not show in the other. *)
 
 val image_size : t -> int
 (** Approximate on-disk size — the "image size" of Figure 7. *)
@@ -120,9 +133,9 @@ val read_mem : t -> int64 -> int -> bytes
     range is not fully populated. *)
 
 val write_mem : t -> int64 -> bytes -> unit
-(** Patch dumped memory in place, dropping the leaf sum of every page
-    it touches; raises [Not_found], and writes nothing, unless the
-    range is fully populated. *)
+(** Patch dumped memory in place, dropping the leaf sum and origin of
+    every page it touches; raises [Not_found], and writes nothing,
+    unless the range is fully populated. *)
 
 exception Format_error of string
 
@@ -134,4 +147,4 @@ val decode : ?off:int -> ?len:int -> string -> t
     that would run past its end raises [Bytesx.Truncated]. The page
     area lies in a copy of [s.[0 .. off+len-1]], so an image decoded
     from a sealed frame is laid out as that frame. The image knows no
-    leaf sum. *)
+    leaf sum and no origin. *)

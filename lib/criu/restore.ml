@@ -1,7 +1,10 @@
 (** Restore: rebuild a live process from {!Images}.
 
     Re-creates the address space from [mm] + [pagemap] + [pages], each
-    page built once from its bytes in the image, pulls any non-dumped
+    page built once: copied from its bytes in the image, or, when the
+    restore replaces the very process the slot was dumped from and no
+    store touched the slot since, taken over from that process
+    ({!replace}). It pulls any non-dumped
     file-backed executable ranges back from the binary
     (vanilla-CRIU behaviour), restores registers, signal dispositions and
     the fd table, and performs TCP repair so established connections
@@ -29,7 +32,11 @@ let file_bytes (m : Machine.t) ~path ~off ~len : bytes =
         self.Self.sections;
       out
 
-let restore (m : Machine.t) (img : Images.t) : Proc.t =
+(* Build the process [img] holds. A dumped slot whose origin is the
+   page [donor] still maps at its address is taken from [donor]
+   ({!Mem.give_up}); every other dumped slot is copied out of the
+   image. *)
+let build (m : Machine.t) ~(donor : Mem.t option) (img : Images.t) : Proc.t =
   Fault.site Restore_process;
   let core = img.Images.core in
   (match Machine.proc m core.Images.c_pid with
@@ -61,11 +68,21 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
         let d = Int64.to_int (Int64.sub vaddr r.Images.pm_vaddr) in
         if d < r.Images.pm_npages * page_size then Some (r.Images.pm_off + d) else None
   in
-  (* every page is made once: a dumped page straight from the image's
-     bytes, taking its leaf sum along (so the next dump knows it while
-     no store touches the page); a file-backed page the image does not
-     hold (a vanilla-CRIU gap) from the binary; any other page zero *)
-  let supplied = ref 0 in
+  (* every page is made once: a dumped page from its slot, taking its
+     leaf sum along (so the next dump knows it while no store touches
+     the page) — the donor's own buffer when the slot's origin is the
+     page the donor maps there, else a copy of the image's bytes; a
+     file-backed page the image does not hold (a vanilla-CRIU gap) from
+     the binary; any other page zero *)
+  let supplied = ref 0 and adopted = ref 0 in
+  let slot vaddr off =
+    let origin = Images.page_origin img off in
+    match donor with
+    | Some d when Mem.give_up d vaddr origin ->
+        incr adopted;
+        origin.Mem.pg_data
+    | _ -> Bytes.sub a.Images.buf (a.Images.off + off) page_size
+  in
   List.iter
     (fun (v : Images.vma_img) ->
       let page k =
@@ -73,9 +90,7 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
         match (dumped_at vaddr, v.Images.vi_file) with
         | Some off, _ ->
             incr supplied;
-            Some
-              ( Bytes.sub a.Images.buf (a.Images.off + off) page_size,
-                Images.page_sum img off )
+            Some (slot vaddr off, Images.page_sum img off)
         | None, Some (path, foff) ->
             Some (file_bytes m ~path ~off:(foff + (k * page_size)) ~len:page_size, Bytesx.no_leaf)
         | None, None -> None
@@ -89,6 +104,8 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
     img.Images.mm;
   if !supplied <> Array.fold_left (fun n r -> n + r.Images.pm_npages) 0 runs then
     raise (Restore_error "a dumped page lies outside every vma");
+  Obs.add (Obs.counter "criu.pages_adopted") !adopted;
+  Obs.add (Obs.counter "criu.pages_copied") (!supplied - !adopted);
   (* the process object *)
   let p =
     Proc.create ~pid:core.Images.c_pid ~parent:core.Images.c_parent
@@ -145,6 +162,18 @@ let restore (m : Machine.t) (img : Images.t) : Proc.t =
       | _ -> ())
     img.Images.files.Images.f_fds;
   p
+
+let restore m img = build m ~donor:None img
+
+(** Reap the process [img] was dumped from and restore [img] over it,
+    taking over its pages that no edit touched. It must have stayed
+    frozen since the dump, as a transaction keeps its tree. A pid
+    nothing holds is restored as {!restore} does. *)
+let replace (m : Machine.t) (img : Images.t) : Proc.t =
+  let pid = img.Images.core.Images.c_pid in
+  let donor = Option.map (fun (p : Proc.t) -> p.Proc.mem) (Machine.proc m pid) in
+  Machine.reap m ~pid;
+  build m ~donor img
 
 (** Read a sealed image frame from the machine tmpfs, as stored: the
     [criu.load] fault site. Raises {!Restore_error} if the file is

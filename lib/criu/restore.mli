@@ -5,8 +5,21 @@ exception Restore_error of string
 
 val restore : Machine.t -> Images.t -> Proc.t
 (** Re-create the process: address space, registers, sigactions, fds,
-    repaired connections, re-registered listeners. Raises
-    {!Restore_error} if the pid is still alive. *)
+    repaired connections, re-registered listeners. Every dumped page is
+    copied out of the image. Raises {!Restore_error} if the pid is
+    still alive. *)
+
+val replace : Machine.t -> Images.t -> Proc.t
+(** Reap the process at [img]'s pid and {!restore} [img] over it, taking
+    over that process's page buffers where they are what the image
+    holds: a dumped slot whose origin ({!Images.area}) is physically
+    the page the process maps at that address is adopted — removed
+    from the reaped process ({!Mem.give_up}), not copied — and every
+    other slot (patched, injected, remapped, or any slot of a decoded
+    image) is copied. The process must have stayed frozen since it was
+    dumped, as a transaction keeps its tree. Counts
+    [criu.pages_adopted] and [criu.pages_copied], as {!restore} counts
+    its copies. *)
 
 val load_sealed : Machine.t -> path:string -> string
 (** Read a sealed image frame as stored (fault site [criu.load]),

@@ -395,6 +395,21 @@ let copy t =
     exec_gen = 0;
   }
 
+(** Give up [pg] when it is the page resident at [vaddr] (physical
+    equality): it leaves the page table and the TLB, so an access to
+    [vaddr] through [t] faults from now on, and [true] says its buffer
+    is the caller's. A buffer belongs to one address space at a time. *)
+let give_up t vaddr pg =
+  let idx = page_index vaddr in
+  match Hashtbl.find_opt t.pages idx with
+  | Some p when p == pg ->
+      Hashtbl.remove t.pages idx;
+      let tag = Int64.to_int idx in
+      let slot = tag land (tlb_size - 1) in
+      if t.tlb_tag.(slot) = tag then t.tlb_tag.(slot) <- -1;
+      true
+  | _ -> false
+
 (** Populated pages of a VMA, as (vaddr, page) in address order. *)
 let pages_of_vma t (v : vma) =
   let first = page_index v.va_start in

@@ -30,11 +30,16 @@ type page = {
           inlined stores too); {!copy} copies it; only {!map_pages} sets
           it. A page that has one is clean since it was set. *)
 }
+(** A page's buffer belongs to one address space: {!copy} copies it,
+    and a restore that takes it over ({!give_up}) removes it from the
+    address space it came from, never shares it. *)
 
 val tlb_size : int
 
 val no_page : page
-(** A page with no permissions and no data: fills empty TLB slots. *)
+(** A page with no permissions and no data: fills empty TLB slots and
+    stands for "none" where a page is optional (an image slot's
+    origin). No address space maps it. *)
 
 type t = {
   pages : (int64, page) Hashtbl.t;
@@ -131,6 +136,14 @@ val peek_bytes : t -> int64 -> int -> bytes
 
 val copy : t -> t
 (** Deep copy (fork, checkpoint). *)
+
+val give_up : t -> int64 -> page -> bool
+(** [give_up t vaddr pg] removes [pg] from [t] when it is the page
+    resident at [vaddr] ([==]) and returns [true]: it leaves the page
+    table and the TLB, so any access to [vaddr] through [t] raises
+    {!Fault}, and [pg]'s buffer is the caller's to map elsewhere. A page
+    buffer belongs to one [t] at a time. Anything else returns [false]
+    and changes nothing. *)
 
 val pages_of_vma : t -> vma -> (int64 * page) list
 (** Populated pages of a VMA in address order, with their vaddrs. *)

@@ -927,17 +927,25 @@ let prop_clock_observations =
 
 (* ---------- restore is invisible ---------- *)
 
+(* How [through_frames] brings a process back from its image: copied
+   out of the frame's decode, as every restore from storage is, or
+   taking over its own pages, as a transaction's commit does
+   ({!Restore.replace}). *)
+type restore_how = Copy | Adopt
+
 (* Replace every live process of [m] by its restore from a stored
    frame: each live tree is dumped ([Checkpoint.dump_tree]), each image
-   sealed into a frame, and the process restored from the frame's
-   decode. The image carries neither the console output a process
-   object has kept nor its retired-instruction count: the console
-   belongs to the world outside, the count to the host's object (as
-   CRIU restores no CPU-time accounting). [carried] gets each replaced
-   object's, for [proc_state] to add to its restore's. *)
-let through_frames (m : Machine.t) carried =
+   sealed into a frame, and the process restored [how] says, after
+   [edit] wrote to the first image. The image carries neither the
+   console output a process object has kept nor its retired-instruction
+   count: the console belongs to the world outside, the count to the
+   host's object (as CRIU restores no CPU-time accounting). [carried]
+   gets each replaced object's, for [proc_state] to add to its
+   restore's. *)
+let through_frames ~how ?(edit = fun (_ : Machine.t) (_ : Images.t) -> ()) (m : Machine.t) carried =
   let live = List.filter Proc.is_live (Machine.all_procs m) in
   let root (q : Proc.t) = not (List.exists (fun (r : Proc.t) -> r.Proc.pid = q.Proc.parent) live) in
+  let first = ref true in
   List.iter
     (fun (r : Proc.t) ->
       List.iter
@@ -945,16 +953,24 @@ let through_frames (m : Machine.t) carried =
           let pid = img.Images.core.Images.c_pid in
           let q = Machine.proc_exn m pid in
           Hashtbl.replace carried pid (Proc.peek_stdout q, q.Proc.retired);
-          let frame = Validate.encode_sealed img in
-          Machine.reap m ~pid;
-          ignore (Restore.restore m (Validate.decode_sealed frame) : Proc.t))
+          if !first then edit m img;
+          first := false;
+          match how with
+          | Copy ->
+              let frame = Validate.encode_sealed img in
+              Machine.reap m ~pid;
+              ignore (Restore.restore m (Validate.decode_sealed frame) : Proc.t)
+          | Adopt -> ignore (Restore.replace m (fst (Validate.seal_in_place img)) : Proc.t))
         (Checkpoint.dump_tree m ~root:r.Proc.pid ()))
     (List.filter root live)
 
 (* Run [p] on the cache for [k] cycles, through [through_frames] when
-   [stored], then for at most 20,000 cycles more: the outcome, and what
-   the callbacks saw of the clock ({!watch_clock}, on_insn included). *)
-let run_stored ~stored ~k p =
+   [how] is given, then for at most 20,000 cycles more: the outcome,
+   and what the callbacks saw of the clock ({!watch_clock}, on_insn
+   included). [between] sees the machine and the pages restored
+   ([criu.pages_adopted], [criu.pages_copied]) right after the
+   restores. *)
+let run_stored ?how ?edit ?(between = fun (_ : Machine.t) (_ : int * int) -> ()) ~k p =
   Obs.reset ();
   Fault.reset ();
   let m = Machine.create () in
@@ -965,17 +981,23 @@ let run_stored ~stored ~k p =
   install_prog m p;
   ignore (Machine.run m ~max_cycles:k);
   let carried = Hashtbl.create 2 in
-  if stored then through_frames m carried
-  else
-    (* a restore resumes every process runnable, so one dumped mid-sleep
-       wakes at once: the image keeps its wake time only as text. The
-       run that is not dumped wakes its sleepers at the same point *)
-    List.iter
-      (fun (q : Proc.t) ->
-        match q.Proc.state with
-        | Proc.Blocked (Proc.On_sleep _) -> q.Proc.state <- Proc.Runnable
-        | _ -> ())
-      (Machine.all_procs m);
+  (match how with
+  | Some how ->
+      through_frames ~how ?edit m carried;
+      between m
+        ( Obs.counter_value (Obs.counter "criu.pages_adopted"),
+          Obs.counter_value (Obs.counter "criu.pages_copied") )
+  | None ->
+      (* a restore resumes every process runnable, so one dumped
+         mid-sleep wakes at once: the image keeps its wake time only as
+         text. The run that is not dumped wakes its sleepers at the same
+         point *)
+      List.iter
+        (fun (q : Proc.t) ->
+          match q.Proc.state with
+          | Proc.Blocked (Proc.On_sleep _) -> q.Proc.state <- Proc.Runnable
+          | _ -> ())
+        (Machine.all_procs m));
   ignore (Machine.run m ~max_cycles:20_000);
   let state (q : Proc.t) =
     let (pid, st, retired, out), regs, pages = proc_state q in
@@ -993,8 +1015,8 @@ let run_stored ~stored ~k p =
       o_procs = Marshal.to_string (List.map state (Machine.all_procs m)) [ Marshal.No_sharing ];
       o_drcov = "";
       (* the dump's and the restore's own series: the seal's
-         [criu.leaves_hashed] and the [tcp_repair] span, which charges
-         no cycle *)
+         [criu.leaves_hashed], the restore's [criu.pages_*] and the
+         [tcp_repair] span, which charges no cycle *)
       o_dump =
         String.split_on_char '\n' (without_bbcache (Obs.dump_json ()))
         |> List.filter (fun l ->
@@ -1005,35 +1027,108 @@ let run_stored ~stored ~k p =
     },
     seen () )
 
+(* [Some what] when two outcomes of [run_stored] differ in [what] *)
+let stored_difference (r, r_seen) (c, c_seen) =
+  if r.o_clock <> c.o_clock then Some "virtual clocks"
+  else if r.o_states <> c.o_states then Some "process states"
+  else if r.o_procs <> c.o_procs then Some "processes (registers, pages, console)"
+  else if r.o_dump <> c.o_dump then Some "obs dumps (bbcache.*, criu.* and tcp_repair aside)"
+  else if r.o_insns <> c.o_insns then Some "on_insn streams"
+  else Option.map (fun d -> "clock observations: " ^ d) (clock_difference r_seen c_seen)
+
+let gen_stored = QCheck.Gen.(pair (int_range 1 600) gen_prog)
+
+let arb_stored ?(print_extra = fun _ -> "") gen =
+  QCheck.make
+    ~print:(fun ((k, p), x) -> Printf.sprintf "k=%d%s\n%s" k (print_extra x) (listing p))
+    ~shrink:(fun ((k, p), x) -> QCheck.Iter.map (fun p -> ((k, p), x)) (shrink_prog p))
+    gen
+
 (* A process that goes through a stored frame carries on as if it had
-   not: after [k] cycles of a generated program, dumping, sealing,
-   decoding and restoring every live process changes nothing the
-   cached-vs-interpreted oracle compares, nor the (clock, steps) any
-   callback sees, but for a sleep the restore cuts short (see
-   [run_stored]). Neither dump nor restore charges the clock. The trace
-   hook and drcov stay out: the image carries no trace state, so a dump
-   between two instructions of a block splits that block in the trace. *)
+   not: after [k] cycles of a generated program, dumping, sealing and
+   restoring every live process — from the frame's decode, or taking
+   over its own pages — changes nothing the cached-vs-interpreted
+   oracle compares, nor the (clock, steps) any callback sees, but for a
+   sleep the restore cuts short (see [run_stored]). Neither dump nor
+   restore charges the clock. The trace hook and drcov stay out: the
+   image carries no trace state, so a dump between two instructions of
+   a block splits that block in the trace. *)
 let prop_restore_invisible =
   QCheck.Test.make ~name:"generated programs: restore from a stored frame is invisible"
     ~count:200
-    (QCheck.make
-       ~print:(fun (k, p) -> Printf.sprintf "k=%d\n%s" k (listing p))
-       ~shrink:(fun (k, p) -> QCheck.Iter.map (fun p -> (k, p)) (shrink_prog p))
-       QCheck.Gen.(pair (int_range 1 600) gen_prog))
-    (fun (k, p) ->
+    (arb_stored QCheck.Gen.(pair gen_stored unit))
+    (fun ((k, p), ()) ->
       QCheck.assume (size (snd (lower_prog p)) <= 2 * Mem.page_size);
-      let r, r_seen = run_stored ~stored:false ~k p in
-      let c, c_seen = run_stored ~stored:true ~k p in
-      let differs what = QCheck.Test.fail_reportf "%s differ" what in
-      if r.o_clock <> c.o_clock then differs "virtual clocks"
-      else if r.o_states <> c.o_states then differs "process states"
-      else if r.o_procs <> c.o_procs then differs "processes (registers, pages, console)"
-      else if r.o_dump <> c.o_dump then differs "obs dumps (bbcache.*, criu.* and tcp_repair aside)"
-      else if r.o_insns <> c.o_insns then differs "on_insn streams"
-      else
-        match clock_difference r_seen c_seen with
-        | Some d -> QCheck.Test.fail_reportf "clock observations: %s" d
-        | None -> true)
+      let r = run_stored ~k p in
+      List.for_all
+        (fun (how, name) ->
+          match stored_difference r (run_stored ~how ~k p) with
+          | Some what -> QCheck.Test.fail_reportf "%s restore: %s differ" name what
+          | None -> true)
+        [ (Copy, "copying"); (Adopt, "adopting") ])
+
+(* An edit lands in one page of the first image: a seeded slot and
+   offset, and 1 to 8 bytes, each flipped from what the image holds, so
+   the edit always changes the page. Returns the edited address. *)
+let edit_at (slot, off, n) (img : Images.t) =
+  let npages = List.fold_left (fun t (pm : Images.pagemap_entry) -> t + pm.Images.pm_npages) 0 img.Images.pagemap in
+  let slot = slot mod npages in
+  let rec at slot = function
+    | [] -> assert false
+    | (pm : Images.pagemap_entry) :: rest ->
+        if slot < pm.Images.pm_npages then Int64.add pm.Images.pm_vaddr (Int64.of_int (slot * Mem.page_size))
+        else at (slot - pm.Images.pm_npages) rest
+  in
+  let addr = Int64.add (at slot img.Images.pagemap) (Int64.of_int (off mod (Mem.page_size - n + 1))) in
+  let old = Images.read_mem img addr n in
+  Images.write_mem img addr (Bytes.map (fun c -> Char.chr (Char.code c lxor 0xa5)) old);
+  addr
+
+(* A slot an edit wrote is copied, never taken over: after a seeded
+   [Images.write_mem] into one page of the first image, the adopting
+   restore copies exactly that page, takes over every other, leaves the
+   edited page's old buffer with the reaped process, and the run carries
+   on as the copying restore of the same edited image does. *)
+let prop_edited_page_copied =
+  QCheck.Test.make ~name:"generated programs: an edited page is copied, the rest adopted"
+    ~count:100
+    (arb_stored
+       ~print_extra:(fun (slot, off, n) -> Printf.sprintf " edit slot %d off %d len %d" slot off n)
+       QCheck.Gen.(pair gen_stored (triple (int_bound 1000) (int_bound 4095) (int_range 1 8))))
+    (fun ((k, p), e) ->
+      QCheck.assume (size (snd (lower_prog p)) <= 2 * Mem.page_size);
+      let edited = ref None in
+      let edit _ img =
+        let pid = img.Images.core.Images.c_pid in
+        edited := Some (pid, edit_at e img)
+      in
+      let c = run_stored ~how:Copy ~edit ~k p in
+      (* a program that ended within [k] cycles leaves nothing to edit *)
+      QCheck.assume (!edited <> None);
+      let donor = ref None in
+      let edit_adopted m img =
+        edit m img;
+        let pid, addr = Option.get !edited in
+        let mem = (Machine.proc_exn m pid).Proc.mem in
+        donor := Some (mem, Hashtbl.find mem.Mem.pages (Mem.page_index addr))
+      and between m (adopted, copied) =
+        let pid, addr = Option.get !edited in
+        let mem, old = Option.get !donor in
+        let now = Hashtbl.find (Machine.proc_exn m pid).Proc.mem.Mem.pages (Mem.page_index addr) in
+        if copied <> 1 || adopted = 0 then
+          QCheck.Test.fail_reportf "%d pages adopted, %d copied: want the edited one copied" adopted
+            copied;
+        let kept =
+          match Hashtbl.find_opt mem.Mem.pages (Mem.page_index addr) with
+          | Some q -> q == old
+          | None -> false
+        in
+        if now.Mem.pg_data == old.Mem.pg_data || not kept then
+          QCheck.Test.fail_reportf "the edited page at 0x%Lx was taken over" addr
+      in
+      match stored_difference c (run_stored ~how:Adopt ~edit:edit_adopted ~between ~k p) with
+      | Some what -> QCheck.Test.fail_reportf "adopting vs copying restore of an edit: %s differ" what
+      | None -> true)
 
 (* ---------- a dropped machine is collected ---------- *)
 
@@ -1079,4 +1174,6 @@ let suite =
       prop_clock_observations;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
       prop_restore_invisible;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+      prop_edited_page_copied;
   ]

@@ -1,11 +1,13 @@
 (** How images flow through a transaction (DESIGN.md §5a): each pid's
     image is decoded at most once and sealed twice — at the dump and
     once after all edits. The census pins that structure through the
-    [criu.save]/[criu.load] hit counters; the oracle pins every stored
-    image and the virtual clock across a seeded ngx session of cuts,
-    re-enables and a rollback, and checks that sealing with carried leaf
-    sums seals what sealing cold does. A gate bounds the leaves a warm
-    transaction hashes. *)
+    [criu.save]/[criu.load] hit counters, and the pages the commit's
+    restore takes over or copies through [criu.pages_adopted] and
+    [criu.pages_copied]; the oracle pins every stored image and the
+    virtual clock across a seeded ngx session of cuts, re-enables and a
+    rollback, and checks that sealing with carried leaf sums seals what
+    sealing cold does. A gate bounds the leaves a warm transaction
+    hashes, and a twin tree shows that taking pages over is invisible. *)
 
 let app = Workload.ngx
 let blocks = lazy (Common.web_feature_blocks app)
@@ -114,23 +116,40 @@ let sums_fresh (m : Machine.t) what =
 
 let leaves_hashed () = Obs.counter_value (Obs.counter "criu.leaves_hashed")
 
+let pages () =
+  ( Obs.counter_value (Obs.counter "criu.pages_adopted"),
+    Obs.counter_value (Obs.counter "criu.pages_copied") )
+
 (* ---------- census ---------- *)
 
+(* Besides the seals and read-backs, the census pins how the commit's
+   restores make the pages of the two pids: each page no edit wrote is
+   taken over from the replaced process, and only the slots the edits
+   wrote are copied. A warm first-byte cut or re-enable writes one text
+   page and the policy table page of each pid: 274 pages adopted, 4
+   copied. The first cut also copies the handler library it injects. *)
 let test_census () =
   let c, s = boot ~seed:42 in
   let npids = List.length (Dynacut.tree_pids s) in
-  let census what =
+  let census what split before =
     Alcotest.(check int) (what ^ ": criu.save hits") (2 * npids) (Fault.hits Criu_save);
-    Alcotest.(check int) (what ^ ": criu.load hits") npids (Fault.hits Criu_load)
+    Alcotest.(check int) (what ^ ": criu.load hits") npids (Fault.hits Criu_load);
+    let a0, c0 = before and a1, c1 = pages () in
+    Alcotest.(check (pair int int)) (what ^ ": pages adopted, copied") split (a1 - a0, c1 - c0)
   in
-  Fault.reset ();
-  let journals = cut_ok s `First_byte in
-  census "redirect first-byte cut";
-  check_serving c ~cut:true "cut";
-  Fault.reset ();
-  reenable_ok s journals;
-  census "re-enable";
-  check_serving c ~cut:false "re-enabled";
+  List.iter
+    (fun (round, cut_split) ->
+      Fault.reset ();
+      let before = pages () in
+      let journals = cut_ok s `First_byte in
+      census (round ^ " redirect first-byte cut") cut_split before;
+      check_serving c ~cut:true "cut";
+      Fault.reset ();
+      let before = pages () in
+      reenable_ok s journals;
+      census (round ^ " re-enable") (274, 4) before;
+      check_serving c ~cut:false "re-enabled")
+    [ ("first", (218, 60)); ("warm", (274, 4)) ];
   Fault.reset ()
 
 (* ---------- stored-frame oracle ---------- *)
@@ -297,6 +316,101 @@ let test_stored_frames_unwritten () =
     true
     (List.length !kept >= 6 * 2 * 2)
 
+(* ---------- adoption is invisible ---------- *)
+
+(* What a process is, as far as a restore makes it: its VMAs, every
+   resident page (address, protection, bytes), its registers. *)
+let made (p : Proc.t) =
+  let mem = p.Proc.mem and regs = p.Proc.regs in
+  ( List.map
+      (fun (v : Mem.vma) -> (v.Mem.va_start, v.Mem.va_len, v.Mem.va_name))
+      mem.Mem.vmas,
+    Hashtbl.fold
+      (fun idx (pg : Mem.page) acc ->
+        (idx, (pg.Mem.pg_prot.Self.p_r, pg.Mem.pg_prot.Self.p_w, pg.Mem.pg_prot.Self.p_x),
+         Bytes.to_string pg.Mem.pg_data)
+        :: acc)
+      mem.Mem.pages []
+    |> List.sort compare,
+    (List.map (Proc.gpr regs) Reg.all, Proc.rip regs, Proc.pack_flags regs) )
+
+(* Two ngx trees booted alike go through the same first-byte, wipe and
+   unmap-pages cuts and re-enables. After each transaction, every pid
+   of the second tree is restored once more, by copying, from the
+   decoded working frame the transaction stored. The first tree's
+   processes, restored by taking over their predecessors' pages, must
+   match those page by page, register by register, and answer a PUT
+   and a GET alike. The process each commit reaped keeps no page its
+   successor maps: a write through its address space faults, and the
+   live process's bytes stay as they were. *)
+let test_adoption_invisible () =
+  Fault.reset ();
+  let a, sa = boot ~seed:42 in
+  let b, sb = boot ~seed:42 in
+  let pids = Dynacut.tree_pids sa in
+  let compare_trees what =
+    List.iter
+      (fun pid ->
+        let m = b.Workload.m in
+        let frame = Option.get (Vfs.find m.Machine.fs (Dynacut.image_path sb pid)) in
+        Machine.reap m ~pid;
+        let q = Restore.restore m (Validate.decode_sealed frame) in
+        q.Proc.frozen <- false;
+        let p = Machine.proc_exn a.Workload.m pid in
+        let ((vmas, pages, regs) as got) = made p and ((vmas', pages', regs') as want) = made q in
+        if got <> want then
+          Alcotest.failf "%s: pid %d adopted and copied restores differ in %s" what pid
+            (if vmas <> vmas' then "vmas"
+             else if List.length pages <> List.length pages' then "page count"
+             else if regs <> regs' then "registers"
+             else
+               let idx, _, _ = List.find (fun pg -> not (List.mem pg pages')) pages in
+               Printf.sprintf "the page at 0x%Lx" (Int64.mul idx Mem.page_size64)))
+      pids;
+    List.iter
+      (fun req ->
+        Alcotest.(check string) (what ^ ": same reply") (Workload.rpc b req) (Workload.rpc a req))
+      [ Workload.http_put "/upload.txt" "hello upload"; Workload.http_get "/index.html" ]
+  in
+  (* [donors] were reaped by the commit that replaced them *)
+  let check_reaped what (donors : Proc.t list) =
+    List.iter
+      (fun (d : Proc.t) ->
+        let live = Machine.proc_exn a.Workload.m d.Proc.pid in
+        Hashtbl.iter
+          (fun _ (pg : Mem.page) ->
+            if
+              Hashtbl.fold (fun _ (q : Mem.page) shared -> shared || q.Mem.pg_data == pg.Mem.pg_data)
+                d.Proc.mem.Mem.pages false
+            then Alcotest.failf "%s: pid %d shares a page buffer with its reaped process" what d.Proc.pid)
+          live.Proc.mem.Mem.pages;
+        let sp = Proc.gpr live.Proc.regs Reg.Rsp in
+        let before = Mem.peek8 live.Proc.mem sp in
+        (match Mem.poke8 d.Proc.mem sp (before lxor 0xff) with
+        | () -> Alcotest.failf "%s: pid %d: a write through the reaped process landed" what d.Proc.pid
+        | exception Mem.Fault _ -> ());
+        Alcotest.(check int) (what ^ ": live stack byte") before (Mem.peek8 live.Proc.mem sp))
+      donors
+  in
+  (* [op] on both trees, each with its own journals *)
+  let step what op (ja, jb) =
+    let donors = List.map (Machine.proc_exn a.Workload.m) pids in
+    let ja = op sa ja in
+    let jb = op sb jb in
+    check_reaped what donors;
+    compare_trees what;
+    (ja, jb)
+  in
+  List.iter
+    (fun (name, method_) ->
+      ([], [])
+      |> step ("cut-" ^ name) (fun s _ -> cut_ok s method_)
+      |> step ("reenable-" ^ name) (fun s j ->
+             reenable_ok s j;
+             [])
+      |> ignore)
+    [ ("first-byte", `First_byte); ("wipe", `Wipe); ("unmap", `Unmap_pages) ]
+
 (* ---------- the redirect target ---------- *)
 
 (* A redirect cut resolves its target from the executable once: later
@@ -375,6 +489,7 @@ let suite =
   [
     Alcotest.test_case "census: two seals and one read-back per pid" `Quick test_census;
     Alcotest.test_case "stored frames and clock pinned" `Quick test_oracle;
+    Alcotest.test_case "adopting restore = copying restore" `Quick test_adoption_invisible;
     Alcotest.test_case "warm re-enable and cut hash few leaves" `Quick test_leaf_gate;
     Alcotest.test_case "stored frames are never written again" `Quick
       test_stored_frames_unwritten;
