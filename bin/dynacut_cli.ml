@@ -113,8 +113,8 @@ let inject_fault_arg =
 let fault_seed_arg =
   let doc =
     "Seed for the fault scheduler's PRNG (probabilistic 'p=F' specs draw \
-     from it). The seed in use is printed so any chaos run can be \
-     replayed bit-for-bit."
+     from it). The seed in use is printed so any fault-injected run can \
+     be replayed bit-for-bit."
   in
   Arg.(value & opt (some int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
 
@@ -918,7 +918,8 @@ let fleet_cmd =
     in
     let m = Fleet.machine fleet and pids = Fleet.pids fleet in
     (* an injected fault on the serving path refuses the request, as
-       [Chaos.drive_fleet] counts it: part of the run, not its end *)
+       the chaos probes' rollout traffic counts it: part of the run,
+       not its end *)
     let refused = ref 0 in
     let send reqs =
       List.iter
@@ -1168,168 +1169,6 @@ let disasm_cmd =
   let doc = "Disassemble a guest binary's executable sections." in
   Cmd.v (Cmd.info "disasm" ~doc) Term.(const action $ app_arg $ out_arg)
 
-(* ---------- chaos ---------- *)
-
-let chaos_cmd =
-  let runs =
-    let doc = "Number of seeded multi-fault schedules to generate and run." in
-    Arg.(value & opt int 20 & info [ "runs" ] ~docv:"N" ~doc)
-  in
-  let seed =
-    let doc =
-      "Base seed; run $(i,i) uses seed+$(i,i). Every random draw of a run \
-       (schedule shape, fault jitter, workload) derives from its seed, so \
-       any failure replays bit-for-bit."
-    in
-    Arg.(value & opt int 1000 & info [ "seed" ] ~docv:"S" ~doc)
-  in
-  let shrink =
-    let doc =
-      "On the first invariant violation, delta-debug the schedule down to \
-       a 1-minimal event list that still violates (same seed), and write \
-       the replay file for it."
-    in
-    Arg.(value & flag & info [ "shrink" ] ~doc)
-  in
-  let replay =
-    let doc =
-      "Re-run the single schedule in this chaos-replay file instead of \
-       generating schedules; prints the report digest so two runs can be \
-       compared bit-for-bit."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
-  in
-  let out =
-    let doc = "Where to write the replay file of a violating schedule." in
-    Arg.(
-      value
-      & opt string "chaos-replay.txt"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-  in
-  let workers =
-    let doc = "Fleet size each schedule runs against." in
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let max_events =
-    let doc = "Largest number of fault events in a generated schedule." in
-    Arg.(value & opt int 4 & info [ "max-events" ] ~docv:"K" ~doc)
-  in
-  let action app runs seed shrink replay out workers max_events =
-    let app = require_app app in
-    (match Chaos.redirect_sym app with
-    | (_ : string) -> ()
-    | exception Invalid_argument _ ->
-        Printf.eprintf
-          "chaos drives the web servers; %s has no redirect symbol\n"
-          app.Workload.a_name;
-        exit 2);
-    let config =
-      { Chaos.c_app = app; c_workers = workers }
-    in
-    let show (r : Chaos.report) =
-      Format.printf "%a@.digest=%Ld@." Chaos.pp_report r
-        (Chaos.report_digest r)
-    in
-    match replay with
-    | Some file ->
-        let ic = open_in file in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        let sched =
-          match Schedule.of_replay text with
-          | s -> s
-          | exception Schedule.Unsupported_version { uv_found; uv_supported }
-            ->
-              Printf.eprintf
-                "%s: unsupported chaos-replay version %s (this build \
-                 supports %s)\n"
-                file uv_found uv_supported;
-              exit 2
-          | exception Invalid_argument e ->
-              Printf.eprintf "%s: %s\n" file e;
-              exit 2
-        in
-        let r = Chaos.run ~config sched in
-        show r;
-        exit (if Chaos.passed r then 0 else 8)
-    | None ->
-        let failed = ref None in
-        let i = ref 0 in
-        while !failed = None && !i < runs do
-          let sched =
-            Schedule.generate ~max_events ~seed:(seed + !i) ()
-          in
-          let r = Chaos.run ~config sched in
-          Format.printf "run %d/%d seed=%d events=%d fired=%d %s@." (!i + 1)
-            runs sched.Schedule.sc_seed
-            (List.length sched.Schedule.sc_events)
-            (List.length r.Chaos.r_fired)
-            (if Chaos.passed r then "pass" else "VIOLATION");
-          if not (Chaos.passed r) then failed := Some r;
-          incr i
-        done;
-        (match !failed with
-        | None ->
-            Format.printf "%d/%d schedules passed every invariant@." runs runs;
-            exit 0
-        | Some r ->
-            show r;
-            let sched = r.Chaos.r_schedule in
-            let final =
-              if shrink then begin
-                let shrunk =
-                  Shrink.minimize
-                    ~failing:(fun s ->
-                      not (Chaos.passed (Chaos.run ~config s)))
-                    sched
-                in
-                Format.printf "shrunk %d -> %d events: %a@."
-                  (List.length sched.Schedule.sc_events)
-                  (List.length shrunk.Schedule.sc_events)
-                  Schedule.pp shrunk;
-                shrunk
-              end
-              else sched
-            in
-            let oc = open_out out in
-            output_string oc (Schedule.to_replay final);
-            close_out oc;
-            Format.printf "wrote %s@." out;
-            exit 8)
-  in
-  let doc =
-    "Run seeded multi-fault chaos schedules against a worker fleet and \
-     check every invariant oracle; shrink and save any failure as a \
-     deterministic replay file."
-  in
-  let man =
-    [
-      `S "EXIT STATUS";
-      `P "0: every schedule (or the replayed one) passed every invariant.";
-      `P
-        "2: usage error (unknown app, app without a redirect symbol, or \
-         a malformed / future-version --replay file).";
-      `P
-        "8: an invariant was violated; the (possibly shrunk) schedule was \
-         written as a replay file that reproduces the violation from the \
-         seed alone.";
-      `S "INVARIANTS";
-      `P
-        "Safety: every worker is applied-XOR-unchanged; no committed wave \
-         is lost after manifest replay; recovery is idempotent by state \
-         digest; no accepted request is silently dropped.";
-      `P
-        "Liveness: the fleet serves again within the recovery budget once \
-         faults clear, and post-fault goodput stays above the floor.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~doc ~man)
-    Term.(
-      const action $ app_opt_arg $ runs $ seed $ shrink $ replay $ out
-      $ workers $ max_events)
-
 (* ---------- report ---------- *)
 
 let report_cmd =
@@ -1380,6 +1219,5 @@ let () =
             top_cmd;
             crit_cmd;
             disasm_cmd;
-            chaos_cmd;
             report_cmd;
           ]))

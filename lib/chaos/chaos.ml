@@ -1,24 +1,4 @@
-(** Deterministic chaos engine (DESIGN.md §6c).
-
-    Two complementary halves:
-
-    - {!run}: execute one {!Schedule.t} against a live web-server fleet
-      — traffic, a rolling rollout, more traffic — arming each event off
-      its trigger, treating typed pipeline failures as clean refusals,
-      recovering from controller deaths, and finally checking the
-      {!Oracle} invariants once faults clear. Everything draws from
-      {!Rng} seeded by the schedule, so a run replays bit-for-bit.
-
-    - {!probe}: one directed (site, mode) scenario from
-      {!probe_driver}, the one per-site table — it provably reaches the
-      site, strikes it exactly once, and asserts the uniform contract:
-      a kill killed the controller there, every pid is
-      applied-XOR-unchanged (and, after a kill, on its expected side),
-      recovery converges, and the app serves. {!coverage_matrix} runs it
-      for every registered site in every {!Fault.applicable_modes} mode
-      (the [bench chaos] gate: no unexercised applicable mode); its
-      [Kill] column is the crash-recovery matrix
-      ([examples/crash_matrix.ml]). *)
+(** Directed chaos coverage: the site x mode probes. See [chaos.mli]. *)
 
 module Site = Fault.Site
 
@@ -53,15 +33,6 @@ let drive_fleet fleet () =
   | (_ : [ `Reply of int * string | `Refused ]) -> ()
   | exception e when refusal_of_exn e <> None -> ()
 
-(* ---------- the fleet executor ---------- *)
-
-(* the redirect symbol each web server exports for degraded requests *)
-let redirect_sym (app : Workload.app) =
-  match app.Workload.a_name with
-  | "ltpd" -> "ltpd_403"
-  | "ngx" -> "ngx_declined"
-  | n -> invalid_arg (Printf.sprintf "Chaos: no redirect symbol for %s" n)
-
 (* feature blocks per app, computed once — tracing is expensive. A
    scenario calls this before it boots its machine under test (the
    tracing creates machines, and the Obs clock and Fault hooks follow
@@ -75,285 +46,6 @@ let blocks_for (app : Workload.app) =
       let b = Common.web_feature_blocks app in
       Hashtbl.add blocks_cache app.Workload.a_name b;
       b
-
-(* the XOR oracle over a booted fleet's redirect-effective feature
-   blocks *)
-let fleet_oracle (app : Workload.app) fleet =
-  let w = List.hd (Fleet.workers fleet) in
-  Oracle.make (Fleet.machine fleet) ~base:(Common.app_exe app).Self.base
-    ~blocks:
-      (Dynacut.redirect_filter w.Rollout.w_session ~sym:(redirect_sym app)
-         (blocks_for app))
-    ~pids:(Fleet.pids fleet)
-
-type config = {
-  c_app : Workload.app;  (** target web server (ltpd | ngx) *)
-  c_workers : int;  (** fleet size *)
-}
-
-let default_config = { c_app = Workload.ltpd; c_workers = 4 }
-
-(* the rollout's wave count *)
-let waves = 2
-
-(* liveness: cycles the fleet gets to serve again after faults clear
-   (recovery + probe) *)
-let recover_budget = 60_000_000
-
-type report = {
-  r_schedule : Schedule.t;
-  r_fired : (Site.t * Fault.mode) list;  (** events that actually struck *)
-  r_notes : string list;  (** refusals, deaths, recoveries — the run trail *)
-  r_violations : Oracle.violation list;
-  r_recovery_cycles : int;  (** faults-clear to first served reply *)
-  r_goodput : float;  (** post-fault served/offered *)
-}
-
-let passed r = r.r_violations = []
-
-(* a stable fingerprint of everything that matters: used to prove a
-   replayed schedule reproduces the run bit-for-bit *)
-let report_digest (r : report) : int64 =
-  Validate.checksum
-    (String.concat "|"
-       (Format.asprintf "%a" Schedule.pp r.r_schedule
-       :: Printf.sprintf "recovery=%d" r.r_recovery_cycles
-       :: Printf.sprintf "goodput=%.3f" r.r_goodput
-       :: List.map
-            (fun (s, m) -> Printf.sprintf "%s:%s" (Site.name s) (Fault.mode_to_string m))
-            r.r_fired
-       @ r.r_notes
-       @ List.map (Format.asprintf "%a" Oracle.pp_violation) r.r_violations))
-
-let pp_report ppf (r : report) =
-  Format.fprintf ppf "schedule %a@ fired=[%s]@ %s"
-    Schedule.pp r.r_schedule
-    (String.concat ";"
-       (List.map
-          (fun (s, m) -> Printf.sprintf "%s:%s" (Site.name s) (Fault.mode_to_string m))
-          r.r_fired))
-    (if passed r then "PASS"
-     else
-       String.concat "; "
-         (List.map (Format.asprintf "%a" Oracle.pp_violation) r.r_violations))
-
-(* per-event trigger state: armed/fired bookkeeping between slices *)
-type ev_state = {
-  es_event : Schedule.event;
-  mutable es_armed : bool;
-  mutable es_done : bool;
-  es_base_fired : int;  (** [Fault.fired] at arm time *)
-}
-
-(** Run one schedule against a fresh [config.c_app] fleet (ltpd by
-    default). [extra_oracle] lets a
-    test add a deliberately broken invariant (the shrinker demo). *)
-let run ?(config = default_config)
-    ?(extra_oracle : (Oracle.ctx -> Oracle.violation list) option)
-    (sched : Schedule.t) : report =
-  Fault.reset ();
-  Fault.seed sched.Schedule.sc_seed;
-  let notes = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  let violations = ref [] in
-  let app = config.c_app in
-  let policy =
-    { Dynacut.method_ = `First_byte; on_trap = `Redirect (redirect_sym app) }
-  in
-  (* boot happens clean: chaos starts once the fleet is ready *)
-  let fleet =
-    Fleet.boot ~seed:sched.Schedule.sc_seed ~n:config.c_workers
-      ~blocks:(blocks_for app) ~policy app
-  in
-  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-  let oracle = fleet_oracle app fleet in
-  let t0 = m.Machine.clock in
-  (* arm nth-occurrence events relative to now; windows arm in tick *)
-  let states =
-    List.map
-      (fun (e : Schedule.event) ->
-        (match e.Schedule.ev_trigger with
-        | Schedule.Nth n ->
-            Fault.arm_mode e.Schedule.ev_site
-              (Fault.On_nth (Fault.hits e.Schedule.ev_site + n))
-              e.Schedule.ev_mode
-        | Schedule.Window _ -> ());
-        {
-          es_event = e;
-          es_armed = (match e.Schedule.ev_trigger with Schedule.Nth _ -> true | _ -> false);
-          es_done = false;
-          es_base_fired = Fault.fired e.Schedule.ev_site;
-        })
-      sched.Schedule.sc_events
-  in
-  let tick () =
-    let now = Int64.to_int (Int64.sub m.Machine.clock t0) in
-    List.iter
-      (fun es ->
-        if not es.es_done then begin
-          let site = es.es_event.Schedule.ev_site in
-          if Fault.fired site > es.es_base_fired then es.es_done <- true
-          else
-            match es.es_event.Schedule.ev_trigger with
-            | Schedule.Nth _ -> ()
-            | Schedule.Window (a, b) ->
-                if (not es.es_armed) && now >= a && now < b then begin
-                  Fault.arm_mode site Fault.One_shot es.es_event.Schedule.ev_mode;
-                  es.es_armed <- true
-                end
-                else if es.es_armed && now >= b then begin
-                  Fault.disarm site;
-                  es.es_armed <- false;
-                  es.es_done <- true
-                end
-        end)
-      states
-  in
-  (* controller deaths hand the fleet to a fresh recovery pass — with
-     the surviving events still armed, so a second fault can strike the
-     recovery itself. Events are one-shot, so this converges. *)
-  let rec attempt_recover tries =
-    if tries = 0 then
-      violations :=
-        Oracle.violation "recovery-stuck" "recovery did not converge"
-        :: !violations
-    else
-      match Fleet.recover m ~pids with
-      | (_ : Fleet.recovery) -> ()
-      | exception Fault.Controller_killed { site } ->
-          note "recovery died at %s" (Site.name site);
-          attempt_recover (tries - 1)
-      | exception e -> (
-          match refusal_of_exn e with
-          | Some msg ->
-              note "recovery refused: %s" msg;
-              attempt_recover (tries - 1)
-          | None -> raise e)
-  in
-  let request label =
-    tick ();
-    (match Fleet.request fleet get with
-    | `Reply (pid, resp) -> note "%s: pid %d answered %s" label pid (status resp)
-    | `Refused -> note "%s: refused" label
-    | exception Fault.Controller_killed { site } ->
-        note "%s: controller died at %s" label (Site.name site);
-        attempt_recover 6
-    | exception e -> (
-        match refusal_of_exn e with
-        | Some msg -> note "%s: %s" label msg
-        | None -> raise e));
-    tick ()
-  in
-  (* phase 1: pre-rollout traffic (dispatch/serve sites in play) *)
-  for i = 1 to 4 do
-    request (Printf.sprintf "pre.%d" i)
-  done;
-  (* phase 2: the rolling rollout (cut-path + manifest sites in play) *)
-  tick ();
-  let rollout_config =
-    Rollout.
-      {
-        r_waves = waves;
-        r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
-      }
-  in
-  (match Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) () with
-  | outcome, _ -> note "rollout: %s" (Format.asprintf "%a" Rollout.pp_outcome outcome)
-  | exception Fault.Controller_killed { site } ->
-      note "rollout: controller died at %s" (Site.name site);
-      attempt_recover 6
-  | exception e -> (
-      match refusal_of_exn e with
-      | Some msg -> note "rollout: %s" msg
-      | None -> raise e));
-  tick ();
-  (* phase 3: post-rollout traffic (windows keep opening/closing) *)
-  for i = 1 to 6 do
-    request (Printf.sprintf "post.%d" i)
-  done;
-  (* phase 4: clear every fault, then recover to a uniform fleet *)
-  note "faults cleared at +%d cycles"
-    (Int64.to_int (Int64.sub m.Machine.clock t0));
-  List.iter (fun es -> es.es_done <- true) states;
-  Fault.disarm_all ();
-  let recovery =
-    match Fleet.recover m ~pids with
-    | r -> r
-    | exception e -> (
-        (match refusal_of_exn e with
-        | Some msg -> note "final recovery refused: %s" msg
-        | None -> raise e);
-        Fleet.recover m ~pids)
-  in
-  (* safety oracles *)
-  violations := Oracle.check_xor oracle @ !violations;
-  violations :=
-    Oracle.check_waves oracle
-      ~plan:(Rollout.plan ~pids ~waves)
-      ~recovery
-    @ !violations;
-  violations := Oracle.check_recover_idempotent oracle @ !violations;
-  (match extra_oracle with
-  | Some f -> violations := f oracle @ !violations
-  | None -> ());
-  (* liveness: the fleet must serve again within the budget *)
-  let probe_start = m.Machine.clock in
-  let rec probe k =
-    if k = 0 then None
-    else
-      match Fleet.request fleet get with
-      | `Reply (_, resp) when status resp = "200" ->
-          Some (Int64.to_int (Int64.sub m.Machine.clock probe_start))
-      | (_ : [ `Reply of int * string | `Refused ]) -> probe (k - 1)
-      | exception e when refusal_of_exn e <> None -> probe (k - 1)
-  in
-  let recovery_cycles =
-    match probe 8 with
-    | Some c ->
-        if c > recover_budget then
-          violations :=
-            Oracle.violation "liveness-budget"
-              "served after %d cycles (budget %d)" c recover_budget
-            :: !violations;
-        c
-    | None ->
-        violations :=
-          Oracle.violation "liveness-serving"
-            "fleet never served again after faults cleared"
-          :: !violations;
-        recover_budget
-  in
-  (* liveness: of [offered] closed-loop requests at least half are
-     served, and every one is served or cleanly refused *)
-  let offered = 30 in
-  let served = ref 0 and refused = ref 0 in
-  for _ = 1 to offered do
-    match Fleet.request fleet get with
-    | `Reply (_, resp) when status resp = "200" -> incr served
-    | `Reply _ -> ()
-    | `Refused -> incr refused
-    | exception e when refusal_of_exn e <> None -> incr refused
-  done;
-  violations :=
-    Oracle.check_accounting ~offered ~served:!served ~refused:!refused
-    @ !violations;
-  violations :=
-    Oracle.check_goodput ~floor:0.5 ~offered ~served:!served @ !violations;
-  let goodput = float_of_int !served /. float_of_int offered in
-  {
-    r_schedule = sched;
-    r_fired =
-      List.filter_map
-        (fun es ->
-          if Fault.fired es.es_event.Schedule.ev_site > es.es_base_fired then
-            Some (es.es_event.Schedule.ev_site, es.es_event.Schedule.ev_mode)
-          else None)
-        states;
-    r_notes = List.rev !notes;
-    r_violations = List.rev !violations;
-    r_recovery_cycles = recovery_cycles;
-    r_goodput = goodput;
-  }
 
 (* ---------- directed site × mode coverage ---------- *)
 
@@ -592,42 +284,6 @@ let slice_probe site mode =
 let lapp = Workload.ltpd
 let lpolicy = { Dynacut.method_ = `First_byte; on_trap = `Redirect "ltpd_403" }
 
-(* recover [oracle]'s fleet, run [after_recover], then the fleet oracles
-   and a served GET. [quiet] probes open no transaction, so no worker
-   may need recovery work. After a controller death recovery must unwind
-   nothing and leave every pid on its expected side: [cut] cut, the rest
-   original. *)
-let fleet_finish ?(after_recover = ignore) ?(quiet = false) ?(cut = [])
-    ~(outcome : outcome) oracle ~plan ~serving_fleet =
-  let m = oracle.Oracle.oc_machine and pids = oracle.Oracle.oc_pids in
-  let recovery =
-    match Fleet.recover m ~pids with
-    | r -> r
-    | exception Fault.Controller_killed _ -> Fleet.recover m ~pids
-  in
-  after_recover ();
-  if quiet then
-    List.iter
-      (fun (pid, a) ->
-        if a <> `Nothing then
-          failp "recovery invented work for quiescent pid %d" pid)
-      recovery.Fleet.fr_workers;
-  expect ~what:"after recover"
-    (Oracle.check_xor oracle
-    @ Oracle.check_waves oracle ~plan ~recovery
-    @ Oracle.check_recover_idempotent oracle);
-  if outcome = `Killed then begin
-    if recovery.Fleet.fr_unwound <> [] then
-      failp "recovery unwound pid(s) %s"
-        (String.concat "," (List.map string_of_int recovery.Fleet.fr_unwound));
-    expect ~what:"after recover" (Oracle.check_sides oracle ~cut)
-  end;
-  match Fleet.request serving_fleet get with
-  | `Reply (_, resp) ->
-      let s = status resp in
-      if s <> "200" then failp "after recover: GET answered %s, not 200" s
-  | `Refused -> failp "after recover: fleet refused a GET"
-
 let rollout_config =
   Rollout.
     {
@@ -635,32 +291,88 @@ let rollout_config =
       r_sup = { Supervisor.default_config with Supervisor.canary_windows = 1 };
     }
 
+let ltpd_fleet n =
+  let fleet = Fleet.boot ~n ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let w = List.hd (Fleet.workers fleet) in
+  let oracle =
+    Oracle.make (Fleet.machine fleet) ~base:(Common.app_exe lapp).Self.base
+      ~blocks:
+        (Dynacut.redirect_filter w.Rollout.w_session ~sym:"ltpd_403"
+           (blocks_for lapp))
+      ~pids:(Fleet.pids fleet)
+  in
+  (fleet, oracle)
+
+let rollout fleet =
+  fst (Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ())
+
+let fleet_converges oracle fleet =
+  let m = oracle.Oracle.oc_machine and pids = oracle.Oracle.oc_pids in
+  (* recovery halts and compacts an open wave: read what it must undo
+     first *)
+  let manifest = Oracle.manifest_prefix oracle in
+  let recovery =
+    match Fleet.recover m ~pids with
+    | r -> r
+    | exception Fault.Controller_killed _ -> Fleet.recover m ~pids
+  in
+  expect ~what:"after recover"
+    (Oracle.check_xor oracle
+    @ Oracle.check_waves oracle
+        ~plan:(Rollout.plan ~pids ~waves:rollout_config.Rollout.r_waves)
+        ~manifest
+    @ Oracle.check_recover_idempotent oracle);
+  (match Fleet.request fleet get with
+  | `Reply (_, resp) ->
+      let s = status resp in
+      if s <> "200" then failp "after recover: GET answered %s, not 200" s
+  | `Refused -> failp "after recover: fleet refused a GET");
+  recovery
+
+(* {!fleet_converges}, then: [quiet] probes open no transaction, so no
+   worker may need recovery work; after a controller death recovery
+   must unwind nothing and leave every pid on its expected side, [cut]
+   cut and the rest original *)
+let fleet_finish ?(quiet = false) ?(cut = []) ~(outcome : outcome) oracle fleet =
+  let recovery = fleet_converges oracle fleet in
+  if quiet then
+    List.iter
+      (fun (pid, a) ->
+        if a <> `Nothing then
+          failp "recovery invented work for quiescent pid %d" pid)
+      recovery.Fleet.fr_workers;
+  if outcome = `Killed then begin
+    if recovery.Fleet.fr_unwound <> [] then
+      failp "recovery unwound pid(s) %s"
+        (String.concat "," (List.map string_of_int recovery.Fleet.fr_unwound));
+    expect ~what:"after recover" (Oracle.check_sides oracle ~cut)
+  end
+
 (* fault strikes the rolling rollout: [fleet.wave] at wave 2's start,
    so wave 1's committed cut must survive; [fleet.manifest] at the very
    first entry, before any worker was touched *)
 let fleet_rollout_probe site mode =
-  let fleet = Fleet.boot ~n:4 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
-  let oracle = fleet_oracle lapp fleet and pids = Fleet.pids fleet in
-  let plan = Rollout.plan ~pids ~waves:2 in
+  let fleet, oracle = ltpd_fleet 4 in
+  let plan =
+    Rollout.plan ~pids:(Fleet.pids fleet) ~waves:rollout_config.Rollout.r_waves
+  in
   let spec, cut =
     if site = Site.Fleet_wave then (Fault.On_nth 2, List.hd plan)
     else (Fault.One_shot, [])
   in
   let outcome =
     strike ~spec (Fleet.machine fleet) site mode (fun () ->
-        ignore
-          (Fleet.rollout fleet ~config:rollout_config ~drive:(drive_fleet fleet) ()))
+        ignore (rollout fleet : Rollout.outcome))
   in
-  fleet_finish ~cut ~outcome oracle ~plan ~serving_fleet:fleet
+  fleet_finish ~cut ~outcome oracle fleet
 
 (* fault strikes one dispatched request (balancer / net sites) *)
 let fleet_request_probe site mode =
-  let fleet = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
-  let oracle = fleet_oracle lapp fleet in
+  let fleet, oracle = ltpd_fleet 2 in
   let outcome =
     strike (Fleet.machine fleet) site mode (fun () -> ignore (Fleet.request fleet get))
   in
-  fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~quiet:true ~outcome oracle fleet
 
 (* fault strikes the decoded-block code cache: entering the dispatch
    loop (bbcache.dispatch) or evicting blocks over a dirtied code page
@@ -669,8 +381,8 @@ let fleet_request_probe site mode =
    (same replies, never a stale block), a Delay just slows the quantum,
    and after any outcome the fleet keeps serving and stays XOR-clean *)
 let bbcache_probe site mode =
-  let fleet = Fleet.boot ~n:2 ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
-  let oracle = fleet_oracle lapp fleet and m = Fleet.machine fleet in
+  let fleet, oracle = ltpd_fleet 2 in
+  let m = Fleet.machine fleet in
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "cache warm-up request failed");
@@ -699,7 +411,7 @@ let bbcache_probe site mode =
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "request failed after the %s fault" (Site.name site));
-  fleet_finish ~quiet:true ~outcome oracle ~plan:[] ~serving_fleet:fleet
+  fleet_finish ~quiet:true ~outcome oracle fleet
 
 (* every site maps to the scenario that provably reaches it; the match
    is exhaustive, so a site without a driver does not compile *)
@@ -726,10 +438,6 @@ type probe = {
   p_detail : string;  (** empty when ok *)
 }
 
-(** Strike [site] once in [mode] through its scenario and check the
-    uniform contract. Any exception the scenario lets escape is this
-    probe's failure, named in [p_detail] — never an abort of the whole
-    sweep. *)
 let probe site mode : probe =
   Fault.reset ();
   let result p_ok p_detail = { p_site = site; p_mode = mode; p_ok; p_detail } in
@@ -738,7 +446,6 @@ let probe site mode : probe =
   | exception Probe_failure msg -> result false msg
   | exception e -> result false ("uncaught exception " ^ Printexc.to_string e)
 
-(** The directed sweep: every site in every applicable mode. *)
 let coverage_matrix () : probe list =
   List.concat_map
     (fun site -> List.map (probe site) (Fault.applicable_modes site))

@@ -1,21 +1,4 @@
-(** Invariant oracles for chaos runs (DESIGN.md §6c).
-
-    Safety — must hold after any schedule, once faults are cleared and
-    recovery has run:
-
-    - {b applied XOR unchanged}: every worker's feature blocks are all
-      int3 or all original bytes, never mixed within one pid;
-    - {b committed waves kept}: a wave the (post-recovery) manifest
-      records as done has every member cut, and pids recovery unwound
-      are fully original;
-    - {b recovery idempotent}: a second [Fleet.recover] pass leaves the
-      machine-state digest unchanged;
-    - {b no silent drops}: the load generator accounts for every offered
-      request as completed or failed.
-
-    Liveness is the executor's business (it owns the clock): the fleet
-    must answer again within a bounded virtual-cycle budget after faults
-    clear, and goodput must recover to a floor. *)
+(** Invariant oracles for the directed chaos probes. See [oracle.mli]. *)
 
 type violation = { v_name : string; v_detail : string }
 
@@ -24,7 +7,6 @@ let violation v_name fmt =
 
 let pp_violation ppf v = Format.fprintf ppf "%s: %s" v.v_name v.v_detail
 
-(** Everything the safety checks need to inspect one fleet. *)
 type ctx = {
   oc_machine : Machine.t;
   oc_pids : int list;  (** worker tree-root pids *)
@@ -45,9 +27,6 @@ let all_cut (ctx : ctx) pid =
 
 let all_original (ctx : ctx) pid = block_bytes ctx pid = ctx.oc_originals
 
-(** The context over [pids]' feature [blocks] at text base [base], with
-    the original bytes read from the first pid — call it while that pid
-    is still untouched. *)
 let make (m : Machine.t) ~base ~blocks ~pids : ctx =
   let ctx =
     {
@@ -60,7 +39,6 @@ let make (m : Machine.t) ~base ~blocks ~pids : ctx =
   in
   { ctx with oc_originals = block_bytes ctx (List.hd pids) }
 
-(** Per-pid applied XOR unchanged, across the whole fleet. *)
 let check_xor (ctx : ctx) : violation list =
   List.filter_map
     (fun pid ->
@@ -72,8 +50,6 @@ let check_xor (ctx : ctx) : violation list =
                 (List.map string_of_int (block_bytes ctx pid)))))
     ctx.oc_pids
 
-(** Each pid on its expected side of the XOR: every pid in [cut] fully
-    cut, every other pid fully original. *)
 let check_sides (ctx : ctx) ~(cut : int list) : violation list =
   List.filter_map
     (fun pid ->
@@ -84,20 +60,24 @@ let check_sides (ctx : ctx) ~(cut : int list) : violation list =
       else Some (violation "side" "pid %d should be original" pid))
     ctx.oc_pids
 
-(** Committed waves kept: read the manifest back (post-recovery, so the
-    valid prefix is authoritative), and require every member of a
-    [Wave_done] wave to be fully cut, and every pid recovery unwound to
-    be fully original. Waves the manifest lost (torn tail, corruption)
-    impose nothing here — recovery already reverted them uniformly, and
-    {!check_xor} holds either way. *)
+let manifest_prefix (ctx : ctx) : Journal.Manifest.entry list =
+  fst
+    (Journal.Manifest.read
+       (Journal.Manifest.attach ctx.oc_machine.Machine.fs ~dir:Fleet.manifest_dir))
+
 let check_waves (ctx : ctx) ~(plan : int list list)
-    ~(recovery : Fleet.recovery) : violation list =
-  let man = Journal.Manifest.attach ctx.oc_machine.Machine.fs ~dir:Fleet.manifest_dir in
-  let entries, _torn = Journal.Manifest.read man in
-  let s = Journal.Manifest.summarize entries in
+    ~(manifest : Journal.Manifest.entry list) : violation list =
+  let s = Journal.Manifest.summarize manifest in
   let of_wave w = try List.nth plan (w - 1) with _ -> [] in
   let completed =
     List.concat_map of_wave s.Journal.Manifest.m_completed
+  in
+  let unwound =
+    match s.Journal.Manifest.m_open with
+    | None -> []
+    | Some (wave, _planned, cut) ->
+        List.map (fun pid -> (wave, pid))
+          (List.filter (fun pid -> List.mem pid ctx.oc_pids) cut)
   in
   List.filter_map
     (fun pid ->
@@ -106,13 +86,15 @@ let check_waves (ctx : ctx) ~(plan : int list list)
       else None)
     completed
   @ List.filter_map
-      (fun pid ->
+      (fun (wave, pid) ->
         if not (all_original ctx pid) then
-          Some (violation "unwound-not-original" "unwound pid %d is not original" pid)
+          Some
+            (violation "open-wave-not-unwound"
+               "pid %d, cut in open wave %d, is not original" pid wave)
         else None)
-      recovery.Fleet.fr_unwound
+      unwound
 
-(** Deterministic digest of everything recovery can touch: every file in
+(* Deterministic digest of everything recovery can touch: every file in
     the machine fs (journals, manifests, images) plus each worker's
     state and feature bytes. Fencing tokens ([.../lock]) are excluded —
     their epoch is monotonic by design: any recovery pass that finds a
@@ -149,8 +131,6 @@ let state_digest (ctx : ctx) : int64 =
     ctx.oc_pids;
   Validate.checksum (Buffer.contents b)
 
-(** Recovery idempotent by state digest: with faults cleared and one
-    recovery pass already run, a second pass must change nothing. *)
 let check_recover_idempotent (ctx : ctx) : violation list =
   let d1 = state_digest ctx in
   let (_ : Fleet.recovery) =
@@ -159,24 +139,4 @@ let check_recover_idempotent (ctx : ctx) : violation list =
   let d2 = state_digest ctx in
   if d1 <> d2 then
     [ violation "recover-idempotent" "digest %Lx -> %Lx across a second pass" d1 d2 ]
-  else []
-
-(** Request accounting: every offered request ends exactly once, served
-    or cleanly refused. *)
-let check_accounting ~offered ~served ~refused : violation list =
-  if served + refused <> offered then
-    [
-      violation "request-dropped" "offered=%d but served=%d + refused=%d"
-        offered served refused;
-    ]
-  else []
-
-(** Goodput floor after faults clear: served over offered. *)
-let check_goodput ~(floor : float) ~offered ~served : violation list =
-  let goodput = float_of_int served /. float_of_int (max 1 offered) in
-  if goodput < floor then
-    [
-      violation "goodput-floor" "goodput %.2f below floor %.2f (%d/%d)"
-        goodput floor served offered;
-    ]
   else []

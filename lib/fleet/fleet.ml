@@ -177,6 +177,10 @@ let recover (machine : Machine.t) ~(pids : int list) : recovery =
               end)
             cut_pids
         in
+        (* a record appended after a torn tail is unreadable: rewrite
+           the valid prefix first, or the halt is lost and the next pass
+           unwinds the wave again *)
+        if fr_torn then Journal.Manifest.compact manifest;
         Journal.Manifest.append manifest
           (Journal.Manifest.Rollout_halted { wave });
         Journal.Manifest.compact manifest;

@@ -210,7 +210,6 @@ let arm ?(transient = false) ?(kill = false) site spec =
   arm_mode ~transient site spec (if kill then Kill else Fail)
 
 let disarm site = armed_tbl.(Site.index site) <- None
-let disarm_all () = Array.fill armed_tbl 0 Site.count None
 let armed site = armed_tbl.(Site.index site) <> None
 
 (** How many times the site was reached / actually fired. *)

@@ -1,263 +1,101 @@
-(** Chaos engine: schedule generation and replay determinism, fault-mode
-    end-to-end semantics under the invariant oracles, and the ddmin
-    shrinker reducing a deliberately broken invariant to a 1-minimal
-    schedule that replays bit-for-bit from the seed. *)
+(** Directed fault strikes outside the coverage matrix: single faults
+    over a whole fleet rollout, a fault pair the matrix cannot express
+    (a torn fleet manifest under a mid-wave controller death), and
+    [Chaos.strike]'s own delay check. *)
 
-(* ---------- schedules ---------- *)
+let converges oracle fleet =
+  match Chaos.fleet_converges oracle fleet with
+  | r -> r
+  | exception Chaos.Probe_failure msg -> Alcotest.fail msg
 
-let test_generate_deterministic () =
-  let a = Schedule.generate ~seed:7 () in
-  let b = Schedule.generate ~seed:7 () in
-  Alcotest.(check bool) "same seed, same schedule" true (a = b);
-  Alcotest.(check bool) "at least one event" true
-    (List.length a.Schedule.sc_events >= 1);
-  (* no two events share a site: the registry arms one entry per site *)
-  let sites = List.map (fun e -> e.Schedule.ev_site) a.Schedule.sc_events in
-  Alcotest.(check int) "distinct sites" (List.length sites)
-    (List.length (List.sort_uniq compare sites));
-  let c = Schedule.generate ~seed:8 () in
-  Alcotest.(check bool) "different seed, different schedule" true (a <> c);
-  (* generated windows live inside the horizon and are non-empty *)
-  List.iter
-    (fun e ->
-      match e.Schedule.ev_trigger with
-      | Schedule.Nth n -> Alcotest.(check bool) "nth >= 1" true (n >= 1)
-      | Schedule.Window (t0, t1) ->
-          Alcotest.(check bool) "window non-empty" true (t1 > t0);
-          Alcotest.(check bool) "window starts in horizon" true (t0 >= 0))
-    (List.concat_map
-       (fun seed -> (Schedule.generate ~seed ()).Schedule.sc_events)
-       [ 1; 2; 3; 4; 5 ])
+let no_violations what vs =
+  Alcotest.(check (list string)) what []
+    (List.map (Format.asprintf "%a" Oracle.pp_violation) vs)
 
-let test_replay_roundtrip () =
-  List.iter
-    (fun seed ->
-      let s = Schedule.generate ~seed () in
-      let s' = Schedule.of_replay (Schedule.to_replay s) in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d round-trips" seed)
-        true (s = s'))
-    [ 1; 17; 400; 9999 ];
-  (* the replay text is a file format: pinned byte for byte *)
-  Alcotest.(check string) "replay text pinned"
-    "chaos-replay v1\nseed 9\nevent criu.save corrupt nth 2\n\
-     event net.serve delay=40000 window 10 20\n"
-    (Schedule.to_replay
-       {
-         Schedule.sc_seed = 9;
-         sc_events =
-           [
-             { ev_site = Criu_save; ev_mode = Fault.Corrupt; ev_trigger = Schedule.Nth 2 };
-             { ev_site = Net_serve; ev_mode = Fault.Delay 40_000; ev_trigger = Schedule.Window (10, 20) };
-           ];
-       });
-  (* malformed files are rejected, not half-parsed *)
-  let rejects text =
-    match Schedule.of_replay text with
-    | (_ : Schedule.t) -> false
-    | exception Invalid_argument _ -> true
+(* one struck rollout over a fresh 4-worker fleet: the rollout's
+   outcome, the fleet and its oracle context *)
+let strike_rollout site mode =
+  Fault.reset ();
+  let fleet, oracle = Chaos.ltpd_fleet 4 in
+  let outcome = ref None in
+  let (_ : Chaos.outcome) =
+    Chaos.strike (Fleet.machine fleet) site mode (fun () ->
+        outcome := Some (Chaos.rollout fleet))
   in
-  Alcotest.(check bool) "wrong header rejected" true (rejects "not-a-replay\n");
-  Alcotest.(check bool) "missing seed rejected" true
-    (rejects "chaos-replay v1\nevent journal.lock fail nth 1\n");
-  Alcotest.(check bool) "bad mode rejected" true
-    (rejects "chaos-replay v1\nseed 3\nevent journal.lock explode nth 1\n");
-  Alcotest.(check bool) "bad delay rejected" true
-    (rejects "chaos-replay v1\nseed 3\nevent net.serve delay=zero nth 1\n");
-  (* a misspelt site would be armed nowhere: the run would pass vacuously *)
-  Alcotest.(check bool) "unknown site rejected" true
-    (rejects "chaos-replay v1\nseed 3\nevent criu.sav fail nth 1\n");
-  (* comments and blank lines are fine *)
-  let s =
-    Schedule.of_replay
-      "chaos-replay v1\n# a comment\n\nseed 11\nevent criu.save corrupt nth 2\n"
-  in
-  Alcotest.(check int) "seed parsed" 11 s.Schedule.sc_seed;
-  Alcotest.(check int) "one event" 1 (List.length s.Schedule.sc_events)
+  Fault.reset ();
+  match !outcome with
+  | Some o -> (o, fleet, oracle)
+  | None -> Alcotest.failf "rollout under %s did not return" (Fault.Site.name site)
 
-(* a well-formed file from a future format version must be refused with
-   the dedicated exception — never half-parsed into a different
-   schedule than the one that failed *)
-let test_replay_future_version_rejected () =
-  let v2 = "chaos-replay v2\nseed 3\nevent net.serve fail nth 1\n" in
-  (match Schedule.of_replay v2 with
-  | (_ : Schedule.t) -> Alcotest.fail "v2 file parsed as v1"
-  | exception Schedule.Unsupported_version { uv_found; uv_supported } ->
-      Alcotest.(check string) "found version" "v2" uv_found;
-      Alcotest.(check string) "supported version" "v1" uv_supported);
-  (* the registered printer renders both versions for the human *)
-  (match Schedule.of_replay v2 with
-  | (_ : Schedule.t) -> Alcotest.fail "v2 file parsed as v1"
-  | exception e ->
-      let msg = Printexc.to_string e in
-      let has needle =
-        let nl = String.length needle and hl = String.length msg in
-        let rec go i =
-          i + nl <= hl && (String.sub msg i nl = needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "printer names versions (%s)" msg)
-        true
-        (has "v2" && has "v1"));
-  (* a header that is not a replay header at all still gets the generic
-     rejection, not the version error *)
-  match Schedule.of_replay "chaos-replayv2\nseed 3\n" with
-  | (_ : Schedule.t) -> Alcotest.fail "junk header parsed"
-  | exception Invalid_argument _ -> ()
-  | exception Schedule.Unsupported_version _ ->
-      Alcotest.fail "junk header misread as a future version"
-
-(* ---------- fault modes end-to-end under the oracles ---------- *)
-
-let sched seed events =
-  {
-    Schedule.sc_seed = seed;
-    sc_events =
-      List.map
-        (fun (site, mode, trig) ->
-          { Schedule.ev_site = site; ev_mode = mode; ev_trigger = trig })
-        events;
-  }
-
-(* a corrupted journal frame must be caught by the checksum layer at
-   read time and never violate an invariant: the torn tail is dropped,
-   the tree converges, the fleet serves *)
+(* a corrupted journal frame never half-patches a worker: a reader
+   drops it with the torn tail, and the transaction's commit removes
+   the journal. The rollout completes, the fleet converges and serves *)
 let test_corrupt_journal_clean () =
-  let s = sched 301 [ (Journal_append, Fault.Corrupt, Schedule.Nth 1) ] in
-  let r = Chaos.run s in
-  Alcotest.(check bool) "the corruption fired" true
-    (List.mem_assoc Fault.Site.Journal_append r.Chaos.r_fired);
-  Alcotest.(check bool)
-    (Format.asprintf "no violations: %a" Chaos.pp_report r)
-    true (Chaos.passed r)
+  let outcome, fleet, oracle = strike_rollout Journal_append Fault.Corrupt in
+  Alcotest.(check string) "rollout completed" "completed(waves=2)"
+    (Format.asprintf "%a" Rollout.pp_outcome outcome);
+  let (_ : Fleet.recovery) = converges oracle fleet in
+  no_violations "every worker cut" (Oracle.check_sides oracle ~cut:(Fleet.pids fleet))
 
-(* a full disk at image-save time is a clean refusal: the cut is denied,
-   nothing half-done, every invariant holds *)
+(* a full disk at image-save time is a clean refusal: the canary's cut
+   rolls back, the rollout halts at wave 1 with every worker original,
+   and the fleet converges and serves *)
 let test_enospc_clean_refusal () =
-  let s = sched 302 [ (Criu_save, Fault.Enospc, Schedule.Nth 1) ] in
-  let r = Chaos.run s in
-  Alcotest.(check bool) "the enospc fired" true
-    (List.mem_assoc Fault.Site.Criu_save r.Chaos.r_fired);
-  (* the guard absorbs the typed storage error: the cut is refused — as
-     a rolled-back canary (halted rollout) or an explicit refusal —
-     never a stranded half-patched tree *)
-  let has needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "refused cleanly" true
-    (List.exists
-       (fun n -> has "enospc" n || has "halted" n || has "rolled back" n)
-       r.Chaos.r_notes);
-  Alcotest.(check bool)
-    (Format.asprintf "no violations: %a" Chaos.pp_report r)
-    true (Chaos.passed r)
+  let outcome, fleet, oracle = strike_rollout Criu_save Fault.Enospc in
+  (match outcome with
+  | Rollout.Halted { wave = 1; reason } ->
+      Alcotest.(check string) "refused at the checkpoint"
+        "canary-cut rolled back at checkpoint" reason
+  | o -> Alcotest.failf "expected a halt at wave 1: %a" Rollout.pp_outcome o);
+  let (_ : Fleet.recovery) = converges oracle fleet in
+  no_violations "every worker original" (Oracle.check_sides oracle ~cut:[])
 
-(* ---------- the shrinker on a deliberately broken invariant ---------- *)
-
-(* the "invariant": criu.save must never fire. Any schedule containing a
-   criu.save event that strikes violates it — so ddmin must strip every
-   other event and hand back exactly the criu.save one. *)
-let broken_oracle (_ : Oracle.ctx) : Oracle.violation list =
-  if Fault.fired Criu_save > 0 then
-    [ Oracle.violation "demo-no-save-fault" "criu.save fired" ]
-  else []
-
-let test_shrink_to_minimal_and_replay () =
-  let s =
-    sched 303
-      [
-        (Net_serve, Fault.Fail, Schedule.Nth 2);
-        (Criu_save, Fault.Enospc, Schedule.Nth 1);
-        (Balancer_dispatch, Fault.Fail, Schedule.Nth 3);
-      ]
+(* Wave 1 of a 6-worker, 2-wave rollout is three workers. The manifest's
+   third entry, wave 1's second [Worker_cut], is written torn, and the
+   controller dies while it cuts the wave's third member. The valid
+   prefix then shows wave 1 open with only its canary cut, so recovery
+   must unwind the canary; the oracle checks that from the prefix, not
+   from recovery's own account of what it unwound. (The second member,
+   whose record the tear lost, keeps its cut: the prefix cannot name
+   it.) *)
+let test_torn_manifest_mid_wave_kill () =
+  Fault.reset ();
+  let fleet, oracle = Chaos.ltpd_fleet 6 in
+  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
+  let wave1, canary, third, wave2 =
+    match Rollout.plan ~pids ~waves:2 with
+    | [ ([ c; _; t ] as w1); w2 ] -> (w1, c, t, w2)
+    | _ -> Alcotest.fail "expected two waves of three"
   in
-  let failing sc =
-    not (Chaos.passed (Chaos.run ~extra_oracle:broken_oracle sc))
+  Fault.arm_mode Fleet_manifest
+    (Fault.On_nth (Fault.hits Fleet_manifest + 3))
+    Fault.Corrupt;
+  let outcome =
+    Chaos.strike
+      ~spec:(Fault.On_nth (Fault.hits Criu_checkpoint + 3))
+      m Criu_checkpoint Fault.Kill
+      (fun () -> ignore (Chaos.rollout fleet : Rollout.outcome))
   in
-  Alcotest.(check bool) "the full schedule violates" true (failing s);
-  let minimal = Shrink.minimize ~failing s in
-  Alcotest.(check int) "shrunk to one event" 1
-    (List.length minimal.Schedule.sc_events);
-  Alcotest.(check string) "the culprit event survives" "criu.save"
-    (Fault.Site.name (List.hd minimal.Schedule.sc_events).Schedule.ev_site);
-  Alcotest.(check int) "seed unchanged" s.Schedule.sc_seed
-    minimal.Schedule.sc_seed;
-  (* the replay file reproduces the violation bit-for-bit: same report
-     digest across two independent runs of the parsed schedule *)
-  let replayed = Schedule.of_replay (Schedule.to_replay minimal) in
-  Alcotest.(check bool) "replay parses back" true (replayed = minimal);
-  let r1 = Chaos.run ~extra_oracle:broken_oracle replayed in
-  let r2 = Chaos.run ~extra_oracle:broken_oracle replayed in
-  Alcotest.(check bool) "replay still violates" true (not (Chaos.passed r1));
-  Alcotest.(check int64) "bit-for-bit reproduction"
-    (Chaos.report_digest r1) (Chaos.report_digest r2)
-
-(* ---------- shrinker unit behavior (no fleet, pure) ---------- *)
-
-(* the sites of a schedule, by name *)
-let site_names (sc : Schedule.t) =
-  List.map (fun e -> Fault.Site.name e.Schedule.ev_site) sc.Schedule.sc_events
-
-let test_ddmin_pure () =
-  (* failing = "contains both event A and event C": minimal is {A, C} *)
-  let ev site = { Schedule.ev_site = site; ev_mode = Fault.Fail; ev_trigger = Schedule.Nth 1 } in
-  let s =
-    { Schedule.sc_seed = 5;
-      sc_events =
-        List.map ev
-          [ Criu_checkpoint; Criu_save; Criu_load; Crit_encode; Crit_decode; Rewrite_patch ] }
+  Alcotest.(check bool) "controller killed" true (outcome = `Killed);
+  Alcotest.(check int) "manifest entry torn" 1 (Fault.fired Fleet_manifest);
+  Fault.reset ();
+  let entries, torn =
+    Journal.Manifest.read
+      (Journal.Manifest.attach m.Machine.fs ~dir:Fleet.manifest_dir)
   in
-  let failing (sc : Schedule.t) =
-    let sites = site_names sc in
-    List.mem "criu.checkpoint" sites && List.mem "criu.load" sites
-  in
-  let m = Shrink.minimize ~failing s in
-  Alcotest.(check (list string)) "1-minimal pair" [ "criu.checkpoint"; "criu.load" ]
-    (site_names m);
-  (* single-event repro shrinks to itself *)
-  let s1 = { Schedule.sc_seed = 5; sc_events = [ ev Net_serve ] } in
-  let m1 = Shrink.minimize ~failing:(fun _ -> true) s1 in
-  Alcotest.(check int) "singleton stays" 1 (List.length m1.Schedule.sc_events)
-
-(* degenerate shrinker inputs: the contract is "the caller found a
-   violating run; minimize only makes it smaller" — the empty, the
-   singleton, and the already-1-minimal schedule must all come back
-   unchanged, without calling [failing] more than ddmin needs *)
-let test_ddmin_degenerate () =
-  let ev site =
-    { Schedule.ev_site = site; ev_mode = Fault.Fail; ev_trigger = Schedule.Nth 1 }
-  in
-  (* empty schedule: nothing to drop, no predicate call required *)
-  let s0 = { Schedule.sc_seed = 9; sc_events = [] } in
-  let calls = ref 0 in
-  let m0 =
-    Shrink.minimize ~failing:(fun _ -> incr calls; true) s0
-  in
-  Alcotest.(check int) "empty schedule stays empty" 0
-    (List.length m0.Schedule.sc_events);
-  Alcotest.(check int) "empty seed unchanged" 9 m0.Schedule.sc_seed;
-  Alcotest.(check int) "empty schedule needs no runs" 0 !calls;
-  (* single-fault schedule: comes back identical even when the predicate
-     also fails on the (never-tried) empty subset *)
-  let s1 = { Schedule.sc_seed = 10; sc_events = [ ev Criu_save ] } in
-  let m1 = Shrink.minimize ~failing:(fun _ -> true) s1 in
-  Alcotest.(check bool) "singleton unchanged" true (m1 = s1);
-  (* already-1-minimal: every event is load-bearing, so ddmin and the
-     pruning pass must keep all of them in order *)
-  let s3 =
-    { Schedule.sc_seed = 11; sc_events = List.map ev [ Criu_checkpoint; Criu_save; Criu_load ] }
-  in
-  let failing (sc : Schedule.t) =
-    List.length sc.Schedule.sc_events = 3
-  in
-  let m3 = Shrink.minimize ~failing s3 in
-  Alcotest.(check (list string)) "1-minimal triple kept in order"
-    [ "criu.checkpoint"; "criu.save"; "criu.load" ]
-    (site_names m3)
+  Alcotest.(check bool) "manifest tail torn" true torn;
+  Alcotest.(check (list string)) "valid prefix: wave 1 open, canary cut"
+    [
+      Format.asprintf "%a" Journal.Manifest.pp_entry
+        (Journal.Manifest.Wave_begin { wave = 1; pids = wave1 });
+      Format.asprintf "%a" Journal.Manifest.pp_entry
+        (Journal.Manifest.Worker_cut { wave = 1; pid = canary });
+    ]
+    (List.map (Format.asprintf "%a" Journal.Manifest.pp_entry) entries);
+  let r = converges oracle fleet in
+  Alcotest.(check (list int)) "canary unwound" [ canary ] r.Fleet.fr_unwound;
+  no_violations "struck member and wave 2 original"
+    (Oracle.check_sides { oracle with Oracle.oc_pids = third :: wave2 } ~cut:[])
 
 (* strike's delay check must see where the delay landed: machine B,
    created after A, takes the delay hook, so a delay armed while A
@@ -286,20 +124,12 @@ let test_strike_delay_elsewhere_refused () =
 
 let suite =
   [
-    Alcotest.test_case "schedule generation deterministic" `Quick
-      test_generate_deterministic;
-    Alcotest.test_case "replay file round-trip + rejects" `Quick
-      test_replay_roundtrip;
-    Alcotest.test_case "replay future version refused" `Quick
-      test_replay_future_version_rejected;
-    Alcotest.test_case "ddmin pure semantics" `Quick test_ddmin_pure;
-    Alcotest.test_case "ddmin degenerate inputs" `Quick test_ddmin_degenerate;
-    Alcotest.test_case "corrupt journal caught cleanly" `Slow
+    Alcotest.test_case "corrupt journal caught cleanly" `Quick
       test_corrupt_journal_clean;
-    Alcotest.test_case "enospc is a clean refusal" `Slow
+    Alcotest.test_case "enospc is a clean refusal" `Quick
       test_enospc_clean_refusal;
-    Alcotest.test_case "broken invariant shrunk + replayed" `Slow
-      test_shrink_to_minimal_and_replay;
+    Alcotest.test_case "torn manifest + mid-wave kill unwinds the canary"
+      `Quick test_torn_manifest_mid_wave_kill;
     Alcotest.test_case "strike refuses a delay charged elsewhere" `Quick
       test_strike_delay_elsewhere_refused;
   ]

@@ -167,6 +167,31 @@ let test_checkpoint_transient_exhausted () =
   Alcotest.(check string) "unchanged" "SET-OK" (Test_core.request m "S");
   Alcotest.(check string) "still serving" "VAL=8" (Test_core.request m "G")
 
+(* a rollback after a retried transient fault restores the state the
+   transaction started from. The re-enable of a live cut retries its
+   checkpoint (the first dump fails before any pristine image is
+   written), then fails for good at restore: the rollback must bring
+   back the cut tree this transaction dumped, not the uncut tree an
+   older pristine image holds *)
+let test_retried_checkpoint_rollback_keeps_cut () =
+  Fault.reset ();
+  let blocks = Test_core.feature_blocks () in
+  let m, p = Test_core.boot () in
+  let session = Dynacut.create m ~root_pid:p.Proc.pid in
+  let r = Dynacut.try_cut session ~blocks ~policy:redirect_policy () in
+  Alcotest.(check bool) "cut applied" true (r.Dynacut.r_outcome = `Applied);
+  Alcotest.(check string) "feature cut" "ERR" (Test_core.request m "S");
+  Fault.arm ~transient:true Criu_checkpoint Fault.One_shot;
+  Fault.arm Restore_process Fault.One_shot;
+  let r2 = Dynacut.try_reenable session r.Dynacut.r_journals in
+  (match r2.Dynacut.r_outcome with
+  | `Rolled_back rb -> Alcotest.(check string) "stage" "restore" rb.Dynacut.rb_stage
+  | `Applied -> Alcotest.fail "expected rollback");
+  Alcotest.(check int) "one retry" 1 r2.Dynacut.r_retries;
+  Fault.reset ();
+  Alcotest.(check string) "still cut" "ERR" (Test_core.request m "S");
+  Alcotest.(check string) "still serving" "VAL=7" (Test_core.request m "G")
+
 (* a persistent (non-transient) fault at rewrite.unmap is not retried:
    the unmap cut rolls back and the tree keeps its pre-cut behaviour *)
 let test_persistent_unmap_fault_rolls_back () =
@@ -469,6 +494,8 @@ let suite =
         test_commit_transient_retried;
       Alcotest.test_case "checkpoint transient exhausted" `Quick
         test_checkpoint_transient_exhausted;
+      Alcotest.test_case "retried checkpoint, rollback keeps the cut" `Quick
+        test_retried_checkpoint_rollback_keeps_cut;
       Alcotest.test_case "persistent unmap fault rolls back" `Quick
         test_persistent_unmap_fault_rolls_back;
       Alcotest.test_case "chaos soak vs ngx" `Slow test_chaos_soak_ngx;

@@ -108,6 +108,36 @@ let test_fencing () =
   (* the tree itself is unharmed by the zombie's attempt *)
   check_original_then_recut m root_pid blocks
 
+(* a torn journal tail must not cost the fence: the third record
+   (Images_saved) is written torn and the controller dies later, at
+   rewrite.patch. Recovery acts on the prefix (the tree was at most
+   frozen) and still stamps a newer epoch, so the dead controller,
+   waking up, is fenced *)
+let test_fencing_torn_tail () =
+  Fault.reset ();
+  let blocks = feature_blocks () in
+  let m, p = boot () in
+  let root_pid = p.Proc.pid in
+  let dead = Dynacut.create m ~root_pid in
+  Fault.arm_mode Journal_append
+    (Fault.On_nth (Fault.hits Journal_append + 3))
+    Fault.Corrupt;
+  Fault.arm ~kill:true Rewrite_patch Fault.One_shot;
+  (match Dynacut.try_cut dead ~blocks ~policy:redirect_policy () with
+  | (_ : Dynacut.cut_result) -> Alcotest.fail "controller survived the kill"
+  | exception Fault.Controller_killed _ -> ());
+  Alcotest.(check int) "journal record torn" 1 (Fault.fired Journal_append);
+  Fault.reset ();
+  let r = Dynacut.recover m ~root_pid in
+  Alcotest.(check bool) "tear detected" true r.Dynacut.rec_torn;
+  Alcotest.(check bool) "thawed from the prefix" true
+    (r.Dynacut.rec_action = `Thawed);
+  (match Dynacut.try_cut dead ~blocks ~policy:redirect_policy () with
+  | (_ : Dynacut.cut_result) -> Alcotest.fail "zombie controller not fenced"
+  | exception Journal.Fenced { epoch; lock_epoch } ->
+      Alcotest.(check bool) "newer epoch owns the lock" true (lock_epoch > epoch));
+  check_original_then_recut m root_pid blocks
+
 (* ---------- idempotency: recover twice == recover once ---------- *)
 
 let test_recover_idempotent () =
@@ -304,6 +334,8 @@ let suite =
   @ [
       Alcotest.test_case "zombie controller fenced, busy before recovery"
         `Quick test_fencing;
+      Alcotest.test_case "zombie fenced after a torn journal tail" `Quick
+        test_fencing_torn_tail;
       Alcotest.test_case "recovery is idempotent" `Quick test_recover_idempotent;
       Alcotest.test_case "crash during recovery" `Quick
         test_crash_during_recovery;
