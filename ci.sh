@@ -210,6 +210,12 @@ done
 # equal to the untraced pass, or the run is not correct. A host-side
 # change must not move the guest on the cut path, and the slicer's
 # on_insn hook running on the code cache must not move it in discovery.
+# On recut_ngx the traced pass also bounds criu.image_kb, the KiB a
+# transaction's working images hold. Anonymous memory is demand-zero, so
+# an image holds the pages the tree touched: 483.08 KiB per transaction.
+# The figure is exact (it counts pages, not time), so the bound cannot
+# flake; populating every mapped page again reads 1115 KiB and fails.
+image_kb_bound=500
 for w in recut_ngx profile_kv; do
   out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
   case "$out" in
@@ -219,6 +225,17 @@ for w in recut_ngx profile_kv; do
       exit 1
       ;;
   esac
+  if [ "$w" = recut_ngx ]; then
+    echo "$out" | python3 -c '
+import json, sys
+kb = json.load(sys.stdin)["metrics"]["criu.image_kb"]["value"]
+bound = float(sys.argv[1])
+print("   criu.image_kb %.2f (bound %.0f)" % (kb, bound))
+sys.exit(0 if kb <= bound else 1)' "$image_kb_bound" || {
+      echo "FAIL: recut_ngx criu.image_kb exceeds $image_kb_bound KiB: pages no access made are in the images"
+      exit 1
+    }
+  fi
 done
 
 if command -v ocamlformat >/dev/null 2>&1; then

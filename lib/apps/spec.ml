@@ -19,18 +19,23 @@ type kernel = {
   k_name : string;  (** e.g. "600.perlbench_s" *)
   k_unit : unit -> Ast.comp_unit;  (** builds the AST afresh on each call *)
   k_files : (string * string) list;  (** input files *)
-  k_heap : int;  (** mmap'd heap bytes (drives image size) *)
+  k_heap : int;  (** mmap'd heap bytes, each page touched at init (drives image size) *)
 }
 
 let init_done_banner name = name ^ ": init done"
 
-(* common scaffolding: mmap the heap, print the banner, loop [rounds]
-   over [compute], print a result, exit *)
+(* common scaffolding: mmap the heap and touch each of its pages once
+   (anonymous memory is demand-zero, so the image holds only what the
+   process touched, as a real program's resident set arises), print the
+   banner, loop [rounds] over [compute], print a result, exit *)
 let kernel_main ~name ~heap ~rounds ~init_calls ~compute_call =
   func "main" []
     (init_calls
     @ [
         set "heap" (call "mmap" [ i 0; i heap; i 6 ]);
+        decl "pg" (i 0);
+        while_ (v "pg" <: i heap)
+          [ store8 (v "heap" +: v "pg") (i 0); set "pg" (v "pg" +: i 4096) ];
         do_ "puts" [ s (init_done_banner name) ];
         decl "round" (i 0);
         while_ (v "round" <: i rounds)

@@ -391,16 +391,26 @@ module Manifest = struct
           (match halted with Some w -> string_of_int w | None -> "-")
           done_
 
-  (** Append one sealed entry. Fault site [fleet.manifest] — a storage
-      write like [Journal.append], with the same corruption point. *)
-  let append (t : t) (e : entry) : unit =
-    Fault.site Fleet_manifest;
-    log_append t.fs t.path ~site:Fleet_manifest (encode_entry e);
-    Obs.event ~kind:"manifest" (Format.asprintf "%a" pp_entry e)
-
   (** Longest valid prefix + torn flag; never raises. *)
   let read (t : t) : entry list * bool =
     log_read t.fs t.path ~kind:"manifest" decode_entry
+
+  (* replace the whole file by [entries], each sealed whole *)
+  let write (t : t) (entries : entry list) : unit =
+    Vfs.add t.fs t.path
+      (String.concat "" (List.map (fun e -> Validate.seal (encode_entry e)) entries))
+
+  (** Append one sealed entry. Fault site [fleet.manifest] — a storage
+      write like [Journal.append], with the same corruption point. A
+      torn tail is dropped first: {!read} stops at it, so an entry
+      appended behind it would never be read. *)
+  let append (t : t) (e : entry) : unit =
+    Fault.site Fleet_manifest;
+    (match read t with
+    | entries, true -> write t entries
+    | _, false -> ());
+    log_append t.fs t.path ~site:Fleet_manifest (encode_entry e);
+    Obs.event ~kind:"manifest" (Format.asprintf "%a" pp_entry e)
 
   let clear (t : t) : unit = remove_file t.fs t.path
 
@@ -466,8 +476,7 @@ module Manifest = struct
         { completed = s.m_completed; halted = s.m_halted; done_ = s.m_done }
       :: tail
     in
-    Vfs.add t.fs t.path
-      (String.concat "" (List.map (fun e -> Validate.seal (encode_entry e)) entries'));
+    write t entries';
     Obs.event ~kind:"manifest"
       (Printf.sprintf "compacted %d entries -> %d%s" (List.length entries)
          (List.length entries')

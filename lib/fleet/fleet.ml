@@ -177,10 +177,8 @@ let recover (machine : Machine.t) ~(pids : int list) : recovery =
               end)
             cut_pids
         in
-        (* a record appended after a torn tail is unreadable: rewrite
-           the valid prefix first, or the halt is lost and the next pass
-           unwinds the wave again *)
-        if fr_torn then Journal.Manifest.compact manifest;
+        (* [append] drops a torn tail first, so the halt is read and
+           the next pass does not unwind the wave again *)
         Journal.Manifest.append manifest
           (Journal.Manifest.Rollout_halted { wave });
         Journal.Manifest.compact manifest;

@@ -12,7 +12,16 @@
     page-number → record binding: protection is read live from the
     record, so [protect] needs no flush. [unmap] flushes it, and
     so does [map], so no change to the page table outlives a cached
-    entry. *)
+    entry.
+
+    Anonymous memory is demand-zero, as the kernel makes it: [map] and
+    the unsupplied pages of [map_pages] make no page. The first guest
+    access or kernel-side write to a page a VMA covers makes it zero,
+    with that VMA's protection, in [lookup], the funnel every such
+    access takes; so the pages a dump finds resident are the pages the
+    process touched, as CRIU's pagemap would report them. Observers
+    ([peek8], [peek_bytes]) read an untouched page as zero without
+    making it, so looking never changes what the next dump holds. *)
 
 type access = Read | Write | Exec
 
@@ -40,7 +49,11 @@ type page = {
 let tlb_size = 64
 
 type t = {
-  pages : (int64, page) Hashtbl.t;  (** page index -> page *)
+  pages : (int64, page) Hashtbl.t;
+      (** page index -> the page, once something touched it, or
+          {!no_page}, the tombstone {!give_up} leaves: a slot whose
+          buffer went to another address space faults and is never made
+          again. An index the table lacks is untouched, and zero. *)
   tlb_tag : int array;
       (** per TLB slot: the cached page number, or -1 (empty); page
           number [n] lives in slot [n land (tlb_size - 1)] *)
@@ -68,7 +81,9 @@ let page_index (addr : int64) = Int64.shift_right_logical addr 12
 let page_base (addr : int64) = Int64.logand addr (-4096L)
 let page_offset (addr : int64) = Int64.to_int addr land (page_size - 1)
 
-(* fills empty TLB slots, whose tag -1 no page number equals *)
+(* fills empty TLB slots, whose tag -1 no page number equals, marks a
+   given-up slot in the page table, and is what an observer finds on an
+   untouched page *)
 let no_page =
   {
     pg_data = Bytes.empty;
@@ -88,19 +103,54 @@ let create () =
 
 let tlb_flush t = Array.fill t.tlb_tag 0 tlb_size (-1)
 
-(* The resident page record holding [addr], through the TLB (a hit
-   allocates nothing); raises [Not_found] when the page is not resident. *)
+(* The VMA covering page [idx]; raises [Not_found] when none does. *)
+let covering t idx =
+  let a = Int64.mul idx page_size64 in
+  List.find (fun v -> v.va_start <= a && a < vma_end v) t.vmas
+
+(* The page record holding [addr], through the TLB (a hit allocates
+   nothing). An untouched page is made here, zero, with the protection
+   of the VMA covering it: the one place demand-zero happens. Raises
+   [Not_found] when no VMA covers [addr] or its page was given up. *)
 let lookup t addr =
   let tag = Int64.to_int (Int64.shift_right_logical addr 12) in
   let slot = tag land (tlb_size - 1) in
   if Array.unsafe_get t.tlb_tag slot = tag then Array.unsafe_get t.tlb_page slot
   else begin
-    let p = Hashtbl.find t.pages (page_index addr) in
+    let idx = page_index addr in
+    let p =
+      match Hashtbl.find t.pages idx with
+      | p -> if p == no_page then raise Not_found else p
+      | exception Not_found ->
+          let p =
+            {
+              pg_data = Bytes.make page_size '\x00';
+              pg_prot = (covering t idx).va_prot;
+              pg_sum = Bytesx.no_leaf;
+            }
+          in
+          Hashtbl.replace t.pages idx p;
+          p
+    in
     Array.unsafe_set t.tlb_tag slot tag;
     Array.unsafe_set t.tlb_page slot p;
     p
   end
 
+(* The page an observer reads at [addr]: {!lookup} without making an
+   untouched page or filling the TLB. An untouched page comes back as
+   {!no_page}, which reads as zero. *)
+let observe t addr =
+  let tag = Int64.to_int (Int64.shift_right_logical addr 12) in
+  let slot = tag land (tlb_size - 1) in
+  if Array.unsafe_get t.tlb_tag slot = tag then Array.unsafe_get t.tlb_page slot
+  else
+    let idx = page_index addr in
+    match Hashtbl.find t.pages idx with
+    | p -> if p == no_page then raise Not_found else p
+    | exception Not_found ->
+        ignore (covering t idx : vma);
+        no_page
 
 let mark_exec_dirty t idx =
   Hashtbl.replace t.exec_dirty idx ();
@@ -120,10 +170,13 @@ let overlaps a_start a_len b_start b_len =
   let b_end = Int64.add b_start (Int64.of_int b_len) in
   a_start < b_end && b_start < a_end
 
-(* Map [len] bytes at [vaddr] (both page-aligned after rounding) with
-   [prot], the [i]th page made by [page i]. Fails if the range overlaps
-   an existing VMA. *)
-let map_with t ~vaddr ~len ~prot ~file ~name page =
+(** {!map} with the pages given, as restore builds an address space:
+    [page i] is [Some (data, sum)] to make the [i]th page of the range
+    from [data], a page-sized buffer the mapping takes over, with leaf
+    sum [sum]; [None] leaves it untouched. A given page counts as a
+    kernel-side write: in an executable mapping it lands in the dirty
+    set, as a {!poke_bytes} would put it there. *)
+let map_pages t ~vaddr ~len ~prot ?(file = None) ~name page =
   if Int64.rem vaddr page_size64 <> 0L then
     invalid_arg (Printf.sprintf "Mem.map: unaligned vaddr 0x%Lx" vaddr);
   let len = align_up (max len 1) in
@@ -132,32 +185,22 @@ let map_with t ~vaddr ~len ~prot ~file ~name page =
   let v = { va_start = vaddr; va_len = len; va_prot = prot; va_file = file; va_name = name } in
   t.vmas <- List.sort (fun a b -> compare a.va_start b.va_start) (v :: t.vmas);
   for i = 0 to (len / page_size) - 1 do
-    Hashtbl.replace t.pages (Int64.add (page_index vaddr) (Int64.of_int i)) (page i)
+    match page i with
+    | None -> ()
+    | Some (data, sum) ->
+        if Bytes.length data <> page_size then invalid_arg "Mem.map_pages: page size";
+        let idx = Int64.add (page_index vaddr) (Int64.of_int i) in
+        if prot.Self.p_x then mark_exec_dirty t idx;
+        Hashtbl.replace t.pages idx { pg_data = data; pg_prot = prot; pg_sum = sum }
   done;
   tlb_flush t;
   v
 
 (** Map [len] bytes at [vaddr] (both page-aligned after rounding) with
-    [prot], every page zero. Fails if the range overlaps an existing
-    VMA. *)
-let map t ~vaddr ~len ~prot ?(file = None) ~name () =
-  map_with t ~vaddr ~len ~prot ~file ~name (fun _ ->
-      { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_sum = Bytesx.no_leaf })
-
-(** {!map} with the pages given: [page i] is [Some (data, sum)] to make
-    the [i]th page of the range from [data], a page-sized buffer the
-    mapping takes over, with leaf sum [sum]; [None] leaves it zero. A
-    given page counts as a kernel-side write: in an executable mapping
-    it lands in the dirty set, as a {!poke_bytes} would put it there. *)
-let map_pages t ~vaddr ~len ~prot ?(file = None) ~name page =
-  map_with t ~vaddr ~len ~prot ~file ~name (fun i ->
-      match page i with
-      | None -> { pg_data = Bytes.make page_size '\x00'; pg_prot = prot; pg_sum = Bytesx.no_leaf }
-      | Some (data, sum) ->
-          if Bytes.length data <> page_size then invalid_arg "Mem.map_pages: page size";
-          if prot.Self.p_x then
-            mark_exec_dirty t (Int64.add (page_index vaddr) (Int64.of_int i));
-          { pg_data = data; pg_prot = prot; pg_sum = sum })
+    [prot], every page untouched. Fails if the range overlaps an
+    existing VMA. *)
+let map t ~vaddr ~len ~prot ?file ~name () =
+  map_pages t ~vaddr ~len ~prot ?file ~name (fun _ -> None)
 
 (** Unmap every page in [vaddr, vaddr+len); VMAs fully inside the range are
     removed, partially covered VMAs are split. *)
@@ -250,10 +293,10 @@ let protect t ~vaddr ~len ~prot =
   for i = 0 to npages - 1 do
     let idx = Int64.add (page_index vaddr) (Int64.of_int i) in
     match Hashtbl.find_opt t.pages idx with
-    | Some p ->
+    | Some p when p != no_page ->
         if p.pg_prot.Self.p_x || prot.Self.p_x then mark_exec_dirty t idx;
         p.pg_prot <- prot
-    | None -> ()
+    | _ -> ()
   done
 
 (* ---------- accesses ---------- *)
@@ -298,9 +341,9 @@ let poke8 t addr v =
       Bytes.set p.pg_data (page_offset addr) (Char.chr (v land 0xff))
 
 let peek8 t addr =
-  match lookup t addr with
+  match observe t addr with
   | exception Not_found -> raise (Fault (addr, Read))
-  | p -> Char.code (Bytes.get p.pg_data (page_offset addr))
+  | p -> if p == no_page then 0 else Char.code (Bytes.get p.pg_data (page_offset addr))
 
 let read64 t addr =
   (* fast path: within one page *)
@@ -327,18 +370,25 @@ let write64 t addr (v : int64) =
         (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL))
     done
 
+(* How {!chunked} finds a page: a guest access ([Checked]), a
+   kernel-side write ([Raw]) or an observer's read ([Observe], which
+   makes no page and hands an untouched one over as {!no_page}). *)
+type via = Checked | Raw | Observe
+
 (* The one copy loop under [read_bytes], [write_bytes], [peek_bytes] and
-   [poke_bytes]: per page one lookup and, unless [raw], one permission
+   [poke_bytes]: per page one lookup and, when [Checked], one permission
    check, then [f page addr off pos n] moves the [n] bytes at [pos] of
    the range to or from [off] in the page holding [addr]. A fault names
    the first inaccessible byte, after every byte before it was copied. *)
-let chunked t ~raw access addr len f =
+let chunked t via access addr len f =
   let pos = ref 0 in
   while !pos < len do
     let a = Int64.add addr (Int64.of_int !pos) in
     let p =
-      if raw then (try lookup t a with Not_found -> raise (Fault (a, access)))
-      else get_page t a access
+      match via with
+      | Checked -> get_page t a access
+      | Raw -> ( try lookup t a with Not_found -> raise (Fault (a, access)))
+      | Observe -> ( try observe t a with Not_found -> raise (Fault (a, access)))
     in
     let off = page_offset a in
     let n = min (len - !pos) (page_size - off) in
@@ -346,22 +396,22 @@ let chunked t ~raw access addr len f =
     pos := !pos + n
   done
 
-let store t ~raw addr (b : bytes) =
-  chunked t ~raw Write addr (Bytes.length b) (fun p a off pos n ->
+let store t via addr (b : bytes) =
+  chunked t via Write addr (Bytes.length b) (fun p a off pos n ->
       if p.pg_prot.Self.p_x then mark_exec_dirty t (page_index a);
       p.pg_sum <- Bytesx.no_leaf;
       Bytes.blit b pos p.pg_data off n)
 
-let load t ~raw addr len =
+let load t via addr len =
   let b = Bytes.create len in
-  chunked t ~raw Read addr len (fun p _ off pos n -> Bytes.blit p.pg_data off b pos n);
+  chunked t via Read addr len (fun p _ off pos n ->
+      if p == no_page then Bytes.fill b pos n '\x00' else Bytes.blit p.pg_data off b pos n);
   b
 
-let read_bytes t addr len = load t ~raw:false addr len
-let write_bytes t addr b = store t ~raw:false addr b
-let poke_bytes t addr b = store t ~raw:true addr b
-
-let peek_bytes t addr len = load t ~raw:true addr len
+let read_bytes t addr len = load t Checked addr len
+let write_bytes t addr b = store t Checked addr b
+let poke_bytes t addr b = store t Raw addr b
+let peek_bytes t addr len = load t Observe addr len
 
 (** Read a NUL-terminated string (bounded at 1 MiB to catch runaways). *)
 let read_cstring t addr =
@@ -377,13 +427,15 @@ let read_cstring t addr =
   in
   go 0
 
-(** Deep copy (fork, checkpoint). *)
+(** Deep copy (fork): the resident pages, each tombstone kept as one;
+    an untouched page stays untouched. *)
 let copy t =
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter
     (fun k p ->
       Hashtbl.replace pages k
-        { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot; pg_sum = p.pg_sum })
+        (if p == no_page then no_page
+         else { pg_data = Bytes.copy p.pg_data; pg_prot = p.pg_prot; pg_sum = p.pg_sum }))
     t.pages;
   (* a fresh address space has no cached blocks, so it starts clean *)
   {
@@ -396,21 +448,22 @@ let copy t =
   }
 
 (** Give up [pg] when it is the page resident at [vaddr] (physical
-    equality): it leaves the page table and the TLB, so an access to
-    [vaddr] through [t] faults from now on, and [true] says its buffer
+    equality): a tombstone takes its place in the page table and it
+    leaves the TLB, so an access to [vaddr] through [t] faults from now
+    on instead of making a fresh zero page, and [true] says its buffer
     is the caller's. A buffer belongs to one address space at a time. *)
 let give_up t vaddr pg =
   let idx = page_index vaddr in
   match Hashtbl.find_opt t.pages idx with
-  | Some p when p == pg ->
-      Hashtbl.remove t.pages idx;
+  | Some p when p == pg && p != no_page ->
+      Hashtbl.replace t.pages idx no_page;
       let tag = Int64.to_int idx in
       let slot = tag land (tlb_size - 1) in
       if t.tlb_tag.(slot) = tag then t.tlb_tag.(slot) <- -1;
       true
   | _ -> false
 
-(** Populated pages of a VMA, as (vaddr, page) in address order. *)
+(** Resident pages of a VMA, as (vaddr, page) in address order. *)
 let pages_of_vma t (v : vma) =
   let first = page_index v.va_start in
   let n = v.va_len / page_size in
@@ -418,8 +471,8 @@ let pages_of_vma t (v : vma) =
     (fun i ->
       let idx = Int64.add first (Int64.of_int i) in
       match Hashtbl.find_opt t.pages idx with
-      | Some p -> Some (Int64.mul idx page_size64, p)
-      | None -> None)
+      | Some p when p != no_page -> Some (Int64.mul idx page_size64, p)
+      | _ -> None)
     (List.init n Fun.id)
 
 (** Find a free, page-aligned gap of [len] bytes at or after [hint]. *)

@@ -4,7 +4,14 @@
     their page through a 64-entry direct-mapped TLB (page number → page
     record) and fall back to the page table's hash lookup on a miss;
     {!map} and {!unmap} flush it, {!protect} need not (protections are
-    read live from the record). *)
+    read live from the record).
+
+    Anonymous memory is demand-zero. A mapped page is {e untouched}
+    until the first guest access or kernel-side write to it makes it,
+    zero, with the protection of the VMA covering it; only then is it
+    resident ({!pages_of_vma}), so a dump holds the pages a process
+    touched. Observers ({!peek8}, {!peek_bytes}) read an untouched page
+    as zero and leave it untouched. *)
 
 type access = Read | Write | Exec
 
@@ -37,12 +44,15 @@ type page = {
 val tlb_size : int
 
 val no_page : page
-(** A page with no permissions and no data: fills empty TLB slots and
-    stands for "none" where a page is optional (an image slot's
-    origin). No address space maps it. *)
+(** A page with no permissions and no data: fills empty TLB slots,
+    marks a given-up slot in a page table, and stands for "none" where
+    a page is optional (an image slot's origin). No access reaches
+    it. *)
 
 type t = {
   pages : (int64, page) Hashtbl.t;
+      (** page index → resident page, or {!no_page} for a slot given up
+          ({!give_up}); an index the table lacks is untouched *)
   tlb_tag : int array;
       (** per TLB slot: cached page number ([addr lsr 12]) or -1 (empty);
           page number [n] lives in slot [n land (tlb_size - 1)] *)
@@ -77,7 +87,8 @@ val map :
   unit ->
   vma
 (** Map a fresh region; raises [Invalid_argument] on overlap or
-    misalignment. All pages are populated (zeroed). *)
+    misalignment. Every page is untouched: none is made until an
+    access needs it. *)
 
 val map_pages :
   t ->
@@ -91,7 +102,7 @@ val map_pages :
 (** {!map} with the pages given, as restore builds an address space:
     [page i] is [Some (data, sum)] to make the [i]th page from [data], a
     page-sized buffer the mapping takes over, with leaf sum [sum] (or
-    [Bytesx.no_leaf]); [None] leaves the page zero. A given page counts
+    [Bytesx.no_leaf]); [None] leaves the page untouched. A given page counts
     as a kernel-side write: in an executable mapping it lands in the
     dirty set, as a {!poke_bytes} would put it there. *)
 
@@ -127,26 +138,34 @@ val read_cstring : t -> int64 -> string
 (** {2 Kernel-side accesses (ignore protections, not presence)} *)
 
 val poke8 : t -> int64 -> int -> unit
-val peek8 : t -> int64 -> int
 val poke_bytes : t -> int64 -> bytes -> unit
+(** Kernel-side writes: make an untouched page as a guest access
+    would. *)
 
+val peek8 : t -> int64 -> int
 val peek_bytes : t -> int64 -> int -> bytes
+(** Observers: an untouched page reads zero and stays untouched, so a
+    tracer, slicer or oracle that looks never changes what the next
+    dump holds. A given-up page or one no VMA covers raises {!Fault}. *)
 
 (** {2 Whole-space operations} *)
 
 val copy : t -> t
-(** Deep copy (fork, checkpoint). *)
+(** Deep copy (fork): the resident pages are copied, an untouched page
+    stays untouched and a given-up page stays given up. *)
 
 val give_up : t -> int64 -> page -> bool
 (** [give_up t vaddr pg] removes [pg] from [t] when it is the page
-    resident at [vaddr] ([==]) and returns [true]: it leaves the page
-    table and the TLB, so any access to [vaddr] through [t] raises
-    {!Fault}, and [pg]'s buffer is the caller's to map elsewhere. A page
-    buffer belongs to one [t] at a time. Anything else returns [false]
-    and changes nothing. *)
+    resident at [vaddr] ([==]) and returns [true]: it leaves the TLB,
+    and a tombstone takes its place in the page table, so any access to
+    [vaddr] through [t] raises {!Fault} — the slot is never made again,
+    untouched though it now is — and [pg]'s buffer is the caller's to
+    map elsewhere. A page buffer belongs to one [t] at a time. Anything
+    else returns [false] and changes nothing. *)
 
 val pages_of_vma : t -> vma -> (int64 * page) list
-(** Populated pages of a VMA in address order, with their vaddrs. *)
+(** Resident pages of a VMA in address order, with their vaddrs:
+    neither untouched pages nor tombstones. *)
 
 val find_free : t -> hint:int64 -> len:int -> int64
 (** First page-aligned gap of [len] bytes at or after [hint]. *)

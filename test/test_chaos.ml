@@ -37,6 +37,25 @@ let test_corrupt_journal_clean () =
   let (_ : Fleet.recovery) = converges oracle fleet in
   no_violations "every worker cut" (Oracle.check_sides oracle ~cut:(Fleet.pids fleet))
 
+(* A torn manifest write does not hide what the rollout records after
+   it: the first entry (wave 1's [Wave_begin]) is written torn, every
+   later entry lands on the valid prefix, and the completed rollout's
+   compaction keeps both waves completed and the rollout done. *)
+let test_torn_manifest_completed () =
+  let outcome, fleet, oracle = strike_rollout Fleet_manifest Fault.Corrupt in
+  Alcotest.(check string) "rollout completed" "completed(waves=2)"
+    (Format.asprintf "%a" Rollout.pp_outcome outcome);
+  let m = Fleet.machine fleet in
+  let entries, torn =
+    Journal.Manifest.read (Journal.Manifest.attach m.Machine.fs ~dir:Fleet.manifest_dir)
+  in
+  Alcotest.(check bool) "manifest sealed whole" false torn;
+  Alcotest.(check (list string)) "both waves completed, rollout done"
+    [ "checkpoint completed=[1;2] halted=- done=true" ]
+    (List.map (Format.asprintf "%a" Journal.Manifest.pp_entry) entries);
+  let (_ : Fleet.recovery) = converges oracle fleet in
+  no_violations "every worker cut" (Oracle.check_sides oracle ~cut:(Fleet.pids fleet))
+
 (* a full disk at image-save time is a clean refusal: the canary's cut
    rolls back, the rollout halts at wave 1 with every worker original,
    and the fleet converges and serves *)
@@ -126,6 +145,8 @@ let suite =
   [
     Alcotest.test_case "corrupt journal caught cleanly" `Quick
       test_corrupt_journal_clean;
+    Alcotest.test_case "torn manifest, completed rollout: both waves recorded" `Quick
+      test_torn_manifest_completed;
     Alcotest.test_case "enospc is a clean refusal" `Quick
       test_enospc_clean_refusal;
     Alcotest.test_case "torn manifest + mid-wave kill unwinds the canary"

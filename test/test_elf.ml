@@ -237,13 +237,13 @@ let cfg_pins =
     ("ltpd", 786, 869, "f0d41a28b5d34c5d19ec5460cbf52c4a", "984e1840ea6d9b452aaa6c2b5bfbab5e");
     ("ngx", 772, 819, "0d56cbe4d6f91d6d4d2d47418ecf3330", "29230ab9af0633874111ea45fc24bdc9");
     ("rkv", 1028, 1190, "d84a55e2896c4fe26ff60d14eab82e46", "e9ca1f10bf6c96bde3021d02ffdb19b8");
-    ("600.perlbench_s", 240, 226, "f72effd234b8b78c335cfc54301ce10d", "cd70c54ffdd2a7ed58da5d12cc1e6703");
-    ("605.mcf_s", 99, 85, "c886fd6e151d5133e8e838914f47a719", "c6173d97d201b33db408dcc251bb09f6");
-    ("620.omnetpp_s", 131, 129, "f78c69c47597b1842a8458951eb16ed9", "a859004e6a16a7ff23daa86284397164");
-    ("623.xalancbmk_s", 154, 146, "cdd3ead7f932246a8261fc2c9203e88d", "c4975fe491fc771bf4979f58ddf7fb88");
-    ("625.x264_s", 113, 101, "3c03c97ad043faffb85db3a439b90106", "338cb81137fe3891a14552a7f10e130d");
-    ("631.deepsjeng_s", 83, 73, "8c03b08a837b4557fe9e446fc42ce413", "d9f4f0a9f953d06185abdbbd31b42284");
-    ("641.leela_s", 76, 64, "4e44dfe39510b9e15b69f081ad0cb861", "a955e13b3ba2f6fd73bd681b30bd50cc");
+    ("600.perlbench_s", 245, 231, "a9a5663c2e2770106321325f9e226685", "f254932fb830a656df3725a790a3607e");
+    ("605.mcf_s", 104, 90, "a76a38d646196445318c9738591727b2", "6576882d9232d08d3e0d6ef9ee1ac3ae");
+    ("620.omnetpp_s", 136, 134, "cc19add2410e3ffe554eb23fd314fbd5", "9b115d0057d9db95962c81f6bad9cafe");
+    ("623.xalancbmk_s", 159, 151, "2e3223acd1f99cc6b320bcbdcaf35552", "414b64f0d1c89979a408490ce65bd057");
+    ("625.x264_s", 118, 106, "7b4d19a89b0d855e6c46911cfe670f46", "83c433e5d6ddff0ad85245f1a0fc66f7");
+    ("631.deepsjeng_s", 88, 78, "e770098866790055f2cd48f3525661fe", "33eaacc363642599efee712336a98be6");
+    ("641.leela_s", 81, 69, "fbdf30be5139cdb7732f6716ff2cfba7", "90ce980b3690cf5936aac543fd06c421");
   ]
 
 let cfg_pin (self : Self.t) =

@@ -397,6 +397,64 @@ let test_mem_copy_independent () =
   Mem.write64 mem 0x1000L 2L;
   Alcotest.(check int64) "copy unchanged" 1L (Mem.read64 c 0x1000L)
 
+(* ---------- demand-zero anonymous memory ---------- *)
+
+(* a fresh 4-page read-write mapping at 0x10000, nothing touched *)
+let fresh4 () =
+  let mem = Mem.create () in
+  let v = Mem.map mem ~vaddr:0x10000L ~len:(4 * 4096) ~prot:Self.prot_rw ~name:"t" () in
+  (mem, v)
+
+let resident mem v = List.map fst (Mem.pages_of_vma mem v)
+
+let test_mem_untouched_reads_zero () =
+  let mem, v = fresh4 () in
+  Alcotest.(check (list int64)) "map makes no page" [] (resident mem v);
+  Alcotest.(check int64) "untouched page reads zero" 0L (Mem.read64 mem 0x11008L);
+  Alcotest.(check int) "and its last byte" 0 (Mem.read8 mem 0x13fffL)
+
+let test_mem_observers_make_no_page () =
+  let mem, v = fresh4 () in
+  Mem.write8 mem 0x12000L 7;
+  let before = resident mem v in
+  Alcotest.(check int) "peek8 of an untouched page" 0 (Mem.peek8 mem 0x10010L);
+  Alcotest.(check string) "peek_bytes across the whole mapping"
+    (String.make 0x2000 '\x00' ^ "\x07" ^ String.make (0x2000 - 1) '\x00')
+    (Bytes.to_string (Mem.peek_bytes mem 0x10000L (4 * 4096)));
+  Alcotest.(check (list int64)) "observers made no page" before (resident mem v);
+  Alcotest.check_raises "peek8 outside every vma faults" (Mem.Fault (0x20000L, Mem.Read))
+    (fun () -> ignore (Mem.peek8 mem 0x20000L))
+
+let test_mem_store_makes_one_page () =
+  let mem, v = fresh4 () in
+  Mem.write64 mem 0x11ff0L 0x1122334455667788L;
+  Alcotest.(check (list int64)) "one store, one page" [ 0x11000L ] (resident mem v);
+  Alcotest.(check int64) "the store landed" 0x1122334455667788L (Mem.read64 mem 0x11ff0L)
+
+let test_mem_protect_before_touch () =
+  let mem, _ = fresh4 () in
+  Mem.protect mem ~vaddr:0x11000L ~len:4096 ~prot:Self.prot_ro;
+  Alcotest.check_raises "first touch is a write to a read-only page"
+    (Mem.Fault (0x11000L, Mem.Write)) (fun () -> Mem.write8 mem 0x11000L 1);
+  Alcotest.(check int) "it reads zero" 0 (Mem.read8 mem 0x11000L);
+  (match Mem.pages_of_vma mem (List.find (fun w -> w.Mem.va_start = 0x11000L) mem.Mem.vmas) with
+  | [ (_, pg) ] ->
+      Alcotest.(check bool) "made with the new protection" true
+        (pg.Mem.pg_prot = Self.prot_ro)
+  | _ -> Alcotest.fail "the read made no page");
+  Mem.write8 mem 0x12000L 1;
+  Alcotest.(check int) "the neighbour keeps its protection" 1 (Mem.read8 mem 0x12000L)
+
+let test_mem_fork_keeps_resident_set () =
+  let mem, v = fresh4 () in
+  Mem.write8 mem 0x10000L 1;
+  Mem.write8 mem 0x13000L 2;
+  let child = Mem.copy mem in
+  Alcotest.(check (list int64)) "child resident set" (resident mem v) (resident child v);
+  Alcotest.(check int) "an untouched page reads zero in the child" 0 (Mem.read8 child 0x11000L);
+  Alcotest.(check (list int64)) "parent unchanged by the child's touch"
+    [ 0x10000L; 0x13000L ] (resident mem v)
+
 let prop_mem_rw_roundtrip =
   QCheck.Test.make ~name:"mem 64-bit write/read roundtrip" ~count:300
     QCheck.(pair (int_range 0 4088) (map Int64.of_int int))
@@ -430,5 +488,10 @@ let suite =
     Alcotest.test_case "mem unmap splits" `Quick test_mem_unmap_splits_vma;
     Alcotest.test_case "mem mprotect partial" `Quick test_mem_mprotect_partial;
     Alcotest.test_case "mem copy independent" `Quick test_mem_copy_independent;
+    Alcotest.test_case "mem untouched page reads zero" `Quick test_mem_untouched_reads_zero;
+    Alcotest.test_case "mem observers make no page" `Quick test_mem_observers_make_no_page;
+    Alcotest.test_case "mem one store makes one page" `Quick test_mem_store_makes_one_page;
+    Alcotest.test_case "mem mprotect before first touch" `Quick test_mem_protect_before_touch;
+    Alcotest.test_case "mem fork keeps the resident set" `Quick test_mem_fork_keeps_resident_set;
     QCheck_alcotest.to_alcotest prop_mem_rw_roundtrip;
   ]
