@@ -73,7 +73,8 @@ let build (m : Machine.t) ~(donor : Mem.t option) (img : Images.t) : Proc.t =
      the page) — the donor's own buffer when the slot's origin is the
      page the donor maps there, else a copy of the image's bytes; a
      file-backed page the image does not hold (a vanilla-CRIU gap) from
-     the binary; any other page zero *)
+     the binary; an anonymous page the image does not hold is left
+     untouched (demand-zero: the first access makes it zero) *)
   let supplied = ref 0 and adopted = ref 0 in
   let slot vaddr off =
     let origin = Images.page_origin img off in

@@ -708,8 +708,11 @@ let test_sched_order_pinned () =
 (* ---------- page-chunked copies ---------- *)
 
 (* Seven pages from [chunk_va]: r-x, r--, rw-, an unmapped hole, rwx,
-   ---, rw-; the page below the first is unmapped too. Every page holds
-   a distinct byte pattern. *)
+   ---, rw-; the page below the first is unmapped too. Every resident
+   page holds a distinct byte pattern. The rw- page at index 2 is left
+   untouched on purpose, so a chunk that crosses into it meets the
+   demand-zero path: a read makes it zero, an observer leaves it
+   absent. *)
 let chunk_va = 0x3000_0010_0000L
 
 let chunk_template =
@@ -720,13 +723,18 @@ let chunk_template =
       | None -> ()
       | Some prot ->
           let vaddr = Int64.add chunk_va (Int64.of_int (i * Mem.page_size)) in
-          let v = Mem.map m ~vaddr ~len:Mem.page_size ~prot:(Self.prot_of_int prot) ~name:"c" () in
-          List.iter
-            (fun (_, pg) ->
-              let d = pg.Mem.pg_data in
-              Bytes.iteri (fun j _ -> Bytes.set d j (Char.chr (((j * 7) + i) land 255))) d)
-            (Mem.pages_of_vma m v))
+          let page _ =
+            if i = 2 then None
+            else
+              Some
+                ( Bytes.init Mem.page_size (fun j -> Char.chr (((j * 7) + i) land 255)),
+                  Bytesx.no_leaf )
+          in
+          ignore
+            (Mem.map_pages m ~vaddr ~len:Mem.page_size ~prot:(Self.prot_of_int prot) ~name:"c"
+               page))
     [ Some 5; Some 4; Some 6; None; Some 7; Some 0; Some 6 ];
+  assert (Hashtbl.length m.Mem.pages = 5);
   m
 
 (* byte-at-a-time references over the one-byte accessors *)
