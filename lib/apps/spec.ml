@@ -19,15 +19,17 @@ type kernel = {
   k_name : string;  (** e.g. "600.perlbench_s" *)
   k_unit : unit -> Ast.comp_unit;  (** builds the AST afresh on each call *)
   k_files : (string * string) list;  (** input files *)
-  k_heap : int;  (** mmap'd heap bytes, each page touched at init (drives image size) *)
+  k_heap : int;  (** mmap'd heap bytes, each page given a header byte at init (drives image size) *)
 }
 
 let init_done_banner name = name ^ ": init done"
 
-(* common scaffolding: mmap the heap and touch each of its pages once
-   (anonymous memory is demand-zero, so the image holds only what the
-   process touched, as a real program's resident set arises), print the
-   banner, loop [rounds] over [compute], print a result, exit *)
+(* common scaffolding: mmap the heap and write a non-zero header byte
+   into each of its pages, as an allocator leaves a header in each chunk
+   it carves (anonymous memory is demand-zero and a dump leaves all-zero
+   anonymous pages out, so the image holds only the pages that hold
+   data, as a real program's resident set arises), print the banner,
+   loop [rounds] over [compute], print a result, exit *)
 let kernel_main ~name ~heap ~rounds ~init_calls ~compute_call =
   func "main" []
     (init_calls
@@ -35,7 +37,7 @@ let kernel_main ~name ~heap ~rounds ~init_calls ~compute_call =
         set "heap" (call "mmap" [ i 0; i heap; i 6 ]);
         decl "pg" (i 0);
         while_ (v "pg" <: i heap)
-          [ store8 (v "heap" +: v "pg") (i 0); set "pg" (v "pg" +: i 4096) ];
+          [ store8 (v "heap" +: v "pg") (i 1); set "pg" (v "pg" +: i 4096) ];
         do_ "puts" [ s (init_done_banner name) ];
         decl "round" (i 0);
         while_ (v "round" <: i rounds)

@@ -13,7 +13,8 @@
        into the library's GOT) — we reuse {!Loader.relocate}, which
        implements precisely those two rules;
     3. create the new VMAs in the [mm] image and append the pages to
-       [pagemap]/[pages];
+       [pagemap]/[pages] — only those with a non-zero byte, the rest
+       left demand-zero ({!Images.stores});
     4. (separately, {!Rewriter.set_sigaction}) register the handler in
        the core image. *)
 
@@ -91,30 +92,22 @@ let inject (img : Images.t) ~(lib : Self.t) ?(base : int64 option)
           img.Images.mm
       then raise (Inject_error (Printf.sprintf "VMA collision at 0x%Lx" nv.Images.vi_start)))
     new_vmas;
-  let datas =
-    List.map (fun (s : Self.section) -> (s, List.assoc s.Self.sec_name patched)) lib.Self.sections
-  in
-  (* the library's pages are new: they carry no leaf sum *)
-  let img, offs = Images.append_pages img (List.map snd datas) in
-  let new_pm =
-    List.map2
-      (fun ((s : Self.section), data) at ->
-        {
-          Images.pm_vaddr = Int64.add base (Int64.of_int s.Self.sec_off);
-          pm_npages = page_align (max 1 (Bytes.length data)) / page_size;
-          pm_off = at;
-        })
-      datas offs
-  in
+  (* the library's pages are new: they carry no leaf sum. Its all-zero
+     pages ([dc_table], [dc_log]) are left out, demand-zero as a loader
+     maps [.bss] *)
   let img' =
-    {
-      img with
-      Images.mm =
-        List.sort
-          (fun a b -> compare a.Images.vi_start b.Images.vi_start)
-          (img.Images.mm @ new_vmas);
-      pagemap = img.Images.pagemap @ new_pm;
-    }
+    Images.append_pages
+      {
+        img with
+        Images.mm =
+          List.sort
+            (fun a b -> compare a.Images.vi_start b.Images.vi_start)
+            (img.Images.mm @ new_vmas);
+      }
+      (List.map
+         (fun (s : Self.section) ->
+           (Int64.add base (Int64.of_int s.Self.sec_off), List.assoc s.Self.sec_name patched))
+         lib.Self.sections)
   in
   (img', base)
 
@@ -137,12 +130,15 @@ let write_policy (img : Images.t) ~(lib : Self.t) ~(base : int64)
   in
   w64 (lib_sym lib ~base Handler.sym_mode) mode;
   w64 (lib_sym lib ~base Handler.sym_table_len) (Int64.of_int (List.length entries));
-  let table = lib_sym lib ~base Handler.sym_table in
+  (* the table in one write: a table page the image lacks (an all-zero
+     one) is added at most once *)
+  let table = Bytes.create (List.length entries * 16) in
   List.iteri
     (fun k (trap, payload) ->
-      w64 (Int64.add table (Int64.of_int (k * 16))) trap;
-      w64 (Int64.add table (Int64.of_int ((k * 16) + 8))) payload)
-    entries
+      Bytes.set_int64_le table (k * 16) trap;
+      Bytes.set_int64_le table ((k * 16) + 8) payload)
+    entries;
+  Images.write_mem img (lib_sym lib ~base Handler.sym_table) table
 
 (** Read back the handler's diagnostics from a *live* process (used by
     the verifier workflow and tests): hit count and the false-positive

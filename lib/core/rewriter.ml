@@ -244,20 +244,13 @@ let remap (img : Images.t) (patches : patch list) : Images.t =
     in
     (* pages that were unmapped while undumped come back unpopulated; the
        journal's copies come back as new pages, without sums, all of them
-       appended at once *)
+       appended at once, under the dump's rule for all-zero pages *)
     let pages =
       List.concat_map
         (fun (_, u_pages) -> List.filter (fun (_, data) -> Bytes.length data >= page_size) u_pages)
         unmaps
     in
-    let img, offs = Images.append_pages img (List.map snd pages) in
-    let new_entries =
-      List.map2
-        (fun (va, data) at ->
-          { Images.pm_vaddr = va; pm_npages = Bytes.length data / page_size; pm_off = at })
-        pages offs
-    in
-    { img with Images.mm; pagemap = img.Images.pagemap @ new_entries }
+    Images.append_pages { img with Images.mm } pages
   end
 
 (** Install/replace a sigaction in the core image (how DynaCut registers

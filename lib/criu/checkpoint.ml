@@ -36,12 +36,23 @@ let dump (m : Machine.t) ~(pid : int) ?(mode = Dynacut) () : Images.t =
         })
       mem.Mem.vmas
   in
-  (* pagemap: coalesce consecutive populated pages of each dumpable VMA
+  (* pagemap: coalesce consecutive stored pages of each dumpable VMA
      into runs (a run never spans two VMAs), each page at the next slot
-     of the page area *)
+     of the page area. A VMA's resident pages are stored as
+     [Images.stores] rules: an anonymous page only when it has a
+     non-zero byte (the restore leaves a page the image lacks
+     untouched, so it reads zero), a file-backed one always (the
+     restore would fill it from the binary) *)
   let dumped =
     List.filter_map
-      (fun (v : Mem.vma) -> if dump_vma_pages ~mode v then Some (Mem.pages_of_vma mem v) else None)
+      (fun (v : Mem.vma) ->
+        if dump_vma_pages ~mode v then
+          let file = v.Mem.va_file <> None in
+          Some
+            (List.filter
+               (fun (_, (pg : Mem.page)) -> Images.stores ~file pg.Mem.pg_data 0 page_size)
+               (Mem.pages_of_vma mem v))
+        else None)
       mem.Mem.vmas
   in
   let runs = ref [] and npages = ref 0 in

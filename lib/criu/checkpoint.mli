@@ -8,7 +8,12 @@ type mode =
   | Dynacut  (** also dump PROT_EXEC | FILE_PRIVATE pages *)
 
 val dump : Machine.t -> pid:int -> ?mode:mode -> unit -> Images.t
-(** Dump one (frozen) process. *)
+(** Dump one (frozen) process: its resident pages, except an all-zero
+    page of an anonymous VMA ({!Images.stores}), which the restore
+    leaves untouched and the guest then reads as zero with its VMA's
+    protection. Unlike CRIU, which stores every present page, zero ones
+    included. A file-backed VMA keeps its zero pages, since a restore
+    would fill them from the binary. *)
 
 val dump_tree : Machine.t -> root:int -> ?mode:mode -> unit -> Images.t list
 (** Dump a process and its live descendants (multi-process apps). *)

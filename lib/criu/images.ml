@@ -69,11 +69,13 @@ type tcp = Net.conn_snapshot list
    where they lie. *)
 type area = { buf : bytes; off : int; len : int; leaf : int array; origin : Mem.page array }
 
+(* [pagemap] and [pages] are mutable for one writer: a [write_mem]
+   into a page the image lacks adds that page. *)
 type t = {
   core : core;
   mm : vma_img list;
-  pagemap : pagemap_entry list;
-  pages : area;
+  mutable pagemap : pagemap_entry list;
+  mutable pages : area;
   files : files;
   tcp : tcp;
   mmap_hint : int64;
@@ -117,33 +119,66 @@ let blit_pages ~(src : t) ~src_off ~(dst : t) ~dst_off ~len =
     d.origin.(j) <- (if whole then s.origin.(i) else Mem.no_page)
   done
 
-(** [t] with [pieces] appended to its page area, each padded with zeros
-    to whole pages (an empty piece takes one page), and the page-area
-    offset where each piece starts. Unless there is none, the old area
-    is copied once, into a fresh buffer with nothing around it; its
-    slots keep their sums and origins, the new ones have none. *)
-let append_pages (t : t) (pieces : bytes list) : t * int list =
-  if pieces = [] then (t, []) else
-  let padded b = max 1 (slots (Bytes.length b)) * page_size in
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(** Whether the [len] bytes at [off] of [b] are all zero: a loop over
+    four words at a time, then bytes from the block that was not zero
+    (or the tail), allocating nothing. *)
+let all_zero b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Images.all_zero";
+  let stop = off + len in
+  let i = ref off in
+  while
+    !i + 32 <= stop
+    && Int64.logor
+         (Int64.logor (get64u b !i) (get64u b (!i + 8)))
+         (Int64.logor (get64u b (!i + 16)) (get64u b (!i + 24)))
+       = 0L
+  do
+    i := !i + 32
+  done;
+  while !i < stop && Bytes.unsafe_get b !i = '\x00' do
+    incr i
+  done;
+  !i >= stop
+
+(** The rule for what a frame holds of a VMA's pages: every page of a
+    file-backed VMA, since a restore fills a page the image lacks from
+    the binary; of an anonymous VMA only a page with a non-zero byte,
+    since a page the image lacks reads zero (demand-zero, as a loader
+    maps [.bss]). [b]'s [len] bytes at [off] are the page's, the rest
+    of it zeros. *)
+let stores ~(file : bool) b off len = file || not (all_zero b off len)
+
+(* [t] with one page-area slot appended, and a pagemap run, for each
+   [(vaddr, b, off, n)]: the page at [vaddr] made of [b]'s [n] bytes at
+   [off] and zeros after them. The old area is copied once into a fresh
+   buffer, its slots keeping their sums and origins; the new slots have
+   none. A run covers each stretch of pages consecutive in both the
+   address space and the area. *)
+let add_pages (t : t) (pages : (int64 * bytes * int * int) list) : t =
+  if pages = [] then t else
   let old = t.pages.len in
-  let len = List.fold_left (fun n b -> n + padded b) old pieces in
-  let t' = { t with pages = area_of_bytes (Bytes.create len) } in
+  let t' = { t with pages = area_of_bytes (Bytes.create (old + (List.length pages * page_size))) } in
   blit_pages ~src:t ~src_off:0 ~dst:t' ~dst_off:0 ~len:old;
   let buf = t'.pages.buf in
-  let _, offs =
+  let _, runs =
     List.fold_left
-      (fun (at, offs) b ->
-        let n = Bytes.length b in
-        Bytes.blit b 0 buf at n;
-        Bytes.fill buf (at + n) (padded b - n) '\x00';
-        (at + padded b, at :: offs))
-      (old, []) pieces
+      (fun (at, runs) (vaddr, b, off, n) ->
+        Bytes.blit b off buf at n;
+        Bytes.fill buf (at + n) (page_size - n) '\x00';
+        let runs =
+          match runs with
+          | r :: rest
+            when r.pm_off + (r.pm_npages * page_size) = at
+                 && Int64.add r.pm_vaddr (Int64.of_int (r.pm_npages * page_size)) = vaddr ->
+              { r with pm_npages = r.pm_npages + 1 } :: rest
+          | _ -> { pm_vaddr = vaddr; pm_npages = 1; pm_off = at } :: runs
+        in
+        (at + page_size, runs))
+      (old, []) pages
   in
-  (t', List.rev offs)
-
-(** Total bytes across all images — the "image size" Figure 7 reports. *)
-let image_size (t : t) =
-  t.pages.len + (List.length t.mm * 64) + (List.length t.pagemap * 24) + 256
+  { t' with pagemap = t.pagemap @ List.rev runs }
 
 let find_vma (t : t) addr =
   List.find_opt
@@ -151,9 +186,50 @@ let find_vma (t : t) addr =
       addr >= v.vi_start && addr < Int64.add v.vi_start (Int64.of_int v.vi_len))
     t.mm
 
+(** [t] with each [(vaddr, piece)] placed at [vaddr], padded with zeros
+    to whole pages (an empty piece takes one). The pages {!stores} keeps
+    are appended to the page area, the pagemap gaining sparse runs for
+    them; [t.mm] must map every piece. Nothing is copied when no page
+    is kept; else the old area is copied once ({!add_pages}). *)
+let append_pages (t : t) (pieces : (int64 * bytes) list) : t =
+  let kept =
+    List.concat_map
+      (fun (vaddr, b) ->
+        let file =
+          match find_vma t vaddr with
+          | Some v -> v.vi_file <> None
+          | None -> invalid_arg (Printf.sprintf "Images.append_pages: 0x%Lx is not mapped" vaddr)
+        in
+        let len = Bytes.length b in
+        List.filter_map
+          (fun k ->
+            let off = k * page_size in
+            let n = max 0 (min page_size (len - off)) in
+            if stores ~file b off n then
+              Some (Int64.add vaddr (Int64.of_int off), b, off, n)
+            else None)
+          (List.init (max 1 (slots len)) Fun.id))
+      pieces
+  in
+  add_pages t kept
+
+(** Total bytes across all images — the "image size" Figure 7 reports. *)
+let image_size (t : t) =
+  t.pages.len + (List.length t.mm * 64) + (List.length t.pagemap * 24) + 256
+
+(* Whether anonymous VMAs cover every byte of [lo, hi). *)
+let rec anonymous (t : t) lo hi =
+  lo >= hi
+  ||
+  match find_vma t lo with
+  | Some v when v.vi_file = None -> anonymous t (Int64.add v.vi_start (Int64.of_int v.vi_len)) hi
+  | _ -> false
+
 (* Split [addr, addr+len) into the pieces the pagemap runs cover, in
    address order, as (offset in the range, offset in [pages], length);
-   [Not_found] unless the runs cover every byte. Pagemap runs never
+   and the gaps between them, as (offset in the range, length), after
+   checking that each lies in anonymous VMAs, which read zero where the
+   image holds no page: [Not_found] if one does not. Pagemap runs never
    overlap ([Validate.check]). *)
 let pieces (t : t) (addr : int64) (len : int) =
   let addr_end = Int64.add addr (Int64.of_int len) in
@@ -171,25 +247,62 @@ let pieces (t : t) (addr : int64) (len : int) =
       t.pagemap
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
-  let covered =
-    List.fold_left (fun next (k, _, n) -> if k = next then k + n else next) 0 covering
+  let gaps, next =
+    List.fold_left
+      (fun (gaps, next) (k, _, n) -> ((if k > next then (next, k - next) :: gaps else gaps), k + n))
+      ([], 0) covering
   in
-  if covered < len then raise Not_found;
-  covering
+  let gaps = List.rev (if next < len then (next, len - next) :: gaps else gaps) in
+  List.iter
+    (fun (k, n) ->
+      let lo = Int64.add addr (Int64.of_int k) in
+      if not (anonymous t lo (Int64.add lo (Int64.of_int n))) then raise Not_found)
+    gaps;
+  (covering, gaps)
 
-(** Read [len] bytes at virtual address [addr] out of the dumped pages.
-    Raises [Not_found] if the range is not fully populated. *)
+(** Read [len] bytes at virtual address [addr] out of the image: a page
+    it lacks in an anonymous VMA reads zero. Raises [Not_found] if a
+    byte lies outside every VMA, or in a file-backed page the image
+    lacks. *)
 let read_mem (t : t) (addr : int64) (len : int) : bytes =
-  let out = Bytes.create len in
+  let out = Bytes.make len '\x00' in
   let a = t.pages in
-  List.iter (fun (k, off, n) -> Bytes.blit a.buf (a.off + off) out k n) (pieces t addr len);
+  List.iter (fun (k, off, n) -> Bytes.blit a.buf (a.off + off) out k n) (fst (pieces t addr len));
   out
 
-(** Write [data] at virtual address [addr] into the dumped pages in place,
-    dropping the leaf sum and origin of every slot it touches. Raises
-    [Not_found], writing nothing, if any byte falls outside populated
-    pages. *)
+(** Write [data] at virtual address [addr] into the image in place,
+    dropping the leaf sum and origin of every slot it touches. A page
+    the image lacks in an anonymous VMA joins the image ({!add_pages})
+    when [data] puts a non-zero byte in it; one that gets only zeros
+    still reads zero and stays out. Raises [Not_found], writing nothing,
+    where {!read_mem} would. *)
 let write_mem (t : t) (addr : int64) (data : bytes) : unit =
+  let covering, gaps = pieces t addr (Bytes.length data) in
+  (* the pages of each gap, from the one holding its first byte, that
+     the write puts a non-zero byte in; offsets are from [addr] *)
+  let fresh =
+    List.concat_map
+      (fun (k, n) ->
+        let first = Int64.logand (Int64.add addr (Int64.of_int k)) (Int64.of_int (-page_size)) in
+        let base = Int64.to_int (Int64.sub first addr) in
+        List.filter_map
+          (fun j ->
+            let lo = max k (base + (j * page_size))
+            and hi = min (k + n) (base + ((j + 1) * page_size)) in
+            if all_zero data lo (hi - lo) then None
+            else Some (Int64.add first (Int64.of_int (j * page_size)), Bytes.empty, 0, 0))
+          (List.init (slots (k + n - base)) Fun.id))
+      gaps
+  in
+  let covering =
+    if fresh = [] then covering
+    else begin
+      let t' = add_pages t fresh in
+      t.pages <- t'.pages;
+      t.pagemap <- t'.pagemap;
+      fst (pieces t addr (Bytes.length data))
+    end
+  in
   let a = t.pages in
   List.iter
     (fun (k, off, n) ->
@@ -198,7 +311,7 @@ let write_mem (t : t) (addr : int64) (data : bytes) : unit =
         a.leaf.(i) <- Bytesx.no_leaf;
         a.origin.(i) <- Mem.no_page
       done)
-    (pieces t addr (Bytes.length data))
+    covering
 
 (* ---------- binary codec ---------- *)
 

@@ -63,8 +63,10 @@ type area = {
 type t = {
   core : core;
   mm : vma_img list;
-  pagemap : pagemap_entry list;  (** offsets into the page area *)
-  pages : area;
+  mutable pagemap : pagemap_entry list;  (** offsets into the page area *)
+  mutable pages : area;
+      (** [pagemap] and [pages] change in place only where {!write_mem}
+          adds a page the image lacked *)
   files : files;
   tcp : tcp;
   mmap_hint : int64;
@@ -97,11 +99,27 @@ val blit_pages : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Copy [len] bytes between two page areas at slot-aligned offsets;
     every whole slot copied takes its leaf sum and origin along. *)
 
-val append_pages : t -> bytes list -> t * int list
-(** [t] with each piece appended to its page area, padded with zeros to
-    whole pages (an empty piece takes one), and the offset where each
-    starts. The old area is copied once, into a fresh buffer; its whole
-    slots keep their sums and origins, the new slots have none. *)
+val all_zero : bytes -> int -> int -> bool
+(** [all_zero b off len]: whether [b]'s [len] bytes at [off] are all
+    zero. Allocates nothing. *)
+
+val stores : file:bool -> bytes -> int -> int -> bool
+(** The rule for which pages a frame holds, shared by {!Checkpoint.dump}
+    and {!append_pages}: [stores ~file b off len] for the page of a
+    file-backed ([file]) or anonymous VMA whose bytes are [b]'s [len]
+    bytes at [off] and zeros after them. A file-backed page is always
+    stored, since a restore fills a page the image lacks from the
+    binary; an anonymous page only when it has a non-zero byte, since a
+    page the image lacks reads zero (demand-zero). *)
+
+val append_pages : t -> (int64 * bytes) list -> t
+(** [t] with each [(vaddr, piece)] placed at [vaddr], padded with zeros
+    to whole pages (an empty piece takes one). Only the pages {!stores}
+    keeps are appended to the page area, with sparse pagemap runs; the
+    VMAs of [t.mm] must cover every piece ([Invalid_argument] if one
+    does not). Returns [t] itself when no page is kept; else the old
+    area is copied once, into a fresh buffer, its whole slots keeping
+    their sums and origins, the new slots having none. *)
 
 val layout : reserve:int -> t -> len:int -> t
 (** [t] with a fresh page area of [len] bytes, its buffer laid out as a
@@ -129,13 +147,18 @@ val image_size : t -> int
 val find_vma : t -> int64 -> vma_img option
 
 val read_mem : t -> int64 -> int -> bytes
-(** Read dumped memory at a virtual address. Raises [Not_found] if the
-    range is not fully populated. *)
+(** Read the image's memory at a virtual address: a page the image
+    lacks in an anonymous VMA reads zero, as the restored process reads
+    it. Raises [Not_found] if a byte lies outside every VMA, or in a
+    file-backed page the image lacks. *)
 
 val write_mem : t -> int64 -> bytes -> unit
-(** Patch dumped memory in place, dropping the leaf sum and origin of
-    every page it touches; raises [Not_found], and writes nothing,
-    unless the range is fully populated. *)
+(** Patch the image's memory in place, dropping the leaf sum and origin
+    of every page it touches. A page the image lacks in an anonymous VMA
+    is added to the image (the page area is copied once) when the write
+    puts a non-zero byte in it; a write of zeros leaves it out, reading
+    zero. Raises [Not_found], and writes nothing, where {!read_mem}
+    would. *)
 
 exception Format_error of string
 

@@ -108,10 +108,15 @@ let clock_difference reference cached =
    can hit it) holds the signal restorer, three signal handlers and
    the subroutines; pages B (rwx, two pages, so blocks can
    straddle a page boundary) hold the main program, which stores into
-   its own code; one rw data page follows. *)
+   its own code; one rw data page follows. A file-backed page the
+   program never touches holds zeros, while its file holds non-zero
+   bytes: a dump must keep it, since a restore fills a file-backed page
+   the image lacks from the file. *)
 let page_a = 0x40_0000L
 let page_b = 0x40_1000L
 let data_base = 0x60_0000L
+let zeroed_base = 0x70_0000L
+let zeroed_file = "gen.rodata"
 
 (* Registers: random operations read and write [pool]; r11 and r13 are
    scratch, r12 counts loops, r14 and r15 hold page B and the data
@@ -426,7 +431,8 @@ let prot_bits (pr : Self.prot) =
   (if pr.Self.p_r then 4 else 0) lor (if pr.Self.p_w then 2 else 0) lor if pr.Self.p_x then 1 else 0
 
 (* Everything guest-visible, per process: state, retired count, every
-   register and flag, console, and every page with its protection. *)
+   register and flag, console, and every resident page with its
+   protection. *)
 let proc_state (p : Proc.t) =
   let regs = p.Proc.regs in
   let pages =
@@ -437,6 +443,30 @@ let proc_state (p : Proc.t) =
   ( (p.Proc.pid, Proc.state_to_string p.Proc.state, p.Proc.retired, Proc.peek_stdout p),
     (List.map (Proc.gpr regs) Reg.all, Proc.rip regs, Proc.pack_flags regs),
     pages )
+
+(* Every page of every VMA of [p] as the guest reads it, with its
+   protection: an untouched page reads zero with its VMA's protection,
+   so it equals a resident zero page; a given-up page reads as none.
+   Zero pages are listed without their bytes. *)
+let guest_pages (p : Proc.t) =
+  let mem = p.Proc.mem in
+  List.concat_map
+    (fun (v : Mem.vma) ->
+      List.init (v.Mem.va_len / Mem.page_size) (fun k ->
+          let idx = Int64.add (Mem.page_index v.Mem.va_start) (Int64.of_int k) in
+          match Hashtbl.find_opt mem.Mem.pages idx with
+          | None -> (idx, prot_bits v.Mem.va_prot, "")
+          | Some pg when pg == Mem.no_page -> (idx, -1, "")
+          | Some pg ->
+              let zero = Bytes.for_all (fun c -> c = '\x00') pg.Mem.pg_data in
+              (idx, prot_bits pg.Mem.pg_prot, if zero then "" else Bytes.to_string pg.Mem.pg_data)))
+    mem.Mem.vmas
+  |> List.sort compare
+
+(* The indexes of [mem]'s resident pages. *)
+let resident (mem : Mem.t) =
+  Hashtbl.fold (fun idx pg acc -> if pg == Mem.no_page then acc else idx :: acc) mem.Mem.pages []
+  |> List.sort compare
 
 type outcome = {
   o_clock : int64;
@@ -459,6 +489,25 @@ let install_prog ?handled (m : Machine.t) p =
   map page_a 1 (Self.prot_of_int 5) "gen:.text";
   map page_b 2 (Self.prot_of_int 7) "gen:.smc";
   map data_base 1 Self.prot_rw "gen:.data";
+  Vfs.add_self m.Machine.fs zeroed_file
+    {
+      Self.name = zeroed_file;
+      kind = Self.Dyn;
+      entry = 0;
+      base = 0L;
+      sections =
+        [ { Self.sec_name = ".rodata"; sec_off = 0; sec_data = Bytes.make Mem.page_size '\x5a';
+            sec_prot = Self.prot_of_int 4 } ];
+      symbols = [];
+      dynrelocs = [];
+      needed = [];
+      plt = [];
+      got = [];
+    };
+  ignore
+    (Mem.map mem ~vaddr:zeroed_base ~len:Mem.page_size ~prot:(Self.prot_of_int 4)
+       ~file:(Some (zeroed_file, 0)) ~name:"gen:.rodata" ());
+  Mem.poke_bytes mem zeroed_base (Bytes.make Mem.page_size '\x00');
   map (Int64.sub Proc.stack_top (Int64.of_int Proc.stack_size))
     (Proc.stack_size / Mem.page_size) Self.prot_rw "[stack]";
   Mem.poke_bytes mem page_a (Encode.program a_code);
@@ -941,7 +990,9 @@ type restore_how = Copy | Adopt
    count: the console belongs to the world outside, the count to the
    host's object (as CRIU restores no CPU-time accounting). [carried]
    gets each replaced object's, for [proc_state] to add to its
-   restore's. *)
+   restore's. A restored process holds no page resident that the
+   replaced one did not: a dump leaves all-zero anonymous pages out, so
+   the restore may hold fewer. *)
 let through_frames ~how ?(edit = fun (_ : Machine.t) (_ : Images.t) -> ()) (m : Machine.t) carried =
   let live = List.filter Proc.is_live (Machine.all_procs m) in
   let root (q : Proc.t) = not (List.exists (fun (r : Proc.t) -> r.Proc.pid = q.Proc.parent) live) in
@@ -955,12 +1006,20 @@ let through_frames ~how ?(edit = fun (_ : Machine.t) (_ : Images.t) -> ()) (m : 
           Hashtbl.replace carried pid (Proc.peek_stdout q, q.Proc.retired);
           if !first then edit m img;
           first := false;
-          match how with
-          | Copy ->
-              let frame = Validate.encode_sealed img in
-              Machine.reap m ~pid;
-              ignore (Restore.restore m (Validate.decode_sealed frame) : Proc.t)
-          | Adopt -> ignore (Restore.replace m (fst (Validate.seal_in_place img)) : Proc.t))
+          let before = resident q.Proc.mem in
+          let restored =
+            match how with
+            | Copy ->
+                let frame = Validate.encode_sealed img in
+                Machine.reap m ~pid;
+                Restore.restore m (Validate.decode_sealed frame)
+            | Adopt -> Restore.replace m (fst (Validate.seal_in_place img))
+          in
+          match List.filter (fun i -> not (List.mem i before)) (resident restored.Proc.mem) with
+          | [] -> ()
+          | idx :: _ ->
+              QCheck.Test.fail_reportf "pid %d: page 0x%Lx resident after the restore only" pid
+                (Int64.mul idx Mem.page_size64))
         (Checkpoint.dump_tree m ~root:r.Proc.pid ()))
     (List.filter root live)
 
@@ -999,8 +1058,11 @@ let run_stored ?how ?edit ?(between = fun (_ : Machine.t) (_ : int * int) -> ())
           | _ -> ())
         (Machine.all_procs m));
   ignore (Machine.run m ~max_cycles:20_000);
+  (* pages as the guest reads them: a restore leaves out what the dump
+     did, all-zero anonymous pages, so residency may differ *)
   let state (q : Proc.t) =
-    let (pid, st, retired, out), regs, pages = proc_state q in
+    let (pid, st, retired, out), regs, _ = proc_state q in
+    let pages = guest_pages q in
     match Hashtbl.find_opt carried pid with
     | Some (out0, retired0) -> ((pid, st, retired0 + retired, out0 ^ out), regs, pages)
     | None -> ((pid, st, retired, out), regs, pages)

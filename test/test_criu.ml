@@ -352,19 +352,19 @@ let rkv_dump () =
 
 (* Sealed bytes are storage: pristine and working images, the journal,
    its lock. The payload (the frame minus its header) is the encoding
-   of the frozen rkv dump, which holds the pages rkv touched and no
-   others; the whole frame is pinned at the v3 (page-granular) seal. *)
+   of the frozen rkv dump, which holds the pages rkv touched, less its
+   all-zero anonymous ones; the whole frame is pinned at the v3 (page-granular) seal. *)
 let test_seal_format_pinned () =
   Alcotest.(check string)
     "seal \"payload\"" "4443434b030700000000000000b8b16c5fbac18c0e070000000000000000000000000000007061796c6f6164"
     (Bytesx.hex_of_string (Validate.seal "payload"));
   let blob = Validate.encode_sealed (rkv_dump ()) in
-  Alcotest.(check int) "sealed rkv dump length" 86964 (String.length blob);
+  Alcotest.(check int) "sealed rkv dump length" 70620 (String.length blob);
   Alcotest.(check string)
-    "sealed rkv dump payload digest" "7f371c93428b650c88f24132101f9122"
+    "sealed rkv dump payload digest" "4b850e872964f7260db7b8b1edddd9e2"
     (Digest.to_hex (Digest.substring blob header_size (String.length blob - header_size)));
   Alcotest.(check string)
-    "sealed rkv dump digest" "76144d1953a7e0a5d5234b27462000a7"
+    "sealed rkv dump digest" "d0773ca5cb67c74838a7ed717098bd92"
     (Digest.to_hex (Digest.string blob));
   let decoded = Validate.decode_sealed blob in
   let hashed () = Obs.counter_value (Obs.counter "criu.leaves_hashed") in
@@ -433,6 +433,77 @@ let test_unseal_frames_long_log () =
   | Some { Validate.t_offset; t_kind = Validate.Truncated } ->
       Alcotest.(check int) "tear at the torn frame's start" (String.length log) t_offset
   | _ -> Alcotest.fail "torn tail not reported as truncated"
+
+(* ---------- all-zero anonymous pages ---------- *)
+
+(* A dump stores no all-zero page of an anonymous VMA, and keeps every
+   other resident page: a non-zero anonymous one, and a zero page of a
+   file-backed VMA, whose restore would otherwise fill it from the
+   file's non-zero bytes. After the restore the left-out page is
+   untouched: it reads zero, and one store makes exactly that page,
+   with its VMA's protection. *)
+let test_dump_leaves_zero_anon_pages_out () =
+  let m, p = boot_server () in
+  let mem = p.Proc.mem in
+  let ps = Mem.page_size in
+  let anon = Mem.find_free mem ~hint:0x5000_0000L ~len:(3 * ps) in
+  ignore (Mem.map mem ~vaddr:anon ~len:(3 * ps) ~prot:Self.prot_rw ~name:"[anon]" ());
+  let page k = Int64.add anon (Int64.of_int (k * ps)) in
+  (* page 0: resident, all zero; page 1: resident, one non-zero byte;
+     page 2: untouched *)
+  Mem.poke_bytes mem (page 0) (Bytes.make ps '\x00');
+  Mem.poke8 mem (Int64.add (page 1) 100L) 0x2a;
+  let file = Mem.find_free mem ~hint:0x5100_0000L ~len:ps in
+  Vfs.add_self m.Machine.fs "zeroed.so"
+    {
+      Self.name = "zeroed.so";
+      kind = Self.Dyn;
+      entry = 0;
+      base = 0L;
+      sections =
+        [ { Self.sec_name = ".rodata"; sec_off = 0; sec_data = Bytes.make ps '\x5a';
+            sec_prot = Self.prot_of_int 4 } ];
+      symbols = [];
+      dynrelocs = [];
+      needed = [];
+      plt = [];
+      got = [];
+    };
+  ignore
+    (Mem.map mem ~vaddr:file ~len:ps ~prot:(Self.prot_of_int 4) ~file:(Some ("zeroed.so", 0))
+       ~name:"zeroed.so:.rodata" ());
+  Mem.poke_bytes mem file (Bytes.make ps '\x00');
+  Machine.freeze m ~pid:p.Proc.pid;
+  let img = Checkpoint.dump m ~pid:p.Proc.pid () in
+  let stored va =
+    List.exists
+      (fun (pm : Images.pagemap_entry) ->
+        va >= pm.Images.pm_vaddr
+        && va < Int64.add pm.Images.pm_vaddr (Int64.of_int (pm.Images.pm_npages * ps)))
+      img.Images.pagemap
+  in
+  Alcotest.(check bool) "zero anonymous page left out" false (stored (page 0));
+  Alcotest.(check bool) "non-zero anonymous page kept" true (stored (page 1));
+  Alcotest.(check bool) "untouched page left out" false (stored (page 2));
+  Alcotest.(check bool) "zero file-backed page kept" true (stored file);
+  Alcotest.(check string) "left-out page reads zero in the image"
+    (String.make 8 '\x00') (Bytes.to_string (Images.read_mem img (page 0) 8));
+  Machine.reap m ~pid:p.Proc.pid;
+  let q = Restore.restore m img in
+  let mem' = q.Proc.mem in
+  let resident () = Hashtbl.fold (fun idx _ acc -> idx :: acc) mem'.Mem.pages [] |> List.sort compare in
+  Alcotest.(check bool) "left-out page untouched after the restore" false
+    (Hashtbl.mem mem'.Mem.pages (Mem.page_index (page 0)));
+  Alcotest.(check int) "non-zero byte restored" 0x2a (Mem.peek8 mem' (Int64.add (page 1) 100L));
+  Alcotest.(check int) "file-backed page restored as zeros, not from the file" 0 (Mem.peek8 mem' file);
+  Alcotest.(check int) "left-out page reads zero" 0 (Mem.peek8 mem' (Int64.add (page 0) 7L));
+  let before = resident () in
+  Mem.write8 mem' (Int64.add (page 0) 9L) 0x11;
+  Alcotest.(check (list int64)) "one store makes exactly that page"
+    (List.sort compare (Mem.page_index (page 0) :: before)) (resident ());
+  let pg = Hashtbl.find mem'.Mem.pages (Mem.page_index (page 0)) in
+  Alcotest.(check bool) "with its VMA's protection" true (pg.Mem.pg_prot = Self.prot_rw);
+  Alcotest.(check int) "the store reads back" 0x11 (Mem.read8 mem' (Int64.add (page 0) 9L))
 
 (* ---------- read_mem / write_mem against the per-byte reference ---------- *)
 
@@ -558,6 +629,70 @@ let prop_read_write_mem_reference =
       | Ok () -> Bytes.equal (Images.page_bytes img_new) (Images.page_bytes img_old)
       | Error () -> Bytes.equal (Images.page_bytes img_new) (Images.page_bytes img))
 
+(* Over an anonymous VMA a page the image lacks reads zero, and a write
+   that puts a non-zero byte in one adds exactly that page: the image
+   then reads as the range's bytes with the write applied, and each
+   added slot holds a non-zero byte. Half the writes are all zeros,
+   which add no page. *)
+let prop_read_write_mem_anonymous =
+  QCheck.Test.make ~name:"read_mem/write_mem read and add zero pages of anonymous VMAs" ~count:300
+    arb_mem_case (fun (runs, seed, start, len) ->
+      let ps = Images.page_size in
+      let rng = Random.State.make [| seed |] in
+      let lo = Int64.sub image_base (Int64.of_int ps) and span = 32 * ps in
+      let img =
+        {
+          (synthetic_image rng runs) with
+          Images.mm =
+            [ { Images.vi_start = lo; vi_len = span; vi_prot = 3; vi_file = None; vi_name = "[anon]" } ];
+        }
+      in
+      let rel a = Int64.to_int (Int64.sub a lo) in
+      (* the reference: the runs' bytes where they lie, zero elsewhere *)
+      let model = Bytes.make span '\x00' in
+      let a = img.Images.pages in
+      List.iter
+        (fun (pm : Images.pagemap_entry) ->
+          Bytes.blit a.Images.buf (a.Images.off + pm.Images.pm_off) model (rel pm.Images.pm_vaddr)
+            (pm.Images.pm_npages * ps))
+        img.Images.pagemap;
+      let stored va =
+        List.exists
+          (fun (pm : Images.pagemap_entry) ->
+            va >= pm.Images.pm_vaddr
+            && va < Int64.add pm.Images.pm_vaddr (Int64.of_int (pm.Images.pm_npages * ps)))
+          img.Images.pagemap
+      in
+      let addr = Int64.add image_base (Int64.of_int (start - ps)) in
+      let reads_agree = Bytes.equal (Images.read_mem img addr len) (Bytes.sub model (rel addr) len) in
+      let data =
+        if seed land 1 = 0 then Bytes.make len '\x00'
+        else Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      (* the pages the write must add *)
+      let added =
+        List.length
+          (List.filter
+             (fun p ->
+               let p = Int64.add lo (Int64.of_int (p * ps)) in
+               let a0 = max p addr and a1 = min (Int64.add p (Int64.of_int ps)) (Int64.add addr (Int64.of_int len)) in
+               a0 < a1 && (not (stored p))
+               && not
+                    (Images.all_zero data (Int64.to_int (Int64.sub a0 addr)) (Int64.to_int (Int64.sub a1 a0))))
+             (List.init (span / ps) Fun.id))
+      in
+      let img_new = Images.relayout ~reserve:Validate.header_size img in
+      let old_len = img_new.Images.pages.Images.len in
+      Images.write_mem img_new addr data;
+      Bytes.blit data 0 model (rel addr) len;
+      let a' = img_new.Images.pages in
+      reads_agree
+      && Bytes.equal (Images.read_mem img_new lo span) model
+      && a'.Images.len = old_len + (added * ps)
+      && List.for_all
+           (fun k -> not (Images.all_zero a'.Images.buf (a'.Images.off + old_len + (k * ps)) ps))
+           (List.init added Fun.id))
+
 let suite =
   [
     Alcotest.test_case "dump/restore identity" `Quick test_dump_restore_identity;
@@ -579,4 +714,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_read_write_mem_reference;
     Alcotest.test_case "seal catches 100k mangled frames" `Quick test_seal_catches_mangling;
     Alcotest.test_case "TCP repair after the server closed" `Quick test_tcp_repair_after_close;
+    Alcotest.test_case "dump leaves all-zero anonymous pages out" `Quick
+      test_dump_leaves_zero_anon_pages_out;
+    QCheck_alcotest.to_alcotest prop_read_write_mem_anonymous;
   ]

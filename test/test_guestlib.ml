@@ -71,6 +71,57 @@ let test_inject_creates_vmas_and_pages () =
   let byte = Images.read_mem img' h 1 in
   Alcotest.(check bool) "prologue present" true (Bytes.get byte 0 = '\x36' (* push *))
 
+(* A fresh inject stores only the library's pages that hold a non-zero
+   byte: none of [dc_log] (and none of [dc_table]'s), which read zero
+   from the image. A policy write of zeros adds no page; a non-zero one
+   adds the page it lands in. *)
+let test_inject_stores_no_zero_page () =
+  let _, img = checkpointed_rkv () in
+  let libc_base = Option.get (Rewriter.module_base img "libc.so") in
+  let img', base = Inject.inject img ~lib:handler ~deps:[ (libc, libc_base) ] () in
+  let ps = Images.page_size in
+  let stored va =
+    List.exists
+      (fun (pm : Images.pagemap_entry) ->
+        va >= pm.Images.pm_vaddr
+        && va < Int64.add pm.Images.pm_vaddr (Int64.of_int (pm.Images.pm_npages * ps)))
+      img'.Images.pagemap
+  in
+  let region sym len =
+    let lo = Inject.lib_sym handler ~base sym in
+    List.init ((len + ps - 1) / ps) (fun k -> Int64.add (Mem.page_base lo) (Int64.of_int (k * ps)))
+  in
+  let log = region Handler.sym_log (Handler.max_log_entries * 8) in
+  Alcotest.(check bool) "no dc_log page stored" false (List.exists stored log);
+  Alcotest.(check bool) "no dc_table page stored" false
+    (List.exists stored (region Handler.sym_table (Handler.max_table_entries * 16)));
+  Alcotest.(check bool) "dc_log reads zero" true
+    (Images.all_zero
+       (Images.read_mem img' (Inject.lib_sym handler ~base Handler.sym_log) (Handler.max_log_entries * 8))
+       0 (Handler.max_log_entries * 8));
+  (* every page the inject added holds a non-zero byte *)
+  let old = img.Images.pages.Images.len in
+  Alcotest.(check bool) "the library's pages were appended" true (img'.Images.pages.Images.len > old);
+  for k = 0 to ((img'.Images.pages.Images.len - old) / ps) - 1 do
+    let a = img'.Images.pages in
+    if Images.all_zero a.Images.buf (a.Images.off + old + (k * ps)) ps then
+      Alcotest.failf "appended slot %d is all zero" k
+  done;
+  let len = img'.Images.pages.Images.len in
+  Inject.write_policy img' ~lib:handler ~base ~mode:Handler.mode_terminate ~entries:[];
+  Alcotest.(check int) "a policy write of zeros adds no page" len img'.Images.pages.Images.len;
+  let mode = Inject.lib_sym handler ~base Handler.sym_mode in
+  Alcotest.(check bool) "policy page still absent" false (stored mode);
+  Inject.write_policy img' ~lib:handler ~base ~mode:Handler.mode_redirect ~entries:[ (0x1234L, 0x5678L) ];
+  Alcotest.(check bool) "policy page added" true
+    (List.exists
+       (fun (pm : Images.pagemap_entry) -> pm.Images.pm_vaddr = Mem.page_base mode)
+       img'.Images.pagemap);
+  Alcotest.(check int) "exactly one page added" (len + ps) img'.Images.pages.Images.len;
+  Alcotest.(check int64) "mode reads back" Handler.mode_redirect
+    (Bytes.get_int64_le (Images.read_mem img' mode 8) 0);
+  Validate.check img'
+
 let test_inject_collision_rejected () =
   let _, img = checkpointed_rkv () in
   let libc_base = Option.get (Rewriter.module_base img "libc.so") in
@@ -128,6 +179,7 @@ let suite =
     Alcotest.test_case "handler needs libc (PLT relocs)" `Quick test_handler_needs_libc;
     Alcotest.test_case "handler relocatable anywhere" `Quick test_handler_position_independent;
     Alcotest.test_case "inject creates VMAs + pages" `Quick test_inject_creates_vmas_and_pages;
+    Alcotest.test_case "inject stores no all-zero page" `Quick test_inject_stores_no_zero_page;
     Alcotest.test_case "inject collision rejected" `Quick test_inject_collision_rejected;
     Alcotest.test_case "inject honours user base" `Quick test_inject_user_chosen_base;
     Alcotest.test_case "inject patches GOT to libc" `Quick test_inject_got_points_at_libc;

@@ -126,8 +126,10 @@ let pages () =
    restores make the pages of the two pids: each page no edit wrote is
    taken over from the replaced process, and only the slots the edits
    wrote are copied. A warm first-byte cut or re-enable writes one text
-   page and the policy table page of each pid: 116 pages adopted, 4
-   copied. The first cut also copies the handler library it injects. *)
+   page and the policy table page of each pid: 35 pages adopted, 4
+   copied. The first cut also copies the handler library's pages that
+   hold data; a dump stores no all-zero anonymous page, so the rest of
+   the library, and the zero pages of ngx itself, are never made. *)
 let test_census () =
   let c, s = boot ~seed:42 in
   let npids = List.length (Dynacut.tree_pids s) in
@@ -147,52 +149,99 @@ let test_census () =
       Fault.reset ();
       let before = pages () in
       reenable_ok s journals;
-      census (round ^ " re-enable") (116, 4) before;
+      census (round ^ " re-enable") (35, 4) before;
       check_serving c ~cut:false "re-enabled")
-    [ ("first", (60, 60)); ("warm", (116, 4)) ];
+    [ ("first", (28, 10)); ("warm", (35, 4)) ];
+  Fault.reset ()
+
+(* ---------- a policy page the image lacks ---------- *)
+
+(* A [`Terminate] cut and its re-enable leave the handler library's
+   policy page all zero, so neither frame stores it; the [`Redirect]
+   cut after them writes a non-zero mode there, and the write adds the
+   page to the working image. Each transaction applies, and the tree
+   serves throughout. *)
+let test_terminate_reenable_redirect () =
+  Fault.reset ();
+  let c, s = boot ~seed:5 in
+  let get what =
+    Alcotest.(check string) (what ^ ": GET") "200"
+      (status (Workload.rpc c (Workload.http_get "/index.html")))
+  in
+  let blocks = Lazy.force blocks in
+  let apply what r =
+    match r.Dynacut.r_outcome with
+    | `Applied -> r.Dynacut.r_journals
+    | o -> Alcotest.failf "%s: %a" what Dynacut.pp_outcome o
+  in
+  let journals =
+    apply "terminate cut"
+      (Dynacut.try_cut s ~blocks ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Terminate } ())
+  in
+  get "terminate cut";
+  ignore (apply "re-enable" (Dynacut.try_reenable s journals) : Rewriter.journal list);
+  get "re-enabled";
+  let mode pid =
+    Inject.lib_sym s.Dynacut.handler_lib ~base:(List.assoc pid s.Dynacut.lib_bases) Handler.sym_mode
+  in
+  List.iter
+    (fun pid ->
+      let img =
+        Validate.decode_sealed (Option.get (Vfs.find c.Workload.m.Machine.fs (Dynacut.image_path s pid)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "pid %d: policy page not stored" pid)
+        false
+        (List.exists
+           (fun (pm : Images.pagemap_entry) -> pm.Images.pm_vaddr = Mem.page_base (mode pid))
+           img.Images.pagemap))
+    (Dynacut.tree_pids s);
+  ignore (apply "redirect cut" (Dynacut.try_cut s ~blocks ~policy:(policy `First_byte) ()) : Rewriter.journal list);
+  get "redirect cut";
+  check_serving c ~cut:true "redirect cut";
   Fault.reset ()
 
 (* ---------- stored-frame oracle ---------- *)
 
-(* The decoded images, which hold the pages each process touched, and
-   the clock: sealing page by page changes the frames' headers, never
+(* The decoded images, which hold the pages each process touched that
+   are file-backed or hold data, and the clock: sealing page by page changes the frames' headers, never
    the images they store or the virtual clock. *)
 let pinned =
   [
-    "cut-first-byte /tmpfs/dynacut-100/dump-100.img a14d76ccc7783ecaaee8494b619b84e4";
-    "cut-first-byte /tmpfs/dynacut-100/dump-101.img 0c9fd7334f623595d9820a023e461b64";
-    "cut-first-byte /tmpfs/dynacut-100/pristine-100.img 405f401a307ab17ad2a98467f258aa01";
-    "cut-first-byte /tmpfs/dynacut-100/pristine-101.img dfc787646a16ee2685bd1e1b5dc6db03";
+    "cut-first-byte /tmpfs/dynacut-100/dump-100.img 73c5190bcb98bd7eaea7318f02e67878";
+    "cut-first-byte /tmpfs/dynacut-100/dump-101.img 5d1ce39fbea1d9ded738f0438ede7fa0";
+    "cut-first-byte /tmpfs/dynacut-100/pristine-100.img 4c5d7c887810b8d3c835120cd945144c";
+    "cut-first-byte /tmpfs/dynacut-100/pristine-101.img f906fed4d7412e4348d0351e7e4e2980";
     "cut-first-byte clock 300000";
-    "reenable-first-byte /tmpfs/dynacut-100/dump-100.img 628f93f931fe29143204c0f526df1759";
-    "reenable-first-byte /tmpfs/dynacut-100/dump-101.img e68291804b8fdf31fddc0b6cabf5071d";
-    "reenable-first-byte /tmpfs/dynacut-100/pristine-100.img 7f590a3ec267ba9fb3e7929a8daccc0b";
-    "reenable-first-byte /tmpfs/dynacut-100/pristine-101.img 2bc990fea181022e342671a44c89b640";
+    "reenable-first-byte /tmpfs/dynacut-100/dump-100.img f1c96a16c49ba039478b30b8d6b446b5";
+    "reenable-first-byte /tmpfs/dynacut-100/dump-101.img f59f80fdcdd51acd78d55b8d27ad76fa";
+    "reenable-first-byte /tmpfs/dynacut-100/pristine-100.img 473301a13762053dc03cf841de069853";
+    "reenable-first-byte /tmpfs/dynacut-100/pristine-101.img 606fa51697e5c42211e09e9a1b36c4c6";
     "reenable-first-byte clock 320000";
-    "cut-wipe /tmpfs/dynacut-100/dump-100.img 963be779f99e3eb27aa289b3cd24a195";
-    "cut-wipe /tmpfs/dynacut-100/dump-101.img 57b605682a5a53d35b6b9ff69e2bfeb8";
-    "cut-wipe /tmpfs/dynacut-100/pristine-100.img e5efcd492a9e9baf40c21a1f93428914";
-    "cut-wipe /tmpfs/dynacut-100/pristine-101.img 5d1eda10584096148005137fe04c958e";
+    "cut-wipe /tmpfs/dynacut-100/dump-100.img 54eea922977a721393f339e6e7c7c939";
+    "cut-wipe /tmpfs/dynacut-100/dump-101.img 5802b75cb72aea8a2aa2eb61aea92dc3";
+    "cut-wipe /tmpfs/dynacut-100/pristine-100.img 757cb2631f27bf016f8b4195c4953358";
+    "cut-wipe /tmpfs/dynacut-100/pristine-101.img 81602f028a249bcb1781e623f270b968";
     "cut-wipe clock 350000";
-    "reenable-wipe /tmpfs/dynacut-100/dump-100.img 53da596c1a0d7f6eced3c45077703f51";
-    "reenable-wipe /tmpfs/dynacut-100/dump-101.img bfd208e76e6a967dd7c5c78c996d3f06";
-    "reenable-wipe /tmpfs/dynacut-100/pristine-100.img b550c7f2c92ddd071b725665c7ca1377";
-    "reenable-wipe /tmpfs/dynacut-100/pristine-101.img 9268bf119a0155946a3373dc33955c28";
+    "reenable-wipe /tmpfs/dynacut-100/dump-100.img decd1e6a57dd93f0e20d0d0a90fa3842";
+    "reenable-wipe /tmpfs/dynacut-100/dump-101.img 3a303265862e2b81fe48f13adb5fede2";
+    "reenable-wipe /tmpfs/dynacut-100/pristine-100.img 534dc9619fd648dabbe819b85a71f673";
+    "reenable-wipe /tmpfs/dynacut-100/pristine-101.img 0dc6d053be1b05c0a0949d240d644471";
     "reenable-wipe clock 370000";
-    "cut-unmap /tmpfs/dynacut-100/dump-100.img 7645076248e7e17eb9549bc742e1bc2a";
-    "cut-unmap /tmpfs/dynacut-100/dump-101.img af4e229b67c3bbaee403fbe9d205bf13";
-    "cut-unmap /tmpfs/dynacut-100/pristine-100.img ef126c118a63141b1c9ea29c748f2b0b";
-    "cut-unmap /tmpfs/dynacut-100/pristine-101.img 38901e0286552db1e3a2cb53a275538c";
+    "cut-unmap /tmpfs/dynacut-100/dump-100.img 6603460973471b727b227bfebe14eb5b";
+    "cut-unmap /tmpfs/dynacut-100/dump-101.img c68b6d47cd63f0b1e24e4fedc9aa02a2";
+    "cut-unmap /tmpfs/dynacut-100/pristine-100.img 249be8c1756186a6deb9e9b870dfe263";
+    "cut-unmap /tmpfs/dynacut-100/pristine-101.img 5e6e58996c62633d9fef2e7982883bce";
     "cut-unmap clock 400000";
-    "reenable-unmap /tmpfs/dynacut-100/dump-100.img 8be9c34b72b266e19005599330e265ef";
-    "reenable-unmap /tmpfs/dynacut-100/dump-101.img caeadf8db4d80b547af923dbfd11d65d";
-    "reenable-unmap /tmpfs/dynacut-100/pristine-100.img f87bbc2734d43d4324a831a99b656b14";
-    "reenable-unmap /tmpfs/dynacut-100/pristine-101.img 8d936280e5ec874e21ea5dfe8faf3d64";
+    "reenable-unmap /tmpfs/dynacut-100/dump-100.img 43dd51274840357ca84d0cd9e8d86697";
+    "reenable-unmap /tmpfs/dynacut-100/dump-101.img 1e3f3b9a942ba9e52f92c23c30730026";
+    "reenable-unmap /tmpfs/dynacut-100/pristine-100.img b51e9aee0426561a23f0802ac9668f7c";
+    "reenable-unmap /tmpfs/dynacut-100/pristine-101.img 274304ac0d9f2c93ce676ae23f8ba1f7";
     "reenable-unmap clock 420000";
-    "rollback /tmpfs/dynacut-100/dump-100.img 06d3cbfc338ebae6d921bdac077e00ec";
-    "rollback /tmpfs/dynacut-100/dump-101.img 80a7214d4301994b58c1a3c61febb122";
-    "rollback /tmpfs/dynacut-100/pristine-100.img 06d3cbfc338ebae6d921bdac077e00ec";
-    "rollback /tmpfs/dynacut-100/pristine-101.img 80a7214d4301994b58c1a3c61febb122";
+    "rollback /tmpfs/dynacut-100/dump-100.img 9f59598c966f435b305d1316b4b6faf4";
+    "rollback /tmpfs/dynacut-100/dump-101.img 7dbec7825a7eaf98fc619c38b5ef6bc6";
+    "rollback /tmpfs/dynacut-100/pristine-100.img 9f59598c966f435b305d1316b4b6faf4";
+    "rollback /tmpfs/dynacut-100/pristine-101.img 7dbec7825a7eaf98fc619c38b5ef6bc6";
     "rollback clock 450000";
   ]
 
@@ -545,6 +594,8 @@ let suite =
   [
     Alcotest.test_case "census: two seals and one read-back per pid" `Quick test_census;
     Alcotest.test_case "stored frames and clock pinned" `Quick test_oracle;
+    Alcotest.test_case "terminate, re-enable, redirect: policy page added" `Quick
+      test_terminate_reenable_redirect;
     Alcotest.test_case "adopting restore = copying restore" `Quick test_adoption_invisible;
     Alcotest.test_case "observers leave the stored frames alone" `Quick test_observers_invisible;
     Alcotest.test_case "warm re-enable and cut hash few leaves" `Quick test_leaf_gate;
