@@ -77,8 +77,8 @@ let micro_tests () =
   (* the reference: a degraded dispatcher keeps the machine on the
      interpreter *)
   Dispatch.degrade m_interp.Machine.dispatcher;
-  (* the slicer's hook with no anchors: next to the cached kernel, it
-     prices the hook alone *)
+  (* the slicer with no anchors: next to the cached kernel, it prices
+     the traced slot loop's step alone *)
   let m_sliced, p = spin_machine () in
   ignore (Slicer.attach m_sliced ~pid:p.Proc.pid ~wanted_out:(fun _ -> false) ());
   let spin_run m () = ignore (Machine.run m ~max_cycles:loop_cycles) in
@@ -627,7 +627,7 @@ let run_slice () =
     (List.length cex1);
   (* tracing overhead: serve the profiling mix with and without the
      slicer attached, best-of-interleaved (the obs discipline). The
-     per-instruction hook is allowed to be expensive — the check bounds
+     per-instruction step is allowed to be expensive — the check bounds
      it (and catches a hook that never detaches: the off runs would
      slow down and push the ratio under 1) *)
   let serve ~sliced =

@@ -209,7 +209,8 @@ done
 # must leave every guest count (machine.insns, vcycles, syscalls, traps)
 # equal to the untraced pass, or the run is not correct. A host-side
 # change must not move the guest on the cut path, and the slicer's
-# on_insn hook running on the code cache must not move it in discovery.
+# step running in the code cache's traced slot loop must not move it in
+# discovery.
 # On recut_ngx the traced pass also bounds criu.image_kb, the KiB a
 # transaction's working images hold. Anonymous memory is demand-zero,
 # and neither the dump nor the inject stores an all-zero anonymous page,

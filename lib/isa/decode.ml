@@ -10,110 +10,114 @@
 exception Invalid_opcode of int
 exception Truncated_insn
 
-(** [fetch] must return the byte at offset [i] from the decode point or
-    raise; the machine wires it to address-space reads with execute
-    permission checks. *)
-type fetch = int -> int
-
 let sx32 v = if v land 0x8000_0000 <> 0 then v - (1 lsl 32) else v
 
 (** The longest encoding ([Mov_ri]), in bytes. *)
 let max_insn_len = 10
 
-(* Operand readers, top-level so that a decode allocates no closures:
-   only the instruction and its result pair. *)
-let reg (fetch : fetch) i = Reg.of_int (fetch i land 0x0f)
+(* Operand readers over [buf]'s bytes [pos, lim), top-level so that a
+   decode allocates nothing but the instruction: byte [i] of the
+   instruction at [pos], or [Truncated_insn] past [lim]. *)
+let byte buf pos lim i =
+  if pos + i >= lim then raise Truncated_insn else Char.code (Bytes.unsafe_get buf (pos + i))
+
+let reg buf pos lim i = Reg.of_int (byte buf pos lim i land 0x0f)
 let hi_reg b = Reg.of_int ((b lsr 4) land 0x0f)
 let lo_reg b = Reg.of_int (b land 0x0f)
 
-let i32 (fetch : fetch) i =
-  let b0 = fetch i and b1 = fetch (i + 1) and b2 = fetch (i + 2) and b3 = fetch (i + 3) in
+let i32 buf pos lim i =
+  let b0 = byte buf pos lim i
+  and b1 = byte buf pos lim (i + 1)
+  and b2 = byte buf pos lim (i + 2)
+  and b3 = byte buf pos lim (i + 3) in
   sx32 (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))
 
-let i64 fetch i =
-  let lo = Int64.logand (Int64.of_int (i32 fetch i land 0xffff_ffff)) 0xffff_ffffL in
-  let hi = Int64.logand (Int64.of_int (i32 fetch (i + 4) land 0xffff_ffff)) 0xffff_ffffL in
+let i64 buf pos lim i =
+  let lo = Int64.logand (Int64.of_int (i32 buf pos lim i land 0xffff_ffff)) 0xffff_ffffL in
+  let hi = Int64.logand (Int64.of_int (i32 buf pos lim (i + 4) land 0xffff_ffff)) 0xffff_ffffL in
   Int64.logor lo (Int64.shift_left hi 32)
 
-let decode (fetch : fetch) : Insn.t * int =
-  let op = fetch 0 in
+(** The instruction at [pos] in [buf], reading no byte at or past [lim]
+    ([Truncated_insn] if it needs one); its length is {!Insn.length}.
+    The one decoder body: {!decode_at} and every machine fetch go
+    through it. *)
+let decode_in (buf : bytes) (pos : int) (lim : int) : Insn.t =
+  let op = byte buf pos lim 0 in
   let open Insn in
   match op with
-  | 0x90 -> (Nop, 1)
-  | 0xCC -> (Int3, 1)
-  | 0xF4 -> (Hlt, 1)
-  | 0xC3 -> (Ret, 1)
-  | 0x40 -> (Syscall, 1)
+  | 0x90 -> Nop
+  | 0xCC -> Int3
+  | 0xF4 -> Hlt
+  | 0xC3 -> Ret
+  | 0x40 -> Syscall
   | 0x01 ->
-      let b = fetch 1 in
-      (Mov_rr (hi_reg b, lo_reg b), 2)
-  | 0x02 -> (Mov_ri (reg fetch 1, i64 fetch 2), 10)
-  | 0x03 -> (Load (reg fetch 1, reg fetch 2, i32 fetch 3), 7)
-  | 0x04 -> (Store (reg fetch 1, i32 fetch 3, reg fetch 2), 7)
-  | 0x05 -> (Load8 (reg fetch 1, reg fetch 2, i32 fetch 3), 7)
-  | 0x06 -> (Store8 (reg fetch 1, i32 fetch 3, reg fetch 2), 7)
+      let b = byte buf pos lim 1 in
+      Mov_rr (hi_reg b, lo_reg b)
+  | 0x02 -> Mov_ri (reg buf pos lim 1, i64 buf pos lim 2)
+  | 0x03 -> Load (reg buf pos lim 1, reg buf pos lim 2, i32 buf pos lim 3)
+  | 0x04 -> Store (reg buf pos lim 1, i32 buf pos lim 3, reg buf pos lim 2)
+  | 0x05 -> Load8 (reg buf pos lim 1, reg buf pos lim 2, i32 buf pos lim 3)
+  | 0x06 -> Store8 (reg buf pos lim 1, i32 buf pos lim 3, reg buf pos lim 2)
   | 0x10 ->
-      let b = fetch 1 in
-      (Add_rr (hi_reg b, lo_reg b), 2)
-  | 0x11 -> (Add_ri (reg fetch 1, i32 fetch 2), 6)
+      let b = byte buf pos lim 1 in
+      Add_rr (hi_reg b, lo_reg b)
+  | 0x11 -> Add_ri (reg buf pos lim 1, i32 buf pos lim 2)
   | 0x12 ->
-      let b = fetch 1 in
-      (Sub_rr (hi_reg b, lo_reg b), 2)
-  | 0x13 -> (Sub_ri (reg fetch 1, i32 fetch 2), 6)
+      let b = byte buf pos lim 1 in
+      Sub_rr (hi_reg b, lo_reg b)
+  | 0x13 -> Sub_ri (reg buf pos lim 1, i32 buf pos lim 2)
   | 0x14 ->
-      let b = fetch 1 in
-      (Imul_rr (hi_reg b, lo_reg b), 2)
+      let b = byte buf pos lim 1 in
+      Imul_rr (hi_reg b, lo_reg b)
   | 0x15 ->
-      let b = fetch 1 in
-      (Idiv_rr (hi_reg b, lo_reg b), 2)
+      let b = byte buf pos lim 1 in
+      Idiv_rr (hi_reg b, lo_reg b)
   | 0x16 ->
-      let b = fetch 1 in
-      (Imod_rr (hi_reg b, lo_reg b), 2)
+      let b = byte buf pos lim 1 in
+      Imod_rr (hi_reg b, lo_reg b)
   | 0x17 ->
-      let b = fetch 1 in
-      (And_rr (hi_reg b, lo_reg b), 2)
+      let b = byte buf pos lim 1 in
+      And_rr (hi_reg b, lo_reg b)
   | 0x18 ->
-      let b = fetch 1 in
-      (Or_rr (hi_reg b, lo_reg b), 2)
+      let b = byte buf pos lim 1 in
+      Or_rr (hi_reg b, lo_reg b)
   | 0x19 ->
-      let b = fetch 1 in
-      (Xor_rr (hi_reg b, lo_reg b), 2)
-  | 0x1A -> (Shl_ri (reg fetch 1, fetch 2 land 63), 3)
-  | 0x1B -> (Shr_ri (reg fetch 1, fetch 2 land 63), 3)
-  | 0x1C -> (Sar_ri (reg fetch 1, fetch 2 land 63), 3)
+      let b = byte buf pos lim 1 in
+      Xor_rr (hi_reg b, lo_reg b)
+  | 0x1A -> Shl_ri (reg buf pos lim 1, byte buf pos lim 2 land 63)
+  | 0x1B -> Shr_ri (reg buf pos lim 1, byte buf pos lim 2 land 63)
+  | 0x1C -> Sar_ri (reg buf pos lim 1, byte buf pos lim 2 land 63)
   | 0x1D ->
-      let b = fetch 1 in
-      (Shl_rr (hi_reg b, lo_reg b), 2)
+      let b = byte buf pos lim 1 in
+      Shl_rr (hi_reg b, lo_reg b)
   | 0x1E ->
-      let b = fetch 1 in
-      (Shr_rr (hi_reg b, lo_reg b), 2)
-  | 0x1F -> (Neg (reg fetch 1), 2)
-  | 0x20 -> (Not (reg fetch 1), 2)
+      let b = byte buf pos lim 1 in
+      Shr_rr (hi_reg b, lo_reg b)
+  | 0x1F -> Neg (reg buf pos lim 1)
+  | 0x20 -> Not (reg buf pos lim 1)
   | 0x21 ->
-      let b = fetch 1 in
-      (Cmp_rr (hi_reg b, lo_reg b), 2)
-  | 0x22 -> (Cmp_ri (reg fetch 1, i32 fetch 2), 6)
+      let b = byte buf pos lim 1 in
+      Cmp_rr (hi_reg b, lo_reg b)
+  | 0x22 -> Cmp_ri (reg buf pos lim 1, i32 buf pos lim 2)
   | 0x23 ->
-      let b = fetch 1 in
-      (Test_rr (hi_reg b, lo_reg b), 2)
-  | 0x30 -> (Jmp (i32 fetch 1), 5)
+      let b = byte buf pos lim 1 in
+      Test_rr (hi_reg b, lo_reg b)
+  | 0x30 -> Jmp (i32 buf pos lim 1)
   | 0x31 ->
-      let c = fetch 1 in
-      if c > 9 then raise (Invalid_opcode op)
-      else (Jcc (cond_of_int c, i32 fetch 2), 6)
-  | 0x32 -> (Call (i32 fetch 1), 5)
-  | 0x33 -> (Call_r (reg fetch 1), 2)
-  | 0x34 -> (Jmp_r (reg fetch 1), 2)
-  | 0x36 -> (Push (reg fetch 1), 2)
-  | 0x37 -> (Pop (reg fetch 1), 2)
-  | 0x41 -> (Lea (reg fetch 1, i32 fetch 2), 6)
+      let c = byte buf pos lim 1 in
+      if c > 9 then raise (Invalid_opcode op) else Jcc (cond_of_int c, i32 buf pos lim 2)
+  | 0x32 -> Call (i32 buf pos lim 1)
+  | 0x33 -> Call_r (reg buf pos lim 1)
+  | 0x34 -> Jmp_r (reg buf pos lim 1)
+  | 0x36 -> Push (reg buf pos lim 1)
+  | 0x37 -> Pop (reg buf pos lim 1)
+  | 0x41 -> Lea (reg buf pos lim 1, i32 buf pos lim 2)
   | op -> raise (Invalid_opcode op)
 
-(** Decode a single instruction out of [buf] at [pos]. *)
+(** Decode a single instruction out of [buf] at [pos], with its length. *)
 let decode_at (buf : bytes) (pos : int) : Insn.t * int =
-  decode (fun i ->
-      if pos + i >= Bytes.length buf then raise Truncated_insn
-      else Char.code (Bytes.get buf (pos + i)))
+  let i = decode_in buf pos (Bytes.length buf) in
+  (i, Insn.length i)
 
 (* ---------- shape scan: length, terminator, branch target ---------- *)
 
@@ -136,10 +140,17 @@ let term_code (i : Insn.t) =
    opcode byte over zero operand bytes, so it is [decode]'s own table
    and the two cannot disagree. *)
 let shapes =
+  let buf = Bytes.make max_insn_len '\000' in
   Bytes.init 256 (fun op ->
-      match decode (fun i -> if i = 0 then op else 0) with
+      Bytes.set buf 0 (Char.chr op);
+      match decode_at buf 0 with
       | exception Invalid_opcode _ -> '\000'
       | insn, len -> Char.chr (len lor (term_code insn lsl 4)))
+
+(** The encoded length of the instructions whose opcode byte is [op]
+    (every vx86 instruction's length follows from its opcode); 0 when
+    no instruction has that opcode. *)
+let opcode_length op = Char.code (Bytes.get shapes op) land 15
 
 (** The shape of the instruction at [pos] in [buf], without building it:
     [len lor (term lsl 4) lor (rel lsl 8)], with [len] its encoded

@@ -127,6 +127,55 @@ let effect : Insn.t -> effect = function
         ~defs:[ Reg.Rax ] ~control:Sys ()
   | Insn.Lea (d, _) -> straight ~defs:[ d ] ()
 
+(** {!effect} flattened for the slicer's per-instruction step: [int]
+    and [bool] fields only, so applying it walks no list. A vx86
+    instruction has at most one memory operand and at most five
+    register reads. *)
+type flat = {
+  f_uses : int;
+      (** registers read, in [uses] order: 4 bits each ({!Reg.to_int}),
+          the first in the lowest bits *)
+  f_nuses : int;
+  f_defs : int;  (** registers written, packed as [f_uses] *)
+  f_ndefs : int;
+  f_uses_flags : bool;
+  f_defs_flags : bool;
+  f_load : bool;  (** the memory operand is read ... *)
+  f_store : bool;  (** ... or written; neither without one *)
+  f_base : int;  (** the operand's base register, {!Reg.to_int} *)
+  f_disp : int;
+  f_len : int;
+  f_control : control;
+}
+
+let pack regs = List.fold_right (fun r acc -> (acc lsl 4) lor Reg.to_int r) regs 0
+
+let flat (e : effect) : flat =
+  let mem, f_load, f_store =
+    match (e.loads, e.stores) with
+    | [], [] -> (None, false, false)
+    | [ a ], [] -> (Some a, true, false)
+    | [], [ a ] -> (Some a, false, true)
+    | _ -> invalid_arg "Defuse.flat: more than one memory operand"
+  in
+  let f_base, f_disp, f_len =
+    match mem with Some a -> (Reg.to_int a.a_base, a.a_disp, a.a_len) | None -> (0, 0, 0)
+  in
+  {
+    f_uses = pack e.uses;
+    f_nuses = List.length e.uses;
+    f_defs = pack e.defs;
+    f_ndefs = List.length e.defs;
+    f_uses_flags = e.uses_flags;
+    f_defs_flags = e.defs_flags;
+    f_load;
+    f_store;
+    f_base;
+    f_disp;
+    f_len;
+    f_control = e.control;
+  }
+
 (** One representative instance of every {!Insn.t} constructor, for the
     exhaustiveness test: the length of this list is the constructor
     count, and folding {!effect} over it exercises every match arm. *)

@@ -17,11 +17,17 @@ type syscall_hook = Proc.t -> int -> unit
     "monitor specific system calls to determine the end of the
     initialization phase"). *)
 
-type insn_hook = Proc.t -> Insn.t -> Defuse.effect -> unit
-(** Called before every decoded instruction executes (registers still
-    hold their pre-execution values, so effective addresses can be
-    recomputed), with the instruction's def/use summary — the dataflow
-    slicer's input. Int3 traps bypass it. *)
+type slicer = {
+  sl_flow : Flow.t;
+  sl_select : Proc.t -> bool;
+      (** whether the process is traced; for a traced one it also makes
+          the process's state the flow's [last]. Called when the
+          running process is not [last]'s. *)
+}
+(** The dataflow slicer as the machine runs it: the state its step
+    writes before every decoded instruction of a traced process
+    executes ({!exec_block}, {!step_insn}), and how to find a
+    process's part of it. Int3 traps bypass the step. *)
 
 (* The scheduler's view of the processes: every pid in spawn order
    (reversed; a reaped pid keeps its slot for a later [install]) and,
@@ -48,6 +54,7 @@ type dispatcher = {
   mutable d_decodes : int;
   mutable d_flushes : int;  (** blocks evicted, not flush operations *)
   mutable d_superblocks : int;
+  d_scratch : Block.slot array;  (** {!Block.decode}'s buffer *)
   obs_hits : Obs.counter;
   obs_decodes : Obs.counter;
   obs_flushes : Obs.counter;
@@ -66,7 +73,7 @@ type t = {
       (** virtual cycles that [Fault.Delay] faults charged to [clock] *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
-  mutable on_insn : insn_hook option;
+  mutable slicer : slicer option;
   rng : Rng.t;
   syscall_cost : int;  (** extra cycles charged per syscall *)
   sched : sched;
@@ -107,7 +114,7 @@ let create ?(seed = 42) () =
       delayed = 0;
       trace = None;
       on_syscall = None;
-      on_insn = None;
+      slicer = None;
       rng = Rng.create seed;
       syscall_cost = 40;
       sched = { order = []; table = [||]; runq = [||]; stale = false };
@@ -122,6 +129,7 @@ let create ?(seed = 42) () =
           d_decodes = 0;
           d_flushes = 0;
           d_superblocks = 0;
+          d_scratch = Block.scratch ();
           obs_hits = Obs.counter "bbcache.hits";
           obs_decodes = Obs.counter "bbcache.decodes";
           obs_flushes = Obs.counter "bbcache.flushes";
@@ -221,8 +229,8 @@ let spawn t ~exe_path ?comm () =
    to ["machine.steps"] at once. It runs wherever the clock can be read
    from outside the slot loop: when {!exec_block} exits, after each
    interpreter {!step}, at a syscall, at signal delivery, and before the
-   trace and [on_insn] hooks. So every observer sees the clock the
-   per-instruction charge would have shown it. *)
+   trace hook. So every observer sees the clock the per-instruction
+   charge would have shown it; the slicer's step reads no clock. *)
 let charge t =
   let n = t.uncharged in
   if n > 0 then begin
@@ -655,7 +663,7 @@ let[@inline] jump t (p : Proc.t) ~next target =
     loop of {!exec_block}, or {!step}) adds it to the clock and to
     ["machine.steps"] with {!charge}, and so does every arm that lets
     something outside read the clock first (syscall, signal delivery,
-    the trace hook). The caller runs the [on_insn] hook just before,
+    the trace hook). The caller runs the slicer's step just before,
     with the summary it holds (a cached slot's, or a fresh one in the
     interpreter). Returns [true] iff the instruction fell through to
     [rip + len] and the code after it is unchanged; a taken branch,
@@ -844,19 +852,141 @@ let exec_decoded t (p : Proc.t) insn len =
   if fell then set_rip regs next;
   fell
 
+(* ---------- the slicer's step ---------- *)
+
+(* The dataflow slicer's per-instruction step over {!Flow}'s state,
+   forward dependency-set propagation: every def of an instruction
+   carries the union of its uses' sets, its block's and the control
+   context's. It runs before the instruction executes, so the
+   registers still hold the values its memory operand's address is
+   computed from. Everything it does per instruction inlines here but
+   a union the memo must decide ([Depset.union]), a block entry
+   ([Flow.enter], once per dynamic block) and a store that reshapes
+   abstract memory ([Absmem.write]). Unions take their operands in the
+   order the instruction lists its [uses], which fixes which sets get
+   interned and so every [sid]. *)
+
+(* Most unions have an empty or equal operand: decided here, before
+   the call into the memo. *)
+let[@inline] union ds a b =
+  if a = b || b = Depset.empty then a
+  else if a = Depset.empty then b
+  else Depset.union ds a b
+
+(* {!Flow.modelled}, inlined *)
+let[@inline] modelled (addr : int64) len =
+  let a = Int64.to_int addr in
+  Int64.equal (Int64.of_int a) addr && a <= max_int - len
+
+(* {!Absmem}'s lookup, inlined: the index of the last range starting at
+   or before [addr], or -1 *)
+let[@inline] absmem_last_le (m : Absmem.t) addr =
+  let lo = ref 0 and hi = ref m.Absmem.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get m.Absmem.los mid <= addr then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+(* [Absmem.fold] with the union: [acc] and the payload of every range
+   overlapping [addr, addr+len), in address order *)
+let[@inline] absmem_union ds (m : Absmem.t) addr len acc =
+  let i = absmem_last_le m addr in
+  (* a range starting below [addr] overlaps only if it reaches past it *)
+  let i = if i >= 0 && m.Absmem.los.(i) + m.Absmem.lens.(i) > addr then i else i + 1 in
+  let acc = ref acc and i = ref i in
+  while !i < m.Absmem.n && Array.unsafe_get m.Absmem.los !i < addr + len do
+    acc := union ds !acc (Array.unsafe_get m.Absmem.pays !i);
+    incr i
+  done;
+  !acc
+
+(* [Absmem.write], whose commonest case — a range already carries the
+   payload over the whole window — is decided here *)
+let[@inline] absmem_write (m : Absmem.t) addr len pay =
+  let i = absmem_last_le m addr in
+  if not (i >= 0 && m.Absmem.los.(i) + m.Absmem.lens.(i) >= addr + len && m.Absmem.pays.(i) = pay)
+  then Absmem.write m ~addr ~len pay
+
+let[@inline] push_ctrl (st : Flow.pstate) s =
+  let d = st.Flow.depth + 1 in
+  if d >= Array.length st.Flow.ctrl then begin
+    let bigger = Array.make (2 * Array.length st.Flow.ctrl) Depset.empty in
+    Array.blit st.Flow.ctrl 0 bigger 0 (Array.length st.Flow.ctrl);
+    st.Flow.ctrl <- bigger
+  end;
+  st.Flow.ctrl.(d) <- s;
+  st.Flow.depth <- d
+
+(* One instruction's step: [st] is the process's state, [file] its
+   register file, [f] the instruction's flat summary. *)
+let[@inline] flow_step (fl : Flow.t) (st : Flow.pstate) file (f : Defuse.flat) =
+  fl.Flow.insns <- fl.Flow.insns + 1;
+  let rip = Proc.get64u file Proc.rip_off in
+  if st.Flow.expect_new then Flow.enter fl st rip;
+  let id = st.Flow.cur_id in
+  if id >= 0 then begin
+    let rel = Int64.to_int rip - st.Flow.cur_vaddr + 1 in
+    if rel > fl.Flow.ext.(id) then fl.Flow.ext.(id) <- rel
+  end;
+  let ds = fl.Flow.ds and regdep = st.Flow.regdep in
+  (* the value every def carries: its data sources, the control
+     context that let this instruction run, and the block computing it *)
+  let u = ref st.Flow.base and regs = ref f.Defuse.f_uses in
+  for _ = 1 to f.Defuse.f_nuses do
+    u := union ds !u (Array.unsafe_get regdep (!regs land 15));
+    regs := !regs lsr 4
+  done;
+  if f.Defuse.f_uses_flags then u := union ds !u st.Flow.flagdep;
+  let addr =
+    Int64.add (Proc.get64u file (f.Defuse.f_base lsl 3)) (Int64.of_int f.Defuse.f_disp)
+  in
+  let len = f.Defuse.f_len in
+  if f.Defuse.f_load && modelled addr len then
+    u := absmem_union ds st.Flow.mem (Int64.to_int addr) len !u;
+  let u = !u in
+  let regs = ref f.Defuse.f_defs in
+  for _ = 1 to f.Defuse.f_ndefs do
+    Array.unsafe_set regdep (!regs land 15) u;
+    regs := !regs lsr 4
+  done;
+  if f.Defuse.f_defs_flags then st.Flow.flagdep <- u;
+  if f.Defuse.f_store && modelled addr len then absmem_write st.Flow.mem (Int64.to_int addr) len u;
+  let top = st.Flow.ctrl.(st.Flow.depth) in
+  match f.Defuse.f_control with
+  | Defuse.Straight -> ()
+  | Defuse.Jump | Defuse.Stop | Defuse.Sys -> st.Flow.expect_new <- true
+  | Defuse.Cond_jump ->
+      (* blocks after a decision depend on every decision taken at
+         this level so far — union, never overwrite *)
+      st.Flow.ctrl.(st.Flow.depth) <- union ds top (union ds st.Flow.flagdep st.Flow.cur);
+      st.Flow.expect_new <- true
+  | Defuse.Indirect_jump r ->
+      st.Flow.ctrl.(st.Flow.depth) <-
+        union ds top (union ds regdep.(Reg.to_int r) st.Flow.cur);
+      st.Flow.expect_new <- true
+  | Defuse.Call_push ->
+      push_ctrl st (union ds top st.Flow.cur);
+      st.Flow.expect_new <- true
+  | Defuse.Indirect_call r ->
+      push_ctrl st (union ds top (union ds regdep.(Reg.to_int r) st.Flow.cur));
+      st.Flow.expect_new <- true
+  | Defuse.Return ->
+      st.Flow.depth <- max 0 (st.Flow.depth - 1);
+      st.Flow.expect_new <- true
+
+(* Is [p] traced? Makes its state the flow's [last] if so. *)
+let[@inline] traced sl (p : Proc.t) = p.Proc.pid = sl.sl_flow.Flow.last_pid || sl.sl_select p
+
 (** Execute exactly one instruction of [p]; assumes [p] runnable. *)
 let step_insn t (p : Proc.t) =
   let rip = Proc.rip p.Proc.regs in
   let mem = p.Proc.mem in
-  match
-    Decode.decode (fun i -> Mem.fetch8 mem (Int64.add rip (Int64.of_int i)))
-  with
-  | exception Mem.Fault (a, _) ->
-      ignore a;
-      deliver_signal t p ~signum:Abi.sigsegv ~at:rip
+  match Block.fetch_insn mem rip with
+  | exception Mem.Fault _ -> deliver_signal t p ~signum:Abi.sigsegv ~at:rip
   | exception Decode.Invalid_opcode _ ->
       deliver_signal t p ~signum:Abi.sigill ~at:rip
-  | Insn.Int3, _ ->
+  | Insn.Int3 ->
       (* breakpoint: saved rip = the int3 itself, so a verifier handler can
          restore the original byte and simply sigreturn to retry (§3.2.3) *)
       t.clock <- Int64.add t.clock 1L;
@@ -870,9 +1000,13 @@ let step_insn t (p : Proc.t) =
           (Printf.sprintf "pid=%d comm=%s rip=0x%Lx" p.Proc.pid p.Proc.comm rip)
       end;
       deliver_signal t p ~signum:Abi.sigtrap ~at:rip
-  | insn, len ->
-      (match t.on_insn with Some hook -> hook p insn (Defuse.effect insn) | None -> ());
-      ignore (exec_decoded t p insn len : bool)
+  | insn ->
+      (match t.slicer with
+      | Some sl when traced sl p ->
+          let fl = sl.sl_flow in
+          flow_step fl fl.Flow.last p.Proc.regs.Proc.file (Defuse.flat (Defuse.effect insn))
+      | _ -> ());
+      ignore (exec_decoded t p insn (Insn.length insn) : bool)
 
 let step t (p : Proc.t) =
   step_insn t p;
@@ -888,10 +1022,14 @@ let step t (p : Proc.t) =
     on a taken trap, signal, blocked syscall or exit, and after a store
     that dirtied an executable page, when the remaining slots may be
     stale) or stops the process — decided from that flag and the
-    process state, never by re-reading rip or memory. An [on_insn]
-    hook runs before each slot, with the slot's cached summary and the
-    registers the interpreter would show it. The clock is charged on
-    exit, so it is exact again when the block returns. *)
+    process state, never by re-reading rip or memory. The clock is
+    charged on exit, so it is exact again when the block returns.
+
+    A process the slicer traces runs the traced loop: the slicer's step
+    ({!flow_step}) before each slot, with the slot's flat summary
+    (computed at the slot's first traced run) and the registers the
+    interpreter would show it. It calls no closure and reads no clock,
+    so the clock is charged on exit there too. *)
 let exec_block t (p : Proc.t) (b : Block.t) ~fuel ~until executed =
   let slots = b.Block.b_slots in
   let limit =
@@ -899,19 +1037,28 @@ let exec_block t (p : Proc.t) (b : Block.t) ~fuel ~until executed =
       (min (fuel - executed) (Int64.to_int (Int64.sub until t.clock)))
   in
   let i = ref 0 and go = ref true in
-  while !go && !i < limit do
-    let s = Array.unsafe_get slots !i in
-    (match t.on_insn with
-    | Some hook ->
-        charge t;
-        hook p s.Block.s_insn (Block.effect s)
-    | None -> ());
-    go :=
-      exec_decoded t p s.Block.s_insn s.Block.s_len
-      && (match p.Proc.state with Proc.Runnable -> true | _ -> false)
-      && not p.Proc.frozen;
-    incr i
-  done;
+  (match t.slicer with
+  | Some sl when traced sl p ->
+      let fl = sl.sl_flow in
+      let st = fl.Flow.last and file = p.Proc.regs.Proc.file in
+      while !go && !i < limit do
+        let s = Array.unsafe_get slots !i in
+        let f = s.Block.s_flat in
+        flow_step fl st file (if f != Block.unsummarized then f else Block.summary s);
+        go :=
+          exec_decoded t p s.Block.s_insn s.Block.s_len
+          && (match p.Proc.state with Proc.Runnable -> true | _ -> false)
+          && not p.Proc.frozen;
+        incr i
+      done
+  | _ ->
+      while !go && !i < limit do
+        let s = Array.unsafe_get slots !i in
+        go :=
+          exec_decoded t p s.Block.s_insn s.Block.s_len
+          && (match p.Proc.state with Proc.Runnable -> true | _ -> false)
+          && not p.Proc.frozen;
+        incr i
+      done);
   charge t;
   executed + !i
-

@@ -30,10 +30,11 @@
     of a degraded dispatcher — and the reference the tests and the
     bench compare against, which is a dispatcher degraded on purpose
     ({!degrade}). A failed flush degrades the dispatcher permanently
-    (stale blocks are never an option). An [on_insn] hook (the dataflow
-    slicer) runs on the cache: {!Cpu.exec_block} calls it before each
-    slot, with the slot's cached summary and the registers the
-    interpreter would show it. *)
+    (stale blocks are never an option). The dataflow slicer runs on the
+    cache: for a traced process {!Cpu.exec_block} runs its traced slot
+    loop, which applies the slicer's step before each slot with the
+    slot's flat summary and the registers the interpreter would show
+    it. *)
 
 type t = Cpu.dispatcher
 
@@ -144,7 +145,7 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
                          link !prev found;
                          found
                      | None -> (
-                         match Block.decode mem rip with
+                         match Block.decode d.Cpu.d_scratch mem rip with
                          | None -> None (* int3/fault entry: interpreter *)
                          | Some b as decoded ->
                              d.Cpu.d_decodes <- d.Cpu.d_decodes + 1;

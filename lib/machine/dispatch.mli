@@ -1,5 +1,5 @@
 (** Direct-threaded dispatch over the decoded-block cache, the path
-    every machine executes on, [on_insn] hooks included: chains cached
+    every machine executes on, sliced ones included: chains cached
     blocks into superblocks until a trap/syscall boundary. A host-only
     accelerator: the virtual clock advances exactly as when
     interpreted. The interpreter runs only the steps the cache declines

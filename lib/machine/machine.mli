@@ -17,13 +17,22 @@ type syscall_hook = Proc.t -> int -> unit
 (** (process, syscall number) before dispatch — backs automatic phase
     detection (§5). *)
 
-type insn_hook = Proc.t -> Insn.t -> Defuse.effect -> unit
-(** Fires before every decoded instruction executes, with registers
-    still holding pre-execution values (effective addresses of its
-    memory operands can be recomputed) and the instruction's def/use
-    summary — the dataflow slicer's input. A cached slot computes its
-    summary once, at its first hooked execution. Cached and interpreted
-    steps call it alike. Int3 traps take the trap path and bypass it. *)
+type slicer = Cpu.slicer = {
+  sl_flow : Flow.t;
+  sl_select : Proc.t -> bool;
+      (** whether the process is traced; for a traced one it also makes
+          the process's state the flow's [last]. Called when the
+          running process is not [last]'s. *)
+}
+(** The dataflow slicer as the machine runs it. Before every decoded
+    instruction of a traced process executes, the machine applies the
+    slicer's step to [sl_flow], with the registers still holding their
+    pre-execution values (so a memory operand's address is known) and
+    the instruction's flat def/use summary ({!Defuse.flat}). A cached
+    slot computes its summary once, at its first traced execution, and
+    the cache's traced slot loop calls no closure per slot. Cached and
+    interpreted steps apply the same step. Int3 traps take the trap
+    path and bypass it. *)
 
 type sched = Cpu.sched
 (** The scheduler's spawn-ordered process table (see {!run}). *)
@@ -44,7 +53,7 @@ type t = Cpu.t = {
           tells the machine a delay landed on from any other *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
-  mutable on_insn : insn_hook option;
+  mutable slicer : slicer option;  (** at most one: [Slicer.attach] *)
   rng : Rng.t;  (** feeds the guest [rand] syscall *)
   syscall_cost : int;
   sched : sched;

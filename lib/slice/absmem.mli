@@ -4,7 +4,15 @@
     touched regions, not bytes. Addresses and payloads are unboxed
     [int]s; adjacent ranges coalesce when their payloads are equal. *)
 
-type t
+type t = {
+  mutable los : int array;  (** range starts, increasing; disjoint ranges *)
+  mutable lens : int array;
+  mutable pays : int array;
+  mutable n : int;  (** live ranges: indexes [0, n) of the arrays *)
+}
+(** Three parallel arrays sorted by start. Exposed so that the machine's
+    traced slot loop can read ranges and take {!write}'s no-op case
+    inline; every change goes through {!write}. *)
 
 val create : unit -> t
 

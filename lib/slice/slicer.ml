@@ -1,8 +1,11 @@
 (** Dynamic dataflow slicing tracer — the third block-identification
     mode, alongside the drcov collector's coverage diff.
 
-    Runs as a chained [Machine.on_insn] / [Machine.on_syscall] hook
-    pair over a traced process tree and computes, per storage location
+    The machine applies its per-instruction step to the {!Flow} state
+    ([Machine.slicer]: the traced slot loop of the code cache, and the
+    interpreter), and a chained [Machine.on_syscall] hook anchors
+    outputs and models input, over a traced process tree. Together
+    they compute, per storage location
     (register, flags, abstract memory range), the *dependency set* of
     dynamic basic blocks whose execution contributed to the location's
     current value — the forward-propagation formulation of dynamic
@@ -30,28 +33,6 @@
 
 (* ---------- state ---------- *)
 
-(* A dependency set is held as its {!Depset} [sid], a plain [int]: the
-   per-process state is [int]s and [int] arrays, so storing a set is a
-   plain write with no GC barrier, and comparing two is one [int]
-   compare. *)
-type set = int
-
-type pstate = {
-  regdep : set array;  (** 16 GPRs *)
-  mutable flagdep : set;  (** zf/sf/cf/of as one pseudo-location *)
-  mutable ctrl : set array;  (** control stack; index = call depth *)
-  mutable depth : int;
-  mem : Absmem.t;  (** payloads are sets *)
-  mutable cur : set;  (** {cur block} as a singleton (empty off-module) *)
-  mutable cur_id : int;  (** dense id of [cur], or -1 off-module *)
-  mutable cur_vaddr : int;  (** vaddr the current dynamic block began at *)
-  mutable base : set;
-      (** [cur ∪ ctrl_top], the part every def of the block carries:
-          only a block's last instruction changes control, so it is
-          computed once, at block entry *)
-  mutable expect_new : bool;  (** next insn starts a new dynamic block *)
-}
-
 type stats = {
   st_insns : int;  (** instructions traced *)
   st_blocks_seen : int;  (** distinct dynamic blocks interned *)
@@ -65,28 +46,12 @@ type stats = {
 
 type t = {
   machine : Machine.t;
+  flow : Flow.t;  (** the state the machine's step writes *)
   roots : (int, unit) Hashtbl.t;
-  mutable module_map : (string * int64 * int64) list;
-  (* block interning: packed (module idx, offset) key <-> dense id *)
-  ids : int Itbl.t;
-  mutable rev : int array;  (** dense id -> packed key *)
-  mutable nblocks : int;
-  (* dynamic blocks are maximal fall-through runs, so one can span
-     several static CFG blocks; [ext] records the longest extent (in
-     bytes, through the start of the last instruction executed) seen
-     per block id, and {!slice} reports spans so callers can match
-     static blocks by overlap rather than start-point membership *)
-  mutable ext : int array;  (** by dense id, grown with [rev] *)
-  ds : Depset.t;
-  union_f : set -> set -> set;  (** [union_in ds], built once for {!Absmem.fold} *)
-  procs : (int, pstate) Hashtbl.t;
-  (* the process the hook last traced and its state: skips the [traced]
-     and [pstate_of] lookups while the same [Proc.t] keeps running *)
-  mutable last : (Proc.t * pstate) option;
+  procs : (int, Flow.pstate) Hashtbl.t;
   wanted_out : string -> bool;
-  mutable slice_deps : set;
+  mutable slice_deps : int;  (** a {!Depset} [sid] *)
   mutable anchors : int;
-  mutable insns : int;
   mutable counterexamples : (string * int) list;
   (* sampled-tracing mode: a fresh seeded decision per accepted
      connection; gaps under-approximate the slice and are repaid by the
@@ -94,72 +59,19 @@ type t = {
   sample : (Rng.t * float) option;
   mutable tracing : bool;
   mutable sampled_off : int;
-  prev_insn : Machine.insn_hook option;
   prev_syscall : Machine.syscall_hook option;
   obs_anchors : Obs.counter;
 }
 
-(* Most unions have an empty or equal operand; those are decided here,
-   before the call into {!Depset} and its memo. *)
-let[@inline] union_in ds a b =
-  if a = b || b = Depset.empty then a
-  else if a = Depset.empty then b
-  else Depset.union ds a b
-
-let[@inline] union t a b = union_in t.ds a b
-
-(* ---------- block identities ---------- *)
-
-(* a block key packs (module idx, offset); modules stay below 4 GiB *)
-let pack mid off = (mid lsl 32) lor off
-
-let rec locate_in (addr : int64) i = function
-  | [] -> -1
-  | (_, base, end_) :: _ when addr >= base && addr < end_ ->
-      pack i (Int64.to_int (Int64.sub addr base))
-  | _ :: rest -> locate_in addr (i + 1) rest
-
-let intern_block t key : int =
-  match Itbl.find t.ids key with
-  | id -> id
-  | exception Not_found ->
-      let id = t.nblocks in
-      if id >= Array.length t.rev then begin
-        let n = max 64 (2 * Array.length t.rev) in
-        let grow a =
-          let bigger = Array.make n 0 in
-          Array.blit a 0 bigger 0 (Array.length a);
-          bigger
-        in
-        t.rev <- grow t.rev;
-        t.ext <- grow t.ext
-      end;
-      t.rev.(id) <- key;
-      t.nblocks <- id + 1;
-      Itbl.add t.ids key id;
-      id
+let union t a b = Depset.union t.flow.Flow.ds a b
 
 (* ---------- per-process state ---------- *)
 
-let fresh_pstate () : pstate =
-  {
-    regdep = Array.make 16 Depset.empty;
-    flagdep = Depset.empty;
-    ctrl = Array.make 16 Depset.empty;
-    depth = 0;
-    mem = Absmem.create ();
-    cur = Depset.empty;
-    cur_id = -1;
-    cur_vaddr = 0;
-    base = Depset.empty;
-    expect_new = true;
-  }
-
-let pstate_of t (p : Proc.t) : pstate =
+let pstate_of t (p : Proc.t) : Flow.pstate =
   match Hashtbl.find_opt t.procs p.Proc.pid with
   | Some st -> st
   | None ->
-      let st = fresh_pstate () in
+      let st = Flow.fresh_pstate () in
       Hashtbl.add t.procs p.Proc.pid st;
       st
 
@@ -169,143 +81,42 @@ let traced t (p : Proc.t) =
   (* follow forks: children of traced processes are traced too *)
   if Hashtbl.mem t.roots p.Proc.parent then begin
     Hashtbl.replace t.roots p.Proc.pid ();
+    let fl = t.flow in
     List.iter
       (fun (n, lo, hi) ->
-        if not (List.exists (fun (n', _, _) -> n' = n) t.module_map) then
-          t.module_map <- t.module_map @ [ (n, lo, hi) ])
+        if not (List.exists (fun (n', _, _) -> n' = n) fl.Flow.module_map) then
+          fl.Flow.module_map <- fl.Flow.module_map @ [ (n, lo, hi) ])
       (Collector.modules_of_proc p);
     true
   end
   else false
 
-let ctrl_top st = st.ctrl.(st.depth)
+(* The machine's [sl_select]: while tracing is on, a traced process's
+   state becomes the flow's [last], which the step then runs on. *)
+let select t (p : Proc.t) =
+  t.tracing && traced t p
+  && begin
+       t.flow.Flow.last <- pstate_of t p;
+       t.flow.Flow.last_pid <- p.Proc.pid;
+       true
+     end
 
-let push_ctrl st (s : set) =
-  let d = st.depth + 1 in
-  if d >= Array.length st.ctrl then begin
-    let bigger = Array.make (2 * Array.length st.ctrl) Depset.empty in
-    Array.blit st.ctrl 0 bigger 0 (Array.length st.ctrl);
-    st.ctrl <- bigger
-  end;
-  st.ctrl.(d) <- s;
-  st.depth <- d
-
-(* ---------- the per-instruction hook ---------- *)
-
-(* Folds over the [Defuse] lists, written as top-level recursions so the
-   hook's common path builds no closures. Each fold unions in list order:
-   the order fixes which intermediate sets get interned, and so every
-   [sid]. *)
-
-let rec union_regs t regdep acc = function
-  | [] -> acc
-  | r :: rest -> union_regs t regdep (union t acc regdep.(Reg.to_int r)) rest
-
-(* Memory is modelled at [int] addresses, where [Int64.to_int] is exact:
-   the low and the top 2^62 bytes of the address space, which hold
-   code, heap, stack, mmap and high-half pages. An access elsewhere is
-   not modelled: a load there reads nothing known and a store is
-   dropped, a gap in the slice like any untraced path, which the
-   verifier's counterexample loop repays. *)
-let[@inline] modelled (addr : int64) len =
-  let a = Int64.to_int addr in
-  Int64.equal (Int64.of_int a) addr && a <= max_int - len
-
-let[@inline] ea file (a : Defuse.access) =
-  Int64.add (Proc.get64u file (Reg.to_int a.Defuse.a_base lsl 3)) (Int64.of_int a.Defuse.a_disp)
-
-let rec union_loads t mem file acc = function
-  | [] -> acc
-  | (a : Defuse.access) :: rest ->
-      let addr = ea file a and len = a.Defuse.a_len in
-      let acc =
-        if modelled addr len then Absmem.fold mem ~addr:(Int64.to_int addr) ~len t.union_f acc
-        else acc
-      in
-      union_loads t mem file acc rest
-
-let rec def_regs regdep u = function
-  | [] -> ()
-  | r :: rest ->
-      regdep.(Reg.to_int r) <- u;
-      def_regs regdep u rest
-
-let rec store_all mem file u = function
-  | [] -> ()
-  | (a : Defuse.access) :: rest ->
-      let addr = ea file a and len = a.Defuse.a_len in
-      if modelled addr len then Absmem.write mem ~addr:(Int64.to_int addr) ~len u;
-      store_all mem file u rest
-
-let enter_block t st rip =
-  let key = locate_in rip 0 t.module_map in
-  if key >= 0 then begin
-    let id = intern_block t key in
-    st.cur <- Depset.singleton t.ds id;
-    st.cur_id <- id
-  end
-  else begin
-    st.cur <- Depset.empty (* anonymous memory; drcov skips it too *);
-    st.cur_id <- -1
-  end;
-  st.cur_vaddr <- Int64.to_int rip;
-  st.base <- union t st.cur (ctrl_top st);
-  st.expect_new <- false
-
-let step t st (p : Proc.t) (e : Defuse.effect) =
-  t.insns <- t.insns + 1;
-  let file = p.Proc.regs.Proc.file in
-  if st.expect_new then enter_block t st (Proc.get64u file Proc.rip_off);
-  if st.cur_id >= 0 then begin
-    let rel = Int64.to_int (Proc.get64u file Proc.rip_off) - st.cur_vaddr + 1 in
-    if rel > t.ext.(st.cur_id) then t.ext.(st.cur_id) <- rel
-  end;
-  (* the value every def carries: its data sources, the control
-     context that let this instruction run, and the block computing it *)
-  let u = union_regs t st.regdep st.base e.Defuse.uses in
-  let u = if e.Defuse.uses_flags then union t u st.flagdep else u in
-  let u = union_loads t st.mem file u e.Defuse.loads in
-  def_regs st.regdep u e.Defuse.defs;
-  if e.Defuse.defs_flags then st.flagdep <- u;
-  store_all st.mem file u e.Defuse.stores;
-  (match e.Defuse.control with
-  | Defuse.Straight | Defuse.Jump | Defuse.Stop | Defuse.Sys -> ()
-  | Defuse.Cond_jump ->
-      (* blocks after a decision depend on every decision taken at
-         this level so far — union, never overwrite *)
-      st.ctrl.(st.depth) <-
-        union t (ctrl_top st) (union t st.flagdep st.cur)
-  | Defuse.Indirect_jump r ->
-      st.ctrl.(st.depth) <-
-        union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur)
-  | Defuse.Call_push -> push_ctrl st (union t (ctrl_top st) st.cur)
-  | Defuse.Indirect_call r ->
-      push_ctrl st
-        (union t (ctrl_top st) (union t st.regdep.(Reg.to_int r) st.cur))
-  | Defuse.Return -> st.depth <- max 0 (st.depth - 1));
-  (* every control class but [Straight] ends the dynamic block *)
-  match e.Defuse.control with Defuse.Straight -> () | _ -> st.expect_new <- true
-
-let on_insn t (p : Proc.t) (e : Defuse.effect) =
-  if t.tracing then
-    match t.last with
-    | Some (q, st) when q == p -> step t st p e
-    | _ ->
-        if traced t p then begin
-          let st = pstate_of t p in
-          t.last <- Some (p, st);
-          step t st p e
-        end
+let ctrl_top (st : Flow.pstate) = st.Flow.ctrl.(st.Flow.depth)
 
 (* ---------- the syscall hook: anchors + input modelling ---------- *)
 
 let anchor_regs = [ Reg.Rdi; Reg.Rsi; Reg.Rdx ]
 
-let anchor t (st : pstate) ~(buf : int64) ~(len : int) =
-  let d = union_regs t st.regdep (union t st.cur (ctrl_top st)) anchor_regs in
+let anchor t (st : Flow.pstate) ~(buf : int64) ~(len : int) =
   let d =
-    if len > 0 && modelled buf len then
-      Absmem.fold st.mem ~addr:(Int64.to_int buf) ~len t.union_f d
+    List.fold_left
+      (fun acc r -> union t acc st.Flow.regdep.(Reg.to_int r))
+      (union t st.Flow.cur (ctrl_top st))
+      anchor_regs
+  in
+  let d =
+    if len > 0 && Flow.modelled buf len then
+      Absmem.fold st.Flow.mem ~addr:(Int64.to_int buf) ~len (union t) d
     else d
   in
   t.slice_deps <- union t t.slice_deps d;
@@ -321,7 +132,9 @@ let on_syscall t (p : Proc.t) (nr : int) =
     | Some (rng, p_on) when nr = Abi.sys_accept ->
         let on = Rng.float rng < p_on in
         if t.tracing && not on then t.sampled_off <- t.sampled_off + 1;
-        t.tracing <- on
+        t.tracing <- on;
+        (* no process is the step's [last] while tracing is off *)
+        if not on then t.flow.Flow.last_pid <- -1
     | _ -> ());
     (* a new connection is a fresh control context: without this reset,
        the accept loop's check of the previous handler's return value
@@ -333,10 +146,10 @@ let on_syscall t (p : Proc.t) (nr : int) =
     (if nr = Abi.sys_accept && t.tracing then
        match Hashtbl.find_opt t.procs p.Proc.pid with
        | Some st ->
-           for i = 0 to st.depth do
-             st.ctrl.(i) <- Depset.empty
+           for i = 0 to st.Flow.depth do
+             st.Flow.ctrl.(i) <- Depset.empty
            done;
-           st.flagdep <- Depset.empty
+           st.Flow.flagdep <- Depset.empty
        | None -> ());
     if t.tracing then begin
       let st = pstate_of t p in
@@ -362,59 +175,45 @@ let on_syscall t (p : Proc.t) (nr : int) =
         (* bytes arriving from outside the program: defined here, by
            the receiving block in its control context *)
         let len = min (max 0 (Int64.to_int a3)) buf_cap in
-        if len > 0 && modelled a2 len then
-          Absmem.write st.mem ~addr:(Int64.to_int a2) ~len (union t st.cur (ctrl_top st))
+        if len > 0 && Flow.modelled a2 len then
+          Absmem.write st.Flow.mem ~addr:(Int64.to_int a2) ~len
+            (union t st.Flow.cur (ctrl_top st))
       end
     end
   end
 
 (* ---------- lifecycle ---------- *)
 
-(** Start slicing [pid] (and its future children) on [machine], chained
-    after any hooks already installed. [wanted_out] decides which
+(** Start slicing [pid] (and its future children) on [machine]: the
+    machine runs the step ({!Machine.slicer}), and the syscall hook is
+    chained after any already installed. [wanted_out] decides which
     socket-write payloads count as wanted-feature outputs (the slice
     anchors). [sample] (rng, probability) enables sampled tracing: each
-    accept attempt re-decides whether tracing is on. *)
-let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
-    () : t =
+    accept attempt re-decides whether tracing is on. One slicer per
+    machine at a time. *)
+let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool) () : t =
+  if machine.Machine.slicer <> None then invalid_arg "Slicer.attach: a slicer is attached";
   Fault.site Slice_trace;
   let p = Machine.proc_exn machine pid in
-  let ds = Depset.create () in
   let t =
     {
       machine;
+      flow = Flow.create (Collector.modules_of_proc p);
       roots = Hashtbl.create 4;
-      module_map = Collector.modules_of_proc p;
-      ids = Itbl.create 256;
-      rev = Array.make 256 0;
-      nblocks = 0;
-      ext = Array.make 256 0;
-      ds;
-      union_f = union_in ds;
       procs = Hashtbl.create 4;
-      last = None;
       wanted_out;
       slice_deps = Depset.empty;
       anchors = 0;
-      insns = 0;
       counterexamples = [];
       sample;
       tracing = true;
       sampled_off = 0;
-      prev_insn = machine.Machine.on_insn;
       prev_syscall = machine.Machine.on_syscall;
       obs_anchors = Obs.counter "slice.anchors";
     }
   in
   Hashtbl.replace t.roots pid ();
-  machine.Machine.on_insn <-
-    Some
-      (match t.prev_insn with
-      | None -> fun p _ e -> on_insn t p e
-      | Some h ->
-          fun p insn e ->
-            h p insn e;
-            on_insn t p e);
+  machine.Machine.slicer <- Some { Machine.sl_flow = t.flow; sl_select = select t };
   machine.Machine.on_syscall <-
     Some
       (fun p nr ->
@@ -422,10 +221,11 @@ let attach (machine : Machine.t) ~pid ?sample ~(wanted_out : string -> bool)
         on_syscall t p nr);
   t
 
-(** Stop slicing: restore the chained hooks. The computed state stays
-    readable ({!slice}, {!stats}). *)
+(** Stop slicing: the machine stops stepping, and the chained syscall
+    hook is restored. The computed state stays readable ({!slice},
+    {!stats}). *)
 let detach t =
-  t.machine.Machine.on_insn <- t.prev_insn;
+  t.machine.Machine.slicer <- None;
   t.machine.Machine.on_syscall <- t.prev_syscall
 
 (** A verifier false positive: a block we sliced away trapped post-cut,
@@ -441,6 +241,22 @@ let add_counterexample t ~(module_ : string) ~(off : int) =
 
 let counterexamples t = t.counterexamples
 
+(* A dense block id as (module name, offset, extent). *)
+let span t id =
+  let fl = t.flow in
+  let key = fl.Flow.rev.(id) in
+  let mid = key lsr 32 in
+  let name =
+    match List.nth_opt fl.Flow.module_map mid with
+    | Some (n, _, _) -> n
+    | None -> Printf.sprintf "module%d" mid
+  in
+  (name, key land 0xffff_ffff, fl.Flow.ext.(id))
+
+(** Every dynamic block seen, as (module name, offset, extent), in the
+    order first seen. *)
+let blocks t = List.init t.flow.Flow.nblocks (span t)
+
 (** The slice: every (module name, offset, extent) span whose dynamic
     block contributed to a wanted output, plus the verifier
     counterexamples (extent 1). A dynamic block is a maximal
@@ -449,16 +265,7 @@ let counterexamples t = t.counterexamples
 let slice t : (string * int * int) list =
   Fault.site Slice_compute;
   Obs.with_span "slice.compute" @@ fun () ->
-  let name mid =
-    match List.nth_opt t.module_map mid with
-    | Some (n, _, _) -> n
-    | None -> Printf.sprintf "module%d" mid
-  in
-  let of_id id =
-    let key = t.rev.(id) in
-    (name (key lsr 32), key land 0xffff_ffff, t.ext.(id))
-  in
-  let from_deps = List.map of_id (Depset.elements t.ds t.slice_deps) in
+  let from_deps = List.map (span t) (Depset.elements t.flow.Flow.ds t.slice_deps) in
   List.fold_left
     (fun acc (m, off) ->
       if List.exists (fun (m', o', _) -> m' = m && o' = off) acc then acc
@@ -467,13 +274,13 @@ let slice t : (string * int * int) list =
 
 let stats t : stats =
   {
-    st_insns = t.insns;
-    st_blocks_seen = t.nblocks;
+    st_insns = t.flow.Flow.insns;
+    st_blocks_seen = t.flow.Flow.nblocks;
     st_slice_blocks = List.length (slice t);
     st_anchors = t.anchors;
-    st_sets = Depset.count t.ds;
+    st_sets = Depset.count t.flow.Flow.ds;
     st_mem_ranges =
-      Hashtbl.fold (fun _ st acc -> acc + Absmem.cardinal st.mem) t.procs 0;
+      Hashtbl.fold (fun _ (st : Flow.pstate) acc -> acc + Absmem.cardinal st.Flow.mem) t.procs 0;
     st_counterexamples = List.length t.counterexamples;
     st_sampled_off = t.sampled_off;
   }

@@ -27,16 +27,20 @@ val attach :
   wanted_out:(string -> bool) ->
   unit ->
   t
-(** Start slicing [pid] and its future children, chaining after any
-    [on_insn]/[on_syscall] hooks already installed. [wanted_out]
-    decides which socket-write payloads are wanted-feature outputs
-    (slice anchors). [sample] (rng, probability) enables sampled
-    tracing: each accept attempt draws a fresh seeded decision whether
-    tracing is on — gaps under-approximate the slice and are repaid by
-    the verifier counterexample loop. Fault site [Slice_trace]. *)
+(** Start slicing [pid] and its future children: the machine applies
+    the slicer's step before every instruction they execute
+    ({!Machine.slicer}), and the syscall hook is chained after any
+    already installed. [wanted_out] decides which socket-write payloads
+    are wanted-feature outputs (slice anchors). [sample] (rng,
+    probability) enables sampled tracing: each accept attempt draws a
+    fresh seeded decision whether tracing is on — gaps under-approximate
+    the slice and are repaid by the verifier counterexample loop. One
+    slicer per machine at a time: [Invalid_argument] if one is
+    attached. Fault site [Slice_trace]. *)
 
 val detach : t -> unit
-(** Restore the chained hooks; computed state stays readable. *)
+(** Stop the step and restore the chained syscall hook; computed state
+    stays readable. *)
 
 val slice : t -> (string * int * int) list
 (** Every (module name, block-start offset, extent in bytes) span that
@@ -44,6 +48,10 @@ val slice : t -> (string * int * int) list
     Dynamic blocks are maximal fall-through runs and can span several
     static CFG blocks — match static blocks by range overlap, not
     start-point membership. Fault site [Slice_compute]. *)
+
+val blocks : t -> (string * int * int) list
+(** Every dynamic block seen, as (module name, block-start offset,
+    longest extent in bytes), in the order first seen. *)
 
 val add_counterexample : t -> module_:string -> off:int -> unit
 (** A verifier false positive — a sliced-away block trapped post-cut.

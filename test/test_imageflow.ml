@@ -463,8 +463,9 @@ let test_adoption_invisible () =
 (* ---------- observers are invisible to the dump ---------- *)
 
 (* Two ngx trees booted alike go through a first-byte cut and its
-   re-enable. The second serves under the dataflow slicer and a drcov
-   collector on every pid, and before each transaction an observer
+   re-enable. The second serves under the dataflow slicer, which
+   traces the whole tree from its root, and a drcov collector on every
+   pid, and before each transaction an observer
    reads every page of every pid, one byte per page and each VMA whole,
    as a memory scanner or a chaos oracle would. Anonymous memory is
    demand-zero and observers make no page, so both trees store the
@@ -474,10 +475,9 @@ let test_observers_invisible () =
   let a, sa = boot ~seed:42 in
   let b, sb = boot ~seed:42 in
   let m = b.Workload.m in
+  ignore (Slicer.attach m ~pid:b.Workload.pid ~wanted_out:(fun _ -> true) () : Slicer.t);
   List.iter
-    (fun pid ->
-      ignore (Slicer.attach m ~pid ~wanted_out:(fun _ -> true) () : Slicer.t);
-      ignore (Collector.attach m ~pid : Collector.t))
+    (fun pid -> ignore (Collector.attach m ~pid : Collector.t))
     (Dynacut.tree_pids sb);
   let observe () =
     List.iter

@@ -372,6 +372,26 @@ let test_slices_pinned () =
         "6fa81d02cf4a2d65c63c87d62a45c553", [ 96674; 317; 279; 6; 821; 22; 0; 0 ] );
     ]
 
+(* ---------- allocation gate ---------- *)
+
+(* Minor words allocated by one default-seed profile of rkv, boot to
+   report, per instruction the slicer traced: exact on a given build,
+   after one warm-up profile has made every registry series and lazy
+   table. The bound was recorded when the slicer's step moved into the
+   machine's traced slot loop (13.98 measured; 18.15 before it). Raise
+   it only for a named reason, in CHANGES.md. *)
+let words_per_traced_insn_bound = 14.0
+
+let test_slice_allocation_gate () =
+  ignore (Slicelab.profile Workload.rkv : Slicelab.profile);
+  let w0 = Gc.minor_words () in
+  let p = Slicelab.profile Workload.rkv in
+  let words = Gc.minor_words () -. w0 in
+  let per_insn = words /. float_of_int p.Slicelab.p_stats.Slicer.st_insns in
+  if per_insn > words_per_traced_insn_bound then
+    Alcotest.failf "one rkv profile: %.2f minor words per traced instruction, bound %.2f" per_insn
+      words_per_traced_insn_bound
+
 (* ---------- Rng: splitmix64 stream pinning ---------- *)
 
 (* Chaos schedules, sampled slicing and the guest rand syscall all
@@ -415,5 +435,7 @@ let suite =
     Alcotest.test_case "converged cut is quiescent" `Quick
       test_converged_cut_is_quiescent;
     Alcotest.test_case "slices pinned (rkv, ltpd)" `Quick test_slices_pinned;
+    Alcotest.test_case "allocation gate: words per traced instruction" `Quick
+      test_slice_allocation_gate;
     Alcotest.test_case "rng pinned stream" `Quick test_rng_pinned_stream;
   ]
