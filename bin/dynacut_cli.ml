@@ -957,11 +957,14 @@ let fleet_cmd =
     in
     match Fleet.rollout fleet ~config ~drive () with
     | exception Fault.Controller_killed { site } ->
-        (* a :kill fault staged a controller death mid-rollout: recover
-           the fleet as a fresh controller would *)
+        (* a :kill fault staged a controller death mid-rollout: a fresh
+           controller recovers each worker through its own journal *)
         Format.printf "controller killed at %s@." (Fault.Site.name site);
-        let r = Fleet.recover m ~pids in
-        Format.printf "recover: %a@." Fleet.pp_recovery r;
+        List.iter
+          (fun pid ->
+            Format.printf "recover: pid=%d %a@." pid Dynacut.pp_recovery
+              (Dynacut.recover m ~root_pid:pid))
+          pids;
         finish 6
     | outcome, reports ->
         List.iter
@@ -1020,8 +1023,9 @@ let fleet_cmd =
          while earlier waves stay cut.";
       `P
         "6: a staged ':kill' fault killed the controller mid-rollout and \
-         fleet recovery converged the workers (per-pid applied XOR \
-         unchanged, open wave unwound).";
+         each worker recovered through its own journal (per-pid applied \
+         XOR unchanged: a worker whose cut committed stays cut, the rest \
+         are original).";
     ]
   in
   Cmd.v

@@ -121,6 +121,9 @@ cli_exit 2 recover ngx --crash-at criu.sav
 # An injected fault on the serving path refuses requests; the rollout
 # carries on and completes (exit 0), it does not die of the fault.
 cli_exit 0 fleet ltpd --inject-fault net.serve:p=0.5 --fault-seed 3
+# A controller killed mid-rollout (here at wave 2's canary checkpoint)
+# leaves each worker to recover through its own journal: exit 6.
+cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=3:kill
 
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the
@@ -184,8 +187,7 @@ rm -f "$pinned" "$out"
 echo "== bench chaos =="
 dune exec bench/main.exe -- chaos
 # BENCH_chaos.json has no host fields: every probe verdict, including
-# the corrupt-mode probes at criu.save, journal.* and fleet.manifest,
-# must match the committed file byte for byte (the regex matches no
+# the corrupt-mode probes at criu.save and journal.*, must match the committed file byte for byte (the regex matches no
 # line)
 virtual_axis_unchanged BENCH_chaos.json '^NO HOST FIELDS$'
 

@@ -33,19 +33,12 @@ let drive_fleet fleet () =
   | (_ : [ `Reply of int * string | `Refused ]) -> ()
   | exception e when refusal_of_exn e <> None -> ()
 
-(* feature blocks per app, computed once — tracing is expensive. A
-   scenario calls this before it boots its machine under test (the
-   tracing creates machines, and the Obs clock and Fault hooks follow
-   the last one created); later calls are memo hits *)
-let blocks_cache : (string, Covgraph.block list) Hashtbl.t = Hashtbl.create 4
-
-let blocks_for (app : Workload.app) =
-  match Hashtbl.find_opt blocks_cache app.Workload.a_name with
-  | Some b -> b
-  | None ->
-      let b = Common.web_feature_blocks app in
-      Hashtbl.add blocks_cache app.Workload.a_name b;
-      b
+(* feature blocks of the two probed apps, computed once — tracing is
+   expensive. A scenario forces these before it boots its machine under
+   test (the tracing creates machines, and the Obs clock and Fault hooks
+   follow the last one created); later forces are free *)
+let ngx_blocks = lazy (Common.web_feature_blocks Workload.ngx)
+let ltpd_blocks = lazy (Common.web_feature_blocks Workload.ltpd)
 
 (* ---------- directed site × mode coverage ---------- *)
 
@@ -106,7 +99,7 @@ let npolicy method_ = { Dynacut.method_; on_trap = `Redirect "ngx_declined" }
 (* a booted ngx tree, a session on it, and the XOR oracle over the
    tree's redirect-effective feature blocks *)
 let tree_setup () =
-  let blocks = blocks_for napp in
+  let blocks = Lazy.force ngx_blocks in
   let c = Workload.boot napp in
   let session = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   let effective = Dynacut.redirect_filter session ~sym:"ngx_declined" blocks in
@@ -151,7 +144,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
   let (_ : outcome) =
     strike c.Workload.m site mode (fun () ->
         ignore
-          (Dynacut.try_cut session ~blocks:(blocks_for napp)
+          (Dynacut.try_cut session ~blocks:(Lazy.force ngx_blocks)
              ~policy:(npolicy method_) ()))
   in
   let (_ : Dynacut.recovery) = tree_recover c in
@@ -167,7 +160,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
   tree_check ~what:"after recover" c session oracle;
   let fresh = Dynacut.create c.Workload.m ~root_pid:c.Workload.pid in
   (match
-     (Dynacut.try_cut fresh ~blocks:(blocks_for napp)
+     (Dynacut.try_cut fresh ~blocks:(Lazy.force ngx_blocks)
         ~policy:(npolicy `First_byte) ())
        .Dynacut.r_outcome
    with
@@ -180,7 +173,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
 let respawn_probe site mode =
   let c, session, oracle = tree_setup () in
   let (_ : Rewriter.journal list * Dynacut.timings) =
-    Dynacut.cut session ~blocks:(blocks_for napp) ~policy:(npolicy `First_byte)
+    Dynacut.cut session ~blocks:(Lazy.force ngx_blocks) ~policy:(npolicy `First_byte)
   in
   let worker =
     match Dynacut.tree_pids session with
@@ -208,7 +201,7 @@ let promote_probe site mode =
   let sup =
     Supervisor.create session
       ~config:{ Supervisor.default_config with Supervisor.canary_windows = 1 }
-      ~blocks:(blocks_for napp) ~policy:(npolicy `First_byte)
+      ~blocks:(Lazy.force ngx_blocks) ~policy:(npolicy `First_byte)
   in
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
   let (_ : outcome) =
@@ -243,7 +236,7 @@ let recover_probe site mode =
   let c, session, oracle = tree_setup () in
   Fault.arm ~kill:true Restore_process Fault.One_shot;
   (match
-     Dynacut.try_cut session ~blocks:(blocks_for napp)
+     Dynacut.try_cut session ~blocks:(Lazy.force ngx_blocks)
        ~policy:(npolicy `First_byte) ()
    with
   | (_ : Dynacut.cut_result) -> failp "staged controller death never struck"
@@ -292,13 +285,13 @@ let rollout_config =
     }
 
 let ltpd_fleet n =
-  let fleet = Fleet.boot ~n ~blocks:(blocks_for lapp) ~policy:lpolicy lapp in
+  let fleet = Fleet.boot ~n ~blocks:(Lazy.force ltpd_blocks) ~policy:lpolicy lapp in
   let w = List.hd (Fleet.workers fleet) in
   let oracle =
     Oracle.make (Fleet.machine fleet) ~base:(Common.app_exe lapp).Self.base
       ~blocks:
         (Dynacut.redirect_filter w.Rollout.w_session ~sym:"ltpd_403"
-           (blocks_for lapp))
+           (Lazy.force ltpd_blocks))
       ~pids:(Fleet.pids fleet)
   in
   (fleet, oracle)
@@ -308,63 +301,32 @@ let rollout fleet =
 
 let fleet_converges oracle fleet =
   let m = oracle.Oracle.oc_machine and pids = oracle.Oracle.oc_pids in
-  (* recovery halts and compacts an open wave: read what it must undo
-     first *)
-  let manifest = Oracle.manifest_prefix oracle in
-  let recovery =
-    match Fleet.recover m ~pids with
+  let recover () = List.map (fun pid -> Dynacut.recover m ~root_pid:pid) pids in
+  let recoveries =
+    match recover () with
     | r -> r
-    | exception Fault.Controller_killed _ -> Fleet.recover m ~pids
+    | exception Fault.Controller_killed _ -> recover ()
   in
   expect ~what:"after recover"
-    (Oracle.check_xor oracle
-    @ Oracle.check_waves oracle
-        ~plan:(Rollout.plan ~pids ~waves:rollout_config.Rollout.r_waves)
-        ~manifest
-    @ Oracle.check_recover_idempotent oracle);
+    (Oracle.check_xor oracle @ Oracle.check_recover_idempotent oracle);
   (match Fleet.request fleet get with
   | `Reply (_, resp) ->
       let s = status resp in
       if s <> "200" then failp "after recover: GET answered %s, not 200" s
   | `Refused -> failp "after recover: fleet refused a GET");
-  recovery
+  recoveries
 
-(* {!fleet_converges}, then: [quiet] probes open no transaction, so no
-   worker may need recovery work; after a controller death recovery
-   must unwind nothing and leave every pid on its expected side, [cut]
-   cut and the rest original *)
-let fleet_finish ?(quiet = false) ?(cut = []) ~(outcome : outcome) oracle fleet =
-  let recovery = fleet_converges oracle fleet in
-  if quiet then
-    List.iter
-      (fun (pid, a) ->
-        if a <> `Nothing then
-          failp "recovery invented work for quiescent pid %d" pid)
-      recovery.Fleet.fr_workers;
-  if outcome = `Killed then begin
-    if recovery.Fleet.fr_unwound <> [] then
-      failp "recovery unwound pid(s) %s"
-        (String.concat "," (List.map string_of_int recovery.Fleet.fr_unwound));
-    expect ~what:"after recover" (Oracle.check_sides oracle ~cut)
-  end
-
-(* fault strikes the rolling rollout: [fleet.wave] at wave 2's start,
-   so wave 1's committed cut must survive; [fleet.manifest] at the very
-   first entry, before any worker was touched *)
-let fleet_rollout_probe site mode =
-  let fleet, oracle = ltpd_fleet 4 in
-  let plan =
-    Rollout.plan ~pids:(Fleet.pids fleet) ~waves:rollout_config.Rollout.r_waves
-  in
-  let spec, cut =
-    if site = Site.Fleet_wave then (Fault.On_nth 2, List.hd plan)
-    else (Fault.One_shot, [])
-  in
-  let outcome =
-    strike ~spec (Fleet.machine fleet) site mode (fun () ->
-        ignore (rollout fleet : Rollout.outcome))
-  in
-  fleet_finish ~cut ~outcome oracle fleet
+(* {!fleet_converges} after a fault that opened no transaction: no
+   worker may need recovery work, and after a controller death every
+   pid is still original *)
+let fleet_finish ~(outcome : outcome) oracle fleet =
+  List.iter2
+    (fun pid r ->
+      if r.Dynacut.rec_action <> `Nothing then
+        failp "recovery invented work for quiescent pid %d" pid)
+    oracle.Oracle.oc_pids (fleet_converges oracle fleet);
+  if outcome = `Killed then
+    expect ~what:"after recover" (Oracle.check_sides oracle ~cut:[])
 
 (* fault strikes one dispatched request (balancer / net sites) *)
 let fleet_request_probe site mode =
@@ -372,7 +334,7 @@ let fleet_request_probe site mode =
   let outcome =
     strike (Fleet.machine fleet) site mode (fun () -> ignore (Fleet.request fleet get))
   in
-  fleet_finish ~quiet:true ~outcome oracle fleet
+  fleet_finish ~outcome oracle fleet
 
 (* fault strikes the decoded-block code cache: entering the dispatch
    loop (bbcache.dispatch) or evicting blocks over a dirtied code page
@@ -411,7 +373,7 @@ let bbcache_probe site mode =
   (match Fleet.request fleet get with
   | `Reply (_, resp) when status resp = "200" -> ()
   | _ -> failp "request failed after the %s fault" (Site.name site));
-  fleet_finish ~quiet:true ~outcome oracle fleet
+  fleet_finish ~outcome oracle fleet
 
 (* every site maps to the scenario that provably reaches it; the match
    is exhaustive, so a site without a driver does not compile *)
@@ -426,7 +388,6 @@ let probe_driver (site : Site.t) : Fault.mode -> unit =
   | Supervisor_promote -> promote_probe site
   | Crit_encode | Crit_decode -> crit_probe site
   | Recover_replay -> recover_probe site
-  | Fleet_wave | Fleet_manifest -> fleet_rollout_probe site
   | Balancer_dispatch | Net_accept_queue | Net_serve -> fleet_request_probe site
   | Slice_trace | Slice_compute -> slice_probe site
   | Bbcache_dispatch | Bbcache_flush -> bbcache_probe site

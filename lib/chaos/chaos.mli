@@ -49,11 +49,12 @@ val rollout : Fleet.t -> Rollout.outcome
 (** The two-wave rollout of that cut, one canary window per wave, with
     GETs as traffic (a refused GET is part of the run). *)
 
-val fleet_converges : Oracle.ctx -> Fleet.t -> Fleet.recovery
-(** Recover the fleet (a second pass if a still-armed kill ends the
-    first) and demand XOR, waves kept or unwound per the manifest
-    prefix recovery found, an idempotent second pass, and a GET answered
-    200. Raises {!Probe_failure} on the first violation. *)
+val fleet_converges : Oracle.ctx -> Fleet.t -> Dynacut.recovery list
+(** Recover every worker through its own journal ({!Dynacut.recover};
+    the whole pass again if a still-armed kill ends the first) and
+    demand XOR, an idempotent second pass, and a GET answered 200.
+    Returns the recoveries in [oc_pids] order. Raises {!Probe_failure}
+    on the first violation. *)
 
 (** {2 The coverage matrix} *)
 

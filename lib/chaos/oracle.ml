@@ -60,42 +60,8 @@ let check_sides (ctx : ctx) ~(cut : int list) : violation list =
       else Some (violation "side" "pid %d should be original" pid))
     ctx.oc_pids
 
-let manifest_prefix (ctx : ctx) : Journal.Manifest.entry list =
-  fst
-    (Journal.Manifest.read
-       (Journal.Manifest.attach ctx.oc_machine.Machine.fs ~dir:Fleet.manifest_dir))
-
-let check_waves (ctx : ctx) ~(plan : int list list)
-    ~(manifest : Journal.Manifest.entry list) : violation list =
-  let s = Journal.Manifest.summarize manifest in
-  let of_wave w = try List.nth plan (w - 1) with _ -> [] in
-  let completed =
-    List.concat_map of_wave s.Journal.Manifest.m_completed
-  in
-  let unwound =
-    match s.Journal.Manifest.m_open with
-    | None -> []
-    | Some (wave, _planned, cut) ->
-        List.map (fun pid -> (wave, pid))
-          (List.filter (fun pid -> List.mem pid ctx.oc_pids) cut)
-  in
-  List.filter_map
-    (fun pid ->
-      if not (all_cut ctx pid) then
-        Some (violation "committed-wave-lost" "pid %d of a done wave is not cut" pid)
-      else None)
-    completed
-  @ List.filter_map
-      (fun (wave, pid) ->
-        if not (all_original ctx pid) then
-          Some
-            (violation "open-wave-not-unwound"
-               "pid %d, cut in open wave %d, is not original" pid wave)
-        else None)
-      unwound
-
 (* Deterministic digest of everything recovery can touch: every file in
-    the machine fs (journals, manifests, images) plus each worker's
+    the machine fs (journals, images) plus each worker's
     state and feature bytes. Fencing tokens ([.../lock]) are excluded —
     their epoch is monotonic by design: any recovery pass that finds a
     fence bumps it, so the lock can differ between two otherwise
@@ -133,8 +99,8 @@ let state_digest (ctx : ctx) : int64 =
 
 let check_recover_idempotent (ctx : ctx) : violation list =
   let d1 = state_digest ctx in
-  let (_ : Fleet.recovery) =
-    Fleet.recover ctx.oc_machine ~pids:ctx.oc_pids
+  let (_ : Dynacut.recovery list) =
+    List.map (fun pid -> Dynacut.recover ctx.oc_machine ~root_pid:pid) ctx.oc_pids
   in
   let d2 = state_digest ctx in
   if d1 <> d2 then

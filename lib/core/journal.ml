@@ -142,40 +142,32 @@ let pp_record fmt (r : record) =
 
 (* ---------- the sealed append-log ---------- *)
 
-(* Both intent logs — this journal and the fleet manifest below — are
-   one format: a file of {!Validate.seal} frames, each appended whole,
-   read back as the longest decodable prefix. *)
+(* The journal is a file of {!Validate.seal} frames, each appended
+   whole, read back as the longest decodable prefix. *)
 
 let remove_file fs path = if Vfs.exists fs path then Vfs.remove fs path
 
-(* append one frame sealed at [site] (its [Corrupt] injection point) *)
-let log_append fs path ~site payload =
-  let prev = Option.value ~default:"" (Vfs.find fs path) in
-  Vfs.add fs path (prev ^ Validate.seal_at ~site payload)
-
-(* the valid prefix in append order, plus whether the tail was torn
-   (truncated write, corruption or an undecodable frame — all
-   survivable; the prefix is authoritative). Never raises. *)
-let log_read fs path ~kind decode =
-  match Vfs.find fs path with
+(** The valid prefix in append order, plus whether the tail was torn
+    (truncated write, corruption or an undecodable frame — all
+    survivable; the prefix is authoritative). Never raises. *)
+let read (t : t) : record list * bool =
+  match Vfs.find t.fs (journal_path t) with
   | None -> ([], false)
   | Some blob ->
       let payloads, tear = Validate.unseal_frames blob in
       Option.iter
         (fun t ->
-          Obs.event ~kind (Format.asprintf "torn tail: %a" Validate.pp_tear t))
+          Obs.event ~kind:"journal"
+            (Format.asprintf "torn tail: %a" Validate.pp_tear t))
         tear;
       let rec go acc = function
         | [] -> (List.rev acc, tear <> None)
         | p :: rest -> (
-            match decode p with
+            match decode_record p with
             | x -> go (x :: acc) rest
             | exception _ -> (List.rev acc, true))
       in
       go [] payloads
-
-let read (t : t) : record list * bool =
-  log_read t.fs (journal_path t) ~kind:"journal" decode_record
 
 (* ---------- the lock / fencing token ---------- *)
 
@@ -219,7 +211,9 @@ let append (t : t) ~(epoch : int) (r : record) : unit =
   Fault.site Journal_append;
   let held = lock_epoch t in
   if held <> epoch then raise (Fenced { epoch; lock_epoch = held });
-  log_append t.fs (journal_path t) ~site:Journal_append (encode_record r);
+  let path = journal_path t in
+  let prev = Option.value ~default:"" (Vfs.find t.fs path) in
+  Vfs.add t.fs path (prev ^ Validate.seal_at ~site:Journal_append (encode_record r));
   Obs.event ~kind:"journal" (Format.asprintf "%a" pp_record r)
 
 (** Remove the journal file only (recovery keeps its bumped lock behind
@@ -288,197 +282,3 @@ let summarize (records : record list) : summary =
     every respawn matched. (An absent journal is trivially quiescent.) *)
 let quiescent (s : summary) : bool =
   s.s_respawns = [] && (match s.s_tx with None -> true | Some t -> t.tx_closed)
-
-(** The fleet manifest: a second intent log, one per {e fleet} rather
-    than per tree, recording rollout progress across workers so a crash
-    mid-rollout can be replayed back to a uniform fleet (per-worker cut
-    state itself is covered by each worker's own journal; the manifest
-    records which workers a wave {e intended} to cut). The same sealed
-    append-log as the journal, with its own record type. *)
-module Manifest = struct
-  type entry =
-    | Wave_begin of { wave : int; pids : int list }
-        (** wave [wave] is about to start cutting [pids] *)
-    | Worker_cut of { wave : int; pid : int }
-        (** [pid]'s cut transaction committed as part of [wave] *)
-    | Wave_done of { wave : int }  (** every pid of the wave is cut *)
-    | Rollout_halted of { wave : int }
-        (** the rollout stopped at [wave] (canary rejected / SLO breach)
-            and the wave's partial cuts were reverted *)
-    | Rollout_done of { waves : int }  (** all [waves] waves committed *)
-    | Checkpoint of { completed : int list; halted : int option; done_ : bool }
-        (** compaction record: the summary of everything before it, so
-            the append-only manifest can be rewritten as one entry *)
-
-  type t = { fs : Vfs.t; path : string }
-
-  let attach (fs : Vfs.t) ~(dir : string) : t = { fs; path = dir ^ "/manifest" }
-
-  let encode_entry (e : entry) : string =
-    let open Bytesx.W in
-    let b = create ~size:32 () in
-    (match e with
-    | Wave_begin { wave; pids } ->
-        u8 b 1;
-        u32 b wave;
-        u32 b (List.length pids);
-        List.iter (fun pid -> u32 b pid) pids
-    | Worker_cut { wave; pid } ->
-        u8 b 2;
-        u32 b wave;
-        u32 b pid
-    | Wave_done { wave } ->
-        u8 b 3;
-        u32 b wave
-    | Rollout_halted { wave } ->
-        u8 b 4;
-        u32 b wave
-    | Rollout_done { waves } ->
-        u8 b 5;
-        u32 b waves
-    | Checkpoint { completed; halted; done_ } ->
-        u8 b 6;
-        u32 b (List.length completed);
-        List.iter (fun w -> u32 b w) completed;
-        u8 b (match halted with Some _ -> 1 | None -> 0);
-        u32 b (match halted with Some w -> w | None -> 0);
-        u8 b (if done_ then 1 else 0));
-    contents b
-
-  let decode_entry (payload : string) : entry =
-    let open Bytesx.R in
-    let r = of_string payload in
-    match u8 r with
-    | 1 ->
-        let wave = u32 r in
-        let n = u32 r in
-        Wave_begin { wave; pids = List.init n (fun _ -> u32 r) }
-    | 2 ->
-        let wave = u32 r in
-        Worker_cut { wave; pid = u32 r }
-    | 3 -> Wave_done { wave = u32 r }
-    | 4 -> Rollout_halted { wave = u32 r }
-    | 5 -> Rollout_done { waves = u32 r }
-    | 6 ->
-        let n = u32 r in
-        let completed = List.init n (fun _ -> u32 r) in
-        let has_halted = u8 r in
-        let halted_wave = u32 r in
-        let done_ = u8 r = 1 in
-        Checkpoint
-          {
-            completed;
-            halted = (if has_halted = 1 then Some halted_wave else None);
-            done_;
-          }
-    | tag -> failwith (Printf.sprintf "bad manifest entry tag %d" tag)
-
-  let pp_entry fmt (e : entry) =
-    match e with
-    | Wave_begin { wave; pids } ->
-        Format.fprintf fmt "wave-begin wave=%d pids=[%s]" wave
-          (String.concat ";" (List.map string_of_int pids))
-    | Worker_cut { wave; pid } ->
-        Format.fprintf fmt "worker-cut wave=%d pid=%d" wave pid
-    | Wave_done { wave } -> Format.fprintf fmt "wave-done wave=%d" wave
-    | Rollout_halted { wave } ->
-        Format.fprintf fmt "rollout-halted wave=%d" wave
-    | Rollout_done { waves } ->
-        Format.fprintf fmt "rollout-done waves=%d" waves
-    | Checkpoint { completed; halted; done_ } ->
-        Format.fprintf fmt "checkpoint completed=[%s] halted=%s done=%b"
-          (String.concat ";" (List.map string_of_int completed))
-          (match halted with Some w -> string_of_int w | None -> "-")
-          done_
-
-  (** Longest valid prefix + torn flag; never raises. *)
-  let read (t : t) : entry list * bool =
-    log_read t.fs t.path ~kind:"manifest" decode_entry
-
-  (* replace the whole file by [entries], each sealed whole *)
-  let write (t : t) (entries : entry list) : unit =
-    Vfs.add t.fs t.path
-      (String.concat "" (List.map (fun e -> Validate.seal (encode_entry e)) entries))
-
-  (** Append one sealed entry. Fault site [fleet.manifest] — a storage
-      write like [Journal.append], with the same corruption point. A
-      torn tail is dropped first: {!read} stops at it, so an entry
-      appended behind it would never be read. *)
-  let append (t : t) (e : entry) : unit =
-    Fault.site Fleet_manifest;
-    (match read t with
-    | entries, true -> write t entries
-    | _, false -> ());
-    log_append t.fs t.path ~site:Fleet_manifest (encode_entry e);
-    Obs.event ~kind:"manifest" (Format.asprintf "%a" pp_entry e)
-
-  let clear (t : t) : unit = remove_file t.fs t.path
-
-  type summary = {
-    m_completed : int list;  (** waves with [Wave_done], oldest first *)
-    m_open : (int * int list * int list) option;
-        (** a [Wave_begin] without [Wave_done]/[Rollout_halted]:
-            (wave, planned pids, pids with a [Worker_cut]) *)
-    m_halted : int option;  (** rollout halted at this wave *)
-    m_done : bool;  (** [Rollout_done] logged *)
-  }
-
-  let summarize (entries : entry list) : summary =
-    let completed = ref [] in
-    let open_ = ref None in
-    let halted = ref None in
-    let done_ = ref false in
-    List.iter
-      (fun e ->
-        match e with
-        | Wave_begin { wave; pids } -> open_ := Some (wave, pids, [])
-        | Worker_cut { wave; pid } -> (
-            match !open_ with
-            | Some (w, planned, cut) when w = wave ->
-                open_ := Some (w, planned, cut @ [ pid ])
-            | _ -> ())
-        | Wave_done { wave } ->
-            completed := !completed @ [ wave ];
-            (match !open_ with
-            | Some (w, _, _) when w = wave -> open_ := None
-            | _ -> ())
-        | Rollout_halted { wave } ->
-            halted := Some wave;
-            open_ := None
-        | Rollout_done _ -> done_ := true
-        | Checkpoint { completed = c; halted = h; done_ = d } ->
-            (* a checkpoint replaces everything before it *)
-            completed := c;
-            halted := h;
-            done_ := d;
-            open_ := None)
-      entries;
-    { m_completed = !completed; m_open = !open_; m_halted = !halted; m_done = !done_ }
-
-  (** Rewrite the manifest as one {!Checkpoint} summarizing the longest
-      valid prefix — plus, when a wave is still open, the open wave's
-      [Wave_begin]/[Worker_cut] records verbatim so crash recovery can
-      still unwind it. Torn-tail tolerant by construction: compaction
-      reads with {!read}, so a torn suffix is simply dropped, and the
-      rewritten file is fully sealed again. *)
-  let compact (t : t) : unit =
-    let entries, torn = read t in
-    let s = summarize entries in
-    let tail =
-      match s.m_open with
-      | None -> []
-      | Some (wave, planned, cut) ->
-          Wave_begin { wave; pids = planned }
-          :: List.map (fun pid -> Worker_cut { wave; pid }) cut
-    in
-    let entries' =
-      Checkpoint
-        { completed = s.m_completed; halted = s.m_halted; done_ = s.m_done }
-      :: tail
-    in
-    write t entries';
-    Obs.event ~kind:"manifest"
-      (Printf.sprintf "compacted %d entries -> %d%s" (List.length entries)
-         (List.length entries')
-         (if torn then " (torn tail dropped)" else ""))
-end

@@ -94,57 +94,3 @@ type summary = {
 val summarize : record list -> summary
 val quiescent : summary -> bool
 (** No open transaction and no unmatched respawn: nothing to recover. *)
-
-(** {2 Fleet manifest}
-
-    A second intent log, one per {e fleet} rather than per tree: records
-    rollout progress across workers ([Wave_begin] before a wave cuts,
-    [Worker_cut] after each member commits, [Wave_done] / [Rollout_halted]
-    / [Rollout_done] as the rollout advances) so a crash mid-rollout can
-    be replayed back to a uniform fleet. Per-worker cut atomicity is the
-    worker's own journal's business; the manifest records {e intent
-    across} workers. Same sealed-frame format, longest-valid-prefix
-    reads. *)
-module Manifest : sig
-  type entry =
-    | Wave_begin of { wave : int; pids : int list }
-        (** wave [wave] is about to start cutting [pids] *)
-    | Worker_cut of { wave : int; pid : int }
-        (** [pid]'s cut transaction committed as part of [wave] *)
-    | Wave_done of { wave : int }  (** every pid of the wave is cut *)
-    | Rollout_halted of { wave : int }
-        (** rollout stopped at [wave]; its partial cuts were reverted *)
-    | Rollout_done of { waves : int }  (** all [waves] waves committed *)
-    | Checkpoint of { completed : int list; halted : int option; done_ : bool }
-        (** compaction record: the summary of everything before it *)
-
-  type t
-
-  val attach : Vfs.t -> dir:string -> t
-  (** Handle on [<dir>/manifest]; creates nothing. *)
-
-  val append : t -> entry -> unit
-
-  val read : t -> entry list * bool
-  (** Valid prefix + torn-tail flag; never raises. *)
-
-  val compact : t -> unit
-  (** Rewrite the manifest as one [Checkpoint] (summary-preserving),
-      re-appending an open wave's records verbatim so recovery can still
-      unwind it. A torn tail is dropped and the file is fully sealed
-      again. *)
-
-  val clear : t -> unit
-  val pp_entry : Format.formatter -> entry -> unit
-
-  type summary = {
-    m_completed : int list;  (** waves with [Wave_done], oldest first *)
-    m_open : (int * int list * int list) option;
-        (** a [Wave_begin] without [Wave_done]/[Rollout_halted]:
-            (wave, planned pids, pids with a [Worker_cut]) *)
-    m_halted : int option;  (** rollout halted at this wave *)
-    m_done : bool;  (** [Rollout_done] logged *)
-  }
-
-  val summarize : entry list -> summary
-end

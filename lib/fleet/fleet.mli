@@ -4,11 +4,11 @@
     listener fan-out and customizes the whole fleet:
 
     - {!rollout} applies one cut wave-by-wave, with a
-      {!Supervisor.guarded_cut} canary gating every wave and the fleet
-      manifest journaling each step;
-    - {!recover} replays a controller crash mid-rollout back to a
-      uniform fleet — completed waves cut, the interrupted wave
-      original.
+      {!Supervisor.guarded_cut} canary gating every wave;
+    - every worker is its own process tree with its own
+      {!Dynacut.session} and crash journal, so after a controller death
+      each worker recovers alone through {!Dynacut.recover}: every pid
+      ends applied XOR unchanged.
 
     {!boot} boots N processes of one app on a single machine and
     assembles the fleet over them. *)
@@ -16,9 +16,6 @@
 type t
 
 exception Fleet_error of string
-
-val manifest_dir : string
-(** Machine-fs directory holding the fleet manifest ([/tmpfs/fleet]). *)
 
 val create :
   Machine.t ->
@@ -53,7 +50,6 @@ val pids : t -> int list
 val workers : t -> Rollout.worker list
 val worker : t -> pid:int -> Rollout.worker
 val balancer : t -> Balancer.t
-val manifest : t -> Journal.Manifest.t
 
 val request :
   ?max_cycles:int -> t -> string -> [ `Reply of int * string | `Refused ]
@@ -69,25 +65,3 @@ val rollout :
   Rollout.outcome * Rollout.wave_report list
 (** Rolling rollout of the fleet's cut; see {!Rollout.run}. [drive]
     advances machine + traffic for the canary observation windows. *)
-
-(** {2 Fleet-wide crash recovery} *)
-
-type recovery = {
-  fr_workers : (int * Dynacut.recovery_action) list;
-      (** per-worker [Dynacut.recover] results, in pid order *)
-  fr_unwound : int list;
-      (** open-wave members whose committed cut was reverted back to
-          pristine so the halted wave is uniform *)
-  fr_wave : int;  (** the wave the crash interrupted; 0 when none *)
-  fr_torn : bool;  (** the manifest's tail was torn *)
-}
-
-val pp_recovery : Format.formatter -> recovery -> unit
-
-val recover : Machine.t -> pids:int list -> recovery
-(** Recover a fleet after a controller death: per-worker journal replay
-    first (per-pid "applied XOR unchanged"), then the manifest — a wave
-    that began but never finished is unwound (its committed members
-    reverted from pristine images) and recorded as halted, so the fleet
-    converges to completed-waves-cut / interrupted-wave-original and a
-    second pass is a no-op. *)

@@ -1,17 +1,16 @@
 (** Rolling wave-by-wave rollout of one cut across a worker fleet
     (DESIGN.md §6a).
 
-    Workers are chunked into waves. Each wave opens with a manifest
-    intent ([Wave_begin]), cuts its first member as a canary through
-    {!Supervisor.guarded_cut} (the per-wave SLO gate: observe trap
-    deltas over [canary_windows] windows of live traffic, revert on
-    breach), then applies plain transactional cuts to the remaining
-    members — each one drained from the balancer while frozen and
-    recorded in the manifest ([Worker_cut]) as it commits. A canary
-    rejection or a member rollback halts the rollout: the current wave
-    is reverted to byte-original, earlier waves {e stay cut}, and the
-    manifest records [Rollout_halted] so recovery knows where the
-    uniform prefix ends. *)
+    Workers are chunked into waves. Each wave cuts its first member as a
+    canary through {!Supervisor.guarded_cut} (the per-wave SLO gate:
+    observe trap deltas over [canary_windows] windows of live traffic,
+    revert on breach), then applies plain transactional cuts to the
+    remaining members — each one drained from the balancer while
+    frozen. A canary rejection or a member rollback halts the rollout:
+    the current wave is reverted to byte-original and earlier waves
+    {e stay cut}. Each member's cut is one transaction on its own
+    journal, so after a controller death every worker recovers alone
+    ({!Dynacut.recover}) to applied XOR unchanged. *)
 
 (** One fleet member: its own single-process tree, its own Dynacut
     session (hence its own crash-consistency journal + tmpfs images),
@@ -112,9 +111,8 @@ let pp_outcome ppf = function
 
 (** Run the rollout. [drive] advances the machine and its traffic — it
     is handed to the canary's SLO observation windows, exactly like
-    {!Supervisor.guarded_cut}. Fault site [fleet.wave] fires once per
-    wave, before the wave's manifest intent. *)
-let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
+    {!Supervisor.guarded_cut}. *)
+let run ~(balancer : Balancer.t)
     ~(workers : worker list) ~(config : config)
     ~(blocks : Covgraph.block list) ~(policy : Dynacut.policy)
     ~(drive : unit -> unit) () : outcome * wave_report list =
@@ -129,7 +127,6 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
   let reports = ref [] in
   let halted = ref None in
   let halt wave reason =
-    Journal.Manifest.append manifest (Journal.Manifest.Rollout_halted { wave });
     Obs.event ~kind:"fleet"
       (Printf.sprintf "rollout halted wave=%d (%s)" wave reason);
     halted := Some (wave, reason)
@@ -138,9 +135,6 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
     (fun i wave_pids ->
       if !halted = None then begin
         let wave = i + 1 in
-        Fault.site Fleet_wave;
-        Journal.Manifest.append manifest
-          (Journal.Manifest.Wave_begin { wave; pids = wave_pids });
         Obs.set_gauge (Obs.gauge "fleet.wave") (float_of_int wave);
         Obs.event ~kind:"fleet"
           (Printf.sprintf "wave %d begin pids=[%s]" wave
@@ -150,8 +144,7 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
           List.filter (fun w -> List.mem w.w_pid wave_pids) workers
         in
         match wave_workers with
-        | [] ->
-            Journal.Manifest.append manifest (Journal.Manifest.Wave_done { wave })
+        | [] -> ()
         | canary :: rest -> (
             List.iter (fun w -> w.w_wave <- wave) wave_workers;
             (* the wave's first member is the canary: cut under live,
@@ -172,8 +165,6 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
             | Supervisor.R_promoted -> (
                 canary.w_journals <- Supervisor.journals sup;
                 transition canary "cut";
-                Journal.Manifest.append manifest
-                  (Journal.Manifest.Worker_cut { wave; pid = canary.w_pid });
                 (* remaining members: plain transactional cuts, each
                    drained from the rotation while frozen *)
                 let failed = ref None in
@@ -189,9 +180,7 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
                           _;
                         } ->
                           w.w_journals <- r_journals;
-                          transition w "cut";
-                          Journal.Manifest.append manifest
-                            (Journal.Manifest.Worker_cut { wave; pid = w.w_pid })
+                          transition w "cut"
                       | { Dynacut.r_outcome = `Rolled_back rb; _ } ->
                           failed := Some rb.Dynacut.rb_stage);
                       Balancer.undrain balancer ~pid:w.w_pid
@@ -199,8 +188,6 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
                   rest;
                 match !failed with
                 | None ->
-                    Journal.Manifest.append manifest
-                      (Journal.Manifest.Wave_done { wave });
                     reports :=
                       {
                         wr_wave = wave;
@@ -218,7 +205,6 @@ let run ~(manifest : Journal.Manifest.t) ~(balancer : Balancer.t)
   match !halted with
   | None ->
       let waves = List.length waves_plan in
-      Journal.Manifest.append manifest (Journal.Manifest.Rollout_done { waves });
       Obs.event ~kind:"fleet" (Printf.sprintf "rollout done waves=%d" waves);
       (Completed { waves }, List.rev !reports)
   | Some (wave, reason) -> (Halted { wave; reason }, List.rev !reports)

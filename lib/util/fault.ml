@@ -29,9 +29,9 @@ module Site = struct
     | Criu_checkpoint | Criu_save | Criu_load | Crit_encode | Crit_decode
     | Rewrite_patch | Rewrite_unmap | Inject_lib | Inject_policy
     | Restore_process | Restore_tcp_repair | Restore_respawn | Supervisor_promote
-    | Journal_lock | Journal_append | Recover_replay | Fleet_wave | Fleet_manifest
-    | Balancer_dispatch | Net_accept_queue | Net_serve | Slice_trace | Slice_compute
-    | Bbcache_dispatch | Bbcache_flush
+    | Journal_lock | Journal_append | Recover_replay | Balancer_dispatch
+    | Net_accept_queue | Net_serve | Slice_trace | Slice_compute | Bbcache_dispatch
+    | Bbcache_flush
 
   (** Array index, spelling (CLI, metric labels, replay files) and a
       one-line description of each site. *)
@@ -55,34 +55,31 @@ module Site = struct
         (14, "journal.append", "append a sealed record to the crash-consistency journal")
     | Recover_replay ->
         (15, "recover.replay", "apply one recovery action (respawn, pristine restore, thaw)")
-    | Fleet_wave -> (16, "fleet.wave", "begin one wave of a rolling fleet rollout")
-    | Fleet_manifest ->
-        (17, "fleet.manifest", "append a sealed entry to the fleet rollout manifest")
     | Balancer_dispatch ->
-        (18, "balancer.dispatch", "route one client connection to a fleet worker")
-    | Net_accept_queue -> (19, "net.accept_queue", "admit a connection onto a bounded accept queue")
-    | Net_serve -> (20, "net.serve", "a worker accepts one queued connection to serve it")
+        (16, "balancer.dispatch", "route one client connection to a fleet worker")
+    | Net_accept_queue -> (17, "net.accept_queue", "admit a connection onto a bounded accept queue")
+    | Net_serve -> (18, "net.serve", "a worker accepts one queued connection to serve it")
     | Slice_trace ->
-        (21, "slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks")
-    | Slice_compute -> (22, "slice.compute", "fold the anchored dependency sets into the final slice")
+        (19, "slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks")
+    | Slice_compute -> (20, "slice.compute", "fold the anchored dependency sets into the final slice")
     | Bbcache_dispatch ->
-        (23, "bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum")
+        (21, "bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum")
     | Bbcache_flush ->
-        (24, "bbcache.flush", "evict cached blocks overlapping dirtied executable pages")
+        (22, "bbcache.flush", "evict cached blocks overlapping dirtied executable pages")
 
   let index s = match info s with i, _, _ -> i
   let name s = match info s with _, n, _ -> n
   let description s = match info s with _, _, d -> d
 
-  (** Every site in index order: the order of [--list-fault-sites], of
-      the chaos coverage matrix and of the schedule generator's draws. *)
+  (** Every site in index order: the order of [--list-fault-sites] and
+      of the chaos coverage matrix. *)
   let all =
     [
       Criu_checkpoint; Criu_save; Criu_load; Crit_encode; Crit_decode; Rewrite_patch;
       Rewrite_unmap; Inject_lib; Inject_policy; Restore_process; Restore_tcp_repair;
       Restore_respawn; Supervisor_promote; Journal_lock; Journal_append; Recover_replay;
-      Fleet_wave; Fleet_manifest; Balancer_dispatch; Net_accept_queue; Net_serve;
-      Slice_trace; Slice_compute; Bbcache_dispatch; Bbcache_flush;
+      Balancer_dispatch; Net_accept_queue; Net_serve; Slice_trace; Slice_compute;
+      Bbcache_dispatch; Bbcache_flush;
     ]
 
   let count = List.length all
@@ -368,10 +365,10 @@ let parse_spec (s : string) : Site.t * spec * bool * mode * int option =
 let applicable_modes (site : Site.t) : mode list =
   let base = [ Fail; Kill; Delay 25_000 ] in
   match site with
-  | Criu_save | Journal_lock | Journal_append | Fleet_manifest -> base @ [ Corrupt; Enospc; Eio ]
+  | Criu_save | Journal_lock | Journal_append -> base @ [ Corrupt; Enospc; Eio ]
   | Criu_checkpoint | Criu_load | Crit_encode | Crit_decode | Rewrite_patch | Rewrite_unmap
   | Inject_lib | Inject_policy | Restore_process | Restore_tcp_repair | Restore_respawn
-  | Supervisor_promote | Recover_replay | Fleet_wave | Balancer_dispatch | Net_accept_queue
+  | Supervisor_promote | Recover_replay | Balancer_dispatch | Net_accept_queue
   | Net_serve | Slice_trace | Slice_compute | Bbcache_dispatch | Bbcache_flush ->
       base
 

@@ -11,7 +11,7 @@
     count every callback out of the machine sees (the cache charges
     them once per block), nudge-precise invalidation across all three
     rewrite strategies, self-modifying-page eviction,
-    post-[Fleet.recover] cache coldness, the slicer on the cache
+    cache coldness after per-worker [Dynacut.recover], the slicer on the cache
     against the interpreter on ltpd and rkv, two-run determinism of
     the dump, and collection of a dropped machine. *)
 
@@ -867,9 +867,9 @@ let test_self_modifying_eviction () =
   Alcotest.(check bool) "eviction really happened" true
     ((stats m).Dispatch.st_flushes > 0)
 
-(* ---------- post-Fleet.recover coldness ---------- *)
+(* ---------- cache coldness after per-worker recovery ---------- *)
 
-let test_fleet_recover_coldness () =
+let test_recover_coldness () =
   Fault.reset ();
   Obs.reset ();
   let fleet =
@@ -901,11 +901,11 @@ let test_fleet_recover_coldness () =
   | (_ : Rollout.outcome * Rollout.wave_report list) ->
       Alcotest.fail "controller survived its mid-restore death"
   | exception Fault.Controller_killed _ -> ());
-  let r = Fleet.recover m ~pids in
   let rolled =
-    List.filter_map
-      (fun (pid, a) -> if a = `Rolled_back then Some pid else None)
-      r.Fleet.fr_workers
+    List.filter
+      (fun pid ->
+        (Dynacut.recover m ~root_pid:pid).Dynacut.rec_action = `Rolled_back)
+      pids
   in
   Alcotest.(check bool) "a worker was respawned from image" true (rolled <> []);
   List.iter
@@ -1291,8 +1291,7 @@ let suite =
     Alcotest.test_case "roundtrip: unmap cut" `Quick test_roundtrip_unmap;
     Alcotest.test_case "self-modifying page evicts" `Quick
       test_self_modifying_eviction;
-    Alcotest.test_case "post-Fleet.recover coldness" `Quick
-      test_fleet_recover_coldness;
+    Alcotest.test_case "post-recover coldness" `Quick test_recover_coldness;
     Alcotest.test_case "slicer runs on the cache" `Quick test_slicer_on_cache;
     Alcotest.test_case "cached dump is deterministic" `Quick
       test_cached_dump_deterministic;

@@ -1,7 +1,6 @@
 (** Directed fault strikes outside the coverage matrix: single faults
-    over a whole fleet rollout, a fault pair the matrix cannot express
-    (a torn fleet manifest under a mid-wave controller death), and
-    [Chaos.strike]'s own delay check. *)
+    over a whole fleet rollout, a controller death mid-wave recovered
+    worker by worker, and [Chaos.strike]'s own delay check. *)
 
 let converges oracle fleet =
   match Chaos.fleet_converges oracle fleet with
@@ -34,26 +33,7 @@ let test_corrupt_journal_clean () =
   let outcome, fleet, oracle = strike_rollout Journal_append Fault.Corrupt in
   Alcotest.(check string) "rollout completed" "completed(waves=2)"
     (Format.asprintf "%a" Rollout.pp_outcome outcome);
-  let (_ : Fleet.recovery) = converges oracle fleet in
-  no_violations "every worker cut" (Oracle.check_sides oracle ~cut:(Fleet.pids fleet))
-
-(* A torn manifest write does not hide what the rollout records after
-   it: the first entry (wave 1's [Wave_begin]) is written torn, every
-   later entry lands on the valid prefix, and the completed rollout's
-   compaction keeps both waves completed and the rollout done. *)
-let test_torn_manifest_completed () =
-  let outcome, fleet, oracle = strike_rollout Fleet_manifest Fault.Corrupt in
-  Alcotest.(check string) "rollout completed" "completed(waves=2)"
-    (Format.asprintf "%a" Rollout.pp_outcome outcome);
-  let m = Fleet.machine fleet in
-  let entries, torn =
-    Journal.Manifest.read (Journal.Manifest.attach m.Machine.fs ~dir:Fleet.manifest_dir)
-  in
-  Alcotest.(check bool) "manifest sealed whole" false torn;
-  Alcotest.(check (list string)) "both waves completed, rollout done"
-    [ "checkpoint completed=[1;2] halted=- done=true" ]
-    (List.map (Format.asprintf "%a" Journal.Manifest.pp_entry) entries);
-  let (_ : Fleet.recovery) = converges oracle fleet in
+  let (_ : Dynacut.recovery list) = converges oracle fleet in
   no_violations "every worker cut" (Oracle.check_sides oracle ~cut:(Fleet.pids fleet))
 
 (* a full disk at image-save time is a clean refusal: the canary's cut
@@ -66,29 +46,24 @@ let test_enospc_clean_refusal () =
       Alcotest.(check string) "refused at the checkpoint"
         "canary-cut rolled back at checkpoint" reason
   | o -> Alcotest.failf "expected a halt at wave 1: %a" Rollout.pp_outcome o);
-  let (_ : Fleet.recovery) = converges oracle fleet in
+  let (_ : Dynacut.recovery list) = converges oracle fleet in
   no_violations "every worker original" (Oracle.check_sides oracle ~cut:[])
 
-(* Wave 1 of a 6-worker, 2-wave rollout is three workers. The manifest's
-   third entry, wave 1's second [Worker_cut], is written torn, and the
-   controller dies while it cuts the wave's third member. The valid
-   prefix then shows wave 1 open with only its canary cut, so recovery
-   must unwind the canary; the oracle checks that from the prefix, not
-   from recovery's own account of what it unwound. (The second member,
-   whose record the tear lost, keeps its cut: the prefix cannot name
-   it.) *)
-let test_torn_manifest_mid_wave_kill () =
+(* Wave 1 of a 6-worker, 2-wave rollout is three workers. The
+   controller dies while it checkpoints the wave's third member. Each
+   member's cut is its own journaled transaction, so per-worker
+   recovery keeps the two that committed (the canary and the second
+   member) cut and leaves the struck member, whose transaction never
+   committed, and all of wave 2 original. *)
+let test_mid_wave_kill_per_worker () =
   Fault.reset ();
   let fleet, oracle = Chaos.ltpd_fleet 6 in
   let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-  let wave1, canary, third, wave2 =
+  let committed, struck, wave2 =
     match Rollout.plan ~pids ~waves:2 with
-    | [ ([ c; _; t ] as w1); w2 ] -> (w1, c, t, w2)
+    | [ [ c; s; t ]; w2 ] -> ([ c; s ], t, w2)
     | _ -> Alcotest.fail "expected two waves of three"
   in
-  Fault.arm_mode Fleet_manifest
-    (Fault.On_nth (Fault.hits Fleet_manifest + 3))
-    Fault.Corrupt;
   let outcome =
     Chaos.strike
       ~spec:(Fault.On_nth (Fault.hits Criu_checkpoint + 3))
@@ -96,25 +71,28 @@ let test_torn_manifest_mid_wave_kill () =
       (fun () -> ignore (Chaos.rollout fleet : Rollout.outcome))
   in
   Alcotest.(check bool) "controller killed" true (outcome = `Killed);
-  Alcotest.(check int) "manifest entry torn" 1 (Fault.fired Fleet_manifest);
   Fault.reset ();
-  let entries, torn =
-    Journal.Manifest.read
-      (Journal.Manifest.attach m.Machine.fs ~dir:Fleet.manifest_dir)
-  in
-  Alcotest.(check bool) "manifest tail torn" true torn;
-  Alcotest.(check (list string)) "valid prefix: wave 1 open, canary cut"
-    [
-      Format.asprintf "%a" Journal.Manifest.pp_entry
-        (Journal.Manifest.Wave_begin { wave = 1; pids = wave1 });
-      Format.asprintf "%a" Journal.Manifest.pp_entry
-        (Journal.Manifest.Worker_cut { wave = 1; pid = canary });
-    ]
-    (List.map (Format.asprintf "%a" Journal.Manifest.pp_entry) entries);
-  let r = converges oracle fleet in
-  Alcotest.(check (list int)) "canary unwound" [ canary ] r.Fleet.fr_unwound;
+  let recoveries = converges oracle fleet in
+  (* the kill froze the struck member before its images were saved:
+     only its journal holds an open transaction *)
+  Alcotest.(check (list string)) "recovery thaws only the struck member"
+    (List.map (fun pid -> if pid = struck then "thawed" else "nothing") pids)
+    (List.map
+       (fun r ->
+         match r.Dynacut.rec_action with
+         | `Nothing -> "nothing"
+         | `Thawed -> "thawed"
+         | `Rolled_back -> "rolled-back"
+         | `Completed -> "completed")
+       recoveries);
+  no_violations "canary and second member stay cut"
+    (Oracle.check_sides { oracle with Oracle.oc_pids = committed } ~cut:committed);
   no_violations "struck member and wave 2 original"
-    (Oracle.check_sides { oracle with Oracle.oc_pids = third :: wave2 } ~cut:[])
+    (Oracle.check_sides { oracle with Oracle.oc_pids = struck :: wave2 } ~cut:[]);
+  (* recovery hands the struck member back running *)
+  let p = Machine.proc_exn m struck in
+  Alcotest.(check bool) "the struck member is live and thawed" true
+    (Proc.is_live p && not p.Proc.frozen)
 
 (* strike's delay check must see where the delay landed: machine B,
    created after A, takes the delay hook, so a delay armed while A
@@ -145,12 +123,10 @@ let suite =
   [
     Alcotest.test_case "corrupt journal caught cleanly" `Quick
       test_corrupt_journal_clean;
-    Alcotest.test_case "torn manifest, completed rollout: both waves recorded" `Quick
-      test_torn_manifest_completed;
     Alcotest.test_case "enospc is a clean refusal" `Quick
       test_enospc_clean_refusal;
-    Alcotest.test_case "torn manifest + mid-wave kill unwinds the canary"
-      `Quick test_torn_manifest_mid_wave_kill;
+    Alcotest.test_case "mid-wave kill: per-worker recovery" `Quick
+      test_mid_wave_kill_per_worker;
     Alcotest.test_case "strike refuses a delay charged elsewhere" `Quick
       test_strike_delay_elsewhere_refused;
   ]

@@ -401,8 +401,6 @@ let test_known_sites_registry () =
       "journal.lock";
       "journal.append";
       "recover.replay";
-      "fleet.wave";
-      "fleet.manifest";
       "balancer.dispatch";
       "net.accept_queue";
       "net.serve";
@@ -413,7 +411,7 @@ let test_known_sites_registry () =
     ]
   in
   (* the names and their order: the order fixes the coverage matrix's
-     probe order and the schedule generator's draws *)
+     probe order *)
   Alcotest.(check (list string)) "registry names in order" expected known;
   List.iter
     (fun s ->

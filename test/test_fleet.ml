@@ -1,6 +1,6 @@
-(** Fleet orchestration: wave planning, the fleet manifest, rolling
-    rollouts (complete + halt), the balancer, and fleet-wide crash
-    recovery — all replay-exact from a fixed seed. *)
+(** Fleet orchestration: wave planning, rolling rollouts (complete +
+    halt), the balancer, and a worker's recovery through its own
+    journal — all replay-exact from a fixed seed. *)
 
 let lapp = Workload.ltpd
 let lget = "GET /index.html HTTP/1.0\r\n\r\n"
@@ -32,66 +32,6 @@ let test_plan () =
     [ [ 1 ]; [ 2 ] ]
     (Rollout.plan ~pids:[ 1; 2 ] ~waves:5)
 
-(* ---------- manifest ---------- *)
-
-let test_manifest_roundtrip () =
-  let fs = Vfs.create () in
-  let man = Journal.Manifest.attach fs ~dir:"/tmpfs/fleet" in
-  let entries =
-    Journal.Manifest.
-      [
-        Wave_begin { wave = 1; pids = [ 100; 101 ] };
-        Worker_cut { wave = 1; pid = 100 };
-        Worker_cut { wave = 1; pid = 101 };
-        Wave_done { wave = 1 };
-        Wave_begin { wave = 2; pids = [ 102 ] };
-        Worker_cut { wave = 2; pid = 102 };
-      ]
-  in
-  List.iter (Journal.Manifest.append man) entries;
-  let got, torn = Journal.Manifest.read man in
-  Alcotest.(check bool) "not torn" false torn;
-  Alcotest.(check int) "all entries" (List.length entries) (List.length got);
-  Alcotest.(check bool) "roundtrip" true (got = entries);
-  let s = Journal.Manifest.summarize got in
-  Alcotest.(check (list int)) "wave 1 completed" [ 1 ]
-    s.Journal.Manifest.m_completed;
-  (match s.Journal.Manifest.m_open with
-  | Some (2, [ 102 ], [ 102 ]) -> ()
-  | _ -> Alcotest.fail "wave 2 should be open with pid 102 cut");
-  Alcotest.(check bool) "not done" false s.Journal.Manifest.m_done;
-  (* a torn tail yields the longest valid prefix, flagged *)
-  (match Vfs.find fs "/tmpfs/fleet/manifest" with
-  | Some raw ->
-      Vfs.add fs "/tmpfs/fleet/manifest"
-        (String.sub raw 0 (String.length raw - 3))
-  | None -> Alcotest.fail "manifest file missing");
-  let got', torn' = Journal.Manifest.read man in
-  Alcotest.(check bool) "torn tail detected" true torn';
-  Alcotest.(check int) "prefix survives"
-    (List.length entries - 1)
-    (List.length got');
-  Journal.Manifest.clear man;
-  let got'', torn'' = Journal.Manifest.read man in
-  Alcotest.(check bool) "clear" true (got'' = [] && not torn'')
-
-let test_manifest_halted_summary () =
-  let s =
-    Journal.Manifest.(
-      summarize
-        [
-          Wave_begin { wave = 1; pids = [ 9 ] };
-          Worker_cut { wave = 1; pid = 9 };
-          Wave_done { wave = 1 };
-          Wave_begin { wave = 2; pids = [ 10 ] };
-          Rollout_halted { wave = 2 };
-        ])
-  in
-  Alcotest.(check bool) "closed by halt" true
-    (s.Journal.Manifest.m_open = None);
-  Alcotest.(check (option int)) "halted wave" (Some 2)
-    s.Journal.Manifest.m_halted
-
 (* ---------- rolling rollout ---------- *)
 
 let test_rollout_completes () =
@@ -118,13 +58,6 @@ let test_rollout_completes () =
       Alcotest.(check bool) "every worker carries the cut" true
         (Rollout.cut_live w))
     (Fleet.workers fleet);
-  (* the manifest records the whole rollout as done *)
-  let entries, torn = Journal.Manifest.read (Fleet.manifest fleet) in
-  Alcotest.(check bool) "manifest intact" false torn;
-  let s = Journal.Manifest.summarize entries in
-  Alcotest.(check bool) "done" true s.Journal.Manifest.m_done;
-  Alcotest.(check (list int)) "waves closed" [ 1; 2; 3 ]
-    s.Journal.Manifest.m_completed;
   (* the cut fleet refuses the feature and serves the rest *)
   (match Fleet.request fleet lput with
   | `Reply (_, resp) ->
@@ -161,47 +94,7 @@ let test_rollout_halts_on_trap_storm () =
         (List.mem w.Rollout.w_pid wave1)
         (Rollout.cut_live w))
     (Fleet.workers fleet);
-  let entries, _ = Journal.Manifest.read (Fleet.manifest fleet) in
-  let s = Journal.Manifest.summarize entries in
-  Alcotest.(check (option int)) "halt recorded" (Some 2)
-    s.Journal.Manifest.m_halted;
   (* the fleet still serves wanted traffic *)
-  match Fleet.request fleet lget with
-  | `Reply (_, resp) ->
-      Alcotest.(check bool) "GET ok" true
-        (String.length resp > 12 && String.sub resp 9 3 = "200")
-  | `Refused -> Alcotest.fail "fleet refused"
-
-(* ---------- fleet recovery ---------- *)
-
-let test_recover_unwinds_open_wave () =
-  Obs.reset ();
-  Fault.reset ();
-  let fleet = Fleet.boot ~n:2 ~blocks:(Lazy.force lblocks) ~policy:lpolicy lapp in
-  let m = Fleet.machine fleet and pids = Fleet.pids fleet in
-  let w1 = Fleet.worker fleet ~pid:(List.hd pids) in
-  (* simulate a controller crash mid-wave: the first member's cut has
-     committed (manifest intent + Worker_cut), the wave never closed *)
-  (match Dynacut.try_cut w1.Rollout.w_session ~blocks:(Lazy.force lblocks) ~policy:lpolicy () with
-  | { Dynacut.r_outcome = `Applied; _ } -> ()
-  | { Dynacut.r_outcome = `Rolled_back _; _ } -> Alcotest.fail "setup cut failed");
-  let man = Fleet.manifest fleet in
-  Journal.Manifest.append man
-    (Journal.Manifest.Wave_begin { wave = 1; pids });
-  Journal.Manifest.append man
-    (Journal.Manifest.Worker_cut { wave = 1; pid = List.hd pids });
-  let r = Fleet.recover m ~pids in
-  Alcotest.(check (list int)) "the committed member is unwound"
-    [ List.hd pids ] r.Fleet.fr_unwound;
-  Alcotest.(check int) "interrupted wave" 1 r.Fleet.fr_wave;
-  (* converged: the manifest now shows the wave halted, and a second
-     recovery pass is a no-op *)
-  let entries, _ = Journal.Manifest.read man in
-  let s = Journal.Manifest.summarize entries in
-  Alcotest.(check bool) "wave closed" true (s.Journal.Manifest.m_open = None);
-  let r2 = Fleet.recover m ~pids in
-  Alcotest.(check (list int)) "second pass no-op" [] r2.Fleet.fr_unwound;
-  (* the unwound worker serves again *)
   match Fleet.request fleet lget with
   | `Reply (_, resp) ->
       Alcotest.(check bool) "GET ok" true
@@ -294,73 +187,6 @@ let test_backlog_full_refuses () =
   | `Pending | `Timed_out _ -> Alcotest.fail "queued request not served");
   Balancer.finish b (admit "dispatch after a served connection")
 
-(* ---------- manifest compaction ---------- *)
-
-let test_manifest_checkpoint_compact () =
-  let fs = Vfs.create () in
-  let man = Journal.Manifest.attach fs ~dir:"/tmpfs/fleet" in
-  List.iter (Journal.Manifest.append man)
-    Journal.Manifest.
-      [
-        Wave_begin { wave = 1; pids = [ 100; 101 ] };
-        Worker_cut { wave = 1; pid = 100 };
-        Worker_cut { wave = 1; pid = 101 };
-        Wave_done { wave = 1 };
-        Wave_begin { wave = 2; pids = [ 102; 103 ] };
-        Worker_cut { wave = 2; pid = 102 };
-      ];
-  let before = Journal.Manifest.summarize (fst (Journal.Manifest.read man)) in
-  (* tear the tail: compaction must drop it and re-seal *)
-  (match Vfs.find fs "/tmpfs/fleet/manifest" with
-  | Some raw -> Vfs.add fs "/tmpfs/fleet/manifest" (raw ^ "\x07garbage")
-  | None -> Alcotest.fail "manifest file missing");
-  let _, torn = Journal.Manifest.read man in
-  Alcotest.(check bool) "tail torn" true torn;
-  Journal.Manifest.compact man;
-  let entries, torn' = Journal.Manifest.read man in
-  Alcotest.(check bool) "fully sealed after compaction" false torn';
-  (* closed history folds into one checkpoint; the open wave's records
-     are re-emitted verbatim so recovery can still unwind it *)
-  (match entries with
-  | Journal.Manifest.
-      [
-        Checkpoint { completed = [ 1 ]; halted = None; done_ = false };
-        Wave_begin { wave = 2; pids = [ 102; 103 ] };
-        Worker_cut { wave = 2; pid = 102 };
-      ] ->
-      ()
-  | _ ->
-      Alcotest.failf "unexpected compacted manifest: [%s]"
-        (String.concat "; "
-           (List.map
-              (Format.asprintf "%a" Journal.Manifest.pp_entry)
-              entries)));
-  let after = Journal.Manifest.summarize entries in
-  Alcotest.(check bool) "summary preserved" true (before = after);
-  (* close the wave and re-compact: everything folds into the record *)
-  Journal.Manifest.append man (Journal.Manifest.Wave_done { wave = 2 });
-  Journal.Manifest.compact man;
-  (match Journal.Manifest.read man with
-  | ( [
-        Journal.Manifest.Checkpoint
-          { completed = [ 1; 2 ]; halted = None; done_ = false };
-      ],
-      false ) ->
-      ()
-  | entries2, _ ->
-      Alcotest.failf "re-compaction kept %d entries" (List.length entries2));
-  (* a checkpoint roundtrips like any entry *)
-  Journal.Manifest.append man
-    (Journal.Manifest.Checkpoint
-       { completed = [ 9 ]; halted = Some 3; done_ = true });
-  let all, torn'' = Journal.Manifest.read man in
-  Alcotest.(check bool) "appended checkpoint intact" true (not torn'');
-  match List.rev all with
-  | Journal.Manifest.Checkpoint { completed = [ 9 ]; halted = Some 3; done_ = true }
-    :: _ ->
-      ()
-  | _ -> Alcotest.fail "checkpoint did not roundtrip"
-
 (* ---------- owner-keyed routing across reap + revive ---------- *)
 
 let test_route_after_reap_revive () =
@@ -380,8 +206,12 @@ let test_route_after_reap_revive () =
   | (_ : Dynacut.cut_result) -> Alcotest.fail "controller survived its death"
   | exception Fault.Controller_killed _ -> ());
   Fault.reset ();
-  let r = Fleet.recover m ~pids in
-  (match List.assoc victim r.Fleet.fr_workers with
+  let actions =
+    List.map
+      (fun pid -> (pid, (Dynacut.recover m ~root_pid:pid).Dynacut.rec_action))
+      pids
+  in
+  (match List.assoc victim actions with
   | `Rolled_back -> ()
   | a ->
       Alcotest.failf "victim recovery: %s"
@@ -464,21 +294,13 @@ let test_boot_discovers_first () =
 let suite =
   [
     Alcotest.test_case "wave planning" `Quick test_plan;
-    Alcotest.test_case "manifest roundtrip + torn tail" `Quick
-      test_manifest_roundtrip;
-    Alcotest.test_case "manifest halted summary" `Quick
-      test_manifest_halted_summary;
     Alcotest.test_case "rollout completes" `Quick test_rollout_completes;
     Alcotest.test_case "rollout halts on trap storm" `Quick
       test_rollout_halts_on_trap_storm;
-    Alcotest.test_case "recover unwinds open wave" `Quick
-      test_recover_unwinds_open_wave;
     Alcotest.test_case "frozen worker gets zero dispatches" `Quick
       test_frozen_worker_zero_dispatches;
     Alcotest.test_case "backlog-full dispatch refuses" `Quick
       test_backlog_full_refuses;
-    Alcotest.test_case "manifest checkpoint compaction" `Quick
-      test_manifest_checkpoint_compact;
     Alcotest.test_case "owner-keyed routing after reap+revive" `Quick
       test_route_after_reap_revive;
     Alcotest.test_case "connection table stays bounded" `Quick test_conn_table_bounded;
