@@ -269,9 +269,9 @@ let run_obs () =
 
 (* ---------- fleet: fan-out throughput + rollout pause ---------- *)
 
-(* The §6a fleet numbers: closed-loop requests through the kernel's
-   round-robin listener fan-out as the worker count scales (virtual-
-   clock throughput, served through the decoded-block code cache), the
+(* The §6a fleet numbers: closed-loop requests through the least-
+   loaded balancer as the worker count scales (virtual-clock
+   throughput, served through the decoded-block code cache), the
    cache's host-time speedup at one worker over the interpreter
    reference, and the per-wave pause a rolling rollout imposes on a
    6-worker fleet. Emits BENCH_fleet.json; --quick shrinks the sweep for

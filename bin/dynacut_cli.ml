@@ -498,11 +498,6 @@ let guard_cmd =
                round (repeatable); defaults to the app's wanted-traffic mix." in
     Arg.(value & opt_all string [] & info [ "r"; "request" ] ~docv:"REQ" ~doc)
   in
-  let canary =
-    let doc = "Cut one worker first and promote only after a healthy \
-               observation period (default true)." in
-    Arg.(value & opt bool true & info [ "canary" ] ~docv:"BOOL" ~doc)
-  in
   let storm =
     let doc =
       "Deliberately add the app's wanted GET path to the undesired set, \
@@ -536,7 +531,7 @@ let guard_cmd =
     in
     Arg.(value & flag & info [ "slice" ] ~doc)
   in
-  let action app feature probes canary storm slice max_traps slices faults seed
+  let action app feature probes storm slice max_traps slices faults seed
       list_sites verbose metrics =
     if list_sites && app = None then begin
       print_fault_sites ~verbose ();
@@ -604,7 +599,7 @@ let guard_cmd =
       write_metrics metrics;
       exit code
     in
-    let rollout = Supervisor.guarded_cut sup ~canary ~drive () in
+    let rollout = Supervisor.guarded_cut sup ~drive () in
     Format.printf "rollout: %a@." Supervisor.pp_rollout rollout;
     (match rollout with
     | Supervisor.R_rolled_back _ -> finish 3
@@ -649,7 +644,7 @@ let guard_cmd =
   Cmd.v
     (Cmd.info "guard" ~doc ~man)
     Term.(
-      const action $ app_opt_arg $ feature $ probe $ canary $ storm $ slice
+      const action $ app_opt_arg $ feature $ probe $ storm $ slice
       $ max_traps $ slices $ inject_fault_arg $ fault_seed_arg $ list_fault_sites_arg $ verbose_arg
       $ metrics_out_arg)
 
@@ -873,7 +868,7 @@ let fleet_cmd =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"FEATURE" ~doc)
   in
   let workers =
-    let doc = "Number of fleet workers behind the round-robin fan-out." in
+    let doc = "Number of fleet workers behind the least-loaded balancer." in
     Arg.(value & opt int 6 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let waves =
@@ -933,9 +928,9 @@ let fleet_cmd =
       let w = int_of_float (Obs.gauge_value (Obs.gauge "fleet.wave")) in
       match storm_wave with
       | Some k when w >= k ->
-          (* the round-robin fan-out spreads the batch across the whole
-             fleet, so repeat the mix per worker to breach the canary's
-             per-window trap SLO *)
+          (* the balancer spreads the batch across the whole fleet, so
+             repeat the mix per worker to breach the canary's per-window
+             trap SLO *)
           for _ = 1 to workers do
             send (undesired_mix app)
           done
@@ -1007,9 +1002,8 @@ let fleet_cmd =
         finish (match outcome with Rollout.Completed _ -> 0 | Rollout.Halted _ -> 4)
   in
   let doc =
-    "Boot N workers of one app behind the kernel's round-robin listener \
-     fan-out and roll a cut out wave-by-wave with a canary gating each \
-     wave."
+    "Boot N workers of one app behind the least-loaded balancer and \
+     roll a cut out wave-by-wave with a canary gating each wave."
   in
   let man =
     [
@@ -1053,10 +1047,6 @@ let top_cmd =
     in
     Arg.(value & flag & info [ "storm" ] ~doc)
   in
-  let canary =
-    let doc = "Canary rollout before promoting (default true)." in
-    Arg.(value & opt bool true & info [ "canary" ] ~docv:"BOOL" ~doc)
-  in
   let slices =
     let doc = "Rounds of wanted traffic after the rollout." in
     Arg.(value & opt int 8 & info [ "slices" ] ~docv:"N" ~doc)
@@ -1065,7 +1055,7 @@ let top_cmd =
     Obs.counter_value
       (Obs.counter ~labels:[ ("pid", string_of_int pid) ] name)
   in
-  let action app feature storm canary slices =
+  let action app feature storm slices =
     let app = require_app app in
     let feature = default_feature app feature in
     let blocks, redirect = feature_blocks app feature in
@@ -1095,7 +1085,7 @@ let top_cmd =
       List.iter (fun r -> ignore (Workload.rpc c r)) reqs;
       ignore (Machine.run m ~max_cycles:20_000)
     in
-    let rollout = Supervisor.guarded_cut sup ~canary ~drive () in
+    let rollout = Supervisor.guarded_cut sup ~drive () in
     for _ = 1 to slices do
       drive ()
     done;
@@ -1128,7 +1118,7 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top" ~doc)
     Term.(
-      const action $ app_opt_arg $ feature $ storm $ canary $ slices)
+      const action $ app_opt_arg $ feature $ storm $ slices)
 
 (* ---------- crit ---------- *)
 

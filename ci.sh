@@ -124,6 +124,9 @@ cli_exit 0 fleet ltpd --inject-fault net.serve:p=0.5 --fault-seed 3
 # A controller killed mid-rollout (here at wave 2's canary checkpoint)
 # leaves each worker to recover through its own journal: exit 6.
 cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=3:kill
+# The same kill on wave 1's second member (pid 101), a plain member
+# cut rather than a canary: that worker too recovers alone and serves.
+cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=2:kill
 
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the

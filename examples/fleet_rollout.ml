@@ -1,7 +1,7 @@
 (** Fleet orchestration end-to-end (DESIGN.md §6a), deterministic from
     one seed:
 
-    1. boot 6 ltpd workers behind the kernel's round-robin fan-out and
+    1. boot 6 ltpd workers behind the least-loaded balancer and
        roll the PUT/DELETE cut out in 3 waves; during wave 3 the traffic
        turns PUT-heavy, the wave's canary breaches its trap SLO, and the
        rollout halts — waves 1–2 stay cut, wave 3 stays original, and

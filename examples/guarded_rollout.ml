@@ -48,7 +48,7 @@ let () =
       ~blocks:good_blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Redirect "ngx_declined" }
   in
-  let r = Supervisor.guarded_cut good ~canary:true ~drive () in
+  let r = Supervisor.guarded_cut good ~drive () in
   Format.printf "rollout: %a; GET -> %s, PUT -> %s@." Supervisor.pp_rollout r
     (status (Workload.rpc c get))
     (status (Workload.rpc c put));
@@ -67,7 +67,7 @@ let () =
         ]
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Terminate }
   in
-  let r = Supervisor.guarded_cut bad ~canary:true ~drive () in
+  let r = Supervisor.guarded_cut bad ~drive () in
   Format.printf "rollout: %a; GET -> %s (worker respawned pristine)@."
     Supervisor.pp_rollout r
     (status (Workload.rpc c get));

@@ -87,9 +87,9 @@ let contains ~(sub : string) (s : string) =
 
 (** Spawn [n] independent workers of [app] side by side on {e one}
     machine — the fleet topology. Every worker is its own process tree
-    listening on the app's port; the kernel round-robins connections
-    over them ({!Net} fan-out). Returns one untraced ctx per worker, all
-    sharing the machine. *)
+    with its own listener on the app's port; a request reaches one
+    through the fleet's balancer, never through {!rpc}. Returns one
+    untraced ctx per worker, all sharing the machine. *)
 let spawn_fleet ?(seed = 42) ~n (app : app) : ctx list =
   if n < 1 then invalid_arg "Workload.spawn_fleet: n must be >= 1";
   let m = Machine.create ~seed () in
@@ -281,9 +281,7 @@ let trace_spec (k : Spec.kernel) : Drcov.log * Drcov.log =
 let trace_requests_auto ~(app : app) ~(requests : string list) () :
     Drcov.log * Drcov.log =
   let c = spawn ~traced:true app in
-  let auto =
-    Autophase.arm c.m (collector c) ~trigger:Autophase.On_accept
-  in
+  let auto = Autophase.arm c.m (collector c) in
   wait_ready c;
   List.iter (fun r -> ignore (rpc c r)) requests;
   ignore (Machine.run c.m ~max_cycles:5_000_000);

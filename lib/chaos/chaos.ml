@@ -206,7 +206,7 @@ let promote_probe site mode =
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
   let (_ : outcome) =
     strike c.Workload.m site mode (fun () ->
-        ignore (Supervisor.guarded_cut sup ~canary:true ~drive ()))
+        ignore (Supervisor.guarded_cut sup ~drive ()))
   in
   ignore (tree_finish c session oracle : Dynacut.recovery)
 

@@ -6,7 +6,6 @@ type config = { max_traps : int; canary_windows : int }
 let default_config = { max_traps = 3; canary_windows = 2 }
 
 type event_kind =
-  | Cut_applied of int list
   | Canary_cut of int
   | Canary_promoted of int list
   | Canary_rejected of { pid : int; traps : int }
@@ -20,7 +19,6 @@ let pp_pids ppf pids =
     (String.concat ";" (List.map string_of_int (List.sort compare pids)))
 
 let pp_event_kind ppf = function
-  | Cut_applied pids -> Format.fprintf ppf "cut-applied %a" pp_pids pids
   | Canary_cut pid -> Format.fprintf ppf "canary-cut pid=%d" pid
   | Canary_promoted pids -> Format.fprintf ppf "canary-promoted %a" pp_pids pids
   | Canary_rejected { pid; traps } ->
@@ -122,70 +120,58 @@ let full_cut t ~pids =
   | { Dynacut.r_outcome = `Rolled_back rb; _ } -> Error rb.Dynacut.rb_stage
   | { Dynacut.r_outcome = `Applied; r_journals; _ } -> Ok r_journals
 
-let guarded_cut t ?(canary = true) ~drive () =
-  if not canary then begin
-    let pids = Dynacut.tree_pids t.session in
-    match full_cut t ~pids with
-    | Error stage -> R_rolled_back stage
-    | Ok j ->
-        t.journals <- j;
-        t.cut_pids <- pids;
-        emit t (Cut_applied pids);
-        R_promoted
-  end
-  else begin
-    let cpid = pick_canary t in
-    match full_cut t ~pids:[ cpid ] with
-    | Error stage -> R_rolled_back stage
-    | Ok cj ->
-        t.journals <- cj;
-        t.cut_pids <- [ cpid ];
-        emit t (Canary_cut cpid);
-        (* baseline the canary's trap counter: a stacked cut may find
-           it already counting *)
-        let meter = Dynacut.trap_meter () in
-        let trap_delta () = Dynacut.trap_delta meter t.session ~pid:cpid in
-        ignore (trap_delta ());
-        let traps = ref 0 in
-        let healthy = ref true in
-        let w = ref 0 in
-        while !healthy && !w < t.cfg.canary_windows do
-          incr w;
-          drive ();
-          (* a canary the cut killed ([`Kill], [`Terminate], SIGILL on
-             wiped bytes) counts one trap its handler never saw *)
-          let canary_died = live_pids t [ cpid ] = [] in
-          traps := !traps + trap_delta () + if canary_died then 1 else 0;
-          if canary_died || !traps > t.cfg.max_traps then healthy := false
-        done;
-        if not !healthy then begin
-          revert_canary t cpid cj;
-          emit t (Canary_rejected { pid = cpid; traps = !traps });
-          R_canary_rejected
-        end
-        else begin
-          let rest =
-            List.filter (fun p -> p <> cpid) (Dynacut.tree_pids t.session)
-          in
-          match
-            Fault.site Supervisor_promote;
-            if rest = [] then Ok [] else full_cut t ~pids:rest
-          with
-          | exception Fault.Injected _ ->
-              revert_canary t cpid cj;
-              emit t (Promotion_failed "fault at supervisor.promote");
-              R_promotion_failed
-          | Error stage ->
-              revert_canary t cpid cj;
-              emit t (Promotion_failed stage);
-              R_promotion_failed
-          | Ok rj ->
-              t.journals <- cj @ rj;
-              t.cut_pids <- cpid :: rest;
-              emit t (Canary_promoted (cpid :: rest));
-              R_promoted
-        end
-  end
+let guarded_cut t ~drive () =
+  let cpid = pick_canary t in
+  match full_cut t ~pids:[ cpid ] with
+  | Error stage -> R_rolled_back stage
+  | Ok cj ->
+      t.journals <- cj;
+      t.cut_pids <- [ cpid ];
+      emit t (Canary_cut cpid);
+      (* baseline the canary's trap counter: a stacked cut may find
+         it already counting *)
+      let meter = Dynacut.trap_meter () in
+      let trap_delta () = Dynacut.trap_delta meter t.session ~pid:cpid in
+      ignore (trap_delta ());
+      let traps = ref 0 in
+      let healthy = ref true in
+      let w = ref 0 in
+      while !healthy && !w < t.cfg.canary_windows do
+        incr w;
+        drive ();
+        (* a canary the cut killed ([`Kill], [`Terminate], SIGILL on
+           wiped bytes) counts one trap its handler never saw *)
+        let canary_died = live_pids t [ cpid ] = [] in
+        traps := !traps + trap_delta () + if canary_died then 1 else 0;
+        if canary_died || !traps > t.cfg.max_traps then healthy := false
+      done;
+      if not !healthy then begin
+        revert_canary t cpid cj;
+        emit t (Canary_rejected { pid = cpid; traps = !traps });
+        R_canary_rejected
+      end
+      else begin
+        let rest =
+          List.filter (fun p -> p <> cpid) (Dynacut.tree_pids t.session)
+        in
+        match
+          Fault.site Supervisor_promote;
+          if rest = [] then Ok [] else full_cut t ~pids:rest
+        with
+        | exception Fault.Injected _ ->
+            revert_canary t cpid cj;
+            emit t (Promotion_failed "fault at supervisor.promote");
+            R_promotion_failed
+        | Error stage ->
+            revert_canary t cpid cj;
+            emit t (Promotion_failed stage);
+            R_promotion_failed
+        | Ok rj ->
+            t.journals <- cj @ rj;
+            t.cut_pids <- cpid :: rest;
+            emit t (Canary_promoted (cpid :: rest));
+            R_promoted
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Verifier feedback                                                   *)

@@ -47,14 +47,14 @@ val create :
 (** Attach a supervisor to a session. Nothing is cut, and no hook is
     installed on the machine. *)
 
-val guarded_cut : t -> ?canary:bool -> drive:(unit -> unit) -> unit -> rollout
-(** Apply the supervised cut. With [canary] (the default) the cut lands
-    on one non-root worker first; [drive] is called once per observation
-    window to advance the machine and its traffic, then the canary's
-    trap delta is examined. A healthy canary promotes the cut to the
-    rest of the tree (fault site [supervisor.promote]); a breach — or a
-    canary death — reverts it, leaving every pid byte-original. With
-    [~canary:false] the cut lands on the whole tree at once, unobserved. *)
+val guarded_cut : t -> drive:(unit -> unit) -> unit -> rollout
+(** Apply the supervised cut. It lands on one non-root worker first (the
+    root itself in a single-process tree); [drive] is called once per
+    observation window to advance the machine and its traffic, then the
+    canary's trap delta is examined. A healthy canary promotes the cut
+    to the rest of the tree (fault site [supervisor.promote]); a breach
+    — or a canary death — reverts it, leaving every pid byte-original.
+    An unsupervised cut of the whole tree is {!Dynacut.try_cut}. *)
 
 val cut_live : t -> bool
 (** True while the cut is applied. *)

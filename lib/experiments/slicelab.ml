@@ -164,7 +164,7 @@ let cut_and_converge ?(seed = 42)
   let drive () =
     List.iter (fun r -> ignore (Workload.rpc c r)) (drive_requests app)
   in
-  let rollout = Supervisor.guarded_cut sup ~canary:true ~drive () in
+  let rollout = Supervisor.guarded_cut sup ~drive () in
   let restored = ref [] in
   let rounds = ref 0 in
   (match rollout with

@@ -1,12 +1,11 @@
-(** The least-loaded fleet dispatcher (DESIGN.md §6b).
-
-    PR 1-5's balancer was a control plane over the kernel's blind
-    round-robin ({!Net.route}); this one owns the dispatch decision.
-    Each request is routed to the {e least-loaded eligible} worker:
-    dead, frozen, drained and backlog-full workers are skipped (so a
-    worker being cut mid-wave receives zero new dispatches before it is
-    even frozen). When every worker is skipped the request is refused;
-    the bounded accept queues are the only load limit.
+(** The least-loaded fleet dispatcher (DESIGN.md §6b): the one way a
+    request reaches a fleet worker. The kernel picks no listener ({!Net}
+    only admits); each request is routed to the {e least-loaded
+    eligible} worker and admitted onto its listener with
+    {!Net.connect_via}. Dead, frozen and backlog-full workers are
+    skipped, so a worker being cut receives no dispatch while it is
+    frozen. When every worker is skipped the request is refused; the
+    bounded accept queues are the only load limit.
 
     Every decision is recorded twice: in the metric registry
     ([fleet.dispatches{pid}], [fleet.refused], the
@@ -23,7 +22,7 @@
 let backlog_max = 8
 
 (** Why a worker was passed over for one dispatch. *)
-type skip = Dead | Frozen | Drained | Backlog_full
+type skip = Dead | Frozen | Backlog_full
 
 type verdict =
   | Dispatched of int  (** chosen worker pid *)
@@ -36,13 +35,13 @@ type decision = {
 }
 
 type health = {
+  h_listener : Net.listener;  (** the worker's listener on the port *)
   mutable h_inflight : int;  (** dispatched, not yet completed *)
   mutable h_dispatched : int;  (** cumulative, the tie-breaker *)
 }
 
 type t = {
   machine : Machine.t;
-  port : int;
   workers : int list;  (** worker tree-root pids, registration order *)
   health : (int, health) Hashtbl.t;
   mutable inflight : int;  (** aggregate dispatched-not-completed *)
@@ -61,26 +60,25 @@ type ticket = {
 
 exception Balancer_error of string
 
-(** A balancer over [workers], the tree-root pids of the fleet. *)
+(** A balancer over [workers], the tree-root pids of the fleet. Each
+    must own a listener on [port] (else {!Balancer_error}); its accept
+    queue is bounded at {!backlog_max} here, once, since a restore
+    re-registers a worker's listener as the same object. *)
 let create (machine : Machine.t) ~(port : int) ~(workers : int list) : t =
   let health = Hashtbl.create 8 in
   List.iter
-    (fun pid -> Hashtbl.replace health pid { h_inflight = 0; h_dispatched = 0 })
+    (fun pid ->
+      match Net.find_listener_owned machine.Machine.net ~port ~owner:pid with
+      | Some l ->
+          Net.set_backlog_max l backlog_max;
+          Hashtbl.replace health pid
+            { h_listener = l; h_inflight = 0; h_dispatched = 0 }
+      | None ->
+          raise
+            (Balancer_error
+               (Printf.sprintf "worker %d has no listener on port %d" pid port)))
     workers;
-  { machine; port; workers; health; inflight = 0; decisions = []; n_decisions = 0 }
-
-let listener t ~pid =
-  match Net.find_listener_owned t.machine.Machine.net ~port:t.port ~owner:pid with
-  | Some l -> l
-  | None ->
-      raise
-        (Balancer_error
-           (Printf.sprintf "worker %d has no listener on port %d" pid t.port))
-
-(** Stop routing new connections to [pid]; in-flight ones are untouched. *)
-let drain t ~pid = (listener t ~pid).Net.accepting <- false
-
-let undrain t ~pid = (listener t ~pid).Net.accepting <- true
+  { machine; workers; health; inflight = 0; decisions = []; n_decisions = 0 }
 
 let health t ~pid =
   match Hashtbl.find_opt t.health pid with
@@ -121,10 +119,8 @@ let classify t ~pid : (Net.listener, skip) result =
   | Some p when Proc.is_live p ->
       if p.Proc.frozen then Error Frozen
       else
-        let l = listener t ~pid in
-        if not l.Net.accepting then Error Drained
-        else if Net.backlog_full l then Error Backlog_full
-        else Ok l
+        let l = (health t ~pid).h_listener in
+        if Net.backlog_full l then Error Backlog_full else Ok l
   | _ -> Error Dead
 
 (** Pick the least-loaded eligible worker: the lowest in-flight count
@@ -160,7 +156,6 @@ let dispatch_ticket t (text : string) : [ `Ticket of ticket | `Refused ] =
       record t All_skipped skipped;
       `Refused
   | Ok (pid, l, skipped) -> (
-      Net.set_backlog_max l backlog_max;
       match Net.connect_via t.machine.Machine.net l with
       | exception Net.Refused _ ->
           (* raced to full between picking and admit *)

@@ -1,7 +1,7 @@
-(** The fleet orchestrator (DESIGN.md §6a): N single-process workers
-    behind the kernel's round-robin listener fan-out, customized by
-    composing existing subsystems — {!Balancer} (dispatch control
-    plane), {!Rollout} (wave-by-wave cuts with a
+(** The fleet orchestrator (DESIGN.md §6a): N single-process workers,
+    one listener each on a shared port, customized by composing
+    existing subsystems — {!Balancer} (the one way a request reaches a
+    worker), {!Rollout} (wave-by-wave cuts with a
     {!Supervisor.guarded_cut} canary per wave) and one
     {!Dynacut.session} (and hence one crash-consistency journal) per
     worker. After a controller death each worker recovers through its
@@ -41,8 +41,6 @@ let create (machine : Machine.t) ~(port : int)
   if pids = [] then raise (Fleet_error "fleet needs at least one worker");
   let workers = List.map (fun pid -> Rollout.make_worker machine ~pid) pids in
   let balancer = Balancer.create machine ~port ~workers:pids in
-  (* every worker must own a listener on [port] *)
-  List.iter (fun pid -> ignore (Balancer.listener balancer ~pid)) pids;
   let t = { machine; balancer; workers; blocks; policy } in
   refresh_gauges t;
   t
@@ -77,7 +75,7 @@ let request ?max_cycles t text = Balancer.request ?max_cycles t.balancer text
 let rollout ?(config = Rollout.default_config) t ~(drive : unit -> unit) () :
     Rollout.outcome * Rollout.wave_report list =
   let outcome, reports =
-    Rollout.run ~balancer:t.balancer ~workers:t.workers ~config ~blocks:t.blocks
+    Rollout.run ~workers:t.workers ~config ~blocks:t.blocks
       ~policy:t.policy ~drive ()
   in
   refresh_gauges t;

@@ -1,7 +1,8 @@
 (** The fleet orchestrator (DESIGN.md §6a).
 
-    Runs N single-process guest workers behind the kernel's round-robin
-    listener fan-out and customizes the whole fleet:
+    Runs N single-process guest workers, one listener each on a shared
+    port, reached only through the least-loaded {!Balancer}, and
+    customizes the whole fleet:
 
     - {!rollout} applies one cut wave-by-wave, with a
       {!Supervisor.guarded_cut} canary gating every wave;

@@ -5,7 +5,7 @@
     canary through {!Supervisor.guarded_cut} (the per-wave SLO gate:
     observe trap deltas over [canary_windows] windows of live traffic,
     revert on breach), then applies plain transactional cuts to the
-    remaining members — each one drained from the balancer while
+    remaining members; the balancer skips each one while the cut has it
     frozen. A canary rejection or a member rollback halts the rollout:
     the current wave is reverted to byte-original and earlier waves
     {e stay cut}. Each member's cut is one transaction on its own
@@ -112,8 +112,7 @@ let pp_outcome ppf = function
 (** Run the rollout. [drive] advances the machine and its traffic — it
     is handed to the canary's SLO observation windows, exactly like
     {!Supervisor.guarded_cut}. *)
-let run ~(balancer : Balancer.t)
-    ~(workers : worker list) ~(config : config)
+let run ~(workers : worker list) ~(config : config)
     ~(blocks : Covgraph.block list) ~(policy : Dynacut.policy)
     ~(drive : unit -> unit) () : outcome * wave_report list =
   let machine =
@@ -147,13 +146,13 @@ let run ~(balancer : Balancer.t)
         | [] -> ()
         | canary :: rest -> (
             List.iter (fun w -> w.w_wave <- wave) wave_workers;
-            (* the wave's first member is the canary: cut under live,
-               undrained traffic so the SLO observation means something *)
+            (* the wave's first member is the canary: cut under live
+               traffic so the SLO observation means something *)
             let sup =
               Supervisor.create canary.w_session ~config:config.r_sup ~blocks
                 ~policy
             in
-            match Supervisor.guarded_cut sup ~canary:true ~drive () with
+            match Supervisor.guarded_cut sup ~drive () with
             | Supervisor.R_canary_rejected ->
                 transition canary "reverted";
                 halt wave "canary-rejected"
@@ -165,26 +164,18 @@ let run ~(balancer : Balancer.t)
             | Supervisor.R_promoted -> (
                 canary.w_journals <- Supervisor.journals sup;
                 transition canary "cut";
-                (* remaining members: plain transactional cuts, each
-                   drained from the rotation while frozen *)
+                (* remaining members: plain transactional cuts. A cut
+                   is synchronous, so no dispatch happens inside it *)
                 let failed = ref None in
                 List.iter
                   (fun w ->
-                    if !failed = None then begin
-                      Balancer.drain balancer ~pid:w.w_pid;
-                      (match
-                         Dynacut.try_cut w.w_session ~blocks ~policy ()
-                       with
-                      | { Dynacut.r_outcome = `Applied;
-                          r_journals;
-                          _;
-                        } ->
+                    if !failed = None then
+                      match Dynacut.try_cut w.w_session ~blocks ~policy () with
+                      | { Dynacut.r_outcome = `Applied; r_journals; _ } ->
                           w.w_journals <- r_journals;
                           transition w "cut"
                       | { Dynacut.r_outcome = `Rolled_back rb; _ } ->
-                          failed := Some rb.Dynacut.rb_stage);
-                      Balancer.undrain balancer ~pid:w.w_pid
-                    end)
+                          failed := Some rb.Dynacut.rb_stage)
                   rest;
                 match !failed with
                 | None ->

@@ -11,10 +11,10 @@
     reference, and TCP repair re-creates a forgotten connection that an
     older image still names.
 
-    A port may carry several listeners (one per worker process tree, the
-    SO_REUSEPORT idiom): [connect] round-robins new connections over the
-    listeners that are currently [accepting], which is what the fleet
-    balancer drains and undrains during a rolling rollout. *)
+    A port may carry several listeners, one per worker process tree (the
+    SO_REUSEPORT idiom). The kernel picks none of them: a fleet's
+    balancer chooses the worker and admits onto its listener with
+    {!connect_via}, and {!connect} serves a port with one listener. *)
 
 type conn = {
   conn_id : int;
@@ -29,18 +29,16 @@ type conn = {
 
 type listener = {
   l_port : int;
-  l_owner : int;  (** owning process tree root; -1 = unowned (legacy) *)
+  l_owner : int;  (** owning process tree root *)
   mutable backlog : conn list;  (** pending, not yet accepted *)
-  mutable accepting : bool;
   mutable backlog_max : int;
-      (** accept-queue bound; [max_int] = unbounded (legacy) *)
+      (** accept-queue bound; [max_int] = unbounded *)
 }
 
 type t = {
   mutable next_conn : int;
   listeners : (int, listener list) Hashtbl.t;
       (** port -> listeners, in registration order *)
-  rr : (int, int) Hashtbl.t;  (** port -> round-robin cursor *)
   conns : (int, conn) Hashtbl.t;
 }
 
@@ -48,14 +46,13 @@ let create () =
   {
     next_conn = 1;
     listeners = Hashtbl.create 8;
-    rr = Hashtbl.create 8;
     conns = Hashtbl.create 32;
   }
 
 let listeners_on t port =
   match Hashtbl.find_opt t.listeners port with Some ls -> ls | None -> []
 
-let listen ?(owner = -1) t port =
+let listen ~owner t port =
   let ls = listeners_on t port in
   match List.find_opt (fun l -> l.l_owner = owner) ls with
   | Some l -> l
@@ -65,21 +62,15 @@ let listen ?(owner = -1) t port =
           l_port = port;
           l_owner = owner;
           backlog = [];
-          accepting = true;
           backlog_max = max_int;
         }
       in
       Hashtbl.replace t.listeners port (ls @ [ l ]);
       l
 
-(** The listener a given process tree owns on [port]. Falls back to a sole
-    listener regardless of owner, so pre-fleet single-app setups (and
-    images restored before ownership existed) keep resolving. *)
+(** The listener a given process tree owns on [port]. *)
 let find_listener_owned t ~port ~owner =
-  match listeners_on t port with
-  | [] -> None
-  | [ l ] -> Some l
-  | ls -> List.find_opt (fun l -> l.l_owner = owner) ls
+  List.find_opt (fun l -> l.l_owner = owner) (listeners_on t port)
 
 let find_conn t id = Hashtbl.find_opt t.conns id
 let drop_conn t id = Hashtbl.remove t.conns id
@@ -98,28 +89,10 @@ let depth_gauge (l : listener) =
       [ ("owner", string_of_int l.l_owner); ("port", string_of_int l.l_port) ]
     "net.accept_queue_depth"
 
-(** Pick the next accepting listener with accept-queue room on [port],
-    round-robin over the registration order. Deterministic: the cursor
-    lives in the kernel and only ever advances by dispatch. *)
-let pick_listener t port : listener =
-  let ls = listeners_on t port in
-  let accepting =
-    List.filter (fun l -> l.accepting && not (backlog_full l)) ls
-  in
-  match accepting with
-  | [] -> raise (Refused port)
-  | _ ->
-      let n = List.length accepting in
-      let cur = match Hashtbl.find_opt t.rr port with Some k -> k | None -> 0 in
-      Hashtbl.replace t.rr port (cur + 1);
-      List.nth accepting (cur mod n)
-
 (** Admit one connection onto [l]'s accept queue. Raises {!Refused} when
-    the listener is not accepting or its bounded backlog is full. Fault
-    site [net.accept_queue] guards the bounded-admission decision, so
-    legacy unbounded listeners never reach it. *)
+    its bounded backlog is full. Fault site [net.accept_queue] guards the
+    bounded-admission decision, so unbounded listeners never reach it. *)
 let connect_via t (l : listener) : conn =
-  if not l.accepting then raise (Refused l.l_port);
   if l.backlog_max < max_int then begin
     Fault.site Net_accept_queue;
     if backlog_full l then raise (Refused l.l_port)
@@ -142,13 +115,13 @@ let connect_via t (l : listener) : conn =
   Obs.set_gauge (depth_gauge l) (float_of_int (backlog_depth l));
   c
 
-(** Host connects to a guest listener; returns the connection together
-    with the listener it was dispatched to (for per-worker accounting). *)
-let route t port : conn * listener =
-  let l = pick_listener t port in
-  (connect_via t l, l)
-
-let connect t port = fst (route t port)
+(** Host connects to the port's one guest listener. A port that several
+    workers share is reached through their balancer instead. *)
+let connect t port =
+  match listeners_on t port with
+  | [] -> raise (Refused port)
+  | [ l ] -> connect_via t l
+  | _ -> invalid_arg "Net.connect: several listeners share the port"
 
 let client_send (c : conn) (s : string) = Buffer.add_string c.c2s s
 

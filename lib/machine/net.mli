@@ -5,9 +5,9 @@
     a DynaCut rewrite (§3.3, Figure 8).
 
     A port may carry several listeners, one per worker process tree (the
-    SO_REUSEPORT idiom): {!connect} round-robins over the listeners whose
-    [accepting] flag is set, so a fleet balancer can drain a worker by
-    clearing the flag without touching the worker itself. *)
+    SO_REUSEPORT idiom). The kernel picks none of them: a fleet's
+    balancer chooses the worker and admits onto its listener with
+    {!connect_via}; {!connect} serves a port with one listener. *)
 
 type conn = {
   conn_id : int;
@@ -22,24 +22,22 @@ type conn = {
 
 type listener = {
   l_port : int;
-  l_owner : int;  (** owning process tree root; -1 = unowned (legacy) *)
+  l_owner : int;  (** owning process tree root *)
   mutable backlog : conn list;
-  mutable accepting : bool;
   mutable backlog_max : int;
-      (** accept-queue bound; [max_int] = unbounded (legacy) *)
+      (** accept-queue bound; [max_int] = unbounded *)
 }
 
 type t
 
 val create : unit -> t
 
-val listen : ?owner:int -> t -> int -> listener
+val listen : owner:int -> t -> int -> listener
 (** Register (or fetch) [owner]'s listener on a port. Distinct owners get
     distinct listeners on the same port, in registration order. *)
 
 val find_listener_owned : t -> port:int -> owner:int -> listener option
-(** The listener [owner]'s tree registered on [port]; falls back to a sole
-    listener regardless of owner so single-app setups keep resolving. *)
+(** The listener [owner]'s tree registered on [port], if any. *)
 
 val listeners_on : t -> int -> listener list
 (** All listeners on a port, in registration order. *)
@@ -56,20 +54,16 @@ val drop_conn : t -> int -> unit
 exception Refused of int
 
 val connect : t -> int -> conn
-(** Connect to a guest listener; round-robins over the accepting
-    listeners with accept-queue room. Raises {!Refused} if nothing
-    listens, no listener is accepting, or every backlog is full. *)
-
-val route : t -> int -> conn * listener
-(** Like {!connect} but also returns the listener the connection was
-    dispatched to, for per-worker accounting. *)
+(** Connect to the port's one guest listener. Raises {!Refused} if
+    nothing listens or its bounded backlog is full, and
+    [Invalid_argument] if several listeners share the port: a fleet
+    port is reached through its balancer ({!connect_via}). *)
 
 val connect_via : t -> listener -> conn
 (** Admit one connection onto a {e specific} listener's accept queue —
-    the least-loaded balancer's entry point, bypassing the kernel
-    round-robin. Raises {!Refused} when the listener is not accepting or
-    its bounded backlog is full. Fault site [net.accept_queue] guards
-    the bounded-admission decision. *)
+    the least-loaded balancer's entry point. Raises {!Refused} when its
+    bounded backlog is full. Fault site [net.accept_queue] guards the
+    bounded-admission decision. *)
 
 val backlog_depth : listener -> int
 (** Pending, not-yet-accepted connections (also exposed as the

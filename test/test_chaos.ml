@@ -92,7 +92,17 @@ let test_mid_wave_kill_per_worker () =
   (* recovery hands the struck member back running *)
   let p = Machine.proc_exn m struck in
   Alcotest.(check bool) "the struck member is live and thawed" true
-    (Proc.is_live p && not p.Proc.frozen)
+    (Proc.is_live p && not p.Proc.frozen);
+  (* and routable: with every other worker frozen, the balancer sends
+     the next request to the struck member *)
+  let others = List.filter (fun pid -> pid <> struck) pids in
+  List.iter (fun pid -> Machine.freeze m ~pid) others;
+  (match Fleet.request fleet Chaos.get with
+  | `Reply (pid, resp) ->
+      Alcotest.(check int) "the struck member serves" struck pid;
+      Alcotest.(check string) "200" "200" (String.sub resp 9 3)
+  | `Refused -> Alcotest.fail "the struck member is never routed to");
+  List.iter (fun pid -> Machine.thaw m ~pid) others
 
 (* strike's delay check must see where the delay landed: machine B,
    created after A, takes the delay hook, so a delay armed while A

@@ -8,9 +8,7 @@ let libc = Test_machine.libc
 
 let test_autophase_fires_on_accept () =
   let c = Workload.spawn ~traced:true Workload.rkv in
-  let auto =
-    Autophase.arm c.Workload.m (Workload.collector c) ~trigger:Autophase.On_accept
-  in
+  let auto = Autophase.arm c.Workload.m (Workload.collector c) in
   Alcotest.(check bool) "not yet" false (Autophase.fired auto);
   Workload.wait_ready c;
   Alcotest.(check bool) "fired at accept" true (Autophase.fired auto);
@@ -33,29 +31,10 @@ let test_autophase_matches_manual () =
     (Printf.sprintf "agreement >= 90%% (got %.0f%%)" (agreement *. 100.))
     true (agreement >= 0.9)
 
-let test_autophase_fallback_budget () =
-  (* batch program: the After_insns trigger fires via poll *)
-  let c = Workload.spawn ~traced:true (Workload.spec_app Spec.mcf) in
-  let auto =
-    Autophase.arm c.Workload.m (Workload.collector c)
-      ~trigger:(Autophase.After_insns 50_000)
-  in
-  let root = Machine.proc_exn c.Workload.m c.Workload.pid in
-  let rec drive n =
-    if n = 0 then ()
-    else begin
-      ignore (Machine.run c.Workload.m ~max_cycles:20_000);
-      Autophase.poll auto ~root;
-      if not (Autophase.fired auto) then drive (n - 1)
-    end
-  in
-  drive 100;
-  Alcotest.(check bool) "fired on budget" true (Autophase.fired auto)
-
 let test_autophase_disarm_restores_hook () =
   let c = Workload.spawn ~traced:true Workload.rkv in
   let before = c.Workload.m.Machine.on_syscall in
-  let auto = Autophase.arm c.Workload.m (Workload.collector c) ~trigger:Autophase.On_accept in
+  let auto = Autophase.arm c.Workload.m (Workload.collector c) in
   Autophase.disarm auto;
   Alcotest.(check bool) "hook restored" true (c.Workload.m.Machine.on_syscall == before)
 
@@ -141,7 +120,6 @@ let suite =
   [
     Alcotest.test_case "autophase fires on accept" `Quick test_autophase_fires_on_accept;
     Alcotest.test_case "autophase matches manual nudge" `Quick test_autophase_matches_manual;
-    Alcotest.test_case "autophase budget fallback" `Quick test_autophase_fallback_budget;
     Alcotest.test_case "autophase disarm" `Quick test_autophase_disarm_restores_hook;
     Alcotest.test_case "func_align=4096 page boundaries" `Quick test_func_align_page_boundaries;
     Alcotest.test_case "paged binary still serves" `Quick test_paged_binary_still_runs;

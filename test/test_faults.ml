@@ -292,7 +292,7 @@ let test_promote_fault_fleet_invariant () =
     ignore (Workload.rpc ~max_cycles:800_000 c "GET /index.html HTTP/1.0\r\n\r\n")
   in
   Fault.arm Supervisor_promote Fault.One_shot;
-  (match Supervisor.guarded_cut sup ~canary:true ~drive () with
+  (match Supervisor.guarded_cut sup ~drive () with
   | Supervisor.R_promotion_failed -> ()
   | r -> Alcotest.failf "expected promotion failure: %a" Supervisor.pp_rollout r);
   Alcotest.(check bool) "promote fired" true (Fault.fired Supervisor_promote = 1);
@@ -301,7 +301,7 @@ let test_promote_fault_fleet_invariant () =
   Alcotest.(check string) "feature unchanged"
     "HTTP/1.0 201" (String.sub (Workload.rpc c "PUT /u.txt HTTP/1.0\r\n\r\ndata") 0 12);
   (* the (one-shot) fault is gone: the same supervisor promotes cleanly *)
-  (match Supervisor.guarded_cut sup ~canary:true ~drive () with
+  (match Supervisor.guarded_cut sup ~drive () with
   | Supervisor.R_promoted -> ()
   | r -> Alcotest.failf "clean retry: %a" Supervisor.pp_rollout r);
   (* every pid fully cut *)
@@ -360,7 +360,7 @@ let test_guarded_chaos_soak () =
     let site = Rng.choose rng chaos_sites in
     Fault.arm site Fault.One_shot;
     let sup = Supervisor.create session ~config ~blocks ~policy in
-    (match Supervisor.guarded_cut sup ~canary:true ~drive () with
+    (match Supervisor.guarded_cut sup ~drive () with
     | Supervisor.R_promoted ->
         drive ();
         (* the armed fault may fire here instead; a rolled-back reenable

@@ -221,14 +221,14 @@ let test_route_after_reap_revive () =
         | `Completed -> "completed"
         | _ -> "?"));
   (* the revived worker re-registered its listener under its own pid:
-     drain the other worker and the request must route to the victim *)
-  Balancer.drain (Fleet.balancer fleet) ~pid:other;
+     freeze the other worker and the request must route to the victim *)
+  Machine.freeze m ~pid:other;
   (match Fleet.request fleet lget with
   | `Reply (pid, resp) ->
       Alcotest.(check int) "the revived worker serves" victim pid;
       Alcotest.(check string) "200" "200" (String.sub resp 9 3)
   | `Refused -> Alcotest.fail "fleet refused");
-  Balancer.undrain (Fleet.balancer fleet) ~pid:other;
+  Machine.thaw m ~pid:other;
   match Fleet.request fleet lget with
   | `Reply (_, resp) -> Alcotest.(check string) "200" "200" (String.sub resp 9 3)
   | `Refused -> Alcotest.fail "fleet refused"

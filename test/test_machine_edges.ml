@@ -295,40 +295,7 @@ let test_frozen_process_not_scheduled () =
   let (_ : _) = Machine.run m ~max_cycles:1_000 in
   Alcotest.(check bool) "runs after thaw" true (p.Proc.retired > before)
 
-(* ---------- multi-listener fan-out (SO_REUSEPORT idiom) ---------- *)
-
-let test_net_fanout_round_robin () =
-  let net = Net.create () in
-  let l1 = Net.listen ~owner:1 net 9400 in
-  let l2 = Net.listen ~owner:2 net 9400 in
-  let l3 = Net.listen ~owner:3 net 9400 in
-  (* six connections round-robin across the three accepting listeners *)
-  let owners =
-    List.init 6 (fun _ -> (snd (Net.route net 9400)).Net.l_owner)
-  in
-  Alcotest.(check (list int)) "rr order" [ 1; 2; 3; 1; 2; 3 ] owners;
-  Alcotest.(check int) "l1 backlog" 2 (List.length l1.Net.backlog);
-  Alcotest.(check int) "l2 backlog" 2 (List.length l2.Net.backlog);
-  Alcotest.(check int) "l3 backlog" 2 (List.length l3.Net.backlog)
-
-let test_net_drain_skips_and_refuses () =
-  let net = Net.create () in
-  let l1 = Net.listen ~owner:1 net 9401 in
-  let l2 = Net.listen ~owner:2 net 9401 in
-  (* drained listeners drop out of the rotation... *)
-  l1.Net.accepting <- false;
-  let owners =
-    List.init 3 (fun _ -> (snd (Net.route net 9401)).Net.l_owner)
-  in
-  Alcotest.(check (list int)) "only l2 serves" [ 2; 2; 2 ] owners;
-  (* ...and with every listener drained the connection is refused *)
-  l2.Net.accepting <- false;
-  (match Net.connect net 9401 with
-  | (_ : Net.conn) -> Alcotest.fail "expected Refused"
-  | exception Net.Refused p -> Alcotest.(check int) "port" 9401 p);
-  (* undrain brings the port back *)
-  l1.Net.accepting <- true;
-  Alcotest.(check int) "back to l1" 1 (snd (Net.route net 9401)).Net.l_owner
+(* ---------- shared ports: one listener per worker tree ---------- *)
 
 let test_net_owner_keyed_lookup () =
   let net = Net.create () in
@@ -340,13 +307,15 @@ let test_net_owner_keyed_lookup () =
   Alcotest.(check bool) "unknown owner"
     true
     (Net.find_listener_owned net ~port:9402 ~owner:99 = None);
-  (* sole-listener fallback: a single-app port ignores ownership so
-     pre-fleet callers keep working *)
+  (* a sole listener is still found by its owner only *)
   let sole = Net.listen ~owner:7 net 9403 in
-  (match Net.find_listener_owned net ~port:9403 ~owner:99 with
-  | Some l -> Alcotest.(check bool) "sole fallback" true (l == sole)
-  | None -> Alcotest.fail "sole-listener fallback broken");
-  ignore l1
+  Alcotest.(check bool) "sole listener, other owner" true
+    (Net.find_listener_owned net ~port:9403 ~owner:99 = None);
+  (match Net.find_listener_owned net ~port:9403 ~owner:7 with
+  | Some l -> Alcotest.(check bool) "sole listener, its owner" true (l == sole)
+  | None -> Alcotest.fail "owner 7 lost its listener");
+  (* listening again hands back the same object *)
+  Alcotest.(check bool) "listen is idempotent" true (Net.listen ~owner:1 net 9402 == l1)
 
 let test_net_bounded_backlog_refuses () =
   let net = Net.create () in
@@ -361,7 +330,7 @@ let test_net_bounded_backlog_refuses () =
   (match Net.connect net 9404 with
   | (_ : Net.conn) -> Alcotest.fail "expected Refused"
   | exception Net.Refused p -> Alcotest.(check int) "port" 9404 p);
-  (* accepting one frees a slot *)
+  (* an accept frees a slot *)
   (match Net.server_accept l with
   | Some _ -> ()
   | None -> Alcotest.fail "accept failed");
@@ -370,35 +339,10 @@ let test_net_bounded_backlog_refuses () =
   Alcotest.(check bool) "full again" true (Net.backlog_full l);
   ignore c1
 
-let test_net_drain_undrain_racing () =
-  let net = Net.create () in
-  let l1 = Net.listen ~owner:1 net 9406 in
-  let l2 = Net.listen ~owner:2 net 9406 in
-  let owner () = (snd (Net.route net 9406)).Net.l_owner in
-  Alcotest.(check int) "rr starts at l1" 1 (owner ());
-  (* drain mid-rotation: the cursor re-targets the survivors *)
-  l2.Net.accepting <- false;
-  Alcotest.(check int) "l2 drained" 1 (owner ());
-  (* flip the drained side between routes *)
-  l2.Net.accepting <- true;
-  l1.Net.accepting <- false;
-  Alcotest.(check int) "flipped to l2" 2 (owner ());
-  Alcotest.(check int) "still l2" 2 (owner ());
-  (* both drained: refused, not queued *)
-  l2.Net.accepting <- false;
-  (match Net.route net 9406 with
-  | (_ : Net.conn * Net.listener) -> Alcotest.fail "expected Refused"
-  | exception Net.Refused p -> Alcotest.(check int) "port" 9406 p);
-  (* undrain both: the rotation resumes over the full set *)
-  l1.Net.accepting <- true;
-  l2.Net.accepting <- true;
-  let seen = List.init 4 (fun _ -> owner ()) in
-  Alcotest.(check bool) "both serve again" true
-    (List.mem 1 seen && List.mem 2 seen)
-
 let test_net_guest_fleet_fanout () =
-  (* two guest echo servers bind the same port on one machine; the
-     kernel fans incoming connections out across both processes *)
+  (* two guest echo servers bind the same port on one machine, each
+     through its own listener; the kernel picks neither, so a client
+     admits onto the listener of the worker it chose *)
   let m = Machine.create () in
   Vfs.add_self m.Machine.fs "libc.so" libc;
   Vfs.add_self m.Machine.fs "echo" (Crt0.link_app ~libc Test_machine.echo_server);
@@ -407,26 +351,35 @@ let test_net_guest_fleet_fanout () =
   let (_ : _) = Machine.run m ~max_cycles:2_000_000 in
   let ls = Net.listeners_on m.Machine.net 8080 in
   Alcotest.(check int) "two listeners on the port" 2 (List.length ls);
-  let serve text =
-    let c = Net.connect m.Machine.net 8080 in
+  (match Net.connect m.Machine.net 8080 with
+  | (_ : Net.conn) -> Alcotest.fail "a shared port picked a listener"
+  | exception Invalid_argument _ -> ());
+  let listener (p : Proc.t) =
+    match Net.find_listener_owned m.Machine.net ~port:8080 ~owner:p.Proc.pid with
+    | Some l -> l
+    | None -> Alcotest.failf "pid %d has no listener" p.Proc.pid
+  in
+  let admit p text =
+    let c = Net.connect_via m.Machine.net (listener p) in
     Net.client_send c text;
     let (_ : _) = Machine.run m ~max_cycles:1_000_000 in
-    Net.client_recv c
+    c
   in
-  Alcotest.(check string) "echo 1" "one" (serve "one");
-  Alcotest.(check string) "echo 2" "two" (serve "two");
-  (* both processes served one request each *)
-  let retired p = (p : Proc.t).Proc.retired in
-  Alcotest.(check bool) "both ran" true
-    (retired p1 > 0 && retired p2 > 0);
-  (* freeze one worker: its listener stays registered but the live one
-     keeps serving both slots of the rotation *)
+  let retired (p : Proc.t) = p.Proc.retired in
+  let r1 = retired p1 and r2 = retired p2 in
+  Alcotest.(check string) "echo 1" "one" (Net.client_recv (admit p1 "one"));
+  Alcotest.(check bool) "p1 served it" true (retired p1 > r1 && retired p2 = r2);
+  Alcotest.(check string) "echo 2" "two" (Net.client_recv (admit p2 "two"));
+  Alcotest.(check bool) "p2 served it" true (retired p2 > r2);
+  (* a frozen worker's queued connection waits for its thaw *)
   Machine.freeze m ~pid:p2.Proc.pid;
-  (match Net.find_listener_owned m.Machine.net ~port:8080 ~owner:p2.Proc.pid with
-  | Some l -> l.Net.accepting <- false
-  | None -> Alcotest.fail "frozen worker lost its listener");
-  Alcotest.(check string) "echo 3" "three" (serve "three");
-  Alcotest.(check string) "echo 4" "four" (serve "four")
+  let c = admit p2 "three" in
+  Alcotest.(check string) "nothing while frozen" "" (Net.client_recv c);
+  Alcotest.(check string) "the other worker serves" "four"
+    (Net.client_recv (admit p1 "four"));
+  Machine.thaw m ~pid:p2.Proc.pid;
+  let (_ : _) = Machine.run m ~max_cycles:1_000_000 in
+  Alcotest.(check string) "served after the thaw" "three" (Net.client_recv c)
 
 (* ---------- page TLB coherence ---------- *)
 
@@ -790,13 +743,9 @@ let suite =
     Alcotest.test_case "stack overflow double fault" `Quick test_stack_overflow_double_fault;
     Alcotest.test_case "scheduler fairness" `Quick test_scheduler_fairness;
     Alcotest.test_case "frozen process not scheduled" `Quick test_frozen_process_not_scheduled;
-    Alcotest.test_case "net fan-out round robin" `Quick test_net_fanout_round_robin;
-    Alcotest.test_case "net drain skips and refuses" `Quick test_net_drain_skips_and_refuses;
     Alcotest.test_case "net owner-keyed lookup" `Quick test_net_owner_keyed_lookup;
     Alcotest.test_case "net bounded backlog refuses" `Quick
       test_net_bounded_backlog_refuses;
-    Alcotest.test_case "net drain/undrain racing" `Quick
-      test_net_drain_undrain_racing;
     Alcotest.test_case "net guest fleet fan-out" `Quick test_net_guest_fleet_fanout;
     Alcotest.test_case "tlb coherence: mem" `Quick test_tlb_coherence_mem;
     Alcotest.test_case "tlb coherence: guest" `Quick test_tlb_coherence_guest;

@@ -128,7 +128,7 @@ let guard_scenario () =
       ignore (Test_core.request m "G")
     done
   in
-  (match Supervisor.guarded_cut sup ~canary:true ~drive () with
+  (match Supervisor.guarded_cut sup ~drive () with
   | Supervisor.R_canary_rejected -> ()
   | r -> Alcotest.failf "expected a canary rejection: %a" Supervisor.pp_rollout r);
   (Obs.events (), Obs.dump_json ())

@@ -65,7 +65,7 @@ let canary_run () =
     ignore
       (Workload.rpc ~max_cycles:800_000 c (Workload.http_get "/index.html"))
   in
-  let rollout = Supervisor.guarded_cut sup ~canary:true ~drive () in
+  let rollout = Supervisor.guarded_cut sup ~drive () in
   Alcotest.(check bool) "canary rejected" true
     (rollout = Supervisor.R_canary_rejected);
   (* the bad cut never reached the master... *)
@@ -110,7 +110,7 @@ let test_canary_promotes_good_cut () =
   let drive () =
     ignore (Workload.rpc ~max_cycles:800_000 c (Workload.http_get "/index.html"))
   in
-  (match Supervisor.guarded_cut sup ~canary:true ~drive () with
+  (match Supervisor.guarded_cut sup ~drive () with
   | Supervisor.R_promoted -> ()
   | r -> Alcotest.failf "expected promotion: %a" Supervisor.pp_rollout r);
   (* every pid carries the cut: the first byte of each effective block
@@ -184,7 +184,7 @@ let test_verifier_feedback_shrinks_cut () =
     Supervisor.create session ~config:Supervisor.default_config ~blocks
       ~policy:{ Dynacut.method_ = `First_byte; on_trap = `Verify }
   in
-  (match Supervisor.guarded_cut sup ~canary:false ~drive:(fun () -> ()) () with
+  (match Supervisor.guarded_cut sup ~drive:(fun () -> ()) () with
   | Supervisor.R_promoted -> ()
   | r -> Alcotest.failf "cut: %a" Supervisor.pp_rollout r);
   (* nothing logged yet: feedback is a no-op *)
