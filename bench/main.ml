@@ -420,7 +420,7 @@ let run_fleet () =
 (* ---------- chaos: site x mode coverage ---------- *)
 
 (* The §6c acceptance gate: the directed coverage matrix must exercise
-   every registered fault site in every applicable mode (fail/kill/delay
+   every registered fault site in every applicable mode (fail/kill
    everywhere, corrupt/enospc/eio at the storage sites), each probe
    passing its invariant oracles. Emits BENCH_chaos.json with the
    coverage table; any probe failure or coverage hole fails the bench.

@@ -100,10 +100,11 @@ let inject_fault_arg =
   let doc =
     "Arm a deterministic fault at a pipeline site before cutting \
      (repeatable). $(docv) is \
-     SITE[:once|nth=N|on=N|p=F][:MODE][:transient][:pid=P] with MODE one \
-     of kill, delay=N, corrupt, enospc, eio (default: a plain injected \
-     failure), e.g. 'criu.save', 'restore.tcp_repair:nth=2', \
-     'journal.append:once:corrupt', 'net.serve:delay=40000:pid=100'. \
+     SITE[:once|nth=N|on=N|p=F][:MODE][:transient] with MODE one of \
+     kill, corrupt, enospc, eio (default: a plain injected failure; \
+     corrupt, enospc and eio apply at the storage sites criu.save, \
+     journal.lock and journal.append), e.g. 'criu.save', \
+     'restore.tcp_repair:nth=2', 'journal.append:once:corrupt'. \
      ':kill' simulates controller death (no rollback runs; recover with \
      $(b,dynacut recover)). See --list-fault-sites for the full site \
      registry."
@@ -112,8 +113,9 @@ let inject_fault_arg =
 
 let fault_seed_arg =
   let doc =
-    "Seed for the fault scheduler's PRNG (probabilistic 'p=F' specs draw \
-     from it). The seed in use is printed so any fault-injected run can \
+    "Seed for the fault scheduler's PRNG: probabilistic 'p=F' specs and \
+     the damage a corrupt-mode fault does to a stored blob both draw \
+     from it. The seed in use is printed so any fault-injected run can \
      be replayed bit-for-bit."
   in
   Arg.(value & opt (some int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
@@ -128,8 +130,8 @@ let arm_faults ?seed specs =
   List.iter
     (fun spec_str ->
       try
-        let site, spec, transient, mode, scope = Fault.parse_spec spec_str in
-        Fault.arm_mode ?scope ~transient site spec mode
+        let site, spec, transient, mode = Fault.parse_spec spec_str in
+        Fault.arm_mode ~transient site spec mode
       with Invalid_argument e ->
         Printf.eprintf "bad --inject-fault %S: %s\n" spec_str e;
         exit 2)

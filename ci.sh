@@ -118,6 +118,11 @@ cli_exit 4 guard ngx --storm
 # (exit 2), not a fault armed at a site that never fires.
 cli_exit 2 fleet ltpd --inject-fault balancer.health:once
 cli_exit 2 recover ngx --crash-at criu.sav
+# So is a deleted spelling: the delay mode, the per-pid scope and the
+# crit sites are gone, and a spec naming one is refused, not ignored.
+cli_exit 2 fleet ltpd --inject-fault net.serve:delay=40000
+cli_exit 2 fleet ltpd --inject-fault net.serve:once:pid=100
+cli_exit 2 recover ngx --crash-at crit.decode
 # An injected fault on the serving path refuses requests; the rollout
 # carries on and completes (exit 0), it does not die of the fault.
 cli_exit 0 fleet ltpd --inject-fault net.serve:p=0.5 --fault-seed 3

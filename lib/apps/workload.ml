@@ -141,8 +141,8 @@ let wait_ready (c : ctx) : unit =
 (** Spawn [app] and run it until ready: the one way a scenario boots a
     tree. The machine under test is created last: discovery (the
     [trace_*] runs, [Common.*_blocks], [Slicelab.profile]) creates
-    machines of its own, and the [Obs] clock and the [Fault] delay hook
-    follow the last machine created, so run it first. *)
+    machines of its own, and the [Obs] clock follows the last machine
+    created, so run it first. *)
 let boot ?seed ?traced (app : app) : ctx =
   let c = spawn ?seed ?traced app in
   wait_ready c;

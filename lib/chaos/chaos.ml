@@ -35,8 +35,8 @@ let drive_fleet fleet () =
 
 (* feature blocks of the two probed apps, computed once — tracing is
    expensive. A scenario forces these before it boots its machine under
-   test (the tracing creates machines, and the Obs clock and Fault hooks
-   follow the last one created); later forces are free *)
+   test (the tracing creates machines, and the Obs clock follows the
+   last one created); later forces are free *)
 let ngx_blocks = lazy (Common.web_feature_blocks Workload.ngx)
 let ltpd_blocks = lazy (Common.web_feature_blocks Workload.ltpd)
 
@@ -54,14 +54,10 @@ let expect ~what = function
 type outcome = [ `Completed | `Killed | `Refused of string ]
 
 (* strike: run [op] with (site, mode) armed under [spec] (one-shot by
-   default) against the machine under test [m]. [`Completed] when the
-   operation returned, [`Refused] on a typed clean refusal, [`Killed] on
-   controller death. The site must fire exactly once, a [Kill] must kill
-   the controller there, and a [Delay n] must land on [m]: the cycles
-   the delay hook charged to it move by exactly [n]. *)
-let strike ?(spec = Fault.One_shot) (m : Machine.t) site mode
-    (op : unit -> unit) : outcome =
-  let delayed0 = m.Machine.delayed in
+   default). [`Completed] when the operation returned, [`Refused] on a
+   typed clean refusal, [`Killed] on controller death. The site must
+   fire exactly once, and a [Kill] must kill the controller there. *)
+let strike ?(spec = Fault.One_shot) site mode (op : unit -> unit) : outcome =
   Fault.arm_mode site spec mode;
   let outcome =
     match op () with
@@ -76,18 +72,8 @@ let strike ?(spec = Fault.One_shot) (m : Machine.t) site mode
   in
   let n = Fault.fired site in
   if n <> 1 then failp "site fired %d times, not once" n;
-  (* a delay is a gray failure: slow, never wrong *)
   (match (mode, outcome) with
   | Fault.Kill, (`Completed | `Refused _) -> failp "controller survived its death"
-  | Fault.Delay _, `Refused msg -> failp "delay refused the operation: %s" msg
-  | Fault.Delay _, `Killed -> failp "delay killed the controller"
-  | _ -> ());
-  (match mode with
-  | Fault.Delay n ->
-      let moved = m.Machine.delayed - delayed0 in
-      if moved <> n then
-        failp "a %d-cycle delay charged %d cycles to the machine under test" n
-          moved
   | _ -> ());
   outcome
 
@@ -142,7 +128,7 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
     else None
   in
   let (_ : outcome) =
-    strike c.Workload.m site mode (fun () ->
+    strike site mode (fun () ->
         ignore
           (Dynacut.try_cut session ~blocks:(Lazy.force ngx_blocks)
              ~policy:(npolicy method_) ()))
@@ -186,7 +172,7 @@ let respawn_probe site mode =
       (Dynacut.journaled_respawn session ~pid:worker
          ~path:(Dynacut.image_path session worker))
   in
-  let outcome = strike c.Workload.m site mode respawn in
+  let outcome = strike site mode respawn in
   (* a refused respawn closes its own journal intent — the worker is
      legitimately still dead, and retrying is the caller's choice. Retry
      once here (the one-shot fault is spent). *)
@@ -205,7 +191,7 @@ let promote_probe site mode =
   in
   let drive () = ignore (Workload.rpc ~max_cycles:800_000 c get) in
   let (_ : outcome) =
-    strike c.Workload.m site mode (fun () ->
+    strike site mode (fun () ->
         ignore (Supervisor.guarded_cut sup ~drive ()))
   in
   ignore (tree_finish c session oracle : Dynacut.recovery)
@@ -214,21 +200,6 @@ let promote_probe site mode =
 let assert_quiescent (r : Dynacut.recovery) =
   if r.Dynacut.rec_action <> `Nothing then
     failp "recovery invented work on a quiescent tree"
-
-(* fault strikes the crit image/text round trip — no transaction open *)
-let crit_probe site mode =
-  let c, session, oracle = tree_setup () in
-  Machine.freeze c.Workload.m ~pid:c.Workload.pid;
-  let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
-  Machine.thaw c.Workload.m ~pid:c.Workload.pid;
-  let blob = Images.encode img in
-  let text = Crit.decode_to_text blob in
-  let (_ : outcome) =
-    strike c.Workload.m site mode (fun () ->
-        if site = Site.Crit_decode then ignore (Crit.decode_to_text blob)
-        else ignore (Crit.encode_from_text text))
-  in
-  assert_quiescent (tree_finish c session oracle)
 
 (* fault strikes the recovery pass replaying a controller death; after
    a second death the next pass must still roll the tree back *)
@@ -242,8 +213,7 @@ let recover_probe site mode =
   | (_ : Dynacut.cut_result) -> failp "staged controller death never struck"
   | exception Fault.Controller_killed _ -> ());
   let outcome =
-    strike c.Workload.m site mode (fun () ->
-        ignore (tree_recover c : Dynacut.recovery))
+    strike site mode (fun () -> ignore (tree_recover c : Dynacut.recovery))
   in
   let r = tree_finish c session oracle in
   if outcome = `Killed && r.Dynacut.rec_action <> `Rolled_back then
@@ -265,9 +235,7 @@ let slice_probe site mode =
     Slicer.detach sl;
     Slicer.slice sl
   in
-  let (_ : outcome) =
-    strike c.Workload.m site mode (fun () -> ignore (run_slicer ()))
-  in
+  let (_ : outcome) = strike site mode (fun () -> ignore (run_slicer ())) in
   assert_quiescent (tree_finish c session oracle);
   if run_slicer () = [] then
     failp "clean slicer retry after a %s fault produced an empty slice" (Site.name site)
@@ -331,17 +299,15 @@ let fleet_finish ~(outcome : outcome) oracle fleet =
 (* fault strikes one dispatched request (balancer / net sites) *)
 let fleet_request_probe site mode =
   let fleet, oracle = ltpd_fleet 2 in
-  let outcome =
-    strike (Fleet.machine fleet) site mode (fun () -> ignore (Fleet.request fleet get))
-  in
+  let outcome = strike site mode (fun () -> ignore (Fleet.request fleet get)) in
   fleet_finish ~outcome oracle fleet
 
 (* fault strikes the decoded-block code cache: entering the dispatch
    loop (bbcache.dispatch) or evicting blocks over a dirtied code page
    (bbcache.flush). The cache is an execution accelerator only, so the
    contract is strict: a Fail degrades to the single-step interpreter
-   (same replies, never a stale block), a Delay just slows the quantum,
-   and after any outcome the fleet keeps serving and stays XOR-clean *)
+   (same replies, never a stale block), and after any outcome the fleet
+   keeps serving and stays XOR-clean *)
 let bbcache_probe site mode =
   let fleet, oracle = ltpd_fleet 2 in
   let m = Fleet.machine fleet in
@@ -362,7 +328,7 @@ let bbcache_probe site mode =
       (Fleet.pids fleet)
   in
   let outcome =
-    strike m site mode (fun () ->
+    strike site mode (fun () ->
         if site = Site.Bbcache_flush then dirty_text ();
         match Fleet.request fleet get with
         | `Reply (_, resp) when status resp = "200" -> ()
@@ -386,7 +352,6 @@ let probe_driver (site : Site.t) : Fault.mode -> unit =
   | Restore_tcp_repair -> tree_probe ~tcp:true site
   | Restore_respawn -> respawn_probe site
   | Supervisor_promote -> promote_probe site
-  | Crit_encode | Crit_decode -> crit_probe site
   | Recover_replay -> recover_probe site
   | Balancer_dispatch | Net_accept_queue | Net_serve -> fleet_request_probe site
   | Slice_trace | Slice_compute -> slice_probe site

@@ -24,19 +24,12 @@ exception Probe_failure of string
 type outcome = [ `Completed | `Killed | `Refused of string ]
 
 val strike :
-  ?spec:Fault.spec ->
-  Machine.t ->
-  Fault.Site.t ->
-  Fault.mode ->
-  (unit -> unit) ->
-  outcome
-(** [strike m site mode op] runs [op] with [site] armed in [mode] under
-    [spec] (one-shot by default) against the machine under test [m]:
-    [`Completed] when [op] returned, [`Refused] on a typed clean
-    refusal, [`Killed] on controller death. Raises {!Probe_failure}
-    unless the site fired exactly once, a [Kill] killed the controller
-    there, a [Delay] neither refused nor killed, and a [Delay n] charged
-    exactly [n] cycles to [m]. *)
+  ?spec:Fault.spec -> Fault.Site.t -> Fault.mode -> (unit -> unit) -> outcome
+(** [strike site mode op] runs [op] with [site] armed in [mode] under
+    [spec] (one-shot by default): [`Completed] when [op] returned,
+    [`Refused] on a typed clean refusal, [`Killed] on controller death.
+    Raises {!Probe_failure} unless the site fired exactly once and a
+    [Kill] killed the controller there. *)
 
 (** {2 The fleet the fleet probes run} *)
 

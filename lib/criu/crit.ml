@@ -228,12 +228,10 @@ let of_sexp (sx : Sexpr.t) : Images.t =
 
 (** [crit decode]: binary image blob to text. *)
 let decode_to_text (blob : string) : string =
-  Fault.site Crit_decode;
   Sexpr.to_string (to_sexp (Images.decode blob))
 
 (** [crit encode]: text back to a binary image blob. *)
 let encode_from_text (text : string) : string =
-  Fault.site Crit_encode;
   Images.encode (of_sexp (Sexpr.of_string text))
 
 (** [crit x <dir> mems]-style summary of the memory map. *)

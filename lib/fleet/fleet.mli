@@ -41,8 +41,9 @@ val boot :
     [?seed]), [Workload.wait_fleet_ready], then {!create}
     on the app's port.
     [blocks] is evaluated before the call, so discovery's throwaway
-    machines precede the machine under test: the [Obs] clock and the
-    [Fault] delay hook follow the last machine created (DESIGN.md §6a). Raises {!Fleet_error} for an app with no port. *)
+    machines precede the machine under test: the [Obs] clock follows
+    the last machine created (DESIGN.md §5). Raises {!Fleet_error} for
+    an app with no port. *)
 
 val machine : t -> Machine.t
 val pids : t -> int list

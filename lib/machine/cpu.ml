@@ -69,8 +69,6 @@ type t = {
   mutable uncharged : int;
       (** instructions retired but not yet added to [clock] and
           ["machine.steps"]; see {!charge} *)
-  mutable delayed : int;
-      (** virtual cycles that [Fault.Delay] faults charged to [clock] *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
   mutable slicer : slicer option;
@@ -111,7 +109,6 @@ let create ?(seed = 42) () =
       next_pid = 100;
       clock = 0L;
       uncharged = 0;
-      delayed = 0;
       trace = None;
       on_syscall = None;
       slicer = None;
@@ -136,25 +133,16 @@ let create ?(seed = 42) () =
         };
     }
   in
-  (* The process-global hooks below reach this machine through a weak
-     pointer, so they never keep a dropped machine (and its pages and
-     decoded blocks) alive; once it is collected they act as if no
+  (* The registry's event/span timestamps follow this machine's clock.
+     The process-global source reaches the machine through a weak
+     pointer, so it never keeps a dropped machine (and its pages and
+     decoded blocks) alive; once it is collected it reads 0, as if no
      machine were installed. Last machine created wins — scenarios build
      the machine under test last. *)
   let self = Weak.create 1 in
   Weak.set self 0 (Some t);
-  let with_self f = Option.iter f (Weak.get self 0) in
-  (* the registry's event/span timestamps follow this machine's clock *)
   Obs.set_clock
     (Some (fun () -> match Weak.get self 0 with Some t -> t.clock | None -> 0L));
-  (* delay-mode faults ([Fault.Delay n]) charge their latency to this
-     machine's virtual clock — gray failures are slow, not wrong *)
-  Fault.set_delay_hook
-    (Some
-       (fun n ->
-         with_self (fun t ->
-             t.clock <- Int64.add t.clock (Int64.of_int n);
-             t.delayed <- t.delayed + n)));
   t
 
 let proc t pid = Hashtbl.find_opt t.procs pid

@@ -48,9 +48,6 @@ type t = Cpu.t = {
   mutable uncharged : int;
       (** instructions the slot loop retired but has not yet added to
           [clock] and ["machine.steps"]: 0 whenever [clock] is exact *)
-  mutable delayed : int;
-      (** virtual cycles that [Fault.Delay] faults charged to [clock]:
-          tells the machine a delay landed on from any other *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;
   mutable slicer : slicer option;  (** at most one: [Slicer.attach] *)
@@ -70,10 +67,9 @@ type t = Cpu.t = {
 val create : ?seed:int -> unit -> t
 (** A machine with its decoded-block dispatcher. Also installs this
     machine's virtual clock as the registry's timestamp source
-    ([Obs.set_clock]) and as the [Fault.Delay] sink, which adds each
-    delay to [clock] and [delayed]; the most recently created machine
-    wins. The hooks hold the machine weakly: a dropped machine is
-    collected, and the hooks then act as if none were installed. *)
+    ([Obs.set_clock]); the most recently created machine wins. The
+    source holds the machine weakly: a dropped machine is collected, and
+    the source then reads 0, as if none were installed. *)
 
 (** {2 Processes} *)
 

@@ -141,12 +141,9 @@ let server_accept (l : listener) : conn option =
   match l.backlog with
   | [] -> None
   | c :: rest ->
-      (* the gray-failure hook: a [Delay]-mode fault here stalls this
-         worker's service of the connection (scoped per owner pid, so a
-         chaos schedule can slow exactly one fleet member).
-         Sits before the pop, so a fail/kill fault leaves the backlog
-         intact and the accept retries like an EINTR. *)
-      Fault.site ~scope:l.l_owner Net_serve;
+      (* before the pop, so a fail/kill fault leaves the backlog intact
+         and the accept retries like an EINTR *)
+      Fault.site Net_serve;
       l.backlog <- rest;
       Obs.set_gauge (depth_gauge l) (float_of_int (backlog_depth l));
       Some c

@@ -10,14 +10,12 @@
     probe does not compile; per-site state lives in arrays indexed by
     the constructor, so a hit hashes nothing.
 
-    Beyond the original fail/kill faults, a site can be armed in one of
-    the {!mode}s of the chaos engine (DESIGN.md §6c): [Delay n] charges
-    [n] virtual cycles to the machine clock and lets the operation
-    proceed (gray failure: slow, never wrong), [Corrupt] mangles the
-    sealed blob a storage site is about to write (seeded bit-flip or
-    truncation, caught downstream by {!Validate}'s checksum), and
-    [Enospc]/[Eio] raise a typed {!Storage_error} that the transaction
-    engine turns into a clean refusal.
+    Beyond the original fail/kill faults, a storage site can be armed
+    in one of the storage {!mode}s of the chaos engine (DESIGN.md §6c):
+    [Corrupt] mangles the sealed blob the site is about to write (seeded
+    bit-flip or truncation, caught downstream by {!Validate}'s
+    checksum), and [Enospc]/[Eio] raise a typed {!Storage_error} that
+    the transaction engine turns into a clean refusal.
 
     Sites are global (the pipeline is single-threaded, like the
     machine): [reset] between tests. Rollback paths run under
@@ -26,12 +24,11 @@
 
 module Site = struct
   type t =
-    | Criu_checkpoint | Criu_save | Criu_load | Crit_encode | Crit_decode
-    | Rewrite_patch | Rewrite_unmap | Inject_lib | Inject_policy
-    | Restore_process | Restore_tcp_repair | Restore_respawn | Supervisor_promote
-    | Journal_lock | Journal_append | Recover_replay | Balancer_dispatch
-    | Net_accept_queue | Net_serve | Slice_trace | Slice_compute | Bbcache_dispatch
-    | Bbcache_flush
+    | Criu_checkpoint | Criu_save | Criu_load | Rewrite_patch | Rewrite_unmap
+    | Inject_lib | Inject_policy | Restore_process | Restore_tcp_repair | Restore_respawn
+    | Supervisor_promote | Journal_lock | Journal_append | Recover_replay
+    | Balancer_dispatch | Net_accept_queue | Net_serve | Slice_trace | Slice_compute
+    | Bbcache_dispatch | Bbcache_flush
 
   (** Array index, spelling (CLI, metric labels, replay files) and a
       one-line description of each site. *)
@@ -39,33 +36,31 @@ module Site = struct
     | Criu_checkpoint -> (0, "criu.checkpoint", "freeze + dump of one process into images")
     | Criu_save -> (1, "criu.save", "store a sealed image blob in tmpfs")
     | Criu_load -> (2, "criu.load", "read a sealed image blob back from tmpfs")
-    | Crit_encode -> (3, "crit.encode", "image-to-text round trip, encode half")
-    | Crit_decode -> (4, "crit.decode", "image-to-text round trip, decode half")
-    | Rewrite_patch -> (5, "rewrite.patch", "int3 byte patch on a checkpoint image")
-    | Rewrite_unmap -> (6, "rewrite.unmap", "page drop / VMA split on a checkpoint image")
-    | Inject_lib -> (7, "inject.lib", "map the SIGTRAP handler library into the image")
-    | Inject_policy -> (8, "inject.policy", "write the policy table into the image")
-    | Restore_process -> (9, "restore.process", "rebuild a live process from images")
-    | Restore_tcp_repair -> (10, "restore.tcp_repair", "re-attach a snapshotted TCP connection")
+    | Rewrite_patch -> (3, "rewrite.patch", "int3 byte patch on a checkpoint image")
+    | Rewrite_unmap -> (4, "rewrite.unmap", "page drop / VMA split on a checkpoint image")
+    | Inject_lib -> (5, "inject.lib", "map the SIGTRAP handler library into the image")
+    | Inject_policy -> (6, "inject.policy", "write the policy table into the image")
+    | Restore_process -> (7, "restore.process", "rebuild a live process from images")
+    | Restore_tcp_repair -> (8, "restore.tcp_repair", "re-attach a snapshotted TCP connection")
     | Restore_respawn ->
-        (11, "restore.respawn", "journaled re-create of a dead or reverted pid from a tmpfs image")
-    | Supervisor_promote -> (12, "supervisor.promote", "canary promotion to the remaining pids")
-    | Journal_lock -> (13, "journal.lock", "acquire or refresh the per-tree journal lock (fencing)")
+        (9, "restore.respawn", "journaled re-create of a dead or reverted pid from a tmpfs image")
+    | Supervisor_promote -> (10, "supervisor.promote", "canary promotion to the remaining pids")
+    | Journal_lock -> (11, "journal.lock", "acquire or refresh the per-tree journal lock (fencing)")
     | Journal_append ->
-        (14, "journal.append", "append a sealed record to the crash-consistency journal")
+        (12, "journal.append", "append a sealed record to the crash-consistency journal")
     | Recover_replay ->
-        (15, "recover.replay", "apply one recovery action (respawn, pristine restore, thaw)")
+        (13, "recover.replay", "apply one recovery action (respawn, pristine restore, thaw)")
     | Balancer_dispatch ->
-        (16, "balancer.dispatch", "route one client connection to a fleet worker")
-    | Net_accept_queue -> (17, "net.accept_queue", "admit a connection onto a bounded accept queue")
-    | Net_serve -> (18, "net.serve", "a worker accepts one queued connection to serve it")
+        (14, "balancer.dispatch", "route one client connection to a fleet worker")
+    | Net_accept_queue -> (15, "net.accept_queue", "admit a connection onto a bounded accept queue")
+    | Net_serve -> (16, "net.serve", "a worker accepts one queued connection to serve it")
     | Slice_trace ->
-        (19, "slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks")
-    | Slice_compute -> (20, "slice.compute", "fold the anchored dependency sets into the final slice")
+        (17, "slice.trace", "attach the dataflow slicing tracer's per-insn/syscall hooks")
+    | Slice_compute -> (18, "slice.compute", "fold the anchored dependency sets into the final slice")
     | Bbcache_dispatch ->
-        (21, "bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum")
+        (19, "bbcache.dispatch", "enter the decoded-block code cache's dispatch loop for a quantum")
     | Bbcache_flush ->
-        (22, "bbcache.flush", "evict cached blocks overlapping dirtied executable pages")
+        (20, "bbcache.flush", "evict cached blocks overlapping dirtied executable pages")
 
   let index s = match info s with i, _, _ -> i
   let name s = match info s with _, n, _ -> n
@@ -75,11 +70,11 @@ module Site = struct
       of the chaos coverage matrix. *)
   let all =
     [
-      Criu_checkpoint; Criu_save; Criu_load; Crit_encode; Crit_decode; Rewrite_patch;
-      Rewrite_unmap; Inject_lib; Inject_policy; Restore_process; Restore_tcp_repair;
-      Restore_respawn; Supervisor_promote; Journal_lock; Journal_append; Recover_replay;
-      Balancer_dispatch; Net_accept_queue; Net_serve; Slice_trace; Slice_compute;
-      Bbcache_dispatch; Bbcache_flush;
+      Criu_checkpoint; Criu_save; Criu_load; Rewrite_patch; Rewrite_unmap; Inject_lib;
+      Inject_policy; Restore_process; Restore_tcp_repair; Restore_respawn;
+      Supervisor_promote; Journal_lock; Journal_append; Recover_replay; Balancer_dispatch;
+      Net_accept_queue; Net_serve; Slice_trace; Slice_compute; Bbcache_dispatch;
+      Bbcache_flush;
     ]
 
   let count = List.length all
@@ -97,9 +92,6 @@ type spec =
 type mode =
   | Fail  (** raise {!Injected} — the original single-fault mode *)
   | Kill  (** raise {!Controller_killed}: the controller itself dies *)
-  | Delay of int
-      (** advance the virtual clock by [n] cycles and continue — a slow
-          disk, a GC pause, a slow worker (gray failure) *)
   | Corrupt
       (** mangle the payload at a storage write site ({!corruptible});
           the operation "succeeds" and the damage surfaces at read time *)
@@ -109,21 +101,16 @@ type mode =
 let mode_to_string = function
   | Fail -> "fail"
   | Kill -> "kill"
-  | Delay n -> Printf.sprintf "delay=%d" n
   | Corrupt -> "corrupt"
   | Enospc -> "enospc"
   | Eio -> "eio"
 
 (** Inverse of {!mode_to_string}: the spelling shared by [--inject-fault]
-    options and replay files. [delay=N] needs [N >= 1]. *)
+    options and replay files. *)
 let mode_of_string (s : string) : mode =
   match List.find_opt (fun m -> mode_to_string m = s) [ Fail; Kill; Corrupt; Enospc; Eio ] with
   | Some m -> m
-  | None -> (
-      let arg = if String.starts_with ~prefix:"delay=" s then String.sub s 6 (String.length s - 6) else "" in
-      match int_of_string_opt arg with
-      | Some n when n > 0 -> Delay n
-      | _ -> invalid_arg (Printf.sprintf "Fault: bad mode %S" s))
+  | None -> invalid_arg (Printf.sprintf "Fault: bad mode %S" s)
 
 exception Injected of { site : Site.t; transient : bool }
 (** [transient] marks the fault as retryable — the transaction retries
@@ -150,14 +137,7 @@ let () =
         Some (Printf.sprintf "%s(%S)" (Printexc.exn_slot_name e) (Site.name site))
     | _ -> None)
 
-type armed = {
-  a_spec : spec;
-  a_mode : mode;
-  a_transient : bool;
-  a_scope : int option;
-      (** when set, only [site ~scope:pid] calls with a matching pid
-          fire — per-worker faults (e.g. one slow fleet member) *)
-}
+type armed = { a_spec : spec; a_mode : mode; a_transient : bool }
 
 type counters = { mutable c_hits : int; mutable c_fired : int }
 
@@ -167,13 +147,6 @@ let rng = ref (Rng.create 7)
 let armed_tbl : armed option array = Array.make Site.count None
 let stats : counters array = Array.init Site.count (fun _ -> { c_hits = 0; c_fired = 0 })
 let suppress_depth = ref 0
-
-(* installed by [Machine.create]: advance that machine's virtual clock
-   (Fault sits below Machine in the layering, so delay is a callback).
-   Like [Obs.set_clock], the last machine created wins, and [reset]
-   leaves it alone — the machine outlives the faults armed on it. *)
-let delay_hook : (int -> unit) option ref = ref None
-let set_delay_hook h = delay_hook := h
 
 (** Re-seed the fault scheduler (probabilistic specs and corruption
     mangling draw from here). *)
@@ -193,15 +166,11 @@ let check_spec = function
       invalid_arg "Fault.arm: probability outside [0,1]"
   | _ -> ()
 
-(** Arm [site] to fire in [mode] on [spec]'s schedule, optionally scoped
-    to one pid. One armed entry per site (latest wins). *)
-let arm_mode ?scope ?(transient = false) (site : Site.t) spec (mode : mode) =
+(** Arm [site] to fire in [mode] on [spec]'s schedule. One armed entry
+    per site (latest wins). *)
+let arm_mode ?(transient = false) (site : Site.t) spec (mode : mode) =
   check_spec spec;
-  (match mode with
-  | Delay n when n <= 0 -> invalid_arg "Fault.arm_mode: Delay needs n >= 1"
-  | _ -> ());
-  armed_tbl.(Site.index site) <-
-    Some { a_spec = spec; a_mode = mode; a_transient = transient; a_scope = scope }
+  armed_tbl.(Site.index site) <- Some { a_spec = spec; a_mode = mode; a_transient = transient }
 
 let arm ?(transient = false) ?(kill = false) site spec =
   arm_mode ~transient site spec (if kill then Kill else Fail)
@@ -219,12 +188,6 @@ let fired site = stats.(Site.index site).c_fired
 let suppressed f =
   incr suppress_depth;
   Fun.protect ~finally:(fun () -> decr suppress_depth) f
-
-let scope_matches (a : armed) (scope : int option) =
-  match (a.a_scope, scope) with
-  | None, _ -> true
-  | Some s, Some k -> s = k
-  | Some _, None -> false
 
 let should_fire (c : counters) (a : armed) =
   match a.a_spec with
@@ -250,15 +213,13 @@ let record_fire site (c : counters) (a : armed) =
     fault ignores {!suppressed} — controller death strikes anywhere,
     including inside a rollback. A [Corrupt] fault never fires here: it
     applies at the site's {!corruptible} write, with the hit counter
-    this call advanced. [?scope] names the pid the operation acts for;
-    a fault armed with a scope only fires on a matching call. *)
-let site ?scope (site : Site.t) =
+    this call advanced. *)
+let site (site : Site.t) =
   let i = Site.index site in
   let c = stats.(i) in
   c.c_hits <- c.c_hits + 1;
   match armed_tbl.(i) with
   | None -> ()
-  | Some a when not (scope_matches a scope) -> ()
   | Some a when a.a_mode = Corrupt -> ()
   | Some a when a.a_mode <> Kill && !suppress_depth > 0 -> ()
   | Some a ->
@@ -267,7 +228,6 @@ let site ?scope (site : Site.t) =
         match a.a_mode with
         | Fail -> raise (Injected { site; transient = a.a_transient })
         | Kill -> raise (Controller_killed { site })
-        | Delay n -> ( match !delay_hook with Some h -> h n | None -> ())
         | Enospc -> raise (Storage_error { site; kind = `Enospc })
         | Eio -> raise (Storage_error { site; kind = `Eio })
         | Corrupt -> assert false
@@ -295,11 +255,10 @@ let mangle (s : string) : string =
     before it is written. Identity unless a [Corrupt]-mode fault fires
     here. Does not advance the hit counter — the site's {!site} call,
     which every storage write site makes first, already did. *)
-let corruptible ?scope (site : Site.t) (payload : string) : string =
+let corruptible (site : Site.t) (payload : string) : string =
   let i = Site.index site in
   match armed_tbl.(i) with
-  | Some ({ a_mode = Corrupt; _ } as a)
-    when scope_matches a scope && !suppress_depth = 0 ->
+  | Some ({ a_mode = Corrupt; _ } as a) when !suppress_depth = 0 ->
       let c = stats.(i) in
       if should_fire c a then begin
         record_fire site c a;
@@ -309,14 +268,14 @@ let corruptible ?scope (site : Site.t) (payload : string) : string =
   | _ -> payload
 
 (** Parse a CLI fault argument:
-    [SITE[:once|nth=N|on=N|p=F][:MODE][:transient][:pid=P]] where MODE
-    is [fail] (the default), [kill], [delay=N], [corrupt], [enospc] or
-    [eio] ({!mode_of_string}), e.g. ["criu.save:once"],
-    ["rewrite.patch:nth=3:transient"], ["journal.append:once:corrupt"],
-    ["net.serve:nth=2:delay=40000"]. Returns (site, spec, transient,
-    mode, scope). A name outside {!Site.all} is rejected: there is no
-    such site to arm. *)
-let parse_spec (s : string) : Site.t * spec * bool * mode * int option =
+    [SITE[:once|nth=N|on=N|p=F][:MODE][:transient]] where MODE is
+    [fail] (the default), [kill], [corrupt], [enospc] or [eio]
+    ({!mode_of_string}), e.g. ["criu.save:once"],
+    ["rewrite.patch:nth=3:transient"], ["journal.append:once:corrupt"].
+    Returns (site, spec, transient, mode). A name outside {!Site.all} is
+    rejected: there is no such site to arm. Any other option is
+    rejected, named. *)
+let parse_spec (s : string) : Site.t * spec * bool * mode =
   let num ~what v =
     match int_of_string_opt v with
     | Some n -> n
@@ -330,10 +289,7 @@ let parse_spec (s : string) : Site.t * spec * bool * mode * int option =
         | Some site -> site
         | None -> invalid_arg (Printf.sprintf "Fault.parse_spec: unknown site %S" name)
       in
-      let spec = ref One_shot
-      and transient = ref false
-      and mode = ref Fail
-      and scope = ref None in
+      let spec = ref One_shot and transient = ref false and mode = ref Fail in
       let has_prefix p o =
         String.length o > String.length p && String.sub o 0 (String.length p) = p
       in
@@ -349,25 +305,24 @@ let parse_spec (s : string) : Site.t * spec * bool * mode * int option =
               match float_of_string_opt (suffix "p=" o) with
               | Some p -> spec := Probability p
               | None -> invalid_arg (Printf.sprintf "Fault.parse_spec: bad p %S" o))
-          | _ when has_prefix "pid=" o -> scope := Some (num ~what:"pid" (suffix "pid=" o))
           | _ -> (
               try mode := mode_of_string o
               with Invalid_argument _ ->
                 invalid_arg (Printf.sprintf "Fault.parse_spec: bad option %S" o)))
         opts;
-      (site, !spec, !transient, !mode, !scope)
+      (site, !spec, !transient, !mode)
 
-(** The modes that make sense at [site]: fail/kill/delay everywhere
-    (every site is an operation that can fail outright, die, or stall),
-    plus corrupt/enospc/eio at the storage write sites, the only ones
-    that pair their {!site} call with a {!corruptible} write. The chaos
+(** The modes that make sense at [site]: fail/kill everywhere (every
+    site is an operation that can fail outright or die), plus
+    corrupt/enospc/eio at the storage write sites, the only ones that
+    pair their {!site} call with a {!corruptible} write. The chaos
     coverage matrix must exercise each site in every applicable mode. *)
 let applicable_modes (site : Site.t) : mode list =
-  let base = [ Fail; Kill; Delay 25_000 ] in
+  let base = [ Fail; Kill ] in
   match site with
   | Criu_save | Journal_lock | Journal_append -> base @ [ Corrupt; Enospc; Eio ]
-  | Criu_checkpoint | Criu_load | Crit_encode | Crit_decode | Rewrite_patch | Rewrite_unmap
-  | Inject_lib | Inject_policy | Restore_process | Restore_tcp_repair | Restore_respawn
+  | Criu_checkpoint | Criu_load | Rewrite_patch | Rewrite_unmap | Inject_lib
+  | Inject_policy | Restore_process | Restore_tcp_repair | Restore_respawn
   | Supervisor_promote | Recover_replay | Balancer_dispatch | Net_accept_queue
   | Net_serve | Slice_trace | Slice_compute | Bbcache_dispatch | Bbcache_flush ->
       base

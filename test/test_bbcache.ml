@@ -1237,9 +1237,9 @@ let prop_edited_page_copied =
 
 (* ---------- a dropped machine is collected ---------- *)
 
-(* [Machine.create] installs process-global hooks (the registry clock
-   and the delay fault sink); they must not keep a dropped machine,
-   its pages and its decoded blocks alive. *)
+(* [Machine.create] installs a process-global hook, the registry
+   clock; it must not keep a dropped machine, its pages and its decoded
+   blocks alive. *)
 let test_dropped_machine_collected () =
   let weak = Weak.create 1 in
   let[@inline never] boot () =

@@ -319,16 +319,18 @@ let test_leaf_gate () =
    stores shares that buffer: a store into an image after its frame is
    stored would change the stored frame too. Through a warm first-byte,
    wipe and unmap cut and re-enable cycle, a copy of every frame is
-   taken as it is stored — at the [criu.save] and [criu.load] sites
-   right behind each store, through the fault delay hook — and each
-   stored frame must still equal its copy at the end. *)
+   taken as it is stored, and each stored frame must still equal its
+   copy at the end. The copies are taken whenever the registry reads
+   its clock: the span or journal event that follows each store reads
+   it before any later edit. *)
 let test_stored_frames_unwritten () =
   Fault.reset ();
   let c, s = boot ~seed:42 in
   reenable_ok s (cut_ok s `First_byte);
-  let fs = c.Workload.m.Machine.fs in
+  let m = c.Workload.m in
+  let fs = m.Machine.fs in
   let kept = ref [] in
-  let snapshot _ =
+  let snapshot () =
     List.iter
       (fun p ->
         if Filename.check_suffix p ".img" then begin
@@ -338,13 +340,16 @@ let test_stored_frames_unwritten () =
         end)
       (Vfs.list fs)
   in
-  let machine_hook = !Fault.delay_hook in
-  Fault.set_delay_hook (Some snapshot);
-  List.iter (fun site -> Fault.arm_mode site (Fault.Every_nth 1) (Fault.Delay 1)) [ Criu_save; Criu_load ];
+  (* the machine's own clock source, as [Machine.create] installed it,
+     holding the machine weakly *)
+  let self = Weak.create 1 in
+  Weak.set self 0 (Some m);
+  let machine_clock () =
+    match Weak.get self 0 with Some m -> m.Machine.clock | None -> 0L
+  in
+  Obs.set_clock (Some (fun () -> snapshot (); machine_clock ()));
   Fun.protect
-    ~finally:(fun () ->
-      Fault.reset ();
-      Fault.set_delay_hook machine_hook)
+    ~finally:(fun () -> Obs.set_clock (Some machine_clock))
     (fun () ->
       List.iter
         (fun (name, method_) ->
