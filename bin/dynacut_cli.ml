@@ -718,10 +718,16 @@ let recover_cmd =
             Printf.printf ">> %S\n<< %S\n" req (Workload.rpc c req))
           probes;
         let code =
-          match r.Dynacut.rec_action with
-          | `Nothing -> 0
-          | `Thawed | `Rolled_back -> 6
-          | `Completed -> 7
+          match Dynacut.stranded c.Workload.m ~root_pid:c.Workload.pid with
+          | _ :: _ as pids ->
+              Printf.printf "stranded: pids [%s] not live and thawed\n"
+                (String.concat ";" (List.map string_of_int pids));
+              5
+          | [] -> (
+              match r.Dynacut.rec_action with
+              | `Nothing -> 0
+              | `Thawed | `Rolled_back -> 6
+              | `Completed -> 7)
         in
         if list_sites then print_fault_sites ~verbose ();
         write_metrics metrics;
@@ -747,6 +753,11 @@ let recover_cmd =
         "6: an interrupted transaction was found and undone — the tree \
          was thawed or rolled back to its pristine images and is \
          byte-identical to its pre-cut state.";
+      `P
+        "5: after recovery the tree cannot serve: a pid of the tree, or \
+         one a pristine image names, is not live and thawed (a torn \
+         intent record hid the interrupted transaction). The pids are \
+         printed; this code overrides 0, 6 and 7.";
       `P
         "7: the dead controller had already committed (or finished \
          aborting); only its cleanup was lost and has been redone.";

@@ -123,6 +123,10 @@ cli_exit 2 recover ngx --crash-at criu.sav
 cli_exit 2 fleet ltpd --inject-fault net.serve:delay=40000
 cli_exit 2 fleet ltpd --inject-fault net.serve:once:pid=100
 cli_exit 2 recover ngx --crash-at crit.decode
+# A mode the site cannot fire in (a storage mode at a site with no
+# storage write) is a usage error too, not an armed fault that never
+# fires.
+cli_exit 2 cut ngx put-delete --inject-fault rewrite.patch:corrupt
 # An injected fault on the serving path refuses requests; the rollout
 # carries on and completes (exit 0), it does not die of the fault.
 cli_exit 0 fleet ltpd --inject-fault net.serve:p=0.5 --fault-seed 3
@@ -132,6 +136,11 @@ cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=3:kill
 # The same kill on wave 1's second member (pid 101), a plain member
 # cut rather than a canary: that worker too recovers alone and serves.
 cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=2:kill
+# A torn intent record hides the interrupted transaction, so recovery
+# finds nothing to do over a frozen tree: the closing check says the
+# tree cannot serve (exit 5) instead of exiting 0.
+cli_exit 5 recover ngx --crash-at criu.checkpoint \
+  --inject-fault journal.append:on=1:corrupt -r 'GET /index.html HTTP/1.1'
 
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the

@@ -66,6 +66,9 @@ type session = {
 
 exception Dynacut_error of string
 
+(* the tree's image and journal directory (§3.3) *)
+let tmpfs_dir root_pid = Printf.sprintf "/tmpfs/dynacut-%d" root_pid
+
 let create (machine : Machine.t) ~(root_pid : int) : session =
   (* the handler library is linked once per process: linking only names
      the library each extern resolves to, and injection relocates it
@@ -73,7 +76,7 @@ let create (machine : Machine.t) ~(root_pid : int) : session =
   if Option.is_none (Vfs.find machine.Machine.fs "libc.so") then
     raise (Dynacut_error "libc.so not present in target filesystem");
   let handler_lib = Lazy.force Handler.shared in
-  let tmpfs = Printf.sprintf "/tmpfs/dynacut-%d" root_pid in
+  let tmpfs = tmpfs_dir root_pid in
   let journal = Journal.attach machine.Machine.fs ~dir:tmpfs in
   (* one past whatever epoch the tree last saw, so a fresh controller
      outranks any stale lock a dead one left behind *)
@@ -872,7 +875,7 @@ let pp_recovery fmt (r : recovery) =
     next append. Idempotent: crashing inside recovery and re-running it
     converges to the same machine state. *)
 let recover (machine : Machine.t) ~(root_pid : int) : recovery =
-  let dir = Printf.sprintf "/tmpfs/dynacut-%d" root_pid in
+  let dir = tmpfs_dir root_pid in
   let j = Journal.attach machine.Machine.fs ~dir in
   let records, torn = Journal.read j in
   let lock_e = Journal.lock_epoch j in
@@ -991,3 +994,30 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
       rec_respawned = respawned;
     }
   end
+
+let stranded (machine : Machine.t) ~(root_pid : int) : int list =
+  let prefix = tmpfs_dir root_pid ^ "/pristine-" in
+  let framed =
+    List.filter_map
+      (fun path ->
+        if String.starts_with ~prefix path && String.ends_with ~suffix:".img" path
+        then
+          int_of_string_opt
+            (String.sub path (String.length prefix)
+               (String.length path - String.length prefix - 4))
+        else None)
+      (Vfs.list machine.Machine.fs)
+  in
+  let tree =
+    List.filter_map
+      (fun (p : Proc.t) ->
+        if Machine.tree_root machine p.Proc.pid = root_pid then Some p.Proc.pid
+        else None)
+      (Machine.all_procs machine)
+  in
+  List.filter
+    (fun pid ->
+      match Machine.proc machine pid with
+      | Some p -> p.Proc.frozen || not (Proc.is_live p)
+      | None -> true)
+    (List.sort_uniq Int.compare ((root_pid :: tree) @ framed))

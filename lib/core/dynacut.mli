@@ -237,3 +237,11 @@ val recover : Machine.t -> root_pid:int -> recovery
     crashing {e inside} recovery and re-running converges to the same
     machine state. The tree ends every-pid-fully-cut or
     every-pid-fully-original, never mixed within a pid. *)
+
+val stranded : Machine.t -> root_pid:int -> int list
+(** The closing check after {!recover}: the pids that are not live and
+    thawed among the tree's root, every process under it, and every pid
+    a pristine image in the tree's tmpfs names. Empty when the tree can
+    serve. A recovery that acted leaves none; an intent record torn
+    before recovery could read it leaves the tree frozen while
+    {!recover} finds nothing to do, and this names its pids. *)

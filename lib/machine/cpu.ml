@@ -7,6 +7,17 @@
     This plays the role of the Linux kernel + CPU in the paper's setup and
     is part of the trusted computing base its threat model assumes (§2). *)
 
+(* Int-typed [min], [max] and [compare]: the polymorphic ones call into
+   the C runtime ([caml_lessequal], [compare_val]), which on the
+   per-block path cost more than the block's bookkeeping. *)
+open struct
+  [@@@warning "-32"]
+
+  let[@inline] min (a : int) b = if a <= b then a else b
+  let[@inline] max (a : int) b = if a >= b then a else b
+  let compare = Int.compare
+end
+
 type trace_hook = Proc.t -> int64 -> int -> unit
 (** Called with (process, block start vaddr, block size in bytes) whenever a
     dynamic basic block completes — the tracer's input. *)
@@ -215,10 +226,13 @@ let spawn t ~exe_path ?comm () =
 (* Retirement counts instructions in [uncharged] (an [int] field write,
    where an [int64] clock write boxes); this adds them to the clock and
    to ["machine.steps"] at once. It runs wherever the clock can be read
-   from outside the slot loop: when {!exec_block} exits, after each
-   interpreter {!step}, at a syscall, at signal delivery, and before the
-   trace hook. So every observer sees the clock the per-instruction
-   charge would have shown it; the slicer's step reads no clock. *)
+   from outside a dispatch chain: once per chain, when {!Dispatch.exec}
+   ends it, drains a dirty page set or lets an exception out; after
+   each interpreter {!step}; and inside the chain at a syscall, at
+   signal delivery and before the trace hook. So every observer sees
+   the clock the per-instruction charge would have shown it; the
+   slicer's step reads no clock, and the slot limits read
+   [clock + uncharged]. *)
 let charge t =
   let n = t.uncharged in
   if n > 0 then begin
@@ -647,8 +661,8 @@ let[@inline] jump t (p : Proc.t) ~next target =
     cycle charge, block bookkeeping, trace hook, [Obs] counters and
     signal delivery are one code path — which is what keeps cached runs
     replay-exact against interpreted ones, clock included. The
-    instruction's cycle goes to [t.uncharged]; the caller (the slot
-    loop of {!exec_block}, or {!step}) adds it to the clock and to
+    instruction's cycle goes to [t.uncharged]; {!step}, or
+    {!Dispatch.exec} once per chain, adds it to the clock and to
     ["machine.steps"] with {!charge}, and so does every arm that lets
     something outside read the clock first (syscall, signal delivery,
     the trace hook). The caller runs the slicer's step just before,
@@ -1010,19 +1024,22 @@ let step t (p : Proc.t) =
     on a taken trap, signal, blocked syscall or exit, and after a store
     that dirtied an executable page, when the remaining slots may be
     stale) or stops the process — decided from that flag and the
-    process state, never by re-reading rip or memory. The clock is
-    charged on exit, so it is exact again when the block returns.
+    process state, never by re-reading rip or memory. The block does
+    not charge the clock: the cycles it retired stay in [t.uncharged]
+    until {!Dispatch.exec} charges the chain, so its limit reads the
+    clock as [clock + uncharged].
 
     A process the slicer traces runs the traced loop: the slicer's step
     ({!flow_step}) before each slot, with the slot's flat summary
     (computed at the slot's first traced run) and the registers the
     interpreter would show it. It calls no closure and reads no clock,
-    so the clock is charged on exit there too. *)
+    so it leaves the charge to the chain too. *)
 let exec_block t (p : Proc.t) (b : Block.t) ~fuel ~until executed =
   let slots = b.Block.b_slots in
   let limit =
     min (Array.length slots)
-      (min (fuel - executed) (Int64.to_int (Int64.sub until t.clock)))
+      (min (fuel - executed)
+         (Int64.to_int (Int64.sub until t.clock) - t.uncharged))
   in
   let i = ref 0 and go = ref true in
   (match t.slicer with
@@ -1048,5 +1065,4 @@ let exec_block t (p : Proc.t) (b : Block.t) ~fuel ~until executed =
           && not p.Proc.frozen;
         incr i
       done);
-  charge t;
   executed + !i

@@ -12,7 +12,11 @@
     {!Cpu.exec_decoded} at the interpreter's one cycle, lookups are
     free, and a chain stops at the exact instruction where the
     scheduler's single-step loop would ([fuel] spent or the clock at
-    [until]), so the virtual clock cannot tell the paths apart. A store
+    [until]), so the virtual clock cannot tell the paths apart. The
+    chain charges the clock once ({!Cpu.charge}): when it ends, before
+    it drains a dirty page set, and when an exception leaves it; in
+    between, its tests read [clock + uncharged], and every callback
+    out of the machine is preceded by a charge of its own. A store
     that dirties an executable page — the executing block's own
     included — moves [Mem.exec_gen], and {!Cpu.exec_decoded} then
     reports that the block cannot continue: it is left at the next
@@ -35,6 +39,16 @@
     loop, which applies the slicer's step before each slot with the
     slot's flat summary and the registers the interpreter would show
     it. *)
+
+(* Int-typed [min], [max] and [compare], as in {!Cpu}: nothing on the
+   per-block path may reach the C runtime's polymorphic compare. *)
+open struct
+  [@@@warning "-32"]
+
+  let[@inline] min (a : int) b = if a <= b then a else b
+  let[@inline] max (a : int) b = if a >= b then a else b
+  let compare = Int.compare
+end
 
 type t = Cpu.dispatcher
 
@@ -122,16 +136,20 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
                (match p.Proc.state with Proc.Runnable -> false | _ -> true)
                || p.Proc.frozen
                || !executed >= fuel
-               || m.Cpu.clock >= until
+               || Int64.add m.Cpu.clock (Int64.of_int m.Cpu.uncharged) >= until
              then continue_ := false
              else begin
-               (match Invalidate.drain cache with
-               | 0 -> ()
-               | k ->
-                   d.Cpu.d_flushes <- d.Cpu.d_flushes + k;
-                   Obs.add d.Cpu.obs_flushes k;
-                   (* links into evicted blocks are dead; re-dispatch *)
-                   prev := None);
+               if Hashtbl.length mem.Mem.exec_dirty <> 0 then begin
+                 (* the flush's fault site can stamp an event *)
+                 Cpu.charge m;
+                 match Invalidate.drain cache with
+                 | 0 -> ()
+                 | k ->
+                     d.Cpu.d_flushes <- d.Cpu.d_flushes + k;
+                     Obs.add d.Cpu.obs_flushes k;
+                     (* links into evicted blocks are dead; re-dispatch *)
+                     prev := None
+               end;
                let rip = Proc.get64u p.Proc.regs.Proc.file Proc.rip_off in
                let blk =
                  match lookup_linked !prev rip with
@@ -166,12 +184,15 @@ let exec (m : Cpu.t) (p : Proc.t) ~fuel ~until =
         | Fault.Injected _ ->
             (* the flush machinery failed mid-drain: never risk a stale
                block *)
+            Cpu.charge m;
             degrade d
         | e ->
-            (* a hook or a kill-mode fault site escaped: the hits so far
-               still count *)
+            (* a hook or a kill-mode fault site escaped: the clock and
+               the hits so far still count *)
+            Cpu.charge m;
             publish_hits d !hits;
             raise e);
+        Cpu.charge m;
         publish_hits d !hits;
         if !chained then d.Cpu.d_superblocks <- d.Cpu.d_superblocks + 1;
         !executed

@@ -2,7 +2,8 @@
     every machine executes on, sliced ones included: chains cached
     blocks into superblocks until a trap/syscall boundary. A host-only
     accelerator: the virtual clock advances exactly as when
-    interpreted. The interpreter runs only the steps the cache declines
+    interpreted, charged once per chain and before any callback reads
+    it. The interpreter runs only the steps the cache declines
     (int3 or fault at rip, an injected [Bbcache_dispatch] fault, a
     degraded dispatcher) and the reference made by {!degrade}. *)
 

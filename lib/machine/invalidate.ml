@@ -14,17 +14,15 @@
     answers with a cold cache. *)
 
 (** Evict the blocks overlapping the dirtied executable pages of the
-    cache's address space; returns how many blocks died (0 when the
-    dirty set was empty). The [Bbcache_flush] fault site models the
-    flush machinery itself failing — an injected [Fail] propagates as
-    [Fault.Injected] and the dispatcher must degrade to the interpreter
-    rather than ever run a stale block. *)
+    cache's address space; returns how many blocks died. The caller
+    calls it only when the dirty set is not empty (the dispatcher tests
+    it inline at every block boundary). The [Bbcache_flush] fault site
+    models the flush machinery itself failing — an injected [Fail]
+    propagates as [Fault.Injected] and the dispatcher must degrade to
+    the interpreter rather than ever run a stale block. *)
 let drain (c : Cache.t) =
-  let mem = c.Cache.c_proc.Proc.mem in
-  if not (Mem.exec_dirty_pending mem) then 0
-  else begin
-    Fault.site Bbcache_flush;
-    List.fold_left
-      (fun n idx -> n + Cache.evict_page c idx)
-      0 (Mem.take_exec_dirty mem)
-  end
+  Fault.site Bbcache_flush;
+  List.fold_left
+    (fun n idx -> n + Cache.evict_page c idx)
+    0
+    (Mem.take_exec_dirty c.Cache.c_proc.Proc.mem)

@@ -4,6 +4,16 @@
 
 include Cpu
 
+(* Int-typed [min], [max] and [compare], as in {!Cpu}: the scheduler's
+   loop must not reach the C runtime's polymorphic compare. *)
+open struct
+  [@@@warning "-32"]
+
+  let[@inline] min (a : int) b = if a <= b then a else b
+  let[@inline] max (a : int) b = if a >= b then a else b
+  let compare = Int.compare
+end
+
 (* ---------- scheduler ---------- *)
 
 let wake_check t (p : Proc.t) =

@@ -43,10 +43,10 @@ type t = Cpu.t = {
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
   mutable clock : int64;
-      (** virtual cycles; exact whenever control is outside the
-          dispatcher's slot loop, and at every hook call *)
+      (** virtual cycles; exact whenever control is outside
+          {!Dispatch.exec}'s chain, and at every hook call *)
   mutable uncharged : int;
-      (** instructions the slot loop retired but has not yet added to
+      (** instructions the chain retired but has not yet added to
           [clock] and ["machine.steps"]: 0 whenever [clock] is exact *)
   mutable trace : trace_hook option;
   mutable on_syscall : syscall_hook option;

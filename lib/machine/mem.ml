@@ -155,7 +155,6 @@ let observe t addr =
 let mark_exec_dirty t idx =
   Hashtbl.replace t.exec_dirty idx ();
   t.exec_gen <- t.exec_gen + 1
-let exec_dirty_pending t = Hashtbl.length t.exec_dirty > 0
 
 (** Return the dirtied executable page indexes and clear the set. *)
 let take_exec_dirty t =

@@ -172,9 +172,5 @@ val find_free : t -> hint:int64 -> len:int -> int64
 
 (** {2 Executable-page dirty tracking (code-cache invalidation)} *)
 
-val exec_dirty_pending : t -> bool
-(** Whether any executable page was modified since the last drain. O(1);
-    the cache dispatcher polls this at every block boundary. *)
-
 val take_exec_dirty : t -> int64 list
 (** Dirtied executable page indexes since the last call; clears the set. *)

@@ -1,7 +1,7 @@
 (* Implementation notes: the registry is process-global (the whole tree
    lives in one OCaml process, and scenarios call [reset] between runs),
    and every write path is kept allocation-light — counters are a single
-   mutable int field, bumped by the machine once per block it retires. *)
+   mutable int field, bumped by the machine once per dispatch chain. *)
 
 type labels = (string * string) list
 

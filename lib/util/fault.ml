@@ -159,6 +159,21 @@ let reset () =
   suppress_depth := 0;
   seed 7
 
+(** The modes that make sense at [site]: fail/kill everywhere (every
+    site is an operation that can fail outright or die), plus
+    corrupt/enospc/eio at the storage write sites, the only ones that
+    pair their {!site} call with a {!corruptible} write. The chaos
+    coverage matrix must exercise each site in every applicable mode. *)
+let applicable_modes (site : Site.t) : mode list =
+  let base = [ Fail; Kill ] in
+  match site with
+  | Criu_save | Journal_lock | Journal_append -> base @ [ Corrupt; Enospc; Eio ]
+  | Criu_checkpoint | Criu_load | Rewrite_patch | Rewrite_unmap | Inject_lib
+  | Inject_policy | Restore_process | Restore_tcp_repair | Restore_respawn
+  | Supervisor_promote | Recover_replay | Balancer_dispatch | Net_accept_queue
+  | Net_serve | Slice_trace | Slice_compute | Bbcache_dispatch | Bbcache_flush ->
+      base
+
 let check_spec = function
   | Every_nth n when n <= 0 -> invalid_arg "Fault.arm: Every_nth needs n >= 1"
   | On_nth n when n <= 0 -> invalid_arg "Fault.arm: On_nth needs n >= 1"
@@ -166,10 +181,20 @@ let check_spec = function
       invalid_arg "Fault.arm: probability outside [0,1]"
   | _ -> ()
 
+(* A mode outside the site's {!applicable_modes} would be armed and
+   never fire: refused, naming both. *)
+let check_mode (site : Site.t) (mode : mode) =
+  if not (List.mem mode (applicable_modes site)) then
+    invalid_arg
+      (Printf.sprintf "Fault: mode %S cannot fire at site %S" (mode_to_string mode)
+         (Site.name site))
+
 (** Arm [site] to fire in [mode] on [spec]'s schedule. One armed entry
-    per site (latest wins). *)
+    per site (latest wins). A mode outside {!applicable_modes} is
+    refused with [Invalid_argument]. *)
 let arm_mode ?(transient = false) (site : Site.t) spec (mode : mode) =
   check_spec spec;
+  check_mode site mode;
   armed_tbl.(Site.index site) <- Some { a_spec = spec; a_mode = mode; a_transient = transient }
 
 let arm ?(transient = false) ?(kill = false) site spec =
@@ -273,8 +298,9 @@ let corruptible (site : Site.t) (payload : string) : string =
     ({!mode_of_string}), e.g. ["criu.save:once"],
     ["rewrite.patch:nth=3:transient"], ["journal.append:once:corrupt"].
     Returns (site, spec, transient, mode). A name outside {!Site.all} is
-    rejected: there is no such site to arm. Any other option is
-    rejected, named. *)
+    rejected: there is no such site to arm. So is a mode outside the
+    site's {!applicable_modes}, which could never fire there. Any other
+    option is rejected, named. *)
 let parse_spec (s : string) : Site.t * spec * bool * mode =
   let num ~what v =
     match int_of_string_opt v with
@@ -310,22 +336,8 @@ let parse_spec (s : string) : Site.t * spec * bool * mode =
               with Invalid_argument _ ->
                 invalid_arg (Printf.sprintf "Fault.parse_spec: bad option %S" o)))
         opts;
+      check_mode site !mode;
       (site, !spec, !transient, !mode)
-
-(** The modes that make sense at [site]: fail/kill everywhere (every
-    site is an operation that can fail outright or die), plus
-    corrupt/enospc/eio at the storage write sites, the only ones that
-    pair their {!site} call with a {!corruptible} write. The chaos
-    coverage matrix must exercise each site in every applicable mode. *)
-let applicable_modes (site : Site.t) : mode list =
-  let base = [ Fail; Kill ] in
-  match site with
-  | Criu_save | Journal_lock | Journal_append -> base @ [ Corrupt; Enospc; Eio ]
-  | Criu_checkpoint | Criu_load | Rewrite_patch | Rewrite_unmap | Inject_lib
-  | Inject_policy | Restore_process | Restore_tcp_repair | Restore_respawn
-  | Supervisor_promote | Recover_replay | Balancer_dispatch | Net_accept_queue
-  | Net_serve | Slice_trace | Slice_compute | Bbcache_dispatch | Bbcache_flush ->
-      base
 
 (** Run-wide per-site fired count as recorded in the metric registry.
     Unlike {!fired} it survives {!reset} (only [Obs.reset] clears it), so

@@ -490,6 +490,43 @@ let test_parse_spec_unknown_site () =
   Alcotest.(check bool) "one-shot fail" true
     (spec = Fault.One_shot && mode = Fault.Fail && not transient)
 
+(* a storage mode at a site with no storage write would be armed and
+   never fire, so parse_spec and arm_mode both refuse it, naming the
+   site and the mode; every applicable mode still arms *)
+let test_inapplicable_mode_refused () =
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error %S names the site and the mode" msg)
+          true
+          (Workload.contains ~sub:{|"rewrite.patch"|} msg
+          && Workload.contains ~sub:{|"corrupt"|} msg)
+  in
+  refused "parse_spec rewrite.patch:corrupt" (fun () ->
+      ignore (Fault.parse_spec "rewrite.patch:corrupt"));
+  refused "arm_mode Rewrite_patch Corrupt" (fun () ->
+      Fault.arm_mode Rewrite_patch Fault.One_shot Fault.Corrupt);
+  Alcotest.(check bool) "nothing armed" false (Fault.armed Rewrite_patch);
+  List.iter
+    (fun s ->
+      List.iter
+        (fun m ->
+          if List.mem m (Fault.applicable_modes s) then begin
+            Fault.arm_mode s Fault.One_shot m;
+            Fault.disarm s
+          end
+          else
+            match Fault.arm_mode s Fault.One_shot m with
+            | () ->
+                Alcotest.failf "%s armed in mode %s" (Fault.Site.name s)
+                  (Fault.mode_to_string m)
+            | exception Invalid_argument _ -> ())
+        [ Fault.Fail; Fault.Kill; Fault.Corrupt; Fault.Enospc; Fault.Eio ])
+    Fault.Site.all;
+  Fault.reset ()
+
 let suite =
   List.map
     (fun site ->
@@ -522,4 +559,6 @@ let suite =
       Alcotest.test_case "site names round-trip" `Quick test_site_names_round_trip;
       Alcotest.test_case "mode spellings round-trip" `Quick
         test_mode_spelling_round_trip;
+      Alcotest.test_case "a mode that cannot fire is refused" `Quick
+        test_inapplicable_mode_refused;
     ]

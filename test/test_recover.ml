@@ -83,7 +83,32 @@ let test_kill_at_site (site, expected) () =
     (Format.asprintf "action for %s (%a)" (Fault.Site.name site) Dynacut.pp_recovery r)
     true
     (List.mem r.Dynacut.rec_action expected);
+  Alcotest.(check (list int)) "nothing stranded" [] (Dynacut.stranded m ~root_pid);
   check_original_then_recut m root_pid blocks
+
+(* the closing check: a torn first intent record leaves recovery an
+   empty prefix, so it does nothing to a tree the dead controller had
+   frozen, and [stranded] names the frozen pid *)
+let test_torn_intent_stranded () =
+  Fault.reset ();
+  let blocks = feature_blocks () in
+  let m, p = boot () in
+  let root_pid = p.Proc.pid in
+  let dead = Dynacut.create m ~root_pid in
+  Fault.arm_mode Journal_append
+    (Fault.On_nth (Fault.hits Journal_append + 1))
+    Fault.Corrupt;
+  Fault.arm ~kill:true Criu_checkpoint Fault.One_shot;
+  (match Dynacut.try_cut dead ~blocks ~policy:redirect_policy () with
+  | (_ : Dynacut.cut_result) -> Alcotest.fail "controller survived the kill"
+  | exception Fault.Controller_killed _ -> ());
+  Fault.reset ();
+  let r = Dynacut.recover m ~root_pid in
+  Alcotest.(check bool) "tear detected" true r.Dynacut.rec_torn;
+  Alcotest.(check bool) "nothing left to act on" true
+    (r.Dynacut.rec_action = `Nothing);
+  Alcotest.(check (list int)) "the frozen root is stranded" [ root_pid ]
+    (Dynacut.stranded m ~root_pid)
 
 (* ---------- the resurrected controller is fenced ---------- *)
 
@@ -342,6 +367,8 @@ let suite =
       Alcotest.test_case "roll-forward after commit" `Quick
         test_roll_forward_completed;
       Alcotest.test_case "torn journal tail" `Quick test_torn_tail;
+      Alcotest.test_case "torn intent record: the tree is stranded" `Quick
+        test_torn_intent_stranded;
       Alcotest.test_case "corrupted journal mid-file" `Quick
         test_corrupt_mid_file;
       Alcotest.test_case "every truncation point decodes" `Quick
