@@ -755,9 +755,11 @@ let recover_cmd =
          byte-identical to its pre-cut state.";
       `P
         "5: after recovery the tree cannot serve: a pid of the tree, or \
-         one a pristine image names, is not live and thawed (a torn \
-         intent record hid the interrupted transaction). The pids are \
-         printed; this code overrides 0, 6 and 7.";
+         one a pristine image names, is not live and thawed (an intent \
+         record damaged on storage after it was written hid the \
+         interrupted transaction; a record torn as it is written never \
+         gets that far, its cut rolls back). The pids are printed; this \
+         code overrides 0, 6 and 7.";
       `P
         "7: the dead controller had already committed (or finished \
          aborting); only its cleanup was lost and has been redone.";

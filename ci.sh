@@ -136,11 +136,10 @@ cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=3:kill
 # The same kill on wave 1's second member (pid 101), a plain member
 # cut rather than a canary: that worker too recovers alone and serves.
 cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=2:kill
-# A torn intent record hides the interrupted transaction, so recovery
-# finds nothing to do over a frozen tree: the closing check says the
-# tree cannot serve (exit 5) instead of exiting 0.
-cli_exit 5 recover ngx --crash-at criu.checkpoint \
-  --inject-fault journal.append:on=1:corrupt -r 'GET /index.html HTTP/1.1'
+# A torn intent record does not read back, so the cut rolls back
+# before the stage the record announces acts, with its controller
+# alive: exit 3, never an applied cut over a journal with no intent.
+cli_exit 3 cut ngx put-delete --inject-fault journal.append:on=1:corrupt
 
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the

@@ -188,11 +188,9 @@ let reset_working s pids =
     pids
 
 (* stage 1: freeze the tree, then checkpoint every process into tmpfs,
-   keeping a pristine copy of each image for rollback. Split so the
-   journal can record [Frozen] between the two halves. *)
-let stage_freeze s pids = List.iter (fun pid -> Machine.freeze s.machine ~pid) pids
-
-let stage_dump s (imgs : images) pids =
+   keeping a pristine copy of each image for rollback *)
+let stage_checkpoint s (imgs : images) pids =
+  List.iter (fun pid -> Machine.freeze s.machine ~pid) pids;
   List.iter
     (fun pid ->
       let img = Checkpoint.dump s.machine ~pid ~mode:Checkpoint.Dynacut () in
@@ -339,7 +337,7 @@ let stage_handler s imgs pids ~(blocks : Covgraph.block list) ~on_trap
    they kept their length, so only the pages the edits dirtied are
    hashed and none is copied; the image is then only read (restore).
    The stored bytes must be the sealed string, so a damaged write is
-   caught before the transaction journals [Rewritten] *)
+   caught before restore starts *)
 let stage_seal s imgs pids =
   List.iter
     (fun pid ->
@@ -538,18 +536,17 @@ let backoff (m : Machine.t) ~attempt =
    failure, every pid is reverted to its pristine image — the already-
    replaced ones (and the half-restored victim) re-restored, the not-yet-
    touched ones merely thawed — under fault suppression so the unwind
-   cannot itself be injected. The [Replaced] intent is journaled BEFORE
-   each reap (write-ahead): a pid may be recorded and still original,
-   never replaced and unrecorded. The [Commit] append rides inside the
-   same failure domain — if it cannot be logged, the cut is not
-   considered applied and the unwind reverts everything. *)
+   cannot itself be injected. No per-pid intent is journaled: recovery
+   re-creates every pid of a transaction past [Images_saved] from its
+   pristine image, replaced or not. The [Commit] append rides inside the
+   same failure domain — if it cannot be logged (or does not read back),
+   the cut is not considered applied and the unwind reverts everything. *)
 let commit_restore s ~txid imgs pids =
   let replaced = ref [] in
   try
     List.iter
       (fun pid ->
         guard "restore" (fun () ->
-            jrnl_append s (Journal.Replaced { txid; pid });
             let p = Restore.replace s.machine (Hashtbl.find imgs pid) in
             p.Proc.frozen <- false;
             replaced := pid :: !replaced))
@@ -603,16 +600,14 @@ let run_transaction s ~op ~pids
   in
   (* the journal open is NOT retried: a second [Begin] would read as a
      new transaction. Its failure rolls back trivially — nothing
-     happened yet. Freeze/dump re-runs are idempotent, and re-appended
-     progress records are deduplicated by the summarizer. *)
+     happened yet. Freeze/dump re-runs are idempotent, and a re-appended
+     [Images_saved] states what the first one did. *)
   match
     guard "journal" (fun () -> jrnl_open s ~txid ~op ~pids);
     let (), t_checkpoint =
       with_retries (fun () ->
           Obs.timed_span "checkpoint" (fun () ->
-              guard "checkpoint" (fun () -> stage_freeze s pids);
-              guard "journal" (fun () -> jrnl_append s (Journal.Frozen txid));
-              guard "checkpoint" (fun () -> stage_dump s imgs pids);
+              guard "checkpoint" (fun () -> stage_checkpoint s imgs pids);
               guard "journal" (fun () -> jrnl_append s (Journal.Images_saved txid))))
     in
     t := { !t with t_checkpoint };
@@ -628,7 +623,6 @@ let run_transaction s ~op ~pids
             raise failure)
     in
     t := { !t with t_disable; t_handler };
-    guard "journal" (fun () -> jrnl_append s (Journal.Rewritten txid));
     let (), t_restore =
       with_retries (fun () ->
           Obs.timed_span "restore" (fun () -> commit_restore s ~txid imgs pids))
@@ -862,10 +856,10 @@ let pp_recovery fmt (r : recovery) =
     - open transaction without [Images_saved]: the tree was at most
       frozen — thaw it;
     - open transaction with [Images_saved]: reap and re-create {e every}
-      pid of the transaction from its pristine image. Uniform rollback is
-      what makes a torn [Replaced] suffix harmless (a pid the dead
-      controller never touched gets a state-identical re-create) and the
-      pass idempotent;
+      pid of the transaction from its pristine image. Uniform rollback
+      needs no record of which pids were replaced (a pid the dead
+      controller never touched gets a state-identical re-create) and
+      makes the pass idempotent;
     - [Commit]/[Abort] logged: the work finished, only cleanup was lost —
       thaw and quiesce.
 

@@ -242,6 +242,7 @@ val stranded : Machine.t -> root_pid:int -> int list
 (** The closing check after {!recover}: the pids that are not live and
     thawed among the tree's root, every process under it, and every pid
     a pristine image in the tree's tmpfs names. Empty when the tree can
-    serve. A recovery that acted leaves none; an intent record torn
-    before recovery could read it leaves the tree frozen while
-    {!recover} finds nothing to do, and this names its pids. *)
+    serve. A recovery that acted leaves none. An intent record damaged
+    on storage after it read back (bit rot in [Begin]) leaves the tree
+    frozen while {!recover} finds nothing to do, and this names its
+    pids. *)
