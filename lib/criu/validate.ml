@@ -259,15 +259,6 @@ let unseal_frames (blob : string) : string list * tear option =
   in
   go [] 0
 
-(** Seal [payload] for writing at fault site [site]: an armed
-    [Fault.Corrupt] fault mangles the sealed frame on the way out (a
-    seeded bit-flip or truncation, so {!unseal}/{!unseal_frames} must
-    catch it at read time); the write-blocking modes (fail, kill,
-    enospc, eio) were already evaluated by the site's [Fault.site] call.
-    Every storage write in [Journal] goes through here. *)
-let seal_at ~(site : Fault.Site.t) (payload : string) : string =
-  Fault.corruptible site (seal payload)
-
 (* the frame [a]'s buffer lays out, sealed where it lies with page
    leaves [leaf]: the header goes into the bytes reserved in front of
    the payload *)
@@ -290,15 +281,15 @@ let seal_in_place (img : Images.t) : Images.t * string =
   let img = Images.frame ~reserve:header_size img in
   (img, seal_area img.Images.pages img.Images.pages.Images.leaf)
 
-(** Check that [stored], an image frame read back from storage, is the
-    frame [sealed] that was written: byte equality, stronger than the
+(** Check that [stored], a frame read back from storage, is the frame
+    [sealed] that was written: byte equality, stronger than the
     checksum. Only on a mismatch does the seal check run, so a damaged
     frame is reported as truncated / bad-magic / checksum-mismatch just
     as {!decode_sealed} would report it. *)
 let check_stored ~(sealed : string) (stored : string) : unit =
   if not (String.equal stored sealed) then begin
     ignore (verified_len stored);
-    fail "image differs from the sealed frame written (%d bytes, expected %d)"
+    fail "frame differs from the sealed frame written (%d bytes, expected %d)"
       (String.length stored) (String.length sealed)
   end
 
