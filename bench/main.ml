@@ -1,143 +1,10 @@
 (** The benchmark harness: one runner per table/figure of the paper's
-    evaluation (see DESIGN.md §4 for the experiment index), plus
-    Bechamel micro-benchmarks of DynaCut's hot paths.
+    evaluation (see DESIGN.md §4 for the experiment index).
 
     Usage: [dune exec bench/main.exe] runs everything;
     [dune exec bench/main.exe -- fig6 fig8] runs a subset. *)
 
 let fmt = Format.std_formatter
-
-(* ---------- bechamel micro-benchmarks ---------- *)
-
-let micro_tests () =
-  let open Bechamel in
-  (* a frozen rkv checkpoint as a realistic workload for the codecs *)
-  let c = Workload.boot Workload.rkv in
-  Machine.freeze c.Workload.m ~pid:c.Workload.pid;
-  let img = Checkpoint.dump c.Workload.m ~pid:c.Workload.pid () in
-  let blob = Images.encode img in
-  (* sealing fills [img]'s leaf sums: [image-seal] drops them every
-     time. [image-reseal] is a transaction's reseal of an unchanged
-     working frame: a copy of the sealed dump, every sum known, sealed
-     where it lies, so it writes and hashes only header, head and tail *)
-  let sealed = Validate.encode_sealed img in
-  let a = img.Images.pages in
-  let cold () =
-    { img with Images.pages = { a with leaf = Array.make (Images.slots a.Images.len) Bytesx.no_leaf } }
-  in
-  let page = Bytes.sub_string a.Images.buf a.Images.off Mem.page_size in
-  let working, _ = Validate.seal_in_place (Images.copy img) in
-  (* rkv restored from its working frame, as a transaction leaves it:
-     its pages carry their sums, so [image-dump] (a transaction's dump
-     and pristine seal in place) hashes head and tail only *)
-  Machine.reap c.Workload.m ~pid:c.Workload.pid;
-  ignore (Restore.restore c.Workload.m working : Proc.t);
-  (* [image-restore] rebuilds the process from the working frame on a
-     machine of its own, reaping the last one first *)
-  let m_restore = Machine.create () in
-  let restore () =
-    Machine.reap m_restore ~pid:c.Workload.pid;
-    ignore (Restore.restore m_restore working)
-  in
-  let exe = Option.get (Vfs.find_self c.Workload.m.Machine.fs "rkv") in
-  let text = Option.get (Self.find_section exe ".text") in
-  let log_init, log_srv = Common.server_phases Workload.rkv ~requests:Workload.kv_wanted in
-  let g_init = Covgraph.of_log log_init and g_srv = Covgraph.of_log log_srv in
-  let insns =
-    Encode.program
-      [ Insn.Mov_ri (Reg.Rax, 42L); Insn.Add_ri (Reg.Rax, 1); Insn.Cmp_ri (Reg.Rax, 43); Insn.Ret ]
-  in
-  (* a guest that never exits: a call, 8-byte loads and stores into a
-     global, arithmetic and a branch per iteration, and no syscall, so a
-     kernel run of [loop_cycles] cycles retires that many instructions *)
-  let loop_cycles = 10_000 in
-  let libc = Libc.build () in
-  let spin =
-    let open Dsl in
-    Crt0.link_app ~libc
-      (unit_ "spin" ~globals:[ global_zero "buf" 64 ]
-         [
-           func "bump" [ "k" ]
-             [
-               decl "a" (addr "buf" +: ((v "k" &: i 7) *: i 8));
-               store64 (v "a") (load64 (v "a") +: v "k");
-               ret0;
-             ];
-           func "main" []
-             [ decl "k" (i 0); forever [ do_ "bump" [ v "k" ]; set "k" (v "k" +: i 1) ]; ret0 ];
-         ])
-  in
-  let spin_machine () =
-    let m = Machine.create () in
-    Vfs.add_self m.Machine.fs "libc.so" libc;
-    Vfs.add_self m.Machine.fs "spin" spin;
-    (m, Machine.spawn m ~exe_path:"spin" ())
-  in
-  let m_cached, _ = spin_machine () and m_interp, _ = spin_machine () in
-  (* the reference: a degraded dispatcher keeps the machine on the
-     interpreter *)
-  Dispatch.degrade m_interp.Machine.dispatcher;
-  (* the slicer with no anchors: next to the cached kernel, it prices
-     the traced slot loop's step alone *)
-  let m_sliced, p = spin_machine () in
-  ignore (Slicer.attach m_sliced ~pid:p.Proc.pid ~wanted_out:(fun _ -> false) ());
-  let spin_run m () = ignore (Machine.run m ~max_cycles:loop_cycles) in
-  let mem = Mem.create () in
-  ignore (Mem.map mem ~vaddr:0x10000L ~len:Mem.page_size ~prot:Self.prot_rw ~name:"bench" ());
-  ignore (Mem.read64 mem 0x10008L);
-  [
-    Test.make ~name:"image-encode" (Staged.stage (fun () -> ignore (Images.encode img)));
-    Test.make ~name:"image-decode" (Staged.stage (fun () -> ignore (Images.decode blob)));
-    Test.make ~name:"image-seal"
-      (Staged.stage (fun () -> ignore (Validate.encode_sealed (cold ()))));
-    Test.make ~name:"image-reseal"
-      (Staged.stage (fun () -> ignore (Validate.seal_in_place working)));
-    Test.make ~name:"image-dump"
-      (Staged.stage (fun () ->
-           ignore (Validate.seal_in_place (Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ()))));
-    Test.make ~name:"image-restore" (Staged.stage restore);
-    Test.make ~name:"image-unseal"
-      (Staged.stage (fun () -> ignore (Validate.decode_sealed sealed)));
-    Test.make ~name:"checksum-4k" (Staged.stage (fun () -> ignore (Bytesx.checksum page)));
-    Test.make ~name:"covgraph-diff" (Staged.stage (fun () -> ignore (Covgraph.diff g_init g_srv)));
-    Test.make ~name:"cfg-recovery" (Staged.stage (fun () -> ignore (Cfg.of_self exe)));
-    Test.make ~name:"spawn-rkv"
-      (Staged.stage (fun () -> ignore (Workload.spawn Workload.rkv)));
-    Test.make ~name:"gadget-scan-text"
-      (Staged.stage (fun () -> ignore (Gadget.scan_bytes text.Self.sec_data)));
-    Test.make ~name:"decode-4-insns"
-      (Staged.stage (fun () -> ignore (Decode.disassemble insns)));
-    Test.make ~name:"checkpoint-dump"
-      (Staged.stage (fun () -> ignore (Checkpoint.dump c.Workload.m ~pid:c.Workload.pid ())));
-    Test.make ~name:"guest-loop-10k-cached" (Staged.stage (spin_run m_cached));
-    Test.make ~name:"guest-loop-10k-interp" (Staged.stage (spin_run m_interp));
-    Test.make ~name:"guest-loop-10k-sliced" (Staged.stage (spin_run m_sliced));
-    Test.make ~name:"slice-rkv"
-      (Staged.stage (fun () -> ignore (Slicelab.profile Workload.rkv)));
-    Test.make ~name:"mem-read64-tlb-hit"
-      (Staged.stage (fun () -> ignore (Mem.read64 mem 0x10008L)));
-  ]
-
-let run_micro () =
-  Common.section fmt "Micro-benchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Format.fprintf fmt "  %-24s %12.1f ns/run@." name est
-          | _ -> Format.fprintf fmt "  %-24s (no estimate)@." name)
-        analyzed)
-    (micro_tests ());
-  Format.fprintf fmt "@."
 
 (* ---------- obs: pipeline breakdown + instrumentation overhead ---------- *)
 
@@ -730,7 +597,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fleet", "fan-out throughput + rollout pause per wave (§6a)", run_fleet);
     ("chaos", "site x mode fault coverage + invariant oracles (§6c)", run_chaos);
     ("slice", "dataflow slicing: sliced-away wins + tracing overhead (§7)", run_slice);
-    ("micro", "bechamel micro-benchmarks", run_micro);
   ]
 
 let () =

@@ -40,12 +40,6 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-# Micro-benchmark smoke: every bechamel micro (codecs, the seal, the
-# 4 KiB checksum, guest loops) runs once; ungated, it fails only if a
-# micro raises.
-echo "== bench micro (smoke) =="
-dune exec bench/main.exe -- micro
-
 # Bench smoke (DESIGN.md §6): one instrumented ngx cut + re-enable with
 # the per-stage breakdown and the registry-on/registry-off overhead
 # bound, written to BENCH_obs.json.
@@ -140,6 +134,12 @@ cli_exit 6 fleet ltpd --inject-fault criu.checkpoint:on=2:kill
 # before the stage the record announces acts, with its controller
 # alive: exit 3, never an applied cut over a journal with no intent.
 cli_exit 3 cut ngx put-delete --inject-fault journal.append:on=1:corrupt
+# So does a torn lock stamp: it puts the previous lock back and the cut
+# rolls back at its journal stage, never an uncaught Fenced.
+cli_exit 3 cut ngx put-delete --inject-fault journal.lock:once:corrupt
+# A rollout halt reverts through the one wave revert: wave 1's member
+# cut rolls back at restore, the canary is re-enabled, exit 4.
+cli_exit 4 fleet ltpd --inject-fault restore.process:nth=2
 
 # Slicing smoke (DESIGN.md §7): profile ltpd and rkv under the dataflow
 # slicing tracer, assert the sliced-away class cuts covered blocks the

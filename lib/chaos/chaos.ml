@@ -154,8 +154,9 @@ let tree_probe ?(method_ = `First_byte) ?(tcp = false) site mode =
   | `Rolled_back rb -> failp "clean re-cut rolled back at %s" rb.Dynacut.rb_stage);
   tree_check ~all_cut:true ~what:"after re-cut" c fresh oracle
 
-(* fault strikes a journaled respawn of a reaped worker; a controller
-   death mid-respawn leaves an intent recovery must redo *)
+(* fault strikes the pristine respawn of a reaped worker: a controller
+   death after its [Begin] leaves an open transaction whose pid recovery
+   revives *)
 let respawn_probe site mode =
   let c, session, oracle = tree_setup () in
   let (_ : Rewriter.journal list * Dynacut.timings) =
@@ -167,19 +168,16 @@ let respawn_probe site mode =
     | _ -> failp "ngx tree has no worker"
   in
   Machine.reap c.Workload.m ~pid:worker;
-  let respawn () =
-    ignore
-      (Dynacut.journaled_respawn session ~pid:worker
-         ~path:(Dynacut.image_path session worker))
-  in
+  let respawn () = Dynacut.respawn_pristine session ~pid:worker in
   let outcome = strike site mode respawn in
-  (* a refused respawn closes its own journal intent — the worker is
+  (* a refused respawn finishes its own journal — the worker is
      legitimately still dead, and retrying is the caller's choice. Retry
      once here (the one-shot fault is spent). *)
   (match outcome with `Refused _ -> respawn () | `Completed | `Killed -> ());
-  let r = tree_finish c session oracle in
-  if outcome = `Killed && r.Dynacut.rec_respawned <> [ worker ] then
-    failp "recovery did not redo the respawn"
+  ignore (tree_finish c session oracle : Dynacut.recovery);
+  match Machine.proc c.Workload.m worker with
+  | Some p when Proc.is_live p -> ()
+  | _ -> failp "worker %d not live after recovery" worker
 
 (* fault strikes the canary's fleet promotion *)
 let promote_probe site mode =

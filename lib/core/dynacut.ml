@@ -144,12 +144,15 @@ let tree_pids (s : session) : int list =
   in
   descendants s.root_pid
 
+let is_live (m : Machine.t) pid =
+  match Machine.proc m pid with Some p -> Proc.is_live p | None -> false
+
 let image_path s pid = Printf.sprintf "%s/dump-%d.img" s.tmpfs pid
 let pristine_path s pid = Printf.sprintf "%s/pristine-%d.img" s.tmpfs pid
 
 (** Drop a pid's session bookkeeping (policy-table entries, injected-lib
     base). Needed when a process is re-created from its {e pristine}
-    image outside the transaction engine — the handler library is not in
+    image by a respawn ({!respawn_pristine}) — the handler library is not in
     that image, so stale entries would poison the next cut. *)
 let forget_pid (s : session) ~(pid : int) : unit =
   s.table <- List.remove_assoc pid s.table;
@@ -481,29 +484,22 @@ let thaw_all s pids = List.iter (fun pid -> Machine.thaw s.machine ~pid) pids
 let jrnl_append s (r : Journal.record) = Journal.append s.journal ~epoch:s.epoch r
 
 (* Open the transaction in the journal: refuse a tree whose journal
-   still holds an unfinished transaction or respawn ([Journal.Busy] —
-   run [recover] first), take the lock ([Journal.Fenced] when a newer
-   epoch holds it), and log the intent. Busy/Fenced are deliberately
-   outside [guard]'s failure domain: they mean the tree is not ours to
-   roll back. *)
-let jrnl_open s ~txid ~op ~pids =
+   still holds an unfinished transaction ([Journal.Busy] — run [recover]
+   first), take the lock ([Journal.Fenced] when a newer epoch holds it),
+   and log the intent. Busy/Fenced are deliberately outside [guard]'s
+   failure domain: they mean the tree is not ours to roll back. *)
+let jrnl_open s ~txid ~pids =
   let j = s.journal in
   let records, _torn = Journal.read j in
-  let sum = Journal.summarize records in
-  if not (Journal.quiescent sum) then begin
-    let open_txid =
-      match sum.Journal.s_tx with
-      | Some t when not t.Journal.tx_closed -> t.Journal.tx_id
-      | _ -> 0
-    in
-    raise (Journal.Busy { txid = open_txid })
-  end;
+  (match Journal.summarize records with
+  | Some t when not t.Journal.tx_closed -> raise (Journal.Busy { txid = t.Journal.tx_id })
+  | Some _ | None -> ());
   Journal.acquire j ~epoch:s.epoch;
   (* a quiescent leftover (death between Commit and cleanup, later
      recovered) is stale history — drop it before the new tx; only now
      that the fencing check passed is it ours to drop *)
   if records <> [] then Journal.clear j;
-  Journal.append j ~epoch:s.epoch (Journal.Begin { txid; op; pids })
+  Journal.append j ~epoch:s.epoch (Journal.Begin { txid; pids })
 
 let jrnl_finish s = Journal.finish s.journal
 
@@ -556,14 +552,7 @@ let commit_restore s ~txid imgs pids =
     Fault.suppressed (fun () ->
         List.iter
           (fun pid ->
-            let untouched =
-              (not (List.mem pid !replaced))
-              &&
-              match Machine.proc s.machine pid with
-              | Some p -> Proc.is_live p
-              | None -> false
-            in
-            if not untouched then begin
+            if List.mem pid !replaced || not (is_live s.machine pid) then begin
               Machine.reap s.machine ~pid;
               let p = Restore.restore s.machine (load_pristine s pid) in
               p.Proc.frozen <- false
@@ -571,10 +560,11 @@ let commit_restore s ~txid imgs pids =
           pids);
     raise failure
 
-(* the engine shared by cut, re-enable and seccomp. [edit] is the edit
+(* the engine shared by cut, re-enable and seccomp. [op] names the
+   transaction in events and counter labels. [edit] is the edit
    phase: it edits the transaction's in-memory images, ends with
    {!stage_seal} and returns (journals, t_disable, t_handler). *)
-let run_transaction s ~op ~pids
+let run_transaction s ~(op : string) ~pids
     ~(edit : images -> Rewriter.journal list * float * float) : cut_result =
   let saved = snapshot_state s in
   let imgs : images = Hashtbl.create 4 in
@@ -583,7 +573,6 @@ let run_transaction s ~op ~pids
   let retries = ref 0 and backoff_total = ref 0 in
   (* the stage times reached so far: a rollback reports them *)
   let t = ref { t_checkpoint = 0.; t_disable = 0.; t_handler = 0.; t_restore = 0. } in
-  let op_str = match op with Journal.Cut -> "cut" | Journal.Reenable -> "reenable" in
   (* the one retry loop: a failure whose injected fault is transient is
      re-run up to twice, after charging the backoff (the tree is frozen,
      so only time moves). Each step is idempotent: checkpointing
@@ -603,7 +592,7 @@ let run_transaction s ~op ~pids
      happened yet. Freeze/dump re-runs are idempotent, and a re-appended
      [Images_saved] states what the first one did. *)
   match
-    guard "journal" (fun () -> jrnl_open s ~txid ~op ~pids);
+    guard "journal" (fun () -> jrnl_open s ~txid ~pids);
     let (), t_checkpoint =
       with_retries (fun () ->
           Obs.timed_span "checkpoint" (fun () ->
@@ -634,9 +623,9 @@ let run_transaction s ~op ~pids
       reset_working s pids;
       thaw_all s pids;
       jrnl_abort s ~txid;
-      Obs.incr (Obs.counter ~labels:[ ("op", op_str) ] "dynacut.rollbacks");
+      Obs.incr (Obs.counter ~labels:[ ("op", op) ] "dynacut.rollbacks");
       Obs.event ~kind:"dynacut"
-        (Printf.sprintf "tx=%d %s rolled back at %s" txid op_str stage);
+        (Printf.sprintf "tx=%d %s rolled back at %s" txid op stage);
       {
         r_journals = [];
         r_timings = !t;
@@ -648,9 +637,9 @@ let run_transaction s ~op ~pids
       (* [Commit] is on storage (last act of [commit_restore]); the
          journal has served its purpose *)
       jrnl_finish s;
-      Obs.incr (Obs.counter ~labels:[ ("op", op_str) ] "dynacut.commits");
+      Obs.incr (Obs.counter ~labels:[ ("op", op) ] "dynacut.commits");
       Obs.event ~kind:"dynacut"
-        (Printf.sprintf "tx=%d %s committed (%d retries)" txid op_str !retries);
+        (Printf.sprintf "tx=%d %s committed (%d retries)" txid op !retries);
       {
         r_journals = journals;
         r_timings = timings;
@@ -697,7 +686,7 @@ let try_cut (s : session) ?pids ~(blocks : Covgraph.block list) ~(policy : polic
     in
     (journals, t_disable, t_handler)
   in
-  run_transaction s ~op:Journal.Cut ~pids ~edit
+  run_transaction s ~op:"cut" ~pids ~edit
 
 (* the edit phase of a re-enable or seccomp transaction: one pass of
    [edit] over the working images, then the seal, in the rewrite span *)
@@ -714,7 +703,7 @@ let image_edit s pids edit imgs =
     guarantees as {!try_cut}. *)
 let try_reenable (s : session) ?pids (journals : Rewriter.journal list) : cut_result =
   let pids = match pids with Some l -> l | None -> tree_pids s in
-  run_transaction s ~op:Journal.Reenable ~pids
+  run_transaction s ~op:"reenable" ~pids
     ~edit:(image_edit s pids (fun imgs -> reenable_edits s imgs pids journals))
 
 (* a committed transaction's result; a rolled-back one raises *)
@@ -757,7 +746,7 @@ let apply_seccomp (s : session) ~(denied : int list option) : timings =
       pids
   in
   let r =
-    run_transaction s ~op:Journal.Cut ~pids ~edit:(image_edit s pids set_filter)
+    run_transaction s ~op:"cut" ~pids ~edit:(image_edit s pids set_filter)
   in
   (applied "seccomp" r).r_timings
 
@@ -790,35 +779,38 @@ let trap_delta (meter : trap_meter) (s : session) ~(pid : int) : int =
   Hashtbl.replace meter pid raw;
   Int64.to_int (if raw >= last then Int64.sub raw last else raw)
 
-(* ---------- journaled respawn (canary and rollout reverts) ---------- *)
+(* ---------- the wave revert (canary gate and rollout halt) ---------- *)
 
-(** Respawns go through here so a controller death mid-respawn is
-    visible to recovery: [Respawn_begin] is logged before the re-create
-    and [Respawn_done] once the controller is back in control —
-    {e including} when the respawn itself failed (the worker is then
-    still dead, and the caller decides whether to retry). Only an
-    unmatched intent means the controller died. *)
-let journaled_respawn (s : session) ~(pid : int) ~(path : string) : Proc.t =
-  let j = s.journal in
-  Journal.acquire j ~epoch:s.epoch;
-  Journal.append j ~epoch:s.epoch (Journal.Respawn_begin { pid; path });
-  let close () =
-    Fault.suppressed (fun () ->
-        Journal.append j ~epoch:s.epoch (Journal.Respawn_done { pid });
-        Journal.finish j)
-  in
-  match Restore.respawn s.machine ~path with
-  | p ->
-      close ();
-      p
+(** A respawn is a transaction of its own: [Begin] names the pid, the pid
+    is re-created from its pristine frame, and the journal finishes. A
+    controller death after [Begin] leaves an open transaction, and
+    {!recover} revives the pid from the same frame. A respawn that fails
+    with its controller alive finishes the journal too: the pid stays
+    dead, as it was before. *)
+let respawn_pristine (s : session) ~(pid : int) : unit =
+  let txid = s.next_txid in
+  s.next_txid <- txid + 1;
+  jrnl_open s ~txid ~pids:[ pid ];
+  (match Restore.respawn s.machine ~path:(pristine_path s pid) with
+  | (_ : Proc.t) -> ()
   | exception (Fault.Controller_killed _ as e) -> raise e
   | exception e ->
-      close ();
-      raise e
-
-let respawn_pristine (s : session) ~(pid : int) : unit =
-  ignore (journaled_respawn s ~pid ~path:(pristine_path s pid));
+      jrnl_finish s;
+      raise e);
+  jrnl_finish s;
   forget_pid s ~pid
+
+let revert (s : session) ~(pid : int) (journals : Rewriter.journal list) : unit =
+  Fault.suppressed (fun () ->
+      if not (is_live s.machine pid) then respawn_pristine s ~pid
+      else
+        match try_reenable s ~pids:[ pid ] journals with
+        | { r_outcome = `Applied; _ } -> ()
+        | { r_outcome = `Rolled_back rb; _ } ->
+            raise
+              (Dynacut_error
+                 (Printf.sprintf "revert of pid %d: re-enable rolled back at %s (%s)" pid
+                    rb.rb_stage rb.rb_error)))
 
 (* ---------- crash recovery (DESIGN.md §5d) ---------- *)
 
@@ -830,11 +822,10 @@ type recovery = {
   rec_epoch : int;  (** the fencing epoch this pass stamped; 0 when idle *)
   rec_torn : bool;  (** the journal's tail was torn (crash mid-append) *)
   rec_pids : int list;  (** pids the open transaction covered *)
-  rec_respawned : int list;  (** unmatched supervisor respawns redone *)
 }
 
 let pp_recovery fmt (r : recovery) =
-  Format.fprintf fmt "%s%s%s%s"
+  Format.fprintf fmt "%s%s%s"
     (match r.rec_action with
     | `Nothing -> "nothing to recover"
     | `Thawed -> "thawed the tree (crash before images were saved)"
@@ -842,19 +833,30 @@ let pp_recovery fmt (r : recovery) =
     | `Completed -> "transaction already finished (commit/abort logged); cleaned up")
     (if r.rec_txid <> 0 then Printf.sprintf " tx=%d" r.rec_txid else "")
     (if r.rec_torn then " [torn journal tail]" else "")
-    (match r.rec_respawned with
-    | [] -> ""
-    | l ->
-        Printf.sprintf " respawned=[%s]"
-          (String.concat ";" (List.map string_of_int l)))
+
+(* the pids a pristine frame in the tree's tmpfs names *)
+let framed_pids (machine : Machine.t) ~(root_pid : int) : int list =
+  let prefix = tmpfs_dir root_pid ^ "/pristine-" in
+  List.filter_map
+    (fun path ->
+      if String.starts_with ~prefix path && String.ends_with ~suffix:".img" path
+      then
+        int_of_string_opt
+          (String.sub path (String.length prefix)
+             (String.length path - String.length prefix - 4))
+      else None)
+    (Vfs.list machine.Machine.fs)
 
 (** Recover the tree rooted at [root_pid] after a controller death, from
     the journal alone (the dead controller's heap is gone). The §5d
     decision table, applied to the journal's valid prefix:
 
     - no journal and no lock: nothing to do;
+    - a lock but no transaction: the controller died opening one. A cut
+      had touched nothing; a respawn's pid is still dead, so every dead
+      pid a pristine frame names is re-created from that frame;
     - open transaction without [Images_saved]: the tree was at most
-      frozen — thaw it;
+      frozen, or a respawn's pid not yet re-created — thaw, or revive;
     - open transaction with [Images_saved]: reap and re-create {e every}
       pid of the transaction from its pristine image. Uniform rollback
       needs no record of which pids were replaced (a pid the dead
@@ -863,75 +865,53 @@ let pp_recovery fmt (r : recovery) =
     - [Commit]/[Abort] logged: the work finished, only cleanup was lost —
       thaw and quiesce.
 
-    Unmatched supervisor respawns are redone first. The pass fences
-    before it acts: the lock is stamped with a bumped epoch, so a
-    controller that wakes up mid-recovery gets {!Journal.Fenced} on its
-    next append. Idempotent: crashing inside recovery and re-running it
-    converges to the same machine state. *)
+    The pass fences before it acts: the lock is stamped with a bumped
+    epoch, so a controller that wakes up mid-recovery gets
+    {!Journal.Fenced} on its next append. Idempotent: crashing inside
+    recovery and re-running it converges to the same machine state. *)
 let recover (machine : Machine.t) ~(root_pid : int) : recovery =
   let dir = tmpfs_dir root_pid in
   let j = Journal.attach machine.Machine.fs ~dir in
   let records, torn = Journal.read j in
   let lock_e = Journal.lock_epoch j in
   if records = [] && lock_e = 0 && not torn then
-    {
-      rec_action = `Nothing;
-      rec_txid = 0;
-      rec_epoch = 0;
-      rec_torn = false;
-      rec_pids = [];
-      rec_respawned = [];
-    }
+    { rec_action = `Nothing; rec_txid = 0; rec_epoch = 0; rec_torn = false; rec_pids = [] }
   else begin
     (* fence first: a controller that still believes it owns this tree
-       must fail its next append, not race the recovery pass *)
+       must fail its next append, not race the recovery pass. The stamp
+       reads back before anything acts *)
     let epoch = lock_e + 1 in
     Journal.write_lock j ~epoch;
-    let sum = Journal.summarize records in
     let pristine pid = Printf.sprintf "%s/pristine-%d.img" dir pid in
     let working pid = Printf.sprintf "%s/dump-%d.img" dir pid in
-    (* respawn from the first of [paths] that restores: a half-written
-       image must not brick the revival while another copy is sound *)
-    let revive paths =
-      List.exists
-        (fun path ->
-          match Restore.respawn machine ~path with
-          | (_ : Proc.t) -> true
-          | exception (Restore.Restore_error _ | Validate.Validate_error _) -> false)
-        paths
-    in
-    (* 1. respawns the dead controller left half-done *)
-    let respawned =
-      List.filter_map
-        (fun (pid, path) ->
-          Obs.with_span "recover.replay" @@ fun () ->
-          Fault.site Recover_replay;
-          let live =
-            match Machine.proc machine pid with
-            | Some p -> Proc.is_live p
-            | None -> false
-          in
-          if (not live) && revive [ path; pristine pid ] then Some pid else None)
-        sum.Journal.s_respawns
-    in
-    (* Thaw a pid — or, when the pid is gone although the journal's
-       prefix never recorded a reap (mid-file corruption ate the
-       record), revive it from its on-storage image: [prefer] first,
-       the other copy as fallback. The write-ahead guarantee only
-       covers the tail, so the revival is best effort — but a sealed
-       image beats a dead tree. *)
+    (* Thaw a live pid. Revive a dead one — a respawn's pid, a pid its
+       cut killed (it stays in the table until reaped), or a pid gone
+       although the journal's prefix never recorded a reap (mid-file
+       corruption ate the record) — from its on-storage image: [prefer]
+       first, the other copy as fallback, so a half-written image does
+       not brick the revival while another copy is sound. *)
     let thaw_or_revive ~prefer ~fallback pid =
       Obs.with_span "recover.replay" @@ fun () ->
       Fault.site Recover_replay;
-      match Machine.proc machine pid with
-      | Some p when Proc.is_live p -> Machine.thaw machine ~pid
-      | Some _ -> ()
-      | None -> ignore (revive [ prefer pid; fallback pid ])
+      if is_live machine pid then Machine.thaw machine ~pid
+      else
+        ignore
+          (List.exists
+             (fun path ->
+               match Restore.respawn machine ~path with
+               | (_ : Proc.t) -> true
+               | exception (Restore.Restore_error _ | Validate.Validate_error _) -> false)
+             [ prefer pid; fallback pid ])
     in
-    (* 2. the open transaction, per the decision table *)
     let action, txid, pids =
-      match sum.Journal.s_tx with
-      | None -> (`Nothing, 0, [])
+      match Journal.summarize records with
+      | None ->
+          let dead =
+            List.filter (fun pid -> not (is_live machine pid))
+              (framed_pids machine ~root_pid)
+          in
+          List.iter (thaw_or_revive ~prefer:pristine ~fallback:working) dead;
+          ((if dead = [] then `Nothing else `Rolled_back), 0, dead)
       | Some tx when tx.Journal.tx_closed ->
           (* committed pids run the rewritten (working) image *)
           List.iter
@@ -962,7 +942,8 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
             tx.Journal.tx_pids;
           (`Rolled_back, tx.Journal.tx_id, tx.Journal.tx_pids)
       | Some tx ->
-          (* pre-Images_saved pids were at most frozen *)
+          (* pre-Images_saved pids were at most frozen; a respawn's pid
+             comes back from its pristine frame *)
           List.iter
             (thaw_or_revive ~prefer:pristine ~fallback:working)
             tx.Journal.tx_pids;
@@ -972,36 +953,17 @@ let recover (machine : Machine.t) ~(root_pid : int) : recovery =
     Journal.clear j;
     Obs.incr (Obs.counter "dynacut.recoveries");
     Obs.event ~kind:"recover"
-      (Printf.sprintf "tx=%d action=%s pids=%d respawned=%d epoch=%d" txid
+      (Printf.sprintf "tx=%d action=%s pids=%d epoch=%d" txid
          (match action with
          | `Nothing -> "nothing"
          | `Completed -> "completed"
          | `Rolled_back -> "rolled_back"
          | `Thawed -> "thawed")
-         (List.length pids) (List.length respawned) epoch);
-    {
-      rec_action = action;
-      rec_txid = txid;
-      rec_epoch = epoch;
-      rec_torn = torn;
-      rec_pids = pids;
-      rec_respawned = respawned;
-    }
+         (List.length pids) epoch);
+    { rec_action = action; rec_txid = txid; rec_epoch = epoch; rec_torn = torn; rec_pids = pids }
   end
 
 let stranded (machine : Machine.t) ~(root_pid : int) : int list =
-  let prefix = tmpfs_dir root_pid ^ "/pristine-" in
-  let framed =
-    List.filter_map
-      (fun path ->
-        if String.starts_with ~prefix path && String.ends_with ~suffix:".img" path
-        then
-          int_of_string_opt
-            (String.sub path (String.length prefix)
-               (String.length path - String.length prefix - 4))
-        else None)
-      (Vfs.list machine.Machine.fs)
-  in
   let tree =
     List.filter_map
       (fun (p : Proc.t) ->
@@ -1014,4 +976,4 @@ let stranded (machine : Machine.t) ~(root_pid : int) : int list =
       match Machine.proc machine pid with
       | Some p -> p.Proc.frozen || not (Proc.is_live p)
       | None -> true)
-    (List.sort_uniq Int.compare ((root_pid :: tree) @ framed))
+    (List.sort_uniq Int.compare ((root_pid :: tree) @ framed_pids machine ~root_pid))

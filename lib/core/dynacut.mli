@@ -87,8 +87,8 @@ val pristine_path : session -> int -> string
 
 val forget_pid : session -> pid:int -> unit
 (** Drop a pid's session bookkeeping (policy-table entries, injected-lib
-    base) after it was re-created from its pristine image outside the
-    transaction engine. *)
+    base) after it was re-created from its pristine image by a respawn
+    ({!respawn_pristine}). *)
 
 (** {2 Transactional cut pipeline}
 
@@ -196,17 +196,27 @@ val trap_delta : trap_meter -> session -> pid:int -> int
     to its checkpointed value, possibly below the baseline — the raw
     count is the delta then. *)
 
-(** {2 Crash recovery (§5d)} *)
-
-val journaled_respawn : session -> pid:int -> path:string -> Proc.t
-(** [Restore.respawn] bracketed by [Respawn_begin]/[Respawn_done]
-    journal records, so a controller death mid-respawn is visible to
-    {!recover}. The canary and rollout reverts use this. *)
+(** {2 The wave revert} *)
 
 val respawn_pristine : session -> pid:int -> unit
-(** Re-create [pid] from its pristine image by {!journaled_respawn},
-    then {!forget_pid} — the last resort of a revert whose re-enable
-    failed, or of a pid the storm killed. *)
+(** Re-create the dead [pid] from its pristine image as a transaction of
+    its own — {!Journal.Busy} and {!Journal.Fenced} as for [try_cut],
+    then [Begin] naming the pid, the re-create ([restore.respawn]) and
+    the journal's finish — then {!forget_pid}. A controller death after
+    [Begin] is recovered by {!recover}, which revives the pid from the
+    same image. *)
+
+val revert : session -> pid:int -> Rewriter.journal list -> unit
+(** Undo [pid]'s cut, whose undo journals are [journals], under
+    {!Fault.suppressed}: a live pid is re-enabled ({!try_reenable}), a
+    dead one — a canary its cut killed — is re-created by
+    {!respawn_pristine}. A live pid is never respawned: a re-enable that
+    rolls back raises {!Dynacut_error} naming the pid and the stage.
+    Under suppression no injectable fault reaches that case; a kill-mode
+    fault still strikes. The canary gate and the rollout halt both
+    revert through here. *)
+
+(** {2 Crash recovery (§5d)} *)
 
 type recovery_action =
   [ `Nothing  (** journal absent or empty — the tree was never at risk *)
@@ -220,8 +230,9 @@ type recovery = {
   rec_txid : int;  (** the open transaction's id; 0 when none was open *)
   rec_epoch : int;  (** the fencing epoch this pass stamped; 0 when idle *)
   rec_torn : bool;  (** the journal's tail was torn (crash mid-append) *)
-  rec_pids : int list;  (** pids the open transaction covered *)
-  rec_respawned : int list;  (** unmatched supervisor respawns redone *)
+  rec_pids : int list;
+      (** pids the open transaction covered, or the dead pids revived
+          when no transaction was open *)
 }
 
 val pp_recovery : Format.formatter -> recovery -> unit
@@ -229,11 +240,14 @@ val pp_recovery : Format.formatter -> recovery -> unit
 val recover : Machine.t -> root_pid:int -> recovery
 (** Recover the tree rooted at [root_pid] after a controller death,
     from the journal alone. Applies the §5d decision table to the
-    journal's valid prefix: thaw when the crash predates [Images_saved],
+    journal's valid prefix: thaw when the crash predates [Images_saved]
+    (reviving a dead pid, as a respawn's, from its pristine image),
     uniform pristine rollback when it postdates it, cleanup when
-    [Commit]/[Abort] made it to storage; unmatched supervisor respawns
-    are redone first. Fences before acting (bumps the lock epoch — a
-    resurrected controller gets {!Journal.Fenced}) and is idempotent:
+    [Commit]/[Abort] made it to storage. A lock with no transaction
+    behind it (a death before the first [Begin] read back) revives every
+    dead pid a pristine image names. Fences before acting (bumps the
+    lock epoch, read back before anything acts — a resurrected
+    controller gets {!Journal.Fenced}) and is idempotent:
     crashing {e inside} recovery and re-running converges to the same
     machine state. The tree ends every-pid-fully-cut or
     every-pid-fully-original, never mixed within a pid. *)

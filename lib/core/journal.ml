@@ -8,7 +8,8 @@
     a sealed, checksummed record (one {!Validate.seal} frame each) to
     [<tmpfs>/journal], so a fresh controller can tell how far a dead
     one got and finish the job. Those are [Begin], [Images_saved],
-    [Commit]/[Abort] and the respawn pair; no other record is kept.
+    [Commit] and [Abort]; no other record is kept. A supervisor respawn
+    is a transaction too: a [Begin] naming the pid, then the re-create.
 
     Records are written {e before} the action they announce (intent
     logging), and a record counts only once it reads back: {!append}
@@ -21,24 +22,14 @@
     that was presumed dead but wakes up mid-recovery gets {!Fenced} on
     its next append instead of corrupting the tree. *)
 
-type op = Cut | Reenable
-
-let op_to_string = function Cut -> "cut" | Reenable -> "reenable"
-
 type record =
-  | Begin of { txid : int; op : op; pids : int list }
+  | Begin of { txid : int; pids : int list }
       (** transaction opened; the tree is about to be frozen *)
   | Images_saved of int
       (** pristine + working images of every pid are sealed in tmpfs —
           from here on, rollback-by-pristine-restore is always possible *)
   | Commit of int  (** every pid runs the rewritten image *)
   | Abort of int  (** the controller finished rolling the tree back *)
-  | Respawn_begin of { pid : int; path : string }
-      (** supervisor respawn: [pid] is about to be re-created from the
-          image at [path] *)
-  | Respawn_done of { pid : int }
-      (** the controller regained control after [Respawn_begin] (the
-          respawn landed, or failed with the controller alive) *)
 
 type t = { fs : Vfs.t; dir : string }
 
@@ -62,10 +53,9 @@ let encode_record (r : record) : string =
   let open Bytesx.W in
   let b = create ~size:64 () in
   (match r with
-  | Begin { txid; op; pids } ->
+  | Begin { txid; pids } ->
       u8 b 1;
       int_as_u64 b txid;
-      u8 b (match op with Cut -> 0 | Reenable -> 1);
       u32 b (List.length pids);
       List.iter (fun pid -> u32 b pid) pids
   | Images_saved txid ->
@@ -76,14 +66,7 @@ let encode_record (r : record) : string =
       int_as_u64 b txid
   | Abort txid ->
       u8 b 7;
-      int_as_u64 b txid
-  | Respawn_begin { pid; path } ->
-      u8 b 8;
-      u32 b pid;
-      lstring b path
-  | Respawn_done { pid } ->
-      u8 b 9;
-      u32 b pid);
+      int_as_u64 b txid);
   contents b
 
 (* raises on garbage; [read] turns that into a torn tail *)
@@ -93,30 +76,22 @@ let decode_record (payload : string) : record =
   match u8 r with
   | 1 ->
       let txid = int_of_u64 r in
-      let op = match u8 r with 0 -> Cut | 1 -> Reenable | _ -> failwith "bad op" in
       let n = u32 r in
       let pids = List.init n (fun _ -> u32 r) in
-      Begin { txid; op; pids }
+      Begin { txid; pids }
   | 3 -> Images_saved (int_of_u64 r)
   | 6 -> Commit (int_of_u64 r)
   | 7 -> Abort (int_of_u64 r)
-  | 8 ->
-      let pid = u32 r in
-      Respawn_begin { pid; path = lstring r }
-  | 9 -> Respawn_done { pid = u32 r }
   | tag -> failwith (Printf.sprintf "bad journal record tag %d" tag)
 
 let pp_record fmt (r : record) =
   match r with
-  | Begin { txid; op; pids } ->
-      Format.fprintf fmt "begin tx=%d op=%s pids=[%s]" txid (op_to_string op)
+  | Begin { txid; pids } ->
+      Format.fprintf fmt "begin tx=%d pids=[%s]" txid
         (String.concat ";" (List.map string_of_int pids))
   | Images_saved txid -> Format.fprintf fmt "images-saved tx=%d" txid
   | Commit txid -> Format.fprintf fmt "commit tx=%d" txid
   | Abort txid -> Format.fprintf fmt "abort tx=%d" txid
-  | Respawn_begin { pid; path } ->
-      Format.fprintf fmt "respawn-begin pid=%d path=%s" pid path
-  | Respawn_done { pid } -> Format.fprintf fmt "respawn-done pid=%d" pid
 
 (* ---------- the sealed append-log ---------- *)
 
@@ -162,15 +137,36 @@ let lock_epoch (t : t) : int =
           | exception _ -> 0)
       | exception Validate.Validate_error _ -> 0)
 
+(* Write the sealed frame [sealed] to [path] behind [prefix], through
+   [site]'s corruption point, and read it back: the frame counts only if
+   the bytes stored after [prefix] are the frame sealed
+   ({!Validate.check_stored}, as image frames are). A frame that differs
+   is undone — [path] gets [undo] back, or goes when [undo] is [None] —
+   and raises {!Validate.Validate_error}. *)
+let store_checked fs path ~site ~prefix ~undo sealed =
+  Vfs.add fs path (prefix ^ Fault.corruptible site sealed);
+  let stored = Option.value ~default:"" (Vfs.find fs path) in
+  let off = String.length prefix in
+  let frame = if off = 0 then stored else String.sub stored off (String.length stored - off) in
+  try Validate.check_stored ~sealed frame
+  with Validate.Validate_error _ as e ->
+    (match undo with Some b -> Vfs.add fs path b | None -> remove_file fs path);
+    raise e
+
 (** Stamp the lock with [epoch], unconditionally — recovery's fencing
-    move. Transaction paths use {!acquire}. *)
+    move. Transaction paths use {!acquire}. The stamp counts once it
+    reads back; a damaged one puts the previous lock back and raises
+    {!Validate.Validate_error}, so no one acts on a lock it does not
+    hold. *)
 let write_lock (t : t) ~(epoch : int) : unit =
   Obs.with_span "journal.lock" @@ fun () ->
   Fault.site Journal_lock;
+  let path = lock_path t in
   let open Bytesx.W in
   let b = create ~size:16 () in
   int_as_u64 b epoch;
-  Vfs.add t.fs (lock_path t) (Fault.corruptible Journal_lock (Validate.seal (contents b)))
+  store_checked t.fs path ~site:Journal_lock ~prefix:"" ~undo:(Vfs.find t.fs path)
+    (Validate.seal (contents b))
 
 (** Take (or refresh) the lock for [epoch]; raises {!Fenced} when a
     newer epoch already holds it. *)
@@ -197,14 +193,8 @@ let append (t : t) ~(epoch : int) (r : record) : unit =
   if held <> epoch then raise (Fenced { epoch; lock_epoch = held });
   let path = journal_path t in
   let prev = Option.value ~default:"" (Vfs.find t.fs path) in
-  let sealed = Validate.seal (encode_record r) in
-  Vfs.add t.fs path (prev ^ Fault.corruptible Journal_append sealed);
-  let stored = Option.value ~default:"" (Vfs.find t.fs path) in
-  let off = String.length prev in
-  (try Validate.check_stored ~sealed (String.sub stored off (String.length stored - off))
-   with Validate.Validate_error _ as e ->
-     Vfs.add t.fs path prev;
-     raise e);
+  store_checked t.fs path ~site:Journal_append ~prefix:prev ~undo:(Some prev)
+    (Validate.seal (encode_record r));
   Obs.event ~kind:"journal" (Format.asprintf "%a" pp_record r)
 
 (** Remove the journal file only (recovery keeps its bumped lock behind
@@ -225,32 +215,21 @@ type tx_state = {
   tx_closed : bool;  (** [Commit] or [Abort] logged *)
 }
 
-type summary = {
-  s_tx : tx_state option;  (** the journal's last transaction, if any *)
-  s_respawns : (int * string) list;
-      (** [Respawn_begin]s without a matching [Respawn_done], oldest
-          first — the controller died mid-respawn *)
-}
+(** The journal's last transaction, if any. *)
+let summarize (records : record list) : tx_state option =
+  List.fold_left
+    (fun tx r ->
+      match (r, tx) with
+      | Begin { txid; pids }, _ ->
+          Some
+            { tx_id = txid; tx_pids = pids; tx_images_saved = false; tx_closed = false }
+      | Images_saved _, Some t -> Some { t with tx_images_saved = true }
+      | (Commit _ | Abort _), Some t -> Some { t with tx_closed = true }
+      | (Images_saved _ | Commit _ | Abort _), None -> None)
+    None records
 
-let summarize (records : record list) : summary =
-  let tx = ref None and respawns = ref [] in
-  let with_tx f = match !tx with None -> () | Some t -> tx := Some (f t) in
-  List.iter
-    (fun r ->
-      match r with
-      | Begin { txid; pids; _ } ->
-          tx :=
-            Some
-              { tx_id = txid; tx_pids = pids; tx_images_saved = false; tx_closed = false }
-      | Images_saved _ -> with_tx (fun t -> { t with tx_images_saved = true })
-      | Commit _ | Abort _ -> with_tx (fun t -> { t with tx_closed = true })
-      | Respawn_begin { pid; path } -> respawns := (pid, path) :: !respawns
-      | Respawn_done { pid } ->
-          respawns := List.filter (fun (p, _) -> p <> pid) !respawns)
-    records;
-  { s_tx = !tx; s_respawns = List.rev !respawns }
-
-(** A quiescent journal needs no recovery: every transaction closed,
-    every respawn matched. (An absent journal is trivially quiescent.) *)
-let quiescent (s : summary) : bool =
-  s.s_respawns = [] && (match s.s_tx with None -> true | Some t -> t.tx_closed)
+(** A quiescent journal needs no recovery: its last transaction closed.
+    (An absent journal is trivially quiescent.) *)
+let quiescent : tx_state option -> bool = function
+  | None -> true
+  | Some t -> t.tx_closed

@@ -1,8 +1,8 @@
 (** Durable write-ahead intent journal for the cut transaction
     (DESIGN.md §5d).
 
-    A [Dynacut.try_cut], [try_reenable] or [apply_seccomp] transaction
-    — and every supervisor respawn — appends a sealed, checksummed
+    A [Dynacut.try_cut], [try_reenable], [apply_seccomp] or
+    [respawn_pristine] transaction appends a sealed, checksummed
     record to [<tmpfs>/journal] {e before} each action that changes what
     [Dynacut.recover] must do, so recovery can reconstruct a dead
     controller's progress from storage alone. A record counts only once
@@ -11,20 +11,15 @@
     recovery bumps it, so a resurrected controller fails with {!Fenced}
     instead of racing the recovery pass. *)
 
-type op = Cut | Reenable
-
 type record =
-  | Begin of { txid : int; op : op; pids : int list }
-      (** transaction opened; the tree is about to be frozen *)
+  | Begin of { txid : int; pids : int list }
+      (** transaction opened; the tree is about to be frozen (a cut,
+          re-enable or seccomp) or [pids] re-created (a respawn) *)
   | Images_saved of int
       (** pristine + working images sealed in tmpfs; from here rollback
           by pristine restore is always possible *)
   | Commit of int  (** every pid runs the rewritten image *)
   | Abort of int  (** the controller finished rolling the tree back *)
-  | Respawn_begin of { pid : int; path : string }
-      (** supervisor respawn of [pid] from [path] is about to run *)
-  | Respawn_done of { pid : int }
-      (** the controller regained control after [Respawn_begin] *)
 
 type t
 (** Handle on one tree's journal + lock inside its tmpfs directory. *)
@@ -59,7 +54,9 @@ val lock_epoch : t -> int
 
 val write_lock : t -> epoch:int -> unit
 (** Stamp the lock with [epoch] unconditionally — recovery's fencing
-    move. [Fault.site Journal_lock]. *)
+    move. [Fault.site Journal_lock]. The stamp counts once it reads back,
+    as an {!append}ed frame does: a damaged stamp puts the previous lock
+    bytes back and raises {!Validate.Validate_error}. *)
 
 val acquire : t -> epoch:int -> unit
 (** Take (or refresh) the lock for [epoch]; raises {!Fenced} when a
@@ -81,12 +78,8 @@ type tx_state = {
   tx_closed : bool;  (** [Commit] or [Abort] logged *)
 }
 
-type summary = {
-  s_tx : tx_state option;  (** the journal's last transaction, if any *)
-  s_respawns : (int * string) list;
-      (** unmatched [Respawn_begin]s, oldest first *)
-}
+val summarize : record list -> tx_state option
+(** The journal's last transaction, if any. *)
 
-val summarize : record list -> summary
-val quiescent : summary -> bool
-(** No open transaction and no unmatched respawn: nothing to recover. *)
+val quiescent : tx_state option -> bool
+(** No open transaction: nothing to recover. *)

@@ -96,22 +96,9 @@ let pick_canary t =
   | pid :: _ -> pid
   | [] -> t.session.Dynacut.root_pid
 
-(** Revert a canary whose cut must not survive: re-enable it if alive,
-    or rebuild it from its pristine image if the storm killed it. Runs
-    under {!Fault.suppressed} — this is an unwind path. *)
+(** Revert a canary whose cut must not survive ({!Dynacut.revert}). *)
 let revert_canary t pid cj =
-  Fault.suppressed (fun () ->
-      let m = t.session.Dynacut.machine in
-      (match Machine.proc m pid with
-      | Some p when Proc.is_live p ->
-          (match Dynacut.try_reenable t.session ~pids:[ pid ] cj with
-          | { Dynacut.r_outcome = `Applied; _ } -> ()
-          | exception (Fault.Controller_killed _ as e) -> raise e
-          | exception (Journal.Fenced _ as e) -> raise e
-          | { Dynacut.r_outcome = `Rolled_back _; _ } | (exception _) ->
-              (* last resort: recreate from the pre-cut image *)
-              Dynacut.respawn_pristine t.session ~pid)
-      | _ -> Dynacut.respawn_pristine t.session ~pid));
+  Dynacut.revert t.session ~pid cj;
   t.journals <- [];
   t.cut_pids <- []
 

@@ -49,19 +49,11 @@ let transition (w : worker) (state : string) : unit =
     (Obs.gauge ~labels:[ ("pid", string_of_int w.w_pid) ] "fleet.worker.wave")
     (float_of_int w.w_wave)
 
-(** Revert a worker's live cut: transactional re-enable, with a pristine
-    respawn as the last resort (same escalation as the supervisor's
-    canary revert). Runs under {!Fault.suppressed}, as the canary revert
-    does: it is the unwind path of a halt, and a fault still armed (a
-    multi-fire spec) must not roll the re-enable back and leave the
-    worker cut. No-op when no cut is live. *)
+(** Revert a worker's live cut ({!Dynacut.revert}, as the canary gate
+    does); no-op when no cut is live. *)
 let revert_worker (w : worker) : unit =
   if cut_live w then begin
-    Fault.suppressed (fun () ->
-        match Dynacut.try_reenable w.w_session w.w_journals with
-        | { Dynacut.r_outcome = `Applied; _ } -> ()
-        | { Dynacut.r_outcome = `Rolled_back _; _ } ->
-            Dynacut.respawn_pristine w.w_session ~pid:w.w_pid);
+    Dynacut.revert w.w_session ~pid:w.w_pid w.w_journals;
     w.w_journals <- [];
     transition w "reverted"
   end

@@ -43,7 +43,7 @@ module Site = struct
     | Restore_process -> (7, "restore.process", "rebuild a live process from images")
     | Restore_tcp_repair -> (8, "restore.tcp_repair", "re-attach a snapshotted TCP connection")
     | Restore_respawn ->
-        (9, "restore.respawn", "journaled re-create of a dead or reverted pid from a tmpfs image")
+        (9, "restore.respawn", "re-create of a dead pid from a tmpfs image (wave revert, recovery)")
     | Supervisor_promote -> (10, "supervisor.promote", "canary promotion to the remaining pids")
     | Journal_lock -> (11, "journal.lock", "acquire or refresh the per-tree journal lock (fencing)")
     | Journal_append ->

@@ -344,7 +344,7 @@ let test_unseal_error_offsets () =
 
 let header_size = String.length (Validate.seal "")
 
-(* the frozen rkv dump the micro-benchmarks seal *)
+(* a frozen rkv dump, the workload of the seal pins below *)
 let rkv_dump () =
   let c = Workload.boot Workload.rkv in
   Machine.freeze c.Workload.m ~pid:c.Workload.pid;

@@ -274,7 +274,7 @@ let test_roll_forward_completed () =
   List.iter
     (Journal.append j ~epoch:1)
     [
-      Journal.Begin { txid = 9; op = Journal.Cut; pids = [ pid ] };
+      Journal.Begin { txid = 9; pids = [ pid ] };
       Journal.Images_saved 9;
       Journal.Commit 9;
     ];
@@ -376,87 +376,164 @@ let test_every_truncation_point () =
     cut_len := !cut_len + step
   done
 
-(* ---------- supervisor respawns are journaled ---------- *)
+(* ---------- a respawn is a journal transaction ---------- *)
 
-let test_respawn_journaled () =
+(* every cut block of the live [pid] holds the bytes an uncut twin of
+   the server holds there *)
+let check_byte_original m pid blocks what =
+  let m0, p0 = boot () in
+  let exe = Option.get (Vfs.find_self m.Machine.fs "dsrv") in
+  let mem = (Machine.proc_exn m pid).Proc.mem
+  and mem0 = (Machine.proc_exn m0 p0.Proc.pid).Proc.mem in
+  List.iter
+    (fun (b : Covgraph.block) ->
+      for k = 0 to b.Covgraph.b_size - 1 do
+        let va = Int64.add exe.Self.base (Int64.of_int (b.Covgraph.b_off + k)) in
+        if Mem.peek8 mem va <> Mem.peek8 mem0 va then
+          Alcotest.failf "%s: byte at 0x%Lx differs from the uncut twin" what va
+      done)
+    blocks
+
+(* a cut dispatch server whose pid then died (reaped): the scene of a
+   canary revert's respawn *)
+let cut_then_reap () =
   Fault.reset ();
   let blocks = feature_blocks () in
   let m, p = boot () in
   let pid = p.Proc.pid in
   let session = Dynacut.create m ~root_pid:pid in
-  (* a successful cut leaves working + pristine images in tmpfs *)
   let (_ : Rewriter.journal list * Dynacut.timings) =
     Dynacut.cut session ~blocks ~policy:redirect_policy
   in
   Alcotest.(check string) "cut live" "ERR" (request m "S");
-  (* the worker dies; the controller is killed mid-respawn *)
   Machine.reap m ~pid;
-  Fault.arm ~kill:true Restore_respawn Fault.One_shot;
-  (match
-     Dynacut.journaled_respawn session ~pid
-       ~path:(Dynacut.image_path session pid)
-   with
-  | (_ : Proc.t) -> Alcotest.fail "controller survived kill mid-respawn"
-  | exception Fault.Controller_killed { site } ->
-      Alcotest.(check string) "died respawning" "restore.respawn" (Fault.Site.name site));
+  (m, pid, blocks, session)
+
+(* the respawned pid runs its pristine image: byte-original, serving,
+   the feature back, nothing stranded *)
+let check_revived m pid blocks what =
+  Alcotest.(check (list int)) (what ^ ": nothing stranded") [] (Dynacut.stranded m ~root_pid:pid);
+  check_byte_original m pid blocks what;
+  check_serving m what;
+  Alcotest.(check string) (what ^ ": feature original") "SET-OK" (request m "S")
+
+(* the controller dies at [site] inside [respawn_pristine]: after the
+   respawn's [Begin] (restore.respawn) or while appending it
+   (journal.append). Recovery revives the pid from its pristine image *)
+let test_respawn_killed_at site () =
+  let m, pid, blocks, session = cut_then_reap () in
+  Fault.arm ~kill:true site Fault.One_shot;
+  (match Dynacut.respawn_pristine session ~pid with
+  | () -> Alcotest.fail "controller survived kill mid-respawn"
+  | exception Fault.Controller_killed { site = s } ->
+      Alcotest.(check string) "died respawning" (Fault.Site.name site) (Fault.Site.name s));
   Alcotest.(check bool) "worker is gone" true (Machine.proc m pid = None);
-  (* recovery redoes the unmatched respawn intent *)
   let r = Dynacut.recover m ~root_pid:pid in
-  Alcotest.(check (list int)) "respawn redone" [ pid ] r.Dynacut.rec_respawned;
-  (* the respawned worker runs the rewritten image: still cut *)
-  check_serving m "after respawn recovery";
-  Alcotest.(check string) "feature still cut" "ERR" (request m "S")
+  Alcotest.(check bool)
+    (Format.asprintf "recovery acted (%a)" Dynacut.pp_recovery r)
+    true
+    (r.Dynacut.rec_action <> `Nothing);
+  Alcotest.(check (list int)) "the respawn's pid" [ pid ] r.Dynacut.rec_pids;
+  check_revived m pid blocks ("after a kill at " ^ Fault.Site.name site);
+  Alcotest.(check bool) "then quiescent" true
+    ((Dynacut.recover m ~root_pid:pid).Dynacut.rec_action = `Nothing)
+
+let test_respawn_journaled () = test_respawn_killed_at Restore_respawn ()
 
 (* a respawn intent that does not read back refuses the respawn, and
    the torn frame is cut off again: the next intent lands where
    recovery reads it, so a controller killed mid-respawn is still
    redone *)
 let test_respawn_torn_intent () =
-  Fault.reset ();
-  let blocks = feature_blocks () in
-  let m, p = boot () in
-  let pid = p.Proc.pid in
-  let session = Dynacut.create m ~root_pid:pid in
-  let (_ : Rewriter.journal list * Dynacut.timings) =
-    Dynacut.cut session ~blocks ~policy:redirect_policy
-  in
-  Machine.reap m ~pid;
-  let respawn () =
-    Dynacut.journaled_respawn session ~pid ~path:(Dynacut.image_path session pid)
-  in
+  let m, pid, blocks, session = cut_then_reap () in
   Fault.arm_mode Journal_append Fault.One_shot Fault.Corrupt;
-  (match respawn () with
-  | (_ : Proc.t) -> Alcotest.fail "respawned past a torn intent"
+  (match Dynacut.respawn_pristine session ~pid with
+  | () -> Alcotest.fail "respawned past a torn intent"
   | exception Validate.Validate_error _ -> ());
   Alcotest.(check bool) "worker still gone" true (Machine.proc m pid = None);
   Fault.arm ~kill:true Restore_respawn Fault.One_shot;
-  (match respawn () with
-  | (_ : Proc.t) -> Alcotest.fail "controller survived kill mid-respawn"
+  (match Dynacut.respawn_pristine session ~pid with
+  | () -> Alcotest.fail "controller survived kill mid-respawn"
   | exception Fault.Controller_killed _ -> ());
   let r = Dynacut.recover m ~root_pid:pid in
-  Alcotest.(check (list int)) "respawn redone" [ pid ] r.Dynacut.rec_respawned;
   Alcotest.(check bool) "journal was intact" false r.Dynacut.rec_torn;
-  Alcotest.(check string) "feature still cut" "ERR" (request m "S")
+  Alcotest.(check bool) "the respawn's transaction thawed" true
+    (r.Dynacut.rec_action = `Thawed);
+  check_revived m pid blocks "after the torn intent"
 
 (* a clean respawn leaves no journal residue behind *)
 let test_respawn_clean_no_residue () =
-  Fault.reset ();
-  let blocks = feature_blocks () in
-  let m, p = boot () in
-  let pid = p.Proc.pid in
-  let session = Dynacut.create m ~root_pid:pid in
-  let (_ : Rewriter.journal list * Dynacut.timings) =
-    Dynacut.cut session ~blocks ~policy:redirect_policy
-  in
-  Machine.reap m ~pid;
-  let (_ : Proc.t) =
-    Dynacut.journaled_respawn session ~pid
-      ~path:(Dynacut.image_path session pid)
-  in
+  let m, pid, blocks, session = cut_then_reap () in
+  Dynacut.respawn_pristine session ~pid;
+  let dir = Printf.sprintf "/tmpfs/dynacut-%d" pid in
+  Alcotest.(check (list bool)) "no journal, no lock" [ false; false ]
+    (List.map (fun f -> Vfs.exists m.Machine.fs (dir ^ f)) [ "/journal"; "/lock" ]);
   let r = Dynacut.recover m ~root_pid:pid in
   Alcotest.(check bool) "nothing to recover" true
     (r.Dynacut.rec_action = `Nothing);
-  Alcotest.(check (list int)) "no respawn redone" [] r.Dynacut.rec_respawned
+  check_revived m pid blocks "after a clean respawn"
+
+(* a respawn from a second session over a cut its controller died in
+   (at rewrite.patch, past Images_saved) is refused: it must not finish
+   the journal under the open transaction. The journal keeps its two
+   records, and recovery rolls the tree back *)
+let test_respawn_refused_over_open_tx () =
+  let m, root_pid, blocks, _dead = crash_cut_at Rewrite_patch in
+  let records () =
+    List.length (fst (Journal.read (Journal.attach m.Machine.fs
+      ~dir:(Printf.sprintf "/tmpfs/dynacut-%d" root_pid))))
+  in
+  Alcotest.(check int) "Begin and Images_saved" 2 (records ());
+  let second = Dynacut.create m ~root_pid in
+  (match Dynacut.respawn_pristine second ~pid:root_pid with
+  | () -> Alcotest.fail "respawned over an open transaction"
+  | exception Journal.Busy { txid } ->
+      Alcotest.(check bool) "busy names the open tx" true (txid > 0));
+  Alcotest.(check int) "the journal keeps its records" 2 (records ());
+  let r = Dynacut.recover m ~root_pid in
+  Alcotest.(check bool) "rolled back" true (r.Dynacut.rec_action = `Rolled_back);
+  Alcotest.(check (list int)) "nothing stranded" [] (Dynacut.stranded m ~root_pid);
+  check_original_then_recut m root_pid blocks
+
+(* ---------- a torn lock write never leaves anyone acting unfenced ---------- *)
+
+(* the cut's lock stamp does not read back: the previous lock (none)
+   is put back and the cut rolls back at its journal stage, with
+   nothing on storage for recovery *)
+let test_torn_lock_rolls_back () =
+  Fault.reset ();
+  let blocks = feature_blocks () in
+  let m, p = boot () in
+  let root_pid = p.Proc.pid in
+  Fault.arm_mode Journal_lock Fault.One_shot Fault.Corrupt;
+  (match (Dynacut.try_cut (Dynacut.create m ~root_pid) ~blocks ~policy:redirect_policy ()).Dynacut.r_outcome with
+  | `Rolled_back rb -> Alcotest.(check string) "rolled back at" "journal" rb.Dynacut.rb_stage
+  | o -> Alcotest.failf "torn lock: %a" Dynacut.pp_outcome o);
+  Alcotest.(check int) "the tear fired" 1 (Fault.fired Journal_lock);
+  let dir = Printf.sprintf "/tmpfs/dynacut-%d" root_pid in
+  Alcotest.(check (list bool)) "no journal, no lock" [ false; false ]
+    (List.map (fun f -> Vfs.exists m.Machine.fs (dir ^ f)) [ "/journal"; "/lock" ]);
+  Alcotest.(check (list int)) "nothing stranded" [] (Dynacut.stranded m ~root_pid);
+  check_original_then_recut m root_pid blocks
+
+(* recovery's fencing stamp does not read back: the pass fails before
+   it acts, the journal and the previous lock are intact, and a second
+   pass recovers *)
+let test_torn_fence_recover_reruns () =
+  let m, root_pid, blocks, _dead = crash_cut_at Criu_checkpoint in
+  let j = Journal.attach m.Machine.fs ~dir:(Printf.sprintf "/tmpfs/dynacut-%d" root_pid) in
+  let before = Journal.read j and epoch = Journal.lock_epoch j in
+  Fault.arm_mode Journal_lock Fault.One_shot Fault.Corrupt;
+  (match Dynacut.recover m ~root_pid with
+  | (_ : Dynacut.recovery) -> Alcotest.fail "recovered unfenced"
+  | exception Validate.Validate_error _ -> ());
+  Alcotest.(check bool) "the journal is intact" true (Journal.read j = before);
+  Alcotest.(check int) "the previous lock is back" epoch (Journal.lock_epoch j);
+  let r = Dynacut.recover m ~root_pid in
+  Alcotest.(check bool) "second pass thaws" true (r.Dynacut.rec_action = `Thawed);
+  Alcotest.(check int) "fenced past the old lock" (epoch + 1) r.Dynacut.rec_epoch;
+  Alcotest.(check (list int)) "nothing stranded" [] (Dynacut.stranded m ~root_pid);
+  check_original_then_recut m root_pid blocks
 
 let suite =
   List.map
@@ -496,4 +573,12 @@ let suite =
         test_respawn_clean_no_residue;
       Alcotest.test_case "torn respawn intent refused and cut off" `Quick
         test_respawn_torn_intent;
+      Alcotest.test_case "kill at the respawn's journal.append" `Quick
+        (test_respawn_killed_at Journal_append);
+      Alcotest.test_case "respawn over an open transaction is busy" `Quick
+        test_respawn_refused_over_open_tx;
+      Alcotest.test_case "torn lock write rolls the cut back" `Quick
+        test_torn_lock_rolls_back;
+      Alcotest.test_case "torn fencing write: recover fails, re-run recovers" `Quick
+        test_torn_fence_recover_reruns;
     ]

@@ -157,9 +157,7 @@ let test_trap_meter_reset () =
   done;
   Alcotest.(check int) "three traps" 3 (Dynacut.trap_delta meter session ~pid);
   Machine.reap m ~pid;
-  let (_ : Proc.t) =
-    Dynacut.journaled_respawn session ~pid ~path:(Dynacut.image_path session pid)
-  in
+  let (_ : Proc.t) = Restore.respawn m ~path:(Dynacut.image_path session pid) in
   Alcotest.(check string) "G traps after the respawn" "ERR" (Test_core.request m "G");
   let raw = Dynacut.handler_hits session ~pid in
   Alcotest.(check int64) "counter reset below the baseline" 1L raw;
